@@ -36,12 +36,10 @@ hello, and hangs up — exactly the server's
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from ..config import TasmConfig
 from ..errors import (
@@ -54,15 +52,16 @@ from ..errors import (
     TransportError,
 )
 from ..core.scan import ScanResult
+from ..service.stream import ScanStream
 from ..service.transport import (
     PROTOCOL_VERSION,
+    RemoteScanStream,
     RemoteTasmClient,
     RetryPolicy,
     _disable_nagle,
     recv_message,
     send_message,
 )
-from ..video.codec import DecodeStats
 from .ring import HashRing, sot_key
 
 __all__ = ["ClusterRouter", "ClusterScanStream", "probe_shard"]
@@ -93,87 +92,67 @@ def probe_shard(address, timeout: float = 5.0) -> bool:
         sock.close()
 
 
-@dataclass
-class _SubScan:
+class _SubScan(NamedTuple):
     """One shard's share of a scattered scan (a live sub-stream)."""
 
     shard: str
-    stream: object
+    stream: RemoteScanStream
     assigned: frozenset
-    delivered: set = dataclass_field(default_factory=set)
 
 
-class ClusterScanStream:
-    """The merged, failover-capable stream of a scattered scan.
+class ClusterScanStream(ScanStream):
+    """The cluster source: *pulls* chunks out of its per-shard sub-streams.
 
-    Iterating yields ``(sot_index, [ScanRegion, ...])`` chunks in whatever
-    order replicas produce them; :meth:`result` assembles the final
-    :class:`ScanResult` with regions in ascending SOT order (each SOT's
-    regions are one shard's chunk, internally in the executor's
-    deterministic order), which is the order a single server produces — so
-    merged results compare byte-identical to an unsharded run regardless of
-    interleaving or mid-scan failover.
+    Iterating yields chunks in whatever order replicas produce them;
+    :meth:`result` assembles the final :class:`ScanResult` with regions in
+    ascending SOT order (each SOT's regions are one shard's chunk,
+    internally in the executor's deterministic order), which is the order a
+    single server produces — so merged results compare byte-identical to an
+    unsharded run regardless of interleaving or mid-scan failover.
 
-    All merge and failover bookkeeping runs on the consuming thread; the
-    per-shard drainer threads only move events into the queue.
+    There is no thread and no queue per sub-scan: the sub-streams' reader
+    threads wake this stream, and the merge and failover bookkeeping run on
+    the consuming thread, which takes one chunk at a time out of a
+    sub-stream.  A sub-stream's credit goes back to its shard only then, so
+    a consumer that stops iterating leaves at most the credit window
+    buffered per sub-scan and the shards' pumps park.
     """
+
+    failure_prefix = "cluster scan failed"
 
     def __init__(
         self,
         router: "ClusterRouter",
-        video: str,
-        labels,
-        frame_start,
-        frame_stop,
-        deadline_ms,
-        priority: int,
+        scan: dict,
+        deadline_ms: float | None,
         universe: frozenset,
-        timeout: float | None,
     ):
+        super().__init__(deadline_ms=deadline_ms, event_timeout=router._timeout)
         self._router = router
-        self.video = video
-        self._labels = labels
-        self._frame_start = frame_start
-        self._frame_stop = frame_stop
-        self._deadline_ms = deadline_ms
-        self._priority = priority
+        #: The scan's selection and priority — ``scan_streaming`` keywords
+        #: every shard gets as they are; only ``skip_sots`` and the deadline
+        #: differ per shard.
+        self._scan = scan
+        self.video = scan["video"]
         #: Every SOT of the video: the scatter partitions this set (a
         #: temporally bounded query simply never emits chunks for SOTs
         #: outside its range, whichever shard owns them).
         self._universe = universe
-        self._timeout = timeout
-        self._started_at = time.monotonic()
-        self._events: queue.SimpleQueue = queue.SimpleQueue()
-        self._pending: dict[int, _SubScan] = {}
-        self._next_token = 0
+        self._subs: list[_SubScan] = []
         #: Shards this scan gave up on (dead or shedding); grows only.
         self._excluded: set = set()
-        self._chunks: dict[int, list] = {}
-        self._shard_results: list = []
-        self._result = None
-        self._error: BaseException | None = None
-        self._finished = False
-        self._closed = False
+        #: Decode accounting summed across the shards that finished; the
+        #: timings take the slowest shard (scatter work ran in parallel).
+        self._merged = ScanResult(video=self.video)
         #: Sub-scans issued beyond the initial scatter (failover visibility).
         self.failovers = 0
 
     # ------------------------------------------------------------------
     # Scatter (called by the router, and again on failover)
     # ------------------------------------------------------------------
-    def _remaining_deadline_ms(self):
-        """The query's unspent deadline budget, or raises when exhausted."""
-        if self._deadline_ms is None:
-            return None
-        elapsed_ms = (time.monotonic() - self._started_at) * 1000.0
-        remaining = float(self._deadline_ms) - elapsed_ms
-        if remaining <= 0.0:
-            raise DeadlineExceeded(
-                f"deadline of {float(self._deadline_ms):g} ms exhausted "
-                "before the cluster scan could be (re)scattered"
-            )
-        return remaining
-
-    def _submit(self, sots: set, cause: BaseException | None = None) -> None:
+    def _scatter(
+        self, sots: set, deadline_ms: float | None, cause: BaseException | None = None
+    ) -> None:
         """Scatter ``sots`` over live, non-excluded replicas.
 
         A shard that fails at submission joins the excluded set and its
@@ -191,19 +170,12 @@ class ClusterScanStream:
                     )
                 groups.setdefault(shard, set()).add(sot)
             todo = set()
-            deadline_ms = self._remaining_deadline_ms()
             for shard, group in sorted(groups.items()):
-                skip = self._universe - group
                 try:
-                    stream = self._router._scan_on(
-                        shard,
-                        self.video,
-                        self._labels,
-                        self._frame_start,
-                        self._frame_stop,
-                        deadline_ms,
-                        self._priority,
-                        skip,
+                    stream = self._router._client(shard).scan_streaming(
+                        **self._scan,
+                        deadline_ms=deadline_ms,
+                        skip_sots=self._universe - group,
                     )
                 except (ServiceError, OSError) as submit_error:
                     self._router._note_failure(shard, submit_error)
@@ -211,93 +183,63 @@ class ClusterScanStream:
                     todo |= group
                     cause = submit_error
                     continue
-                token = self._next_token
-                self._next_token += 1
-                sub = _SubScan(shard, stream, frozenset(group))
-                self._pending[token] = sub
-                threading.Thread(
-                    target=self._drain,
-                    args=(token, sub),
-                    name=f"tasm-cluster-drain-{shard}",
-                    daemon=True,
-                ).start()
+                # Attach after creating: events that already arrived sit in
+                # the sub-stream's buffer, and the next pull finds them.
+                stream._listener = self._wake
+                self._subs.append(_SubScan(shard, stream, frozenset(group)))
 
-    def _drain(self, token: int, sub: _SubScan) -> None:
-        try:
-            for sot_index, regions in sub.stream:
-                self._events.put(("chunk", token, sot_index, regions))
-            self._events.put(("done", token, sub.stream.result()))
-        except BaseException as error:  # noqa: BLE001 — routed to the consumer
-            self._events.put(("error", token, error))
+    @property
+    def outstanding(self) -> list[tuple[str, set]]:
+        """Each live sub-scan's shard and the SOTs it still owes."""
+        return [(sub.shard, sub.assigned - self.delivered) for sub in self._subs]
+
+    @property
+    def buffered_chunks(self) -> int:
+        """Chunks held for the consumer, those still in sub-streams included."""
+        return super().buffered_chunks + sum(
+            sub.stream.buffered_chunks for sub in self._subs
+        )
 
     # ------------------------------------------------------------------
     # Merge (consumer side)
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Abandon the merged scan: cancel every live sub-stream."""
-        if self._closed or (self._finished and self._error is None):
+    def _pull(self) -> None:
+        """Take at most one chunk out of the sub-streams; retire finished
+        ones (failing their share over), and finish once none is left."""
+        if self.done or self._buffer:
             return
-        self._closed = True
-        for sub in list(self._pending.values()):
-            try:
-                sub.stream.close()
-            except Exception:  # noqa: BLE001 — best-effort teardown
-                pass
-        self._pending.clear()
-        self._error = StreamCancelledError("cluster stream closed by its consumer")
-        self._finished = True
+        for sub in list(self._subs):
+            # Read the terminal flag first: a sub-stream accepts no chunk
+            # after it, so "was terminal, and nothing buffered" is final.
+            ended = sub.stream.done
+            chunk = sub.stream.poll()
+            if chunk is not None:
+                self._router._note_served(self.video, chunk.sot_index, sub.shard)
+                self._push(chunk)
+                return
+            if ended:
+                self._subs.remove(sub)
+                try:
+                    shard = sub.stream.result()
+                except ServiceError as error:
+                    self._failover(sub, error)
+                    if self.done:
+                        return  # aborted: the remaining sub-streams are closed
+                    continue
+                merged = self._merged
+                merged.stats.merge(shard.stats)
+                merged.index_seconds = max(merged.index_seconds, shard.index_seconds)
+                merged.decode_seconds = max(merged.decode_seconds, shard.decode_seconds)
+        if not self._subs:
+            # Regions concatenate in ascending SOT order — the canonical
+            # order a single server yields.
+            self._merged.regions = self.served_regions()
+            self._finish(self._merged)
 
-    def _scan_error(self) -> ServiceError:
-        error = self._error
-        cls = type(error) if isinstance(error, ServiceError) else ServiceError
-        try:
-            return cls(f"cluster scan failed: {error}")
-        except Exception:  # noqa: BLE001 — a ctor needing extra args
-            return ServiceError(f"cluster scan failed: {error}")
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self._error is not None:
-            raise self._scan_error() from self._error
-        while self._pending:
-            try:
-                kind, token, *rest = self._events.get(timeout=self._timeout)
-            except queue.Empty:
-                self._error = ServiceError(
-                    f"no cluster stream data within {self._timeout} seconds "
-                    f"({len(self._pending)} sub-stream(s) outstanding)"
-                )
-                self._finished = True
-                raise self._scan_error() from None
-            sub = self._pending.get(token)
-            if sub is None:
-                continue  # a sub-stream failed over already; late event
-            if kind == "chunk":
-                sot_index, regions = rest
-                if sot_index in self._chunks:
-                    continue  # duplicate after failover re-scatter; first wins
-                self._chunks[sot_index] = regions
-                sub.delivered.add(sot_index)
-                self._router._note_served(self.video, sot_index, sub.shard)
-                yield sot_index, regions
-            elif kind == "done":
-                self._pending.pop(token, None)
-                self._shard_results.append(rest[0])
-            else:  # "error"
-                self._pending.pop(token, None)
-                self._failover(sub, rest[0])
-        self._finished = True
-
-    def _abort(self, error: BaseException) -> None:
-        """Terminal failure: cancel every live sub-stream, then raise."""
-        for sub in list(self._pending.values()):
-            try:
-                sub.stream.close()
-            except Exception:  # noqa: BLE001 — best-effort teardown
-                pass
-        self._pending.clear()
-        self._error = error
-        self._finished = True
-        raise self._scan_error() from error
+    def _cancel_source(self) -> None:
+        for sub in self._subs:
+            sub.stream.close()
+        self._subs.clear()
 
     def _failover(self, sub: _SubScan, error: BaseException) -> None:
         """Re-scatter a failed sub-scan's undelivered SOTs, or fail for good.
@@ -307,57 +249,29 @@ class ClusterScanStream:
         exhausted reconnects, ``ServerBusy`` shedding — excludes the shard
         and moves its remaining share to the next replicas.
         """
-        if isinstance(
-            error, (DeadlineExceeded, StreamCancelledError, PoisonQueryError)
-        ) or self._closed:
-            self._abort(error)
-        if not isinstance(error, ServerBusy):
-            # Busy is overload, not death: shed scans route around the
-            # shard this once, but its health is the breaker's business.
-            self._router._note_failure(sub.shard, error)
-        self._excluded.add(sub.shard)
-        remaining = set(sub.assigned) - sub.delivered - set(self._chunks)
-        if not remaining:
-            return  # everything it owed arrived before the wire died
-        self.failovers += 1
-        self._router.failovers_total += 1
         try:
-            self._submit(remaining, cause=error)
-        except BaseException as resubmit_error:
-            self._abort(resubmit_error)
-
-    def result(self):
-        """Drain the stream and assemble the merged :class:`ScanResult`.
-
-        Regions concatenate in ascending SOT order — the canonical order a
-        single server yields — and decode accounting sums across shards
-        (the timings take the slowest shard: scatter work ran in parallel).
-        """
-        for _ in self:
-            pass
-        if self._error is not None:
-            raise self._scan_error() from self._error
-        if self._result is None:
-            regions = [
-                region
-                for sot_index in sorted(self._chunks)
-                for region in self._chunks[sot_index]
-            ]
-            stats = DecodeStats()
-            index_seconds = 0.0
-            decode_seconds = 0.0
-            for shard_result in self._shard_results:
-                stats.merge(shard_result.stats)
-                index_seconds = max(index_seconds, shard_result.index_seconds)
-                decode_seconds = max(decode_seconds, shard_result.decode_seconds)
-            self._result = ScanResult(
-                video=self.video,
-                regions=regions,
-                stats=stats,
-                index_seconds=index_seconds,
-                decode_seconds=decode_seconds,
+            if isinstance(
+                error, (DeadlineExceeded, StreamCancelledError, PoisonQueryError)
+            ):
+                raise error
+            if not isinstance(error, ServerBusy):
+                # Busy is overload, not death: shed scans route around the
+                # shard this once, but its health is the breaker's business.
+                self._router._note_failure(sub.shard, error)
+            self._excluded.add(sub.shard)
+            if sub.assigned <= self.delivered:
+                return  # everything it owed arrived before the wire died
+            self.failovers += 1
+            self._router.failovers_total += 1
+            self.resume(
+                lambda skip_sots, deadline_ms: self._scatter(
+                    sub.assigned - skip_sots, deadline_ms, cause=error
+                )
             )
-        return self._result
+        except (ServiceError, OSError) as fatal:
+            # Terminal failure: cancel every live sub-stream.
+            self._fail(fatal)
+            self._cancel_source()
 
 
 class ClusterRouter:
@@ -570,20 +484,6 @@ class ClusterRouter:
             client.close()
         return existing
 
-    def _scan_on(
-        self, shard, video, labels, frame_start, frame_stop, deadline_ms,
-        priority, skip_sots,
-    ):
-        return self._client(shard).scan_streaming(
-            video,
-            labels,
-            frame_start,
-            frame_stop,
-            deadline_ms=deadline_ms,
-            priority=priority,
-            skip_sots=skip_sots,
-        )
-
     # ------------------------------------------------------------------
     # The client-facing API
     # ------------------------------------------------------------------
@@ -621,19 +521,16 @@ class ClusterRouter:
         info = self.video_info(video)
         universe = frozenset(range(int(info["sot_count"])))
         self._refresh_load()
-        stream = ClusterScanStream(
-            self,
-            video,
-            labels,
-            frame_start,
-            frame_stop,
-            deadline_ms,
-            priority,
-            universe,
-            self._timeout,
+        scan = dict(
+            video=video,
+            labels=labels,
+            frame_start=frame_start,
+            frame_stop=frame_stop,
+            priority=priority,
         )
+        stream = ClusterScanStream(self, scan, deadline_ms, universe)
         try:
-            stream._submit(set(universe))
+            stream._scatter(universe, stream.remaining_deadline_ms())
         except BaseException:
             stream.close()
             raise

@@ -188,7 +188,7 @@ class TASM:
         uses it to stream results to clients before the batch finishes.
         ``cancelled`` (an optional ``plan index -> bool`` probe) lets the
         caller withdraw queries mid-batch; their remaining per-SOT work is
-        skipped (see :meth:`repro.exec.engine.BatchExecutor.execute_batch`).
+        skipped (see :meth:`repro.exec.engine.QueryExecutor.execute_batch`).
         ``trace_sink`` receives per-stage timings (plan / warm / serve) for
         the service layer's per-query traces (``repro.obs``).  ``skip_sots``
         (a per-query set of SOT indices to leave unplanned, aligned with

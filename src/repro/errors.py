@@ -56,15 +56,6 @@ class UnknownVideoError(StorageError):
     """Raised when an operation references a video that was never ingested."""
 
 
-class UnknownLabelError(QueryError):
-    """Raised when a query references a label absent from the semantic index
-    and the caller asked for strict label checking."""
-
-
-class DetectionError(TasmError):
-    """Raised by the simulated object detectors."""
-
-
 class WorkloadError(TasmError):
     """Raised by workload generators for inconsistent parameters."""
 

@@ -324,15 +324,6 @@ class TileDecodeCache:
             self.stats.invalidations += len(doomed)
             return len(doomed)
 
-    def invalidate_scope(self, scope: str) -> int:
-        """Drop every entry of one video."""
-        with self._lock:
-            doomed = [key for key in self._entries if key[0] == scope]
-            for key in doomed:
-                self._remove(key)
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
     def clear(self) -> None:
         with self._lock:
             self.stats.invalidations += len(self._entries)

@@ -13,6 +13,11 @@ available to *many concurrent callers*, the deployment VSS targets:
 * :class:`~repro.service.client.TasmClient` — the in-process client handle:
   blocking ``scan`` or streaming ``scan_streaming`` (results arrive per SOT,
   before the batch's later SOTs have decoded).
+* :class:`~repro.service.stream.ScanStream` / ``StreamChunk`` — the one
+  stream state machine every client returns (buffer, delivered SOTs,
+  deadline, typed failure, iterate / ``result`` / ``close``, ``resume``);
+  ``ResultStream``, ``RemoteScanStream`` and the cluster's
+  ``ClusterScanStream`` are its three thin sources.
 * :class:`~repro.service.scheduler.BatchScheduler` / ``ResultStream`` — the
   batch-forming collector, the pool of batch runners
   (``TasmConfig.service_runners``) that overlap batch execution with
@@ -41,7 +46,8 @@ log — exposed in process via ``TasmServer.metrics_snapshot()`` / ``traces()``
 ``trace`` ops (``RemoteTasmClient.metrics()`` / ``.traces()``).
 """
 
-from .scheduler import BatchScheduler, ResultStream, StreamChunk
+from .stream import ScanStream, StreamChunk
+from .scheduler import BatchScheduler, ResultStream
 from .server import DEFAULT_SERVER_CACHE_BYTES, ServerStats, TasmServer
 from .client import TasmClient
 from .shedding import QueueWaitBreaker
@@ -63,6 +69,7 @@ __all__ = [
     "RemoteTasmClient",
     "ResultStream",
     "RetryPolicy",
+    "ScanStream",
     "ServerStats",
     "ShmTransport",
     "SocketTransport",

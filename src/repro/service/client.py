@@ -8,7 +8,7 @@ the synchronisation).  The two query styles:
   to calling ``TASM.scan`` directly.
 * ``scan_streaming(...)`` / ``submit(query)`` — returns a
   :class:`~repro.service.scheduler.ResultStream` immediately; iterate it for
-  per-SOT :class:`~repro.service.scheduler.StreamChunk` deliveries (the first
+  per-SOT :class:`~repro.service.stream.StreamChunk` deliveries (the first
   arrives while later SOTs are still decoding), or call ``.result()`` to
   block for the whole thing.
 """

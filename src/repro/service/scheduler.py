@@ -19,13 +19,12 @@ next batch before any client gets a second one.  Spare batch capacity is
 still work-conserving (a lone client may fill a whole batch).
 
 Streaming and backpressure: the executor's observer hook fires per SOT, and
-the runner forwards each event into the owning query's stream.  A stream
-buffers at most ``TasmConfig.service_stream_buffer_chunks`` undelivered
-chunks; a producer pushing into a full buffer *suspends* until the consumer
-drains it, so a slow client bounds the server's memory instead of growing an
-unbounded queue.  Terminal state (result or error) is stored on the stream
-itself rather than as a queue sentinel, so iterating a failed stream twice
-raises twice instead of blocking forever.
+the runner forwards each event into the owning query's stream — a
+:class:`~repro.service.stream.ScanStream` (see that module for the state
+machine).  A stream buffers at most
+``TasmConfig.service_stream_buffer_chunks`` undelivered chunks; a producer
+pushing into a full buffer *suspends* until the consumer drains it, so a
+slow client bounds the server's memory instead of growing an unbounded queue.
 
 Fault tolerance (PR 8) threads through every stage:
 
@@ -54,17 +53,16 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Sequence
 
 from ..core.query import Query
-from ..core.scan import ScanRegion, ScanResult
+from ..core.scan import ScanResult
 from ..errors import (
     DeadlineExceeded,
     PoisonQueryError,
     ServerBusy,
     ServiceError,
-    StreamCancelledError,
 )
 from ..exec.engine import BatchResult, PartialResult, QueryDone
 from ..faults.plan import FAULT_RUNNER_DEATH, InjectedRunnerDeath
@@ -72,42 +70,19 @@ from ..obs import DISABLED, Observability
 from ..obs.trace import NULL_TRACE
 from ..video.codec import DecodeStats
 from .shedding import QueueWaitBreaker
+from .stream import ScanStream, StreamChunk
 
 __all__ = ["BatchScheduler", "ResultStream", "StreamChunk"]
 
 
-@dataclass(frozen=True)
-class StreamChunk:
-    """One SOT's worth of a query's results, delivered incrementally."""
+class ResultStream(ScanStream):
+    """The in-process source: a batch runner's observer pushes the chunks.
 
-    sot_index: int
-    regions: tuple[ScanRegion, ...]
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-
-class ResultStream:
-    """A handle to one submitted query: iterate chunks, or block for the result.
-
-    Iterating yields :class:`StreamChunk` objects as the server serves each
-    SOT (ending when the query completes); :meth:`result` blocks until the
-    final :class:`~repro.core.scan.ScanResult` is ready.  If the batch the
-    query rode in failed, both raise :class:`ServiceError` (preserving the
-    failure's subclass — ``DeadlineExceeded``, ``ServerBusy``, ... — so
-    callers can branch on the outcome) — and keep raising on every later
-    attempt, because the terminal state lives on the stream rather than in
-    the chunk buffer.
-
-    ``buffer_chunks`` bounds the undelivered chunks held for a slow consumer;
-    a producer pushing into a full buffer suspends until the consumer drains
-    it (0 = unbounded, never suspend).  On a bounded stream, ``result()``
-    discards buffered chunks while it waits — the final ``ScanResult`` carries
-    every region regardless — so a caller that never iterates cannot deadlock
-    the producer against its own stream.  Mixing iteration and ``result()``
-    from different threads on one bounded stream is therefore racy for the
-    iterator; consume a stream from one thread.
+    Adds what only the scheduler needs to a :class:`ScanStream` — the query,
+    its trace, its shedding rank, and the supervision bookkeeping.
     """
+
+    failure_prefix = "query failed in its batch"
 
     def __init__(
         self,
@@ -117,28 +92,16 @@ class ResultStream:
         priority: int = 0,
         skip_sots: Iterable[int] | None = None,
     ):
+        super().__init__(buffer_chunks, deadline_ms, skip_sots)
         self.query = query
-        self.submitted_at = time.perf_counter()
         #: The query's observability trace (``repro.obs``): the scheduler
         #: installs a live one at submit when observability is enabled; the
         #: shared null trace otherwise, so span recording never branches.
         self.trace = NULL_TRACE
-        #: Deadline, as submitted (milliseconds) and as a monotonic instant;
-        #: ``None`` (or a non-positive ``deadline_ms``) means no deadline.
-        self.deadline_ms = deadline_ms if deadline_ms and deadline_ms > 0 else None
-        self.deadline_at = (
-            None
-            if self.deadline_ms is None
-            else time.monotonic() + self.deadline_ms / 1000.0
-        )
         #: Shedding rank: the breaker sheds *lower* priorities first, so a
         #: higher number asks to survive overload longer.  Ties shed newest
         #: first (queries near the front keep their sunk queue time).
         self.priority = priority
-        #: SOT indices the submitter already holds (a reconnecting remote
-        #: client resuming an interrupted scan); the executor never serves
-        #: them again, keeping the delivered byte stream identical.
-        self.skip_sots: frozenset[int] = frozenset(skip_sots or ())
         #: Guard making the cancelled-query counter exactly-once per stream,
         #: whichever path (pending drop, mid-batch skip, failed-batch sweep)
         #: notices the cancellation first.  Written under the scheduler's
@@ -148,149 +111,18 @@ class ResultStream:
         #: not record a second queue-wait span/observation.  Touched only by
         #: the runner thread executing the stream's batch.
         self._queue_span_recorded = False
-        #: Set (producer-side) when the first chunk was pushed; None until then.
-        self.first_chunk_at: float | None = None
-        self.completed_at: float | None = None
-        self._capacity = buffer_chunks
-        self._buffer: deque[StreamChunk] = deque()
-        self._cond = threading.Condition()
-        self._done = threading.Event()
-        self._result: ScanResult | None = None
-        self._error: BaseException | None = None
-        #: True once the consumer abandoned the stream via :meth:`close` (as
-        #: opposed to failing by shutdown or a batch error) — the scheduler
-        #: reads it to skip the query's remaining work and count the cancel.
-        self._closed_by_consumer = False
-        #: Liveness probe installed by the scheduler at submit: waiters poll
-        #: it so a crashed runner pool fails them loudly instead of hanging.
-        self._liveness: Callable[[], bool] | None = None
         #: The submitter's fairness key, kept so a supervisor recovering this
         #: stream from a crashed runner can requeue it in the right bucket.
         self._client: Hashable = None
-        #: SOT indices whose chunk this stream actually buffered, and the
-        #: regions those chunks carried — the resume bookkeeping.  Appended
-        #: by the producing runner; read when the stream re-enters a batch
-        #: (never concurrently with a producer — a stream rides one batch at
-        #: a time).
-        self._delivered_sots: set[int] = set()
-        self._served_regions: list[ScanRegion] = []
-        #: Regions served by earlier (crashed or failed) runs of this query,
-        #: captured at requeue; ``_finish`` prepends them so the final
-        #: ``ScanResult`` carries every region despite the interruption.
-        self._prior_regions: list[ScanRegion] = []
         #: Batch runners this query's execution has killed (supervision).
         self._runner_kills = 0
 
-    # ------------------------------------------------------------------
-    # Producer side (batch runner threads)
-    # ------------------------------------------------------------------
-    def _push_chunk(self, chunk: StreamChunk) -> None:
-        """Buffer one chunk, suspending while a bounded buffer is full.
-
-        A stream that reached terminal state (failed by shutdown or
-        abandoned by a disconnected client) silently drops the chunk so the
-        producing batch is never wedged on a consumer that will not return.
-        """
-        with self._cond:
-            while (
-                self._capacity
-                and len(self._buffer) >= self._capacity
-                and not self._done.is_set()
-            ):
-                self._cond.wait()
-            if self._done.is_set():
-                return
-            if self.first_chunk_at is None:
-                self.first_chunk_at = time.perf_counter()
-            self._buffer.append(chunk)
-            self._delivered_sots.add(chunk.sot_index)
-            self._served_regions.extend(chunk.regions)
-            self._cond.notify_all()
-
-    def _finish(self, result: ScanResult) -> None:
-        with self._cond:
-            if self._done.is_set():
-                return  # already failed (shutdown / disconnect); first wins
-            if self._prior_regions:
-                # A resumed run only re-served the SOTs the interruption cut
-                # off; splice the earlier runs' regions back in front.  SOTs
-                # serve in ascending order, so prior ∥ resumed is the same
-                # order an uninterrupted run would have produced.
-                result.regions[:0] = self._prior_regions
-            self._result = result
-            self.completed_at = time.perf_counter()
-            self._done.set()
-            self._cond.notify_all()
-
-    def _fail(self, error: BaseException) -> bool:
-        """Move to the failed terminal state; True if this call did it."""
-        with self._cond:
-            if self._done.is_set():
-                return False
-            self._error = error
-            self.completed_at = time.perf_counter()
-            self._done.set()
-            # Wakes consumers *and* any producer suspended on a full buffer
-            # (it re-checks the terminal flag and drops its chunk).
-            self._cond.notify_all()
-            return True
-
-    def expired(self) -> bool:
-        """True once this stream's deadline (if any) has elapsed."""
-        return self.deadline_at is not None and time.monotonic() >= self.deadline_at
-
-    def _sots_to_skip(self) -> frozenset[int] | None:
-        """SOT indices a (re)execution of this query must not serve again."""
-        if self.skip_sots or self._delivered_sots:
-            return self.skip_sots | self._delivered_sots
-        return None
-
-    # ------------------------------------------------------------------
-    # Consumer side (client thread)
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Abandon the stream: the consumer will not read further.
-
-        Releases a producer suspended on this stream's full buffer (its later
-        pushes are dropped) so walking away from a partially consumed bounded
-        stream can never wedge the batch runner producing it, and marks the
-        query cancelled — the scheduler skips its remaining per-SOT work
-        (pending queries are dropped before ever entering a batch) so an
-        abandoned scan frees runner time instead of decoding for nobody.  A
-        stream whose query already completed is unaffected; an abandoned one
-        raises :class:`ServiceError` from ``result()``.  Always call this (or
-        drain the stream) when breaking out of iteration early.
-        """
-        if self._fail(StreamCancelledError("stream closed by its consumer")):
-            self._closed_by_consumer = True
-
-    def _terminal_error(self) -> ServiceError:
-        """The exception consumers raise for this stream's failure.
-
-        Preserves the failure's :class:`ServiceError` subclass (deadline,
-        busy, poison, cancelled...) so callers can branch on the outcome
-        without string-matching; falls back to plain ``ServiceError`` for
-        foreign exception types or subclasses with exotic constructors.
-        """
-        error = self._error
-        message = f"query failed in its batch: {error}"
-        cls = type(error) if isinstance(error, ServiceError) else ServiceError
-        try:
-            return cls(message)
-        except Exception:  # noqa: BLE001 — a ctor needing extra args
-            return ServiceError(message)
-
-    def _starved_stage(self) -> str:
-        """Which pipeline stage a timed-out waiter is starved in.
-
-        Built from the stream's own progress markers (and trace spans when
-        observability is on), so a ``result(timeout=...)`` failure says
-        *where* the query is stuck — still queued, executing but yet to
-        serve, or mid-serve — instead of just that it is late.
-        """
+    def _stuck(self) -> str:
+        """Still queued, executing but yet to serve, or mid-serve — from the
+        stream's own progress markers."""
         if not self._queue_span_recorded and self.first_chunk_at is None:
             return "starved in queue: the query never entered a batch"
-        served = len(self._delivered_sots)
+        served = len(self.delivered)
         if served:
             return (
                 f"starved in execute: its batch has served {served} SOT "
@@ -298,102 +130,9 @@ class ResultStream:
             )
         return "starved in execute: its batch started but has served nothing"
 
-    def __iter__(self) -> Iterator[StreamChunk]:
-        while True:
-            with self._cond:
-                while not self._buffer and not self._done.is_set():
-                    self._cond.wait(_LIVENESS_TICK_SECONDS)
-                    self._check_liveness()
-                if self._buffer:
-                    chunk = self._buffer.popleft()
-                    self._cond.notify_all()  # free a suspended producer
-                else:
-                    if self._error is not None:
-                        raise self._terminal_error() from self._error
-                    return
-            yield chunk
-
-    def result(self, timeout: float | None = None) -> ScanResult:
-        """Block until the query completes; the full, in-order ScanResult.
-
-        Waiters poll the scheduler's liveness between wakeups: if the threads
-        that would complete this query are gone (a crashed runner pool, a
-        scheduler torn down without failing its streams), ``result()`` raises
-        :class:`ServiceError` promptly — even with ``timeout=None`` — instead
-        of blocking on a completion that can never arrive.  A timeout's
-        message names the stage the query starved in (queue vs execute).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._done.is_set():
-                if self._capacity and self._buffer:
-                    # Keep a suspended producer moving: the chunks duplicate
-                    # regions the final ScanResult will carry anyway.
-                    self._buffer.clear()
-                    self._cond.notify_all()
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise ServiceError(
-                        f"query did not complete within {timeout} seconds "
-                        f"({self._starved_stage()})"
-                    )
-                tick = (
-                    _LIVENESS_TICK_SECONDS
-                    if remaining is None
-                    else min(remaining, _LIVENESS_TICK_SECONDS)
-                )
-                self._cond.wait(tick)
-                self._check_liveness()
-            if self._error is not None:
-                raise self._terminal_error() from self._error
-            assert self._result is not None
-            return self._result
-
-    def _check_liveness(self) -> None:
-        """Raise (caller holds the condition) if the scheduler can never
-        complete this stream.  A stream already terminal needs no liveness."""
-        if self._done.is_set() or self._liveness is None or self._liveness():
-            return
-        raise ServiceError(
-            "the scheduler's worker threads are gone; the query can never complete"
-        )
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the consumer abandoned the stream via :meth:`close`."""
-        return self._closed_by_consumer
-
-    @property
-    def buffered_chunks(self) -> int:
-        """Chunks currently held for the consumer (bounded by the buffer)."""
-        with self._cond:
-            return len(self._buffer)
-
-    @property
-    def first_result_seconds(self) -> float | None:
-        """Latency from submission to the first streamed chunk (producer side)."""
-        if self.first_chunk_at is None:
-            return None
-        return self.first_chunk_at - self.submitted_at
-
-    @property
-    def total_seconds(self) -> float | None:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
-
 
 #: Queue sentinel asking a batch-runner thread to exit.
 _SHUTDOWN = object()
-
-#: How often blocked consumers re-check scheduler liveness.  Purely a bound
-#: on how long a waiter can outlive a crashed runner pool; normal completion
-#: wakes waiters via the condition, not the tick.
-_LIVENESS_TICK_SECONDS = 0.5
 
 #: How often the supervisor sweeps the runner pool for crashed threads: the
 #: recovery latency a killed runner adds to its orphaned queries.
@@ -457,14 +196,15 @@ class BatchScheduler:
         self._supervisor: threading.Thread | None = None
         self._running = False
         self._state_lock = threading.Lock()
-        # The batch each runner thread is currently executing, keyed by
-        # thread ident — the supervisor's recovery map.  An entry is removed
-        # by the runner on every survivable exit from _execute; a crashed
-        # runner leaves its entry for the supervisor to claim (and the claim
-        # happens *before* its replacement starts, so a recycled ident can
-        # never alias a live runner's batch).
+        # The batch each runner thread is currently executing — the
+        # supervisor's recovery map.  An entry is removed by the runner on
+        # every survivable exit from _execute; a crashed runner leaves its
+        # entry for the supervisor to claim.  Keyed by the Thread object,
+        # never by thread ident: idents recycle, and a replacement started
+        # while a dead runner's entry was still unclaimed could take its
+        # ident, file its own batch over the orphan, and lose it for good.
         self._active_lock = threading.Lock()
-        self._active: dict[int, Sequence[ResultStream]] = {}
+        self._active: dict[threading.Thread, Sequence[ResultStream]] = {}
         self._restart_seq = 0
         # Counters (read by TasmServer.stats; written under _counter_lock by
         # any runner thread).
@@ -645,7 +385,7 @@ class BatchScheduler:
                     priority=priority,
                     skip_sots=skip_sots,
                 )
-                stream._liveness = self._workers_alive
+                stream.liveness = self._workers_alive
                 stream._client = client
                 stream.trace = self._obs.start_trace(query)
                 if stream.skip_sots:
@@ -707,7 +447,6 @@ class BatchScheduler:
         still fill the whole batch).  Queries whose deadline elapsed while
         they waited are failed here — they never cost a batch slot.
         """
-        expired: list[ResultStream] = []
         while len(batch) < self._max_batch and self._pending_order:
             client = self._pending_order.popleft()
             bucket = self._pending[client]
@@ -719,16 +458,12 @@ class BatchScheduler:
                 # costs a batch slot or a decode.
                 if stream.cancelled:
                     self._count_cancel(stream)
-            elif stream.expired():
-                expired.append(stream)
-            else:
+            elif not self._expire(stream):
                 batch.append(stream)
             if bucket:
                 self._pending_order.append(client)
             else:
                 del self._pending[client]
-        for stream in expired:
-            self._deadline_stream(stream)
 
     def _shed_if_overloaded(self) -> None:
         """Consult the queue-wait breaker; shed pending queries if it trips.
@@ -806,17 +541,17 @@ class BatchScheduler:
             return True
         return False
 
-    def _deadline_stream(self, stream: ResultStream) -> None:
-        """Fail one stream with DeadlineExceeded (idempotent, counted once)."""
-        if self._fail_stream(
-            stream,
-            DeadlineExceeded(
-                f"query exceeded its deadline of {stream.deadline_ms:g} ms"
-            ),
-            status="deadline",
-        ):
-            with self._counter_lock:
-                self.queries_deadline_exceeded += 1
+    def _expire(self, stream: ResultStream) -> bool:
+        """True when ``stream``'s deadline has passed — failing it with
+        DeadlineExceeded (idempotent, counted once)."""
+        try:
+            stream.remaining_deadline_ms()
+        except DeadlineExceeded as error:
+            if self._fail_stream(stream, error, status="deadline"):
+                with self._counter_lock:
+                    self.queries_deadline_exceeded += 1
+            return True
+        return False
 
     def _shed_stream(self, stream: ResultStream, percentile: float | None) -> None:
         """Fail one pending stream shed by the queue-wait breaker."""
@@ -864,13 +599,13 @@ class BatchScheduler:
         return sink
 
     def _run_batches(self) -> None:
-        ident = threading.get_ident()
+        me = threading.current_thread()
         while True:
             item = self._batches.get()
             if item is _SHUTDOWN:
                 return
             with self._active_lock:
-                self._active[ident] = item
+                self._active[me] = item
             try:
                 self._execute(item)
             except InjectedRunnerDeath:
@@ -892,7 +627,7 @@ class BatchScheduler:
             # fully dispositioned, so drop it from the recovery map and the
             # in-flight set.
             with self._active_lock:
-                self._active.pop(ident, None)
+                self._active.pop(me, None)
             with self._cond:
                 self._in_flight.difference_update(item)
 
@@ -903,18 +638,15 @@ class BatchScheduler:
         """Replace crashed batch-runner threads and recover their batches."""
         while True:
             time.sleep(_SUPERVISOR_TICK_SECONDS)
-            orphans: list[Sequence[ResultStream] | None] = []
             with self._state_lock:
                 if not self._running:
                     return
+                orphans: list[Sequence[ResultStream] | None] = []
                 for index, runner in enumerate(self._runners):
                     if runner.is_alive() or runner.ident is None:
                         continue
-                    # Claim the dead runner's batch *before* its replacement
-                    # starts: thread idents recycle, so a replacement that
-                    # reused this ident must never see a stale entry.
                     with self._active_lock:
-                        orphan = self._active.pop(runner.ident, None)
+                        orphans.append(self._active.pop(runner, None))
                     self._restart_seq += 1
                     replacement = threading.Thread(
                         target=self._run_batches,
@@ -923,7 +655,6 @@ class BatchScheduler:
                     )
                     self._runners[index] = replacement
                     replacement.start()
-                    orphans.append(orphan)
             for orphan in orphans:
                 with self._counter_lock:
                     self.runner_restarts += 1
@@ -937,9 +668,9 @@ class BatchScheduler:
         Completed and cancelled streams need nothing; a stream that has now
         killed ``service_poison_query_kills`` runners is quarantined; expired
         ones fail with their deadline; everything else is requeued at the
-        *front* of its client's bucket (it has waited longest) with its
-        served regions captured, so the resumed run skips delivered SOTs and
-        the final result is byte-identical to an uninterrupted one.
+        *front* of its client's bucket (it has waited longest) through
+        :meth:`ScanStream.resume`, so the resumed run skips delivered SOTs
+        and the final result is byte-identical to an uninterrupted one.
         """
         resumable: list[ResultStream] = []
         for stream in batch:
@@ -950,10 +681,7 @@ class BatchScheduler:
             stream._runner_kills += 1
             if stream._runner_kills >= self._poison_kills:
                 self._quarantine_stream(stream)
-            elif stream.expired():
-                self._deadline_stream(stream)
             else:
-                stream._prior_regions = list(stream._served_regions)
                 resumable.append(stream)
         doomed: list[ResultStream] = []
         with self._cond:
@@ -963,15 +691,27 @@ class BatchScheduler:
             else:
                 # appendleft in reverse keeps the batch's relative order.
                 for stream in reversed(resumable):
-                    bucket = self._pending.get(stream._client)
-                    if bucket is None:
-                        bucket = self._pending[stream._client] = deque()
-                        self._pending_order.append(stream._client)
-                    bucket.appendleft(stream)
-                    self._pending_count += 1
+                    try:
+                        stream.resume(partial(self._requeue, stream))
+                    except DeadlineExceeded:
+                        self._expire(stream)
                 self._cond.notify_all()
         for stream in doomed:
             self._fail_stream(stream, ServiceError("the server was stopped"))
+
+    def _requeue(
+        self, stream: ResultStream, skip_sots: frozenset[int], deadline_ms
+    ) -> None:
+        """Resubmit a recovered stream at the front of its client's bucket
+        (lock held).  The stream re-enters a batch itself, so its absolute
+        deadline rides along; only the skip set has to be carried over."""
+        stream.skip_sots = skip_sots
+        bucket = self._pending.get(stream._client)
+        if bucket is None:
+            bucket = self._pending[stream._client] = deque()
+            self._pending_order.append(stream._client)
+        bucket.appendleft(stream)
+        self._pending_count += 1
 
     def _execute(self, batch: Sequence[ResultStream]) -> None:
         fault_death = self._fault_runner_death
@@ -992,7 +732,7 @@ class BatchScheduler:
 
         def observer(event) -> None:
             if isinstance(event, PartialResult):
-                batch[event.query_index]._push_chunk(
+                batch[event.query_index]._push(
                     StreamChunk(sot_index=event.sot_index, regions=event.regions)
                 )
                 if fault_death is not None and fault_death.should_fire():
@@ -1001,6 +741,12 @@ class BatchScheduler:
                     )
             elif isinstance(event, QueryDone):
                 stream = batch[event.query_index]
+                if stream._runner_kills:
+                    # A resumed run only re-served the SOTs the crash cut
+                    # off; the stream holds every run's chunks, and SOTs
+                    # serve in ascending order, so this is the list an
+                    # uninterrupted run produces.
+                    event.result.regions[:] = stream.served_regions()
                 if self._on_query_done is not None:
                     self._on_query_done(stream.query, event.result)
                 # The execute span closes the timeline the queue span opened:
@@ -1019,12 +765,9 @@ class BatchScheduler:
             stream = batch[index]
             if stream.done:
                 return True
-            if stream.expired():
-                self._deadline_stream(stream)
-                return True
-            return False
+            return self._expire(stream)
 
-        skips = [stream._sots_to_skip() for stream in batch]
+        skips = [stream.skip_sots or None for stream in batch]
 
         try:
             result = self._tasm.execute_batch(
@@ -1068,9 +811,7 @@ class BatchScheduler:
                     self._execute([stream])
             return
         cancelled_in_batch = [stream for stream in batch if stream.cancelled]
-        completed_in_batch = sum(
-            1 for stream in batch if stream._result is not None
-        )
+        completed_in_batch = sum(1 for stream in batch if stream.state == "done")
         with self._counter_lock:
             self.batches_executed += 1
             self.queries_completed += completed_in_batch

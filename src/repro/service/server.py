@@ -19,14 +19,16 @@ The server owns:
   pool of ``service_runners`` batch-runner threads so batch collection
   overlaps batch execution, with round-robin admission per client and each
   query's results streamed back per SOT through a bounded
-  (``service_stream_buffer_chunks``) backpressured stream;
+  (``service_stream_buffer_chunks``) backpressured
+  :class:`~repro.service.stream.ScanStream`;
 * the write path: ``add_metadata`` / ``add_detections`` / ``retile_sot``
   forward to TASM, whose per-``(video, SOT)`` readers-writer locks serialize
   them against in-flight scans.
 
 In-process callers use :class:`~repro.service.client.TasmClient` (via
 :meth:`TasmServer.connect`); cross-process callers attach through the
-length-prefixed-JSON socket transport in :mod:`repro.service.transport`.
+multiplexed, credit-flow-controlled binary socket protocol in
+:mod:`repro.service.transport` (optionally with a shared-memory pixel ring).
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -86,7 +86,6 @@ from ..errors import (
     DeadlineExceeded,
     ProtocolError,
     ServiceError,
-    StreamCancelledError,
     TransportError,
     error_code,
     error_from_code,
@@ -101,6 +100,7 @@ from ..faults.plan import (
 from ..obs import DISABLED
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
+from .stream import ScanStream, StreamChunk
 
 __all__ = [
     "KIND_CANCEL",
@@ -140,6 +140,12 @@ KIND_SHM_ACK = 5
 #: correctness, is at stake here).
 _DEFAULT_WIRE_BUFFER = 64
 
+#: The largest payload either end accepts.  The length field is a peer-supplied
+#: 32-bit number; a corrupt or hostile header must fail the connection, not
+#: size a 4 GiB read.  Far above any legitimate frame: the largest is one
+#: SOT's regions for one query (tens of MiB for a 4K video with long GOPs).
+MAX_FRAME_BYTES = 1 << 30
+
 #: Hosts a client treats as same-host when auto-deciding whether to request
 #: the shared-memory pixel path.
 _LOOPBACK_HOSTS = ("127.0.0.1", "::1", "localhost")
@@ -176,12 +182,18 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytearray] | None:
 
     Raises :class:`TransportError` when the connection dies mid-frame: a
     truncated frame means bytes the header promised never arrived, which
-    must not be mistaken for an orderly end of stream.
+    must not be mistaken for an orderly end of stream.  A header announcing
+    more than :data:`MAX_FRAME_BYTES` raises before anything is read for it.
     """
     header = _recv_exact(sock, _FRAME_HEADER.size)
     if header is None:
         return None
     kind, length = _FRAME_HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame of kind {kind} announces {length} payload bytes; the "
+            f"limit is {MAX_FRAME_BYTES}"
+        )
     payload = _recv_exact(sock, length)
     if payload is None and length > 0:
         raise TransportError(
@@ -265,12 +277,6 @@ def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[byt
         separators=(",", ":"),
     ).encode("utf-8")
     return header, blobs, total
-
-
-def encode_chunk_payload(query_id: int, sot_index: int, regions) -> bytes:
-    """Serialise one stream chunk: JSON header + concatenated raw pixels."""
-    header, blobs, _ = chunk_parts(query_id, sot_index, regions)
-    return _CHUNK_HEADER.pack(len(header)) + header + b"".join(blobs)
 
 
 def _regions_from_metas(metas, pixels_for) -> list[ScanRegion]:
@@ -423,11 +429,6 @@ class _ShmRing:
                 start, size = self._outstanding.popleft()
                 self._freed.discard(start)
                 self._tail += size
-
-    @property
-    def outstanding_chunks(self) -> int:
-        with self._lock:
-            return len(self._outstanding)
 
     def destroy(self) -> None:
         with self._lock:
@@ -904,7 +905,7 @@ class _Connection:
         if stream is None:
             return {"type": "status", "id": request_id, "stage": "unknown",
                     "delivered": 0}
-        delivered = len(getattr(stream, "_delivered_sots", ()) or ())
+        delivered = len(stream.delivered)
         if stream.done:
             stage = "wire"
         elif stream.first_chunk_at is not None or stream._queue_span_recorded:
@@ -1173,96 +1174,56 @@ class RetryPolicy:
         return bounded * (1.0 + self.jitter * rng.random())
 
 
-class RemoteScanStream:
-    """Client-side mirror of :class:`ResultStream` over the socket protocol.
+class RemoteScanStream(ScanStream):
+    """The socket source: the client's demux reader pushes the chunks.
 
-    Iterate for ``(sot_index, [ScanRegion, ...])`` chunks as the server
-    streams them; :meth:`result` consumes the remainder and returns the
-    assembled :class:`ScanResult`.  The stream's credit budget (the client's
-    ``stream_buffer_chunks``) bounds how many undelivered chunks the server
-    may have in flight: each chunk the consumer drains returns one credit, so
-    a consumer that falls behind suspends *this stream's producer on the
-    server* — never the connection's shared reader, and never its other
-    streams.  :meth:`close` cancels the scan on the wire, so the server stops
-    decoding for it.  A stream that failed keeps raising
-    :class:`ServiceError` on every later iteration or ``result()`` call.  The
-    owning client's ``timeout`` bounds the wait for each event: a server that
-    stops sending mid-stream raises instead of hanging the consumer forever.
+    The stream's credit budget (the client's ``stream_buffer_chunks``) bounds
+    how many undelivered chunks the server may have in flight: each chunk the
+    consumer drains returns one credit, so a consumer that falls behind
+    suspends *this stream's producer on the server* — never the connection's
+    shared reader (its pushes never block: the buffer is credit-bounded, not
+    capacity-bounded), and never its other streams.  :meth:`close` cancels
+    the scan on the wire, so the server stops decoding for it.  The owning
+    client's ``timeout`` bounds the wait for each event: a server that stops
+    sending mid-stream raises instead of hanging the consumer forever.
     """
 
-    def __init__(self, client: "RemoteTasmClient", query_id: int, credits: int, timeout: float | None):
+    def __init__(
+        self, client: "RemoteTasmClient", query_id: int, request: dict, timeout: float | None
+    ):
+        super().__init__(
+            deadline_ms=request["deadline_ms"],
+            skip_sots=request.get("skip_sots"),
+            event_timeout=timeout,
+        )
         self._client = client
         self.query_id = query_id
-        self._credits = credits  # 0 = unbounded (no credit flow)
-        self._events: queue.SimpleQueue = queue.SimpleQueue()
-        self._timeout = timeout
-        self._regions: list[ScanRegion] = []
-        self._result: ScanResult | None = None
-        self._error: BaseException | None = None
-        self._finished = False
-        #: SOT indices whose chunk fully arrived, and the scan request that
-        #: created this stream — the reconnect/resume bookkeeping.  Both are
-        #: touched only by the client's reader thread (delivery and
-        #: resubmission happen on the same thread, so no lock is needed).
-        self._delivered_sots: set[int] = set()
-        self._request_message: dict | None = None
-        #: When the original scan request hit the wire (monotonic clock).
-        #: A reconnect rebases the resumed request's ``deadline_ms`` on
-        #: this, so the replacement server inherits the *remaining* budget
-        #: rather than restarting the full one.
-        self._submitted_at: float | None = None
-        #: Set by :meth:`close`; the reader's resume sweep consults it so a
-        #: stream its consumer abandoned mid-reconnect is never resubmitted.
-        self._closed = False
+        #: The scan request as first sent; a reconnect re-sends it with the
+        #: skip set and deadline :meth:`resume` supplies.
+        self._request = request
 
-    # Reader-thread side -------------------------------------------------
-    def _deliver(self, event: tuple) -> None:
-        """Non-blocking delivery: the queue is unbounded, and bounded in
-        practice by the credits the server can spend."""
-        if event[0] == "chunk":
-            # Resume bookkeeping: this SOT's bytes are safely on this side
-            # of the wire, so a reconnect must never ask for it again.
-            self._delivered_sots.add(event[1])
-        self._events.put(event)
+    def _drained(self, chunk: StreamChunk) -> None:
+        skew = self._client._fault_skew
+        if skew is not None and skew.should_fire():
+            # Injected clock-skewed slow consumer: stall between drain and
+            # credit return, starving the server's pump.
+            time.sleep(skew.delay_seconds)
+        if self._request["credits"]:
+            # This chunk's buffer slot is free again: let the server send
+            # the next one while the consumer works on this one.
+            self._client._grant_credit(self.query_id, 1)
 
-    def _fail_from_wire(self, error: BaseException) -> None:
-        """Terminal delivery — never blocks the (possibly dying) reader."""
-        self._events.put(("error", error))
-
-    # Consumer side ------------------------------------------------------
-    def close(self) -> None:
-        """Abandon the stream: cancel the scan on the wire.
-
-        The server fails the scan's stream, frees its pump thread, and skips
-        its remaining decode work; locally the stream turns terminal, so a
-        later ``result()`` raises instead of waiting.  Closing a stream whose
-        result already arrived is a no-op.
-        """
-        if self._finished and self._error is None:
-            return
-        # Mark first: a reconnect's resume sweep running concurrently must
-        # not resubmit a scan whose consumer just walked away (the CANCEL
-        # below may be swallowed by a wire that is already dead).
-        self._closed = True
-        if not self._client._forget_stream(self.query_id):
-            return  # already completed or failed at the wire level
+    def _cancel_source(self) -> None:
+        self._client._forget_stream(self.query_id)
         self._client._send_cancel(self.query_id)
-        self._fail_from_wire(StreamCancelledError("stream closed by its consumer"))
 
-    def _scan_error(self) -> ServiceError:
-        """The exception consumers raise, preserving the typed subclass
-        (deadline, busy, poison, cancelled...) carried over the wire."""
-        error = self._error
-        cls = type(error) if isinstance(error, ServiceError) else ServiceError
-        try:
-            return cls(f"scan failed: {error}")
-        except Exception:  # noqa: BLE001 — a ctor needing extra args
-            return ServiceError(f"scan failed: {error}")
+    def _resubmit(self, skip_sots: frozenset[int], deadline_ms: float | None) -> None:
+        self._client._send(
+            {**self._request, "skip_sots": sorted(skip_sots), "deadline_ms": deadline_ms}
+        )
 
-    def _starved_stage(self) -> str:
-        """Best-effort: which stage a timed-out wait starved in.
-
-        Asks the server where the scan actually is (queue vs execute vs
+    def _stuck(self) -> str:
+        """Asks the server where the scan actually is (queue vs execute vs
         wire); when even that probe fails — the wire itself may be the
         problem — falls back to what this side knows (chunks delivered)."""
         try:
@@ -1274,56 +1235,10 @@ class RemoteScanStream:
                 f"{delivered} chunk(s) delivered"
             )
         except Exception:  # noqa: BLE001 — the probe must never mask the timeout
-            delivered = len(self._delivered_sots)
-            if delivered:
-                return (
-                    f"status probe failed; {delivered} chunk(s) had arrived "
-                    "(starved in execute or on the wire)"
-                )
             return (
-                "status probe failed; no chunk ever arrived "
-                "(starved in queue, execute, or on the wire)"
+                f"status probe failed; {len(self.delivered)} chunk(s) had "
+                "arrived (starved in queue, execute, or on the wire)"
             )
-
-    def __iter__(self) -> Iterator[tuple[int, list[ScanRegion]]]:
-        if self._error is not None:
-            raise self._scan_error() from self._error
-        skew = self._client._fault_skew
-        while not self._finished:
-            try:
-                kind, *rest = self._events.get(timeout=self._timeout)
-            except queue.Empty:
-                raise ServiceError(
-                    f"no stream data within {self._timeout} seconds "
-                    f"({self._starved_stage()})"
-                ) from None
-            if kind == "chunk":
-                if skew is not None and skew.should_fire():
-                    # Injected clock-skewed slow consumer: stall between
-                    # drain and credit return, starving the server's pump.
-                    time.sleep(skew.delay_seconds)
-                sot_index, regions = rest
-                self._regions.extend(regions)
-                if self._credits:
-                    # This chunk's buffer slot is free again: let the server
-                    # send the next one while the consumer works on this one.
-                    self._client._grant_credit(self.query_id, 1)
-                yield sot_index, regions
-            elif kind == "done":
-                self._result = _assemble_result(rest[0], self._regions)
-                self._finished = True
-            else:  # "error"
-                self._error = rest[0]
-                self._finished = True
-                raise self._scan_error() from self._error
-
-    def result(self) -> ScanResult:
-        for _ in self:
-            pass
-        if self._error is not None:
-            raise self._scan_error() from self._error
-        assert self._result is not None
-        return self._result
 
 
 class RemoteTasmClient:
@@ -1559,7 +1474,7 @@ class RemoteTasmClient:
                 self.socket_chunks_received += 1
                 stream = self._stream_for(header.get("id"))
                 if stream is not None:
-                    stream._deliver(("chunk", header["sot_index"], regions))
+                    stream._push(StreamChunk(header["sot_index"], regions))
             elif kind == KIND_SHM_CHUNK:
                 if self._shm is None:
                     raise TransportError(
@@ -1575,7 +1490,7 @@ class RemoteTasmClient:
                 self.shm_chunks_received += 1
                 stream = self._stream_for(header.get("id"))
                 if stream is not None:
-                    stream._deliver(("chunk", header["sot_index"], regions))
+                    stream._push(StreamChunk(header["sot_index"], regions))
             elif kind == KIND_JSON:
                 self._dispatch_json(json.loads(bytes(payload).decode("utf-8")))
             else:
@@ -1649,53 +1564,17 @@ class RemoteTasmClient:
                 self.retries_total += 1
                 self._wire_ok.set()
                 for query_id, stream in resumable:
-                    message = stream._request_message
-                    if message is None:
-                        continue
-                    # The resumable snapshot predates the backoff loop; a
-                    # consumer may have closed its stream in the gap (its
-                    # CANCEL swallowed by the dead wire).  Resubmitting
-                    # would make the new server execute a scan nobody is
-                    # waiting on.
-                    if stream._closed or self._stream_for(query_id) is not stream:
-                        continue
-                    resume = dict(message)
-                    # Union, not overwrite: a scatter-gather scan already
-                    # carries a skip list naming the SOTs other shards own.
-                    resume["skip_sots"] = sorted(
-                        set(message.get("skip_sots") or ()) | stream._delivered_sots
-                    )
-                    deadline_ms = message.get("deadline_ms")
-                    if deadline_ms is not None and stream._submitted_at is not None:
-                        # Rebase the deadline: the new server must inherit
-                        # the remaining budget, not restart the full one.
-                        elapsed_ms = (
-                            time.monotonic() - stream._submitted_at
-                        ) * 1000.0
-                        remaining_ms = float(deadline_ms) - elapsed_ms
-                        if remaining_ms <= 0.0:
-                            if self._forget_stream(query_id):
-                                self.deadline_fast_fails += 1
-                                stream._fail_from_wire(
-                                    DeadlineExceeded(
-                                        f"deadline of {float(deadline_ms):g} ms "
-                                        "exhausted before the scan could be "
-                                        "resumed"
-                                    )
-                                )
-                            continue
-                        resume["deadline_ms"] = remaining_ms
+                    # The snapshot predates the backoff loop: resume() skips
+                    # a stream that finished, or that its consumer closed in
+                    # the gap (the CANCEL swallowed by the dead wire), so
+                    # the new server never executes a scan nobody awaits.
                     try:
-                        self._send(resume)
-                    except (ServiceError, OSError) as resubmit_error:
+                        stream.resume(stream._resubmit)
+                    except (ServiceError, OSError) as error:
                         if self._forget_stream(query_id):
-                            stream._fail_from_wire(resubmit_error)
-                        continue
-                    if stream._closed:
-                        # close() raced the resubmission: its CANCEL may
-                        # have crossed the wire ahead of the resume
-                        # request.  Re-send it, now ordered after.
-                        self._send_cancel(query_id)
+                            if isinstance(error, DeadlineExceeded):
+                                self.deadline_fast_fails += 1
+                            stream._fail(error)
                 return True
             return False
         finally:
@@ -1713,11 +1592,9 @@ class RemoteTasmClient:
             with self._table_lock:
                 self._streams.pop(query_id, None)
             if message_type == "done":
-                stream._deliver(("done", message))
+                stream._finish(_assemble_result(message, stream.served_regions()))
             else:
-                stream._fail_from_wire(
-                    error_from_code(message.get("code"), message["message"])
-                )
+                stream._fail(error_from_code(message.get("code"), message["message"]))
         elif reply is not None:
             with self._table_lock:
                 self._replies.pop(query_id, None)
@@ -1741,7 +1618,7 @@ class RemoteTasmClient:
             self._streams.clear()
             self._replies.clear()
         for stream in streams:
-            stream._fail_from_wire(error)
+            stream._fail(error)
         for reply in replies:
             reply.put({"type": "error", "message": str(error)})
 
@@ -1803,8 +1680,6 @@ class RemoteTasmClient:
         if isinstance(labels, str):
             labels = [labels]
         query_id = self._allocate_id()
-        credits = max(0, self._buffer_chunks)
-        stream = RemoteScanStream(self, query_id, credits, self._timeout)
         message = {
             "op": "scan",
             "id": query_id,
@@ -1812,18 +1687,15 @@ class RemoteTasmClient:
             "labels": labels,
             "frame_start": frame_start,
             "frame_stop": frame_stop,
-            "credits": credits,
+            "credits": max(0, self._buffer_chunks),
             "deadline_ms": deadline_ms,
             "priority": priority,
         }
         if skip_sots is not None:
             message["skip_sots"] = sorted(set(skip_sots))
-        # Kept so a reconnect can re-submit the scan with ``skip_sots``
-        # grown by whatever this stream already delivered.
-        stream._request_message = dict(message)
+        stream = RemoteScanStream(self, query_id, message, self._timeout)
         with self._table_lock:
             self._streams[query_id] = stream
-        stream._submitted_at = time.monotonic()
         try:
             self._send(message)
         except BaseException:
@@ -1935,7 +1807,7 @@ class RemoteTasmClient:
                 self._replies.pop(query_id, None)
 
 
-# Build one assembled ScanResult from a done-frame (used by RemoteScanStream).
+# Build one assembled ScanResult from a done-frame and the delivered regions.
 def _assemble_result(done: dict, regions: list[ScanRegion]) -> ScanResult:
     stats = DecodeStats(**done["stats"])
     return ScanResult(

@@ -7,6 +7,9 @@ suite exercises real encode/decode paths while staying fast.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,29 @@ from repro.video.synthetic import (
     StationaryMotion,
     SyntheticVideo,
 )
+
+
+#: Suites whose tests start servers, transports, clients and routers: each
+#: test must hand back every thread it started.
+_THREAD_ACCOUNTED = ("test_service", "test_faults", "test_cluster", "test_stream_contract")
+
+
+@pytest.fixture(autouse=True)
+def threads_return_to_baseline(request):
+    """Leak accounting: after every service/fault/cluster test the process
+    is back to the thread count it started the test with (short grace wait
+    for threads that were told to stop and are on their way out)."""
+    if not request.module.__name__.rpartition(".")[2].startswith(_THREAD_ACCOUNTED):
+        yield
+        return
+    before = threading.active_count()
+    yield
+    give_up = time.monotonic() + 5.0
+    while threading.active_count() > before and time.monotonic() < give_up:
+        time.sleep(0.01)
+    assert threading.active_count() <= before, (
+        f"the test leaked threads: {sorted(t.name for t in threading.enumerate())}"
+    )
 
 
 @pytest.fixture

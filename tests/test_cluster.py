@@ -36,9 +36,10 @@ from repro.cluster import (
     probe_shard,
     sot_key,
 )
+from repro.core.tasm import TASM
 from repro.errors import ServiceError
 from repro.faults import FAULT_TRANSPORT_DROP, FaultSpec
-from repro.service import RemoteTasmClient, RetryPolicy, SocketTransport
+from repro.service import RemoteTasmClient, RetryPolicy, SocketTransport, TasmServer
 from tests.test_exec_engine import assert_scan_results_identical
 from tests.test_faults import gate_decoder
 from tests.test_service_flow_control import make_server, wait_until
@@ -114,19 +115,40 @@ class TestHashRing:
 # ----------------------------------------------------------------------
 # In-process shards: scatter-gather semantics under full control
 # ----------------------------------------------------------------------
-def make_local_cluster(config, shards=2, overrides_by_shard=None, **overrides):
+#: 24 SOTs: enough keys that each of two ring nodes owns at least one
+#: whatever the nodes are called (all on one node: p = 2^-23).  Shard names
+#: are ephemeral ``host:port`` strings, so a test that needs every shard to
+#: take part must not depend on how a 3-SOT video happens to hash.
+WIDE_DATASET = SceneDataset(names=("wide-traffic",), frame_count=120)
+
+
+def ring_owners(router, config, name):
+    """Each SOT's owner per a ring built over the router's shard names."""
+    ring = HashRing(router.shards, vnodes=config.cluster_ring_vnodes)
+    sot_count = router.video_info(name)["sot_count"]
+    return {sot: ring.node_for(sot_key(name, sot)) for sot in range(sot_count)}
+
+
+def make_local_cluster(
+    config, shards=2, overrides_by_shard=None, dataset=None, **overrides
+):
     """N in-process TasmServers behind SocketTransports, same tiny dataset.
 
     In-process shards let tests gate decoders and bound queues
     deterministically; real multi-process shards are exercised by the
     supervisor tests below.  Every shard builds the same deterministic tiny
-    scene, so any shard can serve any SOT byte-identically.
+    scene (or ``dataset``), so any shard can serve any SOT byte-identically.
     """
     servers, transports = [], []
     video = None
     for index in range(shards):
         shard_overrides = {**overrides, **(overrides_by_shard or {}).get(index, {})}
-        server, video = make_server(config, **shard_overrides)
+        if dataset is None:
+            server, video = make_server(config, **shard_overrides)
+        else:
+            tasm = TASM(config=config.with_updates(**shard_overrides))
+            dataset(tasm)
+            server = TasmServer(tasm).start()
         transport = SocketTransport(server).start()
         servers.append(server)
         transports.append(transport)
@@ -169,30 +191,22 @@ class TestScatterGather:
         finally:
             stop_local_cluster(servers, transports)
 
-    def test_streaming_chunks_cover_each_sot_at_most_once(self, config):
-        servers, transports, video = make_local_cluster(config, shards=2)
-        try:
-            router = ClusterRouter([t.address for t in transports], config=config)
-            stream = router.scan_streaming(video.name, "car")
-            seen = [sot for sot, _ in stream]
-            assert sorted(seen) == sorted(set(seen))
-            router.close()
-        finally:
-            stop_local_cluster(servers, transports)
-
     def test_work_actually_splits_across_shards(self, config):
         """Scatter must be real: with 2 shards each serves a strict subset
-        of the SOTs (the ring never degenerates to one owner)."""
-        servers, transports, video = make_local_cluster(config, shards=2)
+        of the SOTs (the ring never degenerates to one owner) — exactly the
+        subset the ring assigns it."""
+        servers, transports, _ = make_local_cluster(
+            config, shards=2, dataset=WIDE_DATASET
+        )
+        name = WIDE_DATASET.names[0]
         try:
             router = ClusterRouter([t.address for t in transports], config=config)
-            router.scan(video.name, LABELS)
-            placements = {
-                shard
-                for (name, _), shard in router._placement.items()
-                if name == video.name
+            owners = ring_owners(router, config, name)
+            assert set(owners.values()) == set(router.shards)
+            router.scan(name, LABELS)
+            assert router._placement == {
+                (name, sot): shard for sot, shard in owners.items()
             }
-            assert len(placements) == 2
             router.close()
         finally:
             stop_local_cluster(servers, transports)
@@ -353,8 +367,14 @@ class TestShardProcesses:
         with ClusterSupervisor(
             cluster_config(config), shards=3, dataset=CHAOS_DATASET
         ) as supervisor:
+            # A one-chunk credit window: a shard may be at most one chunk
+            # ahead of the consumer, so the victim below provably still owes
+            # SOTs it never sent when it dies.
             router = ClusterRouter(
-                supervisor.addresses, config=cluster_config(config), timeout=60.0
+                supervisor.addresses,
+                config=cluster_config(config),
+                timeout=60.0,
+                stream_buffer_chunks=1,
             )
             name = CHAOS_DATASET.names[0]
             with RemoteTasmClient(
@@ -365,12 +385,7 @@ class TestShardProcesses:
             iterator = iter(stream)
             next(iterator)  # the scan is live: at least one chunk arrived
             # Kill the shard that still owes the most undelivered SOTs.
-            owing: dict[str, int] = {}
-            for sub in stream._pending.values():
-                owing[sub.shard] = owing.get(sub.shard, 0) + len(
-                    set(sub.assigned) - sub.delivered
-                )
-            victim = max(owing, key=lambda shard: owing[shard])
+            victim = max(stream.outstanding, key=lambda owing: len(owing[1]))[0]
             victim_index = [
                 router._shard_name(address) for address in supervisor.addresses
             ].index(victim)
@@ -453,12 +468,15 @@ class TestShardProcesses:
 
     def test_metrics_rollup_sums_counters_across_shards(self, config):
         with ClusterSupervisor(
-            cluster_config(config), shards=2, dataset=CLUSTER_DATASET
+            cluster_config(config), shards=2, dataset=WIDE_DATASET
         ) as supervisor:
             router = ClusterRouter(
                 supervisor.addresses, config=cluster_config(config), timeout=30.0
             )
-            router.scan(CLUSTER_DATASET.names[0], LABELS)
+            name = WIDE_DATASET.names[0]
+            owners = ring_owners(router, cluster_config(config), name)
+            assert set(owners.values()) == set(router.shards)
+            router.scan(name, LABELS)
             rolled = router.metrics()
             assert set(rolled["shards"]) == set(router.shards)
             per_shard = [

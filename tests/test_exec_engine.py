@@ -324,7 +324,7 @@ class TestTileDecodeCache:
         assert cache.invalidate_sot("a", 0) == 2
         assert cache.keys_for_sot("a", 0) == []
         assert cache.keys_for_sot("a", 1) != []
-        assert cache.invalidate_scope("a") == 2
+        assert cache.invalidate_sot("a", 1) == 2
         assert len(cache) == 1 and ("b", 0, 0, 0) in cache
 
     def test_stats_snapshot_delta(self):

@@ -199,7 +199,7 @@ class TestDeadlines:
                 Query.select("car", video.name), deadline_ms=300.0
             )
             assert wait_until(lambda: len(calls) >= 2), "the batch never started"
-            assert wait_until(stream.expired, timeout=5.0)
+            assert wait_until(lambda: time.monotonic() >= stream.deadline_at, timeout=5.0)
             gate.set()
             with pytest.raises(DeadlineExceeded):
                 stream.result(timeout=30)
@@ -359,6 +359,52 @@ class TestRunnerSupervision:
             assert wait_until(lambda: server._scheduler.runner_restarts == 1)
         finally:
             server.stop()
+
+    def test_orphaned_batch_survives_thread_ident_reuse(self, config):
+        """Thread idents recycle.  A runner that starts while a dead runner's
+        batch is still unclaimed may get the dead runner's ident; it must not
+        file its own batch over the orphan (which would then never be
+        recovered: its queries hang in "execute" forever)."""
+        from repro.service.scheduler import _SHUTDOWN
+
+        plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
+        tasm, video = make_tasm(config)
+        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=1, fault_plan=plan)
+        scheduler._running = True  # no threads: the test plays every role
+        doomed = scheduler.submit(Query.select("car", video.name))
+        other = scheduler.submit(Query.select("person", video.name))
+        batches = [scheduler._collect(), scheduler._collect()]
+        assert [len(batch) for batch in batches] == [1, 1]
+
+        # The handoff queue holds one batch: start each runner, then feed it.
+        first = threading.Thread(target=scheduler._run_batches)
+        first.start()
+        scheduler._batches.put(batches[0])
+        first.join(timeout=10)  # dies at batch entry, leaving its batch behind
+        assert not first.is_alive() and not doomed.done
+        time.sleep(0.05)  # let the OS thread end, so its ident is up for reuse
+        second = threading.Thread(target=scheduler._run_batches)
+        second.start()
+        scheduler._batches.put(batches[1])
+        scheduler._batches.put(_SHUTDOWN)
+        second.join(timeout=30)
+        assert not second.is_alive() and other.done
+        if second.ident != first.ident:
+            pytest.skip("this platform did not recycle the thread ident")
+
+        scheduler._runners = [first]
+        supervisor = threading.Thread(target=scheduler._run_supervisor)
+        supervisor.start()
+        try:
+            assert wait_until(lambda: scheduler.queue_depth == 1), (
+                "the dead runner's batch was lost to the runner that reused its ident"
+            )
+            assert scheduler.runner_restarts == 1
+        finally:
+            scheduler._running = False
+            supervisor.join(timeout=10)
+            scheduler._batches.put(_SHUTDOWN)  # the replacement it started
+            scheduler._runners[0].join(timeout=10)
 
     def test_poison_query_is_quarantined(self, config):
         """A query that kills every runner it touches is quarantined after

@@ -84,12 +84,12 @@ class TestCredits:
                 slow = client.scan_streaming(video.name, "car")
                 # The server spends A's single credit on its first chunk,
                 # then parks A's pump — and only A's pump.
-                assert wait_until(lambda: slow._events.qsize() >= 1)
+                assert wait_until(lambda: slow.buffered_chunks >= 1)
                 fast = client.scan(video.name, "person")
                 assert_scan_results_identical(
                     fast, reference.scan(video.name, "person")
                 )
-                assert slow._events.qsize() == 1, (
+                assert slow.buffered_chunks == 1, (
                     "an unconsumed stream must never hold more chunks than "
                     "its credit budget"
                 )
@@ -350,7 +350,8 @@ class TestClientClose:
         transport = SocketTransport(server).start()
         client = RemoteTasmClient(transport.address, timeout=30.0, use_shm=False)
         real_reader = client._reader
-        wedged = threading.Thread(target=lambda: time.sleep(30), daemon=True)
+        release = threading.Event()
+        wedged = threading.Thread(target=release.wait, args=(30,), daemon=True)
         wedged.start()
         client._reader = wedged
         try:
@@ -359,6 +360,8 @@ class TestClientClose:
             real_reader.join(timeout=5)
             assert not real_reader.is_alive()
         finally:
+            release.set()
+            wedged.join(timeout=5)
             transport.stop()
             server.stop()
 
@@ -393,7 +396,7 @@ class TestSchedulerLiveness:
             stream = server.submit(Query.select("car", video.name))
             stream.result(timeout=30)  # drain the real completion first
             stream2 = ResultStream(Query.select("car", video.name))
-            stream2._liveness = lambda: False
+            stream2.liveness = lambda: False
             outcome: queue.Queue = queue.Queue()
 
             def waiter():

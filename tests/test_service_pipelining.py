@@ -13,9 +13,8 @@ The contracts pinned here:
   backpressure;
 * scheduler shutdown fails queued *and* in-flight streams with
   :class:`ServiceError` instead of hanging their consumers;
-* a failed stream's terminal state is re-observable: every later iteration
-  or ``result()`` raises again (the old queue-sentinel design blocked the
-  second consumer forever);
+* (a failed stream's terminal state being re-observable is now pinned for
+  all three clients at once in ``tests/test_stream_contract.py``);
 * a connection dying mid-frame raises :class:`TransportError` instead of
   masquerading as a clean EOF.
 """
@@ -32,7 +31,13 @@ from repro.core.query import Query
 from repro.errors import ServiceError, TransportError
 from repro.service import TasmServer
 from repro.service.scheduler import BatchScheduler
-from repro.service.transport import _FRAME_HEADER, KIND_JSON, recv_message
+from repro.service.transport import (
+    _FRAME_HEADER,
+    KIND_JSON,
+    MAX_FRAME_BYTES,
+    recv_frame,
+    recv_message,
+)
 from tests.test_exec_engine import (
     assert_scan_results_identical,
     make_tasm,
@@ -314,9 +319,8 @@ class TestBackpressure:
 
     def test_slow_remote_consumer_stays_bounded_and_correct(self, config):
         """Over the socket at 1 chunk credit, a consumer that dawdles between
-        chunks never sees more than its credit budget of chunks queued
-        client-side (plus the terminal done-event, which shares the queue),
-        and the scan still completes byte-identically."""
+        chunks never sees more than its credit budget of chunks buffered
+        client-side, and the scan still completes byte-identically."""
         from repro.service import RemoteTasmClient, SocketTransport
 
         server, video = make_server(
@@ -331,7 +335,7 @@ class TestBackpressure:
                     remote = client.scan_streaming(video.name, "car")
                     chunks = []
                     for sot_index, regions in remote:
-                        assert remote._events.qsize() <= 2, (
+                        assert remote.buffered_chunks <= 1, (
                             "client-side buffering exceeded the credit budget"
                         )
                         chunks.append((sot_index, regions))
@@ -499,50 +503,6 @@ class TestShutdown:
             server.submit(Query.select("car", video.name))
 
 
-class TestTerminalStateReobservable:
-    def test_failed_stream_raises_on_every_consumer(self, config):
-        """Satellite regression: the single queue sentinel used to be eaten
-        by the first iterator, blocking the second forever."""
-        server, video = make_server(config)
-        tasm = server.tasm
-
-        def explode(sot, requests, scope):
-            raise RuntimeError("decoder exploded")
-
-        tasm._decoder.prefetch_regions = explode
-        try:
-            stream = server.connect().scan_streaming(video.name, "car")
-            for _ in range(3):
-                with pytest.raises(ServiceError):
-                    list(stream)
-                with pytest.raises(ServiceError):
-                    stream.result(timeout=10)
-        finally:
-            server.stop()
-
-    def test_remote_failed_stream_raises_on_every_consumer(self, config):
-        from repro.service import RemoteTasmClient, SocketTransport
-
-        server, video = make_server(config)
-        tasm = server.tasm
-
-        def explode(sot, requests, scope):
-            raise RuntimeError("decoder exploded")
-
-        tasm._decoder.prefetch_regions = explode
-        try:
-            with SocketTransport(server) as transport:
-                with RemoteTasmClient(transport.address) as client:
-                    stream = client.scan_streaming(video.name, "car")
-                    for _ in range(3):
-                        with pytest.raises(ServiceError):
-                            list(stream)
-                        with pytest.raises(ServiceError):
-                            stream.result()
-        finally:
-            server.stop()
-
-
 class TestWireFraming:
     def test_clean_eof_at_frame_boundary_returns_none(self):
         ours, theirs = socket.socketpair()
@@ -575,3 +535,49 @@ class TestWireFraming:
 
     def test_transport_error_is_a_service_error(self):
         assert issubclass(TransportError, ServiceError)
+
+    def test_forged_length_raises_before_anything_is_read_for_it(self):
+        """The length is the peer's word: a header announcing more than
+        MAX_FRAME_BYTES fails at once — the sender stays connected and sends
+        nothing more, so a reader that trusted the header would block."""
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(5.0)
+        ours.sendall(_FRAME_HEADER.pack(KIND_JSON, MAX_FRAME_BYTES + 1))
+        try:
+            with pytest.raises(TransportError, match="limit"):
+                recv_frame(theirs)
+            ours.sendall(_FRAME_HEADER.pack(KIND_JSON, 2) + b"{}")
+            assert recv_message(theirs) == {}, "the limit itself is about size only"
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_server_drops_a_connection_that_forges_a_length(self, config):
+        from repro.service import SocketTransport
+
+        server, _ = make_server(config)
+        try:
+            with SocketTransport(server) as transport:
+                conn = socket.create_connection(transport.address, timeout=5.0)
+                conn.sendall(_FRAME_HEADER.pack(KIND_JSON, 0xFFFFFFFF))
+                assert conn.recv(1) == b"", "the server must hang up, not wait for 4 GiB"
+                conn.close()
+        finally:
+            server.stop()
+
+    def test_client_fails_its_streams_on_a_forged_length(self):
+        from repro.service import RemoteTasmClient
+
+        listener, address, accepted = TestClientTimeouts()._silent_server()
+        try:
+            client = RemoteTasmClient(address, timeout=5.0)
+            conn = accepted.get(timeout=5)
+            stream = client.scan_streaming("some-video", "car")
+            recv_message(conn)
+            conn.sendall(_FRAME_HEADER.pack(KIND_JSON, 0xFFFFFFFF))
+            with pytest.raises(TransportError, match="limit"):
+                stream.result()
+            client.close()
+            conn.close()
+        finally:
+            listener.close()
