@@ -10,26 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..geometry import Rectangle
 from ..video.codec import DecodeStats
+from ..video.decoder import DecodedRegion
 
 __all__ = ["ScanRegion", "ScanResult"]
 
 
-@dataclass
-class ScanRegion:
-    """Pixels of one selected region on one frame."""
-
-    frame_index: int
-    region: Rectangle
-    pixels: np.ndarray
-    label: str | None = None
-
-    @property
-    def pixel_count(self) -> int:
-        return int(self.pixels.size)
+#: Pixels of one selected region on one frame (``frame_index``, ``region``,
+#: ``pixels``, ``label``).  A scan hands back the decoder's regions as they
+#: are — one object per region, built once — so the two names are one class.
+ScanRegion = DecodedRegion
 
 
 @dataclass

@@ -30,6 +30,7 @@ counters, so summing the batch's stats reproduces the work actually done.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -90,10 +91,6 @@ class _QueryPlan:
     video: str
     index_seconds: float
     sot_requests: list[tuple[int, list[RegionRequest]]]
-
-    @property
-    def request_count(self) -> int:
-        return sum(len(requests) for _, requests in self.sot_requests)
 
 
 @dataclass
@@ -535,28 +532,22 @@ class QueryExecutor:
         )
         index_seconds = time.perf_counter() - index_started
 
-        sot_requests: list[tuple[int, list[RegionRequest]]] = []
-        if regions_by_frame:
-            label = (
-                next(iter(query.predicate.labels))
-                if query.predicate.is_single_label
-                else None
+        # One pass over the selected frames: each frame's requests go to the
+        # SOT holding it, keeping the index's frame order within a SOT.
+        label = (
+            next(iter(query.predicate.labels)) if query.predicate.is_single_label else None
+        )
+        sot_frames = tiled.layout_spec.sot_frames
+        by_sot: defaultdict[int, list[RegionRequest]] = defaultdict(list)
+        for frame_index, regions in regions_by_frame.items():
+            by_sot[frame_index // sot_frames].extend(
+                [RegionRequest(frame_index, region, label) for region in regions]
             )
-            for sot_index in tiled.sots_for_frames(frame_start, frame_stop):
-                sot_start, sot_stop = tiled.frame_range(sot_index)
-                requests = [
-                    RegionRequest(frame_index=frame_index, region=region, label=label)
-                    for frame_index, regions in regions_by_frame.items()
-                    if sot_start <= frame_index < sot_stop
-                    for region in regions
-                ]
-                if requests:
-                    sot_requests.append((sot_index, requests))
         return _QueryPlan(
             query=query,
             video=query.video,
             index_seconds=index_seconds,
-            sot_requests=sot_requests,
+            sot_requests=sorted(by_sot.items()),
         )
 
     def _serve(self, plan: _QueryPlan, decoder: VideoDecoder) -> ScanResult:
@@ -577,17 +568,10 @@ class QueryExecutor:
     def _apply_decoded(result: ScanResult, decoded: DecodeResult) -> None:
         """Merge one SOT's decode output into a query's ScanResult.
 
-        Both the single-query path and the batched serve phase build regions
-        through this one helper, which is what keeps their outputs
-        byte-identical.
+        The decoder's regions are the scan's regions (``ScanRegion`` is
+        ``DecodedRegion``), so nothing is rebuilt per region; the single-query
+        path and the batched serve phase both come through here, which is what
+        keeps their outputs byte-identical.
         """
         result.stats.merge(decoded.stats)
-        result.regions.extend(
-            ScanRegion(
-                frame_index=region.frame_index,
-                region=region.request.region,
-                pixels=region.pixels,
-                label=region.label,
-            )
-            for region in decoded.regions
-        )
+        result.regions.extend(decoded.regions)

@@ -10,8 +10,11 @@ covering the whole frame.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from ..errors import LayoutError
 from ..geometry import Rectangle
@@ -26,6 +29,11 @@ class TileLayout:
     The row heights must sum to the frame height and the column widths to the
     frame width; every tile therefore has positive area and the grid exactly
     covers the frame (pixel conservation — verified by property tests).
+
+    A layout is immutable, so its geometry (cumulative row/column edges, tile
+    rectangles) is computed once per instance, on first use.  The memo lives
+    outside the four defining fields: it takes no part in ``==``, ``hash`` or
+    ``repr``, and a pickle carries the fields alone.
     """
 
     frame_width: int
@@ -54,6 +62,12 @@ class TileLayout:
         object.__setattr__(self, "row_heights", tuple(int(h) for h in self.row_heights))
         object.__setattr__(self, "column_widths", tuple(int(w) for w in self.column_widths))
 
+    def __reduce__(self):
+        # Shards receive layouts pickled: ship the fields, not the memo.
+        return TileLayout, (
+            self.frame_width, self.frame_height, self.row_heights, self.column_widths
+        )
+
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
@@ -74,40 +88,43 @@ class TileLayout:
         """True for the omega layout: a single tile covering the frame."""
         return self.tile_count == 1
 
+    @cached_property
+    def row_edges(self) -> tuple[int, ...]:
+        """Cumulative row boundaries: row ``r`` is ``[row_edges[r], row_edges[r + 1])``."""
+        return (0, *accumulate(self.row_heights))
+
+    @cached_property
+    def column_edges(self) -> tuple[int, ...]:
+        """Cumulative column boundaries, as :attr:`row_edges`."""
+        return (0, *accumulate(self.column_widths))
+
     @property
     def row_offsets(self) -> tuple[int, ...]:
-        offsets = [0]
-        for height in self.row_heights[:-1]:
-            offsets.append(offsets[-1] + height)
-        return tuple(offsets)
+        return self.row_edges[:-1]
 
     @property
     def column_offsets(self) -> tuple[int, ...]:
-        offsets = [0]
-        for width in self.column_widths[:-1]:
-            offsets.append(offsets[-1] + width)
-        return tuple(offsets)
+        return self.column_edges[:-1]
 
     # ------------------------------------------------------------------
     # Tile geometry
     # ------------------------------------------------------------------
+    @cached_property
+    def _rectangles(self) -> tuple[Rectangle, ...]:
+        rows, columns = self.row_edges, self.column_edges
+        return tuple(
+            Rectangle(columns[column], rows[row], columns[column + 1], rows[row + 1])
+            for row in range(self.rows)
+            for column in range(self.columns)
+        )
+
     def tile_rectangle(self, row: int, column: int) -> Rectangle:
         """The rectangle of the tile at grid position (row, column)."""
-        if not 0 <= row < self.rows or not 0 <= column < self.columns:
-            raise LayoutError(
-                f"tile ({row}, {column}) out of range for a {self.rows}x{self.columns} layout"
-            )
-        x1 = self.column_offsets[column]
-        y1 = self.row_offsets[row]
-        return Rectangle(x1, y1, x1 + self.column_widths[column], y1 + self.row_heights[row])
+        return self._rectangles[self.tile_index(row, column)]
 
     def tile_rectangles(self) -> list[Rectangle]:
         """All tile rectangles in row-major order."""
-        return [
-            self.tile_rectangle(row, column)
-            for row in range(self.rows)
-            for column in range(self.columns)
-        ]
+        return list(self._rectangles)
 
     def tile_index(self, row: int, column: int) -> int:
         if not 0 <= row < self.rows or not 0 <= column < self.columns:
@@ -121,26 +138,44 @@ class TileLayout:
             raise LayoutError(f"tile index {index} out of range ({self.tile_count} tiles)")
         return divmod(index, self.columns)[0], index % self.columns
 
+    def tile_span(self, box: Rectangle) -> tuple[int, int, int, int]:
+        """The grid range ``(row0, row1, col0, col1)`` of tiles ``box`` touches.
+
+        Both ranges are half-open.  This is the system's one overlap rule: a
+        tile is touched when it shares positive area with the box, so a box of
+        zero area, or one lying outside the frame, touches nothing and gets
+        the empty span ``(0, 0, 0, 0)``.  Two bisects per axis over the
+        cumulative edges replace a test of every tile rectangle.
+        """
+        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        if x1 < x2 and y1 < y2:
+            rows, columns = self.row_edges, self.column_edges
+            # First row/column ending past the box's near edge, last one
+            # starting before its far edge; out-of-frame edges clip to the grid.
+            row0 = bisect_right(rows, y1) - 1 if y1 > 0 else 0
+            col0 = bisect_right(columns, x1) - 1 if x1 > 0 else 0
+            row1 = bisect_left(rows, y2) if y2 < rows[-1] else len(rows) - 1
+            col1 = bisect_left(columns, x2) if x2 < columns[-1] else len(columns) - 1
+            if row0 < row1 and col0 < col1:
+                return row0, row1, col0, col1
+        return 0, 0, 0, 0
+
     def tile_containing_point(self, x: float, y: float) -> int:
         """Index of the tile containing the point (x, y)."""
         if not (0 <= x < self.frame_width and 0 <= y < self.frame_height):
             raise LayoutError(f"point ({x}, {y}) lies outside the frame")
-        row = self._locate(y, self.row_offsets, self.row_heights)
-        column = self._locate(x, self.column_offsets, self.column_widths)
-        return self.tile_index(row, column)
+        row = bisect_right(self.row_edges, y) - 1
+        return row * self.columns + bisect_right(self.column_edges, x) - 1
 
     def tiles_intersecting(self, region: Rectangle) -> list[int]:
-        """Indices of every tile whose area overlaps ``region``."""
-        frame = Rectangle(0, 0, self.frame_width, self.frame_height)
-        clipped = region.clamp(frame)
-        if clipped is None:
-            return []
-        indices = []
-        for row in range(self.rows):
-            for column in range(self.columns):
-                if self.tile_rectangle(row, column).intersects(clipped):
-                    indices.append(self.tile_index(row, column))
-        return indices
+        """Indices of every tile whose area overlaps ``region``, ascending."""
+        row0, row1, col0, col1 = self.tile_span(region)
+        columns = self.columns
+        return [
+            row * columns + column
+            for row in range(row0, row1)
+            for column in range(col0, col1)
+        ]
 
     def pixels_decoded_for(self, regions: Sequence[Rectangle]) -> int:
         """Pixels that must be decoded to recover all of ``regions``.
@@ -151,7 +186,7 @@ class TileLayout:
         needed: set[int] = set()
         for region in regions:
             needed.update(self.tiles_intersecting(region))
-        rectangles = self.tile_rectangles()
+        rectangles = self._rectangles
         return int(sum(rectangles[index].area for index in needed))
 
     def boundary_length(self) -> int:
@@ -172,15 +207,8 @@ class TileLayout:
             return "untiled"
         return f"{self.rows}x{self.columns} ({kind})"
 
-    @staticmethod
-    def _locate(value: float, offsets: tuple[int, ...], sizes: tuple[int, ...]) -> int:
-        for position, (offset, size) in enumerate(zip(offsets, sizes)):
-            if offset <= value < offset + size:
-                return position
-        return len(sizes) - 1
-
     def __iter__(self) -> Iterator[Rectangle]:
-        return iter(self.tile_rectangles())
+        return iter(self._rectangles)
 
 
 def untiled_layout(frame_width: int, frame_height: int) -> TileLayout:
@@ -298,6 +326,3 @@ class VideoLayoutSpec:
         return sorted(
             index for index, layout in self.layouts.items() if not layout.is_untiled
         )
-
-    def as_mapping(self) -> Mapping[int, TileLayout]:
-        return dict(self.layouts)

@@ -10,11 +10,16 @@ The decoder honours the two structural constraints of tiled video:
 The returned :class:`~repro.video.codec.DecodeStats` is exactly the
 ``P`` (pixels) and ``T`` (tiles) of the paper's cost model, so benchmark
 measurements and the analytic cost model can be cross-checked.
+
+Which tiles a box touches is :meth:`~repro.tiles.layout.TileLayout.tile_span`'s
+answer, here as in the cost model; once those tiles are reconstructed (or
+found in the cache) a region costs integer clipping and one copy.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -23,6 +28,7 @@ import numpy as np
 from ..config import CodecConfig
 from ..errors import CodecError
 from ..geometry import Rectangle
+from ..tiles.layout import TileLayout
 from .codec import DecodeStats, EncodedGop, TileCodec
 from .encoder import EncodedSot
 
@@ -43,18 +49,20 @@ class RegionRequest:
 
 @dataclass
 class DecodedRegion:
-    """The pixels recovered for one request."""
+    """The pixels recovered for one request.
 
-    request: RegionRequest
+    ``pixels`` is a C-contiguous array that owns its memory — never a view of
+    a cache entry — so callers may write to it.
+    """
+
+    frame_index: int
+    region: Rectangle
     pixels: np.ndarray
+    label: str | None = None
 
     @property
-    def frame_index(self) -> int:
-        return self.request.frame_index
-
-    @property
-    def label(self) -> str | None:
-        return self.request.label
+    def pixel_count(self) -> int:
+        return int(self.pixels.size)
 
 
 @dataclass
@@ -64,11 +72,6 @@ class DecodeResult:
     regions: list[DecodedRegion] = field(default_factory=list)
     stats: DecodeStats = field(default_factory=DecodeStats)
     elapsed_seconds: float = 0.0
-
-    def merge(self, other: "DecodeResult") -> None:
-        self.regions.extend(other.regions)
-        self.stats.merge(other.stats)
-        self.elapsed_seconds += other.elapsed_seconds
 
 
 class VideoDecoder:
@@ -109,11 +112,20 @@ class VideoDecoder:
         """
         started = time.perf_counter()
         result = DecodeResult()
-        layout_rectangles = sot.layout.tile_rectangles()
-        for gop, gop_requests in self._group_requests_by_gop(sot, requests):
-            self._decode_gop_requests(gop, layout_rectangles=layout_rectangles,
-                                      requests=gop_requests, result=result,
-                                      scope=scope, sot_index=sot.sot_index)
+        layout, regions = sot.layout, result.regions
+        for gop, tile_depth, served in self._plan(sot, requests):
+            # Decode each touched tile once, up to the deepest frame needed,
+            # then cut every request's pixels out of those reconstructions.
+            reconstructions = self._reconstruct_tiles(
+                gop, tile_depth, result, scope=scope, sot_index=sot.sot_index
+            )
+            for request, offset, span in served:
+                pixels = self._assemble_region(
+                    layout, request.region, span, reconstructions, offset
+                )
+                regions.append(
+                    DecodedRegion(request.frame_index, request.region, pixels, request.label)
+                )
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -142,42 +154,47 @@ class VideoDecoder:
             raise CodecError("prefetch_regions requires a decoder with a tile cache")
         started = time.perf_counter()
         result = DecodeResult()
-        layout_rectangles = sot.layout.tile_rectangles()
-        grouped = self._group_requests_by_gop(sot, requests)
-        plans = [
-            (gop, self._plan_gop(gop, layout_rectangles, gop_requests)[0])
-            for gop, gop_requests in grouped
-        ]
+        plans = self._plan(sot, requests)
         if self.cache.capacity_bytes is not None:
             working_set_bytes = sum(
                 gop.tiles[tile_index].pixels_per_frame * (depth + 1)
-                for gop, tile_depth in plans
+                for gop, tile_depth, _ in plans
                 for tile_index, depth in tile_depth.items()
             )
             if working_set_bytes > self.cache.capacity_bytes:
                 result.elapsed_seconds = time.perf_counter() - started
                 return result
-        for gop, tile_depth in plans:
+        for gop, tile_depth, _ in plans:
             self._reconstruct_tiles(
                 gop, tile_depth, result, scope=scope, sot_index=sot.sot_index
             )
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def _group_requests_by_gop(
+    def _plan(
         self, sot: EncodedSot, requests: list[RegionRequest]
-    ) -> list[tuple[EncodedGop, list[RegionRequest]]]:
-        """In-range requests bucketed by the GOP containing them, GOP order."""
-        by_gop: dict[int, list[RegionRequest]] = {}
+    ) -> list[tuple[EncodedGop, dict[int, int], list[tuple[RegionRequest, int, tuple]]]]:
+        """One span pass over the requests that fall in ``sot``.
+
+        Per GOP touched, in GOP order: how deep into the GOP each touched tile
+        must be decoded, and every request of that GOP with its frame's offset
+        into the GOP and its tile span.
+        """
+        frame_start, frame_stop, gop_frames = sot.frame_start, sot.frame_stop, sot.gop_frames
+        tile_span, columns = sot.layout.tile_span, sot.layout.columns
+        plans: defaultdict[int, tuple[dict[int, int], list]] = defaultdict(lambda: ({}, []))
         for request in requests:
-            if not sot.frame_start <= request.frame_index < sot.frame_stop:
+            if not frame_start <= request.frame_index < frame_stop:
                 continue
-            gop = sot.gop_containing(request.frame_index)
-            by_gop.setdefault(gop.frame_start, []).append(request)
-        return [
-            (next(g for g in sot.gops if g.frame_start == gop_start), gop_requests)
-            for gop_start, gop_requests in sorted(by_gop.items())
-        ]
+            gop_number, offset = divmod(request.frame_index - frame_start, gop_frames)
+            tile_depth, served = plans[gop_number]
+            span = row0, row1, col0, col1 = tile_span(request.region)
+            served.append((request, offset, span))
+            for row in range(row0 * columns, row1 * columns, columns):
+                for tile_index in range(row + col0, row + col1):
+                    if tile_depth.get(tile_index, -1) < offset:
+                        tile_depth[tile_index] = offset
+        return [(sot.gops[number], *plans[number]) for number in sorted(plans)]
 
     def decode_full_frames(self, sot: EncodedSot, frame_indices: list[int]) -> DecodeResult:
         """Decode whole frames (every tile) — the untiled / stitching path."""
@@ -188,57 +205,6 @@ class VideoDecoder:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _decode_gop_requests(
-        self,
-        gop: EncodedGop,
-        layout_rectangles: list[Rectangle],
-        requests: list[RegionRequest],
-        result: DecodeResult,
-        scope: str | None = None,
-        sot_index: int = 0,
-    ) -> None:
-        tile_depth, request_tiles = self._plan_gop(gop, layout_rectangles, requests)
-
-        # Decode each touched tile once, up to the deepest frame needed.
-        reconstructions = self._reconstruct_tiles(
-            gop, tile_depth, result, scope=scope, sot_index=sot_index
-        )
-
-        # Assemble the requested pixels from the decoded tiles.
-        for request, touched in request_tiles:
-            offset = request.frame_index - gop.frame_start
-            pixels = self._assemble_region(
-                request.region, touched, layout_rectangles, reconstructions, offset
-            )
-            result.regions.append(DecodedRegion(request=request, pixels=pixels))
-
-    def _plan_gop(
-        self,
-        gop: EncodedGop,
-        layout_rectangles: list[Rectangle],
-        requests: list[RegionRequest],
-    ) -> tuple[dict[int, int], list[tuple[RegionRequest, list[int]]]]:
-        """Which tiles does each request touch, and how deep into the GOP must
-        each touched tile be decoded?"""
-        tile_depth: dict[int, int] = {}
-        request_tiles: list[tuple[RegionRequest, list[int]]] = []
-        for request in requests:
-            offset = request.frame_index - gop.frame_start
-            if not 0 <= offset < gop.frame_count:
-                raise CodecError(
-                    f"request for frame {request.frame_index} does not belong to GOP "
-                    f"starting at {gop.frame_start}"
-                )
-            touched = [
-                index
-                for index, rectangle in enumerate(layout_rectangles)
-                if rectangle.intersects(request.region)
-            ]
-            request_tiles.append((request, touched))
-            for index in touched:
-                tile_depth[index] = max(tile_depth.get(index, -1), offset)
-        return tile_depth, request_tiles
-
     def _reconstruct_tiles(
         self,
         gop: EncodedGop,
@@ -287,35 +253,43 @@ class VideoDecoder:
                 break
         return reconstructions
 
+    @staticmethod
     def _assemble_region(
-        self,
-        region: Rectangle,
-        tile_indices: list[int],
-        layout_rectangles: list[Rectangle],
+        layout: TileLayout,
+        box: Rectangle,
+        span: tuple[int, int, int, int],
         reconstructions: dict[int, list[np.ndarray]],
         frame_offset: int,
     ) -> np.ndarray:
-        frame_bounds = Rectangle(
-            0,
-            0,
-            max(rectangle.x2 for rectangle in layout_rectangles),
-            max(rectangle.y2 for rectangle in layout_rectangles),
-        )
-        clipped = region.clamp(frame_bounds)
-        if clipped is None:
+        """The pixels of ``box`` on one frame: the box clipped to the frame and
+        truncated to whole pixels, cut out of the tiles of its span."""
+        row0, row1, col0, col1 = span
+        if row0 == row1:
             return np.zeros((0, 0), dtype=np.uint8)
-        x1, y1, x2, y2 = clipped.as_int_tuple()
-        canvas = np.zeros((y2 - y1, x2 - x1), dtype=np.uint8)
-        for tile_index in tile_indices:
-            tile_rect = layout_rectangles[tile_index]
-            overlap = tile_rect.intersection(clipped)
-            if overlap is None:
-                continue
-            ox1, oy1, ox2, oy2 = overlap.as_int_tuple()
-            tile_pixels = reconstructions[tile_index][frame_offset]
-            tx1 = ox1 - int(tile_rect.x1)
-            ty1 = oy1 - int(tile_rect.y1)
-            canvas[oy1 - y1 : oy2 - y1, ox1 - x1 : ox2 - x1] = tile_pixels[
-                ty1 : ty1 + (oy2 - oy1), tx1 : tx1 + (ox2 - ox1)
-            ]
+        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        rows, columns = layout.row_edges, layout.column_edges
+        width, height, stride = columns[-1], rows[-1], len(columns) - 1
+        x1 = int(x1) if x1 > 0 else 0
+        y1 = int(y1) if y1 > 0 else 0
+        x2 = int(x2) if x2 < width else width
+        y2 = int(y2) if y2 < height else height
+        if row1 - row0 == 1 and col1 - col0 == 1:
+            # The common case once a video is tiled around its objects: the box
+            # lies in one tile, so it is one slice of that tile's raster.
+            top, left = rows[row0], columns[col0]
+            raster = reconstructions[row0 * stride + col0][frame_offset]
+            return raster[y1 - top : y2 - top, x1 - left : x2 - left].copy()
+        # The span's tiles cover the clipped box exactly, so every canvas pixel
+        # is written below.
+        canvas = np.empty((y2 - y1, x2 - x1), dtype=np.uint8)
+        for row in range(row0, row1):
+            top = rows[row]
+            oy1, oy2 = max(y1, top), min(y2, rows[row + 1])
+            for column in range(col0, col1):
+                left = columns[column]
+                ox1, ox2 = max(x1, left), min(x2, columns[column + 1])
+                raster = reconstructions[row * stride + column][frame_offset]
+                canvas[oy1 - y1 : oy2 - y1, ox1 - x1 : ox2 - x1] = raster[
+                    oy1 - top : oy2 - top, ox1 - left : ox2 - left
+                ]
         return canvas

@@ -44,6 +44,12 @@ class EncodedSot:
     def keyframe_count(self) -> int:
         return len(self.gops)
 
+    @property
+    def gop_frames(self) -> int:
+        """Frames per GOP: every GOP but the last is this long, so the GOP
+        holding frame ``f`` is number ``(f - frame_start) // gop_frames``."""
+        return self.gops[0].frame_count
+
     def gop_containing(self, frame_index: int) -> EncodedGop:
         """The encoded GOP holding ``frame_index`` (video-level index)."""
         if not self.frame_start <= frame_index < self.frame_stop:
@@ -51,10 +57,7 @@ class EncodedSot:
                 f"frame {frame_index} is outside SOT {self.sot_index} "
                 f"[{self.frame_start}, {self.frame_stop})"
             )
-        for gop in self.gops:
-            if gop.frame_start <= frame_index < gop.frame_start + gop.frame_count:
-                return gop
-        raise CodecError(f"no GOP contains frame {frame_index} in SOT {self.sot_index}")
+        return self.gops[(frame_index - self.frame_start) // self.gop_frames]
 
 
 class VideoEncoder:

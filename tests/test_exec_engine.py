@@ -21,6 +21,7 @@ from repro.core.query import Query
 from repro.core.tasm import TASM
 from repro.exec import TileDecodeCache
 from repro.storage.tiled_video import TiledVideo
+from repro.tiles.layout import uniform_layout
 from tests.conftest import build_tiny_video
 
 LABELS = ("car", "person", "sign")
@@ -128,6 +129,72 @@ class TestBatchEquivalence:
         assert warm.cache_hit_rate == 1.0
         assert warm.pixels_served_from_cache == cold.pixels_decoded
         assert_scan_results_identical(warm, cold)
+
+    def test_returned_pixels_own_their_memory(self, config):
+        """A caller may scribble on what a scan returns: regions are copies of
+        the cached rasters, never views of them, and C-contiguous (the wire
+        path's ``tobytes()`` and digests rely on that)."""
+        cached, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
+        reference, _ = make_tasm(config)
+        # SOT 1 in 2x2 tiles (boxes inside one tile and across tiles), the
+        # rest untiled (every box a slice of the frame-sized tile).
+        layout = uniform_layout(video.width, video.height, 2, 2, config.codec.block_size)
+        for tasm in (cached, reference):
+            tasm.retile_sot(video.name, 1, layout)
+        query = Query.select_any(LABELS, video.name)
+        cached.execute(query)  # warm
+
+        def cache_entries() -> list[bytes]:
+            tiled = cached.video(video.name)
+            entries = []
+            for sot_index in range(tiled.sot_count):
+                gops = {gop.frame_start: gop for gop in tiled.encoded_sot(sot_index).gops}
+                for key in cached.tile_cache.keys_for_sot(video.name, sot_index):
+                    token = gops[key[2]].tiles[key[3]].checksums
+                    frames = cached.tile_cache.get(key, min_depth=0, token=token)
+                    entries.append(b"".join(frame.tobytes() for frame in frames))
+            return entries
+
+        before = cache_entries()
+        warm = cached.execute(query)
+        assert warm.pixels_decoded == 0 and before
+        assert all(region.pixels.size for region in warm.regions)
+        for region in warm.regions:
+            assert region.pixels.flags.c_contiguous and region.pixels.flags.owndata
+            region.pixels[...] = 255 - region.pixels
+        assert cache_entries() == before
+        again = cached.execute(query)
+        assert again.pixels_decoded == 0
+        assert_scan_results_identical(again, reference.execute(query))
+
+    def test_zero_area_box_opens_no_tile(self, config):
+        """One overlap rule everywhere: only positive-area overlap with the
+        frame touches a tile.  A degenerate box (``add_metadata`` with
+        ``x1 == x2``) still yields its empty region, but the decoder opens
+        nothing for it — which is also what the cost model charges."""
+        video = build_tiny_video()
+        tasm = TASM(config=config)
+        tasm.ingest(video)
+        tasm.retile_sot(
+            video.name, 0, uniform_layout(video.width, video.height, 2, 2, config.codec.block_size)
+        )
+        tasm.add_metadata(video.name, 2, "sliver", 20, 10, 20, 30)  # zero width, inside tile 0
+        tasm.add_metadata(video.name, 3, "sliver", 90, 70, 100, 70)  # zero height, inside tile 3
+        query = Query.select("sliver", video.name)
+        result = tasm.execute(query)
+        assert [region.pixels.shape for region in result.regions] == [(0, 0), (0, 0)]
+        assert (result.pixels_decoded, result.tiles_decoded) == (0, 0)
+        estimate = tasm.estimate_sot_query_cost(video.name, 0, query)
+        assert (estimate.pixels, estimate.tiles) == (result.pixels_decoded, result.tiles_decoded)
+
+        # Beside a real box, the slivers still cost nothing: P and T are the
+        # real box's tile alone, in the decoder and in the model (on a
+        # keyframe, where the decoder has no earlier frames to pay for).
+        tasm.add_metadata(video.name, 0, "sliver", 70, 50, 100, 80)  # inside tile 3
+        result = tasm.execute(query)
+        estimate = tasm.estimate_sot_query_cost(video.name, 0, query)
+        assert result.tiles_decoded == 1
+        assert (estimate.pixels, estimate.tiles) == (result.pixels_decoded, result.tiles_decoded)
 
 
 class TestBatchAccounting:
