@@ -85,7 +85,6 @@ def _run_remote_workload(config, expected, fault_plan=None, retry=None) -> dict:
         video,
         config.with_updates(
             decode_cache_bytes=CACHE_BYTES,
-            service_batch_window_ms=5.0,
             service_max_batch=8,
             service_runners=2,
             # A storm must never quarantine: the same query absorbing every
@@ -194,7 +193,6 @@ def _run_hook_overhead_workload(config, fault_plan=None) -> dict:
         video,
         config.with_updates(
             decode_cache_bytes=CACHE_BYTES,
-            service_batch_window_ms=0.0,
             fault_plan=fault_plan,
         ),
     )

@@ -49,7 +49,6 @@ def _run_workload(config, observability: bool) -> dict:
         video,
         config.with_updates(
             decode_cache_bytes=CACHE_BYTES,
-            service_batch_window_ms=2.0,
             service_max_batch=4,
             service_runners=RUNNERS,
             observability=observability,

@@ -1,14 +1,14 @@
-"""Server throughput: queries/sec and cache hit rate vs clients and window.
+"""Server throughput: queries/sec and cache hit rate vs concurrent clients.
 
 The service layer's claim is that concurrency *helps* instead of thrashing:
-queries from concurrent clients coalesce through the batching window into
-shared ``execute_batch`` calls against one process-wide tile cache, so N
-clients asking overlapping questions decode far fewer pixels than N
-independent TASM instances would.  This benchmark sweeps the two knobs that
-govern that sharing — number of concurrent clients (1 / 4 / 16) and batching
-window (0 / 5 / 20 ms) — and reports served queries/sec, cache hit rate, and
-decoded pixels versus the independent-instances baseline, in the same
-rows-of-dicts shape ``bench_batch_cache.py`` emits.
+queries from concurrent clients that queue behind busy batch runners
+coalesce into shared ``execute_batch`` calls against one process-wide,
+single-flight tile cache, so N clients asking overlapping questions decode
+far fewer pixels than N independent TASM instances would.  This benchmark
+sweeps the number of concurrent clients (1 / 4 / 16) and reports served
+queries/sec, cache hit rate, batches, and decoded pixels versus the
+independent-instances baseline, in the same rows-of-dicts shape
+``bench_batch_cache.py`` emits.
 
 Every configuration must decode strictly fewer pixels than its clients would
 independently; the multi-client rows are the PR's acceptance check.
@@ -16,8 +16,8 @@ independently; the multi-client rows are the PR's acceptance check.
 A second sweep pins the batch-runner pool: with per-SOT decode latency made
 explicit (a fixed sleep per prefetch against a pre-warmed cache, so every
 configuration does *identical* decode work), ``service_runners > 1`` must
-finish the same workload in less wall-clock time than the serial scheduler —
-batch execution overlapping batch collection, not decoding any less.
+finish the same workload in less wall-clock time than a single runner —
+batches executing concurrently, not decoding any less.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from _bench_utils import emit_bench, print_section
 #: Decoded bytes kept by the server's shared cache (64 MiB).
 CACHE_BYTES = 64 * 1024 * 1024
 CLIENT_COUNTS = (1, 4, 16)
-WINDOWS_MS = (0.0, 5.0, 20.0)
 QUERIES_PER_CLIENT = 6
 #: Runner-pool sweep: serial scheduler versus pools of batch runners.
 RUNNER_COUNTS = (1, 2, 4)
@@ -67,12 +66,11 @@ def _client_queries(video, client_index: int) -> list[Query]:
     ][:QUERIES_PER_CLIENT]
 
 
-def _run_server_workload(config, clients: int, window_ms: float) -> dict:
+def _run_server_workload(config, clients: int) -> dict:
     tasm = prepare_tasm(
         _video(),
         config.with_updates(
             decode_cache_bytes=CACHE_BYTES,
-            service_batch_window_ms=window_ms,
             service_max_batch=max(clients * 2, 4),
         ),
     )
@@ -104,7 +102,6 @@ def _run_server_workload(config, clients: int, window_ms: float) -> dict:
     assert not errors, errors
     return {
         "clients": clients,
-        "window_ms": window_ms,
         "queries": clients * QUERIES_PER_CLIENT,
         "wall_seconds": round(wall_seconds, 3),
         "qps": round(clients * QUERIES_PER_CLIENT / wall_seconds, 1),
@@ -130,25 +127,24 @@ def sequential_baseline(config):
     return per_client
 
 
-def test_server_throughput_vs_clients_and_window(benchmark, config, sequential_baseline):
+def test_server_throughput_vs_clients(benchmark, config, sequential_baseline):
     rows = []
     for clients in CLIENT_COUNTS:
         independent_pixels = sum(sequential_baseline[:clients])
-        for window_ms in WINDOWS_MS:
-            row = _run_server_workload(config, clients, window_ms)
-            row["pixels_vs_independent"] = round(
-                row["pixels_decoded"] / independent_pixels, 4
-            )
-            rows.append(row)
+        row = _run_server_workload(config, clients)
+        row["pixels_vs_independent"] = round(
+            row["pixels_decoded"] / independent_pixels, 4
+        )
+        rows.append(row)
 
-    benchmark(lambda: _run_server_workload(config, 4, 5.0))
+    benchmark(lambda: _run_server_workload(config, 4))
 
     print_section(
-        "Served queries/sec and cache sharing vs concurrent clients and "
-        f"batching window ({QUERIES_PER_CLIENT} queries per client)"
+        "Served queries/sec and cache sharing vs concurrent clients "
+        f"({QUERIES_PER_CLIENT} queries per client)"
     )
     print(format_table(rows))
-    emit_bench("server_throughput", "clients_vs_window", rows)
+    emit_bench("server_throughput", "clients", rows)
 
     for row in rows:
         independent = sum(sequential_baseline[: row["clients"]])
@@ -157,15 +153,11 @@ def test_server_throughput_vs_clients_and_window(benchmark, config, sequential_b
         assert row["pixels_decoded"] < independent, row
         assert row["cache_hit_rate"] > 0.0, row
     # More clients must not decode more: overlap is shared, not re-paid.
-    by_window: dict[float, list[dict]] = {}
-    for row in rows:
-        by_window.setdefault(row["window_ms"], []).append(row)
-    for window_rows in by_window.values():
-        pixels = [row["pixels_decoded"] for row in window_rows]
-        assert max(pixels) <= pixels[0] * 1.05, (
-            "shared cache must keep decode work flat as clients scale",
-            window_rows,
-        )
+    pixels = [row["pixels_decoded"] for row in rows]
+    assert max(pixels) <= pixels[0] * 1.05, (
+        "shared cache must keep decode work flat as clients scale",
+        rows,
+    )
 
 
 def _run_runner_pool_workload(config, runners: int) -> dict:
@@ -173,15 +165,14 @@ def _run_runner_pool_workload(config, runners: int) -> dict:
     whose decoder charges a fixed latency per SOT visit.
 
     Pre-warming pins decode *work* to zero for every runner count, so the
-    sweep isolates scheduling: the serial scheduler pays
-    (collect + execute) per batch sequentially, the pool overlaps them.
+    sweep isolates scheduling: one runner executes the batches one after
+    another, a pool executes them concurrently.
     """
     video = _video()
     tasm = prepare_tasm(
         video,
         config.with_updates(
             decode_cache_bytes=CACHE_BYTES,
-            service_batch_window_ms=2.0,
             service_max_batch=4,
             service_runners=runners,
         ),
@@ -240,8 +231,8 @@ def _run_runner_pool_workload(config, runners: int) -> dict:
 
 def test_runner_pool_overlaps_collection_with_execution(config):
     """Acceptance: at identical decode work (zero — the cache is pre-warmed),
-    a pool of batch runners serves the same workload at higher QPS than the
-    serial scheduler, because batch execution overlaps batch collection."""
+    a pool of batch runners serves the same workload at higher QPS than a
+    single runner, because batches execute while the next ones form."""
     rows = [_run_runner_pool_workload(config, runners) for runners in RUNNER_COUNTS]
 
     print_section(
@@ -261,6 +252,6 @@ def test_runner_pool_overlaps_collection_with_execution(config):
         assert row["pixels_decoded"] == 0, rows
     pooled = rows[-1]
     assert pooled["wall_seconds"] < serial["wall_seconds"] * 0.85, (
-        "a runner pool must overlap execution with collection",
+        "a runner pool must execute batches concurrently",
         rows,
     )

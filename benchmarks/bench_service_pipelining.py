@@ -74,11 +74,7 @@ def _scan_jobs(video, count: int) -> list[tuple[str, int | None, int | None]]:
 
 def _make_server(config, **overrides):
     video = _video()
-    settings = {
-        "decode_cache_bytes": CACHE_BYTES,
-        "service_batch_window_ms": 5.0,
-        **overrides,
-    }
+    settings = {"decode_cache_bytes": CACHE_BYTES, **overrides}
     tasm = prepare_tasm(video, config.with_updates(**settings))
     original = tasm._decoder.prefetch_regions
 
@@ -236,9 +232,7 @@ def test_stream_buffers_hold_their_bound(config):
     configured bound, and the scan must still complete correctly."""
     rows = []
     for bound in STREAM_BUFFER_SWEEP:
-        server, video = _make_server(
-            config, service_stream_buffer_chunks=bound, service_batch_window_ms=0.0
-        )
+        server, video = _make_server(config, service_stream_buffer_chunks=bound)
         with server:
             reference = server.tasm.scan(video.name, "car")
             stream = server.connect().scan_streaming(video.name, "car")
@@ -404,9 +398,7 @@ def test_shm_beats_socket_for_same_host_pixel_throughput(config):
         video = _pixel_heavy_video()
         tasm = prepare_tasm(
             video,
-            config.with_updates(
-                decode_cache_bytes=CACHE_BYTES, service_batch_window_ms=0.0
-            ),
+            config.with_updates(decode_cache_bytes=CACHE_BYTES),
         )
         server = TasmServer(tasm)
         transport_cls = ShmTransport if mode == "shm" else SocketTransport

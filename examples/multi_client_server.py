@@ -4,9 +4,9 @@ Run with ``python examples/multi_client_server.py``.
 
 A storage manager earns the name when many callers can lean on it at once.
 This example stands up a :class:`~repro.service.server.TasmServer` — one
-TASM, one process-wide tile cache, a batching window that coalesces queries
-arriving together — and throws four concurrent clients with mixed label
-predicates at it.  One client uses the *streaming* API to show the service
+TASM, one process-wide tile cache, batch runners that coalesce whatever
+queued while they were busy — and throws four concurrent clients with mixed
+label predicates at it.  One client uses the *streaming* API to show the service
 layer's latency story: the first SOT's results arrive while the rest of the
 batch is still decoding, so time-to-first-result is a fraction of
 time-to-complete.  A final section attaches a cross-process-style client
@@ -39,7 +39,6 @@ def main() -> None:
     config = TasmConfig(
         codec=codec,
         decode_cache_bytes=128 * 1024 * 1024,
-        service_batch_window_ms=10.0,
         service_max_batch=16,
     )
     tasm, video = build_tasm(config)
@@ -63,7 +62,7 @@ def main() -> None:
         stream = client.scan_streaming(video.name, "car")
 
         # ...while three more clients hammer the blocking API from their own
-        # threads; the batching window folds their queries in with the stream.
+        # threads; queries that queue behind a busy runner share its next batch.
         def run_session(index: int) -> None:
             blocking_client = server.connect()
             for query in sessions[index]:

@@ -280,7 +280,7 @@ class ClusterRouter:
     ``addresses`` are ``(host, port)`` shard endpoints (typically a
     :class:`~repro.cluster.supervisor.ClusterSupervisor`'s).  ``config``
     supplies the cluster knobs (``cluster_replication_factor``,
-    ``cluster_ring_vnodes``, ``cluster_health_interval_s``); ``retry`` is
+    ``cluster_ring_vnodes``); ``retry`` is
     the per-shard-connection reconnect policy (transient faults heal inside
     the shard client, before router-level failover even starts).
 
@@ -324,14 +324,6 @@ class ClusterRouter:
         self._closed = False
         #: Router-level failovers across all scans (tests and stats).
         self.failovers_total = 0
-        self._health_interval = config.cluster_health_interval_s
-        self._health_thread: threading.Thread | None = None
-        self._health_stop = threading.Event()
-        if self._health_interval > 0:
-            self._health_thread = threading.Thread(
-                target=self._health_loop, name="tasm-cluster-health", daemon=True
-            )
-            self._health_thread.start()
 
     @staticmethod
     def _shard_name(address) -> str:
@@ -356,15 +348,6 @@ class ClusterRouter:
             self._replication = min(self._replication, len(self._addresses))
         return name
 
-    def remove_shard(self, name: str) -> None:
-        with self._lock:
-            self._addresses.pop(name, None)
-            self._ring.remove_node(name)
-            self._down.pop(name, None)
-            client = self._clients.pop(name, None)
-        if client is not None:
-            client.close()
-
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
@@ -381,14 +364,6 @@ class ClusterRouter:
     def health(self) -> dict:
         """Probe every shard; ``{name: bool}``."""
         return {name: self.probe(name) for name in sorted(self._addresses)}
-
-    def _health_loop(self) -> None:
-        while not self._health_stop.wait(self._health_interval):
-            for name in list(self._addresses):
-                try:
-                    self.probe(name)
-                except KeyError:
-                    continue
 
     def _note_failure(self, name: str, error: BaseException) -> None:
         with self._lock:
@@ -604,9 +579,6 @@ class ClusterRouter:
             self._closed = True
             clients = list(self._clients.values())
             self._clients.clear()
-        self._health_stop.set()
-        if self._health_thread is not None:
-            self._health_thread.join(timeout=5.0)
         for client in clients:
             try:
                 client.close()

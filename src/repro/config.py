@@ -134,17 +134,14 @@ class TasmConfig:
     #: Thread-pool width for the batch executor's per-SOT prefetch fan-out.
     #: 1 keeps decoding single-threaded.
     executor_threads: int = 1
-    #: Batching window of the service layer (``repro.service``): queries
-    #: arriving within this many milliseconds of the first pending query are
-    #: coalesced into one ``execute_batch`` call so concurrent clients share
-    #: decodes.  0 batches only what is already queued when a batch forms.
-    service_batch_window_ms: float = 5.0
-    #: Upper bound on the number of queries coalesced into one service batch.
+    #: Upper bound on the number of queries one service batch holds.  A free
+    #: batch runner takes up to this many pending queries at once, so a batch
+    #: is whatever queued while every runner was busy (one query when idle).
     service_max_batch: int = 16
-    #: Number of batch-runner threads in the service scheduler.  1 reproduces
-    #: the serial scheduler (one batch at a time); more runners let batch
-    #: execution overlap batch collection, so decode-bound mixes keep the
-    #: pipeline full.  Concurrent batches are safe: per-``(video, SOT)``
+    #: Number of batch-runner threads in the service scheduler.  1 executes
+    #: one batch at a time; more runners execute batches concurrently, so
+    #: decode-bound mixes keep every core busy while arrivals coalesce
+    #: behind them.  Concurrent batches are safe: per-``(video, SOT)``
     #: readers-writer locks order them against writes, and the tile cache and
     #: lazy SOT encoding are lock-protected.
     service_runners: int = 2
@@ -155,14 +152,6 @@ class TasmConfig:
     #: (backpressure).  0 means unbounded (no suspension), which restores the
     #: pre-backpressure behaviour.
     service_stream_buffer_chunks: int = 64
-    #: Size in bytes of the per-connection shared-memory pixel ring offered
-    #: by :class:`~repro.service.transport.ShmTransport` to same-host clients
-    #: that request it at the hello handshake.  Pixel payloads then travel
-    #: through the ring (one memcpy in, one out, no kernel transit) while
-    #: only small descriptor frames cross the socket; a chunk that does not
-    #: fit the ring's free space falls back to the socket path.  Plain
-    #: ``SocketTransport`` never offers a ring regardless of this value.
-    service_shm_ring_bytes: int = 16 * 1024 * 1024
     #: Master switch for the observability surface (``repro.obs``): the
     #: metrics registry, per-query traces, and the slow-query log.  Off, the
     #: server hands out no-op instruments and the shared null trace, so the
@@ -207,11 +196,6 @@ class TasmConfig:
     #: vnodes smooth the key distribution (each shard owns ~1/N of the
     #: keyspace with lower variance) at the cost of a larger ring to bisect.
     cluster_ring_vnodes: int = 64
-    #: Seconds between the cluster router's background health probes of its
-    #: shards (each probe is one bounded hello handshake on a fresh
-    #: connection).  0 disables background probing — health is then only
-    #: observed through scan traffic.
-    cluster_health_interval_s: float = 0.0
     #: A :class:`~repro.faults.FaultPlan` activating deterministic fault
     #: injection at the server-side points (transport drop/cut/delay,
     #: decoder errors, runner death).  None — the default — leaves every
@@ -241,8 +225,6 @@ class TasmConfig:
             )
         if self.executor_threads < 1:
             raise ConfigurationError("executor_threads must be at least 1")
-        if self.service_batch_window_ms < 0:
-            raise ConfigurationError("service_batch_window_ms must be non-negative")
         if self.service_max_batch < 1:
             raise ConfigurationError("service_max_batch must be at least 1")
         if self.service_runners < 1:
@@ -250,10 +232,6 @@ class TasmConfig:
         if self.service_stream_buffer_chunks < 0:
             raise ConfigurationError(
                 "service_stream_buffer_chunks must be non-negative (0 = unbounded)"
-            )
-        if self.service_shm_ring_bytes < 0:
-            raise ConfigurationError(
-                "service_shm_ring_bytes must be non-negative (0 = no shared-memory ring)"
             )
         if self.slow_query_ms < 0:
             raise ConfigurationError(
@@ -279,10 +257,6 @@ class TasmConfig:
             raise ConfigurationError("cluster_replication_factor must be at least 1")
         if self.cluster_ring_vnodes < 1:
             raise ConfigurationError("cluster_ring_vnodes must be at least 1")
-        if self.cluster_health_interval_s < 0:
-            raise ConfigurationError(
-                "cluster_health_interval_s must be non-negative (0 = no probing)"
-            )
         if self.fault_plan is not None and not hasattr(self.fault_plan, "site"):
             raise ConfigurationError(
                 "fault_plan must be a repro.faults.FaultPlan (or expose .site())"

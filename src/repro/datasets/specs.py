@@ -24,10 +24,6 @@ class DatasetSpec:
     coverage_percent: tuple[float, float]
     frequent_objects: tuple[str, ...]
 
-    @property
-    def is_synthetic_source(self) -> bool:
-        return "synthetic" in self.video_type.lower()
-
 
 TABLE1_SPECS: tuple[DatasetSpec, ...] = (
     DatasetSpec(

@@ -128,9 +128,6 @@ class Rectangle:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def translate(self, dx: float, dy: float) -> "Rectangle":
-        return Rectangle(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
     def scale(self, sx: float, sy: float) -> "Rectangle":
         return Rectangle(self.x1 * sx, self.y1 * sy, self.x2 * sx, self.y2 * sy)
 

@@ -1,6 +1,6 @@
 """End-to-end observability for the TASM service stack.
 
-The service layer (collector → batch runners → executor → tile cache →
+The service layer (pending queue → batch runners → executor → tile cache →
 multiplexed transport) is a pipeline of queues, locks, and credit loops;
 this package is the window into it:
 

@@ -5,9 +5,10 @@ PR 1 made batches cheap (one decode per tile per batch, a persistent
 available to *many concurrent callers*, the deployment VSS targets:
 
 * :class:`~repro.service.server.TasmServer` — owns a single TASM plus one
-  process-wide tile cache; queries from all clients funnel through a
-  batching window (``TasmConfig.service_batch_window_ms`` /
-  ``service_max_batch``) so overlapping requests share decodes, and writes
+  process-wide tile cache; queries from all clients funnel through one
+  pending queue that free batch runners drain up to
+  ``TasmConfig.service_max_batch`` at a time, so overlapping requests that
+  queue together share decodes, and writes
   (``add_metadata``, ``retile_sot``) serialize against in-flight scans via
   per-``(video, SOT)`` readers-writer locks.
 * :class:`~repro.service.client.TasmClient` — the in-process client handle:
@@ -19,9 +20,9 @@ available to *many concurrent callers*, the deployment VSS targets:
   ``ResultStream``, ``RemoteScanStream`` and the cluster's
   ``ClusterScanStream`` are its three thin sources.
 * :class:`~repro.service.scheduler.BatchScheduler` / ``ResultStream`` — the
-  batch-forming collector, the pool of batch runners
-  (``TasmConfig.service_runners``) that overlap batch execution with
-  collection, round-robin per-client admission control, and the bounded,
+  pool of batch runners (``TasmConfig.service_runners``) that form their own
+  batches from the pending queue (no timer: idle dispatches at once, load
+  coalesces), round-robin per-client admission control, and the bounded,
   backpressured per-query stream handle
   (``TasmConfig.service_stream_buffer_chunks``).
 * :class:`~repro.service.transport.SocketTransport` /

@@ -1,16 +1,14 @@
 """The batching scheduler: coalesces concurrent queries, streams results.
 
 Clients hand queries to :meth:`BatchScheduler.submit` and get a
-:class:`ResultStream` back immediately.  A dedicated *collector* thread pops
-the first pending query, keeps collecting arrivals for up to
-``TasmConfig.service_batch_window_ms`` (or until ``service_max_batch``
-queries are pending), then hands the whole group to a pool of *batch runner*
-threads (``TasmConfig.service_runners``) that drive ``TASM.execute_batch`` —
-so concurrent clients asking about overlapping sequences of tiles share
-decodes instead of thrashing the cache with interleaved misses, and the
-collector is already forming the next batch while runners execute earlier
-ones.  A window of 0 still coalesces whatever is already queued when a batch
-forms, which is what a saturated server wants.
+:class:`ResultStream` back immediately.  A pool of *batch runner* threads
+(``TasmConfig.service_runners``) waits on the pending queue; the moment a
+runner is free it takes up to ``service_max_batch`` pending queries and
+drives ``TASM.execute_batch`` over them.  An idle server therefore dispatches
+a lone query at once, and a busy one forms its batches from whatever queued
+while every runner was executing — so concurrent clients asking about
+overlapping sequences of tiles share decodes instead of thrashing the cache
+with interleaved misses, without any query waiting on a timer.
 
 Admission control: pending queries are kept per client and drained
 round-robin into each batch, so a greedy client that queues a hundred
@@ -38,18 +36,18 @@ Fault tolerance (PR 8) threads through every stage:
   :class:`~repro.service.shedding.QueueWaitBreaker` (fed by the queue-wait
   histogram) sheds the lowest-priority, newest pending queries when the
   recent queue-wait p95 crosses ``service_shed_queue_wait_ms``.
-* **Runner supervision** — a supervisor thread replaces crashed batch-runner
-  threads and recovers their orphaned batch: unaffected queries are requeued
-  at the *front* of their client's bucket (deadlines still honoured) and
-  resume skipping SOTs already delivered, so their bytes stay identical; a
-  query that has killed ``service_poison_query_kills`` runners is
-  quarantined with :class:`~repro.errors.PoisonQueryError` instead of being
-  allowed to take the pool down serially.
+* **Runner supervision** — a supervisor thread, woken by a runner's exit,
+  replaces crashed batch-runner threads and recovers their orphaned batch:
+  unaffected queries are requeued at the *front* of their client's bucket
+  (deadlines still honoured) and resume skipping SOTs already delivered, so
+  their bytes stay identical; a query that has killed
+  ``service_poison_query_kills`` runners is quarantined with
+  :class:`~repro.errors.PoisonQueryError` instead of being allowed to take
+  the pool down serially.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
@@ -131,21 +129,18 @@ class ResultStream(ScanStream):
         return "starved in execute: its batch started but has served nothing"
 
 
-#: Queue sentinel asking a batch-runner thread to exit.
-_SHUTDOWN = object()
-
-#: How often the supervisor sweeps the runner pool for crashed threads: the
-#: recovery latency a killed runner adds to its orphaned queries.
-_SUPERVISOR_TICK_SECONDS = 0.05
+#: How long the supervisor sleeps when no runner reports its own exit.  A
+#: runner's exit path wakes it at once; the timeout only bounds the recovery
+#: of a thread that died without running that path.
+_SUPERVISOR_FALLBACK_SECONDS = 5.0
 
 
 class BatchScheduler:
-    """Owns the request queues, the batch-forming loop, and the runner pool."""
+    """Owns the request queues and the pool of batch-forming runners."""
 
     def __init__(
         self,
         tasm,
-        window_ms: float,
         max_batch: int,
         runners: int = 1,
         stream_buffer_chunks: int = 0,
@@ -159,7 +154,6 @@ class BatchScheduler:
     ):
         self._tasm = tasm
         self._obs = obs if obs is not None else DISABLED
-        self._window_seconds = window_ms / 1000.0
         self._max_batch = max_batch
         self._runner_count = max(1, runners)
         self._stream_buffer_chunks = stream_buffer_chunks
@@ -179,32 +173,31 @@ class BatchScheduler:
                 self._obs.queue_wait_seconds.snapshot_value,
                 threshold_seconds=shed_queue_wait_ms / 1000.0,
             )
-        # Pending queries, kept per client for round-robin admission.  The
-        # condition guards the pending structures and the in-flight set.
+        # Pending queries, kept per client for round-robin admission.  One
+        # condition guards them, the active-batch map and the exited-runner
+        # set, so a query moves from pending into a batch in one step; idle
+        # runners and the supervisor wait on it.
         self._cond = threading.Condition()
         self._pending: dict[Hashable, deque[ResultStream]] = {}
         self._pending_order: deque[Hashable] = deque()
         self._pending_count = 0
-        self._in_flight: set[ResultStream] = set()
-        # Formed batches travel collector -> runners through a short bounded
-        # queue: deep enough to keep every runner fed, shallow enough that
-        # arrivals keep coalescing into *pending* (bigger batches) instead of
-        # fragmenting into a long line of tiny ones.
-        self._batches: queue.Queue = queue.Queue(maxsize=self._runner_count)
-        self._collector: threading.Thread | None = None
+        # The batch each thread took from pending and is executing — what
+        # stop() fails if a runner is stuck, and the supervisor's recovery
+        # map.  An entry is removed by the runner on every survivable exit
+        # from _execute; a crashed runner leaves its entry for the
+        # supervisor to claim.  Keyed by the Thread object, never by thread
+        # ident: idents recycle, and a replacement started while a dead
+        # runner's entry was still unclaimed could take its ident, file its
+        # own batch over the orphan, and lose it for good.
+        self._active: dict[threading.Thread, Sequence[ResultStream]] = {}
+        # Runner threads that have left _run_batches (crash or shutdown):
+        # filed on the way out, because a thread still reports is_alive()
+        # while it runs its own exit path.
+        self._exited: set[threading.Thread] = set()
         self._runners: list[threading.Thread] = []
         self._supervisor: threading.Thread | None = None
         self._running = False
         self._state_lock = threading.Lock()
-        # The batch each runner thread is currently executing — the
-        # supervisor's recovery map.  An entry is removed by the runner on
-        # every survivable exit from _execute; a crashed runner leaves its
-        # entry for the supervisor to claim.  Keyed by the Thread object,
-        # never by thread ident: idents recycle, and a replacement started
-        # while a dead runner's entry was still unclaimed could take its
-        # ident, file its own batch over the orphan, and lose it for good.
-        self._active_lock = threading.Lock()
-        self._active: dict[threading.Thread, Sequence[ResultStream]] = {}
         self._restart_seq = 0
         # Counters (read by TasmServer.stats; written under _counter_lock by
         # any runner thread).
@@ -232,7 +225,7 @@ class BatchScheduler:
         with self._state_lock:
             if self._running:
                 return
-            stale = [self._collector, self._supervisor, *self._runners]
+            stale = [self._supervisor, *self._runners]
             if any(thread is not None and thread.is_alive() for thread in stale):
                 # A previous stop() timed out mid-batch; a second crew on the
                 # same queues would race it and its drain.
@@ -240,28 +233,23 @@ class BatchScheduler:
                     "scheduler is still draining a previous stop; retry later"
                 )
             self._running = True
-            self._batches = queue.Queue(maxsize=self._runner_count)
             self._active = {}
+            self._exited = set()
             self._runners = [
-                threading.Thread(
-                    target=self._run_batches,
-                    name=f"tasm-batch-runner-{index}",
-                    daemon=True,
-                )
+                self._start_runner(f"tasm-batch-runner-{index}")
                 for index in range(self._runner_count)
             ]
-            for runner in self._runners:
-                runner.start()
-            self._collector = threading.Thread(
-                target=self._run_collector, name="tasm-batch-collector", daemon=True
-            )
-            self._collector.start()
             self._supervisor = threading.Thread(
                 target=self._run_supervisor,
                 name="tasm-runner-supervisor",
                 daemon=True,
             )
             self._supervisor.start()
+
+    def _start_runner(self, name: str) -> threading.Thread:
+        runner = threading.Thread(target=self._run_batches, name=name, daemon=True)
+        runner.start()
+        return runner
 
     def stop(self, timeout: float | None = 10.0) -> None:
         with self._state_lock:
@@ -271,9 +259,7 @@ class BatchScheduler:
             # against shutdown: a stream accepted at all is either executed
             # by a runner or failed below — no silent hangs.
             self._running = False
-            collector = self._collector
-            supervisor = self._supervisor
-            runners = list(self._runners)
+            crew = [self._supervisor, *self._runners]
         queued: list[ResultStream] = []
         with self._cond:
             for bucket in self._pending.values():
@@ -281,30 +267,26 @@ class BatchScheduler:
             self._pending.clear()
             self._pending_order.clear()
             self._pending_count = 0
-            self._cond.notify_all()  # wake the collector so it can exit
+            self._cond.notify_all()  # wake idle runners and the supervisor to exit
         for stream in queued:
             self._fail_stream(stream, ServiceError("the server was stopped"))
         deadline = None if timeout is None else time.monotonic() + timeout
-
-        def _join(thread: threading.Thread | None) -> None:
-            if thread is None:
-                return
-            remaining = (
+        for thread in crew:
+            thread.join(
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
-            thread.join(remaining)
-
-        _join(collector)
-        _join(supervisor)
-        for runner in runners:
-            _join(runner)
         # Anything still in flight after the drain deadline belongs to a
         # runner stuck mid-batch — or to a runner that crashed after the
         # supervisor already exited: fail the streams so consumers unblock
         # (the runner's eventual terminal transitions are ignored — first
         # wins), which also releases producers suspended on full buffers.
         with self._cond:
-            stragglers = [stream for stream in self._in_flight if not stream.done]
+            stragglers = [
+                stream
+                for batch in self._active.values()
+                for stream in batch
+                if not stream.done
+            ]
         for stream in stragglers:
             self._fail_stream(stream, ServiceError("the server was stopped"))
 
@@ -315,18 +297,15 @@ class BatchScheduler:
     def _workers_alive(self) -> bool:
         """True while the threads that could still complete a stream exist.
 
-        Liveness for waiters: a collector that died, or a runner pool with no
-        surviving thread *and* no supervisor to rebuild it, can never
-        complete an accepted query — blocked ``result()`` calls must raise
-        rather than wait forever.  A scheduler driven without threads (tests
-        poke ``_running`` directly) reports alive; it has no pool to crash.
+        Liveness for waiters: a runner pool with no surviving thread *and* no
+        supervisor to rebuild it can never complete an accepted query —
+        blocked ``result()`` calls must raise rather than wait forever.  A
+        scheduler driven without threads (tests poke ``_running`` directly)
+        reports alive; it has no pool to crash.
         """
-        collector = self._collector
         runners = self._runners
-        if collector is None or not runners:
+        if not runners:
             return True
-        if not collector.is_alive():
-            return False
         supervisor = self._supervisor
         if supervisor is not None and supervisor.is_alive():
             return True  # dead runners are about to be replaced
@@ -403,39 +382,18 @@ class BatchScheduler:
         return stream
 
     # ------------------------------------------------------------------
-    # The batch-forming loop (collector thread)
+    # Batch forming (runner threads)
     # ------------------------------------------------------------------
-    def _run_collector(self) -> None:
-        while True:
-            with self._cond:
-                while self._running and self._pending_count == 0:
-                    self._cond.wait()
-                if not self._running:
-                    break
-            self._shed_if_overloaded()
-            batch = self._collect()
-            if batch:
-                # May block while every runner is busy and the handoff queue
-                # is full — which is the pipelining backpressure we want:
-                # meanwhile arrivals pile into _pending and coalesce.
-                self._batches.put(batch)
-        for _ in self._runners:
-            self._batches.put(_SHUTDOWN)
-
     def _collect(self) -> list[ResultStream]:
-        """Form one batch: take fairly, then wait out the window for more."""
-        deadline = time.monotonic() + self._window_seconds
+        """Form one batch from what is pending now, fairly; never waits.
+
+        The batch is filed as the calling thread's active batch in the same
+        step, so an accepted query is always pending, active or terminal.
+        """
         batch: list[ResultStream] = []
         with self._cond:
-            while True:
-                self._take_round_robin(batch)
-                if len(batch) >= self._max_batch or not self._running:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            self._in_flight.update(batch)
+            self._take_round_robin(batch)
+            self._active[threading.current_thread()] = batch
         return batch
 
     def _take_round_robin(self, batch: list[ResultStream]) -> None:
@@ -471,14 +429,15 @@ class BatchScheduler:
         Victims are chosen lowest priority first, newest first within a
         priority, until the backlog is halved (or down to half the depth
         bound, when one is configured) — the cheapest promises to break.
-        Runs on the collector thread, between batches.
+        Runs on whichever runner is about to form a batch; the breaker is
+        not thread-safe, so it is consulted under the pending-queue lock.
         """
         breaker = self._breaker
-        if breaker is None or not breaker.should_shed():
+        if breaker is None:
             return
         doomed: list[ResultStream] = []
         with self._cond:
-            if self._pending_count == 0:
+            if not breaker.should_shed() or self._pending_count == 0:
                 return
             target = (
                 self._max_queue_depth // 2
@@ -600,36 +559,46 @@ class BatchScheduler:
 
     def _run_batches(self) -> None:
         me = threading.current_thread()
-        while True:
-            item = self._batches.get()
-            if item is _SHUTDOWN:
-                return
-            with self._active_lock:
-                self._active[me] = item
-            try:
-                self._execute(item)
-            except InjectedRunnerDeath:
-                # A simulated crash: die like the real thing — leave the
-                # batch in _active and _in_flight for the supervisor to
-                # recover, and take this thread down.  A plain return (not a
-                # re-raise) so the harness's unhandled-thread-exception hook
-                # stays quiet; the observable state is identical either way.
-                return
-            except BaseException as error:  # noqa: BLE001 — keep the runner alive
-                # _execute fails offending streams itself; anything escaping
-                # it (a terminal-transition bug, a callback raising) must not
-                # kill the runner thread silently — fail the batch's streams
-                # so their waiters raise, and keep serving later batches.
-                for stream in item:
-                    if not stream.done:
-                        self._fail_stream(stream, error)
-            # Survivable exits only (a death above skips this): the batch is
-            # fully dispositioned, so drop it from the recovery map and the
-            # in-flight set.
-            with self._active_lock:
-                self._active.pop(me, None)
+        try:
+            while True:
+                with self._cond:
+                    while self._running and self._pending_count == 0:
+                        self._cond.wait()
+                    if not self._running:
+                        return
+                self._shed_if_overloaded()
+                batch = self._collect()
+                if not batch:
+                    continue  # shed, expired, cancelled or taken by a peer
+                try:
+                    self._execute(batch)
+                except InjectedRunnerDeath:
+                    # A simulated crash: die like the real thing — leave the
+                    # batch in _active for the supervisor to recover, and
+                    # take this thread down.  A plain return (not a re-raise)
+                    # so the harness's unhandled-thread-exception hook stays
+                    # quiet; the observable state is identical either way.
+                    return
+                except BaseException as error:  # noqa: BLE001 — keep the runner alive
+                    # _execute fails offending streams itself; anything
+                    # escaping it (a terminal-transition bug, a callback
+                    # raising) must not kill the runner thread silently —
+                    # fail the batch's streams so their waiters raise, and
+                    # keep serving later batches.
+                    for stream in batch:
+                        if not stream.done:
+                            self._fail_stream(stream, error)
+                # Survivable exits only (a death above skips this): the batch
+                # is fully dispositioned, so drop it from the recovery map.
+                with self._cond:
+                    self._active.pop(me, None)
+        finally:
+            # Every way out — shutdown, an injected death, a bug in the loop
+            # itself — reports to the supervisor, which replaces the thread
+            # (and recovers its batch) unless the scheduler is stopping.
             with self._cond:
-                self._in_flight.difference_update(item)
+                self._exited.add(me)
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Runner supervision (supervisor thread)
@@ -637,24 +606,25 @@ class BatchScheduler:
     def _run_supervisor(self) -> None:
         """Replace crashed batch-runner threads and recover their batches."""
         while True:
-            time.sleep(_SUPERVISOR_TICK_SECONDS)
+            with self._cond:
+                self._cond.wait_for(
+                    lambda: self._exited or not self._running,
+                    _SUPERVISOR_FALLBACK_SECONDS,
+                )
+                exited, self._exited = self._exited, set()
             with self._state_lock:
                 if not self._running:
                     return
                 orphans: list[Sequence[ResultStream] | None] = []
                 for index, runner in enumerate(self._runners):
-                    if runner.is_alive() or runner.ident is None:
+                    if runner not in exited and runner.is_alive():
                         continue
-                    with self._active_lock:
+                    with self._cond:
                         orphans.append(self._active.pop(runner, None))
                     self._restart_seq += 1
-                    replacement = threading.Thread(
-                        target=self._run_batches,
-                        name=f"tasm-batch-runner-{index}~r{self._restart_seq}",
-                        daemon=True,
+                    self._runners[index] = self._start_runner(
+                        f"tasm-batch-runner-{index}~r{self._restart_seq}"
                     )
-                    self._runners[index] = replacement
-                    replacement.start()
             for orphan in orphans:
                 with self._counter_lock:
                     self.runner_restarts += 1
@@ -685,7 +655,6 @@ class BatchScheduler:
                 resumable.append(stream)
         doomed: list[ResultStream] = []
         with self._cond:
-            self._in_flight.difference_update(batch)
             if not self._running:
                 doomed = resumable
             else:
@@ -800,7 +769,7 @@ class BatchScheduler:
             for stream in batch:
                 if stream.done:
                     # Cancelled (or failed elsewhere) while the batch ran; the
-                    # sweep is the only path that sees a cancel the collector
+                    # sweep is the only path that sees a cancel batch forming
                     # and the success path both missed, so it must count it.
                     if stream.cancelled:
                         self._count_cancel(stream)

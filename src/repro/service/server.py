@@ -4,8 +4,8 @@ The paper's TASM is a library a single query processor links against; the
 serving deployment the VSS line of work targets is different: many clients
 hammer one storage manager, and the wins come from *sharing* — one
 process-wide :class:`~repro.exec.cache.TileDecodeCache` so any client's
-decode warms every other client, and a batching window so queries that
-arrive together are planned together and touch each tile once.
+decode warms every other client, and batch runners that plan together
+whatever queued while they were busy, so those queries touch each tile once.
 
 The server owns:
 
@@ -13,11 +13,11 @@ The server owns:
   supplied by the caller) whose persistent tile cache is guaranteed to exist
   — a TASM configured without one is given a server cache, because a server
   without cross-query reuse is pointless;
-* a :class:`~repro.service.scheduler.BatchScheduler` that coalesces queries
-  arriving within ``TasmConfig.service_batch_window_ms`` (or up to
-  ``service_max_batch``) into shared ``execute_batch`` calls, executed by a
-  pool of ``service_runners`` batch-runner threads so batch collection
-  overlaps batch execution, with round-robin admission per client and each
+* a :class:`~repro.service.scheduler.BatchScheduler` whose pool of
+  ``service_runners`` batch-runner threads each take up to
+  ``service_max_batch`` pending queries the moment they are free — a lone
+  query on an idle server runs at once, a backlog coalesces into shared
+  ``execute_batch`` calls — with round-robin admission per client and each
   query's results streamed back per SOT through a bounded
   (``service_stream_buffer_chunks``) backpressured
   :class:`~repro.service.stream.ScanStream`;
@@ -153,7 +153,6 @@ class TasmServer:
         self.obs = Observability.from_config(tasm.config)
         self._scheduler = BatchScheduler(
             tasm,
-            window_ms=tasm.config.service_batch_window_ms,
             max_batch=tasm.config.service_max_batch,
             runners=tasm.config.service_runners,
             stream_buffer_chunks=tasm.config.service_stream_buffer_chunks,

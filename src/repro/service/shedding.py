@@ -66,8 +66,8 @@ class QueueWaitBreaker:
     breaker diffs consecutive snapshots so only *recent* waits matter — a
     long-lived server's historical distribution cannot mask a fresh overload,
     and a past overload cannot keep the breaker tripped after the queue
-    drains.  Not thread-safe by itself: the scheduler consults it from the
-    collector thread only.
+    drains.  Not thread-safe by itself: the scheduler consults it under its
+    pending-queue lock.
     """
 
     def __init__(

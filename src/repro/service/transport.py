@@ -146,6 +146,11 @@ _DEFAULT_WIRE_BUFFER = 64
 #: SOT's regions for one query (tens of MiB for a 4K video with long GOPs).
 MAX_FRAME_BYTES = 1 << 30
 
+#: Size of the per-connection shared-memory pixel ring :class:`ShmTransport`
+#: offers.  A chunk that does not fit the ring's free space falls back to the
+#: socket path, so the size bounds memory per connection, not correctness.
+SHM_RING_BYTES = 16 * 1024 * 1024
+
 #: Hosts a client treats as same-host when auto-deciding whether to request
 #: the shared-memory pixel path.
 _LOOPBACK_HOSTS = ("127.0.0.1", "::1", "localhost")
@@ -650,7 +655,7 @@ class ShmTransport(SocketTransport):
 
     Same wire protocol, same address; the only difference is that a
     connection whose hello requests shared memory gets a per-connection
-    pixel ring (``TasmConfig.service_shm_ring_bytes`` unless overridden).
+    pixel ring (:data:`SHM_RING_BYTES` unless overridden).
     Cross-host clients, clients that never ask, and clients whose attach
     fails are served over the socket exactly as before — the ring is an
     optimisation negotiated per connection, never a requirement.
@@ -661,10 +666,8 @@ class ShmTransport(SocketTransport):
         server,
         host: str = "127.0.0.1",
         port: int = 0,
-        shm_ring_bytes: int | None = None,
+        shm_ring_bytes: int = SHM_RING_BYTES,
     ):
-        if shm_ring_bytes is None:
-            shm_ring_bytes = server.tasm.config.service_shm_ring_bytes
         super().__init__(server, host=host, port=port, shm_ring_bytes=shm_ring_bytes)
 
 

@@ -74,9 +74,6 @@ class Frame:
         updated[y1:y2, x1:x2] = values
         return Frame(self.index, updated)
 
-    def same_shape_as(self, other: "Frame") -> bool:
-        return self.pixels.shape == other.pixels.shape
-
     @classmethod
     def blank(cls, index: int, width: int, height: int, value: int = 0) -> "Frame":
         """Create a frame filled with a constant value."""

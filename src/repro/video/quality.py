@@ -8,7 +8,7 @@ and averaged over the frames compared, matching how FFmpeg reports it.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,10 +55,3 @@ def average_psnr(
     if not values:
         raise GeometryError("average_psnr requires at least one frame pair")
     return float(np.mean(values))
-
-
-def median_of(values: Sequence[float]) -> float:
-    """Median helper shared by quality summaries in the benchmarks."""
-    if not values:
-        raise GeometryError("median of an empty sequence is undefined")
-    return float(np.median(np.asarray(values, dtype=np.float64)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -255,25 +255,3 @@ class SyntheticVideo(Video):
         coarse = rng.normal(0.0, 12.0, size=(spec.height // 8 + 1, spec.width // 8 + 1))
         blobs = np.kron(coarse, np.ones((8, 8)))[: spec.height, : spec.width].astype(np.float32)
         return np.clip(gradient + blobs, 0, 255).astype(np.uint8)
-
-
-def scene_from_tracks(
-    name: str,
-    width: int,
-    height: int,
-    frame_count: int,
-    tracks: Sequence[ObjectTrack],
-    frame_rate: int = 30,
-    **kwargs: float,
-) -> SyntheticVideo:
-    """Convenience constructor used by the dataset generators and tests."""
-    spec = SceneSpec(
-        name=name,
-        width=width,
-        height=height,
-        frame_count=frame_count,
-        frame_rate=frame_rate,
-        tracks=list(tracks),
-        **kwargs,  # type: ignore[arg-type]
-    )
-    return SyntheticVideo(spec)

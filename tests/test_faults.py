@@ -73,6 +73,7 @@ from repro.service import (
 )
 from repro.service.shedding import QueueWaitBreaker, percentile_from_buckets
 from tests.test_exec_engine import assert_scan_results_identical, make_tasm
+from tests.test_service import held_runner
 from tests.test_service_flow_control import make_server, only_connection, wait_until
 
 LABELS = ["car", "person", "sign"]
@@ -164,9 +165,7 @@ class TestDeadlines:
     def test_deadline_fails_query_while_runner_is_busy(self, config):
         """A 50 ms deadline behind a held runner: whether it expires pending
         or at the mid-batch probe, the waiter gets DeadlineExceeded."""
-        server, video = make_server(
-            config, service_runners=1, service_max_batch=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=1)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         try:
@@ -189,9 +188,7 @@ class TestDeadlines:
     def test_mid_batch_deadline_skips_remaining_decode(self, config):
         """Expire a query between its SOTs: the cancelled-probe fails it and
         the third SOT is never prefetched."""
-        server, video = make_server(
-            config, service_runners=1, service_max_batch=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=1)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=2)
         try:
@@ -215,9 +212,7 @@ class TestDeadlines:
     def test_deadline_travels_the_wire_typed(self, config):
         """A remote scan's deadline failure arrives as DeadlineExceeded, not
         a bare ServiceError — the wire carries the error code."""
-        server, video = make_server(
-            config, service_runners=1, service_max_batch=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=1)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()
@@ -257,7 +252,7 @@ class TestLoadShedding:
         """Above ``service_max_queue_depth`` pending, submit refuses with
         SERVER_BUSY before allocating a stream."""
         tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4, max_queue_depth=2)
+        scheduler = BatchScheduler(tasm, max_batch=4, max_queue_depth=2)
         scheduler._running = True  # driven without threads: pending stays put
         scheduler.submit(Query.select("car", video.name))
         scheduler.submit(Query.select("person", video.name))
@@ -270,7 +265,7 @@ class TestLoadShedding:
         """A tripped breaker halves the backlog, failing the cheapest
         promises: lowest priority first, newest first within a priority."""
         tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4)
+        scheduler = BatchScheduler(tasm, max_batch=4)
         scheduler._running = True
         scheduler._breaker = _TrippedBreaker()
         keep_high = scheduler.submit(Query.select("car", video.name), priority=2)
@@ -329,6 +324,14 @@ class TestLoadShedding:
 # Runner supervision
 # ----------------------------------------------------------------------
 class TestRunnerSupervision:
+    @pytest.fixture(autouse=True)
+    def recovery_is_event_driven(self, monkeypatch):
+        """Every recovery in this class must come from the dying runner
+        waking the supervisor: the fallback sweep is pushed out of reach."""
+        monkeypatch.setattr(
+            "repro.service.scheduler._SUPERVISOR_FALLBACK_SECONDS", 3600.0
+        )
+
     def test_injected_death_is_survived(self, config):
         """A runner killed at batch entry is restarted and the query
         completes byte-identical — the waiter never learns anything broke."""
@@ -365,46 +368,38 @@ class TestRunnerSupervision:
         batch is still unclaimed may get the dead runner's ident; it must not
         file its own batch over the orphan (which would then never be
         recovered: its queries hang in "execute" forever)."""
-        from repro.service.scheduler import _SHUTDOWN
-
         plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
         tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=1, fault_plan=plan)
-        scheduler._running = True  # no threads: the test plays every role
+        scheduler = BatchScheduler(tasm, max_batch=1, fault_plan=plan)
+        scheduler._running = True  # no pool: the test starts every thread itself
         doomed = scheduler.submit(Query.select("car", video.name))
-        other = scheduler.submit(Query.select("person", video.name))
-        batches = [scheduler._collect(), scheduler._collect()]
-        assert [len(batch) for batch in batches] == [1, 1]
-
-        # The handoff queue holds one batch: start each runner, then feed it.
         first = threading.Thread(target=scheduler._run_batches)
         first.start()
-        scheduler._batches.put(batches[0])
         first.join(timeout=10)  # dies at batch entry, leaving its batch behind
         assert not first.is_alive() and not doomed.done
         time.sleep(0.05)  # let the OS thread end, so its ident is up for reuse
+        other = scheduler.submit(Query.select("person", video.name))
         second = threading.Thread(target=scheduler._run_batches)
         second.start()
-        scheduler._batches.put(batches[1])
-        scheduler._batches.put(_SHUTDOWN)
-        second.join(timeout=30)
-        assert not second.is_alive() and other.done
-        if second.ident != first.ident:
-            pytest.skip("this platform did not recycle the thread ident")
-
         scheduler._runners = [first]
         supervisor = threading.Thread(target=scheduler._run_supervisor)
-        supervisor.start()
         try:
-            assert wait_until(lambda: scheduler.queue_depth == 1), (
+            other.result(timeout=30)  # second filed, ran and dropped its batch
+            if second.ident != first.ident:
+                pytest.skip("this platform did not recycle the thread ident")
+            supervisor.start()
+            # Recovered, requeued, and served by second or the replacement.
+            assert doomed.result(timeout=30).regions, (
                 "the dead runner's batch was lost to the runner that reused its ident"
             )
             assert scheduler.runner_restarts == 1
         finally:
             scheduler._running = False
-            supervisor.join(timeout=10)
-            scheduler._batches.put(_SHUTDOWN)  # the replacement it started
-            scheduler._runners[0].join(timeout=10)
+            with scheduler._cond:
+                scheduler._cond.notify_all()
+            for thread in (second, supervisor, scheduler._runners[0]):
+                if thread.ident is not None:
+                    thread.join(timeout=10)
 
     def test_poison_query_is_quarantined(self, config):
         """A query that kills every runner it touches is quarantined after
@@ -446,13 +441,12 @@ class TestDecodeFaults:
         """A batch hit by a transient decoder fault retries its untouched
         queries individually — both complete byte-identical."""
         plan = FaultPlan([FaultSpec(FAULT_DECODE_ERROR, max_fires=1)], seed=5)
-        server, video = make_server(
-            config, fault_plan=plan, service_batch_window_ms=50.0, service_runners=1
-        )
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
         reference, _ = make_tasm(config)
         try:
-            first = server.submit(Query.select("car", video.name))
-            second = server.submit(Query.select("person", video.name))
+            with held_runner(server, video) as sizes:
+                first = server.submit(Query.select("car", video.name))
+                second = server.submit(Query.select("person", video.name))
             assert_scan_results_identical(
                 first.result(timeout=30), reference.scan(video.name, "car")
             )
@@ -460,6 +454,7 @@ class TestDecodeFaults:
                 second.result(timeout=30), reference.scan(video.name, "person")
             )
             assert plan.fires()[FAULT_DECODE_ERROR] == 1
+            assert sizes == [1, 2, 1, 1], "one shared batch, then one retry each"
         finally:
             server.stop()
 
@@ -658,16 +653,14 @@ class TestHandshakeTimeout:
 class TestStarvedStageMessages:
     def test_result_timeout_names_the_queue_stage(self, config):
         tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4)
+        scheduler = BatchScheduler(tasm, max_batch=4)
         scheduler._running = True  # no threads: the query stays queued
         stream = scheduler.submit(Query.select("car", video.name))
         with pytest.raises(ServiceError, match="starved in queue"):
             stream.result(timeout=0.05)
 
     def test_result_timeout_names_the_execute_stage(self, config):
-        server, video = make_server(
-            config, service_runners=1, service_max_batch=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=1)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=2)
         try:
@@ -683,9 +676,7 @@ class TestStarvedStageMessages:
             server.stop()
 
     def test_remote_timeout_reports_the_server_side_stage(self, config):
-        server, video = make_server(
-            config, service_runners=1, service_max_batch=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=1)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()

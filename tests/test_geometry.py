@@ -75,9 +75,6 @@ class TestRectangleSetOperations:
 
 
 class TestRectangleTransforms:
-    def test_translate(self):
-        assert rect(1, 1, 2, 2).translate(3, -1) == Rectangle(4, 0, 5, 1)
-
     def test_scale(self):
         assert rect(1, 2, 3, 4).scale(2, 10) == Rectangle(2, 20, 6, 40)
 

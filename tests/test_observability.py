@@ -252,7 +252,7 @@ class TestCancelledAccounting:
     def test_cancel_while_pending_counts_once(self, config):
         tasm, video = make_tasm(config)
         obs = Observability()
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4, obs=obs)
+        scheduler = BatchScheduler(tasm, max_batch=4, obs=obs)
         scheduler._running = True
         try:
             stream = scheduler.submit(Query.select("car", video.name))
@@ -273,7 +273,7 @@ class TestCancelledAccounting:
     def test_cancel_skipped_mid_batch_counts_once(self, config):
         tasm, video = make_tasm(config)
         obs = Observability()
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4, obs=obs)
+        scheduler = BatchScheduler(tasm, max_batch=4, obs=obs)
         scheduler._running = True
         try:
             live = scheduler.submit(Query.select("car", video.name))
@@ -293,7 +293,7 @@ class TestCancelledAccounting:
         without counting a consumer cancel at all (an undercount)."""
         tasm, video = make_tasm(config)
         obs = Observability()
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4, obs=obs)
+        scheduler = BatchScheduler(tasm, max_batch=4, obs=obs)
         scheduler._running = True
         try:
             bad = scheduler.submit(Query.select("car", "no-such-video"))
@@ -316,6 +316,19 @@ class TestCancelledAccounting:
 
     def test_remote_cancel_lands_in_metrics_and_trace_ring(self, config):
         server, video = make_server(config, service_stream_buffer_chunks=1)
+        # A 3-SOT scan can finish before a CANCEL crosses the wire, and a
+        # finished scan is not a cancelled one.  Hold the decoder after the
+        # first SOT until the server has provably processed the CANCEL.
+        decoder = server.tasm._decoder
+        prefetch = decoder.prefetch_regions
+        cancel_landed = threading.Event()
+
+        def gated(sot, requests, scope):
+            if sot.sot_index > 0:
+                assert cancel_landed.wait(timeout=30), "the CANCEL never landed"
+            return prefetch(sot, requests, scope)
+
+        decoder.prefetch_regions = gated
         try:
             with SocketTransport(server) as transport:
                 with RemoteTasmClient(
@@ -325,6 +338,11 @@ class TestCancelledAccounting:
                     for _sot, _regions in stream:
                         break  # take one chunk, then walk away
                     stream.close()
+                    # The connection's reader handles frames in order, so a
+                    # reply to a request sent after the CANCEL means the
+                    # CANCEL has been handled.
+                    client.video_info(video.name)
+                    cancel_landed.set()
                     deadline = time.monotonic() + 10.0
                     while time.monotonic() < deadline:
                         if server.obs.queries_cancelled.value >= 1:
@@ -336,6 +354,7 @@ class TestCancelledAccounting:
             statuses = [trace["status"] for trace in server.traces(8)]
             assert "cancelled" in statuses
         finally:
+            cancel_landed.set()
             server.stop()
 
 
@@ -421,7 +440,7 @@ class TestObservabilityIntegration:
         """No torn or lost updates: after N threads × M scans quiesce, the
         latency histogram's count equals the completed counter, which equals
         the legacy scheduler counter and N*M."""
-        server, video = make_server(config, service_batch_window_ms=1.0)
+        server, video = make_server(config)
         threads, per_thread = 6, 5
         errors: list[BaseException] = []
         inconsistent: list[str] = []

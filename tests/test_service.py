@@ -10,12 +10,16 @@ The contracts pinned here:
 * streaming is real: the first SOT's results reach the client before the
   batch's last SOT has been decoded (asserted with an instrumented decoder
   that refuses to decode the last SOT until the first chunk has landed);
-* the batching window and max-batch knobs actually coalesce.
+* batches form from backlog, not from a timer: a lone query on an idle
+  server runs at once, and whatever queues behind a busy runner becomes the
+  next batch, bounded by ``service_max_batch``.
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.config import TasmConfig
 from repro.core.query import Query
 from repro.errors import ServiceError
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
+from tests.test_service_pipelining import wait_until
 from tests.test_exec_engine import (
     assert_scan_results_identical,
     make_tasm,
@@ -37,6 +42,38 @@ def make_server(config: TasmConfig, **service_overrides) -> tuple[TasmServer, ob
     overrides = {"decode_cache_bytes": CACHE_BYTES, **service_overrides}
     tasm, video = make_tasm(config.with_updates(**overrides))
     return TasmServer(tasm).start(), video
+
+
+@contextmanager
+def held_runner(server: TasmServer, video):
+    """Hold a ``service_runners=1`` server's only runner inside a first batch.
+
+    Submits a blocker query (no matches, so it costs no decode) and parks the
+    runner at its ``execute_batch``; until the block exits, everything
+    submitted queues behind the busy runner, so the test — not thread timing
+    — decides what the next batch holds.  Yields the list every
+    ``execute_batch`` call appends its size to, the blocker's batch first.
+    """
+    tasm = server.tasm
+    execute_batch = tasm.execute_batch
+    entered, release = threading.Event(), threading.Event()
+    sizes: list[int] = []
+
+    def gated(queries, **kwargs):
+        sizes.append(len(queries))
+        if len(sizes) == 1:
+            entered.set()
+            assert release.wait(timeout=30), "the test never released the runner"
+        return execute_batch(queries, **kwargs)
+
+    tasm.execute_batch = gated
+    blocker = server.submit(Query.select("unicorn", video.name))
+    try:
+        assert entered.wait(timeout=30), "the runner never took the blocker"
+        yield sizes
+    finally:
+        release.set()
+    assert blocker.result(timeout=30).is_empty()
 
 
 class TestServerBasics:
@@ -98,16 +135,16 @@ class TestServerBasics:
 
     def test_bad_query_does_not_poison_its_batch(self, config):
         """A batch-mate's unknown video must fail only that query."""
-        server, video = make_server(
-            config, service_batch_window_ms=250.0, service_max_batch=16
-        )
+        server, video = make_server(config, service_runners=1)
         reference, _ = make_tasm(config)
         try:
-            good = server.submit(Query.select("car", video.name))
-            bad = server.submit(Query.select("car", "no-such-video"))
+            with held_runner(server, video) as sizes:
+                good = server.submit(Query.select("car", video.name))
+                bad = server.submit(Query.select("car", "no-such-video"))
             result = good.result(timeout=30)
             with pytest.raises(ServiceError):
                 bad.result(timeout=30)
+            assert sizes[:2] == [1, 2], "the two must have shared a batch"
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
         finally:
             server.stop()
@@ -117,31 +154,32 @@ class TestConcurrentClients:
     def test_concurrent_overlapping_clients_share_decodes(self, config):
         """Acceptance: >= 4 concurrent clients, byte-identical results, and
         strictly fewer pixels decoded than 4 independent TASM instances."""
-        server, video = make_server(
-            config, service_batch_window_ms=50.0, service_max_batch=32
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=32)
         reference, _ = make_tasm(config)
         client_queries = [
             random_queries(video.name, video.frame_count, seed=seed, count=4)
             for seed in range(4)
         ]
         results: dict[int, list] = {}
-        barrier = threading.Barrier(4)
 
         def run_client(index: int) -> None:
             client = server.connect()
-            barrier.wait()
             results[index] = [client.execute(query) for query in client_queries[index]]
 
         threads = [
             threading.Thread(target=run_client, args=(index,)) for index in range(4)
         ]
         try:
-            for thread in threads:
-                thread.start()
+            # Every client's first query queues behind the held runner, so
+            # the four provably overlap in one batch.
+            with held_runner(server, video) as sizes:
+                for thread in threads:
+                    thread.start()
+                assert wait_until(lambda: server._scheduler.queue_depth == 4)
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive(), "client thread deadlocked"
+            assert sizes[:2] == [1, 4]
         finally:
             server.stop()
 
@@ -160,35 +198,48 @@ class TestConcurrentClients:
         )
         assert server.stats().cache_hit_rate > 0.0
 
-    def test_batching_window_coalesces_concurrent_queries(self, config):
-        server, video = make_server(
-            config, service_batch_window_ms=250.0, service_max_batch=16
-        )
+    def test_backlog_behind_a_busy_runner_forms_one_batch(self, config):
+        """1 + N queries, the N arriving spread out while the only runner is
+        busy: exactly two batches, of sizes 1 and N — arrival spacing (which a
+        batching timer would have cut into several batches) does not matter."""
+        server, video = make_server(config, service_runners=1)
         try:
-            streams = [
-                server.submit(Query.select(label, video.name))
-                for label in ("car", "person", "sign")
-            ]
+            with held_runner(server, video) as sizes:
+                streams = []
+                for label in ("car", "person", "sign"):
+                    streams.append(server.submit(Query.select(label, video.name)))
+                    time.sleep(0.02)
             for stream in streams:
                 stream.result(timeout=30)
-            assert server._scheduler.batches_executed == 1, (
-                "queries inside one window must form one batch"
-            )
+            assert sizes == [1, 3]
+            assert server._scheduler.batches_executed == 2
         finally:
             server.stop()
 
     def test_max_batch_bounds_coalescing(self, config):
-        server, video = make_server(
-            config, service_batch_window_ms=10_000.0, service_max_batch=2
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=2)
         try:
-            streams = [
-                server.submit(Query.select("car", video.name)) for _ in range(4)
-            ]
+            with held_runner(server, video) as sizes:
+                streams = [
+                    server.submit(Query.select("car", video.name)) for _ in range(4)
+                ]
             for stream in streams:
                 stream.result(timeout=30)
-            # A full batch must dispatch without waiting out the huge window.
-            assert server._scheduler.batches_executed == 2
+            assert sizes == [1, 2, 2]
+        finally:
+            server.stop()
+
+    def test_scheduler_owns_one_thread_per_runner_plus_the_supervisor(self, config):
+        before = set(threading.enumerate())
+        server, _ = make_server(config, service_runners=3)
+        try:
+            names = sorted(t.name for t in set(threading.enumerate()) - before)
+            assert names == [
+                "tasm-batch-runner-0",
+                "tasm-batch-runner-1",
+                "tasm-batch-runner-2",
+                "tasm-runner-supervisor",
+            ]
         finally:
             server.stop()
 

@@ -35,7 +35,7 @@ import pytest
 from repro.core.query import Query
 from repro.errors import ProtocolError, ServiceError, TransportError
 from repro.service import RemoteTasmClient, ShmTransport, SocketTransport, TasmServer
-from repro.service.scheduler import _SHUTDOWN, ResultStream
+from repro.service.scheduler import ResultStream
 from repro.service.transport import (
     _Outbox,
     _ShmRing,
@@ -108,9 +108,7 @@ class TestCancellation:
         """Cancel after the first SOT: the pump exits without a done-reply,
         the scheduler counts the cancel, the third SOT is never prefetched,
         and the freed runner serves a follow-up scan."""
-        server, video = make_server(
-            config, service_runners=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1)
         reference, _ = make_tasm(config)
         tasm = server.tasm
         prefetch_calls = []
@@ -162,9 +160,7 @@ class TestCancellation:
     def test_stream_closed_while_queued_never_enters_a_batch(self, config):
         """Close a still-pending stream: it is dropped at collection, counted
         cancelled, and costs no decode."""
-        server, video = make_server(
-            config, service_runners=1, service_max_batch=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_runners=1, service_max_batch=1)
         tasm = server.tasm
         entered = threading.Event()
         gate = threading.Event()
@@ -367,30 +363,38 @@ class TestClientClose:
 
 
 class TestSchedulerLiveness:
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_runner_pool_death_is_survived_by_supervision(self, config):
-        """A runner pool that dies is rebuilt by the supervisor: a query
-        submitted against dead runners still completes (PR 8's supervision
-        replaced the old fail-loudly liveness outcome for this scenario)."""
-        server, video = make_server(config)
+        """A runner pool that dies is rebuilt by the supervisor: the query
+        the only runner died reaching for — outside any batch, so with
+        nothing to recover — is still pending, and its replacement serves it
+        (PR 8's supervision replaced the old fail-loudly liveness outcome
+        for this scenario)."""
+        server, video = make_server(config, service_runners=1)
         scheduler = server._scheduler
+        original = scheduler._runners[0]
+        collect = scheduler._collect
+
+        def die_once():
+            scheduler._collect = collect
+            raise RuntimeError("simulated crash in the runner loop")
+
+        scheduler._collect = die_once
         try:
-            for _ in scheduler._runners:
-                scheduler._batches.put(_SHUTDOWN)
-            assert wait_until(
-                lambda: not any(runner.is_alive() for runner in scheduler._runners)
-            )
             stream = server.submit(Query.select("car", video.name))
             result = stream.result(timeout=30)
             assert result.regions
-            assert scheduler.runner_restarts >= 1
-            assert any(runner.is_alive() for runner in scheduler._runners)
+            original.join(timeout=10)
+            assert not original.is_alive()
+            assert scheduler.runner_restarts == 1
+            assert scheduler._runners[0].is_alive()
         finally:
             server.stop()
 
     def test_result_raises_when_workers_gone(self, config):
         """result(timeout=None) must fail loudly when the threads that would
-        complete the stream can never return (dead collector, dead pool with
-        no supervisor) instead of waiting forever."""
+        complete the stream can never return (dead pool with no supervisor)
+        instead of waiting forever."""
         server, video = make_server(config)
         try:
             stream = server.submit(Query.select("car", video.name))

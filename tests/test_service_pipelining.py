@@ -22,6 +22,7 @@ The contracts pinned here:
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -71,7 +72,6 @@ class TestRunnerPool:
             config,
             service_runners=2,
             service_max_batch=1,  # force the two queries into two batches
-            service_batch_window_ms=0.0,
         )
         tasm = server.tasm
         barrier = threading.Barrier(2)
@@ -108,9 +108,7 @@ class TestRunnerPool:
 
     def test_runner_pool_matches_sequential_results(self, config):
         """4 runners, 4 clients, randomized workloads: byte-identical."""
-        server, video = make_server(
-            config, service_runners=4, service_batch_window_ms=2.0
-        )
+        server, video = make_server(config, service_runners=4)
         reference, _ = make_tasm(config)
         client_queries = [
             random_queries(video.name, video.frame_count, seed=seed, count=4)
@@ -146,6 +144,62 @@ class TestRunnerPool:
             for result, query in zip(results[index], queries):
                 assert_scan_results_identical(result, reference.execute(query))
 
+    def test_racing_runners_take_every_query_exactly_once(self, config):
+        """Runners form their own batches from one shared pending queue.
+        With more runners than cores, a short switch interval and clients
+        submitting without waiting, every query must land in exactly one
+        batch, and no batch may exceed ``service_max_batch``."""
+        clients, per_client, max_batch = 6, 12, 3
+        server, video = make_server(
+            config, service_runners=4, service_max_batch=max_batch
+        )
+        tasm = server.tasm
+        execute_batch = tasm.execute_batch
+        taken: list[list[Query]] = []
+
+        def recording(queries, **kwargs):
+            taken.append(list(queries))
+            return execute_batch(queries, **kwargs)
+
+        tasm.execute_batch = recording
+        queries = [
+            [
+                Query.select(("car", "person", "sign")[(client + n) % 3], video.name)
+                for n in range(per_client)
+            ]
+            for client in range(clients)
+        ]
+        streams: dict[int, list] = {}
+
+        def run_client(index: int) -> None:
+            streams[index] = [
+                server.submit(query, client=index) for query in queries[index]
+            ]
+
+        threads = [
+            threading.Thread(target=run_client, args=(index,))
+            for index in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "client thread hung"
+            for submitted in streams.values():
+                for stream in submitted:
+                    stream.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        executed = sorted(id(query) for batch in taken for query in batch)
+        assert executed == sorted(id(query) for mine in queries for query in mine)
+        assert max(len(batch) for batch in taken) <= max_batch
+        assert server._scheduler.queries_completed == clients * per_client
+        assert server._scheduler.queue_depth == 0
+
     def test_sqlite_backend_survives_concurrent_runners(self, config):
         """Batch runners plan from several threads; the sqlite index must not
         be pinned to its creating thread."""
@@ -158,7 +212,6 @@ class TestRunnerPool:
                 decode_cache_bytes=CACHE_BYTES,
                 service_runners=3,
                 service_max_batch=1,
-                service_batch_window_ms=0.0,
             ),
             index_backend="sqlite",
         )
@@ -192,7 +245,6 @@ class TestSingleFlightDecode:
             config,
             service_runners=2,
             service_max_batch=1,
-            service_batch_window_ms=0.0,
         )
         tasm = server.tasm
         barrier = threading.Barrier(2)
@@ -232,7 +284,7 @@ class TestAdmissionControl:
         """6 queued greedy queries cannot keep the light client out of the
         next batch: rotation takes one per client before seconds."""
         tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=4)
+        scheduler = BatchScheduler(tasm, max_batch=4)
         scheduler._running = True  # accept submissions without threads
         try:
             greedy = [
@@ -258,7 +310,7 @@ class TestAdmissionControl:
 
     def test_lone_client_still_fills_a_batch(self, config):
         tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, window_ms=0.0, max_batch=3)
+        scheduler = BatchScheduler(tasm, max_batch=3)
         scheduler._running = True
         try:
             streams = [
@@ -277,9 +329,7 @@ class TestBackpressure:
     def test_full_buffer_suspends_producer_until_consumer_drains(self, config):
         """A 3-SOT scan against a 1-chunk buffer: the producer must park with
         exactly one undelivered chunk, then finish once the consumer reads."""
-        server, video = make_server(
-            config, service_stream_buffer_chunks=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_stream_buffer_chunks=1)
         reference, _ = make_tasm(config)
         sot_count = server.tasm.video(video.name).sot_count
         assert sot_count >= 3, "the backpressure test needs a multi-SOT scan"
@@ -306,9 +356,7 @@ class TestBackpressure:
     def test_result_only_consumer_never_deadlocks_on_bounded_stream(self, config):
         """``result()`` without iteration must drain (and discard) chunks so
         its own backpressure cannot wedge the producer."""
-        server, video = make_server(
-            config, service_stream_buffer_chunks=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_stream_buffer_chunks=1)
         reference, _ = make_tasm(config)
         try:
             stream = server.connect().scan_streaming(video.name, "car")
@@ -323,9 +371,7 @@ class TestBackpressure:
         client-side, and the scan still completes byte-identically."""
         from repro.service import RemoteTasmClient, SocketTransport
 
-        server, video = make_server(
-            config, service_stream_buffer_chunks=1, service_batch_window_ms=0.0
-        )
+        server, video = make_server(config, service_stream_buffer_chunks=1)
         reference, _ = make_tasm(config)
         try:
             with SocketTransport(server) as transport:
@@ -356,7 +402,6 @@ class TestConsumerAbandon:
             config,
             service_runners=1,
             service_stream_buffer_chunks=1,
-            service_batch_window_ms=0.0,
         )
         reference, _ = make_tasm(config)
         try:
@@ -465,7 +510,6 @@ class TestShutdown:
             config,
             service_runners=1,
             service_max_batch=1,
-            service_batch_window_ms=0.0,
         )
         tasm = server.tasm
         entered = threading.Event()
