@@ -89,16 +89,18 @@ class CostModel:
         since the codec cannot decode part of a tile.
         """
         gop_frames = gop_frames or self.config.codec.gop_frames
-        rectangles = layout.tile_rectangles()
+        areas, columns, span = layout.tile_areas, layout.columns, layout.tile_span
         pixels = 0
         opened: set[tuple[int, int]] = set()
         for frame_index, boxes in frame_boxes.items():
             needed: set[int] = set()
             for box in boxes:
-                needed.update(layout.tiles_intersecting(box))
+                row0, row1, col0, col1 = span(box)
+                for first in range(row0 * columns, row1 * columns, columns):
+                    needed.update(range(first + col0, first + col1))
             gop_index = frame_index // gop_frames
             for tile_index in needed:
-                pixels += int(rectangles[tile_index].area)
+                pixels += areas[tile_index]
                 opened.add((gop_index, tile_index))
         tiles = len(opened)
         return CostEstimate(pixels=pixels, tiles=tiles, cost=self.cost(pixels, tiles))

@@ -30,6 +30,7 @@ from typing import Protocol
 
 from ..tiles.layout import TileLayout
 from ..tiles.partitioner import TileGranularity
+from .cost import CostEstimate
 from .query import Query, Workload
 from .regret import RegretAccumulator, layout_key
 from .tasm import TASM
@@ -242,18 +243,18 @@ class IncrementalRegretPolicy:
             return 0.0
 
         frame_start, frame_stop = tiled.frame_range(sot_index)
-        candidate_layouts: dict[tuple[str, ...], TileLayout] = {}
+        candidates: dict[tuple[str, ...], tuple[TileLayout, CostEstimate]] = {}
         for objects in alternatives:
             layout = tasm.layout_around(video_name, sot_index, objects, self.granularity)
             if layout.is_untiled:
                 continue
-            candidate_layouts[objects] = layout
             alternative_cost = tasm.estimate_sot_query_cost(video_name, sot_index, query, layout)
+            candidates[objects] = (layout, alternative_cost)
             delta = tasm.cost_model.delta(current_cost, alternative_cost)
             self._regret.accumulate(sot_index, objects, delta)
 
         best_choice: tuple[float, tuple[str, ...], TileLayout] | None = None
-        for objects, layout in candidate_layouts.items():
+        for objects, (layout, alternative_cost) in candidates.items():
             if self._current_objects.get(sot_index) == objects:
                 continue
             encode_cost = tasm.cost_model.encode_cost(layout, frame_stop - frame_start)
@@ -262,7 +263,6 @@ class IncrementalRegretPolicy:
                 continue
             # The alpha rule: do not adopt a layout that would barely help (or
             # hurt) the query we just observed.
-            alternative_cost = tasm.estimate_sot_query_cost(video_name, sot_index, query, layout)
             if not tasm.cost_model.layout_is_useful(alternative_cost, untiled_cost):
                 continue
             if best_choice is None or regret > best_choice[0]:

@@ -22,7 +22,8 @@ once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+import threading
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..concurrency import SotLockRegistry
 from ..config import DEFAULT_CONFIG, TasmConfig
@@ -48,6 +49,11 @@ if TYPE_CHECKING:
     from ..exec.engine import BatchResult, QueryExecutor
 
 __all__ = ["TASM"]
+
+#: What-if answers kept per SOT between two index writes to it; past this the
+#: oldest goes.  With k labels seen, a regret step asks a SOT 2^k - 1 layouts
+#: (once) and 2^k + 1 estimates per distinct query window: ~25 windows at k = 3.
+_WHAT_IF_ANSWERS_PER_SOT = 256
 
 
 class TASM:
@@ -77,6 +83,11 @@ class TASM:
         #: serializes writes against in-flight scans.  Uncontended acquisition
         #: is cheap enough to leave always-on for the single-caller case.
         self.locks = SotLockRegistry()
+        #: The what-if memo: (video, SOT) -> (index generation of the SOT's
+        #: frame range, {question: answer}, the TiledVideo the answers are
+        #: about); see :meth:`_what_if_answers`.
+        self._what_if: dict[tuple[str, int], tuple[int, dict, TiledVideo]] = {}
+        self._what_if_lock = threading.Lock()
         # Imported lazily: repro.exec imports repro.core for the query and
         # scan-result types, so a module-level import here would be circular.
         from ..exec.cache import TileDecodeCache
@@ -228,25 +239,32 @@ class TASM:
         objects: Iterable[str],
         granularity: TileGranularity | None = None,
     ) -> TileLayout:
-        """``partition(s, O)``: a non-uniform layout around the indexed boxes of O."""
+        """``partition(s, O)``: a non-uniform layout around the indexed boxes of O.
+
+        A what-if question: the answer depends only on ``(SOT, set(O),
+        granularity)`` and the index entries in the SOT's frame range, so it
+        is memoised until the index is next written in that range — asking
+        again costs a generation read and a dict probe, not a partition.
+        """
         tiled = self.catalog.get(video_name)
-        frame_start, frame_stop = tiled.frame_range(sot_index)
-        boxes = [
-            box
-            for frame_boxes in self.boxes_for(video_name, objects, frame_start, frame_stop).values()
-            for box in frame_boxes
-        ]
         if granularity is None:
             granularity = (
                 TileGranularity.FINE if self.config.fine_grained else TileGranularity.COARSE
             )
-        return partition_around_boxes(
-            boxes,
-            frame_width=tiled.video.width,
-            frame_height=tiled.video.height,
-            granularity=granularity,
-            codec=self.config.codec,
-        )
+        question = (frozenset(objects), granularity)
+        answers = self._what_if_answers(tiled, sot_index)
+        layout = answers.get(question)
+        if layout is None:
+            grouped = self.boxes_for(video_name, question[0], *tiled.frame_range(sot_index))
+            layout = partition_around_boxes(
+                [box for frame_boxes in grouped.values() for box in frame_boxes],
+                frame_width=tiled.video.width,
+                frame_height=tiled.video.height,
+                granularity=granularity,
+                codec=self.config.codec,
+            )
+            self._remember(answers, question, layout)
+        return layout
 
     def retile_sot(self, video_name: str, sot_index: int, layout: TileLayout) -> RetileRecord:
         """Re-encode one SOT with a new layout (the physical re-organisation).
@@ -279,7 +297,14 @@ class TASM:
         query: Query,
         layout: TileLayout | None = None,
     ) -> CostEstimate:
-        """Estimated C(s, q, L) for one SOT, using the semantic index for boxes."""
+        """Estimated C(s, q, L) for one SOT, using the semantic index for boxes.
+
+        The other what-if question, memoised like :meth:`layout_around`: the
+        answer depends only on ``(SOT, predicate, the query's frame range
+        clipped to the SOT, L)`` and the index entries in that range.
+        ``layout=None`` means the SOT's current layout, resolved before the
+        memo is asked, so a re-tile needs no invalidation.
+        """
         tiled = self.catalog.get(video_name)
         frame_start, frame_stop = tiled.frame_range(sot_index)
         query_start, query_stop = query.temporal.resolve(tiled.video.frame_count)
@@ -287,12 +312,19 @@ class TASM:
         stop = min(frame_stop, query_stop)
         if stop <= start:
             return CostEstimate(0, 0, 0.0)
-        frame_boxes = self._query_regions_by_frame(video_name, query.predicate, start, stop)
         if layout is None:
             layout = tiled.layout_for(sot_index)
-        return self.cost_model.estimate_query_cost(
-            layout, frame_boxes, self.config.codec.gop_frames
-        )
+        question = (query.predicate, start, stop, layout)
+        answers = self._what_if_answers(tiled, sot_index)
+        estimate = answers.get(question)
+        if estimate is None:
+            estimate = self.cost_model.estimate_query_cost(
+                layout,
+                self._regions_by_frame(video_name, query.predicate, start, stop),
+                self.config.codec.gop_frames,
+            )
+            self._remember(answers, question, estimate)
+        return estimate
 
     def estimate_untiled_sot_query_cost(
         self, video_name: str, sot_index: int, query: Query
@@ -359,6 +391,31 @@ class TASM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _what_if_answers(self, tiled: TiledVideo, sot_index: int) -> dict:
+        """The memoised what-if answers about one SOT that are still current.
+
+        An answer is a function of its question and of the index entries in
+        the SOT's frame range, so the SOT's answers are dropped together when
+        the index's write generation for that range moves.  The generation is
+        read here, *before* the caller looks anything up: an index write that
+        races the computation leaves the answer filed under the generation
+        that preceded it, and the next call drops it.  (A video removed from
+        the catalog and ingested again under its name is a different
+        ``tiled``, so its predecessor's answers go the same way.)
+        """
+        key = (tiled.name, sot_index)
+        generation = self.semantic_index.generation(tiled.name, *tiled.frame_range(sot_index))
+        slot = self._what_if.get(key)
+        if slot is None or slot[0] != generation or slot[2] is not tiled:
+            slot = self._what_if[key] = (generation, {}, tiled)
+        return slot[1]
+
+    def _remember(self, answers: dict, question: tuple, answer: object) -> None:
+        with self._what_if_lock:  # the eviction iterates; lookups stay lock-free
+            if len(answers) >= _WHAT_IF_ANSWERS_PER_SOT:
+                del answers[next(iter(answers))]
+            answers[question] = answer
+
     @staticmethod
     def _normalise_predicate(
         predicate: LabelPredicate | str | Sequence[str],
@@ -396,12 +453,3 @@ class TASM:
             if selected:
                 regions[frame_index] = selected
         return regions
-
-    def _query_regions_by_frame(
-        self,
-        video_name: str,
-        predicate: LabelPredicate,
-        frame_start: int,
-        frame_stop: int,
-    ) -> Mapping[int, Sequence[Rectangle]]:
-        return self._regions_by_frame(video_name, predicate, frame_start, frame_stop)

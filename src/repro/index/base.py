@@ -8,7 +8,7 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 from ..detection.base import Detection
 from ..geometry import BoundingBox
 
-__all__ = ["IndexEntry", "SemanticIndexProtocol"]
+__all__ = ["IndexEntry", "SemanticIndexProtocol", "WriteGenerations"]
 
 
 @dataclass(frozen=True)
@@ -86,3 +86,32 @@ class SemanticIndexProtocol(Protocol):
         self, video: str, labels: Sequence[str], frame_start: int, frame_stop: int
     ) -> bool:
         ...
+
+    def generation(self, video: str, frame_start: int, frame_stop: int) -> int:
+        ...
+
+
+class WriteGenerations:
+    """Write counts per ``(video, frame)``: what both backends answer
+    :meth:`generation` from.
+
+    Anything derived from a frame range's entries (a layout around its boxes,
+    a query's estimated cost) is still current exactly when the range's
+    generation is what it was *before* the entries were read.  For that to
+    hold against a concurrent writer, a backend calls :meth:`_wrote` only
+    once the entry is visible to ``lookup``.  The counts are this object's:
+    they see every write made through it, whoever the caller.
+    """
+
+    def __init__(self) -> None:
+        self._frame_writes: dict[str, dict[int, int]] = {}
+
+    def _wrote(self, video: str, frame_index: int) -> None:
+        writes = self._frame_writes.setdefault(video, {})
+        writes[frame_index] = writes.get(frame_index, 0) + 1
+
+    def generation(self, video: str, frame_start: int, frame_stop: int) -> int:
+        """A number that moves whenever an entry is written for ``video`` with
+        its frame in ``[frame_start, frame_stop)``, and only then."""
+        writes = self._frame_writes.get(video, {})
+        return sum(writes.get(frame, 0) for frame in range(frame_start, frame_stop))

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from ..detection.base import Detection
 from ..errors import IndexError_
-from .base import IndexEntry
+from .base import IndexEntry, WriteGenerations
 from .btree import BTree
 
 __all__ = ["BTreeSemanticIndex"]
@@ -23,10 +23,11 @@ _MIN_FRAME = -1
 _MAX_FRAME = 2**62
 
 
-class BTreeSemanticIndex:
+class BTreeSemanticIndex(WriteGenerations):
     """Semantic index backed by the from-scratch B-tree."""
 
     def __init__(self, order: int = 64):
+        super().__init__()
         self._tree: BTree[tuple[str, str, int], IndexEntry] = BTree(order=order)
         self._labels_by_video: dict[str, set[str]] = {}
 
@@ -39,6 +40,7 @@ class BTreeSemanticIndex:
             raise IndexError_(f"frame index must be non-negative, got {entry.frame_index}")
         self._tree.insert(entry.key, entry)
         self._labels_by_video.setdefault(entry.video, set()).add(entry.label)
+        self._wrote(entry.video, entry.frame_index)
 
     def add_detections(self, video: str, detections: Iterable[Detection]) -> int:
         """Insert a batch of detections for a video; returns the count added."""

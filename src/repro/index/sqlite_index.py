@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from ..detection.base import Detection
 from ..errors import IndexError_
 from ..geometry import BoundingBox
-from .base import IndexEntry
+from .base import IndexEntry, WriteGenerations
 
 __all__ = ["SqliteSemanticIndex"]
 
@@ -37,10 +37,11 @@ CREATE INDEX IF NOT EXISTS idx_detections_key ON detections (video, label, frame
 """
 
 
-class SqliteSemanticIndex:
+class SqliteSemanticIndex(WriteGenerations):
     """Semantic index stored in a SQLite database (in-memory by default)."""
 
     def __init__(self, path: str | Path | None = None):
+        super().__init__()
         target = ":memory:" if path is None else str(path)
         # The service layer's batch runners plan queries from several threads
         # at once, so the connection cannot be pinned to its creating thread;
@@ -75,6 +76,7 @@ class SqliteSemanticIndex:
                 ),
             )
             self._connection.commit()
+            self._wrote(entry.video, entry.frame_index)
 
     def add_detections(self, video: str, detections: Iterable[Detection]) -> int:
         rows = [
@@ -102,6 +104,8 @@ class SqliteSemanticIndex:
                 rows,
             )
             self._connection.commit()
+            for row in rows:
+                self._wrote(video, row[2])
         return len(rows)
 
     # ------------------------------------------------------------------

@@ -118,6 +118,11 @@ class TileLayout:
             for column in range(self.columns)
         )
 
+    @cached_property
+    def tile_areas(self) -> tuple[int, ...]:
+        """Pixels per tile, in row-major order."""
+        return tuple(h * w for h in self.row_heights for w in self.column_widths)
+
     def tile_rectangle(self, row: int, column: int) -> Rectangle:
         """The rectangle of the tile at grid position (row, column)."""
         return self._rectangles[self.tile_index(row, column)]
@@ -186,8 +191,8 @@ class TileLayout:
         needed: set[int] = set()
         for region in regions:
             needed.update(self.tiles_intersecting(region))
-        rectangles = self._rectangles
-        return int(sum(rectangles[index].area for index in needed))
+        areas = self.tile_areas
+        return sum(areas[index] for index in needed)
 
     def boundary_length(self) -> int:
         """Total length of interior tile boundaries (quality proxy)."""

@@ -157,7 +157,8 @@ class TileCodec:
 
     The codec is stateless apart from its configuration; all methods are pure
     functions of their inputs, which keeps encode/decode trivially testable
-    and means concurrent use needs no locking.
+    and means concurrent use needs no locking.  (The int16 work buffers the
+    kernels compute in belong to one ``encode_tile`` / ``decode_tile`` call.)
     """
 
     def __init__(self, config: CodecConfig | None = None):
@@ -197,23 +198,22 @@ class TileCodec:
 
         payloads: list[bytes] = []
         checksums: list[int] = []
-        previous_reconstruction: np.ndarray | None = None
         pixels_per_frame = (x2 - x1) * (y2 - y1)
+        # What the decoder will hold for the previous frame, kept in int16 and
+        # updated in place from frame to frame, and the kernels' scratch.
+        reconstruction = np.empty((y2 - y1, x2 - x1), dtype=np.int16)
+        work = np.empty_like(reconstruction)
 
         for frame_offset, frame in enumerate(frames):
             if frame.shape != (height, width):
                 raise CodecError("all frames in a GOP must share the same shape")
             block = frame[y1:y2, x1:x2]
             if frame_offset == 0:
-                payload, reconstruction = self._encode_keyframe(block, is_boundary_tile)
+                payload = self._encode_keyframe(block, is_boundary_tile, reconstruction)
             else:
-                assert previous_reconstruction is not None
-                payload, reconstruction = self._encode_predicted(
-                    block, previous_reconstruction, is_boundary_tile
-                )
+                payload = self._encode_predicted(block, reconstruction, work)
             payloads.append(payload)
             checksums.append(zlib.crc32(payload))
-            previous_reconstruction = reconstruction
 
         encoded = EncodedTile(
             region=Rectangle(x1, y1, x2, y2),
@@ -284,6 +284,7 @@ class TileCodec:
             )
         reconstructions: list[np.ndarray] = []
         previous: np.ndarray | None = None
+        work = np.empty((tile.height, tile.width), dtype=np.int16)
         for offset in range(last + 1):
             payload = tile.payloads[offset]
             if zlib.crc32(payload) != tile.checksums[offset]:
@@ -291,12 +292,10 @@ class TileCodec:
                     f"tile {tile.region} frame offset {offset} failed its checksum"
                 )
             if offset == 0:
-                previous = self._decode_keyframe(
-                    payload, tile.height, tile.width, tile.is_boundary_tile
-                )
+                previous = self._decode_keyframe(payload, work, tile.is_boundary_tile)
             else:
                 assert previous is not None
-                previous = self._decode_predicted(payload, previous)
+                previous = self._decode_predicted(payload, previous, work)
             reconstructions.append(previous)
         if stats is not None:
             stats.tiles_decoded += 1
@@ -307,88 +306,88 @@ class TileCodec:
     # ------------------------------------------------------------------
     # Intra / inter coding internals
     # ------------------------------------------------------------------
-    def _apply_boundary_penalty(self, raster: np.ndarray) -> np.ndarray:
-        """Coarsen the outer block ring of a tile to model boundary artifacts."""
+    def _apply_boundary_penalty(self, raster: np.ndarray) -> None:
+        """Coarsen, in place, the outer block ring of a tile to model boundary
+        artifacts.  uint8 arithmetic: the decoder must wrap where the encoder did."""
         penalty = self.config.boundary_quant_penalty
         if penalty <= 0:
-            return raster
+            return
         border = self.config.block_size
         step = penalty + 1
-        degraded = raster.copy()
-        height, width = degraded.shape
-        top = degraded[: min(border, height), :]
-        bottom = degraded[max(height - border, 0):, :]
-        left = degraded[:, : min(border, width)]
-        right = degraded[:, max(width - border, 0):]
+        height, width = raster.shape
+        top = raster[: min(border, height), :]
+        bottom = raster[max(height - border, 0):, :]
+        left = raster[:, : min(border, width)]
+        right = raster[:, max(width - border, 0):]
         for strip in (top, bottom, left, right):
-            strip[:] = (strip // step) * step + step // 2
-        return degraded
+            strip //= step
+            strip *= step
+            strip += step // 2
 
-    def _encode_keyframe(
-        self, block: np.ndarray, is_boundary_tile: bool
-    ) -> tuple[bytes, np.ndarray]:
+    def _dequantise_keyframe(self, work: np.ndarray, is_boundary_tile: bool) -> np.ndarray:
+        """Quantised keyframe samples in ``work`` (int16) -> the uint8 raster
+        encoder and decoder both predict the next frame from."""
         step = self.config.keyframe_quant
-        quantised = (block.astype(np.int16) // step).astype(np.uint8)
-        payload = zlib.compress(quantised.tobytes(), _COMPRESSION_LEVEL)
-        reconstruction = np.clip(
-            quantised.astype(np.int16) * step + step // 2, 0, 255
-        ).astype(np.uint8)
+        work *= step
+        work += step // 2
+        np.clip(work, 0, 255, out=work)
+        reconstruction = work.astype(np.uint8)
         if is_boundary_tile:
-            reconstruction = self._apply_boundary_penalty(reconstruction)
-        return payload, reconstruction
-
-    def _decode_keyframe(
-        self, payload: bytes, height: int, width: int, is_boundary_tile: bool
-    ) -> np.ndarray:
-        step = self.config.keyframe_quant
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise BitstreamCorruptionError(f"keyframe payload is not valid deflate: {exc}") from exc
-        quantised = np.frombuffer(raw, dtype=np.uint8)
-        if quantised.size != height * width:
-            raise BitstreamCorruptionError(
-                f"keyframe payload holds {quantised.size} samples, expected {height * width}"
-            )
-        quantised = quantised.reshape(height, width)
-        reconstruction = np.clip(
-            quantised.astype(np.int16) * step + step // 2, 0, 255
-        ).astype(np.uint8)
-        if is_boundary_tile:
-            # The encoder baked the boundary degradation into the reference it
-            # predicts from, so the decoder must reproduce it bit-exactly.
-            reconstruction = self._apply_boundary_penalty(reconstruction)
+            self._apply_boundary_penalty(reconstruction)
         return reconstruction
 
-    def _encode_predicted(
-        self,
-        block: np.ndarray,
-        previous_reconstruction: np.ndarray,
-        is_boundary_tile: bool,
-    ) -> tuple[bytes, np.ndarray]:
-        step = self.config.predicted_quant
-        residual = block.astype(np.int16) - previous_reconstruction.astype(np.int16)
-        quantised = np.clip(residual // step, -128, 127).astype(np.int8)
-        payload = zlib.compress(quantised.tobytes(), _COMPRESSION_LEVEL)
-        reconstruction = np.clip(
-            previous_reconstruction.astype(np.int16) + quantised.astype(np.int16) * step,
-            0,
-            255,
-        ).astype(np.uint8)
-        return payload, reconstruction
+    def _encode_keyframe(
+        self, block: np.ndarray, is_boundary_tile: bool, reconstruction: np.ndarray
+    ) -> bytes:
+        """Intra-code ``block``; leaves what the decoder will see in ``reconstruction``."""
+        np.copyto(reconstruction, block)
+        reconstruction //= self.config.keyframe_quant
+        payload = zlib.compress(reconstruction.astype(np.uint8), _COMPRESSION_LEVEL)
+        np.copyto(reconstruction, self._dequantise_keyframe(reconstruction, is_boundary_tile))
+        return payload
 
-    def _decode_predicted(self, payload: bytes, previous: np.ndarray) -> np.ndarray:
+    def _decode_keyframe(
+        self, payload: bytes, work: np.ndarray, is_boundary_tile: bool
+    ) -> np.ndarray:
+        # The encoder baked the boundary degradation into the reference it
+        # predicts from, so the decoder reproduces it bit-exactly.
+        np.copyto(work, self._inflate(payload, np.uint8, work.shape, "keyframe"))
+        return self._dequantise_keyframe(work, is_boundary_tile)
+
+    def _encode_predicted(
+        self, block: np.ndarray, reconstruction: np.ndarray, work: np.ndarray
+    ) -> bytes:
+        """Code ``block`` as a quantised residual against ``reconstruction``
+        (int16), then advance ``reconstruction`` to this frame."""
         step = self.config.predicted_quant
+        np.subtract(block, reconstruction, out=work)
+        work //= step
+        np.clip(work, -128, 127, out=work)
+        payload = zlib.compress(work.astype(np.int8), _COMPRESSION_LEVEL)
+        work *= step
+        reconstruction += work
+        np.clip(reconstruction, 0, 255, out=reconstruction)
+        return payload
+
+    def _decode_predicted(
+        self, payload: bytes, previous: np.ndarray, work: np.ndarray
+    ) -> np.ndarray:
+        quantised = self._inflate(payload, np.int8, previous.shape, "predicted")
+        np.multiply(quantised, self.config.predicted_quant, out=work, dtype=np.int16)
+        work += previous
+        np.clip(work, 0, 255, out=work)
+        return work.astype(np.uint8)
+
+    @staticmethod
+    def _inflate(payload: bytes, dtype, shape: tuple[int, int], kind: str) -> np.ndarray:
+        """The payload's samples, inflated straight into a buffer of the known size."""
+        expected = shape[0] * shape[1]
         try:
-            raw = zlib.decompress(payload)
+            raw = zlib.decompress(payload, bufsize=expected)
         except zlib.error as exc:
-            raise BitstreamCorruptionError(f"predicted payload is not valid deflate: {exc}") from exc
-        quantised = np.frombuffer(raw, dtype=np.int8)
-        if quantised.size != previous.size:
+            raise BitstreamCorruptionError(f"{kind} payload is not valid deflate: {exc}") from exc
+        if len(raw) != expected:
             raise BitstreamCorruptionError(
-                f"predicted payload holds {quantised.size} samples, expected {previous.size}"
+                f"{kind} payload holds {len(raw)} samples, expected {expected}"
             )
-        quantised = quantised.reshape(previous.shape)
-        return np.clip(
-            previous.astype(np.int16) + quantised.astype(np.int16) * step, 0, 255
-        ).astype(np.uint8)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)

@@ -209,7 +209,7 @@ class SyntheticVideo(Video):
     # ------------------------------------------------------------------
     def _render_frame(self, frame_index: int) -> np.ndarray:
         pan = int(round(self.spec.camera_pan_per_frame * frame_index))
-        frame = np.roll(self._background, shift=pan, axis=1).copy()
+        frame = np.roll(self._background, shift=pan, axis=1)  # a fresh array
         for track in self.spec.tracks:
             box = track.box_at(frame_index, self.width, self.height)
             if box is None or box.is_empty:
@@ -218,8 +218,10 @@ class SyntheticVideo(Video):
         if self.spec.noise_sigma > 0:
             rng = np.random.default_rng((self.spec.seed * 1_000_003 + frame_index) & 0xFFFFFFFF)
             noise = rng.normal(0.0, self.spec.noise_sigma, size=frame.shape)
-            frame = np.clip(frame.astype(np.float32) + noise, 0, 255)
-        return frame.astype(np.uint8)
+            noise += frame  # float64, as rendered: the sum, clip and cast in one array
+            np.clip(noise, 0, 255, out=noise)
+            return noise.astype(np.uint8)
+        return frame
 
     def _draw_object(
         self, frame: np.ndarray, box: Rectangle, track: ObjectTrack, frame_index: int

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from repro.config import CodecConfig, TasmConfig
+from repro.core.policies import IncrementalRegretPolicy
+from repro.core.tasm import TASM
+from repro.datasets import visual_road_scene
 from repro.video.synthetic import (
     LinearMotion,
     ObjectTrack,
@@ -22,6 +25,8 @@ from repro.video.synthetic import (
     StationaryMotion,
     SyntheticVideo,
 )
+from repro.workloads import workload_4
+from repro.workloads.runner import MeasuredEngine
 
 
 #: Suites whose tests start servers, transports, clients and routers: each
@@ -181,3 +186,27 @@ def flat_frames() -> list[np.ndarray]:
         frame = np.clip(base.astype(np.int16) + index * 2, 0, 255).astype(np.uint8)
         frames.append(frame)
     return frames
+
+
+def run_w4_on_smoke_road(steps: int = 240):
+    """The ledger's ``adaptive_retile`` loop on its smoke road scene (384x224,
+    two 10-frame SOTs): W4's queries against an untiled video and an empty
+    index, each step indexing the frames it is first to see, executing, then
+    letting the regret policy re-tile physically.  Returns ``(tasm, video)``."""
+    video = visual_road_scene("ledger-road", "2K", 2.0, frame_rate=10, seed=101)
+    codec = CodecConfig(gop_frames=10, frame_rate=10)
+    tasm = TASM(TasmConfig(codec=codec, decode_cache_bytes=16 << 20))
+    tasm.ingest(video).materialise_all()
+    workload = workload_4(video, query_count=steps).workload
+    policy, engine = IncrementalRegretPolicy(), MeasuredEngine(tasm)
+    policy.prepare(tasm, engine, video.name, workload)
+    seen: set[int] = set()
+    for query in workload:
+        window = range(*query.temporal.resolve(video.frame_count))
+        fresh = [d for frame in window if frame not in seen for d in video.ground_truth(frame)]
+        seen.update(window)
+        if fresh:
+            tasm.add_detections(video.name, fresh)
+        tasm.execute(query)
+        policy.on_query(tasm, engine, video.name, query)
+    return tasm, video
