@@ -19,7 +19,7 @@ Three more from the flow-control PR:
 
 * **Credits isolate streams.** A stalled consumer on one stream costs a fast
   stream on the same connection almost nothing — per-stream credits park only
-  the stalled stream's pump, where the old design wedged the shared wire.
+  the stalled stream, where the old design wedged the shared wire.
 * **Cancellation stops decode.** Abandoning a scan after its first chunk
   leaves most of its pixels undecoded; the freed runner serves the next scan.
 * **Shared memory beats the socket same-host.** Pixels through the
@@ -181,8 +181,8 @@ def test_binary_pixel_frames_cost_less_than_json_base64(config):
         result = server.connect().scan(video.name, "car")
     regions = result.regions[:64]
     header, _, pixel_total = chunk_parts(1, 0, regions)
-    # A chunk frame is a 4-byte header length, the JSON header, the pixels.
-    binary_bytes = 4 + len(header) + pixel_total
+    # A chunk frame is the binary chunk header, then the pixels.
+    binary_bytes = len(header) + pixel_total
     legacy = json.dumps(
         {
             "type": "partial",
@@ -277,7 +277,7 @@ def _timed_scan(client, video, label) -> float:
 def test_fast_stream_isolated_from_stalled_consumer(config):
     """Acceptance: a fast scan sharing the connection with a completely
     stalled stream stays close to its solo wall time — per-stream credits
-    park the stalled stream's pump, nothing else."""
+    park the stalled stream, nothing else."""
     server, video = _make_server(config)
     with server, SocketTransport(server) as transport:
         with RemoteTasmClient(
@@ -291,11 +291,11 @@ def test_fast_stream_isolated_from_stalled_consumer(config):
             transport.address, stream_buffer_chunks=2, use_shm=False
         ) as client:
             stalled = client.scan_streaming(video.name, "person")
-            # The stalled stream's credits are spent and its pump is parked
+            # The stalled stream's credits are spent and the stream is parked
             # before the fast scan starts.
             assert _wait_until(lambda: stalled.buffered_chunks >= 2)
             shared_seconds = _timed_scan(client, video, "car")
-            stalled.result()  # drain afterwards; credits resume the pump
+            stalled.result()  # drain afterwards; credits resume the stream
 
     ratio = shared_seconds / solo_seconds
     rows = [

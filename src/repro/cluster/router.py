@@ -115,7 +115,7 @@ class ClusterScanStream(ScanStream):
     the consuming thread, which takes one chunk at a time out of a
     sub-stream.  A sub-stream's credit goes back to its shard only then, so
     a consumer that stops iterating leaves at most the credit window
-    buffered per sub-scan and the shards' pumps park.
+    buffered per sub-scan and the shards park those streams.
     """
 
     failure_prefix = "cluster scan failed"
@@ -495,7 +495,10 @@ class ClusterRouter:
     ) -> ClusterScanStream:
         info = self.video_info(video)
         universe = frozenset(range(int(info["sot_count"])))
-        self._refresh_load()
+        if self._replication > 1:
+            # Load only ever breaks a tie between a key's live replicas; with
+            # one replica per key there is no choice for it to inform.
+            self._refresh_load()
         scan = dict(
             video=video,
             labels=labels,

@@ -136,8 +136,8 @@ class FaultSpec:
 class FaultSite:
     """One point's live state: seeded RNG, evaluation and fire counters.
 
-    Thread-safe — injection points are consulted from runner, pump, writer,
-    and reader threads alike.  ``should_fire()`` is the single hot call:
+    Thread-safe — injection points are consulted from runner, writer, and
+    reader threads alike.  ``should_fire()`` is the single hot call:
     count the evaluation, honour ``skip_first``/``max_fires``, then draw.
     """
 

@@ -138,7 +138,7 @@ class Observability:
         )
         self.credit_stall_seconds = registry.histogram(
             "tasm_credit_stall_seconds",
-            "Time a stream's pump spent parked waiting for client credits.",
+            "Time a stream spent parked waiting for client credits.",
         )
         # Fault tolerance ---------------------------------------------------
         self.queries_deadline_exceeded = registry.counter(

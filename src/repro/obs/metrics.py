@@ -13,7 +13,7 @@ implemented for this codebase's hot paths:
   few adds.
 
 **Lock striping.**  Counters and histograms are updated from many threads at
-once (batch runners, pump threads, the demux reader), so a single lock per
+once (batch runners, connection writers, the demux reader), so a single lock per
 metric would serialise exactly the paths observability must not slow down.
 Each instrument therefore keeps ``STRIPE_COUNT`` independent shards, each
 with its own lock; a thread is assigned a stripe once (round-robin, via a
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Shards per striped instrument.  Eight covers the thread counts this
-#: server actually runs (runners + pumps + readers) without making snapshot
+#: server actually runs (runners + writers + readers) without making snapshot
 #: reads walk a long list.
 STRIPE_COUNT = 8
 

@@ -2,7 +2,7 @@
 
 A :class:`Trace` is created when a query is submitted to the service layer
 and threaded (as an attribute of its ``ResultStream``) through the scheduler,
-the batch executor, and the transport pump.  Each stage appends *spans* —
+the batch executor, and the connection's writer.  Each stage appends *spans* —
 named, timed segments with optional metadata:
 
 * **top-level spans** (``top=True``) tile the query's wall time end to end:
@@ -51,7 +51,7 @@ class Trace:
 
     Span appends come from one thread at a time in the normal flow (the
     submitting thread, then the batch runner serving the query, then the
-    pump delivering it), but failure paths and post-completion wire spans
+    connection writer delivering it), but failure paths and post-completion wire spans
     can race a reader snapshotting the trace, so all mutation and
     :meth:`to_dict` take the trace's lock.
     """

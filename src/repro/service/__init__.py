@@ -28,10 +28,11 @@ available to *many concurrent callers*, the deployment VSS targets:
 * :class:`~repro.service.transport.SocketTransport` /
   ``RemoteTasmClient`` — a multiplexed socket transport for cross-process
   callers: tagged query ids carry any number of concurrent scans over one
-  connection, pixel payloads travel as length-prefixed raw bytes (a binary
-  frame kind, not JSON+base64), and per-stream chunk *credits* turn a slow
-  consumer into suspension of its own stream's server-side pump — never the
-  connection's writer or its other streams (no head-of-line blocking).  A
+  connection, chunks travel as binary frames (header plus the regions' raw
+  pixels, sent scatter-gather by the connection's one writer thread), and
+  per-stream chunk *credits* turn a slow consumer into the parking of its
+  own stream on the server — never the connection's writer or its other
+  streams (no head-of-line blocking).  A
   wire-level ``CANCEL`` lets a consumer abandon a scan so the server skips
   its remaining decode work.
 * :class:`~repro.service.transport.ShmTransport` — the same transport, plus

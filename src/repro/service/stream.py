@@ -50,10 +50,17 @@ class StreamChunk(NamedTuple):
     regions: Sequence[ScanRegion]
 
 
-#: How often a blocked consumer re-checks liveness and its timeouts.  Purely
-#: a bound on how long a waiter can outlive a dead source; normal progress
-#: wakes waiters through the condition, not the tick.
-_TICK_SECONDS = 0.5
+#: How often a blocked consumer (or a connection's idle writer) re-checks
+#: liveness and its timeouts.  Purely a bound on how long a waiter can outlive
+#: a dead source; normal progress wakes waiters through the condition, not
+#: the tick.
+TICK_SECONDS = 0.5
+
+#: What a waiter is told once a stream's ``liveness`` probe reads False.
+DEAD_SOURCE = (
+    "the worker threads that would complete this stream are gone; the query "
+    "can never complete"
+)
 
 
 class ScanStream:
@@ -111,7 +118,9 @@ class ScanStream:
         self._served: dict[int, Sequence[ScanRegion]] = {}
         self._result: ScanResult | None = None
         self._error: BaseException | None = None
-        #: A pulling parent's :meth:`_wake`, called on every change here.
+        #: Whoever pulls from this stream with :meth:`poll` (a merging parent's
+        #: :meth:`_wake`, a connection's writer), called on every change here
+        #: with the stream's condition held.
         self._listener: Callable[[], None] | None = None
         self._woken = False
 
@@ -277,7 +286,7 @@ class ScanStream:
                     left = None if give_up is None else give_up - time.monotonic()
                     if left is None or left > 0:
                         self._cond.wait(
-                            _TICK_SECONDS if left is None else min(left, _TICK_SECONDS)
+                            TICK_SECONDS if left is None else min(left, TICK_SECONDS)
                         )
                 if self._buffer or self._woken:
                     self._woken = False
@@ -287,10 +296,7 @@ class ScanStream:
                         raise self._failure() from self._error
                     return None
             if self.liveness is not None and not self.liveness():
-                raise ServiceError(
-                    "the worker threads that would complete this stream are "
-                    "gone; the query can never complete"
-                )
+                raise ServiceError(DEAD_SOURCE)
             if give_up is not None and time.monotonic() >= give_up:
                 raise ServiceError(f"{lapse} within {limit} seconds ({self._stuck()})")
 

@@ -1,42 +1,64 @@
 """A multiplexed, credit-flow-controlled socket transport for remote clients.
 
 Framing: every frame is a 1-byte kind, a 4-byte big-endian payload length,
-then that many payload bytes.  The kinds:
+then that many payload bytes.  Both ends read frames through one
+``recv_into`` buffer per connection (:class:`_FrameReader`): many small
+frames arrive per syscall, and a frame larger than what is buffered is
+received straight into its own ``bytearray``.  The kinds:
 
 * ``KIND_JSON`` (0) — a UTF-8 JSON message.  Every request carries a
   client-chosen ``"id"`` tag, and every response echoes the id of the request
   it answers, so one connection multiplexes any number of in-flight requests
   (concurrent scans included).
-* ``KIND_CHUNK`` (1) — one streamed scan chunk: a 4-byte header length, a
-  JSON header (query id, SOT index, per-region geometry/shape/dtype), then
-  the regions' raw pixel bytes concatenated.
+* ``KIND_CHUNK`` (1) — one streamed scan chunk, all binary (protocol 3): a
+  fixed big-endian header (query id, SOT index, region count, label count,
+  label-table bytes), the chunk's label table (each distinct label once, a
+  2-byte length then UTF-8), one little-endian record per region
+  (:data:`_REGION_RECORD`: frame, the box as four ``f8``, label id with -1
+  for "no label", rows, columns), then the regions' pixels back to back.  Pixels
+  are 2-D ``uint8``; anything else is refused at encode.  Decode checks that
+  every length adds up before it touches a pixel.
 * ``KIND_CREDIT`` (2) — client → server: grant ``n`` more chunk credits to
   query ``qid`` (see *flow control* below).
 * ``KIND_CANCEL`` (3) — client → server: abandon query ``qid``.  The server
-  fails that stream, releases its pump thread, and the scheduler skips the
+  fails that stream, sends it nothing further, and the scheduler skips the
   scan's remaining per-SOT decode work — an abandoned scan stops costing
   runner time within roughly one GOP instead of running to completion for
   nobody.
 * ``KIND_SHM_CHUNK`` (4) — like ``KIND_CHUNK``, but the pixel bytes live in
   the negotiated shared-memory ring; the frame carries only the ring offset,
-  the byte count, and the JSON header.
+  the byte count, and the chunk header.
 * ``KIND_SHM_ACK`` (5) — client → server: the client has copied a
   shared-memory chunk out of the ring; the server may recycle its slot.
 
+**One sender per connection.**  A server connection runs two threads
+whatever the number of scans in flight: a reader (requests, credits, cancels,
+acks) and a writer.  A batch runner pushing a chunk into a scan's stream
+wakes the writer (the stream's listener hook); the writer polls every ready
+stream while its credit lasts, encodes the chunks, produces each finished
+scan's terminal ``done`` / typed ``error`` reply itself, and hands everything
+ready at that wake to one ``sendmsg`` over ``[headers, the regions' own
+buffers...]`` — a chunk is never copied into a frame, and a frame's header
+and payload never travel in separate packets.  The reader's own replies
+reach the writer through a bounded queue whose blocked producer raises the
+moment the connection closes.
+
 **Flow control (per stream, not per connection).**  Each scan request grants
 the server an initial budget of chunk *credits* (the client's
-``stream_buffer_chunks``); every chunk sent spends one, and the client
-returns a credit as its consumer drains each chunk.  A stream out of credits
-suspends *only its own pump thread* — the connection's writer and every
-other stream keep full throughput.  This is what fixes the head-of-line
-blocking of the previous protocol, where one slow consumer filled its
-bounded client-side queue, stalled the shared demultiplexing reader, and —
-through TCP backpressure and the shared outbox — froze every stream on the
-connection.  Client-side queues are now unbounded but *credit-bounded*: the
-demux reader never blocks, because the server can never have more than a
-stream's credit budget in flight.  (Server-side memory stays bounded by the
-scheduler's own ``service_stream_buffer_chunks`` stream buffers — credits
-bound the wire, stream buffers bound the producer.)
+``stream_buffer_chunks``); every chunk sent spends one.  A stream out of
+credits *parks only that stream* — the writer skips it until a grant
+arrives, and every other stream keeps full throughput; one slow consumer can
+never fill a shared queue and freeze the connection (head-of-line blocking).
+The client returns credits half a window at a time as its consumer drains
+chunks (a window of 1 returns every chunk).  That cannot starve the server:
+window = server credits + chunks in flight or buffered + drained chunks not
+yet returned, and the last term stays below half a window, so a server out
+of credits always has a chunk the consumer has not taken.  Client-side
+queues are unbounded but *credit-bounded*: the demux reader never blocks,
+because the server can never have more than a stream's credit budget in
+flight.  (Server-side memory stays bounded by the scheduler's own
+``service_stream_buffer_chunks`` stream buffers — credits bound the wire,
+stream buffers bound the producer.)
 
 **Shared-memory pixel path.**  A same-host client may request, at the hello
 handshake, that pixel payloads bypass the socket: the server (when serving
@@ -55,8 +77,9 @@ does not fit the ring's free space rides the socket as a plain
 
 The hello handshake (``{"op": "hello", "version": ..., "shm": ...}``) also
 pins :data:`PROTOCOL_VERSION`; a version-skewed peer is refused with a clear
-error instead of desynchronising the byte stream.  Clients that skip the
-hello (version-1 style raw callers) still get JSON ops and socket chunks.
+error instead of desynchronising the byte stream.  Callers that skip the
+hello still get JSON ops and socket chunks — with protocol 3's binary chunk
+headers.
 
 A connection that dies *inside* a frame raises
 :class:`~repro.errors.TransportError`; only an EOF landing exactly on a
@@ -67,6 +90,7 @@ connection's other streams.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import random
 import socket
@@ -75,7 +99,8 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -100,7 +125,7 @@ from ..faults.plan import (
 from ..obs import DISABLED
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
-from .stream import ScanStream, StreamChunk
+from .stream import DEAD_SOURCE, TICK_SECONDS, ScanStream, StreamChunk
 
 __all__ = [
     "KIND_CANCEL",
@@ -117,12 +142,22 @@ __all__ = [
     "SocketTransport",
 ]
 
-#: Bumped by the credit/cancel/shm rework: version 1 was the plain
-#: multiplexed protocol with TCP-level backpressure only.
-PROTOCOL_VERSION = 2
+#: Version 1 was the plain multiplexed protocol with TCP-level backpressure
+#: only; 2 added credits, cancels and the shm ring; 3 made the chunk header
+#: binary.  Any other version is refused at the hello.
+PROTOCOL_VERSION = 3
 
 _FRAME_HEADER = struct.Struct(">BI")
-_CHUNK_HEADER = struct.Struct(">I")
+#: query id, SOT index, region count, label count, label-table bytes
+_CHUNK_HEADER = struct.Struct(">IIIII")
+_LABEL_LENGTH = struct.Struct(">H")
+#: One region of a chunk.  Explicitly little-endian, so on the usual hosts
+#: the records are built and read in place; ``label`` indexes the chunk's
+#: label table (-1: the region has no label).
+_REGION_RECORD = np.dtype(
+    [("frame", "<i8"), ("x1", "<f8"), ("y1", "<f8"), ("x2", "<f8"), ("y2", "<f8"),
+     ("label", "<i4"), ("rows", "<u4"), ("cols", "<u4")]
+)
 _CREDIT_FRAME = struct.Struct(">II")  # query id, credits granted
 _CANCEL_FRAME = struct.Struct(">I")  # query id
 _SHM_CHUNK_HEADER = struct.Struct(">QI")  # ring offset, pixel byte count
@@ -135,9 +170,9 @@ KIND_CANCEL = 3
 KIND_SHM_CHUNK = 4
 KIND_SHM_ACK = 5
 
-#: Outbox bound used when the configured bound is 0 (unbounded streams still
-#: should not let one connection queue frames without limit — memory, not
-#: correctness, is at stake here).
+#: Reply-queue bound used when the configured bound is 0 (unbounded streams
+#: still should not let one connection queue frames without limit — memory,
+#: not correctness, is at stake here).
 _DEFAULT_WIRE_BUFFER = 64
 
 #: The largest payload either end accepts.  The length field is a peer-supplied
@@ -145,6 +180,15 @@ _DEFAULT_WIRE_BUFFER = 64
 #: size a 4 GiB read.  Far above any legitimate frame: the largest is one
 #: SOT's regions for one query (tens of MiB for a 4K video with long GOPs).
 MAX_FRAME_BYTES = 1 << 30
+
+#: The per-connection receive buffer: what one ``recv_into`` can bring in.
+_RECV_BUFFER_BYTES = 1 << 16
+
+#: Buffers one ``sendmsg`` may carry; longer scatter lists go out in slices.
+try:
+    _IOV_MAX = os.sysconf("SC_IOV_MAX")
+except (AttributeError, ValueError, OSError):
+    _IOV_MAX = 16  # POSIX's guaranteed minimum
 
 #: Size of the per-connection shared-memory pixel ring :class:`ShmTransport`
 #: offers.  A chunk that does not fit the ring's free space falls back to the
@@ -171,10 +215,6 @@ class _ConnectionClosed(TransportError):
     """Internal: the peer is gone; the frame was not (and will not be) sent."""
 
 
-class _ScanCancelled(Exception):
-    """Internal: the client cancelled this scan; stop pumping, reply nothing."""
-
-
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
@@ -182,51 +222,103 @@ def send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:
     sock.sendall(_FRAME_HEADER.pack(kind, len(payload)) + payload)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytearray] | None:
-    """The next frame as ``(kind, payload)``, or None on a clean EOF.
+def _flat_views(buffers) -> list[memoryview]:
+    """The non-empty ``buffers`` as flat byte views (what slicing a partial
+    send, filling a ring slot or cutting a frame short needs)."""
+    views = []
+    for buffer in buffers:
+        view = memoryview(buffer)
+        if view.nbytes:
+            views.append(view if view.ndim == 1 else view.cast("B"))
+    return views
 
-    Raises :class:`TransportError` when the connection dies mid-frame: a
-    truncated frame means bytes the header promised never arrived, which
-    must not be mistaken for an orderly end of stream.  A header announcing
-    more than :data:`MAX_FRAME_BYTES` raises before anything is read for it.
+
+def send_buffers(sock: socket.socket, views: list[memoryview]) -> None:
+    """``sendall`` for a scatter list of flat views: one ``sendmsg`` when the
+    kernel takes it whole, looped over partial sends and over lists longer
+    than ``IOV_MAX``."""
+    index = 0
+    while index < len(views):
+        sent = sock.sendmsg(views[index : index + _IOV_MAX])
+        while index < len(views) and sent >= views[index].nbytes:
+            sent -= views[index].nbytes
+            index += 1
+        if sent:
+            views[index] = views[index][sent:]
+
+
+class _FrameReader:
+    """Frames off one socket through one receive buffer.
+
+    ``next_frame`` is the ``recv_frame`` contract: ``(kind, payload)``, None
+    on an EOF landing on a frame boundary, :class:`TransportError` on an EOF
+    inside a frame or a header announcing more than :data:`MAX_FRAME_BYTES`
+    (raised before anything is allocated or read for it); a socket timeout
+    propagates.  Each payload is its own ``bytearray`` — chunk pixels stay
+    writable views of it — filled from the buffer and, past what the buffer
+    held, by ``recv_into`` directly.  ``readahead=False`` never reads past
+    the frame it returns (for callers that hand the socket on).
     """
-    header = _recv_exact(sock, _FRAME_HEADER.size)
-    if header is None:
-        return None
-    kind, length = _FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(
-            f"frame of kind {kind} announces {length} payload bytes; the "
-            f"limit is {MAX_FRAME_BYTES}"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None and length > 0:
-        raise TransportError(
-            f"connection closed mid-frame: expected {length} payload bytes, got none"
-        )
-    return kind, payload if payload is not None else bytearray()
+
+    def __init__(self, sock: socket.socket, readahead: bool = True):
+        self._sock = sock
+        self._buffer = bytearray(_RECV_BUFFER_BYTES if readahead else _FRAME_HEADER.size)
+        self._view = memoryview(self._buffer)
+        self._start = self._end = 0
+
+    def next_frame(self) -> tuple[int, bytearray] | None:
+        while self._end - self._start < _FRAME_HEADER.size:
+            if self._start:  # a few header bytes at most: move them to the front
+                held = self._end - self._start
+                self._buffer[:held] = self._buffer[self._start : self._end]
+                self._start, self._end = 0, held
+            got = self._sock.recv_into(self._view[self._end :])
+            if not got:
+                if self._end:
+                    raise TransportError(
+                        f"connection closed mid-frame: got {self._end} of "
+                        f"{_FRAME_HEADER.size} header bytes"
+                    )
+                return None
+            self._end += got
+        kind, length = _FRAME_HEADER.unpack_from(self._buffer, self._start)
+        self._start += _FRAME_HEADER.size
+        if length > MAX_FRAME_BYTES:
+            raise TransportError(
+                f"frame of kind {kind} announces {length} payload bytes; the "
+                f"limit is {MAX_FRAME_BYTES}"
+            )
+        payload = bytearray(length)
+        have = min(length, self._end - self._start)
+        payload[:have] = self._view[self._start : self._start + have]
+        self._start += have
+        if have < length:
+            rest = memoryview(payload)
+            while have < length:
+                got = self._sock.recv_into(rest[have:])
+                if not got:
+                    raise TransportError(
+                        f"connection closed mid-frame: got {have} of {length} "
+                        "payload bytes"
+                    )
+                have += got
+        return kind, payload
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytearray | None:
-    """Exactly ``count`` bytes, None on EOF *before the first byte* only."""
-    chunks = bytearray()
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
-            if chunks:
-                raise TransportError(
-                    f"connection closed mid-frame: got {len(chunks)} of {count} bytes"
-                )
-            return None
-        chunks.extend(chunk)
-    return chunks
+def recv_frame(sock: socket.socket) -> tuple[int, bytearray] | None:
+    """The next frame as ``(kind, payload)``, or None on a clean EOF; reads
+    nothing past it (see :class:`_FrameReader` for what raises)."""
+    return _FrameReader(sock, readahead=False).next_frame()
+
+
+def _json_frame(message: dict) -> bytes:
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return _FRAME_HEADER.pack(KIND_JSON, len(payload)) + payload
 
 
 def send_message(sock: socket.socket, message: dict) -> None:
     """Send one JSON frame (request/response side of the protocol)."""
-    send_frame(
-        sock, KIND_JSON, json.dumps(message, separators=(",", ":")).encode("utf-8")
-    )
+    sock.sendall(_json_frame(message))
 
 
 def recv_message(sock: socket.socket) -> dict | None:
@@ -248,60 +340,104 @@ def recv_message(sock: socket.socket) -> dict | None:
 # ----------------------------------------------------------------------
 # Chunk (de)serialisation — the binary pixel path
 # ----------------------------------------------------------------------
-def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[bytes], int]:
-    """One chunk split for the wire: JSON header, pixel blobs, total bytes.
+def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[np.ndarray], int]:
+    """One chunk split for the wire: header, pixel buffers, total pixel bytes.
 
-    Shared by the socket path (header + blobs concatenated into one frame)
-    and the shared-memory path (blobs into the ring, header onto the wire).
+    The buffers are the regions' own arrays (one per region, copied only
+    when not C-contiguous), so the socket path can ``sendmsg`` them and the
+    shared-memory path copy them into the ring without an intermediate
+    ``bytes``.  Raises :class:`TransportError` for pixels that are not 2-D
+    ``uint8`` — the record has no field to describe anything else.
     """
-    metas = []
-    blobs: list[bytes] = []
+    labels: dict[str, int] = {}
+    records = []
+    buffers: list[np.ndarray] = []
     total = 0
     for region in regions:
-        pixels = np.ascontiguousarray(region.pixels)
-        blob = pixels.tobytes()
-        metas.append(
-            {
-                "frame_index": region.frame_index,
-                "region": [
-                    region.region.x1,
-                    region.region.y1,
-                    region.region.x2,
-                    region.region.y2,
-                ],
-                "label": region.label,
-                "shape": list(pixels.shape),
-                "dtype": str(pixels.dtype),
-                "nbytes": len(blob),
-            }
+        pixels = region.pixels
+        if pixels.ndim != 2 or pixels.dtype != np.uint8:
+            raise TransportError(
+                f"a chunk carries 2-D uint8 pixels, not {pixels.dtype} of "
+                f"shape {pixels.shape}"
+            )
+        if not pixels.flags.c_contiguous:
+            pixels = np.ascontiguousarray(pixels)
+        box = region.region
+        label = region.label
+        label_id = -1 if label is None else labels.setdefault(label, len(labels))
+        records.append(
+            (region.frame_index, box.x1, box.y1, box.x2, box.y2, label_id, *pixels.shape)
         )
-        blobs.append(blob)
-        total += len(blob)
-    header = json.dumps(
-        {"id": query_id, "sot_index": sot_index, "regions": metas},
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return header, blobs, total
+        buffers.append(pixels)
+        total += pixels.size
+    encoded = [label.encode("utf-8") for label in labels]
+    if any(len(label) > 0xFFFF for label in encoded):
+        raise TransportError("a label longer than 65535 bytes does not fit a chunk")
+    table = b"".join(_LABEL_LENGTH.pack(len(label)) + label for label in encoded)
+    header = (
+        _CHUNK_HEADER.pack(query_id, sot_index, len(records), len(encoded), len(table))
+        + table
+        + np.array(records, dtype=_REGION_RECORD).tobytes()
+    )
+    return header, buffers, total
 
 
-def _regions_from_metas(metas, pixels_for) -> list[ScanRegion]:
-    """Build ScanRegions from chunk metadata; ``pixels_for(meta, offset)``
-    supplies each region's (writable) pixel array."""
+def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]:
+    """Parse and validate the chunk header at ``payload[at:]``; build regions.
+
+    Everything in it is the peer's word, so every length is checked against
+    what actually arrived before a pixel is touched, and whatever is wrong
+    raises :class:`TransportError`.  ``pixels_for(header_end, total)`` then
+    supplies the ``total`` pixel bytes as one flat writable ``uint8`` array.
+    """
+    labels_at = at + _CHUNK_HEADER.size
+    if labels_at > len(payload):
+        raise TransportError("chunk frame shorter than its fixed header")
+    query_id, sot_index, count, label_count, table_bytes = _CHUNK_HEADER.unpack_from(payload, at)
+    records_at = labels_at + table_bytes
+    end = records_at + count * _REGION_RECORD.itemsize
+    if end > len(payload):
+        raise TransportError(
+            f"chunk header announces {table_bytes} label bytes and {count} "
+            f"regions; the frame holds {len(payload) - labels_at} bytes"
+        )
+    table: list[str | None] = []
+    cursor = labels_at
+    try:
+        for _ in range(label_count):
+            (length,) = _LABEL_LENGTH.unpack_from(payload, cursor)
+            cursor += _LABEL_LENGTH.size + length
+            if cursor > records_at:
+                break
+            table.append(bytes(payload[cursor - length : cursor]).decode("utf-8"))
+    except (struct.error, UnicodeDecodeError) as error:
+        raise TransportError(f"malformed chunk label table: {error}") from None
+    if cursor != records_at or len(table) != label_count:
+        raise TransportError("chunk label table does not fill its announced bytes")
+    table.append(None)  # what label id -1 indexes
+    # One C call turns the records into tuples; a chunk is tens of regions,
+    # where plain comparisons beat a dozen vectorised passes.
+    records = np.frombuffer(
+        payload, dtype=_REGION_RECORD, count=count, offset=records_at
+    ).tolist()
+    flat = pixels_for(end, sum(record[6] * record[7] for record in records))
     regions: list[ScanRegion] = []
-    offset = 0
-    for meta in metas:
-        pixels = pixels_for(meta, offset)
-        offset += meta["nbytes"]
-        x1, y1, x2, y2 = meta["region"]
+    start = 0
+    for frame, x1, y1, x2, y2, label_id, height, width in records:
+        # NaN fails both comparisons, so it is refused with the inverted boxes.
+        if not (x2 >= x1 and y2 >= y1 and -1 <= label_id < label_count):
+            raise TransportError("chunk region record out of range (label id or box)")
+        stop = start + height * width
         regions.append(
             ScanRegion(
-                frame_index=meta["frame_index"],
-                region=Rectangle(x1, y1, x2, y2),
-                pixels=pixels,
-                label=meta["label"],
+                frame,
+                Rectangle(x1, y1, x2, y2),
+                flat[start:stop].reshape(height, width),
+                table[label_id],
             )
         )
-    return regions
+        start = stop
+    return {"id": query_id, "sot_index": sot_index}, regions
 
 
 def decode_chunk_payload(payload: bytearray) -> tuple[dict, list[ScanRegion]]:
@@ -310,24 +446,20 @@ def decode_chunk_payload(payload: bytearray) -> tuple[dict, list[ScanRegion]]:
     The pixel arrays are backed by the received (mutable) buffer, so they are
     writable without a copy — parity with in-process results, whose pixels a
     caller may annotate in place.  A read-only buffer (never produced by
-    :func:`recv_frame`, but possible for callers handing in ``bytes``) is
+    :class:`_FrameReader`, but possible for callers handing in ``bytes``) is
     copied to preserve that guarantee.
     """
-    (header_length,) = _CHUNK_HEADER.unpack_from(payload, 0)
-    body_start = _CHUNK_HEADER.size + header_length
-    header = json.loads(bytes(payload[_CHUNK_HEADER.size : body_start]).decode("utf-8"))
-    view = memoryview(payload)
 
-    def pixels_for(meta, offset):
-        start = body_start + offset
-        pixels = np.frombuffer(
-            view[start : start + meta["nbytes"]], dtype=np.dtype(meta["dtype"])
-        ).reshape(meta["shape"])
-        if not pixels.flags.writeable:
-            pixels = pixels.copy()
-        return pixels
+    def pixels_for(header_end: int, total: int) -> np.ndarray:
+        if header_end + total != len(payload):
+            raise TransportError(
+                f"chunk regions add up to {total} pixel bytes; the frame "
+                f"carries {len(payload) - header_end}"
+            )
+        flat = np.frombuffer(payload, dtype=np.uint8, count=total, offset=header_end)
+        return flat if flat.flags.writeable else flat.copy()
 
-    return header, _regions_from_metas(header["regions"], pixels_for)
+    return _decode_chunk(payload, 0, pixels_for)
 
 
 def decode_shm_chunk_payload(
@@ -340,26 +472,25 @@ def decode_shm_chunk_payload(
     path, the pixels *must* be copied: the ring memory is reused as soon as
     the ack lands.
     """
-    ring_offset, _total = _SHM_CHUNK_HEADER.unpack_from(payload, 0)
-    header_at = _SHM_CHUNK_HEADER.size
-    (header_length,) = _CHUNK_HEADER.unpack_from(payload, header_at)
-    body_start = header_at + _CHUNK_HEADER.size
-    header = json.loads(
-        bytes(payload[body_start : body_start + header_length]).decode("utf-8")
-    )
+    if len(payload) < _SHM_CHUNK_HEADER.size:
+        raise TransportError("shared-memory chunk frame shorter than its descriptor")
+    ring_offset, slot_bytes = _SHM_CHUNK_HEADER.unpack_from(payload, 0)
 
-    def pixels_for(meta, offset):
-        start = ring_offset + offset
-        return (
-            np.frombuffer(
-                ring_buffer[start : start + meta["nbytes"]],
-                dtype=np.dtype(meta["dtype"]),
+    def pixels_for(header_end: int, total: int) -> np.ndarray:
+        if header_end != len(payload) or total != slot_bytes:
+            raise TransportError(
+                f"shared-memory chunk announces {slot_bytes} pixel bytes; "
+                f"its regions add up to {total}"
             )
-            .reshape(meta["shape"])
-            .copy()
-        )
+        if ring_offset + total > len(ring_buffer):
+            raise TransportError(
+                f"shared-memory chunk at {ring_offset}+{total} lies past the "
+                f"{len(ring_buffer)}-byte ring"
+            )
+        return np.frombuffer(ring_buffer, dtype=np.uint8, count=total, offset=ring_offset).copy()
 
-    return ring_offset, header, _regions_from_metas(header["regions"], pixels_for)
+    header, regions = _decode_chunk(payload, _SHM_CHUNK_HEADER.size, pixels_for)
+    return ring_offset, header, regions
 
 
 # ----------------------------------------------------------------------
@@ -371,8 +502,8 @@ class _ShmRing:
     The server allocates contiguous slots at the head (padding over the wrap
     so a payload is never split); the client acks each slot after copying it
     out, and the tail advances over the acked prefix *in allocation order* —
-    so an ack arriving out of order (pumps enqueue descriptors in a different
-    order than they allocated) can never free memory ahead of an unread slot.
+    so an ack arriving out of allocation order can never free memory ahead
+    of an unread slot.
     """
 
     def __init__(self, size: int):
@@ -399,10 +530,11 @@ class _ShmRing:
         except Exception:  # noqa: BLE001 — any failure means "no shm offered"
             return None
 
-    def try_write(self, blobs: list[bytes], total: int) -> int | None:
-        """Copy ``blobs`` into a contiguous slot; its ring offset, or None
-        when the free space cannot hold it (the caller falls back to the
-        socket path — exhaustion is backpressure, not an error)."""
+    def try_write(self, blobs, total: int) -> int | None:
+        """Copy ``blobs`` (bytes-like, ``total`` bytes together) into a
+        contiguous slot; its ring offset, or None when the free space cannot
+        hold it (the caller falls back to the socket path — exhaustion is
+        backpressure, not an error)."""
         if total <= 0 or total > self.size:
             return None
         with self._lock:
@@ -418,9 +550,9 @@ class _ShmRing:
             self._head += pad + total
             view = self._segment.buf
             offset = start
-            for blob in blobs:
-                view[offset : offset + len(blob)] = blob
-                offset += len(blob)
+            for blob in _flat_views(blobs):
+                view[offset : offset + blob.nbytes] = blob
+                offset += blob.nbytes
             self._outstanding.append((start, pad + total))
             return start
 
@@ -477,72 +609,21 @@ def _attach_shm(name: str):
 
 
 # ----------------------------------------------------------------------
-# The bounded outbox (server side)
-# ----------------------------------------------------------------------
-class _Outbox:
-    """A bounded frame queue between producer threads and the writer.
-
-    Unlike the polling ``queue.Queue`` loop it replaces, closing wakes every
-    blocked producer *immediately* and makes its ``put`` raise
-    :class:`TransportError` — a producer never spins against a dead
-    connection, and a frame is never silently dropped (an un-sent frame
-    raises).  The writer drains whatever was accepted before the close.
-    """
-
-    def __init__(self, limit: int):
-        self._frames: deque = deque()
-        self._cond = threading.Condition()
-        self._limit = max(1, limit)
-        self._closed = False
-
-    def put(self, frame) -> None:
-        with self._cond:
-            while len(self._frames) >= self._limit and not self._closed:
-                self._cond.wait()
-            if self._closed:
-                raise _ConnectionClosed(
-                    "connection closed; the frame was not sent"
-                )
-            self._frames.append(frame)
-            self._cond.notify_all()
-
-    def get(self):
-        """The next frame, or None once closed and drained."""
-        with self._cond:
-            while not self._frames and not self._closed:
-                self._cond.wait()
-            if self._frames:
-                frame = self._frames.popleft()
-                self._cond.notify_all()
-                return frame
-            return None
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def depth(self) -> int:
-        """Frames accepted but not yet written to the socket."""
-        with self._cond:
-            return len(self._frames)
-
-
-# ----------------------------------------------------------------------
 # Server side
 # ----------------------------------------------------------------------
 class SocketTransport:
     """Accepts socket connections and forwards them onto a TasmServer.
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
-    construction.  Each connection runs a reader thread (demultiplexing
-    requests, credit grants, cancels, and shm acks), a writer thread
-    (serialising responses through a bounded outbox), and one pump thread per
-    in-flight scan — so a single connection carries any number of concurrent
-    scans, each with its own credit window, and a scan whose consumer stalls
-    suspends only its own pump.  Each connection is one admission-control
-    client: its scans share one round-robin slot per batch.
+    construction.  Each connection runs exactly two threads however many
+    scans it carries: a reader (demultiplexing requests, credit grants,
+    cancels, and shm acks) and a writer — the connection's one sender, woken
+    by the scans' streams, which encodes their chunks, writes their terminal
+    replies and sends everything ready in one ``sendmsg``.  Each scan has its
+    own credit window, and a scan whose consumer stalls parks only that
+    stream: the writer skips it until a grant arrives.  Each connection is
+    one admission-control client: its scans share one round-robin slot per
+    batch.
 
     ``shm_ring_bytes`` > 0 lets connections negotiate the shared-memory pixel
     path (see :class:`ShmTransport`, which defaults it from the config).
@@ -567,7 +648,7 @@ class SocketTransport:
         self._running = False
         self._shm_ring_bytes = max(0, shm_ring_bytes)
         buffer = server.tasm.config.service_stream_buffer_chunks
-        self._outbox_frames = buffer if buffer > 0 else _DEFAULT_WIRE_BUFFER
+        self._reply_frames = buffer if buffer > 0 else _DEFAULT_WIRE_BUFFER
         #: Accepted sockets must complete a first frame (the hello) within
         #: this bound or be closed — an idle or wedged peer cannot pin a
         #: connection's reader thread forever.  0 disables the bound.
@@ -581,11 +662,11 @@ class SocketTransport:
         self._running = True
         obs = getattr(self._server, "obs", None)
         if obs is not None and obs.enabled:
-            # Total frames parked in connection outboxes: a growing depth
-            # means the wire (or a slow client socket) is the bottleneck.
+            # Total reply frames parked behind connection writers: a growing
+            # depth means the wire (or a slow client socket) is the bottleneck.
             obs.registry.gauge(
                 "tasm_outbox_depth",
-                "Frames queued in connection outboxes awaiting the writer.",
+                "Reply frames queued on connections awaiting the writer.",
             ).set_callback(self._outbox_depth)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="tasm-socket-accept", daemon=True
@@ -596,7 +677,7 @@ class SocketTransport:
     def _outbox_depth(self) -> int:
         with self._connections_lock:
             connections = list(self._connections)
-        return sum(connection._outbox.depth for connection in connections)
+        return sum(len(connection._replies) for connection in connections)
 
     def stop(self) -> None:
         if not self._running:
@@ -630,7 +711,7 @@ class SocketTransport:
             sock.settimeout(self._handshake_timeout or None)
             _disable_nagle(sock)
             connection = _Connection(
-                self._server, sock, self._outbox_frames, self._shm_ring_bytes
+                self._server, sock, self._reply_frames, self._shm_ring_bytes
             )
             with self._connections_lock:
                 self._connections.add(connection)
@@ -671,24 +752,56 @@ class ShmTransport(SocketTransport):
         super().__init__(server, host=host, port=port, shm_ring_bytes=shm_ring_bytes)
 
 
-class _Connection:
-    """One accepted socket: request demux, response mux, per-scan pumps."""
+class _ServedScan:
+    """One in-flight scan of a connection, as its writer sees it."""
 
-    def __init__(self, server, sock: socket.socket, outbox_frames: int, shm_ring_bytes: int = 0):
+    __slots__ = ("stream", "credits", "cancelled", "started", "sent", "stalled_at")
+
+    def __init__(self, stream, credits: int | None):
+        self.stream = stream
+        #: Chunk credits left (None = unbounded).  The reader adds, the
+        #: writer spends; both under the connection's condition.
+        self.credits = credits
+        self.cancelled = False
+        self.started = time.perf_counter()
+        self.sent = 0
+        #: When the writer parked the stream for want of credit (writer-only).
+        self.stalled_at: float | None = None
+
+
+def _error_reply(query_id, error: BaseException) -> dict:
+    """A failure as the wire carries it.  A typed failure (deadline, busy,
+    poison, cancelled) crosses as a code so the client re-raises the same
+    exception class, not a generic ServiceError."""
+    reply = {"type": "error", "id": query_id, "message": str(error)}
+    code = error_code(error)
+    if code is not None:
+        reply["code"] = code
+    return reply
+
+
+class _Connection:
+    """One accepted socket: request demux on the reader thread, and one
+    writer thread that is the connection's only sender.
+
+    Lock order is stream condition → connection condition (a stream's
+    listener takes ``_cond`` from under the stream's own lock), so nothing
+    here calls into a stream while holding ``_cond``.
+    """
+
+    def __init__(self, server, sock: socket.socket, reply_frames: int, shm_ring_bytes: int = 0):
         self._server = server
         self._sock = sock
         self._obs = getattr(server, "obs", None) or DISABLED
-        self._outbox = _Outbox(outbox_frames)
-        self._closing = threading.Event()
-        self._scans_lock = threading.Lock()
-        self._scans: dict[int, object] = {}  # query id -> ResultStream
-        # Per-stream flow control: chunk credits (None = unbounded) and the
-        # set of cancelled query ids, guarded by one condition so a pump out
-        # of credits parks here — and only here — until the client grants
-        # more, cancels, or the connection dies.
-        self._flow = threading.Condition()
-        self._credits: dict[int, int | None] = {}
-        self._cancelled: set[int] = set()
+        # One condition guards the reply queue, the scan table and the set
+        # of scans with something for the writer: it sleeps here, and a
+        # reader whose reply does not fit the bound waits here.
+        self._cond = threading.Condition()
+        self._closing = False
+        self._replies: deque[bytes] = deque()
+        self._reply_limit = max(1, reply_frames)
+        self._scans: dict[int, _ServedScan] = {}
+        self._ready: set[int] = set()
         self._shm_ring_bytes = shm_ring_bytes
         self._shm_ring: _ShmRing | None = None
         # Server-side transport fault injection (``TasmConfig.fault_plan``):
@@ -700,17 +813,18 @@ class _Connection:
         self._writer = threading.Thread(
             target=self._write_loop, name="tasm-socket-writer", daemon=True
         )
-        self._writer.start()
 
     # ------------------------------------------------------------------
     # Reader side (the connection's main thread)
     # ------------------------------------------------------------------
     def serve(self) -> None:
+        self._writer.start()
+        frames = _FrameReader(self._sock)
         awaiting_first_frame = True
         try:
-            while not self._closing.is_set():
+            while not self._closing:
                 try:
-                    frame = recv_frame(self._sock)
+                    frame = frames.next_frame()
                 except socket.timeout:
                     # Only the pre-hello window carries a socket timeout (the
                     # accept loop set it; it is cleared below): a peer that
@@ -731,15 +845,7 @@ class _Connection:
                     except _ConnectionClosed:
                         return
                     except Exception as error:  # noqa: BLE001 — report, keep serving
-                        reply = {
-                            "type": "error",
-                            "id": message.get("id"),
-                            "message": str(error),
-                        }
-                        code = error_code(error)
-                        if code is not None:
-                            reply["code"] = code
-                        self._reply(reply)
+                        self._reply(_error_reply(message.get("id"), error))
                 elif kind == KIND_CREDIT:
                     query_id, granted = _CREDIT_FRAME.unpack(payload)
                     self._grant_credit(query_id, granted)
@@ -771,8 +877,8 @@ class _Connection:
         elif op == "shm_failed":
             # The client could not attach; tear the ring down and serve
             # every chunk over the socket.  Arrives before any scan request
-            # (the client resolves attachment during its handshake), so no
-            # pump can have written into the ring yet.
+            # (the client resolves attachment during its handshake), so the
+            # writer cannot have written into the ring yet.
             ring, self._shm_ring = self._shm_ring, None
             if ring is not None:
                 ring.destroy()
@@ -860,7 +966,7 @@ class _Connection:
         )
 
     def _start_scan(self, query_id: int, message: dict) -> None:
-        with self._scans_lock:
+        with self._cond:
             if query_id in self._scans:
                 raise ServiceError(f"query id {query_id} is already in flight")
         labels = message["labels"]
@@ -882,16 +988,24 @@ class _Connection:
             priority=int(message.get("priority", 0) or 0),
             skip_sots=message.get("skip_sots") or None,
         )
-        with self._scans_lock:
-            self._scans[query_id] = stream
-        with self._flow:
-            self._credits[query_id] = credits if credits > 0 else None
-        threading.Thread(
-            target=self._pump_scan,
-            args=(query_id, stream),
-            name="tasm-socket-pump",
-            daemon=True,
-        ).start()
+        stream._listener = partial(self._wake, query_id)
+        with self._cond:
+            if not self._closing:
+                self._scans[query_id] = _ServedScan(stream, credits if credits > 0 else None)
+                # Whatever the stream did before the listener was attached is
+                # in its buffer or its state: have the writer look once.
+                self._ready.add(query_id)
+                self._cond.notify_all()
+                return
+        stream._fail(ServiceError("connection closed"))
+        raise _ConnectionClosed("connection closed; the scan was not started")
+
+    def _wake(self, query_id: int) -> None:
+        """Scan ``query_id`` has something for the writer (a chunk, its end,
+        fresh credit).  Streams call this holding their own condition."""
+        with self._cond:
+            self._ready.add(query_id)
+            self._cond.notify_all()
 
     def _query_status(self, request_id: int, target_id) -> dict:
         """Which pipeline stage one of this connection's scans is in.
@@ -899,15 +1013,16 @@ class _Connection:
         Best-effort introspection for starved clients: ``queue`` (accepted,
         not yet in a running batch), ``execute`` (its batch started, judged
         by the queue span or a first chunk), ``wire`` (finished server-side,
-        its pump still delivering), or ``unknown`` (finished, cancelled, or
+        the writer still delivering), or ``unknown`` (finished, cancelled, or
         never seen).  With observability off the queue/execute boundary is
         only visible once a chunk is pushed.
         """
-        with self._scans_lock:
-            stream = self._scans.get(target_id)
-        if stream is None:
+        with self._cond:
+            scan = self._scans.get(target_id)
+        if scan is None:
             return {"type": "status", "id": request_id, "stage": "unknown",
                     "delivered": 0}
+        stream = scan.stream
         delivered = len(stream.delivered)
         if stream.done:
             stage = "wire"
@@ -923,218 +1038,220 @@ class _Connection:
         }
 
     def _grant_credit(self, query_id: int, granted: int) -> None:
-        with self._flow:
-            current = self._credits.get(query_id)
-            if current is not None:
-                self._credits[query_id] = current + granted
-                self._flow.notify_all()
+        with self._cond:
+            scan = self._scans.get(query_id)
+            if scan is not None and scan.credits is not None:
+                scan.credits += granted
+                self._ready.add(query_id)  # the writer may have parked it
+                self._cond.notify_all()
 
     def _cancel_scan(self, query_id: int) -> None:
-        with self._scans_lock:
-            stream = self._scans.get(query_id)
-        if stream is None:
-            return  # already finished; nothing to cancel
-        with self._flow:
-            self._cancelled.add(query_id)
-            self._flow.notify_all()  # wake a pump parked on credits
+        with self._cond:
+            scan = self._scans.get(query_id)
+            if scan is None:
+                return  # already finished; nothing to cancel
+            scan.cancelled = True
+            # The writer drops the scan without a reply (the client awaits
+            # none) — also one parked with its stream already ended, which
+            # nothing else would wake.
+            self._ready.add(query_id)
+            self._cond.notify_all()
         # Terminal-fails the scheduler stream: the batch runner skips the
-        # scan's remaining per-SOT work and a pump blocked on the stream's
-        # buffer or iterator is released.
-        stream.close()
+        # scan's remaining per-SOT work.
+        scan.stream.close()
 
-    # ------------------------------------------------------------------
-    # Pump threads (one per in-flight scan)
-    # ------------------------------------------------------------------
-    def _pump_scan(self, query_id: int, stream) -> None:
-        pump_started = time.perf_counter()
-        chunks_sent = 0
-        try:
-            try:
-                for chunk in stream:
-                    self._await_credit(query_id)
-                    self._send_chunk(query_id, chunk)
-                    chunks_sent += 1
-                result = stream.result()
-            except _ScanCancelled:
-                return  # the client walked away; it awaits no reply
-            except ServiceError as error:
-                if not self._is_cancelled(query_id):
-                    reply = {
-                        "type": "error",
-                        "id": query_id,
-                        "message": str(error),
-                    }
-                    # A typed failure (deadline, busy, poison, cancelled)
-                    # crosses the wire as a code so the client re-raises the
-                    # same exception class, not a generic ServiceError.
-                    code = error_code(error)
-                    if code is not None:
-                        reply["code"] = code
-                    self._reply(reply)
-                return
-            # Detail span on the (already finished) trace: time this pump
-            # spent delivering the scan's chunks over the wire.  Trace
-            # mutation is lock-protected, so the ring's readers see it whole.
-            stream.trace.add_span(
-                "wire", time.perf_counter() - pump_started, chunks=chunks_sent
-            )
-            self._reply(
-                {
-                    "type": "done",
-                    "id": query_id,
-                    "video": result.video,
-                    "index_seconds": result.index_seconds,
-                    "decode_seconds": result.decode_seconds,
-                    "stats": {
-                        "pixels_decoded": result.stats.pixels_decoded,
-                        "tiles_decoded": result.stats.tiles_decoded,
-                        "frames_decoded": result.stats.frames_decoded,
-                        "cache_hits": result.stats.cache_hits,
-                        "cache_misses": result.stats.cache_misses,
-                        "pixels_served_from_cache": result.stats.pixels_served_from_cache,
-                    },
-                }
-            )
-        except _ConnectionClosed:
-            # Nobody is listening: abandon the stream so a batch runner
-            # suspended on its buffer (or still producing) is released
-            # instead of filling memory for a dead peer.
-            stream._fail(ServiceError("client disconnected mid-stream"))
-        finally:
-            self._forget_scan(query_id)
+    def _reply(self, message: dict) -> None:
+        """Queue one JSON reply for the writer, honouring the bound.
 
-    def _await_credit(self, query_id: int) -> None:
-        """Park this stream's pump until the client grants a chunk credit.
-
-        Only this stream suspends: the writer, the other pumps, and the
-        reader keep running, which is the whole point of per-stream credits.
+        Blocks while the queue is full (the writer is waiting on a slow
+        socket) and raises :class:`TransportError` the moment the connection
+        dies — no polling, no silent drops.
         """
-        stalled_at: float | None = None
+        frame = _json_frame(message)
+        with self._cond:
+            while len(self._replies) >= self._reply_limit and not self._closing:
+                self._cond.wait()
+            if self._closing:
+                raise _ConnectionClosed("connection closed; the frame was not sent")
+            self._replies.append(frame)
+            self._cond.notify_all()
+
+    # ------------------------------------------------------------------
+    # Writer side (the connection's one sender)
+    # ------------------------------------------------------------------
+    def _write_loop(self) -> None:
         try:
-            with self._flow:
-                while True:
-                    if self._closing.is_set():
-                        raise _ConnectionClosed(
-                            "connection closed while awaiting credit"
-                        )
-                    if query_id in self._cancelled:
-                        raise _ScanCancelled()
-                    credit = self._credits.get(query_id)
-                    if credit is None:  # unbounded stream — never parks
+            while True:
+                with self._cond:
+                    if not (self._closing or self._replies or self._ready):
+                        # With scans in flight the wait is a tick, so runners
+                        # that died without failing their streams get noticed.
+                        self._cond.wait(TICK_SECONDS if self._scans else None)
+                    if self._closing:
                         return
-                    if credit > 0:
-                        self._credits[query_id] = credit - 1
-                        return
-                    if stalled_at is None:
-                        stalled_at = time.perf_counter()
-                    self._flow.wait(1.0)
+                    frames = [[reply] for reply in self._replies]
+                    self._replies.clear()
+                    ready = [
+                        (query_id, self._scans[query_id])
+                        for query_id in self._ready
+                        if query_id in self._scans
+                    ]
+                    self._ready.clear()
+                    idle = () if frames or ready else list(self._scans.values())
+                    if frames:
+                        self._cond.notify_all()  # a reader waiting on the reply bound
+                for scan in idle:
+                    liveness = scan.stream.liveness
+                    if liveness is not None and not liveness():
+                        scan.stream._fail(ServiceError(DEAD_SOURCE))
+                for query_id, scan in ready:
+                    self._serve_scan(query_id, scan, frames)
+                if frames:
+                    self._send_frames(frames)
+        except (TransportError, OSError):
+            pass  # the peer is gone (or an injected fault says so)
         finally:
-            # Only actual stalls are observed; the common credit-available
-            # case records nothing.
-            if stalled_at is not None:
-                self._obs.credit_stall_seconds.observe(
-                    time.perf_counter() - stalled_at
-                )
+            self.close()
 
-    def _is_cancelled(self, query_id: int) -> bool:
-        with self._flow:
-            return query_id in self._cancelled
+    def _serve_scan(self, query_id: int, scan: _ServedScan, frames: list) -> None:
+        """Append everything ``scan`` may send now to ``frames``: buffered
+        chunks while its credit lasts, then — once the stream has ended and
+        drained — its terminal reply."""
+        stream = scan.stream
+        if scan.cancelled:
+            self._forget_scan(query_id, scan)
+            return
+        with self._cond:
+            budget = scan.credits
+        sent = 0
+        while True:
+            # Read the terminal flag first: a stream accepts no chunk after
+            # it, so "was terminal, and nothing buffered" is final.
+            ended = stream.done
+            chunk = None
+            if budget is None or sent < budget:
+                chunk = stream.poll()
+            elif stream.buffered_chunks:
+                # Out of credit with chunks to send: park this stream (and
+                # only it) until the reader's next grant marks it ready.
+                if scan.stalled_at is None:
+                    scan.stalled_at = time.perf_counter()
+                break
+            if chunk is None:
+                if ended:
+                    frames.append([self._final_reply(query_id, scan)])
+                    self._forget_scan(query_id, scan)
+                break
+            frames.append(self._chunk_frame(query_id, chunk))
+            sent += 1
+        if sent:
+            scan.sent += sent
+            self._observe_stall(scan)
+            if budget is not None:
+                with self._cond:
+                    scan.credits -= sent
 
-    def _send_chunk(self, query_id: int, chunk) -> None:
-        """One chunk to the client: through the shm ring when it fits, else
-        the socket (ring exhaustion falls back instead of blocking)."""
-        header, blobs, total = chunk_parts(query_id, chunk.sot_index, chunk.regions)
+    def _observe_stall(self, scan: _ServedScan) -> None:
+        """Only actual stalls are observed; the common credit-available case
+        records nothing."""
+        if scan.stalled_at is not None:
+            self._obs.credit_stall_seconds.observe(time.perf_counter() - scan.stalled_at)
+            scan.stalled_at = None
+
+    def _chunk_frame(self, query_id: int, chunk) -> list:
+        """One chunk as a frame's buffers: through the shm ring when it fits,
+        else the socket (ring exhaustion falls back instead of blocking)."""
+        header, buffers, total = chunk_parts(query_id, chunk.sot_index, chunk.regions)
         ring = self._shm_ring
         if ring is not None and total > 0:
-            offset = ring.try_write(blobs, total)
+            offset = ring.try_write(buffers, total)
             if offset is not None:
-                self._enqueue(
-                    KIND_SHM_CHUNK,
-                    _SHM_CHUNK_HEADER.pack(offset, total)
-                    + _CHUNK_HEADER.pack(len(header))
-                    + header,
-                )
                 self._obs.chunks_sent.labels(path="shm").inc()
-                return
+                descriptor = _SHM_CHUNK_HEADER.pack(offset, total)
+                return [
+                    _FRAME_HEADER.pack(KIND_SHM_CHUNK, len(descriptor) + len(header))
+                    + descriptor
+                    + header
+                ]
             # Ring negotiated but full: this chunk rides the socket instead.
             self._obs.shm_fallbacks.inc()
-        self._enqueue(
-            KIND_CHUNK, _CHUNK_HEADER.pack(len(header)) + header + b"".join(blobs)
-        )
         self._obs.chunks_sent.labels(path="socket").inc()
+        return [_FRAME_HEADER.pack(KIND_CHUNK, len(header) + total) + header, *buffers]
 
-    def _forget_scan(self, query_id: int) -> None:
-        with self._scans_lock:
-            self._scans.pop(query_id, None)
-        with self._flow:
-            self._credits.pop(query_id, None)
-            self._cancelled.discard(query_id)
-
-    # ------------------------------------------------------------------
-    # Writer side
-    # ------------------------------------------------------------------
-    def _reply(self, message: dict) -> None:
-        self._enqueue(
-            KIND_JSON, json.dumps(message, separators=(",", ":")).encode("utf-8")
+    def _final_reply(self, query_id: int, scan: _ServedScan) -> bytes:
+        """The ``done`` / typed ``error`` frame of a scan whose stream ended
+        and drained."""
+        try:
+            result = scan.stream.result(timeout=0)
+        except ServiceError as error:
+            return _json_frame(_error_reply(query_id, error))
+        # Detail span on the (already finished) trace: time from the scan's
+        # arrival to its last chunk leaving.  Trace mutation is
+        # lock-protected, so the ring's readers see it whole.
+        scan.stream.trace.add_span(
+            "wire", time.perf_counter() - scan.started, chunks=scan.sent
+        )
+        return _json_frame(
+            {
+                "type": "done",
+                "id": query_id,
+                "video": result.video,
+                "index_seconds": result.index_seconds,
+                "decode_seconds": result.decode_seconds,
+                "stats": asdict(result.stats),  # the client rebuilds DecodeStats(**stats)
+            }
         )
 
-    def _enqueue(self, kind: int, payload: bytes) -> None:
-        """Queue one encoded frame for the writer, honouring the bound.
+    def _forget_scan(self, query_id: int, scan: _ServedScan) -> None:
+        self._observe_stall(scan)
+        with self._cond:
+            self._scans.pop(query_id, None)
 
-        Blocks while the outbox is full (the writer is waiting on a slow
-        socket) and raises :class:`TransportError` the moment the connection
-        dies — no polling, no silent drops.  Header and payload travel as a
-        pair so a multi-megabyte pixel payload is never copied again just to
-        glue five header bytes onto it.
+    def _send_frames(self, frames: list) -> None:
+        """Everything gathered at one wake, in one ``sendmsg``.
+
+        Injected transport faults stay per outgoing frame (deterministic): a
+        delay models a congested wire, a drop kills the connection before
+        the frame, a cut kills it *mid-frame* — the client must read that as
+        TransportError, never as a clean EOF.  Frames ahead of a faulted one
+        still go out whole.
         """
-        self._outbox.put((_FRAME_HEADER.pack(kind, len(payload)), payload))
-
-    def _write_loop(self) -> None:
-        fault_drop = self._fault_drop
-        fault_cut = self._fault_cut
-        fault_delay = self._fault_delay
-        while True:
-            frame = self._outbox.get()
-            if frame is None:
-                return
-            header, payload = frame
-            # Injected transport faults (deterministic, per outgoing frame):
-            # a delay models a congested wire, a drop kills the connection
-            # before the frame, a cut kills it *mid-frame* — the client must
-            # read that as TransportError, never as a clean EOF.
-            if fault_delay is not None and fault_delay.should_fire():
-                time.sleep(fault_delay.delay_seconds)
-            if fault_drop is not None and fault_drop.should_fire():
-                self.close()
-                return
-            if fault_cut is not None and fault_cut.should_fire() and payload:
-                try:
-                    self._sock.sendall(header)
-                    self._sock.sendall(payload[: max(1, len(payload) // 2)])
-                except OSError:
-                    pass
-                self.close()
-                return
-            try:
-                self._sock.sendall(header)
-                self._sock.sendall(payload)
-            except OSError:
-                self.close()
-                return
+        pending: list[memoryview] = []
+        for frame in frames:
+            views = _flat_views(frame)
+            if self._fault_delay is not None and self._fault_delay.should_fire():
+                send_buffers(self._sock, pending)
+                pending = []
+                time.sleep(self._fault_delay.delay_seconds)
+            if self._fault_drop is not None and self._fault_drop.should_fire():
+                send_buffers(self._sock, pending)
+                raise _ConnectionClosed("injected drop")
+            if self._fault_cut is not None and self._fault_cut.should_fire():
+                size = sum(view.nbytes for view in views)
+                keep = _FRAME_HEADER.size + max(1, (size - _FRAME_HEADER.size) // 2)
+                for view in views:
+                    if keep:
+                        pending.append(view[:keep])
+                        keep -= pending[-1].nbytes
+                send_buffers(self._sock, pending)
+                raise _ConnectionClosed("injected cut")
+            pending += views
+        send_buffers(self._sock, pending)
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._closing.set()
-        self._outbox.close()
-        with self._flow:
-            self._flow.notify_all()  # release pumps parked on credits
-        with self._scans_lock:
+        with self._cond:
+            self._closing = True
             orphaned = list(self._scans.values())
             self._scans.clear()
-        for stream in orphaned:
-            stream._fail(ServiceError("connection closed"))
+            self._cond.notify_all()  # the writer, and a reader on the reply bound
+        for scan in orphaned:
+            # Nobody is listening: abandon the stream so a batch runner
+            # suspended on its buffer (or still producing) is released
+            # instead of filling memory for a dead peer.
+            scan.stream._fail(ServiceError("connection closed"))
         ring, self._shm_ring = self._shm_ring, None
         if ring is not None:
             ring.destroy()
@@ -1181,11 +1298,14 @@ class RemoteScanStream(ScanStream):
     """The socket source: the client's demux reader pushes the chunks.
 
     The stream's credit budget (the client's ``stream_buffer_chunks``) bounds
-    how many undelivered chunks the server may have in flight: each chunk the
-    consumer drains returns one credit, so a consumer that falls behind
-    suspends *this stream's producer on the server* — never the connection's
-    shared reader (its pushes never block: the buffer is credit-bounded, not
-    capacity-bounded), and never its other streams.  :meth:`close` cancels
+    how many undelivered chunks the server may have in flight: the chunks the
+    consumer drains go back as credits half a window at a time, so a consumer
+    that falls behind parks *this stream on the server* — never the
+    connection's shared reader (its pushes never block: the buffer is
+    credit-bounded, not capacity-bounded), and never its other streams.  A
+    consumer only blocks on an empty buffer, and by then fewer than half a
+    window's drained chunks are unreturned, so the server holds credit or
+    the wire holds chunks: it cannot starve.  :meth:`close` cancels
     the scan on the wire, so the server stops decoding for it.  The owning
     client's ``timeout`` bounds the wait for each event: a server that stops
     sending mid-stream raises instead of hanging the consumer forever.
@@ -1204,17 +1324,23 @@ class RemoteScanStream(ScanStream):
         #: The scan request as first sent; a reconnect re-sends it with the
         #: skip set and deadline :meth:`resume` supplies.
         self._request = request
+        #: Chunks the consumer drained whose credit has not gone back yet.
+        self._unreturned = 0
 
     def _drained(self, chunk: StreamChunk) -> None:
         skew = self._client._fault_skew
         if skew is not None and skew.should_fire():
             # Injected clock-skewed slow consumer: stall between drain and
-            # credit return, starving the server's pump.
+            # credit return, starving the server's stream.
             time.sleep(skew.delay_seconds)
-        if self._request["credits"]:
-            # This chunk's buffer slot is free again: let the server send
-            # the next one while the consumer works on this one.
-            self._client._grant_credit(self.query_id, 1)
+        window = self._request["credits"]
+        if window:
+            self._unreturned += 1
+            if self._unreturned >= max(1, window // 2):
+                # Half the window is free again: one frame tells the server,
+                # well before it runs out of the other half.
+                self._client._grant_credit(self.query_id, self._unreturned)
+                self._unreturned = 0
 
     def _cancel_source(self) -> None:
         self._client._forget_stream(self.query_id)
@@ -1260,7 +1386,7 @@ class RemoteTasmClient:
     single connection.  ``stream_buffer_chunks`` is each stream's chunk
     credit budget (0 = unbounded): the server never has more than that many
     undelivered chunks in flight per stream, so one unconsumed stream parks
-    its own server-side pump and nothing else — the connection's reader and
+    itself on the server and nothing else — the connection's reader and
     its other streams keep full throughput.
     """
 
@@ -1381,7 +1507,7 @@ class RemoteTasmClient:
             if self._closed:
                 return
             # Cancel outstanding scans while the socket still works, so the
-            # server frees their pumps and decode work right away rather
+            # server frees their decode work right away rather
             # than discovering the disconnect when a write fails.
             with self._table_lock:
                 outstanding = list(self._streams.keys())
@@ -1464,11 +1590,12 @@ class RemoteTasmClient:
 
     def _read_frames(self) -> None:
         """Read and dispatch frames until a clean EOF (returns) or a wire
-        error (raises).  ``self._sock`` is re-read every iteration so a
-        reconnect swap takes effect on the next frame.
+        error (raises).  Called afresh after every reconnect, so the frame
+        reader (and its buffer) belong to one socket.
         """
+        frames = _FrameReader(self._sock)
         while True:
-            frame = recv_frame(self._sock)
+            frame = frames.next_frame()
             if frame is None:
                 return
             kind, payload = frame

@@ -249,6 +249,38 @@ class TestScatterGather:
         finally:
             stop_local_cluster(servers, transports)
 
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_load_is_fetched_only_when_there_is_a_replica_to_choose(
+        self, config, factor, monkeypatch
+    ):
+        """The queue-depth refresh is a ``metrics`` round trip to every
+        shard on the caller's thread; it only ever breaks a tie between a
+        key's replicas, so a router at replication 1 must never pay it."""
+        metrics_ops = []
+        fetch = RemoteTasmClient.metrics
+
+        def counting_metrics(self):
+            metrics_ops.append(self)
+            return fetch(self)
+
+        monkeypatch.setattr(RemoteTasmClient, "metrics", counting_metrics)
+        servers, transports, video = make_local_cluster(config, shards=2)
+        try:
+            router = ClusterRouter(
+                [t.address for t in transports],
+                config=replicated(config, factor),
+                metrics_ttl_s=0.0,
+            )
+            for _ in range(100):
+                assert router.scan(video.name, "car").regions
+            router.close()
+        finally:
+            stop_local_cluster(servers, transports)
+        if factor == 1:
+            assert not metrics_ops, f"{len(metrics_ops)} metrics ops for no choice"
+        else:
+            assert len(metrics_ops) == 100 * len(servers)
+
     def test_video_info_cached_and_answered_by_any_live_shard(self, config):
         servers, transports, video = make_local_cluster(config, shards=2)
         try:

@@ -3,19 +3,19 @@
 The contracts pinned here:
 
 * credits isolate streams: a consumer that stops draining stream A parks only
-  A's server-side pump — stream B on the *same connection* still completes at
+  A on the server — stream B on the *same connection* still completes at
   full throughput, and A's client-side queue never holds more chunks than its
   credit budget (no head-of-line blocking through the shared demux reader);
-* a wire ``CANCEL`` (sent by ``RemoteScanStream.close()``) frees the scan's
-  pump thread, makes the scheduler count the query as cancelled, and skips
+* a wire ``CANCEL`` (sent by ``RemoteScanStream.close()``) drops the scan
+  from its connection, makes the scheduler count the query as cancelled, and skips
   the scan's remaining per-SOT decode work — an abandoned scan stops costing
   decode within one SOT;
 * a stream closed while still queued never enters a batch at all;
 * the shared-memory pixel path is byte-identical to the socket path, falls
   back per chunk when the ring cannot hold a payload, and degrades cleanly
   to the socket when the server offers no ring or the client cannot attach;
-* ``_Outbox.put`` blocked on a full outbox raises promptly when the
-  connection closes (no polling, no silent frame drops);
+* a ``_reply`` blocked on a connection's full reply queue raises promptly
+  when the connection closes (no polling, no silent frame drops);
 * ``RemoteTasmClient.close()`` joins its reader with a deadline and warns —
   rather than leaking silently — when the thread fails to exit;
 * ``ResultStream.result(timeout=None)`` raises when the scheduler's worker
@@ -37,7 +37,7 @@ from repro.errors import ProtocolError, ServiceError, TransportError
 from repro.service import RemoteTasmClient, ShmTransport, SocketTransport, TasmServer
 from repro.service.scheduler import ResultStream
 from repro.service.transport import (
-    _Outbox,
+    _Connection,
     _ShmRing,
     PROTOCOL_VERSION,
     recv_message,
@@ -307,35 +307,45 @@ class TestSharedMemory:
 
 
 class TestOutbox:
-    def test_blocked_put_raises_promptly_on_close(self):
-        """A producer blocked on a full outbox must raise TransportError the
-        moment the connection closes — not after a polling interval, and
+    def test_blocked_put_raises_promptly_on_close(self, config):
+        """A reader blocked on a full reply queue must raise TransportError
+        the moment the connection closes — not after a polling interval, and
         never by silently dropping the frame."""
-        outbox = _Outbox(1)
-        outbox.put(("header", b"payload"))
+        server, _ = make_server(config)
+        ours, theirs = socket.socketpair()
+        # Never served, so no writer drains the queue: the bound is all
+        # there is between the producer and the close.
+        connection = _Connection(server, theirs, reply_frames=1)
         outcome: queue.Queue = queue.Queue()
         blocked = threading.Event()
+        try:
+            connection._reply({"type": "ok", "id": 1})
 
-        def producer():
-            blocked.set()
-            try:
-                outbox.put(("header-2", b"payload-2"))
-                outcome.put(None)  # the silent-drop failure mode
-            except TransportError as error:
-                outcome.put(error)
+            def producer():
+                blocked.set()
+                try:
+                    connection._reply({"type": "ok", "id": 2})
+                    outcome.put(None)  # the silent-drop failure mode
+                except TransportError as error:
+                    outcome.put(error)
 
-        threading.Thread(target=producer, daemon=True).start()
-        assert blocked.wait(timeout=5)
-        time.sleep(0.05)  # let the producer reach the full-buffer wait
-        started = time.monotonic()
-        outbox.close()
-        result = outcome.get(timeout=2)
-        elapsed = time.monotonic() - started
-        assert isinstance(result, TransportError)
-        assert elapsed < 0.5, f"a blocked put took {elapsed:.2f}s to fail"
-        # The frame accepted before the close still drains.
-        assert outbox.get() == ("header", b"payload")
-        assert outbox.get() is None
+            thread = threading.Thread(target=producer, daemon=True)
+            thread.start()
+            assert blocked.wait(timeout=5)
+            time.sleep(0.05)  # let the producer reach the full-queue wait
+            started = time.monotonic()
+            connection.close()
+            result = outcome.get(timeout=2)
+            elapsed = time.monotonic() - started
+            assert isinstance(result, TransportError)
+            assert elapsed < 0.5, f"a blocked reply took {elapsed:.2f}s to fail"
+            # Only the frame accepted before the close was ever queued.
+            assert [b'"id":1' in frame for frame in connection._replies] == [True]
+            thread.join(timeout=5)
+        finally:
+            connection.close()
+            ours.close()
+            server.stop()
 
 
 class TestClientClose:
@@ -425,30 +435,43 @@ class TestHandshake:
         try:
             conn = socket.create_connection(transport.address, timeout=5)
             conn.settimeout(5)
-            send_message(conn, {"op": "hello", "id": 0, "version": 99, "shm": False})
-            reply = recv_message(conn)
-            assert reply["type"] == "error"
-            assert "version" in reply["message"]
+            for version in (2, 99):  # the previous protocol, and a future one
+                send_message(
+                    conn, {"op": "hello", "id": 0, "version": version, "shm": False}
+                )
+                reply = recv_message(conn)
+                assert reply["type"] == "error"
+                assert "version" in reply["message"]
             conn.close()
         finally:
             transport.stop()
             server.stop()
 
-    def test_client_refuses_version_skew(self):
+    @staticmethod
+    def assert_client_refuses(server_version):
         listener = socket.create_server(("127.0.0.1", 0))
 
-        def answer_with_old_version():
+        def answer_with_other_version():
             conn, _ = listener.accept()
             recv_message(conn)
-            send_message(conn, {"type": "hello", "id": 0, "version": 1, "shm": None})
+            send_message(
+                conn, {"type": "hello", "id": 0, "version": server_version, "shm": None}
+            )
 
-        threading.Thread(target=answer_with_old_version, daemon=True).start()
+        threading.Thread(target=answer_with_other_version, daemon=True).start()
         try:
             with pytest.raises(ProtocolError):
                 RemoteTasmClient(listener.getsockname()[:2], timeout=5.0)
         finally:
             listener.close()
 
-    def test_protocol_version_is_two(self):
-        """The credit/cancel/shm rework bumped the protocol."""
-        assert PROTOCOL_VERSION == 2
+    def test_client_refuses_version_skew(self):
+        self.assert_client_refuses(1)
+
+    def test_client_refuses_a_version_two_server(self):
+        """The previous protocol (JSON chunk headers) is as foreign as any."""
+        self.assert_client_refuses(2)
+
+    def test_protocol_version_is_three(self):
+        """The binary chunk header bumped the protocol."""
+        assert PROTOCOL_VERSION == 3
