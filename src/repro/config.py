@@ -20,7 +20,7 @@ The paper's tuning knobs are collected in :class:`TasmConfig`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ConfigurationError
 
@@ -270,22 +270,6 @@ class TasmConfig:
     def with_updates(self, **changes: Any) -> "TasmConfig":
         """Return a copy with the given fields replaced (dataclasses.replace)."""
         return replace(self, **changes)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "TasmConfig":
-        """Build a config from a plain dict, e.g. parsed from JSON/TOML."""
-        codec_kwargs = dict(mapping.get("codec", {}))
-        cost_kwargs = dict(mapping.get("cost", {}))
-        top = {
-            key: value
-            for key, value in mapping.items()
-            if key not in ("codec", "cost")
-        }
-        return cls(
-            codec=CodecConfig(**codec_kwargs),
-            cost=CostCoefficients(**cost_kwargs),
-            **top,
-        )
 
 
 #: A shared default configuration used when callers do not supply one.

@@ -88,7 +88,7 @@ class LabelPredicate:
         per_clause: list[list[Rectangle]] = []
         for clause in self.clauses:
             clause_boxes: list[Rectangle] = []
-            for label in clause:
+            for label in sorted(clause):  # equal predicates select in one order
                 clause_boxes.extend(boxes_by_label.get(label, ()))
             if not clause_boxes:
                 # A conjunction with an unsatisfied clause selects nothing.

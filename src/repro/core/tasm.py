@@ -23,6 +23,7 @@ once.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..concurrency import SotLockRegistry
@@ -37,7 +38,7 @@ from ..storage.catalog import VideoCatalog
 from ..storage.tiled_video import RetileRecord, TiledVideo
 from ..tiles.layout import TileLayout, untiled_layout
 from ..tiles.partitioner import TileGranularity, partition_around_boxes
-from ..video.decoder import VideoDecoder
+from ..video.decoder import RegionRequest, ScanPiece, VideoDecoder
 from ..video.video import Video
 from .cost import CostEstimate, CostModel, WhatIfAnalyzer
 from .predicates import LabelPredicate, TemporalPredicate
@@ -54,6 +55,14 @@ __all__ = ["TASM"]
 #: oldest goes.  With k labels seen, a regret step asks a SOT 2^k - 1 layouts
 #: (once) and 2^k + 1 estimates per distinct query window: ~25 windows at k = 3.
 _WHAT_IF_ANSWERS_PER_SOT = 256
+#: Regions kept in memoised scan pieces, over all SOTs together (a piece counts
+#: at least one); past this the oldest piece goes.  A region is its
+#: ``RegionRequest`` and its decode-plan entry with two slices — 370 bytes
+#: measured on W3, about 0.5 KB when a conjunction's intersection brings its
+#: own ``Rectangle`` — so the pieces hold 8 MB at most, four times W3's 200
+#: queries.  (A bound on answers would not do: 256 answers x 20 SOTs of
+#: 30-region pieces is 75 MB.)
+_MEMOISED_SCAN_REGIONS = 16_384
 
 
 class TASM:
@@ -88,6 +97,10 @@ class TASM:
         #: about); see :meth:`_what_if_answers`.
         self._what_if: dict[tuple[str, int], tuple[int, dict, TiledVideo]] = {}
         self._what_if_lock = threading.Lock()
+        #: Every memoised scan piece, oldest first, as (memo key, question,
+        #: piece), and the regions they hold; see :meth:`_remember`.
+        self._scan_pieces: deque[tuple[tuple[str, int], tuple, ScanPiece]] = deque()
+        self._scan_regions = 0
         # Imported lazily: repro.exec imports repro.core for the query and
         # scan-result types, so a module-level import here would be circular.
         from ..exec.cache import TileDecodeCache
@@ -402,6 +415,17 @@ class TASM:
         that preceded it, and the next call drops it.  (A video removed from
         the catalog and ingested again under its name is a different
         ``tiled``, so its predecessor's answers go the same way.)
+
+        Three kinds of question share a SOT's answers: ``layout_around``'s
+        ``(labels, granularity)``, ``estimate_sot_query_cost``'s ``(predicate,
+        start, stop, layout)`` and the scan path's ``(predicate, start,
+        stop)``, whose answer is a :class:`~repro.video.decoder.ScanPiece` —
+        see :meth:`_scan_piece`.  A re-tile moves no generation and drops
+        nothing here: layouts are part of the first two questions, and a
+        piece re-plans its decode when it meets an encoding it was not
+        planned for.  Each SOT keeps ``_WHAT_IF_ANSWERS_PER_SOT`` answers;
+        the pieces of all SOTs together keep ``_MEMOISED_SCAN_REGIONS``
+        regions (:meth:`_remember`).
         """
         key = (tiled.name, sot_index)
         generation = self.semantic_index.generation(tiled.name, *tiled.frame_range(sot_index))
@@ -410,11 +434,62 @@ class TASM:
             slot = self._what_if[key] = (generation, {}, tiled)
         return slot[1]
 
-    def _remember(self, answers: dict, question: tuple, answer: object) -> None:
-        with self._what_if_lock:  # the eviction iterates; lookups stay lock-free
+    def _scan_piece(
+        self, tiled: TiledVideo, sot_index: int, predicate: LabelPredicate, start: int, stop: int
+    ) -> ScanPiece:
+        """What a scan of ``predicate`` over frames ``[start, stop)`` asks of
+        one SOT: its region requests there, in index order.
+
+        The third what-if question, answered from the same per-SOT memo under
+        the same rule: the piece depends only on ``(predicate, the window
+        clipped to the SOT)`` and the index entries in that range, so a
+        repeated scan — or another scan whose window covers this SOT the same
+        way — gets the same immutable :class:`ScanPiece` back until the index
+        is written in the SOT's frames, and planning it costs a generation
+        read and a dict probe.  Pieces are further bounded, over all SOTs, by
+        ``_MEMOISED_SCAN_REGIONS`` (see :meth:`_remember`).
+        """
+        sot_start, sot_stop = tiled.frame_range(sot_index)
+        question = (predicate, max(sot_start, start), min(sot_stop, stop))
+        answers = self._what_if_answers(tiled, sot_index)
+        piece = answers.get(question)
+        if piece is None:
+            label = next(iter(predicate.labels)) if predicate.is_single_label else None
+            by_frame = self._regions_by_frame(tiled.name, *question)
+            piece = ScanPiece(
+                RegionRequest(frame_index, region, label)
+                for frame_index, regions in by_frame.items()
+                for region in regions
+            )
+            self._remember(answers, question, piece, (tiled.name, sot_index))
+        return piece
+
+    def _remember(
+        self, answers: dict, question: tuple, answer: object, piece_of: tuple | None = None
+    ) -> None:
+        """File ``answer`` among one SOT's ``answers``, oldest answer out.
+
+        A scan piece (``piece_of`` names its SOT's memo key) also joins the
+        queue of all memoised pieces, and the oldest pieces leave — the queue
+        and their SOT's answers — until no more than
+        ``_MEMOISED_SCAN_REGIONS`` regions are held.  A piece whose SOT's
+        answers were dropped meanwhile stays counted until it reaches the
+        front, so the count bounds what is kept alive, not only what can
+        still be found.
+        """
+        with self._what_if_lock:  # the evictions iterate; lookups stay lock-free
             if len(answers) >= _WHAT_IF_ANSWERS_PER_SOT:
                 del answers[next(iter(answers))]
             answers[question] = answer
+            if piece_of is not None:
+                self._scan_pieces.append((piece_of, question, answer))
+                self._scan_regions += len(answer.requests) or 1
+            while self._scan_regions > _MEMOISED_SCAN_REGIONS:
+                key, old_question, old = self._scan_pieces.popleft()
+                self._scan_regions -= len(old.requests) or 1
+                slot = self._what_if.get(key)
+                if slot is not None and slot[1].get(old_question) is old:
+                    del slot[1][old_question]
 
     @staticmethod
     def _normalise_predicate(
@@ -442,7 +517,9 @@ class TASM:
     ) -> dict[int, list[Rectangle]]:
         """Evaluate the predicate against the index: frame -> selected regions."""
         boxes_by_frame_and_label: dict[int, dict[str, list[Rectangle]]] = {}
-        for label in predicate.labels:
+        # Sorted: the order of a scan's regions must be a function of the
+        # predicate's value, not of how its frozensets happen to iterate.
+        for label in sorted(predicate.labels):
             for entry in self.semantic_index.lookup(video_name, label, frame_start, frame_stop):
                 boxes_by_frame_and_label.setdefault(entry.frame_index, {}).setdefault(
                     label, []

@@ -6,9 +6,10 @@ decode only the tiles the selected regions touch).  For a batch it adds the
 two optimisations the VSS and Scanner systems apply to exactly this redundant
 work:
 
-* **Planning** — every query's region requests are resolved up front and
-  grouped by ``(video, SOT)``, so the executor knows the union of tiles the
-  whole batch needs before decoding anything.
+* **Planning** — every query's region requests are resolved up front, one
+  memoised :class:`~repro.video.decoder.ScanPiece` per ``(video, SOT)`` it
+  touches, so the executor knows the union of tiles the whole batch needs
+  before decoding anything — and a repeated scan plans nothing again.
 * **Warm + serve, pipelined per SOT** — each needed (GOP, tile) bitstream is
   decoded *once*, to the deepest frame any query in the batch reaches, into
   the :class:`~repro.exec.cache.TileDecodeCache` (prefetch optionally fans
@@ -30,9 +31,9 @@ counters, so summing the batch's stats reproduces the work actually done.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..concurrency import VIDEO_LEVEL
@@ -41,7 +42,7 @@ from ..core.scan import ScanRegion, ScanResult
 from ..errors import CodecError
 from ..faults.plan import FAULT_DECODE_ERROR
 from ..video.codec import DecodeStats
-from ..video.decoder import DecodeResult, RegionRequest, VideoDecoder
+from ..video.decoder import DecodeResult, ScanPiece, VideoDecoder
 from .cache import CacheStats, TileDecodeCache
 
 if TYPE_CHECKING:
@@ -87,10 +88,9 @@ StreamEvent = PartialResult | QueryDone
 class _QueryPlan:
     """One query's resolved work: the region requests it implies, per SOT."""
 
-    query: Query
     video: str
     index_seconds: float
-    sot_requests: list[tuple[int, list[RegionRequest]]]
+    sot_requests: list[tuple[int, ScanPiece]]
 
 
 @dataclass
@@ -301,18 +301,13 @@ class QueryExecutor:
         video_held: list,
         sot_held: list,
     ) -> BatchResult:
-        plans = [self._plan(query) for query in queries]
-        if skip_sots is not None:
-            # Resume support: drop the SOTs whose chunks the caller already
-            # holds — the remaining SOTs stream in the same ascending order
-            # the uninterrupted plan would have served them in.
-            for plan, skip in zip(plans, skip_sots):
-                if skip:
-                    plan.sot_requests = [
-                        (sot_index, requests)
-                        for sot_index, requests in plan.sot_requests
-                        if sot_index not in skip
-                    ]
+        # Resume support: a query's ``skip_sots`` — the SOTs whose chunks the
+        # caller already holds — are never planned; the remaining SOTs stream
+        # in the same ascending order the uninterrupted plan would serve them.
+        plans = [
+            self._plan(query, skip or ())
+            for query, skip in zip_longest(queries, skip_sots or ())
+        ]
         index_seconds = sum(plan.index_seconds for plan in plans)
         if trace_sink is not None:
             for plan_index, plan in enumerate(plans):
@@ -326,22 +321,19 @@ class QueryExecutor:
             cache = TileDecodeCache(capacity_bytes=None)
             decoder = VideoDecoder(self._tasm.config.codec, cache=cache)
 
-        # Per (video, SOT): the union of region requests across the batch
-        # (what the warm phase decodes) and which queries want which requests
-        # (what the serve phase assembles).
-        union: dict[tuple[str, int], list[RegionRequest]] = {}
-        members: dict[tuple[str, int], list[tuple[int, list[RegionRequest]]]] = {}
+        # Per (video, SOT): which queries want which requests.  The serve
+        # phase assembles each member's piece; the warm phase decodes their
+        # union (see ``_prefetch``).
+        members: dict[tuple[str, int], list[tuple[int, ScanPiece]]] = {}
         for plan_index, plan in enumerate(plans):
-            for sot_index, requests in plan.sot_requests:
-                key = (plan.video, sot_index)
-                union.setdefault(key, []).extend(requests)
-                members.setdefault(key, []).append((plan_index, requests))
+            for sot_index, piece in plan.sot_requests:
+                members.setdefault((plan.video, sot_index), []).append((plan_index, piece))
 
         # Decodes happen under read locks on every SOT the batch touches, so
         # no retile can swap a bitstream mid-batch; the video-level keys have
         # done their job (planning is over) and are released so metadata
         # writes need not wait out the decode phase.
-        sot_held += locks.acquire_read(union)
+        sot_held += locks.acquire_read(members)
         locks.release_read(video_held)
         video_held.clear()
 
@@ -351,7 +343,7 @@ class QueryExecutor:
         # TiledVideo's encode lock, so concurrent batches are safe too).
         encoded = {
             (video, sot_index): self._tasm.catalog.get(video).encoded_sot(sot_index)
-            for video, sot_index in union
+            for video, sot_index in members
         }
 
         results = [
@@ -387,7 +379,16 @@ class QueryExecutor:
                 raise CodecError(
                     f"injected decoder fault prefetching {key[0]!r} SOT {key[1]}"
                 )
-            return decoder.prefetch_regions(encoded[key], union[key], scope=key[0])
+            # A SOT one query wants is warmed from that query's own piece, so
+            # warm and serve share its memoised decode plan; a union of several
+            # is planned here, for this prefetch only.
+            group = members[key]
+            requests = (
+                group[0][1]
+                if len(group) == 1
+                else [request for _, piece in group for request in piece.requests]
+            )
+            return decoder.prefetch_regions(encoded[key], requests, scope=key[0])
 
         def _serve_group(key: tuple[str, int]) -> float:
             """Answer every query's requests for one SOT from the warm cache."""
@@ -452,7 +453,7 @@ class QueryExecutor:
             if batch_scoped_cache:
                 cache.invalidate_sot(key[0], key[1])
 
-        ordered_keys = sorted(union)
+        ordered_keys = sorted(members)
         if workers > 1 and len(ordered_keys) > 1:
             window = min(workers, len(ordered_keys))
             with ThreadPoolExecutor(max_workers=window) as pool:
@@ -520,34 +521,33 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _plan(self, query: Query) -> _QueryPlan:
-        """Resolve a query into per-SOT region requests via the semantic index."""
+    def _plan(self, query: Query, skip: "set[int] | tuple" = ()) -> _QueryPlan:
+        """Resolve a query into per-SOT region requests via the semantic index.
+
+        The plan is assembled, not computed: each SOT of the query's window
+        (but those in ``skip``, which are not even looked up) contributes the
+        :class:`~repro.video.decoder.ScanPiece` that
+        :meth:`TASM._scan_piece <repro.core.tasm.TASM._scan_piece>` memoises
+        for ``(predicate, window clipped to the SOT)`` until the index is
+        written in that SOT's frames.  ``index_seconds`` times the whole
+        walk — on a miss that is the index lookup and the request building,
+        on a hit one generation read per SOT.
+        """
         tasm = self._tasm
         tiled = tasm.catalog.get(query.video)
         frame_start, frame_stop = query.temporal.resolve(tiled.video.frame_count)
-
         index_started = time.perf_counter()
-        regions_by_frame = tasm._regions_by_frame(
-            query.video, query.predicate, frame_start, frame_stop
-        )
-        index_seconds = time.perf_counter() - index_started
-
-        # One pass over the selected frames: each frame's requests go to the
-        # SOT holding it, keeping the index's frame order within a SOT.
-        label = (
-            next(iter(query.predicate.labels)) if query.predicate.is_single_label else None
-        )
-        sot_frames = tiled.layout_spec.sot_frames
-        by_sot: defaultdict[int, list[RegionRequest]] = defaultdict(list)
-        for frame_index, regions in regions_by_frame.items():
-            by_sot[frame_index // sot_frames].extend(
-                [RegionRequest(frame_index, region, label) for region in regions]
-            )
+        sot_requests = []
+        for sot_index in tiled.sots_for_frames(frame_start, frame_stop):
+            if sot_index in skip:
+                continue
+            piece = tasm._scan_piece(tiled, sot_index, query.predicate, frame_start, frame_stop)
+            if piece.requests:
+                sot_requests.append((sot_index, piece))
         return _QueryPlan(
-            query=query,
             video=query.video,
-            index_seconds=index_seconds,
-            sot_requests=sorted(by_sot.items()),
+            index_seconds=time.perf_counter() - index_started,
+            sot_requests=sot_requests,
         )
 
     def _serve(self, plan: _QueryPlan, decoder: VideoDecoder) -> ScanResult:
@@ -557,9 +557,9 @@ class QueryExecutor:
             return result
         tiled = self._tasm.catalog.get(plan.video)
         decode_started = time.perf_counter()
-        for sot_index, requests in plan.sot_requests:
+        for sot_index, piece in plan.sot_requests:
             encoded = tiled.encoded_sot(sot_index)
-            decoded = decoder.decode_regions(encoded, requests, scope=plan.video)
+            decoded = decoder.decode_regions(encoded, piece, scope=plan.video)
             self._apply_decoded(result, decoded)
         result.decode_seconds = time.perf_counter() - decode_started
         return result

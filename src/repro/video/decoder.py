@@ -12,16 +12,20 @@ The returned :class:`~repro.video.codec.DecodeStats` is exactly the
 measurements and the analytic cost model can be cross-checked.
 
 Which tiles a box touches is :meth:`~repro.tiles.layout.TileLayout.tile_span`'s
-answer, here as in the cost model; once those tiles are reconstructed (or
-found in the cache) a region costs integer clipping and one copy.
+answer, here as in the cost model.  That answer, the integer clipping of each
+box and, for a box inside one tile, its two slices are the *decode plan*; a
+:class:`ScanPiece` keeps the plan of the encoding it was last served from, so
+once the tiles are reconstructed (or found in the cache) a repeated region
+costs one copy of a slice.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .encoder import EncodedSot
 if TYPE_CHECKING:  # avoid a package cycle: repro.exec imports repro.video
     from ..exec.cache import TileDecodeCache
 
-__all__ = ["RegionRequest", "DecodedRegion", "DecodeResult", "VideoDecoder"]
+__all__ = ["RegionRequest", "ScanPiece", "DecodedRegion", "DecodeResult", "VideoDecoder"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,38 @@ class RegionRequest:
     frame_index: int
     region: Rectangle
     label: str | None = None
+
+
+class _DecodePlan(NamedTuple):
+    """What serving a list of requests from one :class:`EncodedSot` takes.
+
+    ``gops`` holds, per GOP touched and in GOP order, ``(GOP number, {tile
+    index: depth to decode it to}, served)``; a ``served`` entry is
+    ``(request, offset into the GOP, tile index, row slice, column slice)``
+    for a box inside one tile and ``(request, offset, None, tile span,
+    integer-clipped box)`` otherwise.  GOPs are named by number so that a
+    plan outliving its encoding keeps none of its bitstreams alive.
+    """
+
+    gops: tuple[tuple[int, dict[int, int], tuple[tuple, ...]], ...]
+    #: Bytes of every touched tile decoded to its depth (what prefetch needs).
+    working_set_bytes: int
+
+
+class ScanPiece:
+    """One scan's requests against one SOT, in index order — immutable, so it
+    can be memoised and handed to every scan that asks the same question.
+
+    It carries the decode plan of the :class:`EncodedSot` it was last served
+    from.  The plan is checked by the encoding's identity: a re-tile installs
+    a new ``EncodedSot``, whose first serve re-plans once.
+    """
+
+    __slots__ = ("requests", "_planned")
+
+    def __init__(self, requests: Iterable[RegionRequest]):
+        self.requests = tuple(requests)
+        self._planned: tuple[weakref.ref, _DecodePlan] | None = None
 
 
 @dataclass
@@ -101,28 +137,35 @@ class VideoDecoder:
     def decode_regions(
         self,
         sot: EncodedSot,
-        requests: list[RegionRequest],
+        requests: "list[RegionRequest] | ScanPiece",
         scope: str | None = None,
     ) -> DecodeResult:
         """Decode the pixels of every requested region from one SOT.
 
         Requests are grouped by GOP, then by tile: each (GOP, tile) bitstream
         is decoded at most once, up to the latest frame any request needs, and
-        every request is served from those reconstructions.
+        every request is served from those reconstructions.  Given a
+        :class:`ScanPiece` that was last served from this very ``sot``, the
+        grouping, the tile spans and the box clipping are the piece's own
+        (see :meth:`_plan_for`): what is left is finding the tiles and one
+        ``raster[rows, columns].copy()`` per one-tile box.
         """
         started = time.perf_counter()
         result = DecodeResult()
-        layout, regions = sot.layout, result.regions
-        for gop, tile_depth, served in self._plan(sot, requests):
+        layout, regions, gops = sot.layout, result.regions, sot.gops
+        for gop_number, tile_depth, served in self._plan_for(sot, requests).gops:
             # Decode each touched tile once, up to the deepest frame needed,
             # then cut every request's pixels out of those reconstructions.
             reconstructions = self._reconstruct_tiles(
-                gop, tile_depth, result, scope=scope, sot_index=sot.sot_index
+                gops[gop_number], tile_depth, result, scope=scope, sot_index=sot.sot_index
             )
-            for request, offset, span in served:
-                pixels = self._assemble_region(
-                    layout, request.region, span, reconstructions, offset
-                )
+            for request, offset, tile_index, rows, columns in served:
+                if tile_index is not None:
+                    # The common case once a video is tiled around its objects:
+                    # the box lies in one tile, so it is one slice of its raster.
+                    pixels = reconstructions[tile_index][offset][rows, columns].copy()
+                else:  # the two slots hold the box's tile span and clipped corners
+                    pixels = self._assemble_region(layout, rows, columns, reconstructions, offset)
                 regions.append(
                     DecodedRegion(request.frame_index, request.region, pixels, request.label)
                 )
@@ -132,16 +175,18 @@ class VideoDecoder:
     def prefetch_regions(
         self,
         sot: EncodedSot,
-        requests: list[RegionRequest],
+        requests: "list[RegionRequest] | ScanPiece",
         scope: str,
     ) -> DecodeResult:
         """Decode every tile the requests touch into the cache, skipping assembly.
 
         This is the batch executor's warm phase: given the union of every
-        region the batch needs from one SOT, each touched (GOP, tile) is
-        decoded once, to the deepest frame any request reaches, and stored in
-        the cache so the per-query serve phase hits instead of re-decoding.
-        The returned result carries only decode-work stats (no regions).
+        region the batch needs from one SOT (or the one :class:`ScanPiece`
+        that wants it, whose memoised plan the serve then shares), each
+        touched (GOP, tile) is decoded once, to the deepest frame any request
+        reaches, and stored in the cache so the per-query serve phase hits
+        instead of re-decoding.  The returned result carries only decode-work
+        stats (no regions).
 
         Prefetching is useful only when the warmed tiles survive until they
         are served, so a SOT whose union working set exceeds the cache
@@ -154,47 +199,69 @@ class VideoDecoder:
             raise CodecError("prefetch_regions requires a decoder with a tile cache")
         started = time.perf_counter()
         result = DecodeResult()
-        plans = self._plan(sot, requests)
-        if self.cache.capacity_bytes is not None:
-            working_set_bytes = sum(
-                gop.tiles[tile_index].pixels_per_frame * (depth + 1)
-                for gop, tile_depth, _ in plans
-                for tile_index, depth in tile_depth.items()
-            )
-            if working_set_bytes > self.cache.capacity_bytes:
-                result.elapsed_seconds = time.perf_counter() - started
-                return result
-        for gop, tile_depth, _ in plans:
-            self._reconstruct_tiles(
-                gop, tile_depth, result, scope=scope, sot_index=sot.sot_index
-            )
+        plan = self._plan_for(sot, requests)
+        capacity = self.cache.capacity_bytes
+        if capacity is None or plan.working_set_bytes <= capacity:
+            for gop_number, tile_depth, _ in plan.gops:
+                self._reconstruct_tiles(
+                    sot.gops[gop_number], tile_depth, result, scope=scope, sot_index=sot.sot_index
+                )
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def _plan(
-        self, sot: EncodedSot, requests: list[RegionRequest]
-    ) -> list[tuple[EncodedGop, dict[int, int], list[tuple[RegionRequest, int, tuple]]]]:
+    def _plan_for(self, sot: EncodedSot, requests: "list[RegionRequest] | ScanPiece") -> _DecodePlan:
+        """The decode plan of ``requests`` against ``sot``: a piece's own when
+        it was made for this encoding, else :meth:`_plan`'s (kept, on a piece)."""
+        if not isinstance(requests, ScanPiece):
+            return self._plan(sot, requests)
+        planned = requests._planned
+        if planned is None or planned[0]() is not sot:
+            planned = requests._planned = (weakref.ref(sot), self._plan(sot, requests.requests))
+        return planned[1]
+
+    def _plan(self, sot: EncodedSot, requests: Iterable[RegionRequest]) -> _DecodePlan:
         """One span pass over the requests that fall in ``sot``.
 
-        Per GOP touched, in GOP order: how deep into the GOP each touched tile
-        must be decoded, and every request of that GOP with its frame's offset
-        into the GOP and its tile span.
+        Everything about serving them that does not depend on pixel data: see
+        :class:`_DecodePlan`.  A box is clipped to the frame and truncated to
+        whole pixels here, once.
         """
         frame_start, frame_stop, gop_frames = sot.frame_start, sot.frame_stop, sot.gop_frames
-        tile_span, columns = sot.layout.tile_span, sot.layout.columns
+        layout = sot.layout
+        tile_span, rows, columns = layout.tile_span, layout.row_edges, layout.column_edges
+        width, height, stride = columns[-1], rows[-1], len(columns) - 1
         plans: defaultdict[int, tuple[dict[int, int], list]] = defaultdict(lambda: ({}, []))
         for request in requests:
             if not frame_start <= request.frame_index < frame_stop:
                 continue
             gop_number, offset = divmod(request.frame_index - frame_start, gop_frames)
             tile_depth, served = plans[gop_number]
-            span = row0, row1, col0, col1 = tile_span(request.region)
-            served.append((request, offset, span))
-            for row in range(row0 * columns, row1 * columns, columns):
+            box = request.region
+            span = row0, row1, col0, col1 = tile_span(box)
+            x1 = int(box.x1) if box.x1 > 0 else 0
+            y1 = int(box.y1) if box.y1 > 0 else 0
+            x2 = int(box.x2) if box.x2 < width else width
+            y2 = int(box.y2) if box.y2 < height else height
+            if row1 - row0 == 1 and col1 - col0 == 1:
+                top, left = rows[row0], columns[col0]
+                served.append(
+                    (request, offset, row0 * stride + col0,
+                     slice(y1 - top, y2 - top), slice(x1 - left, x2 - left))
+                )
+            else:
+                served.append((request, offset, None, span, (x1, y1, x2, y2)))
+            for row in range(row0 * stride, row1 * stride, stride):
                 for tile_index in range(row + col0, row + col1):
                     if tile_depth.get(tile_index, -1) < offset:
                         tile_depth[tile_index] = offset
-        return [(sot.gops[number], *plans[number]) for number in sorted(plans)]
+        return _DecodePlan(
+            tuple((number, plans[number][0], tuple(plans[number][1])) for number in sorted(plans)),
+            sum(
+                sot.gops[number].tiles[tile_index].pixels_per_frame * (depth + 1)
+                for number, (tile_depth, _) in plans.items()
+                for tile_index, depth in tile_depth.items()
+            ),
+        )
 
     def decode_full_frames(self, sot: EncodedSot, frame_indices: list[int]) -> DecodeResult:
         """Decode whole frames (every tile) — the untiled / stitching path."""
@@ -256,29 +323,19 @@ class VideoDecoder:
     @staticmethod
     def _assemble_region(
         layout: TileLayout,
-        box: Rectangle,
         span: tuple[int, int, int, int],
+        clipped: tuple[int, int, int, int],
         reconstructions: dict[int, list[np.ndarray]],
         frame_offset: int,
     ) -> np.ndarray:
-        """The pixels of ``box`` on one frame: the box clipped to the frame and
-        truncated to whole pixels, cut out of the tiles of its span."""
+        """The pixels of a box that is not inside one tile: ``clipped`` (the box
+        in whole pixels, inside the frame) cut out of the tiles of its span."""
         row0, row1, col0, col1 = span
         if row0 == row1:
             return np.zeros((0, 0), dtype=np.uint8)
-        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        x1, y1, x2, y2 = clipped
         rows, columns = layout.row_edges, layout.column_edges
-        width, height, stride = columns[-1], rows[-1], len(columns) - 1
-        x1 = int(x1) if x1 > 0 else 0
-        y1 = int(y1) if y1 > 0 else 0
-        x2 = int(x2) if x2 < width else width
-        y2 = int(y2) if y2 < height else height
-        if row1 - row0 == 1 and col1 - col0 == 1:
-            # The common case once a video is tiled around its objects: the box
-            # lies in one tile, so it is one slice of that tile's raster.
-            top, left = rows[row0], columns[col0]
-            raster = reconstructions[row0 * stride + col0][frame_offset]
-            return raster[y1 - top : y2 - top, x1 - left : x2 - left].copy()
+        stride = len(columns) - 1
         # The span's tiles cover the clipped box exactly, so every canvas pixel
         # is written below.
         canvas = np.empty((y2 - y1, x2 - x1), dtype=np.uint8)

@@ -50,15 +50,6 @@ class EncodedSot:
         holding frame ``f`` is number ``(f - frame_start) // gop_frames``."""
         return self.gops[0].frame_count
 
-    def gop_containing(self, frame_index: int) -> EncodedGop:
-        """The encoded GOP holding ``frame_index`` (video-level index)."""
-        if not self.frame_start <= frame_index < self.frame_stop:
-            raise CodecError(
-                f"frame {frame_index} is outside SOT {self.sot_index} "
-                f"[{self.frame_start}, {self.frame_stop})"
-            )
-        return self.gops[(frame_index - self.frame_start) // self.gop_frames]
-
 
 class VideoEncoder:
     """Encodes raw frames into tiled SOTs using the simulated codec."""

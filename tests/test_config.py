@@ -77,20 +77,6 @@ class TestTasmConfig:
         assert updated.alpha == 0.5
         assert config.alpha == pytest.approx(0.8)
 
-    def test_from_mapping_round_trip(self):
-        config = TasmConfig.from_mapping(
-            {
-                "alpha": 0.7,
-                "eta": 2.0,
-                "codec": {"gop_frames": 10, "frame_rate": 10},
-                "cost": {"beta": 2e-6, "gamma": 1e-3},
-            }
-        )
-        assert config.alpha == 0.7
-        assert config.eta == 2.0
-        assert config.codec.gop_frames == 10
-        assert config.cost.beta == pytest.approx(2e-6)
-
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_CONFIG.alpha = 0.5  # type: ignore[misc]

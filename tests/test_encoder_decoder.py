@@ -37,14 +37,6 @@ class TestVideoEncoder:
         assert sot.size_bytes > 0
         assert sot.encode_seconds > 0
 
-    def test_gop_containing(self, encoder, tiny_video):
-        layout = untiled_layout(tiny_video.width, tiny_video.height)
-        sot = encoder.encode_sot(tiny_video, 0, 0, 10, layout)
-        assert sot.gop_containing(3).frame_start == 0
-        assert sot.gop_containing(7).frame_start == 5
-        with pytest.raises(CodecError):
-            sot.gop_containing(10)
-
     def test_layout_dimension_mismatch_rejected(self, encoder, tiny_video):
         wrong = untiled_layout(tiny_video.width + 8, tiny_video.height)
         with pytest.raises(CodecError):
