@@ -125,15 +125,6 @@ class TasmConfig:
     #: disables the persistent cache, preserving the paper's one-shot scan
     #: behaviour; batched execution then uses a cache scoped to each batch.
     decode_cache_bytes: int = 0
-    #: Eviction policy of the tile-decode cache: "lru" evicts least recently
-    #: used; "cost" is GDSF-style, weighting each entry by its reconstruction
-    #: cost under the fitted ``beta*P + gamma*T`` model divided by its size,
-    #: so tiles that are expensive to re-decode per byte cached outlive
-    #: cheaper ones of equal recency.
-    eviction_policy: str = "lru"
-    #: Thread-pool width for the batch executor's per-SOT prefetch fan-out.
-    #: 1 keeps decoding single-threaded.
-    executor_threads: int = 1
     #: Upper bound on the number of queries one service batch holds.  A free
     #: batch runner takes up to this many pending queries at once, so a batch
     #: is whatever queued while every runner was busy (one query when idle).
@@ -219,12 +210,6 @@ class TasmConfig:
             raise ConfigurationError("encode cost coefficients must be positive")
         if self.decode_cache_bytes < 0:
             raise ConfigurationError("decode_cache_bytes must be non-negative")
-        if self.eviction_policy not in ("lru", "cost"):
-            raise ConfigurationError(
-                f"eviction_policy must be 'lru' or 'cost', got {self.eviction_policy!r}"
-            )
-        if self.executor_threads < 1:
-            raise ConfigurationError("executor_threads must be at least 1")
         if self.service_max_batch < 1:
             raise ConfigurationError("service_max_batch must be at least 1")
         if self.service_runners < 1:

@@ -107,11 +107,7 @@ class TASM:
         from ..exec.engine import QueryExecutor
 
         self.tile_cache: "TileDecodeCache | None" = (
-            TileDecodeCache(
-                self.config.decode_cache_bytes,
-                eviction_policy=self.config.eviction_policy,
-                cost=self.config.cost,
-            )
+            TileDecodeCache(self.config.decode_cache_bytes)
             if self.config.decode_cache_bytes > 0
             else None
         )
@@ -195,7 +191,6 @@ class TASM:
     def execute_batch(
         self,
         queries: Sequence[Query],
-        max_workers: int | None = None,
         observer=None,
         cancelled=None,
         trace_sink=None,
@@ -206,7 +201,8 @@ class TASM:
         Returns a :class:`~repro.exec.engine.BatchResult` whose ``results``
         list holds one :class:`ScanResult` per query (in input order, each
         byte-identical to a sequential ``scan``) and whose ``stats``/``cache``
-        report the shared decode work and cache behaviour of the batch.
+        report the shared decode work and cache behaviour of the batch.  The
+        batch runs, SOT by SOT, on the calling thread and starts none.
         ``observer`` receives per-SOT streaming events as results materialise
         (see :class:`~repro.exec.engine.PartialResult`); the service layer
         uses it to stream results to clients before the batch finishes.
@@ -221,7 +217,6 @@ class TASM:
         """
         return self._executor.execute_batch(
             queries,
-            max_workers=max_workers,
             observer=observer,
             cancelled=cancelled,
             trace_sink=trace_sink,

@@ -11,15 +11,11 @@ scheduling of VSS and the batched frame requests of Scanner (see PAPERS.md):
   with hit/miss/eviction statistics, explicit per-SOT invalidation on
   re-tiling, and bitstream-checksum validation so a re-encoded SOT can never
   serve stale pixels.
-* :class:`~repro.exec.cache.TileDecodeCache` eviction is pluggable:
-  ``eviction_policy="lru"`` (default) or ``"cost"`` — GDSF-style, valuing
-  each entry by the paper's fitted ``beta*P + gamma*T`` reconstruction cost
-  per byte cached.
 * :class:`~repro.exec.engine.QueryExecutor` — plans a batch of queries into
   per-``(video, SOT)`` region requests, decodes each needed (GOP, tile)
-  bitstream at most once per batch (optionally fanning SOT prefetch across a
-  thread pool), then answers every query from the warm cache.  Per-query
-  results are byte-identical to sequential ``scan()`` calls.  An optional
+  bitstream at most once per batch, SOT by SOT on the calling thread, and
+  answers every query from the warm cache.  Per-query results are
+  byte-identical to sequential ``scan()`` calls.  An optional
   ``observer`` receives :class:`~repro.exec.engine.PartialResult` /
   :class:`~repro.exec.engine.QueryDone` events as each SOT is served — the
   streaming hook the service layer (``repro.service``) delivers per-SOT

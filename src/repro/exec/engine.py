@@ -12,16 +12,19 @@ work:
   before decoding anything — and a repeated scan plans nothing again.
 * **Warm + serve, pipelined per SOT** — each needed (GOP, tile) bitstream is
   decoded *once*, to the deepest frame any query in the batch reaches, into
-  the :class:`~repro.exec.cache.TileDecodeCache` (prefetch optionally fans
-  out across a thread pool), and every query's requests against that SOT are
-  answered immediately afterwards, while its tiles are the cache's most
-  recently used entries — so a cache that holds one SOT's working set serves
-  hits even when the batch's whole working set is far larger, and a SOT too
-  big for the cache is simply not prefetched (serving it costs no more than
-  sequential execution would).  Per-query results are
+  the :class:`~repro.exec.cache.TileDecodeCache`, and every query's requests
+  against that SOT are answered immediately afterwards, while its tiles are
+  the cache's most recently used entries — so a cache that holds one SOT's
+  working set serves hits even when the batch's whole working set is far
+  larger, and a SOT too big for the cache is simply not warmed (serving it
+  costs no more than sequential execution would).  Per-query results are
   byte-identical to sequential ``scan()`` calls — serving runs the same
   grouping, decode-depth, and assembly logic — but tiles shared between
   queries are decoded once instead of once per query.
+
+A batch runs on the thread that calls it; parallelism comes from running
+independent batches side by side (the service layer's runner pool), which is
+where Scanner gets its own.
 
 Decode-work accounting never double-counts: a cache hit contributes to the
 ``cache_hits`` / ``pixels_served_from_cache`` counters, not to the P/T decode
@@ -31,7 +34,6 @@ counters, so summing the batch's stats reproduces the work actually done.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -107,10 +109,8 @@ class BatchResult:
     stats: DecodeStats = field(default_factory=DecodeStats)
     cache: CacheStats = field(default_factory=CacheStats)
     index_seconds: float = 0.0
-    #: Aggregate decoder time spent prefetching (warm) and answering queries
-    #: (serve).  These sum per-SOT decode times, so with ``executor_threads``
-    #: > 1 the warm figure can exceed the wall-clock time of the overlapped
-    #: prefetches — compare decode *work* across runs with ``stats`` instead.
+    #: Decoder time spent warming SOTs and answering queries from them, each
+    #: the sum of its per-SOT decode times.
     warm_seconds: float = 0.0
     serve_seconds: float = 0.0
 
@@ -199,7 +199,6 @@ class QueryExecutor:
     def execute_batch(
         self,
         queries: Sequence[Query],
-        max_workers: int | None = None,
         observer: Callable[[StreamEvent], None] | None = None,
         cancelled: Callable[[int], bool] | None = None,
         trace_sink: Callable[..., None] | None = None,
@@ -211,34 +210,39 @@ class QueryExecutor:
         ``TasmConfig.decode_cache_bytes``) the batch shares it — warm entries
         from earlier scans are reused and survivors stay for later ones.
         Otherwise an unbounded cache scoped to this batch provides the
-        intra-batch sharing.  ``max_workers`` overrides
-        ``TasmConfig.executor_threads`` for the SOT prefetch fan-out.
+        intra-batch sharing.
 
-        ``observer``, when given, receives streaming events from the serving
-        thread: a :class:`PartialResult` the moment each SOT's regions for a
-        query are assembled (before later SOTs have been decoded) and a
+        The batch is one loop over the ``(video, SOT)`` keys its queries
+        touch, ascending, on the calling thread: warm the SOT (decode the
+        union of what its queries need into the cache), then serve each
+        interested query from it.  SOT order is ascending per video, so each
+        query's regions accumulate in the order a sequential scan produces.
+
+        ``observer``, when given, receives streaming events: a
+        :class:`PartialResult` the moment each SOT's regions for a query are
+        assembled (before later SOTs have been decoded) and a
         :class:`QueryDone` once a query's last SOT is served — the hook the
         service layer streams per-SOT results to clients through.  Events for
         one query arrive in result order; a query touching no SOT completes
         immediately after planning.
 
         Observer threading contract: every event of one ``execute_batch``
-        call is emitted synchronously from the single thread driving that
-        call's serve phase (the prefetch pool never emits), so per-batch
-        event order needs no locking.  ``execute_batch`` itself may be called
-        from several threads at once (the service layer's batch-runner pool
-        does); each call emits only to its own observer, but an observer
-        closing over shared state — counters, a stats sink — must synchronise
-        that state itself.  An observer that *blocks* (e.g. backpressure on a
-        full stream buffer) suspends its batch, including the read locks the
-        batch holds; it must be unblockable (the service layer's streams drop
-        pushes once a stream reaches terminal state for exactly this reason).
+        call is emitted synchronously from the thread that made the call, so
+        per-batch event order needs no locking.  ``execute_batch`` itself may
+        be called from several threads at once (the service layer's
+        batch-runner pool does); each call emits only to its own observer,
+        but an observer closing over shared state — counters, a stats sink —
+        must synchronise that state itself.  An observer that *blocks* (e.g.
+        backpressure on a full stream buffer) suspends its batch, including
+        the read locks the batch holds; it must be unblockable (the service
+        layer's streams drop pushes once a stream reaches terminal state for
+        exactly this reason).
 
         ``cancelled``, when given, is polled with a query's index before work
         is done on its behalf: a query reported cancelled has its remaining
         per-SOT serves skipped (no further observer events fire for it), and
-        a SOT *every* interested query has abandoned is neither prefetched
-        nor served — so an abandoned scan stops consuming decode time within
+        a SOT *every* interested query has abandoned is neither warmed nor
+        served — so an abandoned scan stops consuming decode time within
         roughly one SOT (one GOP at the default layout duration) instead of
         running to completion for nobody.  Its entry in ``results`` holds
         whatever had been assembled before cancellation.
@@ -249,18 +253,16 @@ class QueryExecutor:
         re-queued after a runner crash, or re-submitted by a reconnecting
         client, passes the SOT indices whose chunks were already delivered,
         and the remaining SOTs are planned, decoded, and streamed exactly as
-        the uninterrupted run would have ordered them (per-video SOT order is
-        ascending), so the concatenation of delivered chunks stays
-        byte-identical to a fault-free run.
+        the uninterrupted run would have ordered them, so the concatenation
+        of delivered chunks stays byte-identical to a fault-free run.
 
         ``trace_sink``, when given, receives per-stage timings as
         ``trace_sink(query_index, stage, seconds, **meta)``: a ``plan`` call
-        per query (index-lookup time), a ``warm`` call per prefetched SOT
-        with ``query_index=None`` (the decode is shared by the batch), and a
+        per query (index-lookup time), a ``warm`` call per warmed SOT with
+        ``query_index=None`` (the decode is shared by the batch), and a
         ``serve`` call per (query, SOT) pair carrying cache hit/miss and
-        pixel counts.  Every call comes from the batch's single serving
-        thread (the prefetch pool reports through its collected results), so
-        a sink needs no locking against this batch.
+        pixel counts.  Every call comes from the calling thread, so a sink
+        needs no locking against this batch.
 
         Like ``execute``, the batch holds read locks on each touched video
         while planning (released before decoding, so metadata writes only
@@ -268,255 +270,136 @@ class QueryExecutor:
         for the decode's duration, so concurrent re-tiles serialize against
         it instead of corrupting it.
         """
-        locks = self._tasm.locks
+        tasm = self._tasm
+        locks = tasm.locks
         video_held = locks.acquire_read(
             {(query.video, VIDEO_LEVEL) for query in queries}
         )
-        sot_held: list = []
         try:
-            return self._execute_batch_locked(
-                queries,
-                max_workers,
-                observer,
-                cancelled,
-                trace_sink,
-                skip_sots,
-                locks,
-                video_held,
-                sot_held,
-            )
+            plans = [
+                self._plan(query, skip or ())
+                for query, skip in zip_longest(queries, skip_sots or ())
+            ]
+            if trace_sink is not None:
+                for plan_index, plan in enumerate(plans):
+                    trace_sink(plan_index, "plan", plan.index_seconds)
+            # Per (video, SOT): which queries want which piece of it.
+            members: dict[tuple[str, int], list[tuple[int, ScanPiece]]] = {}
+            for plan_index, plan in enumerate(plans):
+                for sot_index, piece in plan.sot_requests:
+                    members.setdefault((plan.video, sot_index), []).append((plan_index, piece))
+            # Decodes happen under read locks on every SOT the batch touches,
+            # so no retile can swap a bitstream mid-batch; the video-level
+            # keys guard planning only and go back first, so metadata writes
+            # need not wait out the decode phase.
+            sot_held = locks.acquire_read(members)
         finally:
             locks.release_read(video_held)
+        try:
+            cache = tasm.tile_cache
+            batch_scoped_cache = cache is None
+            if batch_scoped_cache:
+                cache = TileDecodeCache(capacity_bytes=None)
+                decoder = VideoDecoder(tasm.config.codec, cache=cache)
+            else:
+                decoder = tasm._decoder
+            batch = BatchResult(
+                results=[
+                    ScanResult(video=plan.video, index_seconds=plan.index_seconds)
+                    for plan in plans
+                ],
+                index_seconds=sum(plan.index_seconds for plan in plans),
+            )
+            # How many SOTs each query still waits on; it is done at zero.
+            pending_sots = [len(plan.sot_requests) for plan in plans]
+            if observer is not None:
+                for plan_index, remaining in enumerate(pending_sots):
+                    if remaining == 0 and not (cancelled is not None and cancelled(plan_index)):
+                        observer(QueryDone(plan_index, batch.results[plan_index]))
+
+            # Each SOT is served right after it is warmed, while its tiles are
+            # the cache's most recently used entries: a cache holding one SOT's
+            # working set serves hits however large the batch is (the warm
+            # itself skips any SOT too big for the cache).
+            for (video, sot_index), group in sorted(members.items()):
+                if cancelled is not None and all(cancelled(index) for index, _ in group):
+                    for plan_index, _ in group:
+                        pending_sots[plan_index] -= 1
+                    continue
+                if self._fault_decode is not None and self._fault_decode.should_fire():
+                    raise CodecError(
+                        f"injected decoder fault prefetching {video!r} SOT {sot_index}"
+                    )
+                encoded = tasm.catalog.get(video).encoded_sot(sot_index)
+                # A SOT one query wants is warmed from that query's own piece,
+                # so warm and serve share its memoised decode plan; a union of
+                # several is planned for this warm only.
+                warm = decoder.prefetch_regions(
+                    encoded,
+                    group[0][1]
+                    if len(group) == 1
+                    else [request for _, piece in group for request in piece.requests],
+                    scope=video,
+                )
+                batch.stats.merge(warm.stats)
+                batch.warm_seconds += warm.elapsed_seconds
+                if trace_sink is not None:
+                    trace_sink(None, "warm", warm.elapsed_seconds, video=video, sot=sot_index)
+                for plan_index, piece in group:
+                    pending_sots[plan_index] -= 1
+                    if cancelled is not None and cancelled(plan_index):
+                        continue
+                    result = batch.results[plan_index]
+                    regions_before = len(result.regions)
+                    decoded = decoder.decode_regions(encoded, piece, scope=video)
+                    self._apply_decoded(result, decoded)
+                    result.decode_seconds += decoded.elapsed_seconds
+                    batch.serve_seconds += decoded.elapsed_seconds
+                    if trace_sink is not None:
+                        trace_sink(
+                            plan_index,
+                            "serve",
+                            decoded.elapsed_seconds,
+                            video=video,
+                            sot=sot_index,
+                            cache_hits=decoded.stats.cache_hits,
+                            cache_misses=decoded.stats.cache_misses,
+                            pixels_decoded=decoded.stats.pixels_decoded,
+                            pixels_from_cache=decoded.stats.pixels_served_from_cache,
+                        )
+                    if observer is not None:
+                        observer(
+                            PartialResult(
+                                query_index=plan_index,
+                                video=video,
+                                sot_index=sot_index,
+                                regions=tuple(result.regions[regions_before:]),
+                            )
+                        )
+                        if pending_sots[plan_index] == 0:
+                            observer(QueryDone(plan_index, result))
+                if batch_scoped_cache:
+                    # A served SOT is never revisited, so a batch-scoped cache
+                    # lets it go: peak memory stays near one SOT's working
+                    # set, not the batch's whole decoded working set.
+                    cache.invalidate_sot(video, sot_index)
+        finally:
             locks.release_read(sot_held)
 
-    def _execute_batch_locked(
-        self,
-        queries: Sequence[Query],
-        max_workers: int | None,
-        observer: Callable[[StreamEvent], None] | None,
-        cancelled: Callable[[int], bool] | None,
-        trace_sink: Callable[..., None] | None,
-        skip_sots: "Sequence[object | None] | None",
-        locks,
-        video_held: list,
-        sot_held: list,
-    ) -> BatchResult:
-        # Resume support: a query's ``skip_sots`` — the SOTs whose chunks the
-        # caller already holds — are never planned; the remaining SOTs stream
-        # in the same ascending order the uninterrupted plan would serve them.
-        plans = [
-            self._plan(query, skip or ())
-            for query, skip in zip_longest(queries, skip_sots or ())
-        ]
-        index_seconds = sum(plan.index_seconds for plan in plans)
-        if trace_sink is not None:
-            for plan_index, plan in enumerate(plans):
-                trace_sink(plan_index, "plan", plan.index_seconds)
-
-        cache = self._tasm.tile_cache
-        batch_scoped_cache = cache is None
-        if cache is not None:
-            decoder = self._tasm._decoder
-        else:
-            cache = TileDecodeCache(capacity_bytes=None)
-            decoder = VideoDecoder(self._tasm.config.codec, cache=cache)
-
-        # Per (video, SOT): which queries want which requests.  The serve
-        # phase assembles each member's piece; the warm phase decodes their
-        # union (see ``_prefetch``).
-        members: dict[tuple[str, int], list[tuple[int, ScanPiece]]] = {}
-        for plan_index, plan in enumerate(plans):
-            for sot_index, piece in plan.sot_requests:
-                members.setdefault((plan.video, sot_index), []).append((plan_index, piece))
-
-        # Decodes happen under read locks on every SOT the batch touches, so
-        # no retile can swap a bitstream mid-batch; the video-level keys have
-        # done their job (planning is over) and are released so metadata
-        # writes need not wait out the decode phase.
-        sot_held += locks.acquire_read(members)
-        locks.release_read(video_held)
-        video_held.clear()
-
-        # Materialise encoded SOTs up front: the serve phase needs them
-        # anyway, and doing it before the prefetch fan-out keeps the pool
-        # threads decode-only (first-touch encoding itself is serialised by
-        # TiledVideo's encode lock, so concurrent batches are safe too).
-        encoded = {
-            (video, sot_index): self._tasm.catalog.get(video).encoded_sot(sot_index)
-            for video, sot_index in members
-        }
-
-        results = [
-            ScanResult(video=plan.video, index_seconds=plan.index_seconds)
-            for plan in plans
-        ]
-        # Streaming bookkeeping: how many SOT groups each query still waits
-        # on; a query is done the moment its count reaches zero.
-        pending_sots = [len(plan.sot_requests) for plan in plans]
-
-        def _is_cancelled(plan_index: int) -> bool:
-            return cancelled is not None and cancelled(plan_index)
-
-        def _fully_cancelled(key: tuple[str, int]) -> bool:
-            """True when every query interested in this SOT has been abandoned."""
-            return cancelled is not None and all(
-                cancelled(plan_index) for plan_index, _ in members[key]
-            )
-
-        if observer is not None:
-            for plan_index, remaining in enumerate(pending_sots):
-                if remaining == 0 and not _is_cancelled(plan_index):
-                    observer(QueryDone(plan_index, results[plan_index]))
-        warm_stats = DecodeStats()
-        warm_seconds = 0.0
-        serve_seconds = 0.0
-        workers = max_workers if max_workers is not None else self._tasm.config.executor_threads
-
-        fault_decode = self._fault_decode
-
-        def _prefetch(key: tuple[str, int]) -> DecodeResult:
-            if fault_decode is not None and fault_decode.should_fire():
-                raise CodecError(
-                    f"injected decoder fault prefetching {key[0]!r} SOT {key[1]}"
-                )
-            # A SOT one query wants is warmed from that query's own piece, so
-            # warm and serve share its memoised decode plan; a union of several
-            # is planned here, for this prefetch only.
-            group = members[key]
-            requests = (
-                group[0][1]
-                if len(group) == 1
-                else [request for _, piece in group for request in piece.requests]
-            )
-            return decoder.prefetch_regions(encoded[key], requests, scope=key[0])
-
-        def _serve_group(key: tuple[str, int]) -> float:
-            """Answer every query's requests for one SOT from the warm cache."""
-            elapsed = 0.0
-            for plan_index, requests in members[key]:
-                if _is_cancelled(plan_index):
-                    pending_sots[plan_index] -= 1
-                    continue
-                result = results[plan_index]
-                regions_before = len(result.regions)
-                decoded = decoder.decode_regions(encoded[key], requests, scope=key[0])
-                self._apply_decoded(result, decoded)
-                result.decode_seconds += decoded.elapsed_seconds
-                elapsed += decoded.elapsed_seconds
-                if trace_sink is not None:
-                    trace_sink(
-                        plan_index,
-                        "serve",
-                        decoded.elapsed_seconds,
-                        video=key[0],
-                        sot=key[1],
-                        cache_hits=decoded.stats.cache_hits,
-                        cache_misses=decoded.stats.cache_misses,
-                        pixels_decoded=decoded.stats.pixels_decoded,
-                        pixels_from_cache=decoded.stats.pixels_served_from_cache,
-                    )
-                pending_sots[plan_index] -= 1
-                if observer is not None:
-                    observer(
-                        PartialResult(
-                            query_index=plan_index,
-                            video=key[0],
-                            sot_index=key[1],
-                            regions=tuple(result.regions[regions_before:]),
-                        )
-                    )
-                    if pending_sots[plan_index] == 0:
-                        observer(QueryDone(plan_index, result))
-            if batch_scoped_cache:
-                # Served SOTs are never revisited (ordered_keys is visited
-                # once, ascending), so a batch-scoped cache can release them —
-                # peak memory stays near one prefetch window, not the batch's
-                # whole decoded working set.
-                cache.invalidate_sot(key[0], key[1])
-            return elapsed
-
-        # Each SOT is served immediately after its prefetch: its tiles are the
-        # most recently used entries, so a cache holding one SOT's working
-        # set serves hits however large the batch is (prefetch itself skips
-        # any SOT too big for the cache).  The thread pool keeps at most
-        # `workers` prefetches in flight ahead of the serve cursor for the
-        # same reason — submitting every SOT at once would let late
-        # prefetches evict tiles not yet served; for full hits under
-        # threading, size decode_cache_bytes to at least executor_threads
-        # SOT working sets.  SOT order is ascending per video, so each
-        # query's regions accumulate in the same order a sequential scan
-        # would produce them.
-        def _skip_group(key: tuple[str, int]) -> None:
-            """Bookkeeping for a SOT every interested query has abandoned."""
-            for plan_index, _ in members[key]:
-                pending_sots[plan_index] -= 1
-            if batch_scoped_cache:
-                cache.invalidate_sot(key[0], key[1])
-
-        ordered_keys = sorted(members)
-        if workers > 1 and len(ordered_keys) > 1:
-            window = min(workers, len(ordered_keys))
-            with ThreadPoolExecutor(max_workers=window) as pool:
-                in_flight: dict[tuple[str, int], object] = {}
-                next_submit = 0
-                for cursor, key in enumerate(ordered_keys):
-                    while next_submit < len(ordered_keys) and next_submit - cursor < window:
-                        pending_key = ordered_keys[next_submit]
-                        # A fully abandoned SOT is not worth a prefetch slot;
-                        # checked again at serve time for ones already warming.
-                        if not _fully_cancelled(pending_key):
-                            in_flight[pending_key] = pool.submit(_prefetch, pending_key)
-                        next_submit += 1
-                    future = in_flight.pop(key, None)
-                    if future is not None:
-                        warm = future.result()
-                        warm_stats.merge(warm.stats)
-                        warm_seconds += warm.elapsed_seconds
-                        if trace_sink is not None:
-                            trace_sink(
-                                None, "warm", warm.elapsed_seconds,
-                                video=key[0], sot=key[1],
-                            )
-                    if _fully_cancelled(key):
-                        _skip_group(key)
-                        continue
-                    serve_seconds += _serve_group(key)
-        else:
-            for key in ordered_keys:
-                if _fully_cancelled(key):
-                    _skip_group(key)
-                    continue
-                warm = _prefetch(key)
-                warm_stats.merge(warm.stats)
-                warm_seconds += warm.elapsed_seconds
-                if trace_sink is not None:
-                    trace_sink(
-                        None, "warm", warm.elapsed_seconds, video=key[0], sot=key[1]
-                    )
-                serve_seconds += _serve_group(key)
-
-        total = DecodeStats()
-        total.merge(warm_stats)
-        for result in results:
-            total.merge(result.stats)
+        for result in batch.results:
+            batch.stats.merge(result.stats)
         # Cache accounting comes from this batch's own decode counters, not a
         # delta of the shared cache's global stats: with a pool of batch
         # runners, concurrent batches interleave their lookups on one cache,
         # and a snapshot delta would attribute other batches' traffic to this
         # one.  (Insertions/evictions are cache-global by nature and are
         # reported by the cache itself, not per batch.)
-        return BatchResult(
-            results=results,
-            stats=total,
-            cache=CacheStats(
-                hits=total.cache_hits,
-                misses=total.cache_misses,
-                pixels_served=total.pixels_served_from_cache,
-            ),
-            index_seconds=index_seconds,
-            warm_seconds=warm_seconds,
-            serve_seconds=serve_seconds,
+        batch.cache = CacheStats(
+            hits=batch.stats.cache_hits,
+            misses=batch.stats.cache_misses,
+            pixels_served=batch.stats.pixels_served_from_cache,
         )
+        return batch
 
     # ------------------------------------------------------------------
     # Internals

@@ -92,15 +92,6 @@ class Rectangle:
             min(self.y2, other.y2),
         )
 
-    def union_bounds(self, other: "Rectangle") -> "Rectangle":
-        """Return the smallest rectangle containing both rectangles."""
-        return Rectangle(
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )
-
     def contains(self, other: "Rectangle") -> bool:
         """Return True when ``other`` lies entirely within this rectangle."""
         return (
@@ -109,9 +100,6 @@ class Rectangle:
             and self.x2 >= other.x2
             and self.y2 >= other.y2
         )
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
 
     def intersection_area(self, other: "Rectangle") -> float:
         overlap = self.intersection(other)

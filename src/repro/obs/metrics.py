@@ -5,7 +5,7 @@ implemented for this codebase's hot paths:
 
 * :class:`Counter` — a monotonically increasing float.
 * :class:`Gauge` — a point-in-time value, either set explicitly or read
-  through a callback at snapshot time (queue depth, cache bytes, outbox
+  through a callback at snapshot time (queue depth, cache bytes, reply-queue
   depth all fall out of existing structures, so sampling them lazily keeps
   the hot path untouched).
 * :class:`Histogram` — fixed, cumulative buckets plus a running sum/count.
@@ -138,7 +138,7 @@ class Gauge:
 
     def set_callback(self, callback: Callable[[], float] | None) -> None:
         """Make the gauge read ``callback()`` at snapshot time instead of a
-        stored value (how queue depth, cache bytes, and outbox depth are
+        stored value (how queue depth, cache bytes, and reply-queue depth are
         exposed without touching their hot paths)."""
         with self._lock:
             self._callback = callback

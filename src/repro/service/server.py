@@ -140,11 +140,7 @@ class TasmServer:
         elif tasm.tile_cache is None:
             # A server without a shared cache cannot share decodes across
             # clients; grant the TASM one rather than silently serving cold.
-            tasm.tile_cache = TileDecodeCache(
-                cache_bytes or DEFAULT_SERVER_CACHE_BYTES,
-                eviction_policy=tasm.config.eviction_policy,
-                cost=tasm.config.cost,
-            )
+            tasm.tile_cache = TileDecodeCache(cache_bytes or DEFAULT_SERVER_CACHE_BYTES)
             tasm._decoder.cache = tasm.tile_cache
         self.tasm = tasm
         #: The server's observability surface (metrics registry, per-query

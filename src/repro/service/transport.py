@@ -665,16 +665,16 @@ class SocketTransport:
             # Total reply frames parked behind connection writers: a growing
             # depth means the wire (or a slow client socket) is the bottleneck.
             obs.registry.gauge(
-                "tasm_outbox_depth",
+                "tasm_reply_queue_depth",
                 "Reply frames queued on connections awaiting the writer.",
-            ).set_callback(self._outbox_depth)
+            ).set_callback(self._reply_queue_depth)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="tasm-socket-accept", daemon=True
         )
         self._accept_thread.start()
         return self
 
-    def _outbox_depth(self) -> int:
+    def _reply_queue_depth(self) -> int:
         with self._connections_lock:
             connections = list(self._connections)
         return sum(len(connection._replies) for connection in connections)
@@ -1700,7 +1700,13 @@ class RemoteTasmClient:
                     # the new server never executes a scan nobody awaits.
                     try:
                         stream.resume(stream._resubmit)
-                    except (ServiceError, OSError) as error:
+                    except OSError:
+                        # The connection just dialled dropped mid-resume.
+                        # Every stream is still in the table: the reader's
+                        # next failed read reconnects again and resumes them
+                        # all (``resume`` keeps no state, so twice is safe).
+                        break
+                    except ServiceError as error:
                         if self._forget_stream(query_id):
                             if isinstance(error, DeadlineExceeded):
                                 self.deadline_fast_fails += 1

@@ -17,6 +17,7 @@ from repro.config import CodecConfig, TasmConfig
 from repro.core.policies import IncrementalRegretPolicy
 from repro.core.tasm import TASM
 from repro.datasets import visual_road_scene
+from repro.geometry import Rectangle
 from repro.video.synthetic import (
     LinearMotion,
     ObjectTrack,
@@ -67,6 +68,16 @@ def codec_config() -> CodecConfig:
 @pytest.fixture
 def config(codec_config: CodecConfig) -> TasmConfig:
     return TasmConfig(codec=codec_config)
+
+
+def union_bounds(a: Rectangle, b: Rectangle) -> Rectangle:
+    """The smallest rectangle containing both rectangles (a test oracle)."""
+    return Rectangle(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
+
+
+def contains_point(rectangle: Rectangle, x: float, y: float) -> bool:
+    """Half-open point membership (a test oracle)."""
+    return rectangle.x1 <= x < rectangle.x2 and rectangle.y1 <= y < rectangle.y2
 
 
 def build_tiny_video(

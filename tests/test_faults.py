@@ -34,6 +34,7 @@ The contracts pinned here, layer by layer:
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
@@ -976,6 +977,80 @@ class TestReconnectResume:
                 reference.scan(video.name, "person"),
             )
         finally:
+            client.close()
+            transport.stop()
+            server.stop()
+
+    def test_replacement_connection_dropped_mid_resume(self, config):
+        """The connection a reconnect just dialled dies while the sweep is
+        still resuming streams over it.  The ``OSError`` a resume's send then
+        raises is the wire's, not the stream's: the sweep stops, the reader's
+        next read fails, and the second reconnect resumes every stream — the
+        old behaviour failed each stream the dead socket refused."""
+        # Drop sees hello (1), a chunk (2), and kills the first connection at
+        # the third frame.  Cut sees hello (1), that chunk (2), the
+        # replacement's hello (3), and cuts the replacement at its first
+        # frame: the first chunk the first resumed stream is owed.
+        plan = FaultPlan(
+            [
+                FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1),
+                FaultSpec(FAULT_TRANSPORT_CUT, skip_first=3, max_fires=1),
+            ],
+            seed=13,
+        )
+        # One runner, parked on the first scan's first SOT: the other two
+        # queue behind it, so all three are in flight when the drop fires.
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        reference, _ = make_tasm(config)
+        gate = threading.Event()
+        calls, original_prefetch = gate_decoder(server.tasm, gate, hold_call=1)
+        transport = SocketTransport(server).start()
+        client = RemoteTasmClient(
+            transport.address, timeout=30.0, use_shm=False, retry=RETRY
+        )
+        first_sweep: list[int] = []
+        refused: list[OSError] = []
+        original_send = client._send
+
+        def paced_send(message):
+            """Hold the first sweep's later resumes until the server has cut
+            the replacement, so they meet a dead socket every run (a send
+            onto it draws the RST that fails the one after)."""
+            if message.get("op") != "scan" or client.retries_total != 1:
+                return original_send(message)
+            first_sweep.append(message["id"])
+            if len(first_sweep) > 1:
+                assert wait_until(
+                    lambda: plan.fires()[FAULT_TRANSPORT_CUT] == 1
+                    and not transport._connections
+                )
+            if len(first_sweep) > 2:
+                hung_up = select.poll()
+                hung_up.register(client._sock, 0)  # POLLHUP / POLLERR only
+                hung_up.poll(5000)
+            try:
+                return original_send(message)
+            except OSError as error:
+                refused.append(error)
+                raise
+
+        client._send = paced_send
+        try:
+            streams = {LABELS[0]: client.scan_streaming(video.name, LABELS[0])}
+            assert wait_until(lambda: len(calls) >= 1)
+            for label in LABELS[1:]:
+                streams[label] = client.scan_streaming(video.name, label)
+            gate.set()
+            for label, stream in streams.items():
+                assert_scan_results_identical(
+                    stream.result(), reference.scan(video.name, label)
+                )
+            assert refused, "the first sweep never met the dead replacement"
+            assert client.retries_total == 2
+            assert plan.fires() == {FAULT_TRANSPORT_DROP: 1, FAULT_TRANSPORT_CUT: 1}
+        finally:
+            gate.set()
+            server.tasm._decoder.prefetch_regions = original_prefetch
             client.close()
             transport.stop()
             server.stop()

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import LayoutError
 from repro.geometry import Rectangle
 from repro.tiles.layout import TileLayout, VideoLayoutSpec, uniform_layout, untiled_layout
+from tests.conftest import contains_point
 
 
 class TestTileLayoutValidation:
@@ -179,7 +180,7 @@ def test_every_point_belongs_to_exactly_one_tile(layout: TileLayout, x: int, y: 
     containing = [
         index
         for index, rectangle in enumerate(layout.tile_rectangles())
-        if rectangle.contains_point(x, y)
+        if contains_point(rectangle, x, y)
     ]
     assert len(containing) == 1
     assert containing[0] == layout.tile_containing_point(x, y)

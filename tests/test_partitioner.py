@@ -9,6 +9,7 @@ from repro.config import CodecConfig
 from repro.errors import LayoutError
 from repro.geometry import Rectangle
 from repro.tiles.partitioner import TileGranularity, partition_around_boxes
+from tests.conftest import union_bounds
 
 CODEC = CodecConfig(block_size=8, min_tile_width=16, min_tile_height=16, gop_frames=5, frame_rate=5)
 FRAME_W, FRAME_H = 160, 128
@@ -81,7 +82,7 @@ class TestGranularity:
     def test_coarse_keeps_all_boxes_in_one_tile(self):
         boxes = [Rectangle(40, 40, 56, 56), Rectangle(72, 64, 96, 88)]
         coarse = partition(boxes, TileGranularity.COARSE)
-        bounding = boxes[0].union_bounds(boxes[1])
+        bounding = union_bounds(boxes[0], boxes[1])
         containing = [r for r in coarse.tile_rectangles() if r.contains(bounding)]
         assert len(containing) == 1
 
