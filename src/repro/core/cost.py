@@ -14,7 +14,10 @@ pixels (and tiles) encoded, matching Section 5.3's description.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import accumulate
+from operator import or_
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from ..tiles.layout import TileLayout, untiled_layout
 __all__ = [
     "CostEstimate",
     "CostModel",
+    "SotCostTable",
     "WhatIfAnalyzer",
     "FittedCostModel",
     "fit_cost_model",
@@ -89,20 +93,54 @@ class CostModel:
         since the codec cannot decode part of a tile.
         """
         gop_frames = gop_frames or self.config.codec.gop_frames
-        areas, columns, span = layout.tile_areas, layout.columns, layout.tile_span
+        areas = layout.tile_areas
         pixels = 0
         opened: set[tuple[int, int]] = set()
         for frame_index, boxes in frame_boxes.items():
-            needed: set[int] = set()
-            for box in boxes:
-                row0, row1, col0, col1 = span(box)
-                for first in range(row0 * columns, row1 * columns, columns):
-                    needed.update(range(first + col0, first + col1))
             gop_index = frame_index // gop_frames
-            for tile_index in needed:
+            for tile_index in self._tiles_needed(layout, boxes):
                 pixels += areas[tile_index]
                 opened.add((gop_index, tile_index))
         tiles = len(opened)
+        return CostEstimate(pixels=pixels, tiles=tiles, cost=self.cost(pixels, tiles))
+
+    @staticmethod
+    def _tiles_needed(layout: TileLayout, boxes: Iterable[Rectangle]) -> set[int]:
+        """The tiles one frame's boxes touch: what decoding them there opens."""
+        columns, span = layout.columns, layout.tile_span
+        needed: set[int] = set()
+        for box in boxes:
+            row0, row1, col0, col1 = span(box)
+            for first in range(row0 * columns, row1 * columns, columns):
+                needed.update(range(first + col0, first + col1))
+        return needed
+
+    def sot_cost_table(
+        self, layout: TileLayout, boxes_per_frame: Iterable[Iterable[Rectangle]]
+    ) -> "SotCostTable":
+        """What :meth:`estimate_query_cost` needs of every frame of a SOT, so
+        that any window of it is a lookup (:meth:`window_cost`).
+        ``boxes_per_frame`` holds the boxes requested on each of the SOT's
+        frames, first frame first."""
+        areas = layout.tile_areas
+        needed = [self._tiles_needed(layout, boxes) for boxes in boxes_per_frame]
+        return SotCostTable(
+            (0, *accumulate(sum(areas[tile_index] for tile_index in tiles) for tiles in needed)),
+            tuple(sum(1 << tile_index for tile_index in tiles) for tiles in needed),
+        )
+
+    def window_cost(self, table: "SotCostTable", first: int, last: int) -> CostEstimate:
+        """The cost of frames ``[first, last)`` of ``table``'s SOT, counted
+        from its first frame (which starts a GOP): the integers
+        :meth:`estimate_query_cost` gives for the same frames.  A tile is
+        opened once per GOP, so T is, GOP by GOP, the bits set in the OR of
+        the window's frame masks."""
+        gop_frames, needed = self.config.codec.gop_frames, table.tiles_needed
+        pixels = table.pixels_before[last] - table.pixels_before[first]
+        tiles = sum(
+            reduce(or_, needed[max(first, start) : min(last, start + gop_frames)], 0).bit_count()
+            for start in range(first - first % gop_frames, last, gop_frames)
+        )
         return CostEstimate(pixels=pixels, tiles=tiles, cost=self.cost(pixels, tiles))
 
     def untiled_query_cost(
@@ -146,6 +184,16 @@ class CostModel:
         pixel_term = self.config.encode_cost_per_pixel * layout.frame_pixels * frame_count
         tile_term = self.config.encode_cost_per_tile * layout.tile_count * gop_count
         return pixel_term + tile_term
+
+
+class SotCostTable(NamedTuple):
+    """P and T of every frame of one SOT, for one predicate under one layout."""
+
+    #: ``pixels_before[k]``: the area of the tiles the first ``k`` frames
+    #: need, each frame's tiles counted on that frame (the P term is per frame).
+    pixels_before: tuple[int, ...]
+    #: Frame ``k``'s needed tiles, a bit per tile index.
+    tiles_needed: tuple[int, ...]
 
 
 class WhatIfAnalyzer:

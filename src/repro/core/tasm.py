@@ -40,7 +40,7 @@ from ..tiles.layout import TileLayout, untiled_layout
 from ..tiles.partitioner import TileGranularity, partition_around_boxes
 from ..video.decoder import RegionRequest, ScanPiece, VideoDecoder
 from ..video.video import Video
-from .cost import CostEstimate, CostModel, WhatIfAnalyzer
+from .cost import CostEstimate, CostModel
 from .predicates import LabelPredicate, TemporalPredicate
 from .query import Query, Workload
 from .scan import ScanResult
@@ -53,15 +53,19 @@ __all__ = ["TASM"]
 
 #: What-if answers kept per SOT between two index writes to it; past this the
 #: oldest goes.  With k labels seen, a regret step asks a SOT 2^k - 1 layouts
-#: (once) and 2^k + 1 estimates per distinct query window: ~25 windows at k = 3.
+#: and, per predicate, 2^k + 1 cost tables (current, untiled, each candidate):
+#: 16 answers per predicate at k = 3, whatever windows the queries have.  What
+#: a window adds is its scan piece, one per distinct (predicate, window).
 _WHAT_IF_ANSWERS_PER_SOT = 256
 #: Regions kept in memoised scan pieces, over all SOTs together (a piece counts
 #: at least one); past this the oldest piece goes.  A region is its
 #: ``RegionRequest`` and its decode-plan entry with two slices — 370 bytes
 #: measured on W3, about 0.5 KB when a conjunction's intersection brings its
 #: own ``Rectangle`` — so the pieces hold 8 MB at most, four times W3's 200
-#: queries.  (A bound on answers would not do: 256 answers x 20 SOTs of
-#: 30-region pieces is 75 MB.)
+#: queries.  That is the price of a region in a whole-SOT piece; a window's
+#: piece shares those objects and pays two references a region, but counts the
+#: same.  (A bound on answers would not do: 256 answers x 20 SOTs of 30-region
+#: pieces is 75 MB.)
 _MEMOISED_SCAN_REGIONS = 16_384
 
 
@@ -85,7 +89,6 @@ class TASM:
             raise QueryError(f"unknown semantic index backend {index_backend!r}")
         self.catalog = VideoCatalog(self.config)
         self.cost_model = CostModel(self.config)
-        self.what_if = WhatIfAnalyzer(self.cost_model)
         #: Readers-writer locks keyed on (video, SOT).  Scans take read locks
         #: and the write paths (add_metadata, retile_sot) take write locks, so
         #: a TASM shared across threads — the service layer's deployment —
@@ -307,11 +310,15 @@ class TASM:
     ) -> CostEstimate:
         """Estimated C(s, q, L) for one SOT, using the semantic index for boxes.
 
-        The other what-if question, memoised like :meth:`layout_around`: the
-        answer depends only on ``(SOT, predicate, the query's frame range
-        clipped to the SOT, L)`` and the index entries in that range.
-        ``layout=None`` means the SOT's current layout, resolved before the
-        memo is asked, so a re-tile needs no invalidation.
+        The other what-if question, memoised like :meth:`layout_around` — but
+        what is kept is not the answer: it is a
+        :class:`~repro.core.cost.SotCostTable` for ``(predicate, L)``, made
+        from the predicate's whole-SOT scan piece (:meth:`_scan_piece`), and
+        the query's frame range clipped to the SOT is read off it.  So a
+        window never asked about before costs what a repeated one does: no
+        index lookup, no box spanned over ``L``.  ``layout=None`` means the
+        SOT's current layout, resolved before the memo is asked, so a re-tile
+        needs no invalidation.
         """
         tiled = self.catalog.get(video_name)
         frame_start, frame_stop = tiled.frame_range(sot_index)
@@ -322,17 +329,16 @@ class TASM:
             return CostEstimate(0, 0, 0.0)
         if layout is None:
             layout = tiled.layout_for(sot_index)
-        question = (query.predicate, start, stop, layout)
+        question = (query.predicate, layout)
         answers = self._what_if_answers(tiled, sot_index)
-        estimate = answers.get(question)
-        if estimate is None:
-            estimate = self.cost_model.estimate_query_cost(
-                layout,
-                self._regions_by_frame(video_name, query.predicate, start, stop),
-                self.config.codec.gop_frames,
+        table = answers.get(question)
+        if table is None:
+            whole = self._scan_piece(tiled, sot_index, query.predicate, frame_start, frame_stop)
+            table = self.cost_model.sot_cost_table(
+                layout, ([request.region for request in frame] for frame in whole.frames())
             )
-            self._remember(answers, question, estimate)
-        return estimate
+            self._remember(answers, question, table)
+        return self.cost_model.window_cost(table, start - frame_start, stop - frame_start)
 
     def estimate_untiled_sot_query_cost(
         self, video_name: str, sot_index: int, query: Query
@@ -411,16 +417,23 @@ class TASM:
         the catalog and ingested again under its name is a different
         ``tiled``, so its predecessor's answers go the same way.)
 
-        Three kinds of question share a SOT's answers: ``layout_around``'s
-        ``(labels, granularity)``, ``estimate_sot_query_cost``'s ``(predicate,
-        start, stop, layout)`` and the scan path's ``(predicate, start,
-        stop)``, whose answer is a :class:`~repro.video.decoder.ScanPiece` —
-        see :meth:`_scan_piece`.  A re-tile moves no generation and drops
-        nothing here: layouts are part of the first two questions, and a
-        piece re-plans its decode when it meets an encoding it was not
-        planned for.  Each SOT keeps ``_WHAT_IF_ANSWERS_PER_SOT`` answers;
-        the pieces of all SOTs together keep ``_MEMOISED_SCAN_REGIONS``
-        regions (:meth:`_remember`).
+        Three kinds of question share a SOT's answers, and only the third has
+        a frame window in it:
+
+        * ``(labels, granularity)`` — :meth:`layout_around`'s layout;
+        * ``(predicate, layout)`` — the :class:`~repro.core.cost.SotCostTable`
+          that :meth:`estimate_sot_query_cost` reads every window's cost off;
+        * ``(predicate, start, stop)`` — the scan path's
+          :class:`~repro.video.decoder.ScanPiece` (:meth:`_scan_piece`).  The
+          one for the SOT's whole frame range is the predicate's frame table,
+          the only answer that takes an index lookup; the other pieces, and
+          the cost tables, are made from it.
+
+        A re-tile moves no generation and drops nothing here: a layout is
+        part of the first two questions, and a piece re-plans its decode when
+        it meets an encoding it was not planned for.  Each SOT keeps
+        ``_WHAT_IF_ANSWERS_PER_SOT`` answers; the pieces of all SOTs together
+        keep ``_MEMOISED_SCAN_REGIONS`` regions (:meth:`_remember`).
         """
         key = (tiled.name, sot_index)
         generation = self.semantic_index.generation(tiled.name, *tiled.frame_range(sot_index))
@@ -433,29 +446,39 @@ class TASM:
         self, tiled: TiledVideo, sot_index: int, predicate: LabelPredicate, start: int, stop: int
     ) -> ScanPiece:
         """What a scan of ``predicate`` over frames ``[start, stop)`` asks of
-        one SOT: its region requests there, in index order.
+        one SOT: its region requests there, by frame and in index order.
 
         The third what-if question, answered from the same per-SOT memo under
         the same rule: the piece depends only on ``(predicate, the window
-        clipped to the SOT)`` and the index entries in that range, so a
+        clipped to the SOT)`` and the index entries in the SOT's frames, so a
         repeated scan — or another scan whose window covers this SOT the same
         way — gets the same immutable :class:`ScanPiece` back until the index
-        is written in the SOT's frames, and planning it costs a generation
-        read and a dict probe.  Pieces are further bounded, over all SOTs, by
+        is written there, and planning it costs a generation read and a dict
+        probe.  A window not asked before is a slice of the piece of the whole
+        SOT, which is the one thing made from an index lookup: one
+        :meth:`_regions_by_frame` per SOT, predicate and generation, however
+        the windows slide.  Pieces are further bounded, over all SOTs, by
         ``_MEMOISED_SCAN_REGIONS`` (see :meth:`_remember`).
         """
-        sot_start, sot_stop = tiled.frame_range(sot_index)
+        sot_start, sot_stop = whole = tiled.frame_range(sot_index)
         question = (predicate, max(sot_start, start), min(sot_stop, stop))
         answers = self._what_if_answers(tiled, sot_index)
         piece = answers.get(question)
         if piece is None:
-            label = next(iter(predicate.labels)) if predicate.is_single_label else None
-            by_frame = self._regions_by_frame(tiled.name, *question)
-            piece = ScanPiece(
-                RegionRequest(frame_index, region, label)
-                for frame_index, regions in by_frame.items()
-                for region in regions
-            )
+            if question[1:] == whole:
+                label = next(iter(predicate.labels)) if predicate.is_single_label else None
+                by_frame = self._regions_by_frame(tiled.name, *question)
+                requests: list[RegionRequest] = []
+                offsets = [0]
+                for frame_index in range(sot_start, sot_stop):
+                    requests += [
+                        RegionRequest(frame_index, region, label)
+                        for region in by_frame.get(frame_index, ())
+                    ]
+                    offsets.append(len(requests))
+                piece = ScanPiece(requests, sot_start, offsets)
+            else:
+                piece = self._scan_piece(tiled, sot_index, predicate, *whole).window(*question[1:])
             self._remember(answers, question, piece, (tiled.name, sot_index))
         return piece
 

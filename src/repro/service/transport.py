@@ -99,7 +99,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
@@ -236,11 +236,15 @@ def _flat_views(buffers) -> list[memoryview]:
 def send_buffers(sock: socket.socket, views: list[memoryview]) -> None:
     """``sendall`` for a scatter list of flat views: one ``sendmsg`` when the
     kernel takes it whole, looped over partial sends and over lists longer
-    than ``IOV_MAX``."""
-    index = 0
-    while index < len(views):
+    than ``IOV_MAX`` (only then are the views, one per region, walked one
+    by one)."""
+    index, unsent = 0, sum(view.nbytes for view in views)
+    while unsent:
         sent = sock.sendmsg(views[index : index + _IOV_MAX])
-        while index < len(views) and sent >= views[index].nbytes:
+        unsent -= sent
+        if not unsent:
+            return
+        while sent >= views[index].nbytes:
             sent -= views[index].nbytes
             index += 1
         if sent:
@@ -1191,6 +1195,7 @@ class _Connection:
         scan.stream.trace.add_span(
             "wire", time.perf_counter() - scan.started, chunks=scan.sent
         )
+        stats = result.stats
         return _json_frame(
             {
                 "type": "done",
@@ -1198,7 +1203,14 @@ class _Connection:
                 "video": result.video,
                 "index_seconds": result.index_seconds,
                 "decode_seconds": result.decode_seconds,
-                "stats": asdict(result.stats),  # the client rebuilds DecodeStats(**stats)
+                "stats": {  # the client rebuilds DecodeStats(**stats)
+                    "pixels_decoded": stats.pixels_decoded,
+                    "tiles_decoded": stats.tiles_decoded,
+                    "frames_decoded": stats.frames_decoded,
+                    "cache_hits": stats.cache_hits,
+                    "cache_misses": stats.cache_misses,
+                    "pixels_served_from_cache": stats.pixels_served_from_cache,
+                },
             }
         )
 

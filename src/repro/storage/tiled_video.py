@@ -135,12 +135,10 @@ class TiledVideo:
         if layout == current and self.is_materialised(sot_index):
             return RetileRecord(sot_index, layout, 0, 0, 0, 0.0)
         self.layout_spec.set_layout(sot_index, layout)
-        encoded = self._encode(sot_index, layout, record=True)
+        self._encode(sot_index, layout, record=True)
         for listener in self._retile_listeners:
             listener(self.name, sot_index)
-        return self.retile_history[-1] if self.retile_history else RetileRecord(
-            sot_index, layout, 0, 0, encoded.size_bytes, encoded.encode_seconds
-        )
+        return self.retile_history[-1]
 
     def _encode(self, sot_index: int, layout: TileLayout, record: bool) -> EncodedSot:
         start, stop = self.layout_spec.frame_range(sot_index)

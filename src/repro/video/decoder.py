@@ -16,7 +16,9 @@ answer, here as in the cost model.  That answer, the integer clipping of each
 box and, for a box inside one tile, its two slices are the *decode plan*; a
 :class:`ScanPiece` keeps the plan of the encoding it was last served from, so
 once the tiles are reconstructed (or found in the cache) a repeated region
-costs one copy of a slice.
+costs one copy of a slice.  The plan is made once per SOT and encoding, for
+the piece that holds all the SOT's requests; the piece of any window of the
+SOT is a slice of those requests and its plan a slice of that plan.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,19 +70,45 @@ class _DecodePlan(NamedTuple):
 
 
 class ScanPiece:
-    """One scan's requests against one SOT, in index order — immutable, so it
-    can be memoised and handed to every scan that asks the same question.
+    """One scan's requests against one SOT, by frame and within a frame in
+    index order — immutable, so it can be memoised and handed to every scan
+    that asks the same question.
 
-    It carries the decode plan of the :class:`EncodedSot` it was last served
-    from.  The plan is checked by the encoding's identity: a re-tile installs
-    a new ``EncodedSot``, whose first serve re-plans once.
+    The piece of a whole SOT is its predicate's *frame table*: given
+    ``frame_offsets`` (where each of the SOT's frames starts in ``requests``,
+    and one past the last), :meth:`window` answers any frame window of the SOT
+    with a slice.  A piece carries the decode plan of the :class:`EncodedSot`
+    it was last served from.  The plan is checked by the encoding's identity:
+    a re-tile installs a new ``EncodedSot``, whose first serve re-plans once —
+    a window by slicing the plan of the piece it was cut from, while that
+    piece lives (it is held weakly: a window keeps alive only what it counts).
     """
 
-    __slots__ = ("requests", "_planned")
+    __slots__ = ("requests", "_frame_start", "_frame_offsets", "_cut_from", "_planned", "__weakref__")
 
-    def __init__(self, requests: Iterable[RegionRequest]):
+    def __init__(
+        self,
+        requests: Iterable[RegionRequest],
+        frame_start: int = 0,
+        frame_offsets: Sequence[int] = (),
+        cut_from: "tuple[weakref.ref, int, int] | None" = None,
+    ):
         self.requests = tuple(requests)
+        self._frame_start, self._frame_offsets = frame_start, frame_offsets
+        #: (the whole-SOT piece, first, last): ``requests`` is its ``[first:last]``.
+        self._cut_from = cut_from
         self._planned: tuple[weakref.ref, _DecodePlan] | None = None
+
+    def frames(self) -> Iterator[tuple[RegionRequest, ...]]:
+        """The requests of each frame the offsets cover, frame by frame."""
+        offsets = self._frame_offsets
+        return (self.requests[first:last] for first, last in zip(offsets, offsets[1:]))
+
+    def window(self, frame_start: int, frame_stop: int) -> "ScanPiece":
+        """The piece of frames ``[frame_start, frame_stop)`` of this SOT."""
+        first = self._frame_offsets[frame_start - self._frame_start]
+        last = self._frame_offsets[frame_stop - self._frame_start]
+        return ScanPiece(self.requests[first:last], cut_from=(weakref.ref(self), first, last))
 
 
 @dataclass
@@ -210,13 +238,35 @@ class VideoDecoder:
         return result
 
     def _plan_for(self, sot: EncodedSot, requests: "list[RegionRequest] | ScanPiece") -> _DecodePlan:
-        """The decode plan of ``requests`` against ``sot``: a piece's own when
-        it was made for this encoding, else :meth:`_plan`'s (kept, on a piece)."""
+        """The decode plan of ``requests`` against ``sot``.
+
+        A bare list is planned by :meth:`_plan` and the plan forgotten.  A
+        :class:`ScanPiece` keeps the plan made for the encoding it last met,
+        so a repeat costs an identity check.  Meeting a new encoding, the
+        piece of a whole SOT goes through :meth:`_plan` — the one place a box
+        is spanned over the tile grid and clipped, once per SOT, predicate and
+        encoding — and a window cut from it takes the ``served`` entries of
+        its own requests out of that plan, GOP by GOP, with tile depths and
+        working-set bytes worked out again from what it took.  (A window
+        whose whole-SOT piece has left the memo is planned as a list is.)
+        """
         if not isinstance(requests, ScanPiece):
             return self._plan(sot, requests)
         planned = requests._planned
         if planned is None or planned[0]() is not sot:
-            planned = requests._planned = (weakref.ref(sot), self._plan(sot, requests.requests))
+            cut_from = requests._cut_from
+            whole = cut_from[0]() if cut_from else None
+            if whole is None:
+                plan = self._plan(sot, requests.requests)
+            else:
+                _, first, last = cut_from
+                cut = []
+                for number, _, served in self._plan_for(sot, whole).gops:
+                    if first < len(served) and last > 0:
+                        cut.append((number, served[max(first, 0) : last]))
+                    first, last = first - len(served), last - len(served)
+                plan = self._with_depths(sot, cut)
+            planned = requests._planned = (weakref.ref(sot), plan)
         return planned[1]
 
     def _plan(self, sot: EncodedSot, requests: Iterable[RegionRequest]) -> _DecodePlan:
@@ -230,12 +280,11 @@ class VideoDecoder:
         layout = sot.layout
         tile_span, rows, columns = layout.tile_span, layout.row_edges, layout.column_edges
         width, height, stride = columns[-1], rows[-1], len(columns) - 1
-        plans: defaultdict[int, tuple[dict[int, int], list]] = defaultdict(lambda: ({}, []))
+        by_gop: defaultdict[int, list] = defaultdict(list)
         for request in requests:
             if not frame_start <= request.frame_index < frame_stop:
                 continue
             gop_number, offset = divmod(request.frame_index - frame_start, gop_frames)
-            tile_depth, served = plans[gop_number]
             box = request.region
             span = row0, row1, col0, col1 = tile_span(box)
             x1 = int(box.x1) if box.x1 > 0 else 0
@@ -244,24 +293,42 @@ class VideoDecoder:
             y2 = int(box.y2) if box.y2 < height else height
             if row1 - row0 == 1 and col1 - col0 == 1:
                 top, left = rows[row0], columns[col0]
-                served.append(
+                by_gop[gop_number].append(
                     (request, offset, row0 * stride + col0,
                      slice(y1 - top, y2 - top), slice(x1 - left, x2 - left))
                 )
             else:
-                served.append((request, offset, None, span, (x1, y1, x2, y2)))
-            for row in range(row0 * stride, row1 * stride, stride):
-                for tile_index in range(row + col0, row + col1):
-                    if tile_depth.get(tile_index, -1) < offset:
-                        tile_depth[tile_index] = offset
-        return _DecodePlan(
-            tuple((number, plans[number][0], tuple(plans[number][1])) for number in sorted(plans)),
-            sum(
-                sot.gops[number].tiles[tile_index].pixels_per_frame * (depth + 1)
-                for number, (tile_depth, _) in plans.items()
-                for tile_index, depth in tile_depth.items()
-            ),
-        )
+                by_gop[gop_number].append((request, offset, None, span, (x1, y1, x2, y2)))
+        return self._with_depths(sot, [(number, tuple(by_gop[number])) for number in sorted(by_gop)])
+
+    @staticmethod
+    def _with_depths(sot: EncodedSot, gops: list[tuple[int, tuple[tuple, ...]]]) -> _DecodePlan:
+        """The plan that serves ``gops`` — ``(GOP number, served)`` pairs: each
+        touched tile's depth is the deepest offset an entry of its GOP reaches
+        it at, tiles in the order the entries first touch them."""
+        stride = len(sot.layout.column_edges) - 1
+        planned, working_set = [], 0
+        for number, served in gops:
+            tile_depth: dict[int, int] = {}
+            for _, offset, tile_index, span, _ in served:
+                if tile_index is not None:
+                    touched = (tile_index,)
+                else:
+                    row0, row1, col0, col1 = span
+                    touched = [
+                        tile
+                        for row in range(row0 * stride, row1 * stride, stride)
+                        for tile in range(row + col0, row + col1)
+                    ]
+                for tile in touched:
+                    if tile_depth.get(tile, -1) < offset:
+                        tile_depth[tile] = offset
+            tiles = sot.gops[number].tiles
+            working_set += sum(
+                tiles[tile].pixels_per_frame * (depth + 1) for tile, depth in tile_depth.items()
+            )
+            planned.append((number, tile_depth, served))
+        return _DecodePlan(tuple(planned), working_set)
 
     def decode_full_frames(self, sot: EncodedSot, frame_indices: list[int]) -> DecodeResult:
         """Decode whole frames (every tile) — the untiled / stitching path."""

@@ -199,12 +199,13 @@ def flat_frames() -> list[np.ndarray]:
     return frames
 
 
-def run_w4_on_smoke_road(steps: int = 240):
+def run_w4_on_smoke_road(steps: int = 240, road: tuple = ("2K", 2.0)):
     """The ledger's ``adaptive_retile`` loop on its smoke road scene (384x224,
-    two 10-frame SOTs): W4's queries against an untiled video and an empty
-    index, each step indexing the frames it is first to see, executing, then
-    letting the regret policy re-tile physically.  Returns ``(tasm, video)``."""
-    video = visual_road_scene("ledger-road", "2K", 2.0, frame_rate=10, seed=101)
+    two 10-frame SOTs; ``road=("4K", 20.0)`` with 75 steps is its full scale):
+    W4's queries against an untiled video and an empty index, each step
+    indexing the frames it is first to see, executing, then letting the regret
+    policy re-tile physically.  Returns ``(tasm, video)``."""
+    video = visual_road_scene("ledger-road", *road, frame_rate=10, seed=101)
     codec = CodecConfig(gop_frames=10, frame_rate=10)
     tasm = TASM(TasmConfig(codec=codec, decode_cache_bytes=16 << 20))
     tasm.ingest(video).materialise_all()

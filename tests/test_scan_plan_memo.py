@@ -10,6 +10,13 @@ bytes, ``DecodeStats`` — equals the one a TASM with nothing memoised and no
 decode cache computes from the same index and layouts at that moment, on both
 index backends.  The region bound and the counts live in
 ``tests/test_warm_path_budget.py``.
+
+A window's piece is a slice of its SOT's whole piece, and its decode plan a
+slice of that piece's plan, so a second property asks random windows — cut by
+SOT boundaries, inside one GOP of a two-GOP SOT, across both — between writes
+and re-tiles, and holds every piece against the window's own index lookup and
+every plan, region and ``DecodeStats`` against a decoder handed the same
+requests as a bare list: no memo, no slice, no cache.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from repro.core.tasm import TASM
 from repro.geometry import BoundingBox
 from repro.index.base import IndexEntry
 from repro.index.semantic_index import BTreeSemanticIndex
-from repro.video.decoder import RegionRequest, ScanPiece
+from repro.video.codec import DecodeStats
+from repro.video.decoder import RegionRequest, ScanPiece, VideoDecoder
 
 from tests.test_what_if_memo import (
     CONFIG,
@@ -41,7 +49,11 @@ from tests.test_what_if_memo import (
     layout_choices,
     predicates,
     resolve,
+    selected,
+    sot_shapes,
+    window_operations,
     write,
+    write_within,
 )
 
 CACHE_BYTES = 64 * 1024 * 1024
@@ -130,6 +142,68 @@ def test_every_scan_equals_a_memo_less_scan(index_backend, cache_bytes, indexed_
             reference = fresh_over(tasm)
             for batch in asked[-3:]:  # what was memoised must survive the write, or go
                 check(tasm, batch, reference)
+
+
+def plan_as_lists(plan) -> list:
+    """A decode plan with its tile depths in the order the tiles are decoded."""
+    return [(number, list(depths.items()), served) for number, depths, served in plan.gops]
+
+
+@pytest.mark.parametrize("cache_bytes", [0, CACHE_BYTES])
+@sot_shapes
+@given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(window_operations, min_size=1, max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_every_window_is_the_slice_its_own_lookup_and_a_list_decode_give(
+    index_backend, sot_frames, cache_bytes, indexed_frames, program
+):
+    config = CONFIG.with_updates(sot_frames=sot_frames, decode_cache_bytes=cache_bytes)
+    tasm = TASM(config, index_backend=index_backend)
+    tiled = tasm.ingest(VIDEO)
+    tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
+    decoder = VideoDecoder(config.codec)  # no cache, and never shown a piece
+
+    def check(predicate, window) -> None:
+        query = Query(VIDEO.name, predicate, window)
+        start, stop = window.resolve(VIDEO.frame_count)
+        label = next(iter(predicate.labels)) if predicate.is_single_label else None
+        expected, regions, stats = [], [], DecodeStats()
+        for sot_index in tiled.sots_for_frames(start, stop):
+            sot_start, sot_stop = tiled.frame_range(sot_index)
+            requests = tuple(
+                RegionRequest(frame, region, label)
+                for frame, boxes in selected(
+                    tasm, predicate, max(start, sot_start), min(stop, sot_stop)
+                ).items()
+                for region in boxes
+            )
+            if requests:
+                expected.append((sot_index, requests))
+        pieces = tasm._executor._plan(query).sot_requests
+        assert [(sot_index, piece.requests) for sot_index, piece in pieces] == expected
+        result = tasm.execute(query)
+        for sot_index, piece in pieces:
+            encoded = tiled.encoded_sot(sot_index)
+            plan, listed = tasm._decoder._plan_for(encoded, piece), decoder._plan(encoded, piece.requests)
+            assert plan_as_lists(plan) == plan_as_lists(listed)
+            assert plan.working_set_bytes == listed.working_set_bytes
+            decoded = decoder.decode_regions(encoded, list(piece.requests))
+            regions += decoded.regions
+            stats.merge(decoded.stats)
+        assert regions_of(result) == [
+            (r.frame_index, r.region, r.label, r.pixels.shape, r.pixels.tobytes()) for r in regions
+        ]
+        if not cache_bytes:
+            assert result.stats == stats
+
+    asked: list[tuple] = []
+    for operation in program:
+        if operation[0] == "window":
+            asked.append(operation[1:3])
+            check(*asked[-1])
+        else:
+            write_within(tasm, operation)
+            for window in asked[-2:]:  # a write or a re-tile between two windows of a SOT
+                check(*window)
 
 
 def indexed(tasm: TASM) -> TASM:

@@ -355,6 +355,11 @@ class TestSocketTransport:
                         video.name, "person", TemporalPredicate.between(0, 7)
                     )
                     assert_scan_results_identical(ranged, expected)
+                    # The done frame names DecodeStats' fields one by one: a
+                    # warm remote scan reports what a warm in-process one does.
+                    local = server.connect().scan(video.name, "car")
+                    assert client.scan(video.name, "car").stats == local.stats
+                    assert local.stats.cache_hits > 0 == local.stats.pixels_decoded
         finally:
             server.stop()
 

@@ -8,7 +8,9 @@ one copy of a slice: the index is not looked up, no
 grid, no decode plan is made and no layout's tile rectangles are recomputed.
 So every one of those counts, taken over a warm ``TASM.execute`` (or a warm
 one-query ``execute_batch``), is zero, and stays zero when the scan returns
-twice the regions.  What that memory costs is bounded by a count of regions.
+twice the regions.  A window asked for the first time, of a SOT that has been
+asked about since its frames were last written, adds one thing: its plan is
+cut out of the SOT's.  What that memory costs is bounded by a count of regions.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def tiled_tasm(config: TasmConfig):
 def count_calls(monkeypatch) -> dict:
     """Count, from now on, everything a repeated warm scan must not do."""
     counts = dict.fromkeys(
-        ("rectangles", "layouts", "lookups", "requests", "spans", "plans"), 0
+        ("rectangles", "layouts", "lookups", "requests", "spans", "plans", "depths"), 0
     )
 
     def counting(name, original):
@@ -63,6 +65,8 @@ def count_calls(monkeypatch) -> dict:
         ("plans", VideoDecoder, "_plan"),
     ):
         monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
+    depths = counting("depths", VideoDecoder._with_depths)  # every plan made, spanned or cut
+    monkeypatch.setattr(VideoDecoder, "_with_depths", staticmethod(depths))
     rectangles = TileLayout.__dict__["_rectangles"]
     monkeypatch.setattr(rectangles, "func", counting("layouts", rectangles.func))
     return counts
@@ -91,10 +95,17 @@ def check_a_repeated_warm_scan_plans_nothing(config: TasmConfig, monkeypatch, ex
     two_n, large = measure(whole)
     assert two_n == 2 * n > 0
     assert small == large == dict.fromkeys(counts, 0), f"{small} for {n}, {large} for {two_n}"
-    # The counters do count: frames 5-6 were not asked for by themselves before,
-    # so SOT 1's part of this scan is looked up (three labels) and planned, once.
+    # Frames 5-6 were not asked for by themselves before, but SOT 1 was: its
+    # part of this scan is a slice of that piece, its plan a cut of that plan's
+    # entries with the tile depths worked out again — nothing else.
+    _, first_time = measure(query(7))
+    assert first_time == {**small, "depths": 1}
+    # The counters do count: after a write to SOT 1's frames, SOT 1 — all of it,
+    # whatever the window — is looked up (three labels) and planned, once.
+    tasm.add_metadata(video.name, 6, "car", 0, 0, 10, 10)
     _, new = measure(query(7))
-    assert new["lookups"] == 3 and new["plans"] == 1 and new["spans"] == new["requests"] > 0
+    assert new["lookups"] == 3 and new["plans"] == 1 and new["spans"] == new["requests"] > n
+    assert measure(query(8))[1] == first_time and measure(query(7))[1] == small
 
 
 def test_warm_execute_builds_no_geometry_per_region(config: TasmConfig, monkeypatch):

@@ -6,7 +6,11 @@ two index writes to a SOT a what-if question has one answer, so over a W4 run
 ``partition_around_boxes`` runs at most once per distinct ``(SOT, object set)``
 per index write to that SOT (62 runs against 486 ``layout_around`` calls on
 the ledger's full-scale ``adaptive_retile``), and a query repeated with no
-index write in between partitions nothing and costs nothing.
+index write in between partitions nothing and costs nothing.  Nor does a query
+whose window is new: costs are read off per-``(SOT, predicate, layout)``
+tables, themselves made from the one index evaluation per ``(SOT, predicate)``
+between two writes — 35 over the ledger's 75 steps, where every sliding window
+used to bring its own.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from repro.core.cost import CostModel
 from repro.core.policies import IncrementalRegretPolicy
 from repro.core.query import Query
 from repro.core.tasm import TASM
+from repro.index.semantic_index import BTreeSemanticIndex
+from repro.tiles.layout import TileLayout
 
 from tests.conftest import run_w4_on_smoke_road
 
@@ -28,20 +34,33 @@ class KeepsTheLayout:
         return 0.0
 
 
+def count_calls(monkeypatch) -> dict:
+    """Count, from now on, what answering a what-if question can cost."""
+    calls = dict.fromkeys(("partition", "tables", "evaluations", "lookups", "spans"), 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name, owner, attribute in (
+        ("partition", tasm_module, "partition_around_boxes"),
+        ("tables", CostModel, "sot_cost_table"),
+        ("evaluations", TASM, "_regions_by_frame"),
+        ("lookups", BTreeSemanticIndex, "lookup"),
+        ("spans", TileLayout, "tile_span"),
+    ):
+        monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
+    return calls
+
+
 def test_w4_partitions_once_per_question_per_index_write(monkeypatch):
-    calls = {"partition": 0, "estimate": 0, "layout_around": 0}
+    calls = count_calls(monkeypatch)
+    calls["layout_around"] = 0
     distinct: set = set()
-    partition, estimate, layout_around = (
-        tasm_module.partition_around_boxes, CostModel.estimate_query_cost, TASM.layout_around
-    )
-
-    def counting_partition(*args, **kwargs):
-        calls["partition"] += 1
-        return partition(*args, **kwargs)
-
-    def counting_estimate(self, *args, **kwargs):
-        calls["estimate"] += 1
-        return estimate(self, *args, **kwargs)
+    layout_around = TASM.layout_around
 
     def recording_layout_around(self, video_name, sot_index, objects, granularity=None):
         objects = frozenset(objects)
@@ -51,8 +70,6 @@ def test_w4_partitions_once_per_question_per_index_write(monkeypatch):
         distinct.add((sot_index, objects, granularity, written))
         return layout_around(self, video_name, sot_index, objects, granularity)
 
-    monkeypatch.setattr(tasm_module, "partition_around_boxes", counting_partition)
-    monkeypatch.setattr(CostModel, "estimate_query_cost", counting_estimate)
     monkeypatch.setattr(TASM, "layout_around", recording_layout_around)
 
     tasm, video = run_w4_on_smoke_road()
@@ -60,11 +77,31 @@ def test_w4_partitions_once_per_question_per_index_write(monkeypatch):
     assert 0 < calls["partition"] <= len(distinct)
     assert calls["layout_around"] > 5 * calls["partition"]  # most questions repeat
 
-    # The same query twice more, nothing written in between: all from the memo.
+    # The same step twice more, nothing written in between: all from the memo.
     policy = IncrementalRegretPolicy()
-    query = Query.select_range("car", video.name, 0, 8)
-    policy.on_query(tasm, KeepsTheLayout(), video.name, query)
-    calls.update(partition=0, estimate=0, layout_around=0)
-    policy.on_query(tasm, KeepsTheLayout(), video.name, query)
+
+    def step(start: int, stop: int) -> None:
+        query = Query.select_range("car", video.name, start, stop)
+        assert tasm.execute(query).regions
+        policy.on_query(tasm, KeepsTheLayout(), video.name, query)
+
+    step(0, 18)
+    calls.update(dict.fromkeys(calls, 0))
+    step(0, 18)
     assert calls["layout_around"] > 0
-    assert (calls["partition"], calls["estimate"]) == (0, 0)
+    counted = {name: count for name, count in calls.items() if name != "layout_around"}
+    assert counted == dict.fromkeys(counted, 0)
+    # And so are windows never asked about before, of SOTs that have been: one
+    # cut by the SOT boundary, one inside a SOT.
+    step(3, 14), step(11, 17)
+    assert {name: calls[name] for name in counted} == counted
+
+
+def test_w4_at_ledger_scale_evaluates_the_index_once_per_sot_predicate_and_write(monkeypatch):
+    """The ledger's 75 ``adaptive_retile`` steps slide their windows over 20
+    SOTs; what they ask the index is bounded by the (SOT, predicate) pairs
+    between writes — 35 — not by the windows (454 before the frame tables)."""
+    calls = count_calls(monkeypatch)
+    tasm, video = run_w4_on_smoke_road(steps=75, road=("4K", 20.0))
+    assert len(tasm.video(video.name).retile_history) == 11  # the ledger's trajectory
+    assert 0 < calls["evaluations"] <= 60

@@ -7,6 +7,12 @@ or straight into the index), re-tiles and what-if questions, every answer
 equals the one a TASM with an empty memo computes from the same index at that
 moment — on both index backends.  The bound: a SOT's answers are capped, and
 dropped together when its generation moves.
+
+An estimate is read off a per-``(SOT, predicate, layout)`` cost table, so a
+second property asks random windows — cut by SOT boundaries, inside one GOP of
+a two-GOP SOT, across both — between writes and re-tiles, and holds every
+answer against ``CostModel.estimate_query_cost`` over the window's own index
+lookup: no memo, no table.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CodecConfig, TasmConfig
 from repro.core import tasm as tasm_module
+from repro.core.cost import CostModel
 from repro.core.predicates import LabelPredicate, TemporalPredicate
 from repro.core.query import Query
 from repro.core.tasm import TASM
@@ -149,6 +156,74 @@ def test_every_answer_equals_a_memo_less_computation(index_backend, indexed_fram
                 ask(tasm, question)
 
 
+#: Any window of the 15 frames, and one past their end.
+any_window = st.tuples(st.integers(0, 14), st.integers(1, 16)).map(
+    lambda drawn: TemporalPredicate.between(drawn[0], drawn[0] + drawn[1])
+)
+window_operations = st.one_of(
+    st.tuples(st.just("add_metadata"), detections()),
+    st.tuples(st.just("index.add"), detections()),
+    st.tuples(st.just("retile"), SOTS, layout_choices),
+    st.tuples(st.just("window"), predicates, any_window, layout_choices),
+)
+
+
+def sot_shapes(test):
+    """Both index backends, over three one-GOP SOTs and over a two-GOP SOT
+    followed by a one-GOP one."""
+    for name, values in (("sot_frames", [None, 10]), ("index_backend", ["btree", "sqlite"])):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def selected(tasm: TASM, predicate: LabelPredicate, start: int, stop: int) -> dict:
+    """What the index says ``predicate`` selects on frames ``[start, stop)``,
+    frame by frame: the lookup no memo stands in front of."""
+    by_frame = tasm._regions_by_frame(VIDEO.name, predicate, start, stop)
+    return {frame: by_frame[frame] for frame in sorted(by_frame)}
+
+
+def write_within(tasm: TASM, operation) -> None:
+    """``write``, with a re-tile's SOT wrapped into the SOTs this shape has."""
+    if operation[0] == "retile":
+        operation = ("retile", operation[1] % tasm.video(VIDEO.name).sot_count, operation[2])
+    write(tasm, operation)
+
+
+@sot_shapes
+@given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(window_operations, min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_every_window_costs_what_the_cost_model_says_of_its_own_lookup(
+    index_backend, sot_frames, indexed_frames, program
+):
+    tasm = TASM(CONFIG.with_updates(sot_frames=sot_frames), index_backend=index_backend)
+    tiled = tasm.ingest(VIDEO)
+    tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
+    model, gop_frames = CostModel(tasm.config), tasm.config.codec.gop_frames
+
+    def check(predicate, window, drawn_choice) -> None:
+        query = Query(VIDEO.name, predicate, window)
+        start, stop = window.resolve(VIDEO.frame_count)
+        for sot_index in range(tiled.sot_count):
+            sot_start, sot_stop = tiled.frame_range(sot_index)
+            boxes = selected(tasm, predicate, max(start, sot_start), min(stop, sot_stop))
+            for choice in ("current", "untiled", "2x2", drawn_choice):
+                layout = resolve(tasm, sot_index, choice)
+                expected = model.estimate_query_cost(layout, boxes, gop_frames)
+                asked = None if choice == "current" else layout
+                assert tasm.estimate_sot_query_cost(VIDEO.name, sot_index, query, asked) == expected
+
+    asked: list[tuple] = []
+    for operation in program:
+        if operation[0] == "window":
+            asked.append(operation[1:])
+            check(*asked[-1])
+        else:
+            write_within(tasm, operation)
+            for window in asked[-2:]:  # a write or a re-tile between two windows of a SOT
+                check(*window)
+
+
 def test_a_sots_answers_are_capped_and_dropped_when_its_generation_moves(monkeypatch):
     monkeypatch.setattr(tasm_module, "_WHAT_IF_ANSWERS_PER_SOT", 8)
     tasm = TASM(CONFIG)
@@ -158,15 +233,20 @@ def test_a_sots_answers_are_capped_and_dropped_when_its_generation_moves(monkeyp
     def answers(sot_index: int) -> dict:
         return tasm._what_if[VIDEO.name, sot_index][1]
 
-    # A long-running server: every distinct temporal window is a new question.
-    for start in range(5):
-        for stop in range(start + 1, 6):
-            tasm.estimate_sot_query_cost(
-                VIDEO.name, 0, Query.select_range("car", VIDEO.name, start, stop)
-            )
-    assert len(answers(0)) == 8  # 15 distinct windows asked, the newest 8 kept
-    newest = Query.select_range("car", VIDEO.name, 4, 5)
-    assert (newest.predicate, 4, 5, tasm.video(VIDEO.name).layout_for(0)) in answers(0)
+    # A long-running server: a window adds nothing to what estimates keep (the
+    # predicate's frame table and one cost table per layout) ...
+    windows = [(start, stop) for start in range(5) for stop in range(start + 1, 6)]
+    for start, stop in windows:
+        tasm.estimate_sot_query_cost(
+            VIDEO.name, 0, Query.select_range("car", VIDEO.name, start, stop)
+        )
+    car = Query.select("car", VIDEO.name).predicate
+    assert set(answers(0)) == {(car, 0, 5), (car, tasm.video(VIDEO.name).layout_for(0))}
+    # ... and to what scans keep, one piece: every distinct window is a new question.
+    for start, stop in windows:
+        tasm.execute(Query.select_range("car", VIDEO.name, start, stop))
+    assert len(answers(0)) == 8  # 15 distinct windows asked, the newest 8 answers kept
+    assert (car, 4, 5) in answers(0)
 
     tasm.layout_around(VIDEO.name, 1, ["car"])
     before = answers(1)
