@@ -5,18 +5,31 @@ multiplexed transport) is a pipeline of queues, locks, and credit loops;
 this package is the window into it:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  fixed-bucket histograms with lock-striped hot-path updates, a consistent
-  ``snapshot()``, and Prometheus-style text via :func:`render_text`.
+  fixed-bucket histograms, one lock each, a consistent ``snapshot()``, and
+  Prometheus-style text via :func:`render_text`.
 * :class:`~repro.obs.trace.Trace` / :class:`~repro.obs.trace.TraceLog` —
   per-query span timelines (queue wait, execution, per-SOT serves with
   cache hit/miss counts, wire delivery) kept in a bounded ring, plus a
   slow-query log through standard ``logging``.
-* :class:`Observability` — the facade the server owns: it pre-registers the
-  service metrics, starts/finishes traces, and feeds the slow-query log.
-  ``Observability.from_config`` honours ``TasmConfig.observability``; a
-  disabled instance hands out no-op instruments and the shared
-  :data:`~repro.obs.trace.NULL_TRACE`, so instrumentation stays in place at
-  near-zero cost.
+* :class:`Observability` — the facade the server owns.  It registers every
+  service series and resolves every labelled child at construction, hands a
+  submitted query its trace, and takes the query back once, when it is
+  terminal (:meth:`Observability.finish_query`).
+
+**Who counts what.**  Nothing is counted twice.  The scheduler's events —
+submitted, the six ways a query ends, batches, runner restarts, resumes —
+are plain ints on the :class:`~repro.service.scheduler.BatchScheduler`;
+their series read those ints at snapshot time
+(:meth:`Observability.read_events_from`), the way queue depth and the cache
+gauges are read, so ``TasmServer.stats()`` and the registry cannot disagree
+and work the same with observability off.  What only this package knows —
+latency, queue-wait, batch-size and per-batch stage histograms, slow
+queries, chunk and credit-stall counts — is updated here: six histogram
+observations per batch of one query, however many SOTs it serves.
+``Observability.from_config`` honours ``TasmConfig.observability``; a
+disabled instance hands out no-op instruments and the shared
+:data:`~repro.obs.trace.NULL_TRACE`, so instrumentation stays in place at
+near-zero cost.
 
 Everything here is pure stdlib — no new dependencies — and every value is
 JSON-serialisable, which is what lets the wire protocol expose the whole
@@ -26,6 +39,7 @@ surface through the ``metrics`` and ``trace`` ops.
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
@@ -58,13 +72,55 @@ _slow_logger = logging.getLogger(SLOW_QUERY_LOGGER)
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
+#: The scheduler's events.  Each is counted once, as a plain int on the
+#: :class:`~repro.service.scheduler.BatchScheduler` (the field named here),
+#: and read from there at snapshot time — ``(field, series, help)``.
+_SCHEDULER_EVENTS = (
+    ("queries_submitted", "tasm_queries_submitted_total", "Queries accepted by the scheduler."),
+    ("queries_completed", "tasm_queries_completed_total", "Queries that served every SOT."),
+    (
+        "queries_cancelled",
+        "tasm_queries_cancelled_total",
+        "Queries abandoned by their consumer before completing.",
+    ),
+    (
+        "queries_failed",
+        "tasm_queries_failed_total",
+        "Queries failed by a batch error, a vanished peer or server shutdown.",
+    ),
+    (
+        "queries_deadline_exceeded",
+        "tasm_queries_deadline_exceeded_total",
+        "Queries failed because their deadline_ms elapsed (while pending or mid-batch).",
+    ),
+    (
+        "queries_quarantined",
+        "tasm_queries_quarantined_total",
+        "Queries quarantined after repeatedly killing batch runners.",
+    ),
+    ("batches_executed", "tasm_batches_executed_total", "Batches the runner pool completed."),
+    (
+        "runner_restarts",
+        "tasm_runner_restarts_total",
+        "Crashed batch-runner threads replaced by the supervisor.",
+    ),
+    (
+        "scan_resumes",
+        "tasm_scan_retries_total",
+        "Scan submissions that resumed an interrupted stream "
+        "(carried skip_sots after a client reconnect).",
+    ),
+)
+
+
 class Observability:
     """The server's observability surface: metrics, traces, slow-query log.
 
     One instance per :class:`~repro.service.server.TasmServer`; the
-    scheduler, executor sink, cache wiring, and transport all record through
-    it.  Construction pre-registers the service metrics so a snapshot taken
-    before any traffic still lists every series at zero.
+    scheduler, cache wiring, and transport all record through it.
+    Construction registers every service metric and resolves every labelled
+    child, so a snapshot taken before any traffic lists every series at zero
+    and no update looks a label up.
     """
 
     def __init__(
@@ -79,21 +135,22 @@ class Observability:
         self.traces = TraceLog(capacity=trace_history)
 
         registry = self.registry
-        # Query lifecycle -------------------------------------------------
-        self.queries_submitted = registry.counter(
-            "tasm_queries_submitted_total", "Queries accepted by the scheduler."
+        # Scheduler events: registered here, counted by the scheduler -------
+        self._scheduler_events = {
+            field: registry.counter(name, help_text)
+            for field, name, help_text in _SCHEDULER_EVENTS
+        }
+        shed = registry.counter(
+            "tasm_queries_shed_total",
+            "Queries refused by admission control, by shedder.",
+            labels=("reason",),
         )
-        self.queries_completed = registry.counter(
-            "tasm_queries_completed_total", "Queries that served every SOT."
-        )
-        self.queries_cancelled = registry.counter(
-            "tasm_queries_cancelled_total",
-            "Queries abandoned by their consumer before completing.",
-        )
-        self.queries_failed = registry.counter(
-            "tasm_queries_failed_total",
-            "Queries failed by a batch error or server shutdown.",
-        )
+        #: The two shedders: the depth bound refuses before admission, the
+        #: queue-wait breaker sheds queries already admitted.
+        self.queries_shed = {
+            reason: shed.labels(reason=reason) for reason in ("queue_full", "breaker")
+        }
+        # Per query and per batch -------------------------------------------
         self.query_seconds = registry.histogram(
             "tasm_query_seconds", "Submit-to-completion latency per query."
         )
@@ -105,20 +162,21 @@ class Observability:
             "tasm_slow_queries_total",
             "Queries whose latency exceeded the slow-query threshold.",
         )
-        # Batching --------------------------------------------------------
-        self.batches_executed = registry.counter(
-            "tasm_batches_executed_total", "Batches the runner pool completed."
-        )
         self.batch_size = registry.histogram(
             "tasm_batch_size",
             "Queries coalesced into each executed batch.",
             buckets=_BATCH_SIZE_BUCKETS,
         )
-        self.stage_seconds = registry.histogram(
+        stages = registry.histogram(
             "tasm_stage_seconds",
-            "Executor time per pipeline stage (plan / warm / serve).",
+            "Executor time per batch in each pipeline stage (plan / warm / serve).",
             labels=("stage",),
         )
+        #: One observation per stage per executed batch, from the
+        #: ``BatchResult`` totals.
+        self.stage_seconds = {
+            stage: stages.labels(stage=stage) for stage in ("plan", "warm", "serve")
+        }
         # Cache -----------------------------------------------------------
         self.singleflight_wait_seconds = registry.histogram(
             "tasm_cache_singleflight_wait_seconds",
@@ -126,11 +184,12 @@ class Observability:
             "the same tile.",
         )
         # Transport -------------------------------------------------------
-        self.chunks_sent = registry.counter(
+        chunks = registry.counter(
             "tasm_chunks_sent_total",
             "Stream chunks sent to remote clients, by data path.",
             labels=("path",),
         )
+        self.chunks_sent = {path: chunks.labels(path=path) for path in ("socket", "shm")}
         self.shm_fallbacks = registry.counter(
             "tasm_shm_fallback_total",
             "Chunks that fell back to the socket because the shared-memory "
@@ -139,30 +198,6 @@ class Observability:
         self.credit_stall_seconds = registry.histogram(
             "tasm_credit_stall_seconds",
             "Time a stream spent parked waiting for client credits.",
-        )
-        # Fault tolerance ---------------------------------------------------
-        self.queries_deadline_exceeded = registry.counter(
-            "tasm_queries_deadline_exceeded_total",
-            "Queries failed because their deadline_ms elapsed (while pending "
-            "or mid-batch).",
-        )
-        self.queries_shed = registry.counter(
-            "tasm_queries_shed_total",
-            "Queries refused by admission control, by shedder.",
-            labels=("reason",),
-        )
-        self.queries_quarantined = registry.counter(
-            "tasm_queries_quarantined_total",
-            "Queries quarantined after repeatedly killing batch runners.",
-        )
-        self.runner_restarts = registry.counter(
-            "tasm_runner_restarts_total",
-            "Crashed batch-runner threads replaced by the supervisor.",
-        )
-        self.scan_retries = registry.counter(
-            "tasm_scan_retries_total",
-            "Scan submissions that resumed an interrupted stream "
-            "(carried skip_sots after a client reconnect).",
         )
         self.handshakes_timed_out = registry.counter(
             "tasm_handshakes_timed_out_total",
@@ -179,6 +214,13 @@ class Observability:
             trace_history=config.trace_history,
         )
 
+    def read_events_from(self, scheduler) -> None:
+        """Have every scheduler-event series read ``scheduler``'s own count."""
+        for field, counter in self._scheduler_events.items():
+            counter.set_callback(partial(getattr, scheduler, field))
+        for reason, counter in self.queries_shed.items():
+            counter.set_callback(partial(getattr, scheduler, f"shed_{reason}"))
+
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
@@ -186,44 +228,25 @@ class Observability:
         """A new trace for one submitted query (NULL_TRACE when disabled)."""
         if not self.enabled:
             return NULL_TRACE
-        self.queries_submitted.inc()
         return Trace(video=query.video, labels=query.objects or ())
 
-    def finish_query(self, trace: Trace, status: str = "ok") -> None:
-        """Terminal bookkeeping for one query; idempotent per trace.
+    def finish_query(self, trace: Trace, status: str) -> None:
+        """What a query leaves here once it is terminal (called once per
+        query, by :meth:`BatchScheduler._account`, which has counted it).
 
-        Records the latency histogram and the completion counter (only for
-        successful queries — cancellations and failures have their own
-        counters), appends the trace to the ring, and emits the slow-query
-        log event when the latency crosses the configured threshold.
+        Finishes the trace as ``status`` and appends it to the ring; a
+        successful query also lands in the latency histogram and, past the
+        configured threshold, in the slow-query log.
         """
-        if not self.enabled or not trace.enabled:
+        if not trace.enabled:
             return
-        if not trace.finish(status):
-            return  # already finished by an earlier terminal transition
-        total = trace.total_seconds
-        if status == "ok":
-            self.queries_completed.inc()
-            self.query_seconds.observe(total)
-        elif status == "cancelled":
-            self.queries_cancelled.inc()
-        elif status == "deadline":
-            self.queries_deadline_exceeded.inc()
-        elif status == "shed":
-            # The breaker path: the query had been admitted (it has a trace)
-            # before the shedder refused it.  The depth-bound fast-fail path
-            # never allocates a trace and counts reason="queue_full" itself.
-            self.queries_shed.labels(reason="breaker").inc()
-        elif status == "quarantined":
-            self.queries_quarantined.inc()
-        else:
-            self.queries_failed.inc()
+        trace.finish(status)
         self.traces.append(trace)
-        if (
-            status == "ok"
-            and self.slow_query_seconds > 0.0
-            and total >= self.slow_query_seconds
-        ):
+        if status != "ok":
+            return
+        total = trace.total_seconds
+        self.query_seconds.observe(total)
+        if 0.0 < self.slow_query_seconds <= total:
             self.slow_queries.inc()
             _slow_logger.warning(
                 "slow query: video=%s labels=%s total_ms=%.1f threshold_ms=%.1f "
@@ -239,14 +262,8 @@ class Observability:
                 extra={"tasm_trace": trace.to_dict()},
             )
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         return self.registry.snapshot()
-
-    def render_text(self) -> str:
-        return self.registry.render_text()
 
 
 #: Shared disabled instance for components constructed without a server

@@ -1,27 +1,25 @@
 """A thread-safe, dependency-free metrics registry.
 
-Three instrument kinds, modelled on the Prometheus client data model but
-implemented for this codebase's hot paths:
+Three instrument kinds, modelled on the Prometheus client data model:
 
 * :class:`Counter` — a monotonically increasing float.
-* :class:`Gauge` — a point-in-time value, either set explicitly or read
-  through a callback at snapshot time (queue depth, cache bytes, reply-queue
-  depth all fall out of existing structures, so sampling them lazily keeps
-  the hot path untouched).
+* :class:`Gauge` — a point-in-time value that can also be set and lowered.
 * :class:`Histogram` — fixed, cumulative buckets plus a running sum/count.
   Bucket bounds are chosen at registration; observation is a bisect plus a
   few adds.
 
-**Lock striping.**  Counters and histograms are updated from many threads at
-once (batch runners, connection writers, the demux reader), so a single lock per
-metric would serialise exactly the paths observability must not slow down.
-Each instrument therefore keeps ``STRIPE_COUNT`` independent shards, each
-with its own lock; a thread is assigned a stripe once (round-robin, via a
-thread-local) and only ever contends with threads that hashed to the same
-stripe.  Reading sums the stripes, taking each stripe lock in turn — every
-stripe is internally consistent (a histogram stripe's bucket total always
-equals its count), so the summed snapshot is too, and readers can never see
-a torn value.
+**One lock each.**  Every instrument guards its state with one lock, held for
+a few adds.  A reader takes the same lock, so a histogram's buckets, sum and
+count come from one instant and a snapshot is never torn.  Under the GIL, at
+the handful of threads a shard runs, that lock is uncontended; spreading an
+instrument over several costs every update a thread-local look-up and buys
+nothing.
+
+**Callbacks.**  What the service already counts for itself — the scheduler's
+per-event ints, queue depth, cache occupancy, reply-queue depth — is not
+counted a second time here: a counter or gauge given a callback
+(:meth:`Counter.set_callback`) reads that state at snapshot time, so the hot
+path that maintains it pays nothing for being observable.
 
 **Disabled mode.**  ``MetricsRegistry(enabled=False)`` hands out shared
 null instruments whose methods are no-ops and snapshots empty, so
@@ -35,7 +33,6 @@ as well as local ones.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from bisect import bisect_right
 from typing import Callable, Iterable, Mapping, Sequence
@@ -48,31 +45,12 @@ __all__ = [
     "render_text",
 ]
 
-#: Shards per striped instrument.  Eight covers the thread counts this
-#: server actually runs (runners + writers + readers) without making snapshot
-#: reads walk a long list.
-STRIPE_COUNT = 8
-
 #: Default histogram bounds, in seconds — spans sub-millisecond cache hits
 #: to multi-second cold scans.
 DEFAULT_TIME_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-# Stripe assignment: thread idents are pointer-aligned on CPython, so
-# masking their low bits lands every thread on stripe zero.  A round-robin
-# ticket handed out on a thread's first update spreads threads evenly.
-_stripe_tickets = itertools.count()
-_stripe_local = threading.local()
-
-
-def _stripe_index() -> int:
-    index = getattr(_stripe_local, "index", None)
-    if index is None:
-        index = next(_stripe_tickets)
-        _stripe_local.index = index
-    return index % STRIPE_COUNT
 
 
 def _format_labels(labels: Mapping[str, str]) -> str:
@@ -86,60 +64,22 @@ def _format_labels(labels: Mapping[str, str]) -> str:
 # Instruments
 # ----------------------------------------------------------------------
 class Counter:
-    """A striped, monotonically increasing counter."""
-
-    __slots__ = ("_stripes",)
-
-    def __init__(self):
-        self._stripes = [[threading.Lock(), 0.0] for _ in range(STRIPE_COUNT)]
-
-    def inc(self, amount: float = 1.0) -> None:
-        stripe = self._stripes[_stripe_index()]
-        with stripe[0]:
-            stripe[1] += amount
-
-    @property
-    def value(self) -> float:
-        total = 0.0
-        for lock, _ in self._stripes:
-            lock.acquire()
-        try:
-            for stripe in self._stripes:
-                total += stripe[1]
-        finally:
-            for lock, _ in self._stripes:
-                lock.release()
-        return total
-
-    def _snapshot_value(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """A settable point-in-time value, or a lazy callback read at snapshot."""
+    """A monotonically increasing value: incremented here, or — given a
+    callback — read from whoever already counts it."""
 
     __slots__ = ("_lock", "_value", "_callback")
 
-    def __init__(self, callback: Callable[[], float] | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._value = 0.0
-        self._callback = callback
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
+        self._callback: Callable[[], float] | None = None
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_callback(self, callback: Callable[[], float] | None) -> None:
-        """Make the gauge read ``callback()`` at snapshot time instead of a
-        stored value (how queue depth, cache bytes, and reply-queue depth are
-        exposed without touching their hot paths)."""
+        """Read ``callback()`` at snapshot time instead of a stored value."""
         with self._lock:
             self._callback = callback
 
@@ -158,67 +98,62 @@ class Gauge:
         return self.value
 
 
+class Gauge(Counter):
+    """A point-in-time value: a counter that can also be set and lowered."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = value
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+
 class Histogram:
-    """A striped fixed-bucket histogram with a running sum and count."""
+    """A fixed-bucket histogram with a running sum and count."""
 
-    __slots__ = ("bounds", "_stripes")
-
-    class _Stripe:
-        __slots__ = ("lock", "buckets", "total", "count")
-
-        def __init__(self, bucket_count: int):
-            self.lock = threading.Lock()
-            self.buckets = [0] * bucket_count
-            self.total = 0.0
-            self.count = 0
+    __slots__ = ("bounds", "_lock", "_buckets", "_total", "_count")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS):
         bounds = tuple(sorted(float(bound) for bound in buckets))
         if not bounds:
             raise ValueError("a histogram needs at least one bucket bound")
         self.bounds = bounds
+        self._lock = threading.Lock()
         # One extra bucket catches observations above the last bound (+Inf).
-        self._stripes = [self._Stripe(len(bounds) + 1) for _ in range(STRIPE_COUNT)]
+        self._buckets = [0] * (len(bounds) + 1)
+        self._total = 0.0
+        self._count = 0
 
     def observe(self, value: float) -> None:
-        stripe = self._stripes[_stripe_index()]
         bucket = bisect_right(self.bounds, value)
-        with stripe.lock:
-            stripe.buckets[bucket] += 1
-            stripe.total += value
-            stripe.count += 1
+        with self._lock:
+            self._buckets[bucket] += 1
+            self._total += value
+            self._count += 1
 
-    @property
-    def count(self) -> int:
-        return self._snapshot_value()["count"]
-
-    @property
-    def total(self) -> float:
-        return self._snapshot_value()["sum"]
-
-    def _snapshot_value(self) -> dict:
+    def snapshot_value(self) -> dict:
         """Cumulative buckets, sum, and count — never torn.
 
-        Each stripe is read under its lock, so its bucket total equals its
-        count; sums of consistent stripes stay consistent, which is the
-        invariant the concurrent-readers test pins.
+        All three are read under one acquisition of the lock every
+        observation holds, so the bucket total always equals the count: the
+        invariant the concurrent-readers test pins, and the shape the
+        queue-wait breaker (``repro.service.shedding``) computes windowed
+        percentiles from.
         """
-        merged = [0] * (len(self.bounds) + 1)
-        total = 0.0
-        count = 0
-        for stripe in self._stripes:
-            with stripe.lock:
-                for index, bucket in enumerate(stripe.buckets):
-                    merged[index] += bucket
-                total += stripe.total
-                count += stripe.count
+        with self._lock:
+            buckets, total, count = list(self._buckets), self._total, self._count
         cumulative = []
         running = 0
-        for bound, bucket in zip(self.bounds, merged):
+        for bound, bucket in zip(self.bounds, buckets):
             running += bucket
             cumulative.append([bound, running])
         cumulative.append(["+Inf", count])
         return {"count": count, "sum": total, "buckets": cumulative}
+
+    _snapshot_value = snapshot_value
 
 
 class _NullInstrument:
@@ -248,17 +183,6 @@ class _NullInstrument:
     def value(self) -> float:
         return 0.0
 
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def total(self) -> float:
-        return 0.0
-
-    def snapshot_value(self) -> dict:
-        return {"count": 0, "sum": 0.0, "buckets": []}
-
 
 NULL_INSTRUMENT = _NullInstrument()
 
@@ -267,12 +191,12 @@ NULL_INSTRUMENT = _NullInstrument()
 # Families and the registry
 # ----------------------------------------------------------------------
 class _Family:
-    """One registered metric name: its kind, help text, and labelled children.
+    """One registered metric name: its kind, help text, and children.
 
-    An unlabelled metric is the family with a single anonymous child; the
-    family object proxies the child's update methods so callers write
-    ``registry.counter("x").inc()`` and ``family.labels(stage="warm").inc()``
-    interchangeably.
+    An unlabelled metric has one anonymous child, and that instrument is what
+    registering it returns; a labelled one returns the family, whose
+    :meth:`labels` finds (or makes) the child for one label set.  Resolve
+    children once, where the metric is registered — not per update.
     """
 
     __slots__ = ("name", "kind", "help", "label_names", "_children", "_lock", "_make")
@@ -289,60 +213,16 @@ class _Family:
             self._children[()] = make()
 
     def labels(self, **labels: str):
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
+        if sorted(labels) != sorted(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, got {tuple(labels)}"
             )
         key = tuple(str(labels[name]) for name in self.label_names)
-        child = self._children.get(key)
-        if child is None:
-            with self._lock:
-                child = self._children.setdefault(key, self._make())
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = self._make()
         return child
-
-    def _default_child(self):
-        if self.label_names:
-            raise ValueError(
-                f"metric {self.name!r} is labelled ({self.label_names}); call .labels()"
-            )
-        return self._children[()]
-
-    # Unlabelled convenience proxies -------------------------------------
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def set_callback(self, callback) -> None:
-        self._default_child().set_callback(callback)
-
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
-
-    @property
-    def value(self):
-        return self._default_child().value
-
-    @property
-    def count(self):
-        return self._default_child().count
-
-    @property
-    def total(self):
-        return self._default_child().total
-
-    def snapshot_value(self):
-        """The unlabelled child's consistent snapshot value.
-
-        For a histogram this is ``{"count", "sum", "buckets"}`` with
-        cumulative bucket counts — the shape the queue-wait breaker
-        (``repro.service.shedding``) computes windowed percentiles from.
-        """
-        return self._default_child()._snapshot_value()
 
     def _snapshot(self) -> dict:
         with self._lock:
@@ -361,11 +241,11 @@ class _Family:
 
 
 class MetricsRegistry:
-    """Owns every registered metric family; snapshot- and exposition-capable.
+    """Owns every registered metric family; snapshot-capable.
 
-    Registration is idempotent: asking for an existing name returns the
-    existing family (with a kind check), so independently constructed
-    components (server, transport, cache wiring) can all say
+    Registration is idempotent: asking for an existing name returns what the
+    first registration returned (with a kind check), so independently
+    constructed components (server, scheduler, transport) can all say
     ``registry.counter("tasm_x_total")`` without coordinating.
     """
 
@@ -378,16 +258,8 @@ class MetricsRegistry:
     def counter(self, name: str, help_text: str = "", labels: Iterable[str] = ()):
         return self._register(name, "counter", help_text, labels, Counter)
 
-    def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        callback: Callable[[], float] | None = None,
-    ):
-        gauge = self._register(name, "gauge", help_text, (), Gauge)
-        if callback is not None and self.enabled:
-            gauge.set_callback(callback)
-        return gauge
+    def gauge(self, name: str, help_text: str = ""):
+        return self._register(name, "gauge", help_text, (), Gauge)
 
     def histogram(
         self,
@@ -401,6 +273,7 @@ class MetricsRegistry:
         )
 
     def _register(self, name, kind, help_text, labels, make):
+        """The family itself when labelled, else its one instrument."""
         if not self.enabled:
             return NULL_INSTRUMENT
         with self._lock:
@@ -413,7 +286,7 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} already registered as a {family.kind}"
                 )
-            return family
+        return family if family.label_names else family._children[()]
 
     # Reading ------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -423,9 +296,6 @@ class MetricsRegistry:
         with self._lock:
             families = list(self._families.items())
         return {name: family._snapshot() for name, family in sorted(families)}
-
-    def render_text(self) -> str:
-        return render_text(self.snapshot())
 
 
 def render_text(snapshot: Mapping[str, dict]) -> str:

@@ -44,8 +44,9 @@ available to *many concurrent callers*, the deployment VSS targets:
 Observability: the server owns an :class:`~repro.obs.Observability` instance
 (``TasmServer.obs``) — a metrics registry, per-query traces, and a slow-query
 log — exposed in process via ``TasmServer.metrics_snapshot()`` / ``traces()``
-/ ``render_metrics()`` and over the wire through the ``metrics`` and
-``trace`` ops (``RemoteTasmClient.metrics()`` / ``.traces()``).
+and over the wire through the ``metrics`` and ``trace`` ops
+(``RemoteTasmClient.metrics()`` / ``.traces()``); ``repro.obs.render_text``
+renders either snapshot as Prometheus-style text.
 """
 
 from .stream import ScanStream, StreamChunk

@@ -44,6 +44,23 @@ Fault tolerance (PR 8) threads through every stage:
   ``service_poison_query_kills`` runners is quarantined with
   :class:`~repro.errors.PoisonQueryError` instead of being allowed to take
   the pool down serially.
+
+Accounting: every event has one counter, a plain int on the scheduler under
+``_counter_lock``, which ``TasmServer.stats()`` and the metrics registry
+(``Observability.read_events_from``, at snapshot time) both read.
+``queries_submitted``, ``scan_resumes`` and ``shed_queue_full`` move in
+:meth:`BatchScheduler.submit`, on the submitter's thread;
+``batches_executed`` on the runner that ran the batch; ``runner_restarts`` on
+the supervisor.  How a query *ends* is counted in one place,
+:meth:`BatchScheduler._account`, reached only through
+:meth:`ResultStream._end` — the stream's single terminal transition, first
+caller wins — and so on whichever thread ended it: the runner that served
+its last SOT or noticed its deadline, the consumer inside ``close()``, a
+connection's reader or writer tearing down after its peer vanished, the
+supervisor quarantining it, or ``stop()``.  Once the scheduler is quiescent
+``queries_submitted == queries_completed + queries_cancelled +
+queries_failed + queries_deadline_exceeded + shed_breaker +
+queries_quarantined``.
 """
 
 from __future__ import annotations
@@ -61,6 +78,7 @@ from ..errors import (
     PoisonQueryError,
     ServerBusy,
     ServiceError,
+    error_code,
 )
 from ..exec.engine import BatchResult, PartialResult, QueryDone
 from ..faults.plan import FAULT_RUNNER_DEATH, InjectedRunnerDeath
@@ -100,25 +118,35 @@ class ResultStream(ScanStream):
         #: higher number asks to survive overload longer.  Ties shed newest
         #: first (queries near the front keep their sunk queue time).
         self.priority = priority
-        #: Guard making the cancelled-query counter exactly-once per stream,
-        #: whichever path (pending drop, mid-batch skip, failed-batch sweep)
-        #: notices the cancellation first.  Written under the scheduler's
-        #: counter lock.
-        self._cancel_counted = False
-        #: Guard so a query retried as a singleton after a batch failure does
-        #: not record a second queue-wait span/observation.  Touched only by
-        #: the runner thread executing the stream's batch.
-        self._queue_span_recorded = False
+        #: When the first batch holding this query began to execute (None
+        #: while it is queued); set by the runner thread executing that batch,
+        #: and not again by a singleton retry or a resumed run.
+        self.started_at: float | None = None
+        #: ``BatchScheduler._account``, installed at submit: called once, by
+        #: whichever thread makes this stream terminal.
+        self._account: Callable[["ResultStream"], None] | None = None
         #: The submitter's fairness key, kept so a supervisor recovering this
         #: stream from a crashed runner can requeue it in the right bucket.
         self._client: Hashable = None
         #: Batch runners this query's execution has killed (supervision).
         self._runner_kills = 0
 
+    def _end(self, state: str, result=None, error=None) -> bool:
+        """The one terminal transition, and so the one place a served query
+        is accounted: the thread that wins it — a runner, the consumer in
+        ``close()``, a connection tearing down, ``stop()`` — counts the
+        query.  The stream's (re-entrant) condition is held across both, so
+        whoever sees the stream terminal sees it counted."""
+        with self._cond:
+            won = super()._end(state, result, error)
+            if won and self._account is not None:
+                self._account(self)
+        return won
+
     def _stuck(self) -> str:
         """Still queued, executing but yet to serve, or mid-serve — from the
         stream's own progress markers."""
-        if not self._queue_span_recorded and self.first_chunk_at is None:
+        if self.started_at is None:
             return "starved in queue: the query never entered a batch"
         served = len(self.delivered)
         if served:
@@ -128,6 +156,16 @@ class ResultStream(ScanStream):
             )
         return "starved in execute: its batch started but has served nothing"
 
+
+#: How a failed stream is accounted, by the ``errors.error_code`` of what
+#: failed it (the mapping the wire uses): trace status, scheduler counter.
+_FAILURES = {
+    "cancelled": ("cancelled", "queries_cancelled"),
+    "deadline": ("deadline", "queries_deadline_exceeded"),
+    "busy": ("shed", "shed_breaker"),
+    "poison": ("quarantined", "queries_quarantined"),
+    None: ("error", "queries_failed"),
+}
 
 #: How long the supervisor sleeps when no runner reports its own exit.  A
 #: runner's exit path wakes it at once; the timeout only bounds the recovery
@@ -199,24 +237,31 @@ class BatchScheduler:
         self._running = False
         self._state_lock = threading.Lock()
         self._restart_seq = 0
-        # Counters (read by TasmServer.stats; written under _counter_lock by
-        # any runner thread).
+        # The one count of each event: TasmServer.stats() reads these fields
+        # and so does the metrics registry, at snapshot time.  Written under
+        # _counter_lock by whichever thread the event happens on.
         self._counter_lock = threading.Lock()
-        self.batches_executed = 0
-        self.queries_completed = 0
-        #: Queries abandoned by their consumer (``ResultStream.close()`` or a
-        #: wire ``CANCEL``) before completing — dropped while pending or
-        #: skipped mid-batch.
-        self.queries_cancelled = 0
-        # Fault-tolerance outcomes, mirrored as plain ints so tests and
-        # stats() see them with observability off.
-        self.queries_deadline_exceeded = 0
-        self.queries_shed = 0
-        self.queries_quarantined = 0
-        self.runner_restarts = 0
+        self.queries_submitted = 0
         #: Submissions that carried ``skip_sots`` — resumed scans.
         self.scan_resumes = 0
+        #: ServerBusy refusals at the depth bound: never admitted, so not
+        #: among ``queries_submitted`` and not ended by :meth:`_account`.
+        self.shed_queue_full = 0
+        # The six ways an admitted query ends (see _account); once quiescent
+        # they sum to queries_submitted.
+        self.queries_completed = 0
+        #: Abandoned by their consumer (``ResultStream.close()`` or a wire
+        #: ``CANCEL``) before completing.
+        self.queries_cancelled = 0
+        #: A batch error, a peer that vanished, or server shutdown.
+        self.queries_failed = 0
+        self.queries_deadline_exceeded = 0
+        self.shed_breaker = 0
+        self.queries_quarantined = 0
+        self.batches_executed = 0
+        self.runner_restarts = 0
         self.total_stats = DecodeStats()
+        self._obs.read_events_from(self)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -269,7 +314,7 @@ class BatchScheduler:
             self._pending_count = 0
             self._cond.notify_all()  # wake idle runners and the supervisor to exit
         for stream in queued:
-            self._fail_stream(stream, ServiceError("the server was stopped"))
+            stream._fail(ServiceError("the server was stopped"))
         deadline = None if timeout is None else time.monotonic() + timeout
         for thread in crew:
             thread.join(
@@ -288,7 +333,7 @@ class BatchScheduler:
                 if not stream.done
             ]
         for stream in stragglers:
-            self._fail_stream(stream, ServiceError("the server was stopped"))
+            stream._fail(ServiceError("the server was stopped"))
 
     @property
     def running(self) -> bool:
@@ -316,6 +361,11 @@ class BatchScheduler:
         """Queries accepted but not yet dispatched into a batch."""
         with self._cond:
             return self._pending_count
+
+    @property
+    def queries_shed(self) -> int:
+        """Queries either shedder refused: depth bound or queue-wait breaker."""
+        return self.shed_queue_full + self.shed_breaker
 
     # ------------------------------------------------------------------
     # Submission
@@ -350,8 +400,7 @@ class BatchScheduler:
                     and self._pending_count >= self._max_queue_depth
                 ):
                     with self._counter_lock:
-                        self.queries_shed += 1
-                    self._obs.queries_shed.labels(reason="queue_full").inc()
+                        self.shed_queue_full += 1
                     raise ServerBusy(
                         f"SERVER_BUSY: {self._pending_count} queries pending "
                         f"(service_max_queue_depth="
@@ -367,10 +416,10 @@ class BatchScheduler:
                 stream.liveness = self._workers_alive
                 stream._client = client
                 stream.trace = self._obs.start_trace(query)
-                if stream.skip_sots:
-                    with self._counter_lock:
-                        self.scan_resumes += 1
-                    self._obs.scan_retries.inc()
+                stream._account = self._account
+                with self._counter_lock:
+                    self.queries_submitted += 1
+                    self.scan_resumes += bool(stream.skip_sots)
                 bucket = self._pending.get(client)
                 if bucket is None:
                     bucket = self._pending[client] = deque()
@@ -410,13 +459,10 @@ class BatchScheduler:
             bucket = self._pending[client]
             stream = bucket.popleft()
             self._pending_count -= 1
-            if stream.done:
-                # Terminal while queued (cancelled by its consumer, or failed
-                # elsewhere): its consumer already has an answer, so it never
-                # costs a batch slot or a decode.
-                if stream.cancelled:
-                    self._count_cancel(stream)
-            elif not self._expire(stream):
+            # Terminal while queued (cancelled by its consumer, failed
+            # elsewhere, or expired just now): its consumer has an answer, so
+            # it never costs a batch slot or a decode.
+            if not (stream.done or self._expire(stream)):
                 batch.append(stream)
             if bucket:
                 self._pending_order.append(client)
@@ -476,86 +522,51 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     # Batch execution (runner threads)
     # ------------------------------------------------------------------
-    def _count_cancel(self, stream: ResultStream) -> None:
-        """Count one consumer-cancelled query — exactly once per stream.
+    def _account(self, stream: ResultStream) -> None:
+        """Account one query, now terminal — the only place one is.
 
-        Three paths can notice a cancellation (dropped while pending, skipped
-        mid-batch, swept while retrying a failed batch); the per-stream guard
-        makes whichever runs first the only one that counts, and finishes the
-        query's trace as ``cancelled``.
+        Called from :meth:`ResultStream._end` by the thread that won the
+        stream's terminal transition, so exactly once per admitted query,
+        whatever ended it: bumps the one counter for the outcome, then hands
+        the trace to the observability surface (ring, latency histogram,
+        slow-query log).
         """
+        if stream.state == "done":
+            status, counter = "ok", "queries_completed"
+        else:
+            status, counter = _FAILURES[error_code(stream._error)]
         with self._counter_lock:
-            if stream._cancel_counted:
-                return
-            stream._cancel_counted = True
-            self.queries_cancelled += 1
-        self._obs.finish_query(stream.trace, status="cancelled")
-
-    def _fail_stream(
-        self, stream: ResultStream, error: BaseException, status: str = "error"
-    ) -> bool:
-        """Fail one stream and finish its trace; first terminal state wins."""
-        if stream._fail(error):
-            self._obs.finish_query(stream.trace, status=status)
-            return True
-        return False
+            setattr(self, counter, getattr(self, counter) + 1)
+        self._obs.finish_query(stream.trace, status)
 
     def _expire(self, stream: ResultStream) -> bool:
         """True when ``stream``'s deadline has passed — failing it with
-        DeadlineExceeded (idempotent, counted once)."""
+        DeadlineExceeded (first terminal state wins)."""
         try:
             stream.remaining_deadline_ms()
         except DeadlineExceeded as error:
-            if self._fail_stream(stream, error, status="deadline"):
-                with self._counter_lock:
-                    self.queries_deadline_exceeded += 1
+            stream._fail(error)
             return True
         return False
 
     def _shed_stream(self, stream: ResultStream, percentile: float | None) -> None:
         """Fail one pending stream shed by the queue-wait breaker."""
         wait = "unknown" if percentile is None else f"{percentile * 1000.0:.0f} ms"
-        if self._fail_stream(
-            stream,
+        stream._fail(
             ServerBusy(
                 "SERVER_BUSY: shed by the queue-wait breaker "
                 f"(recent p95 queue wait {wait}); retry later"
-            ),
-            status="shed",
-        ):
-            with self._counter_lock:
-                self.queries_shed += 1
+            )
+        )
 
     def _quarantine_stream(self, stream: ResultStream) -> None:
         """Fail one stream that has crashed too many runners."""
-        if self._fail_stream(
-            stream,
+        stream._fail(
             PoisonQueryError(
                 f"query killed {stream._runner_kills} batch runner(s) and is "
                 "quarantined"
-            ),
-            status="quarantined",
-        ):
-            with self._counter_lock:
-                self.queries_quarantined += 1
-
-    def _make_trace_sink(self, batch: Sequence[ResultStream]):
-        """The callback the executor reports stage timings through.
-
-        ``sink(query_index, stage, seconds, **meta)`` records into the
-        ``tasm_stage_seconds`` histogram and — when the stage belongs to one
-        query (``query_index`` is not None; warm prefetch is shared by the
-        batch) — appends a detail span to that query's trace.  The executor
-        calls it only from the batch's single serving thread.
-        """
-        stage_seconds = self._obs.stage_seconds
-
-        def sink(query_index, stage: str, seconds: float, **meta) -> None:
-            stage_seconds.labels(stage=stage).observe(seconds)
-            if query_index is not None:
-                batch[query_index].trace.add_span(stage, seconds, **meta)
-
-        return sink
+            )
+        )
 
     def _run_batches(self) -> None:
         me = threading.current_thread()
@@ -586,8 +597,7 @@ class BatchScheduler:
                     # fail the batch's streams so their waiters raise, and
                     # keep serving later batches.
                     for stream in batch:
-                        if not stream.done:
-                            self._fail_stream(stream, error)
+                        stream._fail(error)
                 # Survivable exits only (a death above skips this): the batch
                 # is fully dispositioned, so drop it from the recovery map.
                 with self._cond:
@@ -628,14 +638,13 @@ class BatchScheduler:
             for orphan in orphans:
                 with self._counter_lock:
                     self.runner_restarts += 1
-                self._obs.runner_restarts.inc()
                 if orphan is not None:
                     self._recover_batch(orphan)
 
     def _recover_batch(self, batch: Sequence[ResultStream]) -> None:
         """Disposition a crashed runner's batch.
 
-        Completed and cancelled streams need nothing; a stream that has now
+        Terminal streams need nothing; a stream that has now
         killed ``service_poison_query_kills`` runners is quarantined; expired
         ones fail with their deadline; everything else is requeued at the
         *front* of its client's bucket (it has waited longest) through
@@ -645,8 +654,6 @@ class BatchScheduler:
         resumable: list[ResultStream] = []
         for stream in batch:
             if stream.done:
-                if stream.cancelled:
-                    self._count_cancel(stream)
                 continue
             stream._runner_kills += 1
             if stream._runner_kills >= self._poison_kills:
@@ -666,7 +673,7 @@ class BatchScheduler:
                         self._expire(stream)
                 self._cond.notify_all()
         for stream in doomed:
-            self._fail_stream(stream, ServiceError("the server was stopped"))
+            stream._fail(ServiceError("the server was stopped"))
 
     def _requeue(
         self, stream: ResultStream, skip_sots: frozenset[int], deadline_ms
@@ -688,16 +695,21 @@ class BatchScheduler:
             raise InjectedRunnerDeath("injected runner death before batch start")
         obs = self._obs
         batch_started = time.perf_counter()
-        if obs.enabled:
-            obs.batch_size.observe(len(batch))
-            for stream in batch:
-                if stream._queue_span_recorded:
-                    continue
-                stream._queue_span_recorded = True
+        obs.batch_size.observe(len(batch))
+        for stream in batch:
+            if stream.started_at is None:  # not a singleton retry, not a resumed run
+                stream.started_at = batch_started
                 wait = batch_started - stream.submitted_at
                 obs.queue_wait_seconds.observe(wait)
                 stream.trace.add_span("queue", wait, top=True)
-        trace_sink = self._make_trace_sink(batch) if obs.enabled else None
+
+        def trace_sink(query_index, stage: str, seconds: float, **meta) -> None:
+            # Called by the executor on this thread only.  A stage that
+            # belongs to one query (warm prefetch is shared by the batch)
+            # becomes a detail span of its trace; the stage histogram takes
+            # the batch's totals below, not one observation per SOT.
+            if query_index is not None:
+                batch[query_index].trace.add_span(stage, seconds, **meta)
 
         def observer(event) -> None:
             if isinstance(event, PartialResult):
@@ -724,8 +736,6 @@ class BatchScheduler:
                     "execute", time.perf_counter() - batch_started, top=True
                 )
                 stream._finish(event.result)
-                if not stream.cancelled:
-                    obs.finish_query(stream.trace)
 
         def cancelled(index: int) -> bool:
             # The executor's per-SOT probe doubles as the deadline enforcer:
@@ -748,7 +758,7 @@ class BatchScheduler:
                 # serves and whole SOTs only it needed, freeing the runner
                 # within ~one GOP of the cancel.
                 cancelled=cancelled,
-                trace_sink=trace_sink,
+                trace_sink=trace_sink if obs.enabled else None,
                 skip_sots=skips if any(skips) else None,
             )
         except InjectedRunnerDeath:
@@ -759,34 +769,17 @@ class BatchScheduler:
             # individually so only the offender fails.  A query that already
             # streamed chunks cannot be replayed without duplicating them,
             # so it fails with the batch's error.
-            if len(batch) == 1:
-                stream = batch[0]
-                if not stream.done:
-                    self._fail_stream(stream, error)
-                elif stream.cancelled:
-                    self._count_cancel(stream)
-                return
             for stream in batch:
-                if stream.done:
-                    # Cancelled (or failed elsewhere) while the batch ran; the
-                    # sweep is the only path that sees a cancel batch forming
-                    # and the success path both missed, so it must count it.
-                    if stream.cancelled:
-                        self._count_cancel(stream)
-                    continue
-                if stream.first_chunk_at is not None:
-                    self._fail_stream(stream, error)
-                else:
+                if len(batch) > 1 and not stream.done and stream.first_chunk_at is None:
                     self._execute([stream])
+                else:
+                    stream._fail(error)  # a no-op on a stream already terminal
             return
-        cancelled_in_batch = [stream for stream in batch if stream.cancelled]
-        completed_in_batch = sum(1 for stream in batch if stream.state == "done")
         with self._counter_lock:
             self.batches_executed += 1
-            self.queries_completed += completed_in_batch
             self.total_stats.merge(result.stats)
-        for stream in cancelled_in_batch:
-            self._count_cancel(stream)
-        obs.batches_executed.inc()
+        obs.stage_seconds["plan"].observe(result.index_seconds)
+        obs.stage_seconds["warm"].observe(result.warm_seconds)
+        obs.stage_seconds["serve"].observe(result.serve_seconds)
         if self._on_batch_done is not None:
             self._on_batch_done(result)

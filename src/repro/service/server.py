@@ -161,7 +161,6 @@ class TasmServer:
         )
         self._started_at: float | None = None
         self._stats_lock = threading.Lock()
-        self._queries_submitted = 0
         self._work_by_label: dict[str, dict[str, int]] = {}
         if self.obs.enabled:
             self._register_gauges()
@@ -249,16 +248,13 @@ class TasmServer:
         :class:`~repro.errors.ServerBusy` when the pending queue is at
         ``service_max_queue_depth``.
         """
-        stream = self._scheduler.submit(
+        return self._scheduler.submit(
             query,
             client=client,
             deadline_ms=deadline_ms,
             priority=priority,
             skip_sots=skip_sots,
-        )  # may refuse (ServerBusy)
-        with self._stats_lock:
-            self._queries_submitted += 1
-        return stream
+        )
 
     def scan(
         self,
@@ -317,11 +313,10 @@ class TasmServer:
         )
         completed = self._scheduler.queries_completed
         with self._stats_lock:
-            submitted = self._queries_submitted
             by_label = {label: dict(work) for label, work in self._work_by_label.items()}
         return ServerStats(
             uptime_seconds=uptime,
-            queries_submitted=submitted,
+            queries_submitted=self._scheduler.queries_submitted,
             queries_completed=completed,
             queries_cancelled=self._scheduler.queries_cancelled,
             qps=completed / uptime if uptime > 0 else 0.0,
@@ -350,7 +345,3 @@ class TasmServer:
     def traces(self, last: int = 16) -> list[dict]:
         """The most recent completed query traces, newest first."""
         return self.obs.traces.last(last)
-
-    def render_metrics(self) -> str:
-        """The current metrics in Prometheus text exposition format."""
-        return self.obs.render_text()

@@ -1015,11 +1015,9 @@ class _Connection:
         """Which pipeline stage one of this connection's scans is in.
 
         Best-effort introspection for starved clients: ``queue`` (accepted,
-        not yet in a running batch), ``execute`` (its batch started, judged
-        by the queue span or a first chunk), ``wire`` (finished server-side,
-        the writer still delivering), or ``unknown`` (finished, cancelled, or
-        never seen).  With observability off the queue/execute boundary is
-        only visible once a chunk is pushed.
+        not yet in a running batch), ``execute`` (its batch started), ``wire``
+        (finished server-side, the writer still delivering), or ``unknown``
+        (finished, cancelled, or never seen).
         """
         with self._cond:
             scan = self._scans.get(target_id)
@@ -1030,7 +1028,7 @@ class _Connection:
         delivered = len(stream.delivered)
         if stream.done:
             stage = "wire"
-        elif stream.first_chunk_at is not None or stream._queue_span_recorded:
+        elif stream.started_at is not None:
             stage = "execute"
         else:
             stage = "queue"
@@ -1170,7 +1168,7 @@ class _Connection:
         if ring is not None and total > 0:
             offset = ring.try_write(buffers, total)
             if offset is not None:
-                self._obs.chunks_sent.labels(path="shm").inc()
+                self._obs.chunks_sent["shm"].inc()
                 descriptor = _SHM_CHUNK_HEADER.pack(offset, total)
                 return [
                     _FRAME_HEADER.pack(KIND_SHM_CHUNK, len(descriptor) + len(header))
@@ -1179,7 +1177,7 @@ class _Connection:
                 ]
             # Ring negotiated but full: this chunk rides the socket instead.
             self._obs.shm_fallbacks.inc()
-        self._obs.chunks_sent.labels(path="socket").inc()
+        self._obs.chunks_sent["socket"].inc()
         return [_FRAME_HEADER.pack(KIND_CHUNK, len(header) + total) + header, *buffers]
 
     def _final_reply(self, query_id: int, scan: _ServedScan) -> bytes:

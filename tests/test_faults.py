@@ -937,7 +937,7 @@ class TestReconnectResume:
             assert wait_until(lambda: client.retries_total == 1)
             assert client.deadline_fast_fails == 1
             assert len([m for m in sent if m.get("op") == "scan"]) == 1
-            assert server._queries_submitted == 1, "no orphan resubmission"
+            assert server.stats().queries_submitted == 1, "no orphan resubmission"
         finally:
             client.close()
             transport.stop()
@@ -970,7 +970,7 @@ class TestReconnectResume:
             stream.close()  # the consumer walks away during the outage
             assert wait_until(lambda: client.retries_total == 1)
             assert len([m for m in sent if m.get("op") == "scan"]) == 1
-            assert server._queries_submitted == 1, "closed scan stayed dead"
+            assert server.stats().queries_submitted == 1, "closed scan stayed dead"
             # The healed connection is fully usable for new work.
             assert_scan_results_identical(
                 client.scan(video.name, "person"),

@@ -5,9 +5,10 @@ The contracts pinned here:
 * the metrics primitives are exact under concurrency: N threads × M counter
   increments sum to exactly N*M, and a histogram snapshot taken mid-storm is
   never torn (its cumulative buckets are monotone and end at its count);
-* a consumer-cancelled query increments ``queries_cancelled`` exactly once,
-  whichever path notices it — including the failed-batch sweep that used to
-  skip counting entirely (the regression this file guards);
+* a consumer-cancelled query is counted and traced as ``cancelled`` by the
+  time the cancel is known to have been handled (every other way a query
+  ends, and the conservation law over all of them, is
+  ``tests/test_service_accounting.py``);
 * ``ServerStats.as_dict()`` keeps its legacy flat schema byte-identical,
   with new telemetry nested under the single added ``metrics`` key;
 * after a concurrent workload quiesces, histogram totals equal counter
@@ -21,7 +22,9 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import json
 import logging
+import sys
 import threading
 import time
 
@@ -29,7 +32,7 @@ import pytest
 
 from repro.config import TasmConfig
 from repro.core.query import Query
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError
 from repro.obs import (
     DISABLED,
     NULL_TRACE,
@@ -47,7 +50,6 @@ from repro.obs.metrics import (
     NULL_INSTRUMENT,
 )
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
-from repro.service.scheduler import BatchScheduler
 from tests.test_exec_engine import make_tasm
 
 CACHE_BYTES = 64 * 1024 * 1024
@@ -115,8 +117,10 @@ class TestMetricsPrimitives:
         family.labels(stage="serve").inc()
         with pytest.raises(ValueError, match="takes labels"):
             family.labels(phase="warm")
-        with pytest.raises(ValueError, match="is labelled"):
-            family.inc()
+        assert not hasattr(family, "inc"), "a labelled family is not an instrument"
+        assert isinstance(registry.counter("plain_total"), Counter), (
+            "an unlabelled family is its instrument"
+        )
         snapshot = registry.snapshot()["work_total"]
         assert snapshot["type"] == "counter"
         assert [(entry["labels"], entry["value"]) for entry in snapshot["values"]] == [
@@ -131,22 +135,22 @@ class TestMetricsPrimitives:
         counter.inc()
         assert counter.value == 0.0
         assert registry.snapshot() == {}
-        assert registry.render_text() == ""
+        assert render_text(registry.snapshot()) == ""
 
     def test_render_text_exposition(self):
         registry = MetricsRegistry()
         registry.counter("tasm_things_total", "Things.").inc(3)
         registry.histogram("tasm_lat_seconds", "Latency.", buckets=(0.1, 1.0)).observe(0.05)
-        text = registry.render_text()
+        text = render_text(registry.snapshot())
         assert "# HELP tasm_things_total Things." in text
         assert "# TYPE tasm_things_total counter" in text
         assert "tasm_things_total 3" in text
         assert 'tasm_lat_seconds_bucket{le="0.1"} 1' in text
         assert 'tasm_lat_seconds_bucket{le="+Inf"} 1' in text
         assert "tasm_lat_seconds_count 1" in text
-        # Renders remotely fetched snapshots identically: the wire format is
-        # the snapshot dict itself.
-        assert render_text(registry.snapshot()) == text
+        # The wire format is the snapshot dict itself, so a remotely fetched
+        # snapshot renders identically.
+        assert render_text(json.loads(json.dumps(registry.snapshot()))) == text
 
 
 class TestSnapshotConsistencyUnderLoad:
@@ -181,6 +185,44 @@ class TestSnapshotConsistencyUnderLoad:
         stop.set()
         for thread in writers + readers:
             thread.join()
+        assert not torn, torn[:3]
+
+
+class TestSnapshotIsOneInstant:
+    def test_buckets_sum_and_count_agree_at_a_short_switch_interval(self):
+        """The race above, made likely: the interpreter switches threads every
+        few bytecodes, and every observation lands in a finite bucket — so the
+        last finite bucket must *equal* the count, which catches buckets read
+        before the count as well as after, and the sum must be the count's."""
+        histogram = Histogram(buckets=(1.0, 2.0))
+        stop = threading.Event()
+        torn: list[dict] = []
+
+        def write():
+            while not stop.is_set():
+                histogram.observe(0.5)
+
+        def read():
+            while not stop.is_set():
+                snapshot = histogram.snapshot_value()
+                count = snapshot["count"]
+                if snapshot["buckets"][-2][1] != count or snapshot["sum"] != 0.5 * count:
+                    torn.append(snapshot)
+
+        threads = [threading.Thread(target=write) for _ in range(3)]
+        threads += [threading.Thread(target=read) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not torn, torn[:3]
 
 
@@ -246,74 +288,9 @@ class TestObservabilityConfig:
 
 
 # ----------------------------------------------------------------------
-# Cancelled-query accounting (the exactly-once regression)
+# Cancelled-query accounting over the wire
 # ----------------------------------------------------------------------
 class TestCancelledAccounting:
-    def test_cancel_while_pending_counts_once(self, config):
-        tasm, video = make_tasm(config)
-        obs = Observability()
-        scheduler = BatchScheduler(tasm, max_batch=4, obs=obs)
-        scheduler._running = True
-        try:
-            stream = scheduler.submit(Query.select("car", video.name))
-            stream.close()
-            batch: list = []
-            with scheduler._cond:
-                scheduler._take_round_robin(batch)
-            assert batch == [], "a cancelled pending query must not cost a slot"
-            assert scheduler.queries_cancelled == 1
-            assert obs.queries_cancelled.value == 1
-            # Exactly-once: a second path noticing the same stream is a no-op.
-            scheduler._count_cancel(stream)
-            assert scheduler.queries_cancelled == 1
-            assert obs.queries_cancelled.value == 1
-        finally:
-            scheduler._running = False
-
-    def test_cancel_skipped_mid_batch_counts_once(self, config):
-        tasm, video = make_tasm(config)
-        obs = Observability()
-        scheduler = BatchScheduler(tasm, max_batch=4, obs=obs)
-        scheduler._running = True
-        try:
-            live = scheduler.submit(Query.select("car", video.name))
-            doomed = scheduler.submit(Query.select("person", video.name))
-            doomed.close()
-            scheduler._execute([live, doomed])
-            assert live.result(timeout=10).regions
-            assert scheduler.queries_completed == 1
-            assert scheduler.queries_cancelled == 1
-            scheduler._count_cancel(doomed)
-            assert scheduler.queries_cancelled == 1
-        finally:
-            scheduler._running = False
-
-    def test_failed_batch_sweep_counts_a_cancel_exactly_once(self, config):
-        """Regression: the failed-batch retry path used to skip done streams
-        without counting a consumer cancel at all (an undercount)."""
-        tasm, video = make_tasm(config)
-        obs = Observability()
-        scheduler = BatchScheduler(tasm, max_batch=4, obs=obs)
-        scheduler._running = True
-        try:
-            bad = scheduler.submit(Query.select("car", "no-such-video"))
-            cancelled = scheduler.submit(Query.select("car", video.name))
-            cancelled.close()
-            scheduler._execute([bad, cancelled])
-            with pytest.raises(ServiceError):
-                bad.result(timeout=5)
-            assert scheduler.queries_cancelled == 1, (
-                "the failed-batch sweep must count the cancelled stream"
-            )
-            assert obs.queries_cancelled.value == 1
-            assert obs.queries_failed.value == 1
-            # And never twice, whichever path re-notices it.
-            scheduler._count_cancel(cancelled)
-            assert scheduler.queries_cancelled == 1
-            assert obs.queries_cancelled.value == 1
-        finally:
-            scheduler._running = False
-
     def test_remote_cancel_lands_in_metrics_and_trace_ring(self, config):
         server, video = make_server(config, service_stream_buffer_chunks=1)
         # A 3-SOT scan can finish before a CANCEL crosses the wire, and a
@@ -342,12 +319,10 @@ class TestCancelledAccounting:
                     # reply to a request sent after the CANCEL means the
                     # CANCEL has been handled.
                     client.video_info(video.name)
+                    # ... and a handled CANCEL is a counted one: the reader
+                    # closed the stream, and closing it accounted the query.
+                    assert server.stats().queries_cancelled == 1
                     cancel_landed.set()
-                    deadline = time.monotonic() + 10.0
-                    while time.monotonic() < deadline:
-                        if server.obs.queries_cancelled.value >= 1:
-                            break
-                        time.sleep(0.01)
             snapshot = server.metrics_snapshot()
             cancelled = snapshot["tasm_queries_cancelled_total"]["values"][0]["value"]
             assert cancelled == 1
@@ -435,6 +410,26 @@ class TestObservabilityIntegration:
         assert "plan" in detail and "serve" in detail
         serve = next(s for s in trace["spans"] if s["name"] == "serve")
         assert {"cache_hits", "cache_misses"} <= set(serve["meta"])
+
+    def test_every_labelled_series_lists_at_zero_before_traffic(self, config):
+        server, _ = make_server(config)
+        try:
+            snapshot = server.metrics_snapshot()
+        finally:
+            server.stop()
+
+        def children(name: str, label: str) -> dict:
+            return {
+                entry["labels"][label]: entry.get("value", entry.get("count"))
+                for entry in snapshot[name]["values"]
+            }
+
+        assert children("tasm_queries_shed_total", "reason") == {"breaker": 0, "queue_full": 0}
+        assert children("tasm_chunks_sent_total", "path") == {"shm": 0, "socket": 0}
+        assert children("tasm_stage_seconds", "stage") == {"plan": 0, "serve": 0, "warm": 0}
+        assert snapshot["tasm_queries_submitted_total"]["type"] == "counter", (
+            "read from the scheduler, still a counter: the cluster rolls counters up"
+        )
 
     def test_counters_and_histograms_agree_after_concurrent_load(self, config):
         """No torn or lost updates: after N threads × M scans quiesce, the
@@ -525,6 +520,11 @@ class TestObservabilityIntegration:
             trace["total_seconds"], rel=0.25, abs=0.02
         )
         assert trace["total_seconds"] <= wall + 0.02
+        top = [span for span in trace["spans"] if span["top"]]
+        assert [span["name"] for span in top] == ["queue", "execute"], (
+            "the fetched trace's top spans tile the wall latency: no other "
+            "top-level span, and the two sum to the total (above)"
+        )
         assert any(span["name"] == "wire" for span in trace["spans"])
         text = render_text(metrics)
         assert "tasm_query_seconds_bucket" in text
@@ -564,7 +564,7 @@ class TestObservabilityIntegration:
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
             assert server.metrics_snapshot() == {}
             assert server.traces() == []
-            assert server.render_metrics() == ""
+            assert render_text(server.metrics_snapshot()) == ""
             assert server.stats().as_dict()["metrics"] == {}
             # The legacy counters keep working regardless.
             assert server.stats().queries_completed == 1
@@ -573,5 +573,5 @@ class TestObservabilityIntegration:
 
     def test_shared_disabled_instance(self):
         assert DISABLED.enabled is False
-        DISABLED.queries_submitted.inc()
+        DISABLED.slow_queries.inc()
         assert DISABLED.snapshot() == {}
