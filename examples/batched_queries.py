@@ -78,13 +78,15 @@ def main() -> None:
     )
 
     # Re-tiling invalidates only the SOTs it touches — the cache can never
-    # serve pixels from a superseded encoding.
+    # serve pixels from a superseded encoding — and hands the cache what its
+    # encoder reconstructed of the area that was resident, under the new
+    # tiles' checksums, so the burst does not decode the new tiles either.
     layout = tasm.layout_around(video.name, 0, ["car"])
     tasm.retile_sot(video.name, 0, layout)
     after_retile = tasm.execute_batch(queries)
     print(
         f"after re-tiling SOT 0: {after_retile.pixels_decoded:>11,} pixels decoded "
-        f"(fresh tiles for the new layout; everything else still cached)"
+        f"(the new layout's tiles were handed over; everything else still cached)"
     )
 
     per_query = [result.returned_pixels for result in batch]

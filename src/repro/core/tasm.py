@@ -38,6 +38,7 @@ from ..storage.catalog import VideoCatalog
 from ..storage.tiled_video import RetileRecord, TiledVideo
 from ..tiles.layout import TileLayout, untiled_layout
 from ..tiles.partitioner import TileGranularity, partition_around_boxes
+from ..video.codec import Handover
 from ..video.decoder import RegionRequest, ScanPiece, VideoDecoder
 from ..video.video import Video
 from .cost import CostEstimate, CostModel
@@ -281,18 +282,42 @@ class TASM:
         """Re-encode one SOT with a new layout (the physical re-organisation).
 
         Any tile decodes cached for the superseded encoding are invalidated —
-        a scan after a re-tile can never be served stale pixels.  Server-safe:
-        the re-encode holds the ``(video, SOT)`` write lock, so it waits for
-        in-flight scans reading this SOT to drain and blocks new ones until
-        the new encoding (and the cache invalidation) is in place.
+        a scan after a re-tile can never be served stale pixels.  What they
+        covered stays resident all the same: the encoder reconstructs every
+        frame it predicts from, so for the area the cache held — and no other
+        — its reconstructions are kept and, once the old entries are gone,
+        put under the new tiles' checksums.  Server-safe: the re-encode holds
+        the ``(video, SOT)`` write lock, so it waits for in-flight scans
+        reading this SOT to drain and blocks new ones until the new encoding,
+        the invalidation and the hand-over are in place.
         """
         with self.locks.write((video_name, sot_index)):
-            record = self.catalog.get(video_name).retile(sot_index, layout)
+            tiled = self.catalog.get(video_name)
+            handover = self._resident(tiled, sot_index)
+            record = tiled.retile(sot_index, layout, handover)
             # The retile listener registered at ingest already invalidates,
             # but a TiledVideo loaded into the catalog directly (e.g. restored
             # from disk) may carry no listener, so invalidate here as well.
             self._on_retile(video_name, sot_index)
+            if handover is not None:
+                for (gop_start, tile_index), (frames, token) in handover.frames.items():
+                    self.tile_cache.put((video_name, sot_index, gop_start, tile_index), frames, token)
         return record
+
+    def _resident(self, tiled: TiledVideo, sot_index: int) -> Handover | None:
+        """What the cache holds of a SOT's current encoding, GOP by GOP, as
+        the re-encode's :class:`~repro.video.codec.Handover`; None when that
+        is nothing, and the re-encode then keeps nothing."""
+        if self.tile_cache is None or not tiled.is_materialised(sot_index):
+            return None
+        resident: dict[int, list[tuple[Rectangle, int]]] = {}
+        for gop in tiled.encoded_sot(sot_index).gops:
+            for tile_index, tile in enumerate(gop.tiles):
+                key = (tiled.name, sot_index, gop.frame_start, tile_index)
+                frames = self.tile_cache.held(key, tile.checksums)
+                if frames:
+                    resident.setdefault(gop.frame_start, []).append((tile.region, len(frames) - 1))
+        return Handover(resident) if resident else None
 
     def _on_retile(self, video_name: str, sot_index: int) -> None:
         if self.tile_cache is not None:

@@ -4,8 +4,13 @@ A cache entry holds the reconstructed rasters of one tile bitstream — one
 ``(video, SOT, GOP, tile)`` — decoded from its keyframe up to some frame
 offset.  Because the codec's temporal dependency means reaching offset *k*
 requires reconstructing offsets ``0..k``, an entry decoded to depth *d* can
-serve any request needing depth ``<= d``; a deeper request is a miss that
-re-decodes and replaces the entry.
+serve any request needing depth ``<= d``.  It is also a decoder paused at
+depth *d*: a deeper request is a miss, but the decoder takes the entry's
+frames (:meth:`TileDecodeCache.held`), resumes the bitstream after them and
+puts the longer list back — no frame the cache holds is decoded again.  The
+same goes for a re-tile: ``TASM.retile_sot`` asks what is held of the old
+encoding and, after invalidating it, puts what the encoder reconstructed of
+that area under the new tiles' checksums.
 
 Two mechanisms keep served pixels fresh across re-tiling:
 
@@ -67,18 +72,6 @@ class CacheStats:
 
     def snapshot(self) -> "CacheStats":
         return replace(self)
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """The counter deltas accumulated after ``earlier`` was snapshotted."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            insertions=self.insertions - earlier.insertions,
-            evictions=self.evictions - earlier.evictions,
-            invalidations=self.invalidations - earlier.invalidations,
-            pixels_served=self.pixels_served - earlier.pixels_served,
-            bytes_evicted=self.bytes_evicted - earlier.bytes_evicted,
-        )
 
 
 @dataclass
@@ -147,6 +140,14 @@ class TileDecodeCache:
             pixels_per_frame = int(entry.frames[0].size) if entry.frames else 0
             self.stats.pixels_served += pixels_per_frame * (min_depth + 1)
             return entry.frames
+
+    def held(self, key: TileKey, token: Sequence[int]) -> list[np.ndarray] | None:
+        """The frames held for ``key`` at whatever depth, when they were
+        decoded from the bitstream ``token`` names — else None.  Not a lookup:
+        no counter and no recency moves."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry.frames if entry is not None and entry.token == tuple(token) else None
 
     def put(
         self,

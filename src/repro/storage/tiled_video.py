@@ -18,7 +18,7 @@ from ..config import TasmConfig
 from ..errors import StorageError
 from ..tiles.layout import TileLayout, VideoLayoutSpec, untiled_layout
 from ..video.encoder import EncodedSot, VideoEncoder
-from ..video.codec import EncodeStats
+from ..video.codec import EncodeStats, Handover
 from ..video.video import Video
 
 __all__ = ["RetileRecord", "TiledVideo"]
@@ -124,27 +124,33 @@ class TiledVideo:
         """
         self._retile_listeners.append(listener)
 
-    def retile(self, sot_index: int, layout: TileLayout) -> RetileRecord:
+    def retile(
+        self, sot_index: int, layout: TileLayout, handover: Handover | None = None
+    ) -> RetileRecord:
         """Re-encode one SOT under ``layout`` and record the work done.
 
         Re-tiling to the layout the SOT already has is a no-op that costs
         nothing; TASM's policies rely on this so that "keep the current
-        layout" is always free.
+        layout" is always free.  ``handover`` names what a decode cache holds
+        of the superseded encoding and receives the new encoding's
+        reconstructions of that area (:class:`~repro.video.codec.Handover`).
         """
         current = self.layout_for(sot_index)
         if layout == current and self.is_materialised(sot_index):
             return RetileRecord(sot_index, layout, 0, 0, 0, 0.0)
         self.layout_spec.set_layout(sot_index, layout)
-        self._encode(sot_index, layout, record=True)
+        self._encode(sot_index, layout, record=True, handover=handover)
         for listener in self._retile_listeners:
             listener(self.name, sot_index)
         return self.retile_history[-1]
 
-    def _encode(self, sot_index: int, layout: TileLayout, record: bool) -> EncodedSot:
+    def _encode(
+        self, sot_index: int, layout: TileLayout, record: bool, handover: Handover | None = None
+    ) -> EncodedSot:
         start, stop = self.layout_spec.frame_range(sot_index)
         stats = EncodeStats()
         encoded = self._encoder.encode_sot(
-            self.video, sot_index, start, stop, layout, stats=stats
+            self.video, sot_index, start, stop, layout, stats=stats, handover=handover
         )
         self._sots[sot_index] = encoded
         if record:

@@ -34,7 +34,7 @@ from ..config import CodecConfig
 from ..errors import BitstreamCorruptionError, CodecError
 from ..geometry import Rectangle
 
-__all__ = ["EncodedTile", "EncodedGop", "EncodeStats", "DecodeStats", "TileCodec"]
+__all__ = ["EncodedTile", "EncodedGop", "EncodeStats", "DecodeStats", "Handover", "TileCodec"]
 
 _COMPRESSION_LEVEL = 1
 
@@ -80,6 +80,24 @@ class DecodeStats:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.pixels_served_from_cache += other.pixels_served_from_cache
+
+
+@dataclass
+class Handover:
+    """What a re-encode keeps for a decode cache that held the old encoding.
+
+    ``resident`` maps a GOP (by its first frame) to the rectangles of the
+    superseded encoding the cache holds and the frame offset each is decoded
+    to.  The encoder files under ``frames``, by (GOP first frame, tile index),
+    ``(reconstructions, checksums)`` of every new tile that intersects one —
+    what the decoder would reconstruct from the new bitstream, to the deepest
+    offset held over the tile's area.  Other tiles keep nothing.
+    """
+
+    resident: dict[int, list[tuple[Rectangle, int]]]
+    frames: dict[tuple[int, int], tuple[list[np.ndarray], tuple[int, ...]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass(frozen=True)
@@ -144,13 +162,6 @@ class EncodedGop:
     def tile_count(self) -> int:
         return len(self.tiles)
 
-    def tile_for_region(self, region: Rectangle) -> EncodedTile:
-        """Return the tile whose region exactly matches ``region``."""
-        for tile in self.tiles:
-            if tile.region == region:
-                return tile
-        raise CodecError(f"no tile with region {region} in GOP {self.gop_index}")
-
 
 class TileCodec:
     """Encode and decode tile bitstreams.
@@ -174,6 +185,8 @@ class TileCodec:
         frame_start: int,
         is_boundary_tile: bool = True,
         stats: EncodeStats | None = None,
+        kept: list[np.ndarray] | None = None,
+        keep_depth: int = -1,
     ) -> EncodedTile:
         """Encode ``region`` of a list of full frames as one tile bitstream.
 
@@ -186,6 +199,9 @@ class TileCodec:
                 (the whole frame as one tile) passes False and suffers no
                 boundary loss.
             stats: optional accumulator for encode accounting.
+            kept: receives what :meth:`decode_tile` would reconstruct for
+                frames ``0..keep_depth`` (none by default) — the encoder
+                holds it anyway, to predict the next frame from.
         """
         if not frames:
             raise CodecError("cannot encode an empty GOP")
@@ -214,6 +230,8 @@ class TileCodec:
                 payload = self._encode_predicted(block, reconstruction, work)
             payloads.append(payload)
             checksums.append(zlib.crc32(payload))
+            if frame_offset <= keep_depth:
+                kept.append(reconstruction.astype(np.uint8))
 
         encoded = EncodedTile(
             region=Rectangle(x1, y1, x2, y2),
@@ -237,21 +255,21 @@ class TileCodec:
         gop_index: int,
         frame_start: int,
         stats: EncodeStats | None = None,
+        handover: Handover | None = None,
     ) -> EncodedGop:
         """Encode a GOP under a layout given as a list of tile rectangles."""
         if not regions:
             raise CodecError("a GOP must be encoded with at least one tile region")
         full_frame = len(regions) == 1
-        tiles = [
-            self.encode_tile(
-                frames,
-                region,
-                frame_start,
-                is_boundary_tile=not full_frame,
-                stats=stats,
-            )
-            for region in regions
-        ]
+        resident = handover.resident.get(frame_start, ()) if handover else ()
+        tiles = []
+        for tile_index, region in enumerate(regions):
+            kept: list[np.ndarray] = []
+            depth = max((held for area, held in resident if area.intersects(region)), default=-1)
+            tile = self.encode_tile(frames, region, frame_start, not full_frame, stats, kept, depth)
+            tiles.append(tile)
+            if kept:
+                handover.frames[frame_start, tile_index] = (kept, tile.checksums)
         return EncodedGop(
             gop_index=gop_index,
             frame_start=frame_start,
@@ -267,6 +285,7 @@ class TileCodec:
         tile: EncodedTile,
         up_to_offset: int | None = None,
         stats: DecodeStats | None = None,
+        resume_from: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Decode a tile bitstream and return its reconstructed rasters.
 
@@ -276,16 +295,23 @@ class TileCodec:
                 temporal dependency: reaching frame k requires decoding every
                 frame since the keyframe).  None decodes the whole GOP.
             stats: optional accumulator for decode accounting.
+            resume_from: this very bitstream's frames ``0..d``, as an earlier
+                call returned them: a decoder paused at depth *d*.  Only
+                payloads ``d+1..up_to_offset`` are verified and inflated, and
+                only they count as frames and pixels decoded; the returned
+                list starts with the given arrays themselves.  None (or
+                nothing) is the cold decode from the keyframe.
         """
         last = tile.frame_count - 1 if up_to_offset is None else up_to_offset
         if not 0 <= last < tile.frame_count:
             raise CodecError(
                 f"frame offset {last} out of range for tile with {tile.frame_count} frames"
             )
-        reconstructions: list[np.ndarray] = []
-        previous: np.ndarray | None = None
+        reconstructions = list(resume_from or ())
+        held = len(reconstructions)
+        previous = reconstructions[-1] if held else None
         work = np.empty((tile.height, tile.width), dtype=np.int16)
-        for offset in range(last + 1):
+        for offset in range(held, last + 1):
             payload = tile.payloads[offset]
             if zlib.crc32(payload) != tile.checksums[offset]:
                 raise BitstreamCorruptionError(
@@ -299,8 +325,8 @@ class TileCodec:
             reconstructions.append(previous)
         if stats is not None:
             stats.tiles_decoded += 1
-            stats.frames_decoded += len(reconstructions)
-            stats.pixels_decoded += tile.pixels_per_frame * len(reconstructions)
+            stats.frames_decoded += len(reconstructions) - held
+            stats.pixels_decoded += tile.pixels_per_frame * (len(reconstructions) - held)
         return reconstructions
 
     # ------------------------------------------------------------------

@@ -144,7 +144,8 @@ class VideoDecoder:
     When constructed with a :class:`~repro.exec.cache.TileDecodeCache`, the
     decoder consults it before opening a tile bitstream and stores every
     reconstruction it produces: repeated scans over the same tiles become
-    cache hits that add nothing to the P/T decode-work counters.  Cache keys
+    cache hits that add nothing to the P/T decode-work counters, and a deeper
+    scan decodes only the frames past the ones held.  Cache keys
     are namespaced by ``scope`` (the video name), which callers must supply
     for caching to engage — decodes without a scope behave exactly like the
     cacheless decoder.
@@ -353,7 +354,9 @@ class VideoDecoder:
         decodes (whole batches running on separate service runners) miss on
         the same tile key at once, one leader
         decodes while the rest wait and then hit the fresh entry — the same
-        tile is never decoded twice in parallel for the same depth.
+        tile is never decoded twice in parallel for the same depth.  A miss on
+        a tile the cache holds too shallow resumes from the held frames: only
+        the frames past them are decoded, and counted.
         """
         reconstructions: dict[int, list[np.ndarray]] = {}
         for tile_index, depth in tile_depth.items():
@@ -378,7 +381,7 @@ class VideoDecoder:
                 try:
                     result.stats.cache_misses += 1
                     frames = self._codec.decode_tile(
-                        tile, up_to_offset=depth, stats=result.stats
+                        tile, depth, result.stats, resume_from=self.cache.held(key, tile.checksums)
                     )
                     self.cache.put(key, frames, token=tile.checksums)
                 finally:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from ..config import CodecConfig
 from ..errors import CodecError
-from ..tiles.layout import TileLayout, VideoLayoutSpec
-from .codec import EncodedGop, EncodeStats, TileCodec
+from ..tiles.layout import TileLayout
+from .codec import EncodedGop, EncodeStats, Handover, TileCodec
 from .gop import gop_ranges
 from .video import Video
 
@@ -66,8 +66,10 @@ class VideoEncoder:
         frame_stop: int,
         layout: TileLayout,
         stats: EncodeStats | None = None,
+        handover: Handover | None = None,
     ) -> EncodedSot:
-        """Encode frames ``[frame_start, frame_stop)`` under ``layout``."""
+        """Encode frames ``[frame_start, frame_stop)`` under ``layout``; see
+        :class:`~repro.video.codec.Handover` for what ``handover`` keeps."""
         if frame_stop <= frame_start:
             raise CodecError("SOT frame range is empty")
         if layout.frame_width != video.width or layout.frame_height != video.height:
@@ -92,6 +94,7 @@ class VideoEncoder:
                     gop_index=gop_offset,
                     frame_start=absolute_start,
                     stats=stats,
+                    handover=handover,
                 )
             )
         elapsed = time.perf_counter() - started
@@ -103,29 +106,3 @@ class VideoEncoder:
             gops=gops,
             encode_seconds=elapsed,
         )
-
-    def encode_video(
-        self,
-        video: Video,
-        layout_spec: VideoLayoutSpec,
-        stats: EncodeStats | None = None,
-    ) -> list[EncodedSot]:
-        """Encode an entire video according to a layout specification."""
-        if layout_spec.frame_count != video.frame_count:
-            raise CodecError(
-                "layout specification frame count does not match the video"
-            )
-        sots = []
-        for sot_index in range(layout_spec.sot_count):
-            start, stop = layout_spec.frame_range(sot_index)
-            sots.append(
-                self.encode_sot(
-                    video,
-                    sot_index,
-                    start,
-                    stop,
-                    layout_spec.layout_for(sot_index),
-                    stats=stats,
-                )
-            )
-        return sots

@@ -199,15 +199,18 @@ def flat_frames() -> list[np.ndarray]:
     return frames
 
 
-def run_w4_on_smoke_road(steps: int = 240, road: tuple = ("2K", 2.0)):
+def run_w4_on_smoke_road(
+    steps: int = 240, road: tuple = ("2K", 2.0), cache_bytes: int = 16 << 20, results=None
+):
     """The ledger's ``adaptive_retile`` loop on its smoke road scene (384x224,
     two 10-frame SOTs; ``road=("4K", 20.0)`` with 75 steps is its full scale):
     W4's queries against an untiled video and an empty index, each step
     indexing the frames it is first to see, executing, then letting the regret
-    policy re-tile physically.  Returns ``(tasm, video)``."""
+    policy re-tile physically.  Returns ``(tasm, video)``; a ``results`` list
+    receives every step's ``ScanResult``."""
     video = visual_road_scene("ledger-road", *road, frame_rate=10, seed=101)
     codec = CodecConfig(gop_frames=10, frame_rate=10)
-    tasm = TASM(TasmConfig(codec=codec, decode_cache_bytes=16 << 20))
+    tasm = TASM(TasmConfig(codec=codec, decode_cache_bytes=cache_bytes))
     tasm.ingest(video).materialise_all()
     workload = workload_4(video, query_count=steps).workload
     policy, engine = IncrementalRegretPolicy(), MeasuredEngine(tasm)
@@ -219,6 +222,8 @@ def run_w4_on_smoke_road(steps: int = 240, road: tuple = ("2K", 2.0)):
         seen.update(window)
         if fresh:
             tasm.add_detections(video.name, fresh)
-        tasm.execute(query)
+        result = tasm.execute(query)
+        if results is not None:
+            results.append(result)
         policy.on_query(tasm, engine, video.name, query)
     return tasm, video

@@ -68,7 +68,9 @@ GOLDEN = {
     ),
     "deeper": (
         "fa214848128bb6755cffa64ca2899280bb9bd5a2d8a192650e81ab82222d8750",
-        (6400, 1, 5, 0, 1, 0),
+        # A miss, but resumed: frames 5-6 are held, so 7-9 of the 32x40 tile
+        # are the three decoded (the rectangle-scan decoder started over: 6400, 5).
+        (3840, 1, 3, 0, 1, 0),
     ),
 }
 

@@ -56,7 +56,12 @@ class TestVideoEncoder:
         )
         spec.set_layout(1, uniform_layout(tiny_video.width, tiny_video.height, 2, 2))
         stats = EncodeStats()
-        sots = encoder.encode_video(tiny_video, spec, stats=stats)
+        sots = [
+            encoder.encode_sot(
+                tiny_video, sot, *spec.frame_range(sot), spec.layout_for(sot), stats=stats
+            )
+            for sot in range(spec.sot_count)
+        ]
         assert len(sots) == spec.sot_count
         assert sots[0].layout.is_untiled
         assert sots[1].layout.tile_count == 4

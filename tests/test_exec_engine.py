@@ -275,14 +275,28 @@ class TestBatchAccounting:
 
 
 class TestRetileInvalidation:
+    @staticmethod
+    def assert_entries_are_of_the_current_encoding(tasm, video, sot_index: int) -> int:
+        """Every entry cached for the SOT carries the checksums of the tile it
+        is filed under in the SOT's current encoding; returns how many."""
+        gops = {gop.frame_start: gop for gop in tasm.video(video.name).encoded_sot(sot_index).gops}
+        keys = keys_for_sot(tasm.tile_cache, video.name, sot_index)
+        for key in keys:
+            assert tasm.tile_cache.held(key, gops[key[2]].tiles[key[3]].checksums) is not None
+        return len(keys)
+
     def test_retile_evicts_the_sots_cached_tiles(self, config):
         tasm, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
         tasm.scan(video.name, "car")
         assert keys_for_sot(tasm.tile_cache, video.name, 0), "scan must populate the cache"
+        old_tile = tasm.video(video.name).encoded_sot(0).gops[0].tiles[0]
 
         layout = tasm.layout_around(video.name, 0, ["car"])
         tasm.retile_sot(video.name, 0, layout)
-        assert keys_for_sot(tasm.tile_cache, video.name, 0) == []
+        # No entry of the old encoding survives: what the SOT has cached now
+        # was handed over by the re-encode, under the new tiles' checksums.
+        assert tasm.tile_cache.held((video.name, 0, 0, 0), old_tile.checksums) is None
+        assert self.assert_entries_are_of_the_current_encoding(tasm, video, 0) == layout.tile_count
         assert tasm.tile_cache.stats.invalidations > 0
 
     def test_scan_after_retile_returns_fresh_pixels(self, config):
@@ -295,18 +309,17 @@ class TestRetileInvalidation:
         assert not layout.is_untiled
         cached.retile_sot(video.name, 0, layout)
         reference.retile_sot(video.name, 0, layout)
+        assert self.assert_entries_are_of_the_current_encoding(cached, video, 0) > 0
 
         after = cached.scan(video.name, "car")
         expected = reference.scan(video.name, "car")
         assert_scan_results_identical(after, expected)
-        # The re-tiled SOT's tiles were genuinely decoded (the invalidation
-        # forced a miss); the untouched SOTs may still legitimately hit, so
-        # decode work plus cache-served work must cover the reference exactly.
-        assert after.pixels_decoded > 0
-        assert (
-            after.pixels_decoded + after.pixels_served_from_cache
-            == expected.pixels_decoded
-        )
+        # The whole frame was resident, so the re-tiled SOT is served from the
+        # entries the re-encode handed over — those carrying the new
+        # checksums — and the untouched SOTs from their own: nothing is
+        # decoded, and what the cache serves covers the reference exactly.
+        assert after.pixels_decoded == 0
+        assert after.pixels_served_from_cache == expected.pixels_decoded
 
     def test_checksum_token_blocks_stale_reads_without_invalidation(self, config):
         """Even a retile that bypasses TASM's listener cannot serve stale tiles.
@@ -398,7 +411,7 @@ class TestTileDecodeCache:
         before = cache.stats.snapshot()
         cache.get(("v", 0, 0, 0), min_depth=0, token=(1,))
         cache.get(("v", 0, 0, 1), min_depth=0, token=(1,))
-        delta = cache.stats.since(before)
-        assert delta.hits == 1 and delta.misses == 1
-        assert delta.hit_rate == 0.5
+        after = cache.stats.snapshot()
+        assert after.hits - before.hits == 1 and after.misses - before.misses == 1
+        assert before.hit_rate == 1.0 and after.hit_rate == 2 / 3
         assert cache.stats.hits == 2

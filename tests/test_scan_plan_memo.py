@@ -375,3 +375,80 @@ def test_scanners_racing_a_writer_never_keep_a_stale_piece(monkeypatch):
         sys.setswitchinterval(interval)
     assert not failures and not any(thread.is_alive() for thread in scanners)
     assert tasm._scan_regions <= 12
+
+
+def test_scanners_racing_a_retiler_never_see_a_raster_of_the_other_encoding(monkeypatch):
+    """The same race with the re-tile's hand-over in it: SOT 1 goes back and
+    forth between two layouts while four scanners keep it resident at every
+    depth (so every re-tile has frames to hand over, and scans resume from
+    them).  The layouts' boundary artifacts differ, so each scan's SOT 1 part
+    must be, whole, what a cache-less TASM decodes under one of the two — a
+    raster kept from the other encoding, or seeded before the invalidation,
+    would show as a mix."""
+    tasm = indexed(build(cache_bytes=CACHE_BYTES))
+    layouts = [resolve(tasm, 1, "2x2"), resolve(tasm, 1, set(LABELS))]
+    scans = [
+        Query(VIDEO.name, LabelPredicate.any_of(LABELS), TemporalPredicate.between(3, stop))
+        for stop in (7, 9, 10, 12)
+    ]
+
+    def sot_1(result) -> list[tuple]:
+        return [region for region in regions_of(result) if 5 <= region[0] < 10]
+
+    allowed: dict[Query, list] = {query: [] for query in scans}
+    for layout in layouts:
+        reference = indexed(build())
+        reference.retile_sot(VIDEO.name, 1, layout)
+        for query in scans:
+            allowed[query].append(sot_1(reference.execute(query)))
+    assert all(one != other for one, other in allowed.values())  # the encodings do differ
+    tasm.retile_sot(VIDEO.name, 1, layouts[1])
+
+    seeded = []
+    put = tasm.tile_cache.put
+    retiler = threading.get_ident()
+
+    def recording_put(key, frames, token):
+        if threading.get_ident() == retiler:  # this thread only re-tiles: a hand-over
+            seeded.append(key)
+        return put(key, frames, token)
+
+    monkeypatch.setattr(tasm.tile_cache, "put", recording_put)
+    failures, retiling = [], threading.Event()
+    retiling.set()
+
+    def scanner(offset: int):
+        try:
+            while retiling.is_set():
+                for query in scans[offset:] + scans[:offset]:
+                    assert sot_1(tasm.execute(query)) in allowed[query], query.describe()
+                for query, result in zip(scans[:2], tasm.execute_batch(scans[:2]).results):
+                    assert sot_1(result) in allowed[query], query.describe()
+        except BaseException as error:  # reported by the assertion below
+            failures.append(error)
+
+    scanners = [threading.Thread(target=scanner, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in scanners:
+            thread.start()
+        deadline, retiles = time.monotonic() + 2.0, 0
+        while time.monotonic() < deadline and not failures:
+            tasm.retile_sot(VIDEO.name, 1, layouts[retiles % 2])
+            retiles += 1
+            time.sleep(0.005)  # let the scanners make the new tiles resident
+    finally:
+        retiling.clear()
+        for thread in scanners:
+            thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not failures and not any(thread.is_alive() for thread in scanners)
+    assert retiles > 4 and len(seeded) > retiles  # the hand-over was on
+    for query in scans:
+        check(tasm, [query])
+    # ... and what it seeds is served: filed after the invalidation, under the
+    # new tiles' checksums, one more re-tile leaves nothing for a scan to decode.
+    tasm.retile_sot(VIDEO.name, 1, layouts[retiles % 2])
+    assert tasm.execute(scans[-1]).pixels_decoded == 0
+    check(tasm, scans[-1:])
