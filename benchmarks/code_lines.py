@@ -72,12 +72,24 @@ def dead_definitions(files: list[Path]) -> list[str]:
     exported: set[str] = set()
     for file in files:
         source = file.read_text()
+        tree = ast.parse(source)
         uses.update(
             token.string
             for token in tokenize.generate_tokens(io.StringIO(source).readline)
             if token.type == tokenize.NAME
         )
-        bodies = [("", ast.parse(source).body)]
+        if sys.version_info < (3, 12):
+            # Before 3.12 an f-string is one STRING token: take the names its
+            # replacement fields use from the tree, so the count is the same
+            # on every interpreter.
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FormattedValue):
+                    uses.update(
+                        getattr(inner, "id", None) or getattr(inner, "attr", None)
+                        for inner in ast.walk(node.value)
+                        if isinstance(inner, (ast.Name, ast.Attribute))
+                    )
+        bodies = [("", tree.body)]
         for owner, body in bodies:
             for node in body:
                 if isinstance(node, ast.ClassDef):

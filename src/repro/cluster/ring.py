@@ -94,18 +94,6 @@ class HashRing:
             self._points.insert(index, point)
             self._owners.insert(index, node)
 
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != node
-        ]
-        self._points = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
-
     def node_for(self, key: Hashable) -> str:
         """The shard owning ``key`` — the first vnode clockwise of its hash."""
         owners = self.nodes_for(key, 1)

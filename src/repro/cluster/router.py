@@ -129,7 +129,7 @@ class ClusterScanStream(ScanStream):
     ):
         super().__init__(deadline_ms=deadline_ms, event_timeout=router._timeout)
         self._router = router
-        #: The scan's selection and priority — ``scan_streaming`` keywords
+        #: The scan's selection — the ``scan_streaming`` keywords
         #: every shard gets as they are; only ``skip_sots`` and the deadline
         #: differ per shard.
         self._scan = scan
@@ -255,8 +255,8 @@ class ClusterScanStream(ScanStream):
             ):
                 raise error
             if not isinstance(error, ServerBusy):
-                # Busy is overload, not death: shed scans route around the
-                # shard this once, but its health is the breaker's business.
+                # Busy is overload, not death: the scan routes around the
+                # shard this once, and the shard stays up for the next one.
                 self._router._note_failure(sub.shard, error)
             self._excluded.add(sub.shard)
             if sub.assigned <= self.delivered:
@@ -360,10 +360,6 @@ class ClusterRouter:
             else:
                 self._down.setdefault(name, TransportError("health probe failed"))
         return up
-
-    def health(self) -> dict:
-        """Probe every shard; ``{name: bool}``."""
-        return {name: self.probe(name) for name in sorted(self._addresses)}
 
     def _note_failure(self, name: str, error: BaseException) -> None:
         with self._lock:
@@ -491,7 +487,6 @@ class ClusterRouter:
         frame_start: int | None = None,
         frame_stop: int | None = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
     ) -> ClusterScanStream:
         info = self.video_info(video)
         universe = frozenset(range(int(info["sot_count"])))
@@ -500,11 +495,7 @@ class ClusterRouter:
             # one replica per key there is no choice for it to inform.
             self._refresh_load()
         scan = dict(
-            video=video,
-            labels=labels,
-            frame_start=frame_start,
-            frame_stop=frame_stop,
-            priority=priority,
+            video=video, labels=labels, frame_start=frame_start, frame_stop=frame_stop
         )
         stream = ClusterScanStream(self, scan, deadline_ms, universe)
         try:
@@ -521,15 +512,9 @@ class ClusterRouter:
         frame_start: int | None = None,
         frame_stop: int | None = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
     ):
         return self.scan_streaming(
-            video,
-            labels,
-            frame_start,
-            frame_stop,
-            deadline_ms=deadline_ms,
-            priority=priority,
+            video, labels, frame_start, frame_stop, deadline_ms=deadline_ms
         ).result()
 
     def add_metadata(self, *args, **kwargs) -> None:

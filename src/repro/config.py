@@ -160,13 +160,6 @@ class TasmConfig:
     #: :class:`~repro.errors.ServerBusy` instead of joining a backlog the
     #: server cannot drain.  0 disables the bound (accept everything).
     service_max_queue_depth: int = 0
-    #: Queue-wait breaker threshold in milliseconds: when the p95 of
-    #: ``tasm_queue_wait_seconds`` (over a recent window of batches, read
-    #: from the observability surface) exceeds this, the scheduler sheds the
-    #: lowest-priority pending queries with :class:`~repro.errors.ServerBusy`
-    #: until the backlog halves.  0 disables the breaker.  Requires
-    #: ``observability=True`` — the breaker reads the metrics registry.
-    service_shed_queue_wait_ms: float = 0.0
     #: A query whose execution kills this many batch-runner threads is
     #: quarantined with :class:`~repro.errors.PoisonQueryError` instead of
     #: being re-queued a further time (the supervisor restarts crashed
@@ -227,10 +220,6 @@ class TasmConfig:
         if self.service_max_queue_depth < 0:
             raise ConfigurationError(
                 "service_max_queue_depth must be non-negative (0 = unbounded)"
-            )
-        if self.service_shed_queue_wait_ms < 0:
-            raise ConfigurationError(
-                "service_shed_queue_wait_ms must be non-negative (0 = breaker off)"
             )
         if self.service_poison_query_kills < 1:
             raise ConfigurationError("service_poison_query_kills must be at least 1")

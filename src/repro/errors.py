@@ -87,12 +87,11 @@ class DeadlineExceeded(ServiceError):
 class ServerBusy(ServiceError):
     """Raised when admission control refuses a query (``SERVER_BUSY``).
 
-    Two shedders raise it: the fast-fail depth bound (the pending queue is
-    already ``service_max_queue_depth`` deep — the query is refused before a
-    trace or stream is allocated) and the queue-wait breaker (queue-wait p95
-    crossed ``service_shed_queue_wait_ms`` — the lowest-priority pending
-    queries are shed to drain the backlog).  Clients should back off and
-    retry; the request was never executed."""
+    The depth bound raises it at submit: the pending queue is already
+    ``service_max_queue_depth`` deep, so the query is refused before a trace
+    or stream is allocated.  Clients should back off and retry (the cluster
+    router routes around the shard for that scan); the request was never
+    executed."""
 
 
 class PoisonQueryError(ServiceError):

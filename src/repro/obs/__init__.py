@@ -17,7 +17,7 @@ this package is the window into it:
   terminal (:meth:`Observability.finish_query`).
 
 **Who counts what.**  Nothing is counted twice.  The scheduler's events —
-submitted, the six ways a query ends, batches, runner restarts, resumes —
+submitted, the five ways a query ends, batches, runner restarts, resumes —
 are plain ints on the :class:`~repro.service.scheduler.BatchScheduler`;
 their series read those ints at snapshot time
 (:meth:`Observability.read_events_from`), the way queue depth and the cache
@@ -140,16 +140,13 @@ class Observability:
             field: registry.counter(name, help_text)
             for field, name, help_text in _SCHEDULER_EVENTS
         }
-        shed = registry.counter(
+        #: The depth bound's refusals: never admitted, so not among the
+        #: submitted queries.
+        self.queries_shed = registry.counter(
             "tasm_queries_shed_total",
             "Queries refused by admission control, by shedder.",
             labels=("reason",),
-        )
-        #: The two shedders: the depth bound refuses before admission, the
-        #: queue-wait breaker sheds queries already admitted.
-        self.queries_shed = {
-            reason: shed.labels(reason=reason) for reason in ("queue_full", "breaker")
-        }
+        ).labels(reason="queue_full")
         # Per query and per batch -------------------------------------------
         self.query_seconds = registry.histogram(
             "tasm_query_seconds", "Submit-to-completion latency per query."
@@ -218,8 +215,7 @@ class Observability:
         """Have every scheduler-event series read ``scheduler``'s own count."""
         for field, counter in self._scheduler_events.items():
             counter.set_callback(partial(getattr, scheduler, field))
-        for reason, counter in self.queries_shed.items():
-            counter.set_callback(partial(getattr, scheduler, f"shed_{reason}"))
+        self.queries_shed.set_callback(partial(getattr, scheduler, "shed_queue_full"))
 
     # ------------------------------------------------------------------
     # Tracing

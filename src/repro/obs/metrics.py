@@ -139,9 +139,7 @@ class Histogram:
 
         All three are read under one acquisition of the lock every
         observation holds, so the bucket total always equals the count: the
-        invariant the concurrent-readers test pins, and the shape the
-        queue-wait breaker (``repro.service.shedding``) computes windowed
-        percentiles from.
+        invariant the concurrent-readers test pins.
         """
         with self._lock:
             buckets, total, count = list(self._buckets), self._total, self._count

@@ -53,7 +53,6 @@ from .stream import ScanStream, StreamChunk
 from .scheduler import BatchScheduler, ResultStream
 from .server import DEFAULT_SERVER_CACHE_BYTES, ServerStats, TasmServer
 from .client import TasmClient
-from .shedding import QueueWaitBreaker
 from .transport import (
     PROTOCOL_VERSION,
     RemoteScanStream,
@@ -67,7 +66,6 @@ __all__ = [
     "BatchScheduler",
     "DEFAULT_SERVER_CACHE_BYTES",
     "PROTOCOL_VERSION",
-    "QueueWaitBreaker",
     "RemoteScanStream",
     "RemoteTasmClient",
     "ResultStream",

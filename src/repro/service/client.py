@@ -35,24 +35,16 @@ class TasmClient:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        query: Query,
-        deadline_ms: float | None = None,
-        priority: int = 0,
-    ) -> ResultStream:
+    def submit(self, query: Query, deadline_ms: float | None = None) -> ResultStream:
         """Enqueue a prepared Query; returns its stream immediately.
 
         Queries submitted through one client handle share one fairness slot
         in the scheduler's round-robin admission, so a handle that floods the
         queue cannot crowd other clients out of every batch.  ``deadline_ms``
         bounds the query end to end (it fails with
-        :class:`~repro.errors.DeadlineExceeded` once expired, even mid-batch);
-        ``priority`` orders load-shedding victims — lower sheds first.
+        :class:`~repro.errors.DeadlineExceeded` once expired, even mid-batch).
         """
-        return self._server.submit(
-            query, client=self, deadline_ms=deadline_ms, priority=priority
-        )
+        return self._server.submit(query, client=self, deadline_ms=deadline_ms)
 
     def execute(self, query: Query, deadline_ms: float | None = None) -> ScanResult:
         """Blocking execution of a prepared Query."""
@@ -64,11 +56,10 @@ class TasmClient:
         predicate: LabelPredicate | str | Sequence[str],
         temporal: TemporalPredicate | None = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
     ) -> ScanResult:
         """Blocking scan, mirroring ``TASM.scan``'s signature."""
         return self.scan_streaming(
-            video_name, predicate, temporal, deadline_ms=deadline_ms, priority=priority
+            video_name, predicate, temporal, deadline_ms=deadline_ms
         ).result()
 
     def scan_streaming(
@@ -77,13 +68,11 @@ class TasmClient:
         predicate: LabelPredicate | str | Sequence[str],
         temporal: TemporalPredicate | None = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
     ) -> ResultStream:
         """Submit a scan and stream its results per SOT as they warm."""
         return self.submit(
             self._server._build_query(video_name, predicate, temporal),
             deadline_ms=deadline_ms,
-            priority=priority,
         )
 
     # ------------------------------------------------------------------

@@ -32,10 +32,9 @@ Fault tolerance (PR 8) threads through every stage:
   costing decodes within ~one SOT and fails with
   :class:`~repro.errors.DeadlineExceeded`.
 * **Load shedding** — ``submit`` fast-fails with
-  :class:`~repro.errors.ServerBusy` above ``service_max_queue_depth``, and a
-  :class:`~repro.service.shedding.QueueWaitBreaker` (fed by the queue-wait
-  histogram) sheds the lowest-priority, newest pending queries when the
-  recent queue-wait p95 crosses ``service_shed_queue_wait_ms``.
+  :class:`~repro.errors.ServerBusy` above ``service_max_queue_depth``; the
+  refused query is never admitted, so an overloaded server costs its
+  clients nothing but the refusal.
 * **Runner supervision** — a supervisor thread, woken by a runner's exit,
   replaces crashed batch-runner threads and recovers their orphaned batch:
   unaffected queries are requeued at the *front* of their client's bucket
@@ -59,8 +58,7 @@ its last SOT or noticed its deadline, the consumer inside ``close()``, a
 connection's reader or writer tearing down after its peer vanished, the
 supervisor quarantining it, or ``stop()``.  Once the scheduler is quiescent
 ``queries_submitted == queries_completed + queries_cancelled +
-queries_failed + queries_deadline_exceeded + shed_breaker +
-queries_quarantined``.
+queries_failed + queries_deadline_exceeded + queries_quarantined``.
 """
 
 from __future__ import annotations
@@ -80,12 +78,11 @@ from ..errors import (
     ServiceError,
     error_code,
 )
-from ..exec.engine import BatchResult, PartialResult, QueryDone
+from ..exec.engine import PartialResult, QueryDone
 from ..faults.plan import FAULT_RUNNER_DEATH, InjectedRunnerDeath
 from ..obs import DISABLED, Observability
 from ..obs.trace import NULL_TRACE
 from ..video.codec import DecodeStats
-from .shedding import QueueWaitBreaker
 from .stream import ScanStream, StreamChunk
 
 __all__ = ["BatchScheduler", "ResultStream", "StreamChunk"]
@@ -95,7 +92,7 @@ class ResultStream(ScanStream):
     """The in-process source: a batch runner's observer pushes the chunks.
 
     Adds what only the scheduler needs to a :class:`ScanStream` — the query,
-    its trace, its shedding rank, and the supervision bookkeeping.
+    its trace, and the supervision bookkeeping.
     """
 
     failure_prefix = "query failed in its batch"
@@ -105,7 +102,6 @@ class ResultStream(ScanStream):
         query: Query,
         buffer_chunks: int = 0,
         deadline_ms: float | None = None,
-        priority: int = 0,
         skip_sots: Iterable[int] | None = None,
     ):
         super().__init__(buffer_chunks, deadline_ms, skip_sots)
@@ -114,10 +110,6 @@ class ResultStream(ScanStream):
         #: installs a live one at submit when observability is enabled; the
         #: shared null trace otherwise, so span recording never branches.
         self.trace = NULL_TRACE
-        #: Shedding rank: the breaker sheds *lower* priorities first, so a
-        #: higher number asks to survive overload longer.  Ties shed newest
-        #: first (queries near the front keep their sunk queue time).
-        self.priority = priority
         #: When the first batch holding this query began to execute (None
         #: while it is queued); set by the runner thread executing that batch,
         #: and not again by a singleton retry or a resumed run.
@@ -159,18 +151,13 @@ class ResultStream(ScanStream):
 
 #: How a failed stream is accounted, by the ``errors.error_code`` of what
 #: failed it (the mapping the wire uses): trace status, scheduler counter.
+#: Any other code is a plain failure.
 _FAILURES = {
     "cancelled": ("cancelled", "queries_cancelled"),
     "deadline": ("deadline", "queries_deadline_exceeded"),
-    "busy": ("shed", "shed_breaker"),
     "poison": ("quarantined", "queries_quarantined"),
-    None: ("error", "queries_failed"),
 }
-
-#: How long the supervisor sleeps when no runner reports its own exit.  A
-#: runner's exit path wakes it at once; the timeout only bounds the recovery
-#: of a thread that died without running that path.
-_SUPERVISOR_FALLBACK_SECONDS = 5.0
+_FAILED = ("error", "queries_failed")
 
 
 class BatchScheduler:
@@ -183,10 +170,8 @@ class BatchScheduler:
         runners: int = 1,
         stream_buffer_chunks: int = 0,
         on_query_done: Callable[[Query, ScanResult], None] | None = None,
-        on_batch_done: Callable[[BatchResult], None] | None = None,
         obs: Observability | None = None,
         max_queue_depth: int = 0,
-        shed_queue_wait_ms: float = 0.0,
         poison_query_kills: int = 3,
         fault_plan=None,
     ):
@@ -196,21 +181,11 @@ class BatchScheduler:
         self._runner_count = max(1, runners)
         self._stream_buffer_chunks = stream_buffer_chunks
         self._on_query_done = on_query_done
-        self._on_batch_done = on_batch_done
         self._max_queue_depth = max(0, max_queue_depth)
         self._poison_kills = max(1, poison_query_kills)
         self._fault_runner_death = (
             fault_plan.site(FAULT_RUNNER_DEATH) if fault_plan is not None else None
         )
-        # The latency breaker reads the queue-wait histogram's snapshots; it
-        # needs observability on (the histogram is otherwise a no-op that
-        # never accumulates a window).
-        self._breaker: QueueWaitBreaker | None = None
-        if shed_queue_wait_ms > 0 and self._obs.enabled:
-            self._breaker = QueueWaitBreaker(
-                self._obs.queue_wait_seconds.snapshot_value,
-                threshold_seconds=shed_queue_wait_ms / 1000.0,
-            )
         # Pending queries, kept per client for round-robin admission.  One
         # condition guards them, the active-batch map and the exited-runner
         # set, so a query moves from pending into a batch in one step; idle
@@ -247,7 +222,7 @@ class BatchScheduler:
         #: ServerBusy refusals at the depth bound: never admitted, so not
         #: among ``queries_submitted`` and not ended by :meth:`_account`.
         self.shed_queue_full = 0
-        # The six ways an admitted query ends (see _account); once quiescent
+        # The five ways an admitted query ends (see _account); once quiescent
         # they sum to queries_submitted.
         self.queries_completed = 0
         #: Abandoned by their consumer (``ResultStream.close()`` or a wire
@@ -256,7 +231,6 @@ class BatchScheduler:
         #: A batch error, a peer that vanished, or server shutdown.
         self.queries_failed = 0
         self.queries_deadline_exceeded = 0
-        self.shed_breaker = 0
         self.queries_quarantined = 0
         self.batches_executed = 0
         self.runner_restarts = 0
@@ -362,11 +336,6 @@ class BatchScheduler:
         with self._cond:
             return self._pending_count
 
-    @property
-    def queries_shed(self) -> int:
-        """Queries either shedder refused: depth bound or queue-wait breaker."""
-        return self.shed_queue_full + self.shed_breaker
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
@@ -375,7 +344,6 @@ class BatchScheduler:
         query: Query,
         client: Hashable = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
         skip_sots: Iterable[int] | None = None,
     ) -> ResultStream:
         """Enqueue a query; ``client`` identifies the submitter for fairness.
@@ -385,7 +353,6 @@ class BatchScheduler:
         slot between them.
 
         ``deadline_ms`` bounds the query's total latency (queue + execute);
-        ``priority`` ranks it for overload shedding (higher survives longer);
         ``skip_sots`` resumes an interrupted scan — the listed SOT indices
         are never served again.  Raises :class:`~repro.errors.ServerBusy`
         immediately — before allocating a stream or trace — when the pending
@@ -410,7 +377,6 @@ class BatchScheduler:
                     query,
                     buffer_chunks=self._stream_buffer_chunks,
                     deadline_ms=deadline_ms,
-                    priority=priority,
                     skip_sots=skip_sots,
                 )
                 stream.liveness = self._workers_alive
@@ -469,56 +435,6 @@ class BatchScheduler:
             else:
                 del self._pending[client]
 
-    def _shed_if_overloaded(self) -> None:
-        """Consult the queue-wait breaker; shed pending queries if it trips.
-
-        Victims are chosen lowest priority first, newest first within a
-        priority, until the backlog is halved (or down to half the depth
-        bound, when one is configured) — the cheapest promises to break.
-        Runs on whichever runner is about to form a batch; the breaker is
-        not thread-safe, so it is consulted under the pending-queue lock.
-        """
-        breaker = self._breaker
-        if breaker is None:
-            return
-        doomed: list[ResultStream] = []
-        with self._cond:
-            if not breaker.should_shed() or self._pending_count == 0:
-                return
-            target = (
-                self._max_queue_depth // 2
-                if self._max_queue_depth
-                else self._pending_count // 2
-            )
-            excess = self._pending_count - target
-            if excess <= 0:
-                return
-            flat = [
-                stream
-                for bucket in self._pending.values()
-                for stream in bucket
-                if not stream.done
-            ]
-            flat.sort(key=lambda stream: (stream.priority, -stream.submitted_at))
-            doomed = flat[:excess]
-            doomed_set = set(doomed)
-            for client in list(self._pending):
-                kept = deque(
-                    stream
-                    for stream in self._pending[client]
-                    if stream not in doomed_set
-                )
-                if kept:
-                    self._pending[client] = kept
-                else:
-                    del self._pending[client]
-            self._pending_order = deque(
-                client for client in self._pending_order if client in self._pending
-            )
-            self._pending_count -= len(doomed)
-        for stream in doomed:
-            self._shed_stream(stream, breaker.last_percentile)
-
     # ------------------------------------------------------------------
     # Batch execution (runner threads)
     # ------------------------------------------------------------------
@@ -534,7 +450,7 @@ class BatchScheduler:
         if stream.state == "done":
             status, counter = "ok", "queries_completed"
         else:
-            status, counter = _FAILURES[error_code(stream._error)]
+            status, counter = _FAILURES.get(error_code(stream._error), _FAILED)
         with self._counter_lock:
             setattr(self, counter, getattr(self, counter) + 1)
         self._obs.finish_query(stream.trace, status)
@@ -548,16 +464,6 @@ class BatchScheduler:
             stream._fail(error)
             return True
         return False
-
-    def _shed_stream(self, stream: ResultStream, percentile: float | None) -> None:
-        """Fail one pending stream shed by the queue-wait breaker."""
-        wait = "unknown" if percentile is None else f"{percentile * 1000.0:.0f} ms"
-        stream._fail(
-            ServerBusy(
-                "SERVER_BUSY: shed by the queue-wait breaker "
-                f"(recent p95 queue wait {wait}); retry later"
-            )
-        )
 
     def _quarantine_stream(self, stream: ResultStream) -> None:
         """Fail one stream that has crashed too many runners."""
@@ -577,10 +483,9 @@ class BatchScheduler:
                         self._cond.wait()
                     if not self._running:
                         return
-                self._shed_if_overloaded()
                 batch = self._collect()
                 if not batch:
-                    continue  # shed, expired, cancelled or taken by a peer
+                    continue  # expired, cancelled or taken by a peer
                 try:
                     self._execute(batch)
                 except InjectedRunnerDeath:
@@ -614,13 +519,14 @@ class BatchScheduler:
     # Runner supervision (supervisor thread)
     # ------------------------------------------------------------------
     def _run_supervisor(self) -> None:
-        """Replace crashed batch-runner threads and recover their batches."""
+        """Replace crashed batch-runner threads and recover their batches.
+
+        Woken only by a runner's exit or by ``stop()``: every way out of
+        :meth:`_run_batches` files the thread in ``_exited`` from its
+        ``finally``, so there is nothing to poll for."""
         while True:
             with self._cond:
-                self._cond.wait_for(
-                    lambda: self._exited or not self._running,
-                    _SUPERVISOR_FALLBACK_SECONDS,
-                )
+                self._cond.wait_for(lambda: self._exited or not self._running)
                 exited, self._exited = self._exited, set()
             with self._state_lock:
                 if not self._running:
@@ -781,5 +687,3 @@ class BatchScheduler:
         obs.stage_seconds["plan"].observe(result.index_seconds)
         obs.stage_seconds["warm"].observe(result.warm_seconds)
         obs.stage_seconds["serve"].observe(result.serve_seconds)
-        if self._on_batch_done is not None:
-            self._on_batch_done(result)

@@ -155,7 +155,6 @@ class TasmServer:
             on_query_done=self._record_query_done,
             obs=self.obs,
             max_queue_depth=tasm.config.service_max_queue_depth,
-            shed_queue_wait_ms=tasm.config.service_shed_queue_wait_ms,
             poison_query_kills=tasm.config.service_poison_query_kills,
             fault_plan=tasm.config.fault_plan,
         )
@@ -230,7 +229,6 @@ class TasmServer:
         query: Query,
         client: object = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
         skip_sots: Iterable[int] | None = None,
     ) -> ResultStream:
         """Enqueue a query; returns immediately with its result stream.
@@ -242,18 +240,13 @@ class TasmServer:
         connections each pass themselves; ``None`` pools anonymous callers
         into one shared slot.
 
-        ``deadline_ms`` bounds the query's total latency, ``priority`` ranks
-        it for overload shedding, and ``skip_sots`` resumes an interrupted
-        scan (see :meth:`BatchScheduler.submit`).  Raises
-        :class:`~repro.errors.ServerBusy` when the pending queue is at
+        ``deadline_ms`` bounds the query's total latency and ``skip_sots``
+        resumes an interrupted scan (see :meth:`BatchScheduler.submit`).
+        Raises :class:`~repro.errors.ServerBusy` when the pending queue is at
         ``service_max_queue_depth``.
         """
         return self._scheduler.submit(
-            query,
-            client=client,
-            deadline_ms=deadline_ms,
-            priority=priority,
-            skip_sots=skip_sots,
+            query, client=client, deadline_ms=deadline_ms, skip_sots=skip_sots
         )
 
     def scan(

@@ -970,6 +970,10 @@ class _Connection:
         )
 
     def _start_scan(self, query_id: int, message: dict) -> None:
+        # The id travels in the binary frames' u32 fields: a peer's JSON value
+        # that does not fit one is refused here, not found by the writer.
+        if type(query_id) is not int or not 0 <= query_id < 1 << 32:
+            raise TransportError(f"scan id {query_id!r} is not an integer in [0, 2**32)")
         with self._cond:
             if query_id in self._scans:
                 raise ServiceError(f"query id {query_id} is already in flight")
@@ -989,7 +993,6 @@ class _Connection:
             query,
             client=self,
             deadline_ms=message.get("deadline_ms"),
-            priority=int(message.get("priority", 0) or 0),
             skip_sots=message.get("skip_sots") or None,
         )
         stream._listener = partial(self._wake, query_id)
@@ -1420,7 +1423,9 @@ class RemoteTasmClient:
         self._next_id = 0
         self._streams: dict[int, RemoteScanStream] = {}
         self._replies: dict[int, queue.SimpleQueue] = {}
-        self._closed = False
+        #: Set once by :meth:`close`; a reconnect's backoff waits on it, so
+        #: closing a client ends its reconnect at once.
+        self._closed = threading.Event()
         self._close_lock = threading.Lock()
         self._shm = None
         #: Chunks received through each data path (shared memory vs socket);
@@ -1514,7 +1519,7 @@ class RemoteTasmClient:
 
     def close(self, join_timeout: float = 5.0) -> None:
         with self._close_lock:
-            if self._closed:
+            if self._closed.is_set():
                 return
             # Cancel outstanding scans while the socket still works, so the
             # server frees their decode work right away rather
@@ -1523,7 +1528,7 @@ class RemoteTasmClient:
                 outstanding = list(self._streams.keys())
             for query_id in outstanding:
                 self._send_cancel(query_id)
-            self._closed = True
+            self._closed.set()
             # The socket teardown happens under the same lock the reader's
             # reconnect uses to swap sockets in: either the swap completed
             # (we close the new socket and the reader exits on its next
@@ -1590,7 +1595,7 @@ class RemoteTasmClient:
                     TransportError(f"malformed frame from server: {other!r}")
                 )
                 return
-            if self._closed:
+            if self._closed.is_set():
                 self._fail_outstanding(ServiceError("client closed"))
                 return
             if self._retry is not None and self._reconnect(error):
@@ -1667,11 +1672,7 @@ class RemoteTasmClient:
                 resumable = list(self._streams.items())
             rng = random.Random(retry.seed)
             for attempt in range(retry.attempts):
-                delay = retry.delay(attempt, rng)
-                deadline = time.monotonic() + delay
-                while not self._closed and time.monotonic() < deadline:
-                    time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
-                if self._closed:
+                if self._closed.wait(retry.delay(attempt, rng)):
                     return False
                 try:
                     sock = socket.create_connection(
@@ -1688,7 +1689,7 @@ class RemoteTasmClient:
                     sock.close()
                     continue
                 with self._close_lock:
-                    if self._closed:
+                    if self._closed.is_set():
                         if new_shm is not None:
                             new_shm.close()
                         sock.close()
@@ -1783,7 +1784,7 @@ class RemoteTasmClient:
             raise TransportError(
                 f"reconnect did not complete within {self._timeout} seconds"
             )
-        if self._closed:
+        if self._closed.is_set():
             raise ServiceError("the client is closed")
         with self._table_lock:
             dead = self._dead
@@ -1817,7 +1818,6 @@ class RemoteTasmClient:
         frame_start: int | None = None,
         frame_stop: int | None = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
         skip_sots: "Iterable[int] | None" = None,
     ) -> RemoteScanStream:
         """Submit a scan; ``skip_sots`` names SOT indices the server must not
@@ -1835,7 +1835,6 @@ class RemoteTasmClient:
             "frame_stop": frame_stop,
             "credits": max(0, self._buffer_chunks),
             "deadline_ms": deadline_ms,
-            "priority": priority,
         }
         if skip_sots is not None:
             message["skip_sots"] = sorted(set(skip_sots))
@@ -1857,15 +1856,9 @@ class RemoteTasmClient:
         frame_start: int | None = None,
         frame_stop: int | None = None,
         deadline_ms: float | None = None,
-        priority: int = 0,
     ) -> ScanResult:
         return self.scan_streaming(
-            video,
-            labels,
-            frame_start,
-            frame_stop,
-            deadline_ms=deadline_ms,
-            priority=priority,
+            video, labels, frame_start, frame_stop, deadline_ms=deadline_ms
         ).result()
 
     def query_status(self, query_id: int) -> dict:

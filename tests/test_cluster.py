@@ -16,8 +16,8 @@ The contracts pinned here:
   byte-identical to a healthy run — likewise for a seeded transport-drop
   storm confined to one shard, with or without a client
   :class:`~repro.service.RetryPolicy` underneath;
-* ``ServerBusy`` from a shedding shard routes around it for that scan only
-  (the shard is not marked down);
+* ``ServerBusy`` from a shard at its depth bound routes around it for that
+  scan only (the shard is not marked down);
 * health checks ride the bounded hello handshake, and the metrics rollup
   sums counters across shards without flattening per-shard detail.
 """
@@ -89,11 +89,13 @@ class TestHashRing:
         assert 0.15 < fraction < 0.35, f"expected ~1/4 of keys to move, got {fraction:.3f}"
 
     def test_leave_moves_only_the_leavers_keys(self):
-        ring = HashRing(["s0", "s1", "s2", "s3"], vnodes=64)
+        """The ring without ``s3`` is the 4-node ring with ``s3``'s keys
+        re-homed, and only those."""
         keys = self.keys(2000)
-        before = {key: ring.node_for(key) for key in keys}
-        ring.remove_node("s3")
-        after = {key: ring.node_for(key) for key in keys}
+        full = HashRing(["s0", "s1", "s2", "s3"], vnodes=64)
+        before = {key: full.node_for(key) for key in keys}
+        without = HashRing(["s0", "s1", "s2"], vnodes=64)
+        after = {key: without.node_for(key) for key in keys}
         for key in keys:
             if before[key] != "s3":
                 assert after[key] == before[key]
@@ -322,7 +324,7 @@ class TestClusterFailover:
 
             def server_full():
                 fillers.append(filler.scan_streaming(video.name, "car"))
-                return scheduler.queries_shed >= 2 and scheduler.queue_depth >= 1
+                return scheduler.shed_queue_full >= 2 and scheduler.queue_depth >= 1
 
             assert wait_until(server_full, timeout=15.0)
             router = ClusterRouter(
@@ -427,7 +429,7 @@ class TestShardProcesses:
                 pass
             assert_scan_results_identical(stream.result(), healthy)
             assert stream.failovers >= 1
-            assert router.health()[victim] is False
+            assert router.probe(victim) is False
             router.close()
 
     def test_seeded_transport_storm_on_one_shard_stays_byte_identical(

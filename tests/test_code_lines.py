@@ -40,6 +40,9 @@ class Box:
     def unused_method(self):
         return 3
 
+    def perimeter(self):  # used only inside an f-string
+        return 0
+
     class Corner:
         def unused_nested_method(self):
             return 4
@@ -49,6 +52,7 @@ class Box:
 from shapes import Box
 
 print(Box().area())  # only_talked_about: a comment is not a use either
+print(f"{Box().perimeter():d}")  # a use on every interpreter, 3.11's included
 ''',
 }
 

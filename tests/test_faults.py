@@ -10,8 +10,7 @@ The contracts pinned here, layer by layer:
   whether it expires while pending (never costing a batch slot) or mid-batch
   (the executor's cancelled-probe stops its remaining decode);
 * **load shedding** fast-fails with :class:`~repro.errors.ServerBusy` above
-  the depth bound, and the queue-wait breaker sheds the lowest-priority,
-  newest pending queries first;
+  the depth bound, before the refused query is admitted;
 * **runner supervision** restarts crashed batch runners, requeues their
   unaffected queries with served SOTs skipped (results byte-identical), and
   quarantines a query that keeps killing runners with
@@ -42,8 +41,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core.query import Query
 from repro.errors import (
@@ -72,7 +69,6 @@ from repro.service import (
     ShmTransport,
     SocketTransport,
 )
-from repro.service.shedding import QueueWaitBreaker, percentile_from_buckets
 from tests.test_exec_engine import assert_scan_results_identical, make_tasm
 from tests.test_service import held_runner
 from tests.test_service_flow_control import make_server, only_connection, wait_until
@@ -241,13 +237,6 @@ class TestDeadlines:
 # ----------------------------------------------------------------------
 # Load shedding
 # ----------------------------------------------------------------------
-class _TrippedBreaker:
-    last_percentile = 0.25
-
-    def should_shed(self) -> bool:
-        return True
-
-
 class TestLoadShedding:
     def test_depth_bound_fast_fails(self, config):
         """Above ``service_max_queue_depth`` pending, submit refuses with
@@ -259,80 +248,14 @@ class TestLoadShedding:
         scheduler.submit(Query.select("person", video.name))
         with pytest.raises(ServerBusy, match="SERVER_BUSY"):
             scheduler.submit(Query.select("sign", video.name))
-        assert scheduler.queries_shed == 1
+        assert scheduler.shed_queue_full == 1
         assert scheduler.queue_depth == 2, "the refused query never queued"
-
-    def test_breaker_sheds_lowest_priority_newest_first(self, config):
-        """A tripped breaker halves the backlog, failing the cheapest
-        promises: lowest priority first, newest first within a priority."""
-        tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, max_batch=4)
-        scheduler._running = True
-        scheduler._breaker = _TrippedBreaker()
-        keep_high = scheduler.submit(Query.select("car", video.name), priority=2)
-        shed_old = scheduler.submit(Query.select("person", video.name), priority=0)
-        shed_new = scheduler.submit(Query.select("sign", video.name), priority=0)
-        keep_mid = scheduler.submit(Query.select("car", video.name), priority=1)
-        scheduler._shed_if_overloaded()
-        for victim in (shed_old, shed_new):
-            with pytest.raises(ServerBusy, match="queue-wait breaker"):
-                victim.result(timeout=1.0)
-        assert not keep_high.done and not keep_mid.done
-        assert scheduler.queries_shed == 2
-        assert scheduler.queue_depth == 2
-
-    def test_breaker_windows_and_threshold(self):
-        """The breaker diffs cumulative snapshots: only the recent window's
-        p95 matters, and short windows accumulate instead of evaluating."""
-        bounds = [0.001, 0.01, 0.1]
-        snapshots = []
-
-        def snap(counts):
-            cumulative, running = [], 0
-            for bound, n in zip([*bounds, "+Inf"], counts):
-                running += n
-                cumulative.append((bound, running))
-            return {"count": running, "sum": 0.0, "buckets": cumulative}
-
-        def read():
-            return snapshots.pop(0)
-
-        breaker = QueueWaitBreaker(read, threshold_seconds=0.01, min_samples=8)
-        snapshots.append(snap([100, 0, 0, 0]))  # baseline: history is fast
-        assert breaker.should_shed() is False
-        # Four slow waits: below min_samples, the window keeps accumulating.
-        snapshots.append(snap([100, 0, 4, 0]))
-        assert breaker.should_shed() is False
-        # Eight more: the 12-sample window is all in the 0.1 s bucket.
-        snapshots.append(snap([100, 0, 12, 0]))
-        assert breaker.should_shed() is True
-        assert breaker.last_percentile == pytest.approx(0.1)
-        assert breaker.trips == 1
-        # The next window is fast again: the breaker resets — a past overload
-        # cannot keep shedding after the queue drains.
-        snapshots.append(snap([120, 0, 12, 0]))
-        assert breaker.should_shed() is False
-
-    def test_percentile_from_buckets_edges(self):
-        assert percentile_from_buckets([], 0, 0.95) == 0.0
-        buckets = [(0.01, 0), ("+Inf", 10)]
-        assert percentile_from_buckets(buckets, 10, 0.95) == float("inf")
-        buckets = [(0.01, 10), ("+Inf", 10)]
-        assert percentile_from_buckets(buckets, 10, 0.95) == 0.01
 
 
 # ----------------------------------------------------------------------
 # Runner supervision
 # ----------------------------------------------------------------------
 class TestRunnerSupervision:
-    @pytest.fixture(autouse=True)
-    def recovery_is_event_driven(self, monkeypatch):
-        """Every recovery in this class must come from the dying runner
-        waking the supervisor: the fallback sweep is pushed out of reach."""
-        monkeypatch.setattr(
-            "repro.service.scheduler._SUPERVISOR_FALLBACK_SECONDS", 3600.0
-        )
-
     def test_injected_death_is_survived(self, config):
         """A runner killed at batch entry is restarted and the query
         completes byte-identical — the waiter never learns anything broke."""
@@ -418,6 +341,19 @@ class TestRunnerSupervision:
             assert wait_until(lambda: scheduler.runner_restarts >= 2)
         finally:
             server.stop()
+
+    def test_stop_wakes_the_idle_supervisor(self, config):
+        """The supervisor waits with no timeout, so ``stop()`` is what wakes
+        it: stop returns well inside its drain timeout with every scheduler
+        thread gone."""
+        server, _ = make_server(config)
+        scheduler = server._scheduler
+        crew = [scheduler._supervisor, *scheduler._runners]
+        assert all(thread.is_alive() for thread in crew)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 5.0
+        assert not any(thread.is_alive() for thread in crew)
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +527,38 @@ class TestRetryReconnect:
             with pytest.raises(ServiceError):
                 stream.result()
         finally:
+            client.close()
+            transport.stop()
+            server.stop()
+
+    def test_close_wakes_a_long_backoff_at_once(self, config):
+        """The backoff is one wait on the close event: a reader sleeping
+        through a 30 s delay exits as soon as ``close()`` sets it, and the
+        scan it was going to resume fails."""
+        server, video = make_server(config)
+        gate = threading.Event()
+        calls, original = gate_decoder(server.tasm, gate, hold_call=1)
+        transport = SocketTransport(server).start()
+        client = RemoteTasmClient(
+            transport.address,
+            timeout=10.0,
+            use_shm=False,
+            retry=RetryPolicy(attempts=2, base_delay=30.0, max_delay=30.0, jitter=0.0),
+        )
+        try:
+            stream = client.scan_streaming(video.name, "car")
+            assert wait_until(lambda: len(calls) >= 1)
+            transport.stop()  # kills the connection and the listener
+            assert wait_until(lambda: not client._wire_ok.is_set()), "never backed off"
+            started = time.monotonic()
+            client.close()
+            assert time.monotonic() - started < 2.0
+            assert not client._reader.is_alive()
+            with pytest.raises(ServiceError):
+                stream.result()
+        finally:
+            gate.set()
+            server.tasm._decoder.prefetch_regions = original
             client.close()
             transport.stop()
             server.stop()
@@ -799,7 +767,7 @@ class TestChaos:
                 label = LABELS[index % len(LABELS)]
                 deadline_ms = 40.0 if index % 5 == 0 else None
                 stream = client.scan_streaming(
-                    video.name, label, deadline_ms=deadline_ms, priority=index % 3
+                    video.name, label, deadline_ms=deadline_ms
                 )
                 submissions.append((stream, label))
             for stream, label in submissions:
@@ -837,7 +805,7 @@ class TestChaos:
                 outcomes["deadline"]
                 <= scheduler.queries_deadline_exceeded + fast_fails
             )
-            assert outcomes["busy"] <= scheduler.queries_shed
+            assert outcomes["busy"] <= scheduler.shed_queue_full
             assert outcomes["quarantined"] <= scheduler.queries_quarantined
         finally:
             client_a.close()
@@ -1054,36 +1022,3 @@ class TestReconnectResume:
             client.close()
             transport.stop()
             server.stop()
-
-
-# ----------------------------------------------------------------------
-# The percentile estimator, against a sorted-sample oracle
-# ----------------------------------------------------------------------
-PERCENTILE_BOUNDS = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0]
-
-
-class TestPercentileProperty:
-    @given(
-        samples=st.lists(
-            st.sampled_from(PERCENTILE_BOUNDS + [2.0]), min_size=1, max_size=200
-        ),
-        twentieths=st.integers(min_value=0, max_value=20),
-    )
-    def test_matches_sorted_sample_oracle(self, samples, twentieths):
-        """For samples lying exactly on bucket bounds the estimator must
-        equal the nearest-rank percentile of the sorted samples (computed in
-        exact integer arithmetic — the oracle has no floating-point rank).
-        Quantiles are multiples of 1/20, which is where float noise bites:
-        ``0.15 * 20 == 3.0000000000000004``, and ``quantile=0`` must clamp to
-        rank 1 rather than match an empty leading bucket."""
-        count = len(samples)
-        buckets = [
-            (bound, sum(1 for value in samples if value <= bound))
-            for bound in PERCENTILE_BOUNDS
-        ]
-        buckets.append(("+Inf", count))
-        quantile = twentieths / 20
-        rank = max(1, -((-twentieths * count) // 20))  # exact ceil
-        oracle = sorted(samples)[rank - 1]
-        expected = float("inf") if oracle > PERCENTILE_BOUNDS[-1] else oracle
-        assert percentile_from_buckets(buckets, count, quantile) == expected

@@ -424,7 +424,7 @@ class TestObservabilityIntegration:
                 for entry in snapshot[name]["values"]
             }
 
-        assert children("tasm_queries_shed_total", "reason") == {"breaker": 0, "queue_full": 0}
+        assert children("tasm_queries_shed_total", "reason") == {"queue_full": 0}
         assert children("tasm_chunks_sent_total", "path") == {"shm": 0, "socket": 0}
         assert children("tasm_stage_seconds", "stage") == {"plan": 0, "serve": 0, "warm": 0}
         assert snapshot["tasm_queries_submitted_total"]["type"] == "counter", (

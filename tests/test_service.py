@@ -392,12 +392,24 @@ class TestSocketTransport:
 
     def test_unknown_op_reports_error_and_connection_survives(self, config):
         """Spoken raw (no RemoteTasmClient, whose reader owns the socket), an
-        unknown op earns a tagged error frame and the connection stays usable."""
+        unknown op earns a tagged error frame and the connection stays usable;
+        a scan carrying a field the server does not read (``priority``, which
+        older clients send) is served byte-identically."""
+        import json
         import socket as socket_module
 
-        from repro.service.transport import recv_message, send_message
+        from repro.core.scan import ScanResult
+        from repro.service.transport import (
+            KIND_CHUNK,
+            KIND_JSON,
+            _FrameReader,
+            decode_chunk_payload,
+            recv_message,
+            send_message,
+        )
 
         server, video = make_server(config)
+        reference, _ = make_tasm(config)
         try:
             with SocketTransport(server) as transport:
                 with socket_module.create_connection(transport.address, timeout=10) as sock:
@@ -409,6 +421,27 @@ class TestSocketTransport:
                     reply = recv_message(sock)
                     assert reply["type"] == "stats"
                     assert reply["id"] == 8
+                    send_message(
+                        sock,
+                        {"op": "scan", "id": 9, "video": video.name, "labels": ["car"],
+                         "priority": 1},
+                    )
+                    frames, regions = _FrameReader(sock), []
+                    while True:
+                        kind, payload = frames.next_frame()
+                        if kind == KIND_CHUNK:
+                            header, chunk = decode_chunk_payload(payload)
+                            assert header["id"] == 9
+                            regions += chunk
+                            continue
+                        assert kind == KIND_JSON
+                        reply = json.loads(bytes(payload))
+                        break
+                    assert (reply["type"], reply["id"]) == ("done", 9)
+                    assert_scan_results_identical(
+                        ScanResult(video=reply["video"], regions=regions),
+                        reference.scan(video.name, "car"),
+                    )
         finally:
             server.stop()
 

@@ -1,14 +1,15 @@
 """Conservation of served queries: whatever ends a query, it is counted once.
 
-A query the scheduler admits ends in exactly one of six ways — it completes,
+A query the scheduler admits ends in exactly one of five ways — it completes,
 its consumer cancels it, it fails (a batch error, a peer that vanished, a
-server stop), its deadline passes, the queue-wait breaker sheds it, or it is
-quarantined for killing runners — and ``ResultStream._end``, the stream's one
-terminal transition, is the only place any of them is counted.  So, whenever
-the server is quiescent::
+server stop), its deadline passes, or it is quarantined for killing runners —
+and ``ResultStream._end``, the stream's one terminal transition, is the only
+place any of them is counted.  A query the depth bound refuses is never
+admitted: it is counted in ``shed{queue_full}`` and nowhere else.  So,
+whenever the server is quiescent::
 
     submitted == completed + cancelled + failed
-                 + deadline_exceeded + shed{breaker} + quarantined
+                 + deadline_exceeded + quarantined
 
 the registry's series equal ``TasmServer.stats()`` (they read the same ints),
 and the trace ring holds ``min(submitted, trace_history)`` traces, one per
@@ -48,7 +49,6 @@ ENDINGS = {
     "deadline_exceeded": (
         "tasm_queries_deadline_exceeded_total", {}, "queries_deadline_exceeded",
     ),
-    "shed_breaker": ("tasm_queries_shed_total", {"reason": "breaker"}, "shed_breaker"),
     "quarantined": ("tasm_queries_quarantined_total", {}, "queries_quarantined"),
 }
 OTHERS = {
@@ -168,13 +168,6 @@ class ScriptedSite:
         return self._fires.pop(0) if self._fires else False
 
 
-class TrippedBreaker:
-    last_percentile = 0.25
-
-    def should_shed(self) -> bool:
-        return True
-
-
 # ----------------------------------------------------------------------
 # The rows: one ending each
 # ----------------------------------------------------------------------
@@ -234,16 +227,23 @@ def busy_at_the_depth_bound(rig: Rig) -> None:
     rig.expect(DEPTH + 1, completed=DEPTH + 1, shed_queue_full=1)
 
 
-def shed_by_the_breaker(rig: Rig) -> None:
-    with held_runner(rig.server, rig.video):
-        kept = rig.submit(priority=1)
-        shed = rig.submit(priority=0)
-        rig.scheduler._breaker = TrippedBreaker()
-    with pytest.raises(ServerBusy, match="breaker"):
-        shed.result(timeout=30)
-    assert kept.result(timeout=30).regions
-    rig.scheduler._breaker = None
-    rig.expect(3, completed=2, shed_breaker=1)
+def busy_raised_inside_a_batch(rig: Rig) -> None:
+    """``busy`` names the depth bound's refusal, which is never admitted, so
+    it has no ending of its own: an admitted query failed by an error that
+    carries it is a plain failure."""
+    decoder = rig.server.tasm._decoder
+    prefetch = decoder.prefetch_regions
+
+    def overloaded(sot, requests, scope):
+        raise ServerBusy("SERVER_BUSY: the tile store is overloaded")
+
+    decoder.prefetch_regions = overloaded
+    try:
+        with pytest.raises(ServiceError, match="overloaded"):
+            rig.submit().result(timeout=30)
+    finally:
+        decoder.prefetch_regions = prefetch
+    rig.expect(1, failed=1)
 
 
 def failing_query_in_a_shared_batch(rig: Rig) -> None:
@@ -305,7 +305,7 @@ ROWS = [
     deadline_while_pending,
     deadline_mid_batch,
     busy_at_the_depth_bound,
-    shed_by_the_breaker,
+    busy_raised_inside_a_batch,
     failing_query_in_a_shared_batch,
     peer_vanishes_without_cancel,
     runner_death_that_resumes,

@@ -1,6 +1,6 @@
 """Properties of the wire: round trips, hostile input, and the credit window.
 
-Three claims, each searched rather than hand-picked:
+Four claims, each searched rather than hand-picked:
 
 * whatever regions a chunk carries (no label, an empty or non-ASCII one,
   zero-area pixels, non-contiguous arrays, integer or float boxes, more
@@ -10,12 +10,17 @@ Three claims, each searched rather than hand-picked:
   a ring descriptor past the ring, a frame longer than the limit), decoding
   raises :class:`TransportError` — never another exception, never a block,
   never an allocation the frame did not announce;
+* a scan whose JSON ``id`` no binary header can carry (not an integer in
+  [0, 2**32), or a bool) earns an error reply, and the next scan on the same
+  connection completes, as does one already streaming on it; every id that
+  fits is served under that id;
 * for every credit window 1..8 and every chunk count 1..20 a scan completes,
   and the server never has more than ``window`` unreturned chunks in flight.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -24,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import TasmConfig
 from repro.core.query import Query
@@ -36,11 +41,13 @@ from repro.service.scheduler import ResultStream
 from repro.service.stream import StreamChunk
 from repro.service.transport import (
     _CHUNK_HEADER,
+    _CREDIT_FRAME,
     _FRAME_HEADER,
     _IOV_MAX,
     _REGION_RECORD,
     _SHM_CHUNK_HEADER,
     KIND_CHUNK,
+    KIND_CREDIT,
     MAX_FRAME_BYTES,
     _Connection,
     _flat_views,
@@ -49,6 +56,8 @@ from repro.service.transport import (
     decode_chunk_payload,
     decode_shm_chunk_payload,
     send_buffers,
+    send_frame,
+    send_message,
 )
 from tests.test_service_flow_control import wait_until
 
@@ -422,7 +431,7 @@ class _ScriptedServer:
     def _build_query(self, video, labels, temporal):
         return Query.select(labels, video)
 
-    def submit(self, query, client=None, deadline_ms=None, priority=0, skip_sots=None):
+    def submit(self, query, client=None, deadline_ms=None, skip_sots=None):
         stream = ResultStream(query)
         regions = []
         for sot in range(int(next(iter(query.objects)))):
@@ -489,3 +498,94 @@ def test_cancelling_a_parked_scan_whose_stream_has_ended_frees_it():
             assert wait_until(lambda: not connection._scans)
             # The connection is still in service.
             assert len(client.scan("video", "3").regions) == 3
+
+
+#: JSON ids a peer may put on a scan that no u32 header field can carry.
+BAD_SCAN_IDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**32),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 9), max_size=3),
+)
+
+
+def _replies(frames: _FrameReader, count: int) -> tuple[list, dict]:
+    """Read raw frames until ``count`` JSON replies have arrived: the ids the
+    chunk headers on the way carried, and the replies by type."""
+    chunk_ids, replies = [], {}
+    while len(replies) < count:
+        frame = frames.next_frame()
+        assert frame is not None, "the connection closed"
+        kind, payload = frame
+        if kind == KIND_CHUNK:
+            chunk_ids.append(decode_chunk_payload(payload)[0]["id"])
+        else:
+            reply = json.loads(bytes(payload))
+            replies[reply["type"]] = reply
+    return chunk_ids, replies
+
+
+def test_a_scan_id_no_header_can_carry_is_refused_and_the_connection_serves_on():
+    """The id is the peer's JSON, and the writer packs it into every chunk
+    header: one that does not fit is refused with an error reply when the
+    scan arrives, and a scan sent after it on the same connection completes."""
+    with SocketTransport(_ScriptedServer()) as transport:
+
+        @settings(max_examples=60, deadline=None)
+        @given(bad=BAD_SCAN_IDS)
+        def refused(bad):
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                for scan_id, chunks in ((bad, "2"), (7, "3")):
+                    send_message(
+                        sock, {"op": "scan", "id": scan_id, "video": "video", "labels": [chunks]}
+                    )
+                chunk_ids, replies = _replies(_FrameReader(sock), 2)
+                assert replies["error"]["id"] == bad
+                assert "scan id" in replies["error"]["message"]
+                assert replies["done"]["id"] == 7 and chunk_ids == [7] * 3
+
+        refused()
+
+
+def test_a_scan_id_anywhere_in_the_header_range_is_served_under_it():
+    """The refusal is exactly the ids that do not fit: 0, 2**32 - 1 and
+    every integer between come back in each chunk header and the done reply."""
+    with SocketTransport(_ScriptedServer()) as transport:
+
+        @settings(max_examples=30, deadline=None)
+        @given(scan_id=st.integers(0, 2**32 - 1))
+        @example(scan_id=0)
+        @example(scan_id=2**32 - 1)
+        def served(scan_id):
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                send_message(
+                    sock, {"op": "scan", "id": scan_id, "video": "video", "labels": ["3"]}
+                )
+                chunk_ids, replies = _replies(_FrameReader(sock), 1)
+                assert replies["done"]["id"] == scan_id and chunk_ids == [scan_id] * 3
+
+        served()
+
+
+def test_a_refused_scan_id_leaves_the_connections_parked_scan_streaming():
+    """A bad id once killed the connection's writer, and with it every scan
+    the connection was serving: a scan parked out of credit when the bad one
+    arrives still finishes once it is granted more."""
+    with SocketTransport(_ScriptedServer()) as transport:
+        with socket.create_connection(transport.address, timeout=10) as sock:
+            frames = _FrameReader(sock)
+            send_message(
+                sock,
+                {"op": "scan", "id": 7, "video": "video", "labels": ["5"], "credits": 1},
+            )
+            kind, payload = frames.next_frame()
+            assert kind == KIND_CHUNK and decode_chunk_payload(payload)[0]["id"] == 7
+            send_message(sock, {"op": "scan", "id": "abc", "video": "video", "labels": ["2"]})
+            chunk_ids, replies = _replies(frames, 1)
+            assert chunk_ids == [] and replies["error"]["id"] == "abc"
+            send_frame(sock, KIND_CREDIT, _CREDIT_FRAME.pack(7, 4))
+            chunk_ids, replies = _replies(frames, 1)
+            assert replies["done"]["id"] == 7 and chunk_ids == [7] * 4
