@@ -1,8 +1,8 @@
 """Fault recovery: throughput through a runner-kill / reconnect storm.
 
 The fault-tolerance claim is that recovery is *cheap*: a storm of injected
-runner deaths and connection drops — absorbed by the supervisor restarting
-runners, requeueing batches with served SOTs skipped, and
+batch crashes and connection drops — absorbed by each runner recovering its
+own crashed batch, requeueing it with served SOTs skipped, and
 :class:`~repro.service.RetryPolicy` clients reconnecting and resuming their
 in-flight scans — must cost bounded wall-clock, not correctness.  This
 benchmark runs an identical remote workload twice, fault-free and under a
@@ -175,8 +175,8 @@ def test_fault_recovery_storm(config):
     # The storm actually happened — a becalmed plan proves nothing.
     assert fires[FAULT_RUNNER_DEATH] > 0, fires
     assert storm["wire_faults"] > 0, fires
-    # Reconciliation: each injected death produced exactly one supervisor
-    # restart, and clients never reconnected more often than the wire broke.
+    # Reconciliation: each injected death produced exactly one recovered
+    # batch, and clients never reconnected more often than the wire broke.
     assert storm["runner_restarts"] == fires[FAULT_RUNNER_DEATH], (storm, fires)
     assert storm["client_retries"] <= storm["wire_faults"], (storm, fires)
     assert storm["qps"] >= MIN_STORM_QPS_FRACTION * baseline["qps"], (

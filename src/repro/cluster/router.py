@@ -183,10 +183,11 @@ class ClusterScanStream(ScanStream):
                     todo |= group
                     cause = submit_error
                     continue
-                # Attach after creating: events that already arrived sit in
-                # the sub-stream's buffer, and the next pull finds them.
                 stream._listener = self._wake
                 self._subs.append(_SubScan(shard, stream, frozenset(group)))
+        # Events that arrived before a listener was attached sit in the
+        # sub-stream's buffer, unannounced: have the consumer pull again.
+        self._wake()
 
     @property
     def outstanding(self) -> list[tuple[str, set]]:

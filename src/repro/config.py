@@ -75,10 +75,6 @@ class CodecConfig:
         if self.tile_overhead_bytes < 0:
             raise ConfigurationError("tile_overhead_bytes must be non-negative")
 
-    @property
-    def gop_seconds(self) -> float:
-        return self.gop_frames / self.frame_rate
-
 
 @dataclass(frozen=True)
 class CostCoefficients:
@@ -112,8 +108,6 @@ class TasmConfig:
     alpha: float = 0.8
     #: Regret threshold multiplier eta from Section 4.4 (paper value 1.0).
     eta: float = 1.0
-    #: Default tile granularity for layouts TASM generates on its own.
-    fine_grained: bool = True
     #: Number of frames covered by one sequence-of-tiles (layout duration).
     #: Must be a multiple of the GOP length; defaults to one GOP.
     sot_frames: int | None = None
@@ -160,10 +154,10 @@ class TasmConfig:
     #: :class:`~repro.errors.ServerBusy` instead of joining a backlog the
     #: server cannot drain.  0 disables the bound (accept everything).
     service_max_queue_depth: int = 0
-    #: A query whose execution kills this many batch-runner threads is
-    #: quarantined with :class:`~repro.errors.PoisonQueryError` instead of
-    #: being re-queued a further time (the supervisor restarts crashed
-    #: runners and re-queues their batches' other queries regardless).
+    #: A query whose batches crash this many times is quarantined with
+    #: :class:`~repro.errors.PoisonQueryError` instead of being re-queued a
+    #: further time (a crashed batch's other queries are re-queued
+    #: regardless).
     service_poison_query_kills: int = 3
     #: Seconds an accepted socket may sit without completing its first frame
     #: (normally the hello) before the server closes it and counts

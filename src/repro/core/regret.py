@@ -85,13 +85,6 @@ class RegretAccumulator:
         entry = self._entries.get((sot_index, layout_key(objects)))
         return 0.0 if entry is None else entry.regret
 
-    def best_alternative(self, sot_index: int) -> RegretEntry | None:
-        """The alternative with the highest accumulated regret, if any."""
-        alternatives = self.alternatives_for(sot_index)
-        if not alternatives:
-            return None
-        return max(alternatives, key=lambda entry: entry.regret)
-
     def exceeding_threshold(
         self, sot_index: int, threshold: float
     ) -> list[RegretEntry]:
@@ -101,6 +94,3 @@ class RegretAccumulator:
             for entry in self.alternatives_for(sot_index)
             if entry.regret > threshold
         ]
-
-    def total_entries(self) -> int:
-        return len(self._entries)

@@ -249,7 +249,7 @@ class TASM:
         video_name: str,
         sot_index: int,
         objects: Iterable[str],
-        granularity: TileGranularity | None = None,
+        granularity: TileGranularity = TileGranularity.FINE,
     ) -> TileLayout:
         """``partition(s, O)``: a non-uniform layout around the indexed boxes of O.
 
@@ -259,10 +259,6 @@ class TASM:
         again costs a generation read and a dict probe, not a partition.
         """
         tiled = self.catalog.get(video_name)
-        if granularity is None:
-            granularity = (
-                TileGranularity.FINE if self.config.fine_grained else TileGranularity.COARSE
-            )
         question = (frozenset(objects), granularity)
         answers = self._what_if_answers(tiled, sot_index)
         layout = answers.get(question)

@@ -95,13 +95,13 @@ class ServerBusy(ServiceError):
 
 
 class PoisonQueryError(ServiceError):
-    """Raised for a query that crashed the batch runner executing it
+    """Raised for a query whose batches crashed
     ``service_poison_query_kills`` times.
 
-    The supervisor restarts crashed runners and re-queues their batches'
-    unaffected queries, but a query whose execution keeps killing runners
-    would take the pool down serially forever; after K kills it is
-    quarantined with this error instead of being re-queued again."""
+    The runner that catches a crashed batch re-queues its unaffected
+    queries, but a query that crashes every batch it rides in would be
+    re-queued forever; after K crashes it is quarantined with this error
+    instead."""
 
 
 #: Machine-readable wire codes for the typed service errors, so a remote

@@ -32,10 +32,10 @@ The injection points (the ``FAULT_*`` constants):
 ``decode.error``         executor: raise :class:`~repro.errors.CodecError`
                          instead of prefetching a SOT (a corrupt bitstream /
                          flaky decoder).
-``runner.death``         scheduler: kill the batch-runner thread that picked
-                         up the next batch (raises an exception derived from
-                         ``BaseException`` so nothing short of the supervisor
-                         catches it).
+``runner.death``         scheduler: crash the batch a runner just picked up,
+                         at its start or after a served SOT (raises an
+                         exception derived from ``BaseException`` that only
+                         the runner's crash recovery catches).
 ``shm.attach``           client: fail the shared-memory attach during the
                          handshake (falls back to the socket pixel path).
 ``consumer.skew``        client: sleep ``delay_ms`` before consuming each
@@ -89,13 +89,14 @@ KNOWN_FAULT_POINTS = frozenset(
 
 
 class InjectedRunnerDeath(BaseException):
-    """A simulated batch-runner crash.
+    """A simulated crash of the batch a runner is executing.
 
-    Deliberately **not** an :class:`Exception`: the scheduler's runner loop
-    catches ``Exception``-rooted failures to keep the pool alive, and a
-    simulated crash must escape that net exactly the way a real
-    ``thread-killed-by-the-OS`` event would leave a dead thread behind —
-    only the supervisor may clean up after it.
+    Deliberately **not** an :class:`Exception`, so no ``except Exception``
+    between the injection point and the runner loop can swallow it: the
+    batch ends mid-flight, with chunks delivered and state half-built, the
+    way a real crash would leave it.  The runner catches it at the top of
+    its loop, recovers the batch (requeue with delivered SOTs skipped, or
+    quarantine) and serves on.
     """
 
 

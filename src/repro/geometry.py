@@ -41,9 +41,11 @@ class Rectangle:
     y2: float
 
     def __post_init__(self) -> None:
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        # NaN fails both comparisons, so it is refused with the inverted boxes.
+        if not (self.x2 >= self.x1 and self.y2 >= self.y1):
             raise GeometryError(
-                f"rectangle has negative extent: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+                "rectangle needs x1 <= x2 and y1 <= y2, none of them NaN: "
+                f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
 
     # ------------------------------------------------------------------

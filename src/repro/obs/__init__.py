@@ -96,13 +96,13 @@ _SCHEDULER_EVENTS = (
     (
         "queries_quarantined",
         "tasm_queries_quarantined_total",
-        "Queries quarantined after repeatedly killing batch runners.",
+        "Queries quarantined after their batches repeatedly crashed.",
     ),
     ("batches_executed", "tasm_batches_executed_total", "Batches the runner pool completed."),
     (
         "runner_restarts",
         "tasm_runner_restarts_total",
-        "Crashed batch-runner threads replaced by the supervisor.",
+        "Crashed batches the batch runner that ran them recovered.",
     ),
     (
         "scan_resumes",

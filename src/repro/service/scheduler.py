@@ -35,28 +35,28 @@ Fault tolerance (PR 8) threads through every stage:
   :class:`~repro.errors.ServerBusy` above ``service_max_queue_depth``; the
   refused query is never admitted, so an overloaded server costs its
   clients nothing but the refusal.
-* **Runner supervision** — a supervisor thread, woken by a runner's exit,
-  replaces crashed batch-runner threads and recovers their orphaned batch:
+* **Crash recovery** — a batch that crashes (``InjectedRunnerDeath``) is
+  recovered by the runner that caught the crash, on its own thread:
   unaffected queries are requeued at the *front* of their client's bucket
   (deadlines still honoured) and resume skipping SOTs already delivered, so
-  their bytes stay identical; a query that has killed
-  ``service_poison_query_kills`` runners is quarantined with
-  :class:`~repro.errors.PoisonQueryError` instead of being allowed to take
-  the pool down serially.
+  their bytes stay identical; a query whose batches have crashed
+  ``service_poison_query_kills`` times is quarantined with
+  :class:`~repro.errors.PoisonQueryError` instead of crashing batch after
+  batch.  Nothing raised inside a batch ends a runner; only ``stop()`` does.
 
 Accounting: every event has one counter, a plain int on the scheduler under
 ``_counter_lock``, which ``TasmServer.stats()`` and the metrics registry
 (``Observability.read_events_from``, at snapshot time) both read.
 ``queries_submitted``, ``scan_resumes`` and ``shed_queue_full`` move in
 :meth:`BatchScheduler.submit`, on the submitter's thread;
-``batches_executed`` on the runner that ran the batch; ``runner_restarts`` on
-the supervisor.  How a query *ends* is counted in one place,
+``batches_executed`` and ``runner_restarts`` (crashed batches recovered) on
+the runner that ran the batch.  How a query *ends* is counted in one place,
 :meth:`BatchScheduler._account`, reached only through
 :meth:`ResultStream._end` — the stream's single terminal transition, first
 caller wins — and so on whichever thread ended it: the runner that served
-its last SOT or noticed its deadline, the consumer inside ``close()``, a
-connection's reader or writer tearing down after its peer vanished, the
-supervisor quarantining it, or ``stop()``.  Once the scheduler is quiescent
+its last SOT, noticed its deadline or quarantined it, the consumer inside
+``close()``, a connection's reader or writer tearing down after its peer
+vanished, or ``stop()``.  Once the scheduler is quiescent
 ``queries_submitted == queries_completed + queries_cancelled +
 queries_failed + queries_deadline_exceeded + queries_quarantined``.
 """
@@ -92,7 +92,7 @@ class ResultStream(ScanStream):
     """The in-process source: a batch runner's observer pushes the chunks.
 
     Adds what only the scheduler needs to a :class:`ScanStream` — the query,
-    its trace, and the supervision bookkeeping.
+    its trace, and the crash-recovery bookkeeping.
     """
 
     failure_prefix = "query failed in its batch"
@@ -117,11 +117,11 @@ class ResultStream(ScanStream):
         #: ``BatchScheduler._account``, installed at submit: called once, by
         #: whichever thread makes this stream terminal.
         self._account: Callable[["ResultStream"], None] | None = None
-        #: The submitter's fairness key, kept so a supervisor recovering this
-        #: stream from a crashed runner can requeue it in the right bucket.
+        #: The submitter's fairness key, kept so a runner recovering this
+        #: stream from a crashed batch can requeue it in the right bucket.
         self._client: Hashable = None
-        #: Batch runners this query's execution has killed (supervision).
-        self._runner_kills = 0
+        #: Batches holding this query that have crashed.
+        self._crashes = 0
 
     def _end(self, state: str, result=None, error=None) -> bool:
         """The one terminal transition, and so the one place a served query
@@ -187,31 +187,19 @@ class BatchScheduler:
             fault_plan.site(FAULT_RUNNER_DEATH) if fault_plan is not None else None
         )
         # Pending queries, kept per client for round-robin admission.  One
-        # condition guards them, the active-batch map and the exited-runner
-        # set, so a query moves from pending into a batch in one step; idle
-        # runners and the supervisor wait on it.
+        # condition guards them and the active-batch map, so a query moves
+        # from pending into a batch in one step; idle runners wait on it.
         self._cond = threading.Condition()
         self._pending: dict[Hashable, deque[ResultStream]] = {}
         self._pending_order: deque[Hashable] = deque()
         self._pending_count = 0
-        # The batch each thread took from pending and is executing — what
-        # stop() fails if a runner is stuck, and the supervisor's recovery
-        # map.  An entry is removed by the runner on every survivable exit
-        # from _execute; a crashed runner leaves its entry for the
-        # supervisor to claim.  Keyed by the Thread object, never by thread
-        # ident: idents recycle, and a replacement started while a dead
-        # runner's entry was still unclaimed could take its ident, file its
-        # own batch over the orphan, and lose it for good.
+        # The batch each runner took from pending and is executing — what
+        # stop() fails if a runner is stuck mid-batch.  The runner drops its
+        # entry at the end of every iteration, however the batch ended.
         self._active: dict[threading.Thread, Sequence[ResultStream]] = {}
-        # Runner threads that have left _run_batches (crash or shutdown):
-        # filed on the way out, because a thread still reports is_alive()
-        # while it runs its own exit path.
-        self._exited: set[threading.Thread] = set()
         self._runners: list[threading.Thread] = []
-        self._supervisor: threading.Thread | None = None
         self._running = False
         self._state_lock = threading.Lock()
-        self._restart_seq = 0
         # The one count of each event: TasmServer.stats() reads these fields
         # and so does the metrics registry, at snapshot time.  Written under
         # _counter_lock by whichever thread the event happens on.
@@ -244,8 +232,7 @@ class BatchScheduler:
         with self._state_lock:
             if self._running:
                 return
-            stale = [self._supervisor, *self._runners]
-            if any(thread is not None and thread.is_alive() for thread in stale):
+            if any(runner.is_alive() for runner in self._runners):
                 # A previous stop() timed out mid-batch; a second crew on the
                 # same queues would race it and its drain.
                 raise ServiceError(
@@ -253,22 +240,16 @@ class BatchScheduler:
                 )
             self._running = True
             self._active = {}
-            self._exited = set()
             self._runners = [
-                self._start_runner(f"tasm-batch-runner-{index}")
+                threading.Thread(
+                    target=self._run_batches,
+                    name=f"tasm-batch-runner-{index}",
+                    daemon=True,
+                )
                 for index in range(self._runner_count)
             ]
-            self._supervisor = threading.Thread(
-                target=self._run_supervisor,
-                name="tasm-runner-supervisor",
-                daemon=True,
-            )
-            self._supervisor.start()
-
-    def _start_runner(self, name: str) -> threading.Thread:
-        runner = threading.Thread(target=self._run_batches, name=name, daemon=True)
-        runner.start()
-        return runner
+            for runner in self._runners:
+                runner.start()
 
     def stop(self, timeout: float | None = 10.0) -> None:
         with self._state_lock:
@@ -278,7 +259,6 @@ class BatchScheduler:
             # against shutdown: a stream accepted at all is either executed
             # by a runner or failed below — no silent hangs.
             self._running = False
-            crew = [self._supervisor, *self._runners]
         queued: list[ResultStream] = []
         with self._cond:
             for bucket in self._pending.values():
@@ -286,19 +266,18 @@ class BatchScheduler:
             self._pending.clear()
             self._pending_order.clear()
             self._pending_count = 0
-            self._cond.notify_all()  # wake idle runners and the supervisor to exit
+            self._cond.notify_all()  # wake idle runners to exit
         for stream in queued:
             stream._fail(ServiceError("the server was stopped"))
         deadline = None if timeout is None else time.monotonic() + timeout
-        for thread in crew:
-            thread.join(
+        for runner in self._runners:
+            runner.join(
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
         # Anything still in flight after the drain deadline belongs to a
-        # runner stuck mid-batch — or to a runner that crashed after the
-        # supervisor already exited: fail the streams so consumers unblock
-        # (the runner's eventual terminal transitions are ignored — first
-        # wins), which also releases producers suspended on full buffers.
+        # runner stuck mid-batch: fail the streams so consumers unblock (the
+        # runner's eventual terminal transitions are ignored — first wins),
+        # which also releases producers suspended on full buffers.
         with self._cond:
             stragglers = [
                 stream
@@ -312,23 +291,6 @@ class BatchScheduler:
     @property
     def running(self) -> bool:
         return self._running
-
-    def _workers_alive(self) -> bool:
-        """True while the threads that could still complete a stream exist.
-
-        Liveness for waiters: a runner pool with no surviving thread *and* no
-        supervisor to rebuild it can never complete an accepted query —
-        blocked ``result()`` calls must raise rather than wait forever.  A
-        scheduler driven without threads (tests poke ``_running`` directly)
-        reports alive; it has no pool to crash.
-        """
-        runners = self._runners
-        if not runners:
-            return True
-        supervisor = self._supervisor
-        if supervisor is not None and supervisor.is_alive():
-            return True  # dead runners are about to be replaced
-        return any(runner.is_alive() for runner in runners)
 
     @property
     def queue_depth(self) -> int:
@@ -379,7 +341,6 @@ class BatchScheduler:
                     deadline_ms=deadline_ms,
                     skip_sots=skip_sots,
                 )
-                stream.liveness = self._workers_alive
                 stream._client = client
                 stream.trace = self._obs.start_trace(query)
                 stream._account = self._account
@@ -465,93 +426,46 @@ class BatchScheduler:
             return True
         return False
 
-    def _quarantine_stream(self, stream: ResultStream) -> None:
-        """Fail one stream that has crashed too many runners."""
-        stream._fail(
-            PoisonQueryError(
-                f"query killed {stream._runner_kills} batch runner(s) and is "
-                "quarantined"
-            )
-        )
-
     def _run_batches(self) -> None:
+        """One runner: take a batch, execute it, repeat until ``stop()``.
+
+        Nothing raised inside an iteration ends the loop — a crashed batch is
+        recovered right here, and anything else fails the batch's streams —
+        so only ``stop()`` ends a runner."""
         me = threading.current_thread()
-        try:
-            while True:
-                with self._cond:
-                    while self._running and self._pending_count == 0:
-                        self._cond.wait()
-                    if not self._running:
-                        return
-                batch = self._collect()
-                if not batch:
-                    continue  # expired, cancelled or taken by a peer
-                try:
-                    self._execute(batch)
-                except InjectedRunnerDeath:
-                    # A simulated crash: die like the real thing — leave the
-                    # batch in _active for the supervisor to recover, and
-                    # take this thread down.  A plain return (not a re-raise)
-                    # so the harness's unhandled-thread-exception hook stays
-                    # quiet; the observable state is identical either way.
-                    return
-                except BaseException as error:  # noqa: BLE001 — keep the runner alive
-                    # _execute fails offending streams itself; anything
-                    # escaping it (a terminal-transition bug, a callback
-                    # raising) must not kill the runner thread silently —
-                    # fail the batch's streams so their waiters raise, and
-                    # keep serving later batches.
-                    for stream in batch:
-                        stream._fail(error)
-                # Survivable exits only (a death above skips this): the batch
-                # is fully dispositioned, so drop it from the recovery map.
-                with self._cond:
-                    self._active.pop(me, None)
-        finally:
-            # Every way out — shutdown, an injected death, a bug in the loop
-            # itself — reports to the supervisor, which replaces the thread
-            # (and recovers its batch) unless the scheduler is stopping.
-            with self._cond:
-                self._exited.add(me)
-                self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # Runner supervision (supervisor thread)
-    # ------------------------------------------------------------------
-    def _run_supervisor(self) -> None:
-        """Replace crashed batch-runner threads and recover their batches.
-
-        Woken only by a runner's exit or by ``stop()``: every way out of
-        :meth:`_run_batches` files the thread in ``_exited`` from its
-        ``finally``, so there is nothing to poll for."""
         while True:
             with self._cond:
-                self._cond.wait_for(lambda: self._exited or not self._running)
-                exited, self._exited = self._exited, set()
-            with self._state_lock:
+                while self._running and self._pending_count == 0:
+                    self._cond.wait()
                 if not self._running:
                     return
-                orphans: list[Sequence[ResultStream] | None] = []
-                for index, runner in enumerate(self._runners):
-                    if runner not in exited and runner.is_alive():
-                        continue
-                    with self._cond:
-                        orphans.append(self._active.pop(runner, None))
-                    self._restart_seq += 1
-                    self._runners[index] = self._start_runner(
-                        f"tasm-batch-runner-{index}~r{self._restart_seq}"
-                    )
-            for orphan in orphans:
-                with self._counter_lock:
-                    self.runner_restarts += 1
-                if orphan is not None:
-                    self._recover_batch(orphan)
+            batch: Sequence[ResultStream] = ()
+            try:
+                try:
+                    batch = self._collect()
+                    if batch:  # else expired, cancelled or taken by a peer
+                        self._execute(batch)
+                except InjectedRunnerDeath:
+                    # The batch crashed: requeue what it owed (or quarantine
+                    # a query whose batches keep crashing) and carry on.
+                    with self._counter_lock:
+                        self.runner_restarts += 1
+                    self._recover_batch(batch)
+            except BaseException as error:  # noqa: BLE001 — keep the runner alive
+                # _execute fails offending streams itself; anything escaping
+                # it or the recovery (a terminal-transition bug, a callback
+                # raising) fails the batch's streams so their waiters raise.
+                for stream in batch:
+                    stream._fail(error)
+            finally:
+                with self._cond:
+                    self._active.pop(me, None)
 
     def _recover_batch(self, batch: Sequence[ResultStream]) -> None:
-        """Disposition a crashed runner's batch.
+        """Disposition a crashed batch, on the runner that caught the crash.
 
-        Terminal streams need nothing; a stream that has now
-        killed ``service_poison_query_kills`` runners is quarantined; expired
+        Terminal streams need nothing; a stream whose batches have now
+        crashed ``service_poison_query_kills`` times is quarantined; expired
         ones fail with their deadline; everything else is requeued at the
         *front* of its client's bucket (it has waited longest) through
         :meth:`ScanStream.resume`, so the resumed run skips delivered SOTs
@@ -561,9 +475,14 @@ class BatchScheduler:
         for stream in batch:
             if stream.done:
                 continue
-            stream._runner_kills += 1
-            if stream._runner_kills >= self._poison_kills:
-                self._quarantine_stream(stream)
+            stream._crashes += 1
+            if stream._crashes >= self._poison_kills:
+                stream._fail(
+                    PoisonQueryError(
+                        f"query crashed {stream._crashes} batch(es) and is "
+                        "quarantined"
+                    )
+                )
             else:
                 resumable.append(stream)
         doomed: list[ResultStream] = []
@@ -628,7 +547,7 @@ class BatchScheduler:
                     )
             elif isinstance(event, QueryDone):
                 stream = batch[event.query_index]
-                if stream._runner_kills:
+                if stream._crashes:
                     # A resumed run only re-served the SOTs the crash cut
                     # off; the stream holds every run's chunks, and SOTs
                     # serve in ascending order, so this is the list an

@@ -13,9 +13,10 @@ everything the paths used to re-implement separately:
 * the ``delivered`` SOT set and the regions those chunks carried;
 * one absolute deadline, with :meth:`ScanStream.remaining_deadline_ms`
   raising :class:`~repro.errors.DeadlineExceeded` once it is spent;
-* the iterate / ``result(timeout)`` / ``close()`` loop, with a liveness
-  probe, a per-event timeout, and a source-supplied "where is it stuck"
-  message for the timeout error;
+* the iterate / ``result(timeout)`` / ``close()`` loop, with a per-event
+  timeout and a source-supplied "where is it stuck" message for the timeout
+  error — a waiter sleeps on the stream's condition until a chunk, the end or
+  its own bound, and polls nothing;
 * :meth:`ScanStream.resume`, the single way an interrupted scan is
   re-issued.
 
@@ -48,19 +49,6 @@ class StreamChunk(NamedTuple):
 
     sot_index: int
     regions: Sequence[ScanRegion]
-
-
-#: How often a blocked consumer (or a connection's idle writer) re-checks
-#: liveness and its timeouts.  Purely a bound on how long a waiter can outlive
-#: a dead source; normal progress wakes waiters through the condition, not
-#: the tick.
-TICK_SECONDS = 0.5
-
-#: What a waiter is told once a stream's ``liveness`` probe reads False.
-DEAD_SOURCE = (
-    "the worker threads that would complete this stream are gone; the query "
-    "can never complete"
-)
 
 
 class ScanStream:
@@ -102,10 +90,6 @@ class ScanStream:
         #: SOT indices the submitter already holds or never wanted (a resumed
         #: scan, a shard's complement of a scatter); never served.
         self.skip_sots: frozenset[int] = frozenset(skip_sots or ())
-        #: Optional probe a blocked consumer polls: once it returns False the
-        #: threads that would complete this stream are gone, and waiting
-        #: raises instead of hanging.
-        self.liveness: Callable[[], bool] | None = None
         #: Set (producer-side) when the first chunk was pushed; None until then.
         self.first_chunk_at: float | None = None
         self.completed_at: float | None = None
@@ -268,9 +252,12 @@ class ScanStream:
         """Block for the next chunk; None once the scan completed.
 
         Raises the stream's typed failure once it failed (after buffered
-        chunks drained), and :class:`ServiceError` when the source is dead
-        or a bound lapsed: ``overall`` is ``result(timeout)``'s instant, and
-        every wait is also bounded by the per-event timeout.
+        chunks drained), and :class:`ServiceError` when a bound lapsed:
+        ``overall`` is ``result(timeout)``'s instant, and every wait is also
+        bounded by the per-event timeout.  With neither, it waits as long as
+        the source takes: a source's own ending (the scheduler's ``stop()``,
+        a connection tearing down) is what ends a stream whose producer is
+        gone.
         """
         give_up, limit, lapse = overall, timeout, "query did not complete"
         if self._event_timeout is not None:
@@ -285,9 +272,7 @@ class ScanStream:
                 if not (self._buffer or self._woken or self.done):
                     left = None if give_up is None else give_up - time.monotonic()
                     if left is None or left > 0:
-                        self._cond.wait(
-                            TICK_SECONDS if left is None else min(left, TICK_SECONDS)
-                        )
+                        self._cond.wait(left)
                 if self._buffer or self._woken:
                     self._woken = False
                     continue
@@ -295,8 +280,6 @@ class ScanStream:
                     if self._error is not None:
                         raise self._failure() from self._error
                     return None
-            if self.liveness is not None and not self.liveness():
-                raise ServiceError(DEAD_SOURCE)
             if give_up is not None and time.monotonic() >= give_up:
                 raise ServiceError(f"{lapse} within {limit} seconds ({self._stuck()})")
 
@@ -324,10 +307,9 @@ class ScanStream:
         """Block until the scan completes; the full, in-order ScanResult.
 
         Raises :class:`ServiceError` when ``timeout`` (or the stream's
-        per-event timeout) lapses, naming the stage the scan is stuck in,
-        and promptly — even with ``timeout=None`` — when the threads that
-        would complete it are gone.  A timeout is the waiter's, not the
-        stream's: the scan stays live and may be waited on again.
+        per-event timeout) lapses, naming the stage the scan is stuck in.  A
+        timeout is the waiter's, not the stream's: the scan stays live and
+        may be waited on again.
         """
         overall = None if timeout is None else time.monotonic() + timeout
         while self._next(overall, timeout) is not None:

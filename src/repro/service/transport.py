@@ -125,7 +125,7 @@ from ..faults.plan import (
 from ..obs import DISABLED
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
-from .stream import DEAD_SOURCE, TICK_SECONDS, ScanStream, StreamChunk
+from .stream import ScanStream, StreamChunk
 
 __all__ = [
     "KIND_CANCEL",
@@ -642,9 +642,6 @@ class SocketTransport:
     ):
         self._server = server
         self._listener = socket.create_server((host, port))
-        # A blocked accept() is not reliably interrupted by close() on every
-        # platform; a short timeout lets the accept loop poll _running.
-        self._listener.settimeout(0.2)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._accept_thread: threading.Thread | None = None
         self._connections: set[_Connection] = set()
@@ -687,6 +684,12 @@ class SocketTransport:
         if not self._running:
             return
         self._running = False
+        # close() alone does not wake a thread blocked in accept(); a
+        # shutdown does — the accept fails at once and the loop returns.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         with self._connections_lock:
             doomed = list(self._connections)
@@ -706,10 +709,8 @@ class SocketTransport:
         while self._running:
             try:
                 sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return  # listener closed
+                return  # stop() shut the listener down
             # Bound the hello: the connection reader clears the timeout once
             # the first complete frame lands (see _Connection.serve).
             sock.settimeout(self._handshake_timeout or None)
@@ -1088,10 +1089,8 @@ class _Connection:
         try:
             while True:
                 with self._cond:
-                    if not (self._closing or self._replies or self._ready):
-                        # With scans in flight the wait is a tick, so runners
-                        # that died without failing their streams get noticed.
-                        self._cond.wait(TICK_SECONDS if self._scans else None)
+                    while not (self._closing or self._replies or self._ready):
+                        self._cond.wait()
                     if self._closing:
                         return
                     frames = [[reply] for reply in self._replies]
@@ -1102,13 +1101,8 @@ class _Connection:
                         if query_id in self._scans
                     ]
                     self._ready.clear()
-                    idle = () if frames or ready else list(self._scans.values())
                     if frames:
                         self._cond.notify_all()  # a reader waiting on the reply bound
-                for scan in idle:
-                    liveness = scan.stream.liveness
-                    if liveness is not None and not liveness():
-                        scan.stream._fail(ServiceError(DEAD_SOURCE))
                 for query_id, scan in ready:
                     self._serve_scan(query_id, scan, frames)
                 if frames:

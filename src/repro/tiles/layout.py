@@ -138,11 +138,6 @@ class TileLayout:
             )
         return row * self.columns + column
 
-    def tile_position(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.tile_count:
-            raise LayoutError(f"tile index {index} out of range ({self.tile_count} tiles)")
-        return divmod(index, self.columns)[0], index % self.columns
-
     def tile_span(self, box: Rectangle) -> tuple[int, int, int, int]:
         """The grid range ``(row0, row1, col0, col1)`` of tiles ``box`` touches.
 
@@ -193,12 +188,6 @@ class TileLayout:
             needed.update(self.tiles_intersecting(region))
         areas = self.tile_areas
         return sum(areas[index] for index in needed)
-
-    def boundary_length(self) -> int:
-        """Total length of interior tile boundaries (quality proxy)."""
-        horizontal = (self.rows - 1) * self.frame_width
-        vertical = (self.columns - 1) * self.frame_height
-        return horizontal + vertical
 
     @property
     def frame_pixels(self) -> int:

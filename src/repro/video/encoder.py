@@ -41,10 +41,6 @@ class EncodedSot:
         return sum(gop.size_bytes for gop in self.gops)
 
     @property
-    def keyframe_count(self) -> int:
-        return len(self.gops)
-
-    @property
     def gop_frames(self) -> int:
         """Frames per GOP: every GOP but the last is this long, so the GOP
         holding frame ``f`` is number ``(f - frame_start) // gop_frames``."""

@@ -55,9 +55,6 @@ class GopStructure:
     def gop_count(self) -> int:
         return -(-self.frame_count // self.gop_frames)
 
-    def gop_of(self, frame_index: int) -> int:
-        return gop_index_for_frame(frame_index, self.gop_frames)
-
     def frame_range(self, gop_index: int) -> tuple[int, int]:
         """Frame range ``[start, stop)`` of the given GOP."""
         if not 0 <= gop_index < self.gop_count:
@@ -66,17 +63,6 @@ class GopStructure:
             )
         start = gop_index * self.gop_frames
         return start, min(start + self.gop_frames, self.frame_count)
-
-    def keyframe_of(self, gop_index: int) -> int:
-        return self.frame_range(gop_index)[0]
-
-    def gops_for_frames(self, start: int, stop: int) -> list[int]:
-        """GOP indices whose frame ranges overlap ``[start, stop)``."""
-        if stop <= start:
-            return []
-        first = self.gop_of(max(start, 0))
-        last = self.gop_of(min(stop, self.frame_count) - 1)
-        return list(range(first, last + 1))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for gop_index in range(self.gop_count):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import CodecConfig
-from ..errors import CodecError
 from .codec import DecodeStats, TileCodec
 from .encoder import EncodedSot
 from .frame import Frame
@@ -31,12 +30,6 @@ class StitchResult:
 
     frames: list[Frame] = field(default_factory=list)
     stats: DecodeStats = field(default_factory=DecodeStats)
-
-    def frame_at(self, frame_index: int) -> Frame:
-        for frame in self.frames:
-            if frame.index == frame_index:
-                return frame
-        raise CodecError(f"frame {frame_index} was not stitched")
 
 
 def stitch_tiles(sot: EncodedSot, codec_config: CodecConfig | None = None) -> StitchResult:

@@ -49,17 +49,6 @@ class VideoMetadata:
     def pixels_per_frame(self) -> int:
         return self.width * self.height
 
-    @property
-    def resolution_label(self) -> str:
-        """Human-readable resolution class, e.g. '2K' or '4K' (Table 1)."""
-        if self.width >= 3840:
-            return "4K"
-        if self.width >= 1920:
-            return "2K"
-        if self.width >= 1280:
-            return "720p"
-        return f"{self.width}x{self.height}"
-
 
 class Video:
     """A raw video: metadata plus a lazily evaluated frame source.

@@ -12,7 +12,6 @@ class TestCodecConfig:
     def test_defaults_are_valid(self):
         codec = CodecConfig()
         assert codec.gop_frames == 30
-        assert codec.gop_seconds == 1.0
 
     def test_rejects_non_positive_gop(self):
         with pytest.raises(ConfigurationError):
@@ -27,10 +26,6 @@ class TestCodecConfig:
             CodecConfig(keyframe_quant=0)
         with pytest.raises(ConfigurationError):
             CodecConfig(boundary_quant_penalty=-1)
-
-    def test_gop_seconds_uses_frame_rate(self):
-        codec = CodecConfig(gop_frames=10, frame_rate=5)
-        assert codec.gop_seconds == 2.0
 
 
 class TestCostCoefficients:

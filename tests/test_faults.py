@@ -11,10 +11,11 @@ The contracts pinned here, layer by layer:
   (the executor's cancelled-probe stops its remaining decode);
 * **load shedding** fast-fails with :class:`~repro.errors.ServerBusy` above
   the depth bound, before the refused query is admitted;
-* **runner supervision** restarts crashed batch runners, requeues their
-  unaffected queries with served SOTs skipped (results byte-identical), and
-  quarantines a query that keeps killing runners with
-  :class:`~repro.errors.PoisonQueryError`;
+* **crash recovery**: the runner that catches a crashed batch requeues its
+  unaffected queries with served SOTs skipped (results byte-identical),
+  quarantines a query whose batches keep crashing with
+  :class:`~repro.errors.PoisonQueryError`, and serves on — no thread is
+  replaced;
 * **retry/reconnect**: a :class:`~repro.service.RetryPolicy` client survives
   a dropped or mid-frame-cut connection, resuming in-flight scans from the
   last delivered chunk — byte-identical to an uninterrupted run — and
@@ -253,20 +254,24 @@ class TestLoadShedding:
 
 
 # ----------------------------------------------------------------------
-# Runner supervision
+# Crash recovery
 # ----------------------------------------------------------------------
 class TestRunnerSupervision:
     def test_injected_death_is_survived(self, config):
-        """A runner killed at batch entry is restarted and the query
-        completes byte-identical — the waiter never learns anything broke."""
+        """A batch crashed at its start is recovered by the runner that ran
+        it and the query completes byte-identical — the waiter never learns
+        anything broke, and no runner thread was replaced."""
         plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
         server, video = make_server(config, fault_plan=plan)
         reference, _ = make_tasm(config)
+        runners = list(server._scheduler._runners)
         try:
             result = server.submit(Query.select("car", video.name)).result(timeout=30)
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert wait_until(lambda: server._scheduler.runner_restarts == 1)
+            assert server._scheduler.runner_restarts == 1
             assert plan.fires()[FAULT_RUNNER_DEATH] == 1
+            assert server._scheduler._runners == runners
+            assert all(runner.is_alive() for runner in runners)
         finally:
             server.stop()
 
@@ -283,51 +288,13 @@ class TestRunnerSupervision:
         try:
             result = server.submit(Query.select("car", video.name)).result(timeout=30)
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert wait_until(lambda: server._scheduler.runner_restarts == 1)
+            assert server._scheduler.runner_restarts == 1
         finally:
             server.stop()
 
-    def test_orphaned_batch_survives_thread_ident_reuse(self, config):
-        """Thread idents recycle.  A runner that starts while a dead runner's
-        batch is still unclaimed may get the dead runner's ident; it must not
-        file its own batch over the orphan (which would then never be
-        recovered: its queries hang in "execute" forever)."""
-        plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
-        tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, max_batch=1, fault_plan=plan)
-        scheduler._running = True  # no pool: the test starts every thread itself
-        doomed = scheduler.submit(Query.select("car", video.name))
-        first = threading.Thread(target=scheduler._run_batches)
-        first.start()
-        first.join(timeout=10)  # dies at batch entry, leaving its batch behind
-        assert not first.is_alive() and not doomed.done
-        time.sleep(0.05)  # let the OS thread end, so its ident is up for reuse
-        other = scheduler.submit(Query.select("person", video.name))
-        second = threading.Thread(target=scheduler._run_batches)
-        second.start()
-        scheduler._runners = [first]
-        supervisor = threading.Thread(target=scheduler._run_supervisor)
-        try:
-            other.result(timeout=30)  # second filed, ran and dropped its batch
-            if second.ident != first.ident:
-                pytest.skip("this platform did not recycle the thread ident")
-            supervisor.start()
-            # Recovered, requeued, and served by second or the replacement.
-            assert doomed.result(timeout=30).regions, (
-                "the dead runner's batch was lost to the runner that reused its ident"
-            )
-            assert scheduler.runner_restarts == 1
-        finally:
-            scheduler._running = False
-            with scheduler._cond:
-                scheduler._cond.notify_all()
-            for thread in (second, supervisor, scheduler._runners[0]):
-                if thread.ident is not None:
-                    thread.join(timeout=10)
-
     def test_poison_query_is_quarantined(self, config):
-        """A query that kills every runner it touches is quarantined after
-        ``service_poison_query_kills`` deaths instead of looping forever."""
+        """A query that crashes every batch it rides in is quarantined after
+        ``service_poison_query_kills`` crashes instead of looping forever."""
         plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, probability=1.0)], seed=3)
         server, video = make_server(
             config, fault_plan=plan, service_poison_query_kills=2
@@ -338,22 +305,48 @@ class TestRunnerSupervision:
                 stream.result(timeout=30)
             scheduler = server._scheduler
             assert scheduler.queries_quarantined == 1
-            assert wait_until(lambda: scheduler.runner_restarts >= 2)
+            assert scheduler.runner_restarts >= 2
         finally:
             server.stop()
 
-    def test_stop_wakes_the_idle_supervisor(self, config):
-        """The supervisor waits with no timeout, so ``stop()`` is what wakes
-        it: stop returns well inside its drain timeout with every scheduler
-        thread gone."""
-        server, _ = make_server(config)
+    def test_a_crash_in_the_recovery_does_not_end_the_runner(self, config):
+        """Nothing raised inside an iteration ends a runner, the recovery
+        included: a recovery that raises fails the crashed batch's query with
+        that error, and the same runner serves the next query."""
+        plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
         scheduler = server._scheduler
-        crew = [scheduler._supervisor, *scheduler._runners]
-        assert all(thread.is_alive() for thread in crew)
+        original = scheduler._runners[0]
+        broken = RuntimeError("recovery bug")
+
+        def failing_recovery(batch):
+            raise broken
+
+        scheduler._recover_batch = failing_recovery
+        reference, _ = make_tasm(config)
+        try:
+            with pytest.raises(ServiceError) as failed:
+                server.submit(Query.select("car", video.name)).result(timeout=30)
+            assert failed.value.__cause__ is broken
+            assert scheduler.runner_restarts == 1
+            result = server.submit(Query.select("car", video.name)).result(timeout=30)
+            assert_scan_results_identical(result, reference.scan(video.name, "car"))
+            assert scheduler._runners == [original]
+            assert original.is_alive()
+        finally:
+            server.stop()
+
+    def test_stop_wakes_the_idle_runners(self, config):
+        """Idle runners wait with no timeout, so ``stop()`` is what wakes
+        them: stop returns well inside its drain timeout with every runner
+        gone."""
+        server, _ = make_server(config)
+        runners = list(server._scheduler._runners)
+        assert all(runner.is_alive() for runner in runners)
         started = time.monotonic()
         server.stop()
         assert time.monotonic() - started < 5.0
-        assert not any(thread.is_alive() for thread in crew)
+        assert not any(runner.is_alive() for runner in runners)
 
 
 # ----------------------------------------------------------------------

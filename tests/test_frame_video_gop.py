@@ -57,12 +57,6 @@ class TestVideoMetadata:
         assert metadata.duration_seconds == 10.0
         assert metadata.pixels_per_frame == 5000
 
-    def test_resolution_labels(self):
-        assert VideoMetadata("a", 3840, 2160, 10).resolution_label == "4K"
-        assert VideoMetadata("b", 1920, 1080, 10).resolution_label == "2K"
-        assert VideoMetadata("c", 1280, 720, 10).resolution_label == "720p"
-        assert VideoMetadata("d", 640, 480, 10).resolution_label == "640x480"
-
     def test_rejects_invalid(self):
         with pytest.raises(StorageError):
             VideoMetadata("v", 0, 10, 10)
@@ -116,9 +110,6 @@ class TestGopHelpers:
         structure = GopStructure(frame_count=25, gop_frames=10)
         assert structure.gop_count == 3
         assert structure.frame_range(2) == (20, 25)
-        assert structure.keyframe_of(1) == 10
-        assert structure.gops_for_frames(5, 15) == [0, 1]
-        assert structure.gops_for_frames(15, 15) == []
         assert list(structure) == [(0, 10), (10, 20), (20, 25)]
 
     def test_gop_structure_out_of_range(self):

@@ -27,6 +27,17 @@ class TestRectangleBasics:
         with pytest.raises(GeometryError):
             Rectangle(0, 5, 10, 1)
 
+    @pytest.mark.parametrize("coordinate", ["x1", "y1", "x2", "y2"])
+    def test_nan_coordinate_rejected(self, coordinate):
+        """``NaN < x`` is False, so a NaN slips past a negative-extent test;
+        it is refused all the same, and not described as a negative extent."""
+        corners = {"x1": 0.0, "y1": 0.0, "x2": 10.0, "y2": 10.0}
+        corners[coordinate] = float("nan")
+        with pytest.raises(GeometryError) as refused:
+            Rectangle(**corners)
+        assert "negative extent" not in str(refused.value)
+        assert "NaN" in str(refused.value)
+
     def test_zero_area_is_empty(self):
         assert Rectangle(3, 3, 3, 8).is_empty
         assert not rect().is_empty

@@ -47,11 +47,17 @@ class TestTileLayoutGeometry:
                 assert not a.intersects(b)
 
     def test_tile_index_round_trip(self):
+        """The index of (row, column) is where the rectangle built from that
+        row's height and that column's width sits in ``tile_rectangles()``."""
         layout = TileLayout(100, 60, (20, 40), (30, 30, 40))
+        rectangles = layout.tile_rectangles()
         for row in range(layout.rows):
             for column in range(layout.columns):
-                index = layout.tile_index(row, column)
-                assert layout.tile_position(index) == (row, column)
+                x1 = sum(layout.column_widths[:column])
+                y1 = sum(layout.row_heights[:row])
+                assert rectangles[layout.tile_index(row, column)] == Rectangle(
+                    x1, y1, x1 + layout.column_widths[column], y1 + layout.row_heights[row]
+                )
 
     def test_tile_containing_point(self):
         layout = TileLayout(100, 60, (20, 40), (30, 30, 40))
@@ -76,11 +82,6 @@ class TestTileLayoutGeometry:
         assert layout.pixels_decoded_for(
             [Rectangle(1, 1, 5, 5), Rectangle(10, 10, 15, 15)]
         ) == 30 * 20
-
-    def test_boundary_length(self):
-        layout = TileLayout(100, 60, (20, 40), (30, 30, 40))
-        assert layout.boundary_length() == 1 * 100 + 2 * 60
-        assert untiled_layout(100, 60).boundary_length() == 0
 
     def test_describe_uniform_vs_non_uniform(self):
         assert "uniform" in TileLayout(100, 60, (30, 30), (50, 50)).describe()

@@ -229,7 +229,9 @@ class TestConcurrentClients:
         finally:
             server.stop()
 
-    def test_scheduler_owns_one_thread_per_runner_plus_the_supervisor(self, config):
+    def test_scheduler_owns_one_thread_per_runner(self, config):
+        """The runners are the whole pool: a crashed batch is recovered by
+        the runner that caught it, so no thread watches them."""
         before = set(threading.enumerate())
         server, _ = make_server(config, service_runners=3)
         try:
@@ -238,7 +240,6 @@ class TestConcurrentClients:
                 "tasm-batch-runner-0",
                 "tasm-batch-runner-1",
                 "tasm-batch-runner-2",
-                "tasm-runner-supervisor",
             ]
         finally:
             server.stop()

@@ -5,7 +5,9 @@ The one-sender design rests on exact counts, pinned here over 50 warm 4-chunk
 scans through a real ``SocketTransport`` and ``RemoteTasmClient`` at the
 default 64-credit window:
 
-* a connection that is up starts no thread, whatever it serves;
+* a connection that is up starts no thread, whatever it serves, and a
+  server with one connection runs its batch runners, one accept thread and
+  the connection's reader and writer — nothing else;
 * inside half a window no ``KIND_CREDIT`` frame is sent;
 * the writer makes at most one ``sendmsg`` per chunk plus one per scan;
 * a chunk's pixel buffers are the regions' own arrays on the way out, and
@@ -105,27 +107,41 @@ def test_warm_scans_cost_one_send_per_chunk_and_nothing_else(config: TasmConfig,
 
 
 def test_a_connection_runs_two_threads_whatever_it_serves(config: TasmConfig):
-    """Reader and writer, with eight scans in flight as with none."""
+    """Reader and writer, with eight scans in flight as with none.  Beside
+    them the server owns its batch runners and the accept thread, nothing
+    else; ``stop()`` ends the accept thread by shutting the listener down,
+    and the listener never carried a timeout to poll on."""
     tasm, video = four_sot_tasm(config)
+    before = set(threading.enumerate())
+    expected = sorted(
+        [f"tasm-batch-runner-{index}" for index in range(config.service_runners)]
+        + ["tasm-socket-accept", "tasm-socket-conn", "tasm-socket-writer"]
+    )
 
-    def connection_threads() -> list[str]:
+    def server_threads() -> list[str]:
         return sorted(
             thread.name
-            for thread in threading.enumerate()
-            if thread.name in ("tasm-socket-conn", "tasm-socket-writer")
+            for thread in set(threading.enumerate()) - before
+            if thread.name != "tasm-client-reader"
         )
 
-    with TasmServer(tasm) as server, SocketTransport(server) as transport:
-        # One credit and nobody draining: every scan parks after its first chunk.
-        with RemoteTasmClient(
-            transport.address, use_shm=False, stream_buffer_chunks=1
-        ) as client:
-            client.stats()
-            assert connection_threads() == ["tasm-socket-conn", "tasm-socket-writer"]
-            before = threading.active_count()
-            streams = [client.scan_streaming(video.name, "car") for _ in range(8)]
-            assert wait_until(lambda: all(stream.buffered_chunks for stream in streams))
-            assert connection_threads() == ["tasm-socket-conn", "tasm-socket-writer"]
-            assert threading.active_count() == before
-            for stream in streams:
-                assert len(stream.result(timeout=30).regions) > 0
+    with TasmServer(tasm) as server:
+        transport = SocketTransport(server).start()
+        accept = transport._accept_thread
+        try:
+            # One credit and nobody draining: every scan parks after its
+            # first chunk.
+            with RemoteTasmClient(
+                transport.address, use_shm=False, stream_buffer_chunks=1
+            ) as client:
+                client.stats()
+                assert server_threads() == expected
+                streams = [client.scan_streaming(video.name, "car") for _ in range(8)]
+                assert wait_until(lambda: all(stream.buffered_chunks for stream in streams))
+                assert server_threads() == expected
+                for stream in streams:
+                    assert len(stream.result(timeout=30).regions) > 0
+        finally:
+            transport.stop()
+        assert not accept.is_alive()
+        assert transport._listener.gettimeout() is None

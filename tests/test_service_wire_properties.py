@@ -1,6 +1,6 @@
 """Properties of the wire: round trips, hostile input, and the credit window.
 
-Four claims, each searched rather than hand-picked:
+Five claims, the first four searched rather than hand-picked:
 
 * whatever regions a chunk carries (no label, an empty or non-ASCII one,
   zero-area pixels, non-contiguous arrays, integer or float boxes, more
@@ -15,7 +15,10 @@ Four claims, each searched rather than hand-picked:
   connection completes, as does one already streaming on it; every id that
   fits is served under that id;
 * for every credit window 1..8 and every chunk count 1..20 a scan completes,
-  and the server never has more than ``window`` unreturned chunks in flight.
+  and the server never has more than ``window`` unreturned chunks in flight;
+* an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
+  accepts) earns an error reply, and is never stored where it would make
+  every later chunk of its label one the decoder refuses.
 """
 
 from __future__ import annotations
@@ -55,11 +58,13 @@ from repro.service.transport import (
     chunk_parts,
     decode_chunk_payload,
     decode_shm_chunk_payload,
+    recv_message,
     send_buffers,
     send_frame,
     send_message,
 )
-from tests.test_service_flow_control import wait_until
+from tests.test_exec_engine import assert_scan_results_identical
+from tests.test_service_flow_control import make_server, wait_until
 
 
 # ----------------------------------------------------------------------
@@ -589,3 +594,29 @@ def test_a_refused_scan_id_leaves_the_connections_parked_scan_streaming():
             send_frame(sock, KIND_CREDIT, _CREDIT_FRAME.pack(7, 4))
             chunk_ids, replies = _replies(frames, 1)
             assert replies["done"]["id"] == 7 and chunk_ids == [7] * 4
+
+
+def test_a_nan_box_is_refused_and_its_label_still_serves_remotely(config):
+    """Python's ``json`` reads ``NaN``, and ``NaN < x`` is False: a box with a
+    NaN coordinate was once stored, and from then on every remote scan of
+    its label failed in the chunk decoder, which refuses such a record."""
+    server, video = make_server(config)
+    transport = SocketTransport(server).start()
+    try:
+        with socket.create_connection(transport.address, timeout=10) as sock:
+            for request_id, coordinate in enumerate(("x1", "y1", "x2", "y2")):
+                box = {"x1": 8.0, "y1": 8.0, "x2": 24.0, "y2": 24.0, coordinate: float("nan")}
+                send_message(
+                    sock,
+                    {"op": "add_metadata", "id": request_id, "video": video.name,
+                     "frame": 2, "label": "car", **box},
+                )
+                reply = recv_message(sock)
+                assert reply["type"] == "error" and reply["id"] == request_id, reply
+        with RemoteTasmClient(transport.address, timeout=30.0, use_shm=False) as client:
+            assert_scan_results_identical(
+                client.scan(video.name, "car"), server.tasm.scan(video.name, "car")
+            )
+    finally:
+        transport.stop()
+        server.stop()

@@ -22,6 +22,7 @@ from repro.core.query import Query
 from repro.core.tasm import TASM
 from repro.index.semantic_index import BTreeSemanticIndex
 from repro.tiles.layout import TileLayout
+from repro.tiles.partitioner import TileGranularity
 
 from tests.conftest import run_w4_on_smoke_road
 
@@ -62,7 +63,9 @@ def test_w4_partitions_once_per_question_per_index_write(monkeypatch):
     distinct: set = set()
     layout_around = TASM.layout_around
 
-    def recording_layout_around(self, video_name, sot_index, objects, granularity=None):
+    def recording_layout_around(
+        self, video_name, sot_index, objects, granularity=TileGranularity.FINE
+    ):
         objects = frozenset(objects)
         frames = self.video(video_name).frame_range(sot_index)
         written = self.semantic_index.generation(video_name, *frames)
