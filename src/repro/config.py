@@ -40,9 +40,6 @@ class CodecConfig:
         min_tile_width / min_tile_height: smallest tile the codec accepts.
         keyframe_quant: quantisation step for intra (key) frames.
         predicted_quant: quantisation step for predicted (P) frames.
-        boundary_quant_penalty: additional quantisation applied to blocks that
-            touch a tile boundary.  This reproduces the paper's observation
-            that tiling introduces boundary artifacts that reduce PSNR.
         tile_overhead_bytes: per-tile container/header overhead added to the
             stored size of every encoded tile.
     """
@@ -54,7 +51,6 @@ class CodecConfig:
     min_tile_height: int = 64
     keyframe_quant: int = 4
     predicted_quant: int = 6
-    boundary_quant_penalty: int = 6
     tile_overhead_bytes: int = 96
 
     def __post_init__(self) -> None:
@@ -68,10 +64,8 @@ class CodecConfig:
             raise ConfigurationError(
                 "minimum tile dimensions must be at least one block"
             )
-        if self.keyframe_quant < 1 or self.predicted_quant < 1:
-            raise ConfigurationError("quantisation steps must be >= 1")
-        if self.boundary_quant_penalty < 0:
-            raise ConfigurationError("boundary_quant_penalty must be non-negative")
+        if not (1 <= self.keyframe_quant <= 255 and 1 <= self.predicted_quant <= 255):
+            raise ConfigurationError("quantisation steps must be in [1, 255]")
         if self.tile_overhead_bytes < 0:
             raise ConfigurationError("tile_overhead_bytes must be non-negative")
 

@@ -277,7 +277,9 @@ class TASM:
     def retile_sot(self, video_name: str, sot_index: int, layout: TileLayout) -> RetileRecord:
         """Re-encode one SOT with a new layout (the physical re-organisation).
 
-        Any tile decodes cached for the superseded encoding are invalidated —
+        A stored SOT is transcoded from its own tiles; a tile the cache holds
+        is not decoded again for it, only resumed past the frames held.  Any
+        tile decodes cached for the superseded encoding are then invalidated —
         a scan after a re-tile can never be served stale pixels.  What they
         covered stays resident all the same: the encoder reconstructs every
         frame it predicts from, so for the area the cache held — and no other
@@ -301,19 +303,21 @@ class TASM:
         return record
 
     def _resident(self, tiled: TiledVideo, sot_index: int) -> Handover | None:
-        """What the cache holds of a SOT's current encoding, GOP by GOP, as
-        the re-encode's :class:`~repro.video.codec.Handover`; None when that
-        is nothing, and the re-encode then keeps nothing."""
+        """What the cache holds of a SOT's current encoding, GOP by GOP and
+        tile by tile, as the re-encode's
+        :class:`~repro.video.codec.Handover`; None when that is nothing, and
+        the re-encode then reads every tile from storage and keeps nothing.
+        (``TileDecodeCache.held`` moves no counter and no recency.)"""
         if self.tile_cache is None or not tiled.is_materialised(sot_index):
             return None
-        resident: dict[int, list[tuple[Rectangle, int]]] = {}
+        held: dict[int, dict[Rectangle, list]] = {}
         for gop in tiled.encoded_sot(sot_index).gops:
             for tile_index, tile in enumerate(gop.tiles):
                 key = (tiled.name, sot_index, gop.frame_start, tile_index)
                 frames = self.tile_cache.held(key, tile.checksums)
                 if frames:
-                    resident.setdefault(gop.frame_start, []).append((tile.region, len(frames) - 1))
-        return Handover(resident) if resident else None
+                    held.setdefault(gop.frame_start, {})[tile.region] = frames
+        return Handover(held) if held else None
 
     def _on_retile(self, video_name: str, sot_index: int) -> None:
         if self.tile_cache is not None:

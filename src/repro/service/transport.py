@@ -845,6 +845,9 @@ class _Connection:
                 kind, payload = frame
                 if kind == KIND_JSON:
                     message = json.loads(bytes(payload).decode("utf-8"))
+                    if not isinstance(message, dict):
+                        self._reply(_error_reply(None, ProtocolError("a JSON frame must hold an object")))
+                        continue
                     try:
                         self._handle(message)
                     except _ConnectionClosed:
@@ -904,22 +907,17 @@ class _Connection:
         elif op == "video_info":
             # Layout facts the cluster router partitions by: how many SOTs
             # the video has (the ring's key universe) and its frame range.
-            try:
-                video = self._server.tasm.video(message["video"])
-            except Exception as error:  # noqa: BLE001 — unknown video and friends
-                self._reply(
-                    {"type": "error", "id": query_id, "message": str(error)}
-                )
-            else:
-                self._reply(
-                    {
-                        "type": "video_info",
-                        "id": query_id,
-                        "video": video.name,
-                        "sot_count": video.sot_count,
-                        "frame_count": video.video.frame_count,
-                    }
-                )
+            # An unknown video is an error reply, like any failure here.
+            video = self._server.tasm.video(message["video"])
+            self._reply(
+                {
+                    "type": "video_info",
+                    "id": query_id,
+                    "video": video.name,
+                    "sot_count": video.sot_count,
+                    "frame_count": video.video.frame_count,
+                }
+            )
         elif op == "metrics":
             self._reply(
                 {

@@ -38,7 +38,10 @@ from .tiled_video import TiledVideo
 __all__ = ["write_tiled_video", "read_tiled_video", "TileFileFormatError"]
 
 _MAGIC = b"TASM"
-_VERSION = 1
+#: 2: predicted-frame residuals are clamped so no reconstruction clips, and a
+#: boundary tile predicts from its unpenalised keyframe.  A version-1 payload
+#: would decode to different pixels, so it is refused.
+_VERSION = 2
 _HEADER = struct.Struct("<4sBBHiiiiii")  # magic, version, flags, reserved, x1,y1,x2,y2, frame_start, frame_count
 
 
@@ -163,8 +166,10 @@ def write_tiled_video(tiled: TiledVideo, root: str | Path) -> Path:
 def read_tiled_video(video: Video, root: str | Path, config: TasmConfig) -> TiledVideo:
     """Load a previously written tiled representation of ``video``.
 
-    The raw video is still required (to re-tile later); the on-disk data
-    restores the layout specification and the encoded SOTs without re-encoding.
+    The on-disk data restores the layout specification and the encoded SOTs
+    without re-encoding.  ``video`` supplies the manifest check and the raw
+    frames of SOTs that were never stored; a stored SOT is re-tiled by
+    transcoding its own tiles, so its raw frames are never read again.
     """
     root = Path(root)
     video_dir = root / video.name

@@ -3,9 +3,10 @@
 A :class:`TiledVideo` owns the encoded form of every SOT of a video together
 with the layout specification that produced it.  SOTs are encoded lazily (a
 freshly ingested video is simply "untiled": each SOT is a single full-frame
-tile, encoded the first time it is read) and can be *re-tiled*: re-encoded
-under a new layout, which is the operation whose cost ``R(s, L)`` the
-incremental strategies weigh against accumulated regret.
+tile, encoded from the raw video the first time it is read) and can be
+*re-tiled*: transcoded from its stored tiles to a new layout, which is the
+operation whose cost ``R(s, L)`` the incremental strategies weigh against
+accumulated regret.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..config import TasmConfig
-from ..errors import StorageError
 from ..tiles.layout import TileLayout, VideoLayoutSpec, untiled_layout
 from ..video.encoder import EncodedSot, VideoEncoder
-from ..video.codec import EncodeStats, Handover
+from ..video.codec import DecodeStats, EncodeStats, Handover
 from ..video.video import Video
 
 __all__ = ["RetileRecord", "TiledVideo"]
@@ -26,7 +26,13 @@ __all__ = ["RetileRecord", "TiledVideo"]
 
 @dataclass(frozen=True)
 class RetileRecord:
-    """Bookkeeping for one (re-)encode of a SOT."""
+    """Bookkeeping for one (re-)encode of a SOT.
+
+    ``pixels_inflated`` and ``pixels_held`` are what a re-tile read of the
+    stored SOT: pixels decoded from its payloads, and pixels taken from the
+    frames a decode cache held of it.  A first encode reads the raw video and
+    neither.
+    """
 
     sot_index: int
     layout: TileLayout
@@ -34,6 +40,8 @@ class RetileRecord:
     tiles_encoded: int
     bytes_written: int
     encode_seconds: float
+    pixels_inflated: int = 0
+    pixels_held: int = 0
 
 
 @dataclass
@@ -129,11 +137,14 @@ class TiledVideo:
     ) -> RetileRecord:
         """Re-encode one SOT under ``layout`` and record the work done.
 
-        Re-tiling to the layout the SOT already has is a no-op that costs
-        nothing; TASM's policies rely on this so that "keep the current
-        layout" is always free.  ``handover`` names what a decode cache holds
-        of the superseded encoding and receives the new encoding's
-        reconstructions of that area (:class:`~repro.video.codec.Handover`).
+        A SOT already stored is transcoded from its own tiles — the raw video
+        is read only by a SOT's first encode.  Re-tiling to the layout the
+        SOT already has is a no-op that costs nothing; TASM's policies rely
+        on this so that "keep the current layout" is always free.
+        ``handover`` names what a decode cache holds of the superseded
+        encoding — the transcode resumes after it — and receives the new
+        encoding's reconstructions of that area
+        (:class:`~repro.video.codec.Handover`).
         """
         current = self.layout_for(sot_index)
         if layout == current and self.is_materialised(sot_index):
@@ -147,11 +158,13 @@ class TiledVideo:
     def _encode(
         self, sot_index: int, layout: TileLayout, record: bool, handover: Handover | None = None
     ) -> EncodedSot:
-        start, stop = self.layout_spec.frame_range(sot_index)
-        stats = EncodeStats()
-        encoded = self._encoder.encode_sot(
-            self.video, sot_index, start, stop, layout, stats=stats, handover=handover
-        )
+        stats, read = EncodeStats(), DecodeStats()
+        stored = self._sots.get(sot_index)
+        if stored is None:
+            start, stop = self.layout_spec.frame_range(sot_index)
+            encoded = self._encoder.encode_sot(self.video, sot_index, start, stop, layout, stats)
+        else:
+            encoded = self._encoder.transcode_sot(stored, layout, stats, handover, read)
         self._sots[sot_index] = encoded
         if record:
             self.retile_history.append(
@@ -162,6 +175,8 @@ class TiledVideo:
                     tiles_encoded=stats.tiles_encoded,
                     bytes_written=stats.bytes_written,
                     encode_seconds=encoded.encode_seconds,
+                    pixels_inflated=read.pixels_decoded,
+                    pixels_held=read.pixels_served_from_cache,
                 )
             )
         return encoded
@@ -183,31 +198,3 @@ class TiledVideo:
         if materialise:
             self.materialise_all()
         return sum(sot.size_bytes for sot in self._sots.values())
-
-    def storage_summary(self) -> dict[str, float]:
-        """Summary used by the SOT-duration experiment (Figure 9)."""
-        total = self.total_size_bytes()
-        keyframes = sum(
-            tile.keyframe_bytes for sot in self._sots.values() for gop in sot.gops for tile in gop.tiles
-        )
-        return {
-            "total_bytes": float(total),
-            "keyframe_bytes": float(keyframes),
-            "sot_count": float(self.sot_count),
-            "tiled_sots": float(len(self.layout_spec.tiled_sots())),
-        }
-
-    def validate(self) -> None:
-        """Check structural invariants of the stored representation."""
-        for sot_index, encoded in self._sots.items():
-            start, stop = self.layout_spec.frame_range(sot_index)
-            if encoded.frame_start != start or encoded.frame_stop != stop:
-                raise StorageError(
-                    f"SOT {sot_index} encoded range [{encoded.frame_start}, {encoded.frame_stop}) "
-                    f"does not match the layout spec range [{start}, {stop})"
-                )
-            layout = self.layout_for(sot_index)
-            if encoded.layout != layout:
-                raise StorageError(
-                    f"SOT {sot_index} is encoded with a different layout than the spec records"
-                )

@@ -15,9 +15,20 @@ than a stub, because the evaluation depends on the codec exhibiting the right
   without touching other tiles (spatial random access).  Decoding a tile on
   frame *k* requires decoding that tile on frames ``keyframe..k`` (temporal
   dependency), as in the paper.
-* **Quality** — quantisation makes encoding lossy, and blocks that touch a
-  tile boundary are quantised more coarsely, reproducing the boundary
-  artifacts that make heavily tiled videos score lower PSNR (Figure 6(b)).
+* **Quality** — quantisation makes encoding lossy, and a tile that shares an
+  edge with another shows an artifact in its outer block ring: on the
+  keyframe, the ring shows the floor of each quantisation bucket instead of
+  its midpoint.  That reproduces the boundary artifacts that make heavily
+  tiled videos score lower PSNR (Figure 6(b)).
+* **Transcoding is exact** — the artifact is on the keyframe's *output*
+  only: every later frame predicts from the unpenalised keyframe, which a
+  decoder holding only the output recovers from it.  And predicted-frame
+  residuals, rounded to the nearest step, are clamped so that no
+  reconstruction needs clipping.  The codec is per pixel,
+  so the frames the encoder predicts from are the same under every layout,
+  and encoding a SOT's decoded frames under any layout writes the very bytes
+  its raw frames would (:meth:`TileCodec.decode_gop`).  A re-tile therefore
+  transcodes what is stored and never needs the raw video again.
 * **Cost** — decode work is dominated by per-pixel array operations plus a
   per-tile fixed overhead (header parsing, checksum, deflate stream setup),
   which is the ``beta * pixels + gamma * tiles`` model of Section 4.1.
@@ -84,17 +95,19 @@ class DecodeStats:
 
 @dataclass
 class Handover:
-    """What a re-encode keeps for a decode cache that held the old encoding.
+    """What a decode cache holds of a superseded encoding, and what its
+    re-encode keeps for the cache.
 
-    ``resident`` maps a GOP (by its first frame) to the rectangles of the
-    superseded encoding the cache holds and the frame offset each is decoded
-    to.  The encoder files under ``frames``, by (GOP first frame, tile index),
-    ``(reconstructions, checksums)`` of every new tile that intersects one —
-    what the decoder would reconstruct from the new bitstream, to the deepest
-    offset held over the tile's area.  Other tiles keep nothing.
+    ``held`` maps a GOP (by its first frame) to ``{tile rectangle: frames}``
+    for every tile of the superseded encoding the cache holds, at whatever
+    depth.  The re-encode's decode resumes after those frames.  The encoder
+    files under ``frames``, by (GOP first frame, tile index),
+    ``(reconstructions, checksums)`` of every new tile that intersects a held
+    one: what the decoder would reconstruct from the new bitstream, to the
+    deepest offset held over the tile's area.  Other tiles keep nothing.
     """
 
-    resident: dict[int, list[tuple[Rectangle, int]]]
+    held: dict[int, dict[Rectangle, list[np.ndarray]]]
     frames: dict[tuple[int, int], tuple[list[np.ndarray], tuple[int, ...]]] = field(
         default_factory=dict
     )
@@ -111,9 +124,9 @@ class EncodedTile:
         payloads: one compressed payload per frame; payload 0 is intra-coded.
         checksums: CRC32 of each payload, verified on decode.
         header_bytes: container overhead attributed to this tile.
-        is_boundary_tile: whether boundary-artifact quantisation was applied;
-            the decoder must mirror it so predicted frames reference the same
-            reconstruction the encoder used.
+        is_boundary_tile: whether the keyframe's outer block ring shows the
+            boundary artifact; the decoder mirrors it, and undoes it to find
+            the reference a decode resumed after the keyframe predicts from.
     """
 
     region: Rectangle
@@ -127,10 +140,6 @@ class EncodedTile:
     @property
     def size_bytes(self) -> int:
         return sum(len(p) for p in self.payloads) + self.header_bytes
-
-    @property
-    def keyframe_bytes(self) -> int:
-        return len(self.payloads[0]) if self.payloads else 0
 
     @property
     def width(self) -> int:
@@ -169,7 +178,8 @@ class TileCodec:
     The codec is stateless apart from its configuration; all methods are pure
     functions of their inputs, which keeps encode/decode trivially testable
     and means concurrent use needs no locking.  (The int16 work buffers the
-    kernels compute in belong to one ``encode_tile`` / ``decode_tile`` call.)
+    encoder computes in belong to one ``encode_tile`` call; the decoder
+    computes in uint8 and allocates only the frames it returns.)
     """
 
     def __init__(self, config: CodecConfig | None = None):
@@ -194,10 +204,9 @@ class TileCodec:
             frames: raw luma rasters of every frame in the GOP (full frames).
             region: the tile rectangle; must lie within the frame bounds.
             frame_start: video-level index of ``frames[0]`` (the keyframe).
-            is_boundary_tile: when True the tile's outer blocks are quantised
-                more coarsely to model tile-boundary artifacts.  A 1x1 layout
-                (the whole frame as one tile) passes False and suffers no
-                boundary loss.
+            is_boundary_tile: when True the keyframe's outer block ring shows
+                the tile-boundary artifact.  A 1x1 layout (the whole frame as
+                one tile) passes False and suffers no boundary loss.
             stats: optional accumulator for encode accounting.
             kept: receives what :meth:`decode_tile` would reconstruct for
                 frames ``0..keep_depth`` (none by default) — the encoder
@@ -215,23 +224,26 @@ class TileCodec:
         payloads: list[bytes] = []
         checksums: list[int] = []
         pixels_per_frame = (x2 - x1) * (y2 - y1)
-        # What the decoder will hold for the previous frame, kept in int16 and
+        # The reference the next frame is predicted from, kept in int16 and
         # updated in place from frame to frame, and the kernels' scratch.
         reconstruction = np.empty((y2 - y1, x2 - x1), dtype=np.int16)
-        work = np.empty_like(reconstruction)
+        work, floor = np.empty_like(reconstruction), np.empty_like(reconstruction)
 
         for frame_offset, frame in enumerate(frames):
             if frame.shape != (height, width):
                 raise CodecError("all frames in a GOP must share the same shape")
             block = frame[y1:y2, x1:x2]
             if frame_offset == 0:
-                payload = self._encode_keyframe(block, is_boundary_tile, reconstruction)
+                payload = self._encode_keyframe(block, reconstruction)
             else:
-                payload = self._encode_predicted(block, reconstruction, work)
+                payload = self._encode_predicted(block, reconstruction, work, floor)
             payloads.append(payload)
             checksums.append(zlib.crc32(payload))
             if frame_offset <= keep_depth:
-                kept.append(reconstruction.astype(np.uint8))
+                output = reconstruction.astype(np.uint8)
+                kept.append(
+                    self._keyframe_output(output, is_boundary_tile) if frame_offset == 0 else output
+                )
 
         encoded = EncodedTile(
             region=Rectangle(x1, y1, x2, y2),
@@ -261,11 +273,14 @@ class TileCodec:
         if not regions:
             raise CodecError("a GOP must be encoded with at least one tile region")
         full_frame = len(regions) == 1
-        resident = handover.resident.get(frame_start, ()) if handover else ()
+        held = handover.held.get(frame_start, {}) if handover else {}
         tiles = []
         for tile_index, region in enumerate(regions):
             kept: list[np.ndarray] = []
-            depth = max((held for area, held in resident if area.intersects(region)), default=-1)
+            depth = max(
+                (len(frames) - 1 for area, frames in held.items() if area.intersects(region)),
+                default=-1,
+            )
             tile = self.encode_tile(frames, region, frame_start, not full_frame, stats, kept, depth)
             tiles.append(tile)
             if kept:
@@ -300,7 +315,8 @@ class TileCodec:
                 payloads ``d+1..up_to_offset`` are verified and inflated, and
                 only they count as frames and pixels decoded; the returned
                 list starts with the given arrays themselves.  None (or
-                nothing) is the cold decode from the keyframe.
+                nothing) is the cold decode from the keyframe.  A keyframe
+                alone is enough: the reference it shows is recovered from it.
         """
         last = tile.frame_count - 1 if up_to_offset is None else up_to_offset
         if not 0 <= last < tile.frame_count:
@@ -310,7 +326,8 @@ class TileCodec:
         reconstructions = list(resume_from or ())
         held = len(reconstructions)
         previous = reconstructions[-1] if held else None
-        work = np.empty((tile.height, tile.width), dtype=np.int16)
+        if held == 1:
+            previous = self._keyframe_reference(previous, tile.is_boundary_tile)
         for offset in range(held, last + 1):
             payload = tile.payloads[offset]
             if zlib.crc32(payload) != tile.checksums[offset]:
@@ -318,10 +335,11 @@ class TileCodec:
                     f"tile {tile.region} frame offset {offset} failed its checksum"
                 )
             if offset == 0:
-                previous = self._decode_keyframe(payload, work, tile.is_boundary_tile)
-            else:
-                assert previous is not None
-                previous = self._decode_predicted(payload, previous, work)
+                previous = self._decode_keyframe(payload, (tile.height, tile.width))
+                reconstructions.append(self._keyframe_output(previous, tile.is_boundary_tile))
+                continue
+            assert previous is not None
+            previous = self._decode_predicted(payload, previous)
             reconstructions.append(previous)
         if stats is not None:
             stats.tiles_decoded += 1
@@ -329,80 +347,126 @@ class TileCodec:
             stats.pixels_decoded += tile.pixels_per_frame * (len(reconstructions) - held)
         return reconstructions
 
+    def decode_gop(
+        self,
+        gop: EncodedGop,
+        width: int,
+        height: int,
+        stats: DecodeStats | None = None,
+        held: dict[Rectangle, list[np.ndarray]] | None = None,
+    ) -> np.ndarray:
+        """Every frame of a GOP, full size: its tiles decoded and put together.
+
+        Encoding these frames under any layout writes the bytes the raw frames
+        would: a keyframe pixel, artifact or not, re-quantises to its own
+        sample, and every later frame is the reference the next one was
+        predicted from.  ``held`` maps tile rectangles to frames a decode
+        cache holds of them: those tiles resume after the held frames,
+        counted in ``stats.pixels_served_from_cache``.
+        """
+        canvas = np.empty((gop.frame_count, height, width), dtype=np.uint8)
+        for tile in gop.tiles:
+            resume_from = held.get(tile.region) if held else None
+            if resume_from and stats is not None:
+                stats.pixels_served_from_cache += tile.pixels_per_frame * len(resume_from)
+            x1, y1, x2, y2 = tile.region.as_int_tuple()
+            for offset, frame in enumerate(self.decode_tile(tile, None, stats, resume_from)):
+                canvas[offset, y1:y2, x1:x2] = frame
+        return canvas
+
     # ------------------------------------------------------------------
     # Intra / inter coding internals
     # ------------------------------------------------------------------
-    def _apply_boundary_penalty(self, raster: np.ndarray) -> None:
-        """Coarsen, in place, the outer block ring of a tile to model boundary
-        artifacts.  uint8 arithmetic: the decoder must wrap where the encoder did."""
-        penalty = self.config.boundary_quant_penalty
-        if penalty <= 0:
-            return
+    def _ring(self, raster: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The outer block ring of a tile, as four disjoint strips (views)."""
         border = self.config.block_size
-        step = penalty + 1
         height, width = raster.shape
-        top = raster[: min(border, height), :]
-        bottom = raster[max(height - border, 0):, :]
-        left = raster[:, : min(border, width)]
-        right = raster[:, max(width - border, 0):]
-        for strip in (top, bottom, left, right):
+        top, bottom = min(border, height), max(height - border, border)
+        left, right = min(border, width), max(width - border, border)
+        return raster[:top], raster[bottom:], raster[top:bottom, :left], raster[top:bottom, right:]
+
+    def _keyframe_output(self, reference: np.ndarray, is_boundary_tile: bool) -> np.ndarray:
+        """What a keyframe shows: its reference, except that a boundary tile's
+        ring shows each quantisation bucket's floor ``q * step`` (a copy)."""
+        if not is_boundary_tile:
+            return reference
+        step = self.config.keyframe_quant
+        output = reference.copy()
+        for strip in self._ring(output):
             strip //= step
             strip *= step
-            strip += step // 2
+        return output
 
-    def _dequantise_keyframe(self, work: np.ndarray, is_boundary_tile: bool) -> np.ndarray:
-        """Quantised keyframe samples in ``work`` (int16) -> the uint8 raster
-        encoder and decoder both predict the next frame from."""
-        step = self.config.keyframe_quant
-        work *= step
-        work += step // 2
-        np.clip(work, 0, 255, out=work)
-        reconstruction = work.astype(np.uint8)
-        if is_boundary_tile:
-            self._apply_boundary_penalty(reconstruction)
-        return reconstruction
+    def _keyframe_reference(self, output: np.ndarray, is_boundary_tile: bool) -> np.ndarray:
+        """The reference a keyframe's output shows: :meth:`_keyframe_output` undone."""
+        if not is_boundary_tile:
+            return output
+        reference = output.copy()
+        for strip in self._ring(reference):
+            self._lift(strip)
+        return reference
 
-    def _encode_keyframe(
-        self, block: np.ndarray, is_boundary_tile: bool, reconstruction: np.ndarray
-    ) -> bytes:
-        """Intra-code ``block``; leaves what the decoder will see in ``reconstruction``."""
-        np.copyto(reconstruction, block)
-        reconstruction //= self.config.keyframe_quant
-        payload = zlib.compress(reconstruction.astype(np.uint8), _COMPRESSION_LEVEL)
-        np.copyto(reconstruction, self._dequantise_keyframe(reconstruction, is_boundary_tile))
+    def _lift(self, raster: np.ndarray) -> None:
+        """A bucket floor to its level, ``min(floor + step // 2, 255)``, in
+        place and in uint8."""
+        half = self.config.keyframe_quant // 2
+        np.minimum(raster, 255 - half, out=raster)
+        raster += half
+
+    def _dequantise_keyframe(self, quantised: np.ndarray) -> np.ndarray:
+        """Quantised keyframe samples (uint8) -> the reference (a new uint8
+        raster) encoder and decoder both predict the next frame from."""
+        reference = np.multiply(quantised, np.uint8(self.config.keyframe_quant))
+        self._lift(reference)
+        return reference
+
+    def _encode_keyframe(self, block: np.ndarray, reference: np.ndarray) -> bytes:
+        """Intra-code ``block``; leaves its reference in ``reference`` (int16)."""
+        quantised = block // self.config.keyframe_quant
+        payload = zlib.compress(quantised, _COMPRESSION_LEVEL)
+        np.copyto(reference, self._dequantise_keyframe(quantised))
         return payload
 
-    def _decode_keyframe(
-        self, payload: bytes, work: np.ndarray, is_boundary_tile: bool
-    ) -> np.ndarray:
-        # The encoder baked the boundary degradation into the reference it
-        # predicts from, so the decoder reproduces it bit-exactly.
-        np.copyto(work, self._inflate(payload, np.uint8, work.shape, "keyframe"))
-        return self._dequantise_keyframe(work, is_boundary_tile)
+    def _decode_keyframe(self, payload: bytes, shape: tuple[int, int]) -> np.ndarray:
+        return self._dequantise_keyframe(self._inflate(payload, np.uint8, shape, "keyframe"))
 
     def _encode_predicted(
-        self, block: np.ndarray, reconstruction: np.ndarray, work: np.ndarray
+        self, block: np.ndarray, reference: np.ndarray, work: np.ndarray, floor: np.ndarray
     ) -> bytes:
-        """Code ``block`` as a quantised residual against ``reconstruction``
-        (int16), then advance ``reconstruction`` to this frame."""
+        """Code ``block`` as a residual against ``reference`` (int16, *R*
+        below), quantised to the nearest step, then advance ``reference`` to
+        this frame.
+
+        The residual is clamped into ``[-(R // step), (255 - R) // step]`` as
+        well as int8, so ``R + residual * step`` never leaves [0, 255] and the
+        decoder needs no clip.  Rounding to the nearest step keeps the error a
+        frame hands the next one centred, where a floor would start it at the
+        edge of a step after a keyframe's midpoint and cost residuals on noise.
+        """
         step = self.config.predicted_quant
-        np.subtract(block, reconstruction, out=work)
+        np.subtract(block, reference, out=work)
+        work += step // 2
         work //= step
+        np.floor_divide(reference, step, out=floor)
+        np.negative(floor, out=floor)
+        np.maximum(work, floor, out=work)
+        np.subtract(255, reference, out=floor)
+        floor //= step
+        np.minimum(work, floor, out=work)
         np.clip(work, -128, 127, out=work)
         payload = zlib.compress(work.astype(np.int8), _COMPRESSION_LEVEL)
         work *= step
-        reconstruction += work
-        np.clip(reconstruction, 0, 255, out=reconstruction)
+        reference += work
         return payload
 
-    def _decode_predicted(
-        self, payload: bytes, previous: np.ndarray, work: np.ndarray
-    ) -> np.ndarray:
-        quantised = self._inflate(payload, np.int8, previous.shape, "predicted")
-        np.multiply(quantised, self.config.predicted_quant, out=work, dtype=np.int16)
-        work += previous
-        np.clip(work, 0, 255, out=work)
-        return work.astype(np.uint8)
+    def _decode_predicted(self, payload: bytes, previous: np.ndarray) -> np.ndarray:
+        # uint8 arithmetic wraps mod 256, and the int8 residuals read as uint8
+        # are themselves mod 256: the encoder kept every sum in [0, 255], so
+        # the wrapped sum is the exact one.
+        residual = self._inflate(payload, np.uint8, previous.shape, "predicted")
+        frame = np.multiply(residual, np.uint8(self.config.predicted_quant))
+        frame += previous
+        return frame
 
     @staticmethod
     def _inflate(payload: bytes, dtype, shape: tuple[int, int], kind: str) -> np.ndarray:

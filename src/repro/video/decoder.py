@@ -331,12 +331,6 @@ class VideoDecoder:
             planned.append((number, tile_depth, served))
         return _DecodePlan(tuple(planned), working_set)
 
-    def decode_full_frames(self, sot: EncodedSot, frame_indices: list[int]) -> DecodeResult:
-        """Decode whole frames (every tile) — the untiled / stitching path."""
-        frame_bounds = Rectangle(0, 0, sot.layout.frame_width, sot.layout.frame_height)
-        requests = [RegionRequest(index, frame_bounds) for index in frame_indices]
-        return self.decode_regions(sot, requests)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -54,27 +54,3 @@ class Frame:
     @property
     def pixel_count(self) -> int:
         return self.width * self.height
-
-    def crop(self, region: Rectangle) -> np.ndarray:
-        """Return a copy of the pixels inside ``region`` (clipped to the frame)."""
-        clipped = region.clamp(self.bounds)
-        if clipped is None:
-            return np.zeros((0, 0), dtype=np.uint8)
-        x1, y1, x2, y2 = clipped.as_int_tuple()
-        return self.pixels[y1:y2, x1:x2].copy()
-
-    def with_region(self, region: Rectangle, values: np.ndarray) -> "Frame":
-        """Return a new frame with ``region`` replaced by ``values``."""
-        x1, y1, x2, y2 = region.as_int_tuple()
-        if values.shape != (y2 - y1, x2 - x1):
-            raise GeometryError(
-                f"region shape {(y2 - y1, x2 - x1)} does not match values {values.shape}"
-            )
-        updated = self.pixels.copy()
-        updated[y1:y2, x1:x2] = values
-        return Frame(self.index, updated)
-
-    @classmethod
-    def blank(cls, index: int, width: int, height: int, value: int = 0) -> "Frame":
-        """Create a frame filled with a constant value."""
-        return cls(index, np.full((height, width), value, dtype=np.uint8))

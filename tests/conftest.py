@@ -18,6 +18,9 @@ from repro.core.policies import IncrementalRegretPolicy
 from repro.core.tasm import TASM
 from repro.datasets import visual_road_scene
 from repro.geometry import Rectangle
+from repro.video.decoder import RegionRequest, VideoDecoder
+from repro.video.encoder import EncodedSot
+from repro.video.frame import Frame
 from repro.video.synthetic import (
     LinearMotion,
     ObjectTrack,
@@ -78,6 +81,27 @@ def union_bounds(a: Rectangle, b: Rectangle) -> Rectangle:
 def contains_point(rectangle: Rectangle, x: float, y: float) -> bool:
     """Half-open point membership (a test oracle)."""
     return rectangle.x1 <= x < rectangle.x2 and rectangle.y1 <= y < rectangle.y2
+
+
+def crop(frame: Frame, region: Rectangle) -> np.ndarray:
+    """A copy of a frame's pixels inside ``region``, clipped to the frame
+    (a test oracle)."""
+    clipped = region.clamp(frame.bounds)
+    if clipped is None:
+        return np.zeros((0, 0), dtype=np.uint8)
+    x1, y1, x2, y2 = clipped.as_int_tuple()
+    return frame.pixels[y1:y2, x1:x2].copy()
+
+
+def decode_full_frames(decoder: VideoDecoder, sot: EncodedSot, frame_indices: list[int]):
+    """Whole frames (every tile) of a SOT, through the region decoder."""
+    bounds = Rectangle(0, 0, sot.layout.frame_width, sot.layout.frame_height)
+    return decoder.decode_regions(sot, [RegionRequest(index, bounds) for index in frame_indices])
+
+
+def bitstreams(sot: EncodedSot) -> list:
+    """Every tile of an encoded SOT as ``(rectangle, payloads, checksums)``."""
+    return [(tile.region, tile.payloads, tile.checksums) for gop in sot.gops for tile in gop.tiles]
 
 
 def build_tiny_video(

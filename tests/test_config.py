@@ -25,7 +25,7 @@ class TestCodecConfig:
         with pytest.raises(ConfigurationError):
             CodecConfig(keyframe_quant=0)
         with pytest.raises(ConfigurationError):
-            CodecConfig(boundary_quant_penalty=-1)
+            CodecConfig(predicted_quant=256)
 
 
 class TestCostCoefficients:

@@ -15,6 +15,8 @@ from repro.video.encoder import VideoEncoder
 from repro.video.quality import psnr
 from repro.video.stitching import stitch_tiles
 
+from tests.conftest import crop, decode_full_frames
+
 
 @pytest.fixture
 def encoder(codec_config: CodecConfig) -> VideoEncoder:
@@ -86,7 +88,7 @@ class TestVideoDecoder:
         result = decoder.decode_regions(sot, [RegionRequest(frame_index=4, region=region)])
         assert len(result.regions) == 1
         decoded = result.regions[0].pixels
-        original = tiny_video.frame(4).crop(region)
+        original = crop(tiny_video.frame(4), region)
         assert decoded.shape == original.shape
         assert psnr(original, decoded) > 28.0
 
@@ -130,7 +132,7 @@ class TestVideoDecoder:
     def test_decode_full_frames(self, encoder, decoder, tiny_video, codec_config):
         layout = uniform_layout(tiny_video.width, tiny_video.height, 2, 3, codec_config.block_size)
         sot = encoder.encode_sot(tiny_video, 0, 0, 5, layout)
-        result = decoder.decode_full_frames(sot, [2])
+        result = decode_full_frames(decoder, sot, [2])
         assert result.stats.tiles_decoded == layout.tile_count
         frame = result.regions[0].pixels
         assert frame.shape == (tiny_video.height, tiny_video.width)
@@ -143,7 +145,7 @@ class TestVideoDecoder:
                            tiny_video.width // 2 + 16, tiny_video.height // 2 + 16)
         result = decoder.decode_regions(sot, [RegionRequest(1, center)])
         assert result.stats.tiles_decoded == 4
-        original = tiny_video.frame(1).crop(center)
+        original = crop(tiny_video.frame(1), center)
         assert psnr(original, result.regions[0].pixels) > 25.0
 
 

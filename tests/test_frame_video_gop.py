@@ -11,10 +11,12 @@ from repro.video.frame import Frame
 from repro.video.gop import GopStructure, gop_index_for_frame, gop_ranges
 from repro.video.video import Video, VideoMetadata
 
+from tests.conftest import crop
+
 
 class TestFrame:
     def test_blank_frame(self):
-        frame = Frame.blank(3, width=20, height=10, value=7)
+        frame = Frame(3, np.full((10, 20), 7, dtype=np.uint8))
         assert frame.width == 20
         assert frame.height == 10
         assert frame.pixel_count == 200
@@ -31,24 +33,13 @@ class TestFrame:
 
     def test_crop(self):
         frame = Frame(0, np.arange(100, dtype=np.uint8).reshape(10, 10))
-        cropped = frame.crop(Rectangle(2, 3, 5, 6))
+        cropped = crop(frame, Rectangle(2, 3, 5, 6))
         assert cropped.shape == (3, 3)
         assert cropped[0, 0] == frame.pixels[3, 2]
 
     def test_crop_outside_returns_empty(self):
-        frame = Frame.blank(0, 10, 10)
-        assert frame.crop(Rectangle(20, 20, 30, 30)).size == 0
-
-    def test_with_region_replaces_pixels(self):
-        frame = Frame.blank(0, 10, 10)
-        updated = frame.with_region(Rectangle(2, 2, 4, 4), np.full((2, 2), 9, dtype=np.uint8))
-        assert int(updated.pixels[2, 2]) == 9
-        assert int(frame.pixels[2, 2]) == 0  # original untouched
-
-    def test_with_region_shape_mismatch(self):
-        frame = Frame.blank(0, 10, 10)
-        with pytest.raises(GeometryError):
-            frame.with_region(Rectangle(0, 0, 3, 3), np.zeros((2, 2), dtype=np.uint8))
+        frame = Frame(0, np.zeros((10, 10), dtype=np.uint8))
+        assert crop(frame, Rectangle(20, 20, 30, 30)).size == 0
 
 
 class TestVideoMetadata:

@@ -20,7 +20,7 @@ from repro.detection import SimulatedYoloV3
 from repro.storage.files import read_tiled_video, write_tiled_video
 from repro.video.quality import psnr
 from repro.workloads import WorkloadRunner
-from tests.conftest import build_tiny_video
+from tests.conftest import build_tiny_video, crop
 
 
 class TestDetectIndexTileQuery:
@@ -41,7 +41,7 @@ class TestDetectIndexTileQuery:
         assert not result.is_empty()
         # Every returned region's pixels match the source frame content.
         for region in result.regions:
-            original = tiny_video.frame(region.frame_index).crop(region.region)
+            original = crop(tiny_video.frame(region.frame_index), region.region)
             assert psnr(original, region.pixels) > 25.0
 
         # Tiling must never lose requested pixels relative to the untiled scan.
@@ -66,7 +66,7 @@ class TestDetectIndexTileQuery:
             tasm.retile_sot(tiny_video.name, 0, layout)
             result = tasm.scan(tiny_video.name, "car", TemporalPredicate.between(0, 5))
             for region in result.regions:
-                original = tiny_video.frame(region.frame_index).crop(region.region)
+                original = crop(tiny_video.frame(region.frame_index), region.region)
                 assert psnr(original, region.pixels) > 25.0
 
 

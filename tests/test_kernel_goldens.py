@@ -8,7 +8,10 @@ re-derived:
 * every payload byte the encoder writes (``stored_bytes_per_raw_byte`` is an
   exact ledger metric) and every pixel the decoder reconstructs from them,
   under 1x1, 2x2 and an uneven layout, plus a full-range clip at quantisation
-  steps where the keyframe clip and the int8 residual clip both bind;
+  steps where the keyframe clip and the int8 residual clip both bind
+  (captured again, once, when the boundary artifact left the reference chain
+  and residuals began rounding to the nearest step, clamped to keep every
+  reconstruction in range; ``harsh/1x1`` did not move);
 * ``SyntheticVideo`` frames with and without sensor noise;
 * the W4 re-tile trajectory on the ledger's smoke road scene — the ledger's
   oracle replays the same code, so only a pin notices a memo that changed a
@@ -45,19 +48,19 @@ LAYOUTS = {
 #: case -> (sha256 of every payload, EncodeStats, sha256 of every decoded frame)
 ENCODED = {
     "tiny/1x1": (
-        "c22799b401ae188bc8633f7c1ed5b98592155b0f209cbcb7cad2a9c11b776186",
-        (184320, 3, 56396),
-        "83a66067f2e201832957b3b004b919bc6d8e714a8a2fe2ab4a9c156b0df20b22",
+        "e419ce2343cfa027482c40d68eb3259674c4e9fb9781022c084d06a35cf6b9a6",
+        (184320, 3, 48220),
+        "b3e186fcd10585db7c8cf5ba31136d4101f3a60afb277dd4856b286f93adddbe",
     ),
     "tiny/2x2": (
-        "53148cb5e18e2e5fd2323e6243afc8e9b76ae73cd36f1373c6eebc13f9c4bfbb",
-        (184320, 12, 55918),
-        "e5a60a9a22276f8b8d652791b30e90cdfde5327139fa4cc19514e432b76e0cd0",
+        "6a268d7f4e5f88740397fdde8a9e0160f793e72757f2a134577ba5f7bb0ec455",
+        (184320, 12, 49213),
+        "bad37fba7d865c7f20f7c6fc01f5fac7cbb9a2606c37cd53a1386e3d007a6311",
     ),
     "tiny/uneven": (
-        "71da2ffb51a45e68b97c81ca9c071116046d7990f82ecab3e7eca1ec8135ab82",
-        (184320, 27, 57662),
-        "e9da7a506c8f20f8f8271d3afc138896ab4fd39b680bb421b38ad8ddce77e676",
+        "0f628387bc5cf841c69ffc27dd36831cdfaed5c63ec4dd72b37372645ccb25dd",
+        (184320, 27, 51453),
+        "a1328081d28f89f6e5225748081d6cbc4859d750cfa1af99b9d769e9f60cac62",
     ),
     "harsh/1x1": (
         "1d16b2006bb7c740a3bb650684714b55daee595c3dbb4c5474575b973bacc965",
@@ -65,14 +68,14 @@ ENCODED = {
         "0f8b9066a3ff20363451f551367019d535d0b8a28ab57d3e947d47f519d65f81",
     ),
     "harsh/2x2": (
-        "679850a6580ea813fdf047f5a264d37a28fff0bcb6b45581983955194db1768b",
-        (184320, 12, 13264),
-        "97c3253c444110713aa0dc295dc6ffee01c402a9d76a92d4611bb057337f5790",
+        "0598283715ac44860b550ff5b0ab8fcf6ec17e54e22daee682c2e470354da717",
+        (184320, 12, 11174),
+        "24c2d6476603a1894e6be0e60d0a1347d1de3f5dd857264ce7233d1324f0cc8f",
     ),
     "harsh/uneven": (
-        "47c2463b83fd1b54c50a2c3e926e9fb0c96ce8de475953441fb0ab8de2483d0e",
-        (184320, 27, 19762),
-        "db39ccc86b24bff369d65e476e8d6ea984aaa662736b509e103328c64303a037",
+        "765470333f5908e722e2ffd4c49b1724660685f5f3ceb7ddff9bfa738504d8d6",
+        (184320, 27, 17200),
+        "f0eb4c863741072203c84b0e7747ddbae7821bb21e51bf2f1aa3db57ac3d542d",
     ),
 }
 

@@ -596,6 +596,39 @@ def test_a_refused_scan_id_leaves_the_connections_parked_scan_streaming():
             assert replies["done"]["id"] == 7 and chunk_ids == [7] * 4
 
 
+#: Well-formed JSON that is not an object, so it names no op and no id.
+NOT_OBJECTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.lists(st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
+)
+
+
+def test_a_json_frame_that_is_not_an_object_is_refused_and_the_connection_serves_on():
+    """Reading the id off a list once raised inside the reader's own error
+    handler, and the connection was dropped: the frame now gets an error
+    reply without an id, and a scan sent after it on the same connection
+    completes."""
+    with SocketTransport(_ScriptedServer()) as transport:
+
+        @settings(max_examples=40, deadline=None)
+        @given(value=NOT_OBJECTS)
+        @example(value=[1, 2])
+        def refused(value):
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                send_message(sock, value)
+                send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
+                chunk_ids, replies = _replies(_FrameReader(sock), 2)
+                assert replies["error"]["id"] is None
+                assert "object" in replies["error"]["message"]
+                assert replies["done"]["id"] == 7 and chunk_ids == [7] * 3
+
+        refused()
+
+
 def test_a_nan_box_is_refused_and_its_label_still_serves_remotely(config):
     """Python's ``json`` reads ``NaN``, and ``NaN < x`` is False: a box with a
     NaN coordinate was once stored, and from then on every remote scan of

@@ -12,7 +12,10 @@ from repro.storage.tiled_video import TiledVideo
 from repro.tiles.layout import uniform_layout, untiled_layout
 from repro.video.decoder import RegionRequest, VideoDecoder
 from repro.video.quality import psnr
+from repro.video.video import Video
 from repro.geometry import Rectangle
+
+from tests.conftest import bitstreams, decode_full_frames
 
 
 @pytest.fixture
@@ -38,9 +41,13 @@ class TestTiledVideo:
         layout = uniform_layout(tiled.video.width, tiled.video.height, 2, 2, config.codec.block_size)
         record = tiled.retile(0, layout)
         assert tiled.layout_for(0) == layout
+        encoded = tiled.encoded_sot(0)
+        assert (encoded.layout, encoded.frame_start, encoded.frame_stop) == (layout, 0, 5)
         assert record.pixels_encoded == tiled.video.width * tiled.video.height * 5
         assert record.tiles_encoded == 4
         assert record.encode_seconds > 0
+        # A first encode reads the raw video, not storage.
+        assert record.pixels_inflated == record.pixels_held == 0
         assert tiled.retile_history == [record]
 
     def test_retile_to_same_layout_is_free(self, tiled):
@@ -58,19 +65,14 @@ class TestTiledVideo:
 
     def test_storage_summary(self, tiled):
         tiled.materialise_all()
-        summary = tiled.storage_summary()
-        assert summary["sot_count"] == 3
-        assert 0 < summary["keyframe_bytes"] <= summary["total_bytes"]
-
-    def test_validate_detects_layout_mismatch(self, tiled, config):
-        tiled.encoded_sot(0)
-        tiled.validate()
-        # Corrupt the spec behind the storage layer's back.
-        tiled.layout_spec.set_layout(
-            0, uniform_layout(tiled.video.width, tiled.video.height, 2, 2, config.codec.block_size)
+        keyframe_bytes = sum(
+            len(tile.payloads[0])
+            for sot in range(tiled.sot_count)
+            for gop in tiled.encoded_sot(sot).gops
+            for tile in gop.tiles
         )
-        with pytest.raises(StorageError):
-            tiled.validate()
+        assert tiled.sot_count == 3
+        assert 0 < keyframe_bytes <= tiled.total_size_bytes()
 
     def test_sots_for_frames(self, tiled):
         assert tiled.sots_for_frames(0, 6) == [0, 1]
@@ -158,6 +160,43 @@ class TestOnDiskPersistence:
         with pytest.raises(TileFileFormatError):
             read_tiled_video(tiny_video, tmp_path, config)
 
+    def test_a_version_1_tile_file_is_refused(self, tiny_video, config, tmp_path):
+        """Version 1 payloads predicted with unclamped residuals and from a
+        penalised boundary keyframe; they would decode to other pixels."""
+        original = TiledVideo(video=tiny_video, config=config)
+        original.encoded_sot(0)
+        video_dir = write_tiled_video(original, tmp_path)
+        tile_path = video_dir / "frames_0-4" / "tile0.bin"
+        blob = bytearray(tile_path.read_bytes())
+        assert blob[8:12] == b"TASM"
+        blob[12] = 1  # the first chunk's header version byte
+        tile_path.write_bytes(bytes(blob))
+        with pytest.raises(TileFileFormatError, match="version 1"):
+            read_tiled_video(tiny_video, tmp_path, config)
+
+    def test_a_restored_video_retiles_without_its_raw_frames(self, tiny_video, config, tmp_path):
+        """Every SOT read back from disk re-tiles from its own tiles, to the
+        bytes the process that wrote it writes, over a frame source that
+        refuses every read."""
+        width, height, block = tiny_video.width, tiny_video.height, config.codec.block_size
+        original = TiledVideo(video=tiny_video, config=config)
+        original.retile(0, uniform_layout(width, height, 2, 2, block))
+        original.materialise_all()
+        write_tiled_video(original, tmp_path)
+
+        def refuse(index):
+            raise AssertionError(f"raw frame {index} was read")
+
+        restored = read_tiled_video(Video(tiny_video.metadata, refuse), tmp_path, config)
+        target = uniform_layout(width, height, 3, 2, block)
+        for sot_index in range(original.sot_count):
+            record = restored.retile(sot_index, target)
+            original.retile(sot_index, target)
+            assert record.pixels_inflated == width * height * 5
+            assert bitstreams(restored.encoded_sot(sot_index)) == bitstreams(
+                original.encoded_sot(sot_index)
+            )
+
     def test_quality_preserved_through_disk(self, tiny_video, config, tmp_path):
         original = TiledVideo(video=tiny_video, config=config)
         layout = uniform_layout(tiny_video.width, tiny_video.height, 2, 2, config.codec.block_size)
@@ -165,5 +204,5 @@ class TestOnDiskPersistence:
         write_tiled_video(original, tmp_path)
         restored = read_tiled_video(tiny_video, tmp_path, config)
         decoder = VideoDecoder(config.codec)
-        result = decoder.decode_full_frames(restored.encoded_sot(0), [0])
+        result = decode_full_frames(decoder, restored.encoded_sot(0), [0])
         assert psnr(tiny_video.frame(0).pixels, result.regions[0].pixels) > 28.0

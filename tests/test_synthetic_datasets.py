@@ -20,7 +20,7 @@ from repro.datasets import (
 )
 from repro.datasets.mot16 import MOT16_GENERIC_LABEL
 from repro.video.synthetic import SceneSpec, SyntheticVideo
-from tests.conftest import build_tiny_video
+from tests.conftest import build_tiny_video, crop
 
 
 class TestSyntheticVideo:
@@ -32,7 +32,7 @@ class TestSyntheticVideo:
     def test_objects_are_visible_against_background(self, tiny_video):
         frame = tiny_video.frame(0)
         car_box = next(d.box for d in tiny_video.ground_truth(0) if d.label == "car")
-        inside = frame.crop(car_box)
+        inside = crop(frame, car_box)
         assert float(inside.mean()) > float(frame.pixels.mean()) + 20
 
     def test_ground_truth_tracks_motion(self, tiny_video):

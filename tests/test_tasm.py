@@ -13,6 +13,8 @@ from repro.tiles.layout import uniform_layout
 from repro.tiles.partitioner import TileGranularity
 from repro.video.quality import psnr
 
+from tests.conftest import crop
+
 
 def populate(tasm: TASM, video, every: int = 1) -> None:
     detections = [
@@ -73,7 +75,7 @@ class TestScan:
     def test_scan_pixels_match_source_content(self, tasm, tiny_video):
         result = tasm.scan(tiny_video.name, "car")
         region = result.regions_on_frame(4)[0]
-        original = tiny_video.frame(4).crop(region.region)
+        original = crop(tiny_video.frame(4), region.region)
         assert psnr(original, region.pixels) > 28.0
 
     def test_scan_with_temporal_predicate(self, tasm, tiny_video):
