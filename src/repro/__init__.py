@@ -22,7 +22,6 @@ from .core import (
     ScanResult,
     CostModel,
     CostEstimate,
-    WhatIfAnalyzer,
     fit_cost_model,
     RegretAccumulator,
     NoTilingPolicy,
@@ -78,7 +77,6 @@ __all__ = [
     "ScanResult",
     "CostModel",
     "CostEstimate",
-    "WhatIfAnalyzer",
     "fit_cost_model",
     "RegretAccumulator",
     "NoTilingPolicy",

@@ -7,7 +7,8 @@ The paper's tuning knobs are collected in :class:`TasmConfig`:
   ``alpha`` times the pixels decoded by the untiled layout (the paper uses 0.8).
 * ``eta`` — the regret multiplier from Section 4.4: a SOT is re-tiled with an
   alternative layout once its accumulated regret exceeds ``eta`` times the
-  estimated re-encoding cost (the paper uses 1.0, mirroring online indexing).
+  estimated re-tile cost R(s, L) (the paper uses 1.0, mirroring online
+  indexing).
 * ``beta`` / ``gamma`` — coefficients of the decode cost model
   ``C(s, q, L) = beta * P + gamma * T`` from Section 4.1.  Defaults come from
   fitting the simulated codec (see ``repro.core.cost.fit_cost_model``); they
@@ -105,10 +106,12 @@ class TasmConfig:
     #: Number of frames covered by one sequence-of-tiles (layout duration).
     #: Must be a multiple of the GOP length; defaults to one GOP.
     sot_frames: int | None = None
-    #: Re-encoding cost per pixel, used by R(s, L) estimates.
-    encode_cost_per_pixel: float = 2.0e-6
-    #: Fixed re-encoding cost per tile.
-    encode_cost_per_tile: float = 2.0e-3
+    #: Encoding cost per pixel, in the units of ``beta * P + gamma * T``: the
+    #: write half of R(s, L) (``CostModel.retile_cost``), fitted to the codec
+    #: by the R section of ``benchmarks/bench_cost_model_fit.py``.
+    encode_cost_per_pixel: float = 2.8e-6
+    #: Encoding cost per tile and GOP, fitted likewise.
+    encode_cost_per_tile: float = 5.2e-2
     #: Capacity of the persistent tile-decode cache in decoded bytes.  0
     #: disables the persistent cache, preserving the paper's one-shot scan
     #: behaviour; batched execution then uses a cache scoped to each batch.

@@ -5,8 +5,8 @@ This package implements the paper's primary contribution:
 * :class:`~repro.core.tasm.TASM` — the storage manager with the paper's
   access-method API (``scan`` / ``add_metadata``), built on the semantic
   index, the tile partitioner, and the simulated codec.
-* :mod:`~repro.core.cost` — the decode cost model ``C = beta*P + gamma*T``,
-  the re-encode cost ``R``, and the "what-if" layout analyzer.
+* :mod:`~repro.core.cost` — the decode cost model ``C = beta*P + gamma*T``
+  and the re-tile cost ``R`` it is weighed against.
 * :mod:`~repro.core.policies` — the tiling strategies evaluated in Section 5:
   not tiling, pre-tiling around all objects, the known-query/known-object
   (KQKO) optimisation, incremental-more, and incremental-regret.
@@ -16,7 +16,7 @@ This package implements the paper's primary contribution:
 
 from .predicates import LabelPredicate, TemporalPredicate
 from .query import Query, Workload
-from .cost import CostEstimate, CostModel, WhatIfAnalyzer, fit_cost_model
+from .cost import CostEstimate, CostModel, fit_cost_model
 from .regret import RegretAccumulator, layout_key
 from .scan import ScanResult
 from .tasm import TASM
@@ -37,7 +37,6 @@ __all__ = [
     "Workload",
     "CostEstimate",
     "CostModel",
-    "WhatIfAnalyzer",
     "fit_cost_model",
     "RegretAccumulator",
     "layout_key",

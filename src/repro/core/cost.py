@@ -1,4 +1,4 @@
-"""The decode cost model and the "what-if" layout analyzer (Section 4.1).
+"""The decode cost model and the re-tile cost it is weighed against (Section 4.1).
 
 The estimated cost of executing query ``q`` over SOT ``s`` with layout ``L``
 is ``C(s, q, L) = beta * P(s, q, L) + gamma * T(s, q, L)`` where ``P`` is the
@@ -7,8 +7,9 @@ validates this model by fitting a linear model to measured decode times
 (R^2 = 0.996); :func:`fit_cost_model` performs the same fit against the
 simulated codec so the benchmark suite can reproduce that validation.
 
-The re-encode cost ``R(s, L)`` is likewise a linear model in the number of
-pixels (and tiles) encoded, matching Section 5.3's description.
+The re-tile cost ``R(s, L)`` is in the same units: a re-tile reads the stored
+SOT (a whole-SOT ``C``) and encodes it again, linear in the pixels and tiles
+encoded (:meth:`CostModel.retile_cost`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "CostEstimate",
     "CostModel",
     "SotCostTable",
-    "WhatIfAnalyzer",
     "FittedCostModel",
     "fit_cost_model",
     "boxes_by_frame",
@@ -174,16 +174,29 @@ class CostModel:
         return self.pixel_ratio(layout_estimate, untiled_estimate) < self.config.alpha
 
     # ------------------------------------------------------------------
-    # Re-encode cost R(s, L)
+    # Re-tile cost R(s, L)
     # ------------------------------------------------------------------
-    def encode_cost(self, layout: TileLayout, frame_count: int) -> float:
-        """Estimated cost of re-encoding a SOT of ``frame_count`` frames with ``layout``."""
+    def retile_cost(
+        self, current: TileLayout | None, new: TileLayout, frame_count: int
+    ) -> float:
+        """R(s, L): re-tiling a SOT of ``frame_count`` frames stored under
+        ``current`` to ``new``, in the units of ``beta * P + gamma * T``.
+
+        A re-tile transcodes what is stored, so R is a read plus a write: the
+        decode estimate of the whole SOT under ``current`` (every tile of
+        every frame), and the encode of every tile under ``new``.  A SOT never
+        stored (``current`` None) is encoded from the raw video and reads
+        nothing.
+        """
         if frame_count <= 0:
             raise QueryError("frame_count must be positive")
         gop_count = -(-frame_count // self.config.codec.gop_frames)
-        pixel_term = self.config.encode_cost_per_pixel * layout.frame_pixels * frame_count
-        tile_term = self.config.encode_cost_per_tile * layout.tile_count * gop_count
-        return pixel_term + tile_term
+        read = 0.0
+        if current is not None:
+            read = self.cost(current.frame_pixels * frame_count, current.tile_count * gop_count)
+        pixel_term = self.config.encode_cost_per_pixel * new.frame_pixels * frame_count
+        tile_term = self.config.encode_cost_per_tile * new.tile_count * gop_count
+        return read + pixel_term + tile_term
 
 
 class SotCostTable(NamedTuple):
@@ -194,43 +207,6 @@ class SotCostTable(NamedTuple):
     pixels_before: tuple[int, ...]
     #: Frame ``k``'s needed tiles, a bit per tile index.
     tiles_needed: tuple[int, ...]
-
-
-class WhatIfAnalyzer:
-    """Estimates query costs under hypothetical layouts (the what-if interface).
-
-    Mirrors AutoAdmin-style what-if analysis [12 in the paper]: given the
-    bounding boxes a query would fetch, compare the cost of serving it with
-    the current layout against any alternative layout without encoding
-    anything.
-    """
-
-    def __init__(self, cost_model: CostModel):
-        self.cost_model = cost_model
-
-    def compare(
-        self,
-        current_layout: TileLayout,
-        alternative_layout: TileLayout,
-        frame_boxes: Mapping[int, Sequence[Rectangle]],
-    ) -> dict[str, float]:
-        current = self.cost_model.estimate_query_cost(current_layout, frame_boxes)
-        alternative = self.cost_model.estimate_query_cost(alternative_layout, frame_boxes)
-        return {
-            "current_cost": current.cost,
-            "alternative_cost": alternative.cost,
-            "delta": self.cost_model.delta(current, alternative),
-            "current_pixels": float(current.pixels),
-            "alternative_pixels": float(alternative.pixels),
-            "pixel_ratio": (
-                alternative.pixels / current.pixels if current.pixels else 1.0
-            ),
-        }
-
-    def estimate_from_entries(
-        self, layout: TileLayout, entries: Iterable[IndexEntry]
-    ) -> CostEstimate:
-        return self.cost_model.estimate_query_cost(layout, boxes_by_frame(entries))
 
 
 @dataclass(frozen=True)

@@ -253,13 +253,14 @@ class IncrementalRegretPolicy:
             delta = tasm.cost_model.delta(current_cost, alternative_cost)
             self._regret.accumulate(sot_index, objects, delta)
 
+        stored = tiled.stored_layout(sot_index)
         best_choice: tuple[float, tuple[str, ...], TileLayout] | None = None
         for objects, (layout, alternative_cost) in candidates.items():
             if self._current_objects.get(sot_index) == objects:
                 continue
-            encode_cost = tasm.cost_model.encode_cost(layout, frame_stop - frame_start)
+            retile_cost = tasm.cost_model.retile_cost(stored, layout, frame_stop - frame_start)
             regret = self._regret.regret_of(sot_index, objects)
-            if regret <= tasm.config.eta * encode_cost:
+            if regret <= tasm.config.eta * retile_cost:
                 continue
             # The alpha rule: do not adopt a layout that would barely help (or
             # hurt) the query we just observed.

@@ -90,6 +90,7 @@ connection's other streams.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import random
@@ -785,6 +786,29 @@ def _error_reply(query_id, error: BaseException) -> dict:
     return reply
 
 
+def _is_u32(value) -> bool:
+    return type(value) is int and 0 <= value < 1 << 32
+
+
+def _scan_fields(message: dict) -> tuple[int, float | None, list[int] | None]:
+    """A wire scan's ``credits``, ``deadline_ms`` and ``skip_sots``, each of
+    the type it is used as.  A peer's JSON that only looks right is refused
+    with a :class:`TransportError`, not served wrong: a string ``skip_sots``
+    iterates as one-character SOT names and skips nothing, and a ``NaN``
+    deadline (``json`` reads it) compares false against every clock."""
+    credits = message.get("credits", 0)
+    deadline_ms, skip_sots = message.get("deadline_ms"), message.get("skip_sots")
+    if not _is_u32(credits):
+        raise TransportError(f"scan credits {credits!r} is not an integer in [0, 2**32)")
+    finite = type(deadline_ms) in (int, float) and -math.inf < deadline_ms < math.inf
+    if deadline_ms is not None and not finite:
+        raise TransportError(f"scan deadline_ms {deadline_ms!r} is not a finite number")
+    sots = type(skip_sots) is list and all(type(sot) is int and sot >= 0 for sot in skip_sots)
+    if skip_sots is not None and not sots:
+        raise TransportError(f"scan skip_sots {skip_sots!r} is not a list of non-negative integers")
+    return credits, deadline_ms, skip_sots or None
+
+
 class _Connection:
     """One accepted socket: request demux on the reader thread, and one
     writer thread that is the connection's only sender.
@@ -971,8 +995,9 @@ class _Connection:
     def _start_scan(self, query_id: int, message: dict) -> None:
         # The id travels in the binary frames' u32 fields: a peer's JSON value
         # that does not fit one is refused here, not found by the writer.
-        if type(query_id) is not int or not 0 <= query_id < 1 << 32:
+        if not _is_u32(query_id):
             raise TransportError(f"scan id {query_id!r} is not an integer in [0, 2**32)")
+        credits, deadline_ms, skip_sots = _scan_fields(message)
         with self._cond:
             if query_id in self._scans:
                 raise ServiceError(f"query id {query_id} is already in flight")
@@ -987,17 +1012,13 @@ class _Connection:
             labels if len(labels) != 1 else labels[0],
             temporal,
         )
-        credits = int(message.get("credits", 0) or 0)
         stream = self._server.submit(
-            query,
-            client=self,
-            deadline_ms=message.get("deadline_ms"),
-            skip_sots=message.get("skip_sots") or None,
+            query, client=self, deadline_ms=deadline_ms, skip_sots=skip_sots
         )
         stream._listener = partial(self._wake, query_id)
         with self._cond:
             if not self._closing:
-                self._scans[query_id] = _ServedScan(stream, credits if credits > 0 else None)
+                self._scans[query_id] = _ServedScan(stream, credits or None)
                 # Whatever the stream did before the listener was attached is
                 # in its buffer or its state: have the writer look once.
                 self._ready.add(query_id)

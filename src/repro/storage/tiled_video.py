@@ -119,6 +119,12 @@ class TiledVideo:
         """True when the SOT has already been encoded (lazy encode happened)."""
         return sot_index in self._sots
 
+    def stored_layout(self, sot_index: int) -> TileLayout | None:
+        """The layout a re-tile of the SOT would read it under; None when it
+        was never stored, so a re-tile encodes it from the raw video."""
+        stored = self._sots.get(sot_index)
+        return None if stored is None else stored.layout
+
     # ------------------------------------------------------------------
     # Re-tiling
     # ------------------------------------------------------------------

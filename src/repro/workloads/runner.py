@@ -9,8 +9,9 @@ video costs exactly 1 unit (making the "Not tiled" line the diagonal).
 Two execution engines are provided:
 
 * :class:`ModelledEngine` — costs come from the analytic cost model
-  (``beta*P + gamma*T`` for decodes, the linear pixel model for encodes) and
-  re-tiling only updates the layout specification.  This is fast enough to
+  (``beta*P + gamma*T`` for decodes, ``CostModel.retile_cost`` for re-tiles)
+  and re-tiling only updates the layout specification, so nothing is ever
+  stored and a re-tile is charged the encode alone.  This is fast enough to
   run the full 100–200-query workloads and is what the Figure 11 / Table 2
   benchmarks use.
 * :class:`MeasuredEngine` — queries are physically executed against the
@@ -88,9 +89,12 @@ class ModelledEngine:
     def retile(self, video_name: str, sot_index: int, layout: TileLayout) -> float:
         tiled = self.tasm.video(video_name)
         frame_start, frame_stop = tiled.frame_range(sot_index)
+        charged = self.tasm.cost_model.retile_cost(
+            tiled.stored_layout(sot_index), layout, frame_stop - frame_start
+        )
         # Update the logical layout only — the analytic engine never encodes.
         tiled.layout_spec.set_layout(sot_index, layout)
-        return self.tasm.cost_model.encode_cost(layout, frame_stop - frame_start)
+        return charged
 
 
 class MeasuredEngine:

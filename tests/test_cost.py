@@ -1,4 +1,4 @@
-"""Tests for the cost model and what-if analyzer (repro.core.cost)."""
+"""Tests for the cost model: C(s, q, L), what-if deltas and R(s, L) (repro.core.cost)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.config import CodecConfig, TasmConfig
 from repro.core.cost import (
     CostEstimate,
     CostModel,
-    WhatIfAnalyzer,
     boxes_by_frame,
     fit_cost_model,
 )
@@ -106,32 +105,75 @@ class TestAlphaRule:
 
 
 class TestEncodeCost:
+    """The write half of R: what a SOT never stored is charged."""
+
     def test_scales_with_frames_and_tiles(self, model):
-        one_gop = model.encode_cost(GRID, 5)
-        two_gops = model.encode_cost(GRID, 10)
+        one_gop = model.retile_cost(None, GRID, 5)
+        two_gops = model.retile_cost(None, GRID, 10)
         assert two_gops > one_gop
-        assert model.encode_cost(GRID, 5) > model.encode_cost(OMEGA, 5)
+        assert model.retile_cost(None, GRID, 5) > model.retile_cost(None, OMEGA, 5)
 
     def test_rejects_non_positive_frames(self, model):
         with pytest.raises(QueryError):
-            model.encode_cost(GRID, 0)
+            model.retile_cost(None, GRID, 0)
+        with pytest.raises(QueryError):
+            model.retile_cost(OMEGA, GRID, 0)
+
+
+def whole_sot(frame_count: int) -> dict[int, list[Rectangle]]:
+    """Every pixel of every frame: the boxes of a read of the whole SOT."""
+    return {frame: [Rectangle(0, 0, FRAME_W, FRAME_H)] for frame in range(frame_count)}
+
+
+class TestRetileCost:
+    """R(s, L) is a read of the stored SOT plus an encode under the new layout."""
+
+    @pytest.mark.parametrize("frame_count", [1, 5, 7, 10])
+    @pytest.mark.parametrize("current", [OMEGA, GRID, uniform_layout(FRAME_W, FRAME_H, 3, 4)])
+    def test_is_the_whole_sot_decode_estimate_plus_the_encode(
+        self, model, cost_config, current, frame_count
+    ):
+        read = model.estimate_query_cost(current, whole_sot(frame_count))
+        gops = -(-frame_count // cost_config.codec.gop_frames)
+        assert (read.pixels, read.tiles) == (
+            current.frame_pixels * frame_count, current.tile_count * gops
+        )
+        write = (
+            cost_config.encode_cost_per_pixel * GRID.frame_pixels * frame_count
+            + cost_config.encode_cost_per_tile * GRID.tile_count * gops
+        )
+        assert model.retile_cost(current, GRID, frame_count) == pytest.approx(read.cost + write)
+
+    def test_a_sot_never_stored_is_charged_the_encode_only(self, model, cost_config):
+        write = (
+            cost_config.encode_cost_per_pixel * GRID.frame_pixels * 5
+            + cost_config.encode_cost_per_tile * GRID.tile_count
+        )
+        assert model.retile_cost(None, GRID, 5) == pytest.approx(write)
+        read = model.estimate_query_cost(OMEGA, whole_sot(5)).cost
+        assert model.retile_cost(OMEGA, GRID, 5) == pytest.approx(write + read)
+
+    def test_reading_more_tiles_costs_more(self, model):
+        fine = uniform_layout(FRAME_W, FRAME_H, 3, 4)
+        assert model.retile_cost(fine, OMEGA, 5) > model.retile_cost(GRID, OMEGA, 5)
+        assert model.retile_cost(GRID, OMEGA, 5) > model.retile_cost(OMEGA, OMEGA, 5)
 
 
 class TestWhatIf:
     def test_compare_reports_delta(self, model):
-        analyzer = WhatIfAnalyzer(model)
-        report = analyzer.compare(OMEGA, GRID, {0: [Rectangle(0, 0, 10, 10)]})
-        assert report["delta"] > 0
-        assert report["alternative_pixels"] < report["current_pixels"]
-        assert 0 < report["pixel_ratio"] < 1
+        frame_boxes = {0: [Rectangle(0, 0, 10, 10)]}
+        current = model.estimate_query_cost(OMEGA, frame_boxes)
+        alternative = model.estimate_query_cost(GRID, frame_boxes)
+        assert model.delta(current, alternative) == current.cost - alternative.cost > 0
+        assert alternative.pixels < current.pixels
+        assert 0 < model.pixel_ratio(alternative, current) < 1
 
     def test_estimate_from_entries(self, model):
-        analyzer = WhatIfAnalyzer(model)
         entries = [
             IndexEntry("v", "car", 0, Rectangle(0, 0, 10, 10)),
             IndexEntry("v", "car", 1, Rectangle(0, 0, 10, 10)),
         ]
-        estimate = analyzer.estimate_from_entries(GRID, entries)
+        estimate = model.estimate_query_cost(GRID, boxes_by_frame(entries))
         assert estimate.pixels == GRID.tile_rectangle(0, 0).area * 2
 
     def test_boxes_by_frame_grouping(self):

@@ -66,7 +66,7 @@ def test_w4_inflates_no_payload_twice_and_none_of_a_retiled_resident_area(monkey
         patched.setattr(TileCodec, "_inflate", staticmethod(counting_inflate))
         patched.setattr(TASM, "retile_sot", recording_retile)
         tasm, video = run_w4_on_smoke_road(results=results)
-    assert len(tasm.video(video.name).retile_history) == 4  # the run did re-tile
+    assert len(tasm.video(video.name).retile_history) == 3  # the run did re-tile
     assert tasm.tile_cache.stats.evictions == 0  # 16 MiB: unbounded, for this scene
 
     times = Counter(count for _, count in inflated.values())

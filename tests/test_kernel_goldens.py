@@ -86,11 +86,13 @@ FRAMES = {
 }
 
 #: Ordered ``(sot, row_heights, column_widths)`` of ``retile_history``.
+#: (Re-pinned once, when R(s, L) began to price the read of the stored SOT
+#: and a fitted encode: the "and back" to the first layout, once cars are
+#: queried again, no longer earns back its cost.)
 W4_TRAJECTORY = [
     (0, (80, 80, 64), (176, 112, 96)),  # untiled -> 9 tiles
     (0, (112, 112), (128, 96, 96, 64)),
     (0, (80, 144), (224, 64, 96)),
-    (0, (80, 80, 64), (176, 112, 96)),  # and back, once cars are queried again
 ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cost import CostModel
 from repro.core.policies import (
     IncrementalMorePolicy,
     IncrementalRegretPolicy,
@@ -153,6 +154,74 @@ class TestIncrementalRegret:
         many = IncrementalRegretPolicy._candidate_object_sets({"a", "b", "c", "d", "e", "f"})
         assert ("a", "b", "c", "d", "e", "f") in many
         assert len(many) == 7  # six singletons plus the full set
+
+
+class TestOneRetileCost:
+    """The regret rule's threshold and the modelled engine's charge are both
+    ``CostModel.retile_cost`` of the SOT as it is stored."""
+
+    @staticmethod
+    def scripted_retile_cost(monkeypatch, threshold: list) -> list:
+        """Make every R ``threshold[0]``; returns the questions asked of it."""
+        asked = []
+
+        def scripted(self, current, new, frame_count):
+            asked.append((current, new, frame_count))
+            return threshold[0]
+
+        monkeypatch.setattr(CostModel, "retile_cost", scripted)
+        return asked
+
+    def regret_after(self, config, video, queries: int, monkeypatch) -> float:
+        """The regret of tiling SOT 0 around cars after ``queries`` car queries
+        (R too high to ever re-tile)."""
+        tasm, engine = make_tasm(config, video)
+        self.scripted_retile_cost(monkeypatch, [float("inf")])
+        policy = IncrementalRegretPolicy()
+        policy.prepare(tasm, engine, video.name, Workload.from_queries("w", []))
+        query = Query.select_range("car", video.name, 0, 5)
+        for _ in range(queries):
+            assert policy.on_query(tasm, engine, video.name, query) == 0.0
+        return policy._regret.regret_of(0, ("car",))
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_the_threshold_is_retile_cost_of_the_stored_sot(
+        self, config, tiny_video, monkeypatch, stored
+    ):
+        regret = self.regret_after(config, tiny_video, 2, monkeypatch)
+        assert regret > 0
+        # R just at the regret of two queries, then just under it: the second
+        # query re-tiles exactly when its regret exceeds R.
+        for threshold, retiles in ((regret, False), (regret * (1 - 1e-9), True)):
+            tasm, engine = make_tasm(config, tiny_video)
+            tiled = tasm.video(tiny_video.name)
+            if stored:
+                tiled.materialise_all()
+            asked = self.scripted_retile_cost(monkeypatch, [threshold])
+            policy = IncrementalRegretPolicy()
+            policy.prepare(tasm, engine, tiny_video.name, Workload.from_queries("w", []))
+            query = Query.select_range("car", tiny_video.name, 0, 5)
+            assert policy.on_query(tasm, engine, tiny_video.name, query) == 0.0
+            charged = policy.on_query(tasm, engine, tiny_video.name, query)
+            assert (charged == threshold) is retiles
+            assert tiled.layout_for(0).is_untiled is not retiles
+            layout = tasm.layout_around(tiny_video.name, 0, ["car"])
+            expected = (tiled.untiled_layout if stored else None, layout, 5)
+            assert asked and set(asked) == {expected}
+
+    def test_the_modelled_charge_is_retile_cost_of_the_stored_sot(self, config, tiny_video):
+        tasm, engine = make_tasm(config, tiny_video)
+        tiled, model = tasm.video(tiny_video.name), tasm.cost_model
+        car = tasm.layout_around(tiny_video.name, 0, ["car"])
+        # Never stored: the encode only.
+        assert engine.retile(tiny_video.name, 0, car) == model.retile_cost(None, car, 5)
+        # Stored untiled: the read of the untiled SOT on top.
+        tiled.encoded_sot(1)
+        car = tasm.layout_around(tiny_video.name, 1, ["car"])
+        charged = engine.retile(tiny_video.name, 1, car)
+        assert charged == model.retile_cost(tiled.untiled_layout, car, 5)
+        assert charged > model.retile_cost(None, car, 5)
+        assert tiled.layout_for(1) == car
 
 
 class TestPolicyNames:

@@ -13,7 +13,9 @@ Five claims, the first four searched rather than hand-picked:
 * a scan whose JSON ``id`` no binary header can carry (not an integer in
   [0, 2**32), or a bool) earns an error reply, and the next scan on the same
   connection completes, as does one already streaming on it; every id that
-  fits is served under that id;
+  fits is served under that id; so does a scan whose ``skip_sots`` is not a
+  list of non-negative integers, whose ``deadline_ms`` is not a finite
+  number, or whose ``credits`` is not a u32;
 * for every credit window 1..8 and every chunk count 1..20 a scan completes,
   and the server never has more than ``window`` unreturned chunks in flight;
 * an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
@@ -594,6 +596,108 @@ def test_a_refused_scan_id_leaves_the_connections_parked_scan_streaming():
             send_frame(sock, KIND_CREDIT, _CREDIT_FRAME.pack(7, 4))
             chunk_ids, replies = _replies(frames, 1)
             assert replies["done"]["id"] == 7 and chunk_ids == [7] * 4
+
+
+#: An element no SOT index can be.
+NOT_A_SOT = st.one_of(
+    st.integers(max_value=-1), st.booleans(), st.none(), st.floats(), st.text(max_size=3)
+)
+#: ``(field, value)``: a scan field of a JSON type the server does not use it
+#: as.  Each would once have been served: a string ``skip_sots`` as that many
+#: one-character SOT names, a non-finite deadline as none, a fractional or
+#: negative credit count as some other window.
+BAD_SCAN_FIELDS = st.one_of(
+    st.tuples(
+        st.just("skip_sots"),
+        st.one_of(
+            st.text(min_size=1, max_size=4),
+            st.integers(),
+            st.booleans(),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+            st.tuples(st.lists(st.integers(0, 9), max_size=2), NOT_A_SOT).map(
+                lambda parts: [*parts[0], parts[1]]
+            ),
+        ),
+    ),
+    st.tuples(
+        st.just("deadline_ms"),
+        st.one_of(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            st.booleans(),
+            st.text(max_size=4),
+            st.lists(st.integers(0, 9), max_size=2),
+        ),
+    ),
+    st.tuples(
+        st.just("credits"),
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.text(max_size=4),
+            st.integers(max_value=-1),
+            st.integers(min_value=2**32),
+            st.floats(),
+        ),
+    ),
+)
+
+
+def _replies_until_done(frames: _FrameReader, scan_id: int) -> dict:
+    """Read raw frames until the ``done`` reply of ``scan_id``: every JSON
+    reply on the way, by id."""
+    replies = {}
+    while replies.get(scan_id, {}).get("type") != "done":
+        frame = frames.next_frame()
+        assert frame is not None, "the connection closed"
+        kind, payload = frame
+        if kind != KIND_CHUNK:
+            reply = json.loads(bytes(payload))
+            replies[reply["id"]] = reply
+    return replies
+
+
+def test_a_scan_field_of_the_wrong_type_is_refused_and_the_connection_serves_on():
+    """``skip_sots`` must be a list of non-negative ints, ``deadline_ms`` a
+    finite number, ``credits`` a u32: anything else earns an error reply
+    naming the field, and a scan sent after it on the same connection
+    completes."""
+    with SocketTransport(_ScriptedServer()) as transport:
+
+        @settings(max_examples=80, deadline=None)
+        @given(bad=BAD_SCAN_FIELDS)
+        @example(bad=("skip_sots", "12"))
+        @example(bad=("deadline_ms", float("nan")))
+        @example(bad=("credits", 2.5))
+        def refused(bad):
+            field, value = bad
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                send_message(
+                    sock, {"op": "scan", "id": 5, "video": "video", "labels": ["2"], field: value}
+                )
+                send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
+                replies = _replies_until_done(_FrameReader(sock), 7)
+                assert replies[5]["type"] == "error", replies
+                assert f"scan {field}" in replies[5]["message"]
+
+        refused()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"skip_sots": None, "deadline_ms": None, "credits": 0},
+        {"skip_sots": [], "deadline_ms": 30_000, "credits": 2**32 - 1},
+        {"skip_sots": [0, 4, 2**40], "deadline_ms": 2.5e4, "credits": 8},
+        {"deadline_ms": -1.0},  # not positive: no deadline
+    ],
+)
+def test_scan_fields_of_the_right_type_are_served(fields):
+    with SocketTransport(_ScriptedServer()) as transport:
+        with socket.create_connection(transport.address, timeout=10) as sock:
+            send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"], **fields})
+            chunk_ids, replies = _replies(_FrameReader(sock), 1)
+            assert replies["done"]["id"] == 7 and chunk_ids == [7] * 3
 
 
 #: Well-formed JSON that is not an object, so it names no op and no id.

@@ -76,7 +76,7 @@ def test_w4_partitions_once_per_question_per_index_write(monkeypatch):
     monkeypatch.setattr(TASM, "layout_around", recording_layout_around)
 
     tasm, video = run_w4_on_smoke_road()
-    assert len(tasm.video(video.name).retile_history) == 4  # the run did re-tile
+    assert len(tasm.video(video.name).retile_history) == 3  # the run did re-tile
     assert 0 < calls["partition"] <= len(distinct)
     assert calls["layout_around"] > 5 * calls["partition"]  # most questions repeat
 
@@ -106,5 +106,5 @@ def test_w4_at_ledger_scale_evaluates_the_index_once_per_sot_predicate_and_write
     between writes — 35 — not by the windows (454 before the frame tables)."""
     calls = count_calls(monkeypatch)
     tasm, video = run_w4_on_smoke_road(steps=75, road=("4K", 20.0))
-    assert len(tasm.video(video.name).retile_history) == 11  # the ledger's trajectory
+    assert len(tasm.video(video.name).retile_history) == 5  # the ledger's trajectory
     assert 0 < calls["evaluations"] <= 60
