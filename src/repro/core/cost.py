@@ -25,7 +25,7 @@ import numpy as np
 from ..config import TasmConfig
 from ..errors import QueryError
 from ..geometry import Rectangle
-from ..index.base import IndexEntry
+from ..index import IndexEntry
 from ..tiles.layout import TileLayout, untiled_layout
 
 __all__ = [

@@ -29,11 +29,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ..concurrency import SotLockRegistry
 from ..config import DEFAULT_CONFIG, TasmConfig
 from ..detection.base import Detection
-from ..errors import QueryError
 from ..geometry import BoundingBox, Rectangle
-from ..index.base import IndexEntry, SemanticIndexProtocol
-from ..index.semantic_index import BTreeSemanticIndex
-from ..index.sqlite_index import SqliteSemanticIndex
+from ..index import BTreeSemanticIndex, IndexEntry
 from ..storage.catalog import VideoCatalog
 from ..storage.tiled_video import RetileRecord, TiledVideo
 from ..tiles.layout import TileLayout, untiled_layout
@@ -76,18 +73,12 @@ class TASM:
     def __init__(
         self,
         config: TasmConfig | None = None,
-        semantic_index: SemanticIndexProtocol | None = None,
-        index_backend: str = "btree",
+        semantic_index: BTreeSemanticIndex | None = None,
     ):
         self.config = config or DEFAULT_CONFIG
-        if semantic_index is not None:
-            self.semantic_index = semantic_index
-        elif index_backend == "btree":
-            self.semantic_index = BTreeSemanticIndex()
-        elif index_backend == "sqlite":
-            self.semantic_index = SqliteSemanticIndex()
-        else:
-            raise QueryError(f"unknown semantic index backend {index_backend!r}")
+        self.semantic_index = (
+            semantic_index if semantic_index is not None else BTreeSemanticIndex()
+        )
         self.catalog = VideoCatalog(self.config)
         self.cost_model = CostModel(self.config)
         #: Readers-writer locks keyed on (video, SOT).  Scans take read locks

@@ -1,26 +1,12 @@
 """The semantic index (Section 3.2 of the paper).
 
 The semantic index stores labelled bounding boxes keyed by
-``(video, label, time)`` so that ``Scan`` can efficiently find the regions a
-query needs and the tiles that contain them.  Two interchangeable backends
-are provided:
-
-* :class:`BTreeSemanticIndex` — an in-memory B-tree clustered on
-  ``(video, label, frame)``, matching the paper's description of the index
-  structure.
-* :class:`SqliteSemanticIndex` — a SQLite-backed implementation matching the
-  paper's prototype, which stores the semantic metadata in SQLite.
+``(video, label, time)`` so that ``Scan`` can find the regions a query needs
+with a range scan over time.  :class:`BTreeSemanticIndex` is the one
+implementation: an in-memory, frame-sorted list per ``(video, label)`` under
+one lock.
 """
 
-from .base import IndexEntry, SemanticIndexProtocol
-from .btree import BTree
-from .semantic_index import BTreeSemanticIndex
-from .sqlite_index import SqliteSemanticIndex
+from .semantic_index import BTreeSemanticIndex, IndexEntry
 
-__all__ = [
-    "IndexEntry",
-    "SemanticIndexProtocol",
-    "BTree",
-    "BTreeSemanticIndex",
-    "SqliteSemanticIndex",
-]
+__all__ = ["IndexEntry", "BTreeSemanticIndex"]

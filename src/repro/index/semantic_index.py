@@ -1,58 +1,94 @@
-"""The in-memory semantic index: a B-tree clustered on (video, label, frame).
+"""The semantic index: labelled boxes clustered on (video, label, frame).
 
 This is the structure Section 3.2 describes: the search key is a video
-identifier, a label of interest, and a time within the video; the leaves hold
-the bounding boxes (and advisory tile pointers).  Range scans over the frame
-dimension serve temporal predicates.
+identifier, a label of interest, and a time within the video, and a temporal
+predicate is a range scan over the time.  Here the clustering is a dict per
+video of frame-sorted lists per label, so a range scan is two bisections and
+a slice.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import bisect
+import operator
+import threading
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..detection.base import Detection
 from ..errors import IndexError_
-from .base import IndexEntry, WriteGenerations
-from .btree import BTree
+from ..geometry import BoundingBox
 
-__all__ = ["BTreeSemanticIndex"]
-
-#: Sentinel frame bounds for open-ended range scans.  Frame indices are
-#: non-negative, so -1 and a very large value bracket every real frame.
-_MIN_FRAME = -1
-_MAX_FRAME = 2**62
+__all__ = ["IndexEntry", "BTreeSemanticIndex"]
 
 
-class BTreeSemanticIndex(WriteGenerations):
-    """Semantic index backed by the from-scratch B-tree."""
+@dataclass(frozen=True)
+class IndexEntry:
+    """One box of the semantic index, under its ``(video, label, frame_index)``."""
 
-    def __init__(self, order: int = 64):
-        super().__init__()
-        self._tree: BTree[tuple[str, str, int], IndexEntry] = BTree(order=order)
-        self._labels_by_video: dict[str, set[str]] = {}
+    video: str
+    label: str
+    frame_index: int
+    box: BoundingBox
+    confidence: float = 1.0
 
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
+    @classmethod
+    def from_detection(cls, video: str, detection: Detection) -> "IndexEntry":
+        return cls(
+            video=video,
+            label=detection.label,
+            frame_index=detection.frame_index,
+            box=detection.box,
+            confidence=detection.confidence,
+        )
+
+
+_FRAME = operator.attrgetter("frame_index")
+
+
+class BTreeSemanticIndex:
+    """The semantic index: per video, per label, a list sorted by frame.
+
+    Entries with equal frames keep their insertion order.  One lock covers
+    every read and write, so a lookup never sees half of a write, and a write
+    checks all of its entries before it stores any.  The name predates the
+    lists; ``benchmarks/ledger/tracer.py`` times ``lookup`` and
+    ``add_detections`` through this module path and class name.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[str, dict[str, list[IndexEntry]]] = {}
+        #: Writes per ``(video, frame)``: what :meth:`generation` sums.
+        self._frame_writes: dict[str, dict[int, int]] = {}
+        self._lock = threading.Lock()
+
     def add(self, entry: IndexEntry) -> None:
         """Insert one entry (the AddMetadata path)."""
-        if entry.frame_index < 0:
-            raise IndexError_(f"frame index must be non-negative, got {entry.frame_index}")
-        self._tree.insert(entry.key, entry)
-        self._labels_by_video.setdefault(entry.video, set()).add(entry.label)
-        self._wrote(entry.video, entry.frame_index)
+        self._insert([entry])
 
     def add_detections(self, video: str, detections: Iterable[Detection]) -> int:
         """Insert a batch of detections for a video; returns the count added."""
-        added = 0
-        for detection in detections:
-            self.add(IndexEntry.from_detection(video, detection))
-            added += 1
-        return added
+        entries = [IndexEntry.from_detection(video, detection) for detection in detections]
+        self._insert(entries)
+        return len(entries)
 
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
+    def _insert(self, entries: list[IndexEntry]) -> None:
+        for entry in entries:
+            try:
+                valid = operator.index(entry.frame_index) >= 0
+            except TypeError:
+                valid = False
+            if not valid:
+                raise IndexError_(
+                    f"a frame index must be a non-negative integer, got {entry.frame_index!r}"
+                )
+        with self._lock:
+            for entry in entries:
+                by_label = self._entries.setdefault(entry.video, {})
+                bisect.insort(by_label.setdefault(entry.label, []), entry, key=_FRAME)
+                writes = self._frame_writes.setdefault(entry.video, {})
+                writes[entry.frame_index] = writes.get(entry.frame_index, 0) + 1
+
     def lookup(
         self,
         video: str,
@@ -60,51 +96,34 @@ class BTreeSemanticIndex(WriteGenerations):
         frame_start: int | None = None,
         frame_stop: int | None = None,
     ) -> list[IndexEntry]:
-        """Entries for (video, label) with frame in ``[frame_start, frame_stop)``."""
-        low = (video, label, frame_start if frame_start is not None else _MIN_FRAME)
-        high = (video, label, frame_stop if frame_stop is not None else _MAX_FRAME)
-        return [entry for _, entry in self._tree.range(low, high)]
+        """Entries for (video, label) with frame in ``[frame_start, frame_stop)``,
+        by frame."""
+        with self._lock:
+            entries = self._entries.get(video, {}).get(label, [])
+            low = 0 if frame_start is None else bisect.bisect_left(entries, frame_start, key=_FRAME)
+            high = (
+                len(entries)
+                if frame_stop is None
+                else bisect.bisect_left(entries, frame_stop, low, key=_FRAME)
+            )
+            return entries[low:high]
 
     def labels(self, video: str) -> set[str]:
-        return set(self._labels_by_video.get(video, set()))
+        with self._lock:
+            return set(self._entries.get(video, ()))
 
-    def frames_with_label(
-        self,
-        video: str,
-        label: str,
-        frame_start: int | None = None,
-        frame_stop: int | None = None,
-    ) -> list[int]:
-        frames = {entry.frame_index for entry in self.lookup(video, label, frame_start, frame_stop)}
-        return sorted(frames)
+    def count(self, video: str) -> int:
+        with self._lock:
+            return sum(map(len, self._entries.get(video, {}).values()))
 
-    def count(self, video: str | None = None) -> int:
-        if video is None:
-            return len(self._tree)
-        return sum(
-            len(self.lookup(video, label)) for label in self.labels(video)
-        )
+    def generation(self, video: str, frame_start: int, frame_stop: int) -> int:
+        """A number that moves whenever an entry is written for ``video`` with
+        its frame in ``[frame_start, frame_stop)``, and only then.
 
-    def has_detections(
-        self, video: str, labels: Sequence[str], frame_start: int, frame_stop: int
-    ) -> bool:
-        """True when every label in ``labels`` has at least one box in the range.
-
-        The lazy-detection strategy uses this to decide whether a SOT's
-        metadata is complete enough to tile (Section 4.3).
+        Anything derived from a frame range's entries (a layout around its
+        boxes, a query's estimated cost) is still current exactly when the
+        range's generation is what it was *before* the entries were read.
         """
-        return all(
-            bool(self.lookup(video, label, frame_start, frame_stop)) for label in labels
-        )
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        self._tree.check_invariants()
-
-    def all_entries(self, video: str | None = None) -> list[IndexEntry]:
-        entries = [entry for _, entry in self._tree.items()]
-        if video is None:
-            return entries
-        return [entry for entry in entries if entry.video == video]
+        with self._lock:
+            writes = self._frame_writes.get(video, {})
+            return sum(writes.get(frame, 0) for frame in range(frame_start, frame_stop))

@@ -13,7 +13,7 @@ from repro.core.cost import (
 )
 from repro.errors import QueryError
 from repro.geometry import Rectangle
-from repro.index.base import IndexEntry
+from repro.index import IndexEntry
 from repro.tiles.layout import TileLayout, uniform_layout, untiled_layout
 
 

@@ -9,6 +9,8 @@ just that the plumbing holds together.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -104,37 +106,53 @@ class TestPersistenceRoundTrip:
             np.testing.assert_array_equal(region_before.pixels, region_after.pixels)
 
 
-class TestIndexBackendParity:
-    """The B-tree and SQLite semantic indexes must be observably identical.
+class TestIndexWriteOrder:
+    """Scans do not depend on the order boxes reach the semantic index in.
 
-    The same detect -> index -> tile -> query workload runs under both
-    ``index_backend`` choices, including duplicate (video, label, frame) keys
-    whose tie order is where backends most easily diverge; every scan must
-    return the same regions in the same order with the same pixels.
+    The index keeps each (video, label) list sorted by frame, with equal
+    frames in write order.  The same boxes written in frame order as one bulk
+    write, box by box over the frames in reverse, or frame by frame in a
+    shuffled frame order (each frame's boxes in their own order) make the
+    same lists, so every scan and batch returns the same regions in the same
+    order with the same pixels.  Every box is indexed twice: duplicate
+    (video, label, frame) keys stress the tie order.
     """
 
     @staticmethod
-    def _build(config, backend: str):
+    def _build(config, order: str):
         video = build_tiny_video()
-        tasm = TASM(config=config, index_backend=backend)
+        tasm = TASM(config=config)
         tasm.ingest(video)
-        detections = [
-            d for f in range(video.frame_count) for d in video.ground_truth(f)
-        ]
-        # Index every box twice: duplicate keys stress duplicate-entry order.
-        tasm.add_detections(video.name, detections)
-        tasm.add_detections(video.name, detections)
+        frames = list(range(video.frame_count))
+        if order == "bulk":
+            detections = [d for f in frames for d in video.ground_truth(f)]
+            tasm.add_detections(video.name, detections)
+            tasm.add_detections(video.name, detections)
+        elif order == "reversed_box_by_box":
+            for frame in reversed(frames):
+                for d in video.ground_truth(frame) * 2:
+                    box = d.box
+                    tasm.add_metadata(
+                        video.name, frame, d.label, box.x1, box.y1, box.x2, box.y2, d.confidence
+                    )
+        else:
+            for frame in random.Random(5).sample(frames, len(frames)):
+                tasm.add_detections(video.name, video.ground_truth(frame))
+                tasm.add_detections(video.name, video.ground_truth(frame))
         return tasm, video
 
-    def test_scan_results_identical_across_backends(self, config):
+    @pytest.mark.parametrize("order", ["reversed_box_by_box", "shuffled_frames"])
+    def test_scan_results_identical_across_write_orders(self, config, order):
         tasms = {}
-        for backend in ("btree", "sqlite"):
-            tasm, video = self._build(config, backend)
-            workload = Workload.from_queries(
-                "cars", [Query.select("car", video.name)]
-            )
+        for built in ("bulk", order):
+            tasm, video = self._build(config, built)
+            workload = Workload.from_queries("cars", [Query.select("car", video.name)])
             tasm.optimize_for_workload(video.name, workload)
-            tasms[backend] = tasm
+            tasms[built] = tasm
+        for label in ("car", "person", "sign"):
+            assert tasms["bulk"].semantic_index.lookup(video.name, label) == tasms[
+                order
+            ].semantic_index.lookup(video.name, label)
 
         scans = [
             ("car", None),
@@ -143,28 +161,29 @@ class TestIndexBackendParity:
             (["car", "person"], None),
         ]
         for predicate, temporal in scans:
-            btree_result = tasms["btree"].scan(video.name, predicate, temporal)
-            sqlite_result = tasms["sqlite"].scan(video.name, predicate, temporal)
-            assert not btree_result.is_empty()
-            assert btree_result.pixels_decoded == sqlite_result.pixels_decoded
-            assert len(btree_result.regions) == len(sqlite_result.regions)
-            for ours, theirs in zip(btree_result.regions, sqlite_result.regions):
+            bulk_result = tasms["bulk"].scan(video.name, predicate, temporal)
+            other_result = tasms[order].scan(video.name, predicate, temporal)
+            assert not bulk_result.is_empty()
+            assert bulk_result.pixels_decoded == other_result.pixels_decoded
+            assert len(bulk_result.regions) == len(other_result.regions)
+            for ours, theirs in zip(bulk_result.regions, other_result.regions):
                 assert ours.frame_index == theirs.frame_index
                 assert ours.region == theirs.region
                 np.testing.assert_array_equal(ours.pixels, theirs.pixels)
 
-    def test_batched_execution_identical_across_backends(self, config):
+    @pytest.mark.parametrize("order", ["reversed_box_by_box", "shuffled_frames"])
+    def test_batched_execution_identical_across_write_orders(self, config, order):
         batches = {}
-        for backend in ("btree", "sqlite"):
-            tasm, video = self._build(config, backend)
+        for built in ("bulk", order):
+            tasm, video = self._build(config, built)
             queries = [
                 Query.select("car", video.name),
                 Query.select_range("person", video.name, 0, 10),
                 Query.select_any(["car", "sign"], video.name),
             ]
-            batches[backend] = tasm.execute_batch(queries)
-        assert batches["btree"].pixels_decoded == batches["sqlite"].pixels_decoded
-        for ours, theirs in zip(batches["btree"], batches["sqlite"]):
+            batches[built] = tasm.execute_batch(queries)
+        assert batches["bulk"].pixels_decoded == batches[order].pixels_decoded
+        for ours, theirs in zip(batches["bulk"], batches[order]):
             assert len(ours.regions) == len(theirs.regions)
             for one, other in zip(ours.regions, theirs.regions):
                 assert one.frame_index == other.frame_index

@@ -7,8 +7,8 @@ the decode plan of the encoding it was last served from.  The property: under
 any interleaving of index writes (through TASM, or straight into the index),
 re-tiles and scans, every ``ScanResult`` — regions, their order, labels, pixel
 bytes, ``DecodeStats`` — equals the one a TASM with nothing memoised and no
-decode cache computes from the same index and layouts at that moment, on both
-index backends.  The region bound and the counts live in
+decode cache computes from the same index and layouts at that moment.  The
+region bound and the counts live in
 ``tests/test_warm_path_budget.py``.
 
 A window's piece is a slice of its SOT's whole piece, and its decode plan a
@@ -34,8 +34,7 @@ from repro.core.predicates import LabelPredicate, TemporalPredicate
 from repro.core.query import Query
 from repro.core.tasm import TASM
 from repro.geometry import BoundingBox
-from repro.index.base import IndexEntry
-from repro.index.semantic_index import BTreeSemanticIndex
+from repro.index import BTreeSemanticIndex, IndexEntry
 from repro.video.codec import DecodeStats
 from repro.video.decoder import RegionRequest, ScanPiece, VideoDecoder
 
@@ -79,12 +78,8 @@ operations = st.one_of(
 )
 
 
-def build(index_backend: str = "btree", cache_bytes: int = 0, index=None) -> TASM:
-    tasm = TASM(
-        CONFIG.with_updates(decode_cache_bytes=cache_bytes),
-        semantic_index=index,
-        index_backend=index_backend,
-    )
+def build(cache_bytes: int = 0, index=None) -> TASM:
+    tasm = TASM(CONFIG.with_updates(decode_cache_bytes=cache_bytes), semantic_index=index)
     tasm.ingest(VIDEO)
     return tasm
 
@@ -123,11 +118,10 @@ def check(tasm: TASM, batch: list[Query], reference: TASM | None = None) -> None
 
 
 @pytest.mark.parametrize("cache_bytes", [0, CACHE_BYTES])
-@pytest.mark.parametrize("index_backend", ["btree", "sqlite"])
 @given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(operations, min_size=1, max_size=12))
 @settings(max_examples=25, deadline=None)
-def test_every_scan_equals_a_memo_less_scan(index_backend, cache_bytes, indexed_frames, program):
-    tasm = build(index_backend, cache_bytes)
+def test_every_scan_equals_a_memo_less_scan(cache_bytes, indexed_frames, program):
+    tasm = build(cache_bytes)
     tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
     asked: list[list[Query]] = []
     for operation in program:
@@ -154,10 +148,10 @@ def plan_as_lists(plan) -> list:
 @given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(window_operations, min_size=1, max_size=12))
 @settings(max_examples=25, deadline=None)
 def test_every_window_is_the_slice_its_own_lookup_and_a_list_decode_give(
-    index_backend, sot_frames, cache_bytes, indexed_frames, program
+    sot_frames, cache_bytes, indexed_frames, program
 ):
     config = CONFIG.with_updates(sot_frames=sot_frames, decode_cache_bytes=cache_bytes)
-    tasm = TASM(config, index_backend=index_backend)
+    tasm = TASM(config)
     tiled = tasm.ingest(VIDEO)
     tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
     decoder = VideoDecoder(config.codec)  # no cache, and never shown a piece
@@ -328,12 +322,12 @@ def test_skipped_sots_are_never_looked_up():
 
 
 def test_scanners_racing_a_writer_never_keep_a_stale_piece(monkeypatch):
-    """Three scanners against one writer (sqlite: the backend whose reads and
-    writes may interleave) and one re-tiler, with a region bound small enough
-    that pieces are evicted all the time.  After each write every scan must
-    equal a memo-less one, whatever the scanners were in the middle of."""
+    """Three scanners against one writer and one re-tiler, with a region
+    bound small enough that pieces are evicted all the time.  After each
+    write every scan must equal a memo-less one, whatever the scanners were
+    in the middle of."""
     monkeypatch.setattr(tasm_module, "_MEMOISED_SCAN_REGIONS", 12)
-    tasm = build("sqlite", CACHE_BYTES)
+    tasm = build(CACHE_BYTES)
     scans = [
         Query(VIDEO.name, predicate, temporal)
         for predicate in (LabelPredicate.single("car"), LabelPredicate.any_of(LABELS))

@@ -25,7 +25,7 @@ import pytest
 
 from repro.config import TasmConfig
 from repro.core.query import Query
-from repro.errors import ServiceError
+from repro.errors import IndexError_, ServiceError
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
 from tests.test_service_pipelining import wait_until
 from tests.test_exec_engine import (
@@ -120,6 +120,22 @@ class TestServerBasics:
         tasm, _ = make_tasm(config)
         with pytest.raises(ValueError):
             TasmServer(tasm, config=config)
+
+    def test_a_refused_add_metadata_leaves_the_server_serving(self, config):
+        """A client's box on a frame that is not a frame index raises in the
+        caller; nothing is indexed and the next write and scan go through."""
+        server, video = make_server(config)
+        indexed = server.tasm.semantic_index.count(video.name)
+        try:
+            client = server.connect()
+            for frame in (2.5, "2", -1):
+                with pytest.raises(IndexError_):
+                    client.add_metadata(video.name, frame, "landmark", 8, 8, 40, 40)
+            assert server.tasm.semantic_index.count(video.name) == indexed
+            client.add_metadata(video.name, 2, "landmark", 8, 8, 40, 40)
+            assert [r.frame_index for r in client.scan(video.name, "landmark").regions] == [2]
+        finally:
+            server.stop()
 
     def test_restart_after_clean_stop(self, config):
         server, video = make_server(config)

@@ -200,39 +200,45 @@ class TestRunnerPool:
         assert server._scheduler.queries_completed == clients * per_client
         assert server._scheduler.queue_depth == 0
 
-    def test_sqlite_backend_survives_concurrent_runners(self, config):
-        """Batch runners plan from several threads; the sqlite index must not
-        be pinned to its creating thread."""
+    def test_runners_plan_while_boxes_are_written(self, config):
+        """Three runners read the one semantic index from their own threads
+        while a writer indexes the boxes frame by frame: every scan completes
+        with frames the finished index also serves, and once the writes are
+        in, every scan equals a reference's."""
         from repro.core.tasm import TASM
         from tests.conftest import build_tiny_video
 
         video = build_tiny_video()
         tasm = TASM(
             config=config.with_updates(
-                decode_cache_bytes=CACHE_BYTES,
-                service_runners=3,
-                service_max_batch=1,
-            ),
-            index_backend="sqlite",
+                decode_cache_bytes=CACHE_BYTES, service_runners=3, service_max_batch=1
+            )
         )
         tasm.ingest(video)
-        tasm.add_detections(
-            video.name,
-            [
-                detection
-                for frame in range(video.frame_count)
-                for detection in video.ground_truth(frame)
-            ],
-        )
         reference, _ = make_tasm(config)
+        labels = ("car", "person", "sign")
         with TasmServer(tasm) as server:
-            streams = [
-                server.submit(Query.select(label, video.name))
-                for label in ("car", "person", "sign")
+
+            def write() -> None:
+                for frame in range(video.frame_count):
+                    server.add_detections(video.name, video.ground_truth(frame))
+
+            writer = threading.Thread(target=write)
+            writer.start()
+            racing = [
+                (label, server.submit(Query.select(label, video.name)))
+                for _ in range(4)
+                for label in labels
             ]
-            for stream, label in zip(streams, ("car", "person", "sign")):
+            writer.join(timeout=60)
+            assert not writer.is_alive(), "writer hung"
+            for label, stream in racing:
+                served = {region.frame_index for region in stream.result(timeout=60).regions}
+                expected = reference.scan(video.name, label).regions
+                assert served <= {region.frame_index for region in expected}
+            for label in labels:
                 assert_scan_results_identical(
-                    stream.result(timeout=60), reference.scan(video.name, label)
+                    server.scan(video.name, label), reference.scan(video.name, label)
                 )
 
 

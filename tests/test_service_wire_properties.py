@@ -20,7 +20,8 @@ Five claims, the first four searched rather than hand-picked:
   and the server never has more than ``window`` unreturned chunks in flight;
 * an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
   accepts) earns an error reply, and is never stored where it would make
-  every later chunk of its label one the decoder refuses.
+  every later chunk of its label one the decoder refuses; so does one whose
+  ``frame`` is not a non-negative integer, and the connection serves on.
 """
 
 from __future__ import annotations
@@ -750,6 +751,40 @@ def test_a_nan_box_is_refused_and_its_label_still_serves_remotely(config):
                 )
                 reply = recv_message(sock)
                 assert reply["type"] == "error" and reply["id"] == request_id, reply
+        with RemoteTasmClient(transport.address, timeout=30.0, use_shm=False) as client:
+            assert_scan_results_identical(
+                client.scan(video.name, "car"), server.tasm.scan(video.name, "car")
+            )
+    finally:
+        transport.stop()
+        server.stop()
+
+
+def test_an_add_metadata_frame_that_is_not_a_frame_index_is_refused(config):
+    """A float frame was once stored and never served, a string one failed
+    with whatever ``TypeError`` the comparison raised: a frame that is not a
+    non-negative integer earns an error reply, nothing is indexed, and the
+    connection serves on."""
+    server, video = make_server(config)
+    transport = SocketTransport(server).start()
+    indexed = server.tasm.semantic_index.count(video.name)
+    box = {"label": "car", "x1": 8.0, "y1": 8.0, "x2": 24.0, "y2": 24.0}
+    try:
+        with socket.create_connection(transport.address, timeout=10) as sock:
+            for request_id, frame in enumerate((2.5, 2.0, "2", -1, None, [2])):
+                send_message(
+                    sock,
+                    {"op": "add_metadata", "id": request_id, "video": video.name,
+                     "frame": frame, **box},
+                )
+                reply = recv_message(sock)
+                assert reply["type"] == "error" and reply["id"] == request_id, reply
+            assert server.tasm.semantic_index.count(video.name) == indexed
+            send_message(
+                sock, {"op": "add_metadata", "id": 9, "video": video.name, "frame": 2, **box}
+            )
+            assert recv_message(sock) == {"type": "ok", "id": 9}
+        assert server.tasm.semantic_index.count(video.name) == indexed + 1
         with RemoteTasmClient(transport.address, timeout=30.0, use_shm=False) as client:
             assert_scan_results_identical(
                 client.scan(video.name, "car"), server.tasm.scan(video.name, "car")

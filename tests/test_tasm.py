@@ -8,7 +8,10 @@ import pytest
 from repro.core.predicates import LabelPredicate, TemporalPredicate
 from repro.core.query import Query, Workload
 from repro.core.tasm import TASM
-from repro.errors import QueryError, UnknownVideoError
+from repro.detection.base import Detection
+from repro.errors import IndexError_, UnknownVideoError
+from repro.geometry import BoundingBox
+from repro.index import BTreeSemanticIndex
 from repro.tiles.layout import uniform_layout
 from repro.tiles.partitioner import TileGranularity
 from repro.video.quality import psnr
@@ -54,15 +57,44 @@ class TestIngestAndMetadata:
         assert len(entries) == 1
         assert entries[0].frame_index == 3
 
-    def test_sqlite_backend_option(self, config, tiny_video):
-        manager = TASM(config=config, index_backend="sqlite")
-        manager.ingest(tiny_video)
-        populate(manager, tiny_video)
-        assert manager.semantic_index.count(tiny_video.name) > 0
+    def test_a_given_semantic_index_is_the_one_written_and_read(self, config, tiny_video):
+        index = BTreeSemanticIndex()
+        writer = TASM(config=config, semantic_index=index)
+        writer.ingest(tiny_video)
+        populate(writer, tiny_video)
+        assert writer.semantic_index is index and index.count(tiny_video.name) > 0
+        reader = TASM(config=config, semantic_index=index)
+        reader.ingest(tiny_video)
+        expected = writer.scan(tiny_video.name, "car")
+        served = reader.scan(tiny_video.name, "car")
+        assert not expected.is_empty()
+        assert [(r.frame_index, r.region) for r in served.regions] == [
+            (r.frame_index, r.region) for r in expected.regions
+        ]
 
-    def test_unknown_backend_rejected(self, config):
-        with pytest.raises(QueryError):
-            TASM(config=config, index_backend="rocksdb")
+    @pytest.mark.parametrize("frame", [2.5, "2", -1])
+    def test_add_metadata_refuses_a_frame_that_is_not_a_frame_index(
+        self, config, tiny_video, frame
+    ):
+        manager = TASM(config=config)
+        manager.ingest(tiny_video)
+        with pytest.raises(IndexError_):
+            manager.add_metadata(tiny_video.name, frame, "car", 1, 2, 11, 12)
+        assert manager.semantic_index.count(tiny_video.name) == 0
+        # The refusal let go of the video's write lock: writes and scans go on.
+        manager.add_metadata(tiny_video.name, 2, "car", 1, 2, 11, 12)
+        assert [r.frame_index for r in manager.scan(tiny_video.name, "car").regions] == [2]
+
+    def test_a_refused_add_detections_stores_nothing(self, config, tiny_video):
+        manager = TASM(config=config)
+        manager.ingest(tiny_video)
+        detections = [d for f in range(4) for d in tiny_video.ground_truth(f)]
+        refused = detections + [Detection(-1, "car", BoundingBox(0, 0, 4, 4))]
+        with pytest.raises(IndexError_):
+            manager.add_detections(tiny_video.name, refused)
+        assert manager.semantic_index.count(tiny_video.name) == 0
+        assert manager.add_detections(tiny_video.name, detections) == len(detections)
+        assert not manager.scan(tiny_video.name, "car").is_empty()
 
 
 class TestScan:

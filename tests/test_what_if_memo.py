@@ -5,7 +5,7 @@ per SOT until the semantic index's write generation for the SOT's frames
 moves.  The property: under any interleaving of index writes (through TASM,
 or straight into the index), re-tiles and what-if questions, every answer
 equals the one a TASM with an empty memo computes from the same index at that
-moment — on both index backends.  The bound: a SOT's answers are capped, and
+moment.  The bound: a SOT's answers are capped, and
 dropped together when its generation moves.
 
 An estimate is read off a per-``(SOT, predicate, layout)`` cost table, so a
@@ -32,8 +32,7 @@ from repro.core.query import Query
 from repro.core.tasm import TASM
 from repro.detection.base import Detection
 from repro.geometry import BoundingBox
-from repro.index.base import IndexEntry
-from repro.index.semantic_index import BTreeSemanticIndex
+from repro.index import BTreeSemanticIndex, IndexEntry
 from repro.tiles.layout import uniform_layout, untiled_layout
 from repro.tiles.partitioner import TileGranularity
 
@@ -137,11 +136,10 @@ def write(tasm: TASM, operation) -> None:
         tasm.retile_sot(VIDEO.name, sot_index, resolve(tasm, sot_index, choice))
 
 
-@pytest.mark.parametrize("index_backend", ["btree", "sqlite"])
 @given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(operations, min_size=1, max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_every_answer_equals_a_memo_less_computation(index_backend, indexed_frames, program):
-    tasm = TASM(CONFIG, index_backend=index_backend)
+def test_every_answer_equals_a_memo_less_computation(indexed_frames, program):
+    tasm = TASM(CONFIG)
     tasm.ingest(VIDEO)
     tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
     asked = []
@@ -168,12 +166,8 @@ window_operations = st.one_of(
 )
 
 
-def sot_shapes(test):
-    """Both index backends, over three one-GOP SOTs and over a two-GOP SOT
-    followed by a one-GOP one."""
-    for name, values in (("sot_frames", [None, 10]), ("index_backend", ["btree", "sqlite"])):
-        test = pytest.mark.parametrize(name, values)(test)
-    return test
+#: Three one-GOP SOTs, and a two-GOP SOT followed by a one-GOP one.
+sot_shapes = pytest.mark.parametrize("sot_frames", [None, 10])
 
 
 def selected(tasm: TASM, predicate: LabelPredicate, start: int, stop: int) -> dict:
@@ -194,9 +188,9 @@ def write_within(tasm: TASM, operation) -> None:
 @given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(window_operations, min_size=1, max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_every_window_costs_what_the_cost_model_says_of_its_own_lookup(
-    index_backend, sot_frames, indexed_frames, program
+    sot_frames, indexed_frames, program
 ):
-    tasm = TASM(CONFIG.with_updates(sot_frames=sot_frames), index_backend=index_backend)
+    tasm = TASM(CONFIG.with_updates(sot_frames=sot_frames))
     tiled = tasm.ingest(VIDEO)
     tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
     model, gop_frames = CostModel(tasm.config), tasm.config.codec.gop_frames
@@ -291,13 +285,14 @@ def test_an_answer_computed_across_a_write_is_not_kept():
 
 
 def test_askers_racing_a_writer_never_keep_a_stale_answer(monkeypatch):
-    """Three askers against one writer (sqlite: the backend whose reads and
-    writes may interleave), a 4-answer cap so evictions race too.  An answer
-    computed across a write is filed under the generation read before it, so
-    after each write every answer about the written SOT must equal a
-    memo-less one, whatever the askers were in the middle of."""
+    """Three askers against one writer, a 4-answer cap so evictions race too.
+    The what-if questions take no video lock, so an asker's index reads
+    interleave with the writer's writes; an answer computed across a write is
+    filed under the generation read before it, so after each write every
+    answer about the written SOT must equal a memo-less one, whatever the
+    askers were in the middle of."""
     monkeypatch.setattr(tasm_module, "_WHAT_IF_ANSWERS_PER_SOT", 4)
-    tasm = TASM(CONFIG, index_backend="sqlite")
+    tasm = TASM(CONFIG)
     tasm.ingest(VIDEO)
     questions = [
         ("layout_around", sot, labels) for sot in range(3) for labels in (("car",), LABELS)
