@@ -66,7 +66,7 @@ def cheap_detection_rows(config):
             {
                 "detector": name,
                 "detection_seconds": round(edge_result.detection_seconds, 2),
-                "detections": edge_result.detection_count,
+                "detections": len(edge_result.detections),
                 "tiled_sots": len(edge_result.layouts),
                 "improvement_%": improvement_over_untiled(untiled, measurement),
                 "work_improvement_%": modelled_improvement(untiled, measurement, config),

@@ -73,7 +73,7 @@ def main() -> None:
     )
     uploaded = sum(len(tiles) for tiles in plan.values())
     print("\nedge tiling:")
-    print(f"  on-camera detection: {edge_result.detection_count} boxes in "
+    print(f"  on-camera detection: {len(edge_result.detections)} boxes in "
           f"{edge_result.detection_seconds:.1f} simulated seconds")
     print(f"  pre-tiled SOTs: {len(edge_result.layouts)}; "
           f"tiles uploaded: {uploaded}/{total_tiles}")

@@ -45,7 +45,7 @@ def evaluate_camera(camera: EdgeCamera, label: str) -> dict[str, object]:
     return {
         "configuration": label,
         "detection_seconds": round(edge_result.detection_seconds, 2),
-        "detections": edge_result.detection_count,
+        "detections": len(edge_result.detections),
         "tiled_sots": len(edge_result.layouts),
         "pixels_decoded": result.pixels_decoded,
         "percent_of_video": round(100.0 * result.pixels_decoded / untiled_pixels, 1),

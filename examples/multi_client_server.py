@@ -82,7 +82,7 @@ def main() -> None:
         for chunk in stream:
             chunks += 1
             if first_latency is None:
-                first_latency = stream.first_result_seconds
+                first_latency = stream.first_chunk_at - stream.submitted_at
         result = stream.result()
         for thread in threads:
             thread.join()

@@ -3,8 +3,9 @@
 One :class:`ClusterRouter` in front of N shard processes: a consistent-hash
 ring (:class:`HashRing`) partitions ``(video, SOT)`` keys across shards with
 replication, scans scatter via per-shard ``skip_sots`` and gather into one
-merged stream, and failover reuses the service layer's retry/resume
-machinery (see :mod:`repro.cluster.router`).  :class:`ClusterSupervisor`
+merged stream, and the router is the one layer that recovers a scan whose
+shard connection failed: it re-dials the shard, then moves the share to a
+replica, resuming through ``skip_sots`` (see :mod:`repro.cluster.router`).  :class:`ClusterSupervisor`
 launches shard processes for tests and benches.
 """
 

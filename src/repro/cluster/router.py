@@ -18,19 +18,23 @@ each ``(video, SOT)`` and routes the key back there while that shard lives
 replicas by the queue depth read from per-shard ``metrics`` snapshots (a
 lightly loaded replica beats a backed-up one).
 
-Failover reuses PR 8's fault-tolerance layers rather than inventing new
-ones.  Each shard connection carries its own
-:class:`~repro.service.transport.RetryPolicy`, so a *transient* wire fault
-reconnects and resumes with ``skip_sots`` inside the shard client — the
-router never notices.  A shard that stays dead fails its sub-streams; the
-router then recomputes the undelivered SOTs' replica sets, re-scatters them
-to the surviving shards (again via ``skip_sots`` — the resume mechanism and
-the scatter mechanism are the same message), and the merged stream carries
-on byte-identically.  A shard shedding load answers with
-:class:`~repro.errors.ServerBusy`; the router treats it as failed *for that
-scan only* (not marked down) and routes around it.  Health checks ride the
-bounded hello handshake: :meth:`ClusterRouter.probe` dials, exchanges the
-hello, and hangs up — exactly the server's
+Recovery lives here, once.  A shard client is a plain connection: a broken
+wire fails its streams with :class:`~repro.errors.TransportError` and
+nothing else.  When a shard's connection fails — at submission or
+mid-stream — the router re-dials *that* shard under its
+:class:`~repro.service.transport.RetryPolicy` (capped exponential backoff,
+each wait bounded by the scan's remaining deadline and ended at once by
+``close()`` of the stream or the router) and resumes the share over the new
+connection with ``skip_sots`` naming everything already delivered.  A shard
+still unreachable after the policy's attempts is marked down, and its
+undelivered SOTs move to their next replicas through the same
+``skip_sots`` message — the resume mechanism and the scatter mechanism are
+one.  So a one-shard router, ``ClusterRouter([address], retry=...)``, is
+the resilient single-server handle.  A shard shedding load answers with
+:class:`~repro.errors.ServerBusy`; the router routes around it *for that
+scan only*, with no re-dial and without marking it down.  Health checks
+ride the bounded hello handshake: :meth:`ClusterRouter.probe` dials,
+exchanges the hello, and hangs up — exactly the server's
 ``service_handshake_timeout_s``-bounded first frame.
 """
 
@@ -92,6 +96,11 @@ def probe_shard(address, timeout: float = 5.0) -> bool:
         sock.close()
 
 
+#: Verdicts that hold cluster-wide: a re-dial or a replica would only
+#: repeat them.
+_FINAL = (DeadlineExceeded, StreamCancelledError, PoisonQueryError)
+
+
 class _SubScan(NamedTuple):
     """One shard's share of a scattered scan (a live sub-stream)."""
 
@@ -144,40 +153,59 @@ class ClusterScanStream(ScanStream):
         #: Decode accounting summed across the shards that finished; the
         #: timings take the slowest shard (scatter work ran in parallel).
         self._merged = ScanResult(video=self.video)
-        #: Sub-scans issued beyond the initial scatter (failover visibility).
+        #: Failed sub-scans whose share was issued again, over a re-dialled
+        #: connection or to a replica.
         self.failovers = 0
 
     # ------------------------------------------------------------------
-    # Scatter (called by the router, and again on failover)
+    # Scatter and recovery (called by the router, and again on failover)
     # ------------------------------------------------------------------
     def _scatter(
-        self, sots: set, deadline_ms: float | None, cause: BaseException | None = None
+        self, sots: set, cause: BaseException | None = None, lost: str | None = None
     ) -> None:
         """Scatter ``sots`` over live, non-excluded replicas.
 
-        A shard that fails at submission joins the excluded set and its
-        share is re-chosen, until every SOT has a stream or no replica
-        remains (then the most recent failure propagates).
+        ``lost`` is a shard whose connection just failed with ``cause``; it
+        is offered ``sots`` first, re-dialled (:meth:`ClusterRouter._call`,
+        as every submission is after a wire failure).  A shard
+        that cannot take its share (still unreachable once the policy is
+        spent, or any other submission error) is marked down and excluded
+        and the share is re-chosen, until every SOT has a stream or no
+        replica remains (then the most recent failure propagates).  What
+        holds cluster-wide — the deadline, a ``close()`` of this stream or
+        of the router — propagates at once.
         """
         todo = set(sots)
         while todo:
             groups: dict[str, set] = {}
-            for sot in todo:
-                shard = self._router._choose_replica(self.video, sot, self._excluded)
-                if shard is None:
-                    raise cause if cause is not None else ServiceError(
-                        f"no live replica for SOT {sot} of {self.video!r}"
-                    )
-                groups.setdefault(shard, set()).add(sot)
+            if lost is not None:
+                groups[lost] = todo
+            else:
+                for sot in todo:
+                    shard = self._router._choose_replica(self.video, sot, self._excluded)
+                    if shard is None:
+                        raise cause if cause is not None else ServiceError(
+                            f"no live replica for SOT {sot} of {self.video!r}"
+                        )
+                    groups.setdefault(shard, set()).add(sot)
             todo = set()
             for shard, group in sorted(groups.items()):
                 try:
-                    stream = self._router._client(shard).scan_streaming(
-                        **self._scan,
-                        deadline_ms=deadline_ms,
-                        skip_sots=self._universe - group,
+                    # Each try, a re-dial's included, carries the deadline
+                    # left then.
+                    stream = self._router._call(
+                        shard,
+                        lambda client: client.scan_streaming(
+                            **self._scan,
+                            deadline_ms=self.remaining_deadline_ms(),
+                            skip_sots=self._universe - group,
+                        ),
+                        cause if shard == lost else None,
+                        self,
                     )
                 except (ServiceError, OSError) as submit_error:
+                    if isinstance(submit_error, _FINAL) or self._router._closed:
+                        raise
                     self._router._note_failure(shard, submit_error)
                     self._excluded.add(shard)
                     todo |= group
@@ -185,6 +213,7 @@ class ClusterScanStream(ScanStream):
                     continue
                 stream._listener = self._wake
                 self._subs.append(_SubScan(shard, stream, frozenset(group)))
+            lost = None
         # Events that arrived before a listener was attached sit in the
         # sub-stream's buffer, unannounced: have the consumer pull again.
         self._wake()
@@ -241,34 +270,36 @@ class ClusterScanStream(ScanStream):
         for sub in self._subs:
             sub.stream.close()
         self._subs.clear()
+        with self._router._changed:
+            self._router._changed.notify_all()  # a re-dial's backoff ends now
 
     def _failover(self, sub: _SubScan, error: BaseException) -> None:
-        """Re-scatter a failed sub-scan's undelivered SOTs, or fail for good.
+        """Recover a failed sub-scan's undelivered SOTs, or fail for good.
 
         Deadline, cancellation, and poison verdicts hold cluster-wide (a
-        replica would only repeat them); everything else — cut wires,
-        exhausted reconnects, ``ServerBusy`` shedding — excludes the shard
-        and moves its remaining share to the next replicas.
+        replica would only repeat them).  A lost connection is re-dialled
+        first (:meth:`_scatter`); ``ServerBusy`` routes around the shard for
+        this scan; any other failure marks the shard down.  A share its own
+        shard cannot take back moves to the next replicas.
         """
         try:
-            if isinstance(
-                error, (DeadlineExceeded, StreamCancelledError, PoisonQueryError)
-            ):
+            if isinstance(error, _FINAL):
                 raise error
-            if not isinstance(error, ServerBusy):
-                # Busy is overload, not death: the scan routes around the
-                # shard this once, and the shard stays up for the next one.
-                self._router._note_failure(sub.shard, error)
-            self._excluded.add(sub.shard)
+            lost = sub.shard if isinstance(error, TransportError) else None
+            if lost is None:
+                if not isinstance(error, ServerBusy):
+                    # Busy is overload, not death: the scan routes around the
+                    # shard this once, and the shard stays up for the next one.
+                    self._router._note_failure(sub.shard, error)
+                self._excluded.add(sub.shard)
             if sub.assigned <= self.delivered:
-                return  # everything it owed arrived before the wire died
-            self.failovers += 1
-            self._router.failovers_total += 1
-            self.resume(
-                lambda skip_sots, deadline_ms: self._scatter(
-                    sub.assigned - skip_sots, deadline_ms, cause=error
-                )
-            )
+                return  # everything it owed arrived before it failed
+            if self.resume(
+                lambda skip_sots, _: self._scatter(sub.assigned - skip_sots, error, lost)
+            ):
+                self.failovers += 1
+                with self._router._lock:  # consumers of other scans count too
+                    self._router.failovers_total += 1
         except (ServiceError, OSError) as fatal:
             # Terminal failure: cancel every live sub-stream.
             self._fail(fatal)
@@ -281,9 +312,9 @@ class ClusterRouter:
     ``addresses`` are ``(host, port)`` shard endpoints (typically a
     :class:`~repro.cluster.supervisor.ClusterSupervisor`'s).  ``config``
     supplies the cluster knobs (``cluster_replication_factor``,
-    ``cluster_ring_vnodes``); ``retry`` is
-    the per-shard-connection reconnect policy (transient faults heal inside
-    the shard client, before router-level failover even starts).
+    ``cluster_ring_vnodes``); ``retry`` is how a shard whose connection
+    failed is re-dialled before it is marked down (None: at once).  With one
+    address this is the resilient single-server handle.
 
     Thread-safe: concurrent scans share the shard clients (each is itself a
     multiplexing handle), and placement/health state is lock-protected.
@@ -313,6 +344,9 @@ class ClusterRouter:
         self._use_shm = use_shm
         self._metrics_ttl = metrics_ttl_s
         self._lock = threading.Lock()
+        #: Notified on ``close()`` of the router or of a scan: a re-dial's
+        #: backoff waits on it.
+        self._changed = threading.Condition(self._lock)
         self._clients: dict[str, RemoteTasmClient] = {}
         #: Shards the router currently believes dead, with the evidence.
         self._down: dict[str, BaseException] = {}
@@ -367,10 +401,7 @@ class ClusterRouter:
             self._down[name] = error
             client = self._clients.pop(name, None)
         if client is not None:
-            try:
-                client.close(join_timeout=0.5)
-            except Exception:  # noqa: BLE001 — a dead client's teardown
-                pass
+            client.close(join_timeout=0.5)
 
     def _is_up(self, name: str) -> bool:
         with self._lock:
@@ -436,31 +467,69 @@ class ClusterRouter:
     # Clients
     # ------------------------------------------------------------------
     def _client(self, name: str) -> RemoteTasmClient:
+        """The shard's connection, dialled afresh when there is none or the
+        last one failed (a failed connection refuses every call)."""
         with self._lock:
             if self._closed:
                 raise ServiceError("the cluster router is closed")
             client = self._clients.get(name)
-            if client is not None:
+            if client is not None and client._dead is None:
                 return client
             address = self._addresses[name]
+        if client is not None:
+            client.close()  # failed: release its socket and ring
         client = RemoteTasmClient(
             address,
             timeout=self._timeout,
             stream_buffer_chunks=self._buffer_chunks,
             use_shm=self._use_shm,
-            retry=self._retry,
         )
         with self._lock:
-            existing = self._clients.setdefault(name, client)
+            existing = self._clients.get(name)
+            if existing is None or existing._dead is not None:
+                self._clients[name] = existing = client
         if existing is not client:
-            client.close()
+            client.close()  # another caller's dial won
         return existing
+
+    def _call(self, shard: str, request, failed=None, stream: ScanStream | None = None):
+        """``request(client)`` on ``shard``'s connection — the router's one
+        recovery path, for a scan's share and ``video_info`` alike.
+
+        A connection that fails, at this call or before it (``failed``), is
+        re-dialled under the :class:`~repro.service.transport.RetryPolicy`
+        and ``request`` made again over the new one.  A backoff ends at once
+        when the router or the scan's ``stream`` is closed, and is bounded
+        by the stream's remaining deadline.  Raises the wire error once the
+        policy is spent (at once without one), anything else straight away.
+        """
+        delays = self._retry.delays() if self._retry is not None else iter(())
+        while True:
+            if failed is not None:
+                delay = next(delays, None)
+                if delay is None:
+                    raise failed
+                remaining = None if stream is None else stream.remaining_deadline_ms()
+                with self._changed:
+                    self._changed.wait_for(
+                        lambda: self._closed or (stream is not None and stream.done),
+                        delay if remaining is None else min(delay, remaining / 1000.0),
+                    )
+                if stream is not None and stream.done:
+                    raise StreamCancelledError("stream closed by its consumer")
+            try:
+                return request(self._client(shard))
+            except TransportError as error:
+                failed = error
+            except OSError as error:  # the dial itself
+                failed = TransportError(f"shard {shard} is unreachable: {error}")
 
     # ------------------------------------------------------------------
     # The client-facing API
     # ------------------------------------------------------------------
     def video_info(self, video: str) -> dict:
-        """Layout facts for a video, cached; any live shard may answer."""
+        """Layout facts for a video, cached; any live shard may answer (a
+        lost connection is re-dialled first, like a scan's)."""
         with self._lock:
             info = self._video_infos.get(video)
         if info is not None:
@@ -470,7 +539,7 @@ class ClusterRouter:
             if not self._is_up(name):
                 continue
             try:
-                info = self._client(name).video_info(video)
+                info = self._call(name, lambda client: client.video_info(video))
             except (ServiceError, OSError) as error:
                 last_error = error
                 if isinstance(error, (TransportError, OSError)):
@@ -500,7 +569,7 @@ class ClusterRouter:
         )
         stream = ClusterScanStream(self, scan, deadline_ms, universe)
         try:
-            stream._scatter(universe, stream.remaining_deadline_ms())
+            stream._scatter(universe)
         except BaseException:
             stream.close()
             raise
@@ -568,11 +637,9 @@ class ClusterRouter:
             self._closed = True
             clients = list(self._clients.values())
             self._clients.clear()
+            self._changed.notify_all()
         for client in clients:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001 — teardown must not raise
-                pass
+            client.close()
 
     def __enter__(self) -> "ClusterRouter":
         return self

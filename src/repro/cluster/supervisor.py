@@ -287,9 +287,6 @@ class ClusterSupervisor:
             shard.address = tuple(payload)
         return self
 
-    def alive(self) -> list:
-        return [shard.process.is_alive() for shard in self._shards]
-
     def kill(self, index: int) -> None:
         """SIGKILL one shard — the chaos suite's abrupt shard failure.
 

@@ -55,10 +55,6 @@ class EdgeTilingResult:
     frames_processed: int
     target_objects: frozenset[str] = frozenset()
 
-    @property
-    def detection_count(self) -> int:
-        return len(self.detections)
-
 
 @dataclass
 class EdgeCamera:

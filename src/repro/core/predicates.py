@@ -10,6 +10,7 @@ both a "car" box and a "red" box on the same frame.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -31,13 +32,15 @@ class LabelPredicate:
     clauses: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
-        if not self.clauses:
+        clauses = tuple(tuple(clause) for clause in self.clauses)
+        if not clauses:
             raise QueryError("a label predicate needs at least one clause")
-        if any(not clause for clause in self.clauses):
+        if any(not clause for clause in clauses):
             raise QueryError("label predicate clauses must not be empty")
-        object.__setattr__(
-            self, "clauses", tuple(frozenset(clause) for clause in self.clauses)
-        )
+        for label in (label for clause in clauses for label in clause):
+            if not isinstance(label, str):
+                raise QueryError(f"label {label!r} is not a string")
+        object.__setattr__(self, "clauses", tuple(frozenset(clause) for clause in clauses))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -45,17 +48,17 @@ class LabelPredicate:
     @classmethod
     def single(cls, label: str) -> "LabelPredicate":
         """Predicate matching one label (``SELECT o FROM v``)."""
-        return cls((frozenset({label}),))
+        return cls(((label,),))
 
     @classmethod
     def any_of(cls, labels: Iterable[str]) -> "LabelPredicate":
         """Disjunction: pixels of any of the given labels."""
-        return cls((frozenset(labels),))
+        return cls((tuple(labels),))
 
     @classmethod
     def all_of(cls, labels: Iterable[str]) -> "LabelPredicate":
         """Conjunction: pixels lying in a box of every given label."""
-        return cls(tuple(frozenset({label}) for label in labels))
+        return cls(tuple((label,) for label in labels))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -126,6 +129,13 @@ class TemporalPredicate:
     frame_stop: int | None = None
 
     def __post_init__(self) -> None:
+        for bound in ("frame_start", "frame_stop"):
+            value = getattr(self, bound)
+            if value is not None:
+                try:
+                    object.__setattr__(self, bound, operator.index(value))
+                except TypeError:
+                    raise QueryError(f"{bound} {value!r} is not a frame index") from None
         if (
             self.frame_start is not None
             and self.frame_stop is not None

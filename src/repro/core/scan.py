@@ -37,10 +37,6 @@ class ScanResult:
         return self.index_seconds + self.decode_seconds
 
     @property
-    def frames_touched(self) -> list[int]:
-        return sorted({region.frame_index for region in self.regions})
-
-    @property
     def returned_pixels(self) -> int:
         """Pixels actually handed back to the caller (<= pixels decoded)."""
         return sum(region.pixel_count for region in self.regions)
@@ -75,9 +71,6 @@ class ScanResult:
     def pixels_served_from_cache(self) -> int:
         """Decoded-pixel work this scan avoided via cache hits."""
         return self.stats.pixels_served_from_cache
-
-    def regions_on_frame(self, frame_index: int) -> list[ScanRegion]:
-        return [region for region in self.regions if region.frame_index == frame_index]
 
     def is_empty(self) -> bool:
         return not self.regions

@@ -23,7 +23,7 @@ The injection points (the ``FAULT_*`` constants):
 =======================  ====================================================
 ``transport.drop``       server: close the connection instead of writing the
                          next frame (clean EOF or mid-stream cut at a frame
-                         boundary — the client must reconnect and resume).
+                         boundary — the router must re-dial and resume).
 ``transport.cut``        server: write a frame header and only half of its
                          payload, then close — the client sees a mid-frame
                          :class:`~repro.errors.TransportError`.
@@ -175,11 +175,6 @@ class FaultSite:
         with self._lock:
             return self._fires
 
-    @property
-    def evaluations(self) -> int:
-        with self._lock:
-            return self._evaluations
-
 
 class FaultPlan:
     """A seeded set of :class:`FaultSpec` — one per injection point.
@@ -210,9 +205,6 @@ class FaultPlan:
     def fires(self) -> dict[str, int]:
         """Fire counts per point — what actually happened, for reconciling."""
         return {point: site.fires for point, site in self._sites.items()}
-
-    def total_fires(self) -> int:
-        return sum(site.fires for site in self._sites.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         specs = ", ".join(sorted(self._sites))

@@ -104,12 +104,6 @@ _SCHEDULER_EVENTS = (
         "tasm_runner_restarts_total",
         "Crashed batches the batch runner that ran them recovered.",
     ),
-    (
-        "scan_resumes",
-        "tasm_scan_retries_total",
-        "Scan submissions that resumed an interrupted stream "
-        "(carried skip_sots after a client reconnect).",
-    ),
 )
 
 

@@ -47,7 +47,7 @@ Fault tolerance (PR 8) threads through every stage:
 Accounting: every event has one counter, a plain int on the scheduler under
 ``_counter_lock``, which ``TasmServer.stats()`` and the metrics registry
 (``Observability.read_events_from``, at snapshot time) both read.
-``queries_submitted``, ``scan_resumes`` and ``shed_queue_full`` move in
+``queries_submitted`` and ``shed_queue_full`` move in
 :meth:`BatchScheduler.submit`, on the submitter's thread;
 ``batches_executed`` and ``runner_restarts`` (crashed batches recovered) on
 the runner that ran the batch.  How a query *ends* is counted in one place,
@@ -205,8 +205,6 @@ class BatchScheduler:
         # _counter_lock by whichever thread the event happens on.
         self._counter_lock = threading.Lock()
         self.queries_submitted = 0
-        #: Submissions that carried ``skip_sots`` — resumed scans.
-        self.scan_resumes = 0
         #: ServerBusy refusals at the depth bound: never admitted, so not
         #: among ``queries_submitted`` and not ended by :meth:`_account`.
         self.shed_queue_full = 0
@@ -346,7 +344,6 @@ class BatchScheduler:
                 stream._account = self._account
                 with self._counter_lock:
                     self.queries_submitted += 1
-                    self.scan_resumes += bool(stream.skip_sots)
                 bucket = self._pending.get(client)
                 if bucket is None:
                     bucket = self._pending[client] = deque()

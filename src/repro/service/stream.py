@@ -345,13 +345,6 @@ class ScanStream:
             return len(self._buffer)
 
     @property
-    def first_result_seconds(self) -> float | None:
-        """Latency from submission to the first streamed chunk (producer side)."""
-        if self.first_chunk_at is None:
-            return None
-        return self.first_chunk_at - self.submitted_at
-
-    @property
     def total_seconds(self) -> float | None:
         if self.completed_at is None:
             return None

@@ -85,6 +85,15 @@ A connection that dies *inside* a frame raises
 :class:`~repro.errors.TransportError`; only an EOF landing exactly on a
 frame boundary reads as clean.  Errors of one query never disturb the
 connection's other streams.
+
+**A client is one connection.**  When a :class:`RemoteTasmClient`'s wire
+breaks — clean EOF, cut, drop, malformed frame — every stream and request
+it carries fails with :class:`~repro.errors.TransportError`, every later
+call is refused with it, and its reader thread ends.  Recovering a scan is
+one layer's job, the cluster router's: it re-dials the shard under a
+:class:`RetryPolicy` (defined here, read only there) and resumes with
+``skip_sots``.  ``ClusterRouter([address], retry=...)`` is the resilient
+single-server handle.
 """
 
 from __future__ import annotations
@@ -102,14 +111,13 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.predicates import TemporalPredicate
 from ..core.scan import ScanRegion, ScanResult
 from ..errors import (
-    DeadlineExceeded,
     ProtocolError,
     ServiceError,
     TransportError,
@@ -790,12 +798,20 @@ def _is_u32(value) -> bool:
     return type(value) is int and 0 <= value < 1 << 32
 
 
-def _scan_fields(message: dict) -> tuple[int, float | None, list[int] | None]:
-    """A wire scan's ``credits``, ``deadline_ms`` and ``skip_sots``, each of
-    the type it is used as.  A peer's JSON that only looks right is refused
-    with a :class:`TransportError`, not served wrong: a string ``skip_sots``
-    iterates as one-character SOT names and skips nothing, and a ``NaN``
-    deadline (``json`` reads it) compares false against every clock."""
+def _scan_fields(message: dict) -> tuple[str, list, int, float | None, list[int] | None]:
+    """A wire scan's ``video``, ``labels``, ``credits``, ``deadline_ms`` and
+    ``skip_sots``, each of the type it is used as.  A peer's JSON that only
+    looks right is refused with a :class:`TransportError`, not served wrong:
+    a string ``skip_sots`` iterates as one-character SOT names and skips
+    nothing, and a ``NaN`` deadline (``json`` reads it) compares false
+    against every clock.  The labels themselves and the frame bounds are the
+    predicates' to refuse (:class:`~repro.core.predicates.LabelPredicate`,
+    :class:`~repro.core.predicates.TemporalPredicate`)."""
+    video, labels = message.get("video"), message.get("labels")
+    if type(video) is not str:
+        raise TransportError(f"scan video {video!r} is not a string")
+    if type(labels) is not list:
+        raise TransportError(f"scan labels {labels!r} is not a list of strings")
     credits = message.get("credits", 0)
     deadline_ms, skip_sots = message.get("deadline_ms"), message.get("skip_sots")
     if not _is_u32(credits):
@@ -806,7 +822,7 @@ def _scan_fields(message: dict) -> tuple[int, float | None, list[int] | None]:
     sots = type(skip_sots) is list and all(type(sot) is int and sot >= 0 for sot in skip_sots)
     if skip_sots is not None and not sots:
         raise TransportError(f"scan skip_sots {skip_sots!r} is not a list of non-negative integers")
-    return credits, deadline_ms, skip_sots or None
+    return video, labels, credits, deadline_ms, skip_sots or None
 
 
 class _Connection:
@@ -997,21 +1013,16 @@ class _Connection:
         # that does not fit one is refused here, not found by the writer.
         if not _is_u32(query_id):
             raise TransportError(f"scan id {query_id!r} is not an integer in [0, 2**32)")
-        credits, deadline_ms, skip_sots = _scan_fields(message)
+        video, labels, credits, deadline_ms, skip_sots = _scan_fields(message)
         with self._cond:
             if query_id in self._scans:
                 raise ServiceError(f"query id {query_id} is already in flight")
-        labels = message["labels"]
         temporal = None
         if message.get("frame_start") is not None or message.get("frame_stop") is not None:
             temporal = TemporalPredicate(
                 message.get("frame_start"), message.get("frame_stop")
             )
-        query = self._server._build_query(
-            message["video"],
-            labels if len(labels) != 1 else labels[0],
-            temporal,
-        )
+        query = self._server._build_query(video, labels, temporal)
         stream = self._server.submit(
             query, client=self, deadline_ms=deadline_ms, skip_sots=skip_sots
         )
@@ -1293,20 +1304,17 @@ class _Connection:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Reconnect policy for :class:`RemoteTasmClient`.
+    """Re-dial policy for :class:`~repro.cluster.router.ClusterRouter`.
 
-    On a wire failure the client's reader re-dials the server up to
+    When a shard's connection fails, the router re-dials that shard up to
     ``attempts`` times with capped exponential backoff
     (``base_delay * 2**attempt``, bounded by ``max_delay``) plus
     proportional jitter (up to ``jitter`` of the delay, so a fleet of
-    clients does not re-dial in lockstep).  ``seed`` pins the jitter for
-    deterministic tests; None draws from system entropy.
-
-    In-flight scans survive a successful reconnect: each is resubmitted with
-    ``skip_sots`` naming the chunks already delivered, so the resumed stream
-    carries on from where it was cut, byte-identical.  Blocking
-    request/response calls (stats, add_metadata) in flight at the failure
-    fail instead — whether the server processed them is unknowable.
+    routers does not re-dial in lockstep).  ``seed`` pins the jitter for
+    deterministic tests; None draws from system entropy.  The scan resumes
+    over the new connection with ``skip_sots`` naming the chunks already
+    delivered, so it carries on byte-identical; a shard that stays
+    unreachable is marked down and its share moves to a replica.
     """
 
     attempts: int = 4
@@ -1315,9 +1323,12 @@ class RetryPolicy:
     jitter: float = 0.5
     seed: int | None = None
 
-    def delay(self, attempt: int, rng: "random.Random") -> float:
-        bounded = min(self.max_delay, self.base_delay * (2.0 ** attempt))
-        return bounded * (1.0 + self.jitter * rng.random())
+    def delays(self) -> Iterator[float]:
+        """The wait before each of the ``attempts`` re-dials."""
+        rng = random.Random(self.seed)
+        for attempt in range(self.attempts):
+            bounded = min(self.max_delay, self.base_delay * (2.0 ** attempt))
+            yield bounded * (1.0 + self.jitter * rng.random())
 
 
 class RemoteScanStream(ScanStream):
@@ -1334,7 +1345,9 @@ class RemoteScanStream(ScanStream):
     the wire holds chunks: it cannot starve.  :meth:`close` cancels
     the scan on the wire, so the server stops decoding for it.  The owning
     client's ``timeout`` bounds the wait for each event: a server that stops
-    sending mid-stream raises instead of hanging the consumer forever.
+    sending mid-stream raises instead of hanging the consumer forever.  A
+    broken wire fails the stream with :class:`TransportError`; resuming it
+    elsewhere is the cluster router's job.
     """
 
     def __init__(
@@ -1347,9 +1360,8 @@ class RemoteScanStream(ScanStream):
         )
         self._client = client
         self.query_id = query_id
-        #: The scan request as first sent; a reconnect re-sends it with the
-        #: skip set and deadline :meth:`resume` supplies.
-        self._request = request
+        #: The credit window the scan request granted.
+        self._window = request["credits"]
         #: Chunks the consumer drained whose credit has not gone back yet.
         self._unreturned = 0
 
@@ -1359,7 +1371,7 @@ class RemoteScanStream(ScanStream):
             # Injected clock-skewed slow consumer: stall between drain and
             # credit return, starving the server's stream.
             time.sleep(skew.delay_seconds)
-        window = self._request["credits"]
+        window = self._window
         if window:
             self._unreturned += 1
             if self._unreturned >= max(1, window // 2):
@@ -1371,11 +1383,6 @@ class RemoteScanStream(ScanStream):
     def _cancel_source(self) -> None:
         self._client._forget_stream(self.query_id)
         self._client._send_cancel(self.query_id)
-
-    def _resubmit(self, skip_sots: frozenset[int], deadline_ms: float | None) -> None:
-        self._client._send(
-            {**self._request, "skip_sots": sorted(skip_sots), "deadline_ms": deadline_ms}
-        )
 
     def _stuck(self) -> str:
         """Asks the server where the scan actually is (queue vs execute vs
@@ -1414,6 +1421,12 @@ class RemoteTasmClient:
     undelivered chunks in flight per stream, so one unconsumed stream parks
     itself on the server and nothing else — the connection's reader and
     its other streams keep full throughput.
+
+    It is one connection and no more.  When the wire breaks — a cut, a
+    drop, a malformed frame — every outstanding stream and request fails
+    with :class:`TransportError`, every later call is refused with it, and
+    the reader thread ends.  Nothing here re-dials: a handle that outlives
+    its connection is ``ClusterRouter([address], retry=RetryPolicy(...))``.
     """
 
     def __init__(
@@ -1422,58 +1435,36 @@ class RemoteTasmClient:
         timeout: float | None = 30.0,
         stream_buffer_chunks: int = 64,
         use_shm: bool | None = None,
-        retry: RetryPolicy | None = None,
         fault_plan=None,
     ):
-        self._address = address
         self._sock = socket.create_connection(address, timeout=timeout)
         _disable_nagle(self._sock)
         self._timeout = timeout
         self._buffer_chunks = stream_buffer_chunks
-        self._retry = retry
         self._send_lock = threading.Lock()
         self._table_lock = threading.Lock()
         self._next_id = 0
         self._streams: dict[int, RemoteScanStream] = {}
         self._replies: dict[int, queue.SimpleQueue] = {}
-        #: Set once by :meth:`close`; a reconnect's backoff waits on it, so
-        #: closing a client ends its reconnect at once.
-        self._closed = threading.Event()
-        self._close_lock = threading.Lock()
+        #: Set once by :meth:`close`, under the table lock.
+        self._closed = False
         self._shm = None
         #: Chunks received through each data path (shared memory vs socket);
         #: handy for verifying what the negotiation actually produced.
         self.shm_chunks_received = 0
         self.socket_chunks_received = 0
-        #: Successful reconnects performed by the reader thread.
-        self.retries_total = 0
-        #: Scans failed client-side because their deadline ran out during a
-        #: reconnect gap — the server never sees (or counts) these.
-        self.deadline_fast_fails = 0
         # Client-side fault injection (chaos tests): a failing shm attach and
         # a clock-skewed slow consumer.
-        self._fault_attach = (
-            fault_plan.site(FAULT_SHM_ATTACH) if fault_plan is not None else None
-        )
-        self._fault_skew = (
-            fault_plan.site(FAULT_CONSUMER_SKEW) if fault_plan is not None else None
-        )
-        #: Set by the reader when the wire dies; requests registered after
-        #: the outstanding-failure sweep check it so they fail fast instead
-        #: of waiting on a connection that will never answer.
+        self._fault_attach = fault_plan.site(FAULT_SHM_ATTACH) if fault_plan else None
+        self._fault_skew = fault_plan.site(FAULT_CONSUMER_SKEW) if fault_plan else None
+        #: Why the connection ended, set once under the table lock by
+        #: whichever thread saw it end first; every later call is refused.
         self._dead: BaseException | None = None
-        #: Cleared while the reader rebuilds a failed wire, set again when
-        #: the wire works (or is dead for good — then ``_dead`` says why).
-        #: Senders wait on it so a scan issued mid-reconnect does not write
-        #: into a socket known to be gone.
-        self._wire_ok = threading.Event()
-        self._wire_ok.set()
         if use_shm is None:
             use_shm = address[0] in _LOOPBACK_HOSTS
-        self._want_shm = bool(use_shm)
         self._sock.settimeout(timeout)  # bound the handshake
         try:
-            self._shm = self._handshake(self._sock)
+            self._shm = self._handshake(bool(use_shm))
         except BaseException:
             self._sock.close()
             raise
@@ -1483,27 +1474,16 @@ class RemoteTasmClient:
         )
         self._reader.start()
 
-    def _handshake(self, sock: socket.socket):
-        """Run the hello on ``sock``; the attached shm segment (or None).
+    def _handshake(self, want_shm: bool):
+        """Run the hello; the attached shm segment (or None).
 
         Raises :class:`TransportError`/:class:`ProtocolError` on failure —
-        the caller owns closing the socket.  Used for both the initial
-        connection and every reconnect (each connection negotiates its own
-        ring; a ring from a dead connection is useless).
+        the caller owns closing the socket.
         """
+        sock = self._sock
         try:
-            send_message(
-                sock,
-                {
-                    "op": "hello",
-                    "id": 0,
-                    "version": PROTOCOL_VERSION,
-                    "shm": self._want_shm,
-                },
-            )
+            send_message(sock, {"op": "hello", "id": 0, "version": PROTOCOL_VERSION, "shm": want_shm})
             reply = recv_message(sock)
-        except TransportError:
-            raise
         except OSError as error:
             raise TransportError(f"handshake failed: {error}") from error
         if reply is None:
@@ -1531,31 +1511,24 @@ class RemoteTasmClient:
         return self._shm is not None
 
     def close(self, join_timeout: float = 5.0) -> None:
-        with self._close_lock:
-            if self._closed.is_set():
+        with self._table_lock:
+            if self._closed:
                 return
-            # Cancel outstanding scans while the socket still works, so the
-            # server frees their decode work right away rather
-            # than discovering the disconnect when a write fails.
-            with self._table_lock:
-                outstanding = list(self._streams.keys())
-            for query_id in outstanding:
-                self._send_cancel(query_id)
-            self._closed.set()
-            # The socket teardown happens under the same lock the reader's
-            # reconnect uses to swap sockets in: either the swap completed
-            # (we close the new socket and the reader exits on its next
-            # check) or it never will (the reader sees _closed and gives
-            # up) — a socket can never leak between close and reconnect.
-            # Shutting down before joining matters for a wedged connection:
-            # a reader blocked in recv only wakes when the kernel aborts
-            # the transfer.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
-        self._wire_ok.set()  # unblock senders parked on a reconnect
+            self._closed = True
+            outstanding = list(self._streams)
+        # Cancel outstanding scans while the socket still works, so the
+        # server frees their decode work right away rather than discovering
+        # the disconnect when a write fails.
+        for query_id in outstanding:
+            self._send_cancel(query_id)
+        # Shutting down before joining matters for a wedged connection: a
+        # reader blocked in recv only wakes when the kernel aborts the
+        # transfer.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
         self._reader.join(timeout=join_timeout)
         if self._reader.is_alive():
             warnings.warn(
@@ -1582,45 +1555,25 @@ class RemoteTasmClient:
     # The demultiplexing reader
     # ------------------------------------------------------------------
     def _read_loop(self) -> None:
-        """Demultiplex frames; on a wire failure, reconnect when allowed.
-
-        The reader owns recovery: it is the only thread that knows the wire
-        died, and running the reconnect here means stream delivery and
-        stream resubmission happen on one thread — no delivered-chunk
-        bookkeeping races.  A client without a :class:`RetryPolicy` (or one
-        whose attempts are exhausted, or that was closed) fails everything
-        outstanding exactly as before.
-        """
-        while True:
-            try:
-                self._read_frames()
-                error: BaseException = ServiceError("connection closed")
-            except (TransportError, ConnectionError, OSError) as wire_error:
-                error = wire_error
-            except Exception as other:  # noqa: BLE001 — the reader must not die mute
-                # A malformed frame (corrupt JSON, truncated chunk header —
-                # e.g. a version-skewed peer or a desynced byte stream) is
-                # not survivable by reconnecting: the failure is semantic,
-                # not transient.  Fail everything outstanding so blocked
-                # callers raise instead of waiting on a reader that no
-                # longer exists.
-                self._fail_outstanding(
-                    TransportError(f"malformed frame from server: {other!r}")
-                )
-                return
-            if self._closed.is_set():
-                self._fail_outstanding(ServiceError("client closed"))
-                return
-            if self._retry is not None and self._reconnect(error):
-                continue
-            self._fail_outstanding(error)
-            return
+        """Demultiplex frames until the connection ends, then fail whatever
+        is still outstanding with why it ended."""
+        try:
+            self._read_frames()
+            error: BaseException = TransportError("the server closed the connection")
+        except Exception as failure:  # noqa: BLE001 — the reader must not die mute
+            # A socket error, a cut, or a malformed frame (corrupt JSON, a
+            # truncated chunk header — a version-skewed peer or a desynced
+            # byte stream): nothing after it on this connection is trusted.
+            error = failure
+            if not isinstance(failure, TransportError):
+                error = TransportError(f"connection lost: {failure!r}")
+        if self._closed:
+            error = ServiceError("the client is closed")
+        self._fail_outstanding(error)
 
     def _read_frames(self) -> None:
         """Read and dispatch frames until a clean EOF (returns) or a wire
-        error (raises).  Called afresh after every reconnect, so the frame
-        reader (and its buffer) belong to one socket.
-        """
+        error (raises)."""
         frames = _FrameReader(self._sock)
         while True:
             frame = frames.next_frame()
@@ -1654,94 +1607,6 @@ class RemoteTasmClient:
             else:
                 raise TransportError(f"unknown frame kind {kind}")
 
-    def _reconnect(self, error: BaseException) -> bool:
-        """Dial a replacement connection and resume in-flight scans.
-
-        Runs on the reader thread.  Pending request/reply calls are failed
-        immediately (their operation may or may not have been applied — a
-        blind re-send could double-apply ``add_metadata``), but scan streams
-        are *resumable*: each is re-submitted with ``skip_sots`` naming every
-        chunk already delivered, so the server decodes only what the client
-        has not seen and the merged result is byte-identical to an
-        uninterrupted run.  Returns False when the policy's attempts are
-        exhausted or the client was closed concurrently.
-        """
-        retry = self._retry
-        self._wire_ok.clear()
-        try:
-            # Fail replies only; streams survive the gap and resume below.
-            with self._table_lock:
-                replies = list(self._replies.values())
-                self._replies.clear()
-            for reply in replies:
-                reply.put(
-                    {
-                        "type": "error",
-                        "message": f"connection lost: {error}",
-                        "code": error_code(TransportError("connection lost")),
-                    }
-                )
-            with self._table_lock:
-                resumable = list(self._streams.items())
-            rng = random.Random(retry.seed)
-            for attempt in range(retry.attempts):
-                if self._closed.wait(retry.delay(attempt, rng)):
-                    return False
-                try:
-                    sock = socket.create_connection(
-                        self._address, timeout=self._timeout
-                    )
-                except OSError:
-                    continue
-                try:
-                    _disable_nagle(sock)
-                    sock.settimeout(self._timeout)
-                    new_shm = self._handshake(sock)
-                    sock.settimeout(None)
-                except (TransportError, ProtocolError, OSError):
-                    sock.close()
-                    continue
-                with self._close_lock:
-                    if self._closed.is_set():
-                        if new_shm is not None:
-                            new_shm.close()
-                        sock.close()
-                        return False
-                    old_sock, self._sock = self._sock, sock
-                    old_shm, self._shm = self._shm, new_shm
-                try:
-                    old_sock.close()
-                except OSError:
-                    pass
-                if old_shm is not None:
-                    old_shm.close()
-                self.retries_total += 1
-                self._wire_ok.set()
-                for query_id, stream in resumable:
-                    # The snapshot predates the backoff loop: resume() skips
-                    # a stream that finished, or that its consumer closed in
-                    # the gap (the CANCEL swallowed by the dead wire), so
-                    # the new server never executes a scan nobody awaits.
-                    try:
-                        stream.resume(stream._resubmit)
-                    except OSError:
-                        # The connection just dialled dropped mid-resume.
-                        # Every stream is still in the table: the reader's
-                        # next failed read reconnects again and resumes them
-                        # all (``resume`` keeps no state, so twice is safe).
-                        break
-                    except ServiceError as error:
-                        if self._forget_stream(query_id):
-                            if isinstance(error, DeadlineExceeded):
-                                self.deadline_fast_fails += 1
-                            stream._fail(error)
-                return True
-            return False
-        finally:
-            # Whatever happened, senders must not block forever on a
-            # reconnect that is no longer in progress.
-            self._wire_ok.set()
-
     def _dispatch_json(self, message: dict) -> None:
         query_id = message.get("id")
         message_type = message.get("type")
@@ -1766,13 +1631,17 @@ class RemoteTasmClient:
         with self._table_lock:
             return self._streams.get(query_id)
 
-    def _forget_stream(self, query_id: int) -> bool:
+    def _forget_stream(self, query_id: int) -> None:
         with self._table_lock:
-            return self._streams.pop(query_id, None) is not None
+            self._streams.pop(query_id, None)
 
     def _fail_outstanding(self, error: BaseException) -> None:
+        """The connection is over: record why, and fail every stream and
+        request still waiting on it (each request's waiter raises
+        :meth:`_refusal`)."""
         with self._table_lock:
-            self._dead = error
+            if self._dead is None:
+                self._dead = error
             streams = list(self._streams.values())
             replies = list(self._replies.values())
             self._streams.clear()
@@ -1780,7 +1649,15 @@ class RemoteTasmClient:
         for stream in streams:
             stream._fail(error)
         for reply in replies:
-            reply.put({"type": "error", "message": str(error)})
+            reply.put(None)
+
+    def _refusal(self) -> ServiceError | None:
+        """Why this handle takes no more calls, or None (table lock held)."""
+        if self._closed:
+            return ServiceError("the client is closed")
+        if self._dead is not None:
+            return TransportError(f"connection failed: {self._dead}")
+        return None
 
     # ------------------------------------------------------------------
     # Requests
@@ -1791,20 +1668,19 @@ class RemoteTasmClient:
             return self._next_id
 
     def _send(self, message: dict) -> None:
-        # During a reconnect the old socket is gone and the new one is not
-        # dialled yet; park senders instead of failing them into the gap.
-        if not self._wire_ok.wait(timeout=self._timeout):
-            raise TransportError(
-                f"reconnect did not complete within {self._timeout} seconds"
-            )
-        if self._closed.is_set():
-            raise ServiceError("the client is closed")
         with self._table_lock:
-            dead = self._dead
-        if dead is not None:
-            raise ServiceError(f"connection failed: {dead}") from dead
-        with self._send_lock:
-            send_message(self._sock, message)
+            refusal = self._refusal()
+        if refusal is not None:
+            raise refusal
+        try:
+            with self._send_lock:
+                send_message(self._sock, message)
+        except OSError as error:
+            # The wire broke under a sender before the reader saw it: the
+            # connection is over for every other caller too.
+            failure = TransportError(f"connection lost: {error}")
+            self._fail_outstanding(failure)
+            raise failure from error
 
     def _send_frame(self, kind: int, payload: bytes) -> None:
         with self._send_lock:
@@ -1949,7 +1825,12 @@ class RemoteTasmClient:
             self._replies[query_id] = pending
         try:
             self._send({**message, "id": query_id})
-            return pending.get(timeout=self._timeout)
+            reply = pending.get(timeout=self._timeout)
+            if reply is not None:
+                return reply
+            with self._table_lock:  # None: the connection ended first
+                refusal = self._refusal()
+            raise refusal
         except queue.Empty:
             raise ServiceError(
                 f"no reply to {message.get('op')!r} within {self._timeout} seconds"

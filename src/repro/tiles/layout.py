@@ -160,13 +160,6 @@ class TileLayout:
                 return row0, row1, col0, col1
         return 0, 0, 0, 0
 
-    def tile_containing_point(self, x: float, y: float) -> int:
-        """Index of the tile containing the point (x, y)."""
-        if not (0 <= x < self.frame_width and 0 <= y < self.frame_height):
-            raise LayoutError(f"point ({x}, {y}) lies outside the frame")
-        row = bisect_right(self.row_edges, y) - 1
-        return row * self.columns + bisect_right(self.column_edges, x) - 1
-
     def tiles_intersecting(self, region: Rectangle) -> list[int]:
         """Indices of every tile whose area overlaps ``region``, ascending."""
         row0, row1, col0, col1 = self.tile_span(region)

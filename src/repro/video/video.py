@@ -107,18 +107,3 @@ class Video:
         for index in range(start, stop):
             yield self.frame(index)
 
-    @classmethod
-    def from_frames(cls, name: str, frames: list[np.ndarray], frame_rate: int = 30) -> "Video":
-        """Build a video from an in-memory list of rasters (used in tests)."""
-        if not frames:
-            raise StorageError("cannot create a video from zero frames")
-        height, width = frames[0].shape
-        stored = [np.asarray(frame, dtype=np.uint8) for frame in frames]
-        metadata = VideoMetadata(
-            name=name,
-            width=width,
-            height=height,
-            frame_count=len(stored),
-            frame_rate=frame_rate,
-        )
-        return cls(metadata, lambda index: stored[index])

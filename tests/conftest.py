@@ -21,6 +21,7 @@ from repro.geometry import Rectangle
 from repro.video.decoder import RegionRequest, VideoDecoder
 from repro.video.encoder import EncodedSot
 from repro.video.frame import Frame
+from repro.video.video import Video, VideoMetadata
 from repro.video.synthetic import (
     LinearMotion,
     ObjectTrack,
@@ -81,6 +82,13 @@ def union_bounds(a: Rectangle, b: Rectangle) -> Rectangle:
 def contains_point(rectangle: Rectangle, x: float, y: float) -> bool:
     """Half-open point membership (a test oracle)."""
     return rectangle.x1 <= x < rectangle.x2 and rectangle.y1 <= y < rectangle.y2
+
+
+def video_from_frames(name: str, frames: list[np.ndarray], frame_rate: int = 30) -> Video:
+    """A video over an in-memory list of rasters."""
+    height, width = frames[0].shape
+    stored = [np.asarray(frame, dtype=np.uint8) for frame in frames]
+    return Video(VideoMetadata(name, width, height, len(stored), frame_rate), stored.__getitem__)
 
 
 def crop(frame: Frame, region: Rectangle) -> np.ndarray:

@@ -14,8 +14,8 @@ The contracts pinned here:
 * failover: a shard killed **mid-scan** (SIGKILL, no goodbye) re-scatters
   its undelivered SOTs to replicas and the merged result stays
   byte-identical to a healthy run — likewise for a seeded transport-drop
-  storm confined to one shard, with or without a client
-  :class:`~repro.service.RetryPolicy` underneath;
+  storm confined to one shard, whether the router re-dials the shard under
+  its :class:`~repro.service.RetryPolicy` or has none;
 * ``ServerBusy`` from a shard at its depth bound routes around it for that
   scan only (the shard is not marked down);
 * health checks ride the bounded hello handshake, and the metrics rollup
@@ -424,7 +424,7 @@ class TestShardProcesses:
                 router._shard_name(address) for address in supervisor.addresses
             ].index(victim)
             supervisor.kill(victim_index)
-            assert not supervisor.alive()[victim_index]
+            assert not supervisor._shards[victim_index].process.is_alive()
             for _ in iterator:
                 pass
             assert_scan_results_identical(stream.result(), healthy)
@@ -437,8 +437,8 @@ class TestShardProcesses:
     ):
         """A deterministic FaultPlan drop storm confined to shard 0 (its
         writer kills the connection after the second frame): whether the
-        shard client reconnects underneath (RetryPolicy) or the router fails
-        the whole shard over, the merged bytes never change."""
+        router re-dials the shard (RetryPolicy) or fails its share over to
+        the replica at once, the merged bytes never change."""
         specs = [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)]
         for retry in (None, RETRY):
             with ClusterSupervisor(

@@ -16,11 +16,13 @@ The contracts pinned here, layer by layer:
   quarantines a query whose batches keep crashing with
   :class:`~repro.errors.PoisonQueryError`, and serves on — no thread is
   replaced;
-* **retry/reconnect**: a :class:`~repro.service.RetryPolicy` client survives
-  a dropped or mid-frame-cut connection, resuming in-flight scans from the
-  last delivered chunk — byte-identical to an uninterrupted run — and
-  ``close()`` concurrent with an in-flight reconnect is clean (no leaked
-  reader, idempotent);
+* **re-dial and resume**: a one-shard :class:`~repro.cluster.ClusterRouter`
+  with a :class:`~repro.service.RetryPolicy` survives a dropped or
+  mid-frame-cut connection, resuming in-flight scans from the last delivered
+  chunk — byte-identical to an uninterrupted run — and a ``close()`` of the
+  stream or the router ends a backoff at once; a plain
+  :class:`~repro.service.RemoteTasmClient` is one connection, and a broken
+  wire fails everything on it with :class:`~repro.errors.TransportError`;
 * a transient decode fault fails only the offending execution: a multi-query
   batch retries its untouched members individually;
 * the hello handshake is bounded: an idle peer is cut loose and counted;
@@ -34,15 +36,16 @@ The contracts pinned here, layer by layer:
 
 from __future__ import annotations
 
-import select
+import queue
 import socket
+import sys
 import threading
 import time
-import warnings
 
-import numpy as np
 import pytest
 
+from repro.cluster import ClusterRouter, ClusterScanStream
+from repro.cluster import router as router_module
 from repro.core.query import Query
 from repro.errors import (
     ConfigurationError,
@@ -50,6 +53,8 @@ from repro.errors import (
     PoisonQueryError,
     ServerBusy,
     ServiceError,
+    StreamCancelledError,
+    TransportError,
 )
 from repro.faults import (
     FAULT_CONSUMER_SKEW,
@@ -127,7 +132,6 @@ class TestFaultPlan:
             FAULT_TRANSPORT_DROP: sum(drops),
             FAULT_RUNNER_DEATH: sum(deaths),
         }
-        assert plan.total_fires() == sum(drops) + sum(deaths)
 
     def test_skip_first_and_max_fires(self):
         site = FaultSite(
@@ -137,7 +141,6 @@ class TestFaultPlan:
         decisions = [site.should_fire() for _ in range(10)]
         assert decisions == [False, False, False, True, True] + [False] * 5
         assert site.fires == 2
-        assert site.evaluations == 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -390,33 +393,66 @@ class TestDecodeFaults:
 
 
 # ----------------------------------------------------------------------
-# Client retry / reconnect
+# Re-dial and resume: the router's one recovery path, on one shard
 # ----------------------------------------------------------------------
 RETRY = RetryPolicy(attempts=6, base_delay=0.02, max_delay=0.2, seed=11)
 
 
-class TestRetryReconnect:
+def one_shard(transport, retry=RETRY) -> ClusterRouter:
+    """The resilient single-server handle: a router over one shard."""
+    return ClusterRouter([transport.address], retry=retry)
+
+
+def capture_scans(monkeypatch) -> list[dict]:
+    """Every scan request any client puts on the wire, re-dials included."""
+    sent: list[dict] = []
+    send = RemoteTasmClient._send
+
+    def recording(client, message):
+        if message.get("op") == "scan":
+            sent.append(dict(message))
+        return send(client, message)
+
+    monkeypatch.setattr(RemoteTasmClient, "_send", recording)
+    return sent
+
+
+def consume_in_background(stream) -> tuple[threading.Thread, queue.SimpleQueue]:
+    """``stream.result()`` on a thread of its own; the queue gets the result
+    or the exception it raised."""
+    outcome: queue.SimpleQueue = queue.SimpleQueue()
+
+    def consume():
+        try:
+            outcome.put(stream.result())
+        except Exception as error:  # noqa: BLE001 — the test inspects it
+            outcome.put(error)
+
+    consumer = threading.Thread(target=consume, name="test-consumer", daemon=True)
+    consumer.start()
+    return consumer, outcome
+
+
+class TestRedial:
     def test_dropped_connection_resumes_byte_identical(self, config):
-        """Kill the wire after the first chunk: the client reconnects,
-        resumes with skip_sots, and the result is byte-identical."""
-        # Writer frames: hello reply (1), chunk SOT0 (2), chunk SOT1 (3).
+        """Kill the wire after the first chunk: the router re-dials the
+        shard, resumes with skip_sots, and the result is byte-identical."""
+        # Writer frames: hello (1), video_info (2), chunk SOT0 (3), SOT1 (4).
         plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)], seed=13
+            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
         )
         server, video = make_server(config, fault_plan=plan)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
         try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=False, retry=RETRY
-            ) as client:
-                result = client.scan(video.name, "car")
+            with one_shard(transport) as router:
+                stream = router.scan_streaming(video.name, "car")
                 assert_scan_results_identical(
-                    result, reference.scan(video.name, "car")
+                    stream.result(), reference.scan(video.name, "car")
                 )
-                assert client.retries_total == 1
+                assert stream.failovers == router.failovers_total == 1
                 assert plan.fires()[FAULT_TRANSPORT_DROP] == 1
-                assert server._scheduler.scan_resumes >= 1
+                assert server.stats().queries_submitted == 2, "the scan and its resume"
         finally:
             transport.stop()
             server.stop()
@@ -425,130 +461,348 @@ class TestRetryReconnect:
         """A connection cut *inside* a frame (truncated payload) is a
         TransportError, not a clean EOF — and equally survivable."""
         plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_CUT, skip_first=2, max_fires=1)], seed=13
+            [FaultSpec(FAULT_TRANSPORT_CUT, skip_first=3, max_fires=1)], seed=13
         )
         server, video = make_server(config, fault_plan=plan)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
         try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=False, retry=RETRY
-            ) as client:
+            with one_shard(transport) as router:
                 assert_scan_results_identical(
-                    client.scan(video.name, "car"),
-                    reference.scan(video.name, "car"),
+                    router.scan(video.name, "car"), reference.scan(video.name, "car")
                 )
-                assert client.retries_total == 1
+                assert router.failovers_total == 1
+        finally:
+            transport.stop()
+            server.stop()
+
+    @pytest.mark.parametrize("fault", [FAULT_TRANSPORT_DROP, FAULT_TRANSPORT_CUT])
+    def test_a_lost_video_info_reply_is_redialled(self, config, fault):
+        """The wire fails on the router's first request, ``video_info``: that
+        connection is re-dialled like a scan's, so the scan is served
+        byte-identical, the one shard stays up, and the next scan is served
+        too."""
+        # Writer frames: hello (1), then the video_info reply (2) is lost.
+        plan = FaultPlan([FaultSpec(fault, skip_first=1, max_fires=1)], seed=13)
+        server, video = make_server(config, fault_plan=plan)
+        reference, _ = make_tasm(config)
+        transport = SocketTransport(server).start()
+        try:
+            with one_shard(transport) as router:
+                assert_scan_results_identical(
+                    router.scan(video.name, "car"), reference.scan(video.name, "car")
+                )
+                assert plan.fires()[fault] == 1
+                assert not router._down
+                assert router.failovers_total == 0, "no share was lost"
+                assert_scan_results_identical(
+                    router.scan(video.name, "person"), reference.scan(video.name, "person")
+                )
         finally:
             transport.stop()
             server.stop()
 
     def test_without_retry_policy_the_failure_surfaces(self, config):
-        """The same drop with no RetryPolicy: the scan fails — reconnection
-        is opt-in, not silent behaviour."""
+        """The same drop with no RetryPolicy: nothing re-dials, the one shard
+        is marked down, and the scan fails with the wire error."""
         plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=1, max_fires=1)], seed=13
+            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)], seed=13
         )
         server, video = make_server(config, fault_plan=plan)
         transport = SocketTransport(server).start()
         try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=False
-            ) as client:
-                with pytest.raises(ServiceError):
-                    client.scan(video.name, "car")
-                assert client.retries_total == 0
+            with one_shard(transport, retry=None) as router:
+                with pytest.raises(TransportError):
+                    router.scan(video.name, "car")
+                assert router.failovers_total == 0
+                assert list(router._down) == router.shards
         finally:
             transport.stop()
             server.stop()
 
-    def test_reconnect_gives_up_when_the_server_is_gone(self, config):
-        """Attempts exhausted against a dead listener: outstanding scans fail
+    def test_redial_gives_up_when_the_server_is_gone(self, config, monkeypatch):
+        """Attempts exhausted against a dead listener: the router dials the
+        shard once per attempt, then fails the scan with the wire error
         instead of retrying forever."""
         server, video = make_server(config)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()
-        client = RemoteTasmClient(
-            transport.address,
-            timeout=10.0,
-            use_shm=False,
-            retry=RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05, seed=1),
+        dials = []
+
+        def dial(*args, **kwargs):
+            dials.append(args[0])
+            return RemoteTasmClient(*args, **kwargs)
+
+        monkeypatch.setattr(router_module, "RemoteTasmClient", dial)
+        router = one_shard(
+            transport, retry=RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05, seed=1)
         )
         try:
-            stream = client.scan_streaming(video.name, "car")
+            stream = router.scan_streaming(video.name, "car")
             assert wait_until(lambda: len(calls) >= 1)
             transport.stop()  # kills the connection and the listener
             gate.set()
-            with pytest.raises(ServiceError):
+            with pytest.raises(TransportError):
                 stream.result()
+            assert len(dials) == 1 + 2, "the first dial, then one per attempt"
+            assert stream.failovers == 0
         finally:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
-            client.close()
+            router.close()
             transport.stop()
             server.stop()
 
-    def test_close_concurrent_with_inflight_reconnect(self, config):
-        """close() while the reader is mid-backoff: returns promptly, the
-        reader exits (no leak warning), and a second close is a no-op."""
-        # Every post-hello frame kills the connection — including each
-        # reconnect's hello reply, so the reader loops in backoff forever.
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=1)], seed=17
-        )
-        server, video = make_server(config, fault_plan=plan)
-        transport = SocketTransport(server).start()
-        client = RemoteTasmClient(
-            transport.address,
-            timeout=5.0,
-            use_shm=False,
-            retry=RetryPolicy(attempts=50, base_delay=0.05, max_delay=0.1, seed=1),
-        )
-        try:
-            stream = client.scan_streaming(video.name, "car")
-            time.sleep(0.3)  # let the drop fire and the reconnect loop spin
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                started = time.monotonic()
-                client.close()
-                assert time.monotonic() - started < 3.0
-                client.close()  # idempotent
-            leaks = [w for w in caught if "reader thread" in str(w.message)]
-            assert not leaks, f"reader leaked through close: {leaks}"
-            assert not client._reader.is_alive()
-            with pytest.raises(ServiceError):
-                stream.result()
-        finally:
-            client.close()
-            transport.stop()
-            server.stop()
-
-    def test_close_wakes_a_long_backoff_at_once(self, config):
-        """The backoff is one wait on the close event: a reader sleeping
-        through a 30 s delay exits as soon as ``close()`` sets it, and the
-        scan it was going to resume fails."""
+    @pytest.mark.parametrize("closing", ["stream", "router"])
+    def test_close_ends_a_long_backoff_at_once(self, config, closing):
+        """The backoff is one wait that ``close()`` of the stream or of the
+        router ends: a consumer sleeping through a 30 s delay returns as
+        soon as either closes, nothing is re-dialled, and a second close is
+        a no-op."""
         server, video = make_server(config)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()
-        client = RemoteTasmClient(
-            transport.address,
-            timeout=10.0,
-            use_shm=False,
-            retry=RetryPolicy(attempts=2, base_delay=30.0, max_delay=30.0, jitter=0.0),
+        router = one_shard(
+            transport, retry=RetryPolicy(attempts=2, base_delay=30.0, max_delay=30.0, jitter=0.0)
         )
         try:
-            stream = client.scan_streaming(video.name, "car")
+            stream = router.scan_streaming(video.name, "car")
             assert wait_until(lambda: len(calls) >= 1)
+            consumer, outcome = consume_in_background(stream)
             transport.stop()  # kills the connection and the listener
-            assert wait_until(lambda: not client._wire_ok.is_set()), "never backed off"
+            gate.set()
+            assert wait_until(lambda: not stream.outstanding), "the lost share went unseen"
+            closed = stream if closing == "stream" else router
             started = time.monotonic()
-            client.close()
+            closed.close()
+            consumer.join(timeout=5.0)
+            assert not consumer.is_alive()
             assert time.monotonic() - started < 2.0
-            assert not client._reader.is_alive()
-            with pytest.raises(ServiceError):
+            error = outcome.get_nowait()
+            expected = StreamCancelledError if closing == "stream" else ServiceError
+            assert isinstance(error, expected), error
+            closed.close()  # idempotent
+            assert stream.failovers == 0
+        finally:
+            gate.set()
+            server.tasm._decoder.prefetch_regions = original
+            router.close()
+            transport.stop()
+            server.stop()
+
+    def test_resume_rebases_deadline_and_skips_what_arrived(self, config, monkeypatch):
+        """The resume inherits the *remaining* deadline budget (not the full
+        one again) and skips the SOT already delivered."""
+        plan = FaultPlan(
+            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
+        )
+        server, video = make_server(config, fault_plan=plan)
+        reference, _ = make_tasm(config)
+        transport = SocketTransport(server).start()
+        sent = capture_scans(monkeypatch)
+        try:
+            with one_shard(transport) as router:
+                result = router.scan(video.name, "car", deadline_ms=60000.0)
+                assert_scan_results_identical(result, reference.scan(video.name, "car"))
+                first, resume = sent
+                assert 0.0 < resume["deadline_ms"] < first["deadline_ms"] <= 60000.0
+                assert first["skip_sots"] == [] and resume["skip_sots"] == [0]
+        finally:
+            transport.stop()
+            server.stop()
+
+    def test_deadline_spent_in_the_gap_fails_with_nothing_resubmitted(
+        self, config, monkeypatch
+    ):
+        """A backoff is capped by the scan's remaining deadline: when that
+        runs out first the stream fails with DEADLINE_EXCEEDED, well before
+        the policy's 1 s delay, and nothing is resubmitted — a 400 ms promise
+        is not worth 400 ms again per re-dial."""
+        plan = FaultPlan(
+            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
+        )
+        server, video = make_server(config, fault_plan=plan)
+        transport = SocketTransport(server).start()
+        sent = capture_scans(monkeypatch)
+        router = one_shard(
+            transport,
+            retry=RetryPolicy(attempts=2, base_delay=1.0, max_delay=1.0, jitter=0.1, seed=5),
+        )
+        try:
+            started = time.monotonic()
+            stream = router.scan_streaming(video.name, "car", deadline_ms=400.0)
+            with pytest.raises(DeadlineExceeded):
                 stream.result()
+            assert time.monotonic() - started < 1.0
+            assert len(sent) == 1
+            assert server.stats().queries_submitted == 1, "no orphan resubmission"
+            assert stream.failovers == 0
+        finally:
+            router.close()
+            transport.stop()
+            server.stop()
+
+    def test_a_stream_closed_in_the_gap_is_not_resubmitted(self, config, monkeypatch):
+        """A consumer that closes its stream while the router backs off must
+        not have the scan resurrected by the re-dial — the server would
+        decode for nobody.  The shard is not marked down, and the next scan
+        re-dials it."""
+        plan = FaultPlan(
+            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
+        )
+        server, video = make_server(config, fault_plan=plan)
+        reference, _ = make_tasm(config)
+        transport = SocketTransport(server).start()
+        sent = capture_scans(monkeypatch)
+        # A wide backoff window so the close lands mid-gap.
+        router = one_shard(
+            transport,
+            retry=RetryPolicy(attempts=4, base_delay=0.3, max_delay=0.5, jitter=0.1, seed=7),
+        )
+        try:
+            stream = router.scan_streaming(video.name, "car")
+            consumer, outcome = consume_in_background(stream)
+            assert wait_until(
+                lambda: plan.fires()[FAULT_TRANSPORT_DROP] == 1 and not stream.outstanding
+            )
+            stream.close()  # the consumer walks away during the outage
+            consumer.join(timeout=5.0)
+            assert isinstance(outcome.get_nowait(), StreamCancelledError)
+            assert len(sent) == 1
+            assert server.stats().queries_submitted == 1, "closed scan stayed dead"
+            assert not router._down
+            assert_scan_results_identical(
+                router.scan(video.name, "person"), reference.scan(video.name, "person")
+            )
+        finally:
+            router.close()
+            transport.stop()
+            server.stop()
+
+    def test_replacement_connection_dropped_mid_resume(self, config):
+        """The connection a re-dial just made dies under the resumed share:
+        that is a wire failure like the first, so the router re-dials again,
+        and every scan that was on the first connection still ends
+        byte-identical."""
+        # Drop sees hello (1), video_info (2), a chunk (3), and kills the
+        # first connection at the fourth frame.  Cut sees those three, the
+        # replacement's hello (4), and cuts the replacement at its first
+        # chunk: the first one the resumed share is owed.
+        plan = FaultPlan(
+            [
+                FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1),
+                FaultSpec(FAULT_TRANSPORT_CUT, skip_first=4, max_fires=1),
+            ],
+            seed=13,
+        )
+        # One runner, parked on the first scan's first SOT: the other two
+        # queue behind it, so all three are in flight when the drop fires.
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        reference, _ = make_tasm(config)
+        gate = threading.Event()
+        calls, original = gate_decoder(server.tasm, gate, hold_call=1)
+        transport = SocketTransport(server).start()
+        router = one_shard(transport)
+        try:
+            streams = {LABELS[0]: router.scan_streaming(video.name, LABELS[0])}
+            assert wait_until(lambda: len(calls) >= 1)
+            for label in LABELS[1:]:
+                streams[label] = router.scan_streaming(video.name, label)
+            gate.set()
+            for label, stream in streams.items():
+                assert_scan_results_identical(
+                    stream.result(), reference.scan(video.name, label)
+                )
+            assert [stream.failovers for stream in streams.values()] == [2, 1, 1]
+            assert router.failovers_total == 4
+            assert plan.fires() == {FAULT_TRANSPORT_DROP: 1, FAULT_TRANSPORT_CUT: 1}
+        finally:
+            gate.set()
+            server.tasm._decoder.prefetch_regions = original
+            router.close()
+            transport.stop()
+            server.stop()
+
+
+    def test_consumers_racing_to_redial_one_shard_all_resume(self, config):
+        """Eight scans lose their one connection together, and their eight
+        consumers re-dial the shard at once, the switch interval shortened:
+        every scan ends byte-identical, every one counts its failover, and
+        the router keeps one live connection: each dial that lost the race
+        was closed, so the shard serves exactly one."""
+        plan = FaultPlan(
+            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
+        )
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        reference, _ = make_tasm(config)
+        gate = threading.Event()
+        calls, original = gate_decoder(server.tasm, gate, hold_call=1)
+        transport = SocketTransport(server).start()
+        router = one_shard(transport)
+        interval = sys.getswitchinterval()
+        try:
+            labels = [LABELS[index % len(LABELS)] for index in range(8)]
+            streams = [router.scan_streaming(video.name, labels[0])]
+            assert wait_until(lambda: len(calls) >= 1)
+            streams += [router.scan_streaming(video.name, label) for label in labels[1:]]
+            sys.setswitchinterval(1e-5)
+            consumers = [consume_in_background(stream) for stream in streams]
+            gate.set()
+            for (consumer, outcome), label in zip(consumers, labels):
+                consumer.join(timeout=30.0)
+                assert not consumer.is_alive()
+                assert_scan_results_identical(
+                    outcome.get_nowait(), reference.scan(video.name, label)
+                )
+            assert [stream.failovers for stream in streams] == [1] * 8
+            assert router.failovers_total == 8
+            (client,) = router._clients.values()
+            assert client._dead is None
+            assert wait_until(lambda: len(transport._connections) == 1)
+        finally:
+            sys.setswitchinterval(interval)
+            gate.set()
+            server.tasm._decoder.prefetch_regions = original
+            router.close()
+            transport.stop()
+            server.stop()
+
+
+class TestPlainConnection:
+    def test_a_cut_wire_fails_everything_outstanding_and_refuses_what_follows(
+        self, config
+    ):
+        """A client is one connection: cut its wire and the scan and the
+        request it had in flight fail with TransportError, the next call is
+        refused with it at once, and its reader thread is gone."""
+        # Writer frames: hello (1); the stats reply (2) is cut mid-frame.
+        plan = FaultPlan(
+            [FaultSpec(FAULT_TRANSPORT_CUT, skip_first=1, max_fires=1)], seed=13
+        )
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        gate = threading.Event()
+        calls, original = gate_decoder(server.tasm, gate, hold_call=1)
+        transport = SocketTransport(server).start()
+        baseline = threading.active_count()
+        client = RemoteTasmClient(transport.address, timeout=30.0, use_shm=False)
+        try:
+            stream = client.scan_streaming(video.name, "car")
+            assert wait_until(lambda: len(calls) >= 1), "the scan never started"
+            with pytest.raises(TransportError):
+                client.stats()
+            with pytest.raises(TransportError):
+                stream.result()
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="connection failed"):
+                client.scan_streaming(video.name, "person")
+            with pytest.raises(TransportError, match="connection failed"):
+                client.stats()
+            assert time.monotonic() - started < 1.0, "a refusal must not wait"
+            client._reader.join(timeout=5.0)
+            assert not client._reader.is_alive()
+            assert wait_until(lambda: threading.active_count() <= baseline)
         finally:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
@@ -691,13 +945,14 @@ class TestZeroCostWhenUnset:
 # ----------------------------------------------------------------------
 class TestChaos:
     @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_mixed_workload_under_faults(self, config, seed):
-        """Mixed queries under a multi-point seeded plan.  Invariants:
+    def test_mixed_workload_under_faults(self, config, seed, monkeypatch):
+        """Mixed queries from two one-shard routers under a multi-point
+        seeded plan.  Invariants:
 
         * nothing hangs — every scan reaches a terminal state in time;
         * every outcome is a known state: done, deadline, busy, quarantined;
         * every completed scan's bytes match a fault-free reference;
-        * the recovery metrics account for the injected faults.
+        * the recovery counts account for the injected faults.
         """
         plan = FaultPlan(
             [
@@ -727,41 +982,55 @@ class TestChaos:
         reference, _ = make_tasm(config)
         expected = {label: reference.scan(video.name, label) for label in LABELS}
         transport = ShmTransport(server).start()
-        retry = RetryPolicy(attempts=8, base_delay=0.02, max_delay=0.2, seed=seed)
-        client_a = RemoteTasmClient(
-            transport.address,
-            timeout=15.0,
-            use_shm=True,
-            retry=retry,
-            fault_plan=FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=seed),
-        )
-        client_b = RemoteTasmClient(
-            transport.address,
-            timeout=15.0,
-            use_shm=False,
-            retry=retry,
-            fault_plan=FaultPlan(
-                [
-                    FaultSpec(
-                        FAULT_CONSUMER_SKEW,
-                        probability=0.2,
-                        delay_ms=2.0,
-                        max_fires=5,
-                    )
-                ],
+        # Client-side faults ride on the shard connections the routers dial:
+        # a failing shm attach on A's, a clock-skewed consumer on B's.
+        client_faults = {
+            True: FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=seed),
+            False: FaultPlan(
+                [FaultSpec(FAULT_CONSUMER_SKEW, probability=0.2, delay_ms=2.0, max_fires=5)],
                 seed=seed,
             ),
-        )
+        }
+
+        def dial(address, use_shm, **kwargs):
+            return RemoteTasmClient(
+                address, use_shm=use_shm, fault_plan=client_faults[use_shm], **kwargs
+            )
+
+        monkeypatch.setattr(router_module, "RemoteTasmClient", dial)
+        # The streams whose share the router had to re-issue: a sub-scan
+        # lost its connection (or was shed).  Only their deadlines may be
+        # the router's verdict rather than the server's.
+        recovering = set()
+        failover = ClusterScanStream._failover
+
+        def recording_failover(stream, sub, error):
+            if isinstance(error, (TransportError, ServerBusy)):
+                recovering.add(stream)
+            return failover(stream, sub, error)
+
+        monkeypatch.setattr(ClusterScanStream, "_failover", recording_failover)
+        retry = RetryPolicy(attempts=8, base_delay=0.02, max_delay=0.2, seed=seed)
+        routers = [
+            ClusterRouter([transport.address], timeout=15.0, retry=retry, use_shm=use_shm)
+            for use_shm in (True, False)
+        ]
         outcomes = {"done": 0, "deadline": 0, "busy": 0, "quarantined": 0}
+        # Submissions the router refused because their deadline ran out
+        # while it re-dialled a lost connection, before any shard took them.
+        refused = 0
         try:
             submissions = []
             for index in range(16):
-                client = (client_a, client_b)[index % 2]
                 label = LABELS[index % len(LABELS)]
                 deadline_ms = 40.0 if index % 5 == 0 else None
-                stream = client.scan_streaming(
-                    video.name, label, deadline_ms=deadline_ms
-                )
+                try:
+                    stream = routers[index % 2].scan_streaming(
+                        video.name, label, deadline_ms=deadline_ms
+                    )
+                except DeadlineExceeded:
+                    refused += 1
+                    continue
                 submissions.append((stream, label))
             for stream, label in submissions:
                 try:
@@ -776,242 +1045,36 @@ class TestChaos:
                     outcomes["done"] += 1
                     assert_scan_results_identical(result, expected[label])
             # Every query is accounted for — no hang, no unknown terminal.
-            assert sum(outcomes.values()) == len(submissions), outcomes
+            assert sum(outcomes.values()) + refused == 16, (outcomes, refused)
             scheduler = server._scheduler
             fires = plan.fires()
             # Every injected runner death produced exactly one restart.
             assert wait_until(
                 lambda: scheduler.runner_restarts == fires[FAULT_RUNNER_DEATH]
             ), (scheduler.runner_restarts, fires)
-            # Reconnects never exceed the wire faults that fired (a fire on a
-            # handshake-in-progress consumes budget without a reconnect).
-            total_retries = client_a.retries_total + client_b.retries_total
-            assert (
-                total_retries <= fires[FAULT_TRANSPORT_DROP] + fires[FAULT_TRANSPORT_CUT]
+            # A stream re-issues its share only after its connection died,
+            # and each death is an injected wire fault (one that lands on a
+            # handshake kills a connection no stream is on).
+            wire_faults = fires[FAULT_TRANSPORT_DROP] + fires[FAULT_TRANSPORT_CUT]
+            assert all(stream.failovers <= wire_faults for stream, _ in submissions)
+            assert sum(router.failovers_total for router in routers) == sum(
+                stream.failovers for stream, _ in submissions
             )
-            # Client-visible outcomes never exceed what the scheduler counted
-            # (a lost error reply may be retried into a different outcome) —
-            # plus the deadlines the clients fast-failed during a reconnect
-            # gap, which by design never reach the server.
-            fast_fails = client_a.deadline_fast_fails + client_b.deadline_fast_fails
-            assert (
-                outcomes["deadline"]
-                <= scheduler.queries_deadline_exceeded + fast_fails
+            # A deadline the server did not count was raised by the router
+            # while it recovered that stream's share.  Busy and quarantined
+            # are the server's verdicts alone (a lost error reply may be
+            # resumed into a different outcome).
+            recovered_with_deadline = sum(
+                1 for stream in recovering if stream.deadline_ms is not None
             )
+            assert (
+                outcomes["deadline"] - scheduler.queries_deadline_exceeded
+                <= recovered_with_deadline
+            ), (outcomes, scheduler.queries_deadline_exceeded, recovered_with_deadline)
             assert outcomes["busy"] <= scheduler.shed_queue_full
             assert outcomes["quarantined"] <= scheduler.queries_quarantined
         finally:
-            client_a.close()
-            client_b.close()
-            transport.stop()
-            server.stop()
-
-
-# ----------------------------------------------------------------------
-# Reconnect resume edge cases (the recovery paths cluster failover leans on)
-# ----------------------------------------------------------------------
-class TestReconnectResume:
-    def capture_sends(self, client):
-        """Record every frame the client puts on the wire (resumes included:
-        the reader's resume sweep goes through the same ``_send``)."""
-        sent: list[dict] = []
-        original = client._send
-
-        def instrumented(message):
-            sent.append(dict(message))
-            return original(message)
-
-        client._send = instrumented
-        return sent
-
-    def test_resume_rebases_deadline_and_unions_skip_sots(self, config):
-        """The resume after a reconnect must inherit the *remaining* deadline
-        budget (not restart the full one) and must union the delivered SOTs
-        with the skip list the scan was submitted with — overwriting would
-        make a resumed scatter-gather shard re-serve SOTs other shards own."""
-        # Writer frames: hello reply (1), chunk SOT0 (2); SOT2 is skipped at
-        # submission, so the drop fires on chunk SOT1 — delivered == {0}.
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
-        reference, _ = make_tasm(config)
-        transport = SocketTransport(server).start()
-        try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=False, retry=RETRY
-            ) as client:
-                sent = self.capture_sends(client)
-                stream = client.scan_streaming(
-                    video.name, "car", deadline_ms=60000.0, skip_sots=[2]
-                )
-                result = stream.result()
-                assert client.retries_total == 1
-                scans = [m for m in sent if m.get("op") == "scan"]
-                assert len(scans) == 2, "one submission, one resume"
-                assert scans[0]["deadline_ms"] == 60000.0
-                assert scans[0]["skip_sots"] == [2]
-                resume = scans[1]
-                assert 0.0 < resume["deadline_ms"] < 60000.0
-                assert resume["skip_sots"] == [0, 2]
-                assert server._scheduler.scan_resumes >= 1
-                # The spliced result covers exactly SOT0+SOT1 (frames 0..9),
-                # byte-identical to an uninterrupted run minus the skip.
-                expected = [
-                    region
-                    for region in reference.scan(video.name, "car").regions
-                    if region.frame_index < 10
-                ]
-                assert len(result.regions) == len(expected)
-                for got, want in zip(result.regions, expected):
-                    assert got.frame_index == want.frame_index
-                    assert got.region == want.region
-                    np.testing.assert_array_equal(got.pixels, want.pixels)
-        finally:
-            transport.stop()
-            server.stop()
-
-    def test_deadline_exhausted_during_reconnect_fast_fails(self, config):
-        """When the backoff outlives the deadline the client fails the
-        stream itself with DEADLINE_EXCEEDED and never resubmits — the old
-        behaviour shipped the full original deadline to the new server,
-        making a 400 ms promise silently worth 400 ms per reconnect."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
-        transport = SocketTransport(server).start()
-        client = RemoteTasmClient(
-            transport.address,
-            timeout=10.0,
-            use_shm=False,
-            # First re-dial waits >= 1 s — past any 400 ms budget.
-            retry=RetryPolicy(
-                attempts=2, base_delay=1.0, max_delay=1.0, jitter=0.1, seed=5
-            ),
-        )
-        try:
-            sent = self.capture_sends(client)
-            stream = client.scan_streaming(video.name, "car", deadline_ms=400.0)
-            with pytest.raises(DeadlineExceeded):
-                stream.result()
-            assert wait_until(lambda: client.retries_total == 1)
-            assert client.deadline_fast_fails == 1
-            assert len([m for m in sent if m.get("op") == "scan"]) == 1
-            assert server.stats().queries_submitted == 1, "no orphan resubmission"
-        finally:
-            client.close()
-            transport.stop()
-            server.stop()
-
-    def test_stream_closed_during_the_gap_is_not_resubmitted(self, config):
-        """A consumer that closes its stream while the wire is down (its
-        CANCEL swallowed by the dead socket) must not have the scan
-        resurrected by the resume sweep — the old behaviour made the new
-        server decode for nobody, holding a pump and cache space."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
-        reference, _ = make_tasm(config)
-        transport = SocketTransport(server).start()
-        client = RemoteTasmClient(
-            transport.address,
-            timeout=10.0,
-            use_shm=False,
-            # A wide backoff window so the close lands mid-gap.
-            retry=RetryPolicy(
-                attempts=4, base_delay=0.3, max_delay=0.5, jitter=0.1, seed=7
-            ),
-        )
-        try:
-            sent = self.capture_sends(client)
-            stream = client.scan_streaming(video.name, "car")
-            assert wait_until(lambda: not client._wire_ok.is_set())
-            stream.close()  # the consumer walks away during the outage
-            assert wait_until(lambda: client.retries_total == 1)
-            assert len([m for m in sent if m.get("op") == "scan"]) == 1
-            assert server.stats().queries_submitted == 1, "closed scan stayed dead"
-            # The healed connection is fully usable for new work.
-            assert_scan_results_identical(
-                client.scan(video.name, "person"),
-                reference.scan(video.name, "person"),
-            )
-        finally:
-            client.close()
-            transport.stop()
-            server.stop()
-
-    def test_replacement_connection_dropped_mid_resume(self, config):
-        """The connection a reconnect just dialled dies while the sweep is
-        still resuming streams over it.  The ``OSError`` a resume's send then
-        raises is the wire's, not the stream's: the sweep stops, the reader's
-        next read fails, and the second reconnect resumes every stream — the
-        old behaviour failed each stream the dead socket refused."""
-        # Drop sees hello (1), a chunk (2), and kills the first connection at
-        # the third frame.  Cut sees hello (1), that chunk (2), the
-        # replacement's hello (3), and cuts the replacement at its first
-        # frame: the first chunk the first resumed stream is owed.
-        plan = FaultPlan(
-            [
-                FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1),
-                FaultSpec(FAULT_TRANSPORT_CUT, skip_first=3, max_fires=1),
-            ],
-            seed=13,
-        )
-        # One runner, parked on the first scan's first SOT: the other two
-        # queue behind it, so all three are in flight when the drop fires.
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
-        reference, _ = make_tasm(config)
-        gate = threading.Event()
-        calls, original_prefetch = gate_decoder(server.tasm, gate, hold_call=1)
-        transport = SocketTransport(server).start()
-        client = RemoteTasmClient(
-            transport.address, timeout=30.0, use_shm=False, retry=RETRY
-        )
-        first_sweep: list[int] = []
-        refused: list[OSError] = []
-        original_send = client._send
-
-        def paced_send(message):
-            """Hold the first sweep's later resumes until the server has cut
-            the replacement, so they meet a dead socket every run (a send
-            onto it draws the RST that fails the one after)."""
-            if message.get("op") != "scan" or client.retries_total != 1:
-                return original_send(message)
-            first_sweep.append(message["id"])
-            if len(first_sweep) > 1:
-                assert wait_until(
-                    lambda: plan.fires()[FAULT_TRANSPORT_CUT] == 1
-                    and not transport._connections
-                )
-            if len(first_sweep) > 2:
-                hung_up = select.poll()
-                hung_up.register(client._sock, 0)  # POLLHUP / POLLERR only
-                hung_up.poll(5000)
-            try:
-                return original_send(message)
-            except OSError as error:
-                refused.append(error)
-                raise
-
-        client._send = paced_send
-        try:
-            streams = {LABELS[0]: client.scan_streaming(video.name, LABELS[0])}
-            assert wait_until(lambda: len(calls) >= 1)
-            for label in LABELS[1:]:
-                streams[label] = client.scan_streaming(video.name, label)
-            gate.set()
-            for label, stream in streams.items():
-                assert_scan_results_identical(
-                    stream.result(), reference.scan(video.name, label)
-                )
-            assert refused, "the first sweep never met the dead replacement"
-            assert client.retries_total == 2
-            assert plan.fires() == {FAULT_TRANSPORT_DROP: 1, FAULT_TRANSPORT_CUT: 1}
-        finally:
-            gate.set()
-            server.tasm._decoder.prefetch_regions = original_prefetch
-            client.close()
+            for router in routers:
+                router.close()
             transport.stop()
             server.stop()

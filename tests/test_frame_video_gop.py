@@ -11,7 +11,7 @@ from repro.video.frame import Frame
 from repro.video.gop import GopStructure, gop_index_for_frame, gop_ranges
 from repro.video.video import Video, VideoMetadata
 
-from tests.conftest import crop
+from tests.conftest import crop, video_from_frames
 
 
 class TestFrame:
@@ -56,23 +56,19 @@ class TestVideoMetadata:
 
 
 class TestVideo:
-    def test_from_frames_and_access(self):
+    def test_frame_access(self):
         frames = [np.full((8, 12), value, dtype=np.uint8) for value in range(5)]
-        video = Video.from_frames("clip", frames, frame_rate=5)
+        video = video_from_frames("clip", frames, frame_rate=5)
         assert video.frame_count == 5
         assert video.frame(2).pixels[0, 0] == 2
         assert [frame.index for frame in video.frames(1, 4)] == [1, 2, 3]
 
     def test_out_of_range_frame(self):
-        video = Video.from_frames("clip", [np.zeros((4, 4), dtype=np.uint8)])
+        video = video_from_frames("clip", [np.zeros((4, 4), dtype=np.uint8)])
         with pytest.raises(StorageError):
             video.frame(1)
         with pytest.raises(StorageError):
             video.frame(-1)
-
-    def test_empty_frame_list_rejected(self):
-        with pytest.raises(StorageError):
-            Video.from_frames("clip", [])
 
     def test_frame_source_shape_validated(self):
         metadata = VideoMetadata("bad", width=8, height=8, frame_count=2)

@@ -33,7 +33,7 @@ from repro.video.encoder import VideoEncoder
 from repro.video.synthetic import SyntheticVideo
 from repro.video.video import Video
 
-from tests.conftest import build_tiny_video, run_w4_on_smoke_road
+from tests.conftest import build_tiny_video, run_w4_on_smoke_road, video_from_frames
 
 CODEC = CodecConfig(gop_frames=5, frame_rate=5, block_size=8, min_tile_width=16, min_tile_height=16)
 #: Steps at which ``q * step + step // 2`` passes 255 and ``residual // step``
@@ -100,7 +100,7 @@ def harsh_video() -> Video:
     """Fifteen full-range frames that jump by up to 255 between neighbours."""
     grid = np.arange(96 * 128, dtype=np.int64).reshape(96, 128)
     frames = [((grid * (7 + 13 * k) + 97 * k * k) % 256).astype(np.uint8) for k in range(15)]
-    return Video.from_frames("harsh", frames, frame_rate=5)
+    return video_from_frames("harsh", frames, frame_rate=5)
 
 
 def encode_and_decode(video: Video, codec_config: CodecConfig, layout: TileLayout):

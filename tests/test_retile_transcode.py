@@ -26,7 +26,7 @@ from repro.video.codec import TileCodec
 from repro.video.encoder import VideoEncoder
 from repro.video.video import Video, VideoMetadata
 
-from tests.conftest import bitstreams
+from tests.conftest import bitstreams, video_from_frames
 from tests.test_decoder_state_properties import same_frames
 from tests.test_kernel_goldens import HARSH_CODEC
 
@@ -131,7 +131,7 @@ def test_a_retile_from_storage_writes_what_the_raw_frames_would(steps, frames, c
                     held_pixels += tile.pixels_per_frame * (depth + 1)
     record = tasm.retile_sot("clip", 0, third)
 
-    raw = VideoEncoder(codec).encode_sot(Video.from_frames("clip", frames), 0, 0, count, third)
+    raw = VideoEncoder(codec).encode_sot(video_from_frames("clip", frames), 0, 0, count, third)
     assert bitstreams(tiled.encoded_sot(0)) == bitstreams(raw)
     assert record.pixels_held == held_pixels
     assert record.pixels_inflated + record.pixels_held == WIDTH * HEIGHT * count

@@ -296,7 +296,7 @@ class TestStreaming:
 
         assert gate_ok == [True], "first chunk must precede the last SOT's decode"
         assert len(chunks) == last_sot + 1, "one chunk per SOT the query touches"
-        assert stream.first_result_seconds is not None
+        assert stream.first_chunk_at is not None
         assert_scan_results_identical(result, reference.scan(video.name, "car"))
         # The streamed chunks concatenate to exactly the final result.
         streamed = [region for chunk in chunks for region in chunk.regions]
@@ -377,6 +377,38 @@ class TestSocketTransport:
                     local = server.connect().scan(video.name, "car")
                     assert client.scan(video.name, "car").stats == local.stats
                     assert local.stats.cache_hits > 0 == local.stats.pixels_decoded
+        finally:
+            server.stop()
+
+    def test_a_scan_the_predicates_refuse_never_joins_a_batch(self, config):
+        """A wire scan with a fractional frame bound, or a label that is not
+        a string, gets its error reply before admission, so the scans queued
+        beside it form the batch they would have formed without it.  (The
+        fractional bound was once admitted, failed planning inside the batch
+        and sent every neighbour back as a singleton; ``[["car"]]`` was
+        served as ``car``.)"""
+        server, video = make_server(config, service_runners=1)
+        reference, _ = make_tasm(config)
+        try:
+            with SocketTransport(server) as transport:
+                with RemoteTasmClient(transport.address, use_shm=False) as client:
+                    with held_runner(server, video) as sizes:
+                        first = client.scan_streaming(video.name, "car")
+                        refused = [
+                            client.scan_streaming(video.name, "car", frame_start=2.5),
+                            client.scan_streaming(video.name, [["car"]]),
+                        ]
+                        second = client.scan_streaming(video.name, "person")
+                        for stream in refused:
+                            with pytest.raises(ServiceError):
+                                stream.result(timeout=30)
+                        assert wait_until(lambda: server._scheduler.queue_depth == 2)
+                    for stream, label in ((first, "car"), (second, "person")):
+                        assert_scan_results_identical(
+                            stream.result(timeout=30), reference.scan(video.name, label)
+                        )
+            assert sizes == [1, 2]
+            assert server.stats().queries_submitted == 3, "the blocker and the two"
         finally:
             server.stop()
 

@@ -435,11 +435,13 @@ class _ScriptedServer:
 
     def __init__(self):
         self.tasm = SimpleNamespace(config=TasmConfig())
+        self.submitted = 0
 
     def _build_query(self, video, labels, temporal):
-        return Query.select(labels, video)
+        return Query.select_any(labels, video)
 
     def submit(self, query, client=None, deadline_ms=None, skip_sots=None):
+        self.submitted += 1
         stream = ResultStream(query)
         regions = []
         for sot in range(int(next(iter(query.objects)))):
@@ -699,6 +701,69 @@ def test_scan_fields_of_the_right_type_are_served(fields):
             send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"], **fields})
             chunk_ids, replies = _replies(_FrameReader(sock), 1)
             assert replies["done"]["id"] == 7 and chunk_ids == [7] * 3
+
+
+#: A label no index entry can carry.
+NOT_A_LABEL = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text(max_size=3), max_size=2)
+)
+#: ``(field, value)``: a scan's video, labels or frame bound that no query
+#: can be built from.  A fractional bound was once admitted and failed
+#: planning inside its batch, sending every neighbour back as a singleton;
+#: ``[["car"]]`` was served as ``car``.
+BAD_QUERY_FIELDS = st.one_of(
+    st.tuples(st.just("video"), NOT_A_LABEL),
+    st.tuples(
+        st.just("labels"),
+        st.one_of(
+            st.none(),
+            st.text(max_size=4),
+            st.integers(),
+            st.just([]),
+            st.tuples(st.lists(st.just("2"), max_size=2), NOT_A_LABEL).map(
+                lambda parts: [*parts[0], parts[1]]
+            ),
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(["frame_start", "frame_stop"]),
+        st.one_of(
+            st.floats(),
+            st.text(max_size=3),
+            st.lists(st.integers(0, 9), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+        ),
+    ),
+)
+
+
+def test_a_scan_no_query_can_be_built_from_is_refused_before_admission():
+    """``video`` must be a string, ``labels`` a list of strings, each frame
+    bound an integer: anything else earns an error reply naming it, the
+    server never admits the scan, and one sent after it completes."""
+    server = _ScriptedServer()
+    with SocketTransport(server) as transport:
+
+        @settings(max_examples=80, deadline=None)
+        @given(bad=BAD_QUERY_FIELDS)
+        @example(bad=("frame_start", 2.5))
+        @example(bad=("frame_stop", 2.0))
+        @example(bad=("labels", [["2"]]))
+        @example(bad=("video", 5))
+        def refused(bad):
+            field, value = bad
+            admitted = server.submitted
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                send_message(
+                    sock, {"op": "scan", "id": 5, "video": "video", "labels": ["2"], field: value}
+                )
+                send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
+                replies = _replies_until_done(_FrameReader(sock), 7)
+            assert replies[5]["type"] == "error", replies
+            assert field.rstrip("s") in replies[5]["message"], replies[5]
+            assert server.submitted == admitted + 1, "only the good scan was admitted"
+
+        refused()
 
 
 #: Well-formed JSON that is not an object, so it names no op and no id.

@@ -19,6 +19,11 @@ from repro.video.quality import psnr
 from tests.conftest import crop
 
 
+def frames_touched(result) -> list[int]:
+    """The frames a scan returned regions on, ascending."""
+    return sorted({region.frame_index for region in result.regions})
+
+
 def populate(tasm: TASM, video, every: int = 1) -> None:
     detections = [
         detection
@@ -100,19 +105,19 @@ class TestIngestAndMetadata:
 class TestScan:
     def test_scan_returns_regions_for_every_frame_with_the_object(self, tasm, tiny_video):
         result = tasm.scan(tiny_video.name, "car")
-        assert result.frames_touched == list(range(tiny_video.frame_count))
+        assert frames_touched(result) == list(range(tiny_video.frame_count))
         assert result.pixels_decoded > 0
         assert result.index_seconds >= 0.0
 
     def test_scan_pixels_match_source_content(self, tasm, tiny_video):
         result = tasm.scan(tiny_video.name, "car")
-        region = result.regions_on_frame(4)[0]
+        region = next(region for region in result.regions if region.frame_index == 4)
         original = crop(tiny_video.frame(4), region.region)
         assert psnr(original, region.pixels) > 28.0
 
     def test_scan_with_temporal_predicate(self, tasm, tiny_video):
         result = tasm.scan(tiny_video.name, "car", TemporalPredicate.between(5, 10))
-        assert result.frames_touched == list(range(5, 10))
+        assert frames_touched(result) == list(range(5, 10))
 
     def test_scan_for_unknown_label_is_empty(self, tasm, tiny_video):
         result = tasm.scan(tiny_video.name, "submarine")
@@ -136,12 +141,12 @@ class TestScan:
             tiny_video.name, 0, "red", car_box.x1, car_box.y1, car_box.x2, car_box.y2
         )
         result = manager.scan(tiny_video.name, LabelPredicate.all_of(["car", "red"]))
-        assert result.frames_touched == [0]
+        assert frames_touched(result) == [0]
 
     def test_execute_query_object(self, tasm, tiny_video):
         query = Query.select_range("person", tiny_video.name, 0, 5)
         result = tasm.execute(query)
-        assert result.frames_touched == list(range(5))
+        assert frames_touched(result) == list(range(5))
 
     def test_tiling_reduces_decoded_pixels_for_sparse_objects(self, tasm, tiny_video):
         before = tasm.scan(tiny_video.name, "car")
@@ -150,7 +155,7 @@ class TestScan:
         after = tasm.scan(tiny_video.name, "car")
         assert after.pixels_decoded < before.pixels_decoded
         # The returned content is still the same regions.
-        assert after.frames_touched == before.frames_touched
+        assert frames_touched(after) == frames_touched(before)
 
 
 class TestLayoutGeneration:
