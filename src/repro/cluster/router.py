@@ -32,7 +32,10 @@ undelivered SOTs move to their next replicas through the same
 one.  So a one-shard router, ``ClusterRouter([address], retry=...)``, is
 the resilient single-server handle.  A shard shedding load answers with
 :class:`~repro.errors.ServerBusy`; the router routes around it *for that
-scan only*, with no re-dial and without marking it down.  Health checks
+scan only*, with no re-dial and without marking it down.  A query the
+shard refuses as malformed (:class:`~repro.errors.QueryRefused`) fails
+that scan and leaves every shard up: only a lost wire marks one down.
+Health checks
 ride the bounded hello handshake: :meth:`ClusterRouter.probe` dials,
 exchanges the hello, and hangs up — exactly the server's
 ``service_handshake_timeout_s``-bounded first frame.
@@ -50,7 +53,7 @@ from ..errors import (
     DeadlineExceeded,
     PoisonQueryError,
     ProtocolError,
-    ServerBusy,
+    QueryRefused,
     ServiceError,
     StreamCancelledError,
     TransportError,
@@ -97,8 +100,8 @@ def probe_shard(address, timeout: float = 5.0) -> bool:
 
 
 #: Verdicts that hold cluster-wide: a re-dial or a replica would only
-#: repeat them.
-_FINAL = (DeadlineExceeded, StreamCancelledError, PoisonQueryError)
+#: repeat them.  A refused query is the client's fault, not the shard's.
+_FINAL = (DeadlineExceeded, StreamCancelledError, PoisonQueryError, QueryRefused)
 
 
 class _SubScan(NamedTuple):
@@ -168,12 +171,12 @@ class ClusterScanStream(ScanStream):
         ``lost`` is a shard whose connection just failed with ``cause``; it
         is offered ``sots`` first, re-dialled (:meth:`ClusterRouter._call`,
         as every submission is after a wire failure).  A shard
-        that cannot take its share (still unreachable once the policy is
-        spent, or any other submission error) is marked down and excluded
-        and the share is re-chosen, until every SOT has a stream or no
-        replica remains (then the most recent failure propagates).  What
-        holds cluster-wide — the deadline, a ``close()`` of this stream or
-        of the router — propagates at once.
+        that cannot take its share is excluded from this scan — and marked
+        down only if it is still unreachable once the policy is spent — and
+        the share is re-chosen, until every SOT has a stream or no replica
+        remains (then the most recent failure propagates).  What holds
+        cluster-wide — the deadline, a refusal, a ``close()`` of this stream
+        or of the router — propagates at once.
         """
         todo = set(sots)
         while todo:
@@ -206,7 +209,8 @@ class ClusterScanStream(ScanStream):
                 except (ServiceError, OSError) as submit_error:
                     if isinstance(submit_error, _FINAL) or self._router._closed:
                         raise
-                    self._router._note_failure(shard, submit_error)
+                    if isinstance(submit_error, (TransportError, OSError)):
+                        self._router._note_failure(shard, submit_error)
                     self._excluded.add(shard)
                     todo |= group
                     cause = submit_error
@@ -276,10 +280,11 @@ class ClusterScanStream(ScanStream):
     def _failover(self, sub: _SubScan, error: BaseException) -> None:
         """Recover a failed sub-scan's undelivered SOTs, or fail for good.
 
-        Deadline, cancellation, and poison verdicts hold cluster-wide (a
-        replica would only repeat them).  A lost connection is re-dialled
-        first (:meth:`_scatter`); ``ServerBusy`` routes around the shard for
-        this scan; any other failure marks the shard down.  A share its own
+        Deadline, cancellation, poison and refusal verdicts hold
+        cluster-wide (a replica would only repeat them).  A lost connection
+        is re-dialled first (:meth:`_scatter`), and only a shard that stays
+        unreachable is marked down; any other failure (``ServerBusy``
+        among them) routes around the shard for this scan.  A share its own
         shard cannot take back moves to the next replicas.
         """
         try:
@@ -287,10 +292,8 @@ class ClusterScanStream(ScanStream):
                 raise error
             lost = sub.shard if isinstance(error, TransportError) else None
             if lost is None:
-                if not isinstance(error, ServerBusy):
-                    # Busy is overload, not death: the scan routes around the
-                    # shard this once, and the shard stays up for the next one.
-                    self._router._note_failure(sub.shard, error)
+                # Not the wire (busy is overload, not death): the scan routes
+                # around the shard this once, and it stays up for the next one.
                 self._excluded.add(sub.shard)
             if sub.assigned <= self.delivered:
                 return  # everything it owed arrived before it failed

@@ -104,6 +104,14 @@ class PoisonQueryError(ServiceError):
     instead."""
 
 
+class QueryRefused(ServiceError):
+    """Raised for a request the server refuses as malformed (``refused``).
+
+    A wire field of the wrong type, a query no predicate can be built from,
+    an id already in flight: the fault is the client's, not the shard's, so
+    the cluster router fails that one scan and keeps the shard up."""
+
+
 #: Machine-readable wire codes for the typed service errors, so a remote
 #: client can rebuild the exception class from an error reply.  Checked in
 #: order; the first ``isinstance`` match wins.
@@ -112,6 +120,7 @@ _WIRE_ERROR_CODES: tuple[tuple[type, str], ...] = (
     (ServerBusy, "busy"),
     (PoisonQueryError, "poison"),
     (StreamCancelledError, "cancelled"),
+    (QueryRefused, "refused"),
 )
 
 _WIRE_CODE_CLASSES = {code: cls for cls, code in _WIRE_ERROR_CODES}

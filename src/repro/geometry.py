@@ -140,16 +140,6 @@ class Rectangle:
             raise GeometryError("expanded rectangle does not intersect bounds")
         return clipped
 
-    def snapped(self, step: int) -> "Rectangle":
-        """Snap edges outward to multiples of ``step`` (codec block alignment)."""
-        if step <= 0:
-            raise GeometryError(f"snap step must be positive, got {step}")
-        x1 = int(self.x1 // step) * step
-        y1 = int(self.y1 // step) * step
-        x2 = int(-(-self.x2 // step)) * step
-        y2 = int(-(-self.y2 // step)) * step
-        return Rectangle(x1, y1, x2, y2)
-
     def as_int_tuple(self) -> tuple[int, int, int, int]:
         return (int(self.x1), int(self.y1), int(self.x2), int(self.y2))
 

@@ -75,9 +75,12 @@ that fails to attach says so and is served over the socket, and a chunk that
 does not fit the ring's free space rides the socket as a plain
 ``KIND_CHUNK``.
 
-The hello handshake (``{"op": "hello", "version": ..., "shm": ...}``) also
-pins :data:`PROTOCOL_VERSION`; a version-skewed peer is refused with a clear
-error instead of desynchronising the byte stream.  Callers that skip the
+The hello handshake (``{"op": "hello", "version": ..., "shm": <bool>}``)
+also pins :data:`PROTOCOL_VERSION`; a version-skewed peer is refused with a
+clear error instead of desynchronising the byte stream.  A request whose
+fields are not of the types it is used as is refused with an error reply
+coded ``refused`` (:class:`~repro.errors.QueryRefused`), and the connection
+serves on.  Callers that skip the
 hello still get JSON ops and socket chunks — with protocol 3's binary chunk
 headers.
 
@@ -119,6 +122,8 @@ from ..core.predicates import TemporalPredicate
 from ..core.scan import ScanRegion, ScanResult
 from ..errors import (
     ProtocolError,
+    QueryError,
+    QueryRefused,
     ServiceError,
     TransportError,
     error_code,
@@ -801,7 +806,8 @@ def _is_u32(value) -> bool:
 def _scan_fields(message: dict) -> tuple[str, list, int, float | None, list[int] | None]:
     """A wire scan's ``video``, ``labels``, ``credits``, ``deadline_ms`` and
     ``skip_sots``, each of the type it is used as.  A peer's JSON that only
-    looks right is refused with a :class:`TransportError`, not served wrong:
+    looks right is refused with :class:`~repro.errors.QueryRefused`, not
+    served wrong:
     a string ``skip_sots`` iterates as one-character SOT names and skips
     nothing, and a ``NaN`` deadline (``json`` reads it) compares false
     against every clock.  The labels themselves and the frame bounds are the
@@ -809,19 +815,19 @@ def _scan_fields(message: dict) -> tuple[str, list, int, float | None, list[int]
     :class:`~repro.core.predicates.TemporalPredicate`)."""
     video, labels = message.get("video"), message.get("labels")
     if type(video) is not str:
-        raise TransportError(f"scan video {video!r} is not a string")
+        raise QueryRefused(f"scan video {video!r} is not a string")
     if type(labels) is not list:
-        raise TransportError(f"scan labels {labels!r} is not a list of strings")
+        raise QueryRefused(f"scan labels {labels!r} is not a list of strings")
     credits = message.get("credits", 0)
     deadline_ms, skip_sots = message.get("deadline_ms"), message.get("skip_sots")
     if not _is_u32(credits):
-        raise TransportError(f"scan credits {credits!r} is not an integer in [0, 2**32)")
+        raise QueryRefused(f"scan credits {credits!r} is not an integer in [0, 2**32)")
     finite = type(deadline_ms) in (int, float) and -math.inf < deadline_ms < math.inf
     if deadline_ms is not None and not finite:
-        raise TransportError(f"scan deadline_ms {deadline_ms!r} is not a finite number")
+        raise QueryRefused(f"scan deadline_ms {deadline_ms!r} is not a finite number")
     sots = type(skip_sots) is list and all(type(sot) is int and sot >= 0 for sot in skip_sots)
     if skip_sots is not None and not sots:
-        raise TransportError(f"scan skip_sots {skip_sots!r} is not a list of non-negative integers")
+        raise QueryRefused(f"scan skip_sots {skip_sots!r} is not a list of non-negative integers")
     return video, labels, credits, deadline_ms, skip_sots or None
 
 
@@ -993,8 +999,11 @@ class _Connection:
                 }
             )
             return
+        shm = message.get("shm")
+        if type(shm) is not bool:
+            raise QueryRefused(f"hello shm {shm!r} is not a boolean")
         descriptor = None
-        if message.get("shm") and self._shm_ring is None:
+        if shm and self._shm_ring is None:
             ring = _ShmRing.try_create(self._shm_ring_bytes)
             if ring is not None:
                 self._shm_ring = ring
@@ -1012,17 +1021,16 @@ class _Connection:
         # The id travels in the binary frames' u32 fields: a peer's JSON value
         # that does not fit one is refused here, not found by the writer.
         if not _is_u32(query_id):
-            raise TransportError(f"scan id {query_id!r} is not an integer in [0, 2**32)")
+            raise QueryRefused(f"scan id {query_id!r} is not an integer in [0, 2**32)")
         video, labels, credits, deadline_ms, skip_sots = _scan_fields(message)
         with self._cond:
             if query_id in self._scans:
-                raise ServiceError(f"query id {query_id} is already in flight")
-        temporal = None
-        if message.get("frame_start") is not None or message.get("frame_stop") is not None:
-            temporal = TemporalPredicate(
-                message.get("frame_start"), message.get("frame_stop")
-            )
-        query = self._server._build_query(video, labels, temporal)
+                raise QueryRefused(f"query id {query_id} is already in flight")
+        try:
+            temporal = TemporalPredicate(message.get("frame_start"), message.get("frame_stop"))
+            query = self._server._build_query(video, labels, temporal)
+        except QueryError as error:
+            raise QueryRefused(str(error)) from error
         stream = self._server.submit(
             query, client=self, deadline_ms=deadline_ms, skip_sots=skip_sots
         )
@@ -1053,6 +1061,8 @@ class _Connection:
         (finished server-side, the writer still delivering), or ``unknown``
         (finished, cancelled, or never seen).
         """
+        if not _is_u32(target_id):
+            raise QueryRefused(f"query_status target_id {target_id!r} is not a u32")
         with self._cond:
             scan = self._scans.get(target_id)
         if scan is None:
@@ -1754,10 +1764,7 @@ class RemoteTasmClient:
         """Ask the server where a query currently sits (queue / execute /
         wire) and how many chunks it has pushed; used to attribute stream
         timeouts to the starving stage."""
-        reply = self._request({"op": "query_status", "target_id": query_id})
-        if reply.get("type") != "status":
-            raise ServiceError(f"query_status failed: {reply}")
-        return reply
+        return self._request({"op": "query_status", "target_id": query_id}, "status")
 
     def add_metadata(
         self,
@@ -1770,7 +1777,7 @@ class RemoteTasmClient:
         y2: float,
         confidence: float = 1.0,
     ) -> None:
-        reply = self._request(
+        self._request(
             {
                 "op": "add_metadata",
                 "video": video,
@@ -1781,44 +1788,33 @@ class RemoteTasmClient:
                 "x2": x2,
                 "y2": y2,
                 "confidence": confidence,
-            }
+            },
+            "ok",
         )
-        if reply.get("type") != "ok":
-            raise ServiceError(f"add_metadata failed: {reply}")
 
     def stats(self) -> dict:
-        reply = self._request({"op": "stats"})
-        if reply.get("type") != "stats":
-            raise ServiceError(f"stats failed: {reply}")
-        return reply
+        return self._request({"op": "stats"}, "stats")
 
     def video_info(self, video: str) -> dict:
         """Layout facts for one video: ``{"video", "sot_count",
         "frame_count"}``.  The cluster router partitions scans by these."""
-        reply = self._request({"op": "video_info", "video": video})
-        if reply.get("type") != "video_info":
-            raise ServiceError(f"video_info failed: {reply}")
-        return reply
+        return self._request({"op": "video_info", "video": video}, "video_info")
 
     def metrics(self) -> dict:
         """The server's full metrics snapshot (see ``repro.obs``).
 
         Render it for humans with :func:`repro.obs.render_text`.
         """
-        reply = self._request({"op": "metrics"})
-        if reply.get("type") != "metrics":
-            raise ServiceError(f"metrics failed: {reply}")
-        return reply["metrics"]
+        return self._request({"op": "metrics"}, "metrics")["metrics"]
 
     def traces(self, last: int = 16) -> list[dict]:
         """The server's most recent completed query traces, newest first."""
-        reply = self._request({"op": "trace", "last": last})
-        if reply.get("type") != "trace":
-            raise ServiceError(f"trace failed: {reply}")
-        return reply["traces"]
+        return self._request({"op": "trace", "last": last}, "trace")["traces"]
 
-    def _request(self, message: dict) -> dict:
-        """One blocking request/response exchange over the multiplexed wire."""
+    def _request(self, message: dict, answer: str) -> dict:
+        """One blocking request/response exchange over the multiplexed wire:
+        the reply of type ``answer``.  Any other reply raises as its code
+        says (a refused request as :class:`~repro.errors.QueryRefused`)."""
         query_id = self._allocate_id()
         pending: queue.SimpleQueue = queue.SimpleQueue()
         with self._table_lock:
@@ -1827,7 +1823,9 @@ class RemoteTasmClient:
             self._send({**message, "id": query_id})
             reply = pending.get(timeout=self._timeout)
             if reply is not None:
-                return reply
+                if reply.get("type") == answer:
+                    return reply
+                raise error_from_code(reply.get("code"), f"{message['op']} failed: {reply}")
             with self._table_lock:  # None: the connection ended first
                 refusal = self._refusal()
             raise refusal

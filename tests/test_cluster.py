@@ -37,7 +37,7 @@ from repro.cluster import (
     sot_key,
 )
 from repro.core.tasm import TASM
-from repro.errors import ServiceError
+from repro.errors import QueryRefused, ServiceError
 from repro.faults import FAULT_TRANSPORT_DROP, FaultSpec
 from repro.service import RemoteTasmClient, RetryPolicy, SocketTransport, TasmServer
 from tests.test_exec_engine import assert_scan_results_identical
@@ -296,6 +296,28 @@ class TestScatterGather:
 
 
 class TestClusterFailover:
+    @pytest.mark.parametrize("shards, retry", [(1, RETRY), (2, None)])
+    def test_a_refused_scan_leaves_every_shard_up(self, config, shards, retry):
+        """A scan no query can be built from is refused by the shards it
+        reaches with ``QueryRefused``: the client's fault, not theirs.  The
+        scan fails, no shard is marked down, and the next well-formed scan on
+        the same router is served."""
+        servers, transports, video = make_local_cluster(config, shards=shards)
+        try:
+            router = ClusterRouter([t.address for t in transports], config=config, retry=retry)
+            with pytest.raises(QueryRefused, match="not a string"):
+                router.scan(video.name, [["car"]])
+            assert not router._down
+            with RemoteTasmClient(
+                transports[0].address, timeout=30.0, use_shm=False
+            ) as direct:
+                assert_scan_results_identical(
+                    router.scan(video.name, "car"), direct.scan(video.name, "car")
+                )
+            router.close()
+        finally:
+            stop_local_cluster(servers, transports)
+
     def test_server_busy_routes_around_the_shard_without_marking_it_down(
         self, config
     ):

@@ -100,14 +100,6 @@ class TestRectangleTransforms:
         grown = rect(4, 4, 6, 6).expand(10, bounds=rect(0, 0, 10, 10))
         assert grown == Rectangle(0, 0, 10, 10)
 
-    def test_snapped_outward(self):
-        snapped = Rectangle(3, 5, 12, 13).snapped(8)
-        assert snapped == Rectangle(0, 0, 16, 16)
-
-    def test_snapped_requires_positive_step(self):
-        with pytest.raises(GeometryError):
-            rect().snapped(0)
-
 
 class TestIntervalHelpers:
     def test_merge_overlapping(self):
@@ -168,14 +160,6 @@ def test_union_bounds_contains_both(a: Rectangle, b: Rectangle):
     union = union_bounds(a, b)
     assert union.contains(a)
     assert union.contains(b)
-
-
-@given(rectangles(), st.integers(min_value=1, max_value=32))
-def test_snapped_contains_original(box: Rectangle, step: int):
-    snapped = box.snapped(step)
-    assert snapped.contains(box)
-    assert snapped.x1 % step == 0 and snapped.y1 % step == 0
-    assert snapped.x2 % step == 0 and snapped.y2 % step == 0
 
 
 @given(st.lists(rectangles(), max_size=8))

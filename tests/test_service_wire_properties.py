@@ -15,7 +15,9 @@ Five claims, the first four searched rather than hand-picked:
   connection completes, as does one already streaming on it; every id that
   fits is served under that id; so does a scan whose ``skip_sots`` is not a
   list of non-negative integers, whose ``deadline_ms`` is not a finite
-  number, or whose ``credits`` is not a u32;
+  number, or whose ``credits`` is not a u32; a ``hello`` whose ``shm`` is
+  not a boolean and a ``query_status`` whose ``target_id`` is not a u32
+  earn a ``refused`` error reply too, and the connection serves on;
 * for every credit window 1..8 and every chunk count 1..20 a scan completes,
   and the server never has more than ``window`` unreturned chunks in flight;
 * an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
@@ -55,6 +57,7 @@ from repro.service.transport import (
     KIND_CHUNK,
     KIND_CREDIT,
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     _Connection,
     _flat_views,
     _FrameReader,
@@ -762,6 +765,65 @@ def test_a_scan_no_query_can_be_built_from_is_refused_before_admission():
             assert replies[5]["type"] == "error", replies
             assert field.rstrip("s") in replies[5]["message"], replies[5]
             assert server.submitted == admitted + 1, "only the good scan was admitted"
+
+        refused()
+
+
+#: A hello ``shm`` that is not a JSON boolean.
+NOT_A_BOOL = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.booleans(), max_size=2),
+)
+
+
+def test_a_hello_whose_shm_is_not_a_boolean_is_refused_and_makes_no_ring():
+    """Any truthy ``shm`` once asked for a ring, ``"no"`` included: a value
+    that is not a boolean earns a ``refused`` error reply, no ring is made,
+    and a well-formed hello on the same connection is answered."""
+    with SocketTransport(_ScriptedServer(), shm_ring_bytes=1 << 16) as transport:
+
+        @settings(max_examples=40, deadline=None)
+        @given(shm=NOT_A_BOOL)
+        @example(shm="no")
+        @example(shm=1)
+        def refused(shm):
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                hello = {"op": "hello", "id": 0, "version": PROTOCOL_VERSION}
+                send_message(sock, {**hello, "shm": shm})
+                reply = recv_message(sock)
+                assert reply["type"] == "error" and reply["code"] == "refused", reply
+                assert "hello shm" in reply["message"]
+                assert all(conn._shm_ring is None for conn in list(transport._connections))
+                send_message(sock, {**hello, "id": 1, "shm": False})
+                assert recv_message(sock) == {
+                    "type": "hello", "id": 1, "version": PROTOCOL_VERSION, "shm": None
+                }
+
+        refused()
+
+
+def test_a_query_status_target_that_is_no_scan_id_is_refused():
+    """The target id was used as a dict key unchecked: a list raised
+    ``TypeError`` and ``"7"`` was answered as an unknown scan.  A target that
+    is not a u32 earns a ``refused`` error reply, and the connection serves
+    on."""
+    with SocketTransport(_ScriptedServer()) as transport:
+
+        @settings(max_examples=40, deadline=None)
+        @given(bad=BAD_SCAN_IDS)
+        @example(bad="7")
+        @example(bad=[7])
+        def refused(bad):
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                send_message(sock, {"op": "query_status", "id": 3, "target_id": bad})
+                reply = recv_message(sock)
+                assert reply["type"] == "error" and reply["id"] == 3, reply
+                assert reply["code"] == "refused" and "target_id" in reply["message"]
+                send_message(sock, {"op": "query_status", "id": 4, "target_id": 7})
+                assert recv_message(sock)["stage"] == "unknown"
 
         refused()
 
