@@ -12,8 +12,8 @@ decode under the current layout plus an encode under the new one, in the
 units of ``beta * P + gamma * T``.  The R section fits encode seconds against
 pixels and tiles encoded, converts the coefficients to those units with the
 seconds a unit of cold whole-SOT decode takes, prints them beside the
-``TasmConfig`` defaults (``encode_cost_per_pixel`` / ``encode_cost_per_tile``;
-set the defaults to the printed fit to re-fit them), and holds
+constants ``repro.core.cost.ENCODE_COST_PER_PIXEL`` / ``ENCODE_COST_PER_TILE``
+(set them to the printed fit to re-fit them), and holds
 ``CostModel.retile_cost`` to measured cold ``TASM.retile_sot`` seconds.
 """
 
@@ -33,7 +33,12 @@ from repro.analysis import (
     measure_query,
     prepare_tasm,
 )
-from repro.core.cost import CostModel, fit_cost_model
+from repro.core.cost import (
+    ENCODE_COST_PER_PIXEL,
+    ENCODE_COST_PER_TILE,
+    CostModel,
+    fit_cost_model,
+)
 from repro.core.tasm import TASM
 from repro.datasets import netflix_public_scene, visual_road_scene, xiph_scene
 from repro.tiles.layout import uniform_layout
@@ -198,7 +203,7 @@ def _seconds_per_unit(decodes) -> float:
     return statistics.median(seconds / units for units, seconds in decodes)
 
 
-def test_retile_write_half_fit(transcode_samples, config):
+def test_retile_write_half_fit(transcode_samples):
     encodes, decodes = transcode_samples
     per_unit = _seconds_per_unit(decodes)
     # Through the origin, like R itself: the write half has no fixed term.
@@ -209,14 +214,14 @@ def test_retile_write_half_fit(transcode_samples, config):
     r_squared = 1.0 - float(residual @ residual) / float(np.sum((observed - observed.mean()) ** 2))
     rows = [
         {
-            "coefficient": "encode_cost_per_pixel",
+            "coefficient": "ENCODE_COST_PER_PIXEL",
             "fitted": f"{per_pixel / per_unit:.3e}",
-            "default": f"{config.encode_cost_per_pixel:.3e}",
+            "default": f"{ENCODE_COST_PER_PIXEL:.3e}",
         },
         {
-            "coefficient": "encode_cost_per_tile",
+            "coefficient": "ENCODE_COST_PER_TILE",
             "fitted": f"{per_tile / per_unit:.3e}",
-            "default": f"{config.encode_cost_per_tile:.3e}",
+            "default": f"{ENCODE_COST_PER_TILE:.3e}",
         },
     ]
     print_section("R(s, L), write half: encode seconds vs (pixels, tiles), in beta units")

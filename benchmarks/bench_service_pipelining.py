@@ -413,7 +413,6 @@ def test_shm_beats_socket_for_same_host_pixel_throughput(config):
                     client.scan(video.name, "billboard")
                 wall = time.perf_counter() - started
                 if mode == "shm":
-                    assert client.shm_active
                     assert client.shm_chunks_received > 0
         throughput[mode] = repeats * payload_bytes / wall / 1e6
         rows.append(

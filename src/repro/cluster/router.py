@@ -34,11 +34,13 @@ the resilient single-server handle.  A shard shedding load answers with
 :class:`~repro.errors.ServerBusy`; the router routes around it *for that
 scan only*, with no re-dial and without marking it down.  A query the
 shard refuses as malformed (:class:`~repro.errors.QueryRefused`) fails
-that scan and leaves every shard up: only a lost wire marks one down.
-Health checks
-ride the bounded hello handshake: :meth:`ClusterRouter.probe` dials,
-exchanges the hello, and hangs up — exactly the server's
-``service_handshake_timeout_s``-bounded first frame.
+that scan and leaves every shard up: only a lost wire marks one down, and
+only for :data:`DOWN_RETRY_AFTER_S`: after that the next scan or
+``video_info`` that would use the shard dials it again through the same
+recovery path, and a failed dial marks it down afresh.  Health checks ride
+the bounded hello handshake: :meth:`ClusterRouter.probe` dials, exchanges
+the hello, and hangs up — exactly the server's
+:data:`~repro.service.transport.HANDSHAKE_TIMEOUT_S`-bounded first frame.
 """
 
 from __future__ import annotations
@@ -73,12 +75,20 @@ from .ring import HashRing, sot_key
 
 __all__ = ["ClusterRouter", "ClusterScanStream", "probe_shard"]
 
+#: Seconds a shard marked down is left alone.  After that the next scan or
+#: ``video_info`` that would use it dials it again (:meth:`ClusterRouter._call`);
+#: a dial that fails marks it down for as long again.
+DOWN_RETRY_AFTER_S = 5.0
+#: Seconds a shard's queue depth, read from its ``metrics``, stays fresh for
+#: placement among a key's replicas.
+METRICS_TTL_S = 2.0
+
 
 def probe_shard(address, timeout: float = 5.0) -> bool:
     """One health probe: dial, exchange the hello handshake, hang up.
 
     This is deliberately the same first-frame exchange the server bounds
-    with ``service_handshake_timeout_s`` — a shard that accepts but cannot
+    with ``HANDSHAKE_TIMEOUT_S`` — a shard that accepts but cannot
     answer its hello within the bound is as down as one refusing the dial.
     """
     try:
@@ -330,8 +340,6 @@ class ClusterRouter:
         timeout: float | None = 30.0,
         stream_buffer_chunks: int = 64,
         retry: RetryPolicy | None = None,
-        use_shm: bool = False,
-        metrics_ttl_s: float = 2.0,
     ):
         config = config or TasmConfig()
         self._addresses = {self._shard_name(a): tuple(a) for a in addresses}
@@ -344,15 +352,14 @@ class ClusterRouter:
         self._timeout = timeout
         self._buffer_chunks = stream_buffer_chunks
         self._retry = retry
-        self._use_shm = use_shm
-        self._metrics_ttl = metrics_ttl_s
         self._lock = threading.Lock()
         #: Notified on ``close()`` of the router or of a scan: a re-dial's
         #: backoff waits on it.
         self._changed = threading.Condition(self._lock)
         self._clients: dict[str, RemoteTasmClient] = {}
-        #: Shards the router currently believes dead, with the evidence.
-        self._down: dict[str, BaseException] = {}
+        #: Shards the router believes dead: the evidence, and when
+        #: (``time.monotonic()``) it was marked down.
+        self._down: dict[str, tuple[BaseException, float]] = {}
         #: Which shard last served each (video, sot) — the warm-cache map.
         self._placement: dict[tuple, str] = {}
         #: Last metrics-derived load figure per shard (queue depth).
@@ -396,19 +403,25 @@ class ClusterRouter:
             if up:
                 self._down.pop(name, None)
             else:
-                self._down.setdefault(name, TransportError("health probe failed"))
+                self._down.setdefault(
+                    name, (TransportError("health probe failed"), time.monotonic())
+                )
         return up
 
     def _note_failure(self, name: str, error: BaseException) -> None:
         with self._lock:
-            self._down[name] = error
+            self._down[name] = (error, time.monotonic())
             client = self._clients.pop(name, None)
         if client is not None:
             client.close(join_timeout=0.5)
 
     def _is_up(self, name: str) -> bool:
+        """Known, and not marked down in the last :data:`DOWN_RETRY_AFTER_S`."""
         with self._lock:
-            return name in self._addresses and name not in self._down
+            down = self._down.get(name)
+            return name in self._addresses and (
+                down is None or time.monotonic() - down[1] >= DOWN_RETRY_AFTER_S
+            )
 
     # ------------------------------------------------------------------
     # Placement
@@ -421,7 +434,7 @@ class ClusterRouter:
         """Queue depth per shard from its metrics snapshot, rate-limited."""
         now = time.monotonic()
         with self._lock:
-            if now - self._load_read_at < self._metrics_ttl:
+            if now - self._load_read_at < METRICS_TTL_S:
                 return
             self._load_read_at = now
             names = [n for n in self._addresses if n not in self._down]
@@ -485,7 +498,7 @@ class ClusterRouter:
             address,
             timeout=self._timeout,
             stream_buffer_chunks=self._buffer_chunks,
-            use_shm=self._use_shm,
+            use_shm=False,  # the default would ask a loopback shard for a ring
         )
         with self._lock:
             existing = self._clients.get(name)
@@ -505,6 +518,7 @@ class ClusterRouter:
         when the router or the scan's ``stream`` is closed, and is bounded
         by the stream's remaining deadline.  Raises the wire error once the
         policy is spent (at once without one), anything else straight away.
+        A request that goes through clears the shard's down mark.
         """
         delays = self._retry.delays() if self._retry is not None else iter(())
         while True:
@@ -521,11 +535,15 @@ class ClusterRouter:
                 if stream is not None and stream.done:
                     raise StreamCancelledError("stream closed by its consumer")
             try:
-                return request(self._client(shard))
+                result = request(self._client(shard))
             except TransportError as error:
                 failed = error
             except OSError as error:  # the dial itself
                 failed = TransportError(f"shard {shard} is unreachable: {error}")
+            else:
+                with self._lock:
+                    self._down.pop(shard, None)  # it answered: up again
+                return result
 
     # ------------------------------------------------------------------
     # The client-facing API

@@ -40,6 +40,10 @@ from ..video.synthetic import (
 
 __all__ = ["ClusterSupervisor", "SceneDataset", "build_cluster_scene"]
 
+#: Seconds :meth:`ClusterSupervisor.start` waits for every shard to report
+#: ready (each builds and encodes its dataset first).
+START_TIMEOUT_S = 60.0
+
 
 def build_cluster_scene(
     name: str,
@@ -220,7 +224,6 @@ class ClusterSupervisor:
         fault_specs=None,
         fault_specs_by_shard: dict | None = None,
         fault_seed: int = 0,
-        start_timeout: float = 60.0,
     ):
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -236,7 +239,6 @@ class ClusterSupervisor:
         self._fault_specs = fault_specs
         self._by_shard = fault_specs_by_shard or {}
         self._fault_seed = fault_seed
-        self._start_timeout = start_timeout
         self._shards: list[_Shard] = []
         self._ctx = multiprocessing.get_context()
 
@@ -271,14 +273,14 @@ class ClusterSupervisor:
             process.start()
             child_conn.close()
             self._shards.append(_Shard(index, process, parent_conn))
-        deadline = time.monotonic() + self._start_timeout
+        deadline = time.monotonic() + START_TIMEOUT_S
         for shard in self._shards:
             remaining = max(0.0, deadline - time.monotonic())
             if not shard.conn.poll(remaining):
                 self.stop()
                 raise TimeoutError(
                     f"shard {shard.index} did not come up within "
-                    f"{self._start_timeout} seconds"
+                    f"{START_TIMEOUT_S} seconds"
                 )
             status, payload = shard.conn.recv()
             if status != "ready":

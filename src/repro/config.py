@@ -106,12 +106,6 @@ class TasmConfig:
     #: Number of frames covered by one sequence-of-tiles (layout duration).
     #: Must be a multiple of the GOP length; defaults to one GOP.
     sot_frames: int | None = None
-    #: Encoding cost per pixel, in the units of ``beta * P + gamma * T``: the
-    #: write half of R(s, L) (``CostModel.retile_cost``), fitted to the codec
-    #: by the R section of ``benchmarks/bench_cost_model_fit.py``.
-    encode_cost_per_pixel: float = 2.8e-6
-    #: Encoding cost per tile and GOP, fitted likewise.
-    encode_cost_per_tile: float = 5.2e-2
     #: Capacity of the persistent tile-decode cache in decoded bytes.  0
     #: disables the persistent cache, preserving the paper's one-shot scan
     #: behaviour; batched execution then uses a cache scoped to each batch.
@@ -139,28 +133,11 @@ class TasmConfig:
     #: server hands out no-op instruments and the shared null trace, so the
     #: instrumented hot paths cost one no-op call per update.
     observability: bool = True
-    #: Queries slower than this many milliseconds (submit to completion) are
-    #: logged through ``logging`` (logger ``repro.obs.slowlog``) with their
-    #: full span breakdown attached.  0 disables the slow-query log.
-    slow_query_ms: float = 1000.0
-    #: Completed traces kept in the bounded in-memory ring the ``trace``
-    #: wire op reads from (newest first).
-    trace_history: int = 256
     #: Admission bound of the service scheduler: a query arriving while this
     #: many are already pending is refused immediately with
     #: :class:`~repro.errors.ServerBusy` instead of joining a backlog the
     #: server cannot drain.  0 disables the bound (accept everything).
     service_max_queue_depth: int = 0
-    #: A query whose batches crash this many times is quarantined with
-    #: :class:`~repro.errors.PoisonQueryError` instead of being re-queued a
-    #: further time (a crashed batch's other queries are re-queued
-    #: regardless).
-    service_poison_query_kills: int = 3
-    #: Seconds an accepted socket may sit without completing its first frame
-    #: (normally the hello) before the server closes it and counts
-    #: ``tasm_handshakes_timed_out_total`` — a peer that connects and never
-    #: speaks must not pin a server thread forever.  0 disables the bound.
-    service_handshake_timeout_s: float = 5.0
     #: Replication factor of the cluster layer (``repro.cluster``): every
     #: ``(video, SOT)`` key is owned by this many distinct shards on the
     #: consistent-hash ring, so a mid-scan shard failure fails over to a
@@ -190,8 +167,6 @@ class TasmConfig:
                     "sot_frames must be a multiple of the GOP length: layout "
                     "changes can only happen at GOP boundaries"
                 )
-        if self.encode_cost_per_pixel <= 0 or self.encode_cost_per_tile < 0:
-            raise ConfigurationError("encode cost coefficients must be positive")
         if self.decode_cache_bytes < 0:
             raise ConfigurationError("decode_cache_bytes must be non-negative")
         if self.service_max_batch < 1:
@@ -202,21 +177,9 @@ class TasmConfig:
             raise ConfigurationError(
                 "service_stream_buffer_chunks must be non-negative (0 = unbounded)"
             )
-        if self.slow_query_ms < 0:
-            raise ConfigurationError(
-                "slow_query_ms must be non-negative (0 = slow-query log off)"
-            )
-        if self.trace_history < 1:
-            raise ConfigurationError("trace_history must be at least 1")
         if self.service_max_queue_depth < 0:
             raise ConfigurationError(
                 "service_max_queue_depth must be non-negative (0 = unbounded)"
-            )
-        if self.service_poison_query_kills < 1:
-            raise ConfigurationError("service_poison_query_kills must be at least 1")
-        if self.service_handshake_timeout_s < 0:
-            raise ConfigurationError(
-                "service_handshake_timeout_s must be non-negative (0 = no bound)"
             )
         if self.cluster_replication_factor < 1:
             raise ConfigurationError("cluster_replication_factor must be at least 1")

@@ -29,6 +29,8 @@ from ..index import IndexEntry
 from ..tiles.layout import TileLayout, untiled_layout
 
 __all__ = [
+    "ENCODE_COST_PER_PIXEL",
+    "ENCODE_COST_PER_TILE",
     "CostEstimate",
     "CostModel",
     "SotCostTable",
@@ -36,6 +38,13 @@ __all__ = [
     "fit_cost_model",
     "boxes_by_frame",
 ]
+
+#: Encoding cost per pixel, in the units of ``beta * P + gamma * T``: the
+#: write half of R(s, L) (:meth:`CostModel.retile_cost`), fitted to the codec
+#: by the R section of ``benchmarks/bench_cost_model_fit.py``.
+ENCODE_COST_PER_PIXEL = 2.8e-6
+#: Encoding cost per tile and GOP, fitted likewise.
+ENCODE_COST_PER_TILE = 5.2e-2
 
 
 @dataclass(frozen=True)
@@ -194,8 +203,8 @@ class CostModel:
         read = 0.0
         if current is not None:
             read = self.cost(current.frame_pixels * frame_count, current.tile_count * gop_count)
-        pixel_term = self.config.encode_cost_per_pixel * new.frame_pixels * frame_count
-        tile_term = self.config.encode_cost_per_tile * new.tile_count * gop_count
+        pixel_term = ENCODE_COST_PER_PIXEL * new.frame_pixels * frame_count
+        tile_term = ENCODE_COST_PER_TILE * new.tile_count * gop_count
         return read + pixel_term + tile_term
 
 

@@ -91,10 +91,6 @@ class Workload:
             result.update(query.objects)
         return frozenset(result)
 
-    @property
-    def videos(self) -> set[str]:
-        return {query.video for query in self.queries}
-
     def for_video(self, video: str) -> "Workload":
         """Sub-workload containing only the queries over one video."""
         return Workload(

@@ -78,19 +78,6 @@ class RegretAccumulator:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def alternatives_for(self, sot_index: int) -> list[RegretEntry]:
-        return [entry for (sot, _), entry in self._entries.items() if sot == sot_index]
-
     def regret_of(self, sot_index: int, objects: Iterable[str]) -> float:
         entry = self._entries.get((sot_index, layout_key(objects)))
         return 0.0 if entry is None else entry.regret
-
-    def exceeding_threshold(
-        self, sot_index: int, threshold: float
-    ) -> list[RegretEntry]:
-        """Alternatives whose regret exceeds ``threshold`` (eta * R(s, L))."""
-        return [
-            entry
-            for entry in self.alternatives_for(sot_index)
-            if entry.regret > threshold
-        ]

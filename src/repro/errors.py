@@ -96,7 +96,7 @@ class ServerBusy(ServiceError):
 
 class PoisonQueryError(ServiceError):
     """Raised for a query whose batches crashed
-    ``service_poison_query_kills`` times.
+    :data:`repro.service.scheduler.POISON_QUERY_KILLS` times.
 
     The runner that catches a crashed batch re-queues its unaffected
     queries, but a query that crashes every batch it rides in would be

@@ -67,6 +67,14 @@ __all__ = [
 
 _slow_logger = logging.getLogger(SLOW_QUERY_LOGGER)
 
+#: Queries slower than this many milliseconds (submit to completion) are
+#: logged through ``logging`` (logger ``repro.obs.slowlog``) with their full
+#: span breakdown attached.  0 disables the slow-query log.
+SLOW_QUERY_MS = 1000.0
+#: Completed traces kept in the bounded ring the ``trace`` wire op reads
+#: from (newest first).
+TRACE_HISTORY = 256
+
 #: Batch sizes are small integers; linear-ish buckets read better than the
 #: time bounds.
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -117,16 +125,11 @@ class Observability:
     and no update looks a label up.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        slow_query_ms: float = 1000.0,
-        trace_history: int = 256,
-    ):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.slow_query_seconds = max(0.0, slow_query_ms) / 1000.0
+        self.slow_query_seconds = SLOW_QUERY_MS / 1000.0
         self.registry = MetricsRegistry(enabled=enabled)
-        self.traces = TraceLog(capacity=trace_history)
+        self.traces = TraceLog(capacity=TRACE_HISTORY)
 
         registry = self.registry
         # Scheduler events: registered here, counted by the scheduler -------
@@ -198,12 +201,8 @@ class Observability:
 
     @classmethod
     def from_config(cls, config) -> "Observability":
-        """An instance honouring ``TasmConfig``'s observability knobs."""
-        return cls(
-            enabled=config.observability,
-            slow_query_ms=config.slow_query_ms,
-            trace_history=config.trace_history,
-        )
+        """An instance honouring ``TasmConfig.observability``."""
+        return cls(enabled=config.observability)
 
     def read_events_from(self, scheduler) -> None:
         """Have every scheduler-event series read ``scheduler``'s own count."""

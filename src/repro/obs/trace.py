@@ -17,7 +17,7 @@ named, timed segments with optional metadata:
 
 Completed traces land in a bounded :class:`TraceLog` ring (newest first) the
 ``trace`` wire op reads, and queries slower than
-``TasmConfig.slow_query_ms`` are additionally logged through the standard
+:data:`repro.obs.SLOW_QUERY_MS` are additionally logged through the standard
 ``logging`` module (logger ``repro.obs.slowlog``) with the full trace dict
 attached as ``record.tasm_trace`` — structured enough for a log pipeline,
 readable enough for a terminal.

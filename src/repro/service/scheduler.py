@@ -1,14 +1,16 @@
 """The batching scheduler: coalesces concurrent queries, streams results.
 
 Clients hand queries to :meth:`BatchScheduler.submit` and get a
-:class:`ResultStream` back immediately.  A pool of *batch runner* threads
-(``TasmConfig.service_runners``) waits on the pending queue; the moment a
-runner is free it takes up to ``service_max_batch`` pending queries and
-drives ``TASM.execute_batch`` over them.  An idle server therefore dispatches
-a lone query at once, and a busy one forms its batches from whatever queued
-while every runner was executing — so concurrent clients asking about
-overlapping sequences of tiles share decodes instead of thrashing the cache
-with interleaved misses, without any query waiting on a timer.
+:class:`ResultStream` back immediately.  Every ``service_*`` setting named
+below is a ``TasmConfig`` field, read from the config of the TASM the
+scheduler is handed.  A pool of *batch runner* threads (``service_runners``)
+waits on the pending queue; the moment a runner is free it takes up to
+``service_max_batch`` pending queries and drives ``TASM.execute_batch``
+over them.  An idle server therefore dispatches a lone query at once, and a
+busy one forms its batches from whatever queued while every runner was
+executing — so concurrent clients asking about overlapping sequences of
+tiles share decodes instead of thrashing the cache with interleaved misses,
+without any query waiting on a timer.
 
 Admission control: pending queries are kept per client and drained
 round-robin into each batch, so a greedy client that queues a hundred
@@ -20,7 +22,7 @@ Streaming and backpressure: the executor's observer hook fires per SOT, and
 the runner forwards each event into the owning query's stream — a
 :class:`~repro.service.stream.ScanStream` (see that module for the state
 machine).  A stream buffers at most
-``TasmConfig.service_stream_buffer_chunks`` undelivered chunks; a producer
+``service_stream_buffer_chunks`` undelivered chunks; a producer
 pushing into a full buffer *suspends* until the consumer drains it, so a
 slow client bounds the server's memory instead of growing an unbounded queue.
 
@@ -40,7 +42,7 @@ Fault tolerance (PR 8) threads through every stage:
   unaffected queries are requeued at the *front* of their client's bucket
   (deadlines still honoured) and resume skipping SOTs already delivered, so
   their bytes stay identical; a query whose batches have crashed
-  ``service_poison_query_kills`` times is quarantined with
+  :data:`POISON_QUERY_KILLS` times is quarantined with
   :class:`~repro.errors.PoisonQueryError` instead of crashing batch after
   batch.  Nothing raised inside a batch ends a runner; only ``stop()`` does.
 
@@ -86,6 +88,11 @@ from ..video.codec import DecodeStats
 from .stream import ScanStream, StreamChunk
 
 __all__ = ["BatchScheduler", "ResultStream", "StreamChunk"]
+
+#: A query whose batches crash this many times is quarantined with
+#: :class:`~repro.errors.PoisonQueryError` instead of being re-queued a
+#: further time (a crashed batch's other queries are re-queued regardless).
+POISON_QUERY_KILLS = 3
 
 
 class ResultStream(ScanStream):
@@ -166,25 +173,20 @@ class BatchScheduler:
     def __init__(
         self,
         tasm,
-        max_batch: int,
-        runners: int = 1,
-        stream_buffer_chunks: int = 0,
         on_query_done: Callable[[Query, ScanResult], None] | None = None,
         obs: Observability | None = None,
-        max_queue_depth: int = 0,
-        poison_query_kills: int = 3,
-        fault_plan=None,
     ):
+        config = tasm.config
         self._tasm = tasm
         self._obs = obs if obs is not None else DISABLED
-        self._max_batch = max_batch
-        self._runner_count = max(1, runners)
-        self._stream_buffer_chunks = stream_buffer_chunks
+        self._max_batch = config.service_max_batch
+        self._runner_count = config.service_runners
+        self._stream_buffer_chunks = config.service_stream_buffer_chunks
         self._on_query_done = on_query_done
-        self._max_queue_depth = max(0, max_queue_depth)
-        self._poison_kills = max(1, poison_query_kills)
+        self._max_queue_depth = config.service_max_queue_depth
+        plan = config.fault_plan
         self._fault_runner_death = (
-            fault_plan.site(FAULT_RUNNER_DEATH) if fault_plan is not None else None
+            plan.site(FAULT_RUNNER_DEATH) if plan is not None else None
         )
         # Pending queries, kept per client for round-robin admission.  One
         # condition guards them and the active-batch map, so a query moves
@@ -462,7 +464,7 @@ class BatchScheduler:
         """Disposition a crashed batch, on the runner that caught the crash.
 
         Terminal streams need nothing; a stream whose batches have now
-        crashed ``service_poison_query_kills`` times is quarantined; expired
+        crashed :data:`POISON_QUERY_KILLS` times is quarantined; expired
         ones fail with their deadline; everything else is requeued at the
         *front* of its client's bucket (it has waited longest) through
         :meth:`ScanStream.resume`, so the resumed run skips delivered SOTs
@@ -473,7 +475,7 @@ class BatchScheduler:
             if stream.done:
                 continue
             stream._crashes += 1
-            if stream._crashes >= self._poison_kills:
+            if stream._crashes >= POISON_QUERY_KILLS:
                 stream._fail(
                     PoisonQueryError(
                         f"query crashed {stream._crashes} batch(es) and is "

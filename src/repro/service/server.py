@@ -122,25 +122,18 @@ class ServerStats:
 class TasmServer:
     """A concurrent, multi-client front end over one TASM instance."""
 
-    def __init__(
-        self,
-        tasm: TASM | None = None,
-        config: TasmConfig | None = None,
-        cache_bytes: int | None = None,
-    ):
+    def __init__(self, tasm: TASM | None = None, config: TasmConfig | None = None):
         if tasm is not None and config is not None:
             raise ValueError("pass either a TASM instance or a config, not both")
         if tasm is None:
             config = config or TasmConfig()
             if config.decode_cache_bytes == 0:
-                config = config.with_updates(
-                    decode_cache_bytes=cache_bytes or DEFAULT_SERVER_CACHE_BYTES
-                )
+                config = config.with_updates(decode_cache_bytes=DEFAULT_SERVER_CACHE_BYTES)
             tasm = TASM(config=config)
         elif tasm.tile_cache is None:
             # A server without a shared cache cannot share decodes across
             # clients; grant the TASM one rather than silently serving cold.
-            tasm.tile_cache = TileDecodeCache(cache_bytes or DEFAULT_SERVER_CACHE_BYTES)
+            tasm.tile_cache = TileDecodeCache(DEFAULT_SERVER_CACHE_BYTES)
             tasm._decoder.cache = tasm.tile_cache
         self.tasm = tasm
         #: The server's observability surface (metrics registry, per-query
@@ -148,15 +141,7 @@ class TasmServer:
         #: disabled instance is all no-ops.
         self.obs = Observability.from_config(tasm.config)
         self._scheduler = BatchScheduler(
-            tasm,
-            max_batch=tasm.config.service_max_batch,
-            runners=tasm.config.service_runners,
-            stream_buffer_chunks=tasm.config.service_stream_buffer_chunks,
-            on_query_done=self._record_query_done,
-            obs=self.obs,
-            max_queue_depth=tasm.config.service_max_queue_depth,
-            poison_query_kills=tasm.config.service_poison_query_kills,
-            fault_plan=tasm.config.fault_plan,
+            tasm, on_query_done=self._record_query_done, obs=self.obs
         )
         self._started_at: float | None = None
         self._stats_lock = threading.Lock()

@@ -62,10 +62,10 @@ stream buffers bound the producer.)
 
 **Shared-memory pixel path.**  A same-host client may request, at the hello
 handshake, that pixel payloads bypass the socket: the server (when serving
-through :class:`ShmTransport`, or a :class:`SocketTransport` given
-``shm_ring_bytes``) creates a per-connection ``multiprocessing.shared_memory``
-ring and returns its descriptor; chunk pixels are then written into the ring
-(one memcpy) and only a small descriptor frame crosses the socket — the
+through :class:`ShmTransport`) creates a per-connection
+``multiprocessing.shared_memory`` ring and returns its descriptor; chunk
+pixels are then written into the ring (one memcpy) and only a small
+descriptor frame crosses the socket — the
 idiom of xpra's mmap transport, which moves pixels through a shared buffer
 and sends offsets on the wire.  Ring slots recycle on ``KIND_SHM_ACK``,
 sent by the client's reader the moment it has copied a chunk out, so ring
@@ -194,6 +194,12 @@ _DEFAULT_WIRE_BUFFER = 64
 #: size a 4 GiB read.  Far above any legitimate frame: the largest is one
 #: SOT's regions for one query (tens of MiB for a 4K video with long GOPs).
 MAX_FRAME_BYTES = 1 << 30
+
+#: Seconds an accepted socket may sit without completing its first frame
+#: (normally the hello) before the server closes it and counts
+#: ``tasm_handshakes_timed_out_total``: a peer that connects and never speaks
+#: must not pin a server thread forever.  0 disables the bound.
+HANDSHAKE_TIMEOUT_S = 5.0
 
 #: The per-connection receive buffer: what one ``recv_into`` can bring in.
 _RECV_BUFFER_BYTES = 1 << 16
@@ -641,19 +647,13 @@ class SocketTransport:
     own credit window, and a scan whose consumer stalls parks only that
     stream: the writer skips it until a grant arrives.  Each connection is
     one admission-control client: its scans share one round-robin slot per
-    batch.
-
-    ``shm_ring_bytes`` > 0 lets connections negotiate the shared-memory pixel
-    path (see :class:`ShmTransport`, which defaults it from the config).
+    batch.  It offers no shared-memory ring; :class:`ShmTransport` does.
     """
 
-    def __init__(
-        self,
-        server,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        shm_ring_bytes: int = 0,
-    ):
+    #: Bytes of the pixel ring a connection may negotiate; 0 offers none.
+    _shm_ring_bytes = 0
+
+    def __init__(self, server, host: str = "127.0.0.1", port: int = 0):
         self._server = server
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
@@ -661,15 +661,8 @@ class SocketTransport:
         self._connections: set[_Connection] = set()
         self._connections_lock = threading.Lock()
         self._running = False
-        self._shm_ring_bytes = max(0, shm_ring_bytes)
         buffer = server.tasm.config.service_stream_buffer_chunks
         self._reply_frames = buffer if buffer > 0 else _DEFAULT_WIRE_BUFFER
-        #: Accepted sockets must complete a first frame (the hello) within
-        #: this bound or be closed — an idle or wedged peer cannot pin a
-        #: connection's reader thread forever.  0 disables the bound.
-        self._handshake_timeout = max(
-            0.0, server.tasm.config.service_handshake_timeout_s
-        )
 
     def start(self) -> "SocketTransport":
         if self._running:
@@ -727,7 +720,7 @@ class SocketTransport:
                 return  # stop() shut the listener down
             # Bound the hello: the connection reader clears the timeout once
             # the first complete frame lands (see _Connection.serve).
-            sock.settimeout(self._handshake_timeout or None)
+            sock.settimeout(HANDSHAKE_TIMEOUT_S or None)
             _disable_nagle(sock)
             connection = _Connection(
                 self._server, sock, self._reply_frames, self._shm_ring_bytes
@@ -768,7 +761,8 @@ class ShmTransport(SocketTransport):
         port: int = 0,
         shm_ring_bytes: int = SHM_RING_BYTES,
     ):
-        super().__init__(server, host=host, port=port, shm_ring_bytes=shm_ring_bytes)
+        super().__init__(server, host=host, port=port)
+        self._shm_ring_bytes = max(0, shm_ring_bytes)
 
 
 class _ServedScan:
@@ -1514,11 +1508,6 @@ class RemoteTasmClient:
                 except OSError:
                     pass
         return None
-
-    @property
-    def shm_active(self) -> bool:
-        """True when pixel payloads arrive through shared memory."""
-        return self._shm is not None
 
     def close(self, join_timeout: float = 5.0) -> None:
         with self._table_lock:

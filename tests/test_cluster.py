@@ -17,7 +17,8 @@ The contracts pinned here:
   storm confined to one shard, whether the router re-dials the shard under
   its :class:`~repro.service.RetryPolicy` or has none;
 * ``ServerBusy`` from a shard at its depth bound routes around it for that
-  scan only (the shard is not marked down);
+  scan only (the shard is not marked down), and a shard marked down is
+  dialled again once ``DOWN_RETRY_AFTER_S`` has passed;
 * health checks ride the bounded hello handshake, and the metrics rollup
   sums counters across shards without flattening per-shard detail.
 """
@@ -25,6 +26,7 @@ The contracts pinned here:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.cluster import (
     probe_shard,
     sot_key,
 )
+from repro.cluster import router as router_module
 from repro.core.tasm import TASM
 from repro.errors import QueryRefused, ServiceError
 from repro.faults import FAULT_TRANSPORT_DROP, FaultSpec
@@ -266,12 +269,11 @@ class TestScatterGather:
             return fetch(self)
 
         monkeypatch.setattr(RemoteTasmClient, "metrics", counting_metrics)
+        monkeypatch.setattr(router_module, "METRICS_TTL_S", 0.0)
         servers, transports, video = make_local_cluster(config, shards=2)
         try:
             router = ClusterRouter(
-                [t.address for t in transports],
-                config=replicated(config, factor),
-                metrics_ttl_s=0.0,
+                [t.address for t in transports], config=replicated(config, factor)
             )
             for _ in range(100):
                 assert router.scan(video.name, "car").regions
@@ -397,6 +399,30 @@ class TestClusterFailover:
         with pytest.raises(ServiceError):
             router.scan(video.name, "car")
         router.close()
+
+    def test_a_down_shard_is_dialled_again_once_its_cooldown_passes(
+        self, config, monkeypatch
+    ):
+        """A one-shard router whose shard went away and came back on the same
+        port serves again without a ``probe()``: once ``DOWN_RETRY_AFTER_S``
+        has passed since the shard was marked down, the next scan dials it."""
+        monkeypatch.setattr(router_module, "DOWN_RETRY_AFTER_S", 0.05)
+        servers, transports, video = make_local_cluster(config, shards=1)
+        address = transports[0].address
+        router = ClusterRouter([address], config=config)
+        try:
+            expected = router.scan(video.name, "car")
+            transports[0].stop()
+            with pytest.raises(ServiceError):
+                router.scan(video.name, "car")
+            assert list(router._down) == router.shards
+            transports[0] = SocketTransport(servers[0], *address).start()
+            time.sleep(0.05)
+            assert_scan_results_identical(router.scan(video.name, "car"), expected)
+            assert not router._down
+        finally:
+            router.close()
+            stop_local_cluster(servers, transports)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from repro.config import CodecConfig, TasmConfig
 from repro.core.cost import (
+    ENCODE_COST_PER_PIXEL,
+    ENCODE_COST_PER_TILE,
     CostEstimate,
     CostModel,
     boxes_by_frame,
@@ -139,15 +141,15 @@ class TestRetileCost:
             current.frame_pixels * frame_count, current.tile_count * gops
         )
         write = (
-            cost_config.encode_cost_per_pixel * GRID.frame_pixels * frame_count
-            + cost_config.encode_cost_per_tile * GRID.tile_count * gops
+            ENCODE_COST_PER_PIXEL * GRID.frame_pixels * frame_count
+            + ENCODE_COST_PER_TILE * GRID.tile_count * gops
         )
         assert model.retile_cost(current, GRID, frame_count) == pytest.approx(read.cost + write)
 
-    def test_a_sot_never_stored_is_charged_the_encode_only(self, model, cost_config):
+    def test_a_sot_never_stored_is_charged_the_encode_only(self, model):
         write = (
-            cost_config.encode_cost_per_pixel * GRID.frame_pixels * 5
-            + cost_config.encode_cost_per_tile * GRID.tile_count
+            ENCODE_COST_PER_PIXEL * GRID.frame_pixels * 5
+            + ENCODE_COST_PER_TILE * GRID.tile_count
         )
         assert model.retile_cost(None, GRID, 5) == pytest.approx(write)
         read = model.estimate_query_cost(OMEGA, whole_sot(5)).cost

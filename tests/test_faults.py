@@ -75,6 +75,8 @@ from repro.service import (
     ShmTransport,
     SocketTransport,
 )
+from repro.service import scheduler as scheduler_module
+from repro.service import transport as transport_module
 from tests.test_exec_engine import assert_scan_results_identical, make_tasm
 from tests.test_service import held_runner
 from tests.test_service_flow_control import make_server, only_connection, wait_until
@@ -245,8 +247,10 @@ class TestLoadShedding:
     def test_depth_bound_fast_fails(self, config):
         """Above ``service_max_queue_depth`` pending, submit refuses with
         SERVER_BUSY before allocating a stream."""
-        tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, max_batch=4, max_queue_depth=2)
+        tasm, video = make_tasm(
+            config.with_updates(service_max_batch=4, service_max_queue_depth=2)
+        )
+        scheduler = BatchScheduler(tasm)
         scheduler._running = True  # driven without threads: pending stays put
         scheduler.submit(Query.select("car", video.name))
         scheduler.submit(Query.select("person", video.name))
@@ -295,13 +299,12 @@ class TestRunnerSupervision:
         finally:
             server.stop()
 
-    def test_poison_query_is_quarantined(self, config):
+    def test_poison_query_is_quarantined(self, config, monkeypatch):
         """A query that crashes every batch it rides in is quarantined after
-        ``service_poison_query_kills`` crashes instead of looping forever."""
+        ``POISON_QUERY_KILLS`` crashes instead of looping forever."""
+        monkeypatch.setattr(scheduler_module, "POISON_QUERY_KILLS", 2)
         plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, probability=1.0)], seed=3)
-        server, video = make_server(
-            config, fault_plan=plan, service_poison_query_kills=2
-        )
+        server, video = make_server(config, fault_plan=plan)
         try:
             stream = server.submit(Query.select("car", video.name))
             with pytest.raises(PoisonQueryError):
@@ -824,7 +827,6 @@ class TestShmAttachFault:
             with RemoteTasmClient(
                 transport.address, timeout=30.0, use_shm=True, fault_plan=plan
             ) as client:
-                assert client.shm_active is False
                 assert_scan_results_identical(
                     client.scan(video.name, "car"),
                     reference.scan(video.name, "car"),
@@ -840,8 +842,9 @@ class TestShmAttachFault:
 # Handshake bound (satellite: a wedged peer cannot pin a reader forever)
 # ----------------------------------------------------------------------
 class TestHandshakeTimeout:
-    def test_idle_peer_is_cut_and_counted(self, config):
-        server, video = make_server(config, service_handshake_timeout_s=0.25)
+    def test_idle_peer_is_cut_and_counted(self, config, monkeypatch):
+        monkeypatch.setattr(transport_module, "HANDSHAKE_TIMEOUT_S", 0.25)
+        server, video = make_server(config)
         transport = SocketTransport(server).start()
         try:
             idler = socket.create_connection(transport.address, timeout=5.0)
@@ -868,8 +871,8 @@ class TestHandshakeTimeout:
 # ----------------------------------------------------------------------
 class TestStarvedStageMessages:
     def test_result_timeout_names_the_queue_stage(self, config):
-        tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, max_batch=4)
+        tasm, video = make_tasm(config.with_updates(service_max_batch=4))
+        scheduler = BatchScheduler(tasm)
         scheduler._running = True  # no threads: the query stays queued
         stream = scheduler.submit(Query.select("car", video.name))
         with pytest.raises(ServiceError, match="starved in queue"):
@@ -977,13 +980,17 @@ class TestChaos:
             fault_plan=plan,
             service_runners=2,
             service_max_queue_depth=16,
-            service_poison_query_kills=3,
         )
         reference, _ = make_tasm(config)
         expected = {label: reference.scan(video.name, label) for label in LABELS}
-        transport = ShmTransport(server).start()
         # Client-side faults ride on the shard connections the routers dial:
-        # a failing shm attach on A's, a clock-skewed consumer on B's.
+        # A's ask for the shared-memory ring and fail to attach it once, B's
+        # consume with a skewed clock.  Each router reaches the server through
+        # its own transport, so a dial is told apart by its address.
+        transports = {
+            True: ShmTransport(server).start(),
+            False: SocketTransport(server).start(),
+        }
         client_faults = {
             True: FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=seed),
             False: FaultPlan(
@@ -993,8 +1000,9 @@ class TestChaos:
         }
 
         def dial(address, use_shm, **kwargs):
+            shm = tuple(address) == transports[True].address
             return RemoteTasmClient(
-                address, use_shm=use_shm, fault_plan=client_faults[use_shm], **kwargs
+                address, use_shm=shm, fault_plan=client_faults[shm], **kwargs
             )
 
         monkeypatch.setattr(router_module, "RemoteTasmClient", dial)
@@ -1012,8 +1020,8 @@ class TestChaos:
         monkeypatch.setattr(ClusterScanStream, "_failover", recording_failover)
         retry = RetryPolicy(attempts=8, base_delay=0.02, max_delay=0.2, seed=seed)
         routers = [
-            ClusterRouter([transport.address], timeout=15.0, retry=retry, use_shm=use_shm)
-            for use_shm in (True, False)
+            ClusterRouter([transports[shm].address], timeout=15.0, retry=retry)
+            for shm in (True, False)
         ]
         outcomes = {"done": 0, "deadline": 0, "busy": 0, "quarantined": 0}
         # Submissions the router refused because their deadline ran out
@@ -1076,5 +1084,6 @@ class TestChaos:
         finally:
             for router in routers:
                 router.close()
-            transport.stop()
+            for transport in transports.values():
+                transport.stop()
             server.stop()

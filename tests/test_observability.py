@@ -32,7 +32,7 @@ import pytest
 
 from repro.config import TasmConfig
 from repro.core.query import Query
-from repro.errors import ConfigurationError
+import repro.obs as obs_module
 from repro.obs import (
     DISABLED,
     NULL_TRACE,
@@ -273,11 +273,23 @@ class TestTrace:
 # Config knobs
 # ----------------------------------------------------------------------
 class TestObservabilityConfig:
-    def test_knob_validation(self):
-        with pytest.raises(ConfigurationError):
+    def test_knob_validation(self, monkeypatch):
+        # The slow-query threshold and the trace-ring bound are module
+        # constants, not config fields: a config that names them is refused.
+        with pytest.raises(TypeError):
             TasmConfig(slow_query_ms=-1.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             TasmConfig(trace_history=0)
+        assert obs_module.SLOW_QUERY_MS >= 0.0 and obs_module.TRACE_HISTORY >= 1
+        # A bound below one still keeps the newest trace.
+        monkeypatch.setattr(obs_module, "TRACE_HISTORY", 0)
+        monkeypatch.setattr(obs_module, "SLOW_QUERY_MS", 250.0)
+        obs = Observability()
+        assert obs.slow_query_seconds == 0.25
+        for label in ("car", "person"):
+            trace = obs.start_trace(Query.select(label, "v"))
+            obs.traces.append(trace)
+        assert len(obs.traces) == 1
 
     def test_from_config_honours_the_master_switch(self):
         on = Observability.from_config(TasmConfig())
@@ -529,8 +541,9 @@ class TestObservabilityIntegration:
         text = render_text(metrics)
         assert "tasm_query_seconds_bucket" in text
 
-    def test_slow_query_log_fires_above_threshold(self, config, caplog):
-        server, video = make_server(config, slow_query_ms=1e-6)
+    def test_slow_query_log_fires_above_threshold(self, config, caplog, monkeypatch):
+        monkeypatch.setattr(obs_module, "SLOW_QUERY_MS", 1e-6)
+        server, video = make_server(config)
         try:
             with caplog.at_level(logging.WARNING, logger=SLOW_QUERY_LOGGER):
                 server.connect().scan(video.name, "car")
@@ -543,8 +556,9 @@ class TestObservabilityIntegration:
         assert attached["spans"], "the log event carries the span breakdown"
         assert server.obs.slow_queries.value >= 1
 
-    def test_slow_query_log_disabled_at_zero_threshold(self, config, caplog):
-        server, video = make_server(config, slow_query_ms=0.0)
+    def test_slow_query_log_disabled_at_zero_threshold(self, config, caplog, monkeypatch):
+        monkeypatch.setattr(obs_module, "SLOW_QUERY_MS", 0.0)
+        server, video = make_server(config)
         try:
             with caplog.at_level(logging.WARNING, logger=SLOW_QUERY_LOGGER):
                 server.connect().scan(video.name, "car")

@@ -133,7 +133,6 @@ class TestWorkload:
             [Query.select("car", "a"), Query.select("person", "a"), Query.select("car", "b")],
         )
         assert workload.objects == {"car", "person"}
-        assert workload.videos == {"a", "b"}
         assert len(workload) == 3
 
     def test_for_video_filters(self):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.core.regret import RegretAccumulator, layout_key
+from repro.core.regret import RegretAccumulator, RegretEntry, layout_key
+
+
+def alternatives_for(regret: RegretAccumulator, sot_index: int) -> list[RegretEntry]:
+    """The alternatives a SOT has regret entries for (a test probe)."""
+    return [entry for (sot, _), entry in regret._entries.items() if sot == sot_index]
 
 
 class TestLayoutKey:
@@ -38,24 +43,31 @@ class TestRegretAccumulator:
         regret.accumulate(1, ["car"], 5.0)
         assert regret.regret_of(0, ["car"]) == 1.0
         assert regret.regret_of(1, ["car"]) == 5.0
-        assert len(regret.alternatives_for(0)) == 1
+        assert len(alternatives_for(regret, 0)) == 1
 
     def test_exceeding_threshold(self):
+        # The policy compares regret_of against its threshold itself.
         regret = RegretAccumulator()
         regret.accumulate(0, ["car"], 1.0)
         regret.accumulate(0, ["person"], 10.0)
-        over = regret.exceeding_threshold(0, 5.0)
-        assert [entry.objects for entry in over] == [("person",)]
-        assert regret.exceeding_threshold(0, 100.0) == []
+        over = [
+            entry.objects
+            for entry in alternatives_for(regret, 0)
+            if regret.regret_of(0, entry.objects) > 5.0
+        ]
+        assert over == [("person",)]
+        assert not any(
+            regret.regret_of(0, entry.objects) > 100.0 for entry in alternatives_for(regret, 0)
+        )
 
     def test_reset_clears_only_that_sot(self):
         regret = RegretAccumulator()
         regret.accumulate(0, ["car"], 1.0)
         regret.accumulate(1, ["car"], 2.0)
         regret.reset(0)
-        assert regret.alternatives_for(0) == []
+        assert alternatives_for(regret, 0) == []
         assert regret.regret_of(1, ["car"]) == 2.0
-        assert len(regret.alternatives_for(1)) == 1
+        assert len(alternatives_for(regret, 1)) == 1
 
     def test_negative_regret_tracks_harmful_layouts(self):
         """Layouts that would have slowed queries accumulate negative regret."""
@@ -63,4 +75,4 @@ class TestRegretAccumulator:
         regret.accumulate(0, ["person"], -2.0)
         regret.accumulate(0, ["person"], -1.5)
         assert regret.regret_of(0, ["person"]) == -3.5
-        assert regret.exceeding_threshold(0, 0.0) == []
+        assert not regret.regret_of(0, ["person"]) > 0.0, "never past a zero threshold"

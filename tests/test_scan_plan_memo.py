@@ -321,11 +321,18 @@ def test_skipped_sots_are_never_looked_up():
     assert index.lookups == []
 
 
+#: Writer steps (a detection written or a SOT re-tiled) in the writer race:
+#: more than the 36-38 that a 2 s deadline allowed on a 2-core x86 container.
+WRITER_STEPS = 40
+#: Re-tiles in the re-tiler race; a 2 s deadline allowed 167-176 there.
+RETILES = 180
+
+
 def test_scanners_racing_a_writer_never_keep_a_stale_piece(monkeypatch):
     """Three scanners against one writer and one re-tiler, with a region
-    bound small enough that pieces are evicted all the time.  After each
-    write every scan must equal a memo-less one, whatever the scanners were
-    in the middle of."""
+    bound small enough that pieces are evicted all the time.  After each of
+    ``WRITER_STEPS`` writes every scan must equal a memo-less one, whatever
+    the scanners were in the middle of."""
     monkeypatch.setattr(tasm_module, "_MEMOISED_SCAN_REGIONS", 12)
     tasm = build(CACHE_BYTES)
     scans = [
@@ -351,15 +358,17 @@ def test_scanners_racing_a_writer_never_keep_a_stale_piece(monkeypatch):
     try:
         for thread in scanners:
             thread.start()
-        deadline = time.monotonic() + 2.0
+        steps = 0
         for frame in range(VIDEO.frame_count):
             for detection in VIDEO.ground_truth(frame):
-                if time.monotonic() < deadline:
+                if steps < WRITER_STEPS:
+                    steps += 1
                     tasm.add_detections(VIDEO.name, [detection])
                     reference = fresh_over(tasm)
                     for query in scans:
                         check(tasm, [query], reference)
-            if frame % 5 == 2 and time.monotonic() < deadline:
+            if frame % 5 == 2 and steps < WRITER_STEPS:
+                steps += 1
                 tasm.retile_sot(VIDEO.name, frame // 5, resolve(tasm, frame // 5, "2x2"))
                 check(tasm, scans[:2])
     finally:
@@ -368,6 +377,7 @@ def test_scanners_racing_a_writer_never_keep_a_stale_piece(monkeypatch):
             thread.join(timeout=10.0)
         sys.setswitchinterval(interval)
     assert not failures and not any(thread.is_alive() for thread in scanners)
+    assert steps == WRITER_STEPS
     assert tasm._scan_regions <= 12
 
 
@@ -427,8 +437,8 @@ def test_scanners_racing_a_retiler_never_see_a_raster_of_the_other_encoding(monk
     try:
         for thread in scanners:
             thread.start()
-        deadline, retiles = time.monotonic() + 2.0, 0
-        while time.monotonic() < deadline and not failures:
+        retiles = 0
+        while retiles < RETILES and not failures:
             tasm.retile_sot(VIDEO.name, 1, layouts[retiles % 2])
             retiles += 1
             time.sleep(0.005)  # let the scanners make the new tiles resident

@@ -12,7 +12,7 @@ whenever the server is quiescent::
                  + deadline_exceeded + quarantined
 
 the registry's series equal ``TasmServer.stats()`` (they read the same ints),
-and the trace ring holds ``min(submitted, trace_history)`` traces, one per
+and the trace ring holds ``min(submitted, TRACE_HISTORY)`` traces, one per
 query.  Each row below drives one ending against a real server and says what
 it must have counted; the law is checked after every row, alone and in seeded
 mixes of all of them — and a ``close()`` must be visible in ``stats()`` by
@@ -30,6 +30,8 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.obs as obs_module
+import repro.service.scheduler as scheduler_module
 from repro.core.query import Query
 from repro.errors import DeadlineExceeded, PoisonQueryError, ServerBusy, ServiceError
 from repro.service import SocketTransport
@@ -38,8 +40,8 @@ from tests.test_service import held_runner
 from tests.test_service_flow_control import make_server, wait_until
 
 DEPTH = 3  # service_max_queue_depth
-HISTORY = 8  # trace_history: smaller than a mix, so the ring's bound is exercised
-POISON_KILLS = 2
+HISTORY = 8  # TRACE_HISTORY: smaller than a mix, so the ring's bound is exercised
+POISON_KILLS = 2  # POISON_QUERY_KILLS
 
 #: outcome -> (series, its labels, the scheduler's field).
 ENDINGS = {
@@ -59,6 +61,14 @@ OTHERS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def small_limits(monkeypatch):
+    """Every rig quarantines after ``POISON_KILLS`` crashes and keeps the
+    last ``HISTORY`` traces."""
+    monkeypatch.setattr(scheduler_module, "POISON_QUERY_KILLS", POISON_KILLS)
+    monkeypatch.setattr(obs_module, "TRACE_HISTORY", HISTORY)
+
+
 class Rig:
     """One single-runner server behind a socket, and what the rows expect of it."""
 
@@ -68,8 +78,6 @@ class Rig:
             service_runners=1,
             service_max_batch=4,
             service_max_queue_depth=DEPTH,
-            service_poison_query_kills=POISON_KILLS,
-            trace_history=HISTORY,
             observability=observability,
         )
         self.scheduler = self.server._scheduler

@@ -289,8 +289,8 @@ class TestAdmissionControl:
     def test_round_robin_gives_every_client_a_slot(self, config):
         """6 queued greedy queries cannot keep the light client out of the
         next batch: rotation takes one per client before seconds."""
-        tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, max_batch=4)
+        tasm, video = make_tasm(config.with_updates(service_max_batch=4))
+        scheduler = BatchScheduler(tasm)
         scheduler._running = True  # accept submissions without threads
         try:
             greedy = [
@@ -315,8 +315,8 @@ class TestAdmissionControl:
             scheduler._running = False
 
     def test_lone_client_still_fills_a_batch(self, config):
-        tasm, video = make_tasm(config)
-        scheduler = BatchScheduler(tasm, max_batch=3)
+        tasm, video = make_tasm(config.with_updates(service_max_batch=3))
+        scheduler = BatchScheduler(tasm)
         scheduler._running = True
         try:
             streams = [

@@ -44,7 +44,7 @@ from repro.core.query import Query
 from repro.core.scan import ScanRegion, ScanResult
 from repro.errors import TransportError
 from repro.geometry import Rectangle
-from repro.service import RemoteTasmClient, SocketTransport
+from repro.service import RemoteTasmClient, ShmTransport, SocketTransport
 from repro.service.scheduler import ResultStream
 from repro.service.stream import StreamChunk
 from repro.service.transport import (
@@ -783,7 +783,7 @@ def test_a_hello_whose_shm_is_not_a_boolean_is_refused_and_makes_no_ring():
     """Any truthy ``shm`` once asked for a ring, ``"no"`` included: a value
     that is not a boolean earns a ``refused`` error reply, no ring is made,
     and a well-formed hello on the same connection is answered."""
-    with SocketTransport(_ScriptedServer(), shm_ring_bytes=1 << 16) as transport:
+    with ShmTransport(_ScriptedServer(), shm_ring_bytes=1 << 16) as transport:
 
         @settings(max_examples=40, deadline=None)
         @given(shm=NOT_A_BOOL)
