@@ -38,14 +38,15 @@ that scan and leaves every shard up: only a lost wire marks one down, and
 only for :data:`DOWN_RETRY_AFTER_S`: after that the next scan or
 ``video_info`` that would use the shard dials it again through the same
 recovery path, and a failed dial marks it down afresh.  Health checks ride
-the bounded hello handshake: :meth:`ClusterRouter.probe` dials, exchanges
-the hello, and hangs up — exactly the server's
-:data:`~repro.service.transport.HANDSHAKE_TIMEOUT_S`-bounded first frame.
+the hello handshake: :meth:`ClusterRouter.probe` opens a
+:class:`~repro.service.transport.RemoteTasmClient` to the shard and closes
+it, so the probe is the client's own hello (the first frame the server
+bounds with :data:`~repro.service.transport.HANDSHAKE_TIMEOUT_S`), with no
+second copy of it here.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from typing import Iterable, NamedTuple
@@ -62,15 +63,7 @@ from ..errors import (
 )
 from ..core.scan import ScanResult
 from ..service.stream import ScanStream
-from ..service.transport import (
-    PROTOCOL_VERSION,
-    RemoteScanStream,
-    RemoteTasmClient,
-    RetryPolicy,
-    _disable_nagle,
-    recv_message,
-    send_message,
-)
+from ..service.transport import RemoteScanStream, RemoteTasmClient, RetryPolicy
 from .ring import HashRing, sot_key
 
 __all__ = ["ClusterRouter", "ClusterScanStream", "probe_shard"]
@@ -87,26 +80,16 @@ METRICS_TTL_S = 2.0
 def probe_shard(address, timeout: float = 5.0) -> bool:
     """One health probe: dial, exchange the hello handshake, hang up.
 
-    This is deliberately the same first-frame exchange the server bounds
-    with ``HANDSHAKE_TIMEOUT_S`` — a shard that accepts but cannot
-    answer its hello within the bound is as down as one refusing the dial.
+    The dial is a :class:`~repro.service.transport.RemoteTasmClient`, so the
+    probe is the client's own hello, bounded by ``timeout``: a shard that
+    accepts but cannot answer its hello in time is as down as one refusing
+    the dial.
     """
     try:
-        sock = socket.create_connection(tuple(address), timeout=timeout)
-    except OSError:
-        return False
-    try:
-        _disable_nagle(sock)
-        sock.settimeout(timeout)
-        send_message(
-            sock, {"op": "hello", "id": 0, "version": PROTOCOL_VERSION, "shm": False}
-        )
-        reply = recv_message(sock)
-        return bool(reply) and reply.get("type") == "hello"
+        RemoteTasmClient(tuple(address), timeout=timeout, use_shm=False).close()
     except (TransportError, ProtocolError, OSError):
         return False
-    finally:
-        sock.close()
+    return True
 
 
 #: Verdicts that hold cluster-wide: a re-dial or a replica would only

@@ -114,9 +114,7 @@ class TASM:
     # ------------------------------------------------------------------
     def ingest(self, video: Video) -> TiledVideo:
         """Register a raw video; its initial physical layout is untiled."""
-        tiled = self.catalog.ingest(video)
-        tiled.add_retile_listener(self._on_retile)
-        return tiled
+        return self.catalog.ingest(video)
 
     def video(self, name: str) -> TiledVideo:
         return self.catalog.get(name)
@@ -284,10 +282,10 @@ class TASM:
             tiled = self.catalog.get(video_name)
             handover = self._resident(tiled, sot_index)
             record = tiled.retile(sot_index, layout, handover)
-            # The retile listener registered at ingest already invalidates,
-            # but a TiledVideo loaded into the catalog directly (e.g. restored
-            # from disk) may carry no listener, so invalidate here as well.
-            self._on_retile(video_name, sot_index)
+            # The one invalidation of a re-tile.  It runs even when
+            # ``tiled.retile`` kept the layout it had and re-encoded nothing.
+            if self.tile_cache is not None:
+                self.tile_cache.invalidate_sot(video_name, sot_index)
             if handover is not None:
                 for (gop_start, tile_index), (frames, token) in handover.frames.items():
                     self.tile_cache.put((video_name, sot_index, gop_start, tile_index), frames, token)
@@ -309,10 +307,6 @@ class TASM:
                 if frames:
                     held.setdefault(gop.frame_start, {})[tile.region] = frames
         return Handover(held) if held else None
-
-    def _on_retile(self, video_name: str, sot_index: int) -> None:
-        if self.tile_cache is not None:
-            self.tile_cache.invalidate_sot(video_name, sot_index)
 
     # ------------------------------------------------------------------
     # Cost estimation (Section 4.1)

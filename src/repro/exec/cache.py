@@ -15,13 +15,14 @@ that area under the new tiles' checksums.
 Two mechanisms keep served pixels fresh across re-tiling:
 
 * **Explicit invalidation** — :meth:`TileDecodeCache.invalidate_sot` drops
-  every entry of one SOT; TASM calls it whenever a SOT is physically
-  re-encoded, so a ``retile_sot`` can never leave stale reconstructions
-  behind.
+  every entry of one SOT; ``TASM.retile_sot`` calls it once per re-tile,
+  under the SOT's write lock, so a re-tile can never leave stale
+  reconstructions behind.
 * **Token validation** — every entry records the checksum tuple of the
   bitstream it was decoded from, and a lookup whose token differs is treated
-  as a miss.  Even a caller that bypasses TASM's invalidation hook therefore
-  cannot read pixels from a superseded encoding.
+  as a miss.  Even a re-tile made behind TASM's back (``TiledVideo.retile``
+  called directly) therefore cannot serve pixels from a superseded
+  encoding.
 
 Eviction is least-recently-used: a hit or an insertion makes an entry the
 newest, and an insertion that takes the decoded bytes held over the capacity

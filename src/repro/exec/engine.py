@@ -45,7 +45,7 @@ from ..errors import CodecError
 from ..faults.plan import FAULT_DECODE_ERROR
 from ..video.codec import DecodeStats
 from ..video.decoder import DecodeResult, ScanPiece, VideoDecoder
-from .cache import CacheStats, TileDecodeCache
+from .cache import TileDecodeCache
 
 if TYPE_CHECKING:
     from ..core.tasm import TASM
@@ -107,7 +107,6 @@ class BatchResult:
 
     results: list[ScanResult] = field(default_factory=list)
     stats: DecodeStats = field(default_factory=DecodeStats)
-    cache: CacheStats = field(default_factory=CacheStats)
     index_seconds: float = 0.0
     #: Decoder time spent warming SOTs and answering queries from them, each
     #: the sum of its per-SOT decode times.
@@ -136,7 +135,8 @@ class BatchResult:
 
     @property
     def cache_hit_rate(self) -> float:
-        return self.cache.hit_rate
+        lookups = self.stats.cache_hits + self.stats.cache_misses
+        return self.stats.cache_hits / lookups if lookups else 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -354,7 +354,6 @@ class QueryExecutor:
                     regions_before = len(result.regions)
                     decoded = decoder.decode_regions(encoded, piece, scope=video)
                     self._apply_decoded(result, decoded)
-                    result.decode_seconds += decoded.elapsed_seconds
                     batch.serve_seconds += decoded.elapsed_seconds
                     if trace_sink is not None:
                         trace_sink(
@@ -387,19 +386,14 @@ class QueryExecutor:
         finally:
             locks.release_read(sot_held)
 
-        for result in batch.results:
-            batch.stats.merge(result.stats)
         # Cache accounting comes from this batch's own decode counters, not a
         # delta of the shared cache's global stats: with a pool of batch
         # runners, concurrent batches interleave their lookups on one cache,
         # and a snapshot delta would attribute other batches' traffic to this
         # one.  (Insertions/evictions are cache-global by nature and are
         # reported by the cache itself, not per batch.)
-        batch.cache = CacheStats(
-            hits=batch.stats.cache_hits,
-            misses=batch.stats.cache_misses,
-            pixels_served=batch.stats.pixels_served_from_cache,
-        )
+        for result in batch.results:
+            batch.stats.merge(result.stats)
         return batch
 
     # ------------------------------------------------------------------
@@ -440,12 +434,10 @@ class QueryExecutor:
         if not plan.sot_requests:
             return result
         tiled = self._tasm.catalog.get(plan.video)
-        decode_started = time.perf_counter()
         for sot_index, piece in plan.sot_requests:
             encoded = tiled.encoded_sot(sot_index)
             decoded = decoder.decode_regions(encoded, piece, scope=plan.video)
             self._apply_decoded(result, decoded)
-        result.decode_seconds = time.perf_counter() - decode_started
         return result
 
     @staticmethod
@@ -455,7 +447,9 @@ class QueryExecutor:
         The decoder's regions are the scan's regions (``ScanRegion`` is
         ``DecodedRegion``), so nothing is rebuilt per region; the single-query
         path and the batched serve phase both come through here, which is what
-        keeps their outputs byte-identical.
+        keeps their outputs byte-identical.  ``decode_seconds`` is the sum of
+        the decoder's own clock over the SOTs served, on either path.
         """
         result.stats.merge(decoded.stats)
         result.regions.extend(decoded.regions)
+        result.decode_seconds += decoded.elapsed_seconds

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from ..config import TasmConfig
@@ -89,34 +89,14 @@ class ServerStats:
     metrics: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """A JSON-serialisable form (used by the socket transport).
+        """A JSON-serialisable form (used by the socket transport): every
+        field, in declaration order.
 
         The legacy flat keys are a compatibility surface: existing dashboards
         and the wire's ``stats`` op consume them, so new telemetry lands under
         the nested ``metrics`` key instead of widening the flat namespace.
         """
-        return {
-            "uptime_seconds": self.uptime_seconds,
-            "queries_submitted": self.queries_submitted,
-            "queries_completed": self.queries_completed,
-            "queries_cancelled": self.queries_cancelled,
-            "qps": self.qps,
-            "queue_depth": self.queue_depth,
-            "batches_executed": self.batches_executed,
-            "runners": self.runners,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_bytes": self.cache_bytes,
-            "cache_entries": self.cache_entries,
-            "pixels_decoded": self.pixels_decoded,
-            "pixels_served_from_cache": self.pixels_served_from_cache,
-            "decode_work_by_label": {
-                label: dict(work)
-                for label, work in self.decode_work_by_label.items()
-            },
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 class TasmServer:

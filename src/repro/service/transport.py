@@ -112,7 +112,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -768,7 +768,7 @@ class ShmTransport(SocketTransport):
 class _ServedScan:
     """One in-flight scan of a connection, as its writer sees it."""
 
-    __slots__ = ("stream", "credits", "cancelled", "started", "sent", "stalled_at")
+    __slots__ = ("stream", "credits", "cancelled", "sent", "stalled_at")
 
     def __init__(self, stream, credits: int | None):
         self.stream = stream
@@ -776,7 +776,6 @@ class _ServedScan:
         #: writer spends; both under the connection's condition.
         self.credits = credits
         self.cancelled = False
-        self.started = time.perf_counter()
         self.sent = 0
         #: When the writer parked the stream for want of credit (writer-only).
         self.stalled_at: float | None = None
@@ -1219,12 +1218,11 @@ class _Connection:
         except ServiceError as error:
             return _json_frame(_error_reply(query_id, error))
         # Detail span on the (already finished) trace: time from the scan's
-        # arrival to its last chunk leaving.  Trace mutation is
+        # submission to its last chunk leaving.  Trace mutation is
         # lock-protected, so the ring's readers see it whole.
         scan.stream.trace.add_span(
-            "wire", time.perf_counter() - scan.started, chunks=scan.sent
+            "wire", time.perf_counter() - scan.stream.submitted_at, chunks=scan.sent
         )
-        stats = result.stats
         return _json_frame(
             {
                 "type": "done",
@@ -1232,14 +1230,8 @@ class _Connection:
                 "video": result.video,
                 "index_seconds": result.index_seconds,
                 "decode_seconds": result.decode_seconds,
-                "stats": {  # the client rebuilds DecodeStats(**stats)
-                    "pixels_decoded": stats.pixels_decoded,
-                    "tiles_decoded": stats.tiles_decoded,
-                    "frames_decoded": stats.frames_decoded,
-                    "cache_hits": stats.cache_hits,
-                    "cache_misses": stats.cache_misses,
-                    "pixels_served_from_cache": stats.pixels_served_from_cache,
-                },
+                # The client rebuilds DecodeStats(**stats).
+                "stats": asdict(result.stats),
             }
         )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..config import TasmConfig
 from ..tiles.layout import TileLayout, VideoLayoutSpec, untiled_layout
@@ -54,9 +53,6 @@ class TiledVideo:
     _sots: dict[int, EncodedSot] = field(default_factory=dict, init=False)
     _encoder: VideoEncoder = field(init=False)
     retile_history: list[RetileRecord] = field(default_factory=list, init=False)
-    _retile_listeners: list[Callable[[str, int], None]] = field(
-        default_factory=list, init=False
-    )
     #: Serialises lazy first-touch encoding: concurrent batch runners may read
     #: the same unmaterialised SOT at once (both holding read locks), and
     #: without this only luck keeps them from encoding it twice in parallel.
@@ -128,16 +124,6 @@ class TiledVideo:
     # ------------------------------------------------------------------
     # Re-tiling
     # ------------------------------------------------------------------
-    def add_retile_listener(self, listener: Callable[[str, int], None]) -> None:
-        """Register a callback fired as ``listener(video_name, sot_index)``
-        whenever a SOT is physically re-encoded.
-
-        TASM uses this to invalidate cached tile decodes of the superseded
-        encoding; any holder of decoded state derived from a SOT can hook in
-        the same way.
-        """
-        self._retile_listeners.append(listener)
-
     def retile(
         self, sot_index: int, layout: TileLayout, handover: Handover | None = None
     ) -> RetileRecord:
@@ -157,8 +143,6 @@ class TiledVideo:
             return RetileRecord(sot_index, layout, 0, 0, 0, 0.0)
         self.layout_spec.set_layout(sot_index, layout)
         self._encode(sot_index, layout, record=True, handover=handover)
-        for listener in self._retile_listeners:
-            listener(self.name, sot_index)
         return self.retile_history[-1]
 
     def _encode(

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..errors import LayoutError
 from ..geometry import Rectangle
@@ -98,14 +98,6 @@ class TileLayout:
         """Cumulative column boundaries, as :attr:`row_edges`."""
         return (0, *accumulate(self.column_widths))
 
-    @property
-    def row_offsets(self) -> tuple[int, ...]:
-        return self.row_edges[:-1]
-
-    @property
-    def column_offsets(self) -> tuple[int, ...]:
-        return self.column_edges[:-1]
-
     # ------------------------------------------------------------------
     # Tile geometry
     # ------------------------------------------------------------------
@@ -169,18 +161,6 @@ class TileLayout:
             for row in range(row0, row1)
             for column in range(col0, col1)
         ]
-
-    def pixels_decoded_for(self, regions: Sequence[Rectangle]) -> int:
-        """Pixels that must be decoded to recover all of ``regions``.
-
-        This is the union of the areas of every tile any region intersects —
-        the codec cannot decode part of a tile.
-        """
-        needed: set[int] = set()
-        for region in regions:
-            needed.update(self.tiles_intersecting(region))
-        areas = self.tile_areas
-        return sum(areas[index] for index in needed)
 
     @property
     def frame_pixels(self) -> int:

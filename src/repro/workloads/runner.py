@@ -57,9 +57,6 @@ class ExecutionEngine(Protocol):
     def execute_query(self, query: Query) -> float:
         ...
 
-    def untiled_query_cost(self, query: Query) -> float:
-        ...
-
     def retile(self, video_name: str, sot_index: int, layout: TileLayout) -> float:
         ...
 
@@ -106,17 +103,6 @@ class MeasuredEngine:
     def execute_query(self, query: Query) -> float:
         result = self.tasm.execute(query)
         return result.total_seconds
-
-    def untiled_query_cost(self, query: Query) -> float:
-        # The untiled baseline is obtained by running the same workload under
-        # the not-tiled strategy; the runner wires those costs in, so this
-        # direct estimate is only used as a fallback.
-        tiled = self.tasm.video(query.video)
-        frame_start, frame_stop = query.temporal.resolve(tiled.video.frame_count)
-        total = 0.0
-        for sot_index in tiled.sots_for_frames(frame_start, frame_stop):
-            total += self.tasm.estimate_untiled_sot_query_cost(query.video, sot_index, query).cost
-        return total
 
     def retile(self, video_name: str, sot_index: int, layout: TileLayout) -> float:
         record = self.tasm.retile_sot(video_name, sot_index, layout)
@@ -188,19 +174,28 @@ class WorkloadRunner:
     ) -> StrategyRunResult:
         """Execute ``workload`` under ``strategy`` on a fresh TASM instance.
 
-        ``baseline_costs`` (per-query untiled costs) normalise the result; when
-        omitted they are computed analytically.  ``upfront_cost`` is charged to
-        the first query (used for Figure 12's initial detection costs).
+        ``baseline_costs`` (per-query untiled costs) normalise the result.  When
+        omitted, a modelled run computes them analytically and a measured
+        not-tiled run is its own baseline; any other measured run has no
+        untiled cost in seconds to divide by, so it raises
+        :class:`WorkloadError` (``run_comparison`` supplies one).
+        ``upfront_cost`` is charged to the first query (used for Figure 12's
+        initial detection costs).
         ``detect_upfront`` controls whether the whole video's detections are
         indexed before the first query (default: yes for strategies that tile
         up front, no for incremental ones).
         """
+        measured = self.mode == "measured"
+        if measured and baseline_costs is None and not isinstance(strategy, NoTilingPolicy):
+            raise WorkloadError(
+                f"a measured {strategy.name!r} run is normalised by measured seconds: "
+                "pass the not-tiled run's query_costs as baseline_costs, "
+                "or use run_comparison"
+            )
         started = time.perf_counter()
         tasm = TASM(config=self.config)
         tasm.ingest(video)
-        engine: ExecutionEngine = (
-            MeasuredEngine(tasm) if self.mode == "measured" else ModelledEngine(tasm)
-        )
+        engine: ExecutionEngine = MeasuredEngine(tasm) if measured else ModelledEngine(tasm)
 
         if detect_upfront is None:
             detect_upfront = isinstance(strategy, PreTileAllObjectsPolicy) or not isinstance(
@@ -226,6 +221,9 @@ class WorkloadRunner:
 
             if baseline_costs is not None:
                 baseline = baseline_costs[position]
+            elif measured:
+                # Not tiled: this decode is the untiled one, in seconds.
+                baseline = decode_cost
             else:
                 baseline = engine.untiled_query_cost(query)
 

@@ -48,10 +48,11 @@ def threads_return_to_baseline(request):
         yield
         return
     before = threading.active_count()
+    baseline = set(threading.enumerate())
     yield
     give_up = time.monotonic() + 5.0
-    while threading.active_count() > before and time.monotonic() < give_up:
-        time.sleep(0.01)
+    for thread in set(threading.enumerate()) - baseline:
+        thread.join(timeout=max(0.0, give_up - time.monotonic()))
     assert threading.active_count() <= before, (
         f"the test leaked threads: {sorted(t.name for t in threading.enumerate())}"
     )

@@ -190,7 +190,7 @@ class TestOneLoop:
         assert batch.warm_seconds == seconds["warm"] and batch.serve_seconds == seconds["serve"]
         # Everything decoded was decoded by a warm; every serve was a hit.
         assert served["pixels_decoded"] == served["cache_misses"] == 0 < batch.pixels_decoded
-        assert batch.cache.hits == served["cache_hits"] > 0
+        assert batch.stats.cache_hits == served["cache_hits"] > 0
         assert batch.pixels_served_from_cache == served["pixels_from_cache"] > 0
         assert batch.pixels_decoded == two_video_tasm(config, 0).execute_batch(
             eight_queries()

@@ -417,7 +417,7 @@ class TestClusterFailover:
                 router.scan(video.name, "car")
             assert list(router._down) == router.shards
             transports[0] = SocketTransport(servers[0], *address).start()
-            time.sleep(0.05)
+            time.sleep(0.05)  # the down mark's cooldown, DOWN_RETRY_AFTER_S above
             assert_scan_results_identical(router.scan(video.name, "car"), expected)
             assert not router._down
         finally:

@@ -20,7 +20,6 @@ from repro.core.predicates import TemporalPredicate
 from repro.core.query import Query
 from repro.core.tasm import TASM
 from repro.exec import TileDecodeCache, TileKey
-from repro.storage.tiled_video import TiledVideo
 from repro.tiles.layout import uniform_layout
 from tests.conftest import build_tiny_video
 
@@ -99,7 +98,7 @@ class TestBatchEquivalence:
         cached.execute_batch(queries)  # warm every tile the workload touches
         warm = cached.execute_batch(queries)
         assert warm.stats.pixels_decoded == 0, "a warm batch must be all hits"
-        assert warm.cache.hit_rate == 1.0
+        assert warm.cache_hit_rate == 1.0
         for result, query in zip(warm, queries):
             assert_scan_results_identical(result, reference.execute(query))
 
@@ -214,6 +213,23 @@ class TestBatchAccounting:
         per_query_decoded = sum(result.stats.pixels_decoded for result in batch)
         assert per_query_decoded == 0, "serve phase must hit the warmed cache"
 
+    def test_a_scans_decode_seconds_is_the_decoders_clock(self, config, monkeypatch):
+        """A scan's ``decode_seconds`` is the sum of the decoder's own clock
+        over the SOTs it served, as on the batch path: the lazy first encode
+        and the result assembly around the decodes are not in it."""
+        tasm, video = make_tasm(config)
+        decoded = []
+        decode_regions = tasm._decoder.decode_regions
+
+        def recording(*args, **kwargs):
+            decoded.append(decode_regions(*args, **kwargs))
+            return decoded[-1]
+
+        monkeypatch.setattr(tasm._decoder, "decode_regions", recording)
+        result = tasm.scan(video.name, "car")
+        assert len(decoded) == tasm.video(video.name).sot_count > 1
+        assert result.decode_seconds == sum(d.elapsed_seconds for d in decoded)
+
     def test_batch_decodes_no_more_than_sequential(self, config):
         tasm, video = make_tasm(config)
         reference, _ = make_tasm(config)
@@ -299,6 +315,25 @@ class TestRetileInvalidation:
         assert self.assert_entries_are_of_the_current_encoding(tasm, video, 0) == layout.tile_count
         assert tasm.tile_cache.stats.invalidations > 0
 
+    def test_one_retile_invalidates_the_sot_once(self, config, monkeypatch):
+        """``retile_sot`` is the one writer of a re-tile's invalidation: the
+        cache's walk over its entries runs once per re-tile, not once per
+        party that heard of it."""
+        tasm, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
+        tasm.scan(video.name, "car")
+        calls = []
+        invalidate = tasm.tile_cache.invalidate_sot
+
+        def counting(scope, sot_index):
+            calls.append((scope, sot_index))
+            return invalidate(scope, sot_index)
+
+        monkeypatch.setattr(tasm.tile_cache, "invalidate_sot", counting)
+        layout = tasm.layout_around(video.name, 0, ["car"])
+        assert not layout.is_untiled
+        tasm.retile_sot(video.name, 0, layout)
+        assert calls == [(video.name, 0)]
+
     def test_scan_after_retile_returns_fresh_pixels(self, config):
         """The stale-read path: a re-tiled SOT must never serve old decodes."""
         cached, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
@@ -322,34 +357,25 @@ class TestRetileInvalidation:
         assert after.pixels_served_from_cache == expected.pixels_decoded
 
     def test_checksum_token_blocks_stale_reads_without_invalidation(self, config):
-        """Even a retile that bypasses TASM's listener cannot serve stale tiles.
+        """Even a retile made behind TASM's back cannot serve stale tiles.
 
-        A TiledVideo injected straight into the catalog (the restore-from-disk
-        path) carries no retile listener; re-tiling it behind TASM's back
-        leaves entries in the cache, and only the bitstream-checksum token
-        check stands between a scan and stale pixels.
+        ``TiledVideo.retile`` called directly, not through ``retile_sot``,
+        invalidates nothing and leaves entries in the cache; only the
+        bitstream-checksum token check stands between a scan and stale
+        pixels.
         """
-        config = config.with_updates(decode_cache_bytes=64 * 1024 * 1024)
-        video = build_tiny_video()
-        tasm = TASM(config=config)
-        tiled = TiledVideo(video=video, config=config)
-        tasm.catalog._videos[video.name] = tiled  # bypass ingest → no listener
-        detections = [
-            detection
-            for frame in range(video.frame_count)
-            for detection in video.ground_truth(frame)
-        ]
-        tasm.add_detections(video.name, detections)
+        tasm, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
+        tiled = tasm.video(video.name)
 
         tasm.scan(video.name, "car")
         layout = tasm.layout_around(video.name, 0, ["car"])
         assert not layout.is_untiled
-        tiled.retile(0, layout)  # direct retile: no invalidation fires
+        tiled.retile(0, layout)  # direct retile: no invalidation runs
         assert keys_for_sot(tasm.tile_cache, video.name, 0), (
             "precondition: stale entries are still cached"
         )
 
-        reference, _ = make_tasm(config.with_updates(decode_cache_bytes=0))
+        reference, _ = make_tasm(config)
         reference.retile_sot(video.name, 0, layout)
         after = tasm.scan(video.name, "car")
         assert_scan_results_identical(after, reference.scan(video.name, "car"))

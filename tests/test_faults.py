@@ -177,7 +177,8 @@ class TestDeadlines:
             doomed = server.submit(
                 Query.select("person", video.name), deadline_ms=50.0
             )
-            time.sleep(0.1)  # let the deadline lapse while the runner is held
+            # The deadline lapses while the runner is held.
+            assert wait_until(lambda: time.monotonic() >= doomed.deadline_at)
             gate.set()
             with pytest.raises(DeadlineExceeded):
                 doomed.result(timeout=30)
@@ -228,7 +229,7 @@ class TestDeadlines:
                 doomed = client.scan_streaming(
                     video.name, "person", deadline_ms=50.0
                 )
-                time.sleep(0.1)
+                time.sleep(0.1)  # outlast the 50 ms deadline while the runner is held
                 gate.set()
                 with pytest.raises(DeadlineExceeded):
                     doomed.result()

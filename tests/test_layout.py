@@ -7,6 +7,8 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import TasmConfig
+from repro.core.cost import CostModel
 from repro.errors import LayoutError
 from repro.geometry import Rectangle
 from repro.tiles.layout import TileLayout, VideoLayoutSpec, uniform_layout, untiled_layout
@@ -77,12 +79,15 @@ class TestTileLayoutGeometry:
 
     def test_pixels_decoded_for(self):
         layout = TileLayout(100, 60, (20, 40), (30, 30, 40))
+        model = CostModel(TasmConfig())
+
+        def pixels(boxes):
+            return model.estimate_query_cost(layout, {0: boxes}).pixels
+
         # A box fully inside tile (0, 0) costs that tile's whole area.
-        assert layout.pixels_decoded_for([Rectangle(1, 1, 5, 5)]) == 30 * 20
+        assert pixels([Rectangle(1, 1, 5, 5)]) == 30 * 20
         # Two boxes in the same tile are not double counted.
-        assert layout.pixels_decoded_for(
-            [Rectangle(1, 1, 5, 5), Rectangle(10, 10, 15, 15)]
-        ) == 30 * 20
+        assert pixels([Rectangle(1, 1, 5, 5), Rectangle(10, 10, 15, 15)]) == 30 * 20
 
     def test_describe_uniform_vs_non_uniform(self):
         assert "uniform" in TileLayout(100, 60, (30, 30), (50, 50)).describe()

@@ -92,7 +92,8 @@ def test_span_and_intersecting_tiles_match_the_scan(drawn):
         assert layout.tiles_intersecting(box) == expected
     rectangles = layout.tile_rectangles()
     union = {tile for box in drawn_boxes for tile in scan_tiles(layout, box)}
-    assert layout.pixels_decoded_for(drawn_boxes) == sum(rectangles[t].area for t in union)
+    estimate = CostModel(TasmConfig()).estimate_query_cost(layout, {0: drawn_boxes})
+    assert estimate.pixels == sum(rectangles[t].area for t in union)
 
 
 @given(layout_and_boxes(), st.lists(st.integers(0, 40), min_size=1, max_size=6), st.integers(1, 12))

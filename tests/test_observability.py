@@ -181,7 +181,7 @@ class TestSnapshotConsistencyUnderLoad:
         readers = [threading.Thread(target=read) for _ in range(2)]
         for thread in writers + readers:
             thread.start()
-        time.sleep(0.4)
+        time.sleep(0.4)  # the race window: writers and readers contend this long
         stop.set()
         for thread in writers + readers:
             thread.join()
@@ -216,7 +216,7 @@ class TestSnapshotIsOneInstant:
         try:
             for thread in threads:
                 thread.start()
-            time.sleep(0.3)
+            time.sleep(0.3)  # the race window: writers and readers contend this long
             stop.set()
             for thread in threads:
                 thread.join(timeout=30)

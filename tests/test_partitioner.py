@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CodecConfig
+from repro.config import CodecConfig, TasmConfig
+from repro.core.cost import CostModel
 from repro.errors import LayoutError
 from repro.geometry import Rectangle
 from repro.tiles.partitioner import TileGranularity, partition_around_boxes
@@ -17,6 +18,11 @@ FRAME_W, FRAME_H = 160, 128
 
 def partition(boxes, granularity=TileGranularity.FINE):
     return partition_around_boxes(boxes, FRAME_W, FRAME_H, granularity, CODEC)
+
+
+def frame_pixels(layout, boxes):
+    """P of decoding ``boxes`` on one frame under ``layout`` (the cost model's)."""
+    return CostModel(TasmConfig(codec=CODEC)).estimate_query_cost(layout, {0: boxes}).pixels
 
 
 class TestBasicBehaviour:
@@ -49,9 +55,9 @@ class TestBoundaryAvoidance:
         boxes = [Rectangle(10, 10, 40, 30), Rectangle(90, 70, 130, 110), Rectangle(50, 90, 70, 120)]
         for granularity in TileGranularity:
             layout = partition(boxes, granularity)
-            for cut in layout.column_offsets[1:]:
+            for cut in layout.column_edges[1:-1]:
                 assert not any(box.x1 < cut < box.x2 for box in boxes)
-            for cut in layout.row_offsets[1:]:
+            for cut in layout.row_edges[1:-1]:
                 assert not any(box.y1 < cut < box.y2 for box in boxes)
 
     def test_minimum_tile_dimensions_respected(self):
@@ -64,8 +70,8 @@ class TestBoundaryAvoidance:
     def test_cuts_are_block_aligned(self):
         boxes = [Rectangle(33, 21, 57, 49)]
         layout = partition(boxes)
-        assert all(offset % CODEC.block_size == 0 for offset in layout.column_offsets)
-        assert all(offset % CODEC.block_size == 0 for offset in layout.row_offsets)
+        assert all(offset % CODEC.block_size == 0 for offset in layout.column_edges[:-1])
+        assert all(offset % CODEC.block_size == 0 for offset in layout.row_edges[:-1])
 
 
 class TestGranularity:
@@ -90,7 +96,7 @@ class TestGranularity:
         boxes = [Rectangle(8, 8, 32, 24), Rectangle(120, 96, 152, 120)]
         fine = partition(boxes, TileGranularity.FINE)
         coarse = partition(boxes, TileGranularity.COARSE)
-        assert fine.pixels_decoded_for(boxes) <= coarse.pixels_decoded_for(boxes)
+        assert frame_pixels(fine, boxes) <= frame_pixels(coarse, boxes)
 
 
 # ----------------------------------------------------------------------
@@ -119,9 +125,9 @@ def test_partition_invariants(boxes, granularity):
     assert all(height >= CODEC.min_tile_height for height in layout.row_heights)
     assert all(width >= CODEC.min_tile_width for width in layout.column_widths)
     # 3. No interior boundary crosses any box.
-    for cut in layout.column_offsets[1:]:
+    for cut in layout.column_edges[1:-1]:
         assert not any(box.x1 < cut < box.x2 for box in boxes)
-    for cut in layout.row_offsets[1:]:
+    for cut in layout.row_edges[1:-1]:
         assert not any(box.y1 < cut < box.y2 for box in boxes)
     # 4. Tiling never makes a single query decode more pixels than the frame.
-    assert layout.pixels_decoded_for(boxes) <= FRAME_W * FRAME_H
+    assert frame_pixels(layout, boxes) <= FRAME_W * FRAME_H

@@ -105,8 +105,8 @@ def test_each_axis_keeps_the_cheapest_allowed_cuts(case, granularity):
     assume(len(legal_cuts(column_spans, frame_width)) <= 8)
 
     layout = partition_around_boxes(boxes, frame_width, frame_height, granularity, CODEC)
-    row_cuts = list(layout.row_offsets[1:])
-    column_cuts = list(layout.column_offsets[1:])
+    row_cuts = list(layout.row_edges[1:-1])
+    column_cuts = list(layout.column_edges[1:-1])
     check_axis_is_cheapest(
         row_cuts,
         row_spans,

@@ -95,8 +95,8 @@ def test_cuts_never_cross_a_box(case):
     layout = partition_around_boxes(
         boxes, frame_width, frame_height, granularity=granularity, codec=CODEC
     )
-    column_cuts = layout.column_offsets[1:]
-    row_cuts = layout.row_offsets[1:]
+    column_cuts = layout.column_edges[1:-1]
+    row_cuts = layout.row_edges[1:-1]
     for box in _clipped_boxes(boxes, frame_width, frame_height):
         for cut in column_cuts:
             assert not box.x1 < cut < box.x2, (
@@ -116,9 +116,9 @@ def test_layout_respects_codec_constraints(case):
     layout = partition_around_boxes(
         boxes, frame_width, frame_height, granularity=granularity, codec=CODEC
     )
-    for cut in layout.column_offsets[1:]:
+    for cut in layout.column_edges[1:-1]:
         assert cut % CODEC.block_size == 0, f"column cut {cut} is not block-aligned"
-    for cut in layout.row_offsets[1:]:
+    for cut in layout.row_edges[1:-1]:
         assert cut % CODEC.block_size == 0, f"row cut {cut} is not block-aligned"
     if layout.columns > 1:
         assert min(layout.column_widths) >= CODEC.min_tile_width

@@ -27,7 +27,7 @@ from repro.config import TasmConfig
 from repro.core.query import Query
 from repro.errors import IndexError_, ServiceError
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
-from tests.test_service_pipelining import wait_until
+from tests.test_service_flow_control import wait_until
 from tests.test_exec_engine import (
     assert_scan_results_identical,
     make_tasm,
@@ -224,7 +224,7 @@ class TestConcurrentClients:
                 streams = []
                 for label in ("car", "person", "sign"):
                     streams.append(server.submit(Query.select(label, video.name)))
-                    time.sleep(0.02)
+                    time.sleep(0.02)  # spread the arrivals: a batching timer would split them
             for stream in streams:
                 stream.result(timeout=30)
             assert sizes == [1, 3]
@@ -443,11 +443,16 @@ class TestSocketTransport:
         """Spoken raw (no RemoteTasmClient, whose reader owns the socket), an
         unknown op earns a tagged error frame and the connection stays usable;
         a scan carrying a field the server does not read (``priority``, which
-        older clients send) is served byte-identically."""
+        older clients send) is served byte-identically.  The ``stats`` reply
+        carries ``ServerStats``' fields and the ``done`` frame's ``stats``
+        ``DecodeStats``' fields, each in declaration order."""
         import json
         import socket as socket_module
+        from dataclasses import fields
 
         from repro.core.scan import ScanResult
+        from repro.service.server import ServerStats
+        from repro.video.codec import DecodeStats
         from repro.service.transport import (
             KIND_CHUNK,
             KIND_JSON,
@@ -470,6 +475,7 @@ class TestSocketTransport:
                     reply = recv_message(sock)
                     assert reply["type"] == "stats"
                     assert reply["id"] == 8
+                    assert list(reply)[2:] == [field.name for field in fields(ServerStats)]
                     send_message(
                         sock,
                         {"op": "scan", "id": 9, "video": video.name, "labels": ["car"],
@@ -487,6 +493,7 @@ class TestSocketTransport:
                         reply = json.loads(bytes(payload))
                         break
                     assert (reply["type"], reply["id"]) == ("done", 9)
+                    assert list(reply["stats"]) == [field.name for field in fields(DecodeStats)]
                     assert_scan_results_identical(
                         ScanResult(video=reply["video"], regions=regions),
                         reference.scan(video.name, "car"),

@@ -207,7 +207,7 @@ def close_mid_batch(rig: Rig) -> None:
 def deadline_while_pending(rig: Rig) -> None:
     with held_runner(rig.server, rig.video):
         stream = rig.submit(deadline_ms=1.0)
-        time.sleep(0.005)
+        assert wait_until(lambda: time.monotonic() >= stream.deadline_at)
     with pytest.raises(DeadlineExceeded):
         stream.result(timeout=30)
     rig.expect(2, completed=1, deadline_exceeded=1)
@@ -219,7 +219,7 @@ def deadline_mid_batch(rig: Rig) -> None:
         # On a slow host the deadline may pass before the batch starts; the
         # query then ends the same way, from the pending queue.
         assert wait_until(lambda: entered.is_set() or stream.done)
-        time.sleep(max(0.0, stream.deadline_at - time.monotonic()) + 0.002)
+        assert wait_until(lambda: time.monotonic() >= stream.deadline_at)
     with pytest.raises(DeadlineExceeded):
         stream.result(timeout=30)
     rig.expect(1, deadline_exceeded=1)

@@ -58,7 +58,7 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
     while time.monotonic() < deadline:
         if predicate():
             return True
-        time.sleep(0.005)
+        time.sleep(0.005)  # the poll interval
     return predicate()
 
 

@@ -44,23 +44,7 @@ from tests.test_exec_engine import (
     make_tasm,
     random_queries,
 )
-
-CACHE_BYTES = 64 * 1024 * 1024
-
-
-def make_server(config, **service_overrides) -> tuple[TasmServer, object]:
-    overrides = {"decode_cache_bytes": CACHE_BYTES, **service_overrides}
-    tasm, video = make_tasm(config.with_updates(**overrides))
-    return TasmServer(tasm).start(), video
-
-
-def wait_until(predicate, timeout: float = 10.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
+from tests.test_service_flow_control import CACHE_BYTES, make_server, wait_until
 
 
 class TestRunnerPool:
@@ -346,7 +330,7 @@ class TestBackpressure:
             )
             # The producer is now suspended: the buffer stays at its bound and
             # the query cannot complete while undelivered chunks remain.
-            time.sleep(0.1)
+            time.sleep(0.1)  # time a producer ignoring the bound would use to overfill
             assert stream.buffered_chunks == 1, "buffer exceeded its bound"
             assert not stream.done, "the producer finished despite a full buffer"
             chunks = []

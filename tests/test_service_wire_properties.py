@@ -484,7 +484,7 @@ def test_every_window_and_chunk_count_completes_inside_its_window(monkeypatch):
                     # A consumer that takes nothing is sent the window, then
                     # the stream parks: exactly min(window, chunks) arrive.
                     assert wait_until(lambda: stream.buffered_chunks == min(window, chunks))
-                    time.sleep(0.002)
+                    time.sleep(0.002)  # room for a chunk sent past the window to show
                     assert in_flight["sent"] == min(window, chunks)
                     taken = 0
                     for chunk in stream:

@@ -166,7 +166,7 @@ class TestLayoutGeneration:
         boxes = tasm.boxes_for(tiny_video.name, ["car"], frame_start, frame_stop)
         for frame_boxes in boxes.values():
             for box in frame_boxes:
-                for cut in layout.column_offsets[1:]:
+                for cut in layout.column_edges[1:-1]:
                     assert not box.x1 < cut < box.x2
 
     def test_layout_around_unknown_object_is_untiled(self, tasm, tiny_video):

@@ -187,6 +187,21 @@ class TestWorkloadRunner:
         # Pre-tiling physically re-encoded at least part of the video.
         assert results["all-objects"].retile_costs[0] > 0
 
+    def test_measured_not_tiled_run_is_its_own_baseline(self, config, sparse_video):
+        """Measured costs are seconds, so they are normalised by measured
+        seconds: with no ``baseline_costs`` a not-tiled run divides each
+        query by itself, not by the cost model's ``beta*P + gamma*T`` units."""
+        spec = workload_1(sparse_video, query_count=3, window_fraction=0.2)
+        runner = WorkloadRunner(config=config, mode="measured")
+        result = runner.run(sparse_video, spec.workload, NoTilingPolicy())
+        assert result.normalized_increments() == [1.0, 1.0, 1.0]
+
+    def test_measured_run_without_a_baseline_is_refused(self, config, sparse_video):
+        spec = workload_1(sparse_video, query_count=3, window_fraction=0.2)
+        runner = WorkloadRunner(config=config, mode="measured")
+        with pytest.raises(WorkloadError, match="run_comparison"):
+            runner.run(sparse_video, spec.workload, PreTileAllObjectsPolicy())
+
     def test_default_strategies_match_figure_11(self):
         names = [strategy.name for strategy in default_strategies()]
         assert names == ["not-tiled", "all-objects", "incremental-more", "incremental-regret"]
