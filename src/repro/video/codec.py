@@ -29,13 +29,19 @@ than a stub, because the evaluation depends on the codec exhibiting the right
   and encoding a SOT's decoded frames under any layout writes the very bytes
   its raw frames would (:meth:`TileCodec.decode_gop`).  A re-tile therefore
   transcodes what is stored and never needs the raw video again.
-* **Cost** — decode work is dominated by per-pixel array operations plus a
-  per-tile fixed overhead (header parsing, checksum, deflate stream setup),
-  which is the ``beta * pixels + gamma * tiles`` model of Section 4.1.
+* **Cost** — decode work is dominated by per-pixel work (inflating the
+  samples, then array operations) plus a per-tile fixed overhead (header
+  parsing, checksum, deflate stream setup), which is the
+  ``beta * pixels + gamma * tiles`` model of Section 4.1.  One method,
+  ``TileCodec._inflate``, inflates every payload: with the host's
+  libdeflate when ``ctypes`` can load it, else with ``zlib``; both give the
+  same samples and refuse the same streams, so only ``beta`` differs.  The
+  encoder is ``zlib`` on every host, so stored bytes never depend on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 from dataclasses import dataclass, field
 
@@ -48,6 +54,35 @@ from ..geometry import Rectangle
 __all__ = ["EncodedTile", "EncodedGop", "EncodeStats", "DecodeStats", "Handover", "TileCodec"]
 
 _COMPRESSION_LEVEL = 1
+
+
+def _load_libdeflate() -> ctypes.CDLL | None:
+    """The host's libdeflate with its decompressor calls typed, or None when
+    it cannot be loaded (``TileCodec._inflate`` then inflates with zlib).
+
+    Loaded by its soname, which names the ABI the calls are typed for (and,
+    unlike ``ctypes.util.find_library``, runs no ``ldconfig`` at import)."""
+    try:
+        lib = ctypes.CDLL("libdeflate.so.0")
+        alloc, free = lib.libdeflate_alloc_decompressor, lib.libdeflate_free_decompressor
+        inflate = lib.libdeflate_zlib_decompress
+    except (OSError, AttributeError):
+        return None
+    pointer, size = ctypes.c_void_p, ctypes.c_size_t
+    alloc.argtypes, alloc.restype = (), pointer
+    free.argtypes, free.restype = (pointer,), None
+    # (decompressor, in, in_nbytes, out, out_nbytes_avail, actual_out_nbytes_ret):
+    # a NULL last argument makes an output of any size but out_nbytes_avail a
+    # failure, SHORT_OUTPUT or INSUFFICIENT_SPACE, as a bad stream is BAD_DATA.
+    inflate.argtypes = (pointer, ctypes.c_char_p, size, pointer, size, pointer)
+    inflate.restype = ctypes.c_int
+    return lib
+
+
+# Picked once, at import.  Tests set it to None to run the zlib fallback.
+_libdeflate = _load_libdeflate()
+#: libdeflate's nonzero ``enum libdeflate_result`` values, as error text.
+_LIBDEFLATE_FAILURES = {1: "is not valid deflate", 2: "is short", 3: "is too long"}
 
 
 @dataclass
@@ -470,8 +505,25 @@ class TileCodec:
 
     @staticmethod
     def _inflate(payload: bytes, dtype, shape: tuple[int, int], kind: str) -> np.ndarray:
-        """The payload's samples, inflated straight into a buffer of the known size."""
+        """The payload's samples, inflated straight into a buffer of the known
+        size.  libdeflate checks the Adler-32 trailer, as zlib does."""
         expected = shape[0] * shape[1]
+        lib = _libdeflate
+        if lib is not None:
+            samples = np.empty(shape, dtype)
+            decompressor = lib.libdeflate_alloc_decompressor()
+            if not decompressor:
+                raise MemoryError("libdeflate could not allocate a decompressor")
+            try:
+                status = lib.libdeflate_zlib_decompress(
+                    decompressor, payload, len(payload), samples.ctypes.data, samples.nbytes, None
+                )
+            finally:
+                lib.libdeflate_free_decompressor(decompressor)
+            if status:
+                failure = _LIBDEFLATE_FAILURES.get(status, f"failed with status {status}")
+                raise BitstreamCorruptionError(f"{kind} payload {failure} ({expected} samples)")
+            return samples
         try:
             raw = zlib.decompress(payload, bufsize=expected)
         except zlib.error as exc:
