@@ -10,7 +10,7 @@ launches shard processes for tests and benches.
 """
 
 from .ring import HashRing, sot_key
-from .router import ClusterRouter, ClusterScanStream, probe_shard
+from .router import ClusterRouter, ClusterScanStream
 from .supervisor import ClusterSupervisor, SceneDataset, build_cluster_scene
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "HashRing",
     "SceneDataset",
     "build_cluster_scene",
-    "probe_shard",
     "sot_key",
 ]

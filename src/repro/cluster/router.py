@@ -18,31 +18,30 @@ each ``(video, SOT)`` and routes the key back there while that shard lives
 replicas by the queue depth read from per-shard ``metrics`` snapshots (a
 lightly loaded replica beats a backed-up one).
 
-Recovery lives here, once.  A shard client is a plain connection: a broken
-wire fails its streams with :class:`~repro.errors.TransportError` and
-nothing else.  When a shard's connection fails — at submission or
-mid-stream — the router re-dials *that* shard under its
-:class:`~repro.service.transport.RetryPolicy` (capped exponential backoff,
-each wait bounded by the scan's remaining deadline and ended at once by
-``close()`` of the stream or the router) and resumes the share over the new
-connection with ``skip_sots`` naming everything already delivered.  A shard
-still unreachable after the policy's attempts is marked down, and its
-undelivered SOTs move to their next replicas through the same
-``skip_sots`` message — the resume mechanism and the scatter mechanism are
-one.  So a one-shard router, ``ClusterRouter([address], retry=...)``, is
-the resilient single-server handle.  A shard shedding load answers with
+Every request the router makes to a shard takes one path,
+:meth:`ClusterRouter._call`: a scan's share, ``video_info``,
+``add_metadata``, ``metrics`` and the load refresh alike.  A shard client is
+a plain connection: a broken wire fails its streams with
+:class:`~repro.errors.TransportError` and nothing else.  When a shard's
+connection fails — at submission or mid-stream — ``_call`` re-dials *that*
+shard under its :class:`~repro.service.transport.RetryPolicy` (capped
+exponential backoff, each wait bounded by the scan's remaining deadline and
+ended at once by ``close()`` of the stream or the router) and a scan resumes
+its share over the new connection with ``skip_sots`` naming everything
+already delivered.  A shard still unreachable after the policy's attempts
+is marked down, and a scan's undelivered SOTs move to their next replicas
+through the same ``skip_sots`` message — the resume mechanism and the
+scatter mechanism are one.  So a one-shard router,
+``ClusterRouter([address], retry=...)``, is the resilient single-server
+handle.  A shard shedding load answers with
 :class:`~repro.errors.ServerBusy`; the router routes around it *for that
 scan only*, with no re-dial and without marking it down.  A query the
 shard refuses as malformed (:class:`~repro.errors.QueryRefused`) fails
 that scan and leaves every shard up: only a lost wire marks one down, and
-only for :data:`DOWN_RETRY_AFTER_S`: after that the next scan or
-``video_info`` that would use the shard dials it again through the same
-recovery path, and a failed dial marks it down afresh.  Health checks ride
-the hello handshake: :meth:`ClusterRouter.probe` opens a
-:class:`~repro.service.transport.RemoteTasmClient` to the shard and closes
-it, so the probe is the client's own hello (the first frame the server
-bounds with :data:`~repro.service.transport.HANDSHAKE_TIMEOUT_S`), with no
-second copy of it here.
+only for :data:`DOWN_RETRY_AFTER_S`.  After that the next request that
+would use the shard dials it again through ``_call``, which is the health
+check: an answer clears the mark, and a failed dial sets it afresh.
+Membership is fixed when the router is built.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from ..config import TasmConfig
 from ..errors import (
     DeadlineExceeded,
     PoisonQueryError,
-    ProtocolError,
     QueryRefused,
     ServiceError,
     StreamCancelledError,
@@ -66,30 +64,15 @@ from ..service.stream import ScanStream
 from ..service.transport import RemoteScanStream, RemoteTasmClient, RetryPolicy
 from .ring import HashRing, sot_key
 
-__all__ = ["ClusterRouter", "ClusterScanStream", "probe_shard"]
+__all__ = ["ClusterRouter", "ClusterScanStream"]
 
-#: Seconds a shard marked down is left alone.  After that the next scan or
-#: ``video_info`` that would use it dials it again (:meth:`ClusterRouter._call`);
-#: a dial that fails marks it down for as long again.
+#: Seconds a shard marked down is left alone.  After that the next request
+#: that would use it dials it again (:meth:`ClusterRouter._call`); a dial that
+#: fails marks it down for as long again.
 DOWN_RETRY_AFTER_S = 5.0
 #: Seconds a shard's queue depth, read from its ``metrics``, stays fresh for
 #: placement among a key's replicas.
 METRICS_TTL_S = 2.0
-
-
-def probe_shard(address, timeout: float = 5.0) -> bool:
-    """One health probe: dial, exchange the hello handshake, hang up.
-
-    The dial is a :class:`~repro.service.transport.RemoteTasmClient`, so the
-    probe is the client's own hello, bounded by ``timeout``: a shard that
-    accepts but cannot answer its hello in time is as down as one refusing
-    the dial.
-    """
-    try:
-        RemoteTasmClient(tuple(address), timeout=timeout, use_shm=False).close()
-    except (TransportError, ProtocolError, OSError):
-        return False
-    return True
 
 
 #: Verdicts that hold cluster-wide: a re-dial or a replica would only
@@ -199,11 +182,9 @@ class ClusterScanStream(ScanStream):
                         cause if shard == lost else None,
                         self,
                     )
-                except (ServiceError, OSError) as submit_error:
+                except ServiceError as submit_error:
                     if isinstance(submit_error, _FINAL) or self._router._closed:
                         raise
-                    if isinstance(submit_error, (TransportError, OSError)):
-                        self._router._note_failure(shard, submit_error)
                     self._excluded.add(shard)
                     todo |= group
                     cause = submit_error
@@ -258,9 +239,6 @@ class ClusterScanStream(ScanStream):
                 merged.index_seconds = max(merged.index_seconds, shard.index_seconds)
                 merged.decode_seconds = max(merged.decode_seconds, shard.decode_seconds)
         if not self._subs:
-            # Regions concatenate in ascending SOT order — the canonical
-            # order a single server yields.
-            self._merged.regions = self.served_regions()
             self._finish(self._merged)
 
     def _cancel_source(self) -> None:
@@ -296,7 +274,7 @@ class ClusterScanStream(ScanStream):
                 self.failovers += 1
                 with self._router._lock:  # consumers of other scans count too
                     self._router.failovers_total += 1
-        except (ServiceError, OSError) as fatal:
+        except ServiceError as fatal:
             # Terminal failure: cancel every live sub-stream.
             self._fail(fatal)
             self._cancel_source()
@@ -358,39 +336,13 @@ class ClusterRouter:
         host, port = tuple(address)[:2]
         return f"{host}:{port}"
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
     @property
     def shards(self) -> list:
         return sorted(self._addresses)
 
-    def add_shard(self, address) -> str:
-        """Join a shard: ~1/N of keys re-home to it; the rest stay put
-        (and their owners' caches stay warm — the point of the ring)."""
-        name = self._shard_name(address)
-        with self._lock:
-            self._addresses[name] = tuple(address)
-            self._ring.add_node(name)
-            self._down.pop(name, None)
-            self._replication = min(self._replication, len(self._addresses))
-        return name
-
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def probe(self, name: str, timeout: float = 5.0) -> bool:
-        """Hello-handshake health check; resurrects a down-marked shard."""
-        up = probe_shard(self._addresses[name], timeout=timeout)
-        with self._lock:
-            if up:
-                self._down.pop(name, None)
-            else:
-                self._down.setdefault(
-                    name, (TransportError("health probe failed"), time.monotonic())
-                )
-        return up
-
     def _note_failure(self, name: str, error: BaseException) -> None:
         with self._lock:
             self._down[name] = (error, time.monotonic())
@@ -399,12 +351,10 @@ class ClusterRouter:
             client.close(join_timeout=0.5)
 
     def _is_up(self, name: str) -> bool:
-        """Known, and not marked down in the last :data:`DOWN_RETRY_AFTER_S`."""
+        """Not marked down in the last :data:`DOWN_RETRY_AFTER_S`."""
         with self._lock:
             down = self._down.get(name)
-            return name in self._addresses and (
-                down is None or time.monotonic() - down[1] >= DOWN_RETRY_AFTER_S
-            )
+        return down is None or time.monotonic() - down[1] >= DOWN_RETRY_AFTER_S
 
     # ------------------------------------------------------------------
     # Placement
@@ -420,14 +370,8 @@ class ClusterRouter:
             if now - self._load_read_at < METRICS_TTL_S:
                 return
             self._load_read_at = now
-            names = [n for n in self._addresses if n not in self._down]
-        load: dict[str, float] = {}
-        for name in names:
-            try:
-                snapshot = self._client(name).metrics()
-                load[name] = self._queue_depth_of(snapshot)
-            except (ServiceError, OSError, KeyError):
-                continue
+        shards = self.metrics()["shards"]
+        load = {name: self._queue_depth_of(snapshot) for name, snapshot in shards.items()}
         with self._lock:
             self._load.update(load)
 
@@ -492,22 +436,24 @@ class ClusterRouter:
         return existing
 
     def _call(self, shard: str, request, failed=None, stream: ScanStream | None = None):
-        """``request(client)`` on ``shard``'s connection — the router's one
-        recovery path, for a scan's share and ``video_info`` alike.
+        """``request(client)`` on ``shard``'s connection — the one way the
+        router reaches a shard, and its one recovery path.
 
         A connection that fails, at this call or before it (``failed``), is
         re-dialled under the :class:`~repro.service.transport.RetryPolicy`
         and ``request`` made again over the new one.  A backoff ends at once
         when the router or the scan's ``stream`` is closed, and is bounded
-        by the stream's remaining deadline.  Raises the wire error once the
-        policy is spent (at once without one), anything else straight away.
-        A request that goes through clears the shard's down mark.
+        by the stream's remaining deadline.  Once the policy is spent (at
+        once without one) the shard is marked down and the wire error
+        raised; anything else is raised straight away.  A request that goes
+        through clears the shard's down mark.
         """
         delays = self._retry.delays() if self._retry is not None else iter(())
         while True:
             if failed is not None:
                 delay = next(delays, None)
                 if delay is None:
+                    self._note_failure(shard, failed)
                     raise failed
                 remaining = None if stream is None else stream.remaining_deadline_ms()
                 with self._changed:
@@ -528,31 +474,40 @@ class ClusterRouter:
                     self._down.pop(shard, None)  # it answered: up again
                 return result
 
-    # ------------------------------------------------------------------
-    # The client-facing API
-    # ------------------------------------------------------------------
-    def video_info(self, video: str) -> dict:
-        """Layout facts for a video, cached; any live shard may answer (a
-        lost connection is re-dialled first, like a scan's)."""
-        with self._lock:
-            info = self._video_infos.get(video)
-        if info is not None:
-            return info
-        last_error: BaseException | None = None
+    def _ask_up_shards(self, request):
+        """``request(client)`` through :meth:`_call` on each up shard in name
+        order, yielding ``(shard, answer, error)`` with one of the last two
+        None.  Lazy: a caller that needs one answer stops at the first."""
         for name in sorted(self._addresses):
             if not self._is_up(name):
                 continue
             try:
-                info = self._call(name, lambda client: client.video_info(video))
-            except (ServiceError, OSError) as error:
-                last_error = error
-                if isinstance(error, (TransportError, OSError)):
-                    self._note_failure(name, error)
-                continue
-            with self._lock:
-                self._video_infos[video] = info
+                answer = self._call(name, request)
+            except ServiceError as error:
+                yield name, None, error
+            else:
+                yield name, answer, None
+
+    # ------------------------------------------------------------------
+    # The client-facing API
+    # ------------------------------------------------------------------
+    def video_info(self, video: str) -> dict:
+        """Layout facts for a video, cached; the first up shard to answer
+        gives them."""
+        with self._lock:
+            info = self._video_infos.get(video)
+        if info is not None:
             return info
-        raise ServiceError(f"no shard could answer video_info({video!r}): {last_error}")
+        errors = []
+        for name, info, error in self._ask_up_shards(
+            lambda client: client.video_info(video)
+        ):
+            if error is None:
+                with self._lock:
+                    self._video_infos[video] = info
+                return info
+            errors.append((name, error))
+        raise ServiceError(f"no shard could answer video_info({video!r}): {errors}")
 
     def scan_streaming(
         self,
@@ -594,14 +549,13 @@ class ClusterRouter:
     def add_metadata(self, *args, **kwargs) -> None:
         """Broadcast: every shard holds the full dataset, so a metadata
         write must land on all of them to keep replicas interchangeable."""
-        errors = []
-        for name in sorted(self._addresses):
-            if not self._is_up(name):
-                continue
-            try:
-                self._client(name).add_metadata(*args, **kwargs)
-            except (ServiceError, OSError) as error:
-                errors.append((name, error))
+        errors = [
+            (name, error)
+            for name, _, error in self._ask_up_shards(
+                lambda client: client.add_metadata(*args, **kwargs)
+            )
+            if error is not None
+        ]
         if errors:
             raise ServiceError(f"add_metadata failed on {errors}")
 
@@ -614,14 +568,11 @@ class ClusterRouter:
         per-shard snapshots keep full fidelity for anything the rollup
         flattens).
         """
-        shards: dict[str, dict] = {}
-        for name in sorted(self._addresses):
-            if not self._is_up(name):
-                continue
-            try:
-                shards[name] = self._client(name).metrics()
-            except (ServiceError, OSError):
-                continue
+        shards = {
+            name: snapshot
+            for name, snapshot, error in self._ask_up_shards(RemoteTasmClient.metrics)
+            if error is None
+        }
         rollup: dict[str, float] = {}
         for snapshot in shards.values():
             for metric, family in snapshot.items():

@@ -125,8 +125,7 @@ class TasmConfig:
     #: :class:`~repro.service.scheduler.ResultStream` holds at most this many
     #: undelivered per-SOT chunks; when a consumer falls behind, the producing
     #: batch runner suspends instead of buffering without limit
-    #: (backpressure).  0 means unbounded (no suspension), which restores the
-    #: pre-backpressure behaviour.
+    #: (backpressure).
     service_stream_buffer_chunks: int = 64
     #: Master switch for the observability surface (``repro.obs``): the
     #: metrics registry, per-query traces, and the slow-query log.  Off, the
@@ -173,10 +172,8 @@ class TasmConfig:
             raise ConfigurationError("service_max_batch must be at least 1")
         if self.service_runners < 1:
             raise ConfigurationError("service_runners must be at least 1")
-        if self.service_stream_buffer_chunks < 0:
-            raise ConfigurationError(
-                "service_stream_buffer_chunks must be non-negative (0 = unbounded)"
-            )
+        if self.service_stream_buffer_chunks < 1:
+            raise ConfigurationError("service_stream_buffer_chunks must be at least 1")
         if self.service_max_queue_depth < 0:
             raise ConfigurationError(
                 "service_max_queue_depth must be non-negative (0 = unbounded)"

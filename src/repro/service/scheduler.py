@@ -289,10 +289,6 @@ class BatchScheduler:
             stream._fail(ServiceError("the server was stopped"))
 
     @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
     def queue_depth(self) -> int:
         """Queries accepted but not yet dispatched into a batch."""
         with self._cond:
@@ -546,12 +542,6 @@ class BatchScheduler:
                     )
             elif isinstance(event, QueryDone):
                 stream = batch[event.query_index]
-                if stream._crashes:
-                    # A resumed run only re-served the SOTs the crash cut
-                    # off; the stream holds every run's chunks, and SOTs
-                    # serve in ascending order, so this is the list an
-                    # uninterrupted run produces.
-                    event.result.regions[:] = stream.served_regions()
                 if self._on_query_done is not None:
                     self._on_query_done(stream.query, event.result)
                 # The execute span closes the timeline the queue span opened:

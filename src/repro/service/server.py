@@ -176,10 +176,6 @@ class TasmServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    @property
-    def running(self) -> bool:
-        return self._scheduler.running
-
     def connect(self):
         """An in-process client bound to this server."""
         from .client import TasmClient

@@ -10,7 +10,8 @@ everything the paths used to re-implement separately:
   error on every later ``iter`` / ``result()`` instead of hanging;
 * one chunk buffer with an optional capacity (a producer pushing into a
   full buffer suspends until the consumer drains it);
-* the ``delivered`` SOT set and the regions those chunks carried;
+* the ``delivered`` SOT set and the regions those chunks carried, which
+  are the finished result's regions, in ascending SOT order;
 * one absolute deadline, with :meth:`ScanStream.remaining_deadline_ms`
   raising :class:`~repro.errors.DeadlineExceeded` once it is spent;
 * the iterate / ``result(timeout)`` / ``close()`` loop, with a per-event
@@ -165,6 +166,10 @@ class ScanStream:
             self._notify()
 
     def _finish(self, result: ScanResult) -> None:
+        """End the scan with ``result``, whose regions become every delivered
+        chunk's (:meth:`served_regions`): what an uninterrupted single server
+        returns, whichever runs, retries or replicas produced the chunks."""
+        result.regions = self.served_regions()
         self._end("done", result=result)
 
     def _fail(self, error: BaseException) -> bool:

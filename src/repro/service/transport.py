@@ -184,11 +184,6 @@ KIND_CANCEL = 3
 KIND_SHM_CHUNK = 4
 KIND_SHM_ACK = 5
 
-#: Reply-queue bound used when the configured bound is 0 (unbounded streams
-#: still should not let one connection queue frames without limit — memory,
-#: not correctness, is at stake here).
-_DEFAULT_WIRE_BUFFER = 64
-
 #: The largest payload either end accepts.  The length field is a peer-supplied
 #: 32-bit number; a corrupt or hostile header must fail the connection, not
 #: size a 4 GiB read.  Far above any legitimate frame: the largest is one
@@ -661,8 +656,7 @@ class SocketTransport:
         self._connections: set[_Connection] = set()
         self._connections_lock = threading.Lock()
         self._running = False
-        buffer = server.tasm.config.service_stream_buffer_chunks
-        self._reply_frames = buffer if buffer > 0 else _DEFAULT_WIRE_BUFFER
+        self._reply_frames = server.tasm.config.service_stream_buffer_chunks
 
     def start(self) -> "SocketTransport":
         if self._running:
@@ -843,7 +837,7 @@ class _Connection:
         self._cond = threading.Condition()
         self._closing = False
         self._replies: deque[bytes] = deque()
-        self._reply_limit = max(1, reply_frames)
+        self._reply_limit = reply_frames
         self._scans: dict[int, _ServedScan] = {}
         self._ready: set[int] = set()
         self._shm_ring_bytes = shm_ring_bytes
@@ -1608,7 +1602,7 @@ class RemoteTasmClient:
             with self._table_lock:
                 self._streams.pop(query_id, None)
             if message_type == "done":
-                stream._finish(_assemble_result(message, stream.served_regions()))
+                stream._finish(_assemble_result(message))
             else:
                 stream._fail(error_from_code(message.get("code"), message["message"]))
         elif reply is not None:
@@ -1819,13 +1813,11 @@ class RemoteTasmClient:
                 self._replies.pop(query_id, None)
 
 
-# Build one assembled ScanResult from a done-frame and the delivered regions.
-def _assemble_result(done: dict, regions: list[ScanRegion]) -> ScanResult:
-    stats = DecodeStats(**done["stats"])
+# The ScanResult a done-frame describes; the stream fills in its regions.
+def _assemble_result(done: dict) -> ScanResult:
     return ScanResult(
         video=done["video"],
-        regions=regions,
-        stats=stats,
+        stats=DecodeStats(**done["stats"]),
         index_seconds=done["index_seconds"],
         decode_seconds=done["decode_seconds"],
     )

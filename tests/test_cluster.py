@@ -19,12 +19,16 @@ The contracts pinned here:
 * ``ServerBusy`` from a shard at its depth bound routes around it for that
   scan only (the shard is not marked down), and a shard marked down is
   dialled again once ``DOWN_RETRY_AFTER_S`` has passed;
-* health checks ride the bounded hello handshake, and the metrics rollup
-  sums counters across shards without flattening per-shard detail.
+* every request reaches a shard through the router's one ``_call`` path:
+  ``metrics`` and ``add_metadata`` mark a lost shard down just as a scan
+  does, and leave it alone while the mark lasts;
+* the metrics rollup sums counters across shards without flattening
+  per-shard detail.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -35,7 +39,6 @@ from repro.cluster import (
     ClusterSupervisor,
     HashRing,
     SceneDataset,
-    probe_shard,
     sot_key,
 )
 from repro.cluster import router as router_module
@@ -361,7 +364,7 @@ class TestClusterFailover:
                     router.scan(video.name, "sign"), direct.scan(video.name, "sign")
                 )
             assert not router._down, "busy is overload, not death"
-            assert router.probe(router._shard_name(transports[0].address))
+            assert router._shard_name(transports[0].address) not in router._down
             router.close()
         finally:
             gate.set()
@@ -404,8 +407,8 @@ class TestClusterFailover:
         self, config, monkeypatch
     ):
         """A one-shard router whose shard went away and came back on the same
-        port serves again without a ``probe()``: once ``DOWN_RETRY_AFTER_S``
-        has passed since the shard was marked down, the next scan dials it."""
+        port serves again: once ``DOWN_RETRY_AFTER_S`` has passed since the
+        shard was marked down, the next scan dials it."""
         monkeypatch.setattr(router_module, "DOWN_RETRY_AFTER_S", 0.05)
         servers, transports, video = make_local_cluster(config, shards=1)
         address = transports[0].address
@@ -423,6 +426,39 @@ class TestClusterFailover:
         finally:
             router.close()
             stop_local_cluster(servers, transports)
+
+    def test_a_stopped_shard_is_dialled_once_then_left_down(
+        self, config, monkeypatch
+    ):
+        """``metrics`` and ``add_metadata`` reach a shard through the same
+        ``_call`` as a scan: the first that finds the shard gone marks it
+        down, and the calls after it leave it alone while the mark lasts."""
+        monkeypatch.setattr(router_module, "DOWN_RETRY_AFTER_S", 60.0)
+        servers, transports, video = make_local_cluster(config, shards=2)
+        dead, live = (ClusterRouter._shard_name(t.address) for t in transports)
+        dials = []
+        connect = socket.create_connection
+
+        def counting_connect(address, *args, **kwargs):
+            if ClusterRouter._shard_name(address) == dead:
+                dials.append(address)
+            return connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        router = ClusterRouter([t.address for t in transports], config=config)
+        try:
+            transports[0].stop()
+            servers[0].stop()
+            for _ in range(3):
+                assert list(router.metrics()["shards"]) == [live]
+            assert len(dials) == 1
+            for frame in range(3):
+                router.add_metadata(video.name, frame, "landmark", 8, 8, 40, 40)
+            assert len(dials) == 1
+            assert dead in router._down
+        finally:
+            router.close()
+            stop_local_cluster(servers[1:], transports[1:])
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +513,7 @@ class TestShardProcesses:
                 pass
             assert_scan_results_identical(stream.result(), healthy)
             assert stream.failovers >= 1
-            assert router.probe(victim) is False
+            assert victim in router._down
             router.close()
 
     def test_seeded_transport_storm_on_one_shard_stays_byte_identical(
@@ -509,44 +545,6 @@ class TestShardProcesses:
                 )
                 assert_scan_results_identical(router.scan(name, LABELS), healthy)
                 router.close()
-
-    def test_join_then_scan_still_identical(self, config):
-        """A shard joining an existing cluster re-homes ~1/N of the keys
-        (all toward the joiner); results stay byte-identical through the
-        topology change."""
-        with ClusterSupervisor(
-            cluster_config(config), shards=3, dataset=CLUSTER_DATASET
-        ) as supervisor:
-            name = CLUSTER_DATASET.names[0]
-            router = ClusterRouter(
-                supervisor.addresses[:2], config=cluster_config(config), timeout=30.0
-            )
-            before = router.scan(name, LABELS)
-            info = router.video_info(name)
-            owners_before = {
-                sot: router._ring.node_for(sot_key(name, sot))
-                for sot in range(info["sot_count"])
-            }
-            joiner = router.add_shard(supervisor.addresses[2])
-            owners_after = {
-                sot: router._ring.node_for(sot_key(name, sot))
-                for sot in range(info["sot_count"])
-            }
-            moved = [
-                sot for sot in owners_before if owners_before[sot] != owners_after[sot]
-            ]
-            assert all(owners_after[sot] == joiner for sot in moved)
-            assert_scan_results_identical(router.scan(name, LABELS), before)
-            router.close()
-
-    def test_probe_shard_is_the_hello_handshake(self, config):
-        with ClusterSupervisor(
-            cluster_config(config), shards=1, dataset=CLUSTER_DATASET
-        ) as supervisor:
-            assert probe_shard(supervisor.addresses[0])
-            address = supervisor.addresses[0]
-        # Supervisor stopped: the same probe now fails.
-        assert not probe_shard(address, timeout=1.0)
 
     def test_metrics_rollup_sums_counters_across_shards(self, config):
         with ClusterSupervisor(

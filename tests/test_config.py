@@ -55,6 +55,12 @@ class TestTasmConfig:
         with pytest.raises(ConfigurationError):
             TasmConfig(eta=-0.1)
 
+    def test_a_stream_buffer_of_zero_chunks_is_refused(self):
+        """Every service stream is bounded: there is no "unbounded" value."""
+        with pytest.raises(ConfigurationError):
+            TasmConfig(service_stream_buffer_chunks=0)
+        assert TasmConfig(service_stream_buffer_chunks=1).service_stream_buffer_chunks == 1
+
     def test_sot_frames_must_align_with_gops(self):
         codec = CodecConfig(gop_frames=10)
         with pytest.raises(ConfigurationError):
