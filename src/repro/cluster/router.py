@@ -53,7 +53,6 @@ from typing import Iterable, NamedTuple
 from ..config import TasmConfig
 from ..errors import (
     DeadlineExceeded,
-    PoisonQueryError,
     QueryRefused,
     ServiceError,
     StreamCancelledError,
@@ -77,7 +76,7 @@ METRICS_TTL_S = 2.0
 
 #: Verdicts that hold cluster-wide: a re-dial or a replica would only
 #: repeat them.  A refused query is the client's fault, not the shard's.
-_FINAL = (DeadlineExceeded, StreamCancelledError, PoisonQueryError, QueryRefused)
+_FINAL = (DeadlineExceeded, StreamCancelledError, QueryRefused)
 
 
 class _SubScan(NamedTuple):
@@ -251,7 +250,7 @@ class ClusterScanStream(ScanStream):
     def _failover(self, sub: _SubScan, error: BaseException) -> None:
         """Recover a failed sub-scan's undelivered SOTs, or fail for good.
 
-        Deadline, cancellation, poison and refusal verdicts hold
+        Deadline, cancellation and refusal verdicts hold
         cluster-wide (a replica would only repeat them).  A lost connection
         is re-dialled first (:meth:`_scatter`), and only a shard that stays
         unreachable is marked down; any other failure (``ServerBusy``

@@ -124,14 +124,6 @@ class SotLockRegistry:
         for key in keys:
             self._lock_for(key).release_read()
 
-    @contextmanager
-    def read(self, keys: Iterable[LockKey]) -> Iterator[None]:
-        acquired = self.acquire_read(keys)
-        try:
-            yield
-        finally:
-            self.release_read(acquired)
-
     # ------------------------------------------------------------------
     # Single-key write side (retile / metadata)
     # ------------------------------------------------------------------

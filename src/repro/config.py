@@ -149,8 +149,8 @@ class TasmConfig:
     cluster_ring_vnodes: int = 64
     #: A :class:`~repro.faults.FaultPlan` activating deterministic fault
     #: injection at the server-side points (transport drop/cut/delay,
-    #: decoder errors, runner death).  None — the default — leaves every
-    #: injection hook a no-op ``None`` check.
+    #: decoder errors).  None — the default — leaves every injection hook a
+    #: no-op ``None`` check.
     fault_plan: "Any | None" = None
 
     def __post_init__(self) -> None:

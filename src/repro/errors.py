@@ -94,16 +94,6 @@ class ServerBusy(ServiceError):
     executed."""
 
 
-class PoisonQueryError(ServiceError):
-    """Raised for a query whose batches crashed
-    :data:`repro.service.scheduler.POISON_QUERY_KILLS` times.
-
-    The runner that catches a crashed batch re-queues its unaffected
-    queries, but a query that crashes every batch it rides in would be
-    re-queued forever; after K crashes it is quarantined with this error
-    instead."""
-
-
 class QueryRefused(ServiceError):
     """Raised for a request the server refuses as malformed (``refused``).
 
@@ -118,7 +108,6 @@ class QueryRefused(ServiceError):
 _WIRE_ERROR_CODES: tuple[tuple[type, str], ...] = (
     (DeadlineExceeded, "deadline"),
     (ServerBusy, "busy"),
-    (PoisonQueryError, "poison"),
     (StreamCancelledError, "cancelled"),
     (QueryRefused, "refused"),
 )

@@ -250,10 +250,9 @@ class QueryExecutor:
         ``skip_sots``, when given, is a sequence aligned with ``queries``: a
         per-query set of SOT indices to leave out of the plan (None or an
         empty set skips nothing).  This is the resume primitive: a query
-        re-queued after a runner crash, or re-submitted by a cluster router
-        that re-dialled its shard, passes the SOT indices whose chunks were
-        already delivered,
-        and the remaining SOTs are planned, decoded, and streamed exactly as
+        re-submitted by a cluster router that re-dialled its shard passes
+        the SOT indices whose chunks were already delivered, and the
+        remaining SOTs are planned, decoded, and streamed exactly as
         the uninterrupted run would have ordered them, so the concatenation
         of delivered chunks stays byte-identical to a fault-free run.
 

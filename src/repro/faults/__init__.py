@@ -7,7 +7,6 @@ and the README's "Fault tolerance" section for how to write a plan.
 from .plan import (
     FAULT_CONSUMER_SKEW,
     FAULT_DECODE_ERROR,
-    FAULT_RUNNER_DEATH,
     FAULT_SHM_ATTACH,
     FAULT_TRANSPORT_CUT,
     FAULT_TRANSPORT_DELAY,
@@ -16,13 +15,11 @@ from .plan import (
     FaultPlan,
     FaultSite,
     FaultSpec,
-    InjectedRunnerDeath,
 )
 
 __all__ = [
     "FAULT_CONSUMER_SKEW",
     "FAULT_DECODE_ERROR",
-    "FAULT_RUNNER_DEATH",
     "FAULT_SHM_ATTACH",
     "FAULT_TRANSPORT_CUT",
     "FAULT_TRANSPORT_DELAY",
@@ -30,6 +27,5 @@ __all__ = [
     "FaultPlan",
     "FaultSite",
     "FaultSpec",
-    "InjectedRunnerDeath",
     "KNOWN_FAULT_POINTS",
 ]

@@ -32,10 +32,6 @@ The injection points (the ``FAULT_*`` constants):
 ``decode.error``         executor: raise :class:`~repro.errors.CodecError`
                          instead of prefetching a SOT (a corrupt bitstream /
                          flaky decoder).
-``runner.death``         scheduler: crash the batch a runner just picked up,
-                         at its start or after a served SOT (raises an
-                         exception derived from ``BaseException`` that only
-                         the runner's crash recovery catches).
 ``shm.attach``           client: fail the shared-memory attach during the
                          handshake (falls back to the socket pixel path).
 ``consumer.skew``        client: sleep ``delay_ms`` before consuming each
@@ -55,7 +51,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "FAULT_CONSUMER_SKEW",
     "FAULT_DECODE_ERROR",
-    "FAULT_RUNNER_DEATH",
     "FAULT_SHM_ATTACH",
     "FAULT_TRANSPORT_CUT",
     "FAULT_TRANSPORT_DELAY",
@@ -63,7 +58,6 @@ __all__ = [
     "FaultPlan",
     "FaultSite",
     "FaultSpec",
-    "InjectedRunnerDeath",
     "KNOWN_FAULT_POINTS",
 ]
 
@@ -71,7 +65,6 @@ FAULT_TRANSPORT_DROP = "transport.drop"
 FAULT_TRANSPORT_CUT = "transport.cut"
 FAULT_TRANSPORT_DELAY = "transport.delay"
 FAULT_DECODE_ERROR = "decode.error"
-FAULT_RUNNER_DEATH = "runner.death"
 FAULT_SHM_ATTACH = "shm.attach"
 FAULT_CONSUMER_SKEW = "consumer.skew"
 
@@ -81,23 +74,10 @@ KNOWN_FAULT_POINTS = frozenset(
         FAULT_TRANSPORT_CUT,
         FAULT_TRANSPORT_DELAY,
         FAULT_DECODE_ERROR,
-        FAULT_RUNNER_DEATH,
         FAULT_SHM_ATTACH,
         FAULT_CONSUMER_SKEW,
     }
 )
-
-
-class InjectedRunnerDeath(BaseException):
-    """A simulated crash of the batch a runner is executing.
-
-    Deliberately **not** an :class:`Exception`, so no ``except Exception``
-    between the injection point and the runner loop can swallow it: the
-    batch ends mid-flight, with chunks delivered and state half-built, the
-    way a real crash would leave it.  The runner catches it at the top of
-    its loop, recovers the batch (requeue with delivered SOTs skipped, or
-    quarantine) and serves on.
-    """
 
 
 @dataclass(frozen=True)

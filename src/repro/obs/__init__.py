@@ -17,8 +17,8 @@ this package is the window into it:
   terminal (:meth:`Observability.finish_query`).
 
 **Who counts what.**  Nothing is counted twice.  The scheduler's events —
-submitted, the five ways a query ends, batches, runner restarts, resumes —
-are plain ints on the :class:`~repro.service.scheduler.BatchScheduler`;
+submitted, the four ways a query ends, shed refusals, batches — are plain
+ints on the :class:`~repro.service.scheduler.BatchScheduler`;
 their series read those ints at snapshot time
 (:meth:`Observability.read_events_from`), the way queue depth and the cache
 gauges are read, so ``TasmServer.stats()`` and the registry cannot disagree
@@ -101,17 +101,7 @@ _SCHEDULER_EVENTS = (
         "tasm_queries_deadline_exceeded_total",
         "Queries failed because their deadline_ms elapsed (while pending or mid-batch).",
     ),
-    (
-        "queries_quarantined",
-        "tasm_queries_quarantined_total",
-        "Queries quarantined after their batches repeatedly crashed.",
-    ),
     ("batches_executed", "tasm_batches_executed_total", "Batches the runner pool completed."),
-    (
-        "runner_restarts",
-        "tasm_runner_restarts_total",
-        "Crashed batches the batch runner that ran them recovered.",
-    ),
 )
 
 

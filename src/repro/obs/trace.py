@@ -178,9 +178,10 @@ class TraceLog:
             self._traces.append(trace)
 
     def last(self, count: int = 16) -> list[dict]:
-        """The most recent ``count`` completed traces, newest first."""
+        """The most recent ``count`` completed traces, newest first; none
+        for a ``count`` of 0 or less."""
         with self._lock:
-            recent = list(self._traces)[-max(0, count):]
+            recent = list(self._traces)[-count:] if count > 0 else []
         return [trace.to_dict() for trace in reversed(recent)]
 
     def __len__(self) -> int:

@@ -37,30 +37,25 @@ Fault tolerance (PR 8) threads through every stage:
   :class:`~repro.errors.ServerBusy` above ``service_max_queue_depth``; the
   refused query is never admitted, so an overloaded server costs its
   clients nothing but the refusal.
-* **Crash recovery** — a batch that crashes (``InjectedRunnerDeath``) is
-  recovered by the runner that caught the crash, on its own thread:
-  unaffected queries are requeued at the *front* of their client's bucket
-  (deadlines still honoured) and resume skipping SOTs already delivered, so
-  their bytes stay identical; a query whose batches have crashed
-  :data:`POISON_QUERY_KILLS` times is quarantined with
-  :class:`~repro.errors.PoisonQueryError` instead of crashing batch after
-  batch.  Nothing raised inside a batch ends a runner; only ``stop()`` does.
+* **Batch errors** — whatever a batch raises, each of its queries that has
+  sent nothing yet is re-run as a batch of its own, so only the offender
+  fails; a query that already streamed chunks fails with the batch's error.
+  Nothing raised inside a batch ends a runner; only ``stop()`` does.
 
 Accounting: every event has one counter, a plain int on the scheduler under
 ``_counter_lock``, which ``TasmServer.stats()`` and the metrics registry
 (``Observability.read_events_from``, at snapshot time) both read.
 ``queries_submitted`` and ``shed_queue_full`` move in
 :meth:`BatchScheduler.submit`, on the submitter's thread;
-``batches_executed`` and ``runner_restarts`` (crashed batches recovered) on
-the runner that ran the batch.  How a query *ends* is counted in one place,
-:meth:`BatchScheduler._account`, reached only through
-:meth:`ResultStream._end` — the stream's single terminal transition, first
-caller wins — and so on whichever thread ended it: the runner that served
-its last SOT, noticed its deadline or quarantined it, the consumer inside
-``close()``, a connection's reader or writer tearing down after its peer
-vanished, or ``stop()``.  Once the scheduler is quiescent
+``batches_executed`` on the runner that ran the batch.  How a query *ends*
+is counted in one place, :meth:`BatchScheduler._account`, reached only
+through :meth:`ResultStream._end` — the stream's single terminal
+transition, first caller wins — and so on whichever thread ended it: the
+runner that served its last SOT or noticed its deadline, the consumer
+inside ``close()``, a connection's reader or writer tearing down after its
+peer vanished, or ``stop()``.  Once the scheduler is quiescent
 ``queries_submitted == queries_completed + queries_cancelled +
-queries_failed + queries_deadline_exceeded + queries_quarantined``.
+queries_failed + queries_deadline_exceeded``.
 """
 
 from __future__ import annotations
@@ -68,20 +63,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ..core.query import Query
 from ..core.scan import ScanResult
 from ..errors import (
     DeadlineExceeded,
-    PoisonQueryError,
     ServerBusy,
     ServiceError,
     error_code,
 )
 from ..exec.engine import PartialResult, QueryDone
-from ..faults.plan import FAULT_RUNNER_DEATH, InjectedRunnerDeath
 from ..obs import DISABLED, Observability
 from ..obs.trace import NULL_TRACE
 from ..video.codec import DecodeStats
@@ -89,17 +81,12 @@ from .stream import ScanStream, StreamChunk
 
 __all__ = ["BatchScheduler", "ResultStream", "StreamChunk"]
 
-#: A query whose batches crash this many times is quarantined with
-#: :class:`~repro.errors.PoisonQueryError` instead of being re-queued a
-#: further time (a crashed batch's other queries are re-queued regardless).
-POISON_QUERY_KILLS = 3
-
 
 class ResultStream(ScanStream):
     """The in-process source: a batch runner's observer pushes the chunks.
 
     Adds what only the scheduler needs to a :class:`ScanStream` — the query,
-    its trace, and the crash-recovery bookkeeping.
+    its trace and its accounting hook.
     """
 
     failure_prefix = "query failed in its batch"
@@ -119,16 +106,11 @@ class ResultStream(ScanStream):
         self.trace = NULL_TRACE
         #: When the first batch holding this query began to execute (None
         #: while it is queued); set by the runner thread executing that batch,
-        #: and not again by a singleton retry or a resumed run.
+        #: and not again by a singleton retry.
         self.started_at: float | None = None
         #: ``BatchScheduler._account``, installed at submit: called once, by
         #: whichever thread makes this stream terminal.
         self._account: Callable[["ResultStream"], None] | None = None
-        #: The submitter's fairness key, kept so a runner recovering this
-        #: stream from a crashed batch can requeue it in the right bucket.
-        self._client: Hashable = None
-        #: Batches holding this query that have crashed.
-        self._crashes = 0
 
     def _end(self, state: str, result=None, error=None) -> bool:
         """The one terminal transition, and so the one place a served query
@@ -162,7 +144,6 @@ class ResultStream(ScanStream):
 _FAILURES = {
     "cancelled": ("cancelled", "queries_cancelled"),
     "deadline": ("deadline", "queries_deadline_exceeded"),
-    "poison": ("quarantined", "queries_quarantined"),
 }
 _FAILED = ("error", "queries_failed")
 
@@ -184,10 +165,6 @@ class BatchScheduler:
         self._stream_buffer_chunks = config.service_stream_buffer_chunks
         self._on_query_done = on_query_done
         self._max_queue_depth = config.service_max_queue_depth
-        plan = config.fault_plan
-        self._fault_runner_death = (
-            plan.site(FAULT_RUNNER_DEATH) if plan is not None else None
-        )
         # Pending queries, kept per client for round-robin admission.  One
         # condition guards them and the active-batch map, so a query moves
         # from pending into a batch in one step; idle runners wait on it.
@@ -210,7 +187,7 @@ class BatchScheduler:
         #: ServerBusy refusals at the depth bound: never admitted, so not
         #: among ``queries_submitted`` and not ended by :meth:`_account`.
         self.shed_queue_full = 0
-        # The five ways an admitted query ends (see _account); once quiescent
+        # The four ways an admitted query ends (see _account); once quiescent
         # they sum to queries_submitted.
         self.queries_completed = 0
         #: Abandoned by their consumer (``ResultStream.close()`` or a wire
@@ -219,9 +196,7 @@ class BatchScheduler:
         #: A batch error, a peer that vanished, or server shutdown.
         self.queries_failed = 0
         self.queries_deadline_exceeded = 0
-        self.queries_quarantined = 0
         self.batches_executed = 0
-        self.runner_restarts = 0
         self.total_stats = DecodeStats()
         self._obs.read_events_from(self)
 
@@ -337,7 +312,6 @@ class BatchScheduler:
                     deadline_ms=deadline_ms,
                     skip_sots=skip_sots,
                 )
-                stream._client = client
                 stream.trace = self._obs.start_trace(query)
                 stream._account = self._account
                 with self._counter_lock:
@@ -424,9 +398,9 @@ class BatchScheduler:
     def _run_batches(self) -> None:
         """One runner: take a batch, execute it, repeat until ``stop()``.
 
-        Nothing raised inside an iteration ends the loop — a crashed batch is
-        recovered right here, and anything else fails the batch's streams —
-        so only ``stop()`` ends a runner."""
+        Nothing raised inside an iteration ends the loop — what escapes
+        :meth:`_execute` fails the batch's streams — so only ``stop()`` ends
+        a runner."""
         me = threading.current_thread()
         while True:
             with self._cond:
@@ -436,88 +410,25 @@ class BatchScheduler:
                     return
             batch: Sequence[ResultStream] = ()
             try:
-                try:
-                    batch = self._collect()
-                    if batch:  # else expired, cancelled or taken by a peer
-                        self._execute(batch)
-                except InjectedRunnerDeath:
-                    # The batch crashed: requeue what it owed (or quarantine
-                    # a query whose batches keep crashing) and carry on.
-                    with self._counter_lock:
-                        self.runner_restarts += 1
-                    self._recover_batch(batch)
+                batch = self._collect()
+                if batch:  # else expired, cancelled or taken by a peer
+                    self._execute(batch)
             except BaseException as error:  # noqa: BLE001 — keep the runner alive
                 # _execute fails offending streams itself; anything escaping
-                # it or the recovery (a terminal-transition bug, a callback
-                # raising) fails the batch's streams so their waiters raise.
+                # it (a terminal-transition bug, a callback raising) fails
+                # the batch's streams so their waiters raise.
                 for stream in batch:
                     stream._fail(error)
             finally:
                 with self._cond:
                     self._active.pop(me, None)
 
-    def _recover_batch(self, batch: Sequence[ResultStream]) -> None:
-        """Disposition a crashed batch, on the runner that caught the crash.
-
-        Terminal streams need nothing; a stream whose batches have now
-        crashed :data:`POISON_QUERY_KILLS` times is quarantined; expired
-        ones fail with their deadline; everything else is requeued at the
-        *front* of its client's bucket (it has waited longest) through
-        :meth:`ScanStream.resume`, so the resumed run skips delivered SOTs
-        and the final result is byte-identical to an uninterrupted one.
-        """
-        resumable: list[ResultStream] = []
-        for stream in batch:
-            if stream.done:
-                continue
-            stream._crashes += 1
-            if stream._crashes >= POISON_QUERY_KILLS:
-                stream._fail(
-                    PoisonQueryError(
-                        f"query crashed {stream._crashes} batch(es) and is "
-                        "quarantined"
-                    )
-                )
-            else:
-                resumable.append(stream)
-        doomed: list[ResultStream] = []
-        with self._cond:
-            if not self._running:
-                doomed = resumable
-            else:
-                # appendleft in reverse keeps the batch's relative order.
-                for stream in reversed(resumable):
-                    try:
-                        stream.resume(partial(self._requeue, stream))
-                    except DeadlineExceeded:
-                        self._expire(stream)
-                self._cond.notify_all()
-        for stream in doomed:
-            stream._fail(ServiceError("the server was stopped"))
-
-    def _requeue(
-        self, stream: ResultStream, skip_sots: frozenset[int], deadline_ms
-    ) -> None:
-        """Resubmit a recovered stream at the front of its client's bucket
-        (lock held).  The stream re-enters a batch itself, so its absolute
-        deadline rides along; only the skip set has to be carried over."""
-        stream.skip_sots = skip_sots
-        bucket = self._pending.get(stream._client)
-        if bucket is None:
-            bucket = self._pending[stream._client] = deque()
-            self._pending_order.append(stream._client)
-        bucket.appendleft(stream)
-        self._pending_count += 1
-
     def _execute(self, batch: Sequence[ResultStream]) -> None:
-        fault_death = self._fault_runner_death
-        if fault_death is not None and fault_death.should_fire():
-            raise InjectedRunnerDeath("injected runner death before batch start")
         obs = self._obs
         batch_started = time.perf_counter()
         obs.batch_size.observe(len(batch))
         for stream in batch:
-            if stream.started_at is None:  # not a singleton retry, not a resumed run
+            if stream.started_at is None:  # not a singleton retry
                 stream.started_at = batch_started
                 wait = batch_started - stream.submitted_at
                 obs.queue_wait_seconds.observe(wait)
@@ -536,10 +447,6 @@ class BatchScheduler:
                 batch[event.query_index]._push(
                     StreamChunk(sot_index=event.sot_index, regions=event.regions)
                 )
-                if fault_death is not None and fault_death.should_fire():
-                    raise InjectedRunnerDeath(
-                        "injected runner death mid-batch (after a served SOT)"
-                    )
             elif isinstance(event, QueryDone):
                 stream = batch[event.query_index]
                 if self._on_query_done is not None:
@@ -575,8 +482,6 @@ class BatchScheduler:
                 trace_sink=trace_sink if obs.enabled else None,
                 skip_sots=skips if any(skips) else None,
             )
-        except InjectedRunnerDeath:
-            raise
         except BaseException as error:  # noqa: BLE001 — must fail the waiters
             # One bad query (unknown video, malformed predicate) must not
             # poison the batch it rode in with: retry untouched queries

@@ -292,7 +292,7 @@ class ScanStream:
         """The exception consumers raise for this stream's failure.
 
         Preserves the failure's :class:`ServiceError` subclass (deadline,
-        busy, poison, cancelled...) so callers can branch on the outcome
+        busy, cancelled...) so callers can branch on the outcome
         without string-matching; falls back to plain ``ServiceError`` for
         foreign exception types or subclasses with exotic constructors.
         """

@@ -777,7 +777,7 @@ class _ServedScan:
 
 def _error_reply(query_id, error: BaseException) -> dict:
     """A failure as the wire carries it.  A typed failure (deadline, busy,
-    poison, cancelled) crosses as a code so the client re-raises the same
+    cancelled, refused) crosses as a code so the client re-raises the same
     exception class, not a generic ServiceError."""
     reply = {"type": "error", "id": query_id, "message": str(error)}
     code = error_code(error)

@@ -11,11 +11,8 @@ The contracts pinned here, layer by layer:
   (the executor's cancelled-probe stops its remaining decode);
 * **load shedding** fast-fails with :class:`~repro.errors.ServerBusy` above
   the depth bound, before the refused query is admitted;
-* **crash recovery**: the runner that catches a crashed batch requeues its
-  unaffected queries with served SOTs skipped (results byte-identical),
-  quarantines a query whose batches keep crashing with
-  :class:`~repro.errors.PoisonQueryError`, and serves on — no thread is
-  replaced;
+* **runner survival**: whatever a batch raises fails its query with that
+  error, and the same runner serves the next query — no thread is replaced;
 * **re-dial and resume**: a one-shard :class:`~repro.cluster.ClusterRouter`
   with a :class:`~repro.service.RetryPolicy` survives a dropped or
   mid-frame-cut connection, resuming in-flight scans from the last delivered
@@ -50,7 +47,6 @@ from repro.core.query import Query
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
-    PoisonQueryError,
     ServerBusy,
     ServiceError,
     StreamCancelledError,
@@ -59,7 +55,6 @@ from repro.errors import (
 from repro.faults import (
     FAULT_CONSUMER_SKEW,
     FAULT_DECODE_ERROR,
-    FAULT_RUNNER_DEATH,
     FAULT_SHM_ATTACH,
     FAULT_TRANSPORT_CUT,
     FAULT_TRANSPORT_DELAY,
@@ -75,7 +70,6 @@ from repro.service import (
     ShmTransport,
     SocketTransport,
 )
-from repro.service import scheduler as scheduler_module
 from repro.service import transport as transport_module
 from tests.test_exec_engine import assert_scan_results_identical, make_tasm
 from tests.test_service import held_runner
@@ -121,18 +115,18 @@ class TestFaultPlan:
         plan = FaultPlan(
             [
                 FaultSpec(FAULT_TRANSPORT_DROP, probability=0.5),
-                FaultSpec(FAULT_RUNNER_DEATH, probability=0.5),
+                FaultSpec(FAULT_DECODE_ERROR, probability=0.5),
             ],
             seed=7,
         )
         drop = plan.site(FAULT_TRANSPORT_DROP)
-        death = plan.site(FAULT_RUNNER_DEATH)
+        decode = plan.site(FAULT_DECODE_ERROR)
         drops = [drop.should_fire() for _ in range(200)]
-        deaths = [death.should_fire() for _ in range(200)]
-        assert drops != deaths, "per-point RNG streams must be independent"
+        errors = [decode.should_fire() for _ in range(200)]
+        assert drops != errors, "per-point RNG streams must be independent"
         assert plan.fires() == {
             FAULT_TRANSPORT_DROP: sum(drops),
-            FAULT_RUNNER_DEATH: sum(deaths),
+            FAULT_DECODE_ERROR: sum(errors),
         }
 
     def test_skip_first_and_max_fires(self):
@@ -158,7 +152,7 @@ class TestFaultPlan:
 
     def test_unplanned_point_resolves_to_none(self):
         plan = FaultPlan([FaultSpec(FAULT_TRANSPORT_DROP)])
-        assert plan.site(FAULT_RUNNER_DEATH) is None
+        assert plan.site(FAULT_DECODE_ERROR) is None
 
 
 # ----------------------------------------------------------------------
@@ -262,80 +256,29 @@ class TestLoadShedding:
 
 
 # ----------------------------------------------------------------------
-# Crash recovery
+# Runner survival
 # ----------------------------------------------------------------------
 class TestRunnerSupervision:
-    def test_injected_death_is_survived(self, config):
-        """A batch crashed at its start is recovered by the runner that ran
-        it and the query completes byte-identical — the waiter never learns
-        anything broke, and no runner thread was replaced."""
-        plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
-        server, video = make_server(config, fault_plan=plan)
-        reference, _ = make_tasm(config)
-        runners = list(server._scheduler._runners)
-        try:
-            result = server.submit(Query.select("car", video.name)).result(timeout=30)
-            assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert server._scheduler.runner_restarts == 1
-            assert plan.fires()[FAULT_RUNNER_DEATH] == 1
-            assert server._scheduler._runners == runners
-            assert all(runner.is_alive() for runner in runners)
-        finally:
-            server.stop()
-
-    def test_mid_stream_death_resumes_byte_identical(self, config):
-        """Kill the runner *after* it served a SOT: the requeued query skips
-        the delivered chunk and the spliced result is byte-identical."""
-        # skip_first=1 passes the batch-entry evaluation; the next
-        # evaluation is the observer hook after the first served chunk.
-        plan = FaultPlan(
-            [FaultSpec(FAULT_RUNNER_DEATH, skip_first=1, max_fires=1)], seed=3
-        )
-        server, video = make_server(config, fault_plan=plan)
-        reference, _ = make_tasm(config)
-        try:
-            result = server.submit(Query.select("car", video.name)).result(timeout=30)
-            assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert server._scheduler.runner_restarts == 1
-        finally:
-            server.stop()
-
-    def test_poison_query_is_quarantined(self, config, monkeypatch):
-        """A query that crashes every batch it rides in is quarantined after
-        ``POISON_QUERY_KILLS`` crashes instead of looping forever."""
-        monkeypatch.setattr(scheduler_module, "POISON_QUERY_KILLS", 2)
-        plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, probability=1.0)], seed=3)
-        server, video = make_server(config, fault_plan=plan)
-        try:
-            stream = server.submit(Query.select("car", video.name))
-            with pytest.raises(PoisonQueryError):
-                stream.result(timeout=30)
-            scheduler = server._scheduler
-            assert scheduler.queries_quarantined == 1
-            assert scheduler.runner_restarts >= 2
-        finally:
-            server.stop()
-
-    def test_a_crash_in_the_recovery_does_not_end_the_runner(self, config):
-        """Nothing raised inside an iteration ends a runner, the recovery
-        included: a recovery that raises fails the crashed batch's query with
-        that error, and the same runner serves the next query."""
-        plan = FaultPlan([FaultSpec(FAULT_RUNNER_DEATH, max_fires=1)], seed=3)
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
+    def test_an_error_escaping_a_batch_does_not_end_the_runner(self, config):
+        """Nothing raised inside an iteration ends a runner: a batch whose
+        execution raises fails its query with that error, and the same
+        runner serves the next query byte-identical."""
+        server, video = make_server(config, service_runners=1)
         scheduler = server._scheduler
         original = scheduler._runners[0]
-        broken = RuntimeError("recovery bug")
+        broken = RuntimeError("batch bug")
+        execute = scheduler._execute
 
-        def failing_recovery(batch):
+        def failing_once(batch):
+            scheduler._execute = execute  # the next batch runs as it would
             raise broken
 
-        scheduler._recover_batch = failing_recovery
+        scheduler._execute = failing_once
         reference, _ = make_tasm(config)
         try:
             with pytest.raises(ServiceError) as failed:
                 server.submit(Query.select("car", video.name)).result(timeout=30)
             assert failed.value.__cause__ is broken
-            assert scheduler.runner_restarts == 1
             result = server.submit(Query.select("car", video.name)).result(timeout=30)
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
             assert scheduler._runners == [original]
@@ -927,7 +870,6 @@ class TestZeroCostWhenUnset:
         server, video = make_server(config)
         transport = SocketTransport(server).start()
         try:
-            assert server._scheduler._fault_runner_death is None
             assert server.tasm._executor._fault_decode is None
             with RemoteTasmClient(
                 transport.address, timeout=30.0, use_shm=False
@@ -954,13 +896,12 @@ class TestChaos:
         seeded plan.  Invariants:
 
         * nothing hangs — every scan reaches a terminal state in time;
-        * every outcome is a known state: done, deadline, busy, quarantined;
+        * every outcome is a known state: done, deadline, busy;
         * every completed scan's bytes match a fault-free reference;
         * the recovery counts account for the injected faults.
         """
         plan = FaultPlan(
             [
-                FaultSpec(FAULT_RUNNER_DEATH, probability=0.25, max_fires=2),
                 FaultSpec(
                     FAULT_TRANSPORT_DROP, probability=0.2, skip_first=3, max_fires=2
                 ),
@@ -1024,7 +965,7 @@ class TestChaos:
             ClusterRouter([transports[shm].address], timeout=15.0, retry=retry)
             for shm in (True, False)
         ]
-        outcomes = {"done": 0, "deadline": 0, "busy": 0, "quarantined": 0}
+        outcomes = {"done": 0, "deadline": 0, "busy": 0}
         # Submissions the router refused because their deadline ran out
         # while it re-dialled a lost connection, before any shard took them.
         refused = 0
@@ -1048,8 +989,6 @@ class TestChaos:
                     outcomes["deadline"] += 1
                 except ServerBusy:
                     outcomes["busy"] += 1
-                except PoisonQueryError:
-                    outcomes["quarantined"] += 1
                 else:
                     outcomes["done"] += 1
                     assert_scan_results_identical(result, expected[label])
@@ -1057,10 +996,6 @@ class TestChaos:
             assert sum(outcomes.values()) + refused == 16, (outcomes, refused)
             scheduler = server._scheduler
             fires = plan.fires()
-            # Every injected runner death produced exactly one restart.
-            assert wait_until(
-                lambda: scheduler.runner_restarts == fires[FAULT_RUNNER_DEATH]
-            ), (scheduler.runner_restarts, fires)
             # A stream re-issues its share only after its connection died,
             # and each death is an injected wire fault (one that lands on a
             # handshake kills a connection no stream is on).
@@ -1070,9 +1005,9 @@ class TestChaos:
                 stream.failovers for stream, _ in submissions
             )
             # A deadline the server did not count was raised by the router
-            # while it recovered that stream's share.  Busy and quarantined
-            # are the server's verdicts alone (a lost error reply may be
-            # resumed into a different outcome).
+            # while it recovered that stream's share.  Busy is the server's
+            # verdict alone (a lost error reply may be resumed into a
+            # different outcome).
             recovered_with_deadline = sum(
                 1 for stream in recovering if stream.deadline_ms is not None
             )
@@ -1081,7 +1016,6 @@ class TestChaos:
                 <= recovered_with_deadline
             ), (outcomes, scheduler.queries_deadline_exceeded, recovered_with_deadline)
             assert outcomes["busy"] <= scheduler.shed_queue_full
-            assert outcomes["quarantined"] <= scheduler.queries_quarantined
         finally:
             for router in routers:
                 router.close()

@@ -262,6 +262,16 @@ class TestTrace:
         assert [t["video"] for t in log.last(10)] == ["v4", "v3", "v2"]
         assert [t["video"] for t in log.last(2)] == ["v4", "v3"]
 
+    def test_trace_log_last_of_none_is_empty(self):
+        log = TraceLog(capacity=8)
+        for index in range(3):
+            trace = Trace(video=f"v{index}")
+            trace.finish()
+            log.append(trace)
+        assert log.last(0) == []
+        assert log.last(-1) == []
+        assert len(log.last(3)) == 3
+
     def test_null_trace_is_inert(self):
         NULL_TRACE.add_span("queue", 1.0, top=True)
         assert NULL_TRACE.finish() is False

@@ -1,15 +1,13 @@
 """Conservation of served queries: whatever ends a query, it is counted once.
 
-A query the scheduler admits ends in exactly one of five ways — it completes,
+A query the scheduler admits ends in exactly one of four ways — it completes,
 its consumer cancels it, it fails (a batch error, a peer that vanished, a
-server stop), its deadline passes, or it is quarantined for killing runners —
-and ``ResultStream._end``, the stream's one terminal transition, is the only
+server stop), or its deadline passes — and ``ResultStream._end``, the stream's one terminal transition, is the only
 place any of them is counted.  A query the depth bound refuses is never
 admitted: it is counted in ``shed{queue_full}`` and nowhere else.  So,
 whenever the server is quiescent::
 
-    submitted == completed + cancelled + failed
-                 + deadline_exceeded + quarantined
+    submitted == completed + cancelled + failed + deadline_exceeded
 
 the registry's series equal ``TasmServer.stats()`` (they read the same ints),
 and the trace ring holds ``min(submitted, TRACE_HISTORY)`` traces, one per
@@ -31,9 +29,8 @@ from contextlib import contextmanager
 import pytest
 
 import repro.obs as obs_module
-import repro.service.scheduler as scheduler_module
 from repro.core.query import Query
-from repro.errors import DeadlineExceeded, PoisonQueryError, ServerBusy, ServiceError
+from repro.errors import DeadlineExceeded, ServerBusy, ServiceError
 from repro.service import SocketTransport
 from repro.service.transport import send_message
 from tests.test_service import held_runner
@@ -41,7 +38,6 @@ from tests.test_service_flow_control import make_server, wait_until
 
 DEPTH = 3  # service_max_queue_depth
 HISTORY = 8  # TRACE_HISTORY: smaller than a mix, so the ring's bound is exercised
-POISON_KILLS = 2  # POISON_QUERY_KILLS
 
 #: outcome -> (series, its labels, the scheduler's field).
 ENDINGS = {
@@ -51,21 +47,17 @@ ENDINGS = {
     "deadline_exceeded": (
         "tasm_queries_deadline_exceeded_total", {}, "queries_deadline_exceeded",
     ),
-    "quarantined": ("tasm_queries_quarantined_total", {}, "queries_quarantined"),
 }
 OTHERS = {
     "submitted": ("tasm_queries_submitted_total", {}, "queries_submitted"),
     "shed_queue_full": ("tasm_queries_shed_total", {"reason": "queue_full"}, "shed_queue_full"),
-    "runner_restarts": ("tasm_runner_restarts_total", {}, "runner_restarts"),
     "batches_executed": ("tasm_batches_executed_total", {}, "batches_executed"),
 }
 
 
 @pytest.fixture(autouse=True)
 def small_limits(monkeypatch):
-    """Every rig quarantines after ``POISON_KILLS`` crashes and keeps the
-    last ``HISTORY`` traces."""
-    monkeypatch.setattr(scheduler_module, "POISON_QUERY_KILLS", POISON_KILLS)
+    """Every rig keeps the last ``HISTORY`` traces."""
     monkeypatch.setattr(obs_module, "TRACE_HISTORY", HISTORY)
 
 
@@ -164,16 +156,6 @@ def parked_mid_batch(rig: Rig):
     finally:
         release.set()
         decoder.prefetch_regions = prefetch
-
-
-class ScriptedSite:
-    """A ``FAULT_RUNNER_DEATH`` site that fires exactly where a row says."""
-
-    def __init__(self, *fires: bool):
-        self._fires = list(fires)
-
-    def should_fire(self) -> bool:
-        return self._fires.pop(0) if self._fires else False
 
 
 # ----------------------------------------------------------------------
@@ -277,21 +259,6 @@ def peer_vanishes_without_cancel(rig: Rig) -> None:
     rig.expect(1, failed=1)
 
 
-def runner_death_that_resumes(rig: Rig) -> None:
-    rig.scheduler._fault_runner_death = ScriptedSite(False, True)  # after the first SOT
-    assert rig.submit().result(timeout=30).regions
-    rig.scheduler._fault_runner_death = None
-    rig.expect(1, completed=1, runner_restarts=1)
-
-
-def runner_death_that_quarantines(rig: Rig) -> None:
-    rig.scheduler._fault_runner_death = ScriptedSite(*[True] * POISON_KILLS)
-    with pytest.raises(PoisonQueryError):
-        rig.submit().result(timeout=30)
-    rig.scheduler._fault_runner_death = None
-    rig.expect(1, quarantined=1, runner_restarts=POISON_KILLS)
-
-
 def stop_with_queries_queued(rig: Rig) -> None:
     """Ends the server, so a mix runs it last."""
     stopper = threading.Thread(target=rig.server.stop)
@@ -316,8 +283,6 @@ ROWS = [
     busy_raised_inside_a_batch,
     failing_query_in_a_shared_batch,
     peer_vanishes_without_cancel,
-    runner_death_that_resumes,
-    runner_death_that_quarantines,
 ]
 
 
