@@ -8,7 +8,8 @@ The contracts pinned here, layer by layer:
   the recovery machinery reports;
 * **deadlines** fail a query with :class:`~repro.errors.DeadlineExceeded`
   whether it expires while pending (never costing a batch slot) or mid-batch
-  (the executor's cancelled-probe stops its remaining decode);
+  (the executor's cancelled-probe stops its remaining decode), and the
+  wire's error code rebuilds each typed failure;
 * **load shedding** fast-fails with :class:`~repro.errors.ServerBusy` above
   the depth bound, before the refused query is admitted;
 * **runner survival**: whatever a batch raises fails its query with that
@@ -21,7 +22,8 @@ The contracts pinned here, layer by layer:
   :class:`~repro.service.RemoteTasmClient` is one connection, and a broken
   wire fails everything on it with :class:`~repro.errors.TransportError`;
 * a transient decode fault fails only the offending execution: a multi-query
-  batch retries its untouched members individually;
+  batch retries its untouched members individually, and fails those that
+  already streamed a chunk;
 * the hello handshake is bounded: an idle peer is cut loose and counted;
 * timeout errors say which stage starved (queue vs execute vs wire);
 * with no plan configured every injection hook resolves to ``None`` — the
@@ -47,10 +49,13 @@ from repro.core.query import Query
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
+    QueryRefused,
     ServerBusy,
     ServiceError,
     StreamCancelledError,
     TransportError,
+    error_code,
+    error_from_code,
 )
 from repro.faults import (
     FAULT_CONSUMER_SKEW,
@@ -234,6 +239,17 @@ class TestDeadlines:
             transport.stop()
             server.stop()
 
+    def test_wire_codes_rebuild_their_class_and_an_unknown_code_is_plain(self):
+        """Every typed failure survives the wire's code; a code this build
+        does not know (one a peer of the same protocol still sends, such as
+        the retired ``poison``) arrives as a plain ServiceError."""
+        for cls in (DeadlineExceeded, ServerBusy, StreamCancelledError, QueryRefused):
+            rebuilt = error_from_code(error_code(cls("why")), "why")
+            assert type(rebuilt) is cls and str(rebuilt) == "why"
+        for code in ("poison", None):
+            rebuilt = error_from_code(code, "why")
+            assert type(rebuilt) is ServiceError and str(rebuilt) == "why"
+
 
 # ----------------------------------------------------------------------
 # Load shedding
@@ -335,6 +351,28 @@ class TestDecodeFaults:
             )
             assert plan.fires()[FAULT_DECODE_ERROR] == 1
             assert sizes == [1, 2, 1, 1], "one shared batch, then one retry each"
+        finally:
+            server.stop()
+
+    def test_a_batch_error_after_streaming_fails_without_a_retry(self, config):
+        """A fault after the batch's first SOT reached both its queries: a
+        retry would send that chunk twice, so each fails with the decoder's
+        error, neither is re-run, and the runner serves the next query."""
+        # skip_first=1 passes SOT 0 (the blocker wants no SOT); SOT 1 faults.
+        plan = FaultPlan([FaultSpec(FAULT_DECODE_ERROR, skip_first=1, max_fires=1)], seed=5)
+        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        reference, _ = make_tasm(config)
+        try:
+            with held_runner(server, video) as sizes:
+                streams = [server.submit(Query.select("car", video.name)) for _ in range(2)]
+            for stream in streams:
+                with pytest.raises(ServiceError, match="injected decoder fault"):
+                    stream.result(timeout=30)
+                assert list(stream.delivered) == [0]
+            assert sizes == [1, 2], "the streamed queries are not re-run"
+            result = server.submit(Query.select("car", video.name)).result(timeout=30)
+            assert_scan_results_identical(result, reference.scan(video.name, "car"))
+            assert server._scheduler.queries_failed == 2
         finally:
             server.stop()
 

@@ -551,6 +551,32 @@ class TestObservabilityIntegration:
         text = render_text(metrics)
         assert "tasm_query_seconds_bucket" in text
 
+    def test_server_traces_of_none_are_empty(self, config):
+        """``TasmServer.traces`` asks the ring for its count as given: none
+        for a count of zero or below, however many traces are kept."""
+        server, video = make_server(config)
+        try:
+            for label in ("car", "person"):
+                server.connect().scan(video.name, label)
+            assert len(server.traces(2)) == 2
+            assert server.traces(0) == []
+            assert server.traces(-1) == []
+        finally:
+            server.stop()
+
+    def test_the_wire_trace_op_of_none_is_empty(self, config):
+        """The ``trace`` op's ``last`` reaches the ring unchanged: a remote
+        client asking for zero traces gets none back."""
+        server, video = make_server(config)
+        try:
+            with SocketTransport(server) as transport:
+                with RemoteTasmClient(transport.address) as client:
+                    client.scan(video.name, "car")
+                    assert len(client.traces(last=1)) == 1
+                    assert client.traces(last=0) == []
+        finally:
+            server.stop()
+
     def test_slow_query_log_fires_above_threshold(self, config, caplog, monkeypatch):
         monkeypatch.setattr(obs_module, "SLOW_QUERY_MS", 1e-6)
         server, video = make_server(config)

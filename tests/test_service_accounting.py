@@ -30,7 +30,7 @@ import pytest
 
 import repro.obs as obs_module
 from repro.core.query import Query
-from repro.errors import DeadlineExceeded, ServerBusy, ServiceError
+from repro.errors import CodecError, DeadlineExceeded, ServerBusy, ServiceError
 from repro.service import SocketTransport
 from repro.service.transport import send_message
 from tests.test_service import held_runner
@@ -236,6 +236,28 @@ def busy_raised_inside_a_batch(rig: Rig) -> None:
     rig.expect(1, failed=1)
 
 
+def batch_error_after_streaming(rig: Rig) -> None:
+    """A batch that raises after the query's first chunk cannot re-run it
+    without sending that chunk twice: a plain failure."""
+    decoder = rig.server.tasm._decoder
+    prefetch = decoder.prefetch_regions
+
+    def corrupt_second_sot(sot, requests, scope):
+        if sot.sot_index == 1:
+            raise CodecError("SOT 1 is corrupt")
+        return prefetch(sot, requests, scope)
+
+    decoder.prefetch_regions = corrupt_second_sot
+    try:
+        stream = rig.submit()
+        with pytest.raises(ServiceError, match="corrupt"):
+            stream.result(timeout=30)
+        assert list(stream.delivered) == [0]
+    finally:
+        decoder.prefetch_regions = prefetch
+    rig.expect(1, failed=1)
+
+
 def failing_query_in_a_shared_batch(rig: Rig) -> None:
     with held_runner(rig.server, rig.video):
         bad = rig.submit(video="no-such-video")
@@ -298,7 +320,11 @@ def run(rig: Rig, rows) -> None:
         rig.close()
 
 
-@pytest.mark.parametrize("row", [*ROWS, stop_with_queries_queued], ids=lambda row: row.__name__)
+@pytest.mark.parametrize(
+    "row",
+    [*ROWS, batch_error_after_streaming, stop_with_queries_queued],
+    ids=lambda row: row.__name__,
+)
 def test_each_ending_is_counted_once(config, row):
     run(Rig(config), [row])
 

@@ -111,12 +111,13 @@ class TestCancellation:
         reference, _ = make_tasm(config)
         tasm = server.tasm
         prefetch_calls = []
-        gate = threading.Event()
+        held, gate = threading.Event(), threading.Event()
         original = tasm._decoder.prefetch_regions
 
         def instrumented(sot, requests, scope):
             prefetch_calls.append(scope)
             if len(prefetch_calls) == 2:
+                held.set()
                 gate.wait(timeout=30)  # hold the batch between SOTs 1 and 2
             return original(sot, requests, scope)
 
@@ -128,7 +129,11 @@ class TestCancellation:
             ) as client:
                 stream = client.scan_streaming(video.name, "car")
                 chunks = iter(stream)
-                next(chunks)  # first SOT landed; decode of the second is gated
+                next(chunks)  # first SOT landed
+                # The chunk can arrive before the runner reaches the second
+                # SOT; cancel only once its decode is gated, or the cancel
+                # skips that SOT whole and never tests a mid-batch cancel.
+                assert held.wait(timeout=10), "the batch never reached SOT 2"
                 stream.close()  # sends CANCEL on the wire
                 # The server-side pump observed the cancel and released the
                 # scan before the batch even resumed.
