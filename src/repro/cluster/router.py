@@ -12,15 +12,14 @@ the per-shard chunk streams merge into one
 regions in ascending SOT order so the merged result is byte-identical no
 matter how shard streams interleave (or which replica served what).
 
-Placement is **cache-aware**: the router remembers which shard last served
-each ``(video, SOT)`` and routes the key back there while that shard lives
-(its tile cache is the one most likely warm), breaking ties among untried
-replicas by the queue depth read from per-shard ``metrics`` snapshots (a
-lightly loaded replica beats a backed-up one).
+Placement is the ring's: each SOT goes to the first replica in ring order
+that is up and not excluded from the scan.  Ring order is sticky — a key
+keeps going to the same shard, whose tile cache it warmed, until that shard
+is marked down — so the router keeps no placement state of its own.
 
 Every request the router makes to a shard takes one path,
 :meth:`ClusterRouter._call`: a scan's share, ``video_info``,
-``add_metadata``, ``metrics`` and the load refresh alike.  A shard client is
+``add_metadata`` and ``metrics`` alike.  A shard client is
 a plain connection: a broken wire fails its streams with
 :class:`~repro.errors.TransportError` and nothing else.  When a shard's
 connection fails — at submission or mid-stream — ``_call`` re-dials *that*
@@ -69,9 +68,6 @@ __all__ = ["ClusterRouter", "ClusterScanStream"]
 #: that would use it dials it again (:meth:`ClusterRouter._call`); a dial that
 #: fails marks it down for as long again.
 DOWN_RETRY_AFTER_S = 5.0
-#: Seconds a shard's queue depth, read from its ``metrics``, stays fresh for
-#: placement among a key's replicas.
-METRICS_TTL_S = 2.0
 
 
 #: Verdicts that hold cluster-wide: a re-dial or a replica would only
@@ -221,7 +217,6 @@ class ClusterScanStream(ScanStream):
             ended = sub.stream.done
             chunk = sub.stream.poll()
             if chunk is not None:
-                self._router._note_served(self.video, chunk.sot_index, sub.shard)
                 self._push(chunk)
                 return
             if ended:
@@ -290,7 +285,8 @@ class ClusterRouter:
     address this is the resilient single-server handle.
 
     Thread-safe: concurrent scans share the shard clients (each is itself a
-    multiplexing handle), and placement/health state is lock-protected.
+    multiplexing handle), the ring is immutable, and health state is
+    lock-protected.
     """
 
     def __init__(
@@ -320,11 +316,6 @@ class ClusterRouter:
         #: Shards the router believes dead: the evidence, and when
         #: (``time.monotonic()``) it was marked down.
         self._down: dict[str, tuple[BaseException, float]] = {}
-        #: Which shard last served each (video, sot) — the warm-cache map.
-        self._placement: dict[tuple, str] = {}
-        #: Last metrics-derived load figure per shard (queue depth).
-        self._load: dict[str, float] = {}
-        self._load_read_at: float = 0.0
         self._video_infos: dict[str, dict] = {}
         self._closed = False
         #: Router-level failovers across all scans (tests and stats).
@@ -358,52 +349,13 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _note_served(self, video: str, sot_index: int, shard: str) -> None:
-        with self._lock:
-            self._placement[(video, sot_index)] = shard
-
-    def _refresh_load(self) -> None:
-        """Queue depth per shard from its metrics snapshot, rate-limited."""
-        now = time.monotonic()
-        with self._lock:
-            if now - self._load_read_at < METRICS_TTL_S:
-                return
-            self._load_read_at = now
-        shards = self.metrics()["shards"]
-        load = {name: self._queue_depth_of(snapshot) for name, snapshot in shards.items()}
-        with self._lock:
-            self._load.update(load)
-
-    @staticmethod
-    def _queue_depth_of(snapshot: dict) -> float:
-        family = snapshot.get("tasm_queue_depth") or {}
-        values = family.get("values") or []
-        return float(values[0].get("value", 0.0)) if values else 0.0
-
     def _choose_replica(self, video: str, sot_index: int, excluded: set):
-        """The shard to serve one SOT: its replica set filtered to live,
-        non-excluded members; the last server of this key wins (warm cache),
-        then the least-loaded, then ring preference order."""
-        candidates = [
-            name
-            for name in self._ring.nodes_for(
-                sot_key(video, sot_index), self._replication
-            )
-            if name not in excluded and self._is_up(name)
-        ]
-        if not candidates:
-            return None
-        with self._lock:
-            sticky = self._placement.get((video, sot_index))
-            load = dict(self._load)
-        if sticky in candidates:
-            return sticky
-        if len(candidates) > 1 and load:
-            ring_rank = {name: rank for rank, name in enumerate(candidates)}
-            candidates.sort(
-                key=lambda name: (load.get(name, 0.0), ring_rank[name])
-            )
-        return candidates[0]
+        """The shard to serve one SOT: the first of its replicas, in ring
+        order, that is up and not ``excluded`` (None when none is)."""
+        for name in self._ring.nodes_for(sot_key(video, sot_index), self._replication):
+            if name not in excluded and self._is_up(name):
+                return name
+        return None
 
     # ------------------------------------------------------------------
     # Clients
@@ -518,10 +470,6 @@ class ClusterRouter:
     ) -> ClusterScanStream:
         info = self.video_info(video)
         universe = frozenset(range(int(info["sot_count"])))
-        if self._replication > 1:
-            # Load only ever breaks a tie between a key's live replicas; with
-            # one replica per key there is no choice for it to inform.
-            self._refresh_load()
         scan = dict(
             video=video, labels=labels, frame_start=frame_start, frame_stop=frame_stop
         )

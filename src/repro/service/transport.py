@@ -818,6 +818,31 @@ def _scan_fields(message: dict) -> tuple[str, list, int, float | None, list[int]
     return video, labels, credits, deadline_ms, skip_sots or None
 
 
+#: Each field of a wire ``add_metadata``, in ``TASM.add_metadata``'s order,
+#: with the JSON types it is stored as.
+_METADATA_FIELDS = (
+    ("video", (str,), "a string"),
+    ("frame", (int,), "an integer"),
+    ("label", (str,), "a string"),
+    *((name, (int, float), "a number") for name in ("x1", "y1", "x2", "y2", "confidence")),
+)
+
+
+def _metadata_fields(message: dict) -> list:
+    """A wire ``add_metadata``'s fields, each of the type it is stored as,
+    or :class:`~repro.errors.QueryRefused`.  A box of strings passes
+    ``Rectangle``'s checks (``"5" >= "1"``) and, once indexed, breaks every
+    scan of its label.  A value of the right type stays the index's to
+    refuse or clip (a negative frame, ``NaN``, an inverted box)."""
+    values = []
+    for name, types, kind in _METADATA_FIELDS:
+        value = message.get(name, 1.0 if name == "confidence" else None)
+        if type(value) not in types:
+            raise QueryRefused(f"add_metadata {name} {value!r} is not {kind}")
+        values.append(value)
+    return values
+
+
 class _Connection:
     """One accepted socket: request demux on the reader thread, and one
     writer thread that is the connection's only sender.
@@ -924,16 +949,7 @@ class _Connection:
             if ring is not None:
                 ring.destroy()
         elif op == "add_metadata":
-            self._server.add_metadata(
-                message["video"],
-                message["frame"],
-                message["label"],
-                message["x1"],
-                message["y1"],
-                message["x2"],
-                message["y2"],
-                confidence=message.get("confidence", 1.0),
-            )
+            self._server.add_metadata(*_metadata_fields(message))
             self._reply({"type": "ok", "id": query_id})
         elif op == "stats":
             self._reply({"type": "stats", "id": query_id, **self._server.stats().as_dict()})

@@ -4,13 +4,13 @@ The contracts pinned here:
 
 * the consistent-hash ring is deterministic across processes (stable
   hashing, never ``PYTHONHASHSEED``-salted builtins), replicas are distinct,
-  and **a joining shard captures ~1/N of the keys, all moving TO it** — the
-  property that keeps N-1 caches warm through a topology change;
+  **the ring over one more shard gives it ~1/N of the keys, all moving TO
+  it** — the property that keeps N-1 caches warm through a topology change
+  — and its table is pinned by a digest, so a refactor moves no key;
 * a scattered scan merges **byte-identical** to a single unsharded server,
   for plain, multi-label, and temporally bounded queries;
-* placement is **cache-aware**: the shard that served a ``(video, SOT)``
-  keeps serving it, and among untried replicas the less-loaded one (by
-  ``metrics`` queue depth) wins;
+* placement is the ring's: each SOT goes to its first live replica in
+  ring order, and no scan sends a ``metrics`` request;
 * failover: a shard killed **mid-scan** (SIGKILL, no goodbye) re-scatters
   its undelivered SOTs to replicas and the merged result stays
   byte-identical to a healthy run — likewise for a seeded transport-drop
@@ -28,6 +28,7 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import threading
 import time
@@ -43,7 +44,7 @@ from repro.cluster import (
 )
 from repro.cluster import router as router_module
 from repro.core.tasm import TASM
-from repro.errors import QueryRefused, ServiceError
+from repro.errors import QueryRefused, ServiceError, TransportError
 from repro.faults import FAULT_TRANSPORT_DROP, FaultSpec
 from repro.service import RemoteTasmClient, RetryPolicy, SocketTransport, TasmServer
 from tests.test_exec_engine import assert_scan_results_identical
@@ -51,6 +52,9 @@ from tests.test_faults import gate_decoder
 from tests.test_service_flow_control import make_server, wait_until
 
 LABELS = ["car", "person", "sign"]
+#: sha256 of ``nodes_for`` over 2,000 keys and 1-3 replicas (see
+#: ``test_placement_matches_the_pinned_table``).
+PINNED_PLACEMENT = "2ab3a302b08ed4ae87c6096a3f1cd03a635151855d612a5b599f272c6f06003e"
 RETRY = RetryPolicy(attempts=6, base_delay=0.02, max_delay=0.2, seed=11)
 
 
@@ -81,14 +85,14 @@ class TestHashRing:
         assert sorted(ring.nodes_for("k", 5)) == ["s0", "s1"]
 
     def test_join_moves_about_one_nth_of_keys_all_toward_the_joiner(self):
-        """The consistent-hashing contract: a 4th shard takes ~1/4 of the
-        keyspace, every moved key moves *to* it, and nothing else reshuffles
-        (so the other shards' caches stay warm)."""
-        ring = HashRing(["s0", "s1", "s2"], vnodes=64)
+        """The consistent-hashing contract: the ring with a 4th shard gives
+        it ~1/4 of the keyspace, every moved key moves *to* it, and nothing
+        else reshuffles (so the other shards' caches stay warm)."""
         keys = self.keys(2000)
-        before = {key: ring.node_for(key) for key in keys}
-        ring.add_node("s3")
-        after = {key: ring.node_for(key) for key in keys}
+        three = HashRing(["s0", "s1", "s2"], vnodes=64)
+        before = {key: three.node_for(key) for key in keys}
+        four = HashRing(["s0", "s1", "s2", "s3"], vnodes=64)
+        after = {key: four.node_for(key) for key in keys}
         moved = [key for key in keys if before[key] != after[key]]
         assert all(after[key] == "s3" for key in moved)
         fraction = len(moved) / len(keys)
@@ -119,6 +123,17 @@ class TestHashRing:
         for owner, count in counts.items():
             assert 0.5 / 4 < count / 4000 < 2.0 / 4, (owner, counts)
 
+    def test_placement_matches_the_pinned_table(self):
+        """Every key's replica list, for 1-3 replicas over shards named as
+        the router names them, hashes to a pinned digest: no refactor of the
+        ring may move a key (and with it, every shard's warm cache)."""
+        ring = HashRing([f"127.0.0.1:{port}" for port in (20471, 20472, 20473, 20474)])
+        table = hashlib.sha256()
+        for key in self.keys(2000):
+            for count in (1, 2, 3):
+                table.update(f"{key}\t{count}\t{','.join(ring.nodes_for(key, count))}\n".encode())
+        assert table.hexdigest() == PINNED_PLACEMENT
+
 
 # ----------------------------------------------------------------------
 # In-process shards: scatter-gather semantics under full control
@@ -135,6 +150,27 @@ def ring_owners(router, config, name):
     ring = HashRing(router.shards, vnodes=config.cluster_ring_vnodes)
     sot_count = router.video_info(name)["sot_count"]
     return {sot: ring.node_for(sot_key(name, sot)) for sot in range(sot_count)}
+
+
+def record_shares(monkeypatch) -> list:
+    """From now on, ``(shard, skip_sots)`` of every scan a router sends."""
+    sent = []
+    scan_streaming = RemoteTasmClient.scan_streaming
+
+    def recording(self, *args, skip_sots=None, **kwargs):
+        host, port = self._sock.getpeername()[:2]
+        sent.append((f"{host}:{port}", frozenset(skip_sots or ())))
+        return scan_streaming(self, *args, skip_sots=skip_sots, **kwargs)
+
+    monkeypatch.setattr(RemoteTasmClient, "scan_streaming", recording)
+    return sent
+
+
+def shares(sent, sot_count) -> dict:
+    """Each shard's share of one scan: the SOTs its ``skip_sots`` left."""
+    universe = set(range(sot_count))
+    assert len({shard for shard, _ in sent}) == len(sent), "one share per shard"
+    return {shard: universe - skip for shard, skip in sent}
 
 
 def make_local_cluster(
@@ -199,10 +235,10 @@ class TestScatterGather:
         finally:
             stop_local_cluster(servers, transports)
 
-    def test_work_actually_splits_across_shards(self, config):
+    def test_work_actually_splits_across_shards(self, config, monkeypatch):
         """Scatter must be real: with 2 shards each serves a strict subset
         of the SOTs (the ring never degenerates to one owner) — exactly the
-        subset the ring assigns it."""
+        subset the ring assigns it, read off the ``skip_sots`` it was sent."""
         servers, transports, _ = make_local_cluster(
             config, shards=2, dataset=WIDE_DATASET
         )
@@ -211,59 +247,59 @@ class TestScatterGather:
             router = ClusterRouter([t.address for t in transports], config=config)
             owners = ring_owners(router, config, name)
             assert set(owners.values()) == set(router.shards)
+            sent = record_shares(monkeypatch)
             router.scan(name, LABELS)
-            assert router._placement == {
-                (name, sot): shard for sot, shard in owners.items()
+            assert shares(sent, len(owners)) == {
+                shard: {sot for sot, owner in owners.items() if owner == shard}
+                for shard in router.shards
             }
             router.close()
         finally:
             stop_local_cluster(servers, transports)
 
-    def test_placement_is_sticky_across_scans(self, config):
-        """Cache-aware routing: the second scan re-routes every SOT to the
-        shard whose cache its first scan warmed."""
-        servers, transports, video = make_local_cluster(config, shards=2)
+    def test_each_sot_goes_to_its_first_live_replica_in_ring_order(
+        self, config, monkeypatch
+    ):
+        """At replication 2 the ring alone places each SOT: on its owner,
+        ``nodes_for(key, 2)[0]``, and with that owner marked down on the
+        next replica, ``nodes_for(key, 2)[1]``.  Either way the merged
+        result is byte-identical to a direct scan."""
+        servers, transports, _ = make_local_cluster(
+            config, shards=3, dataset=WIDE_DATASET
+        )
+        name = WIDE_DATASET.names[0]
         try:
             router = ClusterRouter(
                 [t.address for t in transports], config=replicated(config)
             )
-            router.scan(video.name, LABELS)
-            first = dict(router._placement)
-            assert first, "the scan must have recorded placements"
-            router.scan(video.name, LABELS)
-            assert dict(router._placement) == first
-            router.close()
-        finally:
-            stop_local_cluster(servers, transports)
-
-    def test_less_loaded_replica_wins_without_stickiness(self, config):
-        """Among untried replicas the metrics-snapshot queue depth breaks
-        the tie: a backed-up shard loses the placement."""
-        servers, transports, video = make_local_cluster(config, shards=2)
-        try:
-            router = ClusterRouter(
-                [t.address for t in transports], config=replicated(config)
-            )
-            loaded = router._shard_name(transports[0].address)
-            idle = router._shard_name(transports[1].address)
-            router._load = {loaded: 7.0, idle: 0.0}
-            router._load_read_at = float("inf")  # pin the injected figures
-            for sot in range(4):
-                assert router._choose_replica(video.name, sot, set()) == idle
-            # Stickiness outranks load once a shard has served the key.
-            router._note_served(video.name, 0, loaded)
-            assert router._choose_replica(video.name, 0, set()) == loaded
+            sot_count = router.video_info(name)["sot_count"]
+            ring = HashRing(router.shards, vnodes=config.cluster_ring_vnodes)
+            replicas = {sot: ring.nodes_for(sot_key(name, sot), 2) for sot in range(sot_count)}
+            direct = servers[0].tasm.scan(name, LABELS)
+            sent = record_shares(monkeypatch)
+            for down in (None, replicas[0][0]):
+                if down is not None:
+                    router._down[down] = (TransportError("marked down"), time.monotonic())
+                sent.clear()
+                assert_scan_results_identical(router.scan(name, LABELS), direct)
+                placed = {
+                    sot: shard
+                    for shard, share in shares(sent, sot_count).items()
+                    for sot in share
+                }
+                assert placed == {
+                    sot: owners[1] if owners[0] == down else owners[0]
+                    for sot, owners in replicas.items()
+                }
             router.close()
         finally:
             stop_local_cluster(servers, transports)
 
     @pytest.mark.parametrize("factor", [1, 2])
-    def test_load_is_fetched_only_when_there_is_a_replica_to_choose(
-        self, config, factor, monkeypatch
-    ):
-        """The queue-depth refresh is a ``metrics`` round trip to every
-        shard on the caller's thread; it only ever breaks a tie between a
-        key's replicas, so a router at replication 1 must never pay it."""
+    def test_no_scan_sends_a_metrics_op(self, config, factor, monkeypatch):
+        """Placement asks the shards nothing: at any replication factor, 100
+        scans send no ``metrics`` request, which would be a round trip to
+        every shard on the caller's thread."""
         metrics_ops = []
         fetch = RemoteTasmClient.metrics
 
@@ -272,7 +308,6 @@ class TestScatterGather:
             return fetch(self)
 
         monkeypatch.setattr(RemoteTasmClient, "metrics", counting_metrics)
-        monkeypatch.setattr(router_module, "METRICS_TTL_S", 0.0)
         servers, transports, video = make_local_cluster(config, shards=2)
         try:
             router = ClusterRouter(
@@ -283,10 +318,7 @@ class TestScatterGather:
             router.close()
         finally:
             stop_local_cluster(servers, transports)
-        if factor == 1:
-            assert not metrics_ops, f"{len(metrics_ops)} metrics ops for no choice"
-        else:
-            assert len(metrics_ops) == 100 * len(servers)
+        assert not metrics_ops, f"{len(metrics_ops)} metrics ops from 100 scans"
 
     def test_video_info_cached_and_answered_by_any_live_shard(self, config):
         servers, transports, video = make_local_cluster(config, shards=2)

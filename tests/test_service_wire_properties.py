@@ -23,7 +23,9 @@ Five claims, the first four searched rather than hand-picked:
 * an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
   accepts) earns an error reply, and is never stored where it would make
   every later chunk of its label one the decoder refuses; so does one whose
-  ``frame`` is not a non-negative integer, and the connection serves on.
+  ``frame`` is not a non-negative integer, and the connection serves on;
+  one with a field of the wrong JSON type (a box of strings, a bool frame)
+  is refused with ``QueryRefused`` and stores nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.config import TasmConfig
 from repro.core.query import Query
 from repro.core.scan import ScanRegion, ScanResult
-from repro.errors import TransportError
+from repro.errors import QueryRefused, TransportError
 from repro.geometry import Rectangle
 from repro.service import RemoteTasmClient, ShmTransport, SocketTransport
 from repro.service.scheduler import ResultStream
@@ -647,6 +649,23 @@ BAD_SCAN_FIELDS = st.one_of(
     ),
 )
 
+#: A JSON value that is not a string, and one that is not a number.
+NOT_A_STRING = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text(max_size=2), max_size=2)
+)
+NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 9), max_size=2)
+)
+#: ``{field: value}``: an ``add_metadata`` field of a JSON type the index does
+#: not store it as.  A box of strings once passed ``Rectangle``'s checks
+#: (``"5" >= "1"``), and every later scan of its label failed comparing it
+#: with an int.
+BAD_METADATA_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["video", "label"]), NOT_A_STRING),
+    st.tuples(st.just("frame"), st.one_of(NOT_A_NUMBER, st.floats())),
+    st.tuples(st.sampled_from(["x1", "y1", "x2", "y2", "confidence"]), NOT_A_NUMBER),
+).map(lambda bad: dict([bad]))
+
 
 def _replies_until_done(frames: _FrameReader, scan_id: int) -> dict:
     """Read raw frames until the ``done`` reply of ``scan_id``: every JSON
@@ -686,6 +705,33 @@ def test_a_scan_field_of_the_wrong_type_is_refused_and_the_connection_serves_on(
                 assert f"scan {field}" in replies[5]["message"]
 
         refused()
+
+
+def test_an_add_metadata_field_of_the_wrong_type_is_refused_and_scans_are_unchanged(config):
+    """``video`` and ``label`` must be strings, ``frame`` an int, the box and
+    ``confidence`` numbers (never bools): anything else is refused with
+    ``QueryRefused`` before the index sees it, and a scan after it is
+    byte-identical to the scan before it."""
+    server, video = make_server(config)
+    transport = SocketTransport(server).start()
+    box = {"video": video.name, "frame": 2, "label": "car", "x1": 8, "y1": 8, "x2": 24, "y2": 24}
+    try:
+        with RemoteTasmClient(transport.address, timeout=30.0, use_shm=False) as client:
+
+            @settings(max_examples=40, deadline=None)
+            @given(bad=BAD_METADATA_FIELDS)
+            @example(bad={"x1": "1", "y1": "1", "x2": "5", "y2": "5"})
+            @example(bad={"frame": True})
+            def refused(bad):
+                before = client.scan(video.name, "car")
+                with pytest.raises(QueryRefused, match=f"add_metadata {next(iter(bad))}"):
+                    client.add_metadata(**{**box, **bad})
+                assert_scan_results_identical(client.scan(video.name, "car"), before)
+
+            refused()
+    finally:
+        transport.stop()
+        server.stop()
 
 
 @pytest.mark.parametrize(
