@@ -6,7 +6,8 @@ A :class:`ClusterSupervisor` launches N shard processes, each running one
 reports their addresses back to the parent over a pipe.  Tests and benches
 use it to stand a cluster up in a few lines — and to tear individual shards
 down mid-scan (:meth:`kill` is an abrupt SIGKILL, the chaos suite's shard
-failure).
+failure).  A shard that fails or exits before it reports ready fails
+:meth:`ClusterSupervisor.start`, which stops every shard it launched first.
 
 Every shard ingests the *same* dataset (the VSS shape: storage shared behind
 one API), so any shard can serve any ``(video, SOT)`` — partitioning is a
@@ -15,10 +16,9 @@ data placement constraint.  A failed-over SOT is therefore served
 byte-identically by any replica; only its cache warmth differs.
 
 Spawn-safety: the child entry point and the dataset builders are
-module-level and their arguments picklable.  A :class:`~repro.faults.FaultPlan`
-holds a lock and cannot cross the process boundary, so per-shard fault
-injection travels as ``(fault_specs, fault_seed)`` and the child constructs
-its plan after the fork.
+module-level and their arguments picklable.  The shards run the product
+unmodified: a test that wants a faulty wire to one shard puts a proxy in
+front of its address in the parent process.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class SceneDataset:
             )
 
 
-def _run_shard(index, config, dataset, host, fault_specs, fault_seed, conn):
+def _run_shard(index, config, dataset, host, conn):
     """Child entry point: one TasmServer + SocketTransport until told to stop.
 
     Reports ``("ready", address)`` (or ``("failed", repr)``) over the pipe,
@@ -169,12 +169,6 @@ def _run_shard(index, config, dataset, host, fault_specs, fault_seed, conn):
     from ..service.transport import SocketTransport
 
     try:
-        if fault_specs:
-            from ..faults import FaultPlan
-
-            config = config.with_updates(
-                fault_plan=FaultPlan(list(fault_specs), seed=fault_seed)
-            )
         tasm = TASM(config=config)
         dataset(tasm)
         server = TasmServer(tasm).start()
@@ -207,12 +201,9 @@ class _Shard:
 class ClusterSupervisor:
     """Launches and monitors N shard processes on localhost.
 
-    ``fault_specs`` arms the same deterministic
-    :class:`~repro.faults.FaultSpec` storm in every shard (per-shard plans
-    are independent RNG streams only through their shared seed and the
-    per-point derivation inside ``FaultPlan``); ``fault_specs_by_shard``
-    targets individual shards instead — e.g. a transport storm on shard 0
-    only.
+    Each shard ingests ``dataset`` into a TASM built from ``config`` and
+    serves it on an ephemeral port of ``host``; :attr:`addresses` lists the
+    ports in shard order once :meth:`start` returns.
     """
 
     def __init__(
@@ -221,24 +212,13 @@ class ClusterSupervisor:
         shards: int,
         dataset: SceneDataset | None = None,
         host: str = "127.0.0.1",
-        fault_specs=None,
-        fault_specs_by_shard: dict | None = None,
-        fault_seed: int = 0,
     ):
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if config.fault_plan is not None:
-            raise ValueError(
-                "pass fault_specs / fault_specs_by_shard instead of a "
-                "fault_plan: plans hold locks and cannot cross the fork"
-            )
         self._config = config
         self._count = shards
         self._dataset = dataset if dataset is not None else SceneDataset()
         self._host = host
-        self._fault_specs = fault_specs
-        self._by_shard = fault_specs_by_shard or {}
-        self._fault_seed = fault_seed
         self._shards: list[_Shard] = []
         self._ctx = multiprocessing.get_context()
 
@@ -254,19 +234,10 @@ class ClusterSupervisor:
         if self._shards:
             return self
         for index in range(self._count):
-            specs = self._by_shard.get(index, self._fault_specs)
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_run_shard,
-                args=(
-                    index,
-                    self._config,
-                    self._dataset,
-                    self._host,
-                    list(specs) if specs else None,
-                    self._fault_seed,
-                    child_conn,
-                ),
+                args=(index, self._config, self._dataset, self._host, child_conn),
                 name=f"tasm-shard-{index}",
                 daemon=True,
             )
@@ -282,7 +253,15 @@ class ClusterSupervisor:
                     f"shard {shard.index} did not come up within "
                     f"{START_TIMEOUT_S} seconds"
                 )
-            status, payload = shard.conn.recv()
+            try:
+                status, payload = shard.conn.recv()
+            except (EOFError, OSError) as error:
+                # poll() is true on EOF too: the shard died before reporting.
+                self.stop()
+                raise RuntimeError(
+                    f"shard {shard.index} exited before reporting ready "
+                    f"(exit code {shard.process.exitcode})"
+                ) from error
             if status != "ready":
                 self.stop()
                 raise RuntimeError(f"shard {shard.index} failed to start: {payload}")

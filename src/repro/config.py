@@ -147,11 +147,6 @@ class TasmConfig:
     #: vnodes smooth the key distribution (each shard owns ~1/N of the
     #: keyspace with lower variance) at the cost of a larger ring to bisect.
     cluster_ring_vnodes: int = 64
-    #: A :class:`~repro.faults.FaultPlan` activating deterministic fault
-    #: injection at the server-side points (transport drop/cut/delay,
-    #: decoder errors).  None — the default — leaves every injection hook a
-    #: no-op ``None`` check.
-    fault_plan: "Any | None" = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -182,10 +177,6 @@ class TasmConfig:
             raise ConfigurationError("cluster_replication_factor must be at least 1")
         if self.cluster_ring_vnodes < 1:
             raise ConfigurationError("cluster_ring_vnodes must be at least 1")
-        if self.fault_plan is not None and not hasattr(self.fault_plan, "site"):
-            raise ConfigurationError(
-                "fault_plan must be a repro.faults.FaultPlan (or expose .site())"
-            )
 
     @property
     def layout_duration_frames(self) -> int:

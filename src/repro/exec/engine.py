@@ -41,8 +41,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from ..concurrency import VIDEO_LEVEL
 from ..core.query import Query
 from ..core.scan import ScanRegion, ScanResult
-from ..errors import CodecError
-from ..faults.plan import FAULT_DECODE_ERROR
 from ..video.codec import DecodeStats
 from ..video.decoder import DecodeResult, ScanPiece, VideoDecoder
 from .cache import TileDecodeCache
@@ -157,12 +155,6 @@ class QueryExecutor:
 
     def __init__(self, tasm: "TASM"):
         self._tasm = tasm
-        # Fault injection (repro.faults): resolved once so the production
-        # path pays one None check per prefetch when no plan is configured.
-        plan = getattr(tasm.config, "fault_plan", None)
-        self._fault_decode = (
-            plan.site(FAULT_DECODE_ERROR) if plan is not None else None
-        )
 
     # ------------------------------------------------------------------
     # Single-query execution (the Scan path)
@@ -326,10 +318,6 @@ class QueryExecutor:
                     for plan_index, _ in group:
                         pending_sots[plan_index] -= 1
                     continue
-                if self._fault_decode is not None and self._fault_decode.should_fire():
-                    raise CodecError(
-                        f"injected decoder fault prefetching {video!r} SOT {sot_index}"
-                    )
                 encoded = tasm.catalog.get(video).encoded_sot(sot_index)
                 # A SOT one query wants is warmed from that query's own piece,
                 # so warm and serve share its memoised decode plan; a union of

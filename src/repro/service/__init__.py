@@ -1,7 +1,7 @@
 """The TASM service layer: a concurrent, multi-client server over one TASM.
 
-PR 1 made batches cheap (one decode per tile per batch, a persistent
-:class:`~repro.exec.cache.TileDecodeCache`); this package makes those wins
+Batched execution decodes each tile once per batch into a persistent
+:class:`~repro.exec.cache.TileDecodeCache`; this package makes that saving
 available to *many concurrent callers*, the deployment VSS targets:
 
 * :class:`~repro.service.server.TasmServer` — owns a single TASM plus one

@@ -26,7 +26,7 @@ machine).  A stream buffers at most
 pushing into a full buffer *suspends* until the consumer drains it, so a
 slow client bounds the server's memory instead of growing an unbounded queue.
 
-Fault tolerance (PR 8) threads through every stage:
+Fault tolerance threads through every stage:
 
 * **Deadlines** — ``submit(deadline_ms=...)`` stamps the stream; expired
   queries are dropped while still pending, and mid-batch the executor's

@@ -129,13 +129,6 @@ from ..errors import (
     error_code,
     error_from_code,
 )
-from ..faults.plan import (
-    FAULT_CONSUMER_SKEW,
-    FAULT_SHM_ATTACH,
-    FAULT_TRANSPORT_CUT,
-    FAULT_TRANSPORT_DELAY,
-    FAULT_TRANSPORT_DROP,
-)
 from ..obs import DISABLED
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
@@ -239,7 +232,7 @@ def send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:
 
 def _flat_views(buffers) -> list[memoryview]:
     """The non-empty ``buffers`` as flat byte views (what slicing a partial
-    send, filling a ring slot or cutting a frame short needs)."""
+    send or filling a ring slot needs)."""
     views = []
     for buffer in buffers:
         view = memoryview(buffer)
@@ -867,12 +860,6 @@ class _Connection:
         self._ready: set[int] = set()
         self._shm_ring_bytes = shm_ring_bytes
         self._shm_ring: _ShmRing | None = None
-        # Server-side transport fault injection (``TasmConfig.fault_plan``):
-        # consulted per outgoing frame by the writer, no-ops when unset.
-        plan = getattr(server.tasm.config, "fault_plan", None)
-        self._fault_drop = plan.site(FAULT_TRANSPORT_DROP) if plan else None
-        self._fault_cut = plan.site(FAULT_TRANSPORT_CUT) if plan else None
-        self._fault_delay = plan.site(FAULT_TRANSPORT_DELAY) if plan else None
         self._writer = threading.Thread(
             target=self._write_loop, name="tasm-socket-writer", daemon=True
         )
@@ -1151,7 +1138,7 @@ class _Connection:
                 if frames:
                     self._send_frames(frames)
         except (TransportError, OSError):
-            pass  # the peer is gone (or an injected fault says so)
+            pass  # the peer is gone
         finally:
             self.close()
 
@@ -1251,35 +1238,8 @@ class _Connection:
             self._scans.pop(query_id, None)
 
     def _send_frames(self, frames: list) -> None:
-        """Everything gathered at one wake, in one ``sendmsg``.
-
-        Injected transport faults stay per outgoing frame (deterministic): a
-        delay models a congested wire, a drop kills the connection before
-        the frame, a cut kills it *mid-frame* — the client must read that as
-        TransportError, never as a clean EOF.  Frames ahead of a faulted one
-        still go out whole.
-        """
-        pending: list[memoryview] = []
-        for frame in frames:
-            views = _flat_views(frame)
-            if self._fault_delay is not None and self._fault_delay.should_fire():
-                send_buffers(self._sock, pending)
-                pending = []
-                time.sleep(self._fault_delay.delay_seconds)
-            if self._fault_drop is not None and self._fault_drop.should_fire():
-                send_buffers(self._sock, pending)
-                raise _ConnectionClosed("injected drop")
-            if self._fault_cut is not None and self._fault_cut.should_fire():
-                size = sum(view.nbytes for view in views)
-                keep = _FRAME_HEADER.size + max(1, (size - _FRAME_HEADER.size) // 2)
-                for view in views:
-                    if keep:
-                        pending.append(view[:keep])
-                        keep -= pending[-1].nbytes
-                send_buffers(self._sock, pending)
-                raise _ConnectionClosed("injected cut")
-            pending += views
-        send_buffers(self._sock, pending)
+        """Everything gathered at one wake, in one ``sendmsg``."""
+        send_buffers(self._sock, _flat_views(part for frame in frames for part in frame))
 
     # ------------------------------------------------------------------
     # Teardown
@@ -1372,11 +1332,6 @@ class RemoteScanStream(ScanStream):
         self._unreturned = 0
 
     def _drained(self, chunk: StreamChunk) -> None:
-        skew = self._client._fault_skew
-        if skew is not None and skew.should_fire():
-            # Injected clock-skewed slow consumer: stall between drain and
-            # credit return, starving the server's stream.
-            time.sleep(skew.delay_seconds)
         window = self._window
         if window:
             self._unreturned += 1
@@ -1441,7 +1396,6 @@ class RemoteTasmClient:
         timeout: float | None = 30.0,
         stream_buffer_chunks: int = 64,
         use_shm: bool | None = None,
-        fault_plan=None,
     ):
         self._sock = socket.create_connection(address, timeout=timeout)
         _disable_nagle(self._sock)
@@ -1459,10 +1413,6 @@ class RemoteTasmClient:
         #: handy for verifying what the negotiation actually produced.
         self.shm_chunks_received = 0
         self.socket_chunks_received = 0
-        # Client-side fault injection (chaos tests): a failing shm attach and
-        # a clock-skewed slow consumer.
-        self._fault_attach = fault_plan.site(FAULT_SHM_ATTACH) if fault_plan else None
-        self._fault_skew = fault_plan.site(FAULT_CONSUMER_SKEW) if fault_plan else None
         #: Why the connection ended, set once under the table lock by
         #: whichever thread saw it end first; every later call is refused.
         self._dead: BaseException | None = None
@@ -1501,8 +1451,6 @@ class RemoteTasmClient:
         descriptor = reply.get("shm")
         if descriptor:
             try:
-                if self._fault_attach is not None and self._fault_attach.should_fire():
-                    raise OSError("injected shm attach failure")
                 return _attach_shm(descriptor["name"])
             except Exception:  # noqa: BLE001 — fall back to the socket path
                 try:

@@ -7,6 +7,8 @@ suite exercises real encode/decode paths while staying fast.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -34,27 +36,57 @@ from repro.workloads import workload_4
 from repro.workloads.runner import MeasuredEngine
 
 
-#: Suites whose tests start servers, transports, clients and routers: each
-#: test must hand back every thread it started.
+#: Suites whose tests start servers, transports, proxies, clients, routers
+#: and shard processes: each test must hand back every thread, socket and
+#: child process it started.
 _THREAD_ACCOUNTED = ("test_service", "test_faults", "test_cluster", "test_stream_contract")
+
+
+def _open_sockets() -> int:
+    """Sockets among this process's descriptors (not every fd: the first
+    shared-memory segment a process makes opens the resource tracker's
+    pipe, once)."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    return count
+
+
+def _sockets_and_children() -> tuple[int, int]:
+    return _open_sockets(), len(multiprocessing.active_children())
 
 
 @pytest.fixture(autouse=True)
 def threads_return_to_baseline(request):
     """Leak accounting: after every service/fault/cluster test the process
-    is back to the thread count it started the test with (short grace wait
-    for threads that were told to stop and are on their way out)."""
+    is back to the thread, socket and child-process counts it started the
+    test with (short grace waits for what was told to stop and is on its
+    way out)."""
     if not request.module.__name__.rpartition(".")[2].startswith(_THREAD_ACCOUNTED):
         yield
         return
     before = threading.active_count()
     baseline = set(threading.enumerate())
+    counts = _sockets_and_children()
     yield
     give_up = time.monotonic() + 5.0
     for thread in set(threading.enumerate()) - baseline:
         thread.join(timeout=max(0.0, give_up - time.monotonic()))
     assert threading.active_count() <= before, (
         f"the test leaked threads: {sorted(t.name for t in threading.enumerate())}"
+    )
+    give_up = time.monotonic() + 2.0
+    while time.monotonic() < give_up:
+        sockets, children = _sockets_and_children()
+        if sockets <= counts[0] and children <= counts[1]:
+            break
+        time.sleep(0.01)
+    assert sockets <= counts[0], f"the test leaked {sockets - counts[0]} socket(s)"
+    assert children <= counts[1], (
+        f"the test left child processes running: {multiprocessing.active_children()}"
     )
 
 

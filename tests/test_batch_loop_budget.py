@@ -26,10 +26,10 @@ from repro.core.query import Query
 from repro.core.tasm import TASM
 from repro.errors import CodecError
 from repro.exec import PartialResult, QueryDone, TileDecodeCache
-from repro.faults import FAULT_DECODE_ERROR, FaultPlan, FaultSpec
 from repro.tiles.layout import uniform_layout
 from tests.conftest import build_tiny_video
 from tests.test_exec_engine import assert_scan_results_identical
+from tests.test_faults import fail_decoder
 
 CACHE_BYTES = 64 * 1024 * 1024
 
@@ -199,13 +199,12 @@ class TestOneLoop:
     @pytest.mark.parametrize("failure", ["decode fault", "observer"])
     def test_a_batch_that_raises_mid_loop_leaves_no_lock_behind(self, config: TasmConfig, failure):
         """The loop runs under the batch's SOT read locks; whatever ends it —
-        the decode fault site, an observer that raises — gives them back, so a
-        re-tile (a writer on one of those SOTs) is not stranded."""
-        plan = FaultPlan([FaultSpec(FAULT_DECODE_ERROR, skip_first=2, max_fires=1)], seed=1)
-        tasm = two_video_tasm(
-            config.with_updates(fault_plan=plan if failure == "decode fault" else None),
-            CACHE_BYTES,
-        )
+        a decoder that fails its third SOT, an observer that raises — gives
+        them back, so a re-tile (a writer on one of those SOTs) is not
+        stranded."""
+        tasm = two_video_tasm(config, CACHE_BYTES)
+        if failure == "decode fault":
+            fail_decoder(tasm, failing_call=3)
 
         def observer(event):
             if failure == "observer" and getattr(event, "sot_index", None) == 2:

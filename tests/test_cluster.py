@@ -14,8 +14,11 @@ The contracts pinned here:
 * failover: a shard killed **mid-scan** (SIGKILL, no goodbye) re-scatters
   its undelivered SOTs to replicas and the merged result stays
   byte-identical to a healthy run — likewise for a seeded transport-drop
-  storm confined to one shard, whether the router re-dials the shard under
-  its :class:`~repro.service.RetryPolicy` or has none;
+  storm confined to one shard by a proxy in front of it, whether the router
+  re-dials the shard under its :class:`~repro.service.RetryPolicy` or has
+  none;
+* a shard that dies before it reports ready fails the supervisor's start,
+  which stops the shards that did come up;
 * ``ServerBusy`` from a shard at its depth bound routes around it for that
   scan only (the shard is not marked down), and a shard marked down is
   dialled again once ``DOWN_RETRY_AFTER_S`` has passed;
@@ -29,6 +32,8 @@ The contracts pinned here:
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 import socket
 import threading
 import time
@@ -45,11 +50,11 @@ from repro.cluster import (
 from repro.cluster import router as router_module
 from repro.core.tasm import TASM
 from repro.errors import QueryRefused, ServiceError, TransportError
-from repro.faults import FAULT_TRANSPORT_DROP, FaultSpec
 from repro.service import RemoteTasmClient, RetryPolicy, SocketTransport, TasmServer
 from tests.test_exec_engine import assert_scan_results_identical
 from tests.test_faults import gate_decoder
 from tests.test_service_flow_control import make_server, wait_until
+from tests.wire_proxy import Fault, Faults, WireProxy
 
 LABELS = ["car", "person", "sign"]
 #: sha256 of ``nodes_for`` over 2,000 keys and 1-3 replicas (see
@@ -509,6 +514,30 @@ def cluster_config(config):
     )
 
 
+class FirstShardDies(SceneDataset):
+    """Shard 0 exits while it ingests, before it reports ready."""
+
+    def __call__(self, tasm):
+        if multiprocessing.current_process().name == "tasm-shard-0":
+            os._exit(3)
+        super().__call__(tasm)
+
+
+def proxy_owning_two_sots(upstream, peer, config, faults: Faults) -> WireProxy:
+    """A proxy to ``upstream`` that the ring over it and ``peer`` makes the
+    first replica of two or more of CLUSTER_DATASET's SOTs, so it carries a
+    hello and two chunks whichever shard answers ``video_info``."""
+    name = CLUSTER_DATASET.names[0]
+    sots = CLUSTER_DATASET.frame_count // config.codec.gop_frames
+    while True:
+        proxy = WireProxy(upstream, faults)
+        shard = ClusterRouter._shard_name(proxy.address)
+        ring = HashRing([shard, ClusterRouter._shard_name(peer)], vnodes=config.cluster_ring_vnodes)
+        if sum(ring.node_for(sot_key(name, sot)) == shard for sot in range(sots)) >= 2:
+            return proxy
+        proxy.close()
+
+
 class TestShardProcesses:
     def test_kill_one_shard_mid_scan_merged_result_byte_identical(self, config):
         """SIGKILL a shard after the scan's first chunk: the router
@@ -551,32 +580,42 @@ class TestShardProcesses:
     def test_seeded_transport_storm_on_one_shard_stays_byte_identical(
         self, config
     ):
-        """A deterministic FaultPlan drop storm confined to shard 0 (its
-        writer kills the connection after the second frame): whether the
-        router re-dials the shard (RetryPolicy) or fails its share over to
-        the replica at once, the merged bytes never change."""
-        specs = [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)]
+        """A seeded drop storm confined to shard 0: a proxy in front of it,
+        in this process, kills the connection at its third frame.  Whether
+        the router re-dials the shard (RetryPolicy) or fails its share over
+        to the replica at once, the merged bytes never change, and the drop
+        fired."""
+        name = CLUSTER_DATASET.names[0]
         for retry in (None, RETRY):
             with ClusterSupervisor(
-                cluster_config(config),
-                shards=2,
-                dataset=CLUSTER_DATASET,
-                fault_specs_by_shard={0: specs},
-                fault_seed=21,
+                cluster_config(config), shards=2, dataset=CLUSTER_DATASET
             ) as supervisor:
-                name = CLUSTER_DATASET.names[0]
-                with RemoteTasmClient(
-                    supervisor.addresses[1], timeout=30.0, use_shm=False
-                ) as direct:
+                first, second = supervisor.addresses
+                with RemoteTasmClient(second, timeout=30.0, use_shm=False) as direct:
                     healthy = direct.scan(name, LABELS)
-                router = ClusterRouter(
-                    supervisor.addresses,
-                    config=cluster_config(config),
-                    timeout=30.0,
-                    retry=retry,
-                )
-                assert_scan_results_identical(router.scan(name, LABELS), healthy)
-                router.close()
+                faults = Faults(21, drop=Fault(skip_first=2, max_fires=1))
+                with proxy_owning_two_sots(first, second, cluster_config(config), faults) as proxy:
+                    router = ClusterRouter(
+                        [proxy.address, second],
+                        config=cluster_config(config),
+                        timeout=30.0,
+                        retry=retry,
+                    )
+                    assert_scan_results_identical(router.scan(name, LABELS), healthy)
+                    router.close()
+                    assert proxy.fires() == {"drop": 1}
+
+    def test_a_shard_dead_before_reporting_fails_start_and_stops_the_rest(self, config):
+        """``poll()`` is true on EOF too: a shard that exits before it
+        reports ready fails ``start()`` with RuntimeError, and the shard that
+        did come up is stopped, not left running."""
+        supervisor = ClusterSupervisor(
+            cluster_config(config), shards=2, dataset=FirstShardDies()
+        )
+        with pytest.raises(RuntimeError, match="shard 0 exited before reporting ready"):
+            supervisor.start()
+        assert multiprocessing.active_children() == []
+        assert supervisor.addresses == []
 
     def test_metrics_rollup_sums_counters_across_shards(self, config):
         with ClusterSupervisor(

@@ -1,11 +1,11 @@
 """Fault injection and recovery: the chaos suite.
 
-The contracts pinned here, layer by layer:
+Faults come from outside the product: wire drops, cuts and delays from a
+seeded frame proxy between client and server (:mod:`tests.wire_proxy`),
+decoder errors from a wrapper of the decoder's per-SOT prefetch, and a
+failed shared-memory attach from a patch of the transport's attach.  The
+contracts pinned here, layer by layer:
 
-* the :class:`~repro.faults.FaultPlan` itself is deterministic — for a fixed
-  seed every site's fire-decision sequence is a pure function of its
-  evaluation ordinal, so a chaos run can reconcile what fired against what
-  the recovery machinery reports;
 * **deadlines** fail a query with :class:`~repro.errors.DeadlineExceeded`
   whether it expires while pending (never costing a batch slot) or mid-batch
   (the executor's cancelled-probe stops its remaining decode), and the
@@ -26,16 +26,15 @@ The contracts pinned here, layer by layer:
   already streamed a chunk;
 * the hello handshake is bounded: an idle peer is cut loose and counted;
 * timeout errors say which stage starved (queue vs execute vs wire);
-* with no plan configured every injection hook resolves to ``None`` — the
-  production path carries no chaos machinery;
-* and the seeded **chaos workload**: mixed queries under a multi-point plan
-  never hang, never deliver wrong bytes, always terminate in a known state,
-  and the recovery metrics account for every injected fault.
+* and the seeded **chaos workload**: mixed queries under a multi-rule
+  schedule never hang, never deliver wrong bytes, always terminate in a
+  known state, and the recovery metrics account for every injected fault.
 """
 
 from __future__ import annotations
 
 import queue
+import random
 import socket
 import sys
 import threading
@@ -47,7 +46,7 @@ from repro.cluster import ClusterRouter, ClusterScanStream
 from repro.cluster import router as router_module
 from repro.core.query import Query
 from repro.errors import (
-    ConfigurationError,
+    CodecError,
     DeadlineExceeded,
     QueryRefused,
     ServerBusy,
@@ -56,17 +55,6 @@ from repro.errors import (
     TransportError,
     error_code,
     error_from_code,
-)
-from repro.faults import (
-    FAULT_CONSUMER_SKEW,
-    FAULT_DECODE_ERROR,
-    FAULT_SHM_ATTACH,
-    FAULT_TRANSPORT_CUT,
-    FAULT_TRANSPORT_DELAY,
-    FAULT_TRANSPORT_DROP,
-    FaultPlan,
-    FaultSite,
-    FaultSpec,
 )
 from repro.service import (
     BatchScheduler,
@@ -78,7 +66,8 @@ from repro.service import (
 from repro.service import transport as transport_module
 from tests.test_exec_engine import assert_scan_results_identical, make_tasm
 from tests.test_service import held_runner
-from tests.test_service_flow_control import make_server, only_connection, wait_until
+from tests.test_service_flow_control import make_server, wait_until
+from tests.wire_proxy import Fault, Faults, WireProxy
 
 LABELS = ["car", "person", "sign"]
 
@@ -101,63 +90,39 @@ def gate_decoder(tasm, gate: threading.Event, hold_call: int = 1):
     return calls, original
 
 
-# ----------------------------------------------------------------------
-# The plan itself
-# ----------------------------------------------------------------------
-class TestFaultPlan:
-    def test_same_seed_same_decision_sequence(self):
-        spec = FaultSpec(FAULT_TRANSPORT_DROP, probability=0.5)
-        first = [FaultSite(spec, seed=7).should_fire() for _ in range(1)]
-        a = FaultSite(spec, seed=7)
-        b = FaultSite(spec, seed=7)
-        assert [a.should_fire() for _ in range(200)] == [
-            b.should_fire() for _ in range(200)
-        ]
-        assert a.fires == b.fires
-        del first
+def fail_decoder(tasm, failing_call: int = 1) -> list[bool]:
+    """Make the decoder's prefetch call ``failing_call`` raise CodecError.
 
-    def test_sites_are_seeded_per_point(self):
-        plan = FaultPlan(
-            [
-                FaultSpec(FAULT_TRANSPORT_DROP, probability=0.5),
-                FaultSpec(FAULT_DECODE_ERROR, probability=0.5),
-            ],
-            seed=7,
-        )
-        drop = plan.site(FAULT_TRANSPORT_DROP)
-        decode = plan.site(FAULT_DECODE_ERROR)
-        drops = [drop.should_fire() for _ in range(200)]
-        errors = [decode.should_fire() for _ in range(200)]
-        assert drops != errors, "per-point RNG streams must be independent"
-        assert plan.fires() == {
-            FAULT_TRANSPORT_DROP: sum(drops),
-            FAULT_DECODE_ERROR: sum(errors),
-        }
+    A batch prefetches once per SOT it warms, so call N is the Nth SOT.
+    Returns one entry per call, True for the call that raised.
+    """
+    calls: list[bool] = []
+    original = tasm._decoder.prefetch_regions
 
-    def test_skip_first_and_max_fires(self):
-        site = FaultSite(
-            FaultSpec(FAULT_DECODE_ERROR, probability=1.0, skip_first=3, max_fires=2),
-            seed=0,
-        )
-        decisions = [site.should_fire() for _ in range(10)]
-        assert decisions == [False, False, False, True, True] + [False] * 5
-        assert site.fires == 2
+    def failing(sot, requests, scope):
+        calls.append(len(calls) + 1 == failing_call)
+        if calls[-1]:
+            raise CodecError(f"injected decoder fault prefetching {scope!r}")
+        return original(sot, requests, scope)
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultSpec("transport.not-a-point")
-        with pytest.raises(ConfigurationError):
-            FaultSpec(FAULT_TRANSPORT_DROP, probability=1.5)
-        with pytest.raises(ConfigurationError):
-            FaultSpec(FAULT_TRANSPORT_DROP, max_fires=-1)
-        with pytest.raises(ConfigurationError):
-            FaultPlan(
-                [FaultSpec(FAULT_TRANSPORT_DROP), FaultSpec(FAULT_TRANSPORT_DROP)]
-            )
+    tasm._decoder.prefetch_regions = failing
+    return calls
 
-    def test_unplanned_point_resolves_to_none(self):
-        plan = FaultPlan([FaultSpec(FAULT_TRANSPORT_DROP)])
-        assert plan.site(FAULT_DECODE_ERROR) is None
+
+def fail_shm_attach_once(monkeypatch) -> None:
+    """The next client to attach a shared-memory ring fails to, once."""
+    attach = transport_module._attach_shm
+
+    def failing(name):
+        monkeypatch.setattr(transport_module, "_attach_shm", attach)
+        raise OSError("injected shm attach failure")
+
+    monkeypatch.setattr(transport_module, "_attach_shm", failing)
+
+
+def proxied(transport, **rules: Fault) -> WireProxy:
+    """A seeded frame proxy in front of ``transport`` under ``rules``."""
+    return WireProxy(transport.address, Faults(13, **rules))
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +287,8 @@ class TestDecodeFaults:
     def test_decode_fault_fails_only_that_execution(self, config):
         """A solo query hit by a decoder fault fails with the decoder's
         message; the pool survives and the next scan is served normally."""
-        plan = FaultPlan([FaultSpec(FAULT_DECODE_ERROR, max_fires=1)], seed=5)
-        server, video = make_server(config, fault_plan=plan)
+        server, video = make_server(config)
+        fail_decoder(server.tasm)
         reference, _ = make_tasm(config)
         try:
             with pytest.raises(ServiceError, match="injected decoder fault"):
@@ -336,8 +301,8 @@ class TestDecodeFaults:
     def test_transient_decode_fault_in_batch_is_absorbed(self, config):
         """A batch hit by a transient decoder fault retries its untouched
         queries individually — both complete byte-identical."""
-        plan = FaultPlan([FaultSpec(FAULT_DECODE_ERROR, max_fires=1)], seed=5)
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        server, video = make_server(config, service_runners=1)
+        calls = fail_decoder(server.tasm)
         reference, _ = make_tasm(config)
         try:
             with held_runner(server, video) as sizes:
@@ -349,7 +314,7 @@ class TestDecodeFaults:
             assert_scan_results_identical(
                 second.result(timeout=30), reference.scan(video.name, "person")
             )
-            assert plan.fires()[FAULT_DECODE_ERROR] == 1
+            assert sum(calls) == 1
             assert sizes == [1, 2, 1, 1], "one shared batch, then one retry each"
         finally:
             server.stop()
@@ -358,9 +323,9 @@ class TestDecodeFaults:
         """A fault after the batch's first SOT reached both its queries: a
         retry would send that chunk twice, so each fails with the decoder's
         error, neither is re-run, and the runner serves the next query."""
-        # skip_first=1 passes SOT 0 (the blocker wants no SOT); SOT 1 faults.
-        plan = FaultPlan([FaultSpec(FAULT_DECODE_ERROR, skip_first=1, max_fires=1)], seed=5)
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        # The first prefetch passes SOT 0 (the blocker wants no SOT); SOT 1 faults.
+        server, video = make_server(config, service_runners=1)
+        fail_decoder(server.tasm, failing_call=2)
         reference, _ = make_tasm(config)
         try:
             with held_runner(server, video) as sizes:
@@ -422,86 +387,84 @@ class TestRedial:
     def test_dropped_connection_resumes_byte_identical(self, config):
         """Kill the wire after the first chunk: the router re-dials the
         shard, resumes with skip_sots, and the result is byte-identical."""
-        # Writer frames: hello (1), video_info (2), chunk SOT0 (3), SOT1 (4).
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
+        # Server frames: hello (1), video_info (2), chunk SOT0 (3), SOT1 (4).
+        server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, drop=Fault(skip_first=3, max_fires=1))
         try:
-            with one_shard(transport) as router:
+            with one_shard(proxy) as router:
                 stream = router.scan_streaming(video.name, "car")
                 assert_scan_results_identical(
                     stream.result(), reference.scan(video.name, "car")
                 )
                 assert stream.failovers == router.failovers_total == 1
-                assert plan.fires()[FAULT_TRANSPORT_DROP] == 1
+                assert proxy.fires()["drop"] == 1
                 assert server.stats().queries_submitted == 2, "the scan and its resume"
         finally:
+            proxy.close()
             transport.stop()
             server.stop()
 
     def test_mid_frame_cut_resumes_byte_identical(self, config):
         """A connection cut *inside* a frame (truncated payload) is a
         TransportError, not a clean EOF — and equally survivable."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_CUT, skip_first=3, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
+        server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, cut=Fault(skip_first=3, max_fires=1))
         try:
-            with one_shard(transport) as router:
+            with one_shard(proxy) as router:
                 assert_scan_results_identical(
                     router.scan(video.name, "car"), reference.scan(video.name, "car")
                 )
                 assert router.failovers_total == 1
         finally:
+            proxy.close()
             transport.stop()
             server.stop()
 
-    @pytest.mark.parametrize("fault", [FAULT_TRANSPORT_DROP, FAULT_TRANSPORT_CUT])
+    @pytest.mark.parametrize("fault", ["drop", "cut"])
     def test_a_lost_video_info_reply_is_redialled(self, config, fault):
         """The wire fails on the router's first request, ``video_info``: that
         connection is re-dialled like a scan's, so the scan is served
         byte-identical, the one shard stays up, and the next scan is served
         too."""
-        # Writer frames: hello (1), then the video_info reply (2) is lost.
-        plan = FaultPlan([FaultSpec(fault, skip_first=1, max_fires=1)], seed=13)
-        server, video = make_server(config, fault_plan=plan)
+        # Server frames: hello (1), then the video_info reply (2) is lost.
+        server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, **{fault: Fault(skip_first=1, max_fires=1)})
         try:
-            with one_shard(transport) as router:
+            with one_shard(proxy) as router:
                 assert_scan_results_identical(
                     router.scan(video.name, "car"), reference.scan(video.name, "car")
                 )
-                assert plan.fires()[fault] == 1
+                assert proxy.fires()[fault] == 1
                 assert not router._down
                 assert router.failovers_total == 0, "no share was lost"
                 assert_scan_results_identical(
                     router.scan(video.name, "person"), reference.scan(video.name, "person")
                 )
         finally:
+            proxy.close()
             transport.stop()
             server.stop()
 
     def test_without_retry_policy_the_failure_surfaces(self, config):
         """The same drop with no RetryPolicy: nothing re-dials, the one shard
         is marked down, and the scan fails with the wire error."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=2, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
+        server, video = make_server(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, drop=Fault(skip_first=2, max_fires=1))
         try:
-            with one_shard(transport, retry=None) as router:
+            with one_shard(proxy, retry=None) as router:
                 with pytest.raises(TransportError):
                     router.scan(video.name, "car")
                 assert router.failovers_total == 0
                 assert list(router._down) == router.shards
         finally:
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -580,21 +543,20 @@ class TestRedial:
     def test_resume_rebases_deadline_and_skips_what_arrived(self, config, monkeypatch):
         """The resume inherits the *remaining* deadline budget (not the full
         one again) and skips the SOT already delivered."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
+        server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, drop=Fault(skip_first=3, max_fires=1))
         sent = capture_scans(monkeypatch)
         try:
-            with one_shard(transport) as router:
+            with one_shard(proxy) as router:
                 result = router.scan(video.name, "car", deadline_ms=60000.0)
                 assert_scan_results_identical(result, reference.scan(video.name, "car"))
                 first, resume = sent
                 assert 0.0 < resume["deadline_ms"] < first["deadline_ms"] <= 60000.0
                 assert first["skip_sots"] == [] and resume["skip_sots"] == [0]
         finally:
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -605,14 +567,12 @@ class TestRedial:
         runs out first the stream fails with DEADLINE_EXCEEDED, well before
         the policy's 1 s delay, and nothing is resubmitted — a 400 ms promise
         is not worth 400 ms again per re-dial."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
+        server, video = make_server(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, drop=Fault(skip_first=3, max_fires=1))
         sent = capture_scans(monkeypatch)
         router = one_shard(
-            transport,
+            proxy,
             retry=RetryPolicy(attempts=2, base_delay=1.0, max_delay=1.0, jitter=0.1, seed=5),
         )
         try:
@@ -626,6 +586,7 @@ class TestRedial:
             assert stream.failovers == 0
         finally:
             router.close()
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -634,23 +595,21 @@ class TestRedial:
         not have the scan resurrected by the re-dial — the server would
         decode for nobody.  The shard is not marked down, and the next scan
         re-dials it."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan)
+        server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, drop=Fault(skip_first=3, max_fires=1))
         sent = capture_scans(monkeypatch)
         # A wide backoff window so the close lands mid-gap.
         router = one_shard(
-            transport,
+            proxy,
             retry=RetryPolicy(attempts=4, base_delay=0.3, max_delay=0.5, jitter=0.1, seed=7),
         )
         try:
             stream = router.scan_streaming(video.name, "car")
             consumer, outcome = consume_in_background(stream)
             assert wait_until(
-                lambda: plan.fires()[FAULT_TRANSPORT_DROP] == 1 and not stream.outstanding
+                lambda: proxy.fires()["drop"] == 1 and not stream.outstanding
             )
             stream.close()  # the consumer walks away during the outage
             consumer.join(timeout=5.0)
@@ -663,6 +622,7 @@ class TestRedial:
             )
         finally:
             router.close()
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -675,21 +635,19 @@ class TestRedial:
         # first connection at the fourth frame.  Cut sees those three, the
         # replacement's hello (4), and cuts the replacement at its first
         # chunk: the first one the resumed share is owed.
-        plan = FaultPlan(
-            [
-                FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1),
-                FaultSpec(FAULT_TRANSPORT_CUT, skip_first=4, max_fires=1),
-            ],
-            seed=13,
-        )
         # One runner, parked on the first scan's first SOT: the other two
         # queue behind it, so all three are in flight when the drop fires.
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        server, video = make_server(config, service_runners=1)
         reference, _ = make_tasm(config)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()
-        router = one_shard(transport)
+        proxy = proxied(
+            transport,
+            drop=Fault(skip_first=3, max_fires=1),
+            cut=Fault(skip_first=4, max_fires=1),
+        )
+        router = one_shard(proxy)
         try:
             streams = {LABELS[0]: router.scan_streaming(video.name, LABELS[0])}
             assert wait_until(lambda: len(calls) >= 1)
@@ -702,11 +660,12 @@ class TestRedial:
                 )
             assert [stream.failovers for stream in streams.values()] == [2, 1, 1]
             assert router.failovers_total == 4
-            assert plan.fires() == {FAULT_TRANSPORT_DROP: 1, FAULT_TRANSPORT_CUT: 1}
+            assert proxy.fires() == {"drop": 1, "cut": 1}
         finally:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
             router.close()
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -717,15 +676,13 @@ class TestRedial:
         every scan ends byte-identical, every one counts its failover, and
         the router keeps one live connection: each dial that lost the race
         was closed, so the shard serves exactly one."""
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_DROP, skip_first=3, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        server, video = make_server(config, service_runners=1)
         reference, _ = make_tasm(config)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()
-        router = one_shard(transport)
+        proxy = proxied(transport, drop=Fault(skip_first=3, max_fires=1))
+        router = one_shard(proxy)
         interval = sys.getswitchinterval()
         try:
             labels = [LABELS[index % len(LABELS)] for index in range(8)]
@@ -751,6 +708,7 @@ class TestRedial:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
             router.close()
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -762,16 +720,14 @@ class TestPlainConnection:
         """A client is one connection: cut its wire and the scan and the
         request it had in flight fail with TransportError, the next call is
         refused with it at once, and its reader thread is gone."""
-        # Writer frames: hello (1); the stats reply (2) is cut mid-frame.
-        plan = FaultPlan(
-            [FaultSpec(FAULT_TRANSPORT_CUT, skip_first=1, max_fires=1)], seed=13
-        )
-        server, video = make_server(config, fault_plan=plan, service_runners=1)
+        # Server frames: hello (1); the stats reply (2) is cut mid-frame.
+        server, video = make_server(config, service_runners=1)
         gate = threading.Event()
         calls, original = gate_decoder(server.tasm, gate, hold_call=1)
         transport = SocketTransport(server).start()
+        proxy = proxied(transport, cut=Fault(skip_first=1, max_fires=1))
         baseline = threading.active_count()
-        client = RemoteTasmClient(transport.address, timeout=30.0, use_shm=False)
+        client = RemoteTasmClient(proxy.address, timeout=30.0, use_shm=False)
         try:
             stream = client.scan_streaming(video.name, "car")
             assert wait_until(lambda: len(calls) >= 1), "the scan never started"
@@ -792,6 +748,7 @@ class TestPlainConnection:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
             client.close()
+            proxy.close()
             transport.stop()
             server.stop()
 
@@ -800,15 +757,13 @@ class TestPlainConnection:
 # Shared-memory attach faults
 # ----------------------------------------------------------------------
 class TestShmAttachFault:
-    def test_attach_failure_falls_back_to_socket(self, config):
-        plan = FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=19)
+    def test_attach_failure_falls_back_to_socket(self, config, monkeypatch):
+        fail_shm_attach_once(monkeypatch)
         server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = ShmTransport(server).start()
         try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=True, fault_plan=plan
-            ) as client:
+            with RemoteTasmClient(transport.address, timeout=30.0, use_shm=True) as client:
                 assert_scan_results_identical(
                     client.scan(video.name, "car"),
                     reference.scan(video.name, "car"),
@@ -901,89 +856,47 @@ class TestStarvedStageMessages:
 
 
 # ----------------------------------------------------------------------
-# Zero-cost hooks when no plan is configured
-# ----------------------------------------------------------------------
-class TestZeroCostWhenUnset:
-    def test_every_hook_resolves_to_none_without_a_plan(self, config):
-        server, video = make_server(config)
-        transport = SocketTransport(server).start()
-        try:
-            assert server.tasm._executor._fault_decode is None
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=False
-            ) as client:
-                connection = only_connection(transport)
-                assert connection._fault_drop is None
-                assert connection._fault_cut is None
-                assert connection._fault_delay is None
-                assert client._fault_attach is None
-                assert client._fault_skew is None
-                assert client.scan(video.name, "car").regions
-        finally:
-            transport.stop()
-            server.stop()
-
-
-# ----------------------------------------------------------------------
 # The chaos workload
 # ----------------------------------------------------------------------
 class TestChaos:
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_mixed_workload_under_faults(self, config, seed, monkeypatch):
-        """Mixed queries from two one-shard routers under a multi-point
-        seeded plan.  Invariants:
+        """Mixed queries from two one-shard routers under a multi-rule
+        seeded schedule.  Invariants:
 
         * nothing hangs — every scan reaches a terminal state in time;
         * every outcome is a known state: done, deadline, busy;
         * every completed scan's bytes match a fault-free reference;
         * the recovery counts account for the injected faults.
         """
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    FAULT_TRANSPORT_DROP, probability=0.2, skip_first=3, max_fires=2
-                ),
-                FaultSpec(
-                    FAULT_TRANSPORT_CUT, probability=0.2, skip_first=5, max_fires=1
-                ),
-                FaultSpec(
-                    FAULT_TRANSPORT_DELAY,
-                    probability=0.3,
-                    delay_ms=5.0,
-                    max_fires=10,
-                ),
-            ],
-            seed=seed,
+        faults = Faults(
+            seed,
+            drop=Fault(probability=0.2, skip_first=3, max_fires=2),
+            cut=Fault(probability=0.2, skip_first=5, max_fires=1),
+            delay=Fault(probability=0.3, delay_ms=5.0, max_fires=10),
         )
         server, video = make_server(
             config,
-            fault_plan=plan,
             service_runners=2,
             service_max_queue_depth=16,
         )
         reference, _ = make_tasm(config)
         expected = {label: reference.scan(video.name, label) for label in LABELS}
-        # Client-side faults ride on the shard connections the routers dial:
-        # A's ask for the shared-memory ring and fail to attach it once, B's
-        # consume with a skewed clock.  Each router reaches the server through
-        # its own transport, so a dial is told apart by its address.
+        # Router A's shard connections ask for the shared-memory ring, and the
+        # first attach fails; router B's consumers take their time.  Each
+        # router reaches the server through its own transport and proxy, so
+        # a dial is told apart by its address; both proxies share one
+        # schedule, so the wire faults are counted across both.
         transports = {
             True: ShmTransport(server).start(),
             False: SocketTransport(server).start(),
         }
-        client_faults = {
-            True: FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=seed),
-            False: FaultPlan(
-                [FaultSpec(FAULT_CONSUMER_SKEW, probability=0.2, delay_ms=2.0, max_fires=5)],
-                seed=seed,
-            ),
-        }
+        proxies = {shm: WireProxy(transports[shm].address, faults) for shm in transports}
+        fail_shm_attach_once(monkeypatch)
 
         def dial(address, use_shm, **kwargs):
-            shm = tuple(address) == transports[True].address
-            return RemoteTasmClient(
-                address, use_shm=shm, fault_plan=client_faults[shm], **kwargs
-            )
+            shm = tuple(address) == proxies[True].address
+            return RemoteTasmClient(address, use_shm=shm, **kwargs)
 
         monkeypatch.setattr(router_module, "RemoteTasmClient", dial)
         # The streams whose share the router had to re-issue: a sub-scan
@@ -1000,13 +913,16 @@ class TestChaos:
         monkeypatch.setattr(ClusterScanStream, "_failover", recording_failover)
         retry = RetryPolicy(attempts=8, base_delay=0.02, max_delay=0.2, seed=seed)
         routers = [
-            ClusterRouter([transports[shm].address], timeout=15.0, retry=retry)
+            ClusterRouter([proxies[shm].address], timeout=15.0, retry=retry)
             for shm in (True, False)
         ]
         outcomes = {"done": 0, "deadline": 0, "busy": 0}
         # Submissions the router refused because their deadline ran out
         # while it re-dialled a lost connection, before any shard took them.
         refused = 0
+        # Router B's consumers pause between chunks now and then.
+        pace = random.Random(seed)
+        pauses = 0
         try:
             submissions = []
             for index in range(16):
@@ -1019,9 +935,14 @@ class TestChaos:
                 except DeadlineExceeded:
                     refused += 1
                     continue
-                submissions.append((stream, label))
-            for stream, label in submissions:
+                submissions.append((stream, label, index % 2 == 1))
+            for stream, label, paced in submissions:
                 try:
+                    if paced:
+                        for _ in stream:
+                            if pauses < 5 and pace.random() < 0.2:
+                                pauses += 1
+                                time.sleep(0.002)
                     result = stream.result()
                 except DeadlineExceeded:
                     outcomes["deadline"] += 1
@@ -1033,14 +954,14 @@ class TestChaos:
             # Every query is accounted for — no hang, no unknown terminal.
             assert sum(outcomes.values()) + refused == 16, (outcomes, refused)
             scheduler = server._scheduler
-            fires = plan.fires()
+            fires = proxies[False].fires()  # the schedule both proxies share
             # A stream re-issues its share only after its connection died,
             # and each death is an injected wire fault (one that lands on a
             # handshake kills a connection no stream is on).
-            wire_faults = fires[FAULT_TRANSPORT_DROP] + fires[FAULT_TRANSPORT_CUT]
-            assert all(stream.failovers <= wire_faults for stream, _ in submissions)
+            wire_faults = fires["drop"] + fires["cut"]
+            assert all(stream.failovers <= wire_faults for stream, _, _ in submissions)
             assert sum(router.failovers_total for router in routers) == sum(
-                stream.failovers for stream, _ in submissions
+                stream.failovers for stream, _, _ in submissions
             )
             # A deadline the server did not count was raised by the router
             # while it recovered that stream's share.  Busy is the server's
@@ -1057,6 +978,8 @@ class TestChaos:
         finally:
             for router in routers:
                 router.close()
+            for proxy in proxies.values():
+                proxy.close()
             for transport in transports.values():
                 transport.stop()
             server.stop()
