@@ -26,6 +26,9 @@ contracts pinned here, layer by layer:
   already streamed a chunk;
 * the hello handshake is bounded: an idle peer is cut loose and counted;
 * timeout errors say which stage starved (queue vs execute vs wire);
+* the fault proxy keeps its schedule: seeded decisions, exact
+  ``skip_first`` / ``max_fires``, frames counted across connections, and
+  both legs closed on a drop or a cut;
 * and the seeded **chaos workload**: mixed queries under a multi-rule
   schedule never hang, never deliver wrong bytes, always terminate in a
   known state, and the recovery metrics account for every injected fault.
@@ -983,3 +986,167 @@ class TestChaos:
             for transport in transports.values():
                 transport.stop()
             server.stop()
+
+
+# ----------------------------------------------------------------------
+# The fault proxy itself
+# ----------------------------------------------------------------------
+def frame(kind: int, payload: bytes) -> bytes:
+    return transport_module._FRAME_HEADER.pack(kind, len(payload)) + payload
+
+
+class FrameServer:
+    """Serves ``connections`` connections one after another: each gets
+    ``frames`` and is then held open until the peer closes it.
+    ``peer_closed`` has one entry per connection, True once its peer did."""
+
+    def __init__(self, frames: list[bytes], connections: int = 1):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self.peer_closed: list[bool] = []
+        self._thread = threading.Thread(
+            target=self._serve, args=(frames, connections), name="test-frame-server"
+        )
+        self._thread.start()
+
+    def _serve(self, frames: list[bytes], connections: int) -> None:
+        for _ in range(connections):
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # close() shut the listener down
+            with conn:
+                try:
+                    conn.sendall(b"".join(frames))
+                except OSError:
+                    pass
+                conn.settimeout(10.0)
+                try:
+                    self.peer_closed.append(conn.recv(1) == b"")
+                except TimeoutError:
+                    self.peer_closed.append(False)
+                except OSError:
+                    self.peer_closed.append(True)  # reset: closed with bytes unread
+
+    def close(self) -> None:
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        self._thread.join(timeout=15.0)
+
+    def __enter__(self) -> "FrameServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def receive_all(address) -> bytes:
+    """Everything one connection through ``address`` delivers until EOF."""
+    received = b""
+    with socket.create_connection(address, timeout=10.0) as client:
+        while True:
+            try:
+                more = client.recv(1 << 16)
+            except ConnectionResetError:
+                return received
+            if not more:
+                return received
+            received += more
+
+
+def receive_all_of(address, expected: bytes) -> bytes:
+    """Read ``len(expected)`` bytes through ``address``, then close."""
+    received = b""
+    with socket.create_connection(address, timeout=10.0) as client:
+        while len(received) < len(expected):
+            more = client.recv(1 << 16)
+            if not more:
+                break
+            received += more
+    return received
+
+
+class TestWireProxy:
+    def test_one_seed_gives_one_decision_sequence(self):
+        """Each rule draws from its own generator seeded by (seed, rule):
+        the same seed repeats every decision, another seed does not, and a
+        rule's decisions do not move when another rule is added."""
+
+        def decisions(seed, **extra):
+            faults = Faults(seed, drop=Fault(probability=0.3), **extra)
+            return [faults.verdict()[1] == "drop" for _ in range(200)]
+
+        first = decisions(7)
+        assert first == decisions(7)
+        assert first != decisions(8)
+        assert 0 < sum(first) < 200
+        assert first == decisions(7, delay=Fault(probability=0.5, delay_ms=1.0))
+
+    def test_skip_first_and_max_fires_land_exactly(self):
+        """A rule passes its first ``skip_first`` frames, then fires on the
+        next ``max_fires`` and never again; ``fires()`` counts each."""
+        faults = Faults(3, drop=Fault(skip_first=3, max_fires=2))
+        verdicts = [faults.verdict() for _ in range(8)]
+        assert [kill for _, kill in verdicts] == [None] * 3 + ["drop"] * 2 + [None] * 3
+        assert all(pause == 0.0 for pause, _ in verdicts)
+        assert faults.fires() == {"drop": 2}
+
+    def test_rules_are_asked_delay_then_drop_then_cut(self):
+        """A delay pauses the frame and leaves it to the other rules; a drop
+        ends the connection, so the cut rule does not see that frame; an
+        empty schedule forwards everything."""
+        faults = Faults(
+            0,
+            delay=Fault(delay_ms=20.0, max_fires=1),
+            drop=Fault(max_fires=1),
+            cut=Fault(max_fires=1),
+        )
+        assert faults.verdict() == (0.02, "drop")
+        assert faults.verdict() == (0.0, "cut")
+        assert faults.verdict() == (0.0, None)
+        assert faults.fires() == {"delay": 1, "drop": 1, "cut": 1}
+        empty = Faults(0)
+        assert empty.verdict() == (0.0, None) and empty.fires() == {}
+
+    def test_frames_pass_intact_without_a_fault(self):
+        """With nothing scheduled the proxy is transparent, and the client's
+        close reaches the server through it."""
+        frames = [frame(1, b"hello"), frame(2, bytes(range(256)) * 300), frame(3, b"")]
+        with FrameServer(frames) as upstream:
+            with WireProxy(upstream.address, Faults(0)) as proxy:
+                expected = b"".join(frames)
+                assert receive_all_of(proxy.address, expected) == expected
+        assert upstream.peer_closed == [True]
+
+    def test_a_drop_closes_both_legs_before_the_frame(self):
+        frames = [frame(1, b"a" * 10), frame(1, b"b" * 10), frame(1, b"c" * 10)]
+        with FrameServer(frames) as upstream:
+            with WireProxy(upstream.address, Faults(0, drop=Fault(skip_first=1))) as proxy:
+                assert receive_all(proxy.address) == frames[0]
+                assert proxy.fires() == {"drop": 1}
+        assert upstream.peer_closed == [True]
+
+    def test_a_cut_forwards_the_header_and_half_the_payload(self):
+        frames = [frame(1, b"a" * 10), frame(4, bytes(range(100)))]
+        with FrameServer(frames) as upstream:
+            with WireProxy(upstream.address, Faults(0, cut=Fault(skip_first=1))) as proxy:
+                assert receive_all(proxy.address) == frames[0] + frames[1][:5 + 50]
+                assert proxy.fires() == {"cut": 1}
+        assert upstream.peer_closed == [True]
+
+    def test_the_schedule_counts_frames_across_connections(self):
+        """The fourth frame the proxy carries is dropped whichever
+        connection it is on: the first connection passes whole, the second
+        loses its second frame."""
+        frames = [frame(1, b"x"), frame(1, b"y")]
+        with FrameServer(frames, connections=2) as upstream:
+            faults = Faults(0, drop=Fault(skip_first=3, max_fires=1))
+            with WireProxy(upstream.address, faults) as proxy:
+                assert receive_all_of(proxy.address, b"".join(frames)) == b"".join(frames)
+                assert receive_all(proxy.address) == frames[0]
+                assert proxy.fires() == {"drop": 1}
+        assert upstream.peer_closed == [True, True]
+
