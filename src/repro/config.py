@@ -127,10 +127,9 @@ class TasmConfig:
     #: batch runner suspends instead of buffering without limit
     #: (backpressure).
     service_stream_buffer_chunks: int = 64
-    #: Master switch for the observability surface (``repro.obs``): the
-    #: metrics registry, per-query traces, and the slow-query log.  Off, the
-    #: server hands out no-op instruments and the shared null trace, so the
-    #: instrumented hot paths cost one no-op call per update.
+    #: Whether the server keeps a trace per query (``repro.obs``) and logs a
+    #: slow one with its spans.  Off, every query carries the shared null
+    #: trace; the metrics registry counts either way.
     observability: bool = True
     #: Admission bound of the service scheduler: a query arriving while this
     #: many are already pending is refused immediately with

@@ -186,14 +186,14 @@ class TASM:
         queries: Sequence[Query],
         observer=None,
         cancelled=None,
-        trace_sink=None,
         skip_sots=None,
     ) -> "BatchResult":
         """Execute a batch of queries, decoding each needed tile at most once.
 
         Returns a :class:`~repro.exec.engine.BatchResult` whose ``results``
         list holds one :class:`ScanResult` per query (in input order, each
-        byte-identical to a sequential ``scan``) and whose ``stats``/``cache``
+        byte-identical to a sequential ``scan``, its ``index_seconds``,
+        ``decode_seconds`` and ``stats`` that query's own) and whose ``stats``
         report the shared decode work and cache behaviour of the batch.  The
         batch runs, SOT by SOT, on the calling thread and starts none.
         ``observer`` receives per-SOT streaming events as results materialise
@@ -202,18 +202,12 @@ class TASM:
         ``cancelled`` (an optional ``plan index -> bool`` probe) lets the
         caller withdraw queries mid-batch; their remaining per-SOT work is
         skipped (see :meth:`repro.exec.engine.QueryExecutor.execute_batch`).
-        ``trace_sink`` receives per-stage timings (plan / warm / serve) for
-        the service layer's per-query traces (``repro.obs``).  ``skip_sots``
-        (a per-query set of SOT indices to leave unplanned, aligned with
-        ``queries``) is the resume primitive for interrupted streams — see
-        :meth:`repro.exec.engine.QueryExecutor.execute_batch`.
+        ``skip_sots`` (a per-query set of SOT indices to leave unplanned,
+        aligned with ``queries``) is the resume primitive for interrupted
+        streams — see :meth:`repro.exec.engine.QueryExecutor.execute_batch`.
         """
         return self._executor.execute_batch(
-            queries,
-            observer=observer,
-            cancelled=cancelled,
-            trace_sink=trace_sink,
-            skip_sots=skip_sots,
+            queries, observer=observer, cancelled=cancelled, skip_sots=skip_sots
         )
 
     # ------------------------------------------------------------------

@@ -193,7 +193,6 @@ class QueryExecutor:
         queries: Sequence[Query],
         observer: Callable[[StreamEvent], None] | None = None,
         cancelled: Callable[[int], bool] | None = None,
-        trace_sink: Callable[..., None] | None = None,
         skip_sots: "Sequence[object | None] | None" = None,
     ) -> BatchResult:
         """Execute a batch of queries, decoding each needed tile at most once.
@@ -248,13 +247,10 @@ class QueryExecutor:
         the uninterrupted run would have ordered them, so the concatenation
         of delivered chunks stays byte-identical to a fault-free run.
 
-        ``trace_sink``, when given, receives per-stage timings as
-        ``trace_sink(query_index, stage, seconds, **meta)``: a ``plan`` call
-        per query (index-lookup time), a ``warm`` call per warmed SOT with
-        ``query_index=None`` (the decode is shared by the batch), and a
-        ``serve`` call per (query, SOT) pair carrying cache hit/miss and
-        pixel counts.  Every call comes from the calling thread, so a sink
-        needs no locking against this batch.
+        What each query cost is its own ``ScanResult``: ``index_seconds``,
+        ``decode_seconds`` (its serves, by the decoder's clock) and
+        ``stats`` (its serves' cache hits and misses and what they decoded);
+        the ``BatchResult`` adds the warm phase's time and decode work.
 
         Like ``execute``, the batch holds read locks on each touched video
         while planning (released before decoding, so metadata writes only
@@ -272,9 +268,6 @@ class QueryExecutor:
                 self._plan(query, skip or ())
                 for query, skip in zip_longest(queries, skip_sots or ())
             ]
-            if trace_sink is not None:
-                for plan_index, plan in enumerate(plans):
-                    trace_sink(plan_index, "plan", plan.index_seconds)
             # Per (video, SOT): which queries want which piece of it.
             members: dict[tuple[str, int], list[tuple[int, ScanPiece]]] = {}
             for plan_index, plan in enumerate(plans):
@@ -331,8 +324,6 @@ class QueryExecutor:
                 )
                 batch.stats.merge(warm.stats)
                 batch.warm_seconds += warm.elapsed_seconds
-                if trace_sink is not None:
-                    trace_sink(None, "warm", warm.elapsed_seconds, video=video, sot=sot_index)
                 for plan_index, piece in group:
                     pending_sots[plan_index] -= 1
                     if cancelled is not None and cancelled(plan_index):
@@ -342,18 +333,6 @@ class QueryExecutor:
                     decoded = decoder.decode_regions(encoded, piece, scope=video)
                     self._apply_decoded(result, decoded)
                     batch.serve_seconds += decoded.elapsed_seconds
-                    if trace_sink is not None:
-                        trace_sink(
-                            plan_index,
-                            "serve",
-                            decoded.elapsed_seconds,
-                            video=video,
-                            sot=sot_index,
-                            cache_hits=decoded.stats.cache_hits,
-                            cache_misses=decoded.stats.cache_misses,
-                            pixels_decoded=decoded.stats.pixels_decoded,
-                            pixels_from_cache=decoded.stats.pixels_served_from_cache,
-                        )
                     if observer is not None:
                         observer(
                             PartialResult(

@@ -8,9 +8,9 @@ this package is the window into it:
   fixed-bucket histograms, one lock each, a consistent ``snapshot()``, and
   Prometheus-style text via :func:`render_text`.
 * :class:`~repro.obs.trace.Trace` / :class:`~repro.obs.trace.TraceLog` —
-  per-query span timelines (queue wait, execution, per-SOT serves with
-  cache hit/miss counts, wire delivery) kept in a bounded ring, plus a
-  slow-query log through standard ``logging``.
+  per-query span timelines (queue wait, execution with the result's own
+  index and decode accounting, wire delivery) kept in a bounded ring, plus
+  a slow-query log through standard ``logging``.
 * :class:`Observability` — the facade the server owns.  It registers every
   service series and resolves every labelled child at construction, hands a
   submitted query its trace, and takes the query back once, when it is
@@ -21,15 +21,17 @@ submitted, the four ways a query ends, shed refusals, batches — are plain
 ints on the :class:`~repro.service.scheduler.BatchScheduler`;
 their series read those ints at snapshot time
 (:meth:`Observability.read_events_from`), the way queue depth and the cache
-gauges are read, so ``TasmServer.stats()`` and the registry cannot disagree
-and work the same with observability off.  What only this package knows —
-latency, queue-wait, batch-size and per-batch stage histograms, slow
-queries, chunk and credit-stall counts — is updated here: six histogram
-observations per batch of one query, however many SOTs it serves.
-``Observability.from_config`` honours ``TasmConfig.observability``; a
-disabled instance hands out no-op instruments and the shared
-:data:`~repro.obs.trace.NULL_TRACE`, so instrumentation stays in place at
-near-zero cost.
+gauges are read, so ``TasmServer.stats()`` and the registry cannot disagree.
+What only this package knows — latency, queue-wait, batch-size and per-batch
+stage histograms, slow queries, chunk and credit-stall counts — is updated
+here: six histogram observations per batch of one query, however many SOTs
+it serves.  The stage times are the ``BatchResult``'s and a query's latency
+is its stream's own clock; nothing here times a stage a second time.
+
+Metrics are always on.  ``TasmConfig.observability`` (through
+:meth:`Observability.from_config`) decides only whether a query's trace —
+and with it the slow-query log line — is kept; off, a query carries the
+shared :data:`~repro.obs.trace.NULL_TRACE`.
 
 Everything here is pure stdlib — no new dependencies — and every value is
 JSON-serialisable, which is what lets the wire protocol expose the whole
@@ -112,13 +114,14 @@ class Observability:
     scheduler, cache wiring, and transport all record through it.
     Construction registers every service metric and resolves every labelled
     child, so a snapshot taken before any traffic lists every series at zero
-    and no update looks a label up.
+    and no update looks a label up.  ``keep_traces`` decides whether each
+    query gets a trace of its own; the metrics count either way.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, keep_traces: bool = True):
+        self.keep_traces = keep_traces
         self.slow_query_seconds = SLOW_QUERY_MS / 1000.0
-        self.registry = MetricsRegistry(enabled=enabled)
+        self.registry = MetricsRegistry()
         self.traces = TraceLog(capacity=TRACE_HISTORY)
 
         registry = self.registry
@@ -191,8 +194,8 @@ class Observability:
 
     @classmethod
     def from_config(cls, config) -> "Observability":
-        """An instance honouring ``TasmConfig.observability``."""
-        return cls(enabled=config.observability)
+        """An instance keeping traces when ``TasmConfig.observability`` is on."""
+        return cls(keep_traces=config.observability)
 
     def read_events_from(self, scheduler) -> None:
         """Have every scheduler-event series read ``scheduler``'s own count."""
@@ -204,29 +207,32 @@ class Observability:
     # Tracing
     # ------------------------------------------------------------------
     def start_trace(self, query) -> Trace:
-        """A new trace for one submitted query (NULL_TRACE when disabled)."""
-        if not self.enabled:
+        """A new trace for one submitted query (NULL_TRACE when none is kept)."""
+        if not self.keep_traces:
             return NULL_TRACE
         return Trace(video=query.video, labels=query.objects or ())
 
-    def finish_query(self, trace: Trace, status: str) -> None:
+    def finish_query(self, stream, status: str) -> None:
         """What a query leaves here once it is terminal (called once per
         query, by :meth:`BatchScheduler._account`, which has counted it).
 
-        Finishes the trace as ``status`` and appends it to the ring; a
-        successful query also lands in the latency histogram and, past the
-        configured threshold, in the slow-query log.
+        Finishes a kept trace as ``status`` and appends it to the ring; a
+        successful query also lands, by its stream's own clock, in the
+        latency histogram and, past the configured threshold, in the
+        slow-query count (and, with its trace, the slow-query log).
         """
-        if not trace.enabled:
-            return
-        trace.finish(status)
-        self.traces.append(trace)
+        trace = stream.trace
+        if trace.enabled:
+            trace.finish(status)
+            self.traces.append(trace)
         if status != "ok":
             return
-        total = trace.total_seconds
+        total = stream.total_seconds
         self.query_seconds.observe(total)
-        if 0.0 < self.slow_query_seconds <= total:
-            self.slow_queries.inc()
+        if not 0.0 < self.slow_query_seconds <= total:
+            return
+        self.slow_queries.inc()
+        if trace.enabled:
             _slow_logger.warning(
                 "slow query: video=%s labels=%s total_ms=%.1f threshold_ms=%.1f "
                 "spans=%s",
@@ -243,8 +249,3 @@ class Observability:
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()
-
-
-#: Shared disabled instance for components constructed without a server
-#: (e.g. a BatchScheduler built directly in tests).
-DISABLED = Observability(enabled=False)

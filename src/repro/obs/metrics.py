@@ -21,11 +21,6 @@ counted a second time here: a counter or gauge given a callback
 (:meth:`Counter.set_callback`) reads that state at snapshot time, so the hot
 path that maintains it pays nothing for being observable.
 
-**Disabled mode.**  ``MetricsRegistry(enabled=False)`` hands out shared
-null instruments whose methods are no-ops and snapshots empty, so
-instrumented code needs no ``if obs:`` guards and costs one attribute load
-plus a no-op call per update when observability is off.
-
 :func:`render_text` turns a snapshot into Prometheus-style text exposition
 for humans (and scrapers); it works on snapshots fetched over the wire just
 as well as local ones.
@@ -99,16 +94,13 @@ class Counter:
 
 
 class Gauge(Counter):
-    """A point-in-time value: a counter that can also be set and lowered."""
+    """A point-in-time value: a counter that can also be set."""
 
     __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
 
 class Histogram:
@@ -152,37 +144,6 @@ class Histogram:
         return {"count": count, "sum": total, "buckets": cumulative}
 
     _snapshot_value = snapshot_value
-
-
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_callback(self, callback) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def labels(self, **labels) -> "_NullInstrument":
-        return self
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-
-NULL_INSTRUMENT = _NullInstrument()
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +208,7 @@ class MetricsRegistry:
     ``registry.counter("tasm_x_total")`` without coordinating.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
@@ -272,8 +232,6 @@ class MetricsRegistry:
 
     def _register(self, name, kind, help_text, labels, make):
         """The family itself when labelled, else its one instrument."""
-        if not self.enabled:
-            return NULL_INSTRUMENT
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -289,8 +247,6 @@ class MetricsRegistry:
     # Reading ------------------------------------------------------------
     def snapshot(self) -> dict:
         """Every family's current values as a JSON-serialisable dict."""
-        if not self.enabled:
-            return {}
         with self._lock:
             families = list(self._families.items())
         return {name: family._snapshot() for name, family in sorted(families)}

@@ -1,19 +1,20 @@
 """Per-query tracing: spans, a bounded trace ring, and the slow-query log.
 
 A :class:`Trace` is created when a query is submitted to the service layer
-and threaded (as an attribute of its ``ResultStream``) through the scheduler,
-the batch executor, and the connection's writer.  Each stage appends *spans* —
-named, timed segments with optional metadata:
+and threaded (as an attribute of its ``ResultStream``) through the scheduler
+and the connection's writer.  Each appends *spans* — named, timed segments
+with optional metadata:
 
 * **top-level spans** (``top=True``) tile the query's wall time end to end:
   ``queue`` (submit → its batch starts executing) and ``execute`` (batch
   start → the query's last SOT served).  Their durations sum to the query's
   total latency, which is what makes a trace answer "where did this slow
-  query spend its time".
-* **detail spans** (``top=False``) break the execution open without summing
-  to anything: ``plan`` (index lookup), per-SOT ``serve`` spans carrying
-  cache hit/miss counts, shared ``warm`` prefetch time, and the transport's
-  ``wire`` span (chunks delivered over the socket/shm path).
+  query spend its time".  ``execute`` carries what the finished
+  ``ScanResult`` already holds: ``index_seconds``, ``decode_seconds`` and
+  its ``DecodeStats`` fields (pixels and tiles decoded, cache hits and
+  misses).
+* **detail spans** (``top=False``) add to that without summing to anything:
+  the transport's ``wire`` span (chunks delivered over the socket/shm path).
 
 Completed traces land in a bounded :class:`TraceLog` ring (newest first) the
 ``trace`` wire op reads, and queries slower than
@@ -22,9 +23,9 @@ Completed traces land in a bounded :class:`TraceLog` ring (newest first) the
 attached as ``record.tasm_trace`` — structured enough for a log pipeline,
 readable enough for a terminal.
 
-When observability is disabled the scheduler threads :data:`NULL_TRACE`
-instead — one shared object whose methods do nothing — so instrumented code
-never branches on configuration.
+When no trace is kept (``TasmConfig.observability`` off) the scheduler
+threads :data:`NULL_TRACE` instead — one shared object whose methods do
+nothing — so the span calls never branch on configuration.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class Trace:
 
 
 class _NullTrace:
-    """Shared no-op trace used when observability is disabled."""
+    """Shared no-op trace carried by a query whose trace is not kept."""
 
     __slots__ = ()
 

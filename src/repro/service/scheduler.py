@@ -74,8 +74,7 @@ from ..errors import (
     error_code,
 )
 from ..exec.engine import PartialResult, QueryDone
-from ..obs import DISABLED, Observability
-from ..obs.trace import NULL_TRACE
+from ..obs import NULL_TRACE, Observability
 from ..video.codec import DecodeStats
 from .stream import ScanStream, StreamChunk
 
@@ -100,8 +99,8 @@ class ResultStream(ScanStream):
     ):
         super().__init__(buffer_chunks, deadline_ms, skip_sots)
         self.query = query
-        #: The query's observability trace (``repro.obs``): the scheduler
-        #: installs a live one at submit when observability is enabled; the
+        #: The query's trace (``repro.obs``): the scheduler installs a live
+        #: one at submit when ``TasmConfig.observability`` keeps traces; the
         #: shared null trace otherwise, so span recording never branches.
         self.trace = NULL_TRACE
         #: When the first batch holding this query began to execute (None
@@ -159,7 +158,7 @@ class BatchScheduler:
     ):
         config = tasm.config
         self._tasm = tasm
-        self._obs = obs if obs is not None else DISABLED
+        self._obs = obs if obs is not None else Observability()
         self._max_batch = config.service_max_batch
         self._runner_count = config.service_runners
         self._stream_buffer_chunks = config.service_stream_buffer_chunks
@@ -374,8 +373,8 @@ class BatchScheduler:
         Called from :meth:`ResultStream._end` by the thread that won the
         stream's terminal transition, so exactly once per admitted query,
         whatever ended it: bumps the one counter for the outcome, then hands
-        the trace to the observability surface (ring, latency histogram,
-        slow-query log).
+        the stream to the observability surface (trace ring, latency
+        histogram, slow-query log).
         """
         if stream.state == "done":
             status, counter = "ok", "queries_completed"
@@ -383,7 +382,7 @@ class BatchScheduler:
             status, counter = _FAILURES.get(error_code(stream._error), _FAILED)
         with self._counter_lock:
             setattr(self, counter, getattr(self, counter) + 1)
-        self._obs.finish_query(stream.trace, status)
+        self._obs.finish_query(stream, status)
 
     def _expire(self, stream: ResultStream) -> bool:
         """True when ``stream``'s deadline has passed — failing it with
@@ -434,38 +433,30 @@ class BatchScheduler:
                 obs.queue_wait_seconds.observe(wait)
                 stream.trace.add_span("queue", wait, top=True)
 
-        def trace_sink(query_index, stage: str, seconds: float, **meta) -> None:
-            # Called by the executor on this thread only.  A stage that
-            # belongs to one query (warm prefetch is shared by the batch)
-            # becomes a detail span of its trace; the stage histogram takes
-            # the batch's totals below, not one observation per SOT.
-            if query_index is not None:
-                batch[query_index].trace.add_span(stage, seconds, **meta)
-
         def observer(event) -> None:
             if isinstance(event, PartialResult):
                 batch[event.query_index]._push(
                     StreamChunk(sot_index=event.sot_index, regions=event.regions)
                 )
             elif isinstance(event, QueryDone):
-                stream = batch[event.query_index]
+                stream, result = batch[event.query_index], event.result
                 if self._on_query_done is not None:
-                    self._on_query_done(stream.query, event.result)
+                    self._on_query_done(stream.query, result)
                 # The execute span closes the timeline the queue span opened:
                 # together the two top-level spans tile the query's wall time.
+                # Its meta is the result's own accounting, not a second clock.
                 stream.trace.add_span(
-                    "execute", time.perf_counter() - batch_started, top=True
+                    "execute", time.perf_counter() - batch_started, top=True,
+                    index_seconds=result.index_seconds, decode_seconds=result.decode_seconds,
+                    **vars(result.stats),
                 )
-                stream._finish(event.result)
+                stream._finish(result)
 
         def cancelled(index: int) -> bool:
             # The executor's per-SOT probe doubles as the deadline enforcer:
             # an expired query fails *here*, mid-batch, and the executor
             # skips its remaining serves (and whole SOTs only it wanted).
-            stream = batch[index]
-            if stream.done:
-                return True
-            return self._expire(stream)
+            return batch[index].done or self._expire(batch[index])
 
         skips = [stream.skip_sots or None for stream in batch]
 
@@ -479,7 +470,6 @@ class BatchScheduler:
                 # serves and whole SOTs only it needed, freeing the runner
                 # within ~one GOP of the cancel.
                 cancelled=cancelled,
-                trace_sink=trace_sink if obs.enabled else None,
                 skip_sots=skips if any(skips) else None,
             )
         except BaseException as error:  # noqa: BLE001 — must fail the waiters

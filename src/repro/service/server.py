@@ -117,8 +117,8 @@ class TasmServer:
             tasm._decoder.cache = tasm.tile_cache
         self.tasm = tasm
         #: The server's observability surface (metrics registry, per-query
-        #: traces, slow-query log).  Honours ``TasmConfig.observability``; a
-        #: disabled instance is all no-ops.
+        #: traces, slow-query log).  The metrics always count;
+        #: ``TasmConfig.observability`` decides whether traces are kept.
         self.obs = Observability.from_config(tasm.config)
         self._scheduler = BatchScheduler(
             tasm, on_query_done=self._record_query_done, obs=self.obs
@@ -126,8 +126,7 @@ class TasmServer:
         self._started_at: float | None = None
         self._stats_lock = threading.Lock()
         self._work_by_label: dict[str, dict[str, int]] = {}
-        if self.obs.enabled:
-            self._register_gauges()
+        self._register_gauges()
 
     def _register_gauges(self) -> None:
         """Register callback gauges over state that already exists.

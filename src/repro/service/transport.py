@@ -129,7 +129,6 @@ from ..errors import (
     error_code,
     error_from_code,
 )
-from ..obs import DISABLED
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
 from .stream import ScanStream, StreamChunk
@@ -333,12 +332,25 @@ def send_message(sock: socket.socket, message: dict) -> None:
     sock.sendall(_json_frame(message))
 
 
+def _json_object(payload: bytearray) -> dict:
+    """A JSON frame's message; :class:`ProtocolError` when the payload does
+    not decode or holds something other than an object."""
+    try:
+        message = json.loads(bytes(payload).decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        message = None
+    if not isinstance(message, dict):
+        raise ProtocolError("a JSON frame must hold an object")
+    return message
+
+
 def recv_message(sock: socket.socket) -> dict | None:
     """The next JSON frame, or None on a clean EOF.
 
     Raises :class:`TransportError` on a truncated frame or when the next
     frame is not JSON (callers using this helper speak the request side of
-    the protocol, which is JSON-only).
+    the protocol, which is JSON-only), and :class:`ProtocolError` when its
+    payload is not a JSON object.
     """
     frame = recv_frame(sock)
     if frame is None:
@@ -346,7 +358,7 @@ def recv_message(sock: socket.socket) -> dict | None:
     kind, payload = frame
     if kind != KIND_JSON:
         raise TransportError(f"expected a JSON frame, got kind {kind}")
-    return json.loads(bytes(payload).decode("utf-8"))
+    return _json_object(payload)
 
 
 # ----------------------------------------------------------------------
@@ -655,14 +667,12 @@ class SocketTransport:
         if self._running:
             return self
         self._running = True
-        obs = getattr(self._server, "obs", None)
-        if obs is not None and obs.enabled:
-            # Total reply frames parked behind connection writers: a growing
-            # depth means the wire (or a slow client socket) is the bottleneck.
-            obs.registry.gauge(
-                "tasm_reply_queue_depth",
-                "Reply frames queued on connections awaiting the writer.",
-            ).set_callback(self._reply_queue_depth)
+        # Total reply frames parked behind connection writers: a growing
+        # depth means the wire (or a slow client socket) is the bottleneck.
+        self._server.obs.registry.gauge(
+            "tasm_reply_queue_depth",
+            "Reply frames queued on connections awaiting the writer.",
+        ).set_callback(self._reply_queue_depth)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="tasm-socket-accept", daemon=True
         )
@@ -848,7 +858,7 @@ class _Connection:
     def __init__(self, server, sock: socket.socket, reply_frames: int, shm_ring_bytes: int = 0):
         self._server = server
         self._sock = sock
-        self._obs = getattr(server, "obs", None) or DISABLED
+        self._obs = server.obs
         # One condition guards the reply queue, the scan table and the set
         # of scans with something for the writer: it sleeps here, and a
         # reader whose reply does not fit the bound waits here.
@@ -889,9 +899,10 @@ class _Connection:
                     self._sock.settimeout(None)
                 kind, payload = frame
                 if kind == KIND_JSON:
-                    message = json.loads(bytes(payload).decode("utf-8"))
-                    if not isinstance(message, dict):
-                        self._reply(_error_reply(None, ProtocolError("a JSON frame must hold an object")))
+                    try:
+                        message = _json_object(payload)
+                    except ProtocolError as error:  # no id to answer under
+                        self._reply(_error_reply(None, error))
                         continue
                     try:
                         self._handle(message)
@@ -913,9 +924,7 @@ class _Connection:
                     # An unknown kind means the byte stream is not what we
                     # think it is; there is no safe way to keep parsing.
                     return
-        except (TransportError, ConnectionError, OSError, struct.error):
-            return
-        except Exception:  # noqa: BLE001 — malformed input must not hang the peer
+        except Exception:  # noqa: BLE001 — a dead or malformed wire must not hang the peer
             return
         finally:
             self.close()
@@ -1552,7 +1561,7 @@ class RemoteTasmClient:
                 if stream is not None:
                     stream._push(StreamChunk(header["sot_index"], regions))
             elif kind == KIND_JSON:
-                self._dispatch_json(json.loads(bytes(payload).decode("utf-8")))
+                self._dispatch_json(_json_object(payload))
             else:
                 raise TransportError(f"unknown frame kind {kind}")
 

@@ -1,10 +1,11 @@
 """A clock-free budget for the batch loop and the cache under it.
 
 ``execute_batch`` is one loop over the ``(video, SOT)`` keys its queries
-touch, on the thread that called it: it starts no thread, every observer and
-trace-sink call arrives on the caller's thread, each SOT still wanted is
-warmed exactly once, in ascending order, and a SOT every interested query has
-abandoned is not warmed at all.  Counts can gate that on a noisy runner; a
+touch, on the thread that called it: it starts no thread, every warm and
+every observer call happens on the caller's thread, each SOT still wanted is
+warmed exactly once, in ascending order, each query's serves of a SOT follow
+that SOT's warm, and a SOT every interested query has abandoned is not warmed
+at all.  Counts can gate that on a noisy runner; a
 clock cannot.  The cache the loop fills evicts in one order, least recently
 used first, which a ten-line ``OrderedDict`` model pins operation by
 operation.
@@ -27,6 +28,7 @@ from repro.core.tasm import TASM
 from repro.errors import CodecError
 from repro.exec import PartialResult, QueryDone, TileDecodeCache
 from repro.tiles.layout import uniform_layout
+from repro.video.codec import DecodeStats
 from tests.conftest import build_tiny_video
 from tests.test_exec_engine import assert_scan_results_identical
 from tests.test_faults import fail_decoder
@@ -78,33 +80,29 @@ def count_thread_starts(monkeypatch) -> list[str]:
 
 def run_counted(tasm: TASM, monkeypatch, cancelled=None):
     """One ``execute_batch`` of the eight queries with everything counted:
-    threads started, the thread each callback came in on, the SOTs warmed."""
+    threads started, the thread each call came in on, and the SOTs warmed
+    and the observer's events in the one order they happened."""
     started = count_thread_starts(monkeypatch)
     callers: set[int] = set()
-    events: list = []
-    stages: list[tuple] = []
-    warmed: list[tuple[str, int]] = []
+    log: list = []  # (video, SOT) per warm, and every observer event
     original_prefetch = tasm._decoder.prefetch_regions
 
     def counted_prefetch(sot, requests, scope):
-        warmed.append((scope, sot.sot_index))
+        callers.add(threading.get_ident())
+        log.append((scope, sot.sot_index))
         return original_prefetch(sot, requests, scope)
 
     def observer(event):
         callers.add(threading.get_ident())
-        events.append(event)
-
-    def trace_sink(query_index, stage, seconds, **meta):
-        callers.add(threading.get_ident())
-        stages.append((query_index, stage, meta.get("video"), meta.get("sot")))
+        log.append(event)
 
     monkeypatch.setattr(tasm._decoder, "prefetch_regions", counted_prefetch)
-    batch = tasm.execute_batch(
-        eight_queries(), observer=observer, cancelled=cancelled, trace_sink=trace_sink
-    )
+    batch = tasm.execute_batch(eight_queries(), observer=observer, cancelled=cancelled)
     assert started == [], f"a batch starts no thread, this one started {started}"
     assert callers == {threading.get_ident()}
-    return batch, events, stages, warmed
+    events = [entry for entry in log if isinstance(entry, (PartialResult, QueryDone))]
+    warmed = [entry for entry in log if isinstance(entry, tuple)]
+    return batch, events, log, warmed
 
 
 class TestOneLoop:
@@ -112,18 +110,17 @@ class TestOneLoop:
         self, config: TasmConfig, monkeypatch
     ):
         tasm = two_video_tasm(config, CACHE_BYTES)
-        batch, events, stages, warmed = run_counted(tasm, monkeypatch)
+        batch, events, log, warmed = run_counted(tasm, monkeypatch)
 
         every_sot = [(video, sot) for video in ("a", "b") for sot in range(3)]
         assert warmed == every_sot, "once per (video, SOT), ascending"
-        assert [s[2:] for s in stages if s[1] == "warm"] == every_sot
-        assert [s[0] for s in stages if s[1] == "plan"] == list(range(8))
-        # A query's serves follow its SOT's warm, in the order it is served.
-        serves = [s for s in stages if s[1] == "serve"]
-        partials = [e for e in events if isinstance(e, PartialResult)]
-        assert [(s[0], s[2], s[3]) for s in serves] == [
-            (e.query_index, e.video, e.sot_index) for e in partials
-        ]
+        # A query's serves of a SOT follow that SOT's warm, before the next.
+        last_warm = None
+        for entry in log:
+            if isinstance(entry, tuple):
+                last_warm = entry
+            elif isinstance(entry, PartialResult):
+                assert (entry.video, entry.sot_index) == last_warm, entry
         assert sorted(e.query_index for e in events if isinstance(e, QueryDone)) == list(range(8))
         reference = two_video_tasm(config, 0)
         for result, query in zip(batch, eight_queries()):
@@ -134,13 +131,13 @@ class TestOneLoop:
         # keeps SOTs 0 and 1 of "b" wanted although query 3 left them too.
         abandoned = {3, 4, 7}
         tasm = two_video_tasm(config, CACHE_BYTES)
-        batch, events, stages, warmed = run_counted(
+        batch, events, log, warmed = run_counted(
             tasm, monkeypatch, cancelled=lambda index: index in abandoned
         )
         assert warmed == [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1)]
         assert not {event.query_index for event in events} & abandoned
-        assert not {s[0] for s in stages if s[1] == "serve"} & abandoned
-        assert all(batch[index].is_empty() for index in abandoned)
+        for index in abandoned:  # never served: nothing returned, nothing read
+            assert batch[index].is_empty() and batch[index].stats == DecodeStats()
         reference = two_video_tasm(config, 0)
         for index, query in enumerate(eight_queries()):
             if index not in abandoned:
@@ -175,23 +172,37 @@ class TestOneLoop:
         for index, query in enumerate(eight_queries()[1:], start=1):
             assert_scan_results_identical(batch[index], reference.execute(query))
 
-    def test_stats_and_seconds_are_the_sums_of_what_the_sink_saw(self, config: TasmConfig):
+    def test_stats_and_seconds_are_the_sums_of_the_warms_and_the_serves(
+        self, config: TasmConfig, monkeypatch
+    ):
         tasm = two_video_tasm(config, CACHE_BYTES)
-        seconds = {"plan": 0.0, "warm": 0.0, "serve": 0.0}
-        served = {"cache_hits": 0, "cache_misses": 0, "pixels_decoded": 0, "pixels_from_cache": 0}
+        warms = []
+        original_prefetch = tasm._decoder.prefetch_regions
 
-        def trace_sink(query_index, stage, elapsed, **meta):
-            seconds[stage] += elapsed
-            for name in served:
-                served[name] += meta.get(name, 0)
+        def counted_prefetch(sot, requests, scope):
+            warms.append(original_prefetch(sot, requests, scope))
+            return warms[-1]
 
-        batch = tasm.execute_batch(eight_queries(), trace_sink=trace_sink)
-        assert batch.index_seconds == seconds["plan"]
-        assert batch.warm_seconds == seconds["warm"] and batch.serve_seconds == seconds["serve"]
+        monkeypatch.setattr(tasm._decoder, "prefetch_regions", counted_prefetch)
+        done: list[QueryDone] = []
+        batch = tasm.execute_batch(
+            eight_queries(),
+            observer=lambda event: isinstance(event, QueryDone) and done.append(event),
+        )
+        served = DecodeStats()
+        for result in batch:
+            served.merge(result.stats)
+        assert batch.index_seconds == sum(result.index_seconds for result in batch)
+        assert batch.warm_seconds == sum(warm.elapsed_seconds for warm in warms)
+        assert batch.serve_seconds == pytest.approx(sum(result.decode_seconds for result in batch))
         # Everything decoded was decoded by a warm; every serve was a hit.
-        assert served["pixels_decoded"] == served["cache_misses"] == 0 < batch.pixels_decoded
-        assert batch.stats.cache_hits == served["cache_hits"] > 0
-        assert batch.pixels_served_from_cache == served["pixels_from_cache"] > 0
+        assert sorted(event.query_index for event in done) == list(range(8))
+        for event in done:
+            stats = event.result.stats
+            assert stats.pixels_decoded == stats.cache_misses == 0 < stats.cache_hits
+        assert served.pixels_decoded == served.cache_misses == 0 < batch.pixels_decoded
+        assert batch.stats.cache_hits == served.cache_hits > 0
+        assert batch.pixels_served_from_cache == served.pixels_served_from_cache > 0
         assert batch.pixels_decoded == two_video_tasm(config, 0).execute_batch(
             eight_queries()
         ).pixels_decoded

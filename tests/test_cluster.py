@@ -49,10 +49,11 @@ from repro.cluster import (
 )
 from repro.cluster import router as router_module
 from repro.core.tasm import TASM
-from repro.errors import QueryRefused, ServiceError, TransportError
+from repro.errors import ProtocolError, QueryRefused, ServiceError, TransportError
 from repro.service import RemoteTasmClient, RetryPolicy, SocketTransport, TasmServer
 from tests.test_exec_engine import assert_scan_results_identical
-from tests.test_faults import gate_decoder
+from repro.service.transport import KIND_JSON
+from tests.test_faults import FrameServer, frame, gate_decoder
 from tests.test_service_flow_control import make_server, wait_until
 from tests.wire_proxy import Fault, Faults, WireProxy
 
@@ -338,6 +339,37 @@ class TestScatterGather:
 
 
 class TestClusterFailover:
+    def test_a_peer_whose_hello_reply_is_no_object_is_marked_down(self, config, monkeypatch):
+        """A peer answering the hello with ``[]`` once raised
+        ``AttributeError`` out of every ``router.scan``: not a wire error, so
+        the router neither re-dialled nor marked it down.  It fails the dial
+        with ``ProtocolError`` now, the peer is marked down, and the scans are
+        served by the live replica, byte-identical to a direct one."""
+        monkeypatch.setattr(router_module, "DOWN_RETRY_AFTER_S", 60.0)
+        servers, transports, video = make_local_cluster(config, shards=1)
+        live = ("localhost", transports[0].address[1])
+        try:
+            with FrameServer([frame(KIND_JSON, b"[]")]) as peer:
+                # Named so that the peer sorts first: ``video_info`` asks the
+                # up shards in name order, so the first scan dials the peer.
+                peer_name = ClusterRouter._shard_name(peer.address)
+                assert peer_name < ClusterRouter._shard_name(live)
+                router = ClusterRouter([live, peer.address], config=replicated(config))
+                try:
+                    with RemoteTasmClient(
+                        transports[0].address, timeout=30.0, use_shm=False
+                    ) as direct:
+                        for label in ("car", "person"):
+                            assert_scan_results_identical(
+                                router.scan(video.name, label), direct.scan(video.name, label)
+                            )
+                    assert list(router._down) == [peer_name]
+                    assert isinstance(router._down[peer_name][0], ProtocolError)
+                finally:
+                    router.close()
+        finally:
+            stop_local_cluster(servers, transports)
+
     @pytest.mark.parametrize("shards, retry", [(1, RETRY), (2, None)])
     def test_a_refused_scan_leaves_every_shard_up(self, config, shards, retry):
         """A scan no query can be built from is refused by the shards it

@@ -15,9 +15,10 @@ The contracts pinned here:
   totals (no lost or double-counted observations), and the legacy scheduler
   counters agree with the registry's;
 * a query trace's top-level spans tile its wall latency, locally and when
-  fetched by a remote client over the ``trace`` wire op;
-* observability off is really off: empty snapshots, null traces, served
-  results unchanged.
+  fetched by a remote client over the ``trace`` wire op, and its ``execute``
+  span carries the result's own index, decode and cache accounting;
+* observability off keeps no trace and logs no slow query, while every
+  metric series still counts and served results are unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.config import TasmConfig
 from repro.core.query import Query
 import repro.obs as obs_module
 from repro.obs import (
-    DISABLED,
     NULL_TRACE,
     Observability,
     SLOW_QUERY_LOGGER,
@@ -47,7 +47,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_INSTRUMENT,
 )
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
 from tests.test_exec_engine import make_tasm
@@ -127,15 +126,6 @@ class TestMetricsPrimitives:
             ({"stage": "serve"}, 1.0),
             ({"stage": "warm"}, 2.0),
         ]
-
-    def test_disabled_registry_hands_out_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("x_total")
-        assert counter is NULL_INSTRUMENT
-        counter.inc()
-        assert counter.value == 0.0
-        assert registry.snapshot() == {}
-        assert render_text(registry.snapshot()) == ""
 
     def test_render_text_exposition(self):
         registry = MetricsRegistry()
@@ -301,11 +291,14 @@ class TestObservabilityConfig:
             obs.traces.append(trace)
         assert len(obs.traces) == 1
 
-    def test_from_config_honours_the_master_switch(self):
+    def test_from_config_switches_traces_only(self):
         on = Observability.from_config(TasmConfig())
         off = Observability.from_config(TasmConfig(observability=False))
-        assert on.enabled and not off.enabled
-        assert off.snapshot() == {}
+        assert on.keep_traces and not off.keep_traces
+        assert off.snapshot() == on.snapshot(), "every series, at zero, either way"
+        off.slow_queries.inc()
+        assert off.slow_queries.value == 1.0
+        assert isinstance(on.start_trace(Query.select("car", "v")), Trace)
         assert off.start_trace(Query.select("car", "v")) is NULL_TRACE
 
 
@@ -418,7 +411,7 @@ class TestObservabilityIntegration:
     def test_trace_top_spans_tile_the_query_latency(self, config):
         server, video = make_server(config)
         try:
-            server.connect().scan(video.name, "car")
+            result = server.connect().scan(video.name, "car")
             trace = server.traces(1)[0]
         finally:
             server.stop()
@@ -428,10 +421,19 @@ class TestObservabilityIntegration:
         assert trace["span_seconds"] == pytest.approx(
             trace["total_seconds"], rel=0.25, abs=0.02
         ), "queue + execute must tile the submit-to-completion latency"
-        detail = {span["name"] for span in trace["spans"] if not span["top"]}
-        assert "plan" in detail and "serve" in detail
-        serve = next(s for s in trace["spans"] if s["name"] == "serve")
-        assert {"cache_hits", "cache_misses"} <= set(serve["meta"])
+        assert [span["name"] for span in trace["spans"]] == ["queue", "execute"], (
+            "in process, a trace is its two top spans and nothing else"
+        )
+        execute = trace["spans"][1]["meta"]
+        assert set(execute) == {
+            "index_seconds", "decode_seconds", "pixels_decoded", "tiles_decoded",
+            "frames_decoded", "cache_hits", "cache_misses", "pixels_served_from_cache",
+        }
+        # The batch's warm decoded the tiles; the query's serves read them.
+        assert execute["cache_hits"] == result.cache_hits > 0
+        assert execute["pixels_served_from_cache"] == result.pixels_served_from_cache > 0
+        assert execute["index_seconds"] == result.index_seconds
+        assert execute["decode_seconds"] == result.decode_seconds
 
     def test_every_labelled_series_lists_at_zero_before_traffic(self, config):
         server, _ = make_server(config)
@@ -602,26 +604,31 @@ class TestObservabilityIntegration:
             server.stop()
         assert not [r for r in caplog.records if r.name == SLOW_QUERY_LOGGER]
 
-    def test_observability_off_is_really_off(self, config):
+    def test_observability_off_keeps_no_trace_and_still_counts(self, config, caplog, monkeypatch):
         from tests.test_exec_engine import assert_scan_results_identical
 
+        monkeypatch.setattr(obs_module, "SLOW_QUERY_MS", 1e-6)
         server, video = make_server(config, observability=False)
+        traced, _ = make_server(config)
         reference, _ = make_tasm(config)
         try:
-            stream = server.connect().scan_streaming(video.name, "car")
-            assert stream.trace is NULL_TRACE
-            result = stream.result(timeout=30)
+            with caplog.at_level(logging.WARNING, logger=SLOW_QUERY_LOGGER):
+                stream = server.connect().scan_streaming(video.name, "car")
+                assert stream.trace is NULL_TRACE
+                result = stream.result(timeout=30)
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert server.metrics_snapshot() == {}
             assert server.traces() == []
-            assert render_text(server.metrics_snapshot()) == ""
-            assert server.stats().as_dict()["metrics"] == {}
-            # The legacy counters keep working regardless.
-            assert server.stats().queries_completed == 1
+            assert not [r for r in caplog.records if r.name == SLOW_QUERY_LOGGER]
+            snapshot = server.metrics_snapshot()
+            assert snapshot.keys() == traced.metrics_snapshot().keys(), "every series"
+            assert snapshot["tasm_queries_completed_total"]["values"][0]["value"] == 1
+            assert snapshot["tasm_query_seconds"]["values"][0]["count"] == 1
+            assert snapshot["tasm_slow_queries_total"]["values"][0]["value"] == 1
+            stats = server.stats()
+            assert stats.queries_completed == 1
+            assert stats.metrics["tasm_queries_completed_total"] == (
+                snapshot["tasm_queries_completed_total"]
+            )
         finally:
             server.stop()
-
-    def test_shared_disabled_instance(self):
-        assert DISABLED.enabled is False
-        DISABLED.slow_queries.inc()
-        assert DISABLED.snapshot() == {}
+            traced.stop()

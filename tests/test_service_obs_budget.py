@@ -7,8 +7,9 @@ makes six instrument updates — ``tasm_batch_size``, ``tasm_queue_wait_seconds`
 from the batch's totals — whether it serves one SOT or every SOT of the scene.
 It looks no labelled child up (they are resolved when the server is built) and
 increments no counter (the scheduler's events are its own ints, read at
-snapshot time).  The spans are the product, not the tax: ``queue``,
-``execute``, ``plan`` and one ``serve`` per SOT.
+snapshot time).  The spans are the product, not the tax: ``queue`` and
+``execute``, the latter carrying the result's own accounting.  With
+observability off the same six updates are made and no span is.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ def count_instrument_calls(monkeypatch) -> dict[str, int]:
     return counts
 
 
-def test_a_warm_scan_pays_the_same_six_updates_at_any_sot_count(config, monkeypatch):
-    server, video = make_server(config)
+def warm_scan_counts(config, monkeypatch, observability: bool) -> None:
+    """Warm every tile and plan, then count what a scan of one SOT and of
+    every SOT pays: six updates either way, and ``spans`` per scan."""
+    server, video = make_server(config, observability=observability)
     try:
         sot_count = server.tasm.video(video.name).sot_count
         gop = config.codec.gop_frames
@@ -55,11 +58,12 @@ def test_a_warm_scan_pays_the_same_six_updates_at_any_sot_count(config, monkeypa
         for sots in (1, sot_count):
             scan(sots)  # warm every tile, memoise every plan
         counts = count_instrument_calls(monkeypatch)
+        spans = 2 if observability else 0
         for sots in (1, sot_count):
             counts.update(dict.fromkeys(counts, 0))
             result = scan(sots)
             assert result.pixels_decoded == 0 and result.regions
-            assert counts == {"observe": 6, "inc": 0, "labels": 0, "spans": sots + 3}, (
+            assert counts == {"observe": 6, "inc": 0, "labels": 0, "spans": spans}, (
                 f"{counts} at {sots} SOT(s)"
             )
         stages = server.metrics_snapshot()["tasm_stage_seconds"]["values"]
@@ -68,3 +72,13 @@ def test_a_warm_scan_pays_the_same_six_updates_at_any_sot_count(config, monkeypa
         }, "one observation per stage per executed batch"
     finally:
         server.stop()
+
+
+def test_a_warm_scan_pays_the_same_six_updates_at_any_sot_count(config, monkeypatch):
+    warm_scan_counts(config, monkeypatch, observability=True)
+
+
+def test_with_observability_off_a_warm_scan_pays_the_same_updates_and_no_span(
+    config, monkeypatch
+):
+    warm_scan_counts(config, monkeypatch, observability=False)

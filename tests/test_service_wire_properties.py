@@ -44,8 +44,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.config import TasmConfig
 from repro.core.query import Query
 from repro.core.scan import ScanRegion, ScanResult
-from repro.errors import QueryRefused, TransportError
+from repro.errors import ProtocolError, QueryRefused, TransportError
 from repro.geometry import Rectangle
+from repro.obs import Observability
 from repro.service import RemoteTasmClient, ShmTransport, SocketTransport
 from repro.service.scheduler import ResultStream
 from repro.service.stream import StreamChunk
@@ -58,6 +59,7 @@ from repro.service.transport import (
     _SHM_CHUNK_HEADER,
     KIND_CHUNK,
     KIND_CREDIT,
+    KIND_JSON,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     _Connection,
@@ -72,6 +74,7 @@ from repro.service.transport import (
     send_message,
 )
 from tests.test_exec_engine import assert_scan_results_identical
+from tests.test_faults import FrameServer, frame
 from tests.test_service_flow_control import make_server, wait_until
 
 
@@ -436,10 +439,9 @@ class _ScriptedServer:
     is answered by a stream already holding ``labels[0]``-many one-region
     chunks (the label is the count) and its final result."""
 
-    obs = None
-
     def __init__(self):
         self.tasm = SimpleNamespace(config=TasmConfig())
+        self.obs = Observability()
         self.submitted = 0
 
     def _build_query(self, video, labels, temporal):
@@ -887,17 +889,22 @@ NOT_OBJECTS = st.one_of(
 
 def test_a_json_frame_that_is_not_an_object_is_refused_and_the_connection_serves_on():
     """Reading the id off a list once raised inside the reader's own error
-    handler, and the connection was dropped: the frame now gets an error
-    reply without an id, and a scan sent after it on the same connection
-    completes."""
+    handler, and a payload that did not decode at all raised past it: either
+    dropped the connection.  The frame now gets an error reply without an
+    id, and a scan sent after it on the same connection completes."""
     with SocketTransport(_ScriptedServer()) as transport:
 
         @settings(max_examples=40, deadline=None)
         @given(value=NOT_OBJECTS)
         @example(value=[1, 2])
+        @example(value=b"{bad")
+        @example(value=b"\xff\xfe")
         def refused(value):
             with socket.create_connection(transport.address, timeout=10) as sock:
-                send_message(sock, value)
+                if isinstance(value, bytes):  # a payload that does not decode
+                    send_frame(sock, KIND_JSON, value)
+                else:
+                    send_message(sock, value)
                 send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
                 chunk_ids, replies = _replies(_FrameReader(sock), 2)
                 assert replies["error"]["id"] is None
@@ -905,6 +912,43 @@ def test_a_json_frame_that_is_not_an_object_is_refused_and_the_connection_serves
                 assert replies["done"]["id"] == 7 and chunk_ids == [7] * 3
 
         refused()
+
+
+#: Frame payloads that are no JSON text at all.
+UNDECODABLE = st.binary(max_size=8).filter(lambda payload: not _decodes(payload))
+
+
+def _decodes(payload: bytes) -> bool:
+    try:
+        json.loads(payload.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+def test_a_hello_reply_that_is_not_a_json_object_fails_the_dial_with_protocol_error():
+    """The client read its hello reply with ``reply.get``: a list or a string
+    raised ``AttributeError`` and a payload that did not decode raised
+    ``UnicodeDecodeError`` or ``JSONDecodeError`` — none of them a
+    ``TransportError``, so a router neither re-dialled nor marked the peer
+    down.  Every such reply now fails the dial with ``ProtocolError``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        payload=st.one_of(
+            NOT_OBJECTS.map(lambda value: json.dumps(value).encode("utf-8")), UNDECODABLE
+        )
+    )
+    @example(payload=b"[]")
+    @example(payload=b'"hello"')
+    @example(payload=b"{bad")
+    @example(payload=b"\xff\xfe")
+    def dial(payload):
+        with FrameServer([frame(KIND_JSON, payload)]) as peer:
+            with pytest.raises(ProtocolError):
+                RemoteTasmClient(peer.address, timeout=10.0, use_shm=False)
+
+    dial()
 
 
 def test_a_nan_box_is_refused_and_its_label_still_serves_remotely(config):
