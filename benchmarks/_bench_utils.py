@@ -18,6 +18,11 @@ def bench_config(**overrides) -> TasmConfig:
     return TasmConfig(codec=codec, **overrides)
 
 
+def served_count(server, series: str) -> int:
+    """One unlabelled count (``tasm_*_total``) from a server's metrics registry."""
+    return int(server.metrics_snapshot()[series]["values"][0]["value"])
+
+
 def print_section(title: str) -> None:
     print()
     print("=" * 78)

@@ -32,7 +32,7 @@ from repro.core.query import Query
 from repro.datasets import visual_road_scene
 from repro.service import TasmServer
 
-from _bench_utils import emit_bench, print_section
+from _bench_utils import emit_bench, print_section, served_count
 
 #: Decoded bytes kept by the server's shared cache (64 MiB).
 CACHE_BYTES = 64 * 1024 * 1024
@@ -64,6 +64,12 @@ def _client_queries(video, client_index: int) -> list[Query]:
         Query.select("car", video.name),
         Query.select_any(["car", "person"], video.name),
     ][:QUERIES_PER_CLIENT]
+
+
+def _hit_rate(stats) -> float:
+    """The share of the server's tile lookups its cache served."""
+    lookups = stats.cache_hits + stats.cache_misses
+    return round(stats.cache_hits / lookups, 3) if lookups else 0.0
 
 
 def _run_server_workload(config, clients: int) -> dict:
@@ -98,16 +104,19 @@ def _run_server_workload(config, clients: int) -> dict:
         for thread in threads:
             thread.join(timeout=300)
         wall_seconds = time.perf_counter() - started
-        stats = server.stats()
+    # Read once the runners are joined: a runner merges its batch after the
+    # batch's streams finish.
+    stats = server.stats()
+    batches = served_count(server, "tasm_batches_executed_total")
     assert not errors, errors
     return {
         "clients": clients,
         "queries": clients * QUERIES_PER_CLIENT,
         "wall_seconds": round(wall_seconds, 3),
         "qps": round(clients * QUERIES_PER_CLIENT / wall_seconds, 1),
-        "cache_hit_rate": round(stats.cache_hit_rate, 3),
+        "cache_hit_rate": _hit_rate(stats),
         "pixels_decoded": stats.pixels_decoded,
-        "batches": stats.batches_executed,
+        "batches": batches,
     }
 
 
@@ -213,7 +222,8 @@ def _run_runner_pool_workload(config, runners: int) -> dict:
         for thread in threads:
             thread.join(timeout=300)
         wall_seconds = time.perf_counter() - started
-        stats = server.stats()
+    stats = server.stats()
+    batches = served_count(server, "tasm_batches_executed_total")
     tasm._decoder.prefetch_regions = original
     assert not errors, errors
     queries = PIPELINE_CLIENTS * QUERIES_PER_CLIENT
@@ -223,9 +233,9 @@ def _run_runner_pool_workload(config, runners: int) -> dict:
         "queries": queries,
         "wall_seconds": round(wall_seconds, 3),
         "qps": round(queries / wall_seconds, 1),
-        "batches": stats.batches_executed,
+        "batches": batches,
         "pixels_decoded": stats.pixels_decoded,
-        "cache_hit_rate": round(stats.cache_hit_rate, 3),
+        "cache_hit_rate": _hit_rate(stats),
     }
 
 
@@ -246,9 +256,7 @@ def test_runner_pool_overlaps_collection_with_execution(config):
     serial = rows[0]
     for row in rows:
         # Identical decode work: the warm cache serves every tile, whatever
-        # the runner count — the sweep varies *scheduling* only.  (The
-        # hit-rate column is the cache's lifetime figure and includes the
-        # warm-up misses, so it reads just below 1.0.)
+        # the runner count — the sweep varies *scheduling* only.
         assert row["pixels_decoded"] == 0, rows
     pooled = rows[-1]
     assert pooled["wall_seconds"] < serial["wall_seconds"] * 0.85, (

@@ -41,7 +41,7 @@ from repro.datasets import visual_road_scene
 from repro.service import RemoteTasmClient, ShmTransport, SocketTransport, TasmServer
 from repro.service.transport import chunk_parts
 
-from _bench_utils import emit_bench, print_section
+from _bench_utils import emit_bench, print_section, served_count
 
 CACHE_BYTES = 64 * 1024 * 1024
 CONCURRENT_SCANS = (1, 4, 8)
@@ -119,14 +119,17 @@ def _run_multiplexed(config, scans: int, concurrent: bool) -> dict:
                     for index, (label, start, stop) in enumerate(jobs):
                         results[index] = client.scan(video.name, label, start, stop)
                 wall_seconds = time.perf_counter() - started
-        stats = server.stats()
+    # Read once the runners are joined: a runner merges its batch after the
+    # batch's streams finish.
+    stats = server.stats()
+    batches = served_count(server, "tasm_batches_executed_total")
     assert not errors, errors
     return {
         "scans": scans,
         "mode": "multiplexed" if concurrent else "sequential",
         "wall_seconds": round(wall_seconds, 3),
         "qps": round(scans / wall_seconds, 1),
-        "batches": stats.batches_executed,
+        "batches": batches,
         "pixels_decoded": stats.pixels_decoded,
         "results": results,
     }
@@ -332,9 +335,9 @@ def test_cancellation_stops_decode_promptly(config):
             stream = client.scan_streaming(video.name, "car")
             next(iter(stream))  # one GOP landed
             stream.close()  # CANCEL on the wire
-            assert _wait_until(lambda: server.stats().queries_cancelled >= 1), (
-                "the scheduler never observed the cancellation"
-            )
+            assert _wait_until(
+                lambda: served_count(server, "tasm_queries_cancelled_total") >= 1
+            ), "the scheduler never observed the cancellation"
             cancelled_pixels = server.stats().pixels_decoded
             client.scan(video.name, "person")  # the runner is free again
 

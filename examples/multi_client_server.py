@@ -113,15 +113,19 @@ def main() -> None:
             print(f"  query id {stream_handle.query_id}: "
                   f"{len(scan.regions)} regions of {scan.video!r}")
 
+        # Counts live in the metrics registry; the decode work is stats().
+        metrics = server.metrics_snapshot()
+
+        def count(series: str) -> int:
+            return int(metrics[series]["values"][0]["value"])
+
         stats = server.stats()
-        print(f"\nserver: {stats.queries_completed} queries in "
-              f"{stats.batches_executed} batches, "
-              f"{stats.qps:.0f} q/s, cache hit rate {stats.cache_hit_rate:.0%}")
+        lookups = stats.cache_hits + stats.cache_misses
+        print(f"\nserver: {count('tasm_queries_completed_total')} queries in "
+              f"{count('tasm_batches_executed_total')} batches, "
+              f"cache hit rate {stats.cache_hits / max(1, lookups):.0%}")
         print(f"  decoded {stats.pixels_decoded:,} pixels; served "
               f"{stats.pixels_served_from_cache:,} from the shared cache")
-        for label, work in sorted(stats.decode_work_by_label.items()):
-            print(f"  {label:>7}: {work['queries']} queries, "
-                  f"{work['pixels_served_from_cache']:,} pixels from cache")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .obs import MetricsRegistry, Observability
 from .service import (
     RemoteTasmClient,
     ResultStream,
-    ServerStats,
     SocketTransport,
     StreamChunk,
     TasmClient,
@@ -99,7 +98,6 @@ __all__ = [
     "TileDecodeCache",
     "RemoteTasmClient",
     "ResultStream",
-    "ServerStats",
     "SocketTransport",
     "StreamChunk",
     "TasmClient",

@@ -1,46 +1,37 @@
 """Scatter-gather routing over a set of TASM shard processes.
 
-:class:`ClusterRouter` is the cluster's one client-facing API — the VSS
-shape: many shard servers behind a single handle that looks like a
-:class:`~repro.service.transport.RemoteTasmClient`.  A scan is split by the
-consistent-hash ring (:mod:`repro.cluster.ring`): every ``(video, SOT)`` key
-has a replica set of ``replication`` shards, each chosen shard receives the
-*same* query with ``skip_sots`` naming every SOT it does **not** own, and
-the per-shard chunk streams merge into one
-:class:`ClusterScanStream` — iterable per-SOT exactly like a
-:class:`~repro.service.scheduler.ResultStream`, with ``result()`` assembling
-regions in ascending SOT order so the merged result is byte-identical no
-matter how shard streams interleave (or which replica served what).
+:class:`ClusterRouter` is the cluster's one client-facing handle, shaped
+like a :class:`~repro.service.transport.RemoteTasmClient`.  A scan is split
+by the consistent-hash ring (:mod:`repro.cluster.ring`): every ``(video,
+SOT)`` key has a replica set of ``replication`` shards, each chosen shard
+receives the *same* query with ``skip_sots`` naming every SOT it does not
+own, and the per-shard chunk streams merge into one
+:class:`ClusterScanStream`.  Its ``result()`` assembles regions in ascending
+SOT order, so the merged result is byte-identical however the shard streams
+interleave and whichever replica served what.
 
 Placement is the ring's: each SOT goes to the first replica in ring order
-that is up and not excluded from the scan.  Ring order is sticky — a key
-keeps going to the same shard, whose tile cache it warmed, until that shard
-is marked down — so the router keeps no placement state of its own.
+that is up and not excluded from the scan.  A key keeps going to the same
+shard, whose tile cache it warmed, until that shard is marked down, so the
+router keeps no placement state of its own.
 
-Every request the router makes to a shard takes one path,
-:meth:`ClusterRouter._call`: a scan's share, ``video_info``,
-``add_metadata`` and ``metrics`` alike.  A shard client is
-a plain connection: a broken wire fails its streams with
-:class:`~repro.errors.TransportError` and nothing else.  When a shard's
-connection fails — at submission or mid-stream — ``_call`` re-dials *that*
-shard under its :class:`~repro.service.transport.RetryPolicy` (capped
-exponential backoff, each wait bounded by the scan's remaining deadline and
-ended at once by ``close()`` of the stream or the router) and a scan resumes
-its share over the new connection with ``skip_sots`` naming everything
-already delivered.  A shard still unreachable after the policy's attempts
-is marked down, and a scan's undelivered SOTs move to their next replicas
-through the same ``skip_sots`` message — the resume mechanism and the
-scatter mechanism are one.  So a one-shard router,
-``ClusterRouter([address], retry=...)``, is the resilient single-server
-handle.  A shard shedding load answers with
-:class:`~repro.errors.ServerBusy`; the router routes around it *for that
-scan only*, with no re-dial and without marking it down.  A query the
-shard refuses as malformed (:class:`~repro.errors.QueryRefused`) fails
-that scan and leaves every shard up: only a lost wire marks one down, and
-only for :data:`DOWN_RETRY_AFTER_S`.  After that the next request that
-would use the shard dials it again through ``_call``, which is the health
-check: an answer clears the mark, and a failed dial sets it afresh.
-Membership is fixed when the router is built.
+Every request to a shard — a scan's share, ``video_info``, ``add_metadata``,
+``metrics`` — goes through :meth:`ClusterRouter._call`.  A shard client is a
+plain connection: a broken wire fails its streams with
+:class:`~repro.errors.TransportError`.  ``_call`` then re-dials that shard
+under its :class:`~repro.service.transport.RetryPolicy` (capped exponential
+backoff, each wait bounded by the scan's remaining deadline and ended by
+``close()``), and the scan resumes its share with ``skip_sots`` naming what
+was delivered.  A shard still unreachable after the policy's attempts is
+marked down for :data:`DOWN_RETRY_AFTER_S`, and the scan's undelivered SOTs
+move to their next replicas through the same ``skip_sots`` message: resume
+and scatter are one mechanism.  So ``ClusterRouter([address], retry=...)``
+is the resilient single-server handle.  A shard answering
+:class:`~repro.errors.ServerBusy` is routed around for that scan only; a
+:class:`~repro.errors.QueryRefused` fails the scan and leaves every shard
+up.  Once a down mark expires, the next request dials the shard again: an
+answer clears the mark, a failed dial sets it afresh.  Membership is fixed
+when the router is built.
 """
 
 from __future__ import annotations

@@ -62,15 +62,6 @@ class CacheStats:
     pixels_served: int = 0
     bytes_evicted: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def snapshot(self) -> "CacheStats":
         return replace(self)
 

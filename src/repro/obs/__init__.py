@@ -21,7 +21,7 @@ submitted, the four ways a query ends, shed refusals, batches — are plain
 ints on the :class:`~repro.service.scheduler.BatchScheduler`;
 their series read those ints at snapshot time
 (:meth:`Observability.read_events_from`), the way queue depth and the cache
-gauges are read, so ``TasmServer.stats()`` and the registry cannot disagree.
+gauges are read, so no second copy of a count exists to disagree.
 What only this package knows — latency, queue-wait, batch-size and per-batch
 stage histograms, slow queries, chunk and credit-stall counts — is updated
 here: six histogram observations per batch of one query, however many SOTs

@@ -21,6 +21,7 @@ from ..core.predicates import LabelPredicate, TemporalPredicate
 from ..core.query import Query
 from ..core.scan import ScanResult
 from ..detection.base import Detection
+from ..video.codec import DecodeStats
 from .scheduler import ResultStream
 
 __all__ = ["TasmClient"]
@@ -84,7 +85,8 @@ class TasmClient:
     def add_detections(self, video_id: str, detections: Iterable[Detection]) -> int:
         return self._server.add_detections(video_id, detections)
 
-    def stats(self):
+    def stats(self) -> DecodeStats:
+        """The server's decode work so far (``TasmServer.stats()``)."""
         return self._server.stats()
 
     def metrics(self) -> dict:

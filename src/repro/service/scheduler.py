@@ -1,61 +1,40 @@
 """The batching scheduler: coalesces concurrent queries, streams results.
 
 Clients hand queries to :meth:`BatchScheduler.submit` and get a
-:class:`ResultStream` back immediately.  Every ``service_*`` setting named
-below is a ``TasmConfig`` field, read from the config of the TASM the
-scheduler is handed.  A pool of *batch runner* threads (``service_runners``)
-waits on the pending queue; the moment a runner is free it takes up to
-``service_max_batch`` pending queries and drives ``TASM.execute_batch``
-over them.  An idle server therefore dispatches a lone query at once, and a
-busy one forms its batches from whatever queued while every runner was
-executing — so concurrent clients asking about overlapping sequences of
-tiles share decodes instead of thrashing the cache with interleaved misses,
-without any query waiting on a timer.
+:class:`ResultStream` back at once.  The ``service_*`` settings are fields
+of the TASM's ``TasmConfig``.  A pool of ``service_runners`` batch runner
+threads waits on the pending queue; a free runner takes up to
+``service_max_batch`` pending queries and drives ``TASM.execute_batch`` over
+them.  An idle server dispatches a lone query at once, and a busy one forms
+its batches from whatever queued meanwhile, so overlapping queries share
+decodes without any query waiting on a timer.  Pending queries are kept per
+client and drained round-robin, so every waiting client gets a slot in the
+next batch before any client gets a second one.
 
-Admission control: pending queries are kept per client and drained
-round-robin into each batch, so a greedy client that queues a hundred
-queries cannot fill every batch — every waiting client gets a slot in the
-next batch before any client gets a second one.  Spare batch capacity is
-still work-conserving (a lone client may fill a whole batch).
+The executor's observer fires per SOT, and the runner pushes each chunk into
+the query's :class:`~repro.service.stream.ScanStream`, which buffers at most
+``service_stream_buffer_chunks``: a producer pushing into a full buffer waits
+for the consumer, so a slow client bounds the server's memory.
 
-Streaming and backpressure: the executor's observer hook fires per SOT, and
-the runner forwards each event into the owning query's stream — a
-:class:`~repro.service.stream.ScanStream` (see that module for the state
-machine).  A stream buffers at most
-``service_stream_buffer_chunks`` undelivered chunks; a producer
-pushing into a full buffer *suspends* until the consumer drains it, so a
-slow client bounds the server's memory instead of growing an unbounded queue.
+* **Deadlines** — an expired query is dropped while pending; mid-batch the
+  executor's cancelled-probe fails it with
+  :class:`~repro.errors.DeadlineExceeded` within about one SOT.
+* **Load shedding** — ``submit`` raises :class:`~repro.errors.ServerBusy`
+  at ``service_max_queue_depth`` pending queries; the query is never
+  admitted.
+* **Batch errors** — each query of a failed batch that has sent nothing is
+  re-run as a batch of its own, so only the offender fails.  Nothing raised
+  inside a batch ends a runner; only ``stop()`` does.
 
-Fault tolerance threads through every stage:
-
-* **Deadlines** — ``submit(deadline_ms=...)`` stamps the stream; expired
-  queries are dropped while still pending, and mid-batch the executor's
-  cancelled-probe doubles as a deadline probe so an expired query stops
-  costing decodes within ~one SOT and fails with
-  :class:`~repro.errors.DeadlineExceeded`.
-* **Load shedding** — ``submit`` fast-fails with
-  :class:`~repro.errors.ServerBusy` above ``service_max_queue_depth``; the
-  refused query is never admitted, so an overloaded server costs its
-  clients nothing but the refusal.
-* **Batch errors** — whatever a batch raises, each of its queries that has
-  sent nothing yet is re-run as a batch of its own, so only the offender
-  fails; a query that already streamed chunks fails with the batch's error.
-  Nothing raised inside a batch ends a runner; only ``stop()`` does.
-
-Accounting: every event has one counter, a plain int on the scheduler under
-``_counter_lock``, which ``TasmServer.stats()`` and the metrics registry
-(``Observability.read_events_from``, at snapshot time) both read.
-``queries_submitted`` and ``shed_queue_full`` move in
-:meth:`BatchScheduler.submit`, on the submitter's thread;
-``batches_executed`` on the runner that ran the batch.  How a query *ends*
-is counted in one place, :meth:`BatchScheduler._account`, reached only
-through :meth:`ResultStream._end` — the stream's single terminal
-transition, first caller wins — and so on whichever thread ended it: the
-runner that served its last SOT or noticed its deadline, the consumer
-inside ``close()``, a connection's reader or writer tearing down after its
-peer vanished, or ``stop()``.  Once the scheduler is quiescent
-``queries_submitted == queries_completed + queries_cancelled +
-queries_failed + queries_deadline_exceeded``.
+Accounting: each event is one plain int on the scheduler, written under
+``_counter_lock``, and the metrics registry reads those ints at snapshot
+time (``Observability.read_events_from``).  ``total_stats`` is the sum of
+every executed batch's ``BatchResult.stats``, merged under the same lock.
+How a query *ends* is counted only in :meth:`BatchScheduler._account`,
+reached through :meth:`ResultStream._end`, the stream's one terminal
+transition (first caller wins), on whichever thread ended it.  Once the
+scheduler is quiescent ``queries_submitted == queries_completed +
+queries_cancelled + queries_failed + queries_deadline_exceeded``.
 """
 
 from __future__ import annotations
@@ -66,7 +45,6 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ..core.query import Query
-from ..core.scan import ScanResult
 from ..errors import (
     DeadlineExceeded,
     ServerBusy,
@@ -150,19 +128,13 @@ _FAILED = ("error", "queries_failed")
 class BatchScheduler:
     """Owns the request queues and the pool of batch-forming runners."""
 
-    def __init__(
-        self,
-        tasm,
-        on_query_done: Callable[[Query, ScanResult], None] | None = None,
-        obs: Observability | None = None,
-    ):
+    def __init__(self, tasm, obs: Observability | None = None):
         config = tasm.config
         self._tasm = tasm
         self._obs = obs if obs is not None else Observability()
         self._max_batch = config.service_max_batch
         self._runner_count = config.service_runners
         self._stream_buffer_chunks = config.service_stream_buffer_chunks
-        self._on_query_done = on_query_done
         self._max_queue_depth = config.service_max_queue_depth
         # Pending queries, kept per client for round-robin admission.  One
         # condition guards them and the active-batch map, so a query moves
@@ -178,9 +150,9 @@ class BatchScheduler:
         self._runners: list[threading.Thread] = []
         self._running = False
         self._state_lock = threading.Lock()
-        # The one count of each event: TasmServer.stats() reads these fields
-        # and so does the metrics registry, at snapshot time.  Written under
-        # _counter_lock by whichever thread the event happens on.
+        # The one count of each event, read by the metrics registry at
+        # snapshot time.  Written under _counter_lock by whichever thread the
+        # event happens on.
         self._counter_lock = threading.Lock()
         self.queries_submitted = 0
         #: ServerBusy refusals at the depth bound: never admitted, so not
@@ -196,6 +168,7 @@ class BatchScheduler:
         self.queries_failed = 0
         self.queries_deadline_exceeded = 0
         self.batches_executed = 0
+        #: The sum of every executed batch's ``BatchResult.stats``.
         self.total_stats = DecodeStats()
         self._obs.read_events_from(self)
 
@@ -440,8 +413,6 @@ class BatchScheduler:
                 )
             elif isinstance(event, QueryDone):
                 stream, result = batch[event.query_index], event.result
-                if self._on_query_done is not None:
-                    self._on_query_done(stream.query, result)
                 # The execute span closes the timeline the queue span opened:
                 # together the two top-level spans tile the query's wall time.
                 # Its meta is the result's own accounting, not a second clock.

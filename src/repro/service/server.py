@@ -33,9 +33,7 @@ multiplexed, credit-flow-controlled binary socket protocol in
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from ..config import TasmConfig
@@ -48,55 +46,13 @@ from ..exec.cache import TileDecodeCache
 from ..obs import Observability
 from ..storage.tiled_video import RetileRecord
 from ..tiles.layout import TileLayout
+from ..video.codec import DecodeStats
 from .scheduler import BatchScheduler, ResultStream
 
-__all__ = ["DEFAULT_SERVER_CACHE_BYTES", "ServerStats", "TasmServer"]
+__all__ = ["DEFAULT_SERVER_CACHE_BYTES", "TasmServer"]
 
 #: Cache capacity granted to a TASM that reaches the server without one.
 DEFAULT_SERVER_CACHE_BYTES = 256 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class ServerStats:
-    """A point-in-time snapshot of the server's behaviour."""
-
-    uptime_seconds: float
-    queries_submitted: int
-    queries_completed: int
-    #: Queries abandoned by their consumer (stream ``close()`` or a wire
-    #: ``CANCEL``) before completing; their remaining decode work was skipped.
-    queries_cancelled: int
-    #: Completed queries per second of uptime.
-    qps: float
-    #: Queries accepted but not yet dispatched into a batch.
-    queue_depth: int
-    batches_executed: int
-    #: Width of the scheduler's batch-runner pool (``service_runners``).
-    runners: int
-    cache_hits: int
-    cache_misses: int
-    cache_hit_rate: float
-    cache_bytes: int
-    cache_entries: int
-    pixels_decoded: int
-    pixels_served_from_cache: int
-    #: Per object class: decode work done and cache work saved for queries
-    #: naming that class.  A multi-label query contributes to every class it
-    #: names, so the per-class figures attribute shared work, not split it.
-    decode_work_by_label: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: The observability registry's full snapshot (``repro.obs``), nested so
-    #: the legacy flat keys above stay byte-identical for existing consumers.
-    metrics: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        """A JSON-serialisable form (used by the socket transport): every
-        field, in declaration order.
-
-        The legacy flat keys are a compatibility surface: existing dashboards
-        and the wire's ``stats`` op consume them, so new telemetry lands under
-        the nested ``metrics`` key instead of widening the flat namespace.
-        """
-        return asdict(self)
 
 
 class TasmServer:
@@ -120,12 +76,7 @@ class TasmServer:
         #: traces, slow-query log).  The metrics always count;
         #: ``TasmConfig.observability`` decides whether traces are kept.
         self.obs = Observability.from_config(tasm.config)
-        self._scheduler = BatchScheduler(
-            tasm, on_query_done=self._record_query_done, obs=self.obs
-        )
-        self._started_at: float | None = None
-        self._stats_lock = threading.Lock()
-        self._work_by_label: dict[str, dict[str, int]] = {}
+        self._scheduler = BatchScheduler(tasm, obs=self.obs)
         self._register_gauges()
 
     def _register_gauges(self) -> None:
@@ -161,8 +112,6 @@ class TasmServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "TasmServer":
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
         self._scheduler.start()
         return self
 
@@ -247,45 +196,14 @@ class TasmServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _record_query_done(self, query: Query, result: ScanResult) -> None:
-        with self._stats_lock:
-            for label in query.objects or frozenset(("<unlabelled>",)):
-                work = self._work_by_label.setdefault(
-                    label, {"pixels_decoded": 0, "pixels_served_from_cache": 0, "queries": 0}
-                )
-                work["pixels_decoded"] += result.pixels_decoded
-                work["pixels_served_from_cache"] += result.pixels_served_from_cache
-                work["queries"] += 1
-
-    def stats(self) -> ServerStats:
-        """A consistent snapshot of throughput, cache, and per-class work."""
-        cache = self.tasm.tile_cache
-        cache_stats = cache.stats.snapshot() if cache is not None else None
-        uptime = (
-            time.perf_counter() - self._started_at if self._started_at is not None else 0.0
-        )
-        completed = self._scheduler.queries_completed
-        with self._stats_lock:
-            by_label = {label: dict(work) for label, work in self._work_by_label.items()}
-        return ServerStats(
-            uptime_seconds=uptime,
-            queries_submitted=self._scheduler.queries_submitted,
-            queries_completed=completed,
-            queries_cancelled=self._scheduler.queries_cancelled,
-            qps=completed / uptime if uptime > 0 else 0.0,
-            queue_depth=self._scheduler.queue_depth,
-            batches_executed=self._scheduler.batches_executed,
-            runners=self.tasm.config.service_runners,
-            cache_hits=cache_stats.hits if cache_stats else 0,
-            cache_misses=cache_stats.misses if cache_stats else 0,
-            cache_hit_rate=cache_stats.hit_rate if cache_stats else 0.0,
-            cache_bytes=cache.current_bytes if cache is not None else 0,
-            cache_entries=len(cache) if cache is not None else 0,
-            pixels_decoded=self._scheduler.total_stats.pixels_decoded,
-            pixels_served_from_cache=self._scheduler.total_stats.pixels_served_from_cache,
-            decode_work_by_label=by_label,
-            metrics=self.obs.snapshot(),
-        )
+    def stats(self) -> DecodeStats:
+        """The server's decode work so far: the sum of every executed
+        batch's ``BatchResult.stats``, copied under the lock runners merge
+        under.  Counts (queries, batches, queue depth, cache occupancy) are
+        the registry's: :meth:`metrics_snapshot`."""
+        scheduler = self._scheduler
+        with scheduler._counter_lock:
+            return replace(scheduler.total_stats)
 
     def metrics_snapshot(self) -> dict:
         """The observability registry's full snapshot (JSON-serialisable).

@@ -1,102 +1,42 @@
 """A multiplexed, credit-flow-controlled socket transport for remote clients.
 
-Framing: every frame is a 1-byte kind, a 4-byte big-endian payload length,
-then that many payload bytes.  Both ends read frames through one
-``recv_into`` buffer per connection (:class:`_FrameReader`): many small
-frames arrive per syscall, and a frame larger than what is buffered is
-received straight into its own ``bytearray``.  The kinds:
+A frame is a 1-byte kind, a 4-byte big-endian payload length, then the
+payload; each end reads through one ``recv_into`` buffer per connection
+(:class:`_FrameReader`).  ``KIND_JSON`` is a UTF-8 JSON object: every request
+carries a client-chosen ``"id"`` and every reply echoes it, so one
+connection multiplexes any number of requests and scans.  ``KIND_CHUNK`` is
+one scan chunk, all binary: a fixed header (query id, SOT index, region
+count, label table), one :data:`_REGION_RECORD` per region, then the
+regions' 2-D ``uint8`` pixels back to back; decode checks every length
+before it touches a pixel.  Client to server, ``KIND_CREDIT`` grants a scan
+more chunk credits and ``KIND_CANCEL`` abandons it, so its remaining decode
+work is skipped.  A request whose fields are not of the types it uses is
+refused with an error reply coded ``refused``
+(:class:`~repro.errors.QueryRefused`), and the connection serves on.  The
+``hello`` handshake pins :data:`PROTOCOL_VERSION`.
 
-* ``KIND_JSON`` (0) — a UTF-8 JSON message.  Every request carries a
-  client-chosen ``"id"`` tag, and every response echoes the id of the request
-  it answers, so one connection multiplexes any number of in-flight requests
-  (concurrent scans included).
-* ``KIND_CHUNK`` (1) — one streamed scan chunk, all binary (protocol 3): a
-  fixed big-endian header (query id, SOT index, region count, label count,
-  label-table bytes), the chunk's label table (each distinct label once, a
-  2-byte length then UTF-8), one little-endian record per region
-  (:data:`_REGION_RECORD`: frame, the box as four ``f8``, label id with -1
-  for "no label", rows, columns), then the regions' pixels back to back.  Pixels
-  are 2-D ``uint8``; anything else is refused at encode.  Decode checks that
-  every length adds up before it touches a pixel.
-* ``KIND_CREDIT`` (2) — client → server: grant ``n`` more chunk credits to
-  query ``qid`` (see *flow control* below).
-* ``KIND_CANCEL`` (3) — client → server: abandon query ``qid``.  The server
-  fails that stream, sends it nothing further, and the scheduler skips the
-  scan's remaining per-SOT decode work — an abandoned scan stops costing
-  runner time within roughly one GOP instead of running to completion for
-  nobody.
-* ``KIND_SHM_CHUNK`` (4) — like ``KIND_CHUNK``, but the pixel bytes live in
-  the negotiated shared-memory ring; the frame carries only the ring offset,
-  the byte count, and the chunk header.
-* ``KIND_SHM_ACK`` (5) — client → server: the client has copied a
-  shared-memory chunk out of the ring; the server may recycle its slot.
+**One sender per connection.**  A server connection is two threads: a
+reader (requests, credits, cancels, acks) and a writer.  A runner pushing a
+chunk wakes the writer, which encodes every ready chunk its credit allows,
+writes each finished scan's ``done`` or typed ``error`` reply, and sends all
+of it in one ``sendmsg`` over the regions' own buffers.  The reader's
+replies reach the writer through a bounded queue.
 
-**One sender per connection.**  A server connection runs two threads
-whatever the number of scans in flight: a reader (requests, credits, cancels,
-acks) and a writer.  A batch runner pushing a chunk into a scan's stream
-wakes the writer (the stream's listener hook); the writer polls every ready
-stream while its credit lasts, encodes the chunks, produces each finished
-scan's terminal ``done`` / typed ``error`` reply itself, and hands everything
-ready at that wake to one ``sendmsg`` over ``[headers, the regions' own
-buffers...]`` — a chunk is never copied into a frame, and a frame's header
-and payload never travel in separate packets.  The reader's own replies
-reach the writer through a bounded queue whose blocked producer raises the
-moment the connection closes.
+**Flow control is per stream.**  A scan request grants the server the
+client's ``stream_buffer_chunks`` credits; each chunk spends one, and a
+stream out of credit parks alone while the others keep flowing.  The client
+returns credits half a window at a time as its consumer drains chunks, and
+its reader never blocks, because no stream has more than its window in
+flight.
 
-**Flow control (per stream, not per connection).**  Each scan request grants
-the server an initial budget of chunk *credits* (the client's
-``stream_buffer_chunks``); every chunk sent spends one.  A stream out of
-credits *parks only that stream* — the writer skips it until a grant
-arrives, and every other stream keeps full throughput; one slow consumer can
-never fill a shared queue and freeze the connection (head-of-line blocking).
-The client returns credits half a window at a time as its consumer drains
-chunks (a window of 1 returns every chunk).  That cannot starve the server:
-window = server credits + chunks in flight or buffered + drained chunks not
-yet returned, and the last term stays below half a window, so a server out
-of credits always has a chunk the consumer has not taken.  Client-side
-queues are unbounded but *credit-bounded*: the demux reader never blocks,
-because the server can never have more than a stream's credit budget in
-flight.  (Server-side memory stays bounded by the scheduler's own
-``service_stream_buffer_chunks`` stream buffers — credits bound the wire,
-stream buffers bound the producer.)
+**Shared memory.**  :class:`ShmTransport` offers a same-host client, at the
+hello, a per-connection ``multiprocessing.shared_memory`` ring: pixels are
+written there and ``KIND_SHM_CHUNK`` carries only the offset, and the client
+frees the slot with ``KIND_SHM_ACK``.  No ring, a failed attach or a full
+ring falls back to plain chunks.
 
-**Shared-memory pixel path.**  A same-host client may request, at the hello
-handshake, that pixel payloads bypass the socket: the server (when serving
-through :class:`ShmTransport`) creates a per-connection
-``multiprocessing.shared_memory`` ring and returns its descriptor; chunk
-pixels are then written into the ring (one memcpy) and only a small
-descriptor frame crosses the socket — the
-idiom of xpra's mmap transport, which moves pixels through a shared buffer
-and sends offsets on the wire.  Ring slots recycle on ``KIND_SHM_ACK``,
-sent by the client's reader the moment it has copied a chunk out, so ring
-occupancy tracks wire latency, not consumer speed.  Every fallback is clean:
-a server without a ring answers the hello with ``"shm": null``, a client
-that fails to attach says so and is served over the socket, and a chunk that
-does not fit the ring's free space rides the socket as a plain
-``KIND_CHUNK``.
-
-The hello handshake (``{"op": "hello", "version": ..., "shm": <bool>}``)
-also pins :data:`PROTOCOL_VERSION`; a version-skewed peer is refused with a
-clear error instead of desynchronising the byte stream.  A request whose
-fields are not of the types it is used as is refused with an error reply
-coded ``refused`` (:class:`~repro.errors.QueryRefused`), and the connection
-serves on.  Callers that skip the
-hello still get JSON ops and socket chunks — with protocol 3's binary chunk
-headers.
-
-A connection that dies *inside* a frame raises
-:class:`~repro.errors.TransportError`; only an EOF landing exactly on a
-frame boundary reads as clean.  Errors of one query never disturb the
-connection's other streams.
-
-**A client is one connection.**  When a :class:`RemoteTasmClient`'s wire
-breaks — clean EOF, cut, drop, malformed frame — every stream and request
-it carries fails with :class:`~repro.errors.TransportError`, every later
-call is refused with it, and its reader thread ends.  Recovering a scan is
-one layer's job, the cluster router's: it re-dials the shard under a
-:class:`RetryPolicy` (defined here, read only there) and resumes with
-``skip_sots``.  ``ClusterRouter([address], retry=...)`` is the resilient
-single-server handle.
+A :class:`RemoteTasmClient` is one connection: once its wire breaks, every
+call fails with :class:`~repro.errors.TransportError`; the router recovers.
 """
 
 from __future__ import annotations
@@ -821,27 +761,37 @@ def _scan_fields(message: dict) -> tuple[str, list, int, float | None, list[int]
     return video, labels, credits, deadline_ms, skip_sots or None
 
 
-#: Each field of a wire ``add_metadata``, in ``TASM.add_metadata``'s order,
-#: with the JSON types it is stored as.
-_METADATA_FIELDS = (
-    ("video", (str,), "a string"),
-    ("frame", (int,), "an integer"),
-    ("label", (str,), "a string"),
-    *((name, (int, float), "a number") for name in ("x1", "y1", "x2", "y2", "confidence")),
-)
+_STRING, _INTEGER, _NUMBER = ((str,), "a string"), ((int,), "an integer"), ((int, float), "a number")
+#: Each typed field of a wire op, in the order its handler takes them: the
+#: name, the JSON types it is used as, what a refusal calls them, and the
+#: value of an absent field.
+_OP_FIELDS = {
+    "add_metadata": (
+        ("video", *_STRING, None),
+        ("frame", *_INTEGER, None),
+        ("label", *_STRING, None),
+        *((name, *_NUMBER, None) for name in ("x1", "y1", "x2", "y2")),
+        ("confidence", *_NUMBER, 1.0),
+    ),
+    "video_info": (("video", *_STRING, None),),
+    "trace": (("last", *_INTEGER, 16),),
+}
 
 
-def _metadata_fields(message: dict) -> list:
-    """A wire ``add_metadata``'s fields, each of the type it is stored as,
-    or :class:`~repro.errors.QueryRefused`.  A box of strings passes
-    ``Rectangle``'s checks (``"5" >= "1"``) and, once indexed, breaks every
-    scan of its label.  A value of the right type stays the index's to
-    refuse or clip (a negative frame, ``NaN``, an inverted box)."""
+def _op_fields(message: dict) -> list:
+    """A wire op's fields, each of the type it is used as, or
+    :class:`~repro.errors.QueryRefused`.  ``type(x)`` decides, so a bool is
+    no integer.  A box of strings passes ``Rectangle``'s checks
+    (``"5" >= "1"``) and, once indexed, breaks every scan of its label; a
+    ``trace`` count of ``"3"`` or ``2.9`` would be answered as some int.  A
+    value of the right type stays the handler's to refuse or clip (a
+    negative frame, ``NaN``, an unknown video)."""
+    op = message["op"]
     values = []
-    for name, types, kind in _METADATA_FIELDS:
-        value = message.get(name, 1.0 if name == "confidence" else None)
+    for name, types, kind, default in _OP_FIELDS[op]:
+        value = message.get(name, default)
         if type(value) not in types:
-            raise QueryRefused(f"add_metadata {name} {value!r} is not {kind}")
+            raise QueryRefused(f"{op} {name} {value!r} is not {kind}")
         values.append(value)
     return values
 
@@ -945,15 +895,16 @@ class _Connection:
             if ring is not None:
                 ring.destroy()
         elif op == "add_metadata":
-            self._server.add_metadata(*_metadata_fields(message))
+            self._server.add_metadata(*_op_fields(message))
             self._reply({"type": "ok", "id": query_id})
         elif op == "stats":
-            self._reply({"type": "stats", "id": query_id, **self._server.stats().as_dict()})
+            self._reply({"type": "stats", "id": query_id, **asdict(self._server.stats())})
         elif op == "video_info":
             # Layout facts the cluster router partitions by: how many SOTs
             # the video has (the ring's key universe) and its frame range.
             # An unknown video is an error reply, like any failure here.
-            video = self._server.tasm.video(message["video"])
+            (name,) = _op_fields(message)
+            video = self._server.tasm.video(name)
             self._reply(
                 {
                     "type": "video_info",
@@ -972,13 +923,8 @@ class _Connection:
                 }
             )
         elif op == "trace":
-            self._reply(
-                {
-                    "type": "trace",
-                    "id": query_id,
-                    "traces": self._server.traces(int(message.get("last", 16))),
-                }
-            )
+            (last,) = _op_fields(message)
+            self._reply({"type": "trace", "id": query_id, "traces": self._server.traces(last)})
         elif op == "query_status":
             self._reply(self._query_status(query_id, message.get("target_id")))
         else:
@@ -1740,8 +1686,11 @@ class RemoteTasmClient:
             "ok",
         )
 
-    def stats(self) -> dict:
-        return self._request({"op": "stats"}, "stats")
+    def stats(self) -> DecodeStats:
+        """The server's decode work so far, as ``TasmServer.stats()``."""
+        reply = self._request({"op": "stats"}, "stats")
+        del reply["type"], reply["id"]
+        return DecodeStats(**reply)
 
     def video_info(self, video: str) -> dict:
         """Layout facts for one video: ``{"video", "sot_count",

@@ -403,7 +403,7 @@ class TestRedial:
                 )
                 assert stream.failovers == router.failovers_total == 1
                 assert proxy.fires()["drop"] == 1
-                assert server.stats().queries_submitted == 2, "the scan and its resume"
+                assert server._scheduler.queries_submitted == 2, "the scan and its resume"
         finally:
             proxy.close()
             transport.stop()
@@ -585,7 +585,7 @@ class TestRedial:
                 stream.result()
             assert time.monotonic() - started < 1.0
             assert len(sent) == 1
-            assert server.stats().queries_submitted == 1, "no orphan resubmission"
+            assert server._scheduler.queries_submitted == 1, "no orphan resubmission"
             assert stream.failovers == 0
         finally:
             router.close()
@@ -618,7 +618,7 @@ class TestRedial:
             consumer.join(timeout=5.0)
             assert isinstance(outcome.get_nowait(), StreamCancelledError)
             assert len(sent) == 1
-            assert server.stats().queries_submitted == 1, "closed scan stayed dead"
+            assert server._scheduler.queries_submitted == 1, "closed scan stayed dead"
             assert not router._down
             assert_scan_results_identical(
                 router.scan(video.name, "person"), reference.scan(video.name, "person")

@@ -9,10 +9,10 @@ The contracts pinned here:
   time the cancel is known to have been handled (every other way a query
   ends, and the conservation law over all of them, is
   ``tests/test_service_accounting.py``);
-* ``ServerStats.as_dict()`` keeps its legacy flat schema byte-identical,
-  with new telemetry nested under the single added ``metrics`` key;
+* ``TasmServer.stats()`` is exactly the ``DecodeStats`` sum of every batch
+  the server executed, in process and over the wire's ``stats`` op;
 * after a concurrent workload quiesces, histogram totals equal counter
-  totals (no lost or double-counted observations), and the legacy scheduler
+  totals (no lost or double-counted observations), and the scheduler's
   counters agree with the registry's;
 * a query trace's top-level spans tile its wall latency, locally and when
   fetched by a remote client over the ``trace`` wire op, and its ``execute``
@@ -28,6 +28,7 @@ import logging
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -49,7 +50,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
+from repro.video.codec import DecodeStats
 from tests.test_exec_engine import make_tasm
+from tests.test_service_flow_control import wait_until
 
 CACHE_BYTES = 64 * 1024 * 1024
 
@@ -336,7 +339,7 @@ class TestCancelledAccounting:
                     client.video_info(video.name)
                     # ... and a handled CANCEL is a counted one: the reader
                     # closed the stream, and closing it accounted the query.
-                    assert server.stats().queries_cancelled == 1
+                    assert server._scheduler.queries_cancelled == 1
                     cancel_landed.set()
             snapshot = server.metrics_snapshot()
             cancelled = snapshot["tasm_queries_cancelled_total"]["values"][0]["value"]
@@ -349,59 +352,60 @@ class TestCancelledAccounting:
 
 
 # ----------------------------------------------------------------------
-# ServerStats back-compat
+# The server's decode total
 # ----------------------------------------------------------------------
-#: The flat wire schema of the ``stats`` op before observability landed.
-#: Frozen: existing consumers parse these exact keys, so new telemetry must
-#: nest under ``metrics`` instead of widening this list.
-LEGACY_STATS_KEYS = [
-    "uptime_seconds",
-    "queries_submitted",
-    "queries_completed",
-    "queries_cancelled",
-    "qps",
-    "queue_depth",
-    "batches_executed",
-    "runners",
-    "cache_hits",
-    "cache_misses",
-    "cache_hit_rate",
-    "cache_bytes",
-    "cache_entries",
-    "pixels_decoded",
-    "pixels_served_from_cache",
-    "decode_work_by_label",
-]
+class TestServerDecodeTotal:
+    def test_stats_is_the_sum_of_every_batch_in_process_and_over_the_wire(self, config):
+        """Two runners, concurrent in-process and remote clients: afterwards
+        ``server.stats()`` is the ``DecodeStats`` sum of every
+        ``BatchResult.stats`` the executor returned, field for field, and a
+        remote client's ``stats()`` is the same value."""
+        server, video = make_server(config, service_runners=2)
+        execute_batch = server.tasm.execute_batch
+        seen: list[DecodeStats] = []
 
+        def spy(queries, **kwargs):
+            result = execute_batch(queries, **kwargs)
+            seen.append(replace(result.stats))
+            return result
 
-class TestServerStatsSchema:
-    def test_as_dict_keeps_the_legacy_schema_plus_nested_metrics(self, config):
-        server, video = make_server(config)
+        server.tasm.execute_batch = spy
+        errors: list[BaseException] = []
+        transport = SocketTransport(server).start()
+
+        def scans(client, offset: int) -> None:
+            try:
+                for index in range(6):
+                    client.scan(video.name, ("car", "person", "sign")[(index + offset) % 3])
+            except BaseException as error:  # noqa: BLE001 — surfaced below
+                errors.append(error)
+
         try:
-            server.connect().scan(video.name, "car")
-            as_dict = server.stats().as_dict()
+            with RemoteTasmClient(transport.address, use_shm=False) as remote:
+                clients = [server.connect(), server.connect(), remote, remote]
+                workers = [
+                    threading.Thread(target=scans, args=(client, offset))
+                    for offset, client in enumerate(clients)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not errors, errors[:3]
+                # A runner merges its batch after the batch's streams finish.
+                scheduler = server._scheduler
+                assert wait_until(lambda: not any(scheduler._active.values()))
+                expected = DecodeStats()
+                for stats in seen:
+                    expected.merge(stats)
+                assert server.stats() == expected
+                assert server.connect().stats() == expected
+                assert remote.stats() == expected
         finally:
+            transport.stop()
             server.stop()
-        assert list(as_dict.keys()) == LEGACY_STATS_KEYS + ["metrics"], (
-            "the legacy flat keys must stay byte-identical, in order, with "
-            "new telemetry nested under 'metrics' only"
-        )
-        assert as_dict["queries_completed"] == 1
-        assert isinstance(as_dict["metrics"], dict)
-        assert "tasm_query_seconds" in as_dict["metrics"]
-
-    def test_wire_stats_carries_both_surfaces(self, config):
-        server, video = make_server(config)
-        try:
-            with SocketTransport(server) as transport:
-                with RemoteTasmClient(transport.address) as client:
-                    client.scan(video.name, "car")
-                    stats = client.stats()
-        finally:
-            server.stop()
-        for key in LEGACY_STATS_KEYS:
-            assert key in stats
-        assert stats["metrics"]["tasm_queries_completed_total"]["values"][0]["value"] == 1
+        assert server._scheduler.batches_executed == len(seen) > 1
+        assert expected.pixels_decoded > 0 and expected.cache_hits > 0
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +462,7 @@ class TestObservabilityIntegration:
     def test_counters_and_histograms_agree_after_concurrent_load(self, config):
         """No torn or lost updates: after N threads × M scans quiesce, the
         latency histogram's count equals the completed counter, which equals
-        the legacy scheduler counter and N*M."""
+        the scheduler's own count and N*M."""
         server, video = make_server(config)
         threads, per_thread = 6, 5
         errors: list[BaseException] = []
@@ -624,11 +628,7 @@ class TestObservabilityIntegration:
             assert snapshot["tasm_queries_completed_total"]["values"][0]["value"] == 1
             assert snapshot["tasm_query_seconds"]["values"][0]["count"] == 1
             assert snapshot["tasm_slow_queries_total"]["values"][0]["value"] == 1
-            stats = server.stats()
-            assert stats.queries_completed == 1
-            assert stats.metrics["tasm_queries_completed_total"] == (
-                snapshot["tasm_queries_completed_total"]
-            )
+            assert server._scheduler.queries_completed == 1
         finally:
             server.stop()
             traced.stop()

@@ -9,12 +9,12 @@ whenever the server is quiescent::
 
     submitted == completed + cancelled + failed + deadline_exceeded
 
-the registry's series equal ``TasmServer.stats()`` (they read the same ints),
+the registry's series equal the scheduler's fields (they read the same ints),
 and the trace ring holds ``min(submitted, TRACE_HISTORY)`` traces, one per
 query.  Each row below drives one ending against a real server and says what
 it must have counted; the law is checked after every row, alone and in seeded
-mixes of all of them — and a ``close()`` must be visible in ``stats()`` by
-the time it returns, not when a runner next looks at the stream.
+mixes of all of them — and a ``close()`` must be counted by the time it
+returns, not when a runner next looks at the stream.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class Rig:
         }
 
     def check(self, after: str) -> dict[str, int]:
-        """Quiesce, then: the law, registry == stats(), the ring."""
+        """Quiesce, then: the law, registry == the scheduler's fields, the ring."""
         scheduler = self.scheduler
         assert wait_until(
             lambda: scheduler.queue_depth == 0 and not any(scheduler._active.values())
@@ -108,18 +108,11 @@ class Rig:
         assert counts["submitted"] == sum(ended.values()), (
             f"after {after}: {counts['submitted']} submitted, ended {ended}"
         )
-        stats = self.server.stats()
-        assert (
-            stats.queries_submitted,
-            stats.queries_completed,
-            stats.queries_cancelled,
-            stats.batches_executed,
-        ) == (
-            counts["submitted"],
-            counts["completed"],
-            counts["cancelled"],
-            counts["batches_executed"],
-        ), after
+        fields = {
+            name: getattr(scheduler, field)
+            for name, (_, _, field) in {**ENDINGS, **OTHERS}.items()
+        }
+        assert fields == counts, after
         traces = self.server.traces(last=counts["submitted"] + 1)
         kept = min(counts["submitted"], HISTORY) if self.traced else 0
         assert len(traces) == kept, after
@@ -164,9 +157,9 @@ def completes(rig: Rig) -> None:
 def close_while_pending(rig: Rig) -> None:
     with held_runner(rig.server, rig.video):
         stream = rig.submit()
-        before = rig.server.stats().queries_cancelled
+        before = rig.scheduler.queries_cancelled
         stream.close()
-        assert rig.server.stats().queries_cancelled == before + 1, "counted at close()"
+        assert rig.scheduler.queries_cancelled == before + 1, "counted at close()"
     rig.expect(2, completed=1, cancelled=1)  # the blocker completes
 
 
@@ -175,9 +168,9 @@ def close_mid_batch(rig: Rig) -> None:
         stream = rig.submit()
         assert entered.wait(timeout=30)
         assert len(stream.delivered) == 1
-        before = rig.server.stats().queries_cancelled
+        before = rig.scheduler.queries_cancelled
         stream.close()
-        assert rig.server.stats().queries_cancelled == before + 1, "counted at close()"
+        assert rig.scheduler.queries_cancelled == before + 1, "counted at close()"
     rig.expect(1, cancelled=1)
 
 

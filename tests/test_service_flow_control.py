@@ -141,7 +141,7 @@ class TestCancellation:
                 assert wait_until(lambda: not connection._scans)
                 gate.set()
                 assert wait_until(
-                    lambda: server.stats().queries_cancelled >= 1
+                    lambda: server._scheduler.queries_cancelled >= 1
                 ), "the scheduler never counted the cancelled query"
                 calls_after_cancel = len(prefetch_calls)
                 assert calls_after_cancel == 2, (

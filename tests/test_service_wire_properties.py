@@ -16,8 +16,10 @@ Five claims, the first four searched rather than hand-picked:
   fits is served under that id; so does a scan whose ``skip_sots`` is not a
   list of non-negative integers, whose ``deadline_ms`` is not a finite
   number, or whose ``credits`` is not a u32; a ``hello`` whose ``shm`` is
-  not a boolean and a ``query_status`` whose ``target_id`` is not a u32
-  earn a ``refused`` error reply too, and the connection serves on;
+  not a boolean, a ``query_status`` whose ``target_id`` is not a u32, a
+  ``trace`` whose ``last`` is not an int and a ``video_info`` whose
+  ``video`` is not a string earn a ``refused`` error reply too, and the
+  connection serves on;
 * for every credit window 1..8 and every chunk count 1..20 a scan completes,
   and the server never has more than ``window`` unreturned chunks in flight;
 * an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
@@ -447,6 +449,9 @@ class _ScriptedServer:
     def _build_query(self, video, labels, temporal):
         return Query.select_any(labels, video)
 
+    def traces(self, last):
+        return self.obs.traces.last(last)
+
     def submit(self, query, client=None, deadline_ms=None, skip_sots=None):
         self.submitted += 1
         stream = ResultStream(query)
@@ -658,13 +663,14 @@ NOT_A_STRING = st.one_of(
 NOT_A_NUMBER = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 9), max_size=2)
 )
+NOT_AN_INT = st.one_of(NOT_A_NUMBER, st.floats())
 #: ``{field: value}``: an ``add_metadata`` field of a JSON type the index does
 #: not store it as.  A box of strings once passed ``Rectangle``'s checks
 #: (``"5" >= "1"``), and every later scan of its label failed comparing it
 #: with an int.
 BAD_METADATA_FIELDS = st.one_of(
     st.tuples(st.sampled_from(["video", "label"]), NOT_A_STRING),
-    st.tuples(st.just("frame"), st.one_of(NOT_A_NUMBER, st.floats())),
+    st.tuples(st.just("frame"), NOT_AN_INT),
     st.tuples(st.sampled_from(["x1", "y1", "x2", "y2", "confidence"]), NOT_A_NUMBER),
 ).map(lambda bad: dict([bad]))
 
@@ -872,6 +878,44 @@ def test_a_query_status_target_that_is_no_scan_id_is_refused():
                 assert reply["code"] == "refused" and "target_id" in reply["message"]
                 send_message(sock, {"op": "query_status", "id": 4, "target_id": 7})
                 assert recv_message(sock)["stage"] == "unknown"
+
+        refused()
+
+
+#: ``{op, field: value}``: a ``trace`` count that is not an int, or a
+#: ``video_info`` video that is not a string (or is missing).
+BAD_INTROSPECTION = st.one_of(
+    NOT_AN_INT.map(lambda last: {"op": "trace", "last": last}),
+    NOT_A_STRING.map(lambda video: {"op": "video_info", "video": video}),
+    st.just({"op": "video_info"}),
+)
+
+
+def test_a_mistyped_trace_count_or_video_info_video_is_refused():
+    """``"last": "3"``, ``2.9`` and ``true`` were answered as ints, ``None``
+    and ``1e999`` with an uncoded error, and a missing or list-valued
+    ``video`` with an uncoded ``KeyError`` or ``TypeError``.  Each earns a
+    ``refused`` error reply naming the field, and the connection serves on."""
+    with SocketTransport(_ScriptedServer()) as transport:
+
+        @settings(max_examples=40, deadline=None)
+        @given(bad=BAD_INTROSPECTION)
+        @example(bad={"op": "trace", "last": "3"})
+        @example(bad={"op": "trace", "last": 2.9})
+        @example(bad={"op": "trace", "last": True})
+        @example(bad={"op": "trace", "last": None})
+        @example(bad={"op": "trace", "last": float("inf")})
+        @example(bad={"op": "video_info"})
+        @example(bad={"op": "video_info", "video": ["v"]})
+        def refused(bad):
+            field = "last" if bad["op"] == "trace" else "video"
+            with socket.create_connection(transport.address, timeout=10) as sock:
+                send_message(sock, {**bad, "id": 3})
+                reply = recv_message(sock)
+                assert reply["type"] == "error" and reply["id"] == 3, reply
+                assert reply["code"] == "refused" and f"{bad['op']} {field}" in reply["message"]
+                send_message(sock, {"op": "trace", "id": 4, "last": 2})
+                assert recv_message(sock) == {"type": "trace", "id": 4, "traces": []}
 
         refused()
 
