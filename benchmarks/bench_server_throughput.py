@@ -104,8 +104,7 @@ def _run_server_workload(config, clients: int) -> dict:
         for thread in threads:
             thread.join(timeout=300)
         wall_seconds = time.perf_counter() - started
-    # Read once the runners are joined: a runner merges its batch after the
-    # batch's streams finish.
+    # Read once the runners are joined, so no batch is still merging.
     stats = server.stats()
     batches = served_count(server, "tasm_batches_executed_total")
     assert not errors, errors

@@ -119,8 +119,7 @@ def _run_multiplexed(config, scans: int, concurrent: bool) -> dict:
                     for index, (label, start, stop) in enumerate(jobs):
                         results[index] = client.scan(video.name, label, start, stop)
                 wall_seconds = time.perf_counter() - started
-    # Read once the runners are joined: a runner merges its batch after the
-    # batch's streams finish.
+    # Read once the runners are joined, so no batch is still merging.
     stats = server.stats()
     batches = served_count(server, "tasm_batches_executed_total")
     assert not errors, errors

@@ -29,7 +29,8 @@ for the consumer, so a slow client bounds the server's memory.
 Accounting: each event is one plain int on the scheduler, written under
 ``_counter_lock``, and the metrics registry reads those ints at snapshot
 time (``Observability.read_events_from``).  ``total_stats`` is the sum of
-every executed batch's ``BatchResult.stats``, merged under the same lock.
+every executed batch's ``BatchResult.stats``, merged under the same lock
+before the batch's last stream finishes, so a returned scan is counted.
 How a query *ends* is counted only in :meth:`BatchScheduler._account`,
 reached through :meth:`ResultStream._end`, the stream's one terminal
 transition (first caller wins), on whichever thread ended it.  Once the
@@ -218,20 +219,13 @@ class BatchScheduler:
             stream._fail(ServiceError("the server was stopped"))
         deadline = None if timeout is None else time.monotonic() + timeout
         for runner in self._runners:
-            runner.join(
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
+            runner.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
         # Anything still in flight after the drain deadline belongs to a
         # runner stuck mid-batch: fail the streams so consumers unblock (the
         # runner's eventual terminal transitions are ignored — first wins),
         # which also releases producers suspended on full buffers.
         with self._cond:
-            stragglers = [
-                stream
-                for batch in self._active.values()
-                for stream in batch
-                if not stream.done
-            ]
+            stragglers = [s for batch in self._active.values() for s in batch if not s.done]
         for stream in stragglers:
             stream._fail(ServiceError("the server was stopped"))
 
@@ -267,10 +261,7 @@ class BatchScheduler:
             if not self._running:
                 raise ServiceError("the server is not running")
             with self._cond:
-                if (
-                    self._max_queue_depth
-                    and self._pending_count >= self._max_queue_depth
-                ):
+                if self._max_queue_depth and self._pending_count >= self._max_queue_depth:
                     with self._counter_lock:
                         self.shed_queue_full += 1
                     raise ServerBusy(
@@ -405,6 +396,10 @@ class BatchScheduler:
                 wait = batch_started - stream.submitted_at
                 obs.queue_wait_seconds.observe(wait)
                 stream.trace.add_span("queue", wait, top=True)
+        # The stream whose QueryDone completes the batch, with its result: it
+        # finishes only once the batch is accounted (total_stats, stages), so
+        # stats() read after its result() counts the scan.
+        held: list = []
 
         def observer(event) -> None:
             if isinstance(event, PartialResult):
@@ -421,7 +416,10 @@ class BatchScheduler:
                     index_seconds=result.index_seconds, decode_seconds=result.decode_seconds,
                     **vars(result.stats),
                 )
-                stream._finish(result)
+                if all(other.done for other in batch if other is not stream):
+                    held.append((stream, result))
+                else:
+                    stream._finish(result)
 
         def cancelled(index: int) -> bool:
             # The executor's per-SOT probe doubles as the deadline enforcer:
@@ -444,6 +442,8 @@ class BatchScheduler:
                 skip_sots=skips if any(skips) else None,
             )
         except BaseException as error:  # noqa: BLE001 — must fail the waiters
+            for stream, done in held:
+                stream._finish(done)
             # One bad query (unknown video, malformed predicate) must not
             # poison the batch it rode in with: retry untouched queries
             # individually so only the offender fails.  A query that already
@@ -461,3 +461,5 @@ class BatchScheduler:
         obs.stage_seconds["plan"].observe(result.index_seconds)
         obs.stage_seconds["warm"].observe(result.warm_seconds)
         obs.stage_seconds["serve"].observe(result.serve_seconds)
+        for stream, done in held:
+            stream._finish(done)

@@ -199,8 +199,9 @@ class TasmServer:
     def stats(self) -> DecodeStats:
         """The server's decode work so far: the sum of every executed
         batch's ``BatchResult.stats``, copied under the lock runners merge
-        under.  Counts (queries, batches, queue depth, cache occupancy) are
-        the registry's: :meth:`metrics_snapshot`."""
+        under.  A batch is merged before its last stream finishes, so a scan
+        whose result is in hand is counted.  Counts (queries, batches, queue
+        depth, cache occupancy) are the registry's: :meth:`metrics_snapshot`."""
         scheduler = self._scheduler
         with scheduler._counter_lock:
             return replace(scheduler.total_stats)

@@ -29,14 +29,18 @@ than a stub, because the evaluation depends on the codec exhibiting the right
   and encoding a SOT's decoded frames under any layout writes the very bytes
   its raw frames would (:meth:`TileCodec.decode_gop`).  A re-tile therefore
   transcodes what is stored and never needs the raw video again.
-* **Cost** — decode work is dominated by per-pixel work (inflating the
-  samples, then array operations) plus a per-tile fixed overhead (header
-  parsing, checksum, deflate stream setup), which is the
-  ``beta * pixels + gamma * tiles`` model of Section 4.1.  One method,
-  ``TileCodec._inflate``, inflates every payload: with the host's
-  libdeflate when ``ctypes`` can load it, else with ``zlib``; both give the
-  same samples and refuse the same streams, so only ``beta`` differs.  The
-  encoder is ``zlib`` on every host, so stored bytes never depend on it.
+* **Cost** — decode work is dominated by per-pixel work (checksumming and
+  inflating the samples, then array operations) plus a per-tile fixed
+  overhead (the call, its one frame block, a deflate stream per payload),
+  which is the ``beta * pixels + gamma * tiles`` model of Section 4.1.  A
+  tile decodes in one pass: :meth:`TileCodec.decode_tile` allocates one
+  ``(n, h, w)`` block for the ``n`` frames it decodes, and each payload is
+  CRC-checked by the engine that inflates it, inflated into its row by
+  ``TileCodec._inflate`` and reconstructed there.  The engine is the host's
+  libdeflate when ``ctypes`` can load it, else ``zlib``; both compute the
+  same CRC-32, give the same samples and refuse the same streams, so only
+  ``beta`` differs.  The encoder is ``zlib`` on every host, so stored bytes
+  never depend on it.
 """
 
 from __future__ import annotations
@@ -57,15 +61,16 @@ _COMPRESSION_LEVEL = 1
 
 
 def _load_libdeflate() -> ctypes.CDLL | None:
-    """The host's libdeflate with its decompressor calls typed, or None when
-    it cannot be loaded (``TileCodec._inflate`` then inflates with zlib).
+    """The host's libdeflate with its decompressor and CRC-32 calls typed, or
+    None when it cannot be loaded (``TileCodec`` then checks and inflates with
+    zlib).
 
     Loaded by its soname, which names the ABI the calls are typed for (and,
     unlike ``ctypes.util.find_library``, runs no ``ldconfig`` at import)."""
     try:
         lib = ctypes.CDLL("libdeflate.so.0")
         alloc, free = lib.libdeflate_alloc_decompressor, lib.libdeflate_free_decompressor
-        inflate = lib.libdeflate_zlib_decompress
+        inflate, crc32 = lib.libdeflate_zlib_decompress, lib.libdeflate_crc32
     except (OSError, AttributeError):
         return None
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
@@ -76,6 +81,9 @@ def _load_libdeflate() -> ctypes.CDLL | None:
     # failure, SHORT_OUTPUT or INSUFFICIENT_SPACE, as a bad stream is BAD_DATA.
     inflate.argtypes = (pointer, ctypes.c_char_p, size, pointer, size, pointer)
     inflate.restype = ctypes.c_int
+    # (crc, buffer, len): the CRC-32 of buffer continued from crc, so
+    # crc32(0, b, len(b)) == zlib.crc32(b).
+    crc32.argtypes, crc32.restype = (ctypes.c_uint32, ctypes.c_char_p, size), ctypes.c_uint32
     return lib
 
 
@@ -214,7 +222,8 @@ class TileCodec:
     functions of their inputs, which keeps encode/decode trivially testable
     and means concurrent use needs no locking.  (The int16 work buffers the
     encoder computes in belong to one ``encode_tile`` call; the decoder
-    computes in uint8 and allocates only the frames it returns.)
+    computes in uint8, in the one block of frames a ``decode_tile`` call
+    returns.)
     """
 
     def __init__(self, config: CodecConfig | None = None):
@@ -275,10 +284,9 @@ class TileCodec:
             payloads.append(payload)
             checksums.append(zlib.crc32(payload))
             if frame_offset <= keep_depth:
-                output = reconstruction.astype(np.uint8)
-                kept.append(
-                    self._keyframe_output(output, is_boundary_tile) if frame_offset == 0 else output
-                )
+                kept.append(reconstruction.astype(np.uint8))
+                if frame_offset == 0 and is_boundary_tile:
+                    self._floor_ring(kept[-1])
 
         encoded = EncodedTile(
             region=Rectangle(x1, y1, x2, y2),
@@ -352,6 +360,12 @@ class TileCodec:
                 list starts with the given arrays themselves.  None (or
                 nothing) is the cold decode from the keyframe.  A keyframe
                 alone is enough: the reference it shows is recovered from it.
+
+        The frames a call decodes are the rows of one ``(n, h, w)`` block:
+        each payload is checked with the CRC-32 of the engine that inflates
+        it, inflated into its row and reconstructed there, so nothing but the
+        block is allocated (and, resuming after a boundary keyframe alone, the
+        reference it shows).  A call that inflates nothing counts no tile.
         """
         last = tile.frame_count - 1 if up_to_offset is None else up_to_offset
         if not 0 <= last < tile.frame_count:
@@ -360,26 +374,40 @@ class TileCodec:
             )
         reconstructions = list(resume_from or ())
         held = len(reconstructions)
+        if held > last:
+            return reconstructions
         previous = reconstructions[-1] if held else None
         if held == 1:
             previous = self._keyframe_reference(previous, tile.is_boundary_tile)
-        for offset in range(held, last + 1):
+        block = np.empty((last + 1 - held, tile.height, tile.width), dtype=np.uint8)
+        lib, step = _libdeflate, np.uint8(self.config.predicted_quant)
+        for offset, row in enumerate(block, held):
             payload = tile.payloads[offset]
-            if zlib.crc32(payload) != tile.checksums[offset]:
+            crc = lib.libdeflate_crc32(0, payload, len(payload)) if lib else zlib.crc32(payload)
+            if crc != tile.checksums[offset]:
                 raise BitstreamCorruptionError(
                     f"tile {tile.region} frame offset {offset} failed its checksum"
                 )
             if offset == 0:
-                previous = self._decode_keyframe(payload, (tile.height, tile.width))
-                reconstructions.append(self._keyframe_output(previous, tile.is_boundary_tile))
-                continue
-            assert previous is not None
-            previous = self._decode_predicted(payload, previous)
-            reconstructions.append(previous)
+                self._inflate(payload, row, "keyframe")
+                self._dequantise_keyframe(row)
+            else:
+                # uint8 arithmetic wraps mod 256, and the int8 residuals read
+                # as uint8 are themselves mod 256: the encoder kept every sum
+                # in [0, 255], so the wrapped sum is the exact one.
+                self._inflate(payload, row, "predicted")
+                np.multiply(row, step, out=row)
+                row += previous
+            previous = row
+        if held == 0 and tile.is_boundary_tile:
+            # Frame 1 is predicted from the reference; only now may the
+            # keyframe's row show what the keyframe shows.
+            self._floor_ring(block[0])
+        reconstructions.extend(block)
         if stats is not None:
             stats.tiles_decoded += 1
-            stats.frames_decoded += len(reconstructions) - held
-            stats.pixels_decoded += tile.pixels_per_frame * (len(reconstructions) - held)
+            stats.frames_decoded += len(block)
+            stats.pixels_decoded += tile.pixels_per_frame * len(block)
         return reconstructions
 
     def decode_gop(
@@ -420,20 +448,17 @@ class TileCodec:
         left, right = min(border, width), max(width - border, border)
         return raster[:top], raster[bottom:], raster[top:bottom, :left], raster[top:bottom, right:]
 
-    def _keyframe_output(self, reference: np.ndarray, is_boundary_tile: bool) -> np.ndarray:
-        """What a keyframe shows: its reference, except that a boundary tile's
-        ring shows each quantisation bucket's floor ``q * step`` (a copy)."""
-        if not is_boundary_tile:
-            return reference
+    def _floor_ring(self, reference: np.ndarray) -> None:
+        """A boundary tile's keyframe reference to what it shows, in place:
+        its ring shows each quantisation bucket's floor ``q * step``."""
         step = self.config.keyframe_quant
-        output = reference.copy()
-        for strip in self._ring(output):
+        for strip in self._ring(reference):
             strip //= step
             strip *= step
-        return output
 
     def _keyframe_reference(self, output: np.ndarray, is_boundary_tile: bool) -> np.ndarray:
-        """The reference a keyframe's output shows: :meth:`_keyframe_output` undone."""
+        """The reference a keyframe's output shows (a copy for a boundary
+        tile): :meth:`_floor_ring` undone."""
         if not is_boundary_tile:
             return output
         reference = output.copy()
@@ -448,22 +473,19 @@ class TileCodec:
         np.minimum(raster, 255 - half, out=raster)
         raster += half
 
-    def _dequantise_keyframe(self, quantised: np.ndarray) -> np.ndarray:
-        """Quantised keyframe samples (uint8) -> the reference (a new uint8
-        raster) encoder and decoder both predict the next frame from."""
-        reference = np.multiply(quantised, np.uint8(self.config.keyframe_quant))
-        self._lift(reference)
-        return reference
+    def _dequantise_keyframe(self, samples: np.ndarray) -> None:
+        """Quantised keyframe samples (uint8) to the reference encoder and
+        decoder both predict the next frame from, in place."""
+        np.multiply(samples, np.uint8(self.config.keyframe_quant), out=samples)
+        self._lift(samples)
 
     def _encode_keyframe(self, block: np.ndarray, reference: np.ndarray) -> bytes:
         """Intra-code ``block``; leaves its reference in ``reference`` (int16)."""
         quantised = block // self.config.keyframe_quant
         payload = zlib.compress(quantised, _COMPRESSION_LEVEL)
-        np.copyto(reference, self._dequantise_keyframe(quantised))
+        self._dequantise_keyframe(quantised)
+        np.copyto(reference, quantised)
         return payload
-
-    def _decode_keyframe(self, payload: bytes, shape: tuple[int, int]) -> np.ndarray:
-        return self._dequantise_keyframe(self._inflate(payload, np.uint8, shape, "keyframe"))
 
     def _encode_predicted(
         self, block: np.ndarray, reference: np.ndarray, work: np.ndarray, floor: np.ndarray
@@ -494,36 +516,29 @@ class TileCodec:
         reference += work
         return payload
 
-    def _decode_predicted(self, payload: bytes, previous: np.ndarray) -> np.ndarray:
-        # uint8 arithmetic wraps mod 256, and the int8 residuals read as uint8
-        # are themselves mod 256: the encoder kept every sum in [0, 255], so
-        # the wrapped sum is the exact one.
-        residual = self._inflate(payload, np.uint8, previous.shape, "predicted")
-        frame = np.multiply(residual, np.uint8(self.config.predicted_quant))
-        frame += previous
-        return frame
-
     @staticmethod
-    def _inflate(payload: bytes, dtype, shape: tuple[int, int], kind: str) -> np.ndarray:
-        """The payload's samples, inflated straight into a buffer of the known
-        size.  libdeflate checks the Adler-32 trailer, as zlib does."""
-        expected = shape[0] * shape[1]
+    def _inflate(payload: bytes, out: np.ndarray, kind: str) -> None:
+        """Inflate the payload's samples straight into ``out`` (a C-contiguous
+        uint8 raster), which they must fill exactly.  libdeflate checks the
+        Adler-32 trailer, as zlib does."""
+        expected = out.size
         lib = _libdeflate
         if lib is not None:
-            samples = np.empty(shape, dtype)
             decompressor = lib.libdeflate_alloc_decompressor()
             if not decompressor:
                 raise MemoryError("libdeflate could not allocate a decompressor")
             try:
                 status = lib.libdeflate_zlib_decompress(
-                    decompressor, payload, len(payload), samples.ctypes.data, samples.nbytes, None
+                    decompressor, payload, len(payload),
+                    # The row's address; out.ctypes.data costs twice as much.
+                    ctypes.addressof(ctypes.c_char.from_buffer(out)), expected, None,
                 )
             finally:
                 lib.libdeflate_free_decompressor(decompressor)
             if status:
                 failure = _LIBDEFLATE_FAILURES.get(status, f"failed with status {status}")
                 raise BitstreamCorruptionError(f"{kind} payload {failure} ({expected} samples)")
-            return samples
+            return
         try:
             raw = zlib.decompress(payload, bufsize=expected)
         except zlib.error as exc:
@@ -532,4 +547,4 @@ class TileCodec:
             raise BitstreamCorruptionError(
                 f"{kind} payload holds {len(raw)} samples, expected {expected}"
             )
-        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        out[...] = np.frombuffer(raw, dtype=out.dtype).reshape(out.shape)

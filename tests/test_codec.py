@@ -108,6 +108,18 @@ class TestStatsAccounting:
         assert stats.frames_decoded == 3
         assert stats.pixels_decoded == flat_frames[0].size * 3
 
+    @pytest.mark.parametrize("asked", [0, 1, 3])
+    def test_a_resume_that_inflates_nothing_counts_no_tile(self, codec, flat_frames, asked):
+        """Another thread can deepen a cache entry between a miss and the
+        decode: resuming from frames as deep as asked, or deeper, opens no
+        bitstream."""
+        tile = codec.encode_tile(flat_frames, full_region(flat_frames), 0)
+        held = codec.decode_tile(tile, up_to_offset=3)
+        stats = DecodeStats()
+        frames = codec.decode_tile(tile, asked, stats, resume_from=held)
+        assert stats == DecodeStats()
+        assert len(frames) == len(held) and all(a is b for a, b in zip(frames, held))
+
     def test_stats_merge(self):
         a = DecodeStats(pixels_decoded=10, tiles_decoded=1, frames_decoded=2)
         b = DecodeStats(pixels_decoded=5, tiles_decoded=2, frames_decoded=3)

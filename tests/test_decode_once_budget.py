@@ -31,9 +31,9 @@ def test_w4_inflates_no_payload_twice_and_none_of_a_retiled_resident_area(monkey
     inflated: dict[int, list] = {}
     inflate = TileCodec._inflate
 
-    def counting_inflate(payload, dtype, shape, kind):
+    def counting_inflate(payload, out, kind):
         inflated.setdefault(id(payload), [payload, 0])[1] += 1
-        return inflate(payload, dtype, shape, kind)
+        return inflate(payload, out, kind)
 
     #: Payloads a re-tile wrote for frames the cache held of that area.
     handed_over: list[bytes] = []

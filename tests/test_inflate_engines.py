@@ -6,16 +6,19 @@ loads at import, and with ``zlib`` when it does not (the module's private
 fallback).  The engines must be one decoder: the same frames and the same
 ``DecodeStats`` from every decode path, the same refusal of every damaged
 stream whose CRC was resealed to match (so inflate's own checks are what
-catch it), and the same frames from threads sharing one tile.  Where the
+catch it), and the same frames from threads sharing one tile.  Each checks
+the stored CRC-32 with its own implementation; the two compute one value.  Where the
 library cannot be loaded, the libdeflate half is skipped and says why.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 import threading
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,3 +176,52 @@ def test_four_threads_decoding_one_tile_get_the_same_frames(engine, tile):
     finally:
         sys.setswitchinterval(interval)
     assert not failures and not any(thread.is_alive() for thread in threads)
+
+
+@pytest.mark.skipif(LIBDEFLATE is None, reason=NO_LIBDEFLATE)
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=1 << 12), start=st.integers(0, 2**32 - 1))
+def test_libdeflate_and_zlib_compute_one_crc32(data, start):
+    """Stored checksums are zlib's, and either engine may check them."""
+    assert LIBDEFLATE.libdeflate_crc32(0, data, len(data)) == zlib.crc32(data)
+    assert LIBDEFLATE.libdeflate_crc32(start, data, len(data)) == zlib.crc32(data, start)
+
+
+@pytest.mark.parametrize("offset", [0, 2], ids=["keyframe", "predicted"])
+@pytest.mark.parametrize("stale", ["checksum", "payload"])
+def test_a_payload_that_fails_its_stored_crc_names_tile_and_offset(engine, tile, offset, stale):
+    encoded, raw = tile
+    if stale == "checksum":
+        checksums = list(encoded.checksums)
+        checksums[offset] ^= 1
+        broken = dataclasses.replace(encoded, checksums=tuple(checksums))
+    else:  # a valid stream, but not the one the CRC was taken of
+        payloads = list(encoded.payloads)
+        payloads[offset] = zlib.compress(raw[offset], 9)
+        broken = dataclasses.replace(encoded, payloads=tuple(payloads))
+    expected = f"tile {encoded.region} frame offset {offset} failed its checksum"
+    with pytest.raises(BitstreamCorruptionError, match=re.escape(expected)):
+        TileCodec(CODEC).decode_tile(broken)
+
+
+def test_the_crc_is_taken_by_the_engine_that_inflates(engine, tile, monkeypatch):
+    encoded, _ = tile
+    calls: Counter = Counter()
+    crc32 = zlib.crc32
+
+    def counted_zlib_crc32(data, value=0):
+        calls["zlib.crc32"] += 1
+        return crc32(data, value)
+
+    class CountedLibdeflate:
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(LIBDEFLATE, name)
+
+    if engine == "libdeflate":
+        monkeypatch.setattr(codec_module, "_libdeflate", CountedLibdeflate())
+    monkeypatch.setattr(zlib, "crc32", counted_zlib_crc32)
+    TileCodec(CODEC).decode_tile(encoded)
+    frames = encoded.frame_count
+    crcs = calls["libdeflate_crc32"], calls["zlib.crc32"]
+    assert crcs == ((frames, 0) if engine == "libdeflate" else (0, frames))

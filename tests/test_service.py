@@ -27,6 +27,7 @@ from repro.config import TasmConfig
 from repro.core.query import Query
 from repro.errors import IndexError_, ServiceError
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
+from repro.video.codec import DecodeStats
 from tests.test_service_flow_control import wait_until
 from tests.test_exec_engine import (
     assert_scan_results_identical,
@@ -341,6 +342,47 @@ class TestServerCounts:
         assert stats.pixels_decoded > 0
         assert stats.pixels_served_from_cache > 0
 
+    def test_stats_read_after_a_result_counts_that_scan(self, config):
+        """The batch's last stream finishes only once its batch is merged:
+        a runner slow to return from ``execute_batch`` cannot make
+        ``stats()`` miss the scan whose result is already in hand."""
+        server, video = make_server(config)
+        tasm, execute_batch = server.tasm, server.tasm.execute_batch
+        expected = DecodeStats()
+
+        def slow_to_return(queries, **kwargs):
+            result = execute_batch(queries, **kwargs)
+            expected.merge(result.stats)
+            time.sleep(0.05)
+            return result
+
+        tasm.execute_batch = slow_to_return
+        try:
+            client = server.connect()
+            for label in ("car", "person"):
+                client.scan(video.name, label)
+                assert server.stats() == expected
+            assert expected.pixels_decoded > 0
+        finally:
+            server.stop()
+
+    def test_a_batch_raising_after_its_last_query_is_done_still_returns_it(self, config):
+        server, video = make_server(config)
+        reference, _ = make_tasm(config)
+        tasm, execute_batch = server.tasm, server.tasm.execute_batch
+
+        def raises_on_return(queries, **kwargs):
+            execute_batch(queries, **kwargs)
+            raise RuntimeError("after the last QueryDone")
+
+        tasm.execute_batch = raises_on_return
+        try:
+            assert_scan_results_identical(
+                server.connect().scan(video.name, "car"), reference.scan(video.name, "car")
+            )
+        finally:
+            server.stop()
+
 
 class TestSocketTransport:
     def test_remote_scan_matches_direct(self, config):
@@ -421,8 +463,7 @@ class TestSocketTransport:
                     result = client.scan(video.name, "landmark")
                     assert len(result.regions) == 1
                     assert result.regions[0].frame_index == 0
-                    # A runner merges its batch after the batch's streams finish.
-                    assert wait_until(lambda: not any(server._scheduler._active.values()))
+                    # The batch is merged before its last stream finishes.
                     stats = client.stats()
                     assert stats == server.stats() and stats.pixels_decoded > 0
                     completed = client.metrics()["tasm_queries_completed_total"]
