@@ -367,7 +367,7 @@ class ClusterRouter:
             address,
             timeout=self._timeout,
             stream_buffer_chunks=self._buffer_chunks,
-            use_shm=False,  # the default would ask a loopback shard for a ring
+            use_shm=False,
         )
         with self._lock:
             existing = self._clients.get(name)

@@ -290,7 +290,7 @@ class TASM:
         tile by tile, as the re-encode's
         :class:`~repro.video.codec.Handover`; None when that is nothing, and
         the re-encode then reads every tile from storage and keeps nothing.
-        (``TileDecodeCache.held`` moves no counter and no recency.)"""
+        (``TileDecodeCache.held`` moves no recency.)"""
         if self.tile_cache is None or not tiled.is_materialised(sot_index):
             return None
         held: dict[int, dict[Rectangle, list]] = {}

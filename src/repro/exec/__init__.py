@@ -8,7 +8,8 @@ scheduling of VSS and the batched frame requests of Scanner (see PAPERS.md):
 
 * :class:`~repro.exec.cache.TileDecodeCache` — an LRU cache of decoded tile
   rasters, bounded by decoded bytes (``TasmConfig.decode_cache_bytes``),
-  with hit/miss/eviction statistics, explicit per-SOT invalidation on
+  with insertion/eviction statistics (hits and misses are counted per
+  scan, in ``DecodeStats``), explicit per-SOT invalidation on
   re-tiling, and bitstream-checksum validation so a re-encoded SOT can never
   serve stale pixels.
 * :class:`~repro.exec.engine.QueryExecutor` — plans a batch of queries into

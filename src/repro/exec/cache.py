@@ -53,13 +53,9 @@ TileKey = tuple[str, int, int, int]
 class CacheStats:
     """Counters describing the cache's behaviour since construction."""
 
-    hits: int = 0
-    misses: int = 0
     insertions: int = 0
     evictions: int = 0
     invalidations: int = 0
-    #: Decoded-pixel work avoided by hits (pixels the caller did not re-decode).
-    pixels_served: int = 0
     bytes_evicted: int = 0
 
     def snapshot(self) -> "CacheStats":
@@ -125,18 +121,14 @@ class TileDecodeCache:
                 self._remove(key)
                 entry = None
             if entry is None or entry.depth < min_depth:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
-            pixels_per_frame = int(entry.frames[0].size) if entry.frames else 0
-            self.stats.pixels_served += pixels_per_frame * (min_depth + 1)
             return entry.frames
 
     def held(self, key: TileKey, token: Sequence[int]) -> list[np.ndarray] | None:
         """The frames held for ``key`` at whatever depth, when they were
         decoded from the bitstream ``token`` names — else None.  Not a lookup:
-        no counter and no recency moves."""
+        no recency moves."""
         with self._lock:
             entry = self._entries.get(key)
             return entry.frames if entry is not None and entry.token == tuple(token) else None

@@ -16,8 +16,8 @@ instrument over several costs every update a thread-local look-up and buys
 nothing.
 
 **Callbacks.**  What the service already counts for itself — the scheduler's
-per-event ints, queue depth, cache occupancy, reply-queue depth — is not
-counted a second time here: a counter or gauge given a callback
+per-event ints, queue depth, cache occupancy — is not counted a second
+time here: a counter or gauge given a callback
 (:meth:`Counter.set_callback`) reads that state at snapshot time, so the hot
 path that maintains it pays nothing for being observable.
 

@@ -82,9 +82,10 @@ class TasmServer:
     def _register_gauges(self) -> None:
         """Register callback gauges over state that already exists.
 
-        Queue depth, cache occupancy, and cache hit/miss totals are read at
-        snapshot time through callbacks, so the hot paths maintaining that
-        state pay nothing for being observable.
+        Queue depth and cache occupancy are read at snapshot time through
+        callbacks, so the hot paths maintaining that state pay nothing for
+        being observable.  Cache traffic is counted per scan, in
+        :meth:`stats`.
         """
         registry = self.obs.registry
         scheduler = self._scheduler
@@ -99,12 +100,6 @@ class TasmServer:
             registry.gauge(
                 "tasm_cache_entries", "Entries held by the tile cache."
             ).set_callback(lambda: len(cache))
-            registry.gauge(
-                "tasm_cache_hits", "Tile-cache lookup hits since start."
-            ).set_callback(lambda: cache.stats.hits)
-            registry.gauge(
-                "tasm_cache_misses", "Tile-cache lookup misses since start."
-            ).set_callback(lambda: cache.stats.misses)
             # Follower waits on in-flight decodes flow into the histogram.
             cache.observe_singleflight = self.obs.singleflight_wait_seconds.observe
 

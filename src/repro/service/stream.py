@@ -312,7 +312,8 @@ class ScanStream:
         """Block until the scan completes; the full, in-order ScanResult.
 
         Raises :class:`ServiceError` when ``timeout`` (or the stream's
-        per-event timeout) lapses, naming the stage the scan is stuck in.  A
+        per-event timeout) lapses, saying where the scan starved: the stage
+        for an in-process stream, the chunks delivered for any other.  A
         timeout is the waiter's, not the stream's: the scan stays live and
         may be waited on again.
         """

@@ -142,11 +142,6 @@ except (AttributeError, ValueError, OSError):
 #: socket path, so the size bounds memory per connection, not correctness.
 SHM_RING_BYTES = 16 * 1024 * 1024
 
-#: Hosts a client treats as same-host when auto-deciding whether to request
-#: the shared-memory pixel path.
-_LOOPBACK_HOSTS = ("127.0.0.1", "::1", "localhost")
-
-
 def _disable_nagle(sock: socket.socket) -> None:
     """Small control frames (credits, cancels, shm descriptors and acks) must
     not sit in Nagle's buffer behind a quiet wire — with the pixel bytes out
@@ -607,22 +602,11 @@ class SocketTransport:
         if self._running:
             return self
         self._running = True
-        # Total reply frames parked behind connection writers: a growing
-        # depth means the wire (or a slow client socket) is the bottleneck.
-        self._server.obs.registry.gauge(
-            "tasm_reply_queue_depth",
-            "Reply frames queued on connections awaiting the writer.",
-        ).set_callback(self._reply_queue_depth)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="tasm-socket-accept", daemon=True
         )
         self._accept_thread.start()
         return self
-
-    def _reply_queue_depth(self) -> int:
-        with self._connections_lock:
-            connections = list(self._connections)
-        return sum(len(connection._replies) for connection in connections)
 
     def stop(self) -> None:
         if not self._running:
@@ -925,8 +909,6 @@ class _Connection:
         elif op == "trace":
             (last,) = _op_fields(message)
             self._reply({"type": "trace", "id": query_id, "traces": self._server.traces(last)})
-        elif op == "query_status":
-            self._reply(self._query_status(query_id, message.get("target_id")))
         else:
             self._reply({"type": "error", "id": query_id, "message": f"unknown op {op!r}"})
 
@@ -997,36 +979,6 @@ class _Connection:
         with self._cond:
             self._ready.add(query_id)
             self._cond.notify_all()
-
-    def _query_status(self, request_id: int, target_id) -> dict:
-        """Which pipeline stage one of this connection's scans is in.
-
-        Best-effort introspection for starved clients: ``queue`` (accepted,
-        not yet in a running batch), ``execute`` (its batch started), ``wire``
-        (finished server-side, the writer still delivering), or ``unknown``
-        (finished, cancelled, or never seen).
-        """
-        if not _is_u32(target_id):
-            raise QueryRefused(f"query_status target_id {target_id!r} is not a u32")
-        with self._cond:
-            scan = self._scans.get(target_id)
-        if scan is None:
-            return {"type": "status", "id": request_id, "stage": "unknown",
-                    "delivered": 0}
-        stream = scan.stream
-        delivered = len(stream.delivered)
-        if stream.done:
-            stage = "wire"
-        elif stream.started_at is not None:
-            stage = "execute"
-        else:
-            stage = "queue"
-        return {
-            "type": "status",
-            "id": request_id,
-            "stage": stage,
-            "delivered": delivered,
-        }
 
     def _grant_credit(self, query_id: int, granted: int) -> None:
         with self._cond:
@@ -1266,7 +1218,8 @@ class RemoteScanStream(ScanStream):
     the wire holds chunks: it cannot starve.  :meth:`close` cancels
     the scan on the wire, so the server stops decoding for it.  The owning
     client's ``timeout`` bounds the wait for each event: a server that stops
-    sending mid-stream raises instead of hanging the consumer forever.  A
+    sending mid-stream raises, naming the chunks delivered, instead of
+    hanging the consumer forever.  A
     broken wire fails the stream with :class:`TransportError`; resuming it
     elsewhere is the cluster router's job.
     """
@@ -1300,33 +1253,15 @@ class RemoteScanStream(ScanStream):
         self._client._forget_stream(self.query_id)
         self._client._send_cancel(self.query_id)
 
-    def _stuck(self) -> str:
-        """Asks the server where the scan actually is (queue vs execute vs
-        wire); when even that probe fails — the wire itself may be the
-        problem — falls back to what this side knows (chunks delivered)."""
-        try:
-            status = self._client.query_status(self.query_id)
-            stage = status.get("stage", "unknown")
-            delivered = status.get("delivered", 0)
-            return (
-                f"server reports the scan in its {stage} stage with "
-                f"{delivered} chunk(s) delivered"
-            )
-        except Exception:  # noqa: BLE001 — the probe must never mask the timeout
-            return (
-                f"status probe failed; {len(self.delivered)} chunk(s) had "
-                "arrived (starved in queue, execute, or on the wire)"
-            )
-
 
 class RemoteTasmClient:
     """Connects to a :class:`SocketTransport`; multiplexes over one socket.
 
     Construction performs the hello handshake: the protocol version is
     pinned (a mismatched server is refused with :class:`ProtocolError`), and
-    — when ``use_shm`` is true, or left None against a loopback address — the
-    shared-memory pixel path is negotiated, falling back cleanly to the
-    socket when the server offers no ring or the attach fails.
+    — only when ``use_shm`` is true — the shared-memory pixel path is
+    negotiated, falling back cleanly to the socket when the server offers no
+    ring or the attach fails.
 
     Any number of requests may be in flight at once: each gets a fresh query
     id, and a background reader thread demultiplexes responses to the right
@@ -1350,7 +1285,7 @@ class RemoteTasmClient:
         address: tuple[str, int],
         timeout: float | None = 30.0,
         stream_buffer_chunks: int = 64,
-        use_shm: bool | None = None,
+        use_shm: bool = False,
     ):
         self._sock = socket.create_connection(address, timeout=timeout)
         _disable_nagle(self._sock)
@@ -1371,11 +1306,9 @@ class RemoteTasmClient:
         #: Why the connection ended, set once under the table lock by
         #: whichever thread saw it end first; every later call is refused.
         self._dead: BaseException | None = None
-        if use_shm is None:
-            use_shm = address[0] in _LOOPBACK_HOSTS
         self._sock.settimeout(timeout)  # bound the handshake
         try:
-            self._shm = self._handshake(bool(use_shm))
+            self._shm = self._handshake(use_shm)
         except BaseException:
             self._sock.close()
             raise
@@ -1653,12 +1586,6 @@ class RemoteTasmClient:
         return self.scan_streaming(
             video, labels, frame_start, frame_stop, deadline_ms=deadline_ms
         ).result()
-
-    def query_status(self, query_id: int) -> dict:
-        """Ask the server where a query currently sits (queue / execute /
-        wire) and how many chunks it has pushed; used to attribute stream
-        timeouts to the starving stage."""
-        return self._request({"op": "query_status", "target_id": query_id}, "status")
 
     def add_metadata(
         self,

@@ -136,13 +136,16 @@ class TiledVideo:
         ``handover`` names what a decode cache holds of the superseded
         encoding — the transcode resumes after it — and receives the new
         encoding's reconstructions of that area
-        (:class:`~repro.video.codec.Handover`).
+        (:class:`~repro.video.codec.Handover`).  The SOT takes ``layout``
+        only once the encode has succeeded: a failed one leaves it claiming
+        the layout it is still stored under.
         """
         current = self.layout_for(sot_index)
         if layout == current and self.is_materialised(sot_index):
             return RetileRecord(sot_index, layout, 0, 0, 0, 0.0)
-        self.layout_spec.set_layout(sot_index, layout)
+        self.layout_spec.check_layout(sot_index, layout)
         self._encode(sot_index, layout, record=True, handover=handover)
+        self.layout_spec.set_layout(sot_index, layout)
         return self.retile_history[-1]
 
     def _encode(

@@ -280,13 +280,17 @@ class VideoLayoutSpec:
         return layout
 
     def set_layout(self, sot_index: int, layout: TileLayout) -> None:
+        self.check_layout(sot_index, layout)
+        self.layouts[sot_index] = layout
+
+    def check_layout(self, sot_index: int, layout: TileLayout) -> None:
+        """Raise :class:`LayoutError` unless ``layout`` may be set for ``sot_index``."""
         if layout.frame_width != self.frame_width or layout.frame_height != self.frame_height:
             raise LayoutError(
                 "layout frame dimensions do not match the video this spec describes"
             )
         if not 0 <= sot_index < self.sot_count:
             raise LayoutError(f"SOT {sot_index} out of range ({self.sot_count} SOTs)")
-        self.layouts[sot_index] = layout
 
     def tiled_sots(self) -> list[int]:
         """Indices of SOTs that carry a non-trivial (non-omega) layout."""

@@ -147,7 +147,15 @@ def test_the_cache_offers_frames_for_a_resume_by_token_at_any_depth():
     assert len(held) == 2 and all(a is b for a, b in zip(held, shallow))  # deep enough to resume
     assert cache.held(key, impostor.checksums) is None
     assert cache.held(("tiny-traffic", 0, 0, 2), tile.checksums) is None
-    assert (cache.stats.hits, cache.stats.misses) == (0, 1)  # ``held`` is not a lookup
+    # ``held`` is not a lookup: it moves no entry, so the next eviction still
+    # takes the least recently used one.
+    lru = TileDecodeCache(capacity_bytes=2 * sum(frame.nbytes for frame in shallow))
+    newer = ("tiny-traffic", 0, 0, 2)
+    lru.put(key, shallow, token=tile.checksums)
+    lru.put(newer, shallow, token=tile.checksums)
+    assert lru.held(key, tile.checksums) is not None
+    lru.put(("tiny-traffic", 0, 0, 1), shallow, token=tile.checksums)
+    assert key not in lru and newer in lru
 
     # Through the decoder: an entry of the other bitstream under the tile's
     # key is neither served nor resumed from — the whole tile is decoded.

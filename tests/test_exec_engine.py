@@ -430,15 +430,12 @@ class TestTileDecodeCache:
         assert len(cache) == 1 and ("b", 0, 0, 0) in cache
 
     def test_stats_snapshot_delta(self):
-        cache = TileDecodeCache()
         frame = np.zeros((4, 4), dtype=np.uint8)
+        cache = TileDecodeCache(capacity_bytes=2 * frame.nbytes)
         cache.put(("v", 0, 0, 0), [frame], token=(1,))
-        cache.get(("v", 0, 0, 0), min_depth=0, token=(1,))
         before = cache.stats.snapshot()
-        cache.get(("v", 0, 0, 0), min_depth=0, token=(1,))
-        cache.get(("v", 0, 0, 1), min_depth=0, token=(1,))
+        cache.put(("v", 0, 0, 1), [frame], token=(1,))
+        cache.put(("v", 0, 0, 2), [frame], token=(1,))
         after = cache.stats.snapshot()
-        assert after.hits - before.hits == 1 and after.misses - before.misses == 1
-        assert (before.hits, before.misses) == (1, 0)
-        assert (after.hits, after.misses) == (2, 1)
-        assert cache.stats.hits == 2
+        assert (before.insertions, before.evictions) == (1, 0)
+        assert (after.insertions - before.insertions, after.evictions - before.evictions) == (2, 1)

@@ -834,26 +834,29 @@ class TestStarvedStageMessages:
             server.tasm._decoder.prefetch_regions = original
             server.stop()
 
-    def test_remote_timeout_reports_the_server_side_stage(self, config):
-        server, video = make_server(config, service_runners=1, service_max_batch=1)
-        gate = threading.Event()
-        calls, original = gate_decoder(server.tasm, gate, hold_call=1)
+    def test_remote_timeout_raises_on_time_naming_the_chunks_delivered(self, config):
+        """A stalled wire holds every server frame after the hello for 3 s;
+        the client waits 1.0 s for stream data.  The timeout raises on that
+        clock, naming what this side holds, with no further round trip over
+        the stalled wire."""
+        server, video = make_server(config)
         transport = SocketTransport(server).start()
+        proxy = WireProxy(
+            transport.address, Faults(delay=Fault(skip_first=1, delay_ms=3000.0))
+        )
         try:
-            with RemoteTasmClient(
-                transport.address, timeout=1.0, use_shm=False
-            ) as client:
+            with RemoteTasmClient(proxy.address, timeout=1.0) as client:
                 stream = client.scan_streaming(video.name, "car")
-                assert wait_until(lambda: len(calls) >= 1)
+                began = time.monotonic()
                 with pytest.raises(ServiceError) as excinfo:
                     stream.result()
+                elapsed = time.monotonic() - began
                 message = str(excinfo.value)
-                assert "no stream data within" in message
-                assert "execute stage" in message, message
-                gate.set()
+                assert "no stream data within" in message, message
+                assert "chunk(s) delivered" in message, message
+                assert elapsed < 1.6, f"raised after {elapsed:.2f} s"
         finally:
-            gate.set()
-            server.tasm._decoder.prefetch_regions = original
+            proxy.close()
             transport.stop()
             server.stop()
 

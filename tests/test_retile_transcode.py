@@ -15,13 +15,16 @@ stored tiles at mixed depths (a keyframe-only boundary tile among them).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.config import CodecConfig, TasmConfig
 from repro.core.tasm import TASM
-from repro.tiles.layout import TileLayout, untiled_layout
+from repro.errors import BitstreamCorruptionError
+from repro.tiles.layout import TileLayout, uniform_layout, untiled_layout
 from repro.video.codec import TileCodec
 from repro.video.encoder import VideoEncoder
 from repro.video.video import Video, VideoMetadata
@@ -149,3 +152,31 @@ def test_a_decode_resumed_from_a_held_boundary_keyframe_equals_a_cold_decode(
         tile = codec.encode_tile(frames, region, 0, is_boundary_tile=True)
         keyframe = codec.decode_tile(tile, 0)
         assert same_frames(codec.decode_tile(tile, resume_from=keyframe), codec.decode_tile(tile))
+
+
+def test_a_failed_retile_leaves_the_sot_claiming_the_layout_it_is_stored_under():
+    """Re-tile to 2x2, corrupt one stored payload, re-tile to 1x2: the
+    transcode raises, and the SOT still claims the 2x2 it is stored under, so
+    the cost model prices what is stored.  The retry transcodes again rather
+    than reporting a no-op, and once the payload is whole the SOT takes 1x2."""
+    rng = np.random.default_rng(7)
+    frames = [rng.integers(0, 256, (HEIGHT, WIDTH), dtype=np.uint8) for _ in range(4)]
+    tasm = TASM(config_for(CodecConfig(), len(frames), 0))
+    tiled = tasm.ingest(video_from_frames("clip", frames))
+    grid, halves = uniform_layout(WIDTH, HEIGHT, 2, 2), uniform_layout(WIDTH, HEIGHT, 1, 2)
+    tiled.retile(0, grid)
+    tiles = tiled.encoded_sot(0).gops[0].tiles
+    whole = tiles[0]
+    payloads = list(whole.payloads)
+    payloads[1] = payloads[1][:-1] + bytes([payloads[1][-1] ^ 0x01])
+    tiles[0] = dataclasses.replace(whole, payloads=tuple(payloads))
+
+    for _ in range(2):
+        with pytest.raises(BitstreamCorruptionError):
+            tiled.retile(0, halves)
+        assert tiled.layout_for(0) == tiled.stored_layout(0) == grid
+
+    tiles[0] = whole
+    record = tiled.retile(0, halves)
+    assert record.tiles_encoded > 0
+    assert tiled.layout_for(0) == tiled.stored_layout(0) == halves

@@ -264,9 +264,11 @@ class TestSingleFlightDecode:
         expected = reference.scan(video.name, "car")
         for result in results:
             assert_scan_results_identical(result, expected)
-        assert server.stats().pixels_decoded == expected.pixels_decoded, (
+        stats = server.stats()
+        assert stats.pixels_decoded == expected.pixels_decoded, (
             "racing batches must not decode the same tiles twice"
         )
+        assert stats.cache_misses == stats.tiles_decoded, "one miss per decoded tile"
 
 
 class TestAdmissionControl:
