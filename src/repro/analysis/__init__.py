@@ -2,7 +2,6 @@
 
 from .stats import (
     improvement_percent,
-    iqr,
     median,
     quartiles,
     summarize_improvements,
@@ -14,7 +13,6 @@ from .experiments import (
     apply_uniform_layout,
     apply_object_layout,
     measure_query,
-    measure_storage,
     measure_psnr,
     improvement_over_untiled,
     modelled_improvement,
@@ -22,7 +20,6 @@ from .experiments import (
 
 __all__ = [
     "improvement_percent",
-    "iqr",
     "median",
     "quartiles",
     "summarize_improvements",
@@ -32,7 +29,6 @@ __all__ = [
     "apply_uniform_layout",
     "apply_object_layout",
     "measure_query",
-    "measure_storage",
     "measure_psnr",
     "improvement_over_untiled",
     "modelled_improvement",

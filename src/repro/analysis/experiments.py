@@ -32,7 +32,6 @@ __all__ = [
     "apply_uniform_layout",
     "apply_object_layout",
     "measure_query",
-    "measure_storage",
     "measure_psnr",
     "improvement_over_untiled",
     "modelled_improvement",
@@ -137,12 +136,6 @@ def measure_query(
         returned_pixels=result.returned_pixels,
         size_bytes=tiled.total_size_bytes(),
     )
-
-
-def measure_storage(tasm: TASM, video_name: str) -> int:
-    """Bytes used by the video under its current layouts (all SOTs encoded)."""
-    tiled = tasm.video(video_name)
-    return tiled.total_size_bytes(materialise=True)
 
 
 def measure_psnr(

@@ -15,7 +15,6 @@ __all__ = [
     "improvement_percent",
     "median",
     "quartiles",
-    "iqr",
     "summarize_improvements",
     "format_table",
 ]
@@ -46,11 +45,6 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     data = np.asarray(values, dtype=np.float64)
     q25, q50, q75 = np.percentile(data, [25.0, 50.0, 75.0])
     return float(q25), float(q50), float(q75)
-
-
-def iqr(values: Sequence[float]) -> float:
-    q25, _, q75 = quartiles(values)
-    return q75 - q25
 
 
 def summarize_improvements(values: Sequence[float]) -> dict[str, float]:

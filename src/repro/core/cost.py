@@ -25,7 +25,6 @@ import numpy as np
 from ..config import TasmConfig
 from ..errors import QueryError
 from ..geometry import Rectangle
-from ..index import IndexEntry
 from ..tiles.layout import TileLayout, untiled_layout
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "SotCostTable",
     "FittedCostModel",
     "fit_cost_model",
-    "boxes_by_frame",
 ]
 
 #: Encoding cost per pixel, in the units of ``beta * P + gamma * T``: the
@@ -65,14 +63,6 @@ class CostEstimate:
     @property
     def is_zero(self) -> bool:
         return self.pixels == 0 and self.tiles == 0
-
-
-def boxes_by_frame(entries: Iterable[IndexEntry]) -> dict[int, list[Rectangle]]:
-    """Group index entries into a frame -> boxes mapping (cost-model input)."""
-    grouped: dict[int, list[Rectangle]] = {}
-    for entry in entries:
-        grouped.setdefault(entry.frame_index, []).append(entry.box)
-    return grouped
 
 
 class CostModel:

@@ -167,13 +167,6 @@ class TemporalPredicate:
         stop = frame_count if self.frame_stop is None else min(self.frame_stop, frame_count)
         return start, max(stop, start)
 
-    def contains(self, frame_index: int) -> bool:
-        if self.frame_start is not None and frame_index < self.frame_start:
-            return False
-        if self.frame_stop is not None and frame_index >= self.frame_stop:
-            return False
-        return True
-
     def describe(self) -> str:
         if self.is_unbounded:
             return "all frames"

@@ -14,15 +14,9 @@ from .specs import DatasetSpec, TABLE1_SPECS
 from .visual_road import visual_road_scene
 from .netflix import netflix_public_scene, netflix_open_source_scene
 from .xiph import xiph_scene
-from .mot16 import mot16_scene, mot16_detections
-from .el_fuente import el_fuente_scene, el_fuente_full
-from .registry import (
-    dataset_registry,
-    benchmark_videos,
-    sparse_videos,
-    dense_videos,
-    table1_rows,
-)
+from .mot16 import mot16_scene
+from .el_fuente import el_fuente_scene
+from .registry import dataset_registry, table1_rows
 
 __all__ = [
     "DatasetSpec",
@@ -32,12 +26,7 @@ __all__ = [
     "netflix_open_source_scene",
     "xiph_scene",
     "mot16_scene",
-    "mot16_detections",
     "el_fuente_scene",
-    "el_fuente_full",
     "dataset_registry",
-    "benchmark_videos",
-    "sparse_videos",
-    "dense_videos",
     "table1_rows",
 ]

@@ -1,7 +1,8 @@
-"""El Fuente stand-ins: a long multi-scene video plus its individual scenes.
+"""El Fuente stand-ins: the individual scenes of the multi-scene sequence.
 
 The paper evaluates both the full eight-minute El Fuente sequence and its
-individual scenes (using the published scene boundaries).  The scenes range
+individual scenes (using the published scene boundaries); the stand-ins are
+the scenes, one :func:`el_fuente_scene` call each.  The scenes range
 from sparse (a lone boat, a bicycle on an empty road) to extremely dense
 (market crowds filling most of the frame), and several involve camera motion
 — the combination that defeats both pre-tiling around all objects and
@@ -21,7 +22,7 @@ from ._builders import (
     roaming_tracks,
 )
 
-__all__ = ["el_fuente_scene", "el_fuente_full", "EL_FUENTE_SCENES"]
+__all__ = ["el_fuente_scene", "EL_FUENTE_SCENES"]
 
 #: Named scenes with their content style: (scene name, style, relative length).
 EL_FUENTE_SCENES: tuple[tuple[str, str, float], ...] = (
@@ -71,66 +72,6 @@ def el_fuente_scene(
         tracks=tracks,
         noise_sigma=2.0,
         camera_pan_per_frame=pan,
-        seed=seed,
-    )
-    return SyntheticVideo(spec)
-
-
-def el_fuente_full(
-    duration_seconds: float = 48.0,
-    frame_rate: int = 10,
-    seed: int = 509,
-) -> SyntheticVideo:
-    """The full El Fuente stand-in: the scene contents concatenated in time.
-
-    Object tracks from each scene style are restricted to a contiguous band
-    of frames, so the video's content (and therefore its best layouts)
-    changes over time the way the real full sequence does.
-    """
-    width, height = SCALED_4K
-    rng = np.random.default_rng(seed)
-    frame_count = max(int(duration_seconds * frame_rate), 1)
-    total_weight = sum(weight for _, _, weight in EL_FUENTE_SCENES)
-
-    tracks = []
-    cursor = 0
-    for scene_name, style, weight in EL_FUENTE_SCENES:
-        scene_frames = int(frame_count * weight / total_weight)
-        first, last = cursor, min(cursor + scene_frames, frame_count)
-        cursor = last
-        if style == "dense-crowd":
-            scene_tracks = crowd_tracks(16, width, height, rng)
-        elif style == "dense-mixed":
-            scene_tracks = crowd_tracks(10, width, height, rng) + car_tracks(
-                2, width, height, rng, size=(90, 50)
-            )
-        elif style == "sparse-boat":
-            scene_tracks = roaming_tracks(2, width, height, rng, "boat", (70, 30), 0.15)
-        elif style == "sparse-traffic":
-            scene_tracks = car_tracks(3, width, height, rng) + person_tracks(2, width, height, rng)
-        else:
-            scene_tracks = roaming_tracks(2, width, height, rng, "bicycle", (40, 26), 0.35)
-        for track in scene_tracks:
-            tracks.append(
-                type(track)(
-                    label=track.label,
-                    width=track.width,
-                    height=track.height,
-                    motion=track.motion,
-                    intensity=track.intensity,
-                    first_frame=first,
-                    last_frame=last,
-                )
-            )
-
-    spec = SceneSpec(
-        name="el-fuente-full",
-        width=width,
-        height=height,
-        frame_count=frame_count,
-        frame_rate=frame_rate,
-        tracks=tracks,
-        noise_sigma=2.0,
         seed=seed,
     )
     return SyntheticVideo(spec)

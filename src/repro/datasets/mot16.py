@@ -4,19 +4,18 @@ MOT16 ships unlabeled ground-truth bounding boxes with the videos, so the
 paper stores them in the semantic index under a generic "object" label and
 queries retrieve cars and pedestrians through that label.  The stand-in does
 the same: :func:`mot16_scene` builds a street scene, and
-:func:`mot16_detections` returns its ground-truth boxes relabelled to
-"object", exactly how TASM ingests the real dataset.
+``GroundTruthDetector(relabel=MOT16_GENERIC_LABEL)`` returns its ground-truth
+boxes relabelled to "object", exactly how TASM ingests the real dataset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..detection.base import Detection
 from ..video.synthetic import SceneSpec, SyntheticVideo
 from ._builders import SCALED_2K, car_tracks, person_tracks
 
-__all__ = ["mot16_scene", "mot16_detections", "MOT16_GENERIC_LABEL"]
+__all__ = ["mot16_scene", "MOT16_GENERIC_LABEL"]
 
 #: The label under which MOT16 boxes are stored (the dataset's boxes carry no class).
 MOT16_GENERIC_LABEL = "object"
@@ -48,12 +47,3 @@ def mot16_scene(
         seed=seed,
     )
     return SyntheticVideo(spec)
-
-
-def mot16_detections(video: SyntheticVideo, every: int = 1) -> list[Detection]:
-    """Dataset-provided boxes: ground truth relabelled to the generic label."""
-    detections: list[Detection] = []
-    for frame_index in range(0, video.frame_count, max(every, 1)):
-        for truth in video.ground_truth(frame_index):
-            detections.append(truth.with_label(MOT16_GENERIC_LABEL))
-    return detections

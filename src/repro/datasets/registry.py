@@ -1,10 +1,10 @@
 """Registry of the benchmark videos used across the experiment suite.
 
-The benchmarks and examples need consistent video sets: "the sparse videos",
-"the dense videos", "one of each dataset".  This module owns those groupings
-so every experiment draws the same scenes, and provides the measured Table 1
-summary (type, duration, resolution class, coverage, frequent objects) for
-the generated stand-ins.
+The benchmarks need one consistent set of named scenes, one or more per
+dataset.  This module owns that set so every experiment draws the same
+scenes, and provides the measured Table 1 summary (type, duration, resolution
+class, coverage, frequent objects, sparse or dense) for the generated
+stand-ins.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .xiph import xiph_scene
 
 __all__ = [
     "dataset_registry",
-    "benchmark_videos",
-    "sparse_videos",
-    "dense_videos",
     "table1_rows",
 ]
 
@@ -49,27 +46,6 @@ def dataset_registry() -> Mapping[str, VideoFactory]:
         "el-fuente-river": lambda: el_fuente_scene("river", seed=503),
         "el-fuente-street": lambda: el_fuente_scene("street", seed=503),
     }
-
-
-def benchmark_videos(names: list[str] | None = None) -> list[SyntheticVideo]:
-    """Instantiate the named videos (or the full registry when names is None)."""
-    registry = dataset_registry()
-    if names is None:
-        names = list(registry)
-    missing = [name for name in names if name not in registry]
-    if missing:
-        raise KeyError(f"unknown benchmark videos: {missing}")
-    return [registry[name]() for name in names]
-
-
-def sparse_videos() -> list[SyntheticVideo]:
-    """Videos whose average object coverage is below the 20% threshold."""
-    return [video for video in benchmark_videos() if video.is_sparse()]
-
-
-def dense_videos() -> list[SyntheticVideo]:
-    """Videos whose average object coverage is at or above 20%."""
-    return [video for video in benchmark_videos() if not video.is_sparse()]
 
 
 def table1_rows() -> list[dict[str, object]]:

@@ -5,7 +5,9 @@ YOLOv3-tiny, and OpenCV KNN background subtraction are compared in
 Section 5.2.4).  None of those models can run here, so this package provides
 detectors driven by the synthetic videos' ground truth, with configurable
 recall, localisation noise, and per-frame cost chosen to reproduce the
-relative quality/cost ordering the paper reports.
+relative quality/cost ordering the paper reports.  Each detector supplies
+only ``detect_frame`` and ``seconds_per_frame``; ``FrameDetector.detect_range``
+(``base.py``) is the one loop over frames they all run.
 """
 
 from .base import Detection, DetectionResult, GroundTruthProvider

@@ -10,6 +10,9 @@ reproduces those failure modes against the synthetic scenes' ground truth:
 * Stationary objects are absorbed into the background model and missed.
 * Camera pan makes most of the frame look like foreground, so the detector
   emits a handful of large spurious boxes that cover much of the frame.
+
+The class supplies only ``detect_frame``; the loop over frames is
+:meth:`FrameDetector.detect_range`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import Rectangle
-from .base import Detection, DetectionResult, GroundTruthProvider
+from .base import Detection, FrameDetector, GroundTruthProvider
 
 __all__ = ["BackgroundSubtractionDetector"]
 
@@ -28,7 +31,7 @@ _MOTION_THRESHOLD = 0.5
 
 
 @dataclass
-class BackgroundSubtractionDetector:
+class BackgroundSubtractionDetector(FrameDetector):
     """Foreground-blob detection with the paper's observed weaknesses."""
 
     #: Label attached to every blob (background subtraction cannot classify).
@@ -61,26 +64,6 @@ class BackgroundSubtractionDetector:
             blob = truth.box.expand(self.dilation, frame_bounds)
             detections.append(Detection(frame_index, self.label, blob, confidence=0.5))
         return detections
-
-    def detect_range(
-        self,
-        video: GroundTruthProvider,
-        start: int = 0,
-        stop: int | None = None,
-        every: int = 1,
-    ) -> DetectionResult:
-        stop = video.frame_count if stop is None else min(stop, video.frame_count)
-        every = max(every, 1)
-        detections: list[Detection] = []
-        frames_processed = 0
-        for frame_index in range(start, stop, every):
-            detections.extend(self.detect_frame(video, frame_index))
-            frames_processed += 1
-        return DetectionResult(
-            detections=detections,
-            frames_processed=frames_processed,
-            seconds_spent=frames_processed * self.seconds_per_frame,
-        )
 
     def _spurious_blobs(
         self, frame_index: int, frame_bounds: Rectangle, rng: np.random.Generator

@@ -2,7 +2,9 @@
 
 A :class:`Detection` is one labelled bounding box on one frame — exactly the
 unit of metadata that TASM's ``AddMetadata`` call accepts and the semantic
-index stores.
+index stores.  :class:`FrameDetector` owns the one loop over frames every
+detector runs: a detector supplies ``detect_frame`` and
+``seconds_per_frame``, and ``detect_range`` strides over the video with them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from ..geometry import BoundingBox
 
-__all__ = ["Detection", "GroundTruthProvider", "DetectionResult"]
+__all__ = ["Detection", "GroundTruthProvider", "DetectionResult", "FrameDetector"]
 
 
 @dataclass(frozen=True)
@@ -84,3 +86,32 @@ class DetectionResult:
             merged.frames_processed += result.frames_processed
             merged.seconds_spent += result.seconds_spent
         return merged
+
+
+class FrameDetector:
+    """The frame loop shared by every detector.
+
+    A subclass supplies ``detect_frame(video, frame_index)`` and a
+    ``seconds_per_frame`` cost; ``detect_range`` runs it on every
+    ``every``-th frame of ``[start, stop)``, with ``stop`` clipped to the
+    video and an ``every`` below 1 read as 1.
+    """
+
+    def detect_range(
+        self,
+        video: GroundTruthProvider,
+        start: int = 0,
+        stop: int | None = None,
+        every: int = 1,
+    ) -> DetectionResult:
+        stop = video.frame_count if stop is None else min(stop, video.frame_count)
+        detections: list[Detection] = []
+        frames_processed = 0
+        for frame_index in range(start, stop, max(every, 1)):
+            detections.extend(self.detect_frame(video, frame_index))
+            frames_processed += 1
+        return DetectionResult(
+            detections=detections,
+            frames_processed=frames_processed,
+            seconds_spent=frames_processed * self.seconds_per_frame,
+        )

@@ -3,20 +3,21 @@
 This models the MOT16 setting in the paper, where bounding boxes ship with
 the dataset and no detector runs at query time.  It is also the oracle used
 by tests to verify that the rest of the pipeline (index, layouts, scans) is
-exact when detections are perfect.
+exact when detections are perfect.  Like every detector it supplies only
+``detect_frame``; the loop over frames is :meth:`FrameDetector.detect_range`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import Detection, DetectionResult, GroundTruthProvider
+from .base import Detection, FrameDetector, GroundTruthProvider
 
 __all__ = ["GroundTruthDetector"]
 
 
 @dataclass
-class GroundTruthDetector:
+class GroundTruthDetector(FrameDetector):
     """Perfect detections at (effectively) zero cost.
 
     Attributes:
@@ -37,23 +38,3 @@ class GroundTruthDetector:
         if self.relabel is not None:
             detections = [detection.with_label(self.relabel) for detection in detections]
         return detections
-
-    def detect_range(
-        self,
-        video: GroundTruthProvider,
-        start: int = 0,
-        stop: int | None = None,
-        every: int = 1,
-    ) -> DetectionResult:
-        stop = video.frame_count if stop is None else min(stop, video.frame_count)
-        every = max(every, 1)
-        detections: list[Detection] = []
-        frames_processed = 0
-        for frame_index in range(start, stop, every):
-            detections.extend(self.detect_frame(video, frame_index))
-            frames_processed += 1
-        return DetectionResult(
-            detections=detections,
-            frames_processed=frames_processed,
-            seconds_spent=frames_processed * self.seconds_per_frame,
-        )

@@ -12,7 +12,8 @@ and degrade it in the ways that matter for TASM's tiling decisions:
   embedded GPU); tiny is several times faster.
 
 Detection noise is deterministic given (detector seed, frame index), so runs
-are reproducible.
+are reproducible.  Both classes supply only ``detect_frame``; the loop over
+frames is :meth:`FrameDetector.detect_range`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import Rectangle
-from .base import Detection, DetectionResult, GroundTruthProvider
+from .base import Detection, FrameDetector, GroundTruthProvider
 
 __all__ = ["SimulatedYoloV3", "SimulatedTinyYoloV3"]
 
 
 @dataclass
-class SimulatedYoloV3:
+class SimulatedYoloV3(FrameDetector):
     """Full YOLOv3: high recall and tight boxes, but expensive per frame."""
 
     recall: float = 0.95
@@ -58,18 +59,9 @@ class SimulatedYoloV3:
             detections.append(Detection(frame_index, truth.label, box, confidence))
         return detections
 
-    def detect_range(
-        self,
-        video: GroundTruthProvider,
-        start: int = 0,
-        stop: int | None = None,
-        every: int = 1,
-    ) -> DetectionResult:
-        return _run_detector(self, video, start, stop, every)
-
 
 @dataclass
-class SimulatedTinyYoloV3:
+class SimulatedTinyYoloV3(FrameDetector):
     """YOLOv3-tiny: fast but low recall and loose boxes (Section 5.2.4)."""
 
     recall: float = 0.35
@@ -102,15 +94,6 @@ class SimulatedTinyYoloV3:
             detections.append(Detection(frame_index, truth.label, box, confidence))
         return detections
 
-    def detect_range(
-        self,
-        video: GroundTruthProvider,
-        start: int = 0,
-        stop: int | None = None,
-        every: int = 1,
-    ) -> DetectionResult:
-        return _run_detector(self, video, start, stop, every)
-
 
 def _perturb_box(
     box: Rectangle,
@@ -135,24 +118,3 @@ def _perturb_box(
         center_y + dy + height / 2.0,
     )
     return jittered.clamp(Rectangle(0, 0, frame_width, frame_height))
-
-
-def _run_detector(
-    detector: SimulatedYoloV3 | SimulatedTinyYoloV3,
-    video: GroundTruthProvider,
-    start: int,
-    stop: int | None,
-    every: int,
-) -> DetectionResult:
-    stop = video.frame_count if stop is None else min(stop, video.frame_count)
-    every = max(every, 1)
-    detections: list[Detection] = []
-    frames_processed = 0
-    for frame_index in range(start, stop, every):
-        detections.extend(detector.detect_frame(video, frame_index))
-        frames_processed += 1
-    return DetectionResult(
-        detections=detections,
-        frames_processed=frames_processed,
-        seconds_spent=frames_processed * detector.seconds_per_frame,
-    )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,15 +51,15 @@ TileKey = tuple[str, int, int, int]
 
 @dataclass
 class CacheStats:
-    """Counters describing the cache's behaviour since construction."""
+    """What the cache stored and dropped for lack of room since construction.
+
+    Cache traffic — hits, misses, pixels served — is counted per scan in
+    ``DecodeStats``, not here.
+    """
 
     insertions: int = 0
     evictions: int = 0
-    invalidations: int = 0
     bytes_evicted: int = 0
-
-    def snapshot(self) -> "CacheStats":
-        return replace(self)
 
 
 @dataclass
@@ -208,12 +208,10 @@ class TileDecodeCache:
             ]
             for key in doomed:
                 self._remove(key)
-            self.stats.invalidations += len(doomed)
             return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
-            self.stats.invalidations += len(self._entries)
             self._entries.clear()
             self._current_bytes = 0
 

@@ -3,7 +3,7 @@
 Three instrument kinds, modelled on the Prometheus client data model:
 
 * :class:`Counter` — a monotonically increasing float.
-* :class:`Gauge` — a point-in-time value that can also be set and lowered.
+* :class:`Gauge` — a point-in-time value, read from a callback.
 * :class:`Histogram` — fixed, cumulative buckets plus a running sum/count.
   Bucket bounds are chosen at registration; observation is a bisect plus a
   few adds.
@@ -94,13 +94,10 @@ class Counter:
 
 
 class Gauge(Counter):
-    """A point-in-time value: a counter that can also be set."""
+    """A point-in-time value: a counter whose value a callback reads
+    (:meth:`Counter.set_callback`) rather than one that only grows."""
 
     __slots__ = ()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
 
 
 class Histogram:
@@ -202,10 +199,10 @@ class _Family:
 class MetricsRegistry:
     """Owns every registered metric family; snapshot-capable.
 
+    Two places register: :class:`~repro.obs.Observability` (every counter
+    and histogram) and ``TasmServer._register_gauges`` (the gauges).
     Registration is idempotent: asking for an existing name returns what the
-    first registration returned (with a kind check), so independently
-    constructed components (server, scheduler, transport) can all say
-    ``registry.counter("tasm_x_total")`` without coordinating.
+    first registration returned (with a kind check).
     """
 
     def __init__(self):

@@ -115,12 +115,6 @@ class Trace:
         end = self.completed if self.completed is not None else time.perf_counter()
         return end - self.started
 
-    @property
-    def span_seconds(self) -> float:
-        """The sum of top-level span durations — ≈ :attr:`total_seconds`."""
-        with self._lock:
-            return sum(span["seconds"] for span in self._spans if span["top"])
-
     def to_dict(self) -> dict:
         """A JSON-serialisable form (the wire format of the ``trace`` op)."""
         with self._lock:
@@ -147,7 +141,6 @@ class _NullTrace:
     labels = ()
     status = None
     total_seconds = 0.0
-    span_seconds = 0.0
 
     def add_span(self, name, seconds, top=False, **meta) -> None:
         pass

@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 from ..config import TasmConfig
 from ..core.predicates import LabelPredicate, TemporalPredicate
 from ..core.query import Query
-from ..core.scan import ScanResult
 from ..core.tasm import TASM
 from ..detection.base import Detection
 from ..exec.cache import TileDecodeCache
@@ -152,15 +151,6 @@ class TasmServer:
         return self._scheduler.submit(
             query, client=client, deadline_ms=deadline_ms, skip_sots=skip_sots
         )
-
-    def scan(
-        self,
-        video_name: str,
-        predicate: LabelPredicate | str | Sequence[str],
-        temporal: TemporalPredicate | None = None,
-    ) -> ScanResult:
-        """Blocking convenience: submit one scan and wait for its result."""
-        return self.submit(self._build_query(video_name, predicate, temporal)).result()
 
     def _build_query(
         self,

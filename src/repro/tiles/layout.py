@@ -115,10 +115,6 @@ class TileLayout:
         """Pixels per tile, in row-major order."""
         return tuple(h * w for h in self.row_heights for w in self.column_widths)
 
-    def tile_rectangle(self, row: int, column: int) -> Rectangle:
-        """The rectangle of the tile at grid position (row, column)."""
-        return self._rectangles[self.tile_index(row, column)]
-
     def tile_rectangles(self) -> list[Rectangle]:
         """All tile rectangles in row-major order."""
         return list(self._rectangles)

@@ -10,7 +10,7 @@ number of pixels and tiles decoded.
 
 from .frame import Frame
 from .video import Video, VideoMetadata, FrameSource
-from .gop import GopStructure, gop_index_for_frame, gop_ranges
+from .gop import gop_ranges
 from .codec import (
     EncodedTile,
     EncodedGop,
@@ -36,8 +36,6 @@ __all__ = [
     "Video",
     "VideoMetadata",
     "FrameSource",
-    "GopStructure",
-    "gop_index_for_frame",
     "gop_ranges",
     "EncodedTile",
     "EncodedGop",

@@ -1,4 +1,5 @@
-"""``benchmarks/code_lines.py --dead``: the scan CI's ``size`` job holds a count of.
+"""``benchmarks/code_lines.py --dead`` and ``--test-only``: the scans CI's
+``size`` job holds counts of.
 
 Run as CI runs it, as a script over a directory.
 """
@@ -73,4 +74,63 @@ def test_dead_lists_what_no_other_token_names(tmp_path: Path):
         "Box.Corner.unused_nested_method",
     ]
     assert all(f"{tmp_path / 'shapes.py'}:" in row for row in rows)
+    assert total.split() == ["3", "total"]
+
+
+TEST_ONLY_TREE = {
+    "pkg/__init__.py": '''
+from .core import called_by_tests, Widget, exported_unused, called_by_example
+
+__all__ = ["called_by_tests", "Widget", "exported_unused", "called_by_example"]
+''',
+    "pkg/core.py": '''
+__all__ = ["called_by_tests", "Widget", "exported_unused", "called_by_example"]
+
+
+def called_by_tests():
+    return 1
+
+
+class Widget:
+    """Constructed only by a test."""
+
+
+def exported_unused():
+    """Exported, and nothing calls it."""
+
+
+def called_by_example():
+    """Widget: a docstring naming the class is not a use."""
+    return 2  # nor is a comment: Widget
+''',
+    "tests/test_core.py": '''
+from pkg import called_by_tests, Widget
+
+assert called_by_tests() == 1
+Widget()
+''',
+    "examples/demo.py": '''
+from pkg import called_by_example
+
+called_by_example()
+''',
+}
+
+
+def test_test_only_lists_what_only_tests_use(tmp_path: Path):
+    """A definition counts as used only where a token outside its own
+    definition, an import, ``__all__`` or a docstring names it, under the
+    package, benchmarks or examples; a test's use does not count."""
+    for name, source in TEST_ONLY_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--test-only", *(str(tmp_path / d) for d in ("pkg", "examples"))],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *rows, total = done.stdout.splitlines()
+    assert [row.split()[-1] for row in rows] == ["called_by_tests", "Widget", "exported_unused"]
+    assert all(f"{tmp_path / 'pkg' / 'core.py'}:" in row for row in rows)
     assert total.split() == ["3", "total"]

@@ -10,7 +10,6 @@ from repro.core.cost import (
     ENCODE_COST_PER_TILE,
     CostEstimate,
     CostModel,
-    boxes_by_frame,
     fit_cost_model,
 )
 from repro.errors import QueryError
@@ -55,7 +54,7 @@ class TestQueryCostEstimation:
     def test_tiled_costs_only_touched_tiles(self, model):
         frame_boxes = {0: [Rectangle(0, 0, 10, 10)]}
         estimate = model.estimate_query_cost(GRID, frame_boxes)
-        assert estimate.pixels == GRID.tile_rectangle(0, 0).area
+        assert estimate.pixels == GRID.tile_rectangles()[0].area
         assert estimate.tiles == 1
 
     def test_box_spanning_tiles_costs_both(self, model):
@@ -68,7 +67,7 @@ class TestQueryCostEstimation:
         box = Rectangle(0, 0, 10, 10)
         estimate = model.estimate_query_cost(GRID, {0: [box], 2: [box], 7: [box]})
         assert estimate.tiles == 2
-        assert estimate.pixels == GRID.tile_rectangle(0, 0).area * 3
+        assert estimate.pixels == GRID.tile_rectangles()[0].area * 3
 
     def test_cost_is_linear_in_coefficients(self, model, cost_config):
         estimate = model.estimate_query_cost(GRID, {0: [Rectangle(0, 0, 10, 10)]})
@@ -175,18 +174,9 @@ class TestWhatIf:
             IndexEntry("v", "car", 0, Rectangle(0, 0, 10, 10)),
             IndexEntry("v", "car", 1, Rectangle(0, 0, 10, 10)),
         ]
-        estimate = model.estimate_query_cost(GRID, boxes_by_frame(entries))
-        assert estimate.pixels == GRID.tile_rectangle(0, 0).area * 2
-
-    def test_boxes_by_frame_grouping(self):
-        entries = [
-            IndexEntry("v", "car", 0, Rectangle(0, 0, 10, 10)),
-            IndexEntry("v", "car", 0, Rectangle(20, 20, 30, 30)),
-            IndexEntry("v", "car", 2, Rectangle(0, 0, 10, 10)),
-        ]
-        grouped = boxes_by_frame(entries)
-        assert len(grouped[0]) == 2
-        assert len(grouped[2]) == 1
+        frame_boxes = {entry.frame_index: [entry.box] for entry in entries}
+        estimate = model.estimate_query_cost(GRID, frame_boxes)
+        assert estimate.pixels == GRID.tile_rectangles()[0].area * 2
 
 
 class TestFitCostModel:

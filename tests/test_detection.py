@@ -103,6 +103,31 @@ class TestBackgroundSubtraction:
         )
 
 
+@pytest.mark.parametrize(
+    "detector",
+    [
+        GroundTruthDetector(seconds_per_frame=0.25),
+        SimulatedYoloV3(),
+        SimulatedTinyYoloV3(),
+        BackgroundSubtractionDetector(),
+    ],
+    ids=lambda detector: detector.name,
+)
+def test_detect_range_is_detect_frame_over_the_clipped_stride(detector, tiny_video):
+    """Every detector runs the one frame loop: ``detect_range`` is
+    ``detect_frame`` on ``range(start, min(stop, frame_count), max(every, 1))``,
+    counting each frame it ran at ``seconds_per_frame``."""
+    frame_count = tiny_video.frame_count
+    for start, stop, every in [(0, None, 1), (2, 9, 3), (3, frame_count + 7, 4), (1, frame_count, 0)]:
+        frames = range(start, min(frame_count if stop is None else stop, frame_count), max(every, 1))
+        result = detector.detect_range(tiny_video, start, stop, every)
+        assert result.detections == [
+            detection for frame in frames for detection in detector.detect_frame(tiny_video, frame)
+        ]
+        assert result.frames_processed == len(frames)
+        assert result.seconds_spent == len(frames) * detector.seconds_per_frame
+
+
 class TestDetectionResult:
     def test_by_frame_grouping(self):
         detections = [

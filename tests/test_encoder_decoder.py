@@ -98,7 +98,7 @@ class TestVideoDecoder:
         # A small region in the top-left tile only.
         result = decoder.decode_regions(sot, [RegionRequest(0, Rectangle(0, 0, 10, 10))])
         assert result.stats.tiles_decoded == 1
-        tile_area = layout.tile_rectangle(0, 0).area
+        tile_area = layout.tile_rectangles()[0].area
         assert result.stats.pixels_decoded == tile_area  # keyframe only
 
     def test_temporal_dependency_costs_pixels(self, encoder, decoder, tiny_video):

@@ -1140,6 +1140,17 @@ class TestWireProxy:
                 assert proxy.fires() == {"cut": 1}
         assert upstream.peer_closed == [True]
 
+    def test_close_wakes_a_pending_delay(self):
+        """``close()`` ends a frame's pause instead of waiting it out."""
+        with FrameServer([frame(1, b"late")]) as upstream:
+            proxy = WireProxy(upstream.address, Faults(0, delay=Fault(delay_ms=3000.0)))
+            with socket.create_connection(proxy.address, timeout=10.0):
+                assert wait_until(lambda: proxy.fires() == {"delay": 1})
+                started = time.perf_counter()
+                proxy.close()
+                assert time.perf_counter() - started < 0.5
+        assert upstream.peer_closed == [True]
+
     def test_the_schedule_counts_frames_across_connections(self):
         """The fourth frame the proxy carries is dropped whichever
         connection it is on: the first connection passes whole, the second

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, GeometryError, StorageError
+from repro.errors import GeometryError, StorageError
 from repro.geometry import Rectangle
 from repro.video.frame import Frame
-from repro.video.gop import GopStructure, gop_index_for_frame, gop_ranges
+from repro.video.gop import gop_ranges
 from repro.video.video import Video, VideoMetadata
 
 from tests.conftest import crop, video_from_frames
@@ -78,28 +78,6 @@ class TestVideo:
 
 
 class TestGopHelpers:
-    def test_gop_index_for_frame(self):
-        assert gop_index_for_frame(0, 10) == 0
-        assert gop_index_for_frame(9, 10) == 0
-        assert gop_index_for_frame(10, 10) == 1
-
-    def test_gop_index_validation(self):
-        with pytest.raises(ConfigurationError):
-            gop_index_for_frame(5, 0)
-        with pytest.raises(ConfigurationError):
-            gop_index_for_frame(-1, 10)
-
     def test_gop_ranges_cover_video(self):
         ranges = gop_ranges(25, 10)
         assert ranges == [(0, 10), (10, 20), (20, 25)]
-
-    def test_gop_structure(self):
-        structure = GopStructure(frame_count=25, gop_frames=10)
-        assert structure.gop_count == 3
-        assert structure.frame_range(2) == (20, 25)
-        assert list(structure) == [(0, 10), (10, 20), (20, 25)]
-
-    def test_gop_structure_out_of_range(self):
-        structure = GopStructure(frame_count=10, gop_frames=10)
-        with pytest.raises(ConfigurationError):
-            structure.frame_range(1)

@@ -17,7 +17,7 @@ from tests.conftest import contains_point
 
 def tile_containing_point(layout: TileLayout, x: float, y: float) -> int:
     """Index of the tile holding an in-frame point, found from the edges
-    (the oracle ``tile_rectangle`` is checked against)."""
+    (the oracle ``tile_rectangles()`` is checked against)."""
     row = bisect_right(layout.row_edges, y) - 1
     return row * layout.columns + bisect_right(layout.column_edges, x) - 1
 

@@ -99,7 +99,7 @@ class TestServerBasics:
         with server:
             reference, _ = make_tasm(config)
             assert_scan_results_identical(
-                server.scan(video.name, "car"), reference.scan(video.name, "car")
+                server.connect().scan(video.name, "car"), reference.scan(video.name, "car")
             )
 
     def test_submit_after_stop_raises(self, config):
@@ -145,7 +145,7 @@ class TestServerBasics:
         server.start()
         try:
             assert_scan_results_identical(
-                server.scan(video.name, "car"), reference.scan(video.name, "car")
+                server.connect().scan(video.name, "car"), reference.scan(video.name, "car")
             )
         finally:
             server.stop()

@@ -222,7 +222,7 @@ class TestRunnerPool:
                 assert served <= {region.frame_index for region in expected}
             for label in labels:
                 assert_scan_results_identical(
-                    server.scan(video.name, label), reference.scan(video.name, label)
+                    server.connect().scan(video.name, label), reference.scan(video.name, label)
                 )
 
 

@@ -8,9 +8,7 @@ import pytest
 from repro.datasets import (
     TABLE1_SPECS,
     dataset_registry,
-    el_fuente_full,
     el_fuente_scene,
-    mot16_detections,
     mot16_scene,
     netflix_open_source_scene,
     netflix_public_scene,
@@ -19,6 +17,7 @@ from repro.datasets import (
     xiph_scene,
 )
 from repro.datasets.mot16 import MOT16_GENERIC_LABEL
+from repro.detection import GroundTruthDetector
 from repro.video.synthetic import SceneSpec, SyntheticVideo
 from tests.conftest import build_tiny_video, crop
 
@@ -110,9 +109,10 @@ class TestDatasetGenerators:
         with pytest.raises(ValueError):
             xiph_scene(style="volcano")
 
-    def test_mot16_detections_use_generic_label(self):
+    def test_mot16_boxes_relabel_to_the_generic_label(self):
         video = mot16_scene(duration_seconds=3.0)
-        detections = mot16_detections(video, every=2)
+        detector = GroundTruthDetector(relabel=MOT16_GENERIC_LABEL)
+        detections = detector.detect_range(video, every=2).detections
         assert detections
         assert {d.label for d in detections} == {MOT16_GENERIC_LABEL}
 
@@ -123,12 +123,6 @@ class TestDatasetGenerators:
         assert river.is_sparse()
         with pytest.raises(ValueError):
             el_fuente_scene("moon")
-
-    def test_el_fuente_full_changes_content_over_time(self):
-        video = el_fuente_full(duration_seconds=10.0, frame_rate=5)
-        early_labels = {d.label for d in video.ground_truth(2)}
-        late_labels = {d.label for d in video.ground_truth(video.frame_count - 3)}
-        assert early_labels != late_labels
 
 
 class TestRegistryAndTable1:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 import socket
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.service.transport import _FRAME_HEADER
@@ -107,7 +106,8 @@ def _pump_bytes(source: socket.socket, sink: socket.socket) -> None:
 class WireProxy:
     """Listens on an ephemeral loopback port (:attr:`address`) and carries
     each connection to ``upstream`` under ``faults``.  ``close()`` ends every
-    connection, joins every thread and closes every socket it opened."""
+    connection, joins every thread and closes every socket it opened; a
+    frame whose pause it interrupts is not forwarded."""
 
     def __init__(self, upstream, faults: Faults):
         self.faults = faults
@@ -115,6 +115,7 @@ class WireProxy:
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._lock = threading.Lock()
+        self._closing = threading.Event()
         self._legs: set[socket.socket] = set()
         self._carriers: list[threading.Thread] = []
         self._acceptor = threading.Thread(
@@ -156,8 +157,7 @@ class WireProxy:
                 header = _read(server, _FRAME_HEADER.size)
                 payload = _read(server, _FRAME_HEADER.unpack(header)[1])
                 pause, kill = self.faults.verdict()
-                time.sleep(pause)
-                if kill == "drop":
+                if self._closing.wait(pause) or kill == "drop":
                     break
                 if kill == "cut":
                     client.sendall(header + payload[: max(1, len(payload) // 2)])
@@ -173,6 +173,7 @@ class WireProxy:
         server.close()
 
     def close(self) -> None:
+        self._closing.set()
         _shut(self._listener)
         self._listener.close()
         self._acceptor.join(timeout=5.0)
