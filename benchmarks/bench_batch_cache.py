@@ -27,7 +27,7 @@ from repro.analysis import format_table, prepare_tasm
 from repro.core.query import Query
 from repro.datasets import visual_road_scene
 
-from _bench_utils import bench_config, emit_bench, print_section
+from _bench_utils import emit_bench, print_section
 
 #: Decoded bytes kept by the persistent-cache configuration (64 MiB).
 CACHE_BYTES = 64 * 1024 * 1024

@@ -28,7 +28,7 @@ from repro.analysis import (
 )
 from repro.datasets import netflix_public_scene, visual_road_scene, xiph_scene
 
-from _bench_utils import bench_config, emit_bench, print_section
+from _bench_utils import emit_bench, print_section
 
 _UNIFORM_GRIDS = [(2, 2), (3, 3), (4, 4), (5, 5)]
 _PSNR_FRAMES = 20

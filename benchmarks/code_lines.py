@@ -4,6 +4,7 @@
     python3 benchmarks/code_lines.py --defs src/repro/service/stream.py ScanStream StreamChunk
     python3 benchmarks/code_lines.py --dead src/repro
     python3 benchmarks/code_lines.py --test-only src/repro benchmarks examples
+    python3 benchmarks/code_lines.py --unused-imports src tests benchmarks examples
 
 The measure ROADMAP's "least code" aim is reported in.  A line counts when it
 holds a token other than a comment or a newline, unless it belongs to a
@@ -24,6 +25,11 @@ defined under the first path whose name no token under any of the paths uses,
 other than its own definitions.  Unlike ``--dead`` it lists classes and
 exported names too, so a definition ``__init__.py`` re-exports but no
 program, benchmark or example calls is listed.
+
+``--unused-imports`` lists each name an import statement binds that no other
+name token, no ``__all__`` string and no quoted annotation of its module uses.
+``from __future__`` imports and every import of an ``__init__.py`` (a
+package's re-exports) are exempt.
 """
 
 from __future__ import annotations
@@ -146,6 +152,50 @@ def test_only_definitions(files: list[Path], users: list[Path]) -> list[str]:
     return [where for name, where in defined if uses[name] == definitions[name]]
 
 
+def _quoted_annotation_names(tree: ast.Module) -> list[str]:
+    """The names used inside string annotations such as ``cache: "TileDecodeCache"``."""
+    names: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for quoted in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                try:
+                    parsed = ast.parse(quoted.value, mode="eval")
+                except SyntaxError:  # a Literal["..."] value, not a type
+                    continue
+                names.extend(name.id for name in ast.walk(parsed) if isinstance(name, ast.Name))
+    return names
+
+
+def unused_imports(files: list[Path]) -> list[str]:
+    """``file:line name`` of each imported name its module never uses."""
+    unused: list[str] = []
+    for file in files:
+        if file.name == "__init__.py":
+            continue
+        source = file.read_text()
+        tree = ast.parse(source)
+        uses = _name_uses(source, tree)
+        uses.update(_quoted_annotation_names(tree))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
+                uses.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and not uses[name]:
+                        unused.append(f"{file}:{node.lineno} {name}")
+    return unused
+
+
 def python_files(paths: list[str]) -> list[Path]:
     return [
         file
@@ -155,14 +205,19 @@ def python_files(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> None:
-    if argv and argv[0] == "--defs":
+    if not argv or argv[0] in ("-h", "--help"):
+        print(__doc__)
+        return
+    if argv[0] == "--defs":
         rows = list(count_defs(Path(argv[1]), argv[2:]).items())
-    elif argv and argv[0] == "--dead":
+    elif argv[0] == "--dead":
         rows = [(where, 1) for where in dead_definitions(python_files(argv[1:]))]
-    elif argv and argv[0] == "--test-only":
+    elif argv[0] == "--test-only":
         files = python_files(argv[1:2])
         users = [file for file in python_files(argv[2:]) if file not in files]
         rows = [(where, 1) for where in test_only_definitions(files, users)]
+    elif argv[0] == "--unused-imports":
+        rows = [(where, 1) for where in unused_imports(python_files(argv[1:]))]
     else:
         rows = [(str(file), len(code_lines(file.read_text()))) for file in python_files(argv)]
     for name, count in rows:

@@ -11,7 +11,7 @@ both a "car" box and a "red" box on the same frame.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import QueryError

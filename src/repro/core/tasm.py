@@ -267,10 +267,16 @@ class TASM:
         covered stays resident all the same: the encoder reconstructs every
         frame it predicts from, so for the area the cache held — and no other
         — its reconstructions are kept and, once the old entries are gone,
-        put under the new tiles' checksums.  Server-safe: the re-encode holds
-        the ``(video, SOT)`` write lock, so it waits for in-flight scans
-        reading this SOT to drain and blocks new ones until the new encoding,
-        the invalidation and the hand-over are in place.
+        put under the new tiles' checksums.  A new tile that an indexed box
+        (of any label) touches on some frame of its GOP goes in as the newest
+        entry; one no box touches, which no scan decodes until the index
+        grows, is filed as the cache's oldest, so under cache pressure it goes
+        first instead of pushing out a tile a scan reads (on the ledger's
+        ``adaptive_retile``, 403,046 → 373,555 pixels decoded per op).
+        Server-safe: the re-encode holds the ``(video, SOT)`` write lock, so
+        it waits for in-flight scans reading this SOT to drain and blocks new
+        ones until the new encoding, the invalidation and the hand-over are in
+        place.
         """
         with self.locks.write((video_name, sot_index)):
             tiled = self.catalog.get(video_name)
@@ -280,10 +286,27 @@ class TASM:
             # ``tiled.retile`` kept the layout it had and re-encoded nothing.
             if self.tile_cache is not None:
                 self.tile_cache.invalidate_sot(video_name, sot_index)
-            if handover is not None:
-                for (gop_start, tile_index), (frames, token) in handover.frames.items():
-                    self.tile_cache.put((video_name, sot_index, gop_start, tile_index), frames, token)
+            if handover is not None and handover.frames:
+                touched = self._touched_tiles(tiled, sot_index, layout)
+                for at, (frames, token) in handover.frames.items():
+                    key = (video_name, sot_index, *at)
+                    self.tile_cache.put(key, frames, token)
+                    if at not in touched:
+                        self.tile_cache.demote(key)
         return record
+
+    def _touched_tiles(self, tiled: TiledVideo, sot_index: int, layout: TileLayout) -> set:
+        """``(GOP first frame, tile index)`` of each tile of ``layout`` that an
+        indexed box of any label touches on some frame of that GOP: the only
+        tiles of it a scan can decode."""
+        labels = self.semantic_index.labels(tiled.name)
+        touched = set()
+        for gop in tiled.encoded_sot(sot_index).gops:
+            stop = gop.frame_start + gop.frame_count
+            for boxes in self.boxes_for(tiled.name, labels, gop.frame_start, stop).values():
+                for box in boxes:
+                    touched.update((gop.frame_start, tile) for tile in layout.tiles_intersecting(box))
+        return touched
 
     def _resident(self, tiled: TiledVideo, sot_index: int) -> Handover | None:
         """What the cache holds of a SOT's current encoding, GOP by GOP and

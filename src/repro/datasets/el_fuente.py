@@ -24,13 +24,13 @@ from ._builders import (
 
 __all__ = ["el_fuente_scene", "EL_FUENTE_SCENES"]
 
-#: Named scenes with their content style: (scene name, style, relative length).
-EL_FUENTE_SCENES: tuple[tuple[str, str, float], ...] = (
-    ("market", "dense-crowd", 1.0),
-    ("plaza", "dense-mixed", 1.0),
-    ("river", "sparse-boat", 0.75),
-    ("street", "sparse-traffic", 0.75),
-    ("cyclists", "sparse-bicycle", 0.5),
+#: Named scenes with their content style: (scene name, style).
+EL_FUENTE_SCENES: tuple[tuple[str, str], ...] = (
+    ("market", "dense-crowd"),
+    ("plaza", "dense-mixed"),
+    ("river", "sparse-boat"),
+    ("street", "sparse-traffic"),
+    ("cyclists", "sparse-bicycle"),
 )
 
 
@@ -42,7 +42,7 @@ def el_fuente_scene(
     seed: int = 503,
 ) -> SyntheticVideo:
     """One El Fuente scene by name (see ``EL_FUENTE_SCENES``)."""
-    styles = {name: style for name, style, _ in EL_FUENTE_SCENES}
+    styles = dict(EL_FUENTE_SCENES)
     if scene not in styles:
         raise ValueError(f"unknown El Fuente scene {scene!r}; expected one of {sorted(styles)}")
     style = styles[scene]

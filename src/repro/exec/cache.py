@@ -26,7 +26,11 @@ Two mechanisms keep served pixels fresh across re-tiling:
 
 Eviction is least-recently-used: a hit or an insertion makes an entry the
 newest, and an insertion that takes the decoded bytes held over the capacity
-drops the oldest entries until they fit again.
+drops the oldest entries until they fit again.  One entry can be filed as the
+oldest instead (:meth:`TileDecodeCache.demote`): a re-tile hands over tiles no
+indexed box touches, which no scan decodes until the index grows, so it files
+them there and they go first rather than push out tiles scans read.  It is
+still one LRU order, and a hit on a demoted entry makes it the newest.
 
 The cache is safe for concurrent use: in server mode (``repro.service``) the
 batches of several runner threads share one process-wide instance, so every
@@ -78,7 +82,9 @@ class TileDecodeCache:
 
     ``capacity_bytes=None`` makes the cache unbounded (used for batch-scoped
     caches whose lifetime bounds their size); any positive value evicts the
-    least recently used entries once the decoded bytes held exceed it.
+    least recently used entries once the decoded bytes held exceed it.  An
+    entry :meth:`demote` files as the oldest is the next to go, unless a hit
+    makes it the newest first.
     """
 
     def __init__(self, capacity_bytes: int | None = None):
@@ -156,6 +162,13 @@ class TileDecodeCache:
                 self.stats.evictions += 1
                 self.stats.bytes_evicted += victim.nbytes
         return True
+
+    def demote(self, key: TileKey) -> None:
+        """File ``key``'s entry, if held, as the oldest: the next eviction
+        takes it first."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key, last=False)
 
     # ------------------------------------------------------------------
     # Single-flight decode coordination

@@ -9,7 +9,7 @@ manager never needs more than a GOP of raw frames at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np

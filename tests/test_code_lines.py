@@ -1,5 +1,5 @@
-"""``benchmarks/code_lines.py --dead`` and ``--test-only``: the scans CI's
-``size`` job holds counts of.
+"""``benchmarks/code_lines.py --dead``, ``--test-only`` and
+``--unused-imports``: the scans CI's ``size`` job holds counts of.
 
 Run as CI runs it, as a script over a directory.
 """
@@ -134,3 +134,59 @@ def test_test_only_lists_what_only_tests_use(tmp_path: Path):
     assert [row.split()[-1] for row in rows] == ["called_by_tests", "Widget", "exported_unused"]
     assert all(f"{tmp_path / 'pkg' / 'core.py'}:" in row for row in rows)
     assert total.split() == ["3", "total"]
+
+
+IMPORT_TREE = {
+    "pkg/__init__.py": '''
+from .mod import helper, unlisted  # re-exports: exempt
+''',
+    "pkg/mod.py": '''
+from __future__ import annotations
+
+import os.path
+import json as codec
+from collections import OrderedDict, deque
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+
+__all__ = ["deque"]
+
+
+def helper(values: "Iterable[Decimal]") -> None:
+    print(os.path.join("a", "b"))
+    print(f"{codec.dumps(1)}")  # a use on every interpreter, 3.11's included
+
+
+def unlisted():
+    """OrderedDict: a docstring naming an import is not a use."""
+    return 1  # nor is a comment: OrderedDict
+''',
+}
+
+
+def test_unused_imports_lists_what_no_token_of_the_module_uses(tmp_path: Path):
+    """An import is used by a name token outside import statements, an
+    ``__all__`` string or a quoted annotation; ``__future__`` imports and an
+    ``__init__.py``'s re-exports are never listed."""
+    for name, source in IMPORT_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--unused-imports", str(tmp_path / "pkg")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *rows, total = done.stdout.splitlines()
+    assert [row.split()[-1] for row in rows] == ["OrderedDict"]
+    assert rows[0].split()[1] == f"{tmp_path / 'pkg' / 'mod.py'}:6"
+    assert total.split() == ["1", "total"]
+
+
+def test_help_prints_the_usage():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--help"], capture_output=True, text=True, check=True
+    )
+    assert "--unused-imports" in done.stdout and "total" not in done.stdout

@@ -8,7 +8,7 @@ import pytest
 from repro.config import CodecConfig
 from repro.errors import CodecError
 from repro.geometry import Rectangle
-from repro.tiles.layout import TileLayout, VideoLayoutSpec, uniform_layout, untiled_layout
+from repro.tiles.layout import VideoLayoutSpec, uniform_layout, untiled_layout
 from repro.video.codec import EncodeStats
 from repro.video.decoder import RegionRequest, VideoDecoder
 from repro.video.encoder import VideoEncoder

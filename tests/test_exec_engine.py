@@ -380,6 +380,54 @@ class TestRetileInvalidation:
         assert_scan_results_identical(after, reference.scan(video.name, "car"))
 
 
+class TestRetileHandoverOrder:
+    def test_untouched_handovers_are_evicted_before_any_tile_a_box_touches(self, config):
+        """A re-tile hands over every new tile of the area the cache held, but
+        files a tile no indexed box touches (on any frame of its GOP, for any
+        label) as the cache's oldest: under pressure those go first, and a
+        scan of the label the layout was cut around still decodes nothing."""
+        video = build_tiny_video()
+        sot_frames = config.codec.gop_frames  # one GOP per SOT on this scene
+        tasm, _ = make_tasm(config, cache_bytes=video.width * video.height * sot_frames)
+        whole_sot = TemporalPredicate.between(0, sot_frames)
+        tasm.execute(Query(video.name, Query.select("sign", video.name).predicate, whole_sot))
+        assert tasm.tile_cache.current_bytes == tasm.tile_cache.capacity_bytes  # full, untiled
+
+        layout = tasm.layout_around(video.name, 0, ["car"])
+        tasm.retile_sot(video.name, 0, layout)
+        handed_over = set(keys_for_sot(tasm.tile_cache, video.name, 0))
+        touched = {
+            (video.name, 0, 0, tile_index)
+            for frame in range(sot_frames)
+            for detection in video.ground_truth(frame)
+            for tile_index, rectangle in enumerate(layout.tile_rectangles())
+            if rectangle.intersects(detection.box)
+        }
+        untouched = handed_over - touched
+        assert len(handed_over) == layout.tile_count and untouched and touched <= handed_over
+        untouched_bytes = sum(
+            rectangle.area * sot_frames
+            for tile_index, rectangle in enumerate(layout.tile_rectangles())
+            if (video.name, 0, 0, tile_index) in untouched
+        )
+
+        # Two full frames of SOT 1 are about as much as the untouched tiles
+        # hold: their entry must push out those tiles and nothing else.
+        frames = int(untouched_bytes // (video.width * video.height))
+        tasm.execute(
+            Query(
+                video.name,
+                Query.select("sign", video.name).predicate,
+                TemporalPredicate.between(sot_frames, sot_frames + frames),
+            )
+        )
+        assert tasm.tile_cache.stats.evictions > 0
+        left = set(keys_for_sot(tasm.tile_cache, video.name, 0))
+        assert handed_over - left <= untouched and touched <= left
+        car = tasm.execute(Query(video.name, Query.select("car", video.name).predicate, whole_sot))
+        assert car.regions and car.pixels_decoded == 0
+
+
 class TestTileDecodeCache:
     def test_lru_eviction_order_and_byte_accounting(self):
         cache = TileDecodeCache(capacity_bytes=3000)
@@ -438,3 +486,21 @@ class TestTileDecodeCache:
         after = (cache.stats.insertions, cache.stats.evictions)
         assert before == (1, 0)
         assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
+
+    def test_an_entry_filed_as_oldest_is_evicted_first_until_a_hit(self):
+        frame = np.zeros((10, 100), dtype=np.uint8)  # 1000 bytes
+        cache = TileDecodeCache(capacity_bytes=3000)
+        for tile in range(3):
+            cache.put(("v", 0, 0, tile), [frame], token=(tile,))
+        cache.demote(("v", 0, 0, 2))  # the newest, filed as the oldest
+        cache.demote(("v", 0, 0, 9))  # not held: nothing happens
+        cache.put(("v", 0, 0, 3), [frame], token=(3,))
+        assert ("v", 0, 0, 2) not in cache
+        assert all(("v", 0, 0, tile) in cache for tile in (0, 1, 3))
+
+        cache.demote(("v", 0, 0, 3))
+        assert cache.get(("v", 0, 0, 3), min_depth=0, token=(3,)) is not None  # now the newest
+        cache.put(("v", 0, 0, 4), [frame], token=(4,))
+        assert ("v", 0, 0, 0) not in cache
+        assert all(("v", 0, 0, tile) in cache for tile in (1, 3, 4))
+        assert cache.stats.evictions == 2
