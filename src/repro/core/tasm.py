@@ -267,12 +267,13 @@ class TASM:
         covered stays resident all the same: the encoder reconstructs every
         frame it predicts from, so for the area the cache held — and no other
         — its reconstructions are kept and, once the old entries are gone,
-        put under the new tiles' checksums.  A new tile that an indexed box
-        (of any label) touches on some frame of its GOP goes in as the newest
-        entry; one no box touches, which no scan decodes until the index
-        grows, is filed as the cache's oldest, so under cache pressure it goes
-        first instead of pushing out a tile a scan reads (on the ledger's
-        ``adaptive_retile``, 403,046 → 373,555 pixels decoded per op).
+        put under the new tiles' checksums, their read counts starting
+        afresh.  A new tile that an indexed box (of any label) touches on some
+        frame of its GOP goes in like any first put; one no box touches, which
+        no scan decodes until the index grows, is demoted below every other
+        entry, so under cache pressure it goes first instead of pushing out a
+        tile a scan reads (on the ledger's ``adaptive_retile``, 403,046 →
+        373,555 pixels decoded per op under LRU).
         Server-safe: the re-encode holds the ``(video, SOT)`` write lock, so
         it waits for in-flight scans reading this SOT to drain and blocks new
         ones until the new encoding, the invalidation and the hand-over are in
@@ -313,7 +314,7 @@ class TASM:
         tile by tile, as the re-encode's
         :class:`~repro.video.codec.Handover`; None when that is nothing, and
         the re-encode then reads every tile from storage and keeps nothing.
-        (``TileDecodeCache.held`` moves no recency.)"""
+        (``TileDecodeCache.held`` is not a read: it moves no count.)"""
         if self.tile_cache is None or not tiled.is_materialised(sot_index):
             return None
         held: dict[int, dict[Rectangle, list]] = {}

@@ -6,7 +6,7 @@ over the same sequences of tiles re-decode identical bitstreams from
 scratch.  This package removes that redundancy, following the cache-aware
 scheduling of VSS and the batched frame requests of Scanner (see PAPERS.md):
 
-* :class:`~repro.exec.cache.TileDecodeCache` — an LRU cache of decoded tile
+* :class:`~repro.exec.cache.TileDecodeCache` — an LFU cache of decoded tile
   rasters, bounded by decoded bytes (``TasmConfig.decode_cache_bytes``),
   with insertion/eviction statistics (hits and misses are counted per
   scan, in ``DecodeStats``), explicit per-SOT invalidation on

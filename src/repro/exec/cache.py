@@ -1,4 +1,4 @@
-"""An LRU cache of decoded tile reconstructions, sized by decoded bytes.
+"""An LFU cache of decoded tile reconstructions, sized by decoded bytes.
 
 A cache entry holds the reconstructed rasters of one tile bitstream — one
 ``(video, SOT, GOP, tile)`` — decoded from its keyframe up to some frame
@@ -24,13 +24,15 @@ Two mechanisms keep served pixels fresh across re-tiling:
   called directly) therefore cannot serve pixels from a superseded
   encoding.
 
-Eviction is least-recently-used: a hit or an insertion makes an entry the
-newest, and an insertion that takes the decoded bytes held over the capacity
-drops the oldest entries until they fit again.  One entry can be filed as the
-oldest instead (:meth:`TileDecodeCache.demote`): a re-tile hands over tiles no
-indexed box touches, which no scan decodes until the index grows, so it files
-them there and they go first rather than push out tiles scans read.  It is
-still one LRU order, and a hit on a demoted entry makes it the newest.
+Eviction is LFU with dynamic aging (LFU-DA): an entry counts its reads (1
+when put, one per :meth:`~TileDecodeCache.get` hit; a deeper re-put of the
+same decode keeps its count) and ranks at ``age + count``, set on every put
+and hit.  An over-full insertion evicts the lowest ranks (oldest first among
+ties, never the entry being put) and ``age`` rises to each victim's rank, so
+tiles scans come back to outlive one-off reads, yet a hot set that goes cold
+ages out.  :meth:`TileDecodeCache.demote` ranks an entry below every other
+until its next put or hit: a re-tile hands over tiles no indexed box
+touches, which no scan decodes until the index grows, and demotes them.
 
 The cache is safe for concurrent use: in server mode (``repro.service``) the
 batches of several runner threads share one process-wide instance, so every
@@ -43,6 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +74,10 @@ class _CacheEntry:
     frames: list[np.ndarray]
     token: tuple[int, ...]
     nbytes: int
+    #: Reads of this decode: 1 for its first put, plus one per hit.
+    count: int = 1
+    #: ``age + count`` as of its latest put or hit; -inf once demoted.
+    priority: float = 0.0
 
     @property
     def depth(self) -> int:
@@ -82,9 +89,9 @@ class TileDecodeCache:
 
     ``capacity_bytes=None`` makes the cache unbounded (used for batch-scoped
     caches whose lifetime bounds their size); any positive value evicts the
-    least recently used entries once the decoded bytes held exceed it.  An
-    entry :meth:`demote` files as the oldest is the next to go, unless a hit
-    makes it the newest first.
+    lowest-ranked entries (``age + reads``, see the module docstring) once the
+    decoded bytes held exceed it.  An entry :meth:`demote` ranks lowest is the
+    next to go, unless a hit ranks it again first.
     """
 
     def __init__(self, capacity_bytes: int | None = None):
@@ -92,9 +99,11 @@ class TileDecodeCache:
             raise ValueError("capacity_bytes must be positive (or None for unbounded)")
         self.capacity_bytes = capacity_bytes
         self.stats = CacheStats()
-        #: Least recently used first.
+        #: Least recently put or hit first: the tie-break among equal ranks.
         self._entries: OrderedDict[TileKey, _CacheEntry] = OrderedDict()
         self._current_bytes = 0
+        #: LFU-DA's age: the rank of the latest victim, never falling.
+        self._age = 0.0
         self._lock = threading.Lock()
         # Single-flight decode coordination: key -> event set when the
         # in-progress decode of that key completes (see begin_decode).
@@ -128,13 +137,15 @@ class TileDecodeCache:
                 entry = None
             if entry is None or entry.depth < min_depth:
                 return None
+            entry.count += 1
+            entry.priority = self._age + entry.count
             self._entries.move_to_end(key)
             return entry.frames
 
     def held(self, key: TileKey, token: Sequence[int]) -> list[np.ndarray] | None:
         """The frames held for ``key`` at whatever depth, when they were
-        decoded from the bitstream ``token`` names — else None.  Not a lookup:
-        no recency moves."""
+        decoded from the bitstream ``token`` names — else None.  Not a read:
+        no count or rank moves."""
         with self._lock:
             entry = self._entries.get(key)
             return entry.frames if entry is not None and entry.token == tuple(token) else None
@@ -145,30 +156,45 @@ class TileDecodeCache:
         frames: list[np.ndarray],
         token: Sequence[int],
     ) -> bool:
-        """Store reconstructions; returns False when they exceed the capacity."""
+        """Store reconstructions; returns False when they exceed the capacity.
+
+        A re-put of the decode held under ``key`` (a resumed, deeper decode of
+        the same bitstream) keeps its read count."""
         nbytes = sum(int(frame.nbytes) for frame in frames)
         if self.capacity_bytes is not None and nbytes > self.capacity_bytes:
             return False
         entry = _CacheEntry(frames=list(frames), token=tuple(token), nbytes=nbytes)
         with self._lock:
-            if key in self._entries:
+            old = self._entries.get(key)
+            if old is not None:
+                entry.count = old.count if old.token == entry.token else 1
                 self._remove(key)
+            entry.priority = self._age + entry.count
             self._entries[key] = entry
             self._current_bytes += nbytes
             self.stats.insertions += 1
-            while self.capacity_bytes is not None and self._current_bytes > self.capacity_bytes:
-                _, victim = self._entries.popitem(last=False)
+            if self.capacity_bytes is None or self._current_bytes <= self.capacity_bytes:
+                return True
+            # Lowest rank first, oldest first among ties (the sort is stable),
+            # never the entry just put: it is last in the order.
+            others = islice(self._entries.items(), len(self._entries) - 1)
+            for victim_key, victim in sorted(others, key=lambda item: item[1].priority):
+                if self._current_bytes <= self.capacity_bytes:
+                    break
+                del self._entries[victim_key]
+                self._age = max(self._age, victim.priority)
                 self._current_bytes -= victim.nbytes
                 self.stats.evictions += 1
                 self.stats.bytes_evicted += victim.nbytes
         return True
 
     def demote(self, key: TileKey) -> None:
-        """File ``key``'s entry, if held, as the oldest: the next eviction
-        takes it first."""
+        """Rank ``key``'s entry, if held, below every other until its next
+        put or hit: the next eviction takes it first."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key, last=False)
+            entry = self._entries.get(key)
+            if entry is not None:
+                entry.priority = float("-inf")
 
     # ------------------------------------------------------------------
     # Single-flight decode coordination
@@ -227,6 +253,7 @@ class TileDecodeCache:
         with self._lock:
             self._entries.clear()
             self._current_bytes = 0
+            self._age = 0.0
 
     # ------------------------------------------------------------------
     # Introspection

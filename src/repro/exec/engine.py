@@ -13,14 +13,15 @@ work:
 * **Warm + serve, pipelined per SOT** — each needed (GOP, tile) bitstream is
   decoded *once*, to the deepest frame any query in the batch reaches, into
   the :class:`~repro.exec.cache.TileDecodeCache`, and every query's requests
-  against that SOT are answered immediately afterwards, while its tiles are
-  the cache's most recently used entries — so a cache that holds one SOT's
-  working set serves hits even when the batch's whole working set is far
-  larger, and a SOT too big for the cache is simply not warmed (serving it
-  costs no more than sequential execution would).  Per-query results are
-  byte-identical to sequential ``scan()`` calls — serving runs the same
-  grouping, decode-depth, and assembly logic — but tiles shared between
-  queries are decoded once instead of once per query.
+  against that SOT are answered immediately afterwards, from the cache or,
+  for a tile a later put of the same warm evicted, from the warm's own
+  frames — so a cache that holds one SOT's working set serves hits even when
+  the batch's whole working set is far larger, and a SOT too big for the
+  cache is simply not warmed (serving it costs no more than sequential
+  execution would).  Per-query results are byte-identical to sequential
+  ``scan()`` calls — serving runs the same grouping, decode-depth, and
+  assembly logic — but tiles shared between queries are decoded once
+  instead of once per query.
 
 A batch runs on the thread that calls it; parallelism comes from running
 independent batches side by side (the service layer's runner pool), which is
@@ -34,7 +35,7 @@ counters, so summing the batch's stats reproduces the work actually done.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -100,7 +101,7 @@ class BatchResult:
     ``results`` holds one :class:`~repro.core.scan.ScanResult` per input
     query, in input order; ``stats`` aggregates the decode work of the whole
     batch (warm phase plus any serve-phase misses) without double-counting
-    tiles shared between queries.
+    tiles shared between queries, and its hits are the serve phase's only.
     """
 
     results: list[ScanResult] = field(default_factory=list)
@@ -250,7 +251,8 @@ class QueryExecutor:
         What each query cost is its own ``ScanResult``: ``index_seconds``,
         ``decode_seconds`` (its serves, by the decoder's clock) and
         ``stats`` (its serves' cache hits and misses and what they decoded);
-        the ``BatchResult`` adds the warm phase's time and decode work.
+        the ``BatchResult`` adds the warm phase's time, decode work and
+        misses.
 
         Like ``execute``, the batch holds read locks on each touched video
         while planning (released before decoding, so metadata writes only
@@ -302,10 +304,10 @@ class QueryExecutor:
                     if remaining == 0 and not (cancelled is not None and cancelled(plan_index)):
                         observer(QueryDone(plan_index, batch.results[plan_index]))
 
-            # Each SOT is served right after it is warmed, while its tiles are
-            # the cache's most recently used entries: a cache holding one SOT's
-            # working set serves hits however large the batch is (the warm
-            # itself skips any SOT too big for the cache).
+            # Each SOT is served right after it is warmed, from what the warm
+            # decoded: a cache holding one SOT's working set serves hits
+            # however large the batch is (the warm itself skips any SOT too
+            # big for the cache).
             for (video, sot_index), group in sorted(members.items()):
                 if cancelled is not None and all(cancelled(index) for index, _ in group):
                     for plan_index, _ in group:
@@ -322,7 +324,9 @@ class QueryExecutor:
                     else [request for _, piece in group for request in piece.requests],
                     scope=video,
                 )
-                batch.stats.merge(warm.stats)
+                # A warm's hits are its serves' to count: it adds only what it
+                # decoded and missed.
+                batch.stats.merge(replace(warm.stats, cache_hits=0, pixels_served_from_cache=0))
                 batch.warm_seconds += warm.elapsed_seconds
                 for plan_index, piece in group:
                     pending_sots[plan_index] -= 1
@@ -330,7 +334,7 @@ class QueryExecutor:
                         continue
                     result = batch.results[plan_index]
                     regions_before = len(result.regions)
-                    decoded = decoder.decode_regions(encoded, piece, scope=video)
+                    decoded = decoder.decode_regions(encoded, piece, video, warm.warmed)
                     self._apply_decoded(result, decoded)
                     batch.serve_seconds += decoded.elapsed_seconds
                     if observer is not None:

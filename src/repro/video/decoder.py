@@ -136,6 +136,8 @@ class DecodeResult:
     regions: list[DecodedRegion] = field(default_factory=list)
     stats: DecodeStats = field(default_factory=DecodeStats)
     elapsed_seconds: float = 0.0
+    #: A warm's reconstructions by cache key (see ``prefetch_regions``).
+    warmed: dict = field(default_factory=dict)
 
 
 class VideoDecoder:
@@ -168,6 +170,7 @@ class VideoDecoder:
         sot: EncodedSot,
         requests: "list[RegionRequest] | ScanPiece",
         scope: str | None = None,
+        warmed: dict | None = None,
     ) -> DecodeResult:
         """Decode the pixels of every requested region from one SOT.
 
@@ -177,7 +180,9 @@ class VideoDecoder:
         :class:`ScanPiece` that was last served from this very ``sot``, the
         grouping, the tile spans and the box clipping are the piece's own
         (see :meth:`_plan_for`): what is left is finding the tiles and one
-        ``raster[rows, columns].copy()`` per one-tile box.
+        ``raster[rows, columns].copy()`` per one-tile box.  ``warmed`` is the
+        :meth:`prefetch_regions` result of this SOT, whose frames serve a tile
+        the cache let go since.
         """
         started = time.perf_counter()
         result = DecodeResult()
@@ -186,7 +191,7 @@ class VideoDecoder:
             # Decode each touched tile once, up to the deepest frame needed,
             # then cut every request's pixels out of those reconstructions.
             reconstructions = self._reconstruct_tiles(
-                gops[gop_number], tile_depth, result, scope=scope, sot_index=sot.sot_index
+                gops[gop_number], tile_depth, result, scope, sot.sot_index, warmed
             )
             for request, offset, tile_index, rows, columns in served:
                 if tile_index is not None:
@@ -214,8 +219,10 @@ class VideoDecoder:
         that wants it, whose memoised plan the serve then shares), each
         touched (GOP, tile) is decoded once, to the deepest frame any request
         reaches, and stored in the cache so the per-query serve phase hits
-        instead of re-decoding.  The returned result carries only decode-work
-        stats (no regions).
+        instead of re-decoding.  The returned result carries decode-work stats
+        and, in ``warmed``, what it reconstructed (no regions): the serve reads
+        a tile from there when a later put of the same warm evicted it — a
+        newly put entry ranks below entries read more often.
 
         Prefetching is useful only when the warmed tiles survive until they
         are served, so a SOT whose union working set exceeds the cache
@@ -232,9 +239,10 @@ class VideoDecoder:
         capacity = self.cache.capacity_bytes
         if capacity is None or plan.working_set_bytes <= capacity:
             for gop_number, tile_depth, _ in plan.gops:
-                self._reconstruct_tiles(
-                    sot.gops[gop_number], tile_depth, result, scope=scope, sot_index=sot.sot_index
-                )
+                gop = sot.gops[gop_number]
+                tiles = self._reconstruct_tiles(gop, tile_depth, result, scope, sot.sot_index)
+                for tile_index, frames in tiles.items():
+                    result.warmed[(scope, sot.sot_index, gop.frame_start, tile_index)] = frames
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -341,6 +349,7 @@ class VideoDecoder:
         result: DecodeResult,
         scope: str | None,
         sot_index: int,
+        warmed: dict | None = None,
     ) -> dict[int, list[np.ndarray]]:
         """Reconstruct each needed tile, via the cache when one is attached.
 
@@ -350,7 +359,8 @@ class VideoDecoder:
         decodes while the rest wait and then hit the fresh entry — the same
         tile is never decoded twice in parallel for the same depth.  A miss on
         a tile the cache holds too shallow resumes from the held frames: only
-        the frames past them are decoded, and counted.
+        the frames past them are decoded, and counted.  A tile ``warmed``
+        holds deep enough is a hit even when the cache no longer holds it.
         """
         reconstructions: dict[int, list[np.ndarray]] = {}
         for tile_index, depth in tile_depth.items():
@@ -363,6 +373,8 @@ class VideoDecoder:
             key = (scope, sot_index, gop.frame_start, tile_index)
             while True:
                 cached = self.cache.get(key, min_depth=depth, token=tile.checksums)
+                if cached is None and warmed and len(warmed.get(key, ())) > depth:
+                    cached = warmed[key]
                 if cached is not None:
                     result.stats.cache_hits += 1
                     result.stats.pixels_served_from_cache += (

@@ -147,8 +147,8 @@ def test_the_cache_offers_frames_for_a_resume_by_token_at_any_depth():
     assert len(held) == 2 and all(a is b for a, b in zip(held, shallow))  # deep enough to resume
     assert cache.held(key, impostor.checksums) is None
     assert cache.held(("tiny-traffic", 0, 0, 2), tile.checksums) is None
-    # ``held`` is not a lookup: it moves no entry, so the next eviction still
-    # takes the least recently used one.
+    # ``held`` is not a read: it moves no count or rank, so the next eviction
+    # still takes the older of two entries read once.
     lru = TileDecodeCache(capacity_bytes=2 * sum(frame.nbytes for frame in shallow))
     newer = ("tiny-traffic", 0, 0, 2)
     lru.put(key, shallow, token=tile.checksums)
