@@ -24,7 +24,10 @@ a name hide each other.
 defined under the first path whose name no token under any of the paths uses,
 other than its own definitions.  Unlike ``--dead`` it lists classes and
 exported names too, so a definition ``__init__.py`` re-exports but no
-program, benchmark or example calls is listed.
+program, benchmark or example calls is listed.  Under the count, ungated, it
+prints by name what it cannot decide: definitions it counts as used whose
+name another definition under the first path, or a builtin, shares, so the
+uses it saw may all be the other's and tests the only callers.
 
 ``--unused-imports`` lists each name an import statement binds that no other
 name token, no ``__all__`` string and no quoted annotation of its module uses.
@@ -35,11 +38,14 @@ package's re-exports) are exempt.
 from __future__ import annotations
 
 import ast
+import builtins
 import io
 import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+_BUILTINS = set(dir(builtins))
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -137,9 +143,12 @@ def dead_definitions(files: list[Path]) -> list[str]:
     return [where for name, where in defined if uses[name] == 1 and name not in exported]
 
 
-def test_only_definitions(files: list[Path], users: list[Path]) -> list[str]:
+def test_only_definitions(
+    files: list[Path], users: list[Path]
+) -> tuple[list[str], dict[str, list[str]]]:
     """``file:line Owner.name`` of each class, function or method of ``files``
-    whose name no token of ``files`` or ``users`` uses but its own definitions."""
+    whose name no token of ``files`` or ``users`` uses but its own definitions;
+    and, by name, those used by a name that is not theirs alone."""
     uses: Counter[str] = Counter()
     defined: list[tuple[str, str]] = []
     for file in files + users:
@@ -149,7 +158,12 @@ def test_only_definitions(files: list[Path], users: list[Path]) -> list[str]:
         if file in files:
             defined.extend(_definitions(file, tree, classes=True))
     definitions = Counter(name for name, _ in defined)
-    return [where for name, where in defined if uses[name] == definitions[name]]
+    undecided: dict[str, list[str]] = {}
+    for name, where in defined:
+        if uses[name] > definitions[name] and (definitions[name] > 1 or name in _BUILTINS):
+            undecided.setdefault(name, []).append(where)
+    listed = [where for name, where in defined if uses[name] == definitions[name]]
+    return listed, undecided
 
 
 def _quoted_annotation_names(tree: ast.Module) -> list[str]:
@@ -208,6 +222,7 @@ def main(argv: list[str]) -> None:
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         return
+    undecided: dict[str, list[str]] = {}
     if argv[0] == "--defs":
         rows = list(count_defs(Path(argv[1]), argv[2:]).items())
     elif argv[0] == "--dead":
@@ -215,7 +230,8 @@ def main(argv: list[str]) -> None:
     elif argv[0] == "--test-only":
         files = python_files(argv[1:2])
         users = [file for file in python_files(argv[2:]) if file not in files]
-        rows = [(where, 1) for where in test_only_definitions(files, users)]
+        listed, undecided = test_only_definitions(files, users)
+        rows = [(where, 1) for where in listed]
     elif argv[0] == "--unused-imports":
         rows = [(where, 1) for where in unused_imports(python_files(argv[1:]))]
     else:
@@ -223,6 +239,10 @@ def main(argv: list[str]) -> None:
     for name, count in rows:
         print(f"{count:6d} {name}")
     print(f"{sum(count for _, count in rows):6d} total")
+    if undecided:
+        print("undecided: used by a name another definition or a builtin shares")
+        for name, where in undecided.items():
+            print(f"  {name}: {', '.join(where)}")
 
 
 if __name__ == "__main__":

@@ -136,11 +136,12 @@ class CostModel:
         the window's frame masks."""
         gop_frames, needed = self.config.codec.gop_frames, table.tiles_needed
         pixels = table.pixels_before[last] - table.pixels_before[first]
-        tiles = sum(
-            reduce(or_, needed[max(first, start) : min(last, start + gop_frames)], 0).bit_count()
-            for start in range(first - first % gop_frames, last, gop_frames)
-        )
-        return CostEstimate(pixels=pixels, tiles=tiles, cost=self.cost(pixels, tiles))
+        tiles = 0
+        while first < last:  # the window's frames of one GOP per turn
+            stop = min(last, first - first % gop_frames + gop_frames)
+            tiles += reduce(or_, needed[first:stop], 0).bit_count()
+            first = stop
+        return CostEstimate(pixels, tiles, self.cost(pixels, tiles))
 
     def untiled_query_cost(
         self,

@@ -30,7 +30,6 @@ from typing import Protocol
 
 from ..tiles.layout import TileLayout
 from ..tiles.partitioner import TileGranularity
-from .cost import CostEstimate
 from .query import Query, Workload
 from .regret import RegretAccumulator, layout_key
 from .tasm import TASM
@@ -161,7 +160,8 @@ class IncrementalMorePolicy:
 
     granularity: TileGranularity = TileGranularity.FINE
     name: str = "incremental-more"
-    _seen_objects: dict[int, set[str]] = field(default_factory=dict)
+    #: Per ``(video, SOT)``: the classes queried there so far.
+    _seen_objects: dict[tuple[str, int], set[str]] = field(default_factory=dict)
 
     def prepare(
         self, tasm: TASM, executor: RetileExecutor, video_name: str, workload: Workload
@@ -176,7 +176,7 @@ class IncrementalMorePolicy:
         frame_start, frame_stop = query.temporal.resolve(tiled.video.frame_count)
         total = 0.0
         for sot_index in tiled.sots_for_frames(frame_start, frame_stop):
-            seen = self._seen_objects.setdefault(sot_index, set())
+            seen = self._seen_objects.setdefault((video_name, sot_index), set())
             new_objects = set(query.objects) - seen
             if not new_objects:
                 continue
@@ -194,9 +194,12 @@ class IncrementalRegretPolicy:
 
     granularity: TileGranularity = TileGranularity.FINE
     name: str = "incremental-regret"
+    #: Regret per ``(video, SOT)`` and alternative.
     _regret: RegretAccumulator = field(default_factory=RegretAccumulator)
+    #: Per video: the classes queried so far.
     _seen_objects: dict[str, set[str]] = field(default_factory=dict)
-    _current_objects: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    #: Per ``(video, SOT)``: the classes its last re-tile was around.
+    _current_objects: dict[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
 
     def prepare(
         self, tasm: TASM, executor: RetileExecutor, video_name: str, workload: Workload
@@ -234,32 +237,44 @@ class IncrementalRegretPolicy:
         query: Query,
         alternatives: list[tuple[str, ...]],
     ) -> float:
+        """Accrue one query's regret to each alternative of one SOT, then
+        re-tile the SOT to the alternative of most regret, if any passes the
+        eta and alpha rules.
+
+        The SOT's costs come from the what-if memo in two batched reads — the
+        current and untiled layouts, then every tiled alternative — and its
+        alternatives' layouts in one more, so a visit whose answers are all
+        memoised costs three memo reads and a probe per question.
+        """
         tiled = tasm.video(video_name)
-        current_layout = tiled.layout_for(sot_index)
-        current_cost = tasm.estimate_sot_query_cost(video_name, sot_index, query, current_layout)
-        untiled_cost = tasm.estimate_untiled_sot_query_cost(video_name, sot_index, query)
+        current_cost, untiled_cost = tasm.estimate_sot_query_costs(
+            video_name, sot_index, query, [tiled.layout_for(sot_index), tiled.untiled_layout]
+        )
         if untiled_cost.is_zero:
             # The query selects nothing from this SOT; no regret accrues.
             return 0.0
 
+        sot = (video_name, sot_index)
+        candidates = [
+            (objects, layout)
+            for objects, layout in zip(
+                alternatives,
+                tasm.layouts_around(video_name, sot_index, alternatives, self.granularity),
+            )
+            if not layout.is_untiled
+        ]
+        costs = tasm.estimate_sot_query_costs(
+            video_name, sot_index, query, [layout for _, layout in candidates]
+        )
         frame_start, frame_stop = tiled.frame_range(sot_index)
-        candidates: dict[tuple[str, ...], tuple[TileLayout, CostEstimate]] = {}
-        for objects in alternatives:
-            layout = tasm.layout_around(video_name, sot_index, objects, self.granularity)
-            if layout.is_untiled:
-                continue
-            alternative_cost = tasm.estimate_sot_query_cost(video_name, sot_index, query, layout)
-            candidates[objects] = (layout, alternative_cost)
-            delta = tasm.cost_model.delta(current_cost, alternative_cost)
-            self._regret.accumulate(sot_index, objects, delta)
-
         stored = tiled.stored_layout(sot_index)
         best_choice: tuple[float, tuple[str, ...], TileLayout] | None = None
-        for objects, (layout, alternative_cost) in candidates.items():
-            if self._current_objects.get(sot_index) == objects:
+        for (objects, layout), alternative_cost in zip(candidates, costs):
+            delta = tasm.cost_model.delta(current_cost, alternative_cost)
+            regret = self._regret.accumulate(sot, objects, delta).regret
+            if self._current_objects.get(sot) == objects:
                 continue
             retile_cost = tasm.cost_model.retile_cost(stored, layout, frame_stop - frame_start)
-            regret = self._regret.regret_of(sot_index, objects)
             if regret <= tasm.config.eta * retile_cost:
                 continue
             # The alpha rule: do not adopt a layout that would barely help (or
@@ -273,8 +288,8 @@ class IncrementalRegretPolicy:
             return 0.0
         _, objects, layout = best_choice
         charged = executor.retile(video_name, sot_index, layout)
-        self._current_objects[sot_index] = objects
-        self._regret.reset(sot_index)
+        self._current_objects[sot] = objects
+        self._regret.reset(sot)
         return charged
 
     @staticmethod

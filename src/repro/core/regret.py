@@ -12,7 +12,7 @@ re-encode cost, the SOT is re-tiled with that alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Hashable, Iterable
 
 __all__ = ["layout_key", "RegretAccumulator", "RegretEntry"]
 
@@ -43,41 +43,38 @@ class RegretEntry:
 
 @dataclass
 class RegretAccumulator:
-    """Per-SOT regret ledger for a single video."""
+    """Regret ledger per SOT and alternative layout.
 
-    _entries: dict[tuple[int, tuple[str, ...]], RegretEntry] = field(default_factory=dict)
+    A SOT is whatever key the caller names it by; one ledger over several
+    videos needs keys that tell their SOTs apart, such as ``(video, SOT)``.
+    """
+
+    _entries: dict[tuple[Hashable, tuple[str, ...]], RegretEntry] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def ensure_alternative(self, sot_index: int, objects: Iterable[str]) -> RegretEntry:
+    def ensure_alternative(self, sot: Hashable, objects: Iterable[str]) -> RegretEntry:
         """Register an alternative layout for a SOT (regret starts at zero)."""
-        key = (sot_index, layout_key(objects))
+        key = (sot, layout_key(objects))
         entry = self._entries.get(key)
         if entry is None:
             entry = RegretEntry(objects=key[1])
             self._entries[key] = entry
         return entry
 
-    def accumulate(self, sot_index: int, objects: Iterable[str], delta: float) -> RegretEntry:
+    def accumulate(self, sot: Hashable, objects: Iterable[str], delta: float) -> RegretEntry:
         """Add ``delta`` (estimated improvement of the alternative) for one query."""
-        entry = self.ensure_alternative(sot_index, objects)
+        entry = self.ensure_alternative(sot, objects)
         entry.accumulate(delta)
         return entry
 
-    def reset(self, sot_index: int) -> None:
+    def reset(self, sot: Hashable) -> None:
         """Drop every alternative of a SOT (called after the SOT is re-tiled).
 
         Re-tiling realises the accumulated benefit, so the ledger starts
         afresh; alternatives will be re-registered as further queries arrive.
         """
-        stale = [key for key in self._entries if key[0] == sot_index]
+        stale = [key for key in self._entries if key[0] == sot]
         for key in stale:
             del self._entries[key]
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def regret_of(self, sot_index: int, objects: Iterable[str]) -> float:
-        entry = self._entries.get((sot_index, layout_key(objects)))
-        return 0.0 if entry is None else entry.regret

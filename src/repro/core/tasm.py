@@ -33,7 +33,7 @@ from ..geometry import BoundingBox, Rectangle
 from ..index import BTreeSemanticIndex, IndexEntry
 from ..storage.catalog import VideoCatalog
 from ..storage.tiled_video import RetileRecord, TiledVideo
-from ..tiles.layout import TileLayout, untiled_layout
+from ..tiles.layout import TileLayout
 from ..tiles.partitioner import TileGranularity, partition_around_boxes
 from ..video.codec import Handover
 from ..video.decoder import RegionRequest, ScanPiece, VideoDecoder
@@ -236,26 +236,43 @@ class TASM:
     ) -> TileLayout:
         """``partition(s, O)``: a non-uniform layout around the indexed boxes of O.
 
+        The one-set case of :meth:`layouts_around`.
+        """
+        return self.layouts_around(video_name, sot_index, [objects], granularity)[0]
+
+    def layouts_around(
+        self,
+        video_name: str,
+        sot_index: int,
+        object_sets: Iterable[Iterable[str]],
+        granularity: TileGranularity = TileGranularity.FINE,
+    ) -> list[TileLayout]:
+        """:meth:`layout_around` for each of ``object_sets``, in order.
+
         A what-if question: the answer depends only on ``(SOT, set(O),
         granularity)`` and the index entries in the SOT's frame range, so it
-        is memoised until the index is next written in that range — asking
-        again costs a generation read and a dict probe, not a partition.
+        is memoised until the index is next written in that range.  The memo
+        is read once for the whole list, so asking again costs one
+        generation read and a dict probe per set, not a partition.
         """
         tiled = self.catalog.get(video_name)
-        question = (frozenset(objects), granularity)
         answers = self._what_if_answers(tiled, sot_index)
-        layout = answers.get(question)
-        if layout is None:
-            grouped = self.boxes_for(video_name, question[0], *tiled.frame_range(sot_index))
-            layout = partition_around_boxes(
-                [box for frame_boxes in grouped.values() for box in frame_boxes],
-                frame_width=tiled.video.width,
-                frame_height=tiled.video.height,
-                granularity=granularity,
-                codec=self.config.codec,
-            )
-            self._remember(answers, question, layout)
-        return layout
+        layouts = []
+        for objects in object_sets:
+            question = (frozenset(objects), granularity)
+            layout = answers.get(question)
+            if layout is None:
+                grouped = self.boxes_for(video_name, question[0], *tiled.frame_range(sot_index))
+                layout = partition_around_boxes(
+                    [box for frame_boxes in grouped.values() for box in frame_boxes],
+                    frame_width=tiled.video.width,
+                    frame_height=tiled.video.height,
+                    granularity=granularity,
+                    codec=self.config.codec,
+                )
+                self._remember(answers, question, layout)
+            layouts.append(layout)
+        return layouts
 
     def retile_sot(self, video_name: str, sot_index: int, layout: TileLayout) -> RetileRecord:
         """Re-encode one SOT with a new layout (the physical re-organisation).
@@ -338,46 +355,54 @@ class TASM:
     ) -> CostEstimate:
         """Estimated C(s, q, L) for one SOT, using the semantic index for boxes.
 
-        The other what-if question, memoised like :meth:`layout_around` — but
+        The one-layout case of :meth:`estimate_sot_query_costs`;
+        ``layout=None`` means the SOT's current layout.
+        """
+        return self.estimate_sot_query_costs(video_name, sot_index, query, [layout])[0]
+
+    def estimate_sot_query_costs(
+        self,
+        video_name: str,
+        sot_index: int,
+        query: Query,
+        layouts: Iterable[TileLayout | None],
+    ) -> list[CostEstimate]:
+        """C(s, q, L) for each of ``layouts``, in order; a ``None`` is the
+        SOT's current layout, resolved before the memo is asked, so a re-tile
+        needs no invalidation.
+
+        The other what-if question, memoised like :meth:`layouts_around` — but
         what is kept is not the answer: it is a
         :class:`~repro.core.cost.SotCostTable` for ``(predicate, L)``, made
         from the predicate's whole-SOT scan piece (:meth:`_scan_piece`), and
         the query's frame range clipped to the SOT is read off it.  So a
         window never asked about before costs what a repeated one does: no
-        index lookup, no box spanned over ``L``.  ``layout=None`` means the
-        SOT's current layout, resolved before the memo is asked, so a re-tile
-        needs no invalidation.
+        index lookup, no box spanned over ``L``.  The catalog, the window and
+        the memo are read once for the whole list: pricing every alternative
+        of a SOT is one generation read and a table probe per layout.
         """
         tiled = self.catalog.get(video_name)
         frame_start, frame_stop = tiled.frame_range(sot_index)
         query_start, query_stop = query.temporal.resolve(tiled.video.frame_count)
-        start = max(frame_start, query_start)
-        stop = min(frame_stop, query_stop)
-        if stop <= start:
-            return CostEstimate(0, 0, 0.0)
-        if layout is None:
-            layout = tiled.layout_for(sot_index)
-        question = (query.predicate, layout)
+        first = max(frame_start, query_start) - frame_start
+        last = min(frame_stop, query_stop) - frame_start
+        if last <= first:
+            return [CostEstimate(0, 0, 0.0) for _ in layouts]
         answers = self._what_if_answers(tiled, sot_index)
-        table = answers.get(question)
-        if table is None:
-            whole = self._scan_piece(tiled, sot_index, query.predicate, frame_start, frame_stop)
-            table = self.cost_model.sot_cost_table(
-                layout, ([request.region for request in frame] for frame in whole.frames())
-            )
-            self._remember(answers, question, table)
-        return self.cost_model.window_cost(table, start - frame_start, stop - frame_start)
-
-    def estimate_untiled_sot_query_cost(
-        self, video_name: str, sot_index: int, query: Query
-    ) -> CostEstimate:
-        tiled = self.catalog.get(video_name)
-        return self.estimate_sot_query_cost(
-            video_name,
-            sot_index,
-            query,
-            untiled_layout(tiled.video.width, tiled.video.height),
-        )
+        estimates = []
+        for layout in layouts:
+            if layout is None:
+                layout = tiled.layout_for(sot_index)
+            question = (query.predicate, layout)
+            table = answers.get(question)
+            if table is None:
+                whole = self._scan_piece(tiled, sot_index, query.predicate, frame_start, frame_stop)
+                table = self.cost_model.sot_cost_table(
+                    layout, ([request.region for request in frame] for frame in whole.frames())
+                )
+                self._remember(answers, question, table)
+            estimates.append(self.cost_model.window_cost(table, first, last))
+        return estimates
 
     # ------------------------------------------------------------------
     # The known-query / known-object optimisation (Section 4.2)
@@ -417,12 +442,10 @@ class TASM:
             tiled_cost = CostEstimate(0, 0, 0.0)
             untiled_cost = CostEstimate(0, 0, 0.0)
             for query in sot_queries:
-                tiled_cost = tiled_cost + self.estimate_sot_query_cost(
-                    video_name, sot_index, query, layout
+                with_layout, without = self.estimate_sot_query_costs(
+                    video_name, sot_index, query, [layout, tiled.untiled_layout]
                 )
-                untiled_cost = untiled_cost + self.estimate_untiled_sot_query_cost(
-                    video_name, sot_index, query
-                )
+                tiled_cost, untiled_cost = tiled_cost + with_layout, untiled_cost + without
             if not self.cost_model.layout_is_useful(tiled_cost, untiled_cost):
                 continue
             chosen[sot_index] = layout
@@ -448,9 +471,9 @@ class TASM:
         Three kinds of question share a SOT's answers, and only the third has
         a frame window in it:
 
-        * ``(labels, granularity)`` — :meth:`layout_around`'s layout;
+        * ``(labels, granularity)`` — :meth:`layouts_around`'s layout;
         * ``(predicate, layout)`` — the :class:`~repro.core.cost.SotCostTable`
-          that :meth:`estimate_sot_query_cost` reads every window's cost off;
+          that :meth:`estimate_sot_query_costs` reads every window's cost off;
         * ``(predicate, start, stop)`` — the scan path's
           :class:`~repro.video.decoder.ScanPiece` (:meth:`_scan_piece`).  The
           one for the SOT's whole frame range is the predicate's frame table,

@@ -60,6 +60,8 @@ class BTreeSemanticIndex:
         self._entries: dict[str, dict[str, list[IndexEntry]]] = {}
         #: Writes per ``(video, frame)``: what :meth:`generation` sums.
         self._frame_writes: dict[str, dict[int, int]] = {}
+        #: Per video, each frame range's sum since the video was last written.
+        self._generations: dict[str, dict[tuple[int, int], int]] = {}
         self._lock = threading.Lock()
 
     def add(self, entry: IndexEntry) -> None:
@@ -88,6 +90,7 @@ class BTreeSemanticIndex:
                 bisect.insort(by_label.setdefault(entry.label, []), entry, key=_FRAME)
                 writes = self._frame_writes.setdefault(entry.video, {})
                 writes[entry.frame_index] = writes.get(entry.frame_index, 0) + 1
+                self._generations.pop(entry.video, None)
 
     def lookup(
         self,
@@ -123,7 +126,17 @@ class BTreeSemanticIndex:
         Anything derived from a frame range's entries (a layout around its
         boxes, a query's estimated cost) is still current exactly when the
         range's generation is what it was *before* the entries were read.
+        The number is the range's count of writes, summed frame by frame
+        (:meth:`_sum_writes`) at the first read after the video is written
+        and kept until its next write, so reading a range again costs a dict
+        probe however many frames it spans.
         """
         with self._lock:
-            writes = self._frame_writes.get(video, {})
-            return sum(writes.get(frame, 0) for frame in range(frame_start, frame_stop))
+            ranges = self._generations.setdefault(video, {})
+            if (frame_start, frame_stop) not in ranges:
+                ranges[frame_start, frame_stop] = self._sum_writes(video, frame_start, frame_stop)
+            return ranges[frame_start, frame_stop]
+
+    def _sum_writes(self, video: str, frame_start: int, frame_stop: int) -> int:
+        writes = self._frame_writes.get(video, {})
+        return sum(writes.get(frame, 0) for frame in range(frame_start, frame_stop))

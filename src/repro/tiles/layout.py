@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Iterator
 
@@ -79,7 +79,7 @@ class TileLayout:
     def columns(self) -> int:
         return len(self.column_widths)
 
-    @property
+    @cached_property
     def tile_count(self) -> int:
         return self.rows * self.columns
 
@@ -158,7 +158,7 @@ class TileLayout:
             for column in range(col0, col1)
         ]
 
-    @property
+    @cached_property
     def frame_pixels(self) -> int:
         return self.frame_width * self.frame_height
 
@@ -174,8 +174,12 @@ class TileLayout:
         return iter(self._rectangles)
 
 
+@cache
 def untiled_layout(frame_width: int, frame_height: int) -> TileLayout:
-    """The omega layout: one tile spanning the whole frame (Section 2)."""
+    """The omega layout: one tile spanning the whole frame (Section 2).
+
+    A layout is immutable, so each frame size has one: asking again returns
+    the same object, its geometry already computed."""
     return TileLayout(
         frame_width=frame_width,
         frame_height=frame_height,

@@ -80,7 +80,9 @@ class ModelledEngine:
         frame_start, frame_stop = query.temporal.resolve(tiled.video.frame_count)
         total = 0.0
         for sot_index in tiled.sots_for_frames(frame_start, frame_stop):
-            total += self.tasm.estimate_untiled_sot_query_cost(query.video, sot_index, query).cost
+            total += self.tasm.estimate_sot_query_cost(
+                query.video, sot_index, query, tiled.untiled_layout
+            ).cost
         return total
 
     def retile(self, video_name: str, sot_index: int, layout: TileLayout) -> float:

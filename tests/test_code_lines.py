@@ -136,6 +136,65 @@ def test_test_only_lists_what_only_tests_use(tmp_path: Path):
     assert total.split() == ["3", "total"]
 
 
+SHARED_NAME_TREE = {
+    "pkg/core.py": '''
+import threading
+
+
+class Gauge:
+    def set(self, value):
+        self.value = value
+
+
+class Server:
+    def scan(self):
+        return 1
+
+
+class Widget:
+    def scan(self):
+        return 2
+
+    def area(self):
+        return 3
+
+
+threading.Event().set()  # the builtin's name, and another class's method
+Server().scan()
+Widget().area()
+Gauge()
+''',
+    "tests/test_core.py": '''
+from pkg.core import Gauge, Widget
+
+Gauge().set(1)
+Widget().scan()
+''',
+}
+
+
+def test_test_only_prints_what_a_shared_name_hides(tmp_path: Path):
+    """``Gauge.set`` and ``Widget.scan`` only tests call, but a use of their
+    names by something else makes the scan count them used: it prints them,
+    by name, under the count, which they do not change."""
+    for name, source in SHARED_NAME_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--test-only", str(tmp_path / "pkg")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    where = f"{tmp_path / 'pkg' / 'core.py'}:"
+    assert done.stdout.splitlines() == [
+        "     0 total",
+        "undecided: used by a name another definition or a builtin shares",
+        f"  set: {where}6 Gauge.set",
+        f"  scan: {where}11 Server.scan, {where}16 Widget.scan",
+    ]
+
+
 IMPORT_TREE = {
     "pkg/__init__.py": '''
 from .mod import helper, unlisted  # re-exports: exempt

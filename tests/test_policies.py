@@ -182,7 +182,7 @@ class TestOneRetileCost:
         query = Query.select_range("car", video.name, 0, 5)
         for _ in range(queries):
             assert policy.on_query(tasm, engine, video.name, query) == 0.0
-        return policy._regret.regret_of(0, ("car",))
+        return policy._regret.ensure_alternative((video.name, 0), ("car",)).regret
 
     @pytest.mark.parametrize("stored", [False, True])
     def test_the_threshold_is_retile_cost_of_the_stored_sot(

@@ -26,7 +26,7 @@ class TestRegretAccumulator:
         entry = regret.ensure_alternative(0, ["car"])
         assert entry.regret == 0.0
         assert entry.observations == 0
-        assert regret.regret_of(0, ["car"]) == 0.0
+        assert regret.ensure_alternative(0, ["car"]) is entry
 
     def test_accumulates_across_queries(self):
         regret = RegretAccumulator()
@@ -41,24 +41,22 @@ class TestRegretAccumulator:
         regret = RegretAccumulator()
         regret.accumulate(0, ["car"], 1.0)
         regret.accumulate(1, ["car"], 5.0)
-        assert regret.regret_of(0, ["car"]) == 1.0
-        assert regret.regret_of(1, ["car"]) == 5.0
+        assert regret.ensure_alternative(0, ["car"]).regret == 1.0
+        assert regret.ensure_alternative(1, ["car"]).regret == 5.0
         assert len(alternatives_for(regret, 0)) == 1
 
     def test_exceeding_threshold(self):
-        # The policy compares regret_of against its threshold itself.
+        # The policy compares an entry's regret against its threshold itself.
         regret = RegretAccumulator()
         regret.accumulate(0, ["car"], 1.0)
         regret.accumulate(0, ["person"], 10.0)
         over = [
             entry.objects
             for entry in alternatives_for(regret, 0)
-            if regret.regret_of(0, entry.objects) > 5.0
+            if entry.regret > 5.0
         ]
         assert over == [("person",)]
-        assert not any(
-            regret.regret_of(0, entry.objects) > 100.0 for entry in alternatives_for(regret, 0)
-        )
+        assert not any(entry.regret > 100.0 for entry in alternatives_for(regret, 0))
 
     def test_reset_clears_only_that_sot(self):
         regret = RegretAccumulator()
@@ -66,13 +64,13 @@ class TestRegretAccumulator:
         regret.accumulate(1, ["car"], 2.0)
         regret.reset(0)
         assert alternatives_for(regret, 0) == []
-        assert regret.regret_of(1, ["car"]) == 2.0
+        assert regret.ensure_alternative(1, ["car"]).regret == 2.0
         assert len(alternatives_for(regret, 1)) == 1
 
     def test_negative_regret_tracks_harmful_layouts(self):
         """Layouts that would have slowed queries accumulate negative regret."""
         regret = RegretAccumulator()
         regret.accumulate(0, ["person"], -2.0)
-        regret.accumulate(0, ["person"], -1.5)
-        assert regret.regret_of(0, ["person"]) == -3.5
-        assert not regret.regret_of(0, ["person"]) > 0.0, "never past a zero threshold"
+        entry = regret.accumulate(0, ["person"], -1.5)
+        assert entry.regret == -3.5
+        assert not entry.regret > 0.0, "never past a zero threshold"

@@ -186,7 +186,9 @@ class TestLayoutGeneration:
 class TestCostEstimation:
     def test_estimates_respond_to_layout(self, tasm, tiny_video):
         query = Query.select("car", tiny_video.name)
-        untiled = tasm.estimate_untiled_sot_query_cost(tiny_video.name, 0, query)
+        untiled = tasm.estimate_sot_query_cost(
+            tiny_video.name, 0, query, tasm.video(tiny_video.name).untiled_layout
+        )
         layout = tasm.layout_around(tiny_video.name, 0, ["car"])
         tiled = tasm.estimate_sot_query_cost(tiny_video.name, 0, query, layout)
         assert tiled.pixels < untiled.pixels

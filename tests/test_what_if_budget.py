@@ -61,19 +61,20 @@ def test_w4_partitions_once_per_question_per_index_write(monkeypatch):
     calls = count_calls(monkeypatch)
     calls["layout_around"] = 0
     distinct: set = set()
-    layout_around = TASM.layout_around
+    layouts_around = TASM.layouts_around
 
-    def recording_layout_around(
-        self, video_name, sot_index, objects, granularity=TileGranularity.FINE
+    def recording_layouts_around(
+        self, video_name, sot_index, object_sets, granularity=TileGranularity.FINE
     ):
-        objects = frozenset(objects)
+        # Every layout question goes through here, ``layout_around``'s too.
+        object_sets = [frozenset(objects) for objects in object_sets]
         frames = self.video(video_name).frame_range(sot_index)
         written = self.semantic_index.generation(video_name, *frames)
-        calls["layout_around"] += 1
-        distinct.add((sot_index, objects, granularity, written))
-        return layout_around(self, video_name, sot_index, objects, granularity)
+        calls["layout_around"] += len(object_sets)
+        distinct.update((sot_index, objects, granularity, written) for objects in object_sets)
+        return layouts_around(self, video_name, sot_index, object_sets, granularity)
 
-    monkeypatch.setattr(TASM, "layout_around", recording_layout_around)
+    monkeypatch.setattr(TASM, "layouts_around", recording_layouts_around)
 
     tasm, video = run_w4_on_smoke_road()
     assert len(tasm.video(video.name).retile_history) == 3  # the run did re-tile
