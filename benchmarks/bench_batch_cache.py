@@ -8,8 +8,9 @@ its cost model says dominates decode time):
 
 * **sequential / seed path** — each query scanned on its own, decode cache
   disabled (byte-for-byte the paper's execution model);
-* **batched** — the whole workload through ``execute_batch``, which decodes
-  each needed (GOP, tile) bitstream at most once per batch;
+* **batched** — the whole workload through ``execute_batch`` on a TASM with
+  no cache, which decodes each needed (GOP, tile) bitstream at most once per
+  batch and serves each SOT's queries from that SOT's warm;
 * **batched + persistent cache** — the same batch against a TASM whose
   ``decode_cache_bytes`` cache also survives across batches, the serving
   configuration for heavy repeated traffic.
@@ -105,7 +106,7 @@ def test_batched_execution_decodes_fewer_pixels(benchmark, comparison, config):
         }
     ]
     for name, result in (
-        ("batched, batch-scoped cache", batch),
+        ("batched, no cache", batch),
         ("batched, persistent cache (cold)", cached_first),
         ("batched, persistent cache (warm)", cached_repeat),
     ):

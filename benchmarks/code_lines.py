@@ -24,10 +24,13 @@ a name hide each other.
 defined under the first path whose name no token under any of the paths uses,
 other than its own definitions.  Unlike ``--dead`` it lists classes and
 exported names too, so a definition ``__init__.py`` re-exports but no
-program, benchmark or example calls is listed.  Under the count, ungated, it
-prints by name what it cannot decide: definitions it counts as used whose
-name another definition under the first path, or a builtin, shares, so the
-uses it saw may all be the other's and tests the only callers.
+program, benchmark or example calls is listed.  A use whose receiver names
+the class — ``self.name`` or ``cls.name`` in a class body, ``Class.name``
+anywhere — is a use of that class's method (or of an override below it), not
+of every method of that name.  Under the count, ungated, it prints by name
+what it cannot decide: definitions it counts as used whose name another
+definition under the first path, or a builtin, shares, so the uses it saw may
+all be the other's and tests the only callers.
 
 ``--unused-imports`` lists each name an import statement binds that no other
 name token, no ``__all__`` string and no quoted annotation of its module uses.
@@ -111,20 +114,91 @@ def _name_uses(source: str, tree: ast.Module) -> Counter[str]:
     return uses
 
 
-def _definitions(file: Path, tree: ast.Module, classes: bool) -> list[tuple[str, str]]:
-    """``(name, "file:line Owner.name")`` of each top-level function, method
-    and (with ``classes``) class; functions nested in functions are not listed."""
-    defined: list[tuple[str, str]] = []
-    bodies = [("", tree.body)]
-    for owner, body in bodies:
+def _top_level(file: Path, tree: ast.Module):
+    """``(enclosing class or "", node, "file:line Owner.name")`` of each
+    class, function and method of the module and of its classes, nested
+    classes included; functions nested in functions are not listed."""
+    bodies = [("", "", tree.body)]
+    for owner, enclosing, body in bodies:
         for node in body:
             if isinstance(node, ast.ClassDef):
-                bodies.append((f"{owner}{node.name}.", node.body))
-                if classes:
-                    defined.append((node.name, f"{file}:{node.lineno} {owner}{node.name}"))
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append((node.name, f"{file}:{node.lineno} {owner}{node.name}"))
-    return [pair for pair in defined if not (pair[0].startswith("__") and pair[0].endswith("__"))]
+                bodies.append((f"{owner}{node.name}.", node.name, node.body))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield enclosing, node, f"{file}:{node.lineno} {owner}{node.name}"
+
+
+def _definitions(file: Path, tree: ast.Module, classes: bool) -> list[tuple[str, str]]:
+    """``(name, "file:line Owner.name")`` of each top-level function, method
+    and (with ``classes``) class, dunders aside."""
+    return [
+        (node.name, where)
+        for _, node, where in _top_level(file, tree)
+        if (classes or not isinstance(node, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _receiver_uses(trees: list[ast.Module], classes: set[str]) -> list[tuple[str, str]]:
+    """``(class, name)`` for each ``self.name`` or ``cls.name`` in a class's
+    body (its nested classes' bodies aside) and each ``Class.name`` of a
+    class in ``classes``."""
+    receivers: list[tuple[str, str]] = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") in classes:
+                receivers.append((node.value.id, node.attr))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            inside = [statement for statement in node.body if not isinstance(statement, ast.ClassDef)]
+            while inside:
+                inner = inside.pop()
+                if not isinstance(inner, ast.ClassDef):
+                    inside.extend(ast.iter_child_nodes(inner))
+                    if isinstance(inner, ast.Attribute) and getattr(inner.value, "id", "") in ("self", "cls"):
+                        receivers.append((node.name, inner.attr))
+    return receivers
+
+
+def _attributed(files: list[tuple[Path, ast.Module]]) -> tuple[Counter[str], Counter[str]]:
+    """Uses told apart by their receiver: the count of each method's, by
+    ``file:line Owner.name``, and the count attributed at all, by name.
+
+    ``self.name`` in class ``C``, or ``C.name``, is a use of the definition
+    of ``name`` nearest ``C`` up its bases and of every definition of
+    ``name`` in a class below ``C``, which may override it; classes and bases
+    go by name.  A use no definition answers stays a plain use of the name."""
+    bases: dict[str, set[str]] = {}
+    methods: dict[str, dict[str, list[str]]] = {}
+    for file, tree in files:
+        for enclosing, node, where in _top_level(file, tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    getattr(base, "id", None) or getattr(base, "attr", "") for base in node.bases
+                )
+                methods.setdefault(node.name, {})
+            elif enclosing:
+                methods[enclosing].setdefault(node.name, []).append(where)
+    # Each class and its bases, nearest first.
+    lines = {name: [name] for name in methods}
+    for line in lines.values():
+        for ancestor in line:
+            line.extend(base for base in sorted(bases.get(ancestor, ())) if base not in line)
+    by_definition: Counter[str] = Counter()
+    by_name: Counter[str] = Counter()
+    for receiver, name in _receiver_uses([tree for _, tree in files], set(methods)):
+        nearest = next(
+            (methods[c][name] for c in lines[receiver] if name in methods.get(c, {})), []
+        )
+        below = [
+            where
+            for subclass, line in lines.items()
+            if receiver in line[1:]
+            for where in methods[subclass].get(name, ())
+        ]
+        if nearest or below:
+            by_definition.update(set(nearest + below))
+            by_name[name] += 1
+    return by_definition, by_name
 
 
 def dead_definitions(files: list[Path]) -> list[str]:
@@ -147,22 +221,33 @@ def test_only_definitions(
     files: list[Path], users: list[Path]
 ) -> tuple[list[str], dict[str, list[str]]]:
     """``file:line Owner.name`` of each class, function or method of ``files``
-    whose name no token of ``files`` or ``users`` uses but its own definitions;
-    and, by name, those used by a name that is not theirs alone."""
+    that nothing in ``files`` or ``users`` uses; and, by name, those used by
+    a name that is not theirs alone.
+
+    A method a use is attributed to by its receiver (see :func:`_attributed`)
+    is used; one that is not is used only by the uses left to its name, the
+    name tokens that are neither its definitions nor attributed."""
     uses: Counter[str] = Counter()
     defined: list[tuple[str, str]] = []
+    parsed: list[tuple[Path, ast.Module]] = []
     for file in files + users:
         source = file.read_text()
         tree = ast.parse(source)
+        parsed.append((file, tree))
         uses.update(_name_uses(source, tree))
         if file in files:
             defined.extend(_definitions(file, tree, classes=True))
     definitions = Counter(name for name, _ in defined)
+    by_definition, by_name = _attributed(parsed)
+    listed: list[str] = []
     undecided: dict[str, list[str]] = {}
     for name, where in defined:
-        if uses[name] > definitions[name] and (definitions[name] > 1 or name in _BUILTINS):
+        if by_definition[where]:
+            continue
+        if uses[name] <= definitions[name] + by_name[name]:
+            listed.append(where)
+        elif definitions[name] > 1 or name in _BUILTINS:
             undecided.setdefault(name, []).append(where)
-    listed = [where for name, where in defined if uses[name] == definitions[name]]
     return listed, undecided
 
 

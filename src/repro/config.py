@@ -108,7 +108,7 @@ class TasmConfig:
     sot_frames: int | None = None
     #: Capacity of the persistent tile-decode cache in decoded bytes.  0
     #: disables the persistent cache, preserving the paper's one-shot scan
-    #: behaviour; batched execution then uses a cache scoped to each batch.
+    #: behaviour; a batch then serves each SOT's queries from that SOT's warm.
     decode_cache_bytes: int = 0
     #: Upper bound on the number of queries one service batch holds.  A free
     #: batch runner takes up to this many pending queries at once, so a batch

@@ -11,6 +11,7 @@ both a "car" box and a "red" box on the same frame.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -48,17 +49,26 @@ class LabelPredicate:
     @classmethod
     def single(cls, label: str) -> "LabelPredicate":
         """Predicate matching one label (``SELECT o FROM v``)."""
-        return cls(((label,),))
+        return cls._interned(((label,),))
 
     @classmethod
     def any_of(cls, labels: Iterable[str]) -> "LabelPredicate":
         """Disjunction: pixels of any of the given labels."""
-        return cls((tuple(labels),))
+        return cls._interned((tuple(labels),))
 
     @classmethod
     def all_of(cls, labels: Iterable[str]) -> "LabelPredicate":
         """Conjunction: pixels lying in a box of every given label."""
-        return cls(tuple((label,) for label in labels))
+        return cls._interned(tuple((label,) for label in labels))
+
+    @classmethod
+    def _interned(cls, clauses: Iterable[Iterable[str]]) -> "LabelPredicate":
+        """The predicate of ``clauses``, the same object for every equal value
+        while any is held, so a memo key built from it matches the filed key
+        by identity.  The table holds its values weakly: labels that queries
+        (wire clients' among them) stop using leave it."""
+        predicate = cls(clauses)
+        return _INTERNED.setdefault((cls, predicate.clauses), predicate)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -115,6 +125,10 @@ class LabelPredicate:
         return " AND ".join(
             "(" + " OR ".join(sorted(clause)) + ")" for clause in self.clauses
         )
+
+
+#: Every predicate the constructors returned that is still held, by value.
+_INTERNED: "weakref.WeakValueDictionary[tuple, LabelPredicate]" = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ scheduling of VSS and the batched frame requests of Scanner (see PAPERS.md):
 * :class:`~repro.exec.engine.QueryExecutor` — plans a batch of queries into
   per-``(video, SOT)`` region requests, decodes each needed (GOP, tile)
   bitstream at most once per batch, SOT by SOT on the calling thread, and
-  answers every query from the warm cache.  Per-query results are
+  answers every query from that SOT's warm, through TASM's one decoder and
+  its cache when it has one.  Per-query results are
   byte-identical to sequential ``scan()`` calls.  An optional
   ``observer`` receives :class:`~repro.exec.engine.PartialResult` /
   :class:`~repro.exec.engine.QueryDone` events as each SOT is served — the

@@ -87,16 +87,15 @@ class _CacheEntry:
 class TileDecodeCache:
     """Cache of decoded tile rasters, bounded by total decoded bytes.
 
-    ``capacity_bytes=None`` makes the cache unbounded (used for batch-scoped
-    caches whose lifetime bounds their size); any positive value evicts the
-    lowest-ranked entries (``age + reads``, see the module docstring) once the
-    decoded bytes held exceed it.  An entry :meth:`demote` ranks lowest is the
-    next to go, unless a hit ranks it again first.
+    Once the decoded bytes held exceed ``capacity_bytes`` the cache evicts
+    the lowest-ranked entries (``age + reads``, see the module docstring).
+    An entry :meth:`demote` ranks lowest is the next to go, unless a hit
+    ranks it again first.
     """
 
-    def __init__(self, capacity_bytes: int | None = None):
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive (or None for unbounded)")
+    def __init__(self, capacity_bytes: int):
+        if capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
         self.stats = CacheStats()
         #: Least recently put or hit first: the tie-break among equal ranks.
@@ -161,7 +160,7 @@ class TileDecodeCache:
         A re-put of the decode held under ``key`` (a resumed, deeper decode of
         the same bitstream) keeps its read count."""
         nbytes = sum(int(frame.nbytes) for frame in frames)
-        if self.capacity_bytes is not None and nbytes > self.capacity_bytes:
+        if nbytes > self.capacity_bytes:
             return False
         entry = _CacheEntry(frames=list(frames), token=tuple(token), nbytes=nbytes)
         with self._lock:
@@ -173,7 +172,7 @@ class TileDecodeCache:
             self._entries[key] = entry
             self._current_bytes += nbytes
             self.stats.insertions += 1
-            if self.capacity_bytes is None or self._current_bytes <= self.capacity_bytes:
+            if self._current_bytes <= self.capacity_bytes:
                 return True
             # Lowest rank first, oldest first among ties (the sort is stable),
             # never the entry just put: it is last in the order.

@@ -12,12 +12,13 @@ work:
   before decoding anything — and a repeated scan plans nothing again.
 * **Warm + serve, pipelined per SOT** — each needed (GOP, tile) bitstream is
   decoded *once*, to the deepest frame any query in the batch reaches, into
-  the :class:`~repro.exec.cache.TileDecodeCache`, and every query's requests
-  against that SOT are answered immediately afterwards, from the cache or,
-  for a tile a later put of the same warm evicted, from the warm's own
-  frames — so a cache that holds one SOT's working set serves hits even when
-  the batch's whole working set is far larger, and a SOT too big for the
-  cache is simply not warmed (serving it costs no more than sequential
+  TASM's :class:`~repro.exec.cache.TileDecodeCache` when it has one, and
+  every query's requests against that SOT are answered immediately
+  afterwards, from the cache or, for a tile a later put of the same warm
+  evicted (or a TASM without a cache), from the warm's own frames — so a
+  cache that holds one SOT's working set serves hits even when the batch's
+  whole working set is far larger, and a SOT too big for the cache is
+  simply not warmed (serving it costs no more than sequential
   execution would).  Per-query results are byte-identical to sequential
   ``scan()`` calls — serving runs the same grouping, decode-depth, and
   assembly logic — but tiles shared between queries are decoded once
@@ -43,8 +44,7 @@ from ..concurrency import VIDEO_LEVEL
 from ..core.query import Query
 from ..core.scan import ScanRegion, ScanResult
 from ..video.codec import DecodeStats
-from ..video.decoder import DecodeResult, ScanPiece, VideoDecoder
-from .cache import TileDecodeCache
+from ..video.decoder import DecodeResult, ScanPiece
 
 if TYPE_CHECKING:
     from ..core.tasm import TASM
@@ -182,7 +182,7 @@ class QueryExecutor:
                 )
             finally:
                 locks.release_read(video_held)
-            return self._serve(plan, self._tasm._decoder)
+            return self._serve(plan)
         finally:
             locks.release_read(sot_held)
 
@@ -198,17 +198,17 @@ class QueryExecutor:
     ) -> BatchResult:
         """Execute a batch of queries, decoding each needed tile at most once.
 
-        When TASM has a persistent :class:`TileDecodeCache` (configured via
+        The batch decodes through TASM's decoder.  When TASM has a persistent
+        :class:`TileDecodeCache` (configured via
         ``TasmConfig.decode_cache_bytes``) the batch shares it — warm entries
         from earlier scans are reused and survivors stay for later ones.
-        Otherwise an unbounded cache scoped to this batch provides the
-        intra-batch sharing.
+        Either way a SOT's queries share its warm's own reconstructions.
 
         The batch is one loop over the ``(video, SOT)`` keys its queries
         touch, ascending, on the calling thread: warm the SOT (decode the
-        union of what its queries need into the cache), then serve each
-        interested query from it.  SOT order is ascending per video, so each
-        query's regions accumulate in the order a sequential scan produces.
+        union of what its queries need), then serve each interested query
+        from it.  SOT order is ascending per video, so each query's regions
+        accumulate in the order a sequential scan produces.
 
         ``observer``, when given, receives streaming events: a
         :class:`PartialResult` the moment each SOT's regions for a query are
@@ -283,13 +283,7 @@ class QueryExecutor:
         finally:
             locks.release_read(video_held)
         try:
-            cache = tasm.tile_cache
-            batch_scoped_cache = cache is None
-            if batch_scoped_cache:
-                cache = TileDecodeCache(capacity_bytes=None)
-                decoder = VideoDecoder(tasm.config.codec, cache=cache)
-            else:
-                decoder = tasm._decoder
+            decoder = tasm._decoder
             batch = BatchResult(
                 results=[
                     ScanResult(video=plan.video, index_seconds=plan.index_seconds)
@@ -348,11 +342,6 @@ class QueryExecutor:
                         )
                         if pending_sots[plan_index] == 0:
                             observer(QueryDone(plan_index, result))
-                if batch_scoped_cache:
-                    # A served SOT is never revisited, so a batch-scoped cache
-                    # lets it go: peak memory stays near one SOT's working
-                    # set, not the batch's whole decoded working set.
-                    cache.invalidate_sot(video, sot_index)
         finally:
             locks.release_read(sot_held)
 
@@ -398,12 +387,12 @@ class QueryExecutor:
             sot_requests=sot_requests,
         )
 
-    def _serve(self, plan: _QueryPlan, decoder: VideoDecoder) -> ScanResult:
+    def _serve(self, plan: _QueryPlan) -> ScanResult:
         """Answer one planned query — the paper's per-SOT decode loop."""
         result = ScanResult(video=plan.video, index_seconds=plan.index_seconds)
         if not plan.sot_requests:
             return result
-        tiled = self._tasm.catalog.get(plan.video)
+        tiled, decoder = self._tasm.catalog.get(plan.video), self._tasm._decoder
         for sot_index, piece in plan.sot_requests:
             encoded = tiled.encoded_sot(sot_index)
             decoded = decoder.decode_regions(encoded, piece, scope=plan.video)

@@ -1,7 +1,9 @@
 """The TASM service layer: a concurrent, multi-client server over one TASM.
 
-* :class:`~repro.service.server.TasmServer` — one TASM and one process-wide
-  :class:`~repro.exec.cache.TileDecodeCache`.  Every client's queries share
+* :class:`~repro.service.server.TasmServer` — one TASM, served as it was
+  built, whose :class:`~repro.exec.cache.TileDecodeCache` (when
+  ``TasmConfig.decode_cache_bytes`` asks for one) every client's decodes
+  share.  Every client's queries share
   one pending queue that free batch runners drain up to
   ``TasmConfig.service_max_batch`` at a time, so queries that queue together
   share decodes.  Writes (``add_metadata``, ``retile_sot``) serialize against
@@ -32,7 +34,7 @@ wire, and ``traces()`` / the ``trace`` op for per-query traces.
 
 from .stream import ScanStream, StreamChunk
 from .scheduler import BatchScheduler, ResultStream
-from .server import DEFAULT_SERVER_CACHE_BYTES, TasmServer
+from .server import TasmServer
 from .client import TasmClient
 from .transport import (
     PROTOCOL_VERSION,
@@ -45,7 +47,6 @@ from .transport import (
 
 __all__ = [
     "BatchScheduler",
-    "DEFAULT_SERVER_CACHE_BYTES",
     "PROTOCOL_VERSION",
     "RemoteScanStream",
     "RemoteTasmClient",

@@ -9,10 +9,10 @@ whatever queued while they were busy, so those queries touch each tile once.
 
 The server owns:
 
-* a single :class:`~repro.core.tasm.TASM` (constructed from a config, or
-  supplied by the caller) whose persistent tile cache is guaranteed to exist
-  — a TASM configured without one is given a server cache, because a server
-  without cross-query reuse is pointless;
+* a single :class:`~repro.core.tasm.TASM`, served as it was built: its
+  persistent tile cache (``TasmConfig.decode_cache_bytes``) is what lets one
+  client's decodes warm another's, and a TASM built without one serves every
+  batch from that batch's own warms;
 * a :class:`~repro.service.scheduler.BatchScheduler` whose pool of
   ``service_runners`` batch-runner threads each take up to
   ``service_max_batch`` pending queries the moment they are free — a lone
@@ -36,40 +36,23 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Sequence
 
-from ..config import TasmConfig
 from ..core.predicates import LabelPredicate, TemporalPredicate
 from ..core.query import Query
 from ..core.tasm import TASM
 from ..detection.base import Detection
-from ..exec.cache import TileDecodeCache
 from ..obs import Observability
 from ..storage.tiled_video import RetileRecord
 from ..tiles.layout import TileLayout
 from ..video.codec import DecodeStats
 from .scheduler import BatchScheduler, ResultStream
 
-__all__ = ["DEFAULT_SERVER_CACHE_BYTES", "TasmServer"]
-
-#: Cache capacity granted to a TASM that reaches the server without one.
-DEFAULT_SERVER_CACHE_BYTES = 256 * 1024 * 1024
+__all__ = ["TasmServer"]
 
 
 class TasmServer:
     """A concurrent, multi-client front end over one TASM instance."""
 
-    def __init__(self, tasm: TASM | None = None, config: TasmConfig | None = None):
-        if tasm is not None and config is not None:
-            raise ValueError("pass either a TASM instance or a config, not both")
-        if tasm is None:
-            config = config or TasmConfig()
-            if config.decode_cache_bytes == 0:
-                config = config.with_updates(decode_cache_bytes=DEFAULT_SERVER_CACHE_BYTES)
-            tasm = TASM(config=config)
-        elif tasm.tile_cache is None:
-            # A server without a shared cache cannot share decodes across
-            # clients; grant the TASM one rather than silently serving cold.
-            tasm.tile_cache = TileDecodeCache(DEFAULT_SERVER_CACHE_BYTES)
-            tasm._decoder.cache = tasm.tile_cache
+    def __init__(self, tasm: TASM):
         self.tasm = tasm
         #: The server's observability surface (metrics registry, per-query
         #: traces, slow-query log).  The metrics always count;

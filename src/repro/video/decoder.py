@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ..config import CodecConfig
-from ..errors import CodecError
 from ..geometry import Rectangle
 from ..tiles.layout import TileLayout
 from .codec import DecodeStats, EncodedGop, TileCodec
@@ -212,17 +211,18 @@ class VideoDecoder:
         requests: "list[RegionRequest] | ScanPiece",
         scope: str,
     ) -> DecodeResult:
-        """Decode every tile the requests touch into the cache, skipping assembly.
+        """Decode every tile the requests touch, skipping assembly.
 
         This is the batch executor's warm phase: given the union of every
         region the batch needs from one SOT (or the one :class:`ScanPiece`
         that wants it, whose memoised plan the serve then shares), each
         touched (GOP, tile) is decoded once, to the deepest frame any request
-        reaches, and stored in the cache so the per-query serve phase hits
-        instead of re-decoding.  The returned result carries decode-work stats
-        and, in ``warmed``, what it reconstructed (no regions): the serve reads
-        a tile from there when a later put of the same warm evicted it — a
-        newly put entry ranks below entries read more often.
+        reaches, and stored in the cache, if the decoder has one, so the
+        per-query serve phase hits instead of re-decoding.  The returned
+        result carries decode-work stats and, in ``warmed``, what it
+        reconstructed (no regions): the serve reads a tile from there when the
+        decoder has no cache, or when a later put of the same warm evicted it
+        — a newly put entry ranks below entries read more often.
 
         Prefetching is useful only when the warmed tiles survive until they
         are served, so a SOT whose union working set exceeds the cache
@@ -231,13 +231,10 @@ class VideoDecoder:
         costs exactly what sequential execution would — warming it would cost
         strictly more.
         """
-        if self.cache is None:
-            raise CodecError("prefetch_regions requires a decoder with a tile cache")
         started = time.perf_counter()
         result = DecodeResult()
         plan = self._plan_for(sot, requests)
-        capacity = self.cache.capacity_bytes
-        if capacity is None or plan.working_set_bytes <= capacity:
+        if self.cache is None or plan.working_set_bytes <= self.cache.capacity_bytes:
             for gop_number, tile_depth, _ in plan.gops:
                 gop = sot.gops[gop_number]
                 tiles = self._reconstruct_tiles(gop, tile_depth, result, scope, sot.sot_index)
@@ -351,48 +348,46 @@ class VideoDecoder:
         sot_index: int,
         warmed: dict | None = None,
     ) -> dict[int, list[np.ndarray]]:
-        """Reconstruct each needed tile, via the cache when one is attached.
+        """Reconstruct each needed tile: from the cache, else from ``warmed``,
+        else by decoding it.
 
-        Misses are single-flight across threads: when several concurrent
-        decodes (whole batches running on separate service runners) miss on
-        the same tile key at once, one leader
-        decodes while the rest wait and then hit the fresh entry — the same
-        tile is never decoded twice in parallel for the same depth.  A miss on
-        a tile the cache holds too shallow resumes from the held frames: only
-        the frames past them are decoded, and counted.  A tile ``warmed``
-        holds deep enough is a hit even when the cache no longer holds it.
+        A tile ``warmed`` holds deep enough is a hit even when the cache no
+        longer holds it, or the decoder has none.  Misses are single-flight
+        across threads: when several concurrent decodes (whole batches running
+        on separate service runners) miss on the same tile key at once, one
+        leader decodes while the rest wait and then hit the fresh entry — the
+        same tile is never decoded twice in parallel for the same depth.  A
+        miss on a tile the cache holds too shallow resumes from the held
+        frames: only the frames past them are decoded, and counted.  Without
+        a cache, or a ``scope`` to key it by, a tile ``warmed`` lacks is
+        decoded and nothing is counted as a miss.
         """
+        cache = self.cache if scope is not None else None
         reconstructions: dict[int, list[np.ndarray]] = {}
         for tile_index, depth in tile_depth.items():
             tile = gop.tiles[tile_index]
-            if self.cache is None or scope is None:
-                reconstructions[tile_index] = self._codec.decode_tile(
-                    tile, up_to_offset=depth, stats=result.stats
-                )
-                continue
             key = (scope, sot_index, gop.frame_start, tile_index)
             while True:
-                cached = self.cache.get(key, min_depth=depth, token=tile.checksums)
+                cached = None if cache is None else cache.get(key, depth, tile.checksums)
                 if cached is None and warmed and len(warmed.get(key, ())) > depth:
                     cached = warmed[key]
                 if cached is not None:
                     result.stats.cache_hits += 1
-                    result.stats.pixels_served_from_cache += (
-                        tile.pixels_per_frame * (depth + 1)
-                    )
+                    result.stats.pixels_served_from_cache += tile.pixels_per_frame * (depth + 1)
                     reconstructions[tile_index] = cached
-                    break
-                if not self.cache.begin_decode(key):
+                elif cache is None:
+                    reconstructions[tile_index] = self._codec.decode_tile(tile, depth, result.stats)
+                elif not cache.begin_decode(key):
                     continue  # another thread just decoded it; re-check
-                try:
-                    result.stats.cache_misses += 1
-                    frames = self._codec.decode_tile(
-                        tile, depth, result.stats, resume_from=self.cache.held(key, tile.checksums)
-                    )
-                    self.cache.put(key, frames, token=tile.checksums)
-                finally:
-                    self.cache.end_decode(key)
-                reconstructions[tile_index] = frames
+                else:
+                    try:
+                        result.stats.cache_misses += 1
+                        reconstructions[tile_index] = frames = self._codec.decode_tile(
+                            tile, depth, result.stats, resume_from=cache.held(key, tile.checksums)
+                        )
+                        cache.put(key, frames, token=tile.checksums)
+                    finally:
+                        cache.end_decode(key)
                 break
         return reconstructions
 

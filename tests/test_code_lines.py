@@ -195,6 +195,65 @@ def test_test_only_prints_what_a_shared_name_hides(tmp_path: Path):
     ]
 
 
+RECEIVER_TREE = {
+    "pkg/core.py": '''
+class Stream:
+    def pull(self):
+        raise NotImplementedError
+
+    def read(self):
+        return self.pull()
+
+
+class FileStream(Stream):
+    def pull(self):  # an override: Stream's self.pull may call it
+        return 1
+
+
+class Server:
+    def pull(self):
+        return 2
+
+    def set(self, value):
+        self.value = value
+
+    @classmethod
+    def build(cls):
+        server = cls()
+        Server.set(server, 3)
+        return server
+
+
+FileStream().read()
+Server.build()
+''',
+    "tests/test_core.py": '''
+from pkg.core import Server
+
+Server().pull()
+''',
+}
+
+
+def test_test_only_tells_methods_apart_by_their_receiver(tmp_path: Path):
+    """``self.pull`` in ``Stream`` is a use of ``Stream.pull`` and of the
+    override below it, not of ``Server.pull``, which only a test calls; and
+    ``Server.set`` is used through its class, whatever else is named ``set``."""
+    for name, source in RECEIVER_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--test-only", str(tmp_path / "pkg")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines() == [
+        f"     1 {tmp_path / 'pkg' / 'core.py'}:16 Server.pull",
+        "     1 total",
+    ]
+
+
 IMPORT_TREE = {
     "pkg/__init__.py": '''
 from .mod import helper, unlisted  # re-exports: exempt

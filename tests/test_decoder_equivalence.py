@@ -100,10 +100,10 @@ def observed() -> dict:
         seen[mode] = (_digest(result), astuple(result.stats))
 
     record("cold", VideoDecoder(CODEC), REQUESTS, None)
-    cached = VideoDecoder(CODEC, cache=TileDecodeCache(capacity_bytes=None))
+    cached = VideoDecoder(CODEC, cache=TileDecodeCache(capacity_bytes=1 << 30))
     record("first", cached, REQUESTS, SCOPE)
     record("warm", cached, REQUESTS, SCOPE)
-    extended = VideoDecoder(CODEC, cache=TileDecodeCache(capacity_bytes=None))
+    extended = VideoDecoder(CODEC, cache=TileDecodeCache(capacity_bytes=1 << 30))
     record("shallow", extended, SHALLOW, SCOPE)
     record("deeper", extended, DEEPER, SCOPE)
     return seen

@@ -139,7 +139,7 @@ def test_the_cache_offers_frames_for_a_resume_by_token_at_any_depth():
     assert tile.region == impostor.region and tile.checksums != impostor.checksums
     codec, key = TileCodec(CODEC), ("tiny-traffic", 0, 0, 3)
 
-    cache = TileDecodeCache()
+    cache = TileDecodeCache(capacity_bytes=1 << 30)
     shallow = codec.decode_tile(tile, 1)
     cache.put(key, shallow, token=tile.checksums)
     assert cache.get(key, min_depth=4, token=tile.checksums) is None  # too shallow to serve
@@ -180,7 +180,7 @@ def test_decoders_racing_to_deepen_one_tile_resume_and_never_decode_a_frame_twic
         VideoDecoder(CODEC).decode_regions(sot, [RegionRequest(frame, box)]).regions[0].pixels
         for frame in range(5)
     ]
-    decoder = VideoDecoder(CODEC, cache=TileDecodeCache())
+    decoder = VideoDecoder(CODEC, cache=TileDecodeCache(capacity_bytes=1 << 30))
     decoded, failures = [], []
 
     def deepen():

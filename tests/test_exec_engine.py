@@ -11,6 +11,7 @@ accounting must never double-count a tile that serves several queries.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,50 @@ class TestBatchAccounting:
         assert no_match.stats.pixels_decoded == 0
 
 
+class TestCachelessBatch:
+    """A TASM without a cache batches through its one decoder: each SOT's
+    queries are served from that SOT's warm, and nothing else is built."""
+
+    def test_the_batch_warms_through_the_tasms_decoder_and_builds_no_cache(
+        self, config, monkeypatch
+    ):
+        tasm, video = make_tasm(config)
+        assert tasm.tile_cache is None
+        warms, caches = [], []
+        prefetch, built = tasm._decoder.prefetch_regions, TileDecodeCache.__init__
+
+        def counted_prefetch(sot, *args, **kwargs):
+            warms.append(sot.sot_index)
+            return prefetch(sot, *args, **kwargs)
+
+        def counted_init(cache, *args, **kwargs):
+            caches.append(cache)
+            built(cache, *args, **kwargs)
+
+        monkeypatch.setattr(tasm._decoder, "prefetch_regions", counted_prefetch)
+        monkeypatch.setattr(TileDecodeCache, "__init__", counted_init)
+        queries = random_queries(video.name, video.frame_count, seed=0)
+        tasm.execute_batch(queries)
+        touched = {sot for query in queries for sot, _ in tasm._executor._plan(query).sot_requests}
+        assert warms == sorted(touched) and warms
+        assert caches == [] and tasm.tile_cache is None
+
+    def test_a_cacheless_batch_serves_and_counts_as_a_cached_one_but_misses(self, config):
+        """Per query, the regions and stats a large cache gives; for the
+        batch, the same decode work with no cache misses, as a cacheless
+        ``execute`` counts none."""
+        cacheless, video = make_tasm(config)
+        cached, _ = make_tasm(config, cache_bytes=64 * 1024 * 1024)
+        queries = random_queries(video.name, video.frame_count, seed=0)
+        batch, reference = cacheless.execute_batch(queries), cached.execute_batch(queries)
+        for result, expected, query in zip(batch, reference, queries):
+            assert_scan_results_identical(result, expected)
+            assert_scan_results_identical(result, cacheless.execute(query))
+            assert result.stats == expected.stats
+        assert reference.stats.cache_misses > 0
+        assert batch.stats == replace(reference.stats, cache_misses=0)
+
+
 class TestRetileInvalidation:
     @staticmethod
     def assert_entries_are_of_the_current_encoding(tasm, video, sot_index: int) -> int:
@@ -446,7 +491,7 @@ class TestTileDecodeCache:
         assert cache.current_bytes == 3000
 
     def test_depth_and_token_mismatches_are_misses(self):
-        cache = TileDecodeCache()
+        cache = TileDecodeCache(capacity_bytes=1 << 30)
         frames = [np.zeros((4, 4), dtype=np.uint8) for _ in range(2)]
         cache.put(("v", 0, 0, 0), frames, token=(9, 9))
         assert cache.get(("v", 0, 0, 0), min_depth=1, token=(9, 9)) is not None
@@ -464,7 +509,7 @@ class TestTileDecodeCache:
         assert len(cache) == 0 and cache.current_bytes == 0
 
     def test_invalidation_scopes(self):
-        cache = TileDecodeCache()
+        cache = TileDecodeCache(capacity_bytes=1 << 30)
         frame = np.zeros((4, 4), dtype=np.uint8)
         for sot in (0, 1):
             for tile in (0, 1):

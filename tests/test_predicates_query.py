@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.core import predicates
+from repro.core.policies import IncrementalRegretPolicy
 from repro.core.predicates import LabelPredicate, TemporalPredicate
 from repro.core.query import Query, Workload
 from repro.errors import QueryError
 from repro.geometry import Rectangle
+from tests.conftest import run_w4_on_smoke_road
 
 
 class TestLabelPredicate:
@@ -80,6 +85,46 @@ class TestLabelPredicate:
             }
         )
         assert regions == [Rectangle(5, 0, 10, 10)]
+
+
+class TestInternedPredicates:
+    def test_equal_values_are_one_object_while_held(self):
+        assert LabelPredicate.single("car") is LabelPredicate.single("car")
+        assert LabelPredicate.any_of(["car", "bus"]) is LabelPredicate.any_of(("bus", "car"))
+        assert LabelPredicate.all_of(["car"]) is LabelPredicate.single("car")
+        assert LabelPredicate.all_of(["car", "red"]) is not LabelPredicate.any_of(["car", "red"])
+        assert Query.select("car", "v").predicate is LabelPredicate.single("car")
+
+    def test_labels_nothing_holds_leave_the_table(self):
+        for index in range(100):
+            LabelPredicate.single(f"a label sent once {index}")
+        gc.collect()
+        held = [predicate.describe() for predicate in predicates._INTERNED.values()]
+        assert not [described for described in held if "sent once" in described]
+
+    def test_a_memoised_regret_visit_compares_no_predicate(self, monkeypatch):
+        """Once every what-if answer of a step is memoised, each memo hit
+        finds its filed key by identity: no ``__eq__`` runs."""
+        tasm, video = run_w4_on_smoke_road(steps=40)
+        policy = IncrementalRegretPolicy()
+
+        class KeepsTheLayout:
+            def retile(self, video_name, sot_index, layout) -> float:
+                return 0.0
+
+        def step(label: str) -> None:
+            query = Query.select_range(label, video.name, 0, video.frame_count)
+            assert tasm.execute(query).regions
+            policy.on_query(tasm, KeepsTheLayout(), video.name, query)
+
+        step("person"), step("car")
+        calls = []
+        equal = LabelPredicate.__eq__
+        monkeypatch.setattr(
+            LabelPredicate, "__eq__", lambda a, b: calls.append(b) or equal(a, b)
+        )
+        step("car"), step("person")
+        assert calls == []
 
 
 class TestTemporalPredicate:

@@ -90,17 +90,13 @@ class TestServerBasics:
         finally:
             server.stop()
 
-    def test_server_grants_cache_to_cacheless_tasm(self, config):
+    def test_a_cacheless_tasm_is_served_as_it_was_built(self, config):
         tasm, video = make_tasm(config)  # decode_cache_bytes = 0
-        assert tasm.tile_cache is None
-        server = TasmServer(tasm)
-        assert tasm.tile_cache is not None, "a server needs a shared cache"
-        assert tasm._decoder.cache is tasm.tile_cache
-        with server:
-            reference, _ = make_tasm(config)
-            assert_scan_results_identical(
-                server.connect().scan(video.name, "car"), reference.scan(video.name, "car")
-            )
+        with TasmServer(tasm) as server:
+            served = server.connect().scan(video.name, "car")
+        assert tasm.tile_cache is None and tasm._decoder.cache is None
+        reference, _ = make_tasm(config)
+        assert_scan_results_identical(served, reference.scan(video.name, "car"))
 
     def test_submit_after_stop_raises(self, config):
         server, video = make_server(config)
@@ -116,11 +112,6 @@ class TestServerBasics:
             assert stream.result().is_empty()
         finally:
             server.stop()
-
-    def test_config_rejects_both_tasm_and_config(self, config):
-        tasm, _ = make_tasm(config)
-        with pytest.raises(ValueError):
-            TasmServer(tasm, config=config)
 
     def test_a_refused_add_metadata_leaves_the_server_serving(self, config):
         """A client's box on a frame that is not a frame index raises in the
