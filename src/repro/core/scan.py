@@ -19,6 +19,7 @@ __all__ = ["ScanRegion", "ScanResult"]
 #: Pixels of one selected region on one frame (``frame_index``, ``region``,
 #: ``pixels``, ``label``).  A scan hands back the decoder's regions as they
 #: are — one object per region, built once — so the two names are one class.
+#: Its pixels are read-only (see :class:`~repro.video.decoder.DecodedRegion`).
 ScanRegion = DecodedRegion
 
 

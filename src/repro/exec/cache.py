@@ -12,6 +12,13 @@ same goes for a re-tile: ``TASM.retile_sot`` asks what is held of the old
 encoding and, after invalidating it, puts what the encoder reconstructed of
 that area under the new tiles' checksums.
 
+Every frame an entry holds is read-only from the moment it is made — the
+rows of ``TileCodec.decode_tile``'s block, or the frames a re-tile's
+encoder keeps — so a scan hands out views of entries, not copies, and no
+caller can write through them.  Dropping an entry (eviction, invalidation,
+a deeper re-put) drops only the cache's reference: a result viewing its
+frames keeps them alive, unchanged.
+
 Two mechanisms keep served pixels fresh across re-tiling:
 
 * **Explicit invalidation** — :meth:`TileDecodeCache.invalidate_sot` drops
@@ -155,7 +162,8 @@ class TileDecodeCache:
         frames: list[np.ndarray],
         token: Sequence[int],
     ) -> bool:
-        """Store reconstructions; returns False when they exceed the capacity.
+        """Store reconstructions (read-only frames, see the module docstring);
+        returns False when they exceed the capacity.
 
         A re-put of the decode held under ``key`` (a resumed, deeper decode of
         the same bitstream) keeps its read count."""

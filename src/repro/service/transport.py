@@ -19,8 +19,10 @@ refused with an error reply coded ``refused``
 reader (requests, credits, cancels, acks) and a writer.  A runner pushing a
 chunk wakes the writer, which encodes every ready chunk its credit allows,
 writes each finished scan's ``done`` or typed ``error`` reply, and sends all
-of it in one ``sendmsg`` over the regions' own buffers.  The reader's
-replies reach the writer through a bounded queue.
+of it in one ``sendmsg`` over the regions' own buffers (see
+:func:`chunk_parts`).  The reader's replies reach the writer through a
+bounded queue.  The client's regions are read-only views of the frame their
+chunk arrived in, as in-process results are read-only views.
 
 **Flow control is per stream.**  A scan request grants the server the
 client's ``stream_buffer_chunks`` credits; each chunk spends one, and a
@@ -200,10 +202,11 @@ class _FrameReader:
     on an EOF landing on a frame boundary, :class:`TransportError` on an EOF
     inside a frame or a header announcing more than :data:`MAX_FRAME_BYTES`
     (raised before anything is allocated or read for it); a socket timeout
-    propagates.  Each payload is its own ``bytearray`` — chunk pixels stay
-    writable views of it — filled from the buffer and, past what the buffer
-    held, by ``recv_into`` directly.  ``readahead=False`` never reads past
-    the frame it returns (for callers that hand the socket on).
+    propagates.  Each payload is its own ``bytearray``, filled from the
+    buffer and, past what the buffer held, by ``recv_into`` directly; a
+    chunk's pixels become read-only views of it
+    (:func:`decode_chunk_payload`).  ``readahead=False`` never reads past the
+    frame it returns (for callers that hand the socket on).
     """
 
     def __init__(self, sock: socket.socket, readahead: bool = True):
@@ -302,11 +305,13 @@ def recv_message(sock: socket.socket) -> dict | None:
 def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[np.ndarray], int]:
     """One chunk split for the wire: header, pixel buffers, total pixel bytes.
 
-    The buffers are the regions' own arrays (one per region, copied only
-    when not C-contiguous), so the socket path can ``sendmsg`` them and the
-    shared-memory path copy them into the ring without an intermediate
-    ``bytes``.  Raises :class:`TransportError` for pixels that are not 2-D
-    ``uint8`` — the record has no field to describe anything else.
+    The buffers are the regions' own arrays, one per region, so the socket
+    path can ``sendmsg`` them and the shared-memory path copy them into the
+    ring without an intermediate ``bytes``.  A region that is not
+    C-contiguous — a box narrower than its tile, served as a view of a
+    cached frame — is copied here, once: the wire takes flat buffers.
+    Raises :class:`TransportError` for pixels that are not 2-D ``uint8`` —
+    the record has no field to describe anything else.
     """
     labels: dict[str, int] = {}
     records = []
@@ -347,7 +352,7 @@ def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]
     Everything in it is the peer's word, so every length is checked against
     what actually arrived before a pixel is touched, and whatever is wrong
     raises :class:`TransportError`.  ``pixels_for(header_end, total)`` then
-    supplies the ``total`` pixel bytes as one flat writable ``uint8`` array.
+    supplies the ``total`` pixel bytes as one flat read-only ``uint8`` array.
     """
     labels_at = at + _CHUNK_HEADER.size
     if labels_at > len(payload):
@@ -400,13 +405,14 @@ def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]
 
 
 def decode_chunk_payload(payload: bytearray) -> tuple[dict, list[ScanRegion]]:
-    """Parse one chunk frame into its header and writable ScanRegions.
+    """Parse one chunk frame into its header and read-only ScanRegions.
 
-    The pixel arrays are backed by the received (mutable) buffer, so they are
-    writable without a copy — parity with in-process results, whose pixels a
-    caller may annotate in place.  A read-only buffer (never produced by
-    :class:`_FrameReader`, but possible for callers handing in ``bytes``) is
-    copied to preserve that guarantee.
+    The pixel arrays are views of ``payload`` itself, no copy, taken through
+    a read-only view of it: the client's received buffer is marked read-only
+    here, so its regions are read-only and cannot be made writable again —
+    parity with in-process results (see
+    :class:`~repro.video.decoder.DecodedRegion`).  ``np.array(pixels)`` is a
+    writable copy.
     """
 
     def pixels_for(header_end: int, total: int) -> np.ndarray:
@@ -415,8 +421,7 @@ def decode_chunk_payload(payload: bytearray) -> tuple[dict, list[ScanRegion]]:
                 f"chunk regions add up to {total} pixel bytes; the frame "
                 f"carries {len(payload) - header_end}"
             )
-        flat = np.frombuffer(payload, dtype=np.uint8, count=total, offset=header_end)
-        return flat if flat.flags.writeable else flat.copy()
+        return np.frombuffer(memoryview(payload).toreadonly(), np.uint8, total, header_end)
 
     return _decode_chunk(payload, 0, pixels_for)
 
@@ -429,7 +434,8 @@ def decode_shm_chunk_payload(
     Returns ``(ring_offset, header, regions)`` — the caller must ack
     ``ring_offset`` so the server can recycle the slot.  Unlike the socket
     path, the pixels *must* be copied: the ring memory is reused as soon as
-    the ack lands.
+    the ack lands.  The copy is made read-only, as the socket path's pixels
+    are.
     """
     if len(payload) < _SHM_CHUNK_HEADER.size:
         raise TransportError("shared-memory chunk frame shorter than its descriptor")
@@ -446,7 +452,7 @@ def decode_shm_chunk_payload(
                 f"shared-memory chunk at {ring_offset}+{total} lies past the "
                 f"{len(ring_buffer)}-byte ring"
             )
-        return np.frombuffer(ring_buffer, dtype=np.uint8, count=total, offset=ring_offset).copy()
+        return np.frombuffer(bytes(ring_buffer[ring_offset : ring_offset + total]), np.uint8)
 
     header, regions = _decode_chunk(payload, _SHM_CHUNK_HEADER.size, pixels_for)
     return ring_offset, header, regions

@@ -254,7 +254,8 @@ class TileCodec:
             stats: optional accumulator for encode accounting.
             kept: receives what :meth:`decode_tile` would reconstruct for
                 frames ``0..keep_depth`` (none by default) — the encoder
-                holds it anyway, to predict the next frame from.
+                holds it anyway, to predict the next frame from — read-only,
+                as ``decode_tile`` returns them.
         """
         if not frames:
             raise CodecError("cannot encode an empty GOP")
@@ -287,6 +288,7 @@ class TileCodec:
                 kept.append(reconstruction.astype(np.uint8))
                 if frame_offset == 0 and is_boundary_tile:
                     self._floor_ring(kept[-1])
+                kept[-1].flags.writeable = False
 
         encoded = EncodedTile(
             region=Rectangle(x1, y1, x2, y2),
@@ -365,7 +367,8 @@ class TileCodec:
         each payload is checked with the CRC-32 of the engine that inflates
         it, inflated into its row and reconstructed there, so nothing but the
         block is allocated (and, resuming after a boundary keyframe alone, the
-        reference it shows).  A call that inflates nothing counts no tile.
+        reference it shows).  The block is returned read-only.  A call that
+        inflates nothing counts no tile.
         """
         last = tile.frame_count - 1 if up_to_offset is None else up_to_offset
         if not 0 <= last < tile.frame_count:
@@ -403,6 +406,9 @@ class TileCodec:
             # Frame 1 is predicted from the reference; only now may the
             # keyframe's row show what the keyframe shows.
             self._floor_ring(block[0])
+        # A cache holds these rows and scans hand out views of them: frozen
+        # from here on, and no view of them can be made writable again.
+        block.flags.writeable = False
         reconstructions.extend(block)
         if stats is not None:
             stats.tiles_decoded += 1

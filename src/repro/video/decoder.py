@@ -15,10 +15,11 @@ Which tiles a box touches is :meth:`~repro.tiles.layout.TileLayout.tile_span`'s
 answer, here as in the cost model.  That answer, the integer clipping of each
 box and, for a box inside one tile, its two slices are the *decode plan*; a
 :class:`ScanPiece` keeps the plan of the encoding it was last served from, so
-once the tiles are reconstructed (or found in the cache) a repeated region
-costs one copy of a slice.  The plan is made once per SOT and encoding, for
-the piece that holds all the SOT's requests; the piece of any window of the
-SOT is a slice of those requests and its plan a slice of that plan.
+once the tiles are found in the cache a repeated region costs one slice: a
+read-only view of the cached frame.  The plan is made once per SOT and
+encoding, for the piece that holds all the SOT's requests; the piece of any
+window of the SOT is a slice of those requests and its plan a slice of that
+plan.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ if TYPE_CHECKING:  # avoid a package cycle: repro.exec imports repro.video
     from ..exec.cache import TileDecodeCache
 
 __all__ = ["RegionRequest", "ScanPiece", "DecodedRegion", "DecodeResult", "VideoDecoder"]
+
+#: The read-only view a serve that copies no pixel cuts its empty regions from.
+_EMPTY = np.frombuffer(b"", np.uint8)
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,10 @@ class _DecodePlan(NamedTuple):
     gops: tuple[tuple[int, dict[int, int], tuple[tuple, ...]], ...]
     #: Bytes of every touched tile decoded to its depth (what prefetch needs).
     working_set_bytes: int
+    #: Pixels of every region, and of the regions that span several tiles:
+    #: what a serve copies without a cache, and with one.
+    region_pixels: int
+    spanning_pixels: int
 
 
 class ScanPiece:
@@ -114,8 +122,14 @@ class ScanPiece:
 class DecodedRegion:
     """The pixels recovered for one request.
 
-    ``pixels`` is a C-contiguous array that owns its memory — never a view of
-    a cache entry — so callers may write to it.
+    ``pixels`` is read-only, and cannot be made writable again: writing into
+    it raises ``ValueError``, and so does setting ``flags.writeable``.  With a
+    decode cache, a box inside one tile is a view of the cached frame — no
+    copy — and keeps that frame alive after the cache evicts it or a re-tile
+    invalidates it.  Every other region is a view of one buffer per decoded
+    SOT that holds only the SOT's returned pixels, so a result never keeps a
+    decoded tile alive that no cache holds.  ``np.array(region.pixels)`` is a
+    writable copy.
     """
 
     frame_index: int
@@ -179,26 +193,46 @@ class VideoDecoder:
         :class:`ScanPiece` that was last served from this very ``sot``, the
         grouping, the tile spans and the box clipping are the piece's own
         (see :meth:`_plan_for`): what is left is finding the tiles and one
-        ``raster[rows, columns].copy()`` per one-tile box.  ``warmed`` is the
+        ``raster[rows, columns]`` view per one-tile box.  ``warmed`` is the
         :meth:`prefetch_regions` result of this SOT, whose frames serve a tile
         the cache let go since.
+
+        With a cache (and a ``scope``), a one-tile box is that view of the
+        read-only cached frame.  Every other region — every region without a
+        cache — is copied into one buffer for the call, and its pixels are
+        cut out of one read-only view of that buffer, made before the first
+        cut (see :class:`DecodedRegion`).
         """
         started = time.perf_counter()
         result = DecodeResult()
+        plan = self._plan_for(sot, requests)
+        in_place = self.cache is not None and scope is not None
+        copied = np.empty(plan.spanning_pixels if in_place else plan.region_pixels, np.uint8)
+        # What the copied regions view: read-only, and so is every view of it.
+        frozen = np.frombuffer(memoryview(copied).toreadonly(), np.uint8) if copied.size else _EMPTY
+        at = 0
         layout, regions, gops = sot.layout, result.regions, sot.gops
-        for gop_number, tile_depth, served in self._plan_for(sot, requests).gops:
+        for gop_number, tile_depth, served in plan.gops:
             # Decode each touched tile once, up to the deepest frame needed,
             # then cut every request's pixels out of those reconstructions.
             reconstructions = self._reconstruct_tiles(
                 gops[gop_number], tile_depth, result, scope, sot.sot_index, warmed
             )
             for request, offset, tile_index, rows, columns in served:
-                if tile_index is not None:
+                if tile_index is None:  # the slots hold the box's tile span and clipped corners
+                    pixels = self._assemble_region(
+                        layout, rows, columns, reconstructions, offset, copied[at:]
+                    )
+                    stop = at + pixels.size
+                    pixels, at = frozen[at:stop].reshape(pixels.shape), stop
+                else:
                     # The common case once a video is tiled around its objects:
                     # the box lies in one tile, so it is one slice of its raster.
-                    pixels = reconstructions[tile_index][offset][rows, columns].copy()
-                else:  # the two slots hold the box's tile span and clipped corners
-                    pixels = self._assemble_region(layout, rows, columns, reconstructions, offset)
+                    pixels = reconstructions[tile_index][offset][rows, columns]
+                    if not in_place:
+                        shape, stop = pixels.shape, at + pixels.size
+                        copied[at:stop].reshape(shape)[...] = pixels
+                        pixels, at = frozen[at:stop].reshape(shape), stop
                 regions.append(
                     DecodedRegion(request.frame_index, request.region, pixels, request.label)
                 )
@@ -313,12 +347,13 @@ class VideoDecoder:
         touched tile's depth is the deepest offset an entry of its GOP reaches
         it at, tiles in the order the entries first touch them."""
         stride = len(sot.layout.column_edges) - 1
-        planned, working_set = [], 0
+        planned, working_set, one_tile, spanning = [], 0, 0, 0
         for number, served in gops:
             tile_depth: dict[int, int] = {}
-            for _, offset, tile_index, span, _ in served:
+            for _, offset, tile_index, span, cut in served:
                 if tile_index is not None:
                     touched = (tile_index,)
+                    one_tile += (span.stop - span.start) * (cut.stop - cut.start)
                 else:
                     row0, row1, col0, col1 = span
                     touched = [
@@ -326,6 +361,8 @@ class VideoDecoder:
                         for row in range(row0 * stride, row1 * stride, stride)
                         for tile in range(row + col0, row + col1)
                     ]
+                    # An empty span is a 0x0 region.
+                    spanning += (cut[2] - cut[0]) * (cut[3] - cut[1]) if touched else 0
                 for tile in touched:
                     if tile_depth.get(tile, -1) < offset:
                         tile_depth[tile] = offset
@@ -334,7 +371,7 @@ class VideoDecoder:
                 tiles[tile].pixels_per_frame * (depth + 1) for tile, depth in tile_depth.items()
             )
             planned.append((number, tile_depth, served))
-        return _DecodePlan(tuple(planned), working_set)
+        return _DecodePlan(tuple(planned), working_set, one_tile + spanning, spanning)
 
     # ------------------------------------------------------------------
     # Internals
@@ -398,9 +435,11 @@ class VideoDecoder:
         clipped: tuple[int, int, int, int],
         reconstructions: dict[int, list[np.ndarray]],
         frame_offset: int,
+        out: np.ndarray,
     ) -> np.ndarray:
         """The pixels of a box that is not inside one tile: ``clipped`` (the box
-        in whole pixels, inside the frame) cut out of the tiles of its span."""
+        in whole pixels, inside the frame) cut out of the tiles of its span,
+        written row by row at the front of ``out`` (flat uint8)."""
         row0, row1, col0, col1 = span
         if row0 == row1:
             return np.zeros((0, 0), dtype=np.uint8)
@@ -409,7 +448,7 @@ class VideoDecoder:
         stride = len(columns) - 1
         # The span's tiles cover the clipped box exactly, so every canvas pixel
         # is written below.
-        canvas = np.empty((y2 - y1, x2 - x1), dtype=np.uint8)
+        canvas = out[: (y2 - y1) * (x2 - x1)].reshape(y2 - y1, x2 - x1)
         for row in range(row0, row1):
             top = rows[row]
             oy1, oy2 = max(y1, top), min(y2, rows[row + 1])

@@ -139,8 +139,9 @@ class TestOneLoop:
                 assert_scan_results_identical(batch[index], reference.execute(query))
 
     def test_a_cacheless_batch_is_the_same_loop(self, config: TasmConfig, monkeypatch):
-        """No persistent cache: the batch-scoped one is filled and let go SOT
-        by SOT by the same loop — no thread, same bytes."""
+        """No cache: the same loop warms each SOT through the TASM's decoder
+        and serves that SOT's queries from its own warm — no thread, same
+        bytes."""
         tasm = two_video_tasm(config, 0)
         started = count_thread_starts(monkeypatch)
         batch = tasm.execute_batch(eight_queries())

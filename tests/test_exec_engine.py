@@ -49,6 +49,20 @@ def keys_for_sot(cache: TileDecodeCache, scope: str, sot_index: int) -> list[Til
         return [key for key in cache._entries if key[0] == scope and key[1] == sot_index]
 
 
+def assert_read_only_pixels(pixels: np.ndarray) -> None:
+    """What a caller may do with a result's pixels: read them and copy them.
+    Writing into them raises, making them writable again raises, and
+    ``np.array`` gives a writable copy of the same bytes."""
+    with pytest.raises(ValueError):
+        pixels[...] = 0
+    with pytest.raises(ValueError):
+        pixels.flags.writeable = True
+    copy = np.array(pixels)
+    assert copy.flags.writeable and copy.flags.owndata
+    assert copy.size == 0 or not np.shares_memory(copy, pixels)
+    np.testing.assert_array_equal(copy, pixels)
+
+
 def random_queries(video_name: str, frame_count: int, seed: int, count: int = 8) -> list[Query]:
     """A randomized workload mixing labels, label sets, and temporal ranges."""
     rng = random.Random(seed)
@@ -126,10 +140,11 @@ class TestBatchEquivalence:
         assert warm.pixels_served_from_cache == cold.pixels_decoded
         assert_scan_results_identical(warm, cold)
 
-    def test_returned_pixels_own_their_memory(self, config):
-        """A caller may scribble on what a scan returns: regions are copies of
-        the cached rasters, never views of them, and C-contiguous (the wire
-        path's ``tobytes()`` and digests rely on that)."""
+    def test_returned_pixels_are_read_only_views(self, config):
+        """Nothing a caller does through what a scan returns changes the cache
+        or a later scan: every region's pixels are read-only for good, a box
+        inside one tile is a view of the cached frame (no copy), a box across
+        tiles is a copy, and ``np.array`` hands the caller a writable copy."""
         cached, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
         reference, _ = make_tasm(config)
         # SOT 1 in 2x2 tiles (boxes inside one tile and across tiles), the
@@ -139,26 +154,34 @@ class TestBatchEquivalence:
             tasm.retile_sot(video.name, 1, layout)
         query = Query.select_any(LABELS, video.name)
         cached.execute(query)  # warm
+        tiled = cached.video(video.name)
 
-        def cache_entries() -> list[bytes]:
-            tiled = cached.video(video.name)
+        def cache_entries() -> list[list]:
             entries = []
             for sot_index in range(tiled.sot_count):
                 gops = {gop.frame_start: gop for gop in tiled.encoded_sot(sot_index).gops}
                 for key in keys_for_sot(cached.tile_cache, video.name, sot_index):
                     token = gops[key[2]].tiles[key[3]].checksums
-                    frames = cached.tile_cache.get(key, min_depth=0, token=token)
-                    entries.append(b"".join(frame.tobytes() for frame in frames))
+                    entries.append(cached.tile_cache.get(key, min_depth=0, token=token))
             return entries
 
-        before = cache_entries()
+        before = [b"".join(frame.tobytes() for frame in frames) for frames in cache_entries()]
+        frames = [frame for entry in cache_entries() for frame in entry]
         warm = cached.execute(query)
         assert warm.pixels_decoded == 0 and before
         assert all(region.pixels.size for region in warm.regions)
+        inside = 0
         for region in warm.regions:
-            assert region.pixels.flags.c_contiguous and region.pixels.flags.owndata
-            region.pixels[...] = 255 - region.pixels
-        assert cache_entries() == before
+            assert_read_only_pixels(region.pixels)
+            copy = np.array(region.pixels)
+            copy[...] = 255 - copy  # the caller's own copy takes any write
+            (sot_index,) = tiled.sots_for_frames(region.frame_index, region.frame_index + 1)
+            row0, row1, col0, col1 = tiled.layout_for(sot_index).tile_span(region.region)
+            one_tile = row1 - row0 == 1 and col1 - col0 == 1
+            inside += one_tile
+            assert any(np.shares_memory(region.pixels, frame) for frame in frames) == one_tile
+        assert 0 < inside < len(warm.regions)
+        assert [b"".join(frame.tobytes() for frame in entry) for entry in cache_entries()] == before
         again = cached.execute(query)
         assert again.pixels_decoded == 0
         assert_scan_results_identical(again, reference.execute(query))

@@ -26,6 +26,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +39,7 @@ from repro.index import BTreeSemanticIndex, IndexEntry
 from repro.video.codec import DecodeStats
 from repro.video.decoder import RegionRequest, ScanPiece, VideoDecoder
 
+from tests.test_exec_engine import assert_read_only_pixels
 from tests.test_what_if_memo import (
     CONFIG,
     LABELS,
@@ -101,6 +103,21 @@ def regions_of(result) -> list[tuple]:
     ]
 
 
+def cached_frames(tasm: TASM) -> list[tuple]:
+    """Every frame the decode cache holds now, with its bytes ([] without a
+    cache).  The frames are kept, so a later check sees them even if a
+    racing scan evicts them."""
+    if tasm.tile_cache is None:
+        return []
+    with tasm.tile_cache._lock:
+        frames = [frame for entry in tasm.tile_cache._entries.values() for frame in entry.frames]
+    return [(frame, frame.tobytes()) for frame in frames]
+
+
+def unchanged(held: list[tuple]) -> bool:
+    return all(frame.tobytes() == data for frame, data in held)
+
+
 def check(tasm: TASM, batch: list[Query], reference: TASM | None = None) -> None:
     """Run ``batch`` (one query through ``execute``, more through
     ``execute_batch``) and compare with a memo-less TASM (``reference``, when
@@ -112,9 +129,13 @@ def check(tasm: TASM, batch: list[Query], reference: TASM | None = None) -> None
         assert regions_of(result) == regions_of(expected), query.describe()
         if tasm.tile_cache is None and len(batch) == 1:
             assert result.stats == expected.stats, query.describe()
+        # A caller cannot write through a result into the cache, the memo or
+        # a later scan (the repeated checks compare those scans); what it may
+        # change is its own copy.
+        held = cached_frames(tasm)
         for region in result.regions:
-            assert region.pixels.flags.owndata and region.pixels.flags.writeable
-            region.pixels[...] = 255  # whatever a caller does to its own copy
+            assert_read_only_pixels(region.pixels)
+        assert unchanged(held)
 
 
 @pytest.mark.parametrize("cache_bytes", [0, CACHE_BYTES])
@@ -281,12 +302,16 @@ def test_results_and_memoised_requests_cannot_be_changed_through_each_other():
     tasm = indexed(build(cache_bytes=CACHE_BYTES))
     query = Query(VIDEO.name, LabelPredicate.any_of(LABELS), TemporalPredicate.everything())
     expected = regions_of(tasm.execute(query))
+    held = cached_frames(tasm)
     result = tasm.execute(query)
     for region in result.regions:
+        assert_read_only_pixels(region.pixels)
+        region.pixels = np.array(region.pixels)  # a writable copy, the caller's own
         region.pixels[...] = 0
     result.regions.append(result.regions[0])
     del result.regions[1]
     assert regions_of(tasm.execute(query)) == expected
+    assert held and unchanged(held)
     for _, piece in tasm._executor._plan(query).sot_requests:
         assert type(piece.requests) is tuple and not hasattr(piece, "__dict__")
         assert all(type(request) is RegionRequest for request in piece.requests)

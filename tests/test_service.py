@@ -30,6 +30,7 @@ from repro.service import RemoteTasmClient, SocketTransport, TasmServer
 from repro.video.codec import DecodeStats
 from tests.test_service_flow_control import wait_until
 from tests.test_exec_engine import (
+    assert_read_only_pixels,
     assert_scan_results_identical,
     make_tasm,
     random_queries,
@@ -577,19 +578,37 @@ class TestSocketTransport:
                 results[index], reference.scan(video.name, label, temporal)
             )
 
-    def test_remote_pixels_are_writable_like_in_process(self, config):
-        """Remote/in-process parity: a caller may annotate result pixels in
-        place, so the transport must hand back writable arrays."""
+    def test_remote_pixels_are_read_only_like_in_process(self, config):
+        """Remote/in-process parity: both hand back read-only pixels that no
+        caller can make writable again, equal byte for byte, and nothing a
+        caller does through either reaches the server's cache or a later
+        scan.  ``np.array`` gives a caller a writable copy."""
         server, video = make_server(config)
+        cache = server.tasm.tile_cache
+
+        def cache_bytes() -> dict:
+            with cache._lock:
+                entries = list(cache._entries.items())
+            return {key: b"".join(map(bytes, entry.frames)) for key, entry in entries}
+
         try:
             in_process = server.connect().scan(video.name, "car")
+            # Bytes, not the arrays: in-process pixels view the cache itself.
+            expected = [region.pixels.tobytes() for region in in_process.regions]
+            cached = cache_bytes()
             with SocketTransport(server) as transport:
                 with RemoteTasmClient(transport.address) as client:
                     remote = client.scan(video.name, "car")
+                    for ours, theirs in zip(remote.regions, in_process.regions):
+                        assert_read_only_pixels(ours.pixels)
+                        assert_read_only_pixels(theirs.pixels)
+                    again = client.scan(video.name, "car")
+            later = server.connect().scan(video.name, "car")
         finally:
             server.stop()
         assert remote.regions, "the parity check needs at least one region"
-        for ours, theirs in zip(remote.regions, in_process.regions):
-            assert ours.pixels.flags.writeable == theirs.pixels.flags.writeable
-            assert ours.pixels.flags.writeable, "remote pixels must be writable"
-        remote.regions[0].pixels[0, 0] = 255  # must not raise
+        for result in (remote, in_process, again, later):
+            assert [region.pixels.tobytes() for region in result.regions] == expected
+            assert not any(region.pixels.flags.writeable for region in result.regions)
+        assert_scan_results_identical(remote, in_process)
+        assert cached and cache_bytes() == cached

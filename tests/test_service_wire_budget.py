@@ -11,7 +11,7 @@ default 64-credit window:
 * inside half a window no ``KIND_CREDIT`` frame is sent;
 * the writer makes at most one ``sendmsg`` per chunk plus one per scan;
 * a chunk's pixel buffers are the regions' own arrays on the way out, and
-  writable views of the receive buffer on the way in — no copy either side.
+  read-only views of the receive buffer on the way in — no copy either side.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.core.tasm import TASM
 from repro.service import RemoteTasmClient, SocketTransport, TasmServer
 from repro.service.transport import chunk_parts
 from tests.conftest import build_tiny_video
-from tests.test_exec_engine import assert_scan_results_identical
+from tests.test_exec_engine import assert_read_only_pixels, assert_scan_results_identical
 from tests.test_service_flow_control import wait_until
 
 SCANS = 50
@@ -89,12 +89,13 @@ def test_warm_scans_cost_one_send_per_chunk_and_nothing_else(config: TasmConfig,
     assert counts["credits"] == 0, "4 chunks sit inside half of a 64-credit window"
     assert 0 < counts["sendmsg"] <= SCANS * (CHUNKS_PER_SCAN + 1)
 
-    # Client side: every region's pixels are a writable view into the frame
-    # its chunk arrived in (the receive buffer), not a copy of it.
+    # Client side: every region's pixels are a read-only view into the frame
+    # its chunk arrived in (the receive buffer), not a copy of it, and cannot
+    # be made writable again.
     frames = [np.frombuffer(payload, dtype=np.uint8) for payload in payloads]
     for result in results:
         for region in result.regions:
-            assert region.pixels.flags.writeable
+            assert_read_only_pixels(region.pixels)
             assert any(np.shares_memory(region.pixels, frame) for frame in frames)
 
     # Server side: what goes to ``sendmsg`` is the regions' own memory.

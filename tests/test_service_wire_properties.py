@@ -74,7 +74,7 @@ from repro.service.transport import (
     send_frame,
     send_message,
 )
-from tests.test_exec_engine import assert_scan_results_identical
+from tests.test_exec_engine import assert_read_only_pixels, assert_scan_results_identical
 from tests.test_faults import FrameServer, frame
 from tests.test_service_flow_control import make_server, wait_until
 
@@ -124,8 +124,9 @@ def assert_regions_equal(got, want) -> None:
         assert ours.region == theirs.region
         assert ours.label == theirs.label and type(ours.label) is type(theirs.label)
         assert ours.pixels.shape == theirs.pixels.shape
-        assert ours.pixels.dtype == np.uint8 and ours.pixels.flags.writeable
+        assert ours.pixels.dtype == np.uint8
         np.testing.assert_array_equal(ours.pixels, theirs.pixels)
+        assert_read_only_pixels(ours.pixels)
 
 
 class _CountingSocket:
@@ -220,11 +221,15 @@ class TestRoundTrip:
             with pytest.raises(TransportError):
                 chunk_parts(1, 0, [ScanRegion(0, box, pixels, "car")])
 
-    def test_read_only_input_still_decodes_to_writable_pixels(self):
+    def test_any_input_decodes_to_read_only_views_of_it(self):
+        """Read-only ``bytes`` and a writable ``bytearray`` alike: the pixels
+        are views of the payload, not copies, and read-only for good."""
         regions = [ScanRegion(0, Rectangle(0, 0, 3, 2), np.arange(6, dtype=np.uint8).reshape(2, 3), "car")]
-        (region,) = decode_chunk_payload(bytes(chunk_payload(regions)))[1]
-        assert region.pixels.flags.writeable
-        np.testing.assert_array_equal(region.pixels, regions[0].pixels)
+        for payload in (bytes(chunk_payload(regions)), chunk_payload(regions)):
+            (region,) = decode_chunk_payload(payload)[1]
+            assert np.shares_memory(region.pixels, np.frombuffer(payload, dtype=np.uint8))
+            assert_read_only_pixels(region.pixels)
+            np.testing.assert_array_equal(region.pixels, regions[0].pixels)
 
 
 # ----------------------------------------------------------------------
