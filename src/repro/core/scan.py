@@ -11,15 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..video.codec import DecodeStats
-from ..video.decoder import DecodedRegion
+from ..video.decoder import DecodedRegion, make_region
 
-__all__ = ["ScanRegion", "ScanResult"]
+__all__ = ["ScanRegion", "ScanResult", "make_region"]
 
 
 #: Pixels of one selected region on one frame (``frame_index``, ``region``,
 #: ``pixels``, ``label``).  A scan hands back the decoder's regions as they
 #: are — one object per region, built once — so the two names are one class.
-#: Its pixels are read-only (see :class:`~repro.video.decoder.DecodedRegion`).
+#: It is immutable, and a warm scan may hand back regions an earlier one did;
+#: its pixels are read-only (see :class:`~repro.video.decoder.DecodedRegion`).
+#: :func:`make_region` builds one without the frozen ``__init__``'s cost.
 ScanRegion = DecodedRegion
 
 

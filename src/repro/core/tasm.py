@@ -63,7 +63,9 @@ _WHAT_IF_ANSWERS_PER_SOT = 256
 #: queries.  That is the price of a region in a whole-SOT piece; a window's
 #: piece shares those objects and pays two references a region, but counts the
 #: same.  (A bound on answers would not do: 256 answers x 20 SOTs of 30-region
-#: pieces is 75 MB.)
+#: pieces is 75 MB.)  The decode cache's region memo holds pieces weakly, so
+#: this bounds it too: a warm piece's regions there cost about 230 bytes a
+#: region (the region and its view; the frames are the cache's), 3.8 MB at most.
 _MEMOISED_SCAN_REGIONS = 16_384
 
 

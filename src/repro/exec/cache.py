@@ -41,6 +41,25 @@ ages out.  :meth:`TileDecodeCache.demote` ranks an entry below every other
 until its next put or hit: a re-tile hands over tiles no indexed box
 touches, which no scan decodes until the index grows, and demotes them.
 
+The cache also keeps each SOT's *region memo*.  A scan that serves a
+repeated :class:`~repro.video.decoder.ScanPiece` (a ``(predicate, window)``
+question against one SOT) from resident tiles returns the same regions every
+time, so the decoder files them here: per ``(scope, SOT)``, the piece (held
+weakly, so TASM's bound on memoised pieces bounds the memos too) maps to the
+plan it was served by, the frame lists its tile lookups returned and the
+tuple of regions built from them.  The next serve still looks up every tile
+— counts, ranks and its ``DecodeStats`` move as before — and hands back the
+memoised regions when those lookups returned, by identity, the same lists.
+A SOT's memo is dropped in the same critical section as anything that lets
+one of its entries go or replaces it: a put, an eviction,
+:meth:`~TileDecodeCache.invalidate_sot`, a token-mismatch removal,
+:meth:`~TileDecodeCache.clear`.  The decoder takes the memo before its
+lookups, so what it files after a drop goes into a memo the cache no longer
+holds.  So no memo the cache holds views a frame it has let go, and none
+holds a pixel buffer of its own: a piece with a box across tiles, whose
+pixels are copied, is not memoised, nor is one served in part from a batch
+warm's own frames.
+
 The cache is safe for concurrent use: in server mode (``repro.service``) the
 batches of several runner threads share one process-wide instance, so every
 operation takes the cache's lock.
@@ -50,6 +69,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
@@ -110,6 +130,9 @@ class TileDecodeCache:
         self._current_bytes = 0
         #: LFU-DA's age: the rank of the latest victim, never falling.
         self._age = 0.0
+        #: (scope, SOT) -> the SOT's region memo: {piece: (plan, frame lists,
+        #: regions)}; see :meth:`memo`.
+        self._memos: dict[tuple[str, int], weakref.WeakKeyDictionary] = {}
         self._lock = threading.Lock()
         # Single-flight decode coordination: key -> event set when the
         # in-progress decode of that key completes (see begin_decode).
@@ -173,6 +196,7 @@ class TileDecodeCache:
         entry = _CacheEntry(frames=list(frames), token=tuple(token), nbytes=nbytes)
         with self._lock:
             old = self._entries.get(key)
+            self._memos.pop(key[:2], None)
             if old is not None:
                 entry.count = old.count if old.token == entry.token else 1
                 self._remove(key)
@@ -189,6 +213,7 @@ class TileDecodeCache:
                 if self._current_bytes <= self.capacity_bytes:
                     break
                 del self._entries[victim_key]
+                self._memos.pop(victim_key[:2], None)
                 self._age = max(self._age, victim.priority)
                 self._current_bytes -= victim.nbytes
                 self.stats.evictions += 1
@@ -202,6 +227,24 @@ class TileDecodeCache:
             entry = self._entries.get(key)
             if entry is not None:
                 entry.priority = float("-inf")
+
+    # ------------------------------------------------------------------
+    # The region memo
+    # ------------------------------------------------------------------
+    def memo(self, scope: str, sot_index: int) -> weakref.WeakKeyDictionary:
+        """The region memo of one SOT, made if it has none: piece -> (plan,
+        frame lists, regions).
+
+        Take it *before* looking up the tiles an entry is built from, and
+        file the entry in it.  A drop in between (an eviction, say, that let
+        one of those frames go) has detached it from the cache, so the entry
+        dies with the caller's reference to it.
+        """
+        memo = self._memos.get((scope, sot_index))
+        if memo is None:
+            with self._lock:
+                memo = self._memos.setdefault((scope, sot_index), weakref.WeakKeyDictionary())
+        return memo
 
     # ------------------------------------------------------------------
     # Single-flight decode coordination
@@ -254,11 +297,13 @@ class TileDecodeCache:
             ]
             for key in doomed:
                 self._remove(key)
+            self._memos.pop((scope, sot_index), None)
             return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._memos.clear()
             self._current_bytes = 0
             self._age = 0.0
 
@@ -282,3 +327,4 @@ class TileDecodeCache:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._current_bytes -= entry.nbytes
+            self._memos.pop(key[:2], None)

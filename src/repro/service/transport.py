@@ -61,7 +61,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..core.predicates import TemporalPredicate
-from ..core.scan import ScanRegion, ScanResult
+from ..core.scan import ScanRegion, ScanResult, make_region
 from ..errors import (
     ProtocolError,
     QueryError,
@@ -393,7 +393,7 @@ def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]
             raise TransportError("chunk region record out of range (label id or box)")
         stop = start + height * width
         regions.append(
-            ScanRegion(
+            make_region(
                 frame,
                 Rectangle(x1, y1, x2, y2),
                 flat[start:stop].reshape(height, width),

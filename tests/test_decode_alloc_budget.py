@@ -108,10 +108,16 @@ def test_a_cache_entry_holds_no_bytes_beyond_its_accounted_size(config):
         tasm.execute(query)
     layout = uniform_layout(video.width, video.height, 2, 2, config.codec.block_size)
     tasm.retile_sot(video.name, 0, layout)  # hands what was resident over
-    tasm.execute(Query.select_range("sign", video.name, 0, gop))
-    entries = list(tasm.tile_cache._entries.values())
+    # SOT 1's first sign tile: decoded two frames deep, then resumed to the
+    # end of its GOP.
+    key = (video.name, 1, gop, 0)
+    tasm.execute(Query.select_range("sign", video.name, gop, gop + 2))
+    assert len(tasm.tile_cache._entries[key].frames) == 2
+    tasm.execute(Query.select_range("sign", video.name, gop, 2 * gop))
+    resumed = tasm.tile_cache._entries[key]
     # A resumed entry's frames are rows of two blocks: the held and the new.
-    assert entries and any(len(owners(entry.frames)) > 1 for entry in entries)
+    assert len(resumed.frames) == gop and len(owners(resumed.frames)) == 2
+    entries = list(tasm.tile_cache._entries.values())
     for entry in entries:
         held = sum(owner.nbytes for owner in owners(entry.frames))
         assert held == entry.nbytes == sum(frame.nbytes for frame in entry.frames)

@@ -306,8 +306,8 @@ def test_results_and_memoised_requests_cannot_be_changed_through_each_other():
     result = tasm.execute(query)
     for region in result.regions:
         assert_read_only_pixels(region.pixels)
-        region.pixels = np.array(region.pixels)  # a writable copy, the caller's own
-        region.pixels[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            region.pixels = np.array(region.pixels)
     result.regions.append(result.regions[0])
     del result.regions[1]
     assert regions_of(tasm.execute(query)) == expected
