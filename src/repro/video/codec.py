@@ -479,9 +479,9 @@ class TileCodec:
         Only the top floor, ``255 - 255 % step``, can pass 255, and only when
         ``255 % step < step // 2`` (never at the default step of 4); then the
         raster is clamped first.  The clamp is skipped otherwise because
-        numpy's uint8 minimum against a scalar runs unvectorised (numpy 2.4:
-        17-30 us on a 160x170 keyframe), and against a broadcast row it
-        allocates an 8 KiB iterator buffer."""
+        numpy's uint8 minimum against a scalar runs unvectorised (numpy 2.4 on
+        a 2-vCPU VM: 17-30 us on a 160x170 keyframe), and against a broadcast
+        row it allocates an 8 KiB iterator buffer."""
         step = self.config.keyframe_quant
         half = step // 2
         if 255 % step < half:

@@ -169,7 +169,8 @@ def make_region(
 ) -> DecodedRegion:
     """``DecodedRegion(frame_index, region, pixels, label)`` without the
     frozen ``__init__``'s ``object.__setattr__`` per field: 0.24 us a region
-    against 0.65 us, where the scan path and the wire build one per box."""
+    against 0.65 us (CPython 3.11, a 2-vCPU VM), where the scan path and the
+    wire build one per box."""
     made = _new(_Writable)
     made.frame_index = frame_index
     made.region = region
@@ -260,8 +261,9 @@ class VideoDecoder:
         cache = self.cache if scope is not None else None
         memo = tiles = None
         if cache is not None:
-            # The memo is read after every lookup, so a serve from it moves
-            # the cache's counts and this call's stats as one that builds.
+            # The memo is taken before the lookups (see TileDecodeCache.memo)
+            # and read after them, so a serve from it moves the cache's counts
+            # and this call's stats as one that builds.
             if not plan.spanning_pixels and isinstance(requests, ScanPiece):
                 memo = cache.memo(scope, sot_index)
             looked_up: list = []
