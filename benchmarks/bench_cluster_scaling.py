@@ -47,7 +47,7 @@ CLIENTS = 6
 #: 1-shard number.)
 DURATION_SECONDS = 3.0
 #: One video per client: at any instant every client is scanning a
-#: *different* video, so the shard schedulers' batch coalescing (which makes
+#: *different* video, so the shard servers' batch coalescing (which makes
 #: identical concurrent queries nearly free) cannot collapse the workload.
 #: 40 frames at one-second GOPs → 4 SOTs per video, 24 cache keys overall.
 DATASET = SceneDataset(

@@ -336,7 +336,7 @@ def test_cancellation_stops_decode_promptly(config):
             stream.close()  # CANCEL on the wire
             assert _wait_until(
                 lambda: served_count(server, "tasm_queries_cancelled_total") >= 1
-            ), "the scheduler never observed the cancellation"
+            ), "the server never observed the cancellation"
             cancelled_pixels = server.stats().pixels_decoded
             client.scan(video.name, "person")  # the runner is free again
 

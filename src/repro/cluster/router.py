@@ -292,6 +292,8 @@ class ClusterRouter:
         self._addresses = {self._shard_name(a): tuple(a) for a in addresses}
         if not self._addresses:
             raise ValueError("a cluster needs at least one shard address")
+        if stream_buffer_chunks < 1:
+            raise ValueError(f"stream_buffer_chunks {stream_buffer_chunks} is below 1")
         self._replication = min(
             config.cluster_replication_factor, len(self._addresses)
         )

@@ -114,7 +114,7 @@ class TasmConfig:
     #: batch runner takes up to this many pending queries at once, so a batch
     #: is whatever queued while every runner was busy (one query when idle).
     service_max_batch: int = 16
-    #: Number of batch-runner threads in the service scheduler.  1 executes
+    #: Number of batch-runner threads a ``TasmServer`` runs.  1 executes
     #: one batch at a time; more runners execute batches concurrently, so
     #: decode-bound mixes keep every core busy while arrivals coalesce
     #: behind them.  Concurrent batches are safe: per-``(video, SOT)``
@@ -122,7 +122,7 @@ class TasmConfig:
     #: lazy SOT encoding are lock-protected.
     service_runners: int = 2
     #: Per-stream chunk-buffer bound of the service layer.  A query's
-    #: :class:`~repro.service.scheduler.ResultStream` holds at most this many
+    #: :class:`~repro.service.server.ResultStream` holds at most this many
     #: undelivered per-SOT chunks; when a consumer falls behind, the producing
     #: batch runner suspends instead of buffering without limit
     #: (backpressure).
@@ -131,7 +131,7 @@ class TasmConfig:
     #: slow one with its spans.  Off, every query carries the shared null
     #: trace; the metrics registry counts either way.
     observability: bool = True
-    #: Admission bound of the service scheduler: a query arriving while this
+    #: Admission bound of a ``TasmServer``: a query arriving while this
     #: many are already pending is refused immediately with
     #: :class:`~repro.errors.ServerBusy` instead of joining a backlog the
     #: server cannot drain.  0 disables the bound (accept everything).

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..config import TasmConfig
 from ..errors import QueryError
 from ..geometry import Rectangle
-from ..tiles.layout import TileLayout, untiled_layout
+from ..tiles.layout import TileLayout
 
 __all__ = [
     "ENCODE_COST_PER_PIXEL",
@@ -77,32 +77,6 @@ class CostModel:
     def cost(self, pixels: float, tiles: float) -> float:
         return self.config.cost.beta * pixels + self.config.cost.gamma * tiles
 
-    def estimate_query_cost(
-        self,
-        layout: TileLayout,
-        frame_boxes: Mapping[int, Sequence[Rectangle]],
-        gop_frames: int | None = None,
-    ) -> CostEstimate:
-        """Estimate P, T, and C for decoding the given boxes under ``layout``.
-
-        ``frame_boxes`` maps each frame the query touches to the bounding
-        boxes requested on that frame.  A tile is charged once per GOP it is
-        opened in (the per-tile overhead ``T``), and its full area is charged
-        for every frame on which it must be decoded (the pixel term ``P``),
-        since the codec cannot decode part of a tile.
-        """
-        gop_frames = gop_frames or self.config.codec.gop_frames
-        areas = layout.tile_areas
-        pixels = 0
-        opened: set[tuple[int, int]] = set()
-        for frame_index, boxes in frame_boxes.items():
-            gop_index = frame_index // gop_frames
-            for tile_index in self._tiles_needed(layout, boxes):
-                pixels += areas[tile_index]
-                opened.add((gop_index, tile_index))
-        tiles = len(opened)
-        return CostEstimate(pixels=pixels, tiles=tiles, cost=self.cost(pixels, tiles))
-
     @staticmethod
     def _tiles_needed(layout: TileLayout, boxes: Iterable[Rectangle]) -> set[int]:
         """The tiles one frame's boxes touch: what decoding them there opens."""
@@ -117,10 +91,11 @@ class CostModel:
     def sot_cost_table(
         self, layout: TileLayout, boxes_per_frame: Iterable[Iterable[Rectangle]]
     ) -> "SotCostTable":
-        """What :meth:`estimate_query_cost` needs of every frame of a SOT, so
-        that any window of it is a lookup (:meth:`window_cost`).
-        ``boxes_per_frame`` holds the boxes requested on each of the SOT's
-        frames, first frame first."""
+        """What a decode estimate needs of every frame of a SOT, so that any
+        window of it is a lookup (:meth:`window_cost`).  ``boxes_per_frame``
+        holds the boxes requested on each of the SOT's frames, first frame
+        first.  A frame's P is the full area of every tile its boxes touch,
+        since the codec cannot decode part of a tile."""
         areas = layout.tile_areas
         needed = [self._tiles_needed(layout, boxes) for boxes in boxes_per_frame]
         return SotCostTable(
@@ -129,11 +104,10 @@ class CostModel:
         )
 
     def window_cost(self, table: "SotCostTable", first: int, last: int) -> CostEstimate:
-        """The cost of frames ``[first, last)`` of ``table``'s SOT, counted
-        from its first frame (which starts a GOP): the integers
-        :meth:`estimate_query_cost` gives for the same frames.  A tile is
-        opened once per GOP, so T is, GOP by GOP, the bits set in the OR of
-        the window's frame masks."""
+        """P, T and C(s, q, L) of frames ``[first, last)`` of ``table``'s SOT,
+        counted from its first frame (which starts a GOP).  A tile is opened
+        once per GOP (the per-tile overhead T), so T is, GOP by GOP, the bits
+        set in the OR of the window's frame masks."""
         gop_frames, needed = self.config.codec.gop_frames, table.tiles_needed
         pixels = table.pixels_before[last] - table.pixels_before[first]
         tiles = 0
@@ -142,18 +116,6 @@ class CostModel:
             tiles += reduce(or_, needed[first:stop], 0).bit_count()
             first = stop
         return CostEstimate(pixels, tiles, self.cost(pixels, tiles))
-
-    def untiled_query_cost(
-        self,
-        frame_width: int,
-        frame_height: int,
-        frame_boxes: Mapping[int, Sequence[Rectangle]],
-        gop_frames: int | None = None,
-    ) -> CostEstimate:
-        """Cost of the same query against the untiled (omega) layout."""
-        return self.estimate_query_cost(
-            untiled_layout(frame_width, frame_height), frame_boxes, gop_frames
-        )
 
     def delta(self, current: CostEstimate, alternative: CostEstimate) -> float:
         """Delta(q, L, L') = C(s,q,L) - C(s,q,L'): positive when L' is better."""

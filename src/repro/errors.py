@@ -77,7 +77,7 @@ class StreamCancelledError(ServiceError):
 class DeadlineExceeded(ServiceError):
     """Raised when a query's ``deadline_ms`` elapsed before it completed.
 
-    The scheduler enforces deadlines at two points: a query still *pending*
+    The server enforces deadlines at two points: a query still *pending*
     when its deadline passes is dropped before ever entering a batch, and a
     query already *executing* is abandoned mid-batch through the executor's
     cancelled-probe — the remaining per-SOT decodes are skipped, so an

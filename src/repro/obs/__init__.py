@@ -16,9 +16,9 @@ this package is the window into it:
   submitted query its trace, and takes the query back once, when it is
   terminal (:meth:`Observability.finish_query`).
 
-**Who counts what.**  Nothing is counted twice.  The scheduler's events —
+**Who counts what.**  Nothing is counted twice.  The server's events —
 submitted, the four ways a query ends, shed refusals, batches — are plain
-ints on the :class:`~repro.service.scheduler.BatchScheduler`;
+ints on the :class:`~repro.service.server.TasmServer`;
 their series read those ints at snapshot time
 (:meth:`Observability.read_events_from`), the way queue depth and the cache
 gauges are read, so no second copy of a count exists to disagree.
@@ -71,7 +71,7 @@ _slow_logger = logging.getLogger(SLOW_QUERY_LOGGER)
 
 #: Queries slower than this many milliseconds (submit to completion) are
 #: logged through ``logging`` (logger ``repro.obs.slowlog``) with their full
-#: span breakdown attached.  0 disables the slow-query log.
+#: span breakdown attached.
 SLOW_QUERY_MS = 1000.0
 #: Completed traces kept in the bounded ring the ``trace`` wire op reads
 #: from (newest first).
@@ -82,11 +82,11 @@ TRACE_HISTORY = 256
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-#: The scheduler's events.  Each is counted once, as a plain int on the
-#: :class:`~repro.service.scheduler.BatchScheduler` (the field named here),
+#: The server's events.  Each is counted once, as a plain int on the
+#: :class:`~repro.service.server.TasmServer` (the field named here),
 #: and read from there at snapshot time — ``(field, series, help)``.
-_SCHEDULER_EVENTS = (
-    ("queries_submitted", "tasm_queries_submitted_total", "Queries accepted by the scheduler."),
+_SERVER_EVENTS = (
+    ("queries_submitted", "tasm_queries_submitted_total", "Queries accepted by the server."),
     ("queries_completed", "tasm_queries_completed_total", "Queries that served every SOT."),
     (
         "queries_cancelled",
@@ -111,7 +111,7 @@ class Observability:
     """The server's observability surface: metrics, traces, slow-query log.
 
     One instance per :class:`~repro.service.server.TasmServer`; the
-    scheduler, cache wiring, and transport all record through it.
+    server's batch runners, cache wiring, and transport all record through it.
     Construction registers every service metric and resolves every labelled
     child, so a snapshot taken before any traffic lists every series at zero
     and no update looks a label up.  ``keep_traces`` decides whether each
@@ -125,10 +125,10 @@ class Observability:
         self.traces = TraceLog(capacity=TRACE_HISTORY)
 
         registry = self.registry
-        # Scheduler events: registered here, counted by the scheduler -------
-        self._scheduler_events = {
+        # Server events: registered here, counted by the server -------------
+        self._server_events = {
             field: registry.counter(name, help_text)
-            for field, name, help_text in _SCHEDULER_EVENTS
+            for field, name, help_text in _SERVER_EVENTS
         }
         #: The depth bound's refusals: never admitted, so not among the
         #: submitted queries.
@@ -197,11 +197,11 @@ class Observability:
         """An instance keeping traces when ``TasmConfig.observability`` is on."""
         return cls(keep_traces=config.observability)
 
-    def read_events_from(self, scheduler) -> None:
-        """Have every scheduler-event series read ``scheduler``'s own count."""
-        for field, counter in self._scheduler_events.items():
-            counter.set_callback(partial(getattr, scheduler, field))
-        self.queries_shed.set_callback(partial(getattr, scheduler, "shed_queue_full"))
+    def read_events_from(self, server) -> None:
+        """Have every server-event series read ``server``'s own count."""
+        for field, counter in self._server_events.items():
+            counter.set_callback(partial(getattr, server, field))
+        self.queries_shed.set_callback(partial(getattr, server, "shed_queue_full"))
 
     # ------------------------------------------------------------------
     # Tracing
@@ -214,7 +214,7 @@ class Observability:
 
     def finish_query(self, stream, status: str) -> None:
         """What a query leaves here once it is terminal (called once per
-        query, by :meth:`BatchScheduler._account`, which has counted it).
+        query, by :meth:`TasmServer._account`, which has counted it).
 
         Finishes a kept trace as ``status`` and appends it to the ring; a
         successful query also lands, by its stream's own clock, in the
@@ -229,7 +229,7 @@ class Observability:
             return
         total = stream.total_seconds
         self.query_seconds.observe(total)
-        if not 0.0 < self.slow_query_seconds <= total:
+        if total < self.slow_query_seconds:
             return
         self.slow_queries.inc()
         if trace.enabled:

@@ -15,7 +15,7 @@ the handful of threads a shard runs, that lock is uncontended; spreading an
 instrument over several costs every update a thread-local look-up and buys
 nothing.
 
-**Callbacks.**  What the service already counts for itself — the scheduler's
+**Callbacks.**  What the service already counts for itself — the server's
 per-event ints, queue depth, cache occupancy — is not counted a second
 time here: a counter or gauge given a callback
 (:meth:`Counter.set_callback`) reads that state at snapshot time, so the hot

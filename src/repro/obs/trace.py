@@ -1,8 +1,8 @@
 """Per-query tracing: spans, a bounded trace ring, and the slow-query log.
 
 A :class:`Trace` is created when a query is submitted to the service layer
-and threaded (as an attribute of its ``ResultStream``) through the scheduler
-and the connection's writer.  Each appends *spans* — named, timed segments
+and threaded (as an attribute of its ``ResultStream``) through the server's
+batch runners and the connection's writer.  Each appends *spans* — named, timed segments
 with optional metadata:
 
 * **top-level spans** (``top=True``) tile the query's wall time end to end:
@@ -23,7 +23,7 @@ Completed traces land in a bounded :class:`TraceLog` ring (newest first) the
 attached as ``record.tasm_trace`` — structured enough for a log pipeline,
 readable enough for a terminal.
 
-When no trace is kept (``TasmConfig.observability`` off) the scheduler
+When no trace is kept (``TasmConfig.observability`` off) the server
 threads :data:`NULL_TRACE` instead — one shared object whose methods do
 nothing — so the span calls never branch on configuration.
 """

@@ -3,20 +3,19 @@
 * :class:`~repro.service.server.TasmServer` — one TASM, served as it was
   built, whose :class:`~repro.exec.cache.TileDecodeCache` (when
   ``TasmConfig.decode_cache_bytes`` asks for one) every client's decodes
-  share.  Every client's queries share
-  one pending queue that free batch runners drain up to
+  share.  The server admits, batches, streams and accounts every query:
+  all clients share one pending queue, drained round-robin per client by a
+  pool of ``TasmConfig.service_runners`` batch runners up to
   ``TasmConfig.service_max_batch`` at a time, so queries that queue together
-  share decodes.  Writes (``add_metadata``, ``retile_sot``) serialize against
-  in-flight scans through per-``(video, SOT)`` readers-writer locks.
+  share decodes, and each query streams back through a bounded buffer.
+  Writes (``add_metadata``) serialize against in-flight scans through
+  per-``(video, SOT)`` readers-writer locks.
 * :class:`~repro.service.client.TasmClient` — the in-process handle:
   blocking ``scan`` or streaming ``scan_streaming`` (one chunk per SOT).
 * :class:`~repro.service.stream.ScanStream` / ``StreamChunk`` — the one
-  stream state machine every client returns; ``ResultStream``,
+  stream state machine every client returns; the server's ``ResultStream``,
   ``RemoteScanStream`` and the cluster's ``ClusterScanStream`` are its
   sources.
-* :class:`~repro.service.scheduler.BatchScheduler` — the pool of
-  ``TasmConfig.service_runners`` batch runners, round-robin admission per
-  client, and the bounded per-query stream buffers.
 * :class:`~repro.service.transport.SocketTransport` / ``RemoteTasmClient``
   — the socket protocol: tagged query ids multiplex concurrent scans over
   one connection, chunks travel as binary frames, per-stream credits park a
@@ -33,8 +32,7 @@ wire, and ``traces()`` / the ``trace`` op for per-query traces.
 """
 
 from .stream import ScanStream, StreamChunk
-from .scheduler import BatchScheduler, ResultStream
-from .server import TasmServer
+from .server import ResultStream, TasmServer
 from .client import TasmClient
 from .transport import (
     PROTOCOL_VERSION,
@@ -46,7 +44,6 @@ from .transport import (
 )
 
 __all__ = [
-    "BatchScheduler",
     "PROTOCOL_VERSION",
     "RemoteScanStream",
     "RemoteTasmClient",

@@ -7,7 +7,7 @@ the synchronisation).  The two query styles:
 * ``scan(...)`` — blocking, returns the complete ScanResult, byte-identical
   to calling ``TASM.scan`` directly.
 * ``scan_streaming(...)`` / ``submit(query)`` — returns a
-  :class:`~repro.service.scheduler.ResultStream` immediately; iterate it for
+  :class:`~repro.service.server.ResultStream` immediately; iterate it for
   per-SOT :class:`~repro.service.stream.StreamChunk` deliveries (the first
   arrives while later SOTs are still decoding), or call ``.result()`` to
   block for the whole thing.
@@ -15,14 +15,13 @@ the synchronisation).  The two query styles:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.predicates import LabelPredicate, TemporalPredicate
 from ..core.query import Query
 from ..core.scan import ScanResult
-from ..detection.base import Detection
 from ..video.codec import DecodeStats
-from .scheduler import ResultStream
+from .server import ResultStream
 
 __all__ = ["TasmClient"]
 
@@ -40,7 +39,7 @@ class TasmClient:
         """Enqueue a prepared Query; returns its stream immediately.
 
         Queries submitted through one client handle share one fairness slot
-        in the scheduler's round-robin admission, so a handle that floods the
+        in the server's round-robin admission, so a handle that floods the
         queue cannot crowd other clients out of every batch.  ``deadline_ms``
         bounds the query end to end (it fails with
         :class:`~repro.errors.DeadlineExceeded` once expired, even mid-batch).
@@ -81,9 +80,6 @@ class TasmClient:
     # ------------------------------------------------------------------
     def add_metadata(self, *args, **kwargs) -> None:
         self._server.add_metadata(*args, **kwargs)
-
-    def add_detections(self, video_id: str, detections: Iterable[Detection]) -> int:
-        return self._server.add_detections(video_id, detections)
 
     def stats(self) -> DecodeStats:
         """The server's decode work so far (``TasmServer.stats()``)."""

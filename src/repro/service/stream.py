@@ -22,8 +22,8 @@ everything the paths used to re-implement separately:
   re-issued.
 
 Three thin *sources* feed it, each a subclass that only says where chunks
-come from and how to cancel upstream: the batch runner's observer
-(:class:`~repro.service.scheduler.ResultStream`), the socket client's demux
+come from and how to cancel upstream: the server's batch runner observer
+(:class:`~repro.service.server.ResultStream`), the socket client's demux
 reader (:class:`~repro.service.transport.RemoteScanStream`), and the cluster
 router's sub-scans (:class:`~repro.cluster.router.ClusterScanStream`, which
 *pulls* from its sub-streams on the consumer's thread).  A source's
@@ -230,7 +230,7 @@ class ScanStream:
         """Abandon the stream: the consumer will not read further.
 
         Releases a producer suspended on this stream's full buffer and tells
-        upstream to stop (the scheduler skips the query's remaining per-SOT
+        upstream to stop (the server skips the query's remaining per-SOT
         work, the socket client sends ``CANCEL``, the router closes its
         sub-scans), so an abandoned scan frees resources instead of decoding
         for nobody.  A stream already terminal is unaffected; an abandoned
@@ -260,7 +260,7 @@ class ScanStream:
         chunks drained), and :class:`ServiceError` when a bound lapsed:
         ``overall`` is ``result(timeout)``'s instant, and every wait is also
         bounded by the per-event timeout.  With neither, it waits as long as
-        the source takes: a source's own ending (the scheduler's ``stop()``,
+        the source takes: a source's own ending (the server's ``stop()``,
         a connection tearing down) is what ends a stream whose producer is
         gone.
         """

@@ -118,16 +118,24 @@ KIND_CANCEL = 3
 KIND_SHM_CHUNK = 4
 KIND_SHM_ACK = 5
 
-#: The largest payload either end accepts.  The length field is a peer-supplied
+#: The largest payload a client accepts.  The length field is a peer-supplied
 #: 32-bit number; a corrupt or hostile header must fail the connection, not
 #: size a 4 GiB read.  Far above any legitimate frame: the largest is one
 #: SOT's regions for one query (tens of MiB for a 4K video with long GOPs).
 MAX_FRAME_BYTES = 1 << 30
 
+#: The largest payload a server connection accepts.  It reads only requests,
+#: credits, cancels and acks, and the largest of those is a ``scan`` whose
+#: ``skip_sots`` names every SOT: 100,000 SOTs (a day of one-second SOTs)
+#: take under 600 KB of JSON.  A header announcing more fails the connection
+#: before its payload is allocated, so a client cannot make the server hold
+#: more than this per connection.
+MAX_REQUEST_BYTES = 1 << 20
+
 #: Seconds an accepted socket may sit without completing its first frame
 #: (normally the hello) before the server closes it and counts
 #: ``tasm_handshakes_timed_out_total``: a peer that connects and never speaks
-#: must not pin a server thread forever.  0 disables the bound.
+#: must not pin a server thread forever.
 HANDSHAKE_TIMEOUT_S = 5.0
 
 #: The per-connection receive buffer: what one ``recv_into`` can bring in.
@@ -200,7 +208,7 @@ class _FrameReader:
 
     ``next_frame`` is the ``recv_frame`` contract: ``(kind, payload)``, None
     on an EOF landing on a frame boundary, :class:`TransportError` on an EOF
-    inside a frame or a header announcing more than :data:`MAX_FRAME_BYTES`
+    inside a frame or a header announcing more than ``max_payload`` bytes
     (raised before anything is allocated or read for it); a socket timeout
     propagates.  Each payload is its own ``bytearray``, filled from the
     buffer and, past what the buffer held, by ``recv_into`` directly; a
@@ -209,8 +217,11 @@ class _FrameReader:
     frame it returns (for callers that hand the socket on).
     """
 
-    def __init__(self, sock: socket.socket, readahead: bool = True):
+    def __init__(
+        self, sock: socket.socket, readahead: bool = True, max_payload: int = MAX_FRAME_BYTES
+    ):
         self._sock = sock
+        self._max_payload = max_payload
         self._buffer = bytearray(_RECV_BUFFER_BYTES if readahead else _FRAME_HEADER.size)
         self._view = memoryview(self._buffer)
         self._start = self._end = 0
@@ -232,10 +243,10 @@ class _FrameReader:
             self._end += got
         kind, length = _FRAME_HEADER.unpack_from(self._buffer, self._start)
         self._start += _FRAME_HEADER.size
-        if length > MAX_FRAME_BYTES:
+        if length > self._max_payload:
             raise TransportError(
                 f"frame of kind {kind} announces {length} payload bytes; the "
-                f"limit is {MAX_FRAME_BYTES}"
+                f"limit is {self._max_payload}"
             )
         payload = bytearray(length)
         have = min(length, self._end - self._start)
@@ -647,7 +658,7 @@ class SocketTransport:
                 return  # stop() shut the listener down
             # Bound the hello: the connection reader clears the timeout once
             # the first complete frame lands (see _Connection.serve).
-            sock.settimeout(HANDSHAKE_TIMEOUT_S or None)
+            sock.settimeout(HANDSHAKE_TIMEOUT_S)
             _disable_nagle(sock)
             connection = _Connection(
                 self._server, sock, self._reply_frames, self._shm_ring_bytes
@@ -697,10 +708,10 @@ class _ServedScan:
 
     __slots__ = ("stream", "credits", "cancelled", "sent", "stalled_at")
 
-    def __init__(self, stream, credits: int | None):
+    def __init__(self, stream, credits: int):
         self.stream = stream
-        #: Chunk credits left (None = unbounded).  The reader adds, the
-        #: writer spends; both under the connection's condition.
+        #: Chunk credits left.  The reader adds, the writer spends; both
+        #: under the connection's condition.
         self.credits = credits
         self.cancelled = False
         self.sent = 0
@@ -738,10 +749,10 @@ def _scan_fields(message: dict) -> tuple[str, list, int, float | None, list[int]
         raise QueryRefused(f"scan video {video!r} is not a string")
     if type(labels) is not list:
         raise QueryRefused(f"scan labels {labels!r} is not a list of strings")
-    credits = message.get("credits", 0)
+    credits = message.get("credits")
     deadline_ms, skip_sots = message.get("deadline_ms"), message.get("skip_sots")
-    if not _is_u32(credits):
-        raise QueryRefused(f"scan credits {credits!r} is not an integer in [0, 2**32)")
+    if not (_is_u32(credits) and credits):
+        raise QueryRefused(f"scan credits {credits!r} is not an integer in [1, 2**32)")
     finite = type(deadline_ms) in (int, float) and -math.inf < deadline_ms < math.inf
     if deadline_ms is not None and not finite:
         raise QueryRefused(f"scan deadline_ms {deadline_ms!r} is not a finite number")
@@ -819,7 +830,7 @@ class _Connection:
     # ------------------------------------------------------------------
     def serve(self) -> None:
         self._writer.start()
-        frames = _FrameReader(self._sock)
+        frames = _FrameReader(self._sock, max_payload=MAX_REQUEST_BYTES)
         awaiting_first_frame = True
         try:
             while not self._closing:
@@ -970,7 +981,7 @@ class _Connection:
         stream._listener = partial(self._wake, query_id)
         with self._cond:
             if not self._closing:
-                self._scans[query_id] = _ServedScan(stream, credits or None)
+                self._scans[query_id] = _ServedScan(stream, credits)
                 # Whatever the stream did before the listener was attached is
                 # in its buffer or its state: have the writer look once.
                 self._ready.add(query_id)
@@ -989,7 +1000,7 @@ class _Connection:
     def _grant_credit(self, query_id: int, granted: int) -> None:
         with self._cond:
             scan = self._scans.get(query_id)
-            if scan is not None and scan.credits is not None:
+            if scan is not None:
                 scan.credits += granted
                 self._ready.add(query_id)  # the writer may have parked it
                 self._cond.notify_all()
@@ -1005,7 +1016,7 @@ class _Connection:
             # nothing else would wake.
             self._ready.add(query_id)
             self._cond.notify_all()
-        # Terminal-fails the scheduler stream: the batch runner skips the
+        # Terminal-fails the server's stream: the batch runner skips the
         # scan's remaining per-SOT work.
         scan.stream.close()
 
@@ -1071,7 +1082,7 @@ class _Connection:
             # it, so "was terminal, and nothing buffered" is final.
             ended = stream.done
             chunk = None
-            if budget is None or sent < budget:
+            if sent < budget:
                 chunk = stream.poll()
             elif stream.buffered_chunks:
                 # Out of credit with chunks to send: park this stream (and
@@ -1089,9 +1100,8 @@ class _Connection:
         if sent:
             scan.sent += sent
             self._observe_stall(scan)
-            if budget is not None:
-                with self._cond:
-                    scan.credits -= sent
+            with self._cond:
+                scan.credits -= sent
 
     def _observe_stall(self, scan: _ServedScan) -> None:
         """Only actual stalls are observed; the common credit-available case
@@ -1246,14 +1256,12 @@ class RemoteScanStream(ScanStream):
         self._unreturned = 0
 
     def _drained(self, chunk: StreamChunk) -> None:
-        window = self._window
-        if window:
-            self._unreturned += 1
-            if self._unreturned >= max(1, window // 2):
-                # Half the window is free again: one frame tells the server,
-                # well before it runs out of the other half.
-                self._client._grant_credit(self.query_id, self._unreturned)
-                self._unreturned = 0
+        self._unreturned += 1
+        if self._unreturned >= max(1, self._window // 2):
+            # Half the window is free again: one frame tells the server,
+            # well before it runs out of the other half.
+            self._client._grant_credit(self.query_id, self._unreturned)
+            self._unreturned = 0
 
     def _cancel_source(self) -> None:
         self._client._forget_stream(self.query_id)
@@ -1274,7 +1282,7 @@ class RemoteTasmClient:
     :class:`RemoteScanStream` or blocking call.  The handle is thread-safe —
     threads of one process can share it, issuing concurrent scans over the
     single connection.  ``stream_buffer_chunks`` is each stream's chunk
-    credit budget (0 = unbounded): the server never has more than that many
+    credit budget, at least 1: the server never has more than that many
     undelivered chunks in flight per stream, so one unconsumed stream parks
     itself on the server and nothing else — the connection's reader and
     its other streams keep full throughput.
@@ -1293,6 +1301,8 @@ class RemoteTasmClient:
         stream_buffer_chunks: int = 64,
         use_shm: bool = False,
     ):
+        if stream_buffer_chunks < 1:
+            raise ValueError(f"stream_buffer_chunks {stream_buffer_chunks} is below 1")
         self._sock = socket.create_connection(address, timeout=timeout)
         _disable_nagle(self._sock)
         self._timeout = timeout
@@ -1565,7 +1575,7 @@ class RemoteTasmClient:
             "labels": labels,
             "frame_start": frame_start,
             "frame_stop": frame_stop,
-            "credits": max(0, self._buffer_chunks),
+            "credits": self._buffer_chunks,
             "deadline_ms": deadline_ms,
         }
         if skip_sots is not None:

@@ -58,6 +58,9 @@ from ..geometry import Rectangle
 __all__ = ["EncodedTile", "EncodedGop", "EncodeStats", "DecodeStats", "Handover", "TileCodec"]
 
 _COMPRESSION_LEVEL = 1
+#: A predicted residual's int8 range, as the int16 scalars ``np.clip`` takes
+#: without converting Python ints on every call.
+_RESIDUAL_MIN, _RESIDUAL_MAX = np.int16(-128), np.int16(127)
 
 
 def _load_libdeflate() -> ctypes.CDLL | None:
@@ -525,7 +528,7 @@ class TileCodec:
         np.subtract(255, reference, out=floor)
         floor //= step
         np.minimum(work, floor, out=work)
-        np.clip(work, -128, 127, out=work)
+        np.clip(work, _RESIDUAL_MIN, _RESIDUAL_MAX, out=work)
         payload = zlib.compress(work.astype(np.int8), _COMPRESSION_LEVEL)
         work *= step
         reference += work

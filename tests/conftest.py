@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import CodecConfig, TasmConfig
+from repro.core.cost import CostEstimate, CostModel
 from repro.core.policies import IncrementalRegretPolicy
 from repro.core.tasm import TASM
 from repro.datasets import visual_road_scene
@@ -105,6 +106,15 @@ def codec_config() -> CodecConfig:
 @pytest.fixture
 def config(codec_config: CodecConfig) -> TasmConfig:
     return TasmConfig(codec=codec_config)
+
+
+def query_cost(model: CostModel, layout, frame_boxes) -> CostEstimate:
+    """C(s, q, L): P, T and cost of decoding the boxes ``frame_boxes`` maps
+    each frame to (frames counted from a SOT's first, which starts a GOP)
+    under ``layout``, read off the cost model's own per-SOT table."""
+    frames = max(frame_boxes, default=-1) + 1
+    table = model.sot_cost_table(layout, [frame_boxes.get(frame, ()) for frame in range(frames)])
+    return model.window_cost(table, 0, frames)
 
 
 def union_bounds(a: Rectangle, b: Rectangle) -> Rectangle:

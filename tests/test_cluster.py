@@ -414,13 +414,13 @@ class TestClusterFailover:
             # Fill shard 0's whole pipeline (running batch, handoff queue,
             # pending queue) until the server itself starts refusing
             # (SERVER_BUSY arrives as an error on the submitted stream, so
-            # watch the scheduler's shed counter, not the submit call); the
+            # watch the server's shed counter, not the submit call); the
             # gated runner guarantees nothing drains back out.
-            scheduler = servers[0]._scheduler
+            server = servers[0]
 
             def server_full():
                 fillers.append(filler.scan_streaming(video.name, "car"))
-                return scheduler.shed_queue_full >= 2 and scheduler.queue_depth >= 1
+                return server.shed_queue_full >= 2 and server.queue_depth >= 1
 
             assert wait_until(server_full, timeout=15.0)
             router = ClusterRouter(

@@ -16,6 +16,7 @@ from repro.errors import QueryError
 from repro.geometry import Rectangle
 from repro.index import IndexEntry
 from repro.tiles.layout import TileLayout, uniform_layout, untiled_layout
+from tests.conftest import query_cost
 
 
 @pytest.fixture
@@ -47,40 +48,40 @@ class TestCostEstimate:
 class TestQueryCostEstimation:
     def test_untiled_costs_full_frames(self, model):
         frame_boxes = {0: [Rectangle(0, 0, 10, 10)], 3: [Rectangle(50, 50, 60, 60)]}
-        estimate = model.untiled_query_cost(FRAME_W, FRAME_H, frame_boxes)
+        estimate = query_cost(model, OMEGA, frame_boxes)
         assert estimate.pixels == FRAME_W * FRAME_H * 2
         assert estimate.tiles == 1  # one GOP, one tile
 
     def test_tiled_costs_only_touched_tiles(self, model):
         frame_boxes = {0: [Rectangle(0, 0, 10, 10)]}
-        estimate = model.estimate_query_cost(GRID, frame_boxes)
+        estimate = query_cost(model, GRID, frame_boxes)
         assert estimate.pixels == GRID.tile_rectangles()[0].area
         assert estimate.tiles == 1
 
     def test_box_spanning_tiles_costs_both(self, model):
         spanning = Rectangle(FRAME_W // 2 - 5, 0, FRAME_W // 2 + 5, 10)
-        estimate = model.estimate_query_cost(GRID, {0: [spanning]})
+        estimate = query_cost(model, GRID, {0: [spanning]})
         assert estimate.tiles == 2
 
     def test_tiles_counted_once_per_gop(self, model):
         # Frames 0 and 2 are in GOP 0; frame 7 is in GOP 1 (5-frame GOPs).
         box = Rectangle(0, 0, 10, 10)
-        estimate = model.estimate_query_cost(GRID, {0: [box], 2: [box], 7: [box]})
+        estimate = query_cost(model, GRID, {0: [box], 2: [box], 7: [box]})
         assert estimate.tiles == 2
         assert estimate.pixels == GRID.tile_rectangles()[0].area * 3
 
     def test_cost_is_linear_in_coefficients(self, model, cost_config):
-        estimate = model.estimate_query_cost(GRID, {0: [Rectangle(0, 0, 10, 10)]})
+        estimate = query_cost(model, GRID, {0: [Rectangle(0, 0, 10, 10)]})
         expected = cost_config.cost.beta * estimate.pixels + cost_config.cost.gamma * estimate.tiles
         assert estimate.cost == pytest.approx(expected)
 
     def test_empty_query_costs_nothing(self, model):
-        assert model.estimate_query_cost(GRID, {}).is_zero
+        assert query_cost(model, GRID, {}).is_zero
 
     def test_delta_positive_when_alternative_cheaper(self, model):
         frame_boxes = {0: [Rectangle(0, 0, 10, 10)]}
-        untiled = model.untiled_query_cost(FRAME_W, FRAME_H, frame_boxes)
-        tiled = model.estimate_query_cost(GRID, frame_boxes)
+        untiled = query_cost(model, OMEGA, frame_boxes)
+        tiled = query_cost(model, GRID, frame_boxes)
         assert model.delta(untiled, tiled) > 0
         assert model.delta(tiled, untiled) < 0
 
@@ -88,16 +89,16 @@ class TestQueryCostEstimation:
 class TestAlphaRule:
     def test_useful_layout_passes(self, model):
         frame_boxes = {0: [Rectangle(0, 0, 10, 10)]}
-        tiled = model.estimate_query_cost(GRID, frame_boxes)
-        untiled = model.untiled_query_cost(FRAME_W, FRAME_H, frame_boxes)
+        tiled = query_cost(model, GRID, frame_boxes)
+        untiled = query_cost(model, OMEGA, frame_boxes)
         assert model.pixel_ratio(tiled, untiled) < 0.8
         assert model.layout_is_useful(tiled, untiled)
 
     def test_useless_layout_fails(self, model):
         # A box covering nearly the whole frame: tiling cannot skip much.
         frame_boxes = {0: [Rectangle(0, 0, FRAME_W - 4, FRAME_H - 4)]}
-        tiled = model.estimate_query_cost(GRID, frame_boxes)
-        untiled = model.untiled_query_cost(FRAME_W, FRAME_H, frame_boxes)
+        tiled = query_cost(model, GRID, frame_boxes)
+        untiled = query_cost(model, OMEGA, frame_boxes)
         assert not model.layout_is_useful(tiled, untiled)
 
     def test_zero_untiled_cost_is_never_useful(self, model):
@@ -134,7 +135,7 @@ class TestRetileCost:
     def test_is_the_whole_sot_decode_estimate_plus_the_encode(
         self, model, cost_config, current, frame_count
     ):
-        read = model.estimate_query_cost(current, whole_sot(frame_count))
+        read = query_cost(model, current, whole_sot(frame_count))
         gops = -(-frame_count // cost_config.codec.gop_frames)
         assert (read.pixels, read.tiles) == (
             current.frame_pixels * frame_count, current.tile_count * gops
@@ -151,7 +152,7 @@ class TestRetileCost:
             + ENCODE_COST_PER_TILE * GRID.tile_count
         )
         assert model.retile_cost(None, GRID, 5) == pytest.approx(write)
-        read = model.estimate_query_cost(OMEGA, whole_sot(5)).cost
+        read = query_cost(model, OMEGA, whole_sot(5)).cost
         assert model.retile_cost(OMEGA, GRID, 5) == pytest.approx(write + read)
 
     def test_reading_more_tiles_costs_more(self, model):
@@ -163,8 +164,8 @@ class TestRetileCost:
 class TestWhatIf:
     def test_compare_reports_delta(self, model):
         frame_boxes = {0: [Rectangle(0, 0, 10, 10)]}
-        current = model.estimate_query_cost(OMEGA, frame_boxes)
-        alternative = model.estimate_query_cost(GRID, frame_boxes)
+        current = query_cost(model, OMEGA, frame_boxes)
+        alternative = query_cost(model, GRID, frame_boxes)
         assert model.delta(current, alternative) == current.cost - alternative.cost > 0
         assert alternative.pixels < current.pixels
         assert 0 < model.pixel_ratio(alternative, current) < 1
@@ -175,7 +176,7 @@ class TestWhatIf:
             IndexEntry("v", "car", 1, Rectangle(0, 0, 10, 10)),
         ]
         frame_boxes = {entry.frame_index: [entry.box] for entry in entries}
-        estimate = model.estimate_query_cost(GRID, frame_boxes)
+        estimate = query_cost(model, GRID, frame_boxes)
         assert estimate.pixels == GRID.tile_rectangles()[0].area * 2
 
 
@@ -214,14 +215,14 @@ class TestFitCostModel:
 class TestLayoutCostOrdering:
     def test_finer_layouts_decode_fewer_pixels_but_more_tiles(self, model):
         frame_boxes = {0: [Rectangle(4, 4, 20, 20)], 1: [Rectangle(100, 80, 140, 110)]}
-        coarse = model.estimate_query_cost(uniform_layout(FRAME_W, FRAME_H, 2, 2), frame_boxes)
-        fine = model.estimate_query_cost(uniform_layout(FRAME_W, FRAME_H, 4, 4), frame_boxes)
+        coarse = query_cost(model, uniform_layout(FRAME_W, FRAME_H, 2, 2), frame_boxes)
+        fine = query_cost(model, uniform_layout(FRAME_W, FRAME_H, 4, 4), frame_boxes)
         assert fine.pixels <= coarse.pixels
         assert fine.tiles >= coarse.tiles
 
     def test_non_uniform_layout_beats_untiled(self, model):
         boxes = [Rectangle(8, 8, 40, 40)]
         layout = TileLayout(FRAME_W, FRAME_H, (48, FRAME_H - 48), (48, FRAME_W - 48))
-        tiled = model.estimate_query_cost(layout, {0: boxes})
-        untiled = model.untiled_query_cost(FRAME_W, FRAME_H, {0: boxes})
+        tiled = query_cost(model, layout, {0: boxes})
+        untiled = query_cost(model, OMEGA, {0: boxes})
         assert tiled.cost < untiled.cost

@@ -60,11 +60,11 @@ from repro.errors import (
     error_from_code,
 )
 from repro.service import (
-    BatchScheduler,
     RemoteTasmClient,
     RetryPolicy,
     ShmTransport,
     SocketTransport,
+    TasmServer,
 )
 from repro.service import transport as transport_module
 from tests.test_exec_engine import assert_scan_results_identical, make_tasm
@@ -150,7 +150,7 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceeded):
                 doomed.result(timeout=30)
             blocker.result(timeout=30)
-            assert server._scheduler.queries_deadline_exceeded >= 1
+            assert server.queries_deadline_exceeded >= 1
         finally:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
@@ -172,9 +172,9 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceeded):
                 stream.result(timeout=30)
             # "car" spans 3 SOTs; the post-deadline one was skipped.
-            assert wait_until(lambda: server._scheduler.batches_executed >= 1)
+            assert wait_until(lambda: server.batches_executed >= 1)
             assert len(calls) == 2
-            assert server._scheduler.queries_deadline_exceeded == 1
+            assert server.queries_deadline_exceeded == 1
         finally:
             gate.set()
             server.tasm._decoder.prefetch_regions = original
@@ -229,14 +229,14 @@ class TestLoadShedding:
         tasm, video = make_tasm(
             config.with_updates(service_max_batch=4, service_max_queue_depth=2)
         )
-        scheduler = BatchScheduler(tasm)
-        scheduler._running = True  # driven without threads: pending stays put
-        scheduler.submit(Query.select("car", video.name))
-        scheduler.submit(Query.select("person", video.name))
+        server = TasmServer(tasm)
+        server._running = True  # driven without threads: pending stays put
+        server.submit(Query.select("car", video.name))
+        server.submit(Query.select("person", video.name))
         with pytest.raises(ServerBusy, match="SERVER_BUSY"):
-            scheduler.submit(Query.select("sign", video.name))
-        assert scheduler.shed_queue_full == 1
-        assert scheduler.queue_depth == 2, "the refused query never queued"
+            server.submit(Query.select("sign", video.name))
+        assert server.shed_queue_full == 1
+        assert server.queue_depth == 2, "the refused query never queued"
 
 
 # ----------------------------------------------------------------------
@@ -248,16 +248,15 @@ class TestRunnerSupervision:
         execution raises fails its query with that error, and the same
         runner serves the next query byte-identical."""
         server, video = make_server(config, service_runners=1)
-        scheduler = server._scheduler
-        original = scheduler._runners[0]
+        original = server._runners[0]
         broken = RuntimeError("batch bug")
-        execute = scheduler._execute
+        execute = server._execute
 
         def failing_once(batch):
-            scheduler._execute = execute  # the next batch runs as it would
+            server._execute = execute  # the next batch runs as it would
             raise broken
 
-        scheduler._execute = failing_once
+        server._execute = failing_once
         reference, _ = make_tasm(config)
         try:
             with pytest.raises(ServiceError) as failed:
@@ -265,7 +264,7 @@ class TestRunnerSupervision:
             assert failed.value.__cause__ is broken
             result = server.submit(Query.select("car", video.name)).result(timeout=30)
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert scheduler._runners == [original]
+            assert server._runners == [original]
             assert original.is_alive()
         finally:
             server.stop()
@@ -275,7 +274,7 @@ class TestRunnerSupervision:
         them: stop returns well inside its drain timeout with every runner
         gone."""
         server, _ = make_server(config)
-        runners = list(server._scheduler._runners)
+        runners = list(server._runners)
         assert all(runner.is_alive() for runner in runners)
         started = time.monotonic()
         server.stop()
@@ -340,7 +339,7 @@ class TestDecodeFaults:
             assert sizes == [1, 2], "the streamed queries are not re-run"
             result = server.submit(Query.select("car", video.name)).result(timeout=30)
             assert_scan_results_identical(result, reference.scan(video.name, "car"))
-            assert server._scheduler.queries_failed == 2
+            assert server.queries_failed == 2
         finally:
             server.stop()
 
@@ -403,7 +402,7 @@ class TestRedial:
                 )
                 assert stream.failovers == router.failovers_total == 1
                 assert proxy.fires()["drop"] == 1
-                assert server._scheduler.queries_submitted == 2, "the scan and its resume"
+                assert server.queries_submitted == 2, "the scan and its resume"
         finally:
             proxy.close()
             transport.stop()
@@ -585,7 +584,7 @@ class TestRedial:
                 stream.result()
             assert time.monotonic() - started < 1.0
             assert len(sent) == 1
-            assert server._scheduler.queries_submitted == 1, "no orphan resubmission"
+            assert server.queries_submitted == 1, "no orphan resubmission"
             assert stream.failovers == 0
         finally:
             router.close()
@@ -618,7 +617,7 @@ class TestRedial:
             consumer.join(timeout=5.0)
             assert isinstance(outcome.get_nowait(), StreamCancelledError)
             assert len(sent) == 1
-            assert server._scheduler.queries_submitted == 1, "closed scan stayed dead"
+            assert server.queries_submitted == 1, "closed scan stayed dead"
             assert not router._down
             assert_scan_results_identical(
                 router.scan(video.name, "person"), reference.scan(video.name, "person")
@@ -812,9 +811,9 @@ class TestHandshakeTimeout:
 class TestStarvedStageMessages:
     def test_result_timeout_names_the_queue_stage(self, config):
         tasm, video = make_tasm(config.with_updates(service_max_batch=4))
-        scheduler = BatchScheduler(tasm)
-        scheduler._running = True  # no threads: the query stays queued
-        stream = scheduler.submit(Query.select("car", video.name))
+        server = TasmServer(tasm)
+        server._running = True  # no threads: the query stays queued
+        stream = server.submit(Query.select("car", video.name))
         with pytest.raises(ServiceError, match="starved in queue"):
             stream.result(timeout=0.05)
 
@@ -959,7 +958,6 @@ class TestChaos:
                     assert_scan_results_identical(result, expected[label])
             # Every query is accounted for — no hang, no unknown terminal.
             assert sum(outcomes.values()) + refused == 16, (outcomes, refused)
-            scheduler = server._scheduler
             fires = proxies[False].fires()  # the schedule both proxies share
             # A stream re-issues its share only after its connection died,
             # and each death is an injected wire fault (one that lands on a
@@ -977,10 +975,10 @@ class TestChaos:
                 1 for stream in recovering if stream.deadline_ms is not None
             )
             assert (
-                outcomes["deadline"] - scheduler.queries_deadline_exceeded
+                outcomes["deadline"] - server.queries_deadline_exceeded
                 <= recovered_with_deadline
-            ), (outcomes, scheduler.queries_deadline_exceeded, recovered_with_deadline)
-            assert outcomes["busy"] <= scheduler.shed_queue_full
+            ), (outcomes, server.queries_deadline_exceeded, recovered_with_deadline)
+            assert outcomes["busy"] <= server.shed_queue_full
         finally:
             for router in routers:
                 router.close()

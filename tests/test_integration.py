@@ -22,6 +22,8 @@ from repro.detection import SimulatedYoloV3
 from repro.storage.files import read_tiled_video, write_tiled_video
 from repro.video.quality import psnr
 from repro.workloads import WorkloadRunner
+from repro.workloads import runner as runner_module
+from repro.workloads.runner import MeasuredEngine
 from tests.conftest import build_tiny_video, crop
 
 
@@ -191,13 +193,39 @@ class TestIndexWriteOrder:
                 np.testing.assert_array_equal(one.pixels, other.pixels)
 
 
-class TestIncrementalAdaptation:
-    def test_regret_strategy_converges_and_stays_correct(self, config):
-        """Over a repeated workload the regret policy re-tiles and ends up cheaper.
+class CountedEngine(MeasuredEngine):
+    """A measured run's engine that charges counted work, not seconds.
 
-        The video is large enough that decode savings clearly dominate both
-        re-encoding cost and wall-clock measurement noise.
-        """
+    Queries decode and re-tiles re-encode physically, as in any measured
+    run, but a query costs its own ``ScanResult.stats`` P and T and a re-tile
+    its R, both priced by the cost model — exact on any host, where a
+    wall-clock total on a shared machine is not.
+    """
+
+    def execute_query(self, query: Query) -> float:
+        stats = self.tasm.execute(query).stats
+        return self.tasm.cost_model.cost(stats.pixels_decoded, stats.tiles_decoded)
+
+    def retile(self, video_name: str, sot_index: int, layout) -> float:
+        tiled = self.tasm.video(video_name)
+        first, stop = tiled.frame_range(sot_index)
+        charged = self.tasm.cost_model.retile_cost(
+            tiled.stored_layout(sot_index), layout, stop - first
+        )
+        super().retile(video_name, sot_index, layout)
+        return charged
+
+
+@pytest.fixture
+def counted_work(monkeypatch):
+    """Measured runs charge counted work (:class:`CountedEngine`)."""
+    monkeypatch.setattr(runner_module, "MeasuredEngine", CountedEngine)
+
+
+class TestIncrementalAdaptation:
+    def test_regret_strategy_converges_and_stays_correct(self, config, counted_work):
+        """Over a repeated workload the regret policy re-tiles and ends up
+        doing less decode work than not tiling, re-tiles included."""
         video = build_tiny_video(name="adaptive", width=256, height=192, frame_count=40)
         queries = [Query.select_range("car", video.name, 0, 20) for _ in range(30)]
         workload = Workload.from_queries("repeat", queries)
@@ -210,7 +238,7 @@ class TestIncrementalAdaptation:
         assert sum(1 for cost in regret.retile_costs if cost > 0) >= 1
         assert regret.total_normalized() < baseline.total_normalized()
 
-    def test_modelled_and_measured_agree_on_the_winner(self, config):
+    def test_modelled_and_measured_agree_on_the_winner(self, config, counted_work):
         """The analytic engine and physical execution pick the same winner."""
         video = build_tiny_video(name="agreement", width=256, height=192, frame_count=40)
         queries = [Query.select_range("car", video.name, 0, 20) for _ in range(30)]

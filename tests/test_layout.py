@@ -12,7 +12,7 @@ from repro.core.cost import CostModel
 from repro.errors import LayoutError
 from repro.geometry import Rectangle
 from repro.tiles.layout import TileLayout, VideoLayoutSpec, uniform_layout, untiled_layout
-from tests.conftest import contains_point
+from tests.conftest import contains_point, query_cost
 
 
 def tile_containing_point(layout: TileLayout, x: float, y: float) -> int:
@@ -82,7 +82,7 @@ class TestTileLayoutGeometry:
         model = CostModel(TasmConfig())
 
         def pixels(boxes):
-            return model.estimate_query_cost(layout, {0: boxes}).pixels
+            return query_cost(model, layout, {0: boxes}).pixels
 
         # A box fully inside tile (0, 0) costs that tile's whole area.
         assert pixels([Rectangle(1, 1, 5, 5)]) == 30 * 20

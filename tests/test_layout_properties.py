@@ -14,10 +14,11 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import TasmConfig
+from repro.config import CodecConfig, TasmConfig
 from repro.core.cost import CostModel
 from repro.geometry import Rectangle
 from repro.tiles.layout import TileLayout
+from tests.conftest import query_cost
 
 sizes = st.lists(st.integers(1, 40), min_size=1, max_size=12)
 
@@ -65,7 +66,7 @@ def scan_tiles(layout: TileLayout, box: Rectangle) -> list[int]:
 
 
 def scan_query_cost(model: CostModel, layout, frame_boxes, gop_frames):
-    """``estimate_query_cost`` as it was computed over the rectangle scan."""
+    """C(s, q, L) computed over the rectangle scan."""
     rectangles = layout.tile_rectangles()
     pixels, opened = 0, set()
     for frame_index, frame_box_list in frame_boxes.items():
@@ -92,7 +93,7 @@ def test_span_and_intersecting_tiles_match_the_scan(drawn):
         assert layout.tiles_intersecting(box) == expected
     rectangles = layout.tile_rectangles()
     union = {tile for box in drawn_boxes for tile in scan_tiles(layout, box)}
-    estimate = CostModel(TasmConfig()).estimate_query_cost(layout, {0: drawn_boxes})
+    estimate = query_cost(CostModel(TasmConfig()), layout, {0: drawn_boxes})
     assert estimate.pixels == sum(rectangles[t].area for t in union)
 
 
@@ -103,8 +104,8 @@ def test_query_cost_matches_the_scan(drawn, frames, gop_frames):
     frame_boxes: dict[int, list[Rectangle]] = {}
     for position, box in enumerate(drawn_boxes):
         frame_boxes.setdefault(frames[position % len(frames)], []).append(box)
-    model = CostModel(TasmConfig())
-    estimate = model.estimate_query_cost(layout, frame_boxes, gop_frames)
+    model = CostModel(TasmConfig(codec=CodecConfig(gop_frames=gop_frames)))
+    estimate = query_cost(model, layout, frame_boxes)
     assert (estimate.pixels, estimate.tiles, estimate.cost) == scan_query_cost(
         model, layout, frame_boxes, gop_frames
     )

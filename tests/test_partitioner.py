@@ -10,7 +10,7 @@ from repro.core.cost import CostModel
 from repro.errors import LayoutError
 from repro.geometry import Rectangle
 from repro.tiles.partitioner import TileGranularity, partition_around_boxes
-from tests.conftest import union_bounds
+from tests.conftest import query_cost, union_bounds
 
 CODEC = CodecConfig(block_size=8, min_tile_width=16, min_tile_height=16, gop_frames=5, frame_rate=5)
 FRAME_W, FRAME_H = 160, 128
@@ -22,7 +22,7 @@ def partition(boxes, granularity=TileGranularity.FINE):
 
 def frame_pixels(layout, boxes):
     """P of decoding ``boxes`` on one frame under ``layout`` (the cost model's)."""
-    return CostModel(TasmConfig(codec=CODEC)).estimate_query_cost(layout, {0: boxes}).pixels
+    return query_cost(CostModel(TasmConfig(codec=CODEC)), layout, {0: boxes}).pixels
 
 
 class TestBasicBehaviour:

@@ -184,7 +184,7 @@ class TestConcurrentClients:
             with held_runner(server, video) as sizes:
                 for thread in threads:
                     thread.start()
-                assert wait_until(lambda: server._scheduler.queue_depth == 4)
+                assert wait_until(lambda: server.queue_depth == 4)
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive(), "client thread deadlocked"
@@ -221,7 +221,7 @@ class TestConcurrentClients:
             for stream in streams:
                 stream.result(timeout=30)
             assert sizes == [1, 3]
-            assert server._scheduler.batches_executed == 2
+            assert server.batches_executed == 2
         finally:
             server.stop()
 
@@ -325,10 +325,10 @@ class TestServerCounts:
             client.scan(video.name, "person")
         finally:
             server.stop()  # joins the runners: every batch is merged
-        stats, scheduler = server.stats(), server._scheduler
-        assert scheduler.queries_submitted == 3
-        assert scheduler.queries_completed == 3
-        assert scheduler.queue_depth == 0
+        stats = server.stats()
+        assert server.queries_submitted == 3
+        assert server.queries_completed == 3
+        assert server.queue_depth == 0
         # The repeated car scan was served from the shared cache.
         assert stats.cache_hits > 0
         assert stats.pixels_decoded > 0
@@ -424,13 +424,13 @@ class TestSocketTransport:
                         for stream in refused:
                             with pytest.raises(ServiceError):
                                 stream.result(timeout=30)
-                        assert wait_until(lambda: server._scheduler.queue_depth == 2)
+                        assert wait_until(lambda: server.queue_depth == 2)
                     for stream, label in ((first, "car"), (second, "person")):
                         assert_scan_results_identical(
                             stream.result(timeout=30), reference.scan(video.name, label)
                         )
             assert sizes == [1, 2]
-            assert server._scheduler.queries_submitted == 3, "the blocker and the two"
+            assert server.queries_submitted == 3, "the blocker and the two"
         finally:
             server.stop()
 
@@ -502,7 +502,7 @@ class TestSocketTransport:
                     send_message(
                         sock,
                         {"op": "scan", "id": 9, "video": video.name, "labels": ["car"],
-                         "priority": 1},
+                         "credits": 64, "priority": 1},
                     )
                     frames, regions = _FrameReader(sock), []
                     while True:

@@ -1,6 +1,6 @@
 """Conservation of served queries: whatever ends a query, it is counted once.
 
-A query the scheduler admits ends in exactly one of four ways — it completes,
+A query the server admits ends in exactly one of four ways — it completes,
 its consumer cancels it, it fails (a batch error, a peer that vanished, a
 server stop), or its deadline passes — and ``ResultStream._end``, the stream's one terminal transition, is the only
 place any of them is counted.  A query the depth bound refuses is never
@@ -9,7 +9,7 @@ whenever the server is quiescent::
 
     submitted == completed + cancelled + failed + deadline_exceeded
 
-the registry's series equal the scheduler's fields (they read the same ints),
+the registry's series equal the server's fields (they read the same ints),
 and the trace ring holds ``min(submitted, TRACE_HISTORY)`` traces, one per
 query.  Each row below drives one ending against a real server and says what
 it must have counted; the law is checked after every row, alone and in seeded
@@ -39,7 +39,7 @@ from tests.test_service_flow_control import make_server, wait_until
 DEPTH = 3  # service_max_queue_depth
 HISTORY = 8  # TRACE_HISTORY: smaller than a mix, so the ring's bound is exercised
 
-#: outcome -> (series, its labels, the scheduler's field).
+#: outcome -> (series, its labels, the server's field).
 ENDINGS = {
     "completed": ("tasm_queries_completed_total", {}, "queries_completed"),
     "cancelled": ("tasm_queries_cancelled_total", {}, "queries_cancelled"),
@@ -72,7 +72,6 @@ class Rig:
             service_max_queue_depth=DEPTH,
             observability=observability,
         )
-        self.scheduler = self.server._scheduler
         self.transport = SocketTransport(self.server).start()
         self.traced = observability
         self.expected: Counter = Counter()
@@ -85,7 +84,7 @@ class Rig:
         self.expected.update(endings)
 
     def counts(self) -> dict[str, int]:
-        """Every count, from the registry (which reads the scheduler's own
+        """Every count, from the registry (which reads the server's own
         fields), with or without traces."""
         snapshot = self.server.metrics_snapshot()
         return {
@@ -98,10 +97,10 @@ class Rig:
         }
 
     def check(self, after: str) -> dict[str, int]:
-        """Quiesce, then: the law, registry == the scheduler's fields, the ring."""
-        scheduler = self.scheduler
+        """Quiesce, then: the law, registry == the server's fields, the ring."""
+        server = self.server
         assert wait_until(
-            lambda: scheduler.queue_depth == 0 and not any(scheduler._active.values())
+            lambda: server.queue_depth == 0 and not any(server._active.values())
         ), after
         counts = self.counts()
         ended = {name: counts[name] for name in ENDINGS}
@@ -109,7 +108,7 @@ class Rig:
             f"after {after}: {counts['submitted']} submitted, ended {ended}"
         )
         fields = {
-            name: getattr(scheduler, field)
+            name: getattr(server, field)
             for name, (_, _, field) in {**ENDINGS, **OTHERS}.items()
         }
         assert fields == counts, after
@@ -157,9 +156,9 @@ def completes(rig: Rig) -> None:
 def close_while_pending(rig: Rig) -> None:
     with held_runner(rig.server, rig.video):
         stream = rig.submit()
-        before = rig.scheduler.queries_cancelled
+        before = rig.server.queries_cancelled
         stream.close()
-        assert rig.scheduler.queries_cancelled == before + 1, "counted at close()"
+        assert rig.server.queries_cancelled == before + 1, "counted at close()"
     rig.expect(2, completed=1, cancelled=1)  # the blocker completes
 
 
@@ -168,9 +167,9 @@ def close_mid_batch(rig: Rig) -> None:
         stream = rig.submit()
         assert entered.wait(timeout=30)
         assert len(stream.delivered) == 1
-        before = rig.scheduler.queries_cancelled
+        before = rig.server.queries_cancelled
         stream.close()
-        assert rig.scheduler.queries_cancelled == before + 1, "counted at close()"
+        assert rig.server.queries_cancelled == before + 1, "counted at close()"
     rig.expect(1, cancelled=1)
 
 
@@ -260,7 +259,8 @@ def peer_vanishes_without_cancel(rig: Rig) -> None:
     with parked_mid_batch(rig) as entered:
         with socket.create_connection(rig.transport.address, timeout=5) as peer:
             send_message(
-                peer, {"op": "scan", "id": 1, "video": rig.video.name, "labels": ["car"]}
+                peer,
+                {"op": "scan", "id": 1, "video": rig.video.name, "labels": ["car"], "credits": 64},
             )
             assert entered.wait(timeout=30)
         # The socket is closed, no CANCEL was sent: the server's connection

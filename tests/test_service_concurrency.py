@@ -108,11 +108,11 @@ def test_overlapping_scans_race_writes_without_stale_reads(config, label_cycle):
         start_barrier.wait()
         try:
             for cycle in range(WRITER_CYCLES):
-                server.retile_sot(video.name, RETILED_SOT, tiled_layout)
+                server.tasm.retile_sot(video.name, RETILED_SOT, tiled_layout)
                 server.add_metadata(
                     video.name, cycle % video.frame_count, "unqueried", 2, 2, 30, 30
                 )
-                server.retile_sot(video.name, RETILED_SOT, plain_layout)
+                server.tasm.retile_sot(video.name, RETILED_SOT, plain_layout)
         except Exception as error:  # noqa: BLE001
             failures.append(f"writer raised: {error!r}")
         finally:
@@ -149,7 +149,7 @@ def test_sequential_writes_between_scans_stay_consistent(config):
     with TasmServer(tasm) as server:
         client = server.connect()
         before = client.scan(video.name, "car")
-        server.retile_sot(video.name, RETILED_SOT, tiled_layout)
+        server.tasm.retile_sot(video.name, RETILED_SOT, tiled_layout)
         after = client.scan(video.name, "car")
 
     expected_after = regions_by_sot(ref_tiled.scan(video.name, "car"), frames_per_sot)

@@ -7,7 +7,7 @@ The contracts pinned here:
   full throughput, and A's client-side queue never holds more chunks than its
   credit budget (no head-of-line blocking through the shared demux reader);
 * a wire ``CANCEL`` (sent by ``RemoteScanStream.close()``) drops the scan
-  from its connection, makes the scheduler count the query as cancelled, and skips
+  from its connection, makes the server count the query as cancelled, and skips
   the scan's remaining per-SOT decode work — an abandoned scan stops costing
   decode within one SOT;
 * a stream closed while still queued never enters a batch at all;
@@ -105,7 +105,7 @@ class TestCredits:
 class TestCancellation:
     def test_wire_cancel_frees_pump_and_skips_remaining_decode(self, config):
         """Cancel after the first SOT: the pump exits without a done-reply,
-        the scheduler counts the cancel, the third SOT is never prefetched,
+        the server counts the cancel, the third SOT is never prefetched,
         and the freed runner serves a follow-up scan."""
         server, video = make_server(config, service_runners=1)
         reference, _ = make_tasm(config)
@@ -141,8 +141,8 @@ class TestCancellation:
                 assert wait_until(lambda: not connection._scans)
                 gate.set()
                 assert wait_until(
-                    lambda: server._scheduler.queries_cancelled >= 1
-                ), "the scheduler never counted the cancelled query"
+                    lambda: server.queries_cancelled >= 1
+                ), "the server never counted the cancelled query"
                 calls_after_cancel = len(prefetch_calls)
                 assert calls_after_cancel == 2, (
                     f"the cancelled scan's remaining SOTs should be skipped, "
@@ -187,7 +187,7 @@ class TestCancellation:
             # Force another collection pass so the dead stream is drained.
             server.submit(Query.select("sign", video.name)).result(timeout=30)
             assert wait_until(
-                lambda: server._scheduler.queries_cancelled >= 1
+                lambda: server.queries_cancelled >= 1
             ), "a stream closed while queued must be counted as cancelled"
             with pytest.raises(ServiceError):
                 queued.result(timeout=5)
@@ -382,20 +382,19 @@ class TestSchedulerLiveness:
         batch — does not end the runner: the query it was reaching for is
         still pending, and the same thread serves it on its next pass."""
         server, video = make_server(config, service_runners=1)
-        scheduler = server._scheduler
-        original = scheduler._runners[0]
-        collect = scheduler._collect
+        original = server._runners[0]
+        collect = server._collect
 
         def die_once():
-            scheduler._collect = collect
+            server._collect = collect
             raise RuntimeError("simulated crash in the runner loop")
 
-        scheduler._collect = die_once
+        server._collect = die_once
         try:
             stream = server.submit(Query.select("car", video.name))
             result = stream.result(timeout=30)
             assert result.regions
-            assert scheduler._runners == [original]
+            assert server._runners == [original]
             assert original.is_alive()
         finally:
             server.stop()

@@ -6,7 +6,7 @@ makes six instrument updates — ``tasm_batch_size``, ``tasm_queue_wait_seconds`
 ``tasm_query_seconds`` and one ``tasm_stage_seconds`` observation per stage,
 from the batch's totals — whether it serves one SOT or every SOT of the scene.
 It looks no labelled child up (they are resolved when the server is built) and
-increments no counter (the scheduler's events are its own ints, read at
+increments no counter (the server's events are its own ints, read at
 snapshot time).  The spans are the product, not the tax: ``queue`` and
 ``execute``, the latter carrying the result's own accounting.  With
 observability off the same six updates are made and no span is.

@@ -11,7 +11,7 @@ The contracts pinned here:
   (bounding producer-side memory) and resumes it when the consumer drains —
   and ``result()`` on a bounded stream never deadlocks against its own
   backpressure;
-* scheduler shutdown fails queued *and* in-flight streams with
+* server shutdown fails queued *and* in-flight streams with
   :class:`ServiceError` instead of hanging their consumers;
 * (a failed stream's terminal state being re-observable is now pinned for
   all three clients at once in ``tests/test_stream_contract.py``);
@@ -31,13 +31,15 @@ import pytest
 from repro.core.query import Query
 from repro.errors import ServiceError, TransportError
 from repro.service import TasmServer
-from repro.service.scheduler import BatchScheduler
+from repro.service import server as server_module
 from repro.service.transport import (
     _FRAME_HEADER,
     KIND_JSON,
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     recv_frame,
     recv_message,
+    send_message,
 )
 from tests.test_exec_engine import (
     assert_scan_results_identical,
@@ -181,8 +183,8 @@ class TestRunnerPool:
         executed = sorted(id(query) for batch in taken for query in batch)
         assert executed == sorted(id(query) for mine in queries for query in mine)
         assert max(len(batch) for batch in taken) <= max_batch
-        assert server._scheduler.queries_completed == clients * per_client
-        assert server._scheduler.queue_depth == 0
+        assert server.queries_completed == clients * per_client
+        assert server.queue_depth == 0
 
     def test_runners_plan_while_boxes_are_written(self, config):
         """Three runners read the one semantic index from their own threads
@@ -205,7 +207,7 @@ class TestRunnerPool:
 
             def write() -> None:
                 for frame in range(video.frame_count):
-                    server.add_detections(video.name, video.ground_truth(frame))
+                    server.tasm.add_detections(video.name, video.ground_truth(frame))
 
             writer = threading.Thread(target=write)
             writer.start()
@@ -276,45 +278,45 @@ class TestAdmissionControl:
         """6 queued greedy queries cannot keep the light client out of the
         next batch: rotation takes one per client before seconds."""
         tasm, video = make_tasm(config.with_updates(service_max_batch=4))
-        scheduler = BatchScheduler(tasm)
-        scheduler._running = True  # accept submissions without threads
+        server = TasmServer(tasm)
+        server._running = True  # accept submissions without threads
         try:
             greedy = [
-                scheduler.submit(Query.select("car", video.name), client="greedy")
+                server.submit(Query.select("car", video.name), client="greedy")
                 for _ in range(6)
             ]
-            light = scheduler.submit(Query.select("person", video.name), client="light")
+            light = server.submit(Query.select("person", video.name), client="light")
             batch: list = []
-            with scheduler._cond:
-                scheduler._take_round_robin(batch)
+            with server._cond:
+                server._take_round_robin(batch)
             assert len(batch) == 4
             assert batch[0] is greedy[0]
             assert batch[1] is light, "the light client must ride the next batch"
             assert batch[2] is greedy[1] and batch[3] is greedy[2]
             # Second batch drains the greedy backlog (work conservation).
             second: list = []
-            with scheduler._cond:
-                scheduler._take_round_robin(second)
+            with server._cond:
+                server._take_round_robin(second)
             assert second == greedy[3:6]
-            assert scheduler.queue_depth == 0
+            assert server.queue_depth == 0
         finally:
-            scheduler._running = False
+            server._running = False
 
     def test_lone_client_still_fills_a_batch(self, config):
         tasm, video = make_tasm(config.with_updates(service_max_batch=3))
-        scheduler = BatchScheduler(tasm)
-        scheduler._running = True
+        server = TasmServer(tasm)
+        server._running = True
         try:
             streams = [
-                scheduler.submit(Query.select("car", video.name), client="only")
+                server.submit(Query.select("car", video.name), client="only")
                 for _ in range(5)
             ]
             batch: list = []
-            with scheduler._cond:
-                scheduler._take_round_robin(batch)
+            with server._cond:
+                server._take_round_robin(batch)
             assert batch == streams[:3]
         finally:
-            scheduler._running = False
+            server._running = False
 
 
 class TestBackpressure:
@@ -432,8 +434,6 @@ class TestClientTimeouts:
         blocks on the handshake, so accept-and-hello must run concurrently."""
         import queue as queue_module
 
-        from repro.service.transport import send_message
-
         listener = socket.create_server(("127.0.0.1", 0))
         accepted: queue_module.Queue = queue_module.Queue()
 
@@ -495,7 +495,7 @@ class TestClientTimeouts:
 
 
 class TestShutdown:
-    def test_stop_fails_queued_and_inflight_streams(self, config):
+    def test_stop_fails_queued_and_inflight_streams(self, config, monkeypatch):
         """A runner wedged mid-decode must not strand anyone: queued streams
         fail at stop, the in-flight stream fails after the drain deadline."""
         server, video = make_server(
@@ -520,7 +520,8 @@ class TestShutdown:
             queued = [
                 server.submit(Query.select("person", video.name)) for _ in range(3)
             ]
-            server._scheduler.stop(timeout=0.5)
+            monkeypatch.setattr(server_module, "STOP_DRAIN_S", 0.5)
+            server.stop()
             for stream in queued:
                 with pytest.raises(ServiceError):
                     stream.result(timeout=10)
@@ -600,6 +601,43 @@ class TestWireFraming:
                 conn.close()
         finally:
             server.stop()
+
+    def test_a_connection_allocates_no_more_than_a_request_for_any_header(
+        self, config, monkeypatch
+    ):
+        """A client past its hello announces a 256 MiB frame — under
+        MAX_FRAME_BYTES, far over any request — and sends nothing more.  The
+        server must hang up without asking for the payload's buffer: a spy on
+        the transport's ``bytearray`` records every size asked and makes
+        nothing large."""
+        from repro.service import SocketTransport
+        from repro.service import transport as transport_module
+
+        asked = []
+
+        def spy(size):
+            asked.append(size)
+            if size > 1 << 24:
+                raise MemoryError(f"the spy does not allocate {size} bytes")
+            return bytearray(size)
+
+        monkeypatch.setattr(transport_module, "bytearray", spy, raising=False)
+        announced = 256 << 20
+        server, _ = make_server(config)
+        try:
+            with SocketTransport(server) as transport:
+                with socket.create_connection(transport.address, timeout=5.0) as conn:
+                    send_message(
+                        conn,
+                        {"op": "hello", "id": 0, "version": PROTOCOL_VERSION, "shm": False},
+                    )
+                    assert recv_message(conn)["type"] == "hello"
+                    conn.sendall(_FRAME_HEADER.pack(KIND_JSON, announced))
+                    assert conn.recv(1) == b"", "the server must hang up"
+        finally:
+            server.stop()
+        assert announced not in asked, "the announced payload was asked for"
+        assert max(asked) <= transport_module.MAX_REQUEST_BYTES
 
     def test_client_fails_its_streams_on_a_forged_length(self):
         from repro.service import RemoteTasmClient

@@ -15,10 +15,10 @@ Five claims, the first four searched rather than hand-picked:
   connection completes, as does one already streaming on it; every id that
   fits is served under that id; so does a scan whose ``skip_sots`` is not a
   list of non-negative integers, whose ``deadline_ms`` is not a finite
-  number, or whose ``credits`` is not a u32; a ``hello`` whose ``shm`` is
-  not a boolean, a ``trace`` whose ``last`` is not an int and a
-  ``video_info`` whose ``video`` is not a string earn a ``refused`` error
-  reply too, and the connection serves on;
+  number, or whose ``credits`` is absent or not an integer in [1, 2**32); a
+  ``hello`` whose ``shm`` is not a boolean, a ``trace`` whose ``last`` is
+  not an int and a ``video_info`` whose ``video`` is not a string earn a
+  ``refused`` error reply too, and the connection serves on;
 * for every credit window 1..8 and every chunk count 1..20 a scan completes,
   and the server never has more than ``window`` unreturned chunks in flight;
 * an ``add_metadata`` box with a ``NaN`` coordinate (which Python's ``json``
@@ -48,8 +48,8 @@ from repro.core.scan import ScanRegion, ScanResult
 from repro.errors import ProtocolError, QueryRefused, TransportError
 from repro.geometry import Rectangle
 from repro.obs import Observability
-from repro.service import RemoteTasmClient, ShmTransport, SocketTransport
-from repro.service.scheduler import ResultStream
+from repro.cluster import ClusterRouter
+from repro.service import RemoteTasmClient, ResultStream, ShmTransport, SocketTransport
 from repro.service.stream import StreamChunk
 from repro.service.transport import (
     _CHUNK_HEADER,
@@ -440,6 +440,12 @@ class TestHostileFrames:
 # ----------------------------------------------------------------------
 # The credit window
 # ----------------------------------------------------------------------
+def _scan(scan_id, labels, /, **fields) -> dict:
+    """A raw wire ``scan`` of the scripted video with a client's default
+    credit window; ``fields`` add to or override it."""
+    return {"op": "scan", "id": scan_id, "video": "video", "labels": labels, "credits": 64, **fields}
+
+
 class _ScriptedServer:
     """Just enough of a ``TasmServer`` for a ``SocketTransport``: every scan
     is answered by a stream already holding ``labels[0]``-many one-region
@@ -565,9 +571,7 @@ def test_a_scan_id_no_header_can_carry_is_refused_and_the_connection_serves_on()
         def refused(bad):
             with socket.create_connection(transport.address, timeout=10) as sock:
                 for scan_id, chunks in ((bad, "2"), (7, "3")):
-                    send_message(
-                        sock, {"op": "scan", "id": scan_id, "video": "video", "labels": [chunks]}
-                    )
+                    send_message(sock, _scan(scan_id, [chunks]))
                 chunk_ids, replies = _replies(_FrameReader(sock), 2)
                 assert replies["error"]["id"] == bad
                 assert "scan id" in replies["error"]["message"]
@@ -587,9 +591,7 @@ def test_a_scan_id_anywhere_in_the_header_range_is_served_under_it():
         @example(scan_id=2**32 - 1)
         def served(scan_id):
             with socket.create_connection(transport.address, timeout=10) as sock:
-                send_message(
-                    sock, {"op": "scan", "id": scan_id, "video": "video", "labels": ["3"]}
-                )
+                send_message(sock, _scan(scan_id, ["3"]))
                 chunk_ids, replies = _replies(_FrameReader(sock), 1)
                 assert replies["done"]["id"] == scan_id and chunk_ids == [scan_id] * 3
 
@@ -609,7 +611,7 @@ def test_a_refused_scan_id_leaves_the_connections_parked_scan_streaming():
             )
             kind, payload = frames.next_frame()
             assert kind == KIND_CHUNK and decode_chunk_payload(payload)[0]["id"] == 7
-            send_message(sock, {"op": "scan", "id": "abc", "video": "video", "labels": ["2"]})
+            send_message(sock, _scan("abc", ["2"]))
             chunk_ids, replies = _replies(frames, 1)
             assert chunk_ids == [] and replies["error"]["id"] == "abc"
             send_frame(sock, KIND_CREDIT, _CREDIT_FRAME.pack(7, 4))
@@ -653,7 +655,7 @@ BAD_SCAN_FIELDS = st.one_of(
             st.none(),
             st.booleans(),
             st.text(max_size=4),
-            st.integers(max_value=-1),
+            st.integers(max_value=0),
             st.integers(min_value=2**32),
             st.floats(),
         ),
@@ -695,9 +697,9 @@ def _replies_until_done(frames: _FrameReader, scan_id: int) -> dict:
 
 def test_a_scan_field_of_the_wrong_type_is_refused_and_the_connection_serves_on():
     """``skip_sots`` must be a list of non-negative ints, ``deadline_ms`` a
-    finite number, ``credits`` a u32: anything else earns an error reply
-    naming the field, and a scan sent after it on the same connection
-    completes."""
+    finite number, ``credits`` an integer in [1, 2**32): anything else earns
+    an error reply naming the field, and a scan sent after it on the same
+    connection completes."""
     with SocketTransport(_ScriptedServer()) as transport:
 
         @settings(max_examples=80, deadline=None)
@@ -705,13 +707,12 @@ def test_a_scan_field_of_the_wrong_type_is_refused_and_the_connection_serves_on(
         @example(bad=("skip_sots", "12"))
         @example(bad=("deadline_ms", float("nan")))
         @example(bad=("credits", 2.5))
+        @example(bad=("credits", 0))
         def refused(bad):
             field, value = bad
             with socket.create_connection(transport.address, timeout=10) as sock:
-                send_message(
-                    sock, {"op": "scan", "id": 5, "video": "video", "labels": ["2"], field: value}
-                )
-                send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
+                send_message(sock, _scan(5, ["2"], **{field: value}))
+                send_message(sock, _scan(7, ["3"]))
                 replies = _replies_until_done(_FrameReader(sock), 7)
                 assert replies[5]["type"] == "error", replies
                 assert f"scan {field}" in replies[5]["message"]
@@ -750,7 +751,7 @@ def test_an_add_metadata_field_of_the_wrong_type_is_refused_and_scans_are_unchan
     "fields",
     [
         {},
-        {"skip_sots": None, "deadline_ms": None, "credits": 0},
+        {"skip_sots": None, "deadline_ms": None, "credits": 3},
         {"skip_sots": [], "deadline_ms": 30_000, "credits": 2**32 - 1},
         {"skip_sots": [0, 4, 2**40], "deadline_ms": 2.5e4, "credits": 8},
         {"deadline_ms": -1.0},  # not positive: no deadline
@@ -759,9 +760,31 @@ def test_an_add_metadata_field_of_the_wrong_type_is_refused_and_scans_are_unchan
 def test_scan_fields_of_the_right_type_are_served(fields):
     with SocketTransport(_ScriptedServer()) as transport:
         with socket.create_connection(transport.address, timeout=10) as sock:
-            send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"], **fields})
+            send_message(sock, _scan(7, ["3"], **fields))
             chunk_ids, replies = _replies(_FrameReader(sock), 1)
             assert replies["done"]["id"] == 7 and chunk_ids == [7] * 3
+
+
+def test_a_scan_without_credits_is_refused_and_the_connection_serves_on():
+    """Every client grants a window of at least one chunk (a window of 0 is
+    among ``BAD_SCAN_FIELDS``); a scan that names no window is refused too,
+    never served unbounded."""
+    with SocketTransport(_ScriptedServer()) as transport:
+        with socket.create_connection(transport.address, timeout=10) as sock:
+            send_message(sock, {"op": "scan", "id": 5, "video": "video", "labels": ["2"]})
+            send_message(sock, _scan(7, ["3"]))
+            replies = _replies_until_done(_FrameReader(sock), 7)
+    assert replies[5]["type"] == "error" and replies[5]["code"] == "refused", replies
+    assert "scan credits" in replies[5]["message"]
+
+
+@pytest.mark.parametrize("client", [RemoteTasmClient, ClusterRouter])
+def test_a_client_refuses_a_window_below_one_chunk(client):
+    """The window a client grants is checked where it is chosen, before
+    anything is dialled: no client sends a scan the server refuses for it."""
+    address = ("127.0.0.1", 1)
+    with pytest.raises(ValueError, match="stream_buffer_chunks"):
+        client(address if client is RemoteTasmClient else [address], stream_buffer_chunks=0)
 
 
 #: A label no index entry can carry.
@@ -815,10 +838,8 @@ def test_a_scan_no_query_can_be_built_from_is_refused_before_admission():
             field, value = bad
             admitted = server.submitted
             with socket.create_connection(transport.address, timeout=10) as sock:
-                send_message(
-                    sock, {"op": "scan", "id": 5, "video": "video", "labels": ["2"], field: value}
-                )
-                send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
+                send_message(sock, _scan(5, ["2"], **{field: value}))
+                send_message(sock, _scan(7, ["3"]))
                 replies = _replies_until_done(_FrameReader(sock), 7)
             assert replies[5]["type"] == "error", replies
             assert field.rstrip("s") in replies[5]["message"], replies[5]
@@ -930,7 +951,7 @@ def test_a_json_frame_that_is_not_an_object_is_refused_and_the_connection_serves
                     send_frame(sock, KIND_JSON, value)
                 else:
                     send_message(sock, value)
-                send_message(sock, {"op": "scan", "id": 7, "video": "video", "labels": ["3"]})
+                send_message(sock, _scan(7, ["3"]))
                 chunk_ids, replies = _replies(_FrameReader(sock), 2)
                 assert replies["error"]["id"] is None
                 assert "object" in replies["error"]["message"]

@@ -176,7 +176,7 @@ def test_stalled_cluster_consumer_parks_the_shards(config):
         chunks = [next(iterator)]
         # ... and the consumer stalls.
         assert not wait_until(
-            lambda: any(s._scheduler.queries_completed for s in loaded), timeout=0.5
+            lambda: any(s.queries_completed for s in loaded), timeout=0.5
         ), "a shard ran its whole share into the router behind a stalled consumer"
         assert stream.buffered_chunks <= window * len(router.shards)
         # Taking chunks again returns credits and the pumps resume.

@@ -11,8 +11,8 @@ dropped together when its generation moves.
 An estimate is read off a per-``(SOT, predicate, layout)`` cost table, so a
 second property asks random windows — cut by SOT boundaries, inside one GOP of
 a two-GOP SOT, across both — between writes and re-tiles, and holds every
-answer against ``CostModel.estimate_query_cost`` over the window's own index
-lookup: no memo, no table.
+answer against the rectangle-scan oracle of ``tests/test_layout_properties.py``
+over the window's own index lookup: no memo, no table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CodecConfig, TasmConfig
 from repro.core import tasm as tasm_module
-from repro.core.cost import CostModel
+from repro.core.cost import CostEstimate, CostModel
 from repro.core.predicates import LabelPredicate, TemporalPredicate
 from repro.core.query import Query
 from repro.core.tasm import TASM
@@ -36,6 +36,7 @@ from repro.tiles.layout import uniform_layout, untiled_layout
 from repro.tiles.partitioner import TileGranularity
 
 from tests.conftest import build_tiny_video
+from tests.test_layout_properties import scan_query_cost
 
 LABELS = ("car", "person", "sign")
 VIDEO = build_tiny_video()  # 128x96, 15 frames: three 5-frame SOTs
@@ -202,7 +203,7 @@ def test_every_window_costs_what_the_cost_model_says_of_its_own_lookup(
             boxes = selected(tasm, predicate, max(start, sot_start), min(stop, sot_stop))
             for choice in ("current", "untiled", "2x2", drawn_choice):
                 layout = resolve(tasm, sot_index, choice)
-                expected = model.estimate_query_cost(layout, boxes, gop_frames)
+                expected = CostEstimate(*scan_query_cost(model, layout, boxes, gop_frames))
                 asked = None if choice == "current" else layout
                 assert tasm.estimate_sot_query_cost(VIDEO.name, sot_index, query, asked) == expected
 
