@@ -39,7 +39,7 @@ from .tiles import (
     untiled_layout,
     partition_around_boxes,
 )
-from .exec import BatchResult, CacheStats, QueryExecutor, TileDecodeCache
+from .exec import BatchResult, CacheStats, TileDecodeCache
 from .obs import MetricsRegistry, Observability
 from .service import (
     RemoteTasmClient,
@@ -94,7 +94,6 @@ __all__ = [
     "CacheStats",
     "MetricsRegistry",
     "Observability",
-    "QueryExecutor",
     "TileDecodeCache",
     "RemoteTasmClient",
     "ResultStream",

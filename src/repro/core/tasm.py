@@ -1,9 +1,10 @@
 """TASM — the tile-based storage manager (Section 3).
 
-This class ties the pieces together: the video catalog (physical, tiled
-storage), the semantic index (labelled bounding boxes), the tile partitioner
-(layout generation), the cost model (layout evaluation), and the decoder
-(query execution).  It exposes the paper's access-method API:
+This one object ties the pieces together: the videos it has ingested (their
+physical, tiled storage, looked up by name), the semantic index (labelled
+bounding boxes), the tile partitioner (layout generation), the cost model
+(layout evaluation), and the decoder with its optional decode cache (query
+execution).  It exposes the paper's access-method API:
 
 * ``scan(video, L, T)`` — return the pixels satisfying a label predicate and
   an optional temporal predicate, decoding only the tiles that contain them.
@@ -13,39 +14,40 @@ storage), the semantic index (labelled bounding boxes), the tile partitioner
 plus the layout-management operations the tiling strategies of Section 4 are
 built from (``layout_around``, ``retile_sot``, ``optimize_for_workload``).
 
-Query execution routes through the batched, cache-aware engine in
-``repro.exec``: ``scan``/``execute`` run one query through it (identical to
-the paper's behaviour when the decode cache is disabled, the default), and
-``execute_batch`` runs many queries while decoding each needed tile at most
-once.
+Every scan has one entry point: ``scan`` builds a :class:`Query` and runs it
+through ``execute`` (identical to the paper's behaviour when the decode cache
+is disabled, the default).  ``execute_batch`` runs many queries while
+decoding each needed tile at most once per batch; the types it returns and
+streams are in :mod:`repro.exec.engine`.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass, replace
+from itertools import zip_longest
+from typing import Callable, Iterable, Sequence
 
-from ..concurrency import SotLockRegistry
+from ..concurrency import VIDEO_LEVEL, SotLockRegistry
 from ..config import DEFAULT_CONFIG, TasmConfig
 from ..detection.base import Detection
+from ..errors import StorageError, UnknownVideoError
+from ..exec.cache import TileDecodeCache
+from ..exec.engine import BatchResult, PartialResult, QueryDone, StreamEvent
 from ..geometry import BoundingBox, Rectangle
 from ..index import BTreeSemanticIndex, IndexEntry
-from ..storage.catalog import VideoCatalog
 from ..storage.tiled_video import RetileRecord, TiledVideo
 from ..tiles.layout import TileLayout
 from ..tiles.partitioner import TileGranularity, partition_around_boxes
 from ..video.codec import Handover
-from ..video.decoder import RegionRequest, ScanPiece, VideoDecoder
+from ..video.decoder import DecodeResult, RegionRequest, ScanPiece, VideoDecoder
 from ..video.video import Video
 from .cost import CostEstimate, CostModel
 from .predicates import LabelPredicate, TemporalPredicate
 from .query import Query, Workload
 from .scan import ScanResult
-
-if TYPE_CHECKING:
-    from ..exec.cache import TileDecodeCache
-    from ..exec.engine import BatchResult, QueryExecutor
 
 __all__ = ["TASM"]
 
@@ -69,6 +71,15 @@ _WHAT_IF_ANSWERS_PER_SOT = 256
 _MEMOISED_SCAN_REGIONS = 16_384
 
 
+@dataclass
+class _QueryPlan:
+    """One query's resolved work: the region requests it implies, per SOT."""
+
+    video: str
+    index_seconds: float
+    sot_requests: list[tuple[int, ScanPiece]]
+
+
 class TASM:
     """The tile-based storage manager."""
 
@@ -81,7 +92,8 @@ class TASM:
         self.semantic_index = (
             semantic_index if semantic_index is not None else BTreeSemanticIndex()
         )
-        self.catalog = VideoCatalog(self.config)
+        #: Every ingested video's physical form, by name.
+        self._videos: dict[str, TiledVideo] = {}
         self.cost_model = CostModel(self.config)
         #: Readers-writer locks keyed on (video, SOT).  Scans take read locks
         #: and the write paths (add_metadata, retile_sot) take write locks, so
@@ -90,36 +102,42 @@ class TASM:
         #: is cheap enough to leave always-on for the single-caller case.
         self.locks = SotLockRegistry()
         #: The what-if memo: (video, SOT) -> (index generation of the SOT's
-        #: frame range, {question: answer}, the TiledVideo the answers are
-        #: about); see :meth:`_what_if_answers`.
-        self._what_if: dict[tuple[str, int], tuple[int, dict, TiledVideo]] = {}
+        #: frame range, {question: answer}); see :meth:`_what_if_answers`.
+        self._what_if: dict[tuple[str, int], tuple[int, dict]] = {}
         self._what_if_lock = threading.Lock()
         #: Every memoised scan piece, oldest first, as (memo key, question,
         #: piece), and the regions they hold; see :meth:`_remember`.
         self._scan_pieces: deque[tuple[tuple[str, int], tuple, ScanPiece]] = deque()
         self._scan_regions = 0
-        # Imported lazily: repro.exec imports repro.core for the query and
-        # scan-result types, so a module-level import here would be circular.
-        from ..exec.cache import TileDecodeCache
-        from ..exec.engine import QueryExecutor
-
-        self.tile_cache: "TileDecodeCache | None" = (
+        self.tile_cache: TileDecodeCache | None = (
             TileDecodeCache(self.config.decode_cache_bytes)
             if self.config.decode_cache_bytes > 0
             else None
         )
         self._decoder = VideoDecoder(self.config.codec, cache=self.tile_cache)
-        self._executor: "QueryExecutor" = QueryExecutor(self)
 
     # ------------------------------------------------------------------
     # Ingest and metadata (Section 3.1 / 3.3)
     # ------------------------------------------------------------------
     def ingest(self, video: Video) -> TiledVideo:
-        """Register a raw video; its initial physical layout is untiled."""
-        return self.catalog.ingest(video)
+        """Register a raw video; its initial physical layout is untiled.
+
+        Names are unique: a second ingest under a name raises
+        :class:`~repro.errors.StorageError`.
+        """
+        if video.name in self._videos:
+            raise StorageError(
+                f"video {video.name!r} has already been ingested; names must be unique"
+            )
+        tiled = self._videos[video.name] = TiledVideo(video=video, config=self.config)
+        return tiled
 
     def video(self, name: str) -> TiledVideo:
-        return self.catalog.get(name)
+        """The ingested video ``name``; every operation on a video starts here."""
+        tiled = self._videos.get(name)
+        if tiled is None:
+            raise UnknownVideoError(f"video {name!r} has not been ingested")
+        return tiled
 
     def add_metadata(
         self,
@@ -137,7 +155,7 @@ class TASM:
         Server-safe: the index write holds the video's write lock, so it
         serializes against the planning phase of in-flight scans.
         """
-        self.catalog.get(video_id)  # validate the video exists
+        self.video(video_id)  # validate the video exists
         with self.locks.write_video(video_id):
             self.semantic_index.add(
                 IndexEntry(
@@ -151,7 +169,7 @@ class TASM:
 
     def add_detections(self, video_id: str, detections: Iterable[Detection]) -> int:
         """Bulk AddMetadata — the path query processors and detectors use."""
-        self.catalog.get(video_id)
+        self.video(video_id)
         with self.locks.write_video(video_id):
             return self.semantic_index.add_detections(video_id, detections)
 
@@ -169,48 +187,262 @@ class TASM:
         The index lookup finds the matching boxes and the tiles containing
         them; the decoder then decodes only those tiles.  Index time and
         decode time are reported separately, as in the paper's evaluation.
-        The query runs through the :class:`~repro.exec.engine.QueryExecutor`;
-        with ``decode_cache_bytes`` configured, tiles decoded by earlier
+        The query runs through :meth:`execute`, the one entry point of every
+        scan; with ``decode_cache_bytes`` configured, tiles decoded by earlier
         scans are served from the cache instead of re-decoded.
         """
         predicate = self._normalise_predicate(predicate)
         temporal = temporal or TemporalPredicate.everything()
-        return self._executor.execute(
-            Query(video=video_name, predicate=predicate, temporal=temporal)
-        )
+        return self.execute(Query(video=video_name, predicate=predicate, temporal=temporal))
 
     def execute(self, query: Query) -> ScanResult:
-        """Execute a :class:`~repro.core.query.Query` object."""
-        return self._executor.execute(query)
+        """Execute one :class:`~repro.core.query.Query` — the paper's Scan.
+
+        Uses TASM's persistent tile cache when enabled.  Server-safe: the plan
+        runs under a read lock on the video (so it sees a consistent semantic
+        index) and the decode under read locks on every SOT it touches (so a
+        concurrent ``retile_sot`` can never swap a bitstream mid-scan).
+        """
+        locks = self.locks
+        video_held = locks.acquire_read([(query.video, VIDEO_LEVEL)])
+        sot_held: list = []
+        try:
+            # The video-level key only guards the index read during planning;
+            # release it before decoding so a pending metadata write stalls
+            # new planners, not this whole scan.
+            try:
+                plan = self._plan(query)
+                sot_held = locks.acquire_read(
+                    (plan.video, sot_index) for sot_index, _ in plan.sot_requests
+                )
+            finally:
+                locks.release_read(video_held)
+            return self._serve(plan)
+        finally:
+            locks.release_read(sot_held)
 
     def execute_batch(
         self,
         queries: Sequence[Query],
-        observer=None,
-        cancelled=None,
-        skip_sots=None,
-    ) -> "BatchResult":
+        observer: Callable[[StreamEvent], None] | None = None,
+        cancelled: Callable[[int], bool] | None = None,
+        skip_sots: Sequence[object | None] | None = None,
+    ) -> BatchResult:
         """Execute a batch of queries, decoding each needed tile at most once.
 
         Returns a :class:`~repro.exec.engine.BatchResult` whose ``results``
-        list holds one :class:`ScanResult` per query (in input order, each
-        byte-identical to a sequential ``scan``, its ``index_seconds``,
-        ``decode_seconds`` and ``stats`` that query's own) and whose ``stats``
-        report the shared decode work and cache behaviour of the batch.  The
-        batch runs, SOT by SOT, on the calling thread and starts none.
-        ``observer`` receives per-SOT streaming events as results materialise
-        (see :class:`~repro.exec.engine.PartialResult`); the service layer
-        uses it to stream results to clients before the batch finishes.
-        ``cancelled`` (an optional ``plan index -> bool`` probe) lets the
-        caller withdraw queries mid-batch; their remaining per-SOT work is
-        skipped (see :meth:`repro.exec.engine.QueryExecutor.execute_batch`).
-        ``skip_sots`` (a per-query set of SOT indices to leave unplanned,
-        aligned with ``queries``) is the resume primitive for interrupted
-        streams — see :meth:`repro.exec.engine.QueryExecutor.execute_batch`.
+        list holds one :class:`ScanResult` per query, in input order, each
+        byte-identical to a sequential ``scan``.  What each query cost is its
+        own ``ScanResult``: ``index_seconds``, ``decode_seconds`` (its serves,
+        by the decoder's clock) and ``stats`` (its serves' cache hits and
+        misses and what they decoded); the ``BatchResult`` adds the warm
+        phase's time, decode work and misses.
+
+        The batch decodes through TASM's decoder.  When TASM has a persistent
+        :class:`~repro.exec.cache.TileDecodeCache` (configured via
+        ``TasmConfig.decode_cache_bytes``) the batch shares it — warm entries
+        from earlier scans are reused and survivors stay for later ones.
+        Either way a SOT's queries share its warm's own reconstructions.  A
+        tile is decoded at most once per batch, but with a cache that evicts
+        a batch can decode more than its queries run one at a time: a warm
+        puts its SOT's whole union, which can push out entries a later batch
+        reads (1.029x the sequential pixels on the W3 scene, batches of 8,
+        cache at half the working set; see :mod:`repro.exec.engine`).
+
+        The batch is one loop over the ``(video, SOT)`` keys its queries
+        touch, ascending, on the calling thread, and starts no thread: warm
+        the SOT (decode the union of what its queries need), then serve each
+        interested query from it.  SOT order is ascending per video, so each
+        query's regions accumulate in the order a sequential scan produces.
+
+        ``observer``, when given, receives streaming events: a
+        :class:`~repro.exec.engine.PartialResult` the moment each SOT's
+        regions for a query are assembled (before later SOTs have been
+        decoded) and a :class:`~repro.exec.engine.QueryDone` once a query's
+        last SOT is served — the hook the service layer streams per-SOT
+        results to clients through.  Events for one query arrive in result
+        order; a query touching no SOT completes immediately after planning.
+
+        Observer threading contract: every event of one ``execute_batch``
+        call is emitted synchronously from the thread that made the call, so
+        per-batch event order needs no locking.  ``execute_batch`` itself may
+        be called from several threads at once (the service layer's
+        batch-runner pool does); each call emits only to its own observer,
+        but an observer closing over shared state — counters, a stats sink —
+        must synchronise that state itself.  An observer that *blocks* (e.g.
+        backpressure on a full stream buffer) suspends its batch, including
+        the read locks the batch holds; it must be unblockable (the service
+        layer's streams drop pushes once a stream reaches terminal state for
+        exactly this reason).
+
+        ``cancelled``, when given, is polled with a query's index before work
+        is done on its behalf: a query reported cancelled has its remaining
+        per-SOT serves skipped (no further observer events fire for it), and
+        a SOT *every* interested query has abandoned is neither warmed nor
+        served — so an abandoned scan stops consuming decode time within
+        roughly one SOT (one GOP at the default layout duration) instead of
+        running to completion for nobody.  Its entry in ``results`` holds
+        whatever had been assembled before cancellation.
+
+        ``skip_sots``, when given, is a sequence aligned with ``queries``: a
+        per-query set of SOT indices to leave out of the plan (None or an
+        empty set skips nothing).  This is the resume primitive: a query
+        re-submitted by a cluster router that re-dialled its shard passes
+        the SOT indices whose chunks were already delivered, and the
+        remaining SOTs are planned, decoded, and streamed exactly as
+        the uninterrupted run would have ordered them, so the concatenation
+        of delivered chunks stays byte-identical to a fault-free run.
+
+        Like ``execute``, the batch holds read locks on each touched video
+        while planning (released before decoding, so metadata writes only
+        serialize against planners) and on every ``(video, SOT)`` it decodes
+        for the decode's duration, so concurrent re-tiles serialize against
+        it instead of corrupting it.
         """
-        return self._executor.execute_batch(
-            queries, observer=observer, cancelled=cancelled, skip_sots=skip_sots
+        locks = self.locks
+        video_held = locks.acquire_read({(query.video, VIDEO_LEVEL) for query in queries})
+        try:
+            plans = [
+                self._plan(query, skip or ())
+                for query, skip in zip_longest(queries, skip_sots or ())
+            ]
+            # Per (video, SOT): which queries want which piece of it.
+            members: dict[tuple[str, int], list[tuple[int, ScanPiece]]] = {}
+            for plan_index, plan in enumerate(plans):
+                for sot_index, piece in plan.sot_requests:
+                    members.setdefault((plan.video, sot_index), []).append((plan_index, piece))
+            # Decodes happen under read locks on every SOT the batch touches,
+            # so no retile can swap a bitstream mid-batch; the video-level
+            # keys guard planning only and go back first, so metadata writes
+            # need not wait out the decode phase.
+            sot_held = locks.acquire_read(members)
+        finally:
+            locks.release_read(video_held)
+        try:
+            decoder = self._decoder
+            batch = BatchResult(
+                results=[
+                    ScanResult(video=plan.video, index_seconds=plan.index_seconds)
+                    for plan in plans
+                ],
+                index_seconds=sum(plan.index_seconds for plan in plans),
+            )
+            # How many SOTs each query still waits on; it is done at zero.
+            pending_sots = [len(plan.sot_requests) for plan in plans]
+            if observer is not None:
+                for plan_index, remaining in enumerate(pending_sots):
+                    if remaining == 0 and not (cancelled is not None and cancelled(plan_index)):
+                        observer(QueryDone(plan_index, batch.results[plan_index]))
+
+            # Each SOT is served right after it is warmed, from what the warm
+            # decoded: a cache holding one SOT's working set serves hits
+            # however large the batch is (the warm itself skips any SOT too
+            # big for the cache).
+            for (video, sot_index), group in sorted(members.items()):
+                if cancelled is not None and all(cancelled(index) for index, _ in group):
+                    for plan_index, _ in group:
+                        pending_sots[plan_index] -= 1
+                    continue
+                encoded = self.video(video).encoded_sot(sot_index)
+                # A SOT one query wants is warmed from that query's own piece,
+                # so warm and serve share its memoised decode plan; a union of
+                # several is planned for this warm only.
+                warm = decoder.prefetch_regions(
+                    encoded,
+                    group[0][1]
+                    if len(group) == 1
+                    else [request for _, piece in group for request in piece.requests],
+                    scope=video,
+                )
+                # A warm's hits are its serves' to count: it adds only what it
+                # decoded and missed.
+                batch.stats.merge(replace(warm.stats, cache_hits=0, pixels_served_from_cache=0))
+                batch.warm_seconds += warm.elapsed_seconds
+                for plan_index, piece in group:
+                    pending_sots[plan_index] -= 1
+                    if cancelled is not None and cancelled(plan_index):
+                        continue
+                    result = batch.results[plan_index]
+                    regions_before = len(result.regions)
+                    decoded = decoder.decode_regions(encoded, piece, video, warm.warmed)
+                    self._apply_decoded(result, decoded)
+                    batch.serve_seconds += decoded.elapsed_seconds
+                    if observer is not None:
+                        observer(
+                            PartialResult(
+                                query_index=plan_index,
+                                video=video,
+                                sot_index=sot_index,
+                                regions=tuple(result.regions[regions_before:]),
+                            )
+                        )
+                        if pending_sots[plan_index] == 0:
+                            observer(QueryDone(plan_index, result))
+        finally:
+            locks.release_read(sot_held)
+
+        # Cache accounting comes from this batch's own decode counters, not a
+        # delta of the shared cache's global stats: with a pool of batch
+        # runners, concurrent batches interleave their lookups on one cache,
+        # and a snapshot delta would attribute other batches' traffic to this
+        # one.  (Insertions/evictions are cache-global by nature and are
+        # reported by the cache itself, not per batch.)
+        for result in batch.results:
+            batch.stats.merge(result.stats)
+        return batch
+
+    def _plan(self, query: Query, skip: set[int] | tuple = ()) -> _QueryPlan:
+        """Resolve a query into per-SOT region requests via the semantic index.
+
+        The plan is assembled, not computed: each SOT of the query's window
+        (but those in ``skip``, which are not even looked up) contributes the
+        :class:`~repro.video.decoder.ScanPiece` that :meth:`_scan_piece`
+        memoises for ``(predicate, window clipped to the SOT)`` until the
+        index is written in that SOT's frames.  ``index_seconds`` times the
+        whole walk — on a miss that is the index lookup and the request
+        building, on a hit one generation read per SOT.
+        """
+        tiled = self.video(query.video)
+        frame_start, frame_stop = query.temporal.resolve(tiled.video.frame_count)
+        index_started = time.perf_counter()
+        sot_requests = []
+        for sot_index in tiled.sots_for_frames(frame_start, frame_stop):
+            if sot_index in skip:
+                continue
+            piece = self._scan_piece(tiled, sot_index, query.predicate, frame_start, frame_stop)
+            if piece.requests:
+                sot_requests.append((sot_index, piece))
+        return _QueryPlan(
+            video=query.video,
+            index_seconds=time.perf_counter() - index_started,
+            sot_requests=sot_requests,
         )
+
+    def _serve(self, plan: _QueryPlan) -> ScanResult:
+        """Answer one planned query — the paper's per-SOT decode loop."""
+        result = ScanResult(video=plan.video, index_seconds=plan.index_seconds)
+        if not plan.sot_requests:
+            return result
+        tiled, decoder = self.video(plan.video), self._decoder
+        for sot_index, piece in plan.sot_requests:
+            encoded = tiled.encoded_sot(sot_index)
+            decoded = decoder.decode_regions(encoded, piece, scope=plan.video)
+            self._apply_decoded(result, decoded)
+        return result
+
+    @staticmethod
+    def _apply_decoded(result: ScanResult, decoded: DecodeResult) -> None:
+        """Merge one SOT's decode output into a query's ScanResult.
+
+        The decoder's regions are the scan's regions (``ScanRegion`` is
+        ``DecodedRegion``), so nothing is rebuilt per region; the single-query
+        path and the batched serve phase both come through here, which is what
+        keeps their outputs byte-identical.  ``decode_seconds`` is the sum of
+        the decoder's own clock over the SOTs served, on either path.
+        """
+        result.stats.merge(decoded.stats)
+        result.regions.extend(decoded.regions)
+        result.decode_seconds += decoded.elapsed_seconds
 
     # ------------------------------------------------------------------
     # Layout generation and re-tiling (Section 3.4 / 4.2)
@@ -257,7 +489,7 @@ class TASM:
         is read once for the whole list, so asking again costs one
         generation read and a dict probe per set, not a partition.
         """
-        tiled = self.catalog.get(video_name)
+        tiled = self.video(video_name)
         answers = self._what_if_answers(tiled, sot_index)
         layouts = []
         for objects in object_sets:
@@ -299,7 +531,7 @@ class TASM:
         place.
         """
         with self.locks.write((video_name, sot_index)):
-            tiled = self.catalog.get(video_name)
+            tiled = self.video(video_name)
             handover = self._resident(tiled, sot_index)
             record = tiled.retile(sot_index, layout, handover)
             # The one invalidation of a re-tile.  It runs even when
@@ -379,11 +611,11 @@ class TASM:
         from the predicate's whole-SOT scan piece (:meth:`_scan_piece`), and
         the query's frame range clipped to the SOT is read off it.  So a
         window never asked about before costs what a repeated one does: no
-        index lookup, no box spanned over ``L``.  The catalog, the window and
+        index lookup, no box spanned over ``L``.  The video, the window and
         the memo are read once for the whole list: pricing every alternative
         of a SOT is one generation read and a table probe per layout.
         """
-        tiled = self.catalog.get(video_name)
+        tiled = self.video(video_name)
         frame_start, frame_stop = tiled.frame_range(sot_index)
         query_start, query_stop = query.temporal.resolve(tiled.video.frame_count)
         first = max(frame_start, query_start) - frame_start
@@ -423,7 +655,7 @@ class TASM:
         usefulness rule, and keeps the layout only when it reduces decode work
         for the workload.  Returns the chosen layouts per SOT index.
         """
-        tiled = self.catalog.get(video_name)
+        tiled = self.video(video_name)
         relevant = workload.for_video(video_name)
         chosen: dict[int, TileLayout] = {}
         for sot_index in range(tiled.sot_count):
@@ -466,9 +698,9 @@ class TASM:
         the index's write generation for that range moves.  The generation is
         read here, *before* the caller looks anything up: an index write that
         races the computation leaves the answer filed under the generation
-        that preceded it, and the next call drops it.  (A video removed from
-        the catalog and ingested again under its name is a different
-        ``tiled``, so its predecessor's answers go the same way.)
+        that preceded it, and the next call drops it.  (A name's
+        ``TiledVideo`` is never replaced: ingest refuses a name it knows, and
+        nothing removes one.)
 
         Three kinds of question share a SOT's answers, and only the third has
         a frame window in it:
@@ -491,8 +723,8 @@ class TASM:
         key = (tiled.name, sot_index)
         generation = self.semantic_index.generation(tiled.name, *tiled.frame_range(sot_index))
         slot = self._what_if.get(key)
-        if slot is None or slot[0] != generation or slot[2] is not tiled:
-            slot = self._what_if[key] = (generation, {}, tiled)
+        if slot is None or slot[0] != generation:
+            slot = self._what_if[key] = (generation, {})
         return slot[1]
 
     def _scan_piece(

@@ -12,31 +12,31 @@ scheduling of VSS and the batched frame requests of Scanner (see PAPERS.md):
   scan, in ``DecodeStats``), explicit per-SOT invalidation on
   re-tiling, and bitstream-checksum validation so a re-encoded SOT can never
   serve stale pixels.
-* :class:`~repro.exec.engine.QueryExecutor` — plans a batch of queries into
-  per-``(video, SOT)`` region requests, decodes each needed (GOP, tile)
-  bitstream at most once per batch, SOT by SOT on the calling thread, and
-  answers every query from that SOT's warm, through TASM's one decoder and
-  its cache when it has one.  Per-query results are
-  byte-identical to sequential ``scan()`` calls.  An optional
-  ``observer`` receives :class:`~repro.exec.engine.PartialResult` /
-  :class:`~repro.exec.engine.QueryDone` events as each SOT is served — the
-  streaming hook the service layer (``repro.service``) delivers per-SOT
-  results to clients through.  Execution holds TASM's per-``(video, SOT)``
-  read locks, so server-mode writes serialize against in-flight scans.
+* :mod:`repro.exec.engine` — what batched execution returns and streams:
+  :class:`~repro.exec.engine.BatchResult`, and the
+  :class:`~repro.exec.engine.PartialResult` /
+  :class:`~repro.exec.engine.QueryDone` events an ``observer`` receives as
+  each SOT is served — the streaming hook the service layer
+  (``repro.service``) delivers per-SOT results to clients through.
 
-``TASM.scan`` / ``TASM.execute`` route through this executor; batches enter
-via ``TASM.execute_batch``.
+The execution itself is TASM's own: ``TASM.scan`` runs through
+``TASM.execute``, and ``TASM.execute_batch`` plans a batch of queries into
+per-``(video, SOT)`` region requests, decodes each needed (GOP, tile)
+bitstream at most once per batch, SOT by SOT on the calling thread, and
+answers every query from that SOT's warm, through TASM's one decoder and its
+cache when it has one.  Per-query results are byte-identical to sequential
+``scan()`` calls.  Execution holds TASM's per-``(video, SOT)`` read locks, so
+server-mode writes serialize against in-flight scans.
 """
 
 from .cache import CacheStats, TileDecodeCache, TileKey
-from .engine import BatchResult, PartialResult, QueryDone, QueryExecutor
+from .engine import BatchResult, PartialResult, QueryDone
 
 __all__ = [
     "BatchResult",
     "CacheStats",
     "PartialResult",
     "QueryDone",
-    "QueryExecutor",
     "TileDecodeCache",
     "TileKey",
 ]

@@ -17,7 +17,11 @@ rows of ``TileCodec.decode_tile``'s block, or the frames a re-tile's
 encoder keeps — so a scan hands out views of entries, not copies, and no
 caller can write through them.  Dropping an entry (eviction, invalidation,
 a deeper re-put) drops only the cache's reference: a result viewing its
-frames keeps them alive, unchanged.
+frames keeps them alive, unchanged — and with them the whole block
+``decode_tile`` made in that call, since a view keeps its base array alive
+and those frames are rows of one ``(n, h, w)`` block.  So a small kept
+result can hold a tile's whole decoded GOP prefix (see
+:class:`~repro.video.decoder.DecodedRegion`).
 
 Two mechanisms keep served pixels fresh across re-tiling:
 

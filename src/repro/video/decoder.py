@@ -137,11 +137,16 @@ class DecodedRegion:
     its own.  ``pixels`` is read-only, and cannot be made writable again:
     writing into it raises ``ValueError``, and so does setting
     ``flags.writeable``.  With a decode cache, a box inside one tile is a view
-    of the cached frame — no copy — and keeps that frame alive after the cache
-    evicts it or a re-tile invalidates it.  Every other region is a view of
-    one buffer per decoded SOT that holds only the SOT's returned pixels, so a
-    result never keeps a decoded tile alive that no cache holds.
-    ``np.array(region.pixels)`` is a writable copy.
+    of the cached frame — no copy — and stays valid after the cache evicts
+    the frame or a re-tile invalidates it.  A known limit: a view keeps its
+    whole base array alive, and a frame ``TileCodec.decode_tile`` made is one
+    row of the ``(n, h, w)`` block that call decoded, so such a region keeps
+    that whole block alive, not one frame (a re-tile hand-over's frames are
+    one array each).  100 kept W3 results, with the cache at a third of the
+    working set, held 10,083,840 B of blocks for 1,867,712 B returned;
+    ROADMAP.md's item 16 tracks the fix.  Every other region is a view of one
+    buffer per decoded SOT that holds only the SOT's returned pixels, so it
+    keeps no decoded tile alive.  ``np.array(region.pixels)`` is a writable copy.
     """
 
     frame_index: int

@@ -338,7 +338,7 @@ class TestCachelessBatch:
         monkeypatch.setattr(TileDecodeCache, "__init__", counted_init)
         queries = random_queries(video.name, video.frame_count, seed=0)
         tasm.execute_batch(queries)
-        touched = {sot for query in queries for sot, _ in tasm._executor._plan(query).sot_requests}
+        touched = {sot for query in queries for sot, _ in tasm._plan(query).sot_requests}
         assert warms == sorted(touched) and warms
         assert caches == [] and tasm.tile_cache is None
 

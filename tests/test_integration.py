@@ -98,7 +98,7 @@ class TestPersistenceRoundTrip:
         fresh_video = build_tiny_video()
         restored = read_tiled_video(fresh_video, tmp_path, config)
         fresh_tasm = TASM(config=config)
-        fresh_tasm.catalog._videos[fresh_video.name] = restored  # direct catalog load
+        fresh_tasm._videos[fresh_video.name] = restored  # load the stored form directly
         fresh_tasm.add_detections(fresh_video.name, detections)
         after = fresh_tasm.scan(fresh_video.name, "car")
 

@@ -1,6 +1,6 @@
 """A scan served from memoised pieces is the scan a memo-less TASM computes.
 
-``QueryExecutor._plan`` assembles a scan from one
+``TASM._plan`` assembles a scan from one
 :class:`~repro.video.decoder.ScanPiece` per SOT, kept in the what-if memo
 until the index's write generation for the SOT's frames moves; a piece keeps
 the decode plan of the encoding it was last served from.  The property: under
@@ -193,7 +193,7 @@ def test_every_window_is_the_slice_its_own_lookup_and_a_list_decode_give(
             )
             if requests:
                 expected.append((sot_index, requests))
-        pieces = tasm._executor._plan(query).sot_requests
+        pieces = tasm._plan(query).sot_requests
         assert [(sot_index, piece.requests) for sot_index, piece in pieces] == expected
         result = tasm.execute(query)
         for sot_index, piece in pieces:
@@ -229,10 +229,9 @@ def indexed(tasm: TASM) -> TASM:
 def test_a_repeated_scan_is_served_from_the_same_pieces_until_a_write_to_their_frames():
     tasm = indexed(build(cache_bytes=CACHE_BYTES))
     query = Query(VIDEO.name, LabelPredicate.any_of(LABELS), TemporalPredicate.between(2, 12))
-    executor = tasm._executor
 
     def pieces() -> dict[int, ScanPiece]:
-        return dict(executor._plan(query).sot_requests)
+        return dict(tasm._plan(query).sot_requests)
 
     first = pieces()
     assert sorted(first) == [0, 1, 2]
@@ -241,12 +240,12 @@ def test_a_repeated_scan_is_served_from_the_same_pieces_until_a_write_to_their_f
     # else it covers, shares SOT 1's piece; one covering part of it does not.
     wider = Query(VIDEO.name, query.predicate, TemporalPredicate.everything())
     narrower = Query(VIDEO.name, query.predicate, TemporalPredicate.between(6, 12))
-    assert dict(executor._plan(wider).sot_requests)[1] is first[1]
-    assert dict(executor._plan(wider).sot_requests)[0] is not first[0]
-    assert dict(executor._plan(narrower).sot_requests)[1] is not first[1]
+    assert dict(tasm._plan(wider).sot_requests)[1] is first[1]
+    assert dict(tasm._plan(wider).sot_requests)[0] is not first[0]
+    assert dict(tasm._plan(narrower).sot_requests)[1] is not first[1]
     # And so is the predicate part of the question.
     cars = Query(VIDEO.name, LabelPredicate.single("car"), query.temporal)
-    assert dict(executor._plan(cars).sot_requests)[1] is not first[1]
+    assert dict(tasm._plan(cars).sot_requests)[1] is not first[1]
     check(tasm, [narrower]), check(tasm, [cars]), check(tasm, [wider])
 
     tasm.add_metadata(VIDEO.name, 7, "car", 10, 10, 40, 40)  # SOT 1 only
@@ -260,13 +259,13 @@ def test_a_retile_replans_the_decode_once_and_keeps_the_piece():
     tasm = indexed(build(cache_bytes=CACHE_BYTES))
     query = Query.select_range("car", VIDEO.name, 0, 5)
     check(tasm, [query])
-    (_, piece), = tasm._executor._plan(query).sot_requests
+    (_, piece), = tasm._plan(query).sot_requests
     plan = piece._planned[1]
     check(tasm, [query])
     assert piece._planned[1] is plan
     tasm.retile_sot(VIDEO.name, 0, resolve(tasm, 0, "2x2"))
     check(tasm, [query])  # the stale plan names tiles of a layout that is gone
-    (_, same_piece), = tasm._executor._plan(query).sot_requests
+    (_, same_piece), = tasm._plan(query).sot_requests
     assert same_piece is piece and piece._planned[1] is not plan
     assert piece._planned[0]() is tasm.video(VIDEO.name).encoded_sot(0)
     replanned = piece._planned[1]
@@ -278,10 +277,10 @@ def test_a_plan_does_not_keep_a_superseded_encoding_alive():
     tasm = indexed(build())
     query = Query.select_range("car", VIDEO.name, 0, 5)
     tasm.execute(query)
-    (_, piece), = tasm._executor._plan(query).sot_requests
+    (_, piece), = tasm._plan(query).sot_requests
     assert piece._planned[0]() is not None
     tasm.retile_sot(VIDEO.name, 0, resolve(tasm, 0, "2x2"))
-    assert piece._planned[0]() is None  # nothing but the catalog held it
+    assert piece._planned[0]() is None  # nothing but the TiledVideo held it
 
 
 def test_a_piece_computed_across_a_write_is_not_kept():
@@ -312,7 +311,7 @@ def test_results_and_memoised_requests_cannot_be_changed_through_each_other():
     del result.regions[1]
     assert regions_of(tasm.execute(query)) == expected
     assert held and unchanged(held)
-    for _, piece in tasm._executor._plan(query).sot_requests:
+    for _, piece in tasm._plan(query).sot_requests:
         assert type(piece.requests) is tuple and not hasattr(piece, "__dict__")
         assert all(type(request) is RegionRequest for request in piece.requests)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import TasmConfig
+from repro.core.query import Query
+from repro.core.tasm import TASM
 from repro.errors import StorageError, UnknownVideoError
-from repro.storage.catalog import VideoCatalog
 from repro.storage.files import TileFileFormatError, read_tiled_video, write_tiled_video
 from repro.storage.tiled_video import TiledVideo
 from repro.tiles.layout import uniform_layout, untiled_layout
@@ -79,33 +80,33 @@ class TestTiledVideo:
         assert tiled.frame_range(2) == (10, 15)
 
 
-class TestVideoCatalog:
+class TestIngestedVideos:
     def test_ingest_and_get(self, tiny_video, config):
-        catalog = VideoCatalog(config)
-        tiled = catalog.ingest(tiny_video)
-        assert catalog.get(tiny_video.name) is tiled
-        assert tiny_video.name in catalog
-        assert len(catalog) == 1
-        assert catalog.names() == [tiny_video.name]
+        tasm = TASM(config)
+        tiled = tasm.ingest(tiny_video)
+        assert tasm.video(tiny_video.name) is tiled
+        assert tiled.video is tiny_video
+        # Ingest stores nothing yet: every SOT starts untiled and unencoded.
+        assert all(tiled.layout_for(sot).is_untiled for sot in range(tiled.sot_count))
+        assert not any(tiled.is_materialised(sot) for sot in range(tiled.sot_count))
 
     def test_duplicate_ingest_rejected(self, tiny_video, config):
-        catalog = VideoCatalog(config)
-        catalog.ingest(tiny_video)
-        with pytest.raises(UnknownVideoError):
-            catalog.ingest(tiny_video)
+        tasm = TASM(config)
+        tiled = tasm.ingest(tiny_video)
+        with pytest.raises(StorageError, match="already been ingested") as raised:
+            tasm.ingest(tiny_video)
+        # A name TASM knows is not an unknown video.
+        assert not isinstance(raised.value, UnknownVideoError)
+        assert tasm.video(tiny_video.name) is tiled
 
     def test_unknown_video(self, config):
-        catalog = VideoCatalog(config)
+        tasm = TASM(config)
         with pytest.raises(UnknownVideoError):
-            catalog.get("missing")
+            tasm.scan("missing", "car")
         with pytest.raises(UnknownVideoError):
-            catalog.remove("missing")
-
-    def test_remove(self, tiny_video, config):
-        catalog = VideoCatalog(config)
-        catalog.ingest(tiny_video)
-        catalog.remove(tiny_video.name)
-        assert tiny_video.name not in catalog
+            tasm.execute_batch([Query.select("car", "missing")])
+        with pytest.raises(UnknownVideoError):
+            tasm.layout_around("missing", 0, ["car"])
 
 
 class TestOnDiskPersistence:

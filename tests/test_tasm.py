@@ -147,6 +147,22 @@ class TestScan:
         result = tasm.execute(query)
         assert frames_touched(result) == list(range(5))
 
+    def test_every_scan_enters_through_execute(self, tasm, tiny_video, monkeypatch):
+        # A counting wrapper on the class, the way a tracer patches it: a scan
+        # that bypassed ``TASM.execute`` would leave the count at zero.
+        calls: list[Query] = []
+        execute = TASM.execute
+
+        def counted(self, query):
+            calls.append(query)
+            return execute(self, query)
+
+        monkeypatch.setattr(TASM, "execute", counted)
+        window = TemporalPredicate.between(0, 5)
+        result = tasm.scan(tiny_video.name, "person", window)
+        assert calls == [Query(tiny_video.name, LabelPredicate.single("person"), window)]
+        assert frames_touched(result) == list(range(5))
+
     def test_tiling_reduces_decoded_pixels_for_sparse_objects(self, tasm, tiny_video):
         before = tasm.scan(tiny_video.name, "car")
         workload = Workload.from_queries("cars", [Query.select("car", tiny_video.name)])

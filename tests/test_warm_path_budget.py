@@ -133,14 +133,14 @@ def test_memoised_regions_are_bounded_and_an_evicted_piece_is_planned_again(
     def findable() -> int:
         return sum(
             len(answer.requests) or 1
-            for _, answers, _ in tasm._what_if.values()
+            for _, answers in tasm._what_if.values()
             for question, answer in answers.items()
             if len(question) == 3
         )
 
     first = Query(video.name, PREDICATE, TemporalPredicate.between(0, 3))
     expected = [(r.frame_index, r.region, r.pixels.tobytes()) for r in tasm.execute(first).regions]
-    first_piece = tasm._executor._plan(first).sot_requests[0][1]
+    first_piece = tasm._plan(first).sot_requests[0][1]
     windows = [(start, stop) for start in range(15) for stop in range(start + 1, 16)]
     total = 0
     for start, stop in windows:  # 120 distinct windows, far more regions than the bound
@@ -148,7 +148,7 @@ def test_memoised_regions_are_bounded_and_an_evicted_piece_is_planned_again(
         total += len(tasm.execute(scan).regions)
         assert findable() <= tasm._scan_regions <= bound
     assert total > 10 * bound
-    assert tasm._executor._plan(first).sot_requests[0][1] is not first_piece  # it went
+    assert tasm._plan(first).sot_requests[0][1] is not first_piece  # it went
     again = tasm.execute(first)
     assert [(r.frame_index, r.region, r.pixels.tobytes()) for r in again.regions] == expected
     # A write strands pieces in the queue; they stay counted until they leave.
