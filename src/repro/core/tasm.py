@@ -363,7 +363,6 @@ class TASM:
                     if cancelled is not None and cancelled(plan_index):
                         continue
                     result = batch.results[plan_index]
-                    regions_before = len(result.regions)
                     decoded = decoder.decode_regions(encoded, piece, video, warm.warmed)
                     self._apply_decoded(result, decoded)
                     batch.serve_seconds += decoded.elapsed_seconds
@@ -373,7 +372,7 @@ class TASM:
                                 query_index=plan_index,
                                 video=video,
                                 sot_index=sot_index,
-                                regions=tuple(result.regions[regions_before:]),
+                                regions=decoded.memoised or tuple(decoded.regions),
                             )
                         )
                         if pending_sots[plan_index] == 0:

@@ -51,18 +51,26 @@ question against one SOT) from resident tiles returns the same regions every
 time, so the decoder files them here: per ``(scope, SOT)``, the piece (held
 weakly, so TASM's bound on memoised pieces bounds the memos too) maps to the
 plan it was served by, the frame lists its tile lookups returned and the
-tuple of regions built from them.  The next serve still looks up every tile
-— counts, ranks and its ``DecodeStats`` move as before — and hands back the
-memoised regions when those lookups returned, by identity, the same lists.
-A SOT's memo is dropped in the same critical section as anything that lets
-one of its entries go or replaces it: a put, an eviction,
-:meth:`~TileDecodeCache.invalidate_sot`, a token-mismatch removal,
-:meth:`~TileDecodeCache.clear`.  The decoder takes the memo before its
-lookups, so what it files after a drop goes into a memo the cache no longer
-holds.  So no memo the cache holds views a frame it has let go, and none
-holds a pixel buffer of its own: a piece with a box across tiles, whose
-pixels are copied, is not memoised, nor is one served in part from a batch
-warm's own frames.
+regions built from them, a :class:`MemoisedRegions`.  The next serve still
+looks up every tile — counts, ranks and its ``DecodeStats`` move as before —
+and hands back the memoised regions when those lookups returned, by
+identity, the same lists.  A SOT's memo is dropped in the same critical
+section as anything that lets one of its entries go or replaces it: a put
+over a held key, an eviction, :meth:`~TileDecodeCache.invalidate_sot`, a
+token-mismatch removal, :meth:`~TileDecodeCache.clear`.  A put of a new key
+lets nothing go, so it keeps the memo.  The decoder takes the memo before
+its lookups, so what it files after a drop goes into a memo the cache no
+longer holds.  So no memo the cache holds views a frame it has let go.  A
+piece with a box across tiles, whose pixels are copied, is not memoised,
+nor is one served in part from a batch warm's own frames.
+
+Every byte the cache holds is counted.  A memoised piece is copied once, at
+its first send by a serving layer, into a wire form
+(:meth:`MemoisedRegions.wire_form`: its record bytes and its pixels joined
+into one buffer), which the cache charges to ``capacity_bytes``.  It is
+kept only where it fits without evicting a tile, and dropped with its memo,
+so a re-tile never sends stale bytes.  A SOT's wire forms live until its
+memo is dropped, whether or not their pieces still do.
 
 The cache is safe for concurrent use: in server mode (``repro.service``) the
 batches of several runner threads share one process-wide instance, so every
@@ -81,7 +89,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["CacheStats", "TileDecodeCache", "TileKey"]
+__all__ = ["CacheStats", "MemoisedRegions", "RegionMemo", "TileDecodeCache", "TileKey"]
 
 #: (scope, sot_index, gop_frame_start, tile_index) — scope is the video name.
 TileKey = tuple[str, int, int, int]
@@ -115,6 +123,44 @@ class _CacheEntry:
         return len(self.frames) - 1
 
 
+class RegionMemo(weakref.WeakKeyDictionary):
+    """One SOT's region memo: piece -> ``(plan, frame lists, regions)``."""
+
+    def __init__(self, cache: "TileDecodeCache", key: tuple[str, int]):
+        super().__init__()
+        self.cache, self.key = cache, key
+        #: The regions filed here that hold a wire form the cache counts.
+        self.wired: list[MemoisedRegions] = []
+
+    def file(self, piece, plan, frame_lists: list, regions) -> "MemoisedRegions":
+        """File ``regions`` for ``piece``; returns them as the memo holds them."""
+        memoised = MemoisedRegions(regions)
+        memoised.memo = weakref.ref(self)
+        self[piece] = (plan, frame_lists, memoised)
+        return memoised
+
+
+class MemoisedRegions(tuple):
+    """The regions a :class:`RegionMemo` filed for one piece, in result order:
+    what a warm serve of the piece hands a serving layer as its chunk.
+    ``memo`` is a weak reference to that memo."""
+
+    #: ``build(self)``'s form while the cache counts it (see :meth:`wire_form`).
+    wire = None
+
+    def wire_form(self, build):
+        """What ``build(self) -> (form, nbytes)`` makes, made at the first
+        call and kept for the next while the memo is the cache's and the
+        ``nbytes`` fit beside its tiles."""
+        form = self.wire
+        if form is None:
+            form, nbytes = build(self)
+            memo = self.memo()
+            if memo is not None:
+                memo.cache._keep_wire(memo, self, form, nbytes)
+        return form
+
+
 class TileDecodeCache:
     """Cache of decoded tile rasters, bounded by total decoded bytes.
 
@@ -134,9 +180,8 @@ class TileDecodeCache:
         self._current_bytes = 0
         #: LFU-DA's age: the rank of the latest victim, never falling.
         self._age = 0.0
-        #: (scope, SOT) -> the SOT's region memo: {piece: (plan, frame lists,
-        #: regions)}; see :meth:`memo`.
-        self._memos: dict[tuple[str, int], weakref.WeakKeyDictionary] = {}
+        #: (scope, SOT) -> the SOT's region memo; see :meth:`memo`.
+        self._memos: dict[tuple[str, int], RegionMemo] = {}
         self._lock = threading.Lock()
         # Single-flight decode coordination: key -> event set when the
         # in-progress decode of that key completes (see begin_decode).
@@ -200,7 +245,6 @@ class TileDecodeCache:
         entry = _CacheEntry(frames=list(frames), token=tuple(token), nbytes=nbytes)
         with self._lock:
             old = self._entries.get(key)
-            self._memos.pop(key[:2], None)
             if old is not None:
                 entry.count = old.count if old.token == entry.token else 1
                 self._remove(key)
@@ -217,7 +261,7 @@ class TileDecodeCache:
                 if self._current_bytes <= self.capacity_bytes:
                     break
                 del self._entries[victim_key]
-                self._memos.pop(victim_key[:2], None)
+                self._drop_memo(victim_key[:2])
                 self._age = max(self._age, victim.priority)
                 self._current_bytes -= victim.nbytes
                 self.stats.evictions += 1
@@ -235,9 +279,8 @@ class TileDecodeCache:
     # ------------------------------------------------------------------
     # The region memo
     # ------------------------------------------------------------------
-    def memo(self, scope: str, sot_index: int) -> weakref.WeakKeyDictionary:
-        """The region memo of one SOT, made if it has none: piece -> (plan,
-        frame lists, regions).
+    def memo(self, scope: str, sot_index: int) -> RegionMemo:
+        """The region memo of one SOT, made if it has none.
 
         Take it *before* looking up the tiles an entry is built from, and
         file the entry in it.  A drop in between (an eviction, say, that let
@@ -247,8 +290,22 @@ class TileDecodeCache:
         memo = self._memos.get((scope, sot_index))
         if memo is None:
             with self._lock:
-                memo = self._memos.setdefault((scope, sot_index), weakref.WeakKeyDictionary())
+                key = (scope, sot_index)
+                memo = self._memos.setdefault(key, RegionMemo(self, key))
         return memo
+
+    def _keep_wire(self, memo: RegionMemo, regions: MemoisedRegions, form, nbytes: int) -> None:
+        with self._lock:
+            fits = self._current_bytes + nbytes <= self.capacity_bytes
+            if fits and regions.wire is None and self._memos.get(memo.key) is memo:
+                regions.wire, regions.wire_bytes = form, nbytes
+                memo.wired.append(regions)
+                self._current_bytes += nbytes
+
+    def _drop_memo(self, key: tuple[str, int]) -> None:
+        for regions in getattr(self._memos.pop(key, None), "wired", ()):
+            regions.wire = None
+            self._current_bytes -= regions.wire_bytes
 
     # ------------------------------------------------------------------
     # Single-flight decode coordination
@@ -301,13 +358,14 @@ class TileDecodeCache:
             ]
             for key in doomed:
                 self._remove(key)
-            self._memos.pop((scope, sot_index), None)
+            self._drop_memo((scope, sot_index))
             return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
+            for key in list(self._memos):
+                self._drop_memo(key)
             self._entries.clear()
-            self._memos.clear()
             self._current_bytes = 0
             self._age = 0.0
 
@@ -331,4 +389,4 @@ class TileDecodeCache:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._current_bytes -= entry.nbytes
-            self._memos.pop(key[:2], None)
+            self._drop_memo(key[:2])

@@ -66,7 +66,9 @@ class PartialResult:
     the SOT is served — while later SOTs of the batch may still be decoding —
     so a serving layer can push results to clients incrementally.  ``regions``
     are exactly the :class:`~repro.core.scan.ScanRegion` objects appended to
-    the query's final result for this SOT, in result order.
+    the query's final result for this SOT, in result order: for a piece the
+    decode cache memoised, the very :class:`~repro.exec.cache.MemoisedRegions`
+    it filed, which a chunk is sent from.
     """
 
     query_index: int

@@ -19,9 +19,10 @@ refused with an error reply coded ``refused``
 reader (requests, credits, cancels, acks) and a writer.  A runner pushing a
 chunk wakes the writer, which encodes every ready chunk its credit allows,
 writes each finished scan's ``done`` or typed ``error`` reply, and sends all
-of it in one ``sendmsg`` over the regions' own buffers (see
-:func:`chunk_parts`).  The reader's replies reach the writer through a
-bounded queue.  The client's regions are read-only views of the frame their
+of it in one ``sendmsg`` over the regions' own buffers, or, for a piece the
+decode cache memoised, over the wire form it copied the piece into once, at
+its first send, and counts (see :func:`chunk_parts`).  The reader's replies
+reach the writer through a bounded queue.  The client's regions are read-only views of the frame their
 chunk arrived in, as in-process results are read-only views.
 
 **Flow control is per stream.**  A scan request grants the server the
@@ -71,6 +72,7 @@ from ..errors import (
     error_code,
     error_from_code,
 )
+from ..exec.cache import MemoisedRegions
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
 from .stream import ScanStream, StreamChunk
@@ -98,6 +100,9 @@ PROTOCOL_VERSION = 3
 _FRAME_HEADER = struct.Struct(">BI")
 #: query id, SOT index, region count, label count, label-table bytes
 _CHUNK_HEADER = struct.Struct(">IIIII")
+#: The header in the two parts :func:`chunk_parts` packs: what names the
+#: chunk, then what its regions fill.
+_CHUNK_IDS, _CHUNK_COUNTS = struct.Struct(">II"), struct.Struct(">III")
 _LABEL_LENGTH = struct.Struct(">H")
 #: One region of a chunk.  Explicitly little-endian, so on the usual hosts
 #: the records are built and read in place; ``label`` indexes the chunk's
@@ -320,10 +325,21 @@ def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[np.
     path can ``sendmsg`` them and the shared-memory path copy them into the
     ring without an intermediate ``bytes``.  A region that is not
     C-contiguous — a box narrower than its tile, served as a view of a
-    cached frame — is copied here, once: the wire takes flat buffers.
+    cached frame — is copied here, once: the wire takes flat buffers.  A
+    piece the decode cache memoised (:class:`~repro.exec.cache.MemoisedRegions`)
+    is copied once, at its first send, into a wire form the cache counts:
+    its label table and records, and its pixels joined into one buffer, so
+    a repeat packs only the query id and the SOT index.
     Raises :class:`TransportError` for pixels that are not 2-D ``uint8`` —
     the record has no field to describe anything else.
     """
+    wire = regions.wire_form(_joined_wire) if isinstance(regions, MemoisedRegions) else None
+    tail, buffers, total = wire or _wire_parts(regions)
+    return _CHUNK_IDS.pack(query_id, sot_index) + tail, buffers, total
+
+
+def _wire_parts(regions) -> tuple[bytes, list[np.ndarray], int]:
+    """:func:`chunk_parts` without the query id and the SOT index."""
     labels: dict[str, int] = {}
     records = []
     buffers: list[np.ndarray] = []
@@ -349,12 +365,21 @@ def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[np.
     if any(len(label) > 0xFFFF for label in encoded):
         raise TransportError("a label longer than 65535 bytes does not fit a chunk")
     table = b"".join(_LABEL_LENGTH.pack(len(label)) + label for label in encoded)
-    header = (
-        _CHUNK_HEADER.pack(query_id, sot_index, len(records), len(encoded), len(table))
+    tail = (
+        _CHUNK_COUNTS.pack(len(records), len(encoded), len(table))
         + table
         + np.array(records, dtype=_REGION_RECORD).tobytes()
     )
-    return header, buffers, total
+    return tail, buffers, total
+
+
+def _joined_wire(regions) -> tuple[tuple[bytes, list[np.ndarray], int], int]:
+    """A memoised piece's wire form — :func:`_wire_parts` with the pixels
+    joined into one read-only buffer — and the bytes it holds."""
+    tail, buffers, total = _wire_parts(regions)
+    joined = np.concatenate([np.empty(0, np.uint8), *(buffer.reshape(-1) for buffer in buffers)])
+    joined.flags.writeable = False
+    return (tail, [joined], total), len(tail) + total
 
 
 def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]:
@@ -399,18 +424,16 @@ def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]
     regions: list[ScanRegion] = []
     start = 0
     for frame, x1, y1, x2, y2, label_id, height, width in records:
-        # NaN fails both comparisons, so it is refused with the inverted boxes.
-        if not (x2 >= x1 and y2 >= y1 and -1 <= label_id < label_count):
-            raise TransportError("chunk region record out of range (label id or box)")
+        # NaN fails both comparisons, so it is refused with the inverted boxes;
+        # that is all Rectangle's own check would refuse, so the box is filled
+        # in without it.
+        if not (frame >= 0 and x2 >= x1 and y2 >= y1 and -1 <= label_id < label_count):
+            raise TransportError("chunk region record out of range (frame, label id or box)")
+        box = object.__new__(Rectangle)
+        fields = box.__dict__
+        fields["x1"], fields["y1"], fields["x2"], fields["y2"] = x1, y1, x2, y2
         stop = start + height * width
-        regions.append(
-            make_region(
-                frame,
-                Rectangle(x1, y1, x2, y2),
-                flat[start:stop].reshape(height, width),
-                table[label_id],
-            )
-        )
+        regions.append(make_region(frame, box, flat[start:stop].reshape(height, width), table[label_id]))
         start = stop
     return {"id": query_id, "sot_index": sot_index}, regions
 

@@ -194,6 +194,10 @@ class DecodeResult:
     elapsed_seconds: float = 0.0
     #: A warm's reconstructions by cache key (see ``prefetch_regions``).
     warmed: dict = field(default_factory=dict)
+    #: ``regions`` as the region memo holds them, when they are what it filed
+    #: (a :class:`~repro.exec.cache.MemoisedRegions`): a serving layer sends them
+    #: from their wire form.
+    memoised: tuple | None = None
 
 
 def _same_lists(held: list, looked_up: list) -> bool:
@@ -279,6 +283,7 @@ class VideoDecoder:
             held = memo.get(requests) if memo is not None else None
             if held is not None and held[0] is plan and _same_lists(held[1], looked_up):
                 regions.extend(held[2])
+                result.memoised = held[2]
                 result.elapsed_seconds = time.perf_counter() - started
                 return result
         copied = np.empty(plan.spanning_pixels if cache is not None else plan.region_pixels, np.uint8)
@@ -310,7 +315,7 @@ class VideoDecoder:
                         pixels, at = frozen[at:stop].reshape(shape), stop
                 regions.append(make_region(request.frame_index, request.region, pixels, request.label))
         if memo is not None and None not in looked_up:
-            memo[requests] = (plan, looked_up, tuple(regions))
+            result.memoised = memo.file(requests, plan, looked_up, regions)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 

@@ -11,7 +11,9 @@ default 64-credit window:
 * inside half a window no ``KIND_CREDIT`` frame is sent;
 * the writer makes at most one ``sendmsg`` per chunk plus one per scan;
 * a chunk's pixel buffers are the regions' own arrays on the way out, and
-  read-only views of the receive buffer on the way in — no copy either side.
+  read-only views of the receive buffer on the way in — no copy on the
+  client; on the server a memoised piece is copied once, at its first send,
+  into a wire form the decode cache counts (``tests/test_wire_form_budget.py``).
 """
 
 from __future__ import annotations
