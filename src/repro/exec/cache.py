@@ -64,13 +64,13 @@ longer holds.  So no memo the cache holds views a frame it has let go.  A
 piece with a box across tiles, whose pixels are copied, is not memoised,
 nor is one served in part from a batch warm's own frames.
 
-Every byte the cache holds is counted.  A memoised piece is copied once, at
-its first send by a serving layer, into a wire form
+Every byte the cache holds is counted.  A memoised piece sent again by a
+serving layer is copied once, at that second send, into a wire form
 (:meth:`MemoisedRegions.wire_form`: its record bytes and its pixels joined
-into one buffer), which the cache charges to ``capacity_bytes``.  It is
-kept only where it fits without evicting a tile, and dropped with its memo,
-so a re-tile never sends stale bytes.  A SOT's wire forms live until its
-memo is dropped, whether or not their pieces still do.
+into one buffer), which the cache charges to ``capacity_bytes``; a piece
+sent once is copied into none.  A form is built only where it fits without
+evicting a tile.  It is uncharged when its piece dies, and dropped with its
+memo, so a re-tile never sends stale bytes.
 
 The cache is safe for concurrent use: in server mode (``repro.service``) the
 batches of several runner threads share one process-wide instance, so every
@@ -89,7 +89,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["CacheStats", "MemoisedRegions", "RegionMemo", "TileDecodeCache", "TileKey"]
+__all__ = ["CacheStats", "TileDecodeCache", "TileKey"]
 
 #: (scope, sot_index, gop_frame_start, tile_index) — scope is the video name.
 TileKey = tuple[str, int, int, int]
@@ -128,14 +128,15 @@ class RegionMemo(weakref.WeakKeyDictionary):
 
     def __init__(self, cache: "TileDecodeCache", key: tuple[str, int]):
         super().__init__()
-        self.cache, self.key = cache, key
-        #: The regions filed here that hold a wire form the cache counts.
-        self.wired: list[MemoisedRegions] = []
+        #: ``wired`` holds a finalizer per wire form the cache counts, on the
+        #: form's piece: it uncharges the form when the piece, and its entry
+        #: with it, dies.
+        self.cache, self.key, self.wired = cache, key, []
 
     def file(self, piece, plan, frame_lists: list, regions) -> "MemoisedRegions":
         """File ``regions`` for ``piece``; returns them as the memo holds them."""
         memoised = MemoisedRegions(regions)
-        memoised.memo = weakref.ref(self)
+        memoised.memo, memoised.piece = weakref.ref(self), weakref.ref(piece)
         self[piece] = (plan, frame_lists, memoised)
         return memoised
 
@@ -143,22 +144,18 @@ class RegionMemo(weakref.WeakKeyDictionary):
 class MemoisedRegions(tuple):
     """The regions a :class:`RegionMemo` filed for one piece, in result order:
     what a warm serve of the piece hands a serving layer as its chunk.
-    ``memo`` is a weak reference to that memo."""
+    ``memo`` and ``piece`` are weak references to that memo and piece;
+    ``wire`` is the piece's wire form once the cache counts one, and
+    ``sent`` whether the piece was sent before."""
 
-    #: ``build(self)``'s form while the cache counts it (see :meth:`wire_form`).
-    wire = None
+    wire, sent = None, False
 
-    def wire_form(self, build):
-        """What ``build(self) -> (form, nbytes)`` makes, made at the first
-        call and kept for the next while the memo is the cache's and the
-        ``nbytes`` fit beside its tiles."""
-        form = self.wire
-        if form is None:
-            form, nbytes = build(self)
-            memo = self.memo()
-            if memo is not None:
-                memo.cache._keep_wire(memo, self, form, nbytes)
-        return form
+    def wire_form(self, nbytes: int, build):
+        """The wire form ``build()`` makes, or None.  It is built at the
+        piece's second send, once a repeat is seen, and only when its
+        ``nbytes`` fit beside the tiles of a cache that holds the memo."""
+        memo, sent, self.sent = self.memo(), self.sent, True
+        return memo.cache._keep_wire(memo, self, nbytes, build) if sent and memo is not None else None
 
 
 class TileDecodeCache:
@@ -182,6 +179,9 @@ class TileDecodeCache:
         self._age = 0.0
         #: (scope, SOT) -> the SOT's region memo; see :meth:`memo`.
         self._memos: dict[tuple[str, int], RegionMemo] = {}
+        #: The bytes of wire forms whose pieces died, not yet uncharged:
+        #: their finalizers run without the lock (see _settle).
+        self._freed: list[int] = []
         self._lock = threading.Lock()
         # Single-flight decode coordination: key -> event set when the
         # in-progress decode of that key completes (see begin_decode).
@@ -244,6 +244,7 @@ class TileDecodeCache:
             return False
         entry = _CacheEntry(frames=list(frames), token=tuple(token), nbytes=nbytes)
         with self._lock:
+            self._settle()
             old = self._entries.get(key)
             if old is not None:
                 entry.count = old.count if old.token == entry.token else 1
@@ -290,22 +291,37 @@ class TileDecodeCache:
         memo = self._memos.get((scope, sot_index))
         if memo is None:
             with self._lock:
-                key = (scope, sot_index)
-                memo = self._memos.setdefault(key, RegionMemo(self, key))
+                memo = self._memos.setdefault((scope, sot_index), RegionMemo(self, (scope, sot_index)))
         return memo
 
-    def _keep_wire(self, memo: RegionMemo, regions: MemoisedRegions, form, nbytes: int) -> None:
-        with self._lock:
-            fits = self._current_bytes + nbytes <= self.capacity_bytes
-            if fits and regions.wire is None and self._memos.get(memo.key) is memo:
-                regions.wire, regions.wire_bytes = form, nbytes
-                memo.wired.append(regions)
+    def _keep_wire(self, memo: RegionMemo, regions: MemoisedRegions, nbytes: int, build):
+        """``build()``, kept on ``regions`` and charged ``nbytes`` until their
+        piece dies or ``memo`` drops; None, and nothing built, when the
+        ``nbytes`` do not fit beside the tiles."""
+        if self.current_bytes + nbytes > self.capacity_bytes:
+            return None
+        form = build()  # a copy, made outside the lock
+        with self._lock:  # unsettled, the bytes held only read higher
+            piece, fits = regions.piece(), self._current_bytes + nbytes <= self.capacity_bytes
+            if fits and piece is not None and regions.wire is None and self._memos.get(memo.key) is memo:
+                regions.wire = form
+                finalizer = weakref.finalize(piece, self._freed.append, nbytes)
+                memo.wired = [*(alive for alive in memo.wired if alive.alive), finalizer]
                 self._current_bytes += nbytes
+        return form
+
+    def _settle(self) -> None:
+        """Uncharge the wire forms that died with their pieces."""
+        while self._freed:
+            self._current_bytes -= self._freed.pop()
 
     def _drop_memo(self, key: tuple[str, int]) -> None:
-        for regions in getattr(self._memos.pop(key, None), "wired", ()):
-            regions.wire = None
-            self._current_bytes -= regions.wire_bytes
+        memo = self._memos.pop(key, None)
+        for finalizer in getattr(memo, "wired", ()):
+            held = finalizer.detach()  # None once the form's piece died
+            if held is not None:
+                memo[held[0]][2].wire = None
+                self._current_bytes -= held[2][0]
 
     # ------------------------------------------------------------------
     # Single-flight decode coordination
@@ -365,6 +381,7 @@ class TileDecodeCache:
         with self._lock:
             for key in list(self._memos):
                 self._drop_memo(key)
+            self._freed.clear()
             self._entries.clear()
             self._current_bytes = 0
             self._age = 0.0
@@ -375,6 +392,7 @@ class TileDecodeCache:
     @property
     def current_bytes(self) -> int:
         with self._lock:
+            self._settle()
             return self._current_bytes
 
     def __len__(self) -> int:

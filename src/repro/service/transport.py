@@ -20,10 +20,11 @@ reader (requests, credits, cancels, acks) and a writer.  A runner pushing a
 chunk wakes the writer, which encodes every ready chunk its credit allows,
 writes each finished scan's ``done`` or typed ``error`` reply, and sends all
 of it in one ``sendmsg`` over the regions' own buffers, or, for a piece the
-decode cache memoised, over the wire form it copied the piece into once, at
-its first send, and counts (see :func:`chunk_parts`).  The reader's replies
-reach the writer through a bounded queue.  The client's regions are read-only views of the frame their
-chunk arrived in, as in-process results are read-only views.
+decode cache memoised and sent before, over the wire form it copied the
+piece into once, at its second send, and counts (see :func:`chunk_parts`).
+The reader's replies reach the writer through a bounded queue.  The
+client's regions are read-only views of the frame their chunk arrived in,
+as in-process results are read-only views.
 
 **Flow control is per stream.**  A scan request grants the server the
 client's ``stream_buffer_chunks`` credits; each chunk spends one, and a
@@ -98,11 +99,11 @@ __all__ = [
 PROTOCOL_VERSION = 3
 
 _FRAME_HEADER = struct.Struct(">BI")
-#: query id, SOT index, region count, label count, label-table bytes
-_CHUNK_HEADER = struct.Struct(">IIIII")
-#: The header in the two parts :func:`chunk_parts` packs: what names the
-#: chunk, then what its regions fill.
+#: A chunk's header in the two parts :func:`chunk_parts` packs: what names
+#: the chunk (query id, SOT index), then what its regions fill (region count,
+#: label count, label-table bytes).  The decoder reads the whole.
 _CHUNK_IDS, _CHUNK_COUNTS = struct.Struct(">II"), struct.Struct(">III")
+_CHUNK_HEADER = struct.Struct(_CHUNK_IDS.format + _CHUNK_COUNTS.format[1:])
 _LABEL_LENGTH = struct.Struct(">H")
 #: One region of a chunk.  Explicitly little-endian, so on the usual hosts
 #: the records are built and read in place; ``label`` indexes the chunk's
@@ -327,14 +328,18 @@ def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[np.
     C-contiguous — a box narrower than its tile, served as a view of a
     cached frame — is copied here, once: the wire takes flat buffers.  A
     piece the decode cache memoised (:class:`~repro.exec.cache.MemoisedRegions`)
-    is copied once, at its first send, into a wire form the cache counts:
-    its label table and records, and its pixels joined into one buffer, so
-    a repeat packs only the query id and the SOT index.
+    and sends again is copied once, at that second send, into a wire form the
+    cache counts: its label table and records, and its pixels joined into one
+    buffer, so a later repeat packs only the query id and the SOT index.
     Raises :class:`TransportError` for pixels that are not 2-D ``uint8`` —
     the record has no field to describe anything else.
     """
-    wire = regions.wire_form(_joined_wire) if isinstance(regions, MemoisedRegions) else None
-    tail, buffers, total = wire or _wire_parts(regions)
+    form = regions.wire if isinstance(regions, MemoisedRegions) else None
+    if form is None:
+        form = tail, buffers, total = _wire_parts(regions)
+        if isinstance(regions, MemoisedRegions):
+            form = regions.wire_form(len(tail) + total, lambda: (tail, [_joined(buffers)], total)) or form
+    tail, buffers, total = form
     return _CHUNK_IDS.pack(query_id, sot_index) + tail, buffers, total
 
 
@@ -373,13 +378,11 @@ def _wire_parts(regions) -> tuple[bytes, list[np.ndarray], int]:
     return tail, buffers, total
 
 
-def _joined_wire(regions) -> tuple[tuple[bytes, list[np.ndarray], int], int]:
-    """A memoised piece's wire form — :func:`_wire_parts` with the pixels
-    joined into one read-only buffer — and the bytes it holds."""
-    tail, buffers, total = _wire_parts(regions)
+def _joined(buffers: list[np.ndarray]) -> np.ndarray:
+    """Flat pixel buffers joined into one read-only buffer."""
     joined = np.concatenate([np.empty(0, np.uint8), *(buffer.reshape(-1) for buffer in buffers)])
     joined.flags.writeable = False
-    return (tail, [joined], total), len(tail) + total
+    return joined
 
 
 def _decode_chunk(payload, at: int, pixels_for) -> tuple[dict, list[ScanRegion]]:

@@ -12,8 +12,9 @@ default 64-credit window:
 * the writer makes at most one ``sendmsg`` per chunk plus one per scan;
 * a chunk's pixel buffers are the regions' own arrays on the way out, and
   read-only views of the receive buffer on the way in — no copy on the
-  client; on the server a memoised piece is copied once, at its first send,
-  into a wire form the decode cache counts (``tests/test_wire_form_budget.py``).
+  client; on the server a memoised piece sent again is copied once, at that
+  second send, into a wire form the decode cache counts
+  (``tests/test_wire_form_budget.py``).
 """
 
 from __future__ import annotations
