@@ -9,8 +9,7 @@ its cost model says dominates decode time):
 * **sequential / seed path** — each query scanned on its own, decode cache
   disabled (byte-for-byte the paper's execution model);
 * **batched** — the whole workload through ``execute_batch`` on a TASM with
-  no cache, which decodes each needed (GOP, tile) bitstream at most once per
-  batch and serves each SOT's queries from that SOT's warm;
+  no cache, which decodes each needed tile bitstream at most once per batch and serves each SOT's queries from that SOT's warm;
 * **batched + persistent cache** — the same batch against a TASM whose
   ``decode_cache_bytes`` cache also survives across batches, the serving
   configuration for heavy repeated traffic.
@@ -20,6 +19,8 @@ while returning identical regions, and must report a non-zero cache hit rate.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def comparison(config):
     batch_tasm = prepare_tasm(_video(), config)
     batch = batch_tasm.execute_batch(queries)
 
-    cached_config = config.with_updates(decode_cache_bytes=CACHE_BYTES)
+    cached_config = replace(config, decode_cache_bytes=CACHE_BYTES)
     cached_tasm = prepare_tasm(_video(), cached_config)
     cached_first = cached_tasm.execute_batch(queries)
     cached_repeat = cached_tasm.execute_batch(queries)
@@ -88,7 +89,7 @@ def comparison(config):
 def test_batched_execution_decodes_fewer_pixels(benchmark, comparison, config):
     video = _video()
     queries = _workload(video)
-    bench_tasm = prepare_tasm(video, config.with_updates(decode_cache_bytes=CACHE_BYTES))
+    bench_tasm = prepare_tasm(video, replace(config, decode_cache_bytes=CACHE_BYTES))
     benchmark(lambda: bench_tasm.execute_batch(queries))
 
     sequential_pixels = comparison["sequential_pixels"]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from dataclasses import replace
 
 from repro.analysis import format_table
 from repro.cluster import ClusterRouter, ClusterSupervisor, SceneDataset
@@ -96,7 +97,7 @@ def _run_cluster_workload(config, shards: int) -> dict:
     # R=2 every key on a 2-shard cluster is replicated on both shards and
     # placement degrades to a load-snapshot coin flip that can lopside one
     # shard past its cache.  Replica failover has its own tests and bench.
-    cluster_config = config.with_updates(
+    cluster_config = replace(config, 
         decode_cache_bytes=SHARD_CACHE_BYTES,
         cluster_replication_factor=1,
     )

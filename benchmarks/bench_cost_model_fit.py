@@ -159,13 +159,13 @@ def transcode_samples(config):
     for video in _retile_scenes():
         tiled = TASM(config).ingest(video)
         for sot_index in range(tiled.sot_count):
-            (gop,) = tiled.encoded_sot(sot_index).gops  # one GOP per SOT
-            frames = list(codec.decode_gop(gop, video.width, video.height))
+            sot = tiled.encoded_sot(sot_index)
+            frames = list(codec.decode_gop(sot.tiles, video.width, video.height))
             for rows, columns in GRIDS:
                 layout = _grid(video, rows, columns, config)
                 regions = layout.tile_rectangles()
                 pixels, tiles = layout.frame_pixels * len(frames), layout.tile_count
-                encode = lambda: codec.encode_gop(frames, regions, 0, gop.frame_start)  # noqa: E731
+                encode = lambda: codec.encode_gop(frames, regions, sot.frame_start)  # noqa: E731
                 encodes.append((pixels, tiles, _fastest(encode)))
                 encoded = encode()
                 decode = lambda: codec.decode_gop(encoded, video.width, video.height)  # noqa: E731

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -75,7 +76,7 @@ def _hit_rate(stats) -> float:
 def _run_server_workload(config, clients: int) -> dict:
     tasm = prepare_tasm(
         _video(),
-        config.with_updates(
+        replace(config, 
             decode_cache_bytes=CACHE_BYTES,
             service_max_batch=max(clients * 2, 4),
         ),
@@ -179,7 +180,7 @@ def _run_runner_pool_workload(config, runners: int) -> dict:
     video = _video()
     tasm = prepare_tasm(
         video,
-        config.with_updates(
+        replace(config, 
             decode_cache_bytes=CACHE_BYTES,
             service_max_batch=4,
             service_runners=runners,

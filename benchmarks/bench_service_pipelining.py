@@ -35,6 +35,7 @@ import base64
 import json
 import threading
 import time
+from dataclasses import replace
 
 from repro.analysis import format_table, prepare_tasm
 from repro.datasets import visual_road_scene
@@ -75,7 +76,7 @@ def _scan_jobs(video, count: int) -> list[tuple[str, int | None, int | None]]:
 def _make_server(config, **overrides):
     video = _video()
     settings = {"decode_cache_bytes": CACHE_BYTES, **overrides}
-    tasm = prepare_tasm(video, config.with_updates(**settings))
+    tasm = prepare_tasm(video, replace(config, **settings))
     original = tasm._decoder.prefetch_regions
 
     def slow_prefetch(sot, requests, scope):
@@ -400,7 +401,7 @@ def test_shm_beats_socket_for_same_host_pixel_throughput(config):
         video = _pixel_heavy_video()
         tasm = prepare_tasm(
             video,
-            config.with_updates(decode_cache_bytes=CACHE_BYTES),
+            replace(config, decode_cache_bytes=CACHE_BYTES),
         )
         server = TasmServer(tasm)
         transport_cls = ShmTransport if mode == "shm" else SocketTransport

@@ -9,7 +9,7 @@ and fires similar bursts again as users refresh.  Executed one at a time
 scratch.  This example shows the two layers TASM's execution engine adds:
 
 1. ``execute_batch`` — the whole burst is planned together and every needed
-   (GOP, tile) bitstream is decoded at most once per batch.
+   tile bitstream is decoded at most once per batch.
 2. ``decode_cache_bytes`` — a persistent LFU cache of decoded tiles, so the
    *next* burst over the same video decodes (almost) nothing at all.
 """

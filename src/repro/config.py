@@ -13,15 +13,15 @@ The paper's tuning knobs are collected in :class:`TasmConfig`:
   ``C(s, q, L) = beta * P + gamma * T`` from Section 4.1.  Defaults come from
   fitting the simulated codec (see ``repro.core.cost.fit_cost_model``); they
   can be re-estimated for any deployment.
-* codec parameters — GOP length, quantisation step, block size, minimum tile
+* codec parameters — GOP length (which is also the SOT length: a SOT is one
+  GOP), quantisation step, block size, minimum tile
   dimensions (HEVC imposes a minimum tile width/height; we default to 64 px
   wide by 64 px tall after block snapping).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
@@ -103,9 +103,6 @@ class TasmConfig:
     alpha: float = 0.8
     #: Regret threshold multiplier eta from Section 4.4 (paper value 1.0).
     eta: float = 1.0
-    #: Number of frames covered by one sequence-of-tiles (layout duration).
-    #: Must be a multiple of the GOP length; defaults to one GOP.
-    sot_frames: int | None = None
     #: Capacity of the persistent tile-decode cache in decoded bytes.  0
     #: disables the persistent cache, preserving the paper's one-shot scan
     #: behaviour; a batch then serves each SOT's queries from that SOT's warm.
@@ -152,14 +149,6 @@ class TasmConfig:
             raise ConfigurationError("alpha must be in (0, 1]")
         if self.eta < 0.0:
             raise ConfigurationError("eta must be non-negative")
-        if self.sot_frames is not None:
-            if self.sot_frames <= 0:
-                raise ConfigurationError("sot_frames must be positive")
-            if self.sot_frames % self.codec.gop_frames != 0:
-                raise ConfigurationError(
-                    "sot_frames must be a multiple of the GOP length: layout "
-                    "changes can only happen at GOP boundaries"
-                )
         if self.decode_cache_bytes < 0:
             raise ConfigurationError("decode_cache_bytes must be non-negative")
         if self.service_max_batch < 1:
@@ -176,15 +165,6 @@ class TasmConfig:
             raise ConfigurationError("cluster_replication_factor must be at least 1")
         if self.cluster_ring_vnodes < 1:
             raise ConfigurationError("cluster_ring_vnodes must be at least 1")
-
-    @property
-    def layout_duration_frames(self) -> int:
-        """Frames per SOT; defaults to one GOP when not set explicitly."""
-        return self.sot_frames if self.sot_frames is not None else self.codec.gop_frames
-
-    def with_updates(self, **changes: Any) -> "TasmConfig":
-        """Return a copy with the given fields replaced (dataclasses.replace)."""
-        return replace(self, **changes)
 
 
 #: A shared default configuration used when callers do not supply one.

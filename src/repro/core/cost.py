@@ -41,7 +41,7 @@ __all__ = [
 #: write half of R(s, L) (:meth:`CostModel.retile_cost`), fitted to the codec
 #: by the R section of ``benchmarks/bench_cost_model_fit.py``.
 ENCODE_COST_PER_PIXEL = 2.8e-6
-#: Encoding cost per tile and GOP, fitted likewise.
+#: Encoding cost per tile, fitted likewise.
 ENCODE_COST_PER_TILE = 5.2e-2
 
 
@@ -105,16 +105,11 @@ class CostModel:
 
     def window_cost(self, table: "SotCostTable", first: int, last: int) -> CostEstimate:
         """P, T and C(s, q, L) of frames ``[first, last)`` of ``table``'s SOT,
-        counted from its first frame (which starts a GOP).  A tile is opened
-        once per GOP (the per-tile overhead T), so T is, GOP by GOP, the bits
-        set in the OR of the window's frame masks."""
-        gop_frames, needed = self.config.codec.gop_frames, table.tiles_needed
+        counted from its first frame.  A SOT is one GOP, so a tile is opened
+        once (the per-tile overhead T): T is the bits set in the OR of the
+        window's frame masks."""
         pixels = table.pixels_before[last] - table.pixels_before[first]
-        tiles = 0
-        while first < last:  # the window's frames of one GOP per turn
-            stop = min(last, first - first % gop_frames + gop_frames)
-            tiles += reduce(or_, needed[first:stop], 0).bit_count()
-            first = stop
+        tiles = reduce(or_, table.tiles_needed[first:last], 0).bit_count()
         return CostEstimate(pixels, tiles, self.cost(pixels, tiles))
 
     def delta(self, current: CostEstimate, alternative: CostEstimate) -> float:
@@ -145,20 +140,18 @@ class CostModel:
         ``current`` to ``new``, in the units of ``beta * P + gamma * T``.
 
         A re-tile transcodes what is stored, so R is a read plus a write: the
-        decode estimate of the whole SOT under ``current`` (every tile of
-        every frame), and the encode of every tile under ``new``.  A SOT never
-        stored (``current`` None) is encoded from the raw video and reads
-        nothing.
+        decode estimate of the whole SOT (one GOP) under ``current`` (every
+        tile of every frame), and the encode of every tile under ``new``.  A
+        SOT never stored (``current`` None) is encoded from the raw video and
+        reads nothing.
         """
         if frame_count <= 0:
             raise QueryError("frame_count must be positive")
-        gop_count = -(-frame_count // self.config.codec.gop_frames)
         read = 0.0
         if current is not None:
-            read = self.cost(current.frame_pixels * frame_count, current.tile_count * gop_count)
+            read = self.cost(current.frame_pixels * frame_count, current.tile_count)
         pixel_term = ENCODE_COST_PER_PIXEL * new.frame_pixels * frame_count
-        tile_term = ENCODE_COST_PER_TILE * new.tile_count * gop_count
-        return read + pixel_term + tile_term
+        return read + pixel_term + ENCODE_COST_PER_TILE * new.tile_count
 
 
 class SotCostTable(NamedTuple):

@@ -103,7 +103,7 @@ class EdgeCamera:
         if self.detect_every > 1:
             filtered = interpolate_detections(filtered, video.frame_count)
 
-        sot_frames = self.config.layout_duration_frames
+        sot_frames = self.config.codec.gop_frames
         layouts: dict[int, TileLayout] = {}
         by_frame: dict[int, list[Detection]] = {}
         for detection in filtered:
@@ -166,7 +166,7 @@ class EdgeCamera:
         benefit Section 1 attributes to encoding with tiles at the edge.
         """
         plan: dict[int, Sequence[int]] = {}
-        sot_frames = self.config.layout_duration_frames
+        sot_frames = self.config.codec.gop_frames
         for sot_index, layout in edge_result.layouts.items():
             start = sot_index * sot_frames
             stop = min(start + sot_frames, video.frame_count)

@@ -280,7 +280,7 @@ class TASM:
         per-SOT serves skipped (no further observer events fire for it), and
         a SOT *every* interested query has abandoned is neither warmed nor
         served — so an abandoned scan stops consuming decode time within
-        roughly one SOT (one GOP at the default layout duration) instead of
+        roughly one SOT (one GOP) instead of
         running to completion for nobody.  Its entry in ``results`` holds
         whatever had been assembled before cancellation.
 
@@ -519,7 +519,7 @@ class TASM:
         — its reconstructions are kept and, once the old entries are gone,
         put under the new tiles' checksums, their read counts starting
         afresh.  A new tile that an indexed box (of any label) touches on some
-        frame of its GOP goes in like any first put; one no box touches, which
+        frame of the SOT goes in like any first put; one no box touches, which
         no scan decodes until the index grows, is demoted below every other
         entry, so under cache pressure it goes first instead of pushing out a
         tile a scan reads (on the ledger's ``adaptive_retile``, 403,046 →
@@ -539,41 +539,36 @@ class TASM:
                 self.tile_cache.invalidate_sot(video_name, sot_index)
             if handover is not None and handover.frames:
                 touched = self._touched_tiles(tiled, sot_index, layout)
-                for at, (frames, token) in handover.frames.items():
-                    key = (video_name, sot_index, *at)
+                for tile_index, (frames, token) in handover.frames.items():
+                    key = (video_name, sot_index, tile_index)
                     self.tile_cache.put(key, frames, token)
-                    if at not in touched:
+                    if tile_index not in touched:
                         self.tile_cache.demote(key)
         return record
 
-    def _touched_tiles(self, tiled: TiledVideo, sot_index: int, layout: TileLayout) -> set:
-        """``(GOP first frame, tile index)`` of each tile of ``layout`` that an
-        indexed box of any label touches on some frame of that GOP: the only
-        tiles of it a scan can decode."""
+    def _touched_tiles(self, tiled: TiledVideo, sot_index: int, layout: TileLayout) -> set[int]:
+        """The index of each tile of ``layout`` that an indexed box of any
+        label touches on some frame of the SOT: the only tiles of it a scan
+        can decode."""
         labels = self.semantic_index.labels(tiled.name)
-        touched = set()
-        for gop in tiled.encoded_sot(sot_index).gops:
-            stop = gop.frame_start + gop.frame_count
-            for boxes in self.boxes_for(tiled.name, labels, gop.frame_start, stop).values():
-                for box in boxes:
-                    touched.update((gop.frame_start, tile) for tile in layout.tiles_intersecting(box))
-        return touched
+        grouped = self.boxes_for(tiled.name, labels, *tiled.frame_range(sot_index))
+        return {
+            tile for boxes in grouped.values() for box in boxes for tile in layout.tiles_intersecting(box)
+        }
 
     def _resident(self, tiled: TiledVideo, sot_index: int) -> Handover | None:
-        """What the cache holds of a SOT's current encoding, GOP by GOP and
-        tile by tile, as the re-encode's
-        :class:`~repro.video.codec.Handover`; None when that is nothing, and
-        the re-encode then reads every tile from storage and keeps nothing.
-        (``TileDecodeCache.held`` is not a read: it moves no count.)"""
+        """What the cache holds of a SOT's current encoding, tile by tile, as
+        the re-encode's :class:`~repro.video.codec.Handover`; None when that
+        is nothing, and the re-encode then reads every tile from storage and
+        keeps nothing.  (``TileDecodeCache.held`` is not a read: it moves no
+        count.)"""
         if self.tile_cache is None or not tiled.is_materialised(sot_index):
             return None
-        held: dict[int, dict[Rectangle, list]] = {}
-        for gop in tiled.encoded_sot(sot_index).gops:
-            for tile_index, tile in enumerate(gop.tiles):
-                key = (tiled.name, sot_index, gop.frame_start, tile_index)
-                frames = self.tile_cache.held(key, tile.checksums)
-                if frames:
-                    held.setdefault(gop.frame_start, {})[tile.region] = frames
+        held: dict[Rectangle, list] = {}
+        for tile_index, tile in enumerate(tiled.encoded_sot(sot_index).tiles):
+            frames = self.tile_cache.held((tiled.name, sot_index, tile_index), tile.checksums)
+            if frames:
+                held[tile.region] = frames
         return Handover(held) if held else None
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ scheduling of VSS and the batched frame requests of Scanner (see PAPERS.md):
 
 The execution itself is TASM's own: ``TASM.scan`` runs through
 ``TASM.execute``, and ``TASM.execute_batch`` plans a batch of queries into
-per-``(video, SOT)`` region requests, decodes each needed (GOP, tile)
+per-``(video, SOT)`` region requests, decodes each needed tile
 bitstream at most once per batch, SOT by SOT on the calling thread, and
 answers every query from that SOT's warm, through TASM's one decoder and its
 cache when it has one.  Per-query results are byte-identical to sequential

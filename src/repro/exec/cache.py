@@ -1,7 +1,7 @@
 """An LFU cache of decoded tile reconstructions, sized by decoded bytes.
 
 A cache entry holds the reconstructed rasters of one tile bitstream — one
-``(video, SOT, GOP, tile)`` — decoded from its keyframe up to some frame
+``(video, SOT, tile)`` — decoded from its keyframe up to some frame
 offset.  Because the codec's temporal dependency means reaching offset *k*
 requires reconstructing offsets ``0..k``, an entry decoded to depth *d* can
 serve any request needing depth ``<= d``.  It is also a decoder paused at
@@ -20,7 +20,7 @@ a deeper re-put) drops only the cache's reference: a result viewing its
 frames keeps them alive, unchanged — and with them the whole block
 ``decode_tile`` made in that call, since a view keeps its base array alive
 and those frames are rows of one ``(n, h, w)`` block.  So a small kept
-result can hold a tile's whole decoded GOP prefix (see
+result can hold a tile's whole decoded SOT prefix (see
 :class:`~repro.video.decoder.DecodedRegion`).
 
 Two mechanisms keep served pixels fresh across re-tiling:
@@ -91,8 +91,9 @@ import numpy as np
 
 __all__ = ["CacheStats", "TileDecodeCache", "TileKey"]
 
-#: (scope, sot_index, gop_frame_start, tile_index) — scope is the video name.
-TileKey = tuple[str, int, int, int]
+#: (scope, sot_index, tile_index) — scope is the video name.  A SOT is one
+#: GOP, so a tile index names one bitstream of it.
+TileKey = tuple[str, int, int]
 
 
 @dataclass

@@ -12,8 +12,8 @@ Scanner systems apply to exactly this redundant work:
   memoised :class:`~repro.video.decoder.ScanPiece` per ``(video, SOT)`` it
   touches, so TASM knows the union of tiles the whole batch needs before
   decoding anything — and a repeated scan plans nothing again.
-* **Warm + serve, pipelined per SOT** — each needed (GOP, tile) bitstream is
-  decoded *once*, to the deepest frame any query in the batch reaches, into
+* **Warm + serve, pipelined per SOT** — each needed tile bitstream is decoded
+  *once*, to the deepest frame any query in the batch reaches, into
   TASM's :class:`~repro.exec.cache.TileDecodeCache` when it has one, and
   every query's requests against that SOT are answered immediately
   afterwards, from the cache or, for a tile a later put of the same warm

@@ -5,14 +5,17 @@ describes ("TASM stores each tile as a separate video file"):
 
 ```
 <root>/<video-name>/
-    manifest.json                    # video-level metadata
-    frames_0-29/
+    manifest.json                    # video-level metadata and GOP length
+    frames_0-29/                     # one SOT, which is one GOP
         layout.json                  # the SOT's tile layout
         tile0.bin                    # one independently decodable tile
         tile1.bin
     frames_30-59/
         ...
 ```
+
+A store is read under the GOP length it was written with: a SOT is one GOP,
+so another length would cut the video into other SOTs.
 
 Tile files use a small self-describing binary format (magic, version, region,
 frame range, per-frame payload sizes, CRCs, payloads).  The format is not
@@ -30,7 +33,7 @@ from ..config import TasmConfig
 from ..errors import StorageError
 from ..geometry import Rectangle
 from ..tiles.layout import TileLayout
-from ..video.codec import EncodedGop, EncodedTile
+from ..video.codec import EncodedTile
 from ..video.encoder import EncodedSot
 from ..video.video import Video
 from .tiled_video import TiledVideo
@@ -128,7 +131,7 @@ def write_tiled_video(tiled: TiledVideo, root: str | Path) -> Path:
         "height": tiled.video.height,
         "frame_count": tiled.video.frame_count,
         "frame_rate": tiled.video.frame_rate,
-        "sot_frames": tiled.layout_spec.sot_frames,
+        "gop_frames": tiled.config.codec.gop_frames,
     }
     (video_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -146,20 +149,12 @@ def write_tiled_video(tiled: TiledVideo, root: str | Path) -> Path:
                     "frame_height": layout.frame_height,
                     "row_heights": list(layout.row_heights),
                     "column_widths": list(layout.column_widths),
-                    "gop_frame_starts": [gop.frame_start for gop in encoded.gops],
                 },
                 indent=2,
             )
         )
-        for tile_index in range(layout.tile_count):
-            chunks = [
-                _serialise_tile(gop.tiles[tile_index]) for gop in encoded.gops
-            ]
-            (sot_dir / f"tile{tile_index}.bin").write_bytes(
-                struct.pack("<I", len(chunks)) + b"".join(
-                    struct.pack("<I", len(chunk)) + chunk for chunk in chunks
-                )
-            )
+        for tile_index, tile in enumerate(encoded.tiles):
+            (sot_dir / f"tile{tile_index}.bin").write_bytes(_serialise_tile(tile))
     return video_dir
 
 
@@ -170,6 +165,7 @@ def read_tiled_video(video: Video, root: str | Path, config: TasmConfig) -> Tile
     without re-encoding.  ``video`` supplies the manifest check and the raw
     frames of SOTs that were never stored; a stored SOT is re-tiled by
     transcoding its own tiles, so its raw frames are never read again.
+    ``config`` must have the GOP length the store was written with.
     """
     root = Path(root)
     video_dir = root / video.name
@@ -181,8 +177,11 @@ def read_tiled_video(video: Video, root: str | Path, config: TasmConfig) -> Tile
         raise StorageError(
             f"stored manifest for {video.name!r} does not match the supplied raw video"
         )
-    if manifest["sot_frames"] != config.layout_duration_frames:
-        config = config.with_updates(sot_frames=int(manifest["sot_frames"]))
+    if manifest.get("gop_frames") != config.codec.gop_frames:
+        raise StorageError(
+            f"stored {video.name!r} has {manifest.get('gop_frames')}-frame GOPs, "
+            f"but the config's GOP length is {config.codec.gop_frames}"
+        )
 
     tiled = TiledVideo(video=video, config=config)
     overhead = config.codec.tile_overhead_bytes
@@ -196,44 +195,11 @@ def read_tiled_video(video: Video, root: str | Path, config: TasmConfig) -> Tile
             row_heights=tuple(layout_info["row_heights"]),
             column_widths=tuple(layout_info["column_widths"]),
         )
-        gop_frame_starts = layout_info["gop_frame_starts"]
         sot_index = tiled.layout_spec.sot_of_frame(frame_start)
         tiled.layout_spec.set_layout(sot_index, layout)
-
-        gops: list[EncodedGop] = []
-        tiles_per_gop: list[list[EncodedTile]] = [[] for _ in gop_frame_starts]
-        for tile_index in range(layout.tile_count):
-            blob = (sot_dir / f"tile{tile_index}.bin").read_bytes()
-            (chunk_count,) = struct.unpack_from("<I", blob, 0)
-            offset = 4
-            if chunk_count != len(gop_frame_starts):
-                raise TileFileFormatError(
-                    f"tile file {sot_dir / f'tile{tile_index}.bin'} holds {chunk_count} GOPs, "
-                    f"expected {len(gop_frame_starts)}"
-                )
-            for gop_position in range(chunk_count):
-                (length,) = struct.unpack_from("<I", blob, offset)
-                offset += 4
-                tiles_per_gop[gop_position].append(
-                    _deserialise_tile(blob[offset : offset + length], overhead)
-                )
-                offset += length
-        for gop_position, gop_start in enumerate(gop_frame_starts):
-            tiles = tiles_per_gop[gop_position]
-            gops.append(
-                EncodedGop(
-                    gop_index=gop_position,
-                    frame_start=gop_start,
-                    frame_count=tiles[0].frame_count,
-                    tiles=tiles,
-                )
-            )
-        encoded = EncodedSot(
-            sot_index=sot_index,
-            frame_start=frame_start,
-            frame_stop=frame_stop,
-            layout=layout,
-            gops=gops,
-        )
-        tiled._sots[sot_index] = encoded
+        tiles = [
+            _deserialise_tile((sot_dir / f"tile{tile_index}.bin").read_bytes(), overhead)
+            for tile_index in range(layout.tile_count)
+        ]
+        tiled._sots[sot_index] = EncodedSot(sot_index, frame_start, frame_stop, layout, tiles)
     return tiled

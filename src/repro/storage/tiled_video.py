@@ -63,7 +63,7 @@ class TiledVideo:
             frame_width=self.video.width,
             frame_height=self.video.height,
             frame_count=self.video.frame_count,
-            sot_frames=self.config.layout_duration_frames,
+            sot_frames=self.config.codec.gop_frames,
         )
         self._encoder = VideoEncoder(self.config.codec)
 

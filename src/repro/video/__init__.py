@@ -10,10 +10,8 @@ number of pixels and tiles decoded.
 
 from .frame import Frame
 from .video import Video, VideoMetadata, FrameSource
-from .gop import gop_ranges
 from .codec import (
     EncodedTile,
-    EncodedGop,
     TileCodec,
     DecodeStats,
     EncodeStats,
@@ -36,9 +34,7 @@ __all__ = [
     "Video",
     "VideoMetadata",
     "FrameSource",
-    "gop_ranges",
     "EncodedTile",
-    "EncodedGop",
     "TileCodec",
     "DecodeStats",
     "EncodeStats",

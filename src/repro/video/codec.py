@@ -55,7 +55,7 @@ from ..config import CodecConfig
 from ..errors import BitstreamCorruptionError, CodecError
 from ..geometry import Rectangle
 
-__all__ = ["EncodedTile", "EncodedGop", "EncodeStats", "DecodeStats", "Handover", "TileCodec"]
+__all__ = ["EncodedTile", "EncodeStats", "DecodeStats", "Handover", "TileCodec"]
 
 _COMPRESSION_LEVEL = 1
 #: A predicted residual's int8 range, as the int16 scalars ``np.clip`` takes
@@ -115,7 +115,7 @@ class DecodeStats:
     """Accounting of work done by the decoder.
 
     ``pixels_decoded`` counts every pixel of every frame reconstructed, and
-    ``tiles_decoded`` counts (tile, GOP) pairs whose bitstream was opened.
+    ``tiles_decoded`` counts (tile, SOT) pairs whose bitstream was opened.
     These are the P and T of the paper's cost model.  A tile served from the
     decode cache contributes to ``cache_hits`` / ``pixels_served_from_cache``
     instead of P and T — the decode-work counters only ever measure work that
@@ -144,19 +144,16 @@ class Handover:
     """What a decode cache holds of a superseded encoding, and what its
     re-encode keeps for the cache.
 
-    ``held`` maps a GOP (by its first frame) to ``{tile rectangle: frames}``
-    for every tile of the superseded encoding the cache holds, at whatever
-    depth.  The re-encode's decode resumes after those frames.  The encoder
-    files under ``frames``, by (GOP first frame, tile index),
-    ``(reconstructions, checksums)`` of every new tile that intersects a held
-    one: what the decoder would reconstruct from the new bitstream, to the
-    deepest offset held over the tile's area.  Other tiles keep nothing.
+    ``held`` maps the tile rectangle of every tile of the superseded encoding
+    the cache holds to its frames, at whatever depth.  The re-encode's decode
+    resumes after those frames.  The encoder files under ``frames``, by tile
+    index, ``(reconstructions, checksums)`` of every new tile that intersects
+    a held one: what the decoder would reconstruct from the new bitstream, to
+    the deepest offset held over the tile's area.  Other tiles keep nothing.
     """
 
-    held: dict[int, dict[Rectangle, list[np.ndarray]]]
-    frames: dict[tuple[int, int], tuple[list[np.ndarray], tuple[int, ...]]] = field(
-        default_factory=dict
-    )
+    held: dict[Rectangle, list[np.ndarray]]
+    frames: dict[int, tuple[list[np.ndarray], tuple[int, ...]]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -198,24 +195,6 @@ class EncodedTile:
     @property
     def pixels_per_frame(self) -> int:
         return self.width * self.height
-
-
-@dataclass
-class EncodedGop:
-    """All tiles of a single GOP, in row-major layout order."""
-
-    gop_index: int
-    frame_start: int
-    frame_count: int
-    tiles: list[EncodedTile] = field(default_factory=list)
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(tile.size_bytes for tile in self.tiles)
-
-    @property
-    def tile_count(self) -> int:
-        return len(self.tiles)
 
 
 class TileCodec:
@@ -312,16 +291,16 @@ class TileCodec:
         self,
         frames: list[np.ndarray],
         regions: list[Rectangle],
-        gop_index: int,
         frame_start: int,
         stats: EncodeStats | None = None,
         handover: Handover | None = None,
-    ) -> EncodedGop:
-        """Encode a GOP under a layout given as a list of tile rectangles."""
+    ) -> list[EncodedTile]:
+        """Encode a GOP under a layout given as a list of tile rectangles: one
+        tile per rectangle, in order."""
         if not regions:
             raise CodecError("a GOP must be encoded with at least one tile region")
         full_frame = len(regions) == 1
-        held = handover.held.get(frame_start, {}) if handover else {}
+        held = handover.held if handover else {}
         tiles = []
         for tile_index, region in enumerate(regions):
             kept: list[np.ndarray] = []
@@ -332,13 +311,8 @@ class TileCodec:
             tile = self.encode_tile(frames, region, frame_start, not full_frame, stats, kept, depth)
             tiles.append(tile)
             if kept:
-                handover.frames[frame_start, tile_index] = (kept, tile.checksums)
-        return EncodedGop(
-            gop_index=gop_index,
-            frame_start=frame_start,
-            frame_count=len(frames),
-            tiles=tiles,
-        )
+                handover.frames[tile_index] = (kept, tile.checksums)
+        return tiles
 
     # ------------------------------------------------------------------
     # Decoding
@@ -421,7 +395,7 @@ class TileCodec:
 
     def decode_gop(
         self,
-        gop: EncodedGop,
+        tiles: list[EncodedTile],
         width: int,
         height: int,
         stats: DecodeStats | None = None,
@@ -436,8 +410,8 @@ class TileCodec:
         cache holds of them: those tiles resume after the held frames,
         counted in ``stats.pixels_served_from_cache``.
         """
-        canvas = np.empty((gop.frame_count, height, width), dtype=np.uint8)
-        for tile in gop.tiles:
+        canvas = np.empty((tiles[0].frame_count, height, width), dtype=np.uint8)
+        for tile in tiles:
             resume_from = held.get(tile.region) if held else None
             if resume_from and stats is not None:
                 stats.pixels_served_from_cache += tile.pixels_per_frame * len(resume_from)

@@ -4,8 +4,8 @@ The decoder honours the two structural constraints of tiled video:
 
 * Spatial: a region can only be recovered by decoding every tile it
   intersects, in full — there is no sub-tile access.
-* Temporal: reaching frame *k* of a GOP requires decoding that tile on every
-  frame from the keyframe up to *k*.
+* Temporal: reaching frame *k* of a SOT (one GOP) requires decoding that
+  tile on every frame from the keyframe up to *k*.
 
 The returned :class:`~repro.video.codec.DecodeStats` is exactly the
 ``P`` (pixels) and ``T`` (tiles) of the paper's cost model, so benchmark
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import is_
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -42,7 +41,7 @@ import numpy as np
 from ..config import CodecConfig
 from ..geometry import Rectangle
 from ..tiles.layout import TileLayout
-from .codec import DecodeStats, EncodedGop, TileCodec
+from .codec import DecodeStats, TileCodec
 from .encoder import EncodedSot
 
 if TYPE_CHECKING:  # avoid a package cycle: repro.exec imports repro.video
@@ -66,15 +65,16 @@ class RegionRequest:
 class _DecodePlan(NamedTuple):
     """What serving a list of requests from one :class:`EncodedSot` takes.
 
-    ``gops`` holds, per GOP touched and in GOP order, ``(GOP number, {tile
-    index: depth to decode it to}, served)``; a ``served`` entry is
-    ``(request, offset into the GOP, tile index, row slice, column slice)``
-    for a box inside one tile and ``(request, offset, None, tile span,
-    integer-clipped box)`` otherwise.  GOPs are named by number so that a
-    plan outliving its encoding keeps none of its bitstreams alive.
+    ``tile_depth`` maps each touched tile's index to the depth to decode it
+    to.  A ``served`` entry is ``(request, offset into the SOT, tile index,
+    row slice, column slice)`` for a box inside one tile and ``(request,
+    offset, None, tile span, integer-clipped box)`` otherwise.  Tiles are
+    named by index so that a plan outliving its encoding keeps none of its
+    bitstreams alive.
     """
 
-    gops: tuple[tuple[int, dict[int, int], tuple[tuple, ...]], ...]
+    tile_depth: dict[int, int]
+    served: tuple[tuple, ...]
     #: Bytes of every touched tile decoded to its depth (what prefetch needs).
     working_set_bytes: int
     #: Pixels of every region, and of the regions that span several tiles:
@@ -239,9 +239,9 @@ class VideoDecoder:
     ) -> DecodeResult:
         """Decode the pixels of every requested region from one SOT.
 
-        Requests are grouped by GOP, then by tile: each (GOP, tile) bitstream
-        is decoded at most once, up to the latest frame any request needs, and
-        every request is served from those reconstructions.  Given a
+        Requests are grouped by tile: each tile bitstream is decoded at most
+        once, up to the latest frame any request needs, and every request is
+        served from those reconstructions.  Given a
         :class:`ScanPiece` that was last served from this very ``sot``, the
         grouping, the tile spans and the box clipping are the piece's own
         (see :meth:`_plan_for`): what is left is finding the tiles and one
@@ -266,54 +266,43 @@ class VideoDecoder:
         started = time.perf_counter()
         result = DecodeResult()
         plan = self._plan_for(sot, requests)
-        layout, regions, gops, sot_index = sot.layout, result.regions, sot.gops, sot.sot_index
+        layout, regions, sot_index = sot.layout, result.regions, sot.sot_index
         cache = self.cache if scope is not None else None
-        memo = tiles = None
-        if cache is not None:
-            # The memo is taken before the lookups (see TileDecodeCache.memo)
-            # and read after them, so a serve from it moves the cache's counts
-            # and this call's stats as one that builds.
-            if not plan.spanning_pixels and isinstance(requests, ScanPiece):
-                memo = cache.memo(scope, sot_index)
-            looked_up: list = []
-            tiles = [
-                self._reconstruct_tiles(gops[number], depth, result, scope, sot_index, warmed, looked_up)
-                for number, depth, _ in plan.gops
-            ]
-            held = memo.get(requests) if memo is not None else None
-            if held is not None and held[0] is plan and _same_lists(held[1], looked_up):
-                regions.extend(held[2])
-                result.memoised = held[2]
-                result.elapsed_seconds = time.perf_counter() - started
-                return result
+        memo, looked_up = None, ([] if cache is not None else None)
+        # The memo is taken before the lookups (see TileDecodeCache.memo) and
+        # read after them, so a serve from it moves the cache's counts and
+        # this call's stats as one that builds.
+        if cache is not None and not plan.spanning_pixels and isinstance(requests, ScanPiece):
+            memo = cache.memo(scope, sot_index)
+        # Decode each touched tile once, up to the deepest frame needed, then
+        # cut every request's pixels out of those reconstructions.
+        reconstructions = self._reconstruct_tiles(sot, plan.tile_depth, result, scope, warmed, looked_up)
+        held = memo.get(requests) if memo is not None else None
+        if held is not None and held[0] is plan and _same_lists(held[1], looked_up):
+            regions.extend(held[2])
+            result.memoised = held[2]
+            result.elapsed_seconds = time.perf_counter() - started
+            return result
         copied = np.empty(plan.spanning_pixels if cache is not None else plan.region_pixels, np.uint8)
         # What the copied regions view: read-only, and so is every view of it.
         frozen = np.frombuffer(memoryview(copied).toreadonly(), np.uint8) if copied.size else _EMPTY
         at = 0
-        for at_gop, (gop_number, tile_depth, served) in enumerate(plan.gops):
-            # Decode each touched tile once, up to the deepest frame needed,
-            # then cut every request's pixels out of those reconstructions.
-            reconstructions = (
-                tiles[at_gop]
-                if cache is not None
-                else self._reconstruct_tiles(gops[gop_number], tile_depth, result, scope, sot_index, warmed)
-            )
-            for request, offset, tile_index, rows, columns in served:
-                if tile_index is None:  # the slots hold the box's tile span and clipped corners
-                    pixels = self._assemble_region(
-                        layout, rows, columns, reconstructions, offset, copied[at:]
-                    )
-                    stop = at + pixels.size
-                    pixels, at = frozen[at:stop].reshape(pixels.shape), stop
-                else:
-                    # The common case once a video is tiled around its objects:
-                    # the box lies in one tile, so it is one slice of its raster.
-                    pixels = reconstructions[tile_index][offset][rows, columns]
-                    if cache is None:
-                        shape, stop = pixels.shape, at + pixels.size
-                        copied[at:stop].reshape(shape)[...] = pixels
-                        pixels, at = frozen[at:stop].reshape(shape), stop
-                regions.append(make_region(request.frame_index, request.region, pixels, request.label))
+        for request, offset, tile_index, rows, columns in plan.served:
+            if tile_index is None:  # the slots hold the box's tile span and clipped corners
+                pixels = self._assemble_region(
+                    layout, rows, columns, reconstructions, offset, copied[at:]
+                )
+                stop = at + pixels.size
+                pixels, at = frozen[at:stop].reshape(pixels.shape), stop
+            else:
+                # The common case once a video is tiled around its objects:
+                # the box lies in one tile, so it is one slice of its raster.
+                pixels = reconstructions[tile_index][offset][rows, columns]
+                if cache is None:
+                    shape, stop = pixels.shape, at + pixels.size
+                    copied[at:stop].reshape(shape)[...] = pixels
+                    pixels, at = frozen[at:stop].reshape(shape), stop
+            regions.append(make_region(request.frame_index, request.region, pixels, request.label))
         if memo is not None and None not in looked_up:
             result.memoised = memo.file(requests, plan, looked_up, regions)
         result.elapsed_seconds = time.perf_counter() - started
@@ -330,7 +319,7 @@ class VideoDecoder:
         This is the batch executor's warm phase: given the union of every
         region the batch needs from one SOT (or the one :class:`ScanPiece`
         that wants it, whose memoised plan the serve then shares), each
-        touched (GOP, tile) is decoded once, to the deepest frame any request
+        touched tile is decoded once, to the deepest frame any request
         reaches, and stored in the cache, if the decoder has one, so the
         per-query serve phase hits instead of re-decoding.  The returned
         result carries decode-work stats and, in ``warmed``, what it
@@ -349,11 +338,9 @@ class VideoDecoder:
         result = DecodeResult()
         plan = self._plan_for(sot, requests)
         if self.cache is None or plan.working_set_bytes <= self.cache.capacity_bytes:
-            for gop_number, tile_depth, _ in plan.gops:
-                gop = sot.gops[gop_number]
-                tiles = self._reconstruct_tiles(gop, tile_depth, result, scope, sot.sot_index)
-                for tile_index, frames in tiles.items():
-                    result.warmed[(scope, sot.sot_index, gop.frame_start, tile_index)] = frames
+            tiles = self._reconstruct_tiles(sot, plan.tile_depth, result, scope)
+            for tile_index, frames in tiles.items():
+                result.warmed[(scope, sot.sot_index, tile_index)] = frames
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -366,8 +353,8 @@ class VideoDecoder:
         piece of a whole SOT goes through :meth:`_plan` — the one place a box
         is spanned over the tile grid and clipped, once per SOT, predicate and
         encoding — and a window cut from it takes the ``served`` entries of
-        its own requests out of that plan, GOP by GOP, with tile depths and
-        working-set bytes worked out again from what it took.  (A window
+        its own requests out of that plan, with tile depths and working-set
+        bytes worked out again from what it took.  (A window
         whose whole-SOT piece has left the memo is planned as a list is.)
         """
         if not isinstance(requests, ScanPiece):
@@ -380,12 +367,7 @@ class VideoDecoder:
                 plan = self._plan(sot, requests.requests)
             else:
                 _, first, last = cut_from
-                cut = []
-                for number, _, served in self._plan_for(sot, whole).gops:
-                    if first < len(served) and last > 0:
-                        cut.append((number, served[max(first, 0) : last]))
-                    first, last = first - len(served), last - len(served)
-                plan = self._with_depths(sot, cut)
+                plan = self._with_depths(sot, self._plan_for(sot, whole).served[first:last])
             planned = requests._planned = (weakref.ref(sot), plan)
         return planned[1]
 
@@ -396,15 +378,14 @@ class VideoDecoder:
         :class:`_DecodePlan`.  A box is clipped to the frame and truncated to
         whole pixels here, once.
         """
-        frame_start, frame_stop, gop_frames = sot.frame_start, sot.frame_stop, sot.gop_frames
-        layout = sot.layout
+        frame_start, frame_stop, layout = sot.frame_start, sot.frame_stop, sot.layout
         tile_span, rows, columns = layout.tile_span, layout.row_edges, layout.column_edges
         width, height, stride = columns[-1], rows[-1], len(columns) - 1
-        by_gop: defaultdict[int, list] = defaultdict(list)
+        served = []
         for request in requests:
             if not frame_start <= request.frame_index < frame_stop:
                 continue
-            gop_number, offset = divmod(request.frame_index - frame_start, gop_frames)
+            offset = request.frame_index - frame_start
             box = request.region
             span = row0, row1, col0, col1 = tile_span(box)
             x1 = int(box.x1) if box.x1 > 0 else 0
@@ -413,56 +394,53 @@ class VideoDecoder:
             y2 = int(box.y2) if box.y2 < height else height
             if row1 - row0 == 1 and col1 - col0 == 1:
                 top, left = rows[row0], columns[col0]
-                by_gop[gop_number].append(
+                served.append(
                     (request, offset, row0 * stride + col0,
                      slice(y1 - top, y2 - top), slice(x1 - left, x2 - left))
                 )
             else:
-                by_gop[gop_number].append((request, offset, None, span, (x1, y1, x2, y2)))
-        return self._with_depths(sot, [(number, tuple(by_gop[number])) for number in sorted(by_gop)])
+                served.append((request, offset, None, span, (x1, y1, x2, y2)))
+        return self._with_depths(sot, tuple(served))
 
     @staticmethod
-    def _with_depths(sot: EncodedSot, gops: list[tuple[int, tuple[tuple, ...]]]) -> _DecodePlan:
-        """The plan that serves ``gops`` — ``(GOP number, served)`` pairs: each
-        touched tile's depth is the deepest offset an entry of its GOP reaches
-        it at, tiles in the order the entries first touch them."""
+    def _with_depths(sot: EncodedSot, served: tuple[tuple, ...]) -> _DecodePlan:
+        """The plan that serves ``served``: each touched tile's depth is the
+        deepest offset an entry reaches it at, tiles in the order the entries
+        first touch them."""
         stride = len(sot.layout.column_edges) - 1
-        planned, working_set, one_tile, spanning = [], 0, 0, 0
-        for number, served in gops:
-            tile_depth: dict[int, int] = {}
-            for _, offset, tile_index, span, cut in served:
-                if tile_index is not None:
-                    touched = (tile_index,)
-                    one_tile += (span.stop - span.start) * (cut.stop - cut.start)
-                else:
-                    row0, row1, col0, col1 = span
-                    touched = [
-                        tile
-                        for row in range(row0 * stride, row1 * stride, stride)
-                        for tile in range(row + col0, row + col1)
-                    ]
-                    # An empty span is a 0x0 region.
-                    spanning += (cut[2] - cut[0]) * (cut[3] - cut[1]) if touched else 0
-                for tile in touched:
-                    if tile_depth.get(tile, -1) < offset:
-                        tile_depth[tile] = offset
-            tiles = sot.gops[number].tiles
-            working_set += sum(
-                tiles[tile].pixels_per_frame * (depth + 1) for tile, depth in tile_depth.items()
-            )
-            planned.append((number, tile_depth, served))
-        return _DecodePlan(tuple(planned), working_set, one_tile + spanning, spanning)
+        tile_depth: dict[int, int] = {}
+        one_tile = spanning = 0
+        for _, offset, tile_index, span, cut in served:
+            if tile_index is not None:
+                touched = (tile_index,)
+                one_tile += (span.stop - span.start) * (cut.stop - cut.start)
+            else:
+                row0, row1, col0, col1 = span
+                touched = [
+                    tile
+                    for row in range(row0 * stride, row1 * stride, stride)
+                    for tile in range(row + col0, row + col1)
+                ]
+                # An empty span is a 0x0 region.
+                spanning += (cut[2] - cut[0]) * (cut[3] - cut[1]) if touched else 0
+            for tile in touched:
+                if tile_depth.get(tile, -1) < offset:
+                    tile_depth[tile] = offset
+        tiles = sot.tiles
+        working_set = sum(
+            tiles[tile].pixels_per_frame * (depth + 1) for tile, depth in tile_depth.items()
+        )
+        return _DecodePlan(tile_depth, served, working_set, one_tile + spanning, spanning)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _reconstruct_tiles(
         self,
-        gop: EncodedGop,
+        sot: EncodedSot,
         tile_depth: dict[int, int],
         result: DecodeResult,
         scope: str | None,
-        sot_index: int,
         warmed: dict | None = None,
         looked_up: list | None = None,
     ) -> dict[int, list[np.ndarray]]:
@@ -483,9 +461,10 @@ class VideoDecoder:
         """
         cache = self.cache if scope is not None else None
         reconstructions: dict[int, list[np.ndarray]] = {}
+        tiles, sot_index = sot.tiles, sot.sot_index
         for tile_index, depth in tile_depth.items():
-            tile = gop.tiles[tile_index]
-            key = (scope, sot_index, gop.frame_start, tile_index)
+            tile = tiles[tile_index]
+            key = (scope, sot_index, tile_index)
             while True:
                 cached = None if cache is None else cache.get(key, depth, tile.checksums)
                 from_cache = cached

@@ -1,10 +1,12 @@
 """Encode raw videos into tiled representations, one SOT at a time.
 
-A *sequence of tiles* (SOT) is a run of frames that share a tile layout; it
-covers a whole number of GOPs because layouts may only change at keyframes.
-The encoder turns (video, frame range, layout) into an :class:`EncodedSot`
-holding one :class:`~repro.video.codec.EncodedGop` per GOP, and an
-:class:`EncodedSot` into another under a new layout by transcoding its tiles.
+A *sequence of tiles* (SOT) is a run of frames that share a tile layout.
+Layouts may only change at keyframes, and a SOT is exactly one GOP: at most
+``codec.gop_frames`` frames, the video's last SOT possibly shorter.  The
+encoder turns (video, frame range, layout) into an :class:`EncodedSot`
+holding one :class:`~repro.video.codec.EncodedTile` per tile of the layout,
+and an :class:`EncodedSot` into another under a new layout by transcoding its
+tiles.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 from ..config import CodecConfig
 from ..errors import CodecError
 from ..tiles.layout import TileLayout
-from .codec import DecodeStats, EncodedGop, EncodeStats, Handover, TileCodec
-from .gop import gop_ranges
+from .codec import DecodeStats, EncodedTile, EncodeStats, Handover, TileCodec
 from .video import Video
 
 __all__ = ["EncodedSot", "VideoEncoder"]
@@ -27,13 +28,14 @@ __all__ = ["EncodedSot", "VideoEncoder"]
 
 @dataclass
 class EncodedSot:
-    """All GOPs of one sequence of tiles, encoded under a single layout."""
+    """One sequence of tiles — one GOP — encoded under a single layout: its
+    tiles, in row-major layout order."""
 
     sot_index: int
     frame_start: int
     frame_stop: int
     layout: TileLayout
-    gops: list[EncodedGop] = field(default_factory=list)
+    tiles: list[EncodedTile] = field(default_factory=list)
     encode_seconds: float = 0.0
 
     @property
@@ -42,13 +44,14 @@ class EncodedSot:
 
     @property
     def size_bytes(self) -> int:
-        return sum(gop.size_bytes for gop in self.gops)
+        return sum(tile.size_bytes for tile in self.tiles)
 
     @property
-    def gop_frames(self) -> int:
-        """Frames per GOP: every GOP but the last is this long, so the GOP
-        holding frame ``f`` is number ``(f - frame_start) // gop_frames``."""
-        return self.gops[0].frame_count
+    def gops(self) -> tuple["EncodedSot"]:
+        """``(self,)``: the SOT as its one GOP.  Only the perf ledger's traced
+        drill reads it (``benchmarks/ledger/layers.py``); it goes when the
+        ledger is next revised (ROADMAP item 1)."""
+        return (self,)
 
 
 class VideoEncoder:
@@ -68,9 +71,15 @@ class VideoEncoder:
         stats: EncodeStats | None = None,
     ) -> EncodedSot:
         """Encode frames ``[frame_start, frame_stop)`` of the raw ``video``
-        under ``layout``: a SOT's first encode."""
+        under ``layout``: a SOT's first encode.  The range is one GOP: at most
+        ``codec.gop_frames`` frames."""
         if frame_stop <= frame_start:
             raise CodecError("SOT frame range is empty")
+        if frame_stop - frame_start > self.codec_config.gop_frames:
+            raise CodecError(
+                f"a SOT is one GOP: {frame_stop - frame_start} frames exceed the "
+                f"GOP length of {self.codec_config.gop_frames}"
+            )
         if layout.frame_width != video.width or layout.frame_height != video.height:
             raise CodecError(
                 f"layout is {layout.frame_width}x{layout.frame_height} but video "
@@ -78,7 +87,7 @@ class VideoEncoder:
             )
         return self._encode(
             sot_index, frame_start, frame_stop, layout, stats, None,
-            lambda _, start, stop: [video.frame(index).pixels for index in range(start, stop)],
+            lambda: [video.frame(index).pixels for index in range(frame_start, frame_stop)],
         )
 
     def transcode_sot(
@@ -91,7 +100,7 @@ class VideoEncoder:
     ) -> EncodedSot:
         """Re-encode a stored SOT under ``layout`` from its own tiles.
 
-        Each GOP is decoded and encoded again, which writes the bytes encoding
+        The SOT is decoded and encoded again, which writes the bytes encoding
         the raw frames would (see :meth:`~repro.video.codec.TileCodec.decode_gop`).
         ``handover`` names the frames a decode cache holds of ``stored``: the
         decode resumes after them, and the hand-over is filled as
@@ -102,13 +111,11 @@ class VideoEncoder:
             stored.layout.frame_width, stored.layout.frame_height
         ):
             raise CodecError("a SOT cannot be transcoded to a layout of another frame size")
-        held = handover.held if handover is not None else {}
+        held = handover.held if handover is not None else None
         width, height = layout.frame_width, layout.frame_height
         return self._encode(
             stored.sot_index, stored.frame_start, stored.frame_stop, layout, stats, handover,
-            lambda gop_index, start, _: list(
-                self._codec.decode_gop(stored.gops[gop_index], width, height, read, held.get(start))
-            ),
+            lambda: list(self._codec.decode_gop(stored.tiles, width, height, read, held)),
         )
 
     def _encode(
@@ -119,32 +126,16 @@ class VideoEncoder:
         layout: TileLayout,
         stats: EncodeStats | None,
         handover: Handover | None,
-        gop_frames: Callable[[int, int, int], list[np.ndarray]],
+        frames: Callable[[], list[np.ndarray]],
     ) -> EncodedSot:
-        """The GOP loop: ``gop_frames(GOP number, first frame, stop)`` gives
-        each GOP's full frames."""
-        regions = layout.tile_rectangles()
+        """The SOT's tiles, encoded from the full frames ``frames()`` gives."""
         started = time.perf_counter()
-        gops: list[EncodedGop] = []
-        for gop_offset, (gop_start, gop_stop) in enumerate(
-            gop_ranges(frame_stop - frame_start, self.codec_config.gop_frames)
-        ):
-            absolute_start = frame_start + gop_start
-            gops.append(
-                self._codec.encode_gop(
-                    gop_frames(gop_offset, absolute_start, frame_start + gop_stop),
-                    regions,
-                    gop_index=gop_offset,
-                    frame_start=absolute_start,
-                    stats=stats,
-                    handover=handover,
-                )
-            )
+        tiles = self._codec.encode_gop(frames(), layout.tile_rectangles(), frame_start, stats, handover)
         return EncodedSot(
             sot_index=sot_index,
             frame_start=frame_start,
             frame_stop=frame_stop,
             layout=layout,
-            gops=gops,
+            tiles=tiles,
             encode_seconds=time.perf_counter() - started,
         )

@@ -36,9 +36,6 @@ def stitch_tiles(sot: EncodedSot, codec_config: CodecConfig | None = None) -> St
     codec = TileCodec(codec_config or CodecConfig())
     layout = sot.layout
     result = StitchResult()
-    for gop in sot.gops:
-        frames = codec.decode_gop(gop, layout.frame_width, layout.frame_height, result.stats)
-        result.frames.extend(
-            Frame(gop.frame_start + offset, frame) for offset, frame in enumerate(frames)
-        )
+    frames = codec.decode_gop(sot.tiles, layout.frame_width, layout.frame_height, result.stats)
+    result.frames = [Frame(sot.frame_start + offset, frame) for offset, frame in enumerate(frames)]
     return result

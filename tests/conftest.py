@@ -110,11 +110,17 @@ def config(codec_config: CodecConfig) -> TasmConfig:
 
 def query_cost(model: CostModel, layout, frame_boxes) -> CostEstimate:
     """C(s, q, L): P, T and cost of decoding the boxes ``frame_boxes`` maps
-    each frame to (frames counted from a SOT's first, which starts a GOP)
-    under ``layout``, read off the cost model's own per-SOT table."""
-    frames = max(frame_boxes, default=-1) + 1
-    table = model.sot_cost_table(layout, [frame_boxes.get(frame, ()) for frame in range(frames)])
-    return model.window_cost(table, 0, frames)
+    each frame to (frames counted from the first SOT's first) under
+    ``layout``, read off the cost model's own per-SOT tables: a SOT is one
+    GOP of ``codec.gop_frames`` frames."""
+    frames, sot_frames = max(frame_boxes, default=-1) + 1, model.config.codec.gop_frames
+    pixels = tiles = 0
+    for start in range(0, frames, sot_frames):
+        stop = min(start + sot_frames, frames)
+        table = model.sot_cost_table(layout, [frame_boxes.get(frame, ()) for frame in range(start, stop)])
+        estimate = model.window_cost(table, 0, stop - start)
+        pixels, tiles = pixels + estimate.pixels, tiles + estimate.tiles
+    return CostEstimate(pixels, tiles, model.cost(pixels, tiles))
 
 
 def union_bounds(a: Rectangle, b: Rectangle) -> Rectangle:
@@ -152,7 +158,7 @@ def decode_full_frames(decoder: VideoDecoder, sot: EncodedSot, frame_indices: li
 
 def bitstreams(sot: EncodedSot) -> list:
     """Every tile of an encoded SOT as ``(rectangle, payloads, checksums)``."""
-    return [(tile.region, tile.payloads, tile.checksums) for gop in sot.gops for tile in gop.tiles]
+    return [(tile.region, tile.payloads, tile.checksums) for tile in sot.tiles]
 
 
 def build_tiny_video(

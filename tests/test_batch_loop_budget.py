@@ -13,6 +13,7 @@ eviction rules in ``test_cache_policy``.)
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +34,7 @@ CACHE_BYTES = 64 * 1024 * 1024
 
 def two_video_tasm(config: TasmConfig, cache_bytes: int) -> TASM:
     """Two copies of the tiny scene ("a" and "b", three SOTs each), indexed."""
-    tasm = TASM(config=config.with_updates(decode_cache_bytes=cache_bytes))
+    tasm = TASM(config=replace(config, decode_cache_bytes=cache_bytes))
     for name in ("a", "b"):
         video = build_tiny_video(name=name)
         tasm.ingest(video)

@@ -32,8 +32,8 @@ from repro.workloads import workload_3
 FRAME = np.zeros((10, 100), dtype=np.uint8)  # 1000 bytes
 
 
-def key(tile: int) -> tuple[str, int, int, int]:
-    return ("v", 0, 0, tile)
+def key(tile: int) -> tuple[str, int, int]:
+    return ("v", 0, tile)
 
 
 def put(cache: TileDecodeCache, tile: int, frames: int = 1) -> bool:
@@ -126,7 +126,7 @@ def test_a_demoted_entry_goes_first_until_a_hit():
 #: rule shows within a few dozen steps.
 CAPACITY = 400
 SMALL = np.zeros((4, 25), dtype=np.uint8)  # 100 bytes
-KEYS = [("a", sot, 0, tile) for sot in (0, 1) for tile in (0, 1, 2)]
+KEYS = [("a", sot, tile) for sot in (0, 1) for tile in (0, 1, 2)]
 TOKENS = st.sampled_from([(1,), (1,), (1,), (2, 2)])
 
 
@@ -259,7 +259,7 @@ def test_four_threads_keep_the_bytes_bound_and_the_counts():
             other = (int(rng.integers(4)), int(rng.integers(step + 1)))
             action = rng.random()
             if action < 0.4:
-                puts[thread] += cache.put(("t", thread, 0, step), [SMALL], token=(step,))
+                puts[thread] += cache.put(("t", thread, step), [SMALL], token=(step,))
             elif action < 0.9:
                 hits[thread] += cache.get(("t", *other), 0, (other[1],)) is not None
             else:

@@ -37,6 +37,7 @@ import os
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -196,7 +197,7 @@ def make_local_cluster(
         if dataset is None:
             server, video = make_server(config, **shard_overrides)
         else:
-            tasm = TASM(config=config.with_updates(**shard_overrides))
+            tasm = TASM(config=replace(config, **shard_overrides))
             dataset(tasm)
             server = TasmServer(tasm).start()
         transport = SocketTransport(server).start()
@@ -213,7 +214,7 @@ def stop_local_cluster(servers, transports):
 
 
 def replicated(config, factor=2):
-    return config.with_updates(cluster_replication_factor=factor)
+    return replace(config, cluster_replication_factor=factor)
 
 
 class TestScatterGather:
@@ -540,7 +541,7 @@ CHAOS_DATASET = SceneDataset(names=("chaos-traffic",), frame_count=60)
 
 
 def cluster_config(config):
-    return config.with_updates(
+    return replace(config, 
         decode_cache_bytes=64 * 1024 * 1024,
         cluster_replication_factor=2,
     )

@@ -168,16 +168,7 @@ class TestErrorHandling:
 
     def test_encode_gop_requires_regions(self, codec: TileCodec, flat_frames):
         with pytest.raises(CodecError):
-            codec.encode_gop(flat_frames, [], gop_index=0, frame_start=0)
-
-
-class TestEncodedGop:
-    def test_tile_lookup_by_region(self, codec: TileCodec, flat_frames):
-        regions = [Rectangle(0, 0, 32, 48), Rectangle(32, 0, 64, 48)]
-        gop = codec.encode_gop(flat_frames, regions, gop_index=0, frame_start=0)
-        assert gop.tile_count == 2
-        assert [tile.region for tile in gop.tiles] == regions  # layout order
-        assert gop.size_bytes == sum(tile.size_bytes for tile in gop.tiles)
+            codec.encode_gop(flat_frames, [], frame_start=0)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CodecConfig, CostCoefficients, TasmConfig, DEFAULT_CONFIG
 from repro.errors import ConfigurationError
+from repro.storage.tiled_video import TiledVideo
+
+from tests.conftest import build_tiny_video
 
 
 class TestCodecConfig:
@@ -61,22 +66,21 @@ class TestTasmConfig:
             TasmConfig(service_stream_buffer_chunks=0)
         assert TasmConfig(service_stream_buffer_chunks=1).service_stream_buffer_chunks == 1
 
-    def test_sot_frames_must_align_with_gops(self):
-        codec = CodecConfig(gop_frames=10)
-        with pytest.raises(ConfigurationError):
-            TasmConfig(codec=codec, sot_frames=15)
-        config = TasmConfig(codec=codec, sot_frames=30)
-        assert config.layout_duration_frames == 30
-
     def test_layout_duration_defaults_to_gop(self):
         config = TasmConfig(codec=CodecConfig(gop_frames=12))
-        assert config.layout_duration_frames == 12
+        assert TiledVideo(video=build_tiny_video(), config=config).layout_spec.sot_frames == 12
 
-    def test_with_updates_returns_new_instance(self):
+    def test_a_sot_has_no_length_of_its_own(self):
+        with pytest.raises(TypeError):  # a SOT is one GOP
+            TasmConfig(sot_frames=24)
+
+    def test_replace_returns_a_new_validated_instance(self):
         config = TasmConfig()
-        updated = config.with_updates(alpha=0.5)
+        updated = replace(config, alpha=0.5)
         assert updated.alpha == 0.5
         assert config.alpha == pytest.approx(0.8)
+        with pytest.raises(ConfigurationError):
+            replace(config, alpha=1.5)
 
     def test_config_is_frozen(self):
         with pytest.raises(Exception):

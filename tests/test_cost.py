@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import CodecConfig, TasmConfig
@@ -64,7 +66,7 @@ class TestQueryCostEstimation:
         assert estimate.tiles == 2
 
     def test_tiles_counted_once_per_gop(self, model):
-        # Frames 0 and 2 are in GOP 0; frame 7 is in GOP 1 (5-frame GOPs).
+        # Frames 0 and 2 are in SOT 0; frame 7 is in SOT 1 (5-frame GOPs, one a SOT).
         box = Rectangle(0, 0, 10, 10)
         estimate = query_cost(model, GRID, {0: [box], 2: [box], 7: [box]})
         assert estimate.tiles == 2
@@ -110,9 +112,7 @@ class TestEncodeCost:
     """The write half of R: what a SOT never stored is charged."""
 
     def test_scales_with_frames_and_tiles(self, model):
-        one_gop = model.retile_cost(None, GRID, 5)
-        two_gops = model.retile_cost(None, GRID, 10)
-        assert two_gops > one_gop
+        assert model.retile_cost(None, GRID, 5) > model.retile_cost(None, GRID, 3)
         assert model.retile_cost(None, GRID, 5) > model.retile_cost(None, OMEGA, 5)
 
     def test_rejects_non_positive_frames(self, model):
@@ -133,16 +133,16 @@ class TestRetileCost:
     @pytest.mark.parametrize("frame_count", [1, 5, 7, 10])
     @pytest.mark.parametrize("current", [OMEGA, GRID, uniform_layout(FRAME_W, FRAME_H, 3, 4)])
     def test_is_the_whole_sot_decode_estimate_plus_the_encode(
-        self, model, cost_config, current, frame_count
+        self, cost_config, current, frame_count
     ):
+        # 10-frame GOPs, so every frame count here is one SOT (the last may be short).
+        codec = dataclasses.replace(cost_config.codec, gop_frames=10)
+        model = CostModel(dataclasses.replace(cost_config, codec=codec))
         read = query_cost(model, current, whole_sot(frame_count))
-        gops = -(-frame_count // cost_config.codec.gop_frames)
-        assert (read.pixels, read.tiles) == (
-            current.frame_pixels * frame_count, current.tile_count * gops
-        )
+        assert (read.pixels, read.tiles) == (current.frame_pixels * frame_count, current.tile_count)
         write = (
             ENCODE_COST_PER_PIXEL * GRID.frame_pixels * frame_count
-            + ENCODE_COST_PER_TILE * GRID.tile_count * gops
+            + ENCODE_COST_PER_TILE * GRID.tile_count
         )
         assert model.retile_cost(current, GRID, frame_count) == pytest.approx(read.cost + write)
 

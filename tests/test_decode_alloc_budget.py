@@ -110,7 +110,7 @@ def test_a_cache_entry_holds_no_bytes_beyond_its_accounted_size(config):
     tasm.retile_sot(video.name, 0, layout)  # hands what was resident over
     # SOT 1's first sign tile: decoded two frames deep, then resumed to the
     # end of its GOP.
-    key = (video.name, 1, gop, 0)
+    key = (video.name, 1, 0)
     tasm.execute(Query.select_range("sign", video.name, gop, gop + 2))
     assert len(tasm.tile_cache._entries[key].frames) == 2
     tasm.execute(Query.select_range("sign", video.name, gop, 2 * gop))

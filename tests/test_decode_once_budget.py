@@ -15,6 +15,7 @@ of its 176 payloads two to four times over.)
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 from repro.config import TasmConfig
 from repro.core.query import Query, Workload
@@ -44,21 +45,17 @@ def test_w4_inflates_no_payload_twice_and_none_of_a_retiled_resident_area(monkey
         old = tiled.encoded_sot(sot_index)
         with self.tile_cache._lock:
             resident = [
-                (key[2], old.gops[(key[2] - old.frame_start) // old.gop_frames].tiles[key[3]].region,
-                 entry.depth)
+                (old.tiles[key[2]].region, entry.depth)
                 for key, entry in self.tile_cache._entries.items()
                 if key[:2] == (video_name, sot_index)
             ]
         record = retile_sot(self, video_name, sot_index, layout)
         new = tiled.encoded_sot(sot_index)
-        for gop in new.gops if new is not old else ():
-            for tile in gop.tiles:
-                depth = max(
-                    (held for start, area, held in resident
-                     if start == gop.frame_start and area.intersects(tile.region)),
-                    default=-1,
-                )
-                handed_over.extend(tile.payloads[: depth + 1])
+        for tile in new.tiles if new is not old else ():
+            depth = max(
+                (held for area, held in resident if area.intersects(tile.region)), default=-1
+            )
+            handed_over.extend(tile.payloads[: depth + 1])
         return record
 
     results: list = []
@@ -86,7 +83,7 @@ def test_setting_up_layouts_with_a_cache_attached_leaves_it_empty(config: TasmCo
     ingest, index, re-tile every SOT; ``optimize_for_workload``): no SOT has
     anything resident, so no re-tile keeps anything."""
     video = build_tiny_video()
-    tasm = TASM(config.with_updates(decode_cache_bytes=64 << 20))
+    tasm = TASM(replace(config, decode_cache_bytes=64 << 20))
     tiled = tasm.ingest(video)
     tasm.add_detections(
         video.name, [d for frame in range(video.frame_count) for d in video.ground_truth(frame)]

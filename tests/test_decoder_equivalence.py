@@ -3,8 +3,8 @@
 The tile-span kernel changed how a region is located and cut out of its
 tiles, not what comes back.  The digests and counters below were captured
 from the rectangle-scan decoder (the parent commit of the kernel) on shapes
-the perf ledger's workloads do not produce: a SOT of three GOPs, requests in
-every GOP and one outside the SOT, boxes inside one tile, across 2x2 tiles,
+the perf ledger's workloads do not produce: three SOTs, requests in every
+SOT and one outside them, boxes inside one tile, across 2x2 tiles,
 exactly on tile boundaries, with float edges, clipped by the frame edge and
 wholly outside the frame — cold, warm, and against a cache entry that is
 too shallow for the request.  (The digests were captured again, once, when
@@ -23,7 +23,7 @@ from repro.config import CodecConfig
 from repro.exec.cache import TileDecodeCache
 from repro.geometry import Rectangle
 from repro.tiles.layout import TileLayout
-from repro.video.decoder import RegionRequest, VideoDecoder
+from repro.video.decoder import DecodeResult, RegionRequest, VideoDecoder
 from repro.video.encoder import VideoEncoder
 
 from tests.conftest import build_tiny_video
@@ -33,7 +33,7 @@ LAYOUT = TileLayout(128, 96, row_heights=(32, 40, 24), column_widths=(48, 32, 48
 SCOPE = "tiny-traffic"
 
 #: (frame, box), deliberately out of frame order; frames 0-4 / 5-9 / 10-14 are
-#: the SOT's three GOPs, frame 20 lies outside it.
+#: the three SOTs, frame 20 lies outside them.
 REQUESTS = [
     (12, Rectangle(100, 80, 160, 120)),      # clipped by the frame's corner
     (1, Rectangle(4, 4, 30, 20)),            # inside tile (0, 0)
@@ -91,12 +91,16 @@ def _digest(result) -> str:
 
 def observed() -> dict:
     """Every mode's (digest, stats) from the decoder under test."""
-    sot = VideoEncoder(CODEC).encode_sot(build_tiny_video(), 0, 0, 15, LAYOUT)
-    assert len(sot.gops) == 3
+    video, encoder = build_tiny_video(), VideoEncoder(CODEC)
+    sots = [encoder.encode_sot(video, sot, 5 * sot, 5 * sot + 5, LAYOUT) for sot in range(3)]
     seen = {}
 
     def record(mode, decoder, pairs, scope):
-        result = decoder.decode_regions(sot, _requests(pairs), scope=scope)
+        result = DecodeResult()
+        for sot in sots:
+            served = decoder.decode_regions(sot, _requests(pairs), scope=scope)
+            result.regions.extend(served.regions)
+            result.stats.merge(served.stats)
         seen[mode] = (_digest(result), astuple(result.stats))
 
     record("cold", VideoDecoder(CODEC), REQUESTS, None)

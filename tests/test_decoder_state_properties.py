@@ -135,9 +135,9 @@ def test_the_cache_offers_frames_for_a_resume_by_token_at_any_depth():
     video, layout = build_tiny_video(), LAYOUTS["2x2"]
     sot = VideoEncoder(CODEC).encode_sot(video, 0, 0, 5, layout)
     other = VideoEncoder(HARSH_CODEC).encode_sot(video, 0, 0, 5, layout)
-    tile, impostor = sot.gops[0].tiles[3], other.gops[0].tiles[3]
+    tile, impostor = sot.tiles[3], other.tiles[3]
     assert tile.region == impostor.region and tile.checksums != impostor.checksums
-    codec, key = TileCodec(CODEC), ("tiny-traffic", 0, 0, 3)
+    codec, key = TileCodec(CODEC), ("tiny-traffic", 0, 3)
 
     cache = TileDecodeCache(capacity_bytes=1 << 30)
     shallow = codec.decode_tile(tile, 1)
@@ -146,15 +146,15 @@ def test_the_cache_offers_frames_for_a_resume_by_token_at_any_depth():
     held = cache.held(key, tile.checksums)
     assert len(held) == 2 and all(a is b for a, b in zip(held, shallow))  # deep enough to resume
     assert cache.held(key, impostor.checksums) is None
-    assert cache.held(("tiny-traffic", 0, 0, 2), tile.checksums) is None
+    assert cache.held(("tiny-traffic", 0, 2), tile.checksums) is None
     # ``held`` is not a read: it moves no count or rank, so the next eviction
     # still takes the older of two entries read once.
     lru = TileDecodeCache(capacity_bytes=2 * sum(frame.nbytes for frame in shallow))
-    newer = ("tiny-traffic", 0, 0, 2)
+    newer = ("tiny-traffic", 0, 2)
     lru.put(key, shallow, token=tile.checksums)
     lru.put(newer, shallow, token=tile.checksums)
     assert lru.held(key, tile.checksums) is not None
-    lru.put(("tiny-traffic", 0, 0, 1), shallow, token=tile.checksums)
+    lru.put(("tiny-traffic", 0, 1), shallow, token=tile.checksums)
     assert key not in lru and newer in lru
 
     # Through the decoder: an entry of the other bitstream under the tile's

@@ -31,12 +31,18 @@ def decoder(codec_config: CodecConfig) -> VideoDecoder:
 class TestVideoEncoder:
     def test_sot_structure(self, encoder, tiny_video, codec_config):
         layout = uniform_layout(tiny_video.width, tiny_video.height, 2, 2, codec_config.block_size)
-        sot = encoder.encode_sot(tiny_video, 0, 0, 10, layout)
-        assert sot.frame_count == 10
-        assert len(sot.gops) == 2  # 10 frames / 5-frame GOPs
-        assert all(gop.tile_count == 4 for gop in sot.gops)
-        assert sot.size_bytes > 0
+        sot = encoder.encode_sot(tiny_video, 0, 0, 5, layout)
+        assert sot.frame_count == 5
+        assert [tile.region for tile in sot.tiles] == layout.tile_rectangles()  # layout order
+        assert sot.size_bytes == sum(tile.size_bytes for tile in sot.tiles) > 0
         assert sot.encode_seconds > 0
+
+    def test_a_sot_is_one_gop(self, encoder, tiny_video, codec_config):
+        """A SOT longer than a GOP is refused; the video's last may be shorter."""
+        layout = untiled_layout(tiny_video.width, tiny_video.height)
+        with pytest.raises(CodecError):
+            encoder.encode_sot(tiny_video, 0, 0, codec_config.gop_frames + 1, layout)
+        assert encoder.encode_sot(tiny_video, 0, 0, 3, layout).tiles[0].frame_count == 3
 
     def test_layout_dimension_mismatch_rejected(self, encoder, tiny_video):
         wrong = untiled_layout(tiny_video.width + 8, tiny_video.height)
@@ -74,7 +80,10 @@ class TestVideoEncoder:
         long_gop = VideoEncoder(CodecConfig(gop_frames=15, frame_rate=5, block_size=8,
                                             min_tile_width=16, min_tile_height=16))
         layout = untiled_layout(tiny_video.width, tiny_video.height)
-        short_size = short_gop.encode_sot(tiny_video, 0, 0, 15, layout).size_bytes
+        short_size = sum(
+            short_gop.encode_sot(tiny_video, sot, 3 * sot, 3 * sot + 3, layout).size_bytes
+            for sot in range(5)
+        )
         long_size = long_gop.encode_sot(tiny_video, 0, 0, 15, layout).size_bytes
         assert short_size > long_size
 
@@ -83,7 +92,7 @@ class TestVideoDecoder:
     def test_region_pixels_match_source(self, encoder, decoder, tiny_video, codec_config):
         """Decoded region pixels equal the original within quantisation error."""
         layout = uniform_layout(tiny_video.width, tiny_video.height, 2, 2, codec_config.block_size)
-        sot = encoder.encode_sot(tiny_video, 0, 0, 10, layout)
+        sot = encoder.encode_sot(tiny_video, 0, 0, 5, layout)
         region = Rectangle(8, 40, 48, 64)
         result = decoder.decode_regions(sot, [RegionRequest(frame_index=4, region=region)])
         assert len(result.regions) == 1
@@ -152,15 +161,15 @@ class TestVideoDecoder:
 class TestStitching:
     def test_stitched_frames_cover_whole_frame(self, encoder, tiny_video, codec_config):
         layout = uniform_layout(tiny_video.width, tiny_video.height, 2, 2, codec_config.block_size)
-        sot = encoder.encode_sot(tiny_video, 0, 0, 10, layout)
+        sot = encoder.encode_sot(tiny_video, 1, 5, 10, layout)
         stitched = stitch_tiles(sot, codec_config)
-        assert len(stitched.frames) == 10
+        assert [frame.index for frame in stitched.frames] == list(range(5, 10))
         assert stitched.frames[0].pixels.shape == (tiny_video.height, tiny_video.width)
-        assert stitched.stats.tiles_decoded == 4 * 2  # 4 tiles x 2 GOPs
+        assert stitched.stats.tiles_decoded == 4
 
     def test_stitching_preserves_quality(self, encoder, tiny_video, codec_config):
         layout = uniform_layout(tiny_video.width, tiny_video.height, 2, 2, codec_config.block_size)
-        sot = encoder.encode_sot(tiny_video, 0, 0, 10, layout)
+        sot = encoder.encode_sot(tiny_video, 0, 0, 5, layout)
         stitched = stitch_tiles(sot, codec_config)
         values = [
             psnr(tiny_video.frame(frame.index).pixels, frame.pixels)

@@ -30,7 +30,7 @@ LABELS = ("car", "person", "sign")
 def make_tasm(config: TasmConfig, cache_bytes: int = 0) -> tuple[TASM, object]:
     """A TASM over the tiny scene with ground-truth boxes indexed."""
     if cache_bytes:
-        config = config.with_updates(decode_cache_bytes=cache_bytes)
+        config = replace(config, decode_cache_bytes=cache_bytes)
     video = build_tiny_video()
     tasm = TASM(config=config)
     tasm.ingest(video)
@@ -159,9 +159,9 @@ class TestBatchEquivalence:
         def cache_entries() -> list[list]:
             entries = []
             for sot_index in range(tiled.sot_count):
-                gops = {gop.frame_start: gop for gop in tiled.encoded_sot(sot_index).gops}
+                tiles = tiled.encoded_sot(sot_index).tiles
                 for key in keys_for_sot(cached.tile_cache, video.name, sot_index):
-                    token = gops[key[2]].tiles[key[3]].checksums
+                    token = tiles[key[2]].checksums
                     entries.append(cached.tile_cache.get(key, min_depth=0, token=token))
             return entries
 
@@ -363,23 +363,23 @@ class TestRetileInvalidation:
     def assert_entries_are_of_the_current_encoding(tasm, video, sot_index: int) -> int:
         """Every entry cached for the SOT carries the checksums of the tile it
         is filed under in the SOT's current encoding; returns how many."""
-        gops = {gop.frame_start: gop for gop in tasm.video(video.name).encoded_sot(sot_index).gops}
+        tiles = tasm.video(video.name).encoded_sot(sot_index).tiles
         keys = keys_for_sot(tasm.tile_cache, video.name, sot_index)
         for key in keys:
-            assert tasm.tile_cache.held(key, gops[key[2]].tiles[key[3]].checksums) is not None
+            assert tasm.tile_cache.held(key, tiles[key[2]].checksums) is not None
         return len(keys)
 
     def test_retile_evicts_the_sots_cached_tiles(self, config):
         tasm, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
         tasm.scan(video.name, "car")
         assert keys_for_sot(tasm.tile_cache, video.name, 0), "scan must populate the cache"
-        old_tile = tasm.video(video.name).encoded_sot(0).gops[0].tiles[0]
+        old_tile = tasm.video(video.name).encoded_sot(0).tiles[0]
 
         layout = tasm.layout_around(video.name, 0, ["car"])
         tasm.retile_sot(video.name, 0, layout)
         # No entry of the old encoding survives: what the SOT has cached now
         # was handed over by the re-encode, under the new tiles' checksums.
-        assert tasm.tile_cache.held((video.name, 0, 0, 0), old_tile.checksums) is None
+        assert tasm.tile_cache.held((video.name, 0, 0), old_tile.checksums) is None
         assert self.assert_entries_are_of_the_current_encoding(tasm, video, 0) == layout.tile_count
 
     def test_one_retile_invalidates_the_sot_once(self, config, monkeypatch):
@@ -451,7 +451,7 @@ class TestRetileInvalidation:
 class TestRetileHandoverOrder:
     def test_untouched_handovers_are_evicted_before_any_tile_a_box_touches(self, config):
         """A re-tile hands over every new tile of the area the cache held, but
-        files a tile no indexed box touches (on any frame of its GOP, for any
+        files a tile no indexed box touches (on any frame of its SOT, for any
         label) as the cache's oldest: under pressure those go first, and a
         scan of the label the layout was cut around still decodes nothing."""
         video = build_tiny_video()
@@ -465,7 +465,7 @@ class TestRetileHandoverOrder:
         tasm.retile_sot(video.name, 0, layout)
         handed_over = set(keys_for_sot(tasm.tile_cache, video.name, 0))
         touched = {
-            (video.name, 0, 0, tile_index)
+            (video.name, 0, tile_index)
             for frame in range(sot_frames)
             for detection in video.ground_truth(frame)
             for tile_index, rectangle in enumerate(layout.tile_rectangles())
@@ -476,7 +476,7 @@ class TestRetileHandoverOrder:
         untouched_bytes = sum(
             rectangle.area * sot_frames
             for tile_index, rectangle in enumerate(layout.tile_rectangles())
-            if (video.name, 0, 0, tile_index) in untouched
+            if (video.name, 0, tile_index) in untouched
         )
 
         # Two full frames of SOT 1 are about as much as the untouched tiles
@@ -500,15 +500,15 @@ class TestTileDecodeCache:
     def test_lru_eviction_order_and_byte_accounting(self):
         cache = TileDecodeCache(capacity_bytes=3000)
         frame = np.zeros((10, 100), dtype=np.uint8)  # 1000 bytes
-        cache.put(("v", 0, 0, 0), [frame], token=(1,))
-        cache.put(("v", 0, 0, 1), [frame], token=(2,))
-        cache.put(("v", 0, 0, 2), [frame], token=(3,))
+        cache.put(("v", 0, 0), [frame], token=(1,))
+        cache.put(("v", 0, 1), [frame], token=(2,))
+        cache.put(("v", 0, 2), [frame], token=(3,))
         assert cache.current_bytes == 3000
         # Touch the oldest so the middle entry becomes LRU.
-        assert cache.get(("v", 0, 0, 0), min_depth=0, token=(1,)) is not None
-        cache.put(("v", 0, 0, 3), [frame], token=(4,))
-        assert ("v", 0, 0, 1) not in cache
-        assert ("v", 0, 0, 0) in cache
+        assert cache.get(("v", 0, 0), min_depth=0, token=(1,)) is not None
+        cache.put(("v", 0, 3), [frame], token=(4,))
+        assert ("v", 0, 1) not in cache
+        assert ("v", 0, 0) in cache
         assert cache.stats.evictions == 1
         assert cache.stats.bytes_evicted == 1000
         assert cache.current_bytes == 3000
@@ -516,19 +516,19 @@ class TestTileDecodeCache:
     def test_depth_and_token_mismatches_are_misses(self):
         cache = TileDecodeCache(capacity_bytes=1 << 30)
         frames = [np.zeros((4, 4), dtype=np.uint8) for _ in range(2)]
-        cache.put(("v", 0, 0, 0), frames, token=(9, 9))
-        assert cache.get(("v", 0, 0, 0), min_depth=1, token=(9, 9)) is not None
-        assert cache.get(("v", 0, 0, 0), min_depth=2, token=(9, 9)) is None
-        assert cache.get(("v", 0, 0, 0), min_depth=0, token=(7, 7)) is None, (
+        cache.put(("v", 0, 0), frames, token=(9, 9))
+        assert cache.get(("v", 0, 0), min_depth=1, token=(9, 9)) is not None
+        assert cache.get(("v", 0, 0), min_depth=2, token=(9, 9)) is None
+        assert cache.get(("v", 0, 0), min_depth=0, token=(7, 7)) is None, (
             "a re-encoded bitstream's token must not hit"
         )
         # The token mismatch dropped the entry entirely.
-        assert ("v", 0, 0, 0) not in cache
+        assert ("v", 0, 0) not in cache
 
     def test_oversized_entries_are_rejected(self):
         cache = TileDecodeCache(capacity_bytes=100)
         big = np.zeros((100, 100), dtype=np.uint8)
-        assert not cache.put(("v", 0, 0, 0), [big], token=(1,))
+        assert not cache.put(("v", 0, 0), [big], token=(1,))
         assert len(cache) == 0 and cache.current_bytes == 0
 
     def test_invalidation_scopes(self):
@@ -536,21 +536,21 @@ class TestTileDecodeCache:
         frame = np.zeros((4, 4), dtype=np.uint8)
         for sot in (0, 1):
             for tile in (0, 1):
-                cache.put(("a", sot, 0, tile), [frame], token=(1,))
-        cache.put(("b", 0, 0, 0), [frame], token=(1,))
+                cache.put(("a", sot, tile), [frame], token=(1,))
+        cache.put(("b", 0, 0), [frame], token=(1,))
         assert cache.invalidate_sot("a", 0) == 2
         assert keys_for_sot(cache, "a", 0) == []
         assert keys_for_sot(cache, "a", 1) != []
         assert cache.invalidate_sot("a", 1) == 2
-        assert len(cache) == 1 and ("b", 0, 0, 0) in cache
+        assert len(cache) == 1 and ("b", 0, 0) in cache
 
     def test_stats_snapshot_delta(self):
         frame = np.zeros((4, 4), dtype=np.uint8)
         cache = TileDecodeCache(capacity_bytes=2 * frame.nbytes)
-        cache.put(("v", 0, 0, 0), [frame], token=(1,))
+        cache.put(("v", 0, 0), [frame], token=(1,))
         before = (cache.stats.insertions, cache.stats.evictions)
-        cache.put(("v", 0, 0, 1), [frame], token=(1,))
-        cache.put(("v", 0, 0, 2), [frame], token=(1,))
+        cache.put(("v", 0, 1), [frame], token=(1,))
+        cache.put(("v", 0, 2), [frame], token=(1,))
         after = (cache.stats.insertions, cache.stats.evictions)
         assert before == (1, 0)
         assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
@@ -559,16 +559,16 @@ class TestTileDecodeCache:
         frame = np.zeros((10, 100), dtype=np.uint8)  # 1000 bytes
         cache = TileDecodeCache(capacity_bytes=3000)
         for tile in range(3):
-            cache.put(("v", 0, 0, tile), [frame], token=(tile,))
-        cache.demote(("v", 0, 0, 2))  # the newest, filed as the oldest
-        cache.demote(("v", 0, 0, 9))  # not held: nothing happens
-        cache.put(("v", 0, 0, 3), [frame], token=(3,))
-        assert ("v", 0, 0, 2) not in cache
-        assert all(("v", 0, 0, tile) in cache for tile in (0, 1, 3))
+            cache.put(("v", 0, tile), [frame], token=(tile,))
+        cache.demote(("v", 0, 2))  # the newest, filed as the oldest
+        cache.demote(("v", 0, 9))  # not held: nothing happens
+        cache.put(("v", 0, 3), [frame], token=(3,))
+        assert ("v", 0, 2) not in cache
+        assert all(("v", 0, tile) in cache for tile in (0, 1, 3))
 
-        cache.demote(("v", 0, 0, 3))
-        assert cache.get(("v", 0, 0, 3), min_depth=0, token=(3,)) is not None  # now the newest
-        cache.put(("v", 0, 0, 4), [frame], token=(4,))
-        assert ("v", 0, 0, 0) not in cache
-        assert all(("v", 0, 0, tile) in cache for tile in (1, 3, 4))
+        cache.demote(("v", 0, 3))
+        assert cache.get(("v", 0, 3), min_depth=0, token=(3,)) is not None  # now the newest
+        cache.put(("v", 0, 4), [frame], token=(4,))
+        assert ("v", 0, 0) not in cache
+        assert all(("v", 0, tile) in cache for tile in (1, 3, 4))
         assert cache.stats.evictions == 2

@@ -42,6 +42,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -227,7 +228,7 @@ class TestLoadShedding:
         """Above ``service_max_queue_depth`` pending, submit refuses with
         SERVER_BUSY before allocating a stream."""
         tasm, video = make_tasm(
-            config.with_updates(service_max_batch=4, service_max_queue_depth=2)
+            replace(config, service_max_batch=4, service_max_queue_depth=2)
         )
         server = TasmServer(tasm)
         server._running = True  # driven without threads: pending stays put
@@ -810,7 +811,7 @@ class TestHandshakeTimeout:
 # ----------------------------------------------------------------------
 class TestStarvedStageMessages:
     def test_result_timeout_names_the_queue_stage(self, config):
-        tasm, video = make_tasm(config.with_updates(service_max_batch=4))
+        tasm, video = make_tasm(replace(config, service_max_batch=4))
         server = TasmServer(tasm)
         server._running = True  # no threads: the query stays queued
         stream = server.submit(Query.select("car", video.name))

@@ -1,14 +1,13 @@
-"""Tests for repro.video.frame, repro.video.video, and repro.video.gop."""
+"""Tests for repro.video.frame and repro.video.video."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, GeometryError, StorageError
+from repro.errors import GeometryError, StorageError
 from repro.geometry import Rectangle
 from repro.video.frame import Frame
-from repro.video.gop import gop_ranges
 from repro.video.video import Video, VideoMetadata
 
 from tests.conftest import crop, video_from_frames
@@ -76,19 +75,3 @@ class TestVideo:
         with pytest.raises(StorageError):
             video.frame(0)
 
-
-class TestGopHelpers:
-    def test_gop_ranges_cover_video(self):
-        ranges = gop_ranges(25, 10)
-        assert ranges == [(0, 10), (10, 20), (20, 25)]
-
-    def test_gop_ranges_short_and_exact_videos_are_one_gop(self):
-        assert gop_ranges(10, 10) == [(0, 10)]
-        assert gop_ranges(3, 10) == [(0, 3)]
-        assert gop_ranges(20, 10) == [(0, 10), (10, 20)]
-
-    def test_gop_ranges_validation(self):
-        with pytest.raises(ConfigurationError):
-            gop_ranges(25, 0)
-        with pytest.raises(ConfigurationError):
-            gop_ranges(0, 10)

@@ -73,19 +73,19 @@ def contents(draw) -> list[np.ndarray]:
     return [np.full((HEIGHT, WIDTH), level, dtype=np.uint8) for _ in range(count)]
 
 
-def everything_decoded(codec: TileCodec, gop) -> list[tuple[list[np.ndarray], DecodeStats]]:
+def everything_decoded(codec: TileCodec, tiles) -> list[tuple[list[np.ndarray], DecodeStats]]:
     """Each tile decoded cold and resumed after every depth, and the GOP
     whole, cold and with every other tile's keyframe held: (frames, stats)."""
     decoded = []
-    for tile in gop.tiles:
+    for tile in tiles:
         stats = DecodeStats()
         decoded.append((codec.decode_tile(tile, None, stats), stats))
         for depth in range(tile.frame_count - 1):
             stats, held = DecodeStats(), codec.decode_tile(tile, depth)
             decoded.append((codec.decode_tile(tile, None, stats, resume_from=held), stats))
-    for held in (None, {tile.region: codec.decode_tile(tile, 0) for tile in gop.tiles[::2]}):
+    for held in (None, {tile.region: codec.decode_tile(tile, 0) for tile in tiles[::2]}):
         stats = DecodeStats()
-        decoded.append(([codec.decode_gop(gop, WIDTH, HEIGHT, stats, held)], stats))
+        decoded.append(([codec.decode_gop(tiles, WIDTH, HEIGHT, stats, held)], stats))
     return decoded
 
 
@@ -96,11 +96,11 @@ def everything_decoded(codec: TileCodec, gop) -> list[tuple[list[np.ndarray], De
 @given(frames=contents())
 def test_both_engines_decode_the_same_frames_and_count_the_same_work(steps, layout, frames):
     codec = TileCodec(CODECS[steps])
-    gop = codec.encode_gop(frames, LAYOUTS[layout].tile_rectangles(), 0, 0)
-    fast = everything_decoded(codec, gop)
+    tiles = codec.encode_gop(frames, LAYOUTS[layout].tile_rectangles(), 0)
+    fast = everything_decoded(codec, tiles)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codec_module, "_libdeflate", None)
-        fallback = everything_decoded(codec, gop)
+        fallback = everything_decoded(codec, tiles)
     assert len(fast) == len(fallback)
     for (frames_fast, stats_fast), (frames_fallback, stats_fallback) in zip(fast, fallback):
         assert same_frames(frames_fast, frames_fallback)

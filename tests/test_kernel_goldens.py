@@ -105,12 +105,14 @@ def harsh_video() -> Video:
 
 def encode_and_decode(video: Video, codec_config: CodecConfig, layout: TileLayout):
     stats = EncodeStats()
-    sot = VideoEncoder(codec_config).encode_sot(video, 0, 0, 15, layout, stats=stats)
-    assert len(sot.gops) == 3
+    encoder = VideoEncoder(codec_config)
+    sots = [
+        encoder.encode_sot(video, sot, 5 * sot, 5 * sot + 5, layout, stats=stats) for sot in range(3)
+    ]
     codec = TileCodec(codec_config)
     payloads, decoded = hashlib.sha256(), hashlib.sha256()
-    for gop in sot.gops:
-        for tile in gop.tiles:
+    for sot in sots:
+        for tile in sot.tiles:
             for payload in tile.payloads:
                 payloads.update(payload)
             for frame in codec.decode_tile(tile):

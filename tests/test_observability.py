@@ -58,7 +58,7 @@ CACHE_BYTES = 64 * 1024 * 1024
 
 def make_server(config: TasmConfig, **overrides) -> tuple[TasmServer, object]:
     updates = {"decode_cache_bytes": CACHE_BYTES, **overrides}
-    tasm, video = make_tasm(config.with_updates(**updates))
+    tasm, video = make_tasm(replace(config, **updates))
     return TasmServer(tasm).start(), video
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cost import CostModel
@@ -130,7 +132,7 @@ class TestIncrementalRegret:
         )
 
     def test_eta_zero_retiles_immediately(self, config, tiny_video):
-        eager_config = config.with_updates(eta=0.0)
+        eager_config = replace(config, eta=0.0)
         tasm, engine = make_tasm(eager_config, tiny_video)
         policy = IncrementalRegretPolicy()
         policy.prepare(tasm, engine, tiny_video.name, Workload.from_queries("w", []))

@@ -94,22 +94,20 @@ class RawFrames:
         return self.frames[index]
 
 
-def config_for(codec: CodecConfig, frame_count: int, cache_bytes: int) -> TasmConfig:
-    """One SOT holding every frame (as one GOP or several)."""
-    gops = -(-frame_count // codec.gop_frames)
-    return TasmConfig(
-        codec=codec, sot_frames=gops * codec.gop_frames, decode_cache_bytes=cache_bytes
-    )
+def config_for(codec: CodecConfig, cache_bytes: int) -> TasmConfig:
+    """One SOT holding every frame of a scene at most one GOP long."""
+    return TasmConfig(codec=codec, decode_cache_bytes=cache_bytes)
 
 
 @pytest.mark.parametrize("steps", sorted(CODECS))
 @settings(max_examples=15, deadline=None)
 @given(frames=scenes(), chain=chains(), data=st.data())
 def test_a_retile_from_storage_writes_what_the_raw_frames_would(steps, frames, chain, data):
-    codec, count = CODECS[steps], len(frames)
-    cached = data.draw(st.booleans(), label="cached")
+    codec = CODECS[steps]
+    frames = frames[: codec.gop_frames]  # a SOT is one GOP
+    count, cached = len(frames), data.draw(st.booleans(), label="cached")
     source = RawFrames(frames)
-    tasm = TASM(config_for(codec, count, (64 << 20) if cached else 0))
+    tasm = TASM(config_for(codec, (64 << 20) if cached else 0))
     tiled = tasm.ingest(Video(VideoMetadata("clip", WIDTH, HEIGHT, count, 5), source))
     first, second, third = chain
 
@@ -119,19 +117,18 @@ def test_a_retile_from_storage_writes_what_the_raw_frames_would(steps, frames, c
     held_pixels = 0
     if cached:
         stored, decoder = tiled.encoded_sot(0), TileCodec(codec)
-        for gop in stored.gops:
-            depths = data.draw(
-                st.lists(st.integers(-1, gop.frame_count - 1),
-                         min_size=gop.tile_count, max_size=gop.tile_count),
-                label="held depths",
-            )
-            if gop.tile_count > 1:
-                depths[0] = 0  # a boundary tile's keyframe, alone
-            for index, (tile, depth) in enumerate(zip(gop.tiles, depths)):
-                if depth >= 0:
-                    frames_held = decoder.decode_tile(tile, depth)
-                    tasm.tile_cache.put(("clip", 0, gop.frame_start, index), frames_held, tile.checksums)
-                    held_pixels += tile.pixels_per_frame * (depth + 1)
+        tile_count = len(stored.tiles)
+        depths = data.draw(
+            st.lists(st.integers(-1, stored.frame_count - 1), min_size=tile_count, max_size=tile_count),
+            label="held depths",
+        )
+        if tile_count > 1:
+            depths[0] = 0  # a boundary tile's keyframe, alone
+        for index, (tile, depth) in enumerate(zip(stored.tiles, depths)):
+            if depth >= 0:
+                frames_held = decoder.decode_tile(tile, depth)
+                tasm.tile_cache.put(("clip", 0, index), frames_held, tile.checksums)
+                held_pixels += tile.pixels_per_frame * (depth + 1)
     record = tasm.retile_sot("clip", 0, third)
 
     raw = VideoEncoder(codec).encode_sot(video_from_frames("clip", frames), 0, 0, count, third)
@@ -161,11 +158,11 @@ def test_a_failed_retile_leaves_the_sot_claiming_the_layout_it_is_stored_under()
     than reporting a no-op, and once the payload is whole the SOT takes 1x2."""
     rng = np.random.default_rng(7)
     frames = [rng.integers(0, 256, (HEIGHT, WIDTH), dtype=np.uint8) for _ in range(4)]
-    tasm = TASM(config_for(CodecConfig(), len(frames), 0))
+    tasm = TASM(config_for(CodecConfig(), 0))
     tiled = tasm.ingest(video_from_frames("clip", frames))
     grid, halves = uniform_layout(WIDTH, HEIGHT, 2, 2), uniform_layout(WIDTH, HEIGHT, 1, 2)
     tiled.retile(0, grid)
-    tiles = tiled.encoded_sot(0).gops[0].tiles
+    tiles = tiled.encoded_sot(0).tiles
     whole = tiles[0]
     payloads = list(whole.payloads)
     payloads[1] = payloads[1][:-1] + bytes([payloads[1][-1] ^ 0x01])

@@ -13,10 +13,11 @@ region bound and the counts live in
 
 A window's piece is a slice of its SOT's whole piece, and its decode plan a
 slice of that piece's plan, so a second property asks random windows — cut by
-SOT boundaries, inside one GOP of a two-GOP SOT, across both — between writes
-and re-tiles, and holds every piece against the window's own index lookup and
-every plan, region and ``DecodeStats`` against a decoder handed the same
-requests as a bare list: no memo, no slice, no cache.
+SOT boundaries or inside one SOT, over 5-frame SOTs and over a 10-frame SOT
+followed by a 5-frame one — between writes and re-tiles, and holds every
+piece against the window's own index lookup and every plan, region and
+``DecodeStats`` against a decoder handed the same requests as a bare
+list: no memo, no slice, no cache.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from tests.test_what_if_memo import (
     predicates,
     resolve,
     selected,
+    shaped,
     sot_shapes,
     window_operations,
     write,
@@ -81,7 +83,7 @@ operations = st.one_of(
 
 
 def build(cache_bytes: int = 0, index=None) -> TASM:
-    tasm = TASM(CONFIG.with_updates(decode_cache_bytes=cache_bytes), semantic_index=index)
+    tasm = TASM(dataclasses.replace(CONFIG, decode_cache_bytes=cache_bytes), semantic_index=index)
     tasm.ingest(VIDEO)
     return tasm
 
@@ -161,7 +163,7 @@ def test_every_scan_equals_a_memo_less_scan(cache_bytes, indexed_frames, program
 
 def plan_as_lists(plan) -> list:
     """A decode plan with its tile depths in the order the tiles are decoded."""
-    return [(number, list(depths.items()), served) for number, depths, served in plan.gops]
+    return [list(plan.tile_depth.items()), plan.served]
 
 
 @pytest.mark.parametrize("cache_bytes", [0, CACHE_BYTES])
@@ -169,9 +171,9 @@ def plan_as_lists(plan) -> list:
 @given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(window_operations, min_size=1, max_size=12))
 @settings(max_examples=25, deadline=None)
 def test_every_window_is_the_slice_its_own_lookup_and_a_list_decode_give(
-    sot_frames, cache_bytes, indexed_frames, program
+    gop_frames, cache_bytes, indexed_frames, program
 ):
-    config = CONFIG.with_updates(sot_frames=sot_frames, decode_cache_bytes=cache_bytes)
+    config = dataclasses.replace(shaped(CONFIG, gop_frames), decode_cache_bytes=cache_bytes)
     tasm = TASM(config)
     tiled = tasm.ingest(VIDEO)
     tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])

@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -42,7 +43,7 @@ CACHE_BYTES = 64 * 1024 * 1024
 def make_server(config: TasmConfig, **service_overrides) -> tuple[TasmServer, object]:
     """A started server over the tiny scene (caller must stop it)."""
     overrides = {"decode_cache_bytes": CACHE_BYTES, **service_overrides}
-    tasm, video = make_tasm(config.with_updates(**overrides))
+    tasm, video = make_tasm(replace(config, **overrides))
     return TasmServer(tasm).start(), video
 
 

@@ -17,6 +17,7 @@ always matching the untouched reference exactly.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,9 +53,9 @@ def assert_region_groups_equal(actual: list, expected: list) -> bool:
 
 @pytest.mark.parametrize("label_cycle", [("car", "person")])
 def test_overlapping_scans_race_writes_without_stale_reads(config, label_cycle):
-    served = config.with_updates(decode_cache_bytes=CACHE_BYTES)
+    served = replace(config, decode_cache_bytes=CACHE_BYTES)
     tasm, video = make_tasm(served)
-    frames_per_sot = served.layout_duration_frames
+    frames_per_sot = served.codec.gop_frames
 
     # The two legitimate encodings of SOT 1, and oracles for both.
     tiled_layout = tasm.layout_around(video.name, RETILED_SOT, ["car", "person"])
@@ -139,9 +140,9 @@ def test_overlapping_scans_race_writes_without_stale_reads(config, label_cycle):
 
 def test_sequential_writes_between_scans_stay_consistent(config):
     """The same interleaving run without threads — pins the oracle itself."""
-    served = config.with_updates(decode_cache_bytes=CACHE_BYTES)
+    served = replace(config, decode_cache_bytes=CACHE_BYTES)
     tasm, video = make_tasm(served)
-    frames_per_sot = served.layout_duration_frames
+    frames_per_sot = served.codec.gop_frames
     tiled_layout = tasm.layout_around(video.name, RETILED_SOT, ["car", "person"])
     ref_tiled, _ = make_tasm(config)
     ref_tiled.retile_sot(video.name, RETILED_SOT, tiled_layout)

@@ -29,6 +29,7 @@ import queue
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -49,7 +50,7 @@ CACHE_BYTES = 64 * 1024 * 1024
 
 def make_server(config, **service_overrides) -> tuple[TasmServer, object]:
     overrides = {"decode_cache_bytes": CACHE_BYTES, **service_overrides}
-    tasm, video = make_tasm(config.with_updates(**overrides))
+    tasm, video = make_tasm(replace(config, **overrides))
     return TasmServer(tasm).start(), video
 
 

@@ -25,6 +25,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -196,7 +197,7 @@ class TestRunnerPool:
 
         video = build_tiny_video()
         tasm = TASM(
-            config=config.with_updates(
+            config=replace(config, 
                 decode_cache_bytes=CACHE_BYTES, service_runners=3, service_max_batch=1
             )
         )
@@ -277,7 +278,7 @@ class TestAdmissionControl:
     def test_round_robin_gives_every_client_a_slot(self, config):
         """6 queued greedy queries cannot keep the light client out of the
         next batch: rotation takes one per client before seconds."""
-        tasm, video = make_tasm(config.with_updates(service_max_batch=4))
+        tasm, video = make_tasm(replace(config, service_max_batch=4))
         server = TasmServer(tasm)
         server._running = True  # accept submissions without threads
         try:
@@ -303,7 +304,7 @@ class TestAdmissionControl:
             server._running = False
 
     def test_lone_client_still_fills_a_batch(self, config):
-        tasm, video = make_tasm(config.with_updates(service_max_batch=3))
+        tasm, video = make_tasm(replace(config, service_max_batch=3))
         server = TasmServer(tasm)
         server._running = True
         try:

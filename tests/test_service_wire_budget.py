@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ CHUNKS_PER_SCAN = 4
 
 def four_sot_tasm(config: TasmConfig) -> tuple[TASM, object]:
     video = build_tiny_video(frame_count=CHUNKS_PER_SCAN * config.codec.gop_frames)
-    tasm = TASM(config=config.with_updates(decode_cache_bytes=64 * 1024 * 1024))
+    tasm = TASM(config=replace(config, decode_cache_bytes=64 * 1024 * 1024))
     tasm.ingest(video)
     tasm.add_detections(
         video.name, [d for frame in range(video.frame_count) for d in video.ground_truth(frame)]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.config import TasmConfig
@@ -16,7 +19,7 @@ from repro.video.quality import psnr
 from repro.video.video import Video
 from repro.geometry import Rectangle
 
-from tests.conftest import bitstreams, decode_full_frames
+from tests.conftest import bitstreams, build_tiny_video, decode_full_frames
 
 
 @pytest.fixture
@@ -69,8 +72,7 @@ class TestTiledVideo:
         keyframe_bytes = sum(
             len(tile.payloads[0])
             for sot in range(tiled.sot_count)
-            for gop in tiled.encoded_sot(sot).gops
-            for tile in gop.tiles
+            for tile in tiled.encoded_sot(sot).tiles
         )
         assert tiled.sot_count == 3
         assert 0 < keyframe_bytes <= tiled.total_size_bytes()
@@ -78,6 +80,20 @@ class TestTiledVideo:
     def test_sots_for_frames(self, tiled):
         assert tiled.sots_for_frames(0, 6) == [0, 1]
         assert tiled.frame_range(2) == (10, 15)
+
+    def test_sots_are_the_gops_that_cover_the_video(self, config):
+        gop_config = replace(config, codec=replace(config.codec, gop_frames=10))
+        tiled = TiledVideo(video=build_tiny_video(frame_count=25), config=gop_config)
+        sots = range(tiled.sot_count)
+        assert [tiled.frame_range(s) for s in sots] == [(0, 10), (10, 20), (20, 25)]
+        assert [tiled.encoded_sot(s).frame_count for s in sots] == [10, 10, 5]
+
+    def test_short_and_exact_videos_are_one_sot(self, tiny_video, config):
+        for gop_frames in (15, 20):
+            gop_config = replace(config, codec=replace(config.codec, gop_frames=gop_frames))
+            tiled = TiledVideo(video=tiny_video, config=gop_config)
+            assert (tiled.sot_count, tiled.frame_range(0)) == (1, (0, 15))
+            assert tiled.encoded_sot(0).frame_count == 15
 
 
 class TestIngestedVideos:
@@ -156,10 +172,23 @@ class TestOnDiskPersistence:
         video_dir = write_tiled_video(original, tmp_path)
         tile_path = video_dir / "frames_0-4" / "tile0.bin"
         blob = bytearray(tile_path.read_bytes())
-        blob[8:12] = b"XXXX"  # stomp on the magic number of the first chunk
+        blob[0:4] = b"XXXX"  # stomp on the magic number
         tile_path.write_bytes(bytes(blob))
         with pytest.raises(TileFileFormatError):
             read_tiled_video(tiny_video, tmp_path, config)
+
+    def test_a_store_is_read_under_the_gop_length_it_was_written_with(
+        self, tiny_video, config, tmp_path
+    ):
+        """A SOT is one GOP, so another GOP length would cut the video into
+        other SOTs: the store refuses it rather than read under its own."""
+        original = TiledVideo(video=tiny_video, config=config)
+        original.encoded_sot(0)
+        video_dir = write_tiled_video(original, tmp_path)
+        shorter = replace(config, codec=replace(config.codec, gop_frames=1))
+        with pytest.raises(StorageError, match="GOP"):
+            read_tiled_video(tiny_video, tmp_path, shorter)
+        assert json.loads((video_dir / "manifest.json").read_text())["gop_frames"] == 5
 
     def test_a_version_1_tile_file_is_refused(self, tiny_video, config, tmp_path):
         """Version 1 payloads predicted with unclamped residuals and from a
@@ -169,8 +198,8 @@ class TestOnDiskPersistence:
         video_dir = write_tiled_video(original, tmp_path)
         tile_path = video_dir / "frames_0-4" / "tile0.bin"
         blob = bytearray(tile_path.read_bytes())
-        assert blob[8:12] == b"TASM"
-        blob[12] = 1  # the first chunk's header version byte
+        assert blob[0:4] == b"TASM"
+        blob[4] = 1  # the header's version byte
         tile_path.write_bytes(bytes(blob))
         with pytest.raises(TileFileFormatError, match="version 1"):
             read_tiled_video(tiny_video, tmp_path, config)

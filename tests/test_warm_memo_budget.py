@@ -8,9 +8,11 @@ frame lists its tile lookups returned.  The properties:
   objects of the previous one, builds no region, and counts what the first
   warm serve counted (every tile is still looked up); each result's
   ``regions`` is still a list of its own;
-* the memo holds no pixel buffer of its own: every frame list it keeps is an
-  entry's, and every region views a held frame; a piece with a box across
-  tiles, whose pixels are copied, is not memoised;
+* the memo copies no pixel to serve a piece: every frame list it keeps is an
+  entry's, and every region views a held frame (a piece a serving layer sends
+  again also carries a wire form, a copy the cache counts; see
+  ``tests/test_wire_form_budget.py``); a piece with a box across tiles, whose
+  pixels are copied, is not memoised;
 * whatever lets an entry of a SOT go — an eviction, ``retile_sot``, a
   ``TiledVideo.retile`` behind TASM's back (a token mismatch), a deeper query
   that resumes an entry — drops that SOT's memo with it, so a frame the cache
@@ -29,6 +31,7 @@ import sys
 import threading
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +56,7 @@ def scene(config: TasmConfig, cache_bytes: int) -> tuple[TASM, object]:
     """A 256x192 scene in 2x2 tiles on every SOT: an "inside" box in each
     tile and an "across" box over all four, on every frame."""
     video = build_tiny_video(width=WIDTH, height=HEIGHT)
-    tasm = TASM(config=config.with_updates(decode_cache_bytes=cache_bytes))
+    tasm = TASM(config=replace(config, decode_cache_bytes=cache_bytes))
     tasm.ingest(video)
     for frame in range(video.frame_count):
         for box in INSIDE:
@@ -68,7 +71,7 @@ def scene(config: TasmConfig, cache_bytes: int) -> tuple[TASM, object]:
 def cacheless(tasm: TASM, video) -> TASM:
     """A TASM with no decode cache, reading the same index and holding the
     same layouts as ``tasm`` now."""
-    reference = TASM(config=tasm.config.with_updates(decode_cache_bytes=0),
+    reference = TASM(config=replace(tasm.config, decode_cache_bytes=0),
                      semantic_index=tasm.semantic_index)
     reference.ingest(video)
     tiled = tasm.video(video.name)

@@ -15,6 +15,8 @@ cut out of the SOT's.  What that memory costs is bounded by a count of regions.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.config import TasmConfig
 from repro.core import tasm as tasm_module
 from repro.core.predicates import LabelPredicate, TemporalPredicate
@@ -33,7 +35,7 @@ def tiled_tasm(config: TasmConfig):
     """The tiny video, fully indexed, 3x3 tiles on every SOT — so boxes land
     inside tiles and across them — behind a cache that holds everything."""
     video = build_tiny_video()
-    tasm = TASM(config=config.with_updates(decode_cache_bytes=64 * 1024 * 1024))
+    tasm = TASM(config=replace(config, decode_cache_bytes=64 * 1024 * 1024))
     tasm.ingest(video)
     tasm.add_detections(
         video.name, [d for frame in range(video.frame_count) for d in video.ground_truth(frame)]

@@ -9,14 +9,16 @@ moment.  The bound: a SOT's answers are capped, and
 dropped together when its generation moves.
 
 An estimate is read off a per-``(SOT, predicate, layout)`` cost table, so a
-second property asks random windows — cut by SOT boundaries, inside one GOP of
-a two-GOP SOT, across both — between writes and re-tiles, and holds every
+second property asks random windows — cut by SOT boundaries or inside one
+SOT, over 5-frame SOTs and over a 10-frame SOT followed by a 5-frame one —
+between writes and re-tiles, and holds every
 answer against the rectangle-scan oracle of ``tests/test_layout_properties.py``
 over the window's own index lookup: no memo, no table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -166,8 +168,15 @@ window_operations = st.one_of(
 )
 
 
-#: Three one-GOP SOTs, and a two-GOP SOT followed by a one-GOP one.
-sot_shapes = pytest.mark.parametrize("sot_frames", [None, 10])
+#: Three 5-frame SOTs, and a 10-frame SOT followed by a 5-frame one.
+sot_shapes = pytest.mark.parametrize("gop_frames", [None, 10])
+
+
+def shaped(config: TasmConfig, gop_frames: int | None) -> TasmConfig:
+    """``config`` with SOTs of ``gop_frames`` frames (None keeps its own)."""
+    if gop_frames is None:
+        return config
+    return dataclasses.replace(config, codec=dataclasses.replace(config.codec, gop_frames=gop_frames))
 
 
 def selected(tasm: TASM, predicate: LabelPredicate, start: int, stop: int) -> dict:
@@ -188,12 +197,12 @@ def write_within(tasm: TASM, operation) -> None:
 @given(indexed_frames=st.sets(st.integers(0, 14)), program=st.lists(window_operations, min_size=1, max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_every_window_costs_what_the_cost_model_says_of_its_own_lookup(
-    sot_frames, indexed_frames, program
+    gop_frames, indexed_frames, program
 ):
-    tasm = TASM(CONFIG.with_updates(sot_frames=sot_frames))
+    tasm = TASM(shaped(CONFIG, gop_frames))
     tiled = tasm.ingest(VIDEO)
     tasm.add_detections(VIDEO.name, [d for f in sorted(indexed_frames) for d in VIDEO.ground_truth(f)])
-    model, gop_frames = CostModel(tasm.config), tasm.config.codec.gop_frames
+    model, sot_frames = CostModel(tasm.config), tasm.config.codec.gop_frames
 
     def check(predicate, window, drawn_choice) -> None:
         query = Query(VIDEO.name, predicate, window)
@@ -203,7 +212,7 @@ def test_every_window_costs_what_the_cost_model_says_of_its_own_lookup(
             boxes = selected(tasm, predicate, max(start, sot_start), min(stop, sot_stop))
             for choice in ("current", "untiled", "2x2", drawn_choice):
                 layout = resolve(tasm, sot_index, choice)
-                expected = CostEstimate(*scan_query_cost(model, layout, boxes, gop_frames))
+                expected = CostEstimate(*scan_query_cost(model, layout, boxes, sot_frames))
                 asked = None if choice == "current" else layout
                 assert tasm.estimate_sot_query_cost(VIDEO.name, sot_index, query, asked) == expected
 

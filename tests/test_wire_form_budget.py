@@ -28,6 +28,7 @@ Counts and identities, not clocks.
 from __future__ import annotations
 
 import socket
+from dataclasses import replace
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def test_wire_forms_are_counted_and_kept_only_where_they_fit(config: TasmConfig,
     gop = config.codec.gop_frames
     probe.scan(video.name, "car", TemporalPredicate(0, gop))
     capacity = probe.tile_cache.current_bytes * 3 // 2
-    tasm = TASM(config=config.with_updates(decode_cache_bytes=capacity))
+    tasm = TASM(config=replace(config, decode_cache_bytes=capacity))
     tasm.ingest(video)
     tasm.add_detections(
         video.name, [d for frame in range(video.frame_count) for d in video.ground_truth(frame)]
@@ -217,25 +218,25 @@ def memoised_piece(
     """A piece filed in SOT 0's memo, built from the entry at tile 0."""
     memo = cache.memo("v", 0)
     piece = ScanPiece([])
-    return piece, memo.file(piece, None, [cache.get(("v", 0, 0, 0), 0, (0,))], regions)
+    return piece, memo.file(piece, None, [cache.get(("v", 0, 0), 0, (0,))], regions)
 
 
 def test_a_put_that_lets_nothing_go_keeps_the_memo():
     frame = np.zeros((4, 4), np.uint8)
     cache = TileDecodeCache(capacity_bytes=3 * frame.nbytes)
-    cache.put(("v", 0, 0, 0), [frame], (0,))
+    cache.put(("v", 0, 0), [frame], (0,))
     piece, _ = memoised_piece(cache)
     memo = cache._memos[("v", 0)]
 
-    cache.put(("v", 0, 0, 1), [frame], (1,))  # a new key of the same SOT
+    cache.put(("v", 0, 1), [frame], (1,))  # a new key of the same SOT
     assert cache.stats.evictions == 0
     assert cache._memos[("v", 0)] is memo and piece in memo
 
-    cache.put(("v", 0, 0, 0), [frame, frame], (0,))  # one of its keys, deeper
+    cache.put(("v", 0, 0), [frame, frame], (0,))  # one of its keys, deeper
     assert ("v", 0) not in cache._memos
 
     piece, _ = memoised_piece(cache)
-    cache.put(("v", 1, 0, 0), [frame], (2,))  # over capacity: a SOT-0 entry goes
+    cache.put(("v", 1, 0), [frame], (2,))  # over capacity: a SOT-0 entry goes
     assert cache.stats.evictions == 1
     assert ("v", 0) not in cache._memos
 
@@ -243,7 +244,7 @@ def test_a_put_that_lets_nothing_go_keeps_the_memo():
 def test_the_cache_charges_a_wire_form_and_drops_it_with_its_memo_or_piece():
     frame = np.zeros((4, 4), np.uint8)
     cache = TileDecodeCache(capacity_bytes=2 * frame.nbytes)
-    cache.put(("v", 0, 0, 0), [frame], (0,))
+    cache.put(("v", 0, 0), [frame], (0,))
     piece, regions = memoised_piece(cache)
     builds = []
 
@@ -260,7 +261,7 @@ def test_the_cache_charges_a_wire_form_and_drops_it_with_its_memo_or_piece():
     cache.invalidate_sot("v", 0)
     assert regions.wire is None and cache.current_bytes == 0
 
-    cache.put(("v", 0, 0, 0), [frame], (0,))
+    cache.put(("v", 0, 0), [frame], (0,))
     piece, regions = memoised_piece(cache)
     regions.wire_form(8, build)
     regions.wire_form(8, build)
@@ -281,7 +282,7 @@ def test_the_cache_charges_a_wire_form_and_drops_it_with_its_memo_or_piece():
 def test_a_piece_is_joined_only_at_a_repeat_the_cache_keeps(monkeypatch):
     frame = np.arange(64, dtype=np.uint8).reshape(8, 8)
     cache = TileDecodeCache(capacity_bytes=frame.nbytes + 16)
-    cache.put(("v", 0, 0, 0), [frame], (0,))
+    cache.put(("v", 0, 0), [frame], (0,))
     plain = (
         make_region(0, Rectangle(0, 0, 8, 8), frame, "car"),
         make_region(1, Rectangle(2, 2, 6, 6), frame[2:6, 2:6], None),

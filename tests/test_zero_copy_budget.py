@@ -15,6 +15,7 @@ Counts and bytes, not clocks, so it gates on a noisy runner.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def boxed_tasm(config: TasmConfig, cache_bytes: int) -> tuple[TASM, object]:
     """A 256x192 scene in 2x2 tiles on every SOT, a "box" label on every
     frame: four large boxes inside tiles and a small one across them."""
     video = build_tiny_video(width=WIDTH, height=HEIGHT)
-    tasm = TASM(config=config.with_updates(decode_cache_bytes=cache_bytes))
+    tasm = TASM(config=replace(config, decode_cache_bytes=cache_bytes))
     tasm.ingest(video)
     for frame in range(video.frame_count):
         for box in INSIDE + [ACROSS]:
